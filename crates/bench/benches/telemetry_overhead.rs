@@ -24,7 +24,7 @@ use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::hint::black_box;
 use std::sync::Arc;
-use telemetry::{Counter, Histogram, Profiler, Registry, Tracer};
+use telemetry::{Counter, Histogram, Registry, Telemetry};
 
 const MODES: [&str; 2] = ["disabled", "enabled"];
 
@@ -45,7 +45,7 @@ fn match_overhead(c: &mut Criterion) {
 
     for mode in MODES {
         let mut index = PredicateIndex::new();
-        index.attach_registry(&registry_for(mode));
+        index.attach_metrics(registry_for(mode));
         for p in w.predicates() {
             index
                 .insert(p, db.catalog())
@@ -71,7 +71,7 @@ fn match_overhead(c: &mut Criterion) {
 
     for mode in MODES {
         let mut index = ShardedPredicateIndex::new();
-        index.attach_registry(&registry_for(mode));
+        index.attach_metrics(registry_for(mode));
         for p in w.predicates() {
             index
                 .insert(p, db.catalog())
@@ -134,12 +134,12 @@ fn attribution_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_attribution");
     group.throughput(Throughput::Elements(256));
     for (mode, profiled) in [("baseline", false), ("profiled", true)] {
-        let registry = Arc::new(Registry::new());
-        let mut engine = RuleEngine::new(Database::new());
-        engine.attach_telemetry(Arc::clone(&registry), Tracer::disabled());
+        let mut telemetry = Telemetry::new(Arc::new(Registry::new()));
         if profiled {
-            engine.attach_profiler(Profiler::new(&registry));
+            telemetry = telemetry.with_profiling();
         }
+        let mut engine = RuleEngine::new(Database::new());
+        engine.attach_metrics(telemetry);
         engine
             .create_relation(
                 Schema::builder("emp")

@@ -25,7 +25,7 @@ use predindex::advisor::{
 };
 use predindex::{Backend, Matcher, PredicateIndex};
 use std::sync::Arc;
-use telemetry::{Registry, Tracer, WorkloadStats};
+use telemetry::{Registry, Telemetry};
 
 struct Config {
     quick: bool,
@@ -56,8 +56,9 @@ fn parse_args() -> Config {
     cfg
 }
 
-/// Match-path cost with workload accounts off vs on — the "disabled is
-/// one branch" guard for the new recording sites.
+/// Match-path cost with workload accounts off vs on, counters on in
+/// both modes (the accounts live in the registry, so they cannot be on
+/// without it) — the delta is the workload hooks alone.
 fn workload_overhead(cfg: &Config) -> (f64, f64) {
     let runs = if cfg.quick { 5 } else { 9 };
     let w = SchemeWorkload::default();
@@ -65,13 +66,12 @@ fn workload_overhead(cfg: &Config) -> (f64, f64) {
     let mut costs = [0.0f64; 2];
     for (slot, enabled) in [(0, false), (1, true)] {
         let db = w.database();
-        let mut index = PredicateIndex::new();
+        let mut telemetry = Telemetry::new(Arc::new(Registry::new()));
         if enabled {
-            index.attach_workload(WorkloadStats::new(&Arc::new(Registry::new())));
+            telemetry = telemetry.with_workload_accounts();
         }
-        // Telemetry stays off in both modes so the delta is the
-        // workload hooks alone.
-        index.attach_telemetry(&Arc::new(Registry::disabled()), Tracer::disabled());
+        let mut index = PredicateIndex::new();
+        index.attach_metrics(telemetry);
         for p in w.predicates() {
             index
                 .insert(p, db.catalog())

@@ -24,7 +24,7 @@ use predindex::{Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::sync::Arc;
-use telemetry::{Profiler, Registry, Tracer};
+use telemetry::{Registry, Telemetry, Tracer};
 
 /// One benchmark row.
 struct BenchResult {
@@ -68,7 +68,7 @@ fn parse_args() -> Config {
 fn loaded_index(w: &SchemeWorkload, registry: &Arc<Registry>, tracer: Tracer) -> PredicateIndex {
     let db = w.database();
     let mut index = PredicateIndex::new();
-    index.attach_telemetry(registry, tracer);
+    index.attach_metrics(Telemetry::new(Arc::clone(registry)).with_tracer(tracer));
     for p in w.predicates() {
         index
             .insert(p, db.catalog())
@@ -159,11 +159,12 @@ fn telemetry_overhead(cfg: &Config, results: &mut Vec<BenchResult>) {
 /// A rule engine loaded with salary-band rules: the attribution
 /// workload. `profiled` attaches live per-rule cost accounts.
 fn band_engine(profiled: bool, registry: &Arc<Registry>) -> RuleEngine {
-    let mut engine = RuleEngine::new(Database::new());
-    engine.attach_telemetry(Arc::clone(registry), Tracer::disabled());
+    let mut telemetry = Telemetry::new(Arc::clone(registry));
     if profiled {
-        engine.attach_profiler(Profiler::new(registry));
+        telemetry = telemetry.with_profiling();
     }
+    let mut engine = RuleEngine::new(Database::new());
+    engine.attach_metrics(telemetry);
     engine
         .create_relation(
             Schema::builder("emp")

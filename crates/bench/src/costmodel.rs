@@ -186,7 +186,7 @@ pub fn measure_work(w: &SchemeWorkload, tuples: usize) -> WorkCounts {
     let db = w.database();
     let registry = Arc::new(telemetry::Registry::new());
     let mut index = PredicateIndex::new();
-    index.attach_registry(&registry);
+    index.attach_metrics(Arc::clone(&registry));
     for p in w.predicates() {
         index
             .insert(p, db.catalog())

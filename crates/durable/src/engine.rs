@@ -16,13 +16,14 @@ use crate::recovery::{build_rule, replay_traced, ActionRegistry, RecoverError, W
 use crate::snapshot::{capture, write_snapshot, SnapshotError, SNAPSHOT_FILE};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
+use predindex::Advisor;
 use relation::{Relation, Schema, TupleId, Value};
 use rules::{EngineError, FireReport, MatchTrace, Rule, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use telemetry::{Counter, FlightRecorder, Histogram, Profiler, Registry, Tracer, WorkloadStats};
+use telemetry::{Counter, FlightRecorder, Histogram, Registry, Telemetry};
 
 /// Subdirectory of a durable home where flight dumps land.
 pub const FLIGHT_DIR: &str = "flight";
@@ -124,15 +125,8 @@ struct DurableMetrics {
 }
 
 impl DurableMetrics {
-    fn disabled() -> Self {
-        DurableMetrics {
-            snapshots: Counter::disabled(),
-            snapshot_nanos: Histogram::disabled(),
-            snapshot_bytes: Histogram::disabled(),
-        }
-    }
-
-    fn from_registry(registry: &Arc<Registry>) -> Self {
+    /// A disabled registry hands out no-op handles.
+    fn from_registry(registry: &Registry) -> Self {
         DurableMetrics {
             snapshots: registry.counter("durable_snapshots_total"),
             snapshot_nanos: registry.histogram("durable_snapshot_nanos"),
@@ -154,12 +148,9 @@ pub struct DurableRuleEngine {
     /// Re-applied to each fresh log a truncation creates.
     wal_metrics: WalMetrics,
     metrics: DurableMetrics,
-    tracer: Tracer,
-    /// Post-mortem dumps into `dir/flight/`.
+    /// Post-mortem dumps into `dir/flight/`; built once at open from
+    /// the same telemetry handle the engine records into.
     recorder: Arc<FlightRecorder>,
-    /// Kept so recorder rebuilds (profiler/advisor attach) compose
-    /// instead of clobbering each other.
-    advisor_fn: Option<Arc<dyn Fn() -> String + Send + Sync>>,
 }
 
 impl DurableRuleEngine {
@@ -177,47 +168,46 @@ impl DurableRuleEngine {
         actions: ActionRegistry,
         opts: Options,
     ) -> Result<Self, DurableError> {
-        Self::open_with_metrics(dir, funcs, actions, opts, Arc::new(Registry::disabled()))
+        Self::open_with_metrics(dir, funcs, actions, opts, Telemetry::disabled())
     }
 
-    /// [`open`](Self::open) with a metrics registry: the engine, its
-    /// predicate index, the WAL, and the snapshot machinery all record
-    /// into `registry` (see the crate docs for the metric families).
-    /// Recovery work is recorded too — `durable_recovery_frames_total`
-    /// counts the WAL frames this open replayed on top of the snapshot.
+    /// [`open`](Self::open) with telemetry — the one way in; there is
+    /// no attaching later. A bare `Arc<Registry>` converts into a
+    /// counters-only handle: the engine, its predicate index, the WAL
+    /// and the snapshot machinery all record into it (see the crate
+    /// docs for the metric families), recovery included —
+    /// `durable_recovery_frames_total` counts the WAL frames this open
+    /// replayed on top of the snapshot. A full [`Telemetry`] adds:
+    ///
+    /// * a **tracer** — cascade, match, WAL, snapshot and recovery
+    ///   phases emit spans into its ring, which doubles as the flight
+    ///   recorder: if recovery refuses a corrupt snapshot, a
+    ///   post-mortem dump (the recovery spans plus the metric
+    ///   exposition) lands under `dir/flight/` before the error
+    ///   returns;
+    /// * **profiling** — per-rule cost accounts (recovered rules are
+    ///   named retroactively), also carried in flight dumps;
+    /// * **workload accounts** — the index advisor's input; flight
+    ///   dumps then gain the advisor's text report, so a crash leaves
+    ///   behind what the workload wanted the index to look like.
+    ///
+    /// None of it is replayed: accounts restart empty on reopen.
     pub fn open_with_metrics(
         dir: impl Into<PathBuf>,
         funcs: FunctionRegistry,
         actions: ActionRegistry,
         opts: Options,
-        registry: Arc<Registry>,
-    ) -> Result<Self, DurableError> {
-        Self::open_with_telemetry(dir, funcs, actions, opts, registry, Tracer::disabled())
-    }
-
-    /// [`open_with_metrics`](Self::open_with_metrics) plus a span
-    /// tracer, which makes the engine fully observable: cascade, match,
-    /// WAL, snapshot, and recovery phases all emit spans into
-    /// `tracer`'s ring, and the ring doubles as a flight recorder — if
-    /// recovery refuses a corrupt snapshot, a post-mortem dump (the
-    /// recovery spans plus the metric exposition) is written under
-    /// `dir/flight/` before the error is returned.
-    pub fn open_with_telemetry(
-        dir: impl Into<PathBuf>,
-        funcs: FunctionRegistry,
-        actions: ActionRegistry,
-        opts: Options,
-        registry: Arc<Registry>,
-        tracer: Tracer,
+        telemetry: impl Into<Telemetry>,
     ) -> Result<Self, DurableError> {
         let dir = dir.into();
+        let telemetry = telemetry.into();
         std::fs::create_dir_all(&dir)?;
-        let recorder = Arc::new(FlightRecorder::new(
-            tracer.clone(),
-            registry.clone(),
-            dir.join(FLIGHT_DIR),
-        ));
-        let recovered = match replay_traced(&dir, &funcs, &actions, &tracer) {
+        let mut recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
+        if telemetry.workload().is_enabled() {
+            let advisor = Advisor::new(telemetry.workload().clone());
+            recorder = recorder.with_advisor(move || advisor.render_text());
+        }
+        let recovered = match replay_traced(&dir, &funcs, &actions, telemetry.tracer()) {
             Ok(r) => r,
             Err(e) => {
                 // A torn-WAL tail is tolerated silently; a Corrupt
@@ -229,6 +219,7 @@ impl DurableRuleEngine {
                 return Err(e.into());
             }
         };
+        let registry = telemetry.registry();
         if registry.is_enabled() {
             registry
                 .counter("durable_recovery_frames_total")
@@ -241,18 +232,11 @@ impl DurableRuleEngine {
         )?;
         write_snapshot(&dir, &snap)?;
         let mut engine = recovered.engine;
-        engine.attach_telemetry(registry.clone(), tracer.clone());
-        // A disabled registry hands out disabled counters, so this is
-        // safe either way and keeps the tracer live when only spans
-        // are on.
-        let wal_metrics = WalMetrics::from_parts(&registry, tracer.clone());
-        let metrics = if registry.is_enabled() {
-            DurableMetrics::from_registry(&registry)
-        } else {
-            DurableMetrics::disabled()
-        };
+        engine.attach_metrics(telemetry.clone());
+        let wal_metrics = WalMetrics::new(&telemetry);
         let mut wal = Wal::create(&dir.join(WAL_FILE), recovered.last_seq + 1, opts.sync)?;
         wal.set_metrics(wal_metrics.clone());
+        let metrics = DurableMetrics::from_registry(registry);
         Ok(DurableRuleEngine {
             dir,
             engine,
@@ -264,9 +248,7 @@ impl DurableRuleEngine {
             since_snapshot: 0,
             wal_metrics,
             metrics,
-            tracer,
-            recorder,
-            advisor_fn: None,
+            recorder: Arc::new(recorder),
         })
     }
 
@@ -275,6 +257,12 @@ impl DurableRuleEngine {
     /// [`open_with_metrics`](Self::open_with_metrics).
     pub fn metrics(&self) -> &Arc<Registry> {
         self.engine.metrics()
+    }
+
+    /// The telemetry handle this engine was opened with (everything
+    /// disabled under plain [`open`](Self::open)).
+    pub fn telemetry(&self) -> &Telemetry {
+        self.engine.telemetry()
     }
 
     /// Read access to the wrapped engine (database, rules, log,
@@ -454,7 +442,7 @@ impl DurableRuleEngine {
     /// snapshot file covers every operation ever applied, and the WAL
     /// is empty.
     pub fn snapshot(&mut self) -> Result<(), DurableError> {
-        let _span = self.tracer.span("durable_snapshot");
+        let _span = self.engine.telemetry().tracer().span("durable_snapshot");
         let timer = self.metrics.snapshot_nanos.start_timer();
         let last = self.wal.next_seq() - 1;
         let snap = capture(&self.engine, &self.specs, last)?;
@@ -480,67 +468,6 @@ impl DurableRuleEngine {
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.wal.sync()?;
         Ok(())
-    }
-
-    /// The span tracer the engine emits into — disabled unless opened
-    /// through [`open_with_telemetry`](Self::open_with_telemetry).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Attaches a cost-attribution profiler: the wrapped engine starts
-    /// billing per-rule accounts into it (recovered rules are named
-    /// retroactively), and flight dumps gain the account and slow-op
-    /// sections. Attribution is not replayed — accounts restart empty
-    /// on reopen, like every other metric.
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        self.engine.attach_profiler(profiler);
-        self.rebuild_recorder();
-    }
-
-    /// Attaches workload accounts to the wrapped engine's predicate
-    /// index (per-attribute op mix, clause shapes, stab selectivity —
-    /// the index advisor's input). Like profiling, accounts are not
-    /// replayed: they restart empty on reopen.
-    pub fn attach_workload(&mut self, workload: WorkloadStats) {
-        self.engine.attach_workload(workload);
-    }
-
-    /// The workload accounts the wrapped engine records into —
-    /// disabled unless [`attach_workload`](Self::attach_workload) was
-    /// called.
-    pub fn workload(&self) -> &WorkloadStats {
-        self.engine.workload()
-    }
-
-    /// Attaches an index-advisor report producer to the flight
-    /// recorder: every post-mortem dump gains an
-    /// `== advisor (index recommendations) ==` section, so a crash
-    /// leaves behind what the workload wanted the index to look like.
-    pub fn attach_advisor(&mut self, advisor: impl Fn() -> String + Send + Sync + 'static) {
-        self.advisor_fn = Some(Arc::new(advisor));
-        self.rebuild_recorder();
-    }
-
-    /// Recreates the flight recorder with every currently attached
-    /// section producer (profiler, advisor).
-    fn rebuild_recorder(&mut self) {
-        let mut recorder = FlightRecorder::new(
-            self.tracer.clone(),
-            self.engine.metrics().clone(),
-            self.dir.join(FLIGHT_DIR),
-        )
-        .with_profiler(self.engine.profiler().clone());
-        if let Some(advisor) = self.advisor_fn.clone() {
-            recorder = recorder.with_advisor(move || advisor());
-        }
-        self.recorder = Arc::new(recorder);
-    }
-
-    /// The profiler the wrapped engine bills into — disabled unless
-    /// [`attach_profiler`](Self::attach_profiler) was called.
-    pub fn profiler(&self) -> &Profiler {
-        self.engine.profiler()
     }
 
     /// The flight recorder bound to this engine's trace ring and

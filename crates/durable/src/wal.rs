@@ -30,8 +30,7 @@ use crate::record::Record;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use telemetry::{Counter, Histogram, Registry, Tracer};
+use telemetry::{Counter, Histogram, Telemetry, Tracer};
 
 /// File magic for WAL files.
 pub const WAL_MAGIC: &[u8; 8] = b"PMWAL\0\0\0";
@@ -80,19 +79,16 @@ impl WalMetrics {
         WalMetrics::default()
     }
 
-    /// Resolves the bundle against a registry (no-op if disabled).
-    pub fn from_registry(registry: &Arc<Registry>) -> WalMetrics {
-        Self::from_parts(registry, Tracer::disabled())
-    }
-
-    /// [`from_registry`](Self::from_registry) plus a span tracer —
-    /// appends and fsyncs then emit `wal_append` / `wal_fsync` spans.
-    pub fn from_parts(registry: &Arc<Registry>, tracer: Tracer) -> WalMetrics {
+    /// Resolves the bundle against `telemetry`: counters into its
+    /// registry (no-ops if disabled), `wal_append` / `wal_fsync` spans
+    /// into its tracer.
+    pub fn new(telemetry: &Telemetry) -> WalMetrics {
+        let registry = telemetry.registry();
         WalMetrics {
             appends: registry.counter("wal_appends_total"),
             append_bytes: registry.counter("wal_append_bytes_total"),
             fsync_nanos: registry.histogram("wal_fsync_nanos"),
-            tracer,
+            tracer: telemetry.tracer().clone(),
         }
     }
 }

@@ -16,16 +16,15 @@ use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use std::sync::Arc;
-use telemetry::{Registry, Tracer, DEFAULT_TRACE_CAPACITY};
+use telemetry::{Registry, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY};
 
 fn open_traced(dir: &std::path::Path) -> Result<DurableRuleEngine, DurableError> {
-    DurableRuleEngine::open_with_telemetry(
+    DurableRuleEngine::open_with_metrics(
         dir,
         FunctionRegistry::default(),
         test_actions(),
         Options::default(),
-        Arc::new(Registry::new()),
-        Tracer::new(DEFAULT_TRACE_CAPACITY),
+        Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY)),
     )
 }
 

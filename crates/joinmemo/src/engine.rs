@@ -6,8 +6,7 @@ use crate::memo::{InsertOutcome, JoinMemo};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-use telemetry::{Counter, Histogram, Registry};
+use telemetry::{Counter, Histogram, Registry, Telemetry};
 
 use crate::memo::Binding;
 
@@ -38,16 +37,8 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn disabled() -> Metrics {
-        Metrics {
-            probes: Counter::disabled(),
-            retractions: Counter::disabled(),
-            partials: Histogram::disabled(),
-            bytes: Histogram::disabled(),
-        }
-    }
-
-    fn from_registry(registry: &Arc<Registry>) -> Metrics {
+    /// A disabled registry hands out no-op handles.
+    fn from_registry(registry: &Registry) -> Metrics {
         Metrics {
             probes: registry.counter("join_probes_total"),
             retractions: registry.counter("join_retractions_total"),
@@ -77,18 +68,14 @@ impl JoinEngine {
         JoinEngine {
             memos: FnvHashMap::default(),
             by_relation: FnvHashMap::default(),
-            metrics: Metrics::disabled(),
+            metrics: Metrics::from_registry(&Registry::disabled()),
         }
     }
 
-    /// Mints this crate's metric families from `registry` (a disabled
-    /// registry resets the handles to no-ops).
-    pub fn attach_metrics(&mut self, registry: &Arc<Registry>) {
-        self.metrics = if registry.is_enabled() {
-            Metrics::from_registry(registry)
-        } else {
-            Metrics::disabled()
-        };
+    /// Mints this crate's metric families from `telemetry`'s registry
+    /// (a disabled registry resets the handles to no-ops).
+    pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
+        self.metrics = Metrics::from_registry(telemetry.into().registry());
     }
 
     /// True if no conditions are registered.

@@ -5,7 +5,7 @@
 //! op mix. [`Advisor`] turns that model into a running recommendation
 //! engine: it reads the per-relation+attribute accounts a
 //! [`WorkloadStats`](telemetry::WorkloadStats) handle collected (see
-//! [`PredicateIndex::attach_workload`](crate::PredicateIndex::attach_workload)),
+//! [`PredicateIndex::attach_metrics`](crate::PredicateIndex::attach_metrics)),
 //! plugs each attribute's observed statistics into per-backend cost
 //! formulas, and emits a ranked [`Recommendation`] per attribute with
 //! an estimated crossover margin. The backends priced are the §4.1
@@ -33,7 +33,7 @@ use interval::{Interval, IntervalId};
 use relation::{AttrType, Database, Schema, Tuple, Value};
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::{Counter, Registry, WorkloadStats, WorkloadSummary};
+use telemetry::{Counter, Registry, Telemetry, WorkloadStats, WorkloadSummary};
 
 /// The candidate index backends the advisor prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -913,10 +913,10 @@ pub fn run_shape(spec: &ShapeSpec, constants: &AdvisorConstants) -> ShapeOutcome
     db.create_relation(Schema::builder("emp").attr("a", AttrType::Int).build())
         // srclint:allow(no-panic-in-lib): fresh database, the schema cannot collide
         .expect("fresh schema");
-    let registry = Arc::new(Registry::new());
-    let workload = WorkloadStats::new(&registry);
+    let telemetry = Telemetry::new(Arc::new(Registry::new())).with_workload_accounts();
+    let workload = telemetry.workload().clone();
     let mut index = crate::PredicateIndex::new();
-    index.attach_workload(workload.clone());
+    index.attach_metrics(telemetry);
 
     fn register(
         index: &mut crate::PredicateIndex,

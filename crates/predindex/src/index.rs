@@ -20,13 +20,17 @@
 //! from the query optimizer)"; everything else is verified by the
 //! residual test against the `PREDICATES` table.
 //!
-//! The building blocks here — [`RelationIndex`], [`Placement`], the
-//! residual filter — are shared with the concurrent front-end in
-//! [`crate::sharded`], which partitions the same structure by relation
-//! so the two matchers stay semantically identical by construction.
+//! The whole structure lives in one place, [`IndexCore`]: the relation
+//! hash, the `PREDICATES` store and the placement map, with the only
+//! insert, remove, match, EXPLAIN and stats bodies in the crate.
+//! [`PredicateIndex`] is one core plus a plain id counter; the
+//! concurrent front-end in [`crate::sharded`] is several cores behind
+//! reader–writer locks plus an atomic counter. The sequential index is
+//! literally the one-shard case, so the two cannot drift apart.
 
 use crate::matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
 use crate::metrics::IndexMetrics;
+use crate::stats::{IndexStats, RelationStats, TreeStats};
 use ibs::{BalanceMode, IbsTree, StabStats};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
@@ -35,13 +39,13 @@ use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple, Value};
 use std::sync::Arc;
 use telemetry::{
-    AttrRecorder, ClauseShape, MatchTrace, Registry, RelationRecorder, ResidualTrace, StabTrace,
-    Tracer, WorkloadStats,
+    AttrRecorder, ClauseShape, MatchTrace, RelationRecorder, ResidualTrace, StabTrace, Telemetry,
+    WorkloadStats,
 };
 
 /// Where a registered predicate physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Location {
+enum Location {
     /// In the IBS-tree of this attribute (by schema position).
     Tree { attr: usize },
     /// On the relation's non-indexable list.
@@ -52,7 +56,7 @@ pub(crate) enum Location {
 
 /// The placement decision for a freshly bound predicate: [`Location`]
 /// plus the interval that goes into the tree, when there is one.
-pub(crate) enum Placement {
+enum Placement {
     Tree {
         attr: usize,
         interval: Interval<Value>,
@@ -65,7 +69,7 @@ pub(crate) enum Placement {
 /// taxonomy: a point is `=`, a half-open interval is `<` or `>` by
 /// which side is unbounded, everything else (both sides bounded, or a
 /// universal clause) counts as an interval.
-pub(crate) fn clause_shape_of(interval: &Interval<Value>) -> ClauseShape {
+fn clause_shape_of(interval: &Interval<Value>) -> ClauseShape {
     if interval.is_point() {
         return ClauseShape::Eq;
     }
@@ -79,12 +83,12 @@ pub(crate) fn clause_shape_of(interval: &Interval<Value>) -> ClauseShape {
 /// The finite length of an indexed interval for the workload length
 /// histogram: 0 for a point, `|hi - lo|` for bounded numeric bounds,
 /// `None` when a side is unbounded or the endpoints are not numeric.
-pub(crate) fn interval_length_of(interval: &Interval<Value>) -> Option<u64> {
+fn interval_length_of(interval: &Interval<Value>) -> Option<u64> {
     if interval.is_point() {
         return Some(0);
     }
     match (interval.lo().value(), interval.hi().value()) {
-        (Some(Value::Int(a)), Some(Value::Int(b))) => Some(b.wrapping_sub(*a).unsigned_abs()),
+        (Some(Value::Int(a)), Some(Value::Int(b))) => Some(b.abs_diff(*a)),
         (Some(Value::Float(a)), Some(Value::Float(b))) => Some((b - a).abs() as u64),
         _ => None,
     }
@@ -92,7 +96,7 @@ pub(crate) fn interval_length_of(interval: &Interval<Value>) -> Option<u64> {
 
 /// Decides where a bound predicate belongs: the most selective
 /// indexable clause's tree, the non-indexable list, or nowhere.
-pub(crate) fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
+fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
     if !stored.bound.is_satisfiable() {
         return Placement::Unsatisfiable;
     }
@@ -113,12 +117,7 @@ pub(crate) fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
 
 /// The residual test (Figure 1's last stage): keeps only ids whose full
 /// conjunction holds, then sorts the tail for deterministic output.
-pub(crate) fn residual_filter(
-    store: &PredicateStore,
-    tuple: &Tuple,
-    out: &mut Vec<PredicateId>,
-    from: usize,
-) {
+fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<PredicateId>, from: usize) {
     let mut keep = from;
     for i in from..out.len() {
         if store.full_match(out[i], tuple) {
@@ -130,87 +129,18 @@ pub(crate) fn residual_filter(
     out[from..].sort_unstable();
 }
 
-/// The full match path with metrics: hash on relation name, partial
-/// match (metered when enabled), residual filter, one `record_match`.
-/// Shared by [`PredicateIndex`] and each shard of the sharded index so
-/// both record identically.
-pub(crate) fn match_into_metered(
-    relations: &FnvHashMap<String, RelationIndex>,
-    store: &PredicateStore,
-    metrics: &IndexMetrics,
-    workload: &WorkloadStats,
-    relation: &str,
-    tuple: &Tuple,
-    out: &mut Vec<PredicateId>,
-) {
-    let from = out.len();
-    let tracer = metrics.tracer();
-    if let Some(ri) = relations.get(relation) {
-        {
-            let _stab = tracer.span("predindex_stab");
-            if metrics.is_enabled() || workload.is_enabled() {
-                ri.collect_partial_metered(relation, tuple, out, metrics);
-            } else {
-                ri.collect_partial(tuple, out);
-            }
-        }
-        let partials = (out.len() - from) as u64;
-        {
-            let _residual = tracer.span_with("predindex_residual", || {
-                vec![("partials", partials.to_string())]
-            });
-            residual_filter(store, tuple, out, from);
-        }
-        metrics.record_match(relation, partials, (out.len() - from) as u64);
-    } else {
-        metrics.record_match(relation, 0, 0);
-    }
-}
-
-/// Builds the Figure 1 EXPLAIN trace for one tuple: the same walk as
-/// [`match_into_metered`], but recording per-stage work and the outcome
-/// of every residual test instead of counters. Shared by both indexes.
-pub(crate) fn explain_match(
-    relations: &FnvHashMap<String, RelationIndex>,
-    store: &PredicateStore,
-    relation: &str,
-    tuple: &Tuple,
-) -> MatchTrace {
-    let mut trace = MatchTrace {
-        relation: relation.to_string(),
-        tuple: tuple.to_string(),
-        ..MatchTrace::default()
-    };
-    let mut candidates = Vec::new();
-    if let Some(ri) = relations.get(relation) {
-        trace.relation_indexed = true;
-        ri.explain_partial(tuple, &mut candidates, &mut trace);
-    }
-    for &id in &candidates {
-        trace.residual.push(ResidualTrace {
-            predicate: id.0,
-            pass: store.full_match(id, tuple),
-            source: store
-                .get(id)
-                .and_then(|p| p.source.to_source())
-                .unwrap_or_else(|| "<opaque>".to_string()),
-        });
-    }
-    trace
-}
-
 /// One attribute's IBS-tree plus its pre-resolved workload account —
 /// the recorder is minted when the tree (or the workload attachment)
 /// is created, so the stab path records with atomic adds only.
 #[derive(Debug, Clone)]
-pub(crate) struct AttrTree {
+struct AttrTree {
     tree: IbsTree<Value>,
     workload: AttrRecorder,
 }
 
 /// Second-level index for one relation.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RelationIndex {
+struct RelationIndex {
     /// One IBS-tree per attribute that has at least one indexed clause.
     attr_trees: FnvHashMap<usize, AttrTree>,
     /// Predicates whose clauses are all opaque functions (or empty).
@@ -221,12 +151,12 @@ pub(crate) struct RelationIndex {
 
 impl RelationIndex {
     /// (Re-)mints every cached workload recorder from `workload` —
-    /// called when workload accounts are attached to an index that
-    /// already holds trees. The existing population is backfilled as
-    /// inserts so derived live counts are correct for predicates
-    /// registered before attachment; attach a fresh `WorkloadStats`
-    /// per index generation, or the backfill double-counts.
-    pub(crate) fn attach_workload(&mut self, relation: &str, workload: &WorkloadStats) {
+    /// called when telemetry is attached to an index that already holds
+    /// trees. The existing population is backfilled as inserts so
+    /// derived live counts are correct for predicates registered before
+    /// attachment; attach a given handle to an index once, or the
+    /// backfill double-counts.
+    fn rebind_workload(&mut self, relation: &str, workload: &WorkloadStats) {
         self.tuple_recorder = workload.relation_recorder(relation);
         for _ in &self.non_indexable {
             self.tuple_recorder.record_non_indexable_insert();
@@ -242,14 +172,14 @@ impl RelationIndex {
 
     /// Mints the per-relation recorder on first use (insert paths call
     /// this so relations created after attachment get accounts too).
-    pub(crate) fn ensure_tuple_recorder(&mut self, relation: &str, workload: &WorkloadStats) {
+    fn ensure_tuple_recorder(&mut self, relation: &str, workload: &WorkloadStats) {
         if workload.is_enabled() && !self.tuple_recorder.is_enabled() {
             self.tuple_recorder = workload.relation_recorder(relation);
         }
     }
 
     /// Indexes `interval` under `attr`, creating the tree on first use.
-    pub(crate) fn insert_tree(
+    fn insert_tree(
         &mut self,
         relation: &str,
         attr: usize,
@@ -272,14 +202,14 @@ impl RelationIndex {
     }
 
     /// Appends to the non-indexable list.
-    pub(crate) fn push_non_indexable(&mut self, id: PredicateId) {
+    fn push_non_indexable(&mut self, id: PredicateId) {
         self.non_indexable.push(id);
     }
 
     /// Removes an indexed interval, dropping the tree when it empties.
     /// Returns the removed interval so callers can account for its
     /// clause shape without a second lookup.
-    pub(crate) fn remove_tree(&mut self, attr: usize, id: PredicateId) -> Interval<Value> {
+    fn remove_tree(&mut self, attr: usize, id: PredicateId) -> Interval<Value> {
         // srclint:allow(no-panic-in-lib): the location map recorded a Tree placement for this attr
         let at = self.attr_trees.get_mut(&attr).expect("indexed tree exists");
         // srclint:allow(no-panic-in-lib): the tree held this id since the placement was recorded
@@ -291,7 +221,7 @@ impl RelationIndex {
     }
 
     /// Removes from the non-indexable list.
-    pub(crate) fn remove_non_indexable(&mut self, id: PredicateId) {
+    fn remove_non_indexable(&mut self, id: PredicateId) {
         self.non_indexable.retain(|&p| p != id);
     }
 
@@ -301,7 +231,7 @@ impl RelationIndex {
     /// deduplication is needed. Attributes beyond the tuple's arity are
     /// skipped — a clause on a missing attribute cannot hold, and the
     /// residual test agrees (see `BoundClause::test`).
-    pub(crate) fn collect_partial(&self, tuple: &Tuple, out: &mut Vec<PredicateId>) {
+    fn collect_partial(&self, tuple: &Tuple, out: &mut Vec<PredicateId>) {
         for (&attr, at) in &self.attr_trees {
             if let Some(value) = tuple.values().get(attr) {
                 at.tree.stab_into(value, out);
@@ -319,7 +249,7 @@ impl RelationIndex {
     /// counted here, i.e. only for relations with at least one
     /// registered predicate — unindexed relations do no stab work and
     /// carry no account.)
-    pub(crate) fn collect_partial_metered(
+    fn collect_partial_metered(
         &self,
         relation: &str,
         tuple: &Tuple,
@@ -343,12 +273,7 @@ impl RelationIndex {
     /// The EXPLAIN version of the partial match: same candidates, plus
     /// one [`StabTrace`] per attribute tree (ordered by attribute) and
     /// the non-indexable sweep size, written into `trace`.
-    pub(crate) fn explain_partial(
-        &self,
-        tuple: &Tuple,
-        out: &mut Vec<PredicateId>,
-        trace: &mut MatchTrace,
-    ) {
+    fn explain_partial(&self, tuple: &Tuple, out: &mut Vec<PredicateId>, trace: &mut MatchTrace) {
         for (&attr, at) in &self.attr_trees {
             if let Some(value) = tuple.values().get(attr) {
                 let mut stats = StabStats::default();
@@ -373,27 +298,248 @@ impl RelationIndex {
         trace.non_indexable_scanned = self.non_indexable.len();
     }
 
-    /// Iterates `(attribute index, tree)` pairs (stats support).
-    pub(crate) fn attr_trees_iter(&self) -> impl Iterator<Item = (usize, &IbsTree<Value>)> {
-        self.attr_trees.iter().map(|(&a, t)| (a, &t.tree))
+    /// Structure snapshot, trees ordered by attribute.
+    fn stats(&self, relation: &str) -> RelationStats {
+        let mut trees: Vec<TreeStats> = self
+            .attr_trees
+            .iter()
+            .map(|(&attr, at)| TreeStats {
+                attr,
+                intervals: at.tree.len(),
+                nodes: at.tree.node_count(),
+                markers: at.tree.marker_count(),
+                height: at.tree.height(),
+            })
+            .collect();
+        trees.sort_by_key(|t| t.attr);
+        RelationStats {
+            relation: relation.to_string(),
+            trees,
+            non_indexable: self.non_indexable.len(),
+        }
     }
 
     /// Number of attribute trees (stats support).
-    pub(crate) fn tree_count(&self) -> usize {
+    fn tree_count(&self) -> usize {
         self.attr_trees.len()
     }
 
     /// Total markers across this relation's trees (§5.1 space metric).
-    pub(crate) fn marker_count(&self) -> usize {
+    fn marker_count(&self) -> usize {
         self.attr_trees
             .values()
             .map(|t| t.tree.marker_count())
             .sum()
     }
+}
 
-    /// Length of the non-indexable list (stats support).
-    pub(crate) fn non_indexable_len(&self) -> usize {
-        self.non_indexable.len()
+/// The Figure 1 structure itself: relation-name hash → per-relation
+/// second-level index, the `PREDICATES` store, and where each stored
+/// predicate was placed. Ids are assigned by the owning front-end;
+/// everything else — placement, removal, matching, EXPLAIN, stats,
+/// workload accounting — happens here and nowhere else.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexCore {
+    relations: FnvHashMap<String, RelationIndex>,
+    store: PredicateStore,
+    locations: FnvHashMap<u32, (String, Location)>,
+    mode: BalanceMode,
+}
+
+impl IndexCore {
+    /// An empty core whose IBS-trees balance by `mode`.
+    pub(crate) fn new(mode: BalanceMode) -> Self {
+        IndexCore {
+            relations: FnvHashMap::default(),
+            store: PredicateStore::new(),
+            locations: FnvHashMap::default(),
+            mode,
+        }
+    }
+
+    /// Stores `stored` under the caller-assigned `id` and indexes it
+    /// where [`place`] says it belongs.
+    pub(crate) fn insert_bound(
+        &mut self,
+        id: PredicateId,
+        stored: StoredPredicate,
+        catalog: &Catalog,
+        workload: &WorkloadStats,
+    ) {
+        let relation = stored.bound.relation().to_string();
+        let placement = place(catalog, &stored);
+        self.store.insert_bound(id, stored);
+        let location = match placement {
+            Placement::Unsatisfiable => Location::Unsatisfiable,
+            Placement::Tree { attr, interval } => {
+                if workload.is_enabled() {
+                    workload.record_insert(
+                        &relation,
+                        attr,
+                        clause_shape_of(&interval),
+                        interval_length_of(&interval),
+                    );
+                }
+                let ri = self.relations.entry(relation.clone()).or_default();
+                ri.ensure_tuple_recorder(&relation, workload);
+                ri.insert_tree(&relation, attr, id, interval, self.mode, workload);
+                Location::Tree { attr }
+            }
+            Placement::NonIndexable => {
+                workload.record_non_indexable_insert(&relation);
+                let ri = self.relations.entry(relation.clone()).or_default();
+                ri.ensure_tuple_recorder(&relation, workload);
+                ri.push_non_indexable(id);
+                Location::NonIndexable
+            }
+        };
+        self.locations.insert(id.0, (relation, location));
+    }
+
+    /// Unregisters `id`, returning its source form.
+    pub(crate) fn remove(
+        &mut self,
+        id: PredicateId,
+        workload: &WorkloadStats,
+    ) -> Option<Predicate> {
+        let stored = self.store.unregister(id)?;
+        let (relation, location) = self
+            .locations
+            .remove(&id.0)
+            // srclint:allow(no-panic-in-lib): store and locations are updated together (under one shard guard when sharded); divergence is an index-corruption bug
+            .expect("stored predicate must have a location");
+        match location {
+            Location::Tree { attr } => {
+                let interval = self
+                    .relations
+                    .get_mut(&relation)
+                    // srclint:allow(no-panic-in-lib): a Tree location implies the relation entry exists; see insert_bound
+                    .expect("indexed relation exists")
+                    .remove_tree(attr, id);
+                if workload.is_enabled() {
+                    workload.record_delete(&relation, attr, clause_shape_of(&interval));
+                }
+            }
+            Location::NonIndexable => {
+                self.relations
+                    .get_mut(&relation)
+                    // srclint:allow(no-panic-in-lib): a NonIndexable location implies the relation entry exists; see insert_bound
+                    .expect("indexed relation exists")
+                    .remove_non_indexable(id);
+                workload.record_non_indexable_delete(&relation);
+            }
+            Location::Unsatisfiable => {}
+        }
+        Some(stored.source)
+    }
+
+    /// The full match path: hash on relation name, partial match
+    /// (metered when counters or workload accounts are on), residual
+    /// filter, one `record_match`.
+    pub(crate) fn match_into(
+        &self,
+        relation: &str,
+        tuple: &Tuple,
+        out: &mut Vec<PredicateId>,
+        metrics: &IndexMetrics,
+    ) {
+        let from = out.len();
+        let tracer = metrics.tracer();
+        if let Some(ri) = self.relations.get(relation) {
+            {
+                let _stab = tracer.span("predindex_stab");
+                if metrics.is_enabled() || metrics.workload().is_enabled() {
+                    ri.collect_partial_metered(relation, tuple, out, metrics);
+                } else {
+                    ri.collect_partial(tuple, out);
+                }
+            }
+            let partials = (out.len() - from) as u64;
+            {
+                let _residual = tracer.span_with("predindex_residual", || {
+                    vec![("partials", partials.to_string())]
+                });
+                residual_filter(&self.store, tuple, out, from);
+            }
+            metrics.record_match(relation, partials, (out.len() - from) as u64);
+        } else {
+            metrics.record_match(relation, 0, 0);
+        }
+    }
+
+    /// Builds the Figure 1 EXPLAIN trace for one tuple: the same walk
+    /// as [`match_into`](Self::match_into), but recording per-stage
+    /// work and the outcome of every residual test instead of counters.
+    pub(crate) fn explain(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
+        let mut trace = MatchTrace {
+            relation: relation.to_string(),
+            tuple: tuple.to_string(),
+            ..MatchTrace::default()
+        };
+        let mut candidates = Vec::new();
+        if let Some(ri) = self.relations.get(relation) {
+            trace.relation_indexed = true;
+            ri.explain_partial(tuple, &mut candidates, &mut trace);
+        }
+        for &id in &candidates {
+            trace.residual.push(ResidualTrace {
+                predicate: id.0,
+                pass: self.store.full_match(id, tuple),
+                source: self
+                    .store
+                    .get(id)
+                    .and_then(|p| p.source.to_source())
+                    .unwrap_or_else(|| "<opaque>".to_string()),
+            });
+        }
+        trace
+    }
+
+    /// Re-mints every cached workload recorder and backfills the
+    /// existing population (see [`RelationIndex::rebind_workload`]).
+    pub(crate) fn rebind_workload(&mut self, workload: &WorkloadStats) {
+        for (relation, ri) in self.relations.iter_mut() {
+            ri.rebind_workload(relation, workload);
+        }
+    }
+
+    /// The stored form of a registered predicate.
+    pub(crate) fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
+        self.store.get(id)
+    }
+
+    /// Does this core hold `id`?
+    pub(crate) fn contains(&self, id: PredicateId) -> bool {
+        self.locations.contains_key(&id.0)
+    }
+
+    /// Number of stored predicates (including unsatisfiable ones).
+    pub(crate) fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Number of per-attribute IBS-trees.
+    pub(crate) fn tree_count(&self) -> usize {
+        self.relations.values().map(|r| r.tree_count()).sum()
+    }
+
+    /// Total markers across all IBS-trees (§5.1 space metric).
+    pub(crate) fn marker_count(&self) -> usize {
+        self.relations.values().map(|r| r.marker_count()).sum()
+    }
+
+    /// Structure snapshot, relations sorted by name.
+    pub(crate) fn stats(&self) -> IndexStats {
+        let mut relations: Vec<RelationStats> = self
+            .relations
+            .iter()
+            .map(|(name, ri)| ri.stats(name))
+            .collect();
+        relations.sort_by(|a, b| a.relation.cmp(&b.relation));
+        IndexStats {
+            relations,
+            predicates: self.store.len(),
+        }
     }
 }
 
@@ -423,18 +569,14 @@ impl RelationIndex {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PredicateIndex {
-    relations: FnvHashMap<String, RelationIndex>,
-    store: PredicateStore,
-    locations: FnvHashMap<u32, (String, Location)>,
-    mode: BalanceMode,
-    /// Disabled by default; swapped by [`attach_registry`]
-    /// (clones share the bundle — counters are process totals).
-    ///
-    /// [`attach_registry`]: PredicateIndex::attach_registry
+    core: IndexCore,
+    /// The next id to hand out (0, 1, 2, ... — the sequence the
+    /// sharded front-end reproduces with its atomic counter).
+    next_id: u32,
+    /// Disabled by default; swapped by
+    /// [`attach_metrics`](PredicateIndex::attach_metrics) (clones
+    /// share the bundle — counters are process totals).
     metrics: Arc<IndexMetrics>,
-    /// Per-relation+attribute workload accounts; disabled by default,
-    /// swapped by [`attach_workload`](PredicateIndex::attach_workload).
-    workload: WorkloadStats,
 }
 
 impl Default for PredicateIndex {
@@ -453,44 +595,24 @@ impl PredicateIndex {
     /// section ran unbalanced trees).
     pub fn with_mode(mode: BalanceMode) -> Self {
         PredicateIndex {
-            relations: FnvHashMap::default(),
-            store: PredicateStore::new(),
-            locations: FnvHashMap::default(),
-            mode,
+            core: IndexCore::new(mode),
+            next_id: 0,
             metrics: IndexMetrics::disabled(),
-            workload: WorkloadStats::disabled(),
         }
     }
 
-    /// Starts recording match-path metrics into `registry` (see
-    /// [`IndexMetrics`] for the catalogue). Until this is called the
-    /// index runs with the no-op bundle: one branch per would-be
-    /// recording site.
-    pub fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        self.metrics = IndexMetrics::from_registry(registry, 0);
-    }
-
-    /// [`attach_registry`](Self::attach_registry) plus a span tracer:
-    /// the match path additionally emits `predindex_stab` and
-    /// `predindex_residual` spans into `tracer`'s ring.
-    pub fn attach_telemetry(&mut self, registry: &Arc<Registry>, tracer: Tracer) {
-        self.metrics = IndexMetrics::from_parts(registry, 0, tracer);
-    }
-
-    /// Starts recording per-relation+attribute workload accounts (op
-    /// mix, clause shapes, stab selectivity) into `workload` — the
-    /// observation feed for [`crate::advisor`]. Until this is called
-    /// the index runs with the no-op handle: one branch per site.
-    pub fn attach_workload(&mut self, workload: WorkloadStats) {
-        for (relation, ri) in self.relations.iter_mut() {
-            ri.attach_workload(relation, &workload);
-        }
-        self.workload = workload;
-    }
-
-    /// The attached workload-account handle (disabled by default).
-    pub fn workload(&self) -> &WorkloadStats {
-        &self.workload
+    /// Points the index at `telemetry` (a bare `Arc<Registry>` converts
+    /// into a counters-only handle): match-path counters go to its
+    /// registry, `predindex_stab` / `predindex_residual` spans to its
+    /// tracer, and per-relation+attribute workload accounts (the
+    /// [`crate::advisor`] feed) to its workload handle, backfilled with
+    /// the predicates already registered. Whatever was attached before
+    /// is replaced whole. Until this is called the index runs with the
+    /// no-op bundle: one branch per would-be recording site.
+    pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
+        let telemetry = telemetry.into();
+        self.metrics = IndexMetrics::new(&telemetry, 0);
+        self.core.rebind_workload(telemetry.workload());
     }
 
     /// The Figure 1 EXPLAIN: the exact path `tuple` takes through the
@@ -498,112 +620,50 @@ impl PredicateIndex {
     /// outcome. Independent of metrics — always available, never
     /// touches the registry.
     pub fn explain_tuple(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
-        explain_match(&self.relations, &self.store, relation, tuple)
+        self.core.explain(relation, tuple)
     }
 
     /// The stored form of a registered predicate.
     pub fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
-        self.store.get(id)
+        self.core.get(id)
     }
 
     /// Matching ids appended into a caller-owned buffer (hot path).
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
-        match_into_metered(
-            &self.relations,
-            &self.store,
-            &self.metrics,
-            &self.workload,
-            relation,
-            tuple,
-            out,
-        );
+        self.core.match_into(relation, tuple, out, &self.metrics);
     }
 
     /// Number of per-attribute IBS-trees across all relations (for
     /// diagnostics and the §5.2 cost model).
     pub fn attribute_tree_count(&self) -> usize {
-        self.relations.values().map(|r| r.tree_count()).sum()
-    }
-
-    /// Iterates `(relation name, relation index)` pairs (stats support).
-    pub(crate) fn relations_iter(&self) -> impl Iterator<Item = (&str, &RelationIndex)> {
-        self.relations.iter().map(|(k, v)| (k.as_str(), v))
+        self.core.tree_count()
     }
 
     /// Total markers across all IBS-trees (§5.1 space metric).
     pub fn marker_count(&self) -> usize {
-        self.relations.values().map(|r| r.marker_count()).sum()
+        self.core.marker_count()
+    }
+
+    /// Snapshots the index structure.
+    pub fn stats(&self) -> IndexStats {
+        self.core.stats()
     }
 }
 
 impl Matcher for PredicateIndex {
     fn insert(&mut self, pred: Predicate, catalog: &Catalog) -> Result<PredicateId, IndexError> {
-        let (id, stored) = self.store.register(pred, catalog)?;
-        let relation = stored.bound.relation().to_string();
-        // Decide the placement with the store borrow, mutate after.
-        let placement = place(catalog, stored);
-        let mode = self.mode;
-        let location = match placement {
-            Placement::Unsatisfiable => Location::Unsatisfiable,
-            Placement::Tree { attr, interval } => {
-                let workload = &self.workload;
-                if workload.is_enabled() {
-                    workload.record_insert(
-                        &relation,
-                        attr,
-                        clause_shape_of(&interval),
-                        interval_length_of(&interval),
-                    );
-                }
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.insert_tree(&relation, attr, id, interval, mode, workload);
-                Location::Tree { attr }
-            }
-            Placement::NonIndexable => {
-                let workload = &self.workload;
-                workload.record_non_indexable_insert(&relation);
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.push_non_indexable(id);
-                Location::NonIndexable
-            }
-        };
-        self.locations.insert(id.0, (relation, location));
+        let stored = StoredPredicate::bind(pred, catalog)?;
+        // Drawn only after binding succeeds, so failed inserts leave
+        // no gap in the id sequence.
+        let id = PredicateId(self.next_id);
+        self.next_id += 1;
+        self.core
+            .insert_bound(id, stored, catalog, self.metrics.workload());
         Ok(id)
     }
 
     fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
-        let stored = self.store.unregister(id)?;
-        let (relation, location) = self
-            .locations
-            .remove(&id.0)
-            // srclint:allow(no-panic-in-lib): store and locations are updated together
-            .expect("stored predicate must have a location");
-        match location {
-            Location::Tree { attr } => {
-                let interval = self
-                    .relations
-                    .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a Tree location implies the relation entry exists
-                    .expect("indexed relation exists")
-                    .remove_tree(attr, id);
-                if self.workload.is_enabled() {
-                    self.workload
-                        .record_delete(&relation, attr, clause_shape_of(&interval));
-                }
-            }
-            Location::NonIndexable => {
-                self.relations
-                    .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a NonIndexable location implies the relation entry exists
-                    .expect("indexed relation exists")
-                    .remove_non_indexable(id);
-                self.workload.record_non_indexable_delete(&relation);
-            }
-            Location::Unsatisfiable => {}
-        }
-        Some(stored.source)
+        self.core.remove(id, self.metrics.workload())
     }
 
     fn match_tuple(&self, relation: &str, tuple: &Tuple) -> Vec<PredicateId> {
@@ -613,10 +673,39 @@ impl Matcher for PredicateIndex {
     }
 
     fn len(&self) -> usize {
-        self.store.len()
+        self.core.len()
     }
 
     fn strategy(&self) -> &'static str {
         "ibs-index"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use interval::Interval;
+
+    fn closed(lo: i64, hi: i64) -> Interval<Value> {
+        Interval::closed(Value::Int(lo), Value::Int(hi))
+    }
+
+    #[test]
+    fn interval_length_spans_the_whole_i64_range() {
+        assert_eq!(interval_length_of(&closed(3, 3)), Some(0));
+        assert_eq!(interval_length_of(&closed(-5, 20)), Some(25));
+        // `hi - lo` exceeds i64::MAX: wrapping_sub + unsigned_abs got
+        // these wrong (1 and ~6.4e18).
+        assert_eq!(
+            interval_length_of(&closed(i64::MIN, i64::MAX)),
+            Some(u64::MAX)
+        );
+        assert_eq!(
+            interval_length_of(&closed(
+                -6_000_000_000_000_000_000,
+                6_000_000_000_000_000_000
+            )),
+            Some(12_000_000_000_000_000_000)
+        );
     }
 }

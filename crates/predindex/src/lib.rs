@@ -4,9 +4,9 @@
 //! IBS-tree per attribute with indexable clauses, a non-indexable list,
 //! and the `PREDICATES` residual test (Figure 1).
 //! [`ShardedPredicateIndex`] is the concurrent front-end over the same
-//! structure: state partitioned by relation name behind per-shard
+//! index core: state partitioned by relation name behind per-shard
 //! reader–writer locks, with batch matching fanned out across scoped
-//! threads. The [`baselines`] module holds the four strategies §2
+//! threads; the sequential index is its one-shard, lock-free case. The [`baselines`] module holds the four strategies §2
 //! reviews — sequential search, OPS5-style hash + sequential, simulated
 //! physical locking, and R-tree multi-dimensional indexing — all behind
 //! the same [`Matcher`] trait so they can be swapped,
@@ -31,12 +31,11 @@ pub use baselines::{
 pub use index::PredicateIndex;
 pub use matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
 pub use memory::MatchMemory;
-pub use metrics::IndexMetrics;
 pub use sharded::{ShardedPredicateIndex, DEFAULT_SHARDS};
 pub use stats::{IndexStats, RelationStats, ShardStats, TreeStats};
-// Re-exported so downstream layers can speak the EXPLAIN and tracing
-// types without depending on `telemetry` directly.
-pub use telemetry::{MatchTrace, ResidualTrace, StabTrace, Tracer};
+// Re-exported so downstream layers can speak the EXPLAIN types without
+// depending on `telemetry` directly.
+pub use telemetry::{MatchTrace, ResidualTrace, StabTrace};
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 use relation::fx::FnvHashMap;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use telemetry::{Counter, Histogram, Registry, Tracer};
+use telemetry::{Counter, Histogram, Registry, Telemetry, Tracer, WorkloadStats};
 
 /// The stab-work counters of one `(relation, attribute)` IBS-tree.
 #[derive(Debug, Clone)]
@@ -21,15 +21,18 @@ pub(crate) struct AttrWork {
     marks: Counter,
 }
 
-/// Every metric the sequential and sharded indexes record.
+/// Everything the index core and both front-ends record into: the
+/// counters, the span tracer and the workload accounts of one
+/// [`Telemetry`] handle. Any of the three can be on without the others.
 #[derive(Debug)]
-pub struct IndexMetrics {
+pub(crate) struct IndexMetrics {
+    /// Is the counter registry live? (Tracer and workload accounts
+    /// carry their own flags.)
     enabled: bool,
-    /// Present only when enabled — needed to mint lazy families.
-    registry: Option<Arc<Registry>>,
-    /// Span tracer for the match path (independent of the counter
-    /// recorder: either can be enabled without the other).
+    /// Needed to mint the lazy per-relation / per-attribute families.
+    registry: Arc<Registry>,
     tracer: Tracer,
+    workload: WorkloadStats,
     /// Tuples matched (`match_tuple*` calls, one per tuple).
     match_tuples: Counter,
     /// Residual (full-conjunction) tests run — one per partial match.
@@ -57,51 +60,21 @@ pub struct IndexMetrics {
 
 impl IndexMetrics {
     /// The no-op bundle every index starts with.
-    pub fn disabled() -> Arc<IndexMetrics> {
-        Arc::new(Self::inert(Tracer::disabled()))
+    pub(crate) fn disabled() -> Arc<IndexMetrics> {
+        Self::new(&Telemetry::disabled(), 0)
     }
 
-    /// No-op counters, but a caller-chosen tracer.
-    fn inert(tracer: Tracer) -> IndexMetrics {
-        IndexMetrics {
-            enabled: false,
-            registry: None,
-            tracer,
-            match_tuples: Counter::disabled(),
-            residual_tests: Counter::disabled(),
-            residual_passes: Counter::disabled(),
-            ibs_nodes: Counter::disabled(),
-            ibs_marks: Counter::disabled(),
-            non_indexable_scanned: Counter::disabled(),
-            batch_sizes: Histogram::disabled(),
-            lock_wait: Histogram::disabled(),
-            shard_lock_wait: Vec::new(),
-            per_relation: RwLock::new(FnvHashMap::default()),
-            per_attr: RwLock::new(FnvHashMap::default()),
-        }
-    }
-
-    /// Resolves the bundle against a registry; `shards` counters are
-    /// minted for per-shard lock-wait attribution (0 for the
-    /// unsharded index). A disabled registry yields the no-op bundle.
-    pub fn from_registry(registry: &Arc<Registry>, shards: usize) -> Arc<IndexMetrics> {
-        Self::from_parts(registry, shards, Tracer::disabled())
-    }
-
-    /// [`from_registry`](Self::from_registry) plus a span tracer. The
-    /// bundle is fully inert only when both recorders are disabled.
-    pub fn from_parts(
-        registry: &Arc<Registry>,
-        shards: usize,
-        tracer: Tracer,
-    ) -> Arc<IndexMetrics> {
-        if !registry.is_enabled() {
-            return Arc::new(Self::inert(tracer));
-        }
+    /// Resolves the bundle against `telemetry`; `shards` counters are
+    /// minted for per-shard lock-wait attribution (0 for the unsharded
+    /// index). A disabled registry hands out no-op handles, so the
+    /// counter half is inert exactly when the registry is.
+    pub(crate) fn new(telemetry: &Telemetry, shards: usize) -> Arc<IndexMetrics> {
+        let registry = telemetry.registry();
         Arc::new(IndexMetrics {
-            enabled: true,
-            registry: Some(registry.clone()),
-            tracer,
+            enabled: registry.is_enabled(),
+            registry: Arc::clone(registry),
+            tracer: telemetry.tracer().clone(),
+            workload: telemetry.workload().clone(),
             match_tuples: registry.counter("predindex_match_tuples_total"),
             residual_tests: registry.counter("predindex_residual_tests_total"),
             residual_passes: registry.counter("predindex_residual_passes_total"),
@@ -125,14 +98,20 @@ impl IndexMetrics {
     /// Does this bundle record counters? (The tracer is separate; see
     /// [`tracer`](Self::tracer).)
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// The span tracer threaded through the match path.
     #[inline]
-    pub fn tracer(&self) -> &Tracer {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// The per-relation+attribute workload accounts.
+    #[inline]
+    pub(crate) fn workload(&self) -> &WorkloadStats {
+        &self.workload
     }
 
     /// One matched tuple: its partial-match count (= residual tests
@@ -164,13 +143,11 @@ impl IndexMetrics {
                 return;
             }
         }
-        // srclint:allow(no-panic-in-lib): the enabled() constructor always sets the registry
-        let registry = self.registry.as_ref().expect("enabled bundle has registry");
         let work = AttrWork {
-            nodes: registry.counter(&format!(
+            nodes: self.registry.counter(&format!(
                 "predindex_attr_stab_nodes_total{{relation=\"{relation}\",attr=\"{attr}\"}}"
             )),
-            marks: registry.counter(&format!(
+            marks: self.registry.counter(&format!(
                 "predindex_attr_stab_marks_total{{relation=\"{relation}\",attr=\"{attr}\"}}"
             )),
         };
@@ -224,9 +201,7 @@ impl IndexMetrics {
                 return c.clone();
             }
         }
-        // srclint:allow(no-panic-in-lib): the enabled() constructor always sets the registry
-        let registry = self.registry.as_ref().expect("enabled bundle has registry");
-        let c = registry.counter(&format!(
+        let c = self.registry.counter(&format!(
             "predindex_relation_matches_total{{relation=\"{relation}\"}}"
         ));
         self.per_relation
@@ -276,7 +251,7 @@ mod tests {
             .unwrap();
 
         let registry = Arc::new(Registry::new());
-        index.attach_registry(&registry);
+        index.attach_metrics(Arc::clone(&registry));
 
         // age 61 partial-matches the range clause but fails residual on
         // salary; isodd(61) passes from the non-indexable list.
@@ -365,7 +340,7 @@ mod tests {
         let mut db = db();
         let mut sharded = ShardedPredicateIndex::with_shards(4);
         let registry = Arc::new(Registry::new());
-        sharded.attach_registry(&registry);
+        sharded.attach_metrics(Arc::clone(&registry));
         sharded
             .insert_shared(parse_predicate("emp.age > 50").unwrap(), db.catalog())
             .unwrap();
@@ -404,7 +379,7 @@ mod tests {
             .insert(parse_predicate("emp.age > 50").unwrap(), db.catalog())
             .unwrap();
         let registry = Arc::new(Registry::disabled());
-        index.attach_registry(&registry);
+        index.attach_metrics(Arc::clone(&registry));
         let t = db
             .insert("emp", vec![Value::Int(61), Value::Int(0)])
             .unwrap();

@@ -2,12 +2,13 @@
 //! index.
 //!
 //! [`ShardedPredicateIndex`] partitions the Figure 1 structure by the
-//! same key the paper hashes on — the relation name. Each shard owns a
-//! disjoint set of relations: their [`RelationIndex`]es (per-attribute
-//! IBS-trees + non-indexable list) and the slice of the `PREDICATES`
-//! store for predicates over those relations, all behind one
-//! [`RwLock`]. The matching path takes only read locks, so any number
-//! of tuples can be matched concurrently — including against the *same*
+//! same key the paper hashes on — the relation name. Each shard is one
+//! [`IndexCore`] — the very type the sequential index wraps — owning a
+//! disjoint set of relations: their per-attribute IBS-trees and
+//! non-indexable lists, and the slice of the `PREDICATES` store for
+//! predicates over those relations, all behind one [`RwLock`]. The
+//! matching path takes only read locks, so any number of tuples can be
+//! matched concurrently — including against the *same*
 //! relation, since an `RwLock` admits parallel readers. Registration
 //! and removal write-lock exactly one shard, so predicate churn on one
 //! relation never blocks matching on another.
@@ -24,123 +25,19 @@
 //! holds each shard's read lock across the whole run of tuples headed
 //! there — one lock acquisition per shard per worker, not per tuple.
 
-use crate::index::{
-    clause_shape_of, explain_match, interval_length_of, match_into_metered, place, Location,
-    Placement, RelationIndex,
-};
-use crate::matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
+use crate::index::IndexCore;
+use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::IndexMetrics;
+use crate::stats::{IndexStats, RelationStats, ShardStats};
 use ibs::BalanceMode;
 use predicate::Predicate;
-use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, RwLock};
-use telemetry::{MatchTrace, Registry, Tracer, WorkloadStats};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use telemetry::{MatchTrace, Telemetry};
 
 /// Default shard count; rounded up to a power of two internally.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// One shard: a disjoint set of relations plus the predicates bound to
-/// them. The three maps mirror `PredicateIndex`'s fields exactly.
-#[derive(Debug, Default)]
-struct Shard {
-    relations: FnvHashMap<String, RelationIndex>,
-    store: PredicateStore,
-    locations: FnvHashMap<u32, (String, Location)>,
-}
-
-impl Shard {
-    /// The sequential `match_tuple_into`, scoped to this shard.
-    fn match_into(
-        &self,
-        relation: &str,
-        tuple: &Tuple,
-        out: &mut Vec<PredicateId>,
-        metrics: &IndexMetrics,
-        workload: &WorkloadStats,
-    ) {
-        match_into_metered(
-            &self.relations,
-            &self.store,
-            metrics,
-            workload,
-            relation,
-            tuple,
-            out,
-        );
-    }
-
-    fn insert_bound(
-        &mut self,
-        id: PredicateId,
-        stored: StoredPredicate,
-        catalog: &Catalog,
-        mode: BalanceMode,
-        workload: &WorkloadStats,
-    ) {
-        let relation = stored.bound.relation().to_string();
-        let placement = place(catalog, &stored);
-        self.store.insert_bound(id, stored);
-        let location = match placement {
-            Placement::Unsatisfiable => Location::Unsatisfiable,
-            Placement::Tree { attr, interval } => {
-                if workload.is_enabled() {
-                    workload.record_insert(
-                        &relation,
-                        attr,
-                        clause_shape_of(&interval),
-                        interval_length_of(&interval),
-                    );
-                }
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.insert_tree(&relation, attr, id, interval, mode, workload);
-                Location::Tree { attr }
-            }
-            Placement::NonIndexable => {
-                workload.record_non_indexable_insert(&relation);
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.push_non_indexable(id);
-                Location::NonIndexable
-            }
-        };
-        self.locations.insert(id.0, (relation, location));
-    }
-
-    fn remove(&mut self, id: PredicateId, workload: &WorkloadStats) -> Option<Predicate> {
-        let stored = self.store.unregister(id)?;
-        let (relation, location) = self
-            .locations
-            .remove(&id.0)
-            // srclint:allow(no-panic-in-lib): store and locations are updated together under one shard guard; divergence is an index-corruption bug
-            .expect("stored predicate must have a location");
-        match location {
-            Location::Tree { attr } => {
-                let interval = self
-                    .relations
-                    .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a Tree location implies the relation entry exists; see insert_bound
-                    .expect("indexed relation exists")
-                    .remove_tree(attr, id);
-                if workload.is_enabled() {
-                    workload.record_delete(&relation, attr, clause_shape_of(&interval));
-                }
-            }
-            Location::NonIndexable => {
-                self.relations
-                    .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a NonIndexable location implies the relation entry exists; see insert_bound
-                    .expect("indexed relation exists")
-                    .remove_non_indexable(id);
-                workload.record_non_indexable_delete(&relation);
-            }
-            Location::Unsatisfiable => {}
-        }
-        Some(stored.source)
-    }
-}
 
 /// FNV-1a over the relation name — the same function the per-shard maps
 /// key with, reused as the shard selector (the Figure 1 hash step).
@@ -182,19 +79,14 @@ fn fnv1a(name: &str) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct ShardedPredicateIndex {
-    shards: Box<[RwLock<Shard>]>,
+    shards: Box<[RwLock<IndexCore>]>,
     /// Power-of-two mask selecting a shard from the relation-name hash.
     mask: usize,
     next_id: AtomicU32,
-    mode: BalanceMode,
-    /// Disabled by default; swapped by [`attach_registry`]
+    /// Disabled by default; swapped by
+    /// [`attach_metrics`](ShardedPredicateIndex::attach_metrics)
     /// (holds one lock-wait counter per shard).
-    ///
-    /// [`attach_registry`]: ShardedPredicateIndex::attach_registry
     metrics: Arc<IndexMetrics>,
-    /// Per-relation+attribute workload accounts; disabled by default,
-    /// swapped by [`attach_workload`](ShardedPredicateIndex::attach_workload).
-    workload: WorkloadStats,
 }
 
 impl Default for ShardedPredicateIndex {
@@ -223,54 +115,37 @@ impl ShardedPredicateIndex {
     pub fn with_shards_and_mode(shards: usize, mode: BalanceMode) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedPredicateIndex {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..n).map(|_| RwLock::new(IndexCore::new(mode))).collect(),
             mask: n - 1,
             next_id: AtomicU32::new(0),
-            mode,
             metrics: IndexMetrics::disabled(),
-            workload: WorkloadStats::disabled(),
         }
     }
 
-    /// Starts recording match-path and lock-wait metrics into
-    /// `registry`; per-shard lock-wait counters are minted for every
-    /// shard. Until this is called the index runs with the no-op
-    /// bundle: one branch per would-be recording site.
-    pub fn attach_registry(&mut self, registry: &Arc<Registry>) {
-        self.metrics = IndexMetrics::from_registry(registry, self.shards.len());
-    }
-
-    /// [`attach_registry`](Self::attach_registry) plus a span tracer:
-    /// lock acquisitions emit `shard_lock` spans and the match path
-    /// emits `predindex_stab`/`predindex_residual` spans into
-    /// `tracer`'s ring.
-    pub fn attach_telemetry(&mut self, registry: &Arc<Registry>, tracer: Tracer) {
-        self.metrics = IndexMetrics::from_parts(registry, self.shards.len(), tracer);
-    }
-
-    /// Starts recording per-relation+attribute workload accounts (op
-    /// mix, clause shapes, stab selectivity) into `workload` — the
-    /// observation feed for [`crate::advisor`]. Until this is called
-    /// the index runs with the no-op handle: one branch per site.
-    pub fn attach_workload(&mut self, workload: WorkloadStats) {
-        for sid in 0..self.shards.len() {
-            let mut guard = self.lock_write(sid);
-            for (relation, ri) in guard.relations.iter_mut() {
-                // srclint:allow(lock-order): name resolution over-approximates this call to include the enclosing fn; RelationIndex::attach_workload takes no shard lock
-                ri.attach_workload(relation, &workload);
-            }
+    /// Points the index at `telemetry` (a bare `Arc<Registry>` converts
+    /// into a counters-only handle): match-path and per-shard lock-wait
+    /// counters go to its registry, `shard_lock` / `predindex_stab` /
+    /// `predindex_residual` spans to its tracer, and workload accounts
+    /// to its workload handle, backfilled with the predicates already
+    /// registered. Whatever was attached before is replaced whole.
+    /// Until this is called the index runs with the no-op bundle: one
+    /// branch per would-be recording site.
+    pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
+        let telemetry = telemetry.into();
+        self.metrics = IndexMetrics::new(&telemetry, self.shards.len());
+        for shard in self.shards.iter_mut() {
+            // `&mut self` proves no guard is live, so no lock is taken.
+            shard
+                .get_mut()
+                // srclint:allow(no-panic-in-lib): a poisoned shard lock means a writer panicked mid-update; propagating is the designed behaviour
+                .expect("shard lock poisoned")
+                .rebind_workload(telemetry.workload());
         }
-        self.workload = workload;
-    }
-
-    /// The attached workload-account handle (disabled by default).
-    pub fn workload(&self) -> &WorkloadStats {
-        &self.workload
     }
 
     /// Span-wrapped shard-lock acquisition: times the wait for the
     /// lock-wait histogram and brackets it with a `shard_lock` span.
-    fn lock_read(&self, sid: usize) -> std::sync::RwLockReadGuard<'_, Shard> {
+    fn lock_read(&self, sid: usize) -> RwLockReadGuard<'_, IndexCore> {
         let wait = self.metrics.lock_timer();
         let guard = {
             let _span = self
@@ -285,7 +160,7 @@ impl ShardedPredicateIndex {
     }
 
     /// [`lock_read`](Self::lock_read) for writers.
-    fn lock_write(&self, sid: usize) -> std::sync::RwLockWriteGuard<'_, Shard> {
+    fn lock_write(&self, sid: usize) -> RwLockWriteGuard<'_, IndexCore> {
         let wait = self.metrics.lock_timer();
         let guard = {
             let _span = self
@@ -304,8 +179,7 @@ impl ShardedPredicateIndex {
     /// outcome. Takes the shard's read lock like a normal match.
     pub fn explain_tuple(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
         let sid = self.shard_of(relation);
-        let shard = self.lock_read(sid);
-        let mut trace = explain_match(&shard.relations, &shard.store, relation, tuple);
+        let mut trace = self.lock_read(sid).explain(relation, tuple);
         trace.shard = Some(sid);
         trace
     }
@@ -335,7 +209,7 @@ impl ShardedPredicateIndex {
         // Allocate under the shard lock so the single-threaded id
         // sequence is exactly PredicateIndex's (0, 1, 2, ...).
         let id = PredicateId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        shard.insert_bound(id, stored, catalog, self.mode, &self.workload);
+        shard.insert_bound(id, stored, catalog, self.metrics.workload());
         Ok(id)
     }
 
@@ -369,7 +243,7 @@ impl ShardedPredicateIndex {
             }
             let mut shard = self.lock_write(sid);
             for (id, stored) in group {
-                shard.insert_bound(id, stored, catalog, self.mode, &self.workload);
+                shard.insert_bound(id, stored, catalog, self.metrics.workload());
             }
         }
         Ok((0..n).map(|i| PredicateId(base + i)).collect())
@@ -380,12 +254,12 @@ impl ShardedPredicateIndex {
     /// write-locked.
     pub fn remove_shared(&self, id: PredicateId) -> Option<Predicate> {
         for sid in 0..self.shards.len() {
-            let owns = self.lock_read(sid).locations.contains_key(&id.0);
+            let owns = self.lock_read(sid).contains(id);
             if owns {
                 // Re-probe under the write lock: a concurrent remover
                 // may have won the race between the two acquisitions.
                 // srclint:allow(lock-discipline, lock-order): guards are strictly sequential — the probe's read guard is dropped before the write lock is taken
-                if let Some(p) = self.lock_write(sid).remove(id, &self.workload) {
+                if let Some(p) = self.lock_write(sid).remove(id, self.metrics.workload()) {
                     return Some(p);
                 }
             }
@@ -398,7 +272,7 @@ impl ShardedPredicateIndex {
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
         let sid = self.shard_of(relation);
         let shard = self.lock_read(sid);
-        shard.match_into(relation, tuple, out, &self.metrics, &self.workload);
+        shard.match_into(relation, tuple, out, &self.metrics);
     }
 
     /// Matches every `(relation, tuple)` pair, fanning out across up to
@@ -451,7 +325,7 @@ impl ShardedPredicateIndex {
         if sids.iter().all(|&s| s == sids[0]) {
             let shard = self.lock_read(sids[0] as usize);
             for ((relation, tuple), slot) in items.iter().zip(out.iter_mut()) {
-                shard.match_into(relation, tuple, slot, &self.metrics, &self.workload);
+                shard.match_into(relation, tuple, slot, &self.metrics);
             }
             return;
         }
@@ -469,50 +343,74 @@ impl ShardedPredicateIndex {
                     break;
                 }
                 let (relation, tuple) = items[i];
-                shard.match_into(relation, tuple, &mut out[i], &self.metrics, &self.workload);
+                shard.match_into(relation, tuple, &mut out[i], &self.metrics);
                 at += 1;
             }
         }
     }
 
+    /// Sums `f` over every shard, one read lock at a time.
+    fn sum_shards(&self, f: impl Fn(&IndexCore) -> usize) -> usize {
+        (0..self.shards.len())
+            .map(|sid| f(&self.lock_read(sid)))
+            .sum()
+    }
+
     /// Number of per-attribute IBS-trees across all shards.
     pub fn attribute_tree_count(&self) -> usize {
-        (0..self.shards.len())
-            .map(|sid| {
-                self.lock_read(sid)
-                    .relations
-                    .values()
-                    .map(|r| r.tree_count())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.sum_shards(IndexCore::tree_count)
     }
 
     /// Total markers across all IBS-trees (§5.1 space metric).
     pub fn marker_count(&self) -> usize {
-        (0..self.shards.len())
-            .map(|sid| {
-                self.lock_read(sid)
-                    .relations
-                    .values()
-                    .map(|r| r.marker_count())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.sum_shards(IndexCore::marker_count)
     }
 
-    /// Snapshots per-shard and per-relation structure; see
-    /// [`crate::stats::ShardStats`].
-    pub(crate) fn with_shards_read<T>(
-        &self,
-        mut f: impl FnMut(usize, &FnvHashMap<String, RelationIndex>, &PredicateStore) -> T,
-    ) -> Vec<T> {
-        (0..self.shards.len())
-            .map(|sid| {
-                let shard = self.lock_read(sid);
-                f(sid, &shard.relations, &shard.store)
+    /// Per-shard structure snapshot (lock-occupancy diagnostics).
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        let mut stats: Vec<ShardStats> = (0..self.shards.len())
+            .map(|shard| {
+                let IndexStats {
+                    relations,
+                    predicates,
+                } = self.lock_read(shard).stats();
+                ShardStats {
+                    shard,
+                    predicates,
+                    imbalance: 0.0,
+                    relations,
+                }
             })
-            .collect()
+            .collect();
+        let total: usize = stats.iter().map(|s| s.predicates).sum();
+        if total > 0 {
+            let mean = total as f64 / stats.len() as f64;
+            for s in &mut stats {
+                s.imbalance = s.predicates as f64 / mean;
+            }
+        } else {
+            // No predicates anywhere: the index is trivially balanced,
+            // not infinitely skewed — report the balanced value.
+            for s in &mut stats {
+                s.imbalance = 1.0;
+            }
+        }
+        stats
+    }
+
+    /// Whole-index snapshot in the same shape as
+    /// [`PredicateIndex::stats`](crate::PredicateIndex::stats), merging
+    /// all shards.
+    pub fn stats(&self) -> IndexStats {
+        let per_shard = self.shard_stats();
+        let predicates = per_shard.iter().map(|s| s.predicates).sum();
+        let mut relations: Vec<RelationStats> =
+            per_shard.into_iter().flat_map(|s| s.relations).collect();
+        relations.sort_by(|a, b| a.relation.cmp(&b.relation));
+        IndexStats {
+            relations,
+            predicates,
+        }
     }
 }
 
@@ -532,9 +430,7 @@ impl Matcher for ShardedPredicateIndex {
     }
 
     fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|sid| self.lock_read(sid).store.len())
-            .sum()
+        self.sum_shards(IndexCore::len)
     }
 
     fn strategy(&self) -> &'static str {

@@ -1,11 +1,10 @@
-//! Introspection over a [`PredicateIndex`] or
-//! [`ShardedPredicateIndex`]: the Figure 1 structure as live
-//! diagnostics. Useful for operators ("why is matching slow on this
-//! relation?", "are my shards balanced?") and for the benchmark
-//! harness's space reporting.
+//! Introspection over a [`PredicateIndex`](crate::PredicateIndex) or
+//! [`ShardedPredicateIndex`](crate::ShardedPredicateIndex): the
+//! Figure 1 structure as live diagnostics. Useful for operators ("why
+//! is matching slow on this relation?", "are my shards balanced?") and
+//! for the benchmark harness's space reporting. The snapshots are
+//! taken by the index core; this module holds their shapes.
 
-use crate::index::PredicateIndex;
-use crate::sharded::ShardedPredicateIndex;
 use std::fmt;
 
 /// Per-attribute-tree diagnostics.
@@ -83,7 +82,8 @@ impl fmt::Display for IndexStats {
     }
 }
 
-/// Per-shard diagnostics for a [`ShardedPredicateIndex`]: which
+/// Per-shard diagnostics for a
+/// [`ShardedPredicateIndex`](crate::ShardedPredicateIndex): which
 /// relations a shard owns and how much structure sits behind its lock.
 /// A heavily skewed `predicates` distribution means most write traffic
 /// contends on one lock (reads still scale: `RwLock` admits parallel
@@ -117,91 +117,9 @@ impl fmt::Display for ShardStats {
     }
 }
 
-fn relation_stats(name: &str, ri: &crate::index::RelationIndex) -> RelationStats {
-    let mut trees: Vec<TreeStats> = ri
-        .attr_trees_iter()
-        .map(|(attr, tree)| TreeStats {
-            attr,
-            intervals: tree.len(),
-            nodes: tree.node_count(),
-            markers: tree.marker_count(),
-            height: tree.height(),
-        })
-        .collect();
-    trees.sort_by_key(|t| t.attr);
-    RelationStats {
-        relation: name.to_string(),
-        trees,
-        non_indexable: ri.non_indexable_len(),
-    }
-}
-
-impl ShardedPredicateIndex {
-    /// Per-shard structure snapshot (lock-occupancy diagnostics).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut stats = self.with_shards_read(|shard, relations, store| {
-            let mut rels: Vec<RelationStats> = relations
-                .iter()
-                .map(|(name, ri)| relation_stats(name, ri))
-                .collect();
-            rels.sort_by(|a, b| a.relation.cmp(&b.relation));
-            ShardStats {
-                shard,
-                predicates: store.len(),
-                imbalance: 0.0,
-                relations: rels,
-            }
-        });
-        let total: usize = stats.iter().map(|s| s.predicates).sum();
-        if total > 0 {
-            let mean = total as f64 / stats.len() as f64;
-            for s in &mut stats {
-                s.imbalance = s.predicates as f64 / mean;
-            }
-        } else {
-            // No predicates anywhere: the index is trivially balanced,
-            // not infinitely skewed — report the balanced value.
-            for s in &mut stats {
-                s.imbalance = 1.0;
-            }
-        }
-        stats
-    }
-
-    /// Whole-index snapshot in the same shape as
-    /// [`PredicateIndex::stats`], merging all shards.
-    pub fn stats(&self) -> IndexStats {
-        let per_shard = self.shard_stats();
-        let predicates = per_shard.iter().map(|s| s.predicates).sum();
-        let mut relations: Vec<RelationStats> =
-            per_shard.into_iter().flat_map(|s| s.relations).collect();
-        relations.sort_by(|a, b| a.relation.cmp(&b.relation));
-        IndexStats {
-            relations,
-            predicates,
-        }
-    }
-}
-
-impl PredicateIndex {
-    /// Snapshots the index structure.
-    pub fn stats(&self) -> IndexStats {
-        let mut relations: Vec<RelationStats> = self
-            .relations_iter()
-            .map(|(name, ri)| relation_stats(name, ri))
-            .collect();
-        relations.sort_by(|a, b| a.relation.cmp(&b.relation));
-        IndexStats {
-            relations,
-            predicates: crate::Matcher::len(self),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Matcher;
+    use crate::{Matcher, PredicateIndex};
     use predicate::parse_predicate;
     use relation::{AttrType, Database, Schema};
 

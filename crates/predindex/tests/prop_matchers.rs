@@ -14,6 +14,9 @@ use predindex::{
 };
 use proptest::prelude::*;
 use relation::{AttrType, Database, Schema, Tuple, Value};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use telemetry::{Registry, Telemetry};
 
 const RELS: [&str; 2] = ["emp", "item"];
 const INT_ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -159,32 +162,52 @@ proptest! {
         }
     }
 
-    /// The concurrent front-end against the paper's index: identical id
-    /// assignment, and the batch path (at several worker counts) returns
-    /// byte-identical match sets to per-tuple sequential matching.
+    /// The concurrent front-end against the paper's index, at one shard
+    /// and at N: both are the same index core, so after the same
+    /// insert/remove/match script they must agree on everything the
+    /// core does — id assignment, match sets, every `predindex_*`
+    /// counter (lock waits aside: only the sharded front-end locks) and
+    /// every workload account. The batch path (at several worker
+    /// counts) then returns byte-identical match sets to per-tuple
+    /// sequential matching.
     #[test]
     fn sharded_batch_matches_sequential_index(
         preds in prop::collection::vec(arb_predicate(), 1..30),
         removals in prop::collection::vec(0usize..30, 0..10),
         tuples in prop::collection::vec(arb_tuple(), 1..40),
-        shards in 1usize..9,
+        shards in 2usize..9,
     ) {
         let db = test_db();
+        let enabled = || Telemetry::new(Arc::new(Registry::new())).with_workload_accounts();
+        let seq_telemetry = enabled();
         let mut seq = PredicateIndex::new();
-        let sharded = ShardedPredicateIndex::with_shards(shards);
+        seq.attach_metrics(seq_telemetry.clone());
+        let fronts: Vec<(ShardedPredicateIndex, Telemetry)> = [1, shards]
+            .into_iter()
+            .map(|n| {
+                let telemetry = enabled();
+                let mut index = ShardedPredicateIndex::with_shards(n);
+                index.attach_metrics(telemetry.clone());
+                (index, telemetry)
+            })
+            .collect();
 
         let mut ids: Vec<PredicateId> = Vec::new();
         for p in &preds {
             let a = seq.insert(p.clone(), db.catalog()).expect("valid predicate");
-            let b = sharded.insert_shared(p.clone(), db.catalog()).expect("valid predicate");
-            prop_assert_eq!(a, b, "id assignment must agree");
+            for (sharded, _) in &fronts {
+                let b = sharded.insert_shared(p.clone(), db.catalog()).expect("valid predicate");
+                prop_assert_eq!(a, b, "id assignment must agree");
+            }
             ids.push(a);
         }
         for &r in &removals {
             if ids.is_empty() { break; }
             let id = ids.remove(r % ids.len());
             prop_assert!(seq.remove(id).is_some());
-            prop_assert!(sharded.remove_shared(id).is_some());
+            for (sharded, _) in &fronts {
+                prop_assert!(sharded.remove_shared(id).is_some());
+            }
         }
 
         let batch: Vec<(&str, &Tuple)> =
@@ -193,12 +216,39 @@ proptest! {
             .iter()
             .map(|(r, t)| seq.match_tuple(r, t))
             .collect();
-        for threads in [1usize, 2, 4, 8] {
+        // One matching pass each, then the accounts must be equal.
+        for (sharded, telemetry) in &fronts {
+            let n = sharded.shard_count();
+            prop_assert_eq!(&sharded.match_batch_threads(&batch, 1), &expected);
             prop_assert_eq!(
-                &sharded.match_batch_threads(&batch, threads), &expected,
-                "batch at {} threads diverged", threads
+                core_counters(telemetry), core_counters(&seq_telemetry),
+                "counters diverged at {} shard(s)", n
+            );
+            prop_assert_eq!(
+                telemetry.workload().lifetime(), seq_telemetry.workload().lifetime(),
+                "workload accounts diverged at {} shard(s)", n
             );
         }
-        prop_assert_eq!(&sharded.match_batch(&batch), &expected);
+        for (sharded, _) in &fronts {
+            for threads in [2usize, 4, 8] {
+                prop_assert_eq!(
+                    &sharded.match_batch_threads(&batch, threads), &expected,
+                    "batch at {} threads diverged", threads
+                );
+            }
+            prop_assert_eq!(&sharded.match_batch(&batch), &expected);
+        }
     }
+}
+
+/// Every `predindex_*` counter in the handle's registry except the
+/// lock-wait families, by name.
+fn core_counters(telemetry: &Telemetry) -> BTreeMap<String, u64> {
+    let registry = telemetry.registry();
+    registry
+        .names()
+        .into_iter()
+        .filter(|n| n.starts_with("predindex_") && !n.contains("lock_wait"))
+        .filter_map(|n| registry.counter_value(&n).map(|v| (n, v)))
+        .collect()
 }

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::{Counter, Histogram, Profiler, Registry, Tracer, WorkloadStats};
+use telemetry::{Counter, Histogram, Registry, Telemetry};
 
 /// Errors from engine operations.
 #[derive(Debug)]
@@ -133,16 +133,8 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn disabled() -> Self {
-        EngineMetrics {
-            fired: Counter::disabled(),
-            ops: Counter::disabled(),
-            cascade_depth: Histogram::disabled(),
-            events_per_level: Histogram::disabled(),
-        }
-    }
-
-    fn from_registry(registry: &Arc<Registry>) -> Self {
+    /// A disabled registry hands out no-op handles.
+    fn from_registry(registry: &Registry) -> Self {
         EngineMetrics {
             fired: registry.counter("rules_fired_total"),
             ops: registry.counter("rules_ops_applied_total"),
@@ -172,21 +164,25 @@ pub struct RuleEngine {
     log: Vec<String>,
     firing_limit: usize,
     total_fired: u64,
-    registry: Arc<Registry>,
+    /// Registry, tracer, profiler and workload accounts — everything
+    /// off by default (one branch per site), replaced whole by
+    /// [`attach_metrics`](RuleEngine::attach_metrics).
+    telemetry: Telemetry,
     metrics: EngineMetrics,
-    tracer: Tracer,
-    /// Cost attribution (disabled by default; one branch per site).
-    profiler: Profiler,
 }
 
 impl RuleEngine {
-    /// Wraps a database with an empty rule set. Metrics start disabled;
-    /// see [`with_metrics`](Self::with_metrics) and
-    /// [`attach_metrics`](Self::attach_metrics).
+    /// Wraps a database with an empty rule set. Telemetry starts
+    /// disabled; see [`attach_metrics`](Self::attach_metrics).
     pub fn new(db: Database) -> Self {
+        Self::from_parts(db, ShardedPredicateIndex::new())
+    }
+
+    /// An engine over `db` and `index` with no rules and telemetry off.
+    fn from_parts(db: Database, index: ShardedPredicateIndex) -> Self {
         RuleEngine {
             db,
-            index: ShardedPredicateIndex::new(),
+            index,
             rules: FnvHashMap::default(),
             pred_to_rule: FnvHashMap::default(),
             pred_to_premise: FnvHashMap::default(),
@@ -196,85 +192,47 @@ impl RuleEngine {
             log: Vec::new(),
             firing_limit: 10_000,
             total_fired: 0,
-            registry: Arc::new(Registry::disabled()),
-            metrics: EngineMetrics::disabled(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
+            telemetry: Telemetry::disabled(),
+            metrics: EngineMetrics::from_registry(&Registry::disabled()),
         }
     }
 
-    /// [`new`](Self::new) with a live metrics registry already attached
-    /// — the one-liner for "give me an observable engine".
-    pub fn with_metrics(db: Database) -> Self {
-        let mut engine = Self::new(db);
-        engine.attach_metrics(Arc::new(Registry::new()));
-        engine
-    }
-
-    /// Points the engine (and its predicate index) at `registry`. All
-    /// engine- and index-level metric families are recorded there from
-    /// now on; pass `Registry::disabled()` to turn recording back off.
-    pub fn attach_metrics(&mut self, registry: Arc<Registry>) {
-        self.attach_telemetry(registry, Tracer::disabled());
-    }
-
-    /// [`attach_metrics`](Self::attach_metrics) plus a span tracer.
-    /// Every recognize-act chain records `cascade` / `cascade_level` /
-    /// `match_level` / `rule_fire` spans, and the predicate index adds
-    /// its `shard_lock` / `predindex_stab` / `predindex_residual`
-    /// spans, all into `tracer`'s shared ring.
-    pub fn attach_telemetry(&mut self, registry: Arc<Registry>, tracer: Tracer) {
-        self.metrics = if registry.is_enabled() {
-            EngineMetrics::from_registry(&registry)
-        } else {
-            EngineMetrics::disabled()
-        };
-        self.index.attach_telemetry(&registry, tracer.clone());
-        self.joins.attach_metrics(&registry);
-        self.registry = registry;
-        self.tracer = tracer;
-    }
-
-    /// The span tracer (disabled unless
-    /// [`attach_telemetry`](Self::attach_telemetry) supplied one).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Attaches workload accounts to the predicate index: per-attribute
-    /// op mix, clause shapes, and stab selectivity feeding the index
-    /// advisor. Build the handle over the *same* registry as
-    /// [`attach_metrics`](Self::attach_metrics) so the `workload_*`
-    /// families land beside the engine's own.
-    pub fn attach_workload(&mut self, workload: WorkloadStats) {
-        self.index.attach_workload(workload);
-    }
-
-    /// The workload accounts handle (disabled unless
-    /// [`attach_workload`](Self::attach_workload) supplied one).
-    pub fn workload(&self) -> &WorkloadStats {
-        self.index.workload()
-    }
-
-    /// Attaches a cost-attribution [`Profiler`]. Build it over the
-    /// *same* registry as [`attach_telemetry`](Self::attach_telemetry)
-    /// — the profiler bills accounts by snapshotting the global cost
-    /// counters, so a different registry would bill zeros. Separate
-    /// from `attach_telemetry` on purpose: attribution regroups the
-    /// level batch by account, which plain telemetry must not do.
-    /// Already-registered rules get their display names immediately.
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        if profiler.is_enabled() {
+    /// Points the engine, its predicate index and its join memos at
+    /// `telemetry` — the one way in. A bare `Arc<Registry>` converts
+    /// into a counters-only handle; build a [`Telemetry`] to add the
+    /// rest:
+    ///
+    /// * **registry** — all engine-, index- and join-level metric
+    ///   families record there (a disabled one turns recording off);
+    /// * **tracer** — every recognize-act chain records `cascade` /
+    ///   `cascade_level` / `match_level` / `rule_fire` spans, and the
+    ///   index adds `shard_lock` / `predindex_stab` /
+    ///   `predindex_residual`, all into one ring;
+    /// * **profiler** — per-rule cost attribution; the level batch is
+    ///   regrouped by billing account only when this is on.
+    ///   Already-registered rules get their display names immediately;
+    /// * **workload accounts** — per-attribute op mix, clause shapes
+    ///   and stab selectivity feeding the index advisor, backfilled
+    ///   with the predicates already registered (so attach a given
+    ///   handle once).
+    ///
+    /// Whatever was attached before is replaced whole.
+    pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
+        let telemetry = telemetry.into();
+        self.metrics = EngineMetrics::from_registry(telemetry.registry());
+        self.index.attach_metrics(telemetry.clone());
+        self.joins.attach_metrics(telemetry.clone());
+        if telemetry.profiler().is_enabled() {
             for (&rid, s) in &self.rules {
-                profiler.name_rule(rid, &s.rule.name);
+                telemetry.profiler().name_rule(rid, &s.rule.name);
             }
         }
-        self.profiler = profiler;
+        self.telemetry = telemetry;
     }
 
-    /// The attached profiler (disabled by default).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// The attached telemetry handle (everything disabled by default).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// Per-shard predicate-index structure (lock-occupancy and balance
@@ -285,10 +243,9 @@ impl RuleEngine {
 
     /// The metrics registry — render it with
     /// [`Registry::render_text`] or query individual values. Disabled
-    /// (empty) unless [`attach_metrics`](Self::attach_metrics) /
-    /// [`with_metrics`](Self::with_metrics) was used.
+    /// (empty) unless [`attach_metrics`](Self::attach_metrics) was used.
     pub fn metrics(&self) -> &Arc<Registry> {
-        &self.registry
+        self.telemetry.registry()
     }
 
     /// Changes the per-mutation firing limit (runaway-chain guard).
@@ -404,7 +361,7 @@ impl RuleEngine {
                 for &pid in &predicate_ids {
                     self.pred_to_rule.insert(pid.0, id.0);
                 }
-                self.profiler.name_rule(id.0, &rule.name);
+                self.telemetry.profiler().name_rule(id.0, &rule.name);
                 self.rules.insert(
                     id.0,
                     StoredRule {
@@ -748,14 +705,14 @@ impl RuleEngine {
         let mut report = FireReport::default();
         let mut depth = 0u64;
         // Cheap handle copy so span guards don't hold a `self` borrow.
-        let tracer = self.tracer.clone();
+        let tracer = self.telemetry.tracer().clone();
         let _cascade = tracer.span_with("cascade", || vec![("seeds", level.len().to_string())]);
         // Attribution tags, parallel to `level`: the billing account of
         // each event — `None` (external) for the client-injected level
         // 0, the producing rule for cascaded events. Maintained only
         // when the profiler records, so the disabled path pays exactly
         // the `profiling` branch.
-        let profiling = self.profiler.is_enabled();
+        let profiling = self.telemetry.profiler().is_enabled();
         let mut tags: Vec<Option<u32>> = if profiling {
             vec![None; level.len()]
         } else {
@@ -800,7 +757,7 @@ impl RuleEngine {
                 let account = tags.get(pos).copied().flatten();
                 report.ops_applied += 1;
                 self.metrics.ops.inc();
-                self.profiler.credit_op(account);
+                self.telemetry.profiler().credit_op(account);
 
                 // Beta-layer maintenance runs on *every* event,
                 // regardless of rule masks (masks gate firing, not
@@ -819,7 +776,7 @@ impl RuleEngine {
                         // rule owning it.
                         for (key, n) in self.joins.retract_counted(event.relation(), tid) {
                             if let Some(rid) = self.join_owner(key) {
-                                self.profiler.credit_join_retractions(rid, n);
+                                self.telemetry.profiler().credit_join_retractions(rid, n);
                             }
                         }
                     } else {
@@ -843,7 +800,9 @@ impl RuleEngine {
                             continue; // deletes only retract
                         };
                         let out = self.joins.insert(key, premise, tid, tuple);
-                        self.profiler.credit_join_probes(rid, out.probes);
+                        self.telemetry
+                            .profiler()
+                            .credit_join_probes(rid, out.probes);
                         let stored = &self.rules[&rid];
                         if !stored.rule.mask.accepts(event) {
                             continue;
@@ -917,13 +876,17 @@ impl RuleEngine {
         let mut out: Vec<Vec<PredicateId>> = vec![Vec::new(); batch.len()];
         for (account, positions) in groups {
             let sub: Vec<(&str, &Tuple)> = positions.iter().map(|&i| batch[i]).collect();
-            let before = self.profiler.source_snapshot();
+            let before = self.telemetry.profiler().source_snapshot();
             let started = Instant::now();
             let results = self.index.match_batch(&sub);
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let mut delta = self.profiler.source_snapshot().delta_since(&before);
+            let mut delta = self
+                .telemetry
+                .profiler()
+                .source_snapshot()
+                .delta_since(&before);
             delta.stab_nanos = nanos;
-            self.profiler.credit_match(account, &delta);
+            self.telemetry.profiler().credit_match(account, &delta);
             for (i, r) in positions.into_iter().zip(results) {
                 out[i] = r;
             }
@@ -962,14 +925,14 @@ impl RuleEngine {
         stored.fired += 1;
         self.total_fired += 1;
         self.metrics.fired.inc();
-        self.profiler.credit_firing(rid);
+        self.telemetry.profiler().credit_firing(rid);
         report.fired.push((RuleId(rid), rule_name.clone()));
         report.firings.push(Firing {
             rule: RuleId(rid),
             name: rule_name.clone(),
             bindings: bindings.to_vec(),
         });
-        let tracer = self.tracer.clone();
+        let tracer = self.telemetry.tracer().clone();
         let _fire = tracer.span_with("rule_fire", || vec![("rule", rule_name.clone())]);
 
         let mut ops = Vec::new();
@@ -1113,21 +1076,12 @@ impl RuleEngine {
             );
         }
         let mut engine = RuleEngine {
-            db,
-            index,
             rules: stored,
             pred_to_rule,
-            pred_to_premise: FnvHashMap::default(),
-            joins: JoinEngine::new(),
             next_rule: min_next,
-            next_join: 0,
             log,
-            firing_limit: 10_000,
             total_fired,
-            registry: Arc::new(Registry::disabled()),
-            metrics: EngineMetrics::disabled(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
+            ..RuleEngine::from_parts(db, index)
         };
         // Re-register join conditions and reseed their memos from the
         // restored database (in rule-id order for determinism). The

@@ -53,7 +53,7 @@ pub use predicate::{JoinCondition, ParsedCondition};
 // The observability vocabulary, re-exported so applications can hold
 // traces and registries without naming the lower crates.
 pub use predindex::{MatchTrace, ResidualTrace, ShardStats, StabTrace};
-pub use telemetry::{Registry, Tracer};
+pub use telemetry::{Registry, Telemetry, Tracer};
 
 #[cfg(test)]
 mod tests {
@@ -1236,7 +1236,8 @@ mod drop_restore_tests {
                 .build(),
         )
         .unwrap();
-        let mut e = RuleEngine::with_metrics(db);
+        let mut e = RuleEngine::new(db);
+        e.attach_metrics(std::sync::Arc::new(Registry::new()));
         e.add_rule(
             Rule::builder("raise-alert")
                 .when("emp.salary < 1000")
@@ -1283,6 +1284,69 @@ mod drop_restore_tests {
         let text = m.render_text();
         assert!(text.contains("rules_fired_total 2"));
         assert!(text.contains("predindex_shard_lock_wait_nanos_total{shard="));
+    }
+
+    #[test]
+    fn reattaching_telemetry_replaces_every_facility() {
+        use std::sync::Arc;
+        let mut db = Database::new();
+        db.create_relation(Schema::builder("emp").attr("x", AttrType::Int).build())
+            .unwrap();
+        db.create_relation(Schema::builder("dept").attr("x", AttrType::Int).build())
+            .unwrap();
+        let mut e = RuleEngine::new(db);
+        e.add_rule(
+            Rule::builder("pos")
+                .when("emp.x > 0")
+                .unwrap()
+                .then(Action::log("pos"))
+                .build(),
+        )
+        .unwrap();
+        e.add_rule(Rule::builder("j").when("emp.x = dept.x").unwrap().build())
+            .unwrap();
+
+        let first = Telemetry::new(Arc::new(Registry::new()))
+            .with_tracer(Tracer::new(256))
+            .with_profiling()
+            .with_workload_accounts();
+        e.attach_metrics(first.clone());
+        e.insert("emp", vec![Value::Int(1)]).unwrap();
+        let a = first.registry();
+        assert_eq!(a.counter_value("rules_fired_total"), Some(1));
+        assert_eq!(a.counter_value("predindex_match_tuples_total"), Some(1));
+        assert!(a.counter_value("join_probes_total").is_some());
+        let spans = first.tracer().events().len();
+        assert!(spans > 0);
+        let billed =
+            |t: &Telemetry| -> Vec<_> { t.profiler().accounts().iter().map(|a| a.cost).collect() };
+        let accounts = billed(&first);
+        assert!(!accounts.is_empty());
+        let (attrs, _) = first.workload().lifetime();
+        let stabs: u64 = attrs.iter().map(|u| u.stabs).sum();
+        assert!(stabs > 0);
+
+        // A bare registry: every layer moves to it, and the tracer,
+        // profiler and workload accounts of the old handle go quiet
+        // rather than staying half attached.
+        let b = Arc::new(Registry::new());
+        e.attach_metrics(Arc::clone(&b));
+        e.insert("emp", vec![Value::Int(2)]).unwrap();
+        e.insert("dept", vec![Value::Int(2)]).unwrap();
+        // `pos` on emp 2, then `j` when dept 2 completes the join.
+        assert_eq!(b.counter_value("rules_fired_total"), Some(2));
+        assert_eq!(b.counter_value("predindex_match_tuples_total"), Some(2));
+        assert!(b.counter_value("join_probes_total").unwrap() > 0);
+        assert_eq!(a.counter_value("rules_fired_total"), Some(1));
+        assert_eq!(a.counter_value("predindex_match_tuples_total"), Some(1));
+        assert_eq!(first.tracer().events().len(), spans);
+        assert_eq!(billed(&first), accounts);
+        let (attrs, _) = first.workload().lifetime();
+        assert_eq!(attrs.iter().map(|u| u.stabs).sum::<u64>(), stabs);
+        let now = e.telemetry();
+        assert!(!now.tracer().is_enabled());
+        assert!(!now.profiler().is_enabled());
+        assert!(!now.workload().is_enabled());
     }
 
     #[test]

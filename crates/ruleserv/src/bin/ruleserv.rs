@@ -20,7 +20,7 @@ use predindex::Advisor;
 use ruleserv::{serve, ServerOptions};
 use std::io::Read;
 use std::sync::Arc;
-use telemetry::{AdvisorHook, Profiler, Registry, Tracer, WorkloadStats};
+use telemetry::{AdvisorHook, Registry, Telemetry};
 
 struct Config {
     dir: String,
@@ -119,7 +119,19 @@ fn main() {
 
 fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
     let registry = Arc::new(Registry::new());
-    let mut engine = DurableRuleEngine::open_with_metrics(
+    let mut telemetry = Telemetry::new(Arc::clone(&registry));
+    if cfg.profile {
+        telemetry = telemetry.with_profiling();
+    }
+    if cfg.advise {
+        // Workload accounts feed the advisor; the engine's flight
+        // dumps pick the advisor report up from the same handle.
+        telemetry = telemetry.with_workload_accounts();
+    }
+    let advisor = cfg
+        .advise
+        .then(|| Advisor::new(telemetry.workload().clone()));
+    let engine = DurableRuleEngine::open_with_metrics(
         &cfg.dir,
         FunctionRegistry::default(),
         ActionRegistry::new(),
@@ -130,24 +142,8 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
             },
             snapshot_every: cfg.snapshot_every,
         },
-        Arc::clone(&registry),
+        telemetry.clone(),
     )?;
-    if cfg.profile {
-        engine.attach_profiler(Profiler::new(&registry));
-    }
-    let advisor = if cfg.advise {
-        let workload = WorkloadStats::new(&registry);
-        engine.attach_workload(workload.clone());
-        let advisor = Advisor::new(workload);
-        let flight_advisor = advisor.clone();
-        engine.attach_advisor(move || flight_advisor.render_text());
-        Some(advisor)
-    } else {
-        None
-    };
-    // A clone of the (possibly disabled) profiler for the exposition
-    // server; the engine itself moves into the serve thread.
-    let profiler = engine.profiler().clone();
 
     let opts = ServerOptions {
         queue_cap: cfg.queue_cap,
@@ -172,10 +168,9 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
                     move || advisor.metrics_comment_lines(),
                 )
             });
-            let handle = telemetry::serve_with_advisor(
+            let handle = telemetry::serve(
                 addr,
-                Arc::clone(&registry),
-                Tracer::disabled(),
+                telemetry,
                 Some(Box::new(move || -> String {
                     format!(
                         "up 1\nserver_requests {}\nserver_connections {}\n",
@@ -183,7 +178,6 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
                         health_registry.counter_family_total("server_connections_total"),
                     )
                 })),
-                profiler,
                 hook,
             )?;
             println!("METRICS {}", handle.addr());

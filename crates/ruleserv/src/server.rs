@@ -184,6 +184,7 @@ pub fn serve(
     let addr = listener.local_addr()?;
     if let Some(threshold) = opts.slow_op_threshold {
         engine
+            .telemetry()
             .profiler()
             .set_slow_threshold_nanos(threshold.as_nanos() as u64);
     }
@@ -572,8 +573,8 @@ fn handle_msg(
     // The engine-side request span: every op the engine thread serves
     // opens one, carrying the client's trace id when the frame had the
     // suffix — the wire-to-span round trip.
-    let tracer = engine.tracer().clone();
-    let profiler = engine.profiler().clone();
+    let tracer = engine.telemetry().tracer().clone();
+    let profiler = engine.telemetry().profiler().clone();
     let _span = tracer.span_with("server_request", || {
         let mut args = vec![("op", op.to_string())];
         if let Some(id) = trace {

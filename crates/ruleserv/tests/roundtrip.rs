@@ -433,8 +433,7 @@ fn concurrent_clients_see_serial_wal_order() {
 
 #[test]
 fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
-    let registry = Arc::new(Registry::new());
-    let mut engine = DurableRuleEngine::open_with_telemetry(
+    let engine = DurableRuleEngine::open_with_metrics(
         tempdir("trace-ids"),
         FunctionRegistry::default(),
         ActionRegistry::new(),
@@ -442,11 +441,11 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
             sync: SyncPolicy::EveryN(64),
             snapshot_every: None,
         },
-        Arc::clone(&registry),
-        telemetry::Tracer::new(4096),
+        telemetry::Telemetry::new(Arc::new(Registry::new()))
+            .with_tracer(telemetry::Tracer::new(4096))
+            .with_profiling(),
     )
     .unwrap();
-    engine.attach_profiler(telemetry::Profiler::new(&registry));
     let server = serve(
         "127.0.0.1:0",
         engine,
@@ -471,7 +470,7 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
     client.health().unwrap();
 
     let engine = server.shutdown().expect("engine handed back");
-    let events = engine.tracer().events();
+    let events = engine.telemetry().tracer().events();
     let begins: Vec<_> = events
         .iter()
         .filter(|e| e.name == "server_request" && matches!(e.kind, telemetry::SpanEventKind::Begin))
@@ -507,7 +506,7 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
     );
 
     // The slow-op ring captured the traced insert with its id.
-    let slow = engine.profiler().slow_ops();
+    let slow = engine.telemetry().profiler().slow_ops();
     assert!(
         slow.iter()
             .any(|s| s.trace_id == Some(0xabc1) && s.op == "insert"),

@@ -25,8 +25,9 @@
 //!   over a dependency-free HTTP responder.
 //!
 //! The crate is std-only and dependency-free; the relational layers
-//! (`predindex`, `rules`, `durable`) hold the handles and fill in the
-//! traces.
+//! (`predindex`, `joinmemo`, `rules`, `durable`) each accept one
+//! [`Telemetry`] handle — registry, tracer, profiler and workload
+//! accounts built over a single registry — and fill in the traces.
 //!
 //! ```
 //! use telemetry::Registry;
@@ -55,6 +56,7 @@
 
 mod counter;
 mod explain;
+mod handle;
 mod histogram;
 mod profile;
 mod recorder;
@@ -65,15 +67,14 @@ mod workload;
 
 pub use counter::Counter;
 pub use explain::{MatchTrace, ResidualTrace, StabTrace};
+pub use handle::Telemetry;
 pub use histogram::{bucket_index, bucket_upper_bound, quantile, Histogram, HISTOGRAM_BUCKETS};
 pub use profile::{
     AccountSnapshot, CostSnapshot, Profiler, SlowOp, EXTERNAL_ACCOUNT, SLOW_OP_CAPACITY,
 };
 pub use recorder::{FlightRecorder, PanicHookGuard};
 pub use registry::Registry;
-pub use server::{
-    serve, serve_with_advisor, serve_with_profiler, wake_addr, AdvisorHook, HealthFn, ServerHandle,
-};
+pub use server::{serve, wake_addr, AdvisorHook, HealthFn, ServerHandle};
 pub use trace::{
     chrome_trace_json, Span, SpanEventKind, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,
 };

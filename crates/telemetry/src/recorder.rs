@@ -20,16 +20,15 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use telemetry::{FlightRecorder, Registry, Tracer};
+//! use telemetry::{FlightRecorder, Registry, Telemetry, Tracer};
 //!
 //! let dir = std::env::temp_dir().join("telemetry-doc-flight");
-//! let tracer = Tracer::new(256);
-//! let registry = Arc::new(Registry::new());
-//! registry.counter("rules_fired_total").add(3);
+//! let telemetry = Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(256));
+//! telemetry.registry().counter("rules_fired_total").add(3);
 //! {
-//!     let _s = tracer.span("cascade");
+//!     let _s = telemetry.tracer().span("cascade");
 //! }
-//! let recorder = FlightRecorder::new(tracer, Arc::clone(&registry), &dir);
+//! let recorder = FlightRecorder::new(telemetry, &dir);
 //! let path = recorder.dump("doc-example").unwrap();
 //! let text = std::fs::read_to_string(&path).unwrap();
 //! assert!(text.contains("rules_fired_total 3"));
@@ -37,8 +36,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::profile::Profiler;
-use crate::registry::Registry;
+use crate::handle::Telemetry;
 use crate::trace::Tracer;
 use std::fmt::Write as _;
 use std::fs;
@@ -51,11 +49,10 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// Pairs the trace ring with the metric registry and knows where to
 /// write post-mortem dumps.
 pub struct FlightRecorder {
-    tracer: Tracer,
-    registry: Arc<Registry>,
-    /// When enabled, dumps carry the per-rule cost accounts and the
-    /// slow-op ring after the metrics section.
-    profiler: Profiler,
+    /// Ring + registry; when its profiler is enabled, dumps also carry
+    /// the per-rule cost accounts and the slow-op ring after the
+    /// metrics section.
+    telemetry: Telemetry,
     /// When set, dumps carry the index advisor's report (an opaque
     /// text producer — the advisor lives above this crate).
     advisor: Option<Arc<dyn Fn() -> String + Send + Sync>>,
@@ -68,29 +65,21 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("dir", &self.dir)
-            .field("tracer", &self.tracer)
+            .field("tracer", self.telemetry.tracer())
             .finish()
     }
 }
 
 impl FlightRecorder {
-    /// A recorder that dumps into `dir` (created on first dump).
-    pub fn new(tracer: Tracer, registry: Arc<Registry>, dir: impl Into<PathBuf>) -> FlightRecorder {
+    /// A recorder over `telemetry` (a bare `Arc<Registry>` converts
+    /// into one) that dumps into `dir`, created on first dump.
+    pub fn new(telemetry: impl Into<Telemetry>, dir: impl Into<PathBuf>) -> FlightRecorder {
         FlightRecorder {
-            tracer,
-            registry,
-            profiler: Profiler::disabled(),
+            telemetry: telemetry.into(),
             advisor: None,
             dir: dir.into(),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// Attaches a [`Profiler`] whose accounts and slow-op ring join
-    /// every dump (builder-style, for construction sites).
-    pub fn with_profiler(mut self, profiler: Profiler) -> FlightRecorder {
-        self.profiler = profiler;
-        self
     }
 
     /// Attaches an index-advisor report producer whose text joins
@@ -106,7 +95,7 @@ impl FlightRecorder {
 
     /// The ring this recorder snapshots.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.telemetry.tracer()
     }
 
     /// The directory dumps are written into.
@@ -118,7 +107,8 @@ impl FlightRecorder {
     /// ring is snapshotted, not drained, so a dump never destroys the
     /// evidence it reports.
     pub fn render(&self, reason: &str) -> String {
-        let events = self.tracer.events();
+        let (tracer, profiler) = (self.telemetry.tracer(), self.telemetry.profiler());
+        let events = tracer.events();
         let unix = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -130,19 +120,19 @@ impl FlightRecorder {
             out,
             "# events: {} (capacity {}, {} dropped)",
             events.len(),
-            self.tracer.capacity(),
-            self.tracer.dropped()
+            tracer.capacity(),
+            tracer.dropped()
         );
         out.push_str("\n== metrics ==\n");
-        let metrics = self.registry.render_text();
+        let metrics = self.telemetry.registry().render_text();
         if metrics.is_empty() {
             out.push_str("(registry disabled or empty)\n");
         } else {
             out.push_str(&metrics);
         }
-        if self.profiler.is_enabled() {
+        if profiler.is_enabled() {
             out.push('\n');
-            out.push_str(&self.profiler.render_flight());
+            out.push_str(&profiler.render_flight());
         }
         if let Some(advisor) = &self.advisor {
             out.push_str("\n== advisor (index recommendations) ==\n");
@@ -212,6 +202,7 @@ impl Drop for PanicHookGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     fn temp_dir(label: &str) -> PathBuf {
         let dir =
@@ -229,7 +220,7 @@ mod tests {
         {
             let _s = tracer.span("wal_append");
         }
-        let recorder = FlightRecorder::new(tracer, registry, &dir);
+        let recorder = FlightRecorder::new(Telemetry::new(registry).with_tracer(tracer), &dir);
         let path = recorder.dump("unit test!").unwrap();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         assert!(name.starts_with("flight-"), "bad name {name}");
@@ -246,20 +237,22 @@ mod tests {
     #[test]
     fn dump_includes_profiler_sections_when_attached() {
         let dir = temp_dir("profile");
-        let registry = Arc::new(Registry::new());
-        let profiler = crate::profile::Profiler::new(&registry);
+        let telemetry = Telemetry::new(Arc::new(Registry::new()))
+            .with_tracer(Tracer::new(16))
+            .with_profiling();
+        let profiler = telemetry.profiler();
         profiler.credit_firing(4);
         profiler.name_rule(4, "noisy");
         profiler.set_slow_threshold_nanos(1);
         profiler.record_request("insert", Some(0xbeef), 50, Default::default());
-        let recorder = FlightRecorder::new(Tracer::new(16), registry, &dir).with_profiler(profiler);
+        let recorder = FlightRecorder::new(telemetry, &dir);
         let text = recorder.render("why");
         assert!(text.contains("== profile (per-rule accounts) =="));
         assert!(text.contains("noisy"));
         assert!(text.contains("== slow ops =="));
         assert!(text.contains("0xbeef"));
         // Without a profiler the sections stay out.
-        let plain = FlightRecorder::new(Tracer::new(16), Arc::new(Registry::new()), &dir);
+        let plain = FlightRecorder::new(Arc::new(Registry::new()), &dir);
         assert!(!plain.render("x").contains("== profile"));
         fs::remove_dir_all(&dir).ok();
     }
@@ -267,13 +260,13 @@ mod tests {
     #[test]
     fn dump_includes_advisor_section_when_attached() {
         let dir = temp_dir("advisor");
-        let recorder = FlightRecorder::new(Tracer::new(16), Arc::new(Registry::new()), &dir)
+        let recorder = FlightRecorder::new(Arc::new(Registry::new()), &dir)
             .with_advisor(|| "emp.0: best=naive margin=2.10x\n".to_string());
         let text = recorder.render("why");
         assert!(text.contains("== advisor (index recommendations) =="));
         assert!(text.contains("best=naive"));
         // Without an advisor the section stays out.
-        let plain = FlightRecorder::new(Tracer::new(16), Arc::new(Registry::new()), &dir);
+        let plain = FlightRecorder::new(Arc::new(Registry::new()), &dir);
         assert!(!plain.render("x").contains("== advisor"));
         fs::remove_dir_all(&dir).ok();
     }
@@ -281,7 +274,8 @@ mod tests {
     #[test]
     fn sequential_dumps_get_distinct_paths() {
         let dir = temp_dir("seq");
-        let recorder = FlightRecorder::new(Tracer::new(16), Arc::new(Registry::disabled()), &dir);
+        let recorder =
+            FlightRecorder::new(Telemetry::disabled().with_tracer(Tracer::new(16)), &dir);
         let a = recorder.dump("x").unwrap();
         let b = recorder.dump("x").unwrap();
         assert_ne!(a, b);
@@ -295,7 +289,10 @@ mod tests {
         let dir = temp_dir("panic");
         let tracer = Tracer::new(32);
         tracer.instant("before_crash");
-        let recorder = Arc::new(FlightRecorder::new(tracer, Arc::new(Registry::new()), &dir));
+        let recorder = Arc::new(FlightRecorder::new(
+            Telemetry::disabled().with_tracer(tracer),
+            &dir,
+        ));
         {
             let _guard = recorder.install_panic_hook();
             let result = std::panic::catch_unwind(|| panic!("boom"));

@@ -21,11 +21,11 @@
 //! ```
 //! use std::io::{Read, Write};
 //! use std::sync::Arc;
-//! use telemetry::{serve, Registry, Tracer};
+//! use telemetry::{serve, Registry};
 //!
 //! let registry = Arc::new(Registry::new());
 //! registry.counter("rules_fired_total").add(2);
-//! let server = serve("127.0.0.1:0", Arc::clone(&registry), Tracer::disabled(), None).unwrap();
+//! let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
 //!
 //! let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
 //! write!(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -36,9 +36,7 @@
 //! server.shutdown();
 //! ```
 
-use crate::profile::Profiler;
-use crate::registry::Registry;
-use crate::trace::Tracer;
+use crate::handle::Telemetry;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,45 +141,22 @@ pub fn wake_addr(addr: SocketAddr) -> SocketAddr {
 }
 
 /// Binds `bind` (e.g. `"127.0.0.1:9184"`, or port `0` for ephemeral)
-/// and serves `/metrics`, `/health`, `/trace`, `/profile`, and `/top`
-/// until [`ServerHandle::shutdown`]. Without a profiler the last two
-/// still answer, with empty accounts but live histogram quantiles; use
-/// [`serve_with_profiler`] to wire real attribution in.
+/// and serves `/metrics`, `/health`, `/trace`, `/profile`, `/top` and
+/// `/advisor` until [`ServerHandle::shutdown`], all from one
+/// [`Telemetry`] handle (a bare `Arc<Registry>` converts into one).
+/// With the handle's profiler off, `/profile` and `/top` still answer,
+/// with empty accounts but live histogram quantiles. With an
+/// [`AdvisorHook`], `/advisor` reports the index advisor's ranked
+/// backend recommendations and `/metrics` gains its `# advisor` comment
+/// lines; without one `/advisor` answers 200 with an empty
+/// `telemetry/advisor-v1` document, so scripted consumers need no probe.
 pub fn serve(
     bind: &str,
-    registry: Arc<Registry>,
-    tracer: Tracer,
+    telemetry: impl Into<Telemetry>,
     health: Option<HealthFn>,
-) -> io::Result<ServerHandle> {
-    serve_with_profiler(bind, registry, tracer, health, Profiler::disabled())
-}
-
-/// [`serve`] plus a [`Profiler`]: `/profile` reports its per-rule
-/// accounts, slow-op ring, and the registry's histogram quantiles as
-/// one JSON document, and `/top` the cost ranking.
-pub fn serve_with_profiler(
-    bind: &str,
-    registry: Arc<Registry>,
-    tracer: Tracer,
-    health: Option<HealthFn>,
-    profiler: Profiler,
-) -> io::Result<ServerHandle> {
-    serve_with_advisor(bind, registry, tracer, health, profiler, None)
-}
-
-/// [`serve_with_profiler`] plus an [`AdvisorHook`]: `/advisor` reports
-/// the index advisor's ranked backend recommendations, and `/metrics`
-/// gains its `# advisor` comment lines. Without a hook `/advisor`
-/// answers 200 with an empty `telemetry/advisor-v1` document, so
-/// scripted consumers need no probe.
-pub fn serve_with_advisor(
-    bind: &str,
-    registry: Arc<Registry>,
-    tracer: Tracer,
-    health: Option<HealthFn>,
-    profiler: Profiler,
     advisor: Option<AdvisorHook>,
 ) -> io::Result<ServerHandle> {
+    let telemetry = telemetry.into();
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -205,20 +180,16 @@ pub fn serve_with_advisor(
                 // thread for the read timeout, never the accept loop —
                 // liveness probes must not queue behind a stalled
                 // scraper.
-                let registry = Arc::clone(&registry);
-                let tracer = tracer.clone();
+                let telemetry = telemetry.clone();
                 let health = Arc::clone(&health);
-                let profiler = profiler.clone();
                 let advisor = Arc::clone(&advisor);
                 let _ = std::thread::Builder::new()
                     .name("telemetry-conn".into())
                     .spawn(move || {
                         let _ = handle(
                             conn,
-                            &registry,
-                            &tracer,
+                            &telemetry,
                             health.as_deref(),
-                            &profiler,
                             advisor.as_ref().as_ref(),
                         );
                     });
@@ -233,12 +204,11 @@ pub fn serve_with_advisor(
 
 fn handle(
     conn: TcpStream,
-    registry: &Registry,
-    tracer: &Tracer,
+    telemetry: &Telemetry,
     health: Option<&(dyn Fn() -> String + Send + Sync)>,
-    profiler: &Profiler,
     advisor: Option<&AdvisorHook>,
 ) -> io::Result<()> {
+    let (registry, profiler) = (telemetry.registry(), telemetry.profiler());
     let mut reader = BufReader::new(conn);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -269,7 +239,11 @@ fn handle(
             "text/plain; charset=utf-8",
             health.map_or_else(|| "up 1\n".to_string(), |h| h()),
         ),
-        "/trace" => ("200 OK", "application/json", tracer.drain_chrome_json()),
+        "/trace" => (
+            "200 OK",
+            "application/json",
+            telemetry.tracer().drain_chrome_json(),
+        ),
         "/profile" => (
             "200 OK",
             "application/json",
@@ -309,6 +283,7 @@ fn handle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Registry, Tracer};
     use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -328,9 +303,9 @@ mod tests {
         tracer.instant("ping");
         let server = serve(
             "127.0.0.1:0",
-            Arc::clone(&registry),
-            tracer.clone(),
+            Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
             Some(Box::new(|| "up 1\nwal_next_seq 42\n".to_string())),
+            None,
         )
         .unwrap();
         let addr = server.addr();
@@ -373,17 +348,10 @@ mod tests {
     fn serves_profile_and_top() {
         let registry = Arc::new(Registry::new());
         registry.histogram("req_nanos").record(1_000);
-        let profiler = Profiler::new(&registry);
-        profiler.credit_firing(3);
-        profiler.name_rule(3, "reorder");
-        let server = serve_with_profiler(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            Tracer::disabled(),
-            None,
-            profiler,
-        )
-        .unwrap();
+        let telemetry = Telemetry::new(Arc::clone(&registry)).with_profiling();
+        telemetry.profiler().credit_firing(3);
+        telemetry.profiler().name_rule(3, "reorder");
+        let server = serve("127.0.0.1:0", telemetry, None, None).unwrap();
 
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.contains("application/json"));
@@ -408,15 +376,7 @@ mod tests {
             || "{\"schema\":\"telemetry/advisor-v1\",\"recommendations\":[]}\n".to_string(),
             || "# advisor emp.0 best=ibs margin=1.50x\n".to_string(),
         );
-        let server = serve_with_advisor(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            Tracer::disabled(),
-            None,
-            Profiler::disabled(),
-            Some(hook),
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, Some(hook)).unwrap();
 
         let (head, body) = get(server.addr(), "/advisor");
         assert!(head.contains("application/json"));
@@ -434,13 +394,7 @@ mod tests {
 
     #[test]
     fn advisor_route_answers_empty_without_a_hook() {
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::new(Registry::disabled()),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
         let (head, body) = get(server.addr(), "/advisor");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
         assert!(body.contains("\"recommendations\":[]"));
@@ -451,13 +405,7 @@ mod tests {
     fn plain_serve_answers_profile_with_empty_accounts() {
         let registry = Arc::new(Registry::new());
         registry.histogram("h").record(4);
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
         assert!(body.contains("\"accounts\":[]"));
@@ -477,8 +425,8 @@ mod tests {
         }
         let server = serve(
             "127.0.0.1:0",
-            Arc::new(Registry::disabled()),
-            tracer.clone(),
+            Telemetry::disabled().with_tracer(tracer.clone()),
+            None,
             None,
         )
         .unwrap();
@@ -503,13 +451,7 @@ mod tests {
         // Regression: the shutdown self-connect used the bound address
         // verbatim, and connecting to 0.0.0.0 can fail — leaving the
         // accept thread blocked and `join` hung forever.
-        let server = serve(
-            "0.0.0.0:0",
-            Arc::new(Registry::disabled()),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("0.0.0.0:0", Telemetry::disabled(), None, None).unwrap();
         assert!(server.addr().ip().is_unspecified());
         let done = std::thread::spawn(move || server.shutdown());
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -535,13 +477,7 @@ mod tests {
 
     #[test]
     fn a_stalled_connection_does_not_block_other_requests() {
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::new(Registry::disabled()),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
         // Connect and send nothing: under the old serial accept loop
         // this held every later request hostage for the full 2 s read
         // timeout.
@@ -563,13 +499,7 @@ mod tests {
     fn headers_are_drained_before_the_reply() {
         let registry = Arc::new(Registry::new());
         registry.counter("rules_fired_total").add(3);
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
         // Dribble the headers out slowly: the server must wait for the
         // blank line (i.e. consume the full request) before replying.
         let mut conn = TcpStream::connect(server.addr()).unwrap();
@@ -595,13 +525,7 @@ mod tests {
 
     #[test]
     fn default_health_reports_up() {
-        let server = serve(
-            "127.0.0.1:0",
-            Arc::new(Registry::disabled()),
-            Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
         let (_, body) = get(server.addr(), "/health");
         assert_eq!(body, "up 1\n");
         server.shutdown();

@@ -29,8 +29,7 @@ use predmatch::predindex::Advisor;
 use predmatch::prelude::*;
 use predmatch::rules::{DbOp, EventMask};
 use predmatch::telemetry::{
-    chrome_trace_json, serve_with_advisor, AdvisorHook, Profiler, Tracer, WorkloadStats,
-    DEFAULT_TRACE_CAPACITY,
+    chrome_trace_json, serve, AdvisorHook, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -80,11 +79,7 @@ fn parse_args() -> Config {
     cfg
 }
 
-fn build_engine(
-    dir: &std::path::Path,
-    registry: Arc<Registry>,
-    tracer: Tracer,
-) -> DurableRuleEngine {
+fn build_engine(dir: &std::path::Path, telemetry: Telemetry) -> DurableRuleEngine {
     let mut actions = ActionRegistry::new();
     actions.register("raise-alert", |ctx| {
         ctx.queue(DbOp::Insert {
@@ -92,7 +87,7 @@ fn build_engine(
             values: vec![Value::str("underpaid"), Value::Int(2)],
         });
     });
-    let mut engine = DurableRuleEngine::open_with_telemetry(
+    let mut engine = DurableRuleEngine::open_with_metrics(
         dir,
         FunctionRegistry::default(),
         actions,
@@ -100,8 +95,7 @@ fn build_engine(
             snapshot_every: Some(256),
             ..Options::default()
         },
-        registry,
-        tracer,
+        telemetry,
     )
     .expect("fresh durable dir opens");
     engine
@@ -144,37 +138,31 @@ fn build_engine(
 
 fn main() {
     let cfg = parse_args();
-    let registry = Arc::new(Registry::new());
-    let tracer = Tracer::new(DEFAULT_TRACE_CAPACITY);
+    // One handle for the engine and the exposition server. Cost
+    // attribution on: per-rule accounts feed /profile and /top, and
+    // inserts slower than 50ms land in the slow-op ring. Workload
+    // accounts on: /advisor serves the ranked §5.2 cost projection,
+    // and flight dumps carry the text report.
+    let telemetry = Telemetry::new(Arc::new(Registry::new()))
+        .with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY))
+        .with_profiling()
+        .with_workload_accounts();
+    telemetry.profiler().set_slow_threshold_nanos(50_000_000);
     let dir = std::env::temp_dir().join(format!("predmatch-monitor-{}", std::process::id()));
 
-    let mut built = build_engine(&dir, registry.clone(), tracer.clone());
-    // Cost attribution on: per-rule accounts feed /profile and /top,
-    // and inserts slower than 50ms land in the slow-op ring.
-    let profiler = Profiler::new(&registry);
-    profiler.set_slow_threshold_nanos(50_000_000);
-    built.attach_profiler(profiler.clone());
-    // Workload accounts + index advisor: /advisor serves the ranked
-    // §5.2 cost projection, and flight dumps carry the text report.
-    let workload = WorkloadStats::new(&registry);
-    built.attach_workload(workload.clone());
-    let advisor = Advisor::new(workload);
-    let flight_advisor = advisor.clone();
-    built.attach_advisor(move || flight_advisor.render_text());
-    let engine = Arc::new(Mutex::new(built));
+    let advisor = Advisor::new(telemetry.workload().clone());
+    let engine = Arc::new(Mutex::new(build_engine(&dir, telemetry.clone())));
 
     // /health reports through the engine (WAL seq, rule count, shard
     // imbalance); the workload shares it behind a mutex.
     let health_engine = engine.clone();
     let json_advisor = advisor.clone();
-    let server = serve_with_advisor(
+    let server = serve(
         &format!("127.0.0.1:{}", cfg.port),
-        registry.clone(),
-        tracer.clone(),
+        telemetry.clone(),
         Some(Box::new(move || {
             health_engine.lock().expect("engine lock").health_text()
         })),
-        profiler,
         Some(AdvisorHook::new(
             move || json_advisor.report_json(),
             move || advisor.metrics_comment_lines(),
@@ -221,7 +209,7 @@ fn main() {
 
     println!("workload done: {i} inserts, {fired_total} rule firings");
     if let Some(path) = &cfg.trace_out {
-        let json = chrome_trace_json(&tracer.events());
+        let json = chrome_trace_json(&telemetry.tracer().events());
         std::fs::write(path, json).expect("write trace");
         println!("trace written to {path}");
     }

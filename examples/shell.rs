@@ -32,7 +32,7 @@ use predmatch::predicate::parse_predicates;
 use predmatch::predindex::{Advisor, Matcher};
 use predmatch::prelude::*;
 use predmatch::rules::{Action, Rule, RuleEngine};
-use predmatch::telemetry::{Profiler, Tracer, WorkloadStats};
+use predmatch::telemetry::{Telemetry, Tracer};
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,9 +41,7 @@ struct Shell {
     engine: RuleEngine,
     index: PredicateIndex,
     sources: Vec<(PredicateIdWrap, String)>,
-    registry: Arc<Registry>,
-    tracer: Tracer,
-    profiler: Profiler,
+    telemetry: Telemetry,
     advisor: Advisor,
 }
 
@@ -53,30 +51,25 @@ impl Shell {
     fn new() -> Self {
         // Live telemetry so :metrics and :trace have something to show;
         // the counters and the span ring cost nothing until rendered.
-        let registry = Arc::new(Registry::new());
-        let tracer = Tracer::new(predmatch::telemetry::DEFAULT_TRACE_CAPACITY);
-        let mut index = PredicateIndex::new();
-        index.attach_telemetry(&registry, tracer.clone());
-        let mut engine = RuleEngine::new(Database::new());
-        engine.attach_telemetry(Arc::clone(&registry), tracer.clone());
+        // One handle feeds both the shell's direct index and the
+        // engine's, so :advise sees every stab.
+        let telemetry = Telemetry::new(Arc::new(Registry::new()))
+            .with_tracer(Tracer::new(predmatch::telemetry::DEFAULT_TRACE_CAPACITY))
+            .with_profiling()
+            .with_workload_accounts();
         // A zero threshold captures every insert in the slow-op ring,
         // so :slow doubles as a recent-op cost log in the shell.
-        let profiler = Profiler::new(&registry);
-        profiler.set_slow_threshold_nanos(0);
-        engine.attach_profiler(profiler.clone());
-        // One workload-accounts handle feeds both the shell's direct
-        // index and the engine's, so :advise sees every stab.
-        let workload = WorkloadStats::new(&registry);
-        index.attach_workload(workload.clone());
-        engine.attach_workload(workload.clone());
-        let advisor = Advisor::new(workload);
+        telemetry.profiler().set_slow_threshold_nanos(0);
+        let mut index = PredicateIndex::new();
+        index.attach_metrics(telemetry.clone());
+        let mut engine = RuleEngine::new(Database::new());
+        engine.attach_metrics(telemetry.clone());
+        let advisor = Advisor::new(telemetry.workload().clone());
         Shell {
             engine,
             index,
             sources: Vec::new(),
-            registry,
-            tracer,
-            profiler,
+            telemetry,
             advisor,
         }
     }
@@ -101,11 +94,11 @@ impl Shell {
                 .collect::<Vec<_>>()
                 .join("\n")),
             ":memo" => Ok(self.cmd_memo()),
-            ":metrics" => Ok(self.registry.render_text()),
+            ":metrics" => Ok(self.telemetry.registry().render_text()),
             ":explain" => self.cmd_explain(rest),
             ":trace" => self.cmd_trace(rest),
             ":top" => self.cmd_top(rest),
-            ":slow" => Ok(self.profiler.render_slow_text()),
+            ":slow" => Ok(self.telemetry.profiler().render_slow_text()),
             ":advise" => Ok(self.advisor.render_text()),
             "help" => Ok(
                 "commands: relation, predicate, rule, insert, drop, stats, list, \
@@ -242,15 +235,23 @@ impl Shell {
         let values = self.parse_values(rel_name, &raw)?;
         let tuple = Tuple::new(values.clone());
         let matches = self.index.match_tuple(rel_name, &tuple);
-        let before = self.profiler.source_snapshot();
+        let before = self.telemetry.profiler().source_snapshot();
         let started = Instant::now();
         let report = self
             .engine
             .insert(rel_name, values)
             .map_err(|e| e.to_string())?;
-        let cost = self.profiler.source_snapshot().delta_since(&before);
-        self.profiler
-            .record_request("insert", None, started.elapsed().as_nanos() as u64, cost);
+        let cost = self
+            .telemetry
+            .profiler()
+            .source_snapshot()
+            .delta_since(&before);
+        self.telemetry.profiler().record_request(
+            "insert",
+            None,
+            started.elapsed().as_nanos() as u64,
+            cost,
+        );
         let mut out = if matches.is_empty() {
             format!("inserted {tuple}; no predicates match")
         } else {
@@ -304,8 +305,8 @@ impl Shell {
         if path.is_empty() {
             return Err("usage: :trace <path>".into());
         }
-        let events = self.tracer.events().len();
-        let json = self.tracer.drain_chrome_json();
+        let events = self.telemetry.tracer().events().len();
+        let json = self.telemetry.tracer().drain_chrome_json();
         std::fs::write(path, json).map_err(|e| format!("cannot write {path:?}: {e}"))?;
         Ok(format!(
             "wrote {events} trace event(s) to {path} (load in Perfetto / chrome://tracing)"
@@ -317,7 +318,7 @@ impl Shell {
             "" => 10,
             raw => raw.parse().map_err(|_| "usage: :top [k]".to_string())?,
         };
-        Ok(self.profiler.render_top_text(k))
+        Ok(self.telemetry.profiler().render_top_text(k))
     }
 
     fn cmd_drop(&mut self, rest: &str) -> Result<String, String> {

@@ -21,12 +21,16 @@
 //! * [`predindex`] — the Figure 1 predicate-indexing scheme plus the §2
 //!   baseline matchers, all behind one [`predindex::Matcher`] trait, and
 //!   [`predindex::ShardedPredicateIndex`], the concurrent batch-capable
-//!   front-end (state partitioned by relation name behind per-shard
-//!   reader–writer locks).
+//!   front-end over the same index core (state partitioned by relation
+//!   name behind per-shard reader–writer locks; the sequential index is
+//!   the one-shard, lock-free case).
 //! * [`rules`] — a forward-chaining rule engine (triggers) built on top.
 //! * [`durable`] — opt-in durability for the rule engine: a checksummed
 //!   write-ahead log, atomic snapshots, and crash recovery that replays
 //!   the engine operation-for-operation ([`durable::DurableRuleEngine`]).
+//! * [`telemetry`] — counters, spans, per-rule cost accounts and
+//!   workload accounts, handed to every layer as one
+//!   [`telemetry::Telemetry`] handle (see *Observability* below).
 //!
 //! ## Quickstart
 //!
@@ -57,6 +61,37 @@
 //! let matches = index.match_tuple("emp", &tuple);
 //! assert_eq!(matches, vec![id1]);
 //! ```
+//!
+//! ## Observability
+//!
+//! Each layer has exactly one way to receive telemetry, and they all
+//! take the same handle: [`predindex::PredicateIndex::attach_metrics`],
+//! [`rules::RuleEngine::attach_metrics`],
+//! [`durable::DurableRuleEngine::open_with_metrics`],
+//! [`telemetry::serve`], [`telemetry::FlightRecorder::new`]. A bare
+//! `Arc<Registry>` converts into a counters-only handle.
+//!
+//! ```
+//! use predmatch::prelude::*;
+//! use predmatch::telemetry::Tracer;
+//! use std::sync::Arc;
+//!
+//! let mut db = Database::new();
+//! db.create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
+//!     .unwrap();
+//! let telemetry = Telemetry::new(Arc::new(Registry::new()))
+//!     .with_tracer(Tracer::new(1024)) // spans
+//!     .with_profiling() // per-rule cost accounts
+//!     .with_workload_accounts(); // the index advisor's input
+//! let mut engine = RuleEngine::new(db);
+//! engine.attach_metrics(telemetry.clone());
+//! engine
+//!     .add_rule(Rule::builder("senior").when("emp.age > 50").unwrap().build())
+//!     .unwrap();
+//! engine.insert("emp", vec![Value::Int(61)]).unwrap();
+//! assert_eq!(telemetry.registry().counter_value("rules_fired_total"), Some(1));
+//! assert!(!telemetry.tracer().events().is_empty());
+//! ```
 
 #![deny(unreachable_pub)]
 
@@ -80,5 +115,5 @@ pub mod prelude {
     pub use crate::predindex::{Matcher, PredicateIndex, ShardedPredicateIndex};
     pub use crate::relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
     pub use crate::rules::{Action, Rule, RuleEngine};
-    pub use crate::telemetry::{MatchTrace, Registry};
+    pub use crate::telemetry::{MatchTrace, Registry, Telemetry};
 }

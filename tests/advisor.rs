@@ -14,7 +14,6 @@
 
 use predmatch::predindex::advisor::{calibrate_constants, quick_shapes, run_shape, Backend};
 use predmatch::prelude::*;
-use predmatch::telemetry::WorkloadStats;
 use std::sync::Arc;
 
 #[test]
@@ -81,8 +80,8 @@ fn engine_workload_feeds_the_advisor_report() {
     .unwrap();
     let mut engine = RuleEngine::new(db);
     let registry = Arc::new(predmatch::telemetry::Registry::new());
-    let workload = WorkloadStats::new(&registry);
-    engine.attach_workload(workload.clone());
+    engine.attach_metrics(Telemetry::new(Arc::clone(&registry)).with_workload_accounts());
+    let workload = engine.telemetry().workload().clone();
     for (name, cond) in [
         ("senior", "emp.age > 50"),
         ("underpaid", "emp.salary < 20000"),

@@ -9,7 +9,8 @@
 
 use predmatch::prelude::*;
 use predmatch::rules::DbOp;
-use predmatch::telemetry::{Profiler, EXTERNAL_ACCOUNT};
+use predmatch::telemetry::EXTERNAL_ACCOUNT;
+use std::sync::Arc;
 
 /// `emp(name, age, salary)` with three rules:
 /// * `underpaid`:  emp.salary < 20000   — salary tree, one interval
@@ -25,7 +26,8 @@ fn engine() -> RuleEngine {
             .build(),
     )
     .unwrap();
-    let mut engine = RuleEngine::with_metrics(db);
+    let mut engine = RuleEngine::new(db);
+    engine.attach_metrics(Arc::new(Registry::new()));
     for (name, cond, msg) in [
         ("underpaid", "emp.salary < 20000", "below 20k"),
         ("senior", "emp.age > 50", "over 50"),
@@ -186,10 +188,10 @@ fn per_rule_accounts_sum_to_the_global_counters() {
     ] {
         db.create_relation(schema).unwrap();
     }
-    let mut engine = RuleEngine::with_metrics(db);
+    let mut engine = RuleEngine::new(db);
+    engine.attach_metrics(Telemetry::new(Arc::new(Registry::new())).with_profiling());
     let registry = engine.metrics().clone();
-    let profiler = Profiler::new(&registry);
-    engine.attach_profiler(profiler.clone());
+    let profiler = engine.telemetry().profiler().clone();
 
     engine
         .add_rule(

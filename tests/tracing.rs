@@ -68,7 +68,7 @@ fn two_level_cascade_produces_a_parented_span_tree() {
 
     let tracer = Tracer::new(DEFAULT_TRACE_CAPACITY);
     let mut engine = RuleEngine::new(db);
-    engine.attach_telemetry(Arc::new(Registry::new()), tracer.clone());
+    engine.attach_metrics(Telemetry::new(Arc::new(Registry::new())).with_tracer(tracer.clone()));
 
     engine
         .add_rule(

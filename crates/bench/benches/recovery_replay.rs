@@ -6,8 +6,8 @@
 //!   inserts. Replay re-executes every logical command (including rule
 //!   matching), so this scales with both N and the rule population.
 //! * **Snapshot load** — the same state checkpointed first, so
-//!   recovery is a single decode plus a bulk predicate load
-//!   ([`ShardedPredicateIndex::insert_many`]) and a WAL header read.
+//!   recovery is a single decode plus re-registering every rule
+//!   condition in the predicate index and a WAL header read.
 //!
 //! The gap between the two rows for the same N is the checkpoint
 //! dividend: what a snapshot saves the next restart.

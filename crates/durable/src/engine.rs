@@ -489,20 +489,12 @@ impl DurableRuleEngine {
     /// up 1
     /// wal_next_seq 42
     /// rules 3
-    /// shard_imbalance_max 1.25
     /// ```
     pub fn health_text(&self) -> String {
-        let imbalance = self
-            .engine
-            .shard_stats()
-            .iter()
-            .map(|s| s.imbalance)
-            .fold(0.0_f64, f64::max);
         format!(
-            "up 1\nwal_next_seq {}\nrules {}\nshard_imbalance_max {:.2}\n",
+            "up 1\nwal_next_seq {}\nrules {}\n",
             self.wal.next_seq(),
             self.engine.rules().count(),
-            imbalance
         )
     }
 }

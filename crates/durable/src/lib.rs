@@ -13,8 +13,7 @@
 //!   (condition source text, masks, priorities, fire counts, action
 //!   specs), and the engine counters, followed by log truncation;
 //! * **recovery** ([`replay`]) rebuilding an engine — and thereby its
-//!   `ShardedPredicateIndex`, bulk-loaded through
-//!   `insert_many` — as snapshot + log suffix, tolerating a torn or
+//!   predicate index — as snapshot + log suffix, tolerating a torn or
 //!   truncated log tail by stopping at the first bad frame.
 //!
 //! The user-facing wrapper is [`DurableRuleEngine`]; the purely

@@ -654,9 +654,14 @@ impl Matcher for PredicateIndex {
     fn insert(&mut self, pred: Predicate, catalog: &Catalog) -> Result<PredicateId, IndexError> {
         let stored = StoredPredicate::bind(pred, catalog)?;
         // Drawn only after binding succeeds, so failed inserts leave
-        // no gap in the id sequence.
+        // no gap in the id sequence. Ids are never reused: wrapping
+        // would overwrite a live `PREDICATES` entry, so the last id is
+        // an error, not a restart.
         let id = PredicateId(self.next_id);
-        self.next_id += 1;
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .ok_or(IndexError::IdsExhausted)?;
         self.core
             .insert_bound(id, stored, catalog, self.metrics.workload());
         Ok(id)
@@ -685,6 +690,33 @@ impl Matcher for PredicateIndex {
 mod tests {
     use super::*;
     use interval::Interval;
+    use predicate::parse_predicate;
+    use relation::{AttrType, Database, Schema};
+
+    #[test]
+    fn exhausted_ids_are_an_error_not_a_wrap() {
+        let mut db = Database::new();
+        db.create_relation(Schema::builder("emp").attr("a", AttrType::Int).build())
+            .unwrap();
+        let pred = |lo: i64| parse_predicate(&format!("emp.a > {lo}")).unwrap();
+        let mut index = PredicateIndex::new();
+        let first = index.insert(pred(0), db.catalog()).unwrap();
+        assert_eq!(first, PredicateId(0));
+
+        index.next_id = u32::MAX;
+        for _ in 0..2 {
+            assert_eq!(
+                index.insert(pred(5), db.catalog()),
+                Err(IndexError::IdsExhausted)
+            );
+        }
+        // Nothing was inserted and id 0 still holds its own predicate.
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.stats().relations[0].trees[0].intervals, 1);
+        assert_eq!(index.get(first).unwrap().source, pred(0));
+        let t = db.insert("emp", vec![Value::Int(9)]).unwrap();
+        assert_eq!(index.match_tuple("emp", &t), vec![first]);
+    }
 
     fn closed(lo: i64, hi: i64) -> Interval<Value> {
         Interval::closed(Value::Int(lo), Value::Int(hi))

@@ -2,15 +2,17 @@
 //!
 //! [`PredicateIndex`] is the contribution: hash on relation name, one
 //! IBS-tree per attribute with indexable clauses, a non-indexable list,
-//! and the `PREDICATES` residual test (Figure 1).
+//! and the `PREDICATES` residual test (Figure 1). The rule engine is
+//! serial and runs it as is — no lock, no threads.
 //! [`ShardedPredicateIndex`] is the concurrent front-end over the same
-//! index core: state partitioned by relation name behind per-shard
-//! reader–writer locks, with batch matching fanned out across scoped
-//! threads; the sequential index is its one-shard, lock-free case. The [`baselines`] module holds the four strategies §2
-//! reviews — sequential search, OPS5-style hash + sequential, simulated
-//! physical locking, and R-tree multi-dimensional indexing — all behind
-//! the same [`Matcher`] trait so they can be swapped,
-//! differential-tested, and benchmarked.
+//! index core, for callers that bring their own threads: state
+//! partitioned by relation name behind per-shard reader–writer locks;
+//! the sequential index is its one-shard, lock-free case. The
+//! [`baselines`] module holds the four strategies §2 reviews —
+//! sequential search, OPS5-style hash + sequential, simulated physical
+//! locking, and R-tree multi-dimensional indexing — all behind the same
+//! [`Matcher`] trait so they can be swapped, differential-tested, and
+//! benchmarked.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -31,7 +33,7 @@ pub use baselines::{
 pub use index::PredicateIndex;
 pub use matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
 pub use memory::MatchMemory;
-pub use sharded::{ShardedPredicateIndex, DEFAULT_SHARDS};
+pub use sharded::ShardedPredicateIndex;
 pub use stats::{IndexStats, RelationStats, ShardStats, TreeStats};
 // Re-exported so downstream layers can speak the EXPLAIN types without
 // depending on `telemetry` directly.

@@ -18,6 +18,10 @@ pub enum IndexError {
     NoSuchRelation(String),
     /// Attribute resolution / typing failed.
     Bind(BindError),
+    /// Every `u32` predicate id has been handed out. Ids are never
+    /// reused, so the index refuses further registrations rather than
+    /// wrap onto a live `PREDICATES` entry.
+    IdsExhausted,
 }
 
 impl fmt::Display for IndexError {
@@ -25,6 +29,7 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::NoSuchRelation(r) => write!(f, "no relation named {r:?}"),
             IndexError::Bind(e) => write!(f, "{e}"),
+            IndexError::IdsExhausted => write!(f, "predicate ids exhausted"),
         }
     }
 }

@@ -45,9 +45,8 @@ pub(crate) struct IndexMetrics {
     ibs_marks: Counter,
     /// Predicates swept from non-indexable lists.
     non_indexable_scanned: Counter,
-    /// Tuples per `match_batch*` call.
-    batch_sizes: Histogram,
-    /// Shard lock acquisition wait, all shards pooled.
+    /// Shard lock acquisition wait, all shards pooled (a no-op handle
+    /// on the unsharded index, which has no lock to wait for).
     lock_wait: Histogram,
     /// Cumulative lock-wait nanos per shard.
     shard_lock_wait: Vec<Counter>,
@@ -64,10 +63,11 @@ impl IndexMetrics {
         Self::new(&Telemetry::disabled(), 0)
     }
 
-    /// Resolves the bundle against `telemetry`; `shards` counters are
-    /// minted for per-shard lock-wait attribution (0 for the unsharded
-    /// index). A disabled registry hands out no-op handles, so the
-    /// counter half is inert exactly when the registry is.
+    /// Resolves the bundle against `telemetry`. The two lock-wait
+    /// families are minted only for `shards > 0` (one counter per
+    /// shard); the unsharded index passes 0 and registers neither. A
+    /// disabled registry hands out no-op handles, so the counter half
+    /// is inert exactly when the registry is.
     pub(crate) fn new(telemetry: &Telemetry, shards: usize) -> Arc<IndexMetrics> {
         let registry = telemetry.registry();
         Arc::new(IndexMetrics {
@@ -81,8 +81,11 @@ impl IndexMetrics {
             ibs_nodes: registry.counter("predindex_ibs_nodes_visited_total"),
             ibs_marks: registry.counter("predindex_ibs_marks_scanned_total"),
             non_indexable_scanned: registry.counter("predindex_non_indexable_scanned_total"),
-            batch_sizes: registry.histogram("predindex_match_batch_size"),
-            lock_wait: registry.histogram("predindex_shard_lock_wait_nanos"),
+            lock_wait: if shards > 0 {
+                registry.histogram("predindex_shard_lock_wait_nanos")
+            } else {
+                Histogram::disabled()
+            },
             shard_lock_wait: (0..shards)
                 .map(|i| {
                     registry.counter(&format!(
@@ -167,12 +170,6 @@ impl IndexMetrics {
     #[inline]
     pub(crate) fn record_non_indexable(&self, n: u64) {
         self.non_indexable_scanned.add(n);
-    }
-
-    /// One `match_batch*` call over `n` tuples.
-    #[inline]
-    pub(crate) fn record_batch(&self, n: u64) {
-        self.batch_sizes.record(n);
     }
 
     /// Starts timing a shard-lock acquisition (`None` when disabled,
@@ -336,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_records_lock_wait_and_batch_sizes() {
+    fn lock_wait_families_exist_only_on_the_sharded_index() {
         let mut db = db();
         let mut sharded = ShardedPredicateIndex::with_shards(4);
         let registry = Arc::new(Registry::new());
@@ -347,18 +344,15 @@ mod tests {
         let t = db
             .insert("emp", vec![Value::Int(61), Value::Int(0)])
             .unwrap();
-        let batch = [("emp", &t), ("emp", &t), ("emp", &t)];
-        sharded.match_batch_threads(&batch, 2);
+        for _ in 0..3 {
+            assert_eq!(sharded.match_tuple("emp", &t).len(), 1);
+        }
 
-        let (batches, tuples) = registry
-            .histogram_totals("predindex_match_batch_size")
-            .unwrap();
-        assert_eq!((batches, tuples), (1, 3));
-        // Insert + batch locks were all timed: at least two waits.
+        // The insert and the three matches each timed one acquisition.
         let (waits, _) = registry
             .histogram_totals("predindex_shard_lock_wait_nanos")
             .unwrap();
-        assert!(waits >= 2, "lock acquisitions recorded: {waits}");
+        assert_eq!(waits, 4);
         // Every shard got its own wait counter at attach time.
         let names = registry.names();
         for shard in 0..4 {
@@ -369,6 +363,15 @@ mod tests {
             registry.counter_value("predindex_match_tuples_total"),
             Some(3)
         );
+
+        // The sequential index has no lock, so it mints neither family.
+        let registry = Arc::new(Registry::new());
+        let mut seq = PredicateIndex::new();
+        seq.attach_metrics(Arc::clone(&registry));
+        seq.insert(parse_predicate("emp.age > 50").unwrap(), db.catalog())
+            .unwrap();
+        assert_eq!(seq.match_tuple("emp", &t).len(), 1);
+        assert!(registry.names().iter().all(|n| !n.contains("lock_wait")));
     }
 
     #[test]

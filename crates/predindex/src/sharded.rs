@@ -1,5 +1,5 @@
-//! A concurrent, batch-capable front-end over the paper's predicate
-//! index.
+//! A concurrent front-end over the paper's predicate index, for
+//! callers that bring their own threads.
 //!
 //! [`ShardedPredicateIndex`] partitions the Figure 1 structure by the
 //! same key the paper hashes on — the relation name. Each shard is one
@@ -18,12 +18,11 @@
 //! [`PredicateIndex`](crate::PredicateIndex) under single-threaded use —
 //! the differential tests rely on that.
 //!
-//! [`match_batch`](ShardedPredicateIndex::match_batch) fans a slice of
-//! `(relation, tuple)` pairs out across scoped worker threads. Each
-//! worker takes a contiguous chunk of the batch (so results land in
-//! caller order with no scatter step), sorts its chunk by shard, and
-//! holds each shard's read lock across the whole run of tuples headed
-//! there — one lock acquisition per shard per worker, not per tuple.
+//! The index spawns no threads of its own. The rule engine is serial
+//! and runs the lock-free [`PredicateIndex`](crate::PredicateIndex);
+//! this front-end is the leaf for callers that match from several
+//! threads through `&self` (DESIGN.md §9 records why in-index batch
+//! fan-out was measured and deleted).
 
 use crate::index::IndexCore;
 use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
@@ -35,9 +34,6 @@ use relation::{Catalog, Tuple};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use telemetry::{MatchTrace, Telemetry};
-
-/// Default shard count; rounded up to a power of two internally.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// FNV-1a over the relation name — the same function the per-shard maps
 /// key with, reused as the shard selector (the Figure 1 hash step).
@@ -54,7 +50,7 @@ fn fnv1a(name: &str) -> u64 {
 /// front-end. Semantically identical to the sequential index — same
 /// placement logic, same residual test, same id sequence — but state is
 /// partitioned by relation name behind per-shard reader–writer locks,
-/// and batches of tuples can be matched on several threads at once.
+/// so any number of caller threads can match through `&self` at once.
 ///
 /// ```
 /// use predindex::{Matcher, ShardedPredicateIndex};
@@ -74,8 +70,9 @@ fn fnv1a(name: &str) -> u64 {
 ///
 /// let old = db.insert("emp", vec![Value::Int(61)]).unwrap();
 /// let young = db.insert("emp", vec![Value::Int(30)]).unwrap();
-/// let batch = [("emp", &old), ("emp", &young)];
-/// assert_eq!(index.match_batch(&batch), vec![vec![id], vec![]]);
+/// // Matching takes `&self`: share `&index` across your own threads.
+/// assert_eq!(index.match_tuple("emp", &old), vec![id]);
+/// assert_eq!(index.match_tuple("emp", &young), vec![]);
 /// ```
 #[derive(Debug)]
 pub struct ShardedPredicateIndex {
@@ -96,26 +93,18 @@ impl Default for ShardedPredicateIndex {
 }
 
 impl ShardedPredicateIndex {
-    /// [`DEFAULT_SHARDS`] shards of AVL-balanced IBS-trees.
+    /// 16 shards of AVL-balanced IBS-trees.
     pub fn new() -> Self {
-        Self::with_shards_and_mode(DEFAULT_SHARDS, BalanceMode::Avl)
-    }
-
-    /// Default shard count with explicit tree balancing.
-    pub fn with_mode(mode: BalanceMode) -> Self {
-        Self::with_shards_and_mode(DEFAULT_SHARDS, mode)
+        Self::with_shards(16)
     }
 
     /// Explicit shard count (rounded up to a power of two, minimum 1).
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_mode(shards, BalanceMode::Avl)
-    }
-
-    /// Explicit shard count and tree balancing.
-    pub fn with_shards_and_mode(shards: usize, mode: BalanceMode) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedPredicateIndex {
-            shards: (0..n).map(|_| RwLock::new(IndexCore::new(mode))).collect(),
+            shards: (0..n)
+                .map(|_| RwLock::new(IndexCore::new(BalanceMode::Avl)))
+                .collect(),
             mask: n - 1,
             next_id: AtomicU32::new(0),
             metrics: IndexMetrics::disabled(),
@@ -207,46 +196,16 @@ impl ShardedPredicateIndex {
         let sid = self.shard_of(stored.bound.relation());
         let mut shard = self.lock_write(sid);
         // Allocate under the shard lock so the single-threaded id
-        // sequence is exactly PredicateIndex's (0, 1, 2, ...).
-        let id = PredicateId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        // sequence is exactly PredicateIndex's (0, 1, 2, ...), and stop
+        // at the last id like it does: a wrapped counter would hand out
+        // an id some shard still holds.
+        let id = self
+            .next_id
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+            .map(PredicateId)
+            .map_err(|_| IndexError::IdsExhausted)?;
         shard.insert_bound(id, stored, catalog, self.metrics.workload());
         Ok(id)
-    }
-
-    /// Registers a batch of predicates, drawing one contiguous id block
-    /// — the recovery bulk-load path. All predicates are bound first;
-    /// any bind failure aborts the whole batch with nothing inserted and
-    /// the id counter untouched, so a fresh index always hands out the
-    /// same ids [`insert_shared`](Self::insert_shared) would have one at
-    /// a time. Insertions are grouped so each owning shard is
-    /// write-locked exactly once. Returns ids in input order.
-    pub fn insert_many(
-        &self,
-        preds: Vec<Predicate>,
-        catalog: &Catalog,
-    ) -> Result<Vec<PredicateId>, IndexError> {
-        let mut bound = Vec::with_capacity(preds.len());
-        for pred in preds {
-            bound.push(StoredPredicate::bind(pred, catalog)?);
-        }
-        let n = bound.len() as u32;
-        let base = self.next_id.fetch_add(n, Ordering::Relaxed);
-        let mut by_shard: Vec<Vec<(PredicateId, StoredPredicate)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (i, stored) in bound.into_iter().enumerate() {
-            let sid = self.shard_of(stored.bound.relation());
-            by_shard[sid].push((PredicateId(base + i as u32), stored));
-        }
-        for (sid, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut shard = self.lock_write(sid);
-            for (id, stored) in group {
-                shard.insert_bound(id, stored, catalog, self.metrics.workload());
-            }
-        }
-        Ok((0..n).map(|i| PredicateId(base + i)).collect())
     }
 
     /// Unregisters a predicate through a shared reference. The owning
@@ -273,97 +232,6 @@ impl ShardedPredicateIndex {
         let sid = self.shard_of(relation);
         let shard = self.lock_read(sid);
         shard.match_into(relation, tuple, out, &self.metrics);
-    }
-
-    /// Matches every `(relation, tuple)` pair, fanning out across up to
-    /// [`std::thread::available_parallelism`] scoped threads. Result `i`
-    /// is exactly `self.match_tuple(batch[i].0, batch[i].1)`.
-    pub fn match_batch(&self, batch: &[(&str, &Tuple)]) -> Vec<Vec<PredicateId>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.match_batch_threads(batch, threads)
-    }
-
-    /// [`match_batch`](Self::match_batch) with an explicit worker count
-    /// (the bench ablation's knob). `threads <= 1` matches inline on the
-    /// calling thread, still batching lock acquisitions per shard.
-    pub fn match_batch_threads(
-        &self,
-        batch: &[(&str, &Tuple)],
-        threads: usize,
-    ) -> Vec<Vec<PredicateId>> {
-        let mut out: Vec<Vec<PredicateId>> = batch.iter().map(|_| Vec::new()).collect();
-        self.metrics.record_batch(batch.len() as u64);
-        let threads = threads.clamp(1, batch.len().max(1));
-        if threads == 1 {
-            self.match_chunk(batch, &mut out);
-            return out;
-        }
-        let chunk = batch.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (items, outs) in batch.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || self.match_chunk(items, outs));
-            }
-        });
-        out
-    }
-
-    /// Matches one contiguous chunk, grouping by shard so each shard's
-    /// read lock is taken once per run of tuples rather than per tuple.
-    fn match_chunk(&self, items: &[(&str, &Tuple)], out: &mut [Vec<PredicateId>]) {
-        debug_assert_eq!(items.len(), out.len());
-        if items.is_empty() {
-            return;
-        }
-        // Hash each relation name once.
-        let sids: Vec<u32> = items.iter().map(|(r, _)| self.shard_of(r) as u32).collect();
-
-        // Fast path — the whole chunk hits one shard (always true with
-        // one shard configured; the common case for single-relation
-        // workloads like §5.2): one lock, no grouping pass.
-        if sids.iter().all(|&s| s == sids[0]) {
-            let shard = self.lock_read(sids[0] as usize);
-            for ((relation, tuple), slot) in items.iter().zip(out.iter_mut()) {
-                shard.match_into(relation, tuple, slot, &self.metrics);
-            }
-            return;
-        }
-
-        let mut order: Vec<u32> = (0..items.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| sids[i as usize]);
-        let mut at = 0;
-        while at < order.len() {
-            let sid = sids[order[at] as usize];
-            // srclint:allow(lock-discipline): this is the ordered batch-acquisition path — one guard live at a time, shards visited in sorted order
-            let shard = self.lock_read(sid as usize);
-            while at < order.len() {
-                let i = order[at] as usize;
-                if sids[i] != sid {
-                    break;
-                }
-                let (relation, tuple) = items[i];
-                shard.match_into(relation, tuple, &mut out[i], &self.metrics);
-                at += 1;
-            }
-        }
-    }
-
-    /// Sums `f` over every shard, one read lock at a time.
-    fn sum_shards(&self, f: impl Fn(&IndexCore) -> usize) -> usize {
-        (0..self.shards.len())
-            .map(|sid| f(&self.lock_read(sid)))
-            .sum()
-    }
-
-    /// Number of per-attribute IBS-trees across all shards.
-    pub fn attribute_tree_count(&self) -> usize {
-        self.sum_shards(IndexCore::tree_count)
-    }
-
-    /// Total markers across all IBS-trees (§5.1 space metric).
-    pub fn marker_count(&self) -> usize {
-        self.sum_shards(IndexCore::marker_count)
     }
 
     /// Per-shard structure snapshot (lock-occupancy diagnostics).
@@ -430,7 +298,9 @@ impl Matcher for ShardedPredicateIndex {
     }
 
     fn len(&self) -> usize {
-        self.sum_shards(IndexCore::len)
+        (0..self.shards.len())
+            .map(|sid| self.lock_read(sid).len())
+            .sum()
     }
 
     fn strategy(&self) -> &'static str {
@@ -471,37 +341,6 @@ mod tests {
             let b = sharded.insert_shared(p, db.catalog()).unwrap();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn batch_agrees_with_per_tuple_calls() {
-        let mut db = db();
-        let sharded = ShardedPredicateIndex::with_shards(4);
-        for rel in ["emp", "dept", "proj", "acct"] {
-            for lo in [10, 20, 30] {
-                sharded
-                    .insert_shared(
-                        parse_predicate(&format!("{rel}.a > {lo}")).unwrap(),
-                        db.catalog(),
-                    )
-                    .unwrap();
-            }
-        }
-        let mut tuples = Vec::new();
-        for i in 0..40i64 {
-            let rel = ["emp", "dept", "proj", "acct"][(i % 4) as usize];
-            let t = db.insert(rel, vec![Value::Int(i), Value::Int(0)]).unwrap();
-            tuples.push((rel, t));
-        }
-        let batch: Vec<(&str, &Tuple)> = tuples.iter().map(|(r, t)| (*r, t)).collect();
-        let expect: Vec<Vec<PredicateId>> = batch
-            .iter()
-            .map(|(r, t)| sharded.match_tuple(r, t))
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(sharded.match_batch_threads(&batch, threads), expect);
-        }
-        assert_eq!(sharded.match_batch(&batch), expect);
     }
 
     #[test]
@@ -555,11 +394,9 @@ mod tests {
         let miss = db
             .insert("emp", vec![Value::Int(1), Value::Int(0)])
             .unwrap();
-        let batch = [("emp", &hit), ("emp", &miss), ("dept", &hit)];
-        assert_eq!(
-            sharded.match_batch_threads(&batch, 3),
-            vec![vec![id], vec![], vec![]]
-        );
+        assert_eq!(sharded.match_tuple("emp", &hit), vec![id]);
+        assert_eq!(sharded.match_tuple("emp", &miss), vec![]);
+        assert_eq!(sharded.match_tuple("dept", &hit), vec![]);
     }
 
     #[test]
@@ -577,49 +414,27 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_agrees_with_one_at_a_time() {
+    fn exhausted_ids_are_an_error_not_a_wrap() {
         let mut db = db();
-        let srcs = [
-            "emp.a > 10",
-            "dept.a > 10",
-            "proj.b < 0",
-            "emp.b = 3",
-            "acct.a >= 1",
-        ];
-        let preds: Vec<_> = srcs.iter().map(|s| parse_predicate(s).unwrap()).collect();
+        let pred = |lo: i64| parse_predicate(&format!("emp.a > {lo}")).unwrap();
+        let sharded = ShardedPredicateIndex::with_shards(2);
+        let first = sharded.insert_shared(pred(0), db.catalog()).unwrap();
+        assert_eq!(first, PredicateId(0));
 
-        let one = ShardedPredicateIndex::with_shards(4);
-        let bulk = ShardedPredicateIndex::with_shards(4);
-        let seq_ids: Vec<_> = preds
-            .iter()
-            .map(|p| one.insert_shared(p.clone(), db.catalog()).unwrap())
-            .collect();
-        let bulk_ids = bulk.insert_many(preds, db.catalog()).unwrap();
-        assert_eq!(bulk_ids, seq_ids);
-        assert_eq!(bulk_ids, (0..5).map(PredicateId).collect::<Vec<_>>());
-
-        for i in 0..30i64 {
-            for rel in ["emp", "dept", "proj", "acct"] {
-                let t = db.insert(rel, vec![Value::Int(i), Value::Int(0)]).unwrap();
-                assert_eq!(bulk.match_tuple(rel, &t), one.match_tuple(rel, &t));
-            }
+        sharded.next_id.store(u32::MAX, Ordering::Relaxed);
+        for _ in 0..2 {
+            assert_eq!(
+                sharded.insert_shared(pred(5), db.catalog()),
+                Err(IndexError::IdsExhausted)
+            );
         }
-    }
-
-    #[test]
-    fn insert_many_failure_inserts_nothing() {
-        let db = db();
-        let sharded = ShardedPredicateIndex::new();
-        let preds = vec![
-            parse_predicate("emp.a > 1").unwrap(),
-            parse_predicate("nope.a > 1").unwrap(),
-        ];
-        assert!(sharded.insert_many(preds, db.catalog()).is_err());
-        assert!(Matcher::is_empty(&sharded));
-        // The id counter was not consumed by the failed batch.
-        let id = sharded
-            .insert_shared(parse_predicate("emp.a > 1").unwrap(), db.catalog())
+        // Nothing was inserted and id 0 still holds its own predicate.
+        assert_eq!(Matcher::len(&sharded), 1);
+        assert_eq!(sharded.stats().total_trees(), 1);
+        let t = db
+            .insert("emp", vec![Value::Int(9), Value::Int(0)])
             .unwrap();
-        assert_eq!(id, PredicateId(0));
+        assert_eq!(sharded.match_tuple("emp", &t), vec![first]);
+        assert_eq!(sharded.remove_shared(first), Some(pred(0)));
     }
 }

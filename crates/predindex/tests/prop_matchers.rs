@@ -167,9 +167,9 @@ proptest! {
     /// insert/remove/match script they must agree on everything the
     /// core does — id assignment, match sets, every `predindex_*`
     /// counter (lock waits aside: only the sharded front-end locks) and
-    /// every workload account. The batch path (at several worker
-    /// counts) then returns byte-identical match sets to per-tuple
-    /// sequential matching.
+    /// every workload account. The index spawns no threads, so the
+    /// concurrency is the test's own: 1, 2 and 4 scoped callers of
+    /// `match_tuple_into` share each front-end through `&self`.
     #[test]
     fn sharded_batch_matches_sequential_index(
         preds in prop::collection::vec(arb_predicate(), 1..30),
@@ -212,31 +212,39 @@ proptest! {
 
         let batch: Vec<(&str, &Tuple)> =
             tuples.iter().map(|(r, t)| (RELS[*r], t)).collect();
-        let expected: Vec<Vec<PredicateId>> = batch
-            .iter()
-            .map(|(r, t)| seq.match_tuple(r, t))
-            .collect();
-        // One matching pass each, then the accounts must be equal.
-        for (sharded, telemetry) in &fronts {
-            let n = sharded.shard_count();
-            prop_assert_eq!(&sharded.match_batch_threads(&batch, 1), &expected);
-            prop_assert_eq!(
-                core_counters(telemetry), core_counters(&seq_telemetry),
-                "counters diverged at {} shard(s)", n
-            );
-            prop_assert_eq!(
-                telemetry.workload().lifetime(), seq_telemetry.workload().lifetime(),
-                "workload accounts diverged at {} shard(s)", n
-            );
-        }
-        for (sharded, _) in &fronts {
-            for threads in [2usize, 4, 8] {
+        // One sequential pass and one concurrent pass per front-end per
+        // round, so the accounts must be equal after every round.
+        for callers in [1usize, 2, 4] {
+            let expected: Vec<Vec<PredicateId>> = batch
+                .iter()
+                .map(|(r, t)| seq.match_tuple(r, t))
+                .collect();
+            for (sharded, telemetry) in &fronts {
+                let n = sharded.shard_count();
+                let mut got: Vec<Vec<PredicateId>> = vec![Vec::new(); batch.len()];
+                let chunk = batch.len().div_ceil(callers);
+                std::thread::scope(|scope| {
+                    for (items, slots) in batch.chunks(chunk).zip(got.chunks_mut(chunk)) {
+                        scope.spawn(move || {
+                            for ((r, t), slot) in items.iter().zip(slots) {
+                                sharded.match_tuple_into(r, t, slot);
+                            }
+                        });
+                    }
+                });
                 prop_assert_eq!(
-                    &sharded.match_batch_threads(&batch, threads), &expected,
-                    "batch at {} threads diverged", threads
+                    &got, &expected,
+                    "{} caller(s) diverged at {} shard(s)", callers, n
+                );
+                prop_assert_eq!(
+                    core_counters(telemetry), core_counters(&seq_telemetry),
+                    "counters diverged at {} shard(s)", n
+                );
+                prop_assert_eq!(
+                    telemetry.workload().lifetime(), seq_telemetry.workload().lifetime(),
+                    "workload accounts diverged at {} shard(s)", n
                 );
             }
-            prop_assert_eq!(&sharded.match_batch(&batch), &expected);
         }
     }
 }

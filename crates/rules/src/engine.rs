@@ -18,7 +18,7 @@
 use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId};
 use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::JoinCondition;
-use predindex::{IndexError, MatchTrace, Matcher, PredicateId, ShardStats, ShardedPredicateIndex};
+use predindex::{IndexError, MatchTrace, Matcher, PredicateId, PredicateIndex, ShardStats};
 use relation::fx::FnvHashMap;
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::collections::BTreeMap;
@@ -145,12 +145,13 @@ impl EngineMetrics {
 }
 
 /// The engine: a [`Database`] plus rules indexed by a
-/// [`ShardedPredicateIndex`] — the concurrent front-end over the
-/// paper's index, so each recognize-act cycle batch-matches every event
-/// queued at that level across worker threads.
+/// [`PredicateIndex`] — the paper's uniprocessor matcher, run as is.
+/// Every mutation goes through `&mut self`, so the index needs no lock
+/// and each recognize-act cycle matches its level's events one after
+/// another on the calling thread.
 pub struct RuleEngine {
     db: Database,
-    index: ShardedPredicateIndex,
+    index: PredicateIndex,
     rules: FnvHashMap<u32, StoredRule>,
     pred_to_rule: FnvHashMap<u32, u32>,
     /// Premise predicate id -> (rule, memo key, premise index): routes
@@ -175,14 +176,9 @@ impl RuleEngine {
     /// Wraps a database with an empty rule set. Telemetry starts
     /// disabled; see [`attach_metrics`](Self::attach_metrics).
     pub fn new(db: Database) -> Self {
-        Self::from_parts(db, ShardedPredicateIndex::new())
-    }
-
-    /// An engine over `db` and `index` with no rules and telemetry off.
-    fn from_parts(db: Database, index: ShardedPredicateIndex) -> Self {
         RuleEngine {
             db,
-            index,
+            index: PredicateIndex::new(),
             rules: FnvHashMap::default(),
             pred_to_rule: FnvHashMap::default(),
             pred_to_premise: FnvHashMap::default(),
@@ -206,10 +202,10 @@ impl RuleEngine {
     ///   families record there (a disabled one turns recording off);
     /// * **tracer** — every recognize-act chain records `cascade` /
     ///   `cascade_level` / `match_level` / `rule_fire` spans, and the
-    ///   index adds `shard_lock` / `predindex_stab` /
-    ///   `predindex_residual`, all into one ring;
-    /// * **profiler** — per-rule cost attribution; the level batch is
-    ///   regrouped by billing account only when this is on.
+    ///   index adds `predindex_stab` / `predindex_residual`, all into
+    ///   one ring;
+    /// * **profiler** — per-rule cost attribution; the level's events
+    ///   are grouped by billing account only when this is on.
     ///   Already-registered rules get their display names immediately;
     /// * **workload accounts** — per-attribute op mix, clause shapes
     ///   and stab selectivity feeding the index advisor, backfilled
@@ -235,10 +231,19 @@ impl RuleEngine {
         &self.telemetry
     }
 
-    /// Per-shard predicate-index structure (lock-occupancy and balance
-    /// diagnostics — the `/health` endpoint's imbalance source).
+    /// The predicate-index structure (relations → per-attribute tree
+    /// sizes) in the per-shard shape external tooling walks
+    /// (`.relations[].trees[]`; stackbench's `tree_totals`). The engine
+    /// runs one lock-free index core, so this is always the single
+    /// entry `shard: 0`, `imbalance: 1.0`.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.index.shard_stats()
+        let stats = self.index.stats();
+        vec![ShardStats {
+            shard: 0,
+            predicates: stats.predicates,
+            imbalance: 1.0,
+            relations: stats.relations,
+        }]
     }
 
     /// The metrics registry — render it with
@@ -659,8 +664,8 @@ impl RuleEngine {
     /// them as one matching level. Firing order is exactly what
     /// inserting them one at a time would produce (the chain is
     /// breadth-first either way), but the matching stage runs once over
-    /// the whole batch, fanned out across worker threads — the bulk-load
-    /// path for trigger systems.
+    /// the whole batch before any rule fires — the bulk-load path for
+    /// trigger systems.
     pub fn insert_batch(
         &mut self,
         relation: &str,
@@ -693,14 +698,12 @@ impl RuleEngine {
         result
     }
 
-    /// The recognize-act cycle, level by level: batch-match every event
-    /// queued at this level in one [`ShardedPredicateIndex::match_batch`]
-    /// call, then walk the events in arrival order — agenda, fire, queue
-    /// the actions' database events for the next level. Equivalent to
-    /// the one-event-at-a-time FIFO loop (matching is pure and the rule
-    /// set cannot change mid-chain: firing only queues database
-    /// operations), but the matching stage parallelizes across the
-    /// batch.
+    /// The recognize-act cycle, level by level: match every event
+    /// queued at this level, then walk the events in arrival order —
+    /// agenda, fire, queue the actions' database events for the next
+    /// level. Equivalent to the one-event-at-a-time FIFO loop (matching
+    /// is pure and the rule set cannot change mid-chain: firing only
+    /// queues database operations).
     fn chain_level_inner(&mut self, mut level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
         let mut report = FireReport::default();
         let mut depth = 0u64;
@@ -727,29 +730,21 @@ impl RuleEngine {
                 ]
             });
             self.metrics.events_per_level.record(level.len() as u64);
-            // The tuple to match: the post-state for insert/update, the
-            // removed tuple for delete (so cleanup rules can see it).
-            let batch: Vec<(&str, &Tuple)> = level
-                .iter()
-                .map(|event| {
-                    let tuple = match event {
-                        TupleEvent::Inserted { tuple, .. } => tuple,
-                        TupleEvent::Updated { new, .. } => new,
-                        TupleEvent::Deleted { tuple, .. } => tuple,
-                    };
-                    (event.relation(), tuple)
-                })
-                .collect();
-            let matches = {
+            let matches: Vec<Vec<PredicateId>> = {
                 let _match =
-                    tracer.span_with("match_level", || vec![("tuples", batch.len().to_string())]);
+                    tracer.span_with("match_level", || vec![("tuples", level.len().to_string())]);
                 if profiling {
-                    self.match_level_accounted(&batch, &tags)
+                    self.match_level_accounted(&level, &tags)
                 } else {
-                    self.index.match_batch(&batch)
+                    level
+                        .iter()
+                        .map(|event| {
+                            self.index
+                                .match_tuple(event.relation(), matched_tuple(event))
+                        })
+                        .collect()
                 }
             };
-            drop(batch);
 
             let mut next: Vec<TupleEvent> = Vec::new();
             let mut next_tags: Vec<Option<u32>> = Vec::new();
@@ -858,27 +853,29 @@ impl RuleEngine {
     }
 
     /// The profiled matching stage: the level's events are grouped by
-    /// billing account, each group batch-matched separately with the
-    /// global cost counters snapshotted around it (exact deltas — the
-    /// engine is serial), and the delta plus wall-clock credited to
-    /// the account. Matching is pure, so regrouping changes no result
-    /// and no global counter; only the per-call batch-size histogram
-    /// distribution shifts.
+    /// billing account, each group matched with the global cost
+    /// counters snapshotted around it (exact deltas — the engine is
+    /// serial), and the delta plus wall-clock credited to the account.
+    /// Matching is pure, so regrouping changes no result and no global
+    /// counter.
     fn match_level_accounted(
         &self,
-        batch: &[(&str, &Tuple)],
+        level: &[TupleEvent],
         tags: &[Option<u32>],
     ) -> Vec<Vec<PredicateId>> {
         let mut groups: BTreeMap<Option<u32>, Vec<usize>> = BTreeMap::new();
         for (i, &t) in tags.iter().enumerate() {
             groups.entry(t).or_default().push(i);
         }
-        let mut out: Vec<Vec<PredicateId>> = vec![Vec::new(); batch.len()];
+        let mut out: Vec<Vec<PredicateId>> = vec![Vec::new(); level.len()];
         for (account, positions) in groups {
-            let sub: Vec<(&str, &Tuple)> = positions.iter().map(|&i| batch[i]).collect();
             let before = self.telemetry.profiler().source_snapshot();
             let started = Instant::now();
-            let results = self.index.match_batch(&sub);
+            for i in positions {
+                let event = &level[i];
+                self.index
+                    .match_tuple_into(event.relation(), matched_tuple(event), &mut out[i]);
+            }
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let mut delta = self
                 .telemetry
@@ -887,9 +884,6 @@ impl RuleEngine {
                 .delta_since(&before);
             delta.stab_nanos = nanos;
             self.telemetry.profiler().credit_match(account, &delta);
-            for (i, r) in positions.into_iter().zip(results) {
-                out[i] = r;
-            }
         }
         out
     }
@@ -913,11 +907,7 @@ impl RuleEngine {
         bindings: &[BoundTuple],
         report: &mut FireReport,
     ) -> Result<Vec<TupleEvent>, EngineError> {
-        let tuple = match event {
-            TupleEvent::Inserted { tuple, .. } => tuple.clone(),
-            TupleEvent::Updated { new, .. } => new.clone(),
-            TupleEvent::Deleted { tuple, .. } => tuple.clone(),
-        };
+        let tuple = matched_tuple(event).clone();
         // srclint:allow(no-panic-in-lib): the agenda only holds ids of registered rules
         let stored = self.rules.get_mut(&rid).expect("agenda rule exists");
         let rule_name = stored.rule.name.clone();
@@ -978,6 +968,15 @@ impl RuleEngine {
     }
 }
 
+/// The tuple an event is matched on: the post-state for insert/update,
+/// the removed tuple for delete (so cleanup rules can see it).
+fn matched_tuple(event: &TupleEvent) -> &Tuple {
+    match event {
+        TupleEvent::Inserted { tuple, .. } | TupleEvent::Deleted { tuple, .. } => tuple,
+        TupleEvent::Updated { new, .. } => new,
+    }
+}
+
 /// The `(relation, tuple id)` a `*Current` operation applies to.
 fn current_target(event: &TupleEvent) -> Result<(String, TupleId), EngineError> {
     match event {
@@ -1035,9 +1034,9 @@ impl RuleEngine {
     /// Rebuilds an engine from externally persisted state: a restored
     /// database, the surviving rules with their original ids and fire
     /// counts, and the engine counters. Condition predicates are
-    /// re-registered through [`ShardedPredicateIndex::insert_many`];
-    /// the predicate ids themselves are fresh (they never escape the
-    /// engine, so only the rule↔predicate wiring must be rebuilt).
+    /// re-registered one by one, in the order given; the predicate ids
+    /// themselves are fresh (they never escape the engine, so only the
+    /// rule↔predicate wiring must be rebuilt).
     pub fn restore(
         db: Database,
         rules: Vec<(RuleId, Rule, u64)>,
@@ -1045,26 +1044,21 @@ impl RuleEngine {
         total_fired: u64,
         log: Vec<String>,
     ) -> Result<Self, EngineError> {
-        let index = ShardedPredicateIndex::new();
-        let mut flat = Vec::new();
-        let mut counts = Vec::with_capacity(rules.len());
-        for (_, rule, _) in &rules {
-            counts.push(rule.conditions.len());
-            flat.extend(rule.conditions.iter().cloned());
-        }
-        let ids = index.insert_many(flat, db.catalog())?;
-        let mut stored = FnvHashMap::default();
-        let mut pred_to_rule = FnvHashMap::default();
-        let mut cursor = 0;
-        let mut min_next = next_rule;
-        for ((rid, rule, fired), n) in rules.into_iter().zip(counts) {
-            let predicate_ids = ids[cursor..cursor + n].to_vec();
-            cursor += n;
-            for pid in &predicate_ids {
-                pred_to_rule.insert(pid.0, rid.0);
+        let mut engine = RuleEngine {
+            next_rule,
+            log,
+            total_fired,
+            ..RuleEngine::new(db)
+        };
+        for (rid, rule, fired) in rules {
+            let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
+            for pred in &rule.conditions {
+                let pid = engine.index.insert(pred.clone(), engine.db.catalog())?;
+                engine.pred_to_rule.insert(pid.0, rid.0);
+                predicate_ids.push(pid);
             }
-            min_next = min_next.max(rid.0 + 1);
-            stored.insert(
+            engine.next_rule = engine.next_rule.max(rid.0 + 1);
+            engine.rules.insert(
                 rid.0,
                 StoredRule {
                     rule,
@@ -1075,14 +1069,6 @@ impl RuleEngine {
                 },
             );
         }
-        let mut engine = RuleEngine {
-            rules: stored,
-            pred_to_rule,
-            next_rule: min_next,
-            log,
-            total_fired,
-            ..RuleEngine::from_parts(db, index)
-        };
         // Re-register join conditions and reseed their memos from the
         // restored database (in rule-id order for determinism). The
         // memo invariant — tokens are exactly the valid premise

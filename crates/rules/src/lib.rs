@@ -3,10 +3,12 @@
 //! The application layer the paper's index exists for: production rules
 //! `if condition then action` over a main-memory database, with every
 //! tuple change matched against all rule conditions through the
-//! Figure 1 discrimination network — served by
-//! [`predindex::ShardedPredicateIndex`], so each recognize-act cycle
-//! batch-matches all events queued at that level across worker threads
-//! (see [`RuleEngine::insert_batch`] for the bulk-load entry point).
+//! Figure 1 discrimination network — a plain
+//! [`predindex::PredicateIndex`]: the engine is serial (`&mut self`),
+//! so the index takes no lock and spawns no thread, and each
+//! recognize-act cycle matches all events queued at that level before
+//! any rule fires (see [`RuleEngine::insert_batch`] for the bulk-load
+//! entry point).
 //!
 //! ```
 //! use rules::{Action, EventMask, Rule, RuleEngine};
@@ -1283,7 +1285,7 @@ mod drop_restore_tests {
         );
         let text = m.render_text();
         assert!(text.contains("rules_fired_total 2"));
-        assert!(text.contains("predindex_shard_lock_wait_nanos_total{shard="));
+        assert!(!text.contains("predindex_shard_lock_wait"));
     }
 
     #[test]
@@ -1386,7 +1388,7 @@ mod drop_restore_tests {
             .unwrap();
         assert_eq!(report.fired.len(), 1);
         assert!(trace.relation_indexed);
-        assert!(trace.shard.is_some());
+        assert!(trace.shard.is_none());
         // Attribute names come from the schema, not positions.
         let names: Vec<&str> = trace.stabs.iter().map(|s| s.attr_name.as_str()).collect();
         assert!(names.contains(&"age") || names.contains(&"salary"));

@@ -37,11 +37,11 @@ impl M {
         *cache.read().expect("not a shard lock")
     }
 
-    // The `match_batch` shape: the enclosing fn takes one guard, and
+    // The scoped fan-out shape: the enclosing fn takes one guard, and
     // each scoped-thread closure takes its own. The closure bodies
     // run on their own schedule, so their acquisitions must not be
     // attributed to (or counted against) the enclosing fn.
-    fn match_batch_threads(&self, chunks: &[usize]) -> i32 {
+    fn fan_out_readers(&self, chunks: &[usize]) -> i32 {
         let total = *self.lock_read(0);
         std::thread::scope(|s| {
             for &sid in chunks {

@@ -166,7 +166,7 @@ fn bad_codec_proto_flags_opcode_gaps() {
 
 #[test]
 fn scoped_thread_closures_own_their_acquisitions() {
-    // The match_batch shape in good_lock_discipline.rs: one guard in
+    // The scoped fan-out shape in good_lock_discipline.rs: one guard in
     // the fn plus one per spawned closure must NOT count as multiple
     // acquisition sites in one scope.
     let found = findings("good_lock_discipline.rs");

@@ -153,8 +153,8 @@ fn main() {
     let advisor = Advisor::new(telemetry.workload().clone());
     let engine = Arc::new(Mutex::new(build_engine(&dir, telemetry.clone())));
 
-    // /health reports through the engine (WAL seq, rule count, shard
-    // imbalance); the workload shares it behind a mutex.
+    // /health reports through the engine (WAL seq, rule count); the
+    // workload shares it behind a mutex.
     let health_engine = engine.clone();
     let json_advisor = advisor.clone();
     let server = serve(

@@ -20,10 +20,11 @@
 //!   selectivity estimation.
 //! * [`predindex`] — the Figure 1 predicate-indexing scheme plus the §2
 //!   baseline matchers, all behind one [`predindex::Matcher`] trait, and
-//!   [`predindex::ShardedPredicateIndex`], the concurrent batch-capable
-//!   front-end over the same index core (state partitioned by relation
-//!   name behind per-shard reader–writer locks; the sequential index is
-//!   the one-shard, lock-free case).
+//!   [`predindex::ShardedPredicateIndex`], the concurrent front-end
+//!   over the same index core for callers with their own threads
+//!   (state partitioned by relation name behind per-shard
+//!   reader–writer locks; the sequential index — the one the rule
+//!   engine runs — is the one-shard, lock-free case).
 //! * [`rules`] — a forward-chaining rule engine (triggers) built on top.
 //! * [`durable`] — opt-in durability for the rule engine: a checksummed
 //!   write-ahead log, atomic snapshots, and crash recovery that replays

@@ -57,10 +57,11 @@ fn explain_counts_match_a_hand_computed_stab() {
     let mut engine = engine();
     let (trace, report) = engine.explain_insert("emp", tuple()).unwrap();
 
-    // Stage 1: relation hash found the second-level index on a shard.
+    // Stage 1: relation hash found the second-level index; the engine
+    // runs one unsharded core, so there is no shard to name.
     assert_eq!(trace.relation, "emp");
     assert!(trace.relation_indexed);
-    assert!(trace.shard.is_some());
+    assert!(trace.shard.is_none());
 
     // Stage 2: one stab per indexed attribute, in attribute order.
     // Each tree holds a single interval, hence exactly one node

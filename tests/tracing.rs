@@ -128,6 +128,11 @@ fn two_level_cascade_produces_a_parented_span_tree() {
         assert!(level_ids.contains(&m.parent), "match nests under a level");
     }
 
+    // The index under each match pass recorded its stab, and took no
+    // lock to do it: the engine runs the unsharded index.
+    assert_eq!(by_name("predindex_stab").len(), 2);
+    assert!(by_name("shard_lock").is_empty());
+
     // Both firings produced rule_fire spans inside some level.
     let fires = by_name("rule_fire");
     assert_eq!(fires.len(), 2);

@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""The bench regression gate: every bound on a `bench_json` number lives here.
+
+    bench_gate.py RUN.jsonl HISTORY.jsonl
+
+RUN.jsonl is what `bench_json --suite all --quick --out RUN.jsonl` just
+wrote; HISTORY.jsonl is the committed BENCH_history.jsonl. Each suite in the
+run is checked on its own rows and, where a bound is relative, against that
+suite's last `quick: false` line in the history. Ratios, speedups and
+projection errors are derived here from the rows; the report stores none.
+Quick CI runs on shared runners are noisy, so relative bounds carry slack and
+a floor that a real regression still trips.
+"""
+
+import json
+import sys
+
+SCHEMA = "bench/report-v1"
+
+REQUIRED = {
+    "observability": [
+        "scheme_cost/preds200",
+        "telemetry_overhead/disabled",
+        "telemetry_overhead/counters",
+        "telemetry_overhead/tracing",
+        "telemetry_primitive/counter_inc",
+        "telemetry_primitive/histogram_record",
+        "attribution_overhead/baseline",
+        "attribution_overhead/profiled",
+    ],
+    "advisor": [
+        "advisor/stab_heavy",
+        "advisor/churn_heavy",
+        "advisor/non_indexable_heavy",
+        "workload_overhead/disabled",
+        "workload_overhead/enabled",
+    ],
+    "join": [
+        "join/2premise/n1000/memoized",
+        "join/2premise/n1000/naive",
+        "join/3premise/n1000/memoized",
+        "join/3premise/n1000/naive",
+    ],
+}
+
+
+def load(path):
+    with open(path) as f:
+        docs = [json.loads(line) for line in f if line.strip()]
+    for doc in docs:
+        assert doc["schema"] == SCHEMA, (path, doc["schema"])
+    return docs
+
+
+def rows_by_name(doc):
+    return {row["name"]: row for row in doc["rows"]}
+
+
+def ns_ratio(rows, numerator, denominator):
+    return rows[numerator]["ns_per_op"] / rows[denominator]["ns_per_op"]
+
+
+def projection_error(shape):
+    """Symmetric ratio >= 1: how far off the picked backend's projection was."""
+    pick = shape["advisor_pick"]
+    projected, measured = shape["projected_ns"][pick], shape["measured_ns"][pick]
+    return max(projected / measured, measured / projected)
+
+
+def gate_observability(rows, base):
+    # Profiler attribution overhead on the rule chain: the committed ratio
+    # with 1.5x slack, floored at 1.30.
+    ratio = ns_ratio(rows, "attribution_overhead/profiled", "attribution_overhead/baseline")
+    base_ratio = ns_ratio(base, "attribution_overhead/profiled", "attribution_overhead/baseline")
+    bound = max(base_ratio * 1.5, 1.30)
+    assert ratio <= bound, ("attribution overhead", ratio, base_ratio, bound)
+    return "attribution ratio %.3f (baseline %.3f, bound %.3f)" % (ratio, base_ratio, bound)
+
+
+def gate_advisor(rows, base):
+    picks = []
+    for name, shape in rows.items():
+        if not name.startswith("advisor/"):
+            continue
+        # The pick must be the measured-cheapest backend, or (on a noisy
+        # shared runner) measure within 10% of it.
+        pick, cheapest = shape["advisor_pick"], shape["measured_cheapest"]
+        measured = shape["measured_ns"]
+        assert pick == cheapest or measured[pick] <= 1.10 * measured[cheapest], shape
+        # Projection quality: the winner's projected-vs-measured error,
+        # bounded against the committed run with slack.
+        error = projection_error(shape)
+        bound = max(projection_error(base[name]) * 1.5, 3.0)
+        assert error <= bound, (name, "winner projection error", error, bound)
+        picks.append((name, pick, pick == cheapest))
+    # Workload-account overhead on the match path: the committed ratio with
+    # 1.15x slack, floored at 1.12. The budget is <= 1.10 on a quiet machine
+    # and per-call name hashing measured 1.21-1.45x, so the floor still trips
+    # on a real regression.
+    ratio = ns_ratio(rows, "workload_overhead/enabled", "workload_overhead/disabled")
+    base_ratio = ns_ratio(base, "workload_overhead/enabled", "workload_overhead/disabled")
+    bound = max(base_ratio * 1.15, 1.12)
+    assert ratio <= bound, ("workload-account overhead", ratio, base_ratio, bound)
+    return "%s; workload overhead %.3fx (baseline %.3fx, bound %.3fx)" % (
+        picks, ratio, base_ratio, bound)
+
+
+def gate_join(rows, _base):
+    speedups = []
+    for name in rows:
+        if not name.endswith("/memoized"):
+            continue
+        config = name[: -len("/memoized")]
+        speedup = ns_ratio(rows, config + "/naive", name)
+        assert speedup >= 5, ("memo slower than 5x over naive", config, speedup)
+        speedups.append((config, round(speedup, 2)))
+    return "speedups %s" % speedups
+
+
+GATES = {"observability": gate_observability, "advisor": gate_advisor, "join": gate_join}
+
+
+def main(run_path, history_path):
+    run, history = load(run_path), load(history_path)
+    suites = [doc["suite"] for doc in run]
+    assert sorted(suites) == sorted(GATES), ("the run must hold each suite once", suites)
+    for doc in run:
+        suite, rows = doc["suite"], rows_by_name(doc)
+        missing = [name for name in REQUIRED[suite] if name not in rows]
+        assert not missing, (suite, "rows missing", missing)
+        for name, row in rows.items():
+            assert row.get("ns_per_op", 1.0) > 0, (name, row)
+        bases = [d for d in history if d["suite"] == suite and not d["quick"]]
+        assert bases, "no full (quick: false) %s line in %s" % (suite, history_path)
+        print("%s ok: %s" % (suite, GATES[suite](rows, rows_by_name(bases[-1]))))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(sys.argv[1], sys.argv[2])

@@ -10,7 +10,7 @@
 
 use altindex::{
     BulkBuild, CenteredIntervalTree, DynamicStabIndex, IntervalSkipList, IntervalTreap,
-    NaiveIntervalList, SegmentTree, StabIndex,
+    NaiveIntervalList, RebuildOnMutation, SegmentTree, StabIndex,
 };
 use ibs::IbsTree;
 use interval::{Interval, IntervalId, Lower, Upper};
@@ -71,6 +71,7 @@ proptest! {
     }
 
     /// Dynamic structures: arbitrary interleavings of inserts/removes.
+    /// The two static structures take part behind the rebuild adapter.
     #[test]
     fn dynamic_structures_agree(
         ops in prop::collection::vec((arb_interval(25), any::<bool>(), 0usize..32), 1..50)
@@ -79,6 +80,9 @@ proptest! {
         let mut ibs: IbsTree<i32> = IbsTree::new();
         let mut treap = IntervalTreap::new();
         let mut skip = IntervalSkipList::new();
+        let mut cit: RebuildOnMutation<i32, CenteredIntervalTree<i32>> =
+            BulkBuild::build(Vec::new());
+        let mut seg: RebuildOnMutation<i32, SegmentTree<i32>> = BulkBuild::build(Vec::new());
         let mut live: Vec<IntervalId> = Vec::new();
         let mut next = 0u32;
 
@@ -89,6 +93,8 @@ proptest! {
                 DynamicStabIndex::insert(&mut oracle, id, iv.clone());
                 DynamicStabIndex::insert(&mut ibs, id, iv.clone());
                 DynamicStabIndex::insert(&mut treap, id, iv.clone());
+                DynamicStabIndex::insert(&mut cit, id, iv.clone());
+                DynamicStabIndex::insert(&mut seg, id, iv.clone());
                 DynamicStabIndex::insert(&mut skip, id, iv);
                 live.push(id);
             } else {
@@ -99,13 +105,19 @@ proptest! {
                 let d = DynamicStabIndex::remove(&mut skip, id);
                 prop_assert_eq!(a.clone(), b);
                 prop_assert_eq!(a.clone(), c);
-                prop_assert_eq!(a, d);
+                prop_assert_eq!(a.clone(), d);
+                prop_assert_eq!(a.clone(), cit.remove(id));
+                prop_assert_eq!(a, seg.remove(id));
             }
             skip.assert_invariants();
+            prop_assert_eq!(cit.len(), live.len());
+            prop_assert_eq!(seg.len(), live.len());
             for x in -1..=27 {
                 let want = sorted(oracle.stab(&x));
                 prop_assert_eq!(sorted(StabIndex::stab(&ibs, &x)), want.clone(), "IBS at {}", x);
                 prop_assert_eq!(sorted(treap.stab(&x)), want.clone(), "treap at {}", x);
+                prop_assert_eq!(sorted(cit.stab(&x)), want.clone(), "rebuilt interval tree at {}", x);
+                prop_assert_eq!(sorted(seg.stab(&x)), want.clone(), "rebuilt segment tree at {}", x);
                 prop_assert_eq!(sorted(skip.stab(&x)), want, "skip list at {}", x);
             }
         }

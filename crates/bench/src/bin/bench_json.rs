@@ -1,86 +1,165 @@
-//! Machine-readable benchmark harness.
-//!
-//! Runs the §5.2 scheme-cost sweep, the telemetry-overhead comparison,
-//! and the profiler attribution-overhead comparison, and writes one
-//! JSON document (see EXPERIMENTS.md for the format) so CI and
-//! regression scripts can diff numbers without scraping Criterion's
-//! human output:
+//! The machine-readable benchmark report: one binary, three suites,
+//! one schema.
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_json -- [--quick] [--out PATH]
+//! cargo run --release -p bench --bin bench_json -- \
+//!     [--suite observability|advisor|join|all] [--quick] [--out PATH]
 //! ```
 //!
-//! `--quick` trims the sweep and the run counts for smoke tests;
-//! `--out` overrides the default `BENCH_observability.json`.
+//! Each suite run appends one line to `--out` (default
+//! `BENCH_history.jsonl`, the committed trajectory at the repo root):
 //!
-//! The JSON is hand-rolled (no serde in this workspace); every result
-//! row carries the median ns/op and, for runs with live counters, the
-//! final counter totals so shape regressions (more residual tests, more
-//! nodes visited) are visible even when wall-clock noise hides them.
+//! ```text
+//! {"schema":"bench/report-v1","suite":"join","quick":false,"commit":"<git rev-parse HEAD>","rows":[...]}
+//! ```
+//!
+//! * `observability` — the §5.2 scheme-cost sweep, the telemetry and
+//!   profiler-attribution overhead pairs, and the raw cost of one
+//!   counter increment / histogram record;
+//! * `advisor` — the three canonical workload shapes of [`bench::lab`]
+//!   (advisor pick, measured-cheapest backend, per-backend projected
+//!   and measured ns) and the workload-account overhead pair;
+//! * `join` — memoized vs naive per-insert cost for 2- and 3-premise
+//!   join rules.
+//!
+//! Every row has a `name`; timing rows carry `ns_per_op`, rows of runs
+//! with a live registry carry the final `counters` so shape regressions
+//! (more residual tests, more nodes visited) show even when wall-clock
+//! noise hides them. Ratios, speedups and projection errors are not
+//! stored: `.github/bench_gate.py` derives them from the rows and holds
+//! the bounds. `--quick` trims sweeps and run counts for CI. See
+//! EXPERIMENTS.md, "Machine-readable results", for the row names.
 
+use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
-use bench::timing::median_ns_per_op;
-use predindex::{Matcher, PredicateIndex};
-use relation::{AttrType, Database, Schema, Value};
+use bench::timing::{consume, median_ns_per_op};
+use joinmemo::naive::full_matches;
+use joinmemo::CompiledJoin;
+use predindex::{Backend, Matcher, PredicateIndex};
+use relation::{AttrType, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
+use std::io::Write as _;
 use std::sync::Arc;
+use telemetry::json::JsonWriter;
 use telemetry::{Registry, Telemetry, Tracer};
 
-/// One benchmark row.
-struct BenchResult {
-    name: String,
-    ns_per_op: f64,
-    /// Counter name → final total (empty when telemetry was disabled).
-    counters: Vec<(String, u64)>,
-}
+/// A suite appends its rows to the open `rows` array.
+type Suite = fn(&Config, &mut JsonWriter);
+
+const SUITES: [(&str, Suite); 3] = [
+    ("observability", observability),
+    ("advisor", advisor),
+    ("join", join),
+];
 
 struct Config {
+    suite: String,
     quick: bool,
     out: String,
 }
 
+impl Config {
+    /// `full` normally, `quick` under `--quick`.
+    fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "{problem}\nusage: bench_json [--suite observability|advisor|join|all] [--quick] [--out PATH]"
+    );
+    std::process::exit(2)
+}
+
 fn parse_args() -> Config {
     let mut cfg = Config {
+        suite: "all".to_string(),
         quick: false,
-        out: "BENCH_observability.json".to_string(),
+        out: "BENCH_history.jsonl".to_string(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
-            "--out" => {
-                cfg.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other:?}; usage: bench_json [--quick] [--out PATH]");
-                std::process::exit(2);
-            }
+            "--suite" => cfg.suite = args.next().unwrap_or_else(|| usage("--suite needs a name")),
+            "--out" => cfg.out = args.next().unwrap_or_else(|| usage("--out needs a path")),
+            other => usage(&format!("unknown flag {other:?}")),
         }
+    }
+    if cfg.suite != "all" && SUITES.iter().all(|(name, _)| *name != cfg.suite) {
+        usage(&format!("unknown suite {:?}", cfg.suite));
     }
     cfg
 }
 
-/// Builds a loaded index for `workload`, recording into `registry` and
-/// `tracer` (either may be disabled).
-fn loaded_index(w: &SchemeWorkload, registry: &Arc<Registry>, tracer: Tracer) -> PredicateIndex {
+/// `git rev-parse HEAD` of the tree the binary was run in, with a
+/// `-dirty` suffix when the tree differs from it — a line measured
+/// before its commit exists says so instead of naming the parent.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain"]) {
+            Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
+            _ => head,
+        },
+        None => "unknown".to_string(),
+    }
+}
+
+/// Opens a timing row — `name` and `ns_per_op` — and leaves it open
+/// for the caller's extra members and `end_object()`.
+fn timing_row<'w>(w: &'w mut JsonWriter, name: &str, ns_per_op: f64) -> &'w mut JsonWriter {
+    eprintln!("{name}: {ns_per_op:.1} ns/op");
+    w.begin_object();
+    w.key("name").string(name);
+    w.key("ns_per_op").float(ns_per_op, 1)
+}
+
+/// The `counters` member: every counter in `registry`, sorted by name.
+fn counters(w: &mut JsonWriter, registry: &Registry) {
+    w.key("counters").begin_object();
+    for name in registry.names() {
+        if let Some(value) = registry.counter_value(&name) {
+            w.key(&name).uint(value);
+        }
+    }
+    w.end_object();
+}
+
+// ---------------------------------------------------------------------
+// observability
+// ---------------------------------------------------------------------
+
+/// A §5.2 scenario index recording into `telemetry`, and the median
+/// ns/tuple of matching `tuples` through it.
+fn scheme_match_ns(
+    cfg: &Config,
+    w: &SchemeWorkload,
+    tuples: &[Tuple],
+    telemetry: Telemetry,
+) -> f64 {
     let db = w.database();
     let mut index = PredicateIndex::new();
-    index.attach_metrics(Telemetry::new(Arc::clone(registry)).with_tracer(tracer));
+    index.attach_metrics(telemetry);
     for p in w.predicates() {
         index
             .insert(p, db.catalog())
             .expect("valid scenario predicate");
     }
-    index
-}
-
-/// Times matching `tuples` through `index`, returning median ns/tuple.
-fn time_matches(index: &PredicateIndex, tuples: &[relation::Tuple], runs: usize) -> f64 {
     let mut out = Vec::with_capacity(64);
-    median_ns_per_op(runs, tuples.len(), || {
+    median_ns_per_op(cfg.pick(5, 9), tuples.len(), || {
         for t in tuples {
             out.clear();
             index.match_tuple_into(SchemeWorkload::RELATION, t, &mut out);
@@ -88,72 +167,73 @@ fn time_matches(index: &PredicateIndex, tuples: &[relation::Tuple], runs: usize)
     })
 }
 
-/// Snapshots every counter in `registry` (sorted by name).
-fn counter_totals(registry: &Registry) -> Vec<(String, u64)> {
-    registry
-        .names()
-        .into_iter()
-        .filter_map(|n| registry.counter_value(&n).map(|v| (n, v)))
-        .collect()
-}
-
-fn scheme_cost(cfg: &Config, results: &mut Vec<BenchResult>) {
-    let sweep: &[usize] = if cfg.quick {
-        &[200, 1000]
-    } else {
-        &[200, 1000, 5000]
-    };
-    let runs = if cfg.quick { 5 } else { 9 };
-    for &preds in sweep {
-        let w = SchemeWorkload {
+fn scheme_cost(cfg: &Config, w: &mut JsonWriter) {
+    for &preds in cfg.pick(&[200, 1000][..], &[200, 1000, 5000][..]) {
+        let workload = SchemeWorkload {
             predicates: preds,
             ..SchemeWorkload::default()
         };
-        let registry = Arc::new(Registry::disabled());
-        let index = loaded_index(&w, &registry, Tracer::disabled());
-        let tuples = w.tuples(if cfg.quick { 128 } else { 512 });
-        let ns = time_matches(&index, &tuples, runs);
-        eprintln!("scheme_cost/preds{preds}: {ns:.1} ns/op");
-        results.push(BenchResult {
-            name: format!("scheme_cost/preds{preds}"),
-            ns_per_op: ns,
-            counters: Vec::new(),
-        });
+        let tuples = workload.tuples(cfg.pick(128, 512));
+        let ns = scheme_match_ns(cfg, &workload, &tuples, Telemetry::disabled());
+        timing_row(w, &format!("scheme_cost/preds{preds}"), ns).end_object();
     }
 }
 
-fn telemetry_overhead(cfg: &Config, results: &mut Vec<BenchResult>) {
-    let runs = if cfg.quick { 5 } else { 9 };
-    let w = SchemeWorkload::default();
-    let tuples = w.tuples(if cfg.quick { 128 } else { 512 });
+fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
+    let workload = SchemeWorkload::default();
+    let tuples = workload.tuples(cfg.pick(128, 512));
     // disabled: the regression guard — every hook is one branch.
     // counters: live registry, tracing off.
     // tracing: live registry plus a span ring (wraps freely).
-    let modes: [(&str, bool, bool); 3] = [
+    for (mode, counters_on, tracing_on) in [
         ("disabled", false, false),
         ("counters", true, false),
         ("tracing", true, true),
-    ];
-    for (mode, counters_on, tracing_on) in modes {
-        let registry = if counters_on {
-            Arc::new(Registry::new())
+    ] {
+        let registry = Arc::new(if counters_on {
+            Registry::new()
         } else {
-            Arc::new(Registry::disabled())
-        };
+            Registry::disabled()
+        });
         let tracer = if tracing_on {
             Tracer::new(telemetry::DEFAULT_TRACE_CAPACITY)
         } else {
             Tracer::disabled()
         };
-        let index = loaded_index(&w, &registry, tracer);
-        let ns = time_matches(&index, &tuples, runs);
-        eprintln!("telemetry_overhead/{mode}: {ns:.1} ns/op");
-        results.push(BenchResult {
-            name: format!("telemetry_overhead/{mode}"),
-            ns_per_op: ns,
-            counters: counter_totals(&registry),
-        });
+        let telemetry = Telemetry::new(Arc::clone(&registry)).with_tracer(tracer);
+        let ns = scheme_match_ns(cfg, &workload, &tuples, telemetry);
+        let row = timing_row(w, &format!("telemetry_overhead/{mode}"), ns);
+        if counters_on {
+            counters(row, &registry);
+        }
+        row.end_object();
     }
+}
+
+/// The raw cost of the two recording primitives on live handles. (On
+/// disabled handles both are one branch the optimizer deletes with the
+/// loop; `telemetry_overhead/disabled` against `scheme_cost/preds200`
+/// is the guard for that side.)
+fn telemetry_primitive(cfg: &Config, w: &mut JsonWriter) {
+    const OPS: usize = 1024;
+    let registry = Registry::new();
+    let counter = registry.counter("bench_counter_total");
+    let histogram = registry.histogram("bench_histogram");
+    let runs = cfg.pick(9, 31);
+    let ns = median_ns_per_op(runs, OPS, || {
+        for _ in 0..OPS {
+            counter.inc();
+        }
+        consume(counter.get());
+    });
+    timing_row(w, "telemetry_primitive/counter_inc", ns).end_object();
+    let ns = median_ns_per_op(runs, OPS, || {
+        for v in 0..OPS as u64 {
+            histogram.record(consume(v));
+        }
+        consume(histogram.count());
+    });
+    timing_row(w, "telemetry_primitive/histogram_record", ns).end_object();
 }
 
 /// A rule engine loaded with salary-band rules: the attribution
@@ -192,16 +272,13 @@ fn band_engine(profiled: bool, registry: &Arc<Registry>) -> RuleEngine {
 /// The cost-attribution guard: the full rule-chain insert path with the
 /// profiler detached (`baseline` — every profiler hook is one branch)
 /// versus attached (`profiled` — per-rule accounts billed per event).
-/// The acceptance bound lives in CI: the profiled/baseline ratio,
-/// with slack, against the committed BENCH_observability.json ratio.
-fn attribution_overhead(cfg: &Config, results: &mut Vec<BenchResult>) {
-    let runs = if cfg.quick { 5 } else { 9 };
-    let inserts = if cfg.quick { 128 } else { 512 };
+fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
+    let inserts = cfg.pick(128, 512);
     for (mode, profiled) in [("baseline", false), ("profiled", true)] {
         let registry = Arc::new(Registry::new());
         let mut engine = band_engine(profiled, &registry);
         let mut i = 0i64;
-        let ns = median_ns_per_op(runs, inserts, || {
+        let ns = median_ns_per_op(cfg.pick(5, 9), inserts, || {
             for _ in 0..inserts {
                 engine
                     .insert(
@@ -216,67 +293,255 @@ fn attribution_overhead(cfg: &Config, results: &mut Vec<BenchResult>) {
                 i += 1;
             }
         });
-        eprintln!("attribution_overhead/{mode}: {ns:.1} ns/op");
-        results.push(BenchResult {
-            name: format!("attribution_overhead/{mode}"),
-            ns_per_op: ns,
-            counters: counter_totals(&registry),
-        });
+        let row = timing_row(w, &format!("attribution_overhead/{mode}"), ns);
+        counters(row, &registry);
+        row.end_object();
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn observability(cfg: &Config, w: &mut JsonWriter) {
+    scheme_cost(cfg, w);
+    telemetry_overhead(cfg, w);
+    telemetry_primitive(cfg, w);
+    attribution_overhead(cfg, w);
 }
 
-fn render_json(cfg: &Config, results: &[BenchResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"bench/observability-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"counters\": {{",
-            json_escape(&r.name),
-            r.ns_per_op
-        ));
-        for (j, (name, value)) in r.counters.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", json_escape(name), value));
-        }
-        out.push_str("}}");
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
+// ---------------------------------------------------------------------
+// advisor
+// ---------------------------------------------------------------------
+
+/// `{"backend": ns, ...}` in the order given.
+fn backend_map(w: &mut JsonWriter, key: &str, pairs: impl Iterator<Item = (Backend, f64)>) {
+    w.key(key).begin_object();
+    for (backend, ns) in pairs {
+        w.key(backend.name()).float(ns, 1);
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end_object();
+}
+
+fn shape_row(w: &mut JsonWriter, o: &ShapeOutcome) {
+    let rec = &o.recommendation;
+    eprintln!(
+        "advisor/{}: pick {} / measured cheapest {}, margin {:.2}x",
+        o.name,
+        rec.best(),
+        o.measured_cheapest(),
+        rec.margin,
+    );
+    w.begin_object();
+    w.key("name").string(&format!("advisor/{}", o.name));
+    w.key("advisor_pick").string(rec.best().name());
+    w.key("measured_cheapest")
+        .string(o.measured_cheapest().name());
+    w.key("margin").float(rec.margin, 2);
+    w.key("live").uint(rec.live);
+    w.key("stabs").uint(rec.stabs);
+    w.key("inserts").uint(rec.inserts);
+    w.key("deletes").uint(rec.deletes);
+    backend_map(
+        w,
+        "projected_ns",
+        rec.ranked.iter().map(|p| (p.backend, p.projected_nanos)),
+    );
+    backend_map(w, "measured_ns", o.measured.iter().copied());
+    w.end_object();
+}
+
+/// Match-path cost with workload accounts off vs on, counters on in
+/// both modes (the accounts live in the registry, so they cannot be on
+/// without it) — the delta is the workload hooks alone.
+fn workload_overhead(cfg: &Config, w: &mut JsonWriter) {
+    let workload = SchemeWorkload::default();
+    let tuples = workload.tuples(cfg.pick(128, 512));
+    for (mode, enabled) in [("disabled", false), ("enabled", true)] {
+        let mut telemetry = Telemetry::new(Arc::new(Registry::new()));
+        if enabled {
+            telemetry = telemetry.with_workload_accounts();
+        }
+        let ns = scheme_match_ns(cfg, &workload, &tuples, telemetry);
+        timing_row(w, &format!("workload_overhead/{mode}"), ns).end_object();
+    }
+}
+
+fn advisor(cfg: &Config, w: &mut JsonWriter) {
+    eprintln!("calibrating backend unit constants...");
+    let constants = lab::calibrate_constants();
+    eprintln!(
+        "  stab ns/unit: ibs {:.1}, skiplist {:.1}, interval_tree {:.1}, naive {:.2}",
+        constants.ibs.unit_stab_ns,
+        constants.skiplist.unit_stab_ns,
+        constants.interval_tree.unit_stab_ns,
+        constants.naive.unit_stab_ns,
+    );
+    let shapes = if cfg.quick {
+        lab::quick_shapes()
+    } else {
+        lab::bench_shapes()
+    };
+    for spec in &shapes {
+        shape_row(w, &lab::run_shape(spec, &constants));
+    }
+    workload_overhead(cfg, w);
+}
+
+// ---------------------------------------------------------------------
+// join
+// ---------------------------------------------------------------------
+
+/// One join configuration: a condition and the relations it spans
+/// (preload round-robins over them).
+struct JoinCase {
+    premises: usize,
+    condition: &'static str,
+    relations: &'static [&'static str],
+}
+
+const JOIN_CASES: [JoinCase; 2] = [
+    JoinCase {
+        premises: 2,
+        condition: "emp.dno = dept.dno",
+        relations: &["emp", "dept"],
+    },
+    JoinCase {
+        premises: 3,
+        condition: "emp.dno = dept.dno and dept.dno = proj.dno",
+        relations: &["emp", "dept", "proj"],
+    },
+];
+
+/// emp(dno, salary) / dept(dno, floor) / proj(dno, badge): all lead
+/// with the join key, so one row shape serves every relation.
+fn join_db() -> Database {
+    let mut db = Database::new();
+    for (relation, other) in [("emp", "salary"), ("dept", "floor"), ("proj", "badge")] {
+        db.create_relation(
+            Schema::builder(relation)
+                .attr("dno", AttrType::Int)
+                .attr(other, AttrType::Int)
+                .build(),
+        )
+        .expect("fresh database");
+    }
+    db
+}
+
+/// Tuple number `i`: a deterministic well-spread join key from a
+/// domain of `keys` (scaled with n, so each key collides with a
+/// handful of tuples per relation regardless of database size).
+fn join_tuple(i: u64, keys: i64) -> Vec<Value> {
+    let key = ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % keys as u64) as i64;
+    vec![Value::Int(key), Value::Int((i % 97) as i64)]
+}
+
+fn join_rule(condition: &str) -> Rule {
+    Rule::builder("join-bench")
+        .when(condition)
+        .expect("bench condition parses")
+        .then(Action::log("joined"))
+        .build()
+}
+
+/// Inserts `n` tuples round-robin across the case's relations.
+fn preload(engine: &mut RuleEngine, case: &JoinCase, n: usize, keys: i64) {
+    for i in 0..n as u64 {
+        let relation = case.relations[(i % case.relations.len() as u64) as usize];
+        engine
+            .insert(relation, join_tuple(i, keys))
+            .expect("preload");
+    }
+}
+
+/// Steady-state per-insert cost two ways. **memoized**: the insert
+/// flows through an engine whose join memo extends partial matches
+/// incrementally. **naive**: the insert lands in a rule-less engine
+/// and the full match set is recomputed by a from-scratch hash join —
+/// the cost a system without memoization pays per event. Both report
+/// their complete-match count after timing; the two must agree.
+fn join_case(cfg: &Config, w: &mut JsonWriter, case: &JoinCase, n: usize) {
+    // ~8 tuples per key per relation: per-insert fan-out stays flat
+    // while the naive evaluator's full scan grows with n.
+    let keys = (n as i64 / 8).max(4);
+    let probes = cfg.pick(32, 64);
+    let runs = cfg.pick(3, 7);
+    let base = format!("join/{}premise/n{n}", case.premises);
+    let rule = join_rule(case.condition);
+
+    let mut engine = RuleEngine::new(join_db());
+    let id = engine.add_rule(rule.clone()).expect("rule adds");
+    preload(&mut engine, case, n, keys);
+    let mut next = n as u64;
+    let ns = median_ns_per_op(runs, probes, || {
+        for _ in 0..probes {
+            engine
+                .insert("emp", join_tuple(next, keys))
+                .expect("probe insert");
+            next += 1;
+        }
+    });
+    let matches: usize = engine
+        .join_matches(id)
+        .map_or(0, |per_cond| per_cond.iter().map(Vec::len).sum());
+    timing_row(w, &format!("{base}/memoized"), ns)
+        .key("complete_matches")
+        .uint(matches as u64)
+        .end_object();
+
+    let mut engine = RuleEngine::new(join_db());
+    preload(&mut engine, case, n, keys);
+    let compiled = CompiledJoin::compile(&rule.joins[0], engine.db().catalog())
+        .expect("bench condition compiles");
+    let mut next = n as u64;
+    let mut matches = 0usize;
+    let ns = median_ns_per_op(runs, probes, || {
+        for _ in 0..probes {
+            engine
+                .insert("emp", join_tuple(next, keys))
+                .expect("probe insert");
+            next += 1;
+            matches = consume(full_matches(&compiled, engine.db().catalog()).len());
+        }
+    });
+    timing_row(w, &format!("{base}/naive"), ns)
+        .key("complete_matches")
+        .uint(matches as u64)
+        .end_object();
+}
+
+fn join(cfg: &Config, w: &mut JsonWriter) {
+    for case in &JOIN_CASES {
+        for &n in cfg.pick(&[1_000][..], &[1_000, 10_000][..]) {
+            join_case(cfg, w, case, n);
+        }
+    }
 }
 
 fn main() {
     let cfg = parse_args();
-    let mut results = Vec::new();
-    scheme_cost(&cfg, &mut results);
-    telemetry_overhead(&cfg, &mut results);
-    attribution_overhead(&cfg, &mut results);
-    let json = render_json(&cfg, &results);
-    std::fs::write(&cfg.out, &json).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", cfg.out);
-        std::process::exit(1);
-    });
-    eprintln!("wrote {} ({} results)", cfg.out, results.len());
+    let commit = commit();
+    for (name, suite) in SUITES {
+        if cfg.suite != "all" && cfg.suite != name {
+            continue;
+        }
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema").string("bench/report-v1");
+        w.key("suite").string(name);
+        w.key("quick").bool(cfg.quick);
+        w.key("commit").string(&commit);
+        w.key("rows").begin_array();
+        suite(&cfg, &mut w);
+        w.end_array();
+        w.end_object();
+        let line = w.finish();
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&cfg.out)
+            .and_then(|mut f| writeln!(f, "{line}"))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot append to {}: {e}", cfg.out);
+                std::process::exit(1);
+            });
+        eprintln!("appended the {name} suite to {}", cfg.out);
+    }
 }

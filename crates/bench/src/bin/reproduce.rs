@@ -10,8 +10,8 @@
 //! structures, matchers, skew.
 
 use altindex::{
-    BulkBuild, CenteredIntervalTree, IntervalSkipList, IntervalTreap, NaiveIntervalList,
-    SegmentTree, StabIndex,
+    BulkBuild, CenteredIntervalTree, DynamicStabIndex, IntervalSkipList, IntervalTreap,
+    NaiveIntervalList, SegmentTree, StabIndex,
 };
 use bench::costmodel::{self, PAPER_CONSTANTS};
 use bench::scheme::SchemeWorkload;
@@ -443,38 +443,9 @@ fn structures() {
             seed: 12,
         };
         let items = w.intervals();
-        let t_ibs = median_ns_per_op(5, 2 * n, || {
-            let mut t: IbsTree<i64> = IbsTree::new();
-            for (id, iv) in &items {
-                t.insert(*id, iv.clone()).unwrap();
-            }
-            for (id, _) in &items {
-                t.remove(*id).unwrap();
-            }
-            consume(t.len());
-        });
-        let t_treap = median_ns_per_op(5, 2 * n, || {
-            use altindex::DynamicStabIndex;
-            let mut t: IntervalTreap<i64> = IntervalTreap::new();
-            for (id, iv) in &items {
-                t.insert(*id, iv.clone());
-            }
-            for (id, _) in &items {
-                t.remove(*id).unwrap();
-            }
-            consume(StabIndex::len(&t));
-        });
-        let t_skip = median_ns_per_op(5, 2 * n, || {
-            use altindex::DynamicStabIndex;
-            let mut t: IntervalSkipList<i64> = IntervalSkipList::new();
-            for (id, iv) in &items {
-                t.insert(*id, iv.clone());
-            }
-            for (id, _) in &items {
-                t.remove(*id).unwrap();
-            }
-            consume(StabIndex::len(&t));
-        });
+        let t_ibs = update_ns::<IbsTree<i64>>(&items);
+        let t_treap = update_ns::<IntervalTreap<i64>>(&items);
+        let t_skip = update_ns::<IntervalSkipList<i64>>(&items);
         // The static structure's only "update" path: rebuild from
         // scratch — charged per logical update for comparability.
         let t_seg = median_ns_per_op(5, 2 * n, || {
@@ -490,6 +461,22 @@ fn structures() {
         );
     }
     println!();
+}
+
+/// Median per-op cost of inserting every item into an empty `T` and
+/// removing them all again — the update half of ablation B, one loop
+/// for every dynamic structure.
+fn update_ns<T: DynamicStabIndex<i64> + Default>(items: &[(IntervalId, Interval<i64>)]) -> f64 {
+    median_ns_per_op(5, 2 * items.len(), || {
+        let mut t = T::default();
+        for (id, iv) in items {
+            t.insert(*id, iv.clone());
+        }
+        for (id, _) in items {
+            t.remove(*id).unwrap();
+        }
+        consume(t.len());
+    })
 }
 
 /// Ablation C: the full scheme vs every §2 baseline.

@@ -18,10 +18,26 @@
 //! `cargo run --release -p bench --bin reproduce` prints the full
 //! paper-style tables; the Criterion benches provide statistical rigor
 //! on individual points.
+//!
+//! Beside the paper's artifacts the crate is the repo's one harness
+//! for everything that is measured and then gated:
+//!
+//! * `bench_json` — the one report binary. `--suite
+//!   observability|advisor|join|all` appends one `bench/report-v1` line
+//!   per suite to `BENCH_history.jsonl`; `.github/bench_gate.py` holds
+//!   every bound on those rows.
+//! * [`lab`] — the index advisor's validation lab (workload shapes,
+//!   calibration, measured replay), every backend driven through the one
+//!   `altindex::DynamicStabIndex` trait.
+//! * [`timing`] — the one timing module all of the above share.
+//!
+//! The whole-stack benchmark (`stackbench`, `BENCHMARK.json`) is a
+//! package of its own under `benchmark/` and uses nothing from here.
 
 #![deny(unreachable_pub)]
 
 pub mod costmodel;
+pub mod lab;
 pub mod scheme;
 pub mod timing;
 pub mod workload;

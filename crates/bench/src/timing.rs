@@ -1,8 +1,9 @@
-//! Minimal manual timing for the `reproduce` binary.
+//! The harness's one timing module.
 //!
-//! Criterion drives the statistical benchmarks; the reproduction tables
-//! only need stable medians over full parameter sweeps, which a
-//! median-of-runs loop delivers in seconds instead of minutes.
+//! Criterion drives the statistical benchmarks; the reproduction
+//! tables, the JSON report and the advisor lab only need stable
+//! medians (or minima) over full parameter sweeps, which a few timed
+//! runs deliver in seconds instead of minutes.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -20,6 +21,22 @@ pub fn median_ns_per_op(runs: usize, ops_per_run: usize, mut f: impl FnMut()) ->
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     samples[samples.len() / 2]
+}
+
+/// Wall-clock nanoseconds one call of `f` took.
+pub fn time_ns(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as f64
+}
+
+/// The fastest of `runs` measurements. `f` returns the nanoseconds of
+/// its own measured region (see [`time_ns`]), so untimed setup can sit
+/// beside it in the same closure.
+pub fn min_ns(runs: usize, f: impl FnMut() -> f64) -> f64 {
+    std::iter::repeat_with(f)
+        .take(runs)
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Times a closure returning a value, preventing the value from being

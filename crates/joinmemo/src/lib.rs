@@ -23,8 +23,8 @@
 //! layer uses it to verify crash recovery.
 //!
 //! [`naive::full_matches`] is the deliberately stateless reference
-//! evaluator used by the differential test suite and the
-//! `ablation_join` benchmark.
+//! evaluator used by the differential test suite and the `join` suite
+//! of `bench_json`.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]

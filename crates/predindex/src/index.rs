@@ -29,7 +29,7 @@
 //! literally the one-shard case, so the two cannot drift apart.
 
 use crate::matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
-use crate::metrics::IndexMetrics;
+use crate::metrics::{AttrWork, IndexMetrics};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
 use ibs::{BalanceMode, IbsTree, StabStats};
 use interval::Interval;
@@ -39,8 +39,8 @@ use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple, Value};
 use std::sync::Arc;
 use telemetry::{
-    AttrRecorder, ClauseShape, MatchTrace, RelationRecorder, ResidualTrace, StabTrace, Telemetry,
-    WorkloadStats,
+    AttrRecorder, ClauseShape, Counter, MatchTrace, RelationRecorder, ResidualTrace, StabTrace,
+    Telemetry, WorkloadStats,
 };
 
 /// Where a registered predicate physically lives.
@@ -129,17 +129,19 @@ fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<Predicat
     out[from..].sort_unstable();
 }
 
-/// One attribute's IBS-tree plus its pre-resolved workload account —
-/// the recorder is minted when the tree (or the workload attachment)
-/// is created, so the stab path records with atomic adds only.
+/// One attribute's IBS-tree plus its pre-resolved telemetry: the
+/// workload account and the per-tree stab-work counters. Both are
+/// minted when the tree (or the telemetry attachment) is created, so
+/// the stab path records with atomic adds only.
 #[derive(Debug, Clone)]
 struct AttrTree {
     tree: IbsTree<Value>,
     workload: AttrRecorder,
+    work: Option<AttrWork>,
 }
 
 /// Second-level index for one relation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RelationIndex {
     /// One IBS-tree per attribute that has at least one indexed clause.
     attr_trees: FnvHashMap<usize, AttrTree>,
@@ -147,34 +149,41 @@ struct RelationIndex {
     non_indexable: Vec<PredicateId>,
     /// Cached per-relation workload account (tuples matched).
     tuple_recorder: RelationRecorder,
+    /// Cached `predindex_relation_matches_total` counter.
+    matches: Option<Counter>,
 }
 
 impl RelationIndex {
-    /// (Re-)mints every cached workload recorder from `workload` —
-    /// called when telemetry is attached to an index that already holds
-    /// trees. The existing population is backfilled as inserts so
-    /// derived live counts are correct for predicates registered before
-    /// attachment; attach a given handle to an index once, or the
-    /// backfill double-counts.
-    fn rebind_workload(&mut self, relation: &str, workload: &WorkloadStats) {
+    /// An empty second-level index recording into `metrics`.
+    fn new(relation: &str, metrics: &IndexMetrics) -> Self {
+        RelationIndex {
+            attr_trees: FnvHashMap::default(),
+            non_indexable: Vec::new(),
+            tuple_recorder: metrics.workload().relation_recorder(relation),
+            matches: metrics.relation_matches(relation),
+        }
+    }
+
+    /// Re-mints every cached handle from `metrics` — called when
+    /// telemetry is attached to an index that already holds trees. The
+    /// existing population is backfilled into the workload accounts as
+    /// inserts so derived live counts are correct for predicates
+    /// registered before attachment; attach a given handle to an index
+    /// once, or the backfill double-counts.
+    fn rebind(&mut self, relation: &str, metrics: &IndexMetrics) {
+        let workload = metrics.workload();
+        self.matches = metrics.relation_matches(relation);
         self.tuple_recorder = workload.relation_recorder(relation);
         for _ in &self.non_indexable {
             self.tuple_recorder.record_non_indexable_insert();
         }
         for (&attr, at) in self.attr_trees.iter_mut() {
+            at.work = metrics.attr_work(relation, attr);
             at.workload = workload.attr_recorder(relation, attr);
             for (_, interval) in at.tree.iter() {
                 at.workload
                     .record_insert(clause_shape_of(interval), interval_length_of(interval));
             }
-        }
-    }
-
-    /// Mints the per-relation recorder on first use (insert paths call
-    /// this so relations created after attachment get accounts too).
-    fn ensure_tuple_recorder(&mut self, relation: &str, workload: &WorkloadStats) {
-        if workload.is_enabled() && !self.tuple_recorder.is_enabled() {
-            self.tuple_recorder = workload.relation_recorder(relation);
         }
     }
 
@@ -186,15 +195,13 @@ impl RelationIndex {
         id: PredicateId,
         interval: Interval<Value>,
         mode: BalanceMode,
-        workload: &WorkloadStats,
+        metrics: &IndexMetrics,
     ) {
         let at = self.attr_trees.entry(attr).or_insert_with(|| AttrTree {
             tree: IbsTree::with_mode(mode),
-            workload: workload.attr_recorder(relation, attr),
+            workload: metrics.workload().attr_recorder(relation, attr),
+            work: metrics.attr_work(relation, attr),
         });
-        if workload.is_enabled() && !at.workload.is_enabled() {
-            at.workload = workload.attr_recorder(relation, attr);
-        }
         at.tree
             .insert(id, interval)
             // srclint:allow(no-panic-in-lib): the store just minted this id; the tree cannot already hold it
@@ -243,15 +250,14 @@ impl RelationIndex {
     /// [`collect_partial`](Self::collect_partial) with per-stab work
     /// counting and per-attribute workload accounting. Only runs when
     /// metrics or workload accounts are enabled; the disabled path
-    /// keeps calling the uninstrumented loop. Workload recording goes
-    /// through the cached per-tree recorders, so each stab pays atomic
-    /// adds only — no name lookups on the match path. (Tuples are
-    /// counted here, i.e. only for relations with at least one
+    /// keeps calling the uninstrumented loop. Both kinds of recording
+    /// go through the handles cached in each tree, so a stab pays
+    /// atomic adds only — no name lookups on the match path. (Tuples
+    /// are counted here, i.e. only for relations with at least one
     /// registered predicate — unindexed relations do no stab work and
     /// carry no account.)
     fn collect_partial_metered(
         &self,
-        relation: &str,
         tuple: &Tuple,
         out: &mut Vec<PredicateId>,
         metrics: &IndexMetrics,
@@ -262,7 +268,11 @@ impl RelationIndex {
                 let before = out.len();
                 let mut stats = StabStats::default();
                 at.tree.stab_into_observed(value, out, &mut stats);
-                metrics.record_attr_stab(relation, attr, stats.nodes_visited, stats.marks_scanned);
+                metrics.record_attr_stab(
+                    at.work.as_ref(),
+                    stats.nodes_visited,
+                    stats.marks_scanned,
+                );
                 at.workload.record_stab((out.len() - before) as u64);
             }
         }
@@ -357,6 +367,14 @@ impl IndexCore {
         }
     }
 
+    /// `relation`'s second-level index, created (with its telemetry
+    /// handles resolved against `metrics`) on first use.
+    fn relation_index(&mut self, relation: &str, metrics: &IndexMetrics) -> &mut RelationIndex {
+        self.relations
+            .entry(relation.to_string())
+            .or_insert_with(|| RelationIndex::new(relation, metrics))
+    }
+
     /// Stores `stored` under the caller-assigned `id` and indexes it
     /// where [`place`] says it belongs.
     pub(crate) fn insert_bound(
@@ -364,8 +382,9 @@ impl IndexCore {
         id: PredicateId,
         stored: StoredPredicate,
         catalog: &Catalog,
-        workload: &WorkloadStats,
+        metrics: &IndexMetrics,
     ) {
+        let workload = metrics.workload();
         let relation = stored.bound.relation().to_string();
         let placement = place(catalog, &stored);
         self.store.insert_bound(id, stored);
@@ -380,16 +399,15 @@ impl IndexCore {
                         interval_length_of(&interval),
                     );
                 }
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.insert_tree(&relation, attr, id, interval, self.mode, workload);
+                let mode = self.mode;
+                self.relation_index(&relation, metrics)
+                    .insert_tree(&relation, attr, id, interval, mode, metrics);
                 Location::Tree { attr }
             }
             Placement::NonIndexable => {
                 workload.record_non_indexable_insert(&relation);
-                let ri = self.relations.entry(relation.clone()).or_default();
-                ri.ensure_tuple_recorder(&relation, workload);
-                ri.push_non_indexable(id);
+                self.relation_index(&relation, metrics)
+                    .push_non_indexable(id);
                 Location::NonIndexable
             }
         };
@@ -449,7 +467,7 @@ impl IndexCore {
             {
                 let _stab = tracer.span("predindex_stab");
                 if metrics.is_enabled() || metrics.workload().is_enabled() {
-                    ri.collect_partial_metered(relation, tuple, out, metrics);
+                    ri.collect_partial_metered(tuple, out, metrics);
                 } else {
                     ri.collect_partial(tuple, out);
                 }
@@ -461,9 +479,9 @@ impl IndexCore {
                 });
                 residual_filter(&self.store, tuple, out, from);
             }
-            metrics.record_match(relation, partials, (out.len() - from) as u64);
+            metrics.record_match(ri.matches.as_ref(), partials, (out.len() - from) as u64);
         } else {
-            metrics.record_match(relation, 0, 0);
+            metrics.record_unindexed_match(relation);
         }
     }
 
@@ -495,11 +513,11 @@ impl IndexCore {
         trace
     }
 
-    /// Re-mints every cached workload recorder and backfills the
-    /// existing population (see [`RelationIndex::rebind_workload`]).
-    pub(crate) fn rebind_workload(&mut self, workload: &WorkloadStats) {
+    /// Re-mints every cached telemetry handle and backfills the
+    /// existing population (see [`RelationIndex::rebind`]).
+    pub(crate) fn rebind(&mut self, metrics: &IndexMetrics) {
         for (relation, ri) in self.relations.iter_mut() {
-            ri.rebind_workload(relation, workload);
+            ri.rebind(relation, metrics);
         }
     }
 
@@ -612,7 +630,7 @@ impl PredicateIndex {
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
         let telemetry = telemetry.into();
         self.metrics = IndexMetrics::new(&telemetry, 0);
-        self.core.rebind_workload(telemetry.workload());
+        self.core.rebind(&self.metrics);
     }
 
     /// The Figure 1 EXPLAIN: the exact path `tuple` takes through the
@@ -662,8 +680,7 @@ impl Matcher for PredicateIndex {
             .next_id
             .checked_add(1)
             .ok_or(IndexError::IdsExhausted)?;
-        self.core
-            .insert_bound(id, stored, catalog, self.metrics.workload());
+        self.core.insert_bound(id, stored, catalog, &self.metrics);
         Ok(id)
     }
 

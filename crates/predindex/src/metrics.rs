@@ -2,12 +2,14 @@
 //!
 //! One [`IndexMetrics`] bundle holds every counter the matching path
 //! touches, pre-resolved at attach time so the hot path never takes
-//! the registry lock for the fixed-name metrics. Per-relation and
-//! per-attribute families are created lazily (first match against a
-//! relation registers its counters) behind an `RwLock` map whose read
-//! path is one shared lock plus a hash probe — and none of it runs at
-//! all when the bundle is disabled: every recording helper starts with
-//! the same single branch the `telemetry` handles use.
+//! the registry lock for the fixed-name metrics. The labelled families
+//! are resolved where the structure they describe is created — each
+//! per-attribute tree carries its [`AttrWork`] pair and each relation
+//! its matches counter (see `index.rs`) — so a counted stab is atomic
+//! adds only. The one name-keyed map left serves tuples of relations
+//! no predicate mentions, which have no structure to hang a handle on.
+//! None of it runs when the bundle is disabled: every recording helper
+//! starts with the same single branch the `telemetry` handles use.
 
 use relation::fx::FnvHashMap;
 use std::sync::{Arc, RwLock};
@@ -50,11 +52,9 @@ pub(crate) struct IndexMetrics {
     lock_wait: Histogram,
     /// Cumulative lock-wait nanos per shard.
     shard_lock_wait: Vec<Counter>,
-    /// `relation name -> matches counter`, minted on first match.
-    per_relation: RwLock<FnvHashMap<String, Counter>>,
-    /// `relation name -> attr -> stab-work counters`, minted on first
-    /// stab.
-    per_attr: RwLock<FnvHashMap<String, FnvHashMap<usize, AttrWork>>>,
+    /// `relation name -> matches counter` for relations that hold no
+    /// predicates, minted on first match.
+    unindexed: RwLock<FnvHashMap<String, Counter>>,
 }
 
 impl IndexMetrics {
@@ -93,8 +93,7 @@ impl IndexMetrics {
                     ))
                 })
                 .collect(),
-            per_relation: RwLock::new(FnvHashMap::default()),
-            per_attr: RwLock::new(FnvHashMap::default()),
+            unindexed: RwLock::new(FnvHashMap::default()),
         })
     }
 
@@ -117,53 +116,72 @@ impl IndexMetrics {
         &self.workload
     }
 
-    /// One matched tuple: its partial-match count (= residual tests
-    /// run) and how many survived the residual test.
-    pub(crate) fn record_match(&self, relation: &str, partials: u64, passes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.match_tuples.inc();
-        self.residual_tests.add(partials);
-        self.residual_passes.add(passes);
-        self.relation_counter(relation).inc();
-    }
-
-    /// One per-attribute stab's work, attributed globally and to the
-    /// `(relation, attr)` family.
-    pub(crate) fn record_attr_stab(&self, relation: &str, attr: usize, nodes: u64, marks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.ibs_nodes.add(nodes);
-        self.ibs_marks.add(marks);
-        {
-            // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design
-            let map = self.per_attr.read().expect("metrics map poisoned");
-            if let Some(work) = map.get(relation).and_then(|inner| inner.get(&attr)) {
-                work.nodes.add(nodes);
-                work.marks.add(marks);
-                return;
-            }
-        }
-        let work = AttrWork {
+    /// Resolves the stab-work pair of `relation`'s tree on `attr`
+    /// (`None` when counters are off, so a dark index mints nothing).
+    pub(crate) fn attr_work(&self, relation: &str, attr: usize) -> Option<AttrWork> {
+        self.enabled.then(|| AttrWork {
             nodes: self.registry.counter(&format!(
                 "predindex_attr_stab_nodes_total{{relation=\"{relation}\",attr=\"{attr}\"}}"
             )),
             marks: self.registry.counter(&format!(
                 "predindex_attr_stab_marks_total{{relation=\"{relation}\",attr=\"{attr}\"}}"
             )),
-        };
-        work.nodes.add(nodes);
-        work.marks.add(marks);
-        self.per_attr
-            // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
-            .write()
-            // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design
-            .expect("metrics map poisoned")
-            .entry(relation.to_string())
-            .or_default()
-            .insert(attr, work);
+        })
+    }
+
+    /// Resolves `relation`'s matches counter (`None` when counters are
+    /// off).
+    pub(crate) fn relation_matches(&self, relation: &str) -> Option<Counter> {
+        self.enabled.then(|| {
+            self.registry.counter(&format!(
+                "predindex_relation_matches_total{{relation=\"{relation}\"}}"
+            ))
+        })
+    }
+
+    /// One matched tuple of a relation that holds predicates: its
+    /// partial-match count (= residual tests run), how many survived
+    /// the residual test, and the relation's cached matches counter.
+    pub(crate) fn record_match(
+        &self,
+        relation_matches: Option<&Counter>,
+        partials: u64,
+        passes: u64,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.match_tuples.inc();
+        self.residual_tests.add(partials);
+        self.residual_passes.add(passes);
+        if let Some(c) = relation_matches {
+            c.inc();
+        }
+    }
+
+    /// One matched tuple of a relation no predicate mentions: nothing
+    /// to test, but the tuple still counts, against a counter found by
+    /// name.
+    pub(crate) fn record_unindexed_match(&self, relation: &str) {
+        if !self.enabled {
+            return;
+        }
+        self.match_tuples.inc();
+        self.unindexed_relation_counter(relation).inc();
+    }
+
+    /// One per-attribute stab's work, attributed globally and to the
+    /// tree's own pair.
+    pub(crate) fn record_attr_stab(&self, work: Option<&AttrWork>, nodes: u64, marks: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.ibs_nodes.add(nodes);
+        self.ibs_marks.add(marks);
+        if let Some(work) = work {
+            work.nodes.add(nodes);
+            work.marks.add(marks);
+        }
     }
 
     /// A non-indexable-list sweep of `n` predicates.
@@ -190,18 +208,21 @@ impl IndexMetrics {
         }
     }
 
-    fn relation_counter(&self, relation: &str) -> Counter {
+    fn unindexed_relation_counter(&self, relation: &str) -> Counter {
         {
             // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design
-            let map = self.per_relation.read().expect("metrics map poisoned");
+            let map = self.unindexed.read().expect("metrics map poisoned");
             if let Some(c) = map.get(relation) {
                 return c.clone();
             }
         }
+        // The registry hands back the same cell for the same name, so a
+        // racing mint (or a later `relation_matches` for a relation
+        // that gains predicates) lands on one counter.
         let c = self.registry.counter(&format!(
             "predindex_relation_matches_total{{relation=\"{relation}\"}}"
         ));
-        self.per_relation
+        self.unindexed
             // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
             .write()
             // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design

@@ -128,7 +128,7 @@ impl ShardedPredicateIndex {
                 .get_mut()
                 // srclint:allow(no-panic-in-lib): a poisoned shard lock means a writer panicked mid-update; propagating is the designed behaviour
                 .expect("shard lock poisoned")
-                .rebind_workload(telemetry.workload());
+                .rebind(&self.metrics);
         }
     }
 
@@ -204,7 +204,7 @@ impl ShardedPredicateIndex {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
             .map(PredicateId)
             .map_err(|_| IndexError::IdsExhausted)?;
-        shard.insert_bound(id, stored, catalog, self.metrics.workload());
+        shard.insert_bound(id, stored, catalog, &self.metrics);
         Ok(id)
     }
 

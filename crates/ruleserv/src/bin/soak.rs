@@ -1,7 +1,7 @@
-//! Concurrent-client soak harness for the rule server.
+//! Concurrent-client soak: a correctness driver for the rule server.
 //!
 //! ```text
-//! soak --connections 32 --requests 2000 --out BENCH_server.json
+//! soak --connections 32 --requests 2000
 //! ```
 //!
 //! Starts an in-process server over a fresh durable home (or targets a
@@ -10,20 +10,18 @@
 //! traffic exercises create/insert/update/delete and rule firings
 //! without cross-connection write conflicts.
 //!
-//! **Correctness, not just throughput.** Every request is logged with
-//! the reply kind it must produce; replies are read back in order and
-//! matched one-to-one. A kind mismatch counts as *reordered* and an
-//! unanswered request at drain counts as *lost* — the process exits
-//! non-zero if either is nonzero. `Busy` is a valid outcome for any
-//! engine-bound request (bounded-queue backpressure), counted
-//! separately.
+//! Every request is logged with the reply kind it must produce; replies
+//! are read back in order and matched one-to-one. A kind mismatch
+//! counts as *reordered* and an unanswered request at drain counts as
+//! *lost* — the process exits non-zero if either is nonzero or a
+//! connection failed. `Busy` is a valid outcome for any engine-bound
+//! request (bounded-queue backpressure), counted separately.
 //!
-//! The report is hand-rolled JSON (`schema: bench/server-v2`) with
-//! total throughput, per-request latency percentiles, and a per-op
-//! latency breakdown (p50/p99 per opcode, estimated from shared
-//! power-of-two [`telemetry::Histogram`]s — the same estimator the
-//! server's `/metrics` quantile lines use), written to `--out` for
-//! the benchmark ledger.
+//! The run ends with a one-line summary on stdout. It measures nothing:
+//! with 32 × 64 requests in flight against a queue of 1,024 its timings
+//! are the pipeline's, not the server's (EXPERIMENTS.md, "Server
+//! soak"). The server's latency and throughput instrument is
+//! stackbench's `serve_mixed` workload.
 
 use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec, SyncPolicy};
 use predicate::FunctionRegistry;
@@ -32,11 +30,10 @@ use rand::{Rng, SeedableRng};
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use ruleserv::{serve, Client, Reply, Request, ServerOptions};
-use std::collections::HashMap;
-use std::io::Write;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use telemetry::{quantile, Histogram, Registry};
+use std::time::Instant;
+use telemetry::Registry;
 
 struct Config {
     addr: Option<String>,
@@ -44,22 +41,20 @@ struct Config {
     requests: usize,
     pipeline: usize,
     seed: u64,
-    out: Option<String>,
     sync_every: u32,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: soak [--addr HOST:PORT] [--connections N] [--requests N] [--pipeline N]\n\
-         \x20           [--seed N] [--sync-every N] [--out PATH]\n\
+         \x20           [--seed N] [--sync-every N]\n\
          \n\
          \x20 --addr HOST:PORT  target a running daemon (default: in-process server)\n\
          \x20 --connections N   concurrent client connections (default 32)\n\
          \x20 --requests N      requests per connection (default 2000)\n\
          \x20 --pipeline N      max requests in flight per connection (default 64)\n\
          \x20 --seed N          RNG seed for the traffic mix (default 42)\n\
-         \x20 --sync-every N    in-process server group-commit window (default 64)\n\
-         \x20 --out PATH        write the JSON report here (default: stdout only)"
+         \x20 --sync-every N    in-process server group-commit window (default 64)"
     );
     std::process::exit(2)
 }
@@ -71,7 +66,6 @@ fn parse_args() -> Config {
         requests: 2000,
         pipeline: 64,
         seed: 42,
-        out: None,
         sync_every: 64,
     };
     let mut args = std::env::args().skip(1);
@@ -84,7 +78,6 @@ fn parse_args() -> Config {
             "--pipeline" => cfg.pipeline = v.parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = v.parse().unwrap_or_else(|_| usage()),
             "--sync-every" => cfg.sync_every = v.parse().unwrap_or_else(|_| usage()),
-            "--out" => cfg.out = Some(v),
             _ => usage(),
         }
     }
@@ -121,7 +114,8 @@ impl Expect {
     }
 }
 
-/// Per-connection soak outcome.
+/// Soak outcome: one connection's, or the run's total.
+#[derive(Default)]
 struct ConnStats {
     replies: u64,
     busy: u64,
@@ -129,13 +123,7 @@ struct ConnStats {
     fired: u64,
     lost: u64,
     reordered: u64,
-    /// Nanoseconds from send to reply, one sample per settled request.
-    latencies: Vec<u64>,
 }
-
-/// The op labels soak traffic is generated under, fixed order for the
-/// report.
-const SOAK_OPS: &[&str] = &["insert", "update", "delete", "ping", "health", "sync"];
 
 fn drive_connection(
     id: usize,
@@ -143,25 +131,13 @@ fn drive_connection(
     cfg_requests: usize,
     cfg_pipeline: usize,
     seed: u64,
-    registry: Arc<Registry>,
 ) -> Result<ConnStats, ruleserv::ClientError> {
     let mut rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9));
     let mut client = Client::connect(addr)?;
     let relation = format!("soak_c{id}");
-    // Per-op latency histograms, shared (atomic buckets) across every
-    // connection through the soak registry.
-    let per_op: HashMap<&'static str, Histogram> = SOAK_OPS
-        .iter()
-        .map(|&op| {
-            (
-                op,
-                registry.histogram(&format!("soak_latency_nanos{{op=\"{op}\"}}")),
-            )
-        })
-        .collect();
 
-    // Setup outside the measured window: a private relation plus a
-    // rule over it so roughly half the inserts fire.
+    // A private relation plus a rule over it so roughly half the
+    // inserts fire.
     client.create_relation(
         Schema::builder(&relation)
             .attr("k", AttrType::Int)
@@ -176,49 +152,33 @@ fn drive_connection(
         action: ActionSpec::Log(format!("{relation} low k")),
     })?;
 
-    let mut stats = ConnStats {
-        replies: 0,
-        busy: 0,
-        errors: 0,
-        fired: 0,
-        lost: 0,
-        reordered: 0,
-        latencies: Vec::with_capacity(cfg_requests),
-    };
-    // FIFO of (expectation, op label, send instant); the reply stream
-    // must settle these strictly in order.
-    let mut pending: std::collections::VecDeque<(Expect, &'static str, Instant)> =
-        std::collections::VecDeque::new();
+    let mut stats = ConnStats::default();
+    // FIFO of expectations; the reply stream must settle these
+    // strictly in order.
+    let mut pending: VecDeque<Expect> = VecDeque::new();
     let mut inserted: u64 = 0;
 
-    let settle =
-        |reply: &Reply, expect: Expect, op: &'static str, sent: Instant, stats: &mut ConnStats| {
-            let nanos = sent.elapsed().as_nanos() as u64;
-            stats.replies += 1;
-            stats.latencies.push(nanos);
-            if let Some(h) = per_op.get(op) {
-                h.record(nanos);
-            }
-            match reply {
-                Reply::Busy => stats.busy += 1,
-                Reply::Err(_) => stats.errors += 1,
-                Reply::Fire(s) => stats.fired += s.fired.len() as u64,
-                _ => {}
-            }
-            if !expect.matches(reply) {
-                stats.reordered += 1;
-            }
-        };
+    let settle = |reply: &Reply, expect: Expect, stats: &mut ConnStats| {
+        stats.replies += 1;
+        match reply {
+            Reply::Busy => stats.busy += 1,
+            Reply::Err(_) => stats.errors += 1,
+            Reply::Fire(s) => stats.fired += s.fired.len() as u64,
+            _ => {}
+        }
+        if !expect.matches(reply) {
+            stats.reordered += 1;
+        }
+    };
 
     for n in 0..cfg_requests {
         // Keep at most `pipeline` requests outstanding.
-        while let Some(&(expect, op, sent)) = pending.front() {
-            if pending.len() < cfg_pipeline {
+        while pending.len() >= cfg_pipeline {
+            let Some(expect) = pending.pop_front() else {
                 break;
-            }
-            pending.pop_front();
+            };
             match client.recv_reply() {
-                Ok(reply) => settle(&reply, expect, op, sent, &mut stats),
+                Ok(reply) => settle(&reply, expect, &mut stats),
                 Err(e) => {
                     stats.lost += pending.len() as u64 + 1;
                     return fail_conn(stats, e);
@@ -227,40 +187,31 @@ fn drive_connection(
         }
 
         let roll: u32 = rng.gen_range(0..100);
-        let (request, op) = if roll < 60 || inserted == 0 {
+        let request = if roll < 60 || inserted == 0 {
             inserted += 1;
-            (
-                Request::Apply(durable::Record::Insert {
-                    relation: relation.clone(),
-                    values: vec![Value::Int((n as i64) % 100), Value::Int(n as i64)],
-                }),
-                "insert",
-            )
+            Request::Apply(durable::Record::Insert {
+                relation: relation.clone(),
+                values: vec![Value::Int((n as i64) % 100), Value::Int(n as i64)],
+            })
         } else if roll < 75 {
             // Update a random prior id; already-deleted ids yield a
             // clean `Err` reply, which is part of the point.
-            (
-                Request::Apply(durable::Record::Update {
-                    relation: relation.clone(),
-                    id: rng.gen_range(0..inserted) as u32,
-                    values: vec![Value::Int(rng.gen_range(0..100)), Value::Int(-1)],
-                }),
-                "update",
-            )
+            Request::Apply(durable::Record::Update {
+                relation: relation.clone(),
+                id: rng.gen_range(0..inserted) as u32,
+                values: vec![Value::Int(rng.gen_range(0..100)), Value::Int(-1)],
+            })
         } else if roll < 85 {
-            (
-                Request::Apply(durable::Record::Delete {
-                    relation: relation.clone(),
-                    id: rng.gen_range(0..inserted) as u32,
-                }),
-                "delete",
-            )
+            Request::Apply(durable::Record::Delete {
+                relation: relation.clone(),
+                id: rng.gen_range(0..inserted) as u32,
+            })
         } else if roll < 93 {
-            (Request::Ping, "ping")
+            Request::Ping
         } else if roll < 97 {
-            (Request::Health, "health")
+            Request::Health
         } else {
-            (Request::Sync, "sync")
+            Request::Sync
         };
         let expect = match &request {
             Request::Ping => Expect::Pong,
@@ -268,7 +219,7 @@ fn drive_connection(
             Request::Sync => Expect::Unit,
             _ => Expect::Fire,
         };
-        pending.push_back((expect, op, Instant::now()));
+        pending.push_back(expect);
         if let Err(e) = client.send(&request) {
             stats.lost += pending.len() as u64;
             return fail_conn(stats, e);
@@ -276,9 +227,9 @@ fn drive_connection(
     }
 
     // Drain: every outstanding request must produce exactly one reply.
-    while let Some((expect, op, sent)) = pending.pop_front() {
+    while let Some(expect) = pending.pop_front() {
         match client.recv_reply() {
-            Ok(reply) => settle(&reply, expect, op, sent, &mut stats),
+            Ok(reply) => settle(&reply, expect, &mut stats),
             Err(e) => {
                 stats.lost += pending.len() as u64 + 1;
                 return fail_conn(stats, e);
@@ -294,14 +245,6 @@ fn fail_conn(
 ) -> Result<ConnStats, ruleserv::ClientError> {
     eprintln!("soak: connection failed mid-run: {e}");
     Ok(stats)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn main() {
@@ -346,42 +289,30 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
         cfg.connections, cfg.requests, cfg.pipeline
     );
 
-    // Client-side per-op latency histograms; every connection records
-    // into the same atomic buckets.
-    let soak_registry = Arc::new(Registry::new());
-
     let started = Instant::now();
     let mut handles = Vec::new();
     for id in 0..cfg.connections {
         let requests = cfg.requests;
         let pipeline = cfg.pipeline;
         let seed = cfg.seed;
-        let registry = Arc::clone(&soak_registry);
         handles.push(
             std::thread::Builder::new()
                 .name(format!("soak-{id}"))
-                .spawn(move || drive_connection(id, addr, requests, pipeline, seed, registry))?,
+                .spawn(move || drive_connection(id, addr, requests, pipeline, seed))?,
         );
     }
 
-    let mut replies = 0u64;
-    let mut busy = 0u64;
-    let mut errors = 0u64;
-    let mut fired = 0u64;
-    let mut lost = 0u64;
-    let mut reordered = 0u64;
+    let mut total = ConnStats::default();
     let mut failed_conns = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
     for handle in handles {
         match handle.join() {
             Ok(Ok(stats)) => {
-                replies += stats.replies;
-                busy += stats.busy;
-                errors += stats.errors;
-                fired += stats.fired;
-                lost += stats.lost;
-                reordered += stats.reordered;
-                latencies.extend(stats.latencies);
+                total.replies += stats.replies;
+                total.busy += stats.busy;
+                total.errors += stats.errors;
+                total.fired += stats.fired;
+                total.lost += stats.lost;
+                total.reordered += stats.reordered;
             }
             Ok(Err(e)) => {
                 eprintln!("soak: connection error: {e}");
@@ -404,133 +335,20 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    latencies.sort_unstable();
-    let total_sent = (cfg.connections * cfg.requests) as u64;
-    let throughput = replies as f64 / elapsed.as_secs_f64().max(1e-9);
-    let per_op = per_op_rows(&soak_registry);
-    let report = render_report(
-        &cfg,
-        &per_op,
-        ReportNumbers {
-            elapsed,
-            total_sent,
-            replies,
-            busy,
-            errors,
-            fired,
-            lost,
-            reordered,
-            failed_conns,
-            throughput,
-            p50: percentile(&latencies, 0.50),
-            p95: percentile(&latencies, 0.95),
-            p99: percentile(&latencies, 0.99),
-            max: latencies.last().copied().unwrap_or(0),
-        },
+    println!(
+        "soak: {} replies to {} requests in {:.2}s: {} busy, {} errors, {} rule firings, \
+         {} lost, {} reordered, {failed_conns} failed connections",
+        total.replies,
+        cfg.connections * cfg.requests,
+        elapsed.as_secs_f64(),
+        total.busy,
+        total.errors,
+        total.fired,
+        total.lost,
+        total.reordered,
     );
-
-    println!("{report}");
-    if let Some(path) = &cfg.out {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(report.as_bytes())?;
-        f.write_all(b"\n")?;
-        eprintln!("soak: wrote {path}");
-    }
-
-    if lost > 0 || reordered > 0 || failed_conns > 0 {
-        eprintln!(
-            "soak: FAILED — lost={lost} reordered={reordered} failed_connections={failed_conns}"
-        );
+    if total.lost > 0 || total.reordered > 0 || failed_conns > 0 {
         std::process::exit(1);
     }
-    eprintln!(
-        "soak: OK — {replies} replies in {:.2}s ({:.0} req/s), 0 lost, 0 reordered",
-        elapsed.as_secs_f64(),
-        throughput
-    );
     Ok(())
-}
-
-struct ReportNumbers {
-    elapsed: Duration,
-    total_sent: u64,
-    replies: u64,
-    busy: u64,
-    errors: u64,
-    fired: u64,
-    lost: u64,
-    reordered: u64,
-    failed_conns: u64,
-    throughput: f64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    max: u64,
-}
-
-/// One per-op row of the report: op label, sample count, and
-/// histogram-estimated quantiles.
-struct OpRow {
-    op: String,
-    count: u64,
-    p50: u64,
-    p99: u64,
-}
-
-/// Pulls the shared per-op histograms out of the soak registry, in
-/// [`SOAK_OPS`] order (ops with no samples are skipped).
-fn per_op_rows(registry: &Registry) -> Vec<OpRow> {
-    let snapshots = registry.histogram_snapshots();
-    SOAK_OPS
-        .iter()
-        .filter_map(|&op| {
-            let name = format!("soak_latency_nanos{{op=\"{op}\"}}");
-            snapshots
-                .iter()
-                .find(|(n, count, _, _)| *n == name && *count > 0)
-                .map(|(_, count, _, buckets)| OpRow {
-                    op: op.to_string(),
-                    count: *count,
-                    p50: quantile(buckets, 0.50),
-                    p99: quantile(buckets, 0.99),
-                })
-        })
-        .collect()
-}
-
-/// Hand-rolled JSON: the workspace is std-only, and the shape is flat
-/// enough that a serializer would be overkill.
-fn render_report(cfg: &Config, per_op: &[OpRow], n: ReportNumbers) -> String {
-    let per_op_json = per_op
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{ \"count\": {}, \"p50\": {}, \"p99\": {} }}",
-                r.op, r.count, r.p50, r.p99
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"schema\": \"bench/server-v2\",\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \"pipeline\": {},\n  \"seed\": {},\n  \"elapsed_secs\": {:.4},\n  \"requests_sent\": {},\n  \"replies\": {},\n  \"busy\": {},\n  \"errors\": {},\n  \"rule_firings\": {},\n  \"lost\": {},\n  \"reordered\": {},\n  \"failed_connections\": {},\n  \"throughput_req_per_sec\": {:.1},\n  \"latency_nanos\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {} }},\n  \"per_op_latency_nanos\": {{\n{}\n  }}\n}}",
-        cfg.connections,
-        cfg.requests,
-        cfg.pipeline,
-        cfg.seed,
-        n.elapsed.as_secs_f64(),
-        n.total_sent,
-        n.replies,
-        n.busy,
-        n.errors,
-        n.fired,
-        n.lost,
-        n.reordered,
-        n.failed_conns,
-        n.throughput,
-        n.p50,
-        n.p95,
-        n.p99,
-        n.max,
-        per_op_json,
-    )
 }

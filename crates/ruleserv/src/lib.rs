@@ -22,9 +22,11 @@
 //!   [`Client::recv_reply`]) and event draining.
 //!
 //! Binaries: `ruleserv` (the daemon, with optional telemetry HTTP
-//! exposition) and `soak` (N concurrent connections of mixed traffic,
-//! verifying zero lost/reordered replies and reporting
-//! throughput/latency as `BENCH_server.json`).
+//! exposition) and `soak`, a correctness driver: N concurrent
+//! connections of mixed pipelined traffic, every reply matched to its
+//! request, a one-line summary, and a non-zero exit on any lost or
+//! reordered reply. It measures nothing — the server's latency and
+//! throughput instrument is stackbench's `serve_mixed` workload.
 //!
 //! ```no_run
 //! use durable::{ActionRegistry, DurableRuleEngine, Options};

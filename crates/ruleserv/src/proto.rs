@@ -529,8 +529,7 @@ impl Reply {
         Ok(reply)
     }
 
-    /// A short human label for the reply kind (soak reporting,
-    /// mismatch diagnostics).
+    /// A short human label for the reply kind (mismatch diagnostics).
     pub fn kind(&self) -> &'static str {
         match self {
             Reply::Pong => "pong",
@@ -573,7 +572,7 @@ pub fn record_op_name(record: &Record) -> &'static str {
     }
 }
 
-/// Every op label, in a fixed order (metric pre-minting, soak tables).
+/// Every op label, in a fixed order (metric pre-minting).
 pub const OP_NAMES: &[&str] = &[
     "ping",
     "create_relation",

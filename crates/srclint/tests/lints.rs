@@ -189,7 +189,7 @@ fn design_md_lock_order_table_is_present_and_parsed() {
         .expect("DESIGN.md has a parseable canonical lock-order table");
     for (krate, ident) in [
         ("predindex", "shards"),
-        ("predindex", "per_attr"),
+        ("predindex", "unindexed"),
         ("telemetry", "accounts"),
         ("telemetry", "names"),
         ("telemetry", "metrics"),
@@ -202,7 +202,7 @@ fn design_md_lock_order_table_is_present_and_parsed() {
     }
     // Ranks must actually order the hierarchy the workspace uses.
     let rank = |k: &str, i: &str| order[&(k.to_string(), i.to_string())];
-    assert!(rank("predindex", "shards") < rank("predindex", "per_attr"));
+    assert!(rank("predindex", "shards") < rank("predindex", "unindexed"));
     assert!(rank("telemetry", "accounts") < rank("telemetry", "names"));
     assert!(rank("telemetry", "names") < rank("telemetry", "metrics"));
 }

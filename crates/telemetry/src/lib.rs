@@ -23,6 +23,10 @@
 //!   registry. The ring doubles as a [`FlightRecorder`] post-mortem
 //!   buffer, and [`serve`] exposes `/metrics`, `/health`, and `/trace`
 //!   over a dependency-free HTTP responder.
+//! * **One JSON writer** — [`json::JsonWriter`] renders every JSON
+//!   document the stack serves or commits (`/profile`, `/top`,
+//!   `/advisor`, the Chrome trace, the bench report), so escaping and
+//!   comma placement exist once.
 //!
 //! The crate is std-only and dependency-free; the relational layers
 //! (`predindex`, `joinmemo`, `rules`, `durable`) each accept one
@@ -58,6 +62,7 @@ mod counter;
 mod explain;
 mod handle;
 mod histogram;
+pub mod json;
 mod profile;
 mod recorder;
 mod registry;

@@ -28,6 +28,7 @@
 
 use crate::counter::Counter;
 use crate::histogram::{quantile, HISTOGRAM_BUCKETS};
+use crate::json::JsonWriter;
 use crate::registry::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -103,22 +104,19 @@ impl CostSnapshot {
             .saturating_add(self.ops)
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"stab_nanos\":{},\"ibs_nodes\":{},\"ibs_marks\":{},\"residual_tests\":{},\
-             \"residual_passes\":{},\"non_indexable\":{},\"join_probes\":{},\
-             \"join_retractions\":{},\"firings\":{},\"ops\":{}}}",
-            self.stab_nanos,
-            self.ibs_nodes,
-            self.ibs_marks,
-            self.residual_tests,
-            self.residual_passes,
-            self.non_indexable,
-            self.join_probes,
-            self.join_retractions,
-            self.firings,
-            self.ops
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("stab_nanos").uint(self.stab_nanos);
+        w.key("ibs_nodes").uint(self.ibs_nodes);
+        w.key("ibs_marks").uint(self.ibs_marks);
+        w.key("residual_tests").uint(self.residual_tests);
+        w.key("residual_passes").uint(self.residual_passes);
+        w.key("non_indexable").uint(self.non_indexable);
+        w.key("join_probes").uint(self.join_probes);
+        w.key("join_retractions").uint(self.join_retractions);
+        w.key("firings").uint(self.firings);
+        w.key("ops").uint(self.ops);
+        w.end_object();
     }
 }
 
@@ -140,6 +138,15 @@ impl AccountSnapshot {
             Some(rid) => rid.to_string(),
             None => EXTERNAL_ACCOUNT.to_string(),
         }
+    }
+
+    /// The `"rule"` and `"name"` members `/profile` and `/top` share.
+    fn write_identity(&self, w: &mut JsonWriter) {
+        w.key("rule").string(&self.label());
+        match &self.name {
+            Some(n) => w.key("name").string(n),
+            None => w.key("name").null(),
+        };
     }
 }
 
@@ -363,25 +370,24 @@ impl Profiler {
         }
     }
 
-    /// Resolves (minting on first use) the account of `rule`
-    /// (`None` = external).
-    fn account(&self, rule: Option<u32>) -> Account {
+    /// Runs `credit` on the account of `rule` (`None` = external),
+    /// minting it on first use. The credit runs under the map lock on
+    /// the account in place: handing a clone out instead would cost ten
+    /// `Arc` clone/drop pairs per credit, three credits per insert.
+    fn with_account(&self, rule: Option<u32>, credit: impl FnOnce(&Account)) {
         let mut accounts = self
             .inner
             .accounts
             .lock()
             // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
             .expect("profiler accounts poisoned");
-        accounts
-            .entry(rule)
-            .or_insert_with(|| {
-                let label = match rule {
-                    Some(rid) => rid.to_string(),
-                    None => EXTERNAL_ACCOUNT.to_string(),
-                };
-                Account::mint(&self.inner.registry, &label)
-            })
-            .clone()
+        credit(accounts.entry(rule).or_insert_with(|| {
+            let label = match rule {
+                Some(rid) => rid.to_string(),
+                None => EXTERNAL_ACCOUNT.to_string(),
+            };
+            Account::mint(&self.inner.registry, &label)
+        }));
     }
 
     /// Credits a matching-stage delta (stab nanos + predindex terms)
@@ -390,34 +396,35 @@ impl Profiler {
         if !self.enabled {
             return;
         }
-        let a = self.account(rule);
-        a.stab_nanos.add(delta.stab_nanos);
-        a.ibs_nodes.add(delta.ibs_nodes);
-        a.ibs_marks.add(delta.ibs_marks);
-        a.residual_tests.add(delta.residual_tests);
-        a.residual_passes.add(delta.residual_passes);
-        a.non_indexable.add(delta.non_indexable);
+        self.with_account(rule, |a| {
+            a.stab_nanos.add(delta.stab_nanos);
+            a.ibs_nodes.add(delta.ibs_nodes);
+            a.ibs_marks.add(delta.ibs_marks);
+            a.residual_tests.add(delta.residual_tests);
+            a.residual_passes.add(delta.residual_passes);
+            a.non_indexable.add(delta.non_indexable);
+        });
     }
 
     /// Credits `n` join-memo probes to the rule *owning* the join
     /// condition.
     pub fn credit_join_probes(&self, rule: u32, n: u64) {
         if self.enabled && n > 0 {
-            self.account(Some(rule)).join_probes.add(n);
+            self.with_account(Some(rule), |a| a.join_probes.add(n));
         }
     }
 
     /// Credits `n` join-memo retractions to the owning rule.
     pub fn credit_join_retractions(&self, rule: u32, n: u64) {
         if self.enabled && n > 0 {
-            self.account(Some(rule)).join_retractions.add(n);
+            self.with_account(Some(rule), |a| a.join_retractions.add(n));
         }
     }
 
     /// Credits one firing to the fired rule.
     pub fn credit_firing(&self, rule: u32) {
         if self.enabled {
-            self.account(Some(rule)).firings.inc();
+            self.with_account(Some(rule), |a| a.firings.inc());
         }
     }
 
@@ -425,7 +432,7 @@ impl Profiler {
     /// caused the event (`None` = client-injected).
     pub fn credit_op(&self, rule: Option<u32>) {
         if self.enabled {
-            self.account(rule).ops.inc();
+            self.with_account(rule, |a| a.ops.inc());
         }
     }
 
@@ -536,83 +543,71 @@ impl Profiler {
     /// of every registered histogram, and the slow-op ring, as one
     /// JSON document (`schema: telemetry/profile-v1`).
     pub fn profile_json(&self, registry: &Registry) -> String {
-        let mut out = String::from("{\"schema\":\"telemetry/profile-v1\"");
-        let threshold = self.slow_threshold_nanos();
-        if threshold == u64::MAX {
-            out.push_str(",\"slow_threshold_nanos\":null");
-        } else {
-            let _ = write!(out, ",\"slow_threshold_nanos\":{threshold}");
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema").string("telemetry/profile-v1");
+        match self.slow_threshold_nanos() {
+            u64::MAX => w.key("slow_threshold_nanos").null(),
+            threshold => w.key("slow_threshold_nanos").uint(threshold),
+        };
+        w.key("accounts").begin_array();
+        for a in &self.accounts() {
+            w.begin_object();
+            a.write_identity(&mut w);
+            w.key("cost");
+            a.cost.write_json(&mut w);
+            w.end_object();
         }
-        out.push_str(",\"accounts\":[");
-        for (i, a) in self.accounts().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"rule\":\"{}\",\"name\":", a.label());
-            match &a.name {
-                Some(n) => {
-                    let _ = write!(out, "\"{}\"", escape_json(n));
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"cost\":{}}}", a.cost.json());
+        w.end_array();
+        w.key("quantiles").begin_array();
+        for (name, count, sum, buckets) in &registry.histogram_snapshots() {
+            w.begin_object();
+            w.key("name").string(name);
+            w.key("count").uint(*count);
+            w.key("sum").uint(*sum);
+            w.key("p50").uint(quantile(buckets, 0.50));
+            w.key("p95").uint(quantile(buckets, 0.95));
+            w.key("p99").uint(quantile(buckets, 0.99));
+            w.end_object();
         }
-        out.push_str("],\"quantiles\":[");
-        for (i, (name, count, sum, buckets)) in registry.histogram_snapshots().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"count\":{count},\"sum\":{sum},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                escape_json(name),
-                quantile(buckets, 0.50),
-                quantile(buckets, 0.95),
-                quantile(buckets, 0.99),
-            );
-        }
-        out.push_str("],\"slow_ops\":[");
-        for (i, s) in self.slow_ops().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"seq\":{},\"op\":\"{}\"", s.seq, escape_json(&s.op));
+        w.end_array();
+        w.key("slow_ops").begin_array();
+        for s in &self.slow_ops() {
+            w.begin_object();
+            w.key("seq").uint(s.seq);
+            w.key("op").string(&s.op);
             match s.trace_id {
-                Some(id) => {
-                    let _ = write!(out, ",\"trace_id\":{id}");
-                }
-                None => out.push_str(",\"trace_id\":null"),
-            }
-            let _ = write!(out, ",\"nanos\":{},\"cost\":{}}}", s.nanos, s.cost.json());
+                Some(id) => w.key("trace_id").uint(id),
+                None => w.key("trace_id").null(),
+            };
+            w.key("nanos").uint(s.nanos);
+            w.key("cost");
+            s.cost.write_json(&mut w);
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// The `/top` endpoint body: the `k` most expensive accounts
     /// (`schema: telemetry/top-v1`).
     pub fn top_json(&self, k: usize) -> String {
-        let mut out = String::from("{\"schema\":\"telemetry/top-v1\",\"top\":[");
-        for (i, a) in self.top(k).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"rule\":\"{}\",\"name\":", a.label());
-            match &a.name {
-                Some(n) => {
-                    let _ = write!(out, "\"{}\"", escape_json(n));
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ",\"work\":{},\"cost\":{}}}",
-                a.cost.work(),
-                a.cost.json()
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("schema").string("telemetry/top-v1");
+        w.key("top").begin_array();
+        for a in &self.top(k) {
+            w.begin_object();
+            a.write_identity(&mut w);
+            w.key("work").uint(a.cost.work());
+            w.key("cost");
+            a.cost.write_json(&mut w);
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// The shell's `:top` table: one row per account, ranked.
@@ -703,25 +698,6 @@ impl Profiler {
         out.push_str(&self.render_slow_text());
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Quantile triple of one histogram's buckets — the `/metrics`

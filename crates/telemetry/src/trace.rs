@@ -43,8 +43,8 @@
 //! assert!(off.events().is_empty());
 //! ```
 
+use crate::json::JsonWriter;
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -362,73 +362,44 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders events in the Chrome trace-event JSON object format
-/// (`{"traceEvents": [...]}`), hand-rolled — the repo builds offline,
-/// so no serde. Timestamps are microseconds with nanosecond fractions;
-/// span and parent ids ride in `args` so Perfetto's query view can
-/// reconstruct the tree explicitly (the implicit B/E stack per `tid`
-/// already nests correctly).
+/// (`{"traceEvents": [...]}`). Timestamps are microseconds with
+/// nanosecond fractions; span and parent ids ride in `args` so
+/// Perfetto's query view can reconstruct the tree explicitly (the
+/// implicit B/E stack per `tid` already nests correctly).
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let ph = match ev.kind {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("displayTimeUnit").string("ns");
+    w.key("traceEvents").begin_array();
+    for ev in events {
+        w.begin_object();
+        w.key("name").string(ev.name);
+        w.key("ph").string(match ev.kind {
             SpanEventKind::Begin => "B",
             SpanEventKind::End => "E",
             SpanEventKind::Instant => "i",
-        };
-        out.push_str("{\"name\":\"");
-        json_escape(ev.name, &mut out);
-        let _ = write!(
-            out,
-            "\",\"ph\":\"{ph}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}",
-            ev.nanos / 1_000,
-            ev.nanos % 1_000,
-            ev.tid
-        );
+        });
+        w.key("ts").float(ev.nanos as f64 / 1_000.0, 3);
+        w.key("pid").uint(1);
+        w.key("tid").uint(ev.tid);
         if matches!(ev.kind, SpanEventKind::Instant) {
-            out.push_str(",\"s\":\"t\"");
+            w.key("s").string("t");
         }
         if !matches!(ev.kind, SpanEventKind::End) {
-            let _ = write!(
-                out,
-                ",\"args\":{{\"span\":{},\"parent\":{}",
-                ev.span, ev.parent
-            );
+            w.key("args").begin_object();
+            w.key("span").uint(ev.span);
+            w.key("parent").uint(ev.parent);
             for (k, v) in &ev.args {
-                out.push_str(",\"");
-                json_escape(k, &mut out);
-                out.push_str("\":\"");
-                json_escape(v, &mut out);
-                out.push('"');
+                w.key(k).string(v);
             }
-            out.push_str("}}");
-        } else {
-            out.push('}');
+            w.end_object();
         }
+        w.end_object();
     }
-    out.push_str("]}");
-    out
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -282,6 +282,41 @@ impl DurableRuleEngine {
         self.wal.next_seq()
     }
 
+    /// The highest sequence number known to be on stable storage: the
+    /// last one a WAL sync or a snapshot covered.
+    pub fn durable_seq(&self) -> u64 {
+        self.wal.durable_next() - 1
+    }
+
+    /// The sync policy the engine was opened with.
+    pub fn sync_policy(&self) -> SyncPolicy {
+        self.opts.sync
+    }
+
+    /// Group commit: runs `body` with [`SyncPolicy::Always`]'s
+    /// per-record `fdatasync` deferred, then issues **one** for
+    /// everything `body` logged. Each operation keeps its own record
+    /// and sequence number; only the sync is shared. `Ok` means every
+    /// record `body` logged is as durable as the policy promises an
+    /// acknowledged record to be, so a caller that acknowledges
+    /// nothing until `group` returns keeps `Always`'s guarantee —
+    /// durable before acknowledged — at one sync per group.
+    ///
+    /// On `Err` the sync failed: memory is ahead of disk, the log is
+    /// fail-stopped (every later logged operation errors), and nothing
+    /// `body` logged may be acknowledged. Under
+    /// [`SyncPolicy::EveryN`] / [`SyncPolicy::Manual`] this is just
+    /// `Ok(body(self))`.
+    pub fn group<T>(&mut self, body: impl FnOnce(&mut Self) -> T) -> Result<T, DurableError> {
+        self.wal.deferred = true;
+        let out = body(self);
+        self.wal.deferred = false;
+        if self.opts.sync == SyncPolicy::Always && self.wal.unsynced() > 0 {
+            self.wal.sync()?;
+        }
+        Ok(out)
+    }
+
     /// Logs a record, applies the matching engine operation, and runs
     /// the snapshot cadence. The record is on the log (though not
     /// necessarily synced) before the engine sees the operation.
@@ -442,6 +477,9 @@ impl DurableRuleEngine {
     /// snapshot file covers every operation ever applied, and the WAL
     /// is empty.
     pub fn snapshot(&mut self) -> Result<(), DurableError> {
+        // A fail-stopped log stays stopped: memory may hold operations
+        // that were answered with an error.
+        self.wal.check_poisoned()?;
         let _span = self.engine.telemetry().tracer().span("durable_snapshot");
         let timer = self.metrics.snapshot_nanos.start_timer();
         let last = self.wal.next_seq() - 1;
@@ -457,8 +495,16 @@ impl DurableRuleEngine {
         // Only truncate the log after the snapshot rename is durable;
         // a crash between the two leaves a stale log whose records
         // replay skips by sequence number.
-        self.wal = Wal::create(&self.dir.join(WAL_FILE), last + 1, self.opts.sync)?;
-        self.wal.set_metrics(self.wal_metrics.clone());
+        // A failed re-creation may already have truncated the file the
+        // old handle appends to, so it fail-stops the old log.
+        let mut wal = match Wal::create(&self.dir.join(WAL_FILE), last + 1, self.opts.sync) {
+            Ok(wal) => wal,
+            Err(e) => return Err(self.wal.poison(e).into()),
+        };
+        wal.set_metrics(self.wal_metrics.clone());
+        // Still inside a group, if the old log was.
+        wal.deferred = self.wal.deferred;
+        self.wal = wal;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -496,5 +542,85 @@ impl DurableRuleEngine {
             self.wal.next_seq(),
             self.engine.rules().count(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relation::AttrType;
+
+    fn open(name: &str) -> (PathBuf, DurableRuleEngine) {
+        let dir =
+            std::env::temp_dir().join(format!("durable-engine-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = Options {
+            sync: SyncPolicy::Always,
+            snapshot_every: None,
+        };
+        let mut engine = DurableRuleEngine::open(
+            &dir,
+            FunctionRegistry::default(),
+            ActionRegistry::new(),
+            opts,
+        )
+        .unwrap();
+        engine
+            .create_relation(Schema::builder("t").attr("v", AttrType::Int).build())
+            .unwrap();
+        (dir, engine)
+    }
+
+    fn recovered_rows(dir: &Path) -> usize {
+        let recovered = crate::replay(dir, &FunctionRegistry::default(), &ActionRegistry::new())
+            .expect("recovery");
+        let rows = recovered.engine.db().catalog().relation("t").unwrap().len();
+        let _ = std::fs::remove_dir_all(dir);
+        rows
+    }
+
+    #[test]
+    fn a_failed_group_sync_acknowledges_nothing_and_stops_the_log() {
+        let (dir, mut engine) = open("group-sync-fault");
+        let durable_before = engine.durable_seq();
+        let synced = engine.group(|e| {
+            for v in 0..3 {
+                e.insert("t", vec![Value::Int(v)]).unwrap();
+            }
+            e.wal.fail_next_sync.set(true);
+        });
+        assert!(matches!(synced, Err(DurableError::Io(_))));
+        assert_eq!(engine.durable_seq(), durable_before);
+        // Fail-stop: no later operation is logged, synced or snapshotted.
+        assert!(matches!(
+            engine.insert("t", vec![Value::Int(3)]),
+            Err(DurableError::Io(_))
+        ));
+        assert!(engine.sync().is_err());
+        assert!(engine.snapshot().is_err());
+        assert!(matches!(engine.group(|_| ()), Err(DurableError::Io(_))));
+        drop(engine);
+        // The three frames were written, so this crash-free "restart"
+        // replays them; a real crash may have kept any prefix.
+        assert_eq!(recovered_rows(&dir), 3);
+    }
+
+    #[test]
+    fn a_failed_write_inside_a_group_fails_the_group() {
+        let (dir, mut engine) = open("group-write-fault");
+        let synced = engine.group(|e| {
+            e.insert("t", vec![Value::Int(0)]).unwrap();
+            e.wal.fail_next_write.set(true);
+            // Not logged, so not applied either …
+            assert!(e.insert("t", vec![Value::Int(1)]).is_err());
+            // … and nothing lands behind the torn frame.
+            assert!(e.insert("t", vec![Value::Int(2)]).is_err());
+            assert_eq!(e.engine().db().catalog().relation("t").unwrap().len(), 1);
+        });
+        // The first insert was appended, but the log cannot vouch for
+        // it any more: the group as a whole is not acknowledged.
+        assert!(matches!(synced, Err(DurableError::Io(_))));
+        drop(engine);
+        assert_eq!(recovered_rows(&dir), 1);
     }
 }

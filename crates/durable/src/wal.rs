@@ -45,11 +45,15 @@ pub const MAX_FRAME: u32 = 1 << 26;
 /// When `append` pushes bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fdatasync` after every record — zero loss on power failure.
+    /// Durable before acknowledged — zero loss on power failure:
+    /// `fdatasync` after every record, or one per
+    /// [`DurableRuleEngine::group`](crate::DurableRuleEngine::group)
+    /// for a caller that holds its acknowledgements until it returns.
     Always,
-    /// Group commit: `fdatasync` once per `n` appends. Crash loses at
-    /// most the last `n - 1` records, each a complete logical command,
-    /// so recovered state is always a clean prefix of history.
+    /// Acknowledged before durable: `fdatasync` once per `n` appends.
+    /// Crash loses at most the last `n - 1` records, each a complete
+    /// logical command, so recovered state is always a clean prefix of
+    /// history.
     EveryN(u32),
     /// Sync only on explicit [`Wal::sync`] calls (and checkpoints).
     Manual,
@@ -94,6 +98,12 @@ impl WalMetrics {
 }
 
 /// An open, append-only log.
+///
+/// The log is **fail-stop**: the first failed write or sync poisons it,
+/// and every later [`append`](Wal::append) / [`sync`](Wal::sync) fails
+/// too. A failed write may have left a partial frame, and a failed sync
+/// leaves the file's durable extent unknown; a frame appended *behind*
+/// either would be acknowledged and then dropped by the torn-tail rule.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
@@ -101,7 +111,22 @@ pub struct Wal {
     next_seq: u64,
     policy: SyncPolicy,
     unsynced: u32,
+    /// Every frame below this sequence number is on stable storage (or
+    /// predates this log and is covered by the snapshot it follows).
+    durable_next: u64,
+    /// Group commit: while set, an append under [`SyncPolicy::Always`]
+    /// leaves its sync to the caller, who issues one
+    /// [`sync`](Wal::sync) for the group.
+    pub(crate) deferred: bool,
+    /// Kind of the first I/O error; `Some` = fail-stopped.
+    poisoned: Option<io::ErrorKind>,
     metrics: WalMetrics,
+    /// Test fault hooks: fail the next frame write (after tearing half
+    /// of it onto disk) / the next sync.
+    #[cfg(test)]
+    pub(crate) fail_next_write: std::cell::Cell<bool>,
+    #[cfg(test)]
+    pub(crate) fail_next_sync: std::cell::Cell<bool>,
 }
 
 impl Wal {
@@ -129,7 +154,14 @@ impl Wal {
             next_seq: start_seq,
             policy,
             unsynced: 0,
+            durable_next: start_seq,
+            deferred: false,
+            poisoned: None,
             metrics: WalMetrics::disabled(),
+            #[cfg(test)]
+            fail_next_write: Default::default(),
+            #[cfg(test)]
+            fail_next_sync: Default::default(),
         })
     }
 
@@ -150,10 +182,56 @@ impl Wal {
         self.next_seq
     }
 
+    /// Every frame with a sequence number below this one is on stable
+    /// storage.
+    pub(crate) fn durable_next(&self) -> u64 {
+        self.durable_next
+    }
+
+    /// Appends not yet followed by a sync.
+    pub(crate) fn unsynced(&self) -> u32 {
+        self.unsynced
+    }
+
+    /// Fail-stops the log on `error` and hands the error back.
+    pub(crate) fn poison(&mut self, error: io::Error) -> io::Error {
+        self.poisoned.get_or_insert(error.kind());
+        error
+    }
+
+    /// Errors once the log is fail-stopped.
+    pub(crate) fn check_poisoned(&self) -> io::Result<()> {
+        match self.poisoned {
+            None => Ok(()),
+            Some(kind) => Err(io::Error::new(
+                kind,
+                "the WAL is fail-stopped after an earlier i/o error",
+            )),
+        }
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if self.fail_next_write.take() {
+            self.file.write_all(&frame[..frame.len() / 2])?;
+            return Err(io::Error::other("injected write fault"));
+        }
+        self.file.write_all(frame)
+    }
+
+    fn sync_file(&self) -> io::Result<()> {
+        #[cfg(test)]
+        if self.fail_next_sync.take() {
+            return Err(io::Error::other("injected sync fault"));
+        }
+        self.file.sync_data()
+    }
+
     /// Appends one record, returning its sequence number. The frame is
     /// written in full (buffered only by the OS); whether it is forced
     /// to stable storage is the [`SyncPolicy`]'s call.
     pub fn append(&mut self, record: &Record) -> io::Result<u64> {
+        self.check_poisoned()?;
         let seq = self.next_seq;
         let payload = record.encode();
         let frame = encode_frame(seq, &payload);
@@ -164,30 +242,33 @@ impl Wal {
         let _span = tracer.span_with("wal_append", || {
             vec![("seq", seq.to_string()), ("bytes", frame.len().to_string())]
         });
-        self.file.write_all(&frame)?;
+        if let Err(e) = self.write_frame(&frame) {
+            return Err(self.poison(e));
+        }
         self.metrics.appends.inc();
         self.metrics.append_bytes.add(frame.len() as u64);
         self.next_seq += 1;
+        self.unsynced += 1;
         match self.policy {
+            SyncPolicy::Always if self.deferred => {}
             SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::Manual => self.unsynced += 1,
+            SyncPolicy::EveryN(n) if self.unsynced >= n.max(1) => self.sync()?,
+            SyncPolicy::EveryN(_) | SyncPolicy::Manual => {}
         }
         Ok(seq)
     }
 
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        let _span = self.metrics.tracer.span("wal_fsync");
+        self.check_poisoned()?;
+        let span = self.metrics.tracer.span("wal_fsync");
         let timer = self.metrics.fsync_nanos.start_timer();
-        self.file.sync_data()?;
+        let synced = self.sync_file();
+        drop(span);
+        synced.map_err(|e| self.poison(e))?;
         self.metrics.fsync_nanos.stop_timer(timer);
         self.unsynced = 0;
+        self.durable_next = self.next_seq;
         Ok(())
     }
 }
@@ -369,5 +450,64 @@ mod tests {
         let suffix = parse_wal(&forged);
         assert_eq!(suffix.start_seq, 10);
         assert!(suffix.records.is_empty());
+    }
+
+    #[test]
+    fn a_failed_write_fail_stops_the_log() {
+        let path = tmp("write-fault");
+        let mut wal = Wal::create(&path, 1, SyncPolicy::Manual).unwrap();
+        wal.append(&sample(0)).unwrap();
+        wal.append(&sample(1)).unwrap();
+        wal.fail_next_write.set(true);
+        assert!(wal.append(&sample(2)).is_err());
+        // Half of frame 3 is on disk; nothing may land behind it.
+        assert!(
+            wal.append(&sample(3)).is_err(),
+            "append behind a torn frame"
+        );
+        assert!(wal.sync().is_err(), "sync of a fail-stopped log");
+        assert_eq!(wal.next_seq(), 3, "the failed append took no number");
+        let suffix = read_wal(&path).unwrap();
+        assert_eq!(suffix.records, vec![(1, sample(0)), (2, sample(1))]);
+        let torn = std::fs::metadata(&path).unwrap().len();
+        assert!(torn > *suffix.frame_ends.last().unwrap(), "a torn tail");
+    }
+
+    #[test]
+    fn a_failed_sync_fail_stops_the_log() {
+        let path = tmp("sync-fault");
+        let mut wal = Wal::create(&path, 1, SyncPolicy::Always).unwrap();
+        wal.append(&sample(0)).unwrap();
+        assert_eq!(wal.durable_next(), 2);
+        wal.fail_next_sync.set(true);
+        assert!(wal.append(&sample(1)).is_err());
+        assert_eq!(wal.durable_next(), 2, "an unsynced frame is not durable");
+        // Frame 2 is in the file but its caller saw an error: a frame
+        // 3 behind it would be acknowledged on top of an operation the
+        // live engine never applied.
+        assert!(wal.append(&sample(2)).is_err());
+        assert!(wal.sync().is_err());
+        assert_eq!(read_wal(&path).unwrap().records.len(), 2);
+    }
+
+    #[test]
+    fn deferred_appends_wait_for_the_callers_sync() {
+        let path = tmp("deferred");
+        let registry = std::sync::Arc::new(telemetry::Registry::new());
+        let mut wal = Wal::create(&path, 1, SyncPolicy::Always).unwrap();
+        wal.set_metrics(WalMetrics::new(&Telemetry::new(registry.clone())));
+        wal.deferred = true;
+        for i in 0..3 {
+            wal.append(&sample(i)).unwrap();
+        }
+        assert_eq!((wal.unsynced(), wal.durable_next()), (3, 1));
+        assert_eq!(registry.histogram_totals("wal_fsync_nanos").unwrap().0, 0);
+        wal.sync().unwrap();
+        assert_eq!((wal.unsynced(), wal.durable_next()), (0, 4));
+        assert_eq!(registry.histogram_totals("wal_fsync_nanos").unwrap().0, 1);
+        // Disarmed, `Always` is a sync per append again.
+        wal.deferred = false;
+        wal.append(&sample(3)).unwrap();
+        assert_eq!(registry.histogram_totals("wal_fsync_nanos").unwrap().0, 2);
     }
 }

@@ -12,7 +12,8 @@
 //! reaches EOF (or `--seconds` elapse), then shuts down gracefully.
 //!
 //! `--crash-after N` is the crash-recovery harness: the process aborts
-//! after the Nth applied operation's WAL append, before its reply.
+//! after the Nth applied operation's WAL append, before the sync and
+//! the replies of the commit group it is in.
 
 use durable::{ActionRegistry, DurableRuleEngine, Options, SyncPolicy};
 use predicate::FunctionRegistry;
@@ -49,7 +50,7 @@ fn usage() -> ! {
          \x20 --seconds N       run for N seconds instead of until stdin EOF\n\
          \x20 --queue-cap N     engine queue bound before Busy replies (default 1024)\n\
          \x20 --pipeline-cap N  per-connection outstanding-reply bound (default 4096)\n\
-         \x20 --sync-every N    group-commit: fsync every N appends (default: every append)\n\
+         \x20 --sync-every N    reply before syncing, fsync every N appends (default: sync before replying)\n\
          \x20 --snapshot-every N  snapshot cadence in logged ops (default 1024)\n\
          \x20 --crash-after N   abort after op N's WAL append, before its reply (crash tests)\n\
          \x20 --profile         attach the cost-attribution profiler (/profile, /top on --metrics)\n\

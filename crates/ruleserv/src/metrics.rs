@@ -3,9 +3,10 @@
 //! Families (all registered in DESIGN.md §11's canonical table):
 //! `server_connections_total`, `server_requests_total{op=…}`,
 //! `server_request_nanos{op=…}`, `server_busy_total`,
-//! `server_bytes_total{dir=…}`, `server_events_dropped_total`, and
-//! `server_queue_depth`. A disabled registry hands out disabled
-//! handles, so an unmetered server pays one branch per site.
+//! `server_bytes_total{dir=…}`, `server_events_dropped_total`,
+//! `server_queue_depth`, and `server_commit_group_size`. A disabled
+//! registry hands out disabled handles, so an unmetered server pays
+//! one branch per site.
 
 use crate::proto::OP_NAMES;
 use std::collections::HashMap;
@@ -35,6 +36,9 @@ pub(crate) struct ServerMetrics {
     /// Engine-queue depth observed at each enqueue
     /// (`server_queue_depth`).
     pub(crate) queue_depth: Histogram,
+    /// Requests released per commit group
+    /// (`server_commit_group_size`).
+    pub(crate) group_size: Histogram,
     /// Keyed by the labels in [`OP_NAMES`].
     per_op: HashMap<&'static str, OpMetrics>,
 }
@@ -61,6 +65,7 @@ impl ServerMetrics {
             bytes_out: registry.counter("server_bytes_total{dir=\"out\"}"),
             events_dropped: registry.counter("server_events_dropped_total"),
             queue_depth: registry.histogram("server_queue_depth"),
+            group_size: registry.histogram("server_commit_group_size"),
             per_op,
         }
     }

@@ -16,6 +16,20 @@
 //! * **One engine thread** owns the [`DurableRuleEngine`]; every
 //!   mutation flows through a single bounded `mpsc` queue, so WAL
 //!   ordering stays exactly as serial as the in-process engine.
+//! * **Group commit.** Each wake-up of the engine thread serves one
+//!   *group*: the message that woke it plus what was already queued
+//!   behind it — at most the count queued when the group opened, so
+//!   no client can keep a group open; no timer, no added wait. Every
+//!   request keeps its own WAL record, sequence number and reply, but
+//!   `SyncPolicy::Always`'s per-record `fdatasync` is deferred
+//!   ([`DurableRuleEngine::group`]): **one** covers the group, and only
+//!   then are the held replies, subscription events and subscription
+//!   changes released, in request order. `Always` still means *durable
+//!   before acknowledged*, and a lone request still costs exactly one
+//!   sync. If the group's sync fails, nothing the group logged is
+//!   acknowledged — those replies become [`Reply::Err`] — and the
+//!   fail-stopped log refuses every later write, while `Ping` and
+//!   `Health` keep answering.
 //! * **One reader thread per connection** parses frames and forwards
 //!   them to the engine queue with `try_send`: a full queue produces an
 //!   immediate [`Reply::Busy`] instead of unbounded buffering — that is
@@ -29,18 +43,16 @@
 //!   can never be lost or reordered by construction. The slot queue's
 //!   bound caps per-connection pipelining: a client that keeps sending
 //!   past it blocks in TCP, which is backpressure too.
-//! * **Subscriptions** ride the same slot queues: the engine pushes
-//!   pre-fulfilled slots carrying [`Reply::Event`] frames. Events to a
-//!   connection whose queue is full are *dropped and counted*; the next
-//!   event that fits is preceded by a [`Reply::Lagged`] frame carrying
-//!   the drop count — a slow subscriber can stall its own stream, never
-//!   the engine.
+//! * **Subscriptions** ride the same slot queues: at release the
+//!   engine pushes pre-fulfilled slots carrying [`Reply::Event`]
+//!   frames. Events to a connection whose queue is full are *dropped
+//!   and counted*; the next event that fits is preceded by a
+//!   [`Reply::Lagged`] frame carrying the drop count — a slow
+//!   subscriber can stall its own stream, never the engine.
 
 use crate::metrics::ServerMetrics;
-use crate::proto::{
-    op_name, read_frame, record_op_name, Event, EventBinding, FireSummary, Reply, Request,
-};
-use durable::{DurableRuleEngine, Record};
+use crate::proto::{op_name, read_frame, Event, EventBinding, FireSummary, Reply, Request};
+use durable::{DurableError, DurableRuleEngine, Record, SyncPolicy};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -49,7 +61,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::wake_addr;
+use telemetry::{wake_addr, CostSnapshot, Profiler, Tracer};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +79,9 @@ pub struct ServerOptions {
     /// this long gets its connection dropped.
     pub write_timeout: Duration,
     /// Crash harness: after this many applied operations the process
-    /// aborts *after* the WAL append but *before* the reply is sent —
-    /// the exact window recovery tests need. `None` in production.
+    /// aborts *after* the WAL append but *before* its group's sync and
+    /// replies — the exact window recovery tests need. `None` in
+    /// production.
     pub crash_after: Option<u64>,
     /// Requests whose queue-to-reply latency meets this threshold are
     /// captured in the profiler's slow-op ring (with their trace id
@@ -98,40 +111,36 @@ type Slot = mpsc::SyncSender<Reply>;
 type SlotQueue = SyncSender<Receiver<Reply>>;
 
 /// A request crossing from a session reader into the engine thread.
-/// `trace` is the client's optional trace id, stamped onto the
-/// engine-side `server_request` span and the slow-op log.
+struct Queued {
+    kind: Kind,
+    ticket: Ticket,
+}
+
+/// What answering a request takes, whatever its kind.
+struct Ticket {
+    /// The metric and span label ([`op_name`]).
+    op: &'static str,
+    /// The client's optional trace id, stamped onto the engine-side
+    /// `server_request` span and the slow-op log.
+    trace: Option<u64>,
+    slot: Slot,
+    enqueued: Instant,
+}
+
+enum Kind {
+    Apply(Record),
+    Subscribe { conn: u64, pipe: SlotQueue },
+    Unsubscribe { conn: u64 },
+    Health,
+    Sync,
+}
+
 enum EngineMsg {
-    Apply {
-        record: Record,
-        trace: Option<u64>,
-        slot: Slot,
-        enqueued: Instant,
-    },
-    Subscribe {
-        conn: u64,
-        pipe: SlotQueue,
-        trace: Option<u64>,
-        slot: Slot,
-        enqueued: Instant,
-    },
-    Unsubscribe {
-        conn: u64,
-        trace: Option<u64>,
-        slot: Slot,
-        enqueued: Instant,
-    },
-    Health {
-        trace: Option<u64>,
-        slot: Slot,
-        enqueued: Instant,
-    },
-    Sync {
-        trace: Option<u64>,
-        slot: Slot,
-        enqueued: Instant,
-    },
+    Request(Queued),
     /// Session ended: forget its subscription.
-    Hangup { conn: u64 },
+    Hangup {
+        conn: u64,
+    },
 }
 
 /// A running rule server.
@@ -355,7 +364,7 @@ fn reader_loop(
             return; // writer died (socket error)
         }
 
-        let msg = match request {
+        let kind = match request {
             Request::Ping => {
                 // Answered here: liveness of the session must not
                 // depend on engine-queue headroom.
@@ -363,36 +372,24 @@ fn reader_loop(
                 let _ = slot.send(Reply::Pong);
                 continue;
             }
-            Request::Apply(record) => EngineMsg::Apply {
-                record,
-                trace,
-                slot,
-                enqueued,
-            },
-            Request::Subscribe => EngineMsg::Subscribe {
+            Request::Apply(record) => Kind::Apply(record),
+            Request::Subscribe => Kind::Subscribe {
                 conn: conn_id,
                 pipe: pipe_tx.clone(),
-                trace,
-                slot,
-                enqueued,
             },
-            Request::Unsubscribe => EngineMsg::Unsubscribe {
-                conn: conn_id,
-                trace,
-                slot,
-                enqueued,
-            },
-            Request::Health => EngineMsg::Health {
-                trace,
-                slot,
-                enqueued,
-            },
-            Request::Sync => EngineMsg::Sync {
-                trace,
-                slot,
-                enqueued,
-            },
+            Request::Unsubscribe => Kind::Unsubscribe { conn: conn_id },
+            Request::Health => Kind::Health,
+            Request::Sync => Kind::Sync,
         };
+        let msg = EngineMsg::Request(Queued {
+            kind,
+            ticket: Ticket {
+                op,
+                trace,
+                slot,
+                enqueued,
+            },
+        });
         // Count the message before handing it over: the engine thread
         // decrements after processing, and may get there before a
         // post-send increment would run (which would wrap below zero).
@@ -401,32 +398,20 @@ fn reader_loop(
             Ok(()) => {
                 metrics.queue_depth.record(d);
             }
-            Err(TrySendError::Full(msg)) => {
+            Err(TrySendError::Full(EngineMsg::Request(bounced))) => {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 // The backpressure contract: an explicit Busy now, not
                 // an unbounded buffer. The slot is already queued, so
                 // the reply still lands in request order.
                 metrics.busy.inc();
-                let _ = slot_of(msg).send(Reply::Busy);
+                let _ = bounced.ticket.slot.send(Reply::Busy);
             }
-            Err(TrySendError::Disconnected(_)) => {
+            // The engine is gone.
+            Err(_) => {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 return;
             }
         }
-    }
-}
-
-/// Extracts the reply slot from a bounced message.
-fn slot_of(msg: EngineMsg) -> Slot {
-    match msg {
-        EngineMsg::Apply { slot, .. }
-        | EngineMsg::Subscribe { slot, .. }
-        | EngineMsg::Unsubscribe { slot, .. }
-        | EngineMsg::Health { slot, .. }
-        | EngineMsg::Sync { slot, .. } => slot,
-        // Hangup is never try_sent with backpressure handling.
-        EngineMsg::Hangup { .. } => mpsc::sync_channel(1).0,
     }
 }
 
@@ -500,6 +485,50 @@ fn try_push(pipe: &SlotQueue, reply: Reply) -> bool {
     pipe.try_send(rx).is_ok()
 }
 
+/// What a request leaves behind until its group's sync has landed.
+/// Everything outward-facing is held — the reply, and the effect on
+/// the subscriber set and its streams — and released in request order.
+struct Held {
+    /// `None` for a hangup, which answers nobody.
+    ack: Option<Ack>,
+    effect: Effect,
+}
+
+struct Ack {
+    ticket: Ticket,
+    reply: Reply,
+    /// The WAL sequence number the reply acknowledges, when the
+    /// request logged a record.
+    seq: Option<u64>,
+    cost: CostSnapshot,
+}
+
+enum Effect {
+    /// Pushed to every subscriber (none for most requests).
+    Events(Vec<Event>),
+    Subscribe {
+        conn: u64,
+        pipe: SlotQueue,
+    },
+    /// Unsubscribe or hangup.
+    Forget {
+        conn: u64,
+    },
+}
+
+/// The engine thread's state across groups.
+struct Committer<'a> {
+    subscribers: HashMap<u64, Subscriber>,
+    /// Reused from group to group.
+    held: Vec<Held>,
+    applied: u64,
+    tracer: Tracer,
+    profiler: Profiler,
+    metrics: &'a ServerMetrics,
+    depth: &'a AtomicU64,
+    opts: &'a ServerOptions,
+}
+
 fn engine_loop(
     mut engine: DurableRuleEngine,
     rx: Receiver<EngineMsg>,
@@ -508,151 +537,202 @@ fn engine_loop(
     depth: &AtomicU64,
     opts: &ServerOptions,
 ) -> DurableRuleEngine {
-    let mut subscribers: HashMap<u64, Subscriber> = HashMap::new();
-    let mut applied: u64 = 0;
+    let mut committer = Committer {
+        subscribers: HashMap::new(),
+        held: Vec::new(),
+        applied: 0,
+        tracer: engine.telemetry().tracer().clone(),
+        profiler: engine.telemetry().profiler().clone(),
+        metrics,
+        depth,
+        opts,
+    };
     loop {
         // Checked every iteration (not only on idle timeouts) so a
         // saturating workload cannot postpone shutdown indefinitely.
-        if stop.load(Ordering::Relaxed) {
+        let first = if stop.load(Ordering::Relaxed) {
             // Drain what the readers managed to enqueue before they
             // saw the flag, then retire.
-            while let Ok(msg) = rx.try_recv() {
-                handle_msg(
-                    msg,
-                    &mut engine,
-                    &mut subscribers,
-                    metrics,
-                    depth,
-                    &mut applied,
-                    opts,
-                );
+            match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(_) => break,
             }
-            break;
-        }
-        let msg = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(msg) => msg,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        } else {
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(msg) => msg,
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
         };
-        handle_msg(
-            msg,
-            &mut engine,
-            &mut subscribers,
-            metrics,
-            depth,
-            &mut applied,
-            opts,
-        );
+        committer.commit_group(&mut engine, first, &rx);
     }
     engine
 }
 
-fn handle_msg(
-    msg: EngineMsg,
-    engine: &mut DurableRuleEngine,
-    subscribers: &mut HashMap<u64, Subscriber>,
-    metrics: &ServerMetrics,
-    depth: &AtomicU64,
-    applied: &mut u64,
-    opts: &ServerOptions,
-) {
-    if let EngineMsg::Hangup { conn } = msg {
-        subscribers.remove(&conn);
-        return;
-    }
-    depth.fetch_sub(1, Ordering::Relaxed);
-    let (op, trace) = match &msg {
-        EngineMsg::Apply { record, trace, .. } => (record_op_name(record), *trace),
-        EngineMsg::Subscribe { trace, .. } => ("subscribe", *trace),
-        EngineMsg::Unsubscribe { trace, .. } => ("unsubscribe", *trace),
-        EngineMsg::Health { trace, .. } => ("health", *trace),
-        EngineMsg::Sync { trace, .. } => ("sync", *trace),
-        // Handled above; kept for exhaustiveness.
-        EngineMsg::Hangup { .. } => ("hangup", None),
-    };
-    // The engine-side request span: every op the engine thread serves
-    // opens one, carrying the client's trace id when the frame had the
-    // suffix — the wire-to-span round trip.
-    let tracer = engine.telemetry().tracer().clone();
-    let profiler = engine.telemetry().profiler().clone();
-    let _span = tracer.span_with("server_request", || {
-        let mut args = vec![("op", op.to_string())];
-        if let Some(id) = trace {
-            args.push(("trace", format!("{id:#x}")));
-        }
-        args
-    });
-    let before = profiler.source_snapshot();
-    let finish = |enqueued: Instant| {
-        let elapsed = enqueued.elapsed();
-        metrics.record_op(op, elapsed);
-        if profiler.is_enabled() {
-            let cost = profiler.source_snapshot().delta_since(&before);
-            profiler.record_request(op, trace, elapsed.as_nanos() as u64, cost);
-        }
-    };
-    match msg {
-        EngineMsg::Apply {
-            record,
-            slot,
-            enqueued,
-            ..
-        } => {
-            let seq = engine.next_seq();
-            let (reply, events) = apply_record(engine, record, seq);
-            *applied += 1;
-            if opts.crash_after == Some(*applied) {
-                // The recovery-test window: the WAL append (and under
-                // SyncPolicy::Always the fsync) has happened, the
-                // reply has not. A real crash here must replay the op.
-                std::process::abort();
-            }
-            if !events.is_empty() && !subscribers.is_empty() {
-                for event in events {
-                    let frame = Reply::Event(event);
-                    for sub in subscribers.values_mut() {
-                        sub.push(frame.clone(), metrics);
-                    }
+impl Committer<'_> {
+    /// Group commit: `first` and what was queued behind it when it
+    /// arrived run back to back — each request its own WAL record,
+    /// sequence number and reply — then one `fdatasync` covers them
+    /// all, and only then does anything leave the engine thread.
+    fn commit_group(
+        &mut self,
+        engine: &mut DurableRuleEngine,
+        first: EngineMsg,
+        rx: &Receiver<EngineMsg>,
+    ) {
+        // Closed to later arrivals: the group takes what the queue held
+        // when it opened (`first` is still counted in `depth`), so a
+        // client that keeps the queue full cannot hold everyone's
+        // replies back.
+        let limit = self.depth.load(Ordering::Relaxed);
+        let synced = engine.group(|engine| {
+            self.run(engine, first);
+            for _ in 1..limit {
+                match rx.try_recv() {
+                    Ok(msg) => self.run(engine, msg),
+                    Err(_) => break,
                 }
             }
-            finish(enqueued);
-            let _ = slot.send(reply);
-        }
-        EngineMsg::Subscribe {
-            conn,
-            pipe,
-            slot,
-            enqueued,
-            ..
-        } => {
-            subscribers.insert(conn, Subscriber { pipe, lagged: 0 });
-            finish(enqueued);
-            let _ = slot.send(Reply::Unit);
-        }
-        EngineMsg::Unsubscribe {
-            conn,
-            slot,
-            enqueued,
-            ..
-        } => {
-            subscribers.remove(&conn);
-            finish(enqueued);
-            let _ = slot.send(Reply::Unit);
-        }
-        EngineMsg::Health { slot, enqueued, .. } => {
-            finish(enqueued);
-            let _ = slot.send(Reply::Health(engine.health_text()));
-        }
-        EngineMsg::Sync { slot, enqueued, .. } => {
-            let reply = match engine.sync() {
-                Ok(()) => Reply::Unit,
-                Err(e) => Reply::Err(e.to_string()),
+        });
+        self.release(engine, synced.err());
+    }
+
+    /// Runs one request against the engine and holds its outcome.
+    fn run(&mut self, engine: &mut DurableRuleEngine, msg: EngineMsg) {
+        let Queued { kind, ticket } = match msg {
+            EngineMsg::Request(req) => req,
+            EngineMsg::Hangup { conn } => {
+                self.held.push(Held {
+                    ack: None,
+                    effect: Effect::Forget { conn },
+                });
+                return;
+            }
+        };
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        // The engine-side request span: every op the engine thread
+        // serves opens one, carrying the client's trace id when the
+        // frame had the suffix — the wire-to-span round trip.
+        let _span = self.tracer.span_with("server_request", || {
+            let mut args = vec![("op", ticket.op.to_string())];
+            if let Some(id) = ticket.trace {
+                args.push(("trace", format!("{id:#x}")));
+            }
+            args
+        });
+        let before = self.profiler.source_snapshot();
+        let mut seq = None;
+        let (reply, effect) = match kind {
+            Kind::Apply(record) => {
+                let next = engine.next_seq();
+                let (reply, events) = apply_record(engine, record, next);
+                // A request refused before logging acknowledges no
+                // sequence number.
+                seq = (engine.next_seq() > next).then_some(next);
+                self.applied += 1;
+                if self.opts.crash_after == Some(self.applied) {
+                    // The recovery-test window: this op's WAL append
+                    // has happened; its group's sync and every reply
+                    // of the group have not. A real crash here may
+                    // lose the group's unacknowledged tail, never an
+                    // acknowledged op.
+                    std::process::abort();
+                }
+                (reply, Effect::Events(events))
+            }
+            Kind::Subscribe { conn, pipe } => (Reply::Unit, Effect::Subscribe { conn, pipe }),
+            Kind::Unsubscribe { conn } => (Reply::Unit, Effect::Forget { conn }),
+            Kind::Health => (
+                Reply::Health(engine.health_text()),
+                Effect::Events(Vec::new()),
+            ),
+            Kind::Sync => {
+                let reply = match engine.sync() {
+                    Ok(()) => Reply::Unit,
+                    Err(e) => Reply::Err(e.to_string()),
+                };
+                (reply, Effect::Events(Vec::new()))
+            }
+        };
+        let cost = self.profiler.source_snapshot().delta_since(&before);
+        self.held.push(Held {
+            ack: Some(Ack {
+                ticket,
+                reply,
+                seq,
+                cost,
+            }),
+            effect,
+        });
+    }
+
+    /// Releases the group in request order. `failure` is the group
+    /// sync's error: memory is then ahead of disk, so every reply that
+    /// would acknowledge a logged record turns into an error and its
+    /// events stay unsent.
+    fn release(&mut self, engine: &DurableRuleEngine, failure: Option<DurableError>) {
+        let failure = failure.map(|e| e.to_string());
+        let acks = self.held.iter().filter_map(|held| held.ack.as_ref());
+        let released = acks.clone().count() as u64;
+        if released > 0 {
+            // The highest sequence number about to be acknowledged.
+            let high = match failure {
+                None => acks.filter_map(|ack| ack.seq).max(),
+                Some(_) => None,
             };
-            finish(enqueued);
-            let _ = slot.send(reply);
+            debug_assert!(
+                engine.sync_policy() != SyncPolicy::Always || high <= Some(engine.durable_seq()),
+                "releasing sequence {high:?}, durable up to {}",
+                engine.durable_seq()
+            );
+            self.metrics.group_size.record(released);
+            self.tracer.instant_with("commit_release", || {
+                let mut args = vec![("size", released.to_string())];
+                if let Some(seq) = high {
+                    args.push(("seq", seq.to_string()));
+                }
+                args
+            });
         }
-        EngineMsg::Hangup { conn } => {
-            subscribers.remove(&conn);
+        for Held { ack, effect } in self.held.drain(..) {
+            match effect {
+                Effect::Events(events) => {
+                    if failure.is_none() && !self.subscribers.is_empty() {
+                        for event in events {
+                            let frame = Reply::Event(event);
+                            for sub in self.subscribers.values_mut() {
+                                sub.push(frame.clone(), self.metrics);
+                            }
+                        }
+                    }
+                }
+                Effect::Subscribe { conn, pipe } => {
+                    self.subscribers
+                        .insert(conn, Subscriber { pipe, lagged: 0 });
+                }
+                Effect::Forget { conn } => {
+                    self.subscribers.remove(&conn);
+                }
+            }
+            let Some(Ack {
+                ticket,
+                mut reply,
+                seq,
+                cost,
+            }) = ack
+            else {
+                continue;
+            };
+            if let (Some(why), Some(_)) = (&failure, seq) {
+                reply = Reply::Err(why.clone());
+            }
+            // Recorded as the reply leaves, so the wait for the
+            // group's sync is inside every latency quantile.
+            let elapsed = ticket.enqueued.elapsed();
+            self.metrics.record_op(ticket.op, elapsed);
+            self.profiler
+                .record_request(ticket.op, ticket.trace, elapsed.as_nanos() as u64, cost);
+            let _ = ticket.slot.send(reply);
         }
     }
 }

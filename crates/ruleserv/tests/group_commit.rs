@@ -1,0 +1,533 @@
+//! Group commit on the engine thread: one `fdatasync` per drained
+//! queue, every reply held until it lands.
+//!
+//! Where a test needs requests to share a group it parks the engine
+//! thread inside a named rule action (the *gate*), queues the requests
+//! behind it, and only then lets the action return — the group that
+//! opens next holds exactly what was queued.
+
+use durable::{
+    ActionRegistry, ActionSpec, DurableRuleEngine, Options, Record, RuleSpec, SyncPolicy,
+};
+use predicate::FunctionRegistry;
+use relation::{AttrType, Schema, Value};
+use rules::EventMask;
+use ruleserv::proto::encode_frame;
+use ruleserv::{serve, Client, Reply, Request, ServerHandle, ServerOptions};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use telemetry::{Registry, SpanEventKind, Telemetry, TraceEvent, Tracer};
+
+fn tempdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ruleserv-group-{tag}-{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    dir
+}
+
+/// The test's end of the `"gate"` action: `entered` fires when a firing
+/// starts; the firing returns on a `()` through `open`.
+struct Gate {
+    entered: Receiver<()>,
+    open: Sender<()>,
+}
+
+/// `"gate"` parks the engine thread until the test opens it; `"slow"`
+/// costs a millisecond per firing.
+fn actions() -> (ActionRegistry, Gate) {
+    let (entered_tx, entered) = mpsc::channel();
+    let (open, open_rx) = mpsc::channel::<()>();
+    let open_rx = Mutex::new(open_rx);
+    let mut actions = ActionRegistry::new();
+    actions.register("gate", move |_ctx| {
+        let _ = entered_tx.send(());
+        // A dropped sender (the test is over, or this is a replay)
+        // opens the gate too.
+        let _ = open_rx.lock().unwrap().recv();
+    });
+    actions.register("slow", |_ctx| std::thread::sleep(Duration::from_millis(1)));
+    (actions, Gate { entered, open })
+}
+
+struct Fixture {
+    dir: std::path::PathBuf,
+    server: ServerHandle,
+    registry: Arc<Registry>,
+    tracer: Tracer,
+    actions: ActionRegistry,
+    gate: Gate,
+    /// Requests sent through [`Fixture::call`] and [`Fixture::queue`]:
+    /// what `server_queue_depth` counts once the readers have handed
+    /// all of them to the engine queue.
+    sent: Cell<u64>,
+}
+
+const DURABLE: Options = Options {
+    sync: SyncPolicy::Always,
+    snapshot_every: None,
+};
+
+fn start(tag: &str, durable: Options, opts: ServerOptions) -> Fixture {
+    let dir = tempdir(tag);
+    let registry = Arc::new(Registry::new());
+    let tracer = Tracer::new(1 << 17);
+    let (actions, gate) = actions();
+    let engine = DurableRuleEngine::open_with_metrics(
+        &dir,
+        FunctionRegistry::default(),
+        actions.clone(),
+        durable,
+        Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
+    )
+    .unwrap();
+    let server = serve("127.0.0.1:0", engine, opts).unwrap();
+    Fixture {
+        dir,
+        server,
+        registry,
+        tracer,
+        actions,
+        gate,
+        sent: Cell::new(0),
+    }
+}
+
+/// Relations `g` (every insert runs `"gate"`), `f` (every insert runs
+/// `"slow"`), `t` (every insert fires a logging rule) and `q` (no rule).
+fn create_world(fx: &Fixture, client: &mut Client) {
+    for name in ["g", "f", "t", "q"] {
+        let schema = Schema::builder(name).attr("v", AttrType::Int).build();
+        let reply = fx.call(client, &Request::Apply(Record::CreateRelation { schema }));
+        assert_eq!(reply.kind(), "unit");
+    }
+    for (relation, action) in [
+        ("g", ActionSpec::Named("gate".into())),
+        ("f", ActionSpec::Named("slow".into())),
+        ("t", ActionSpec::Log("hit".into())),
+    ] {
+        let spec = RuleSpec {
+            name: format!("on-{relation}"),
+            condition: format!("{relation}.v >= 0"),
+            mask: EventMask::INSERT_UPDATE,
+            priority: 0,
+            action,
+        };
+        let reply = fx.call(client, &Request::Apply(Record::AddRule { spec }));
+        assert_eq!(reply.kind(), "rule_id");
+    }
+}
+
+fn insert(relation: &str, v: i64) -> Request {
+    Request::Apply(Record::Insert {
+        relation: relation.into(),
+        values: vec![Value::Int(v)],
+    })
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn fsyncs(registry: &Registry) -> u64 {
+    registry
+        .histogram_totals("wal_fsync_nanos")
+        .map_or(0, |t| t.0)
+}
+
+fn appends(registry: &Registry) -> u64 {
+    registry.counter_value("wal_appends_total").unwrap_or(0)
+}
+
+impl Fixture {
+    /// One request at depth 1.
+    fn call(&self, client: &mut Client, request: &Request) -> Reply {
+        self.sent.set(self.sent.get() + 1);
+        client.call(request).unwrap()
+    }
+
+    /// Sends `requests` on `client` and returns once they are all in
+    /// the engine queue (behind a closed gate: in the next group).
+    fn queue(&self, client: &mut Client, requests: &[Request]) {
+        self.sent.set(self.sent.get() + requests.len() as u64);
+        for request in requests {
+            client.send(request).unwrap();
+        }
+        client.flush().unwrap();
+        wait_until("the requests are queued", || {
+            let queued = self.registry.histogram_totals("server_queue_depth");
+            queued.map_or(0, |t| t.0) >= self.sent.get()
+        });
+    }
+
+    /// Parks the engine thread inside `holder`'s insert into `g`.
+    fn close_gate(&self, holder: &mut Client) {
+        self.queue(holder, &[insert("g", 0)]);
+        self.gate
+            .entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the gate action runs");
+    }
+
+    fn open_gate(&self, holder: &mut Client) {
+        self.gate.open.send(()).unwrap();
+        assert_eq!(holder.recv_reply().unwrap().kind(), "fire");
+    }
+}
+
+fn arg<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a str> {
+    event
+        .args
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// `(nanos, size, highest released seq)` of every `commit_release`.
+fn releases(events: &[TraceEvent]) -> Vec<(u64, u64, Option<u64>)> {
+    events
+        .iter()
+        .filter(|e| e.kind == SpanEventKind::Instant && e.name == "commit_release")
+        .map(|e| {
+            let size = arg(e, "size").expect("size").parse().unwrap();
+            (e.nanos, size, arg(e, "seq").map(|s| s.parse().unwrap()))
+        })
+        .collect()
+}
+
+/// Test (a) and, with a snapshot cadence shorter than the pipeline,
+/// test (d): two connections pipeline inserts at depth 8, and the trace
+/// ring must show, for every release, that something which makes the
+/// highest released sequence number durable — a `wal_fsync`, or the
+/// snapshot that covered it — *began after* that record's `wal_append`
+/// ended and *completed before* the release.
+fn durability_order_holds(tag: &str, snapshot_every: Option<u64>) {
+    const CONNECTIONS: i64 = 2;
+    const DEPTH: u64 = 8;
+    const INSERTS: i64 = 400;
+    let fx = start(
+        tag,
+        Options {
+            sync: SyncPolicy::Always,
+            snapshot_every,
+        },
+        ServerOptions::default(),
+    );
+    Client::connect(fx.server.addr())
+        .unwrap()
+        .create_relation(Schema::builder("t").attr("v", AttrType::Int).build())
+        .unwrap();
+    let addr = fx.server.addr();
+    let workers: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut last_seq = 0;
+                let (mut sent, mut received) = (0, 0);
+                while received < INSERTS {
+                    while sent < INSERTS && client.in_flight() < DEPTH {
+                        client.send(&insert("t", c * INSERTS + sent)).unwrap();
+                        sent += 1;
+                    }
+                    match client.recv_reply().unwrap() {
+                        Reply::Fire(ack) => {
+                            assert!(ack.seq > last_seq, "replies left request order");
+                            last_seq = ack.seq;
+                        }
+                        other => panic!("expected fire, got {}", other.kind()),
+                    }
+                    received += 1;
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    let engine = fx.server.shutdown().expect("engine handed back");
+    assert_eq!(fx.tracer.dropped(), 0, "the ring holds the whole run");
+    let events = fx.tracer.events();
+
+    // Span ends carry no name: pair them with their begins by id.
+    let mut open: HashMap<u64, &TraceEvent> = HashMap::new();
+    let mut append_end: HashMap<u64, u64> = HashMap::new();
+    let mut covers: Vec<(u64, u64)> = Vec::new();
+    for event in &events {
+        match event.kind {
+            SpanEventKind::Begin => {
+                open.insert(event.span, event);
+            }
+            SpanEventKind::End => match open.remove(&event.span) {
+                Some(begin) if begin.name == "wal_append" => {
+                    let seq = arg(begin, "seq").expect("seq").parse().unwrap();
+                    append_end.insert(seq, event.nanos);
+                }
+                Some(begin) if matches!(begin.name, "wal_fsync" | "durable_snapshot") => {
+                    covers.push((begin.nanos, event.nanos));
+                }
+                _ => {}
+            },
+            SpanEventKind::Instant => {}
+        }
+    }
+    let releases = releases(&events);
+    let total = (CONNECTIONS * INSERTS + 1) as u64;
+    assert_eq!(releases.iter().map(|r| r.1).sum::<u64>(), total);
+    for (released_at, _, seq) in &releases {
+        let seq = seq.expect("every request here logs a record");
+        let appended = append_end[&seq];
+        assert!(
+            covers
+                .iter()
+                .any(|&(began, ended)| began >= appended && ended <= *released_at),
+            "sequence {seq} was released before a sync that followed its append completed"
+        );
+    }
+    assert_eq!(appends(&fx.registry), total);
+    assert!(
+        fsyncs(&fx.registry) < total,
+        "sixteen requests in flight never shared a sync"
+    );
+
+    // What was acknowledged is what a restart finds.
+    let rows = |engine: &DurableRuleEngine| {
+        let relation = engine.engine().db().catalog().relation("t").unwrap();
+        let mut rows: Vec<String> = relation
+            .iter()
+            .map(|(id, t)| format!("{id:?}={t:?}"))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let live = rows(&engine);
+    assert_eq!(live.len() as i64, CONNECTIONS * INSERTS);
+    drop(engine);
+    let recovered =
+        DurableRuleEngine::open(&fx.dir, FunctionRegistry::default(), fx.actions, DURABLE).unwrap();
+    assert_eq!(rows(&recovered), live);
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+#[test]
+fn no_reply_leaves_before_a_sync_that_follows_its_append() {
+    durability_order_holds("order", None);
+}
+
+#[test]
+fn a_snapshot_inside_a_group_keeps_the_order() {
+    durability_order_holds("order-snapshot", Some(5));
+}
+
+/// Test (b): requests that wait in the queue together share one sync;
+/// a client that waits for each reply gets a sync per request.
+#[test]
+fn queued_requests_share_a_sync_and_a_lone_request_has_its_own() {
+    let fx = start("counts", DURABLE, ServerOptions::default());
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut client = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+    for v in 0..20 {
+        assert_eq!(fx.call(&mut client, &insert("t", v)).kind(), "fire");
+    }
+    // Depth 1: every group so far held one request.
+    let lone = appends(&fx.registry);
+    assert_eq!(lone, 4 + 3 + 20);
+    assert_eq!(fsyncs(&fx.registry), lone);
+    assert_eq!(
+        fx.registry.histogram_totals("server_commit_group_size"),
+        Some((lone, lone))
+    );
+
+    fx.close_gate(&mut holder);
+    let burst: Vec<Request> = (0..50).map(|v| insert("t", 100 + v)).collect();
+    fx.queue(&mut client, &burst);
+    fx.open_gate(&mut holder);
+    for _ in &burst {
+        assert_eq!(client.recv_reply().unwrap().kind(), "fire");
+    }
+    // The gate's own insert, then the fifty as one group.
+    assert_eq!(appends(&fx.registry), lone + 51);
+    assert_eq!(fsyncs(&fx.registry), lone + 2);
+    assert_eq!(
+        fx.registry.histogram_totals("server_commit_group_size"),
+        Some((lone + 2, lone + 51))
+    );
+    fx.server.shutdown().unwrap();
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// Within a group, subscription changes and events take effect in
+/// request order, exactly as when every request was its own group.
+#[test]
+fn a_group_keeps_subscriptions_in_request_order() {
+    let fx = start("subscriptions", DURABLE, ServerOptions::default());
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut client = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+
+    fx.close_gate(&mut holder);
+    fx.queue(
+        &mut client,
+        &[
+            insert("t", 1),
+            Request::Subscribe,
+            insert("t", 2),
+            Request::Unsubscribe,
+            insert("t", 3),
+        ],
+    );
+    fx.open_gate(&mut holder);
+    let mut seqs = Vec::new();
+    for _ in 0..5 {
+        match client.recv_reply().unwrap() {
+            Reply::Fire(ack) => seqs.push(ack.seq),
+            Reply::Unit => {}
+            other => panic!("unexpected {}", other.kind()),
+        }
+    }
+    // A round trip later every event of the group has been pushed.
+    client.ping().unwrap();
+    let events: Vec<u64> = client.take_events().iter().map(|e| e.seq).collect();
+    assert_eq!(events, vec![seqs[1]], "only the insert between the two");
+    fx.server.shutdown().unwrap();
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// Test (c): a group is closed to arrivals, so a connection that keeps
+/// the queue full cannot hold another connection's reply back.
+#[test]
+fn a_flood_cannot_keep_a_group_open() {
+    const QUEUE_CAP: usize = 8;
+    let fx = start(
+        "flood",
+        DURABLE,
+        ServerOptions {
+            queue_cap: QUEUE_CAP,
+            // Far more than the flood sends: its reader never stalls
+            // on reply slots, so the queue is refilled without pause.
+            pipeline_cap: 1 << 16,
+            ..ServerOptions::default()
+        },
+    );
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut quiet = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+
+    // The quiet connection's one insert waits behind the gate; then an
+    // open-loop flood of slow inserts fills the queue and keeps it full.
+    fx.close_gate(&mut holder);
+    fx.queue(&mut quiet, &[insert("q", 7)]);
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut flood = TcpStream::connect(fx.server.addr()).unwrap();
+    let mut replies = flood.try_clone().unwrap();
+    let drain = std::thread::spawn(move || {
+        let _ = std::io::copy(&mut replies, &mut std::io::sink());
+    });
+    let flooder = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let (opcode, payload) = insert("f", 1).encode();
+            let frames = encode_frame(opcode, &payload).repeat(64);
+            while !stop.load(Ordering::SeqCst) && flood.write_all(&frames).is_ok() {}
+        })
+    };
+    let busy = || fx.registry.counter_value("server_busy_total").unwrap_or(0);
+    wait_until("the flood is being bounced", || busy() >= 100);
+
+    fx.open_gate(&mut holder);
+    assert_eq!(quiet.recv_reply().unwrap().kind(), "fire");
+    // The flood outlasts the quiet reply by several groups.
+    let groups = || {
+        let sizes = fx.registry.histogram_totals("server_commit_group_size");
+        sizes.map_or(0, |t| t.0)
+    };
+    let answered_at = (busy(), groups());
+    wait_until("the flood is still being bounced and served", || {
+        busy() >= answered_at.0 + 100 && groups() >= answered_at.1 + 3
+    });
+    stop.store(true, Ordering::SeqCst);
+    let engine = fx.server.shutdown().expect("engine handed back");
+    flooder.join().unwrap();
+    drain.join().unwrap();
+
+    // No group took more than was queued when it opened: the queue,
+    // the request that opened it, and one per connection in transit.
+    let largest = releases(&fx.tracer.events())
+        .iter()
+        .map(|r| r.1)
+        .max()
+        .unwrap();
+    assert!(
+        largest <= QUEUE_CAP as u64 + 1 + 3,
+        "a group of {largest} outgrew a queue of {QUEUE_CAP}"
+    );
+    drop(engine);
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// Fail-stop: once the log has failed, nothing is acknowledged — not
+/// the held replies of the group it failed in, not any later write —
+/// while the server keeps answering what needs no log.
+///
+/// The fault is real: the log is re-created at every snapshot, so a
+/// `wal.bin` that has become a link to `/dev/full` makes the next
+/// re-creation fail with `ENOSPC`.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_log_acknowledges_nothing_more() {
+    let fx = start(
+        "fail-stop",
+        Options {
+            sync: SyncPolicy::Always,
+            // 4 relations + 3 rules + the gate's insert + 4 of the
+            // burst below: the snapshot falls on the burst's fourth.
+            snapshot_every: Some(12),
+        },
+        ServerOptions::default(),
+    );
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut client = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+    let wal = fx.dir.join(durable::WAL_FILE);
+    std::fs::remove_file(&wal).unwrap();
+    std::os::unix::fs::symlink("/dev/full", &wal).unwrap();
+
+    fx.close_gate(&mut holder);
+    let burst: Vec<Request> = (0..6).map(|v| insert("t", v)).collect();
+    fx.queue(&mut client, &burst);
+    // The gate's insert is a group of its own, synced to the old log.
+    fx.open_gate(&mut holder);
+    // Three appended and held, the fourth's snapshot fail-stops the
+    // log, two refused outright, and the group's sync fails: the held
+    // three may not be acknowledged either.
+    for n in 0..burst.len() {
+        match client.recv_reply().unwrap() {
+            Reply::Err(why) => assert!(why.contains("i/o"), "reply {n}: {why}"),
+            other => panic!("reply {n} acknowledged a write: {}", other.kind()),
+        }
+    }
+    // Later writes are refused; what needs no log still answers.
+    assert_eq!(fx.call(&mut client, &insert("t", 99)).kind(), "err");
+    client.ping().unwrap();
+    assert!(client.health().unwrap().contains("up 1"));
+
+    // The acknowledged insert survives a restart.
+    drop(fx.server.shutdown());
+    std::fs::remove_file(&wal).unwrap();
+    let recovered =
+        DurableRuleEngine::open(&fx.dir, FunctionRegistry::default(), fx.actions, DURABLE).unwrap();
+    let catalog = recovered.engine().db().catalog();
+    assert_eq!(catalog.relation("g").unwrap().len(), 1);
+    drop(recovered);
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}

@@ -4,8 +4,11 @@
 //!
 //! The daemon binary's `--crash-after N` aborts the process inside the
 //! reply window, so this is a true `kill -9`-grade crash from the
-//! client's perspective: the last acked op is durable, the in-flight
-//! tail may or may not be.
+//! client's perspective. With a pipelining client the abort lands
+//! mid-group: the Nth op and the ops of its group before it are
+//! appended but neither synced nor answered. Every acked op is durable
+//! (its group's sync returned before its reply left); the in-flight
+//! tail, the Nth op included, may or may not be.
 //!
 //! The invariant (under `SyncPolicy::Always`, the daemon's default):
 //! with sequential values `0, 1, 2, …` inserted on one connection,
@@ -82,7 +85,8 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
     }
 
     // Phase 1: a daemon rigged to abort after its 40th applied op —
-    // mid-pipeline, after that op's WAL append, before its reply.
+    // mid-pipeline and mid-group: after that op's WAL append, before
+    // the sync and the replies of the group it was in.
     let daemon = spawn_daemon(&dir, &["--crash-after", "40"]);
     let mut client = Client::connect(daemon.addr).unwrap();
     client

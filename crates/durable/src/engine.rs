@@ -11,8 +11,8 @@
 //! and fail identically on replay, so the record stream never needs
 //! compensation records.
 
-use crate::record::{ActionSpec, Record, RuleSpec};
-use crate::recovery::{build_rule, replay_traced, ActionRegistry, RecoverError, WAL_FILE};
+use crate::record::{execute, resolve, ActionSpec, Applied, Record, RuleSpec};
+use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
 use crate::snapshot::{capture, write_snapshot, SnapshotError, SNAPSHOT_FILE};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
@@ -150,7 +150,7 @@ pub struct DurableRuleEngine {
     metrics: DurableMetrics,
     /// Post-mortem dumps into `dir/flight/`; built once at open from
     /// the same telemetry handle the engine records into.
-    recorder: Arc<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl DurableRuleEngine {
@@ -248,7 +248,7 @@ impl DurableRuleEngine {
             since_snapshot: 0,
             wal_metrics,
             metrics,
-            recorder: Arc::new(recorder),
+            recorder,
         })
     }
 
@@ -317,23 +317,24 @@ impl DurableRuleEngine {
         Ok(out)
     }
 
-    /// Logs a record, applies the matching engine operation, and runs
-    /// the snapshot cadence. The record is on the log (though not
-    /// necessarily synced) before the engine sees the operation.
-    fn log_and<T>(
-        &mut self,
-        record: Record,
-        apply: impl FnOnce(&mut RuleEngine) -> Result<T, EngineError>,
-    ) -> Result<T, DurableError> {
+    /// Runs one record — the only way this engine's state advances,
+    /// and the function WAL replay runs too. In order: *resolve* (an
+    /// `AddRule` whose condition does not parse or whose action is not
+    /// registered is refused here, so a spec that cannot be replayed is
+    /// never admitted to the log), *append* (the record is on the log,
+    /// though not necessarily synced, before the engine sees the
+    /// operation), *execute*, then the snapshot cadence.
+    pub fn apply(&mut self, record: Record) -> Result<Applied, DurableError> {
+        let rule = resolve(&record, &self.funcs, &self.actions)?;
         self.wal.append(&record)?;
-        let out = apply(&mut self.engine).map_err(DurableError::Engine);
+        let out = execute(&mut self.engine, &mut self.specs, record, rule);
         self.bump_snapshot_cadence()?;
-        out
+        Ok(out?)
     }
 
-    /// Counts one logged operation against the snapshot cadence. Must
-    /// run only once all bookkeeping for the operation (notably
-    /// [`Self::specs`]) is in place, since it may capture a snapshot.
+    /// Counts one logged operation against the snapshot cadence. Runs
+    /// after the operation's bookkeeping (notably [`Self::specs`]) is in
+    /// place, since it may capture a snapshot.
     fn bump_snapshot_cadence(&mut self) -> Result<(), DurableError> {
         self.since_snapshot += 1;
         if let Some(every) = self.opts.snapshot_every {
@@ -346,47 +347,28 @@ impl DurableRuleEngine {
 
     /// Creates a relation (logged).
     pub fn create_relation(&mut self, schema: Schema) -> Result<(), DurableError> {
-        self.log_and(
-            Record::CreateRelation {
-                schema: schema.clone(),
-            },
-            |e| e.create_relation(schema),
-        )
+        self.apply(Record::CreateRelation { schema }).map(drop)
     }
 
     /// Drops a relation and every rule condition on it (logged).
     pub fn drop_relation(&mut self, name: &str) -> Result<Relation, DurableError> {
-        self.log_and(
-            Record::DropRelation {
-                name: name.to_string(),
-            },
-            |e| e.drop_relation(name),
-        )
+        self.apply(Record::DropRelation {
+            name: name.to_string(),
+        })
+        .map(Applied::into_relation)
     }
 
-    /// Registers a rule from its durable spec (logged). The condition
-    /// is parsed and the action resolved *before* logging, so a spec
-    /// that cannot be replayed is never admitted to the log.
+    /// Registers a rule from its durable spec (logged, unless the spec
+    /// is refused — see [`apply`](Self::apply)).
     pub fn add_rule(&mut self, spec: RuleSpec) -> Result<RuleId, DurableError> {
-        let rule = build_rule(&spec, &self.funcs, &self.actions).map_err(DurableError::from)?;
-        let action_spec = spec.action.clone();
-        // Not `log_and`: the spec must be registered before the
-        // snapshot cadence runs, or capturing right after this very
-        // operation would see a callback rule with no named spec.
-        self.wal.append(&Record::AddRule { spec })?;
-        let out = self.engine.add_rule(rule).map_err(DurableError::Engine);
-        if let Ok(id) = &out {
-            self.specs.insert(id.0, action_spec);
-        }
-        self.bump_snapshot_cadence()?;
-        out
+        self.apply(Record::AddRule { spec })
+            .map(Applied::into_rule_id)
     }
 
     /// Unregisters a rule (logged).
     pub fn remove_rule(&mut self, id: RuleId) -> Result<Rule, DurableError> {
-        let rule = self.log_and(Record::RemoveRule { id: id.0 }, |e| e.remove_rule(id))?;
-        self.specs.remove(&id.0);
-        Ok(rule)
+        self.apply(Record::RemoveRule { id: id.0 })
+            .map(Applied::into_rule)
     }
 
     /// Inserts a tuple and runs the rule chain (logged).
@@ -395,13 +377,11 @@ impl DurableRuleEngine {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<FireReport, DurableError> {
-        self.log_and(
-            Record::Insert {
-                relation: relation.to_string(),
-                values: values.clone(),
-            },
-            |e| e.insert(relation, values),
-        )
+        self.apply(Record::Insert {
+            relation: relation.to_string(),
+            values,
+        })
+        .map(Applied::into_report)
     }
 
     /// Inserts a tuple like [`insert`](Self::insert) — logged
@@ -412,13 +392,13 @@ impl DurableRuleEngine {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<(MatchTrace, FireReport), DurableError> {
-        self.log_and(
-            Record::Insert {
-                relation: relation.to_string(),
-                values: values.clone(),
-            },
-            |e| e.explain_insert(relation, values),
-        )
+        self.wal.append(&Record::Insert {
+            relation: relation.to_string(),
+            values: values.clone(),
+        })?;
+        let out = self.engine.explain_insert(relation, values);
+        self.bump_snapshot_cadence()?;
+        Ok(out?)
     }
 
     /// Updates a tuple and runs the rule chain (logged).
@@ -428,25 +408,21 @@ impl DurableRuleEngine {
         id: TupleId,
         values: Vec<Value>,
     ) -> Result<FireReport, DurableError> {
-        self.log_and(
-            Record::Update {
-                relation: relation.to_string(),
-                id: id.0,
-                values: values.clone(),
-            },
-            |e| e.update(relation, id, values),
-        )
+        self.apply(Record::Update {
+            relation: relation.to_string(),
+            id: id.0,
+            values,
+        })
+        .map(Applied::into_report)
     }
 
     /// Deletes a tuple and runs the rule chain (logged).
     pub fn delete(&mut self, relation: &str, id: TupleId) -> Result<FireReport, DurableError> {
-        self.log_and(
-            Record::Delete {
-                relation: relation.to_string(),
-                id: id.0,
-            },
-            |e| e.delete(relation, id),
-        )
+        self.apply(Record::Delete {
+            relation: relation.to_string(),
+            id: id.0,
+        })
+        .map(Applied::into_report)
     }
 
     /// Inserts a batch and runs the rule chain once over it (logged as
@@ -456,13 +432,11 @@ impl DurableRuleEngine {
         relation: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<FireReport, DurableError> {
-        self.log_and(
-            Record::InsertBatch {
-                relation: relation.to_string(),
-                rows: rows.clone(),
-            },
-            |e| e.insert_batch(relation, rows),
-        )
+        self.apply(Record::InsertBatch {
+            relation: relation.to_string(),
+            rows,
+        })
+        .map(Applied::into_report)
     }
 
     /// Changes the firing limit. Limit changes are not logged records;
@@ -514,12 +488,6 @@ impl DurableRuleEngine {
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.wal.sync()?;
         Ok(())
-    }
-
-    /// The flight recorder bound to this engine's trace ring and
-    /// registry. Dumps land under `dir/flight/`.
-    pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
     }
 
     /// Writes a post-mortem dump (recent spans + metric exposition) to
@@ -622,5 +590,97 @@ mod tests {
         assert!(matches!(synced, Err(DurableError::Io(_))));
         drop(engine);
         assert_eq!(recovered_rows(&dir), 1);
+    }
+
+    #[test]
+    fn typed_wrappers_and_apply_write_the_same_log() {
+        let spec = RuleSpec {
+            name: "big".into(),
+            condition: "u.v > 3".into(),
+            mask: rules::EventMask::ALL,
+            priority: 1,
+            action: ActionSpec::Log("big".into()),
+        };
+        let schema = || Schema::builder("u").attr("v", AttrType::Int).build();
+        let row = |v| vec![Value::Int(v)];
+
+        let (typed_dir, mut typed) = open("log-typed");
+        typed.create_relation(schema()).unwrap();
+        let rule = typed.add_rule(spec.clone()).unwrap();
+        typed.insert("u", row(5)).unwrap();
+        typed.update("u", TupleId(0), row(1)).unwrap();
+        typed.insert_batch("u", vec![row(7), row(8)]).unwrap();
+        typed.delete("u", TupleId(1)).unwrap();
+        // Rejected by the engine, logged all the same.
+        assert!(typed.delete("u", TupleId(9)).is_err());
+        typed.remove_rule(rule).unwrap();
+        typed.drop_relation("u").unwrap();
+
+        let (raw_dir, mut raw) = open("log-apply");
+        let u = || "u".to_string();
+        for record in [
+            Record::CreateRelation { schema: schema() },
+            Record::AddRule { spec },
+            Record::Insert {
+                relation: u(),
+                values: row(5),
+            },
+            Record::Update {
+                relation: u(),
+                id: 0,
+                values: row(1),
+            },
+            Record::InsertBatch {
+                relation: u(),
+                rows: vec![row(7), row(8)],
+            },
+            Record::Delete {
+                relation: u(),
+                id: 1,
+            },
+            Record::Delete {
+                relation: u(),
+                id: 9,
+            },
+            Record::RemoveRule { id: rule.0 },
+            Record::DropRelation { name: u() },
+        ] {
+            let _ = raw.apply(record);
+        }
+
+        assert_eq!(typed.next_seq(), raw.next_seq());
+        let log = |dir: &Path| std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert!(!log(&typed_dir).is_empty());
+        assert_eq!(log(&typed_dir), log(&raw_dir));
+        for dir in [typed_dir, raw_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_refused_spec_leaves_the_log_untouched() {
+        let (dir, mut engine) = open("refused-spec");
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let (seq, len) = (engine.next_seq(), wal_len());
+        let spec = |condition: &str, action| RuleSpec {
+            name: "bad".into(),
+            condition: condition.into(),
+            mask: rules::EventMask::ALL,
+            priority: 0,
+            action,
+        };
+        assert!(matches!(
+            engine.add_rule(spec("t.v >", ActionSpec::Log("x".into()))),
+            Err(DurableError::Parse { .. })
+        ));
+        assert!(matches!(
+            engine.apply(Record::AddRule {
+                spec: spec("t.v > 1", ActionSpec::Named("nobody".into()))
+            }),
+            Err(DurableError::UnknownAction(_))
+        ));
+        assert_eq!((engine.next_seq(), wal_len()), (seq, len));
+        assert_eq!(engine.engine().rule_count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

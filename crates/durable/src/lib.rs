@@ -18,7 +18,11 @@
 //!
 //! The user-facing wrapper is [`DurableRuleEngine`]; the purely
 //! in-memory `RuleEngine` is untouched and remains the default for
-//! callers that do not need persistence.
+//! callers that do not need persistence. Every mutation is a
+//! [`Record`]: [`DurableRuleEngine::apply`] logs and runs one (the typed
+//! methods — `insert`, `add_rule`, … — build the record for you), and
+//! recovery runs the same interpreter over the log, so a replayed
+//! record cannot mean anything other than what it meant live.
 //!
 //! ```no_run
 //! use durable::{ActionRegistry, DurableRuleEngine, Options, RuleSpec, ActionSpec};
@@ -67,7 +71,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use engine::{DurableError, DurableRuleEngine, Options, FLIGHT_DIR};
-pub use record::{ActionSpec, Record, RuleSpec};
+pub use record::{ActionSpec, Applied, Record, RuleSpec};
 pub use recovery::{replay, replay_traced, ActionRegistry, RecoverError, Recovered, WAL_FILE};
 pub use snapshot::{read_snapshot, write_snapshot, SnapshotData, SnapshotError, SNAPSHOT_FILE};
 pub use wal::{parse_wal, read_wal, SyncPolicy, Wal, WalMetrics, WalSuffix};

@@ -12,12 +12,29 @@
 //! Records are self-describing binary values built on
 //! [`relation::codec`]; framing (length, checksum, sequence number)
 //! belongs to [`crate::wal`], not to the record encoding.
+//!
+//! ## One interpreter
+//!
+//! What a record *does* is written once, here beside the enum:
+//! `resolve` then `execute`. The live engine
+//! ([`crate::DurableRuleEngine::apply`], which the rule server feeds
+//! straight from the wire) and WAL replay ([`crate::replay`]) both call
+//! this pair, so "recovered = live" holds by construction — there is no
+//! second copy of the eight arms to keep in step. Only `AddRule` needs
+//! the resolve step: its condition is parsed and its action looked up
+//! before the record is logged (live) or executed (replay), and that is
+//! the only failure that is about the environment rather than the
+//! engine's state. Errors out of `execute` are the engine's own and
+//! recur identically on replay.
 
+use crate::recovery::{build_rule, ActionRegistry, RecoverError};
+use predicate::FunctionRegistry;
 use relation::codec::{
     decode_schema, decode_value, encode_schema, encode_value, CodecError, Reader, Writer,
 };
-use relation::{Schema, Value};
-use rules::EventMask;
+use relation::{Relation, Schema, TupleId, Value};
+use rules::{EngineError, EventMask, FireReport, Rule, RuleEngine, RuleId};
+use std::collections::HashMap;
 
 /// How a rule's action is named in durable storage. Callbacks are
 /// arbitrary native closures and cannot be serialized; durable rules
@@ -79,6 +96,115 @@ pub enum Record {
         relation: String,
         rows: Vec<Vec<Value>>,
     },
+}
+
+/// What executing one record did: the live caller's return value
+/// (replay drops it).
+#[derive(Debug)]
+pub enum Applied {
+    /// `CreateRelation`.
+    Created,
+    /// `DropRelation`: the relation as it was dropped.
+    Dropped(Relation),
+    /// `AddRule`: the id the engine allocated.
+    RuleAdded(RuleId),
+    /// `RemoveRule`: the rule as it was registered.
+    RuleRemoved(Rule),
+    /// `Insert` / `Update` / `Delete` / `InsertBatch`: the rule chain
+    /// the operation triggered.
+    Fired(FireReport),
+}
+
+impl Applied {
+    pub(crate) fn into_relation(self) -> Relation {
+        let Applied::Dropped(relation) = self else {
+            mismatch("a dropped relation")
+        };
+        relation
+    }
+
+    pub(crate) fn into_rule_id(self) -> RuleId {
+        let Applied::RuleAdded(id) = self else {
+            mismatch("a rule id")
+        };
+        id
+    }
+
+    pub(crate) fn into_rule(self) -> Rule {
+        let Applied::RuleRemoved(rule) = self else {
+            mismatch("a removed rule")
+        };
+        rule
+    }
+
+    pub(crate) fn into_report(self) -> FireReport {
+        let Applied::Fired(report) = self else {
+            mismatch("a fire report")
+        };
+        report
+    }
+}
+
+/// The typed wrappers know the outcome their own record kind produces.
+fn mismatch(wanted: &str) -> ! {
+    // srclint:allow(no-panic-in-lib): `execute` answers each record kind with one fixed outcome; a typed wrapper asking for another is a bug in this crate
+    panic!("record outcome is not {wanted}")
+}
+
+/// The live rule an `AddRule` record registers (`None` for every other
+/// kind). Fails only for a condition that does not parse or a named
+/// action that is not registered: live, the spec is refused with
+/// nothing logged; on replay, recovery aborts.
+pub(crate) fn resolve(
+    record: &Record,
+    funcs: &FunctionRegistry,
+    actions: &ActionRegistry,
+) -> Result<Option<Rule>, RecoverError> {
+    match record {
+        Record::AddRule { spec } => build_rule(spec, funcs, actions).map(Some),
+        _ => Ok(None),
+    }
+}
+
+/// Runs one record against the engine — the only place a [`Record`]
+/// turns into engine calls, and the only writer of `specs` (rule id →
+/// durable action spec, what the next snapshot persists) outside
+/// snapshot load. `rule` is what [`resolve`] returned for this record.
+pub(crate) fn execute(
+    engine: &mut RuleEngine,
+    specs: &mut HashMap<u32, ActionSpec>,
+    record: Record,
+    rule: Option<Rule>,
+) -> Result<Applied, EngineError> {
+    Ok(match record {
+        Record::CreateRelation { schema } => {
+            engine.create_relation(schema)?;
+            Applied::Created
+        }
+        Record::DropRelation { name } => Applied::Dropped(engine.drop_relation(&name)?),
+        Record::AddRule { spec } => {
+            // srclint:allow(no-panic-in-lib): both callers pass `resolve`'s answer, which is `Some` for exactly this variant
+            let rule = rule.expect("resolve builds every AddRule's rule");
+            let id = engine.add_rule(rule)?;
+            specs.insert(id.0, spec.action);
+            Applied::RuleAdded(id)
+        }
+        Record::RemoveRule { id } => {
+            let rule = engine.remove_rule(RuleId(id))?;
+            specs.remove(&id);
+            Applied::RuleRemoved(rule)
+        }
+        Record::Insert { relation, values } => Applied::Fired(engine.insert(&relation, values)?),
+        Record::Update {
+            relation,
+            id,
+            values,
+        } => Applied::Fired(engine.update(&relation, TupleId(id), values)?),
+        Record::Delete { relation, id } => Applied::Fired(engine.delete(&relation, TupleId(id))?),
+        Record::InsertBatch { relation, rows } => {
+            Applied::Fired(engine.insert_batch(&relation, rows)?)
+        }
+    })
 }
 
 const TAG_CREATE_RELATION: u8 = 0;
@@ -160,15 +286,8 @@ fn encode_values(w: &mut Writer, values: &[Value]) {
 }
 
 fn decode_values(r: &mut Reader<'_>) -> Result<Vec<Value>, CodecError> {
-    let n = r.u32()? as usize;
-    // Each value costs at least 2 bytes; refuse counts the buffer
-    // cannot possibly hold (corrupted lengths must not allocate).
-    if n > r.remaining() {
-        return Err(CodecError::Invalid(format!(
-            "value count {n} exceeds remaining {}",
-            r.remaining()
-        )));
-    }
+    // Each value costs at least 2 bytes (tag + payload).
+    let n = r.count(2)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(decode_value(r)?);
@@ -177,6 +296,21 @@ fn decode_values(r: &mut Reader<'_>) -> Result<Vec<Value>, CodecError> {
 }
 
 impl Record {
+    /// The record kind's label on metrics, spans and the slow-op log
+    /// (`server_requests_total{op=…}`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Record::CreateRelation { .. } => "create_relation",
+            Record::DropRelation { .. } => "drop_relation",
+            Record::AddRule { .. } => "add_rule",
+            Record::RemoveRule { .. } => "remove_rule",
+            Record::Insert { .. } => "insert",
+            Record::Update { .. } => "update",
+            Record::Delete { .. } => "delete",
+            Record::InsertBatch { .. } => "insert_batch",
+        }
+    }
+
     /// Serializes the record payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -274,13 +408,8 @@ impl Record {
             },
             TAG_INSERT_BATCH => {
                 let relation = r.str()?;
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(CodecError::Invalid(format!(
-                        "row count {n} exceeds remaining {}",
-                        r.remaining()
-                    )));
-                }
+                // Each row costs at least its own 4-byte count.
+                let n = r.count(4)?;
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     rows.push(decode_values(&mut r)?);

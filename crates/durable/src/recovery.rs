@@ -1,9 +1,13 @@
 //! Crash recovery: snapshot + WAL suffix → a rebuilt [`RuleEngine`].
 //!
 //! Recovery is `state = snapshot ∘ replay(log records with seq >
-//! snapshot.last_seq)`. Replay re-executes each logged command through
-//! the ordinary engine entry points, which are deterministic: rule ids
-//! are handed out sequentially, the agenda is a total order, and every
+//! snapshot.last_seq)`. Replay runs each logged record through the
+//! function the live path ran it through — `record::resolve` then
+//! `record::execute`, what [`crate::DurableRuleEngine::apply`] calls
+//! after appending — so a replayed record cannot mean anything other
+//! than what it meant live; this module holds no interpretation of its
+//! own. What is left to rely on is determinism underneath: rule ids are
+//! handed out sequentially, the agenda is a total order, and every
 //! cascaded operation is a pure function of engine state. Engine-level
 //! *errors* during replay (duplicate relation, unknown tuple, firing
 //! limit) are therefore deterministic re-occurrences of errors the
@@ -13,13 +17,13 @@
 //! from the [`ActionRegistry`] — abort recovery, because silently
 //! dropping them would change rule semantics.
 
-use crate::record::{ActionSpec, Record, RuleSpec};
+use crate::record::{execute, resolve, ActionSpec, RuleSpec};
 use crate::snapshot::{read_snapshot, CondSnap};
 use crate::wal::read_wal;
 use predicate::{
     parse_condition, parse_conditions, parse_conjunct, FunctionRegistry, ParsedCondition, Predicate,
 };
-use relation::{Database, TupleId};
+use relation::Database;
 use rules::{Action, JoinCondition, Rule, RuleContext, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
@@ -282,7 +286,11 @@ pub fn replay_traced(
         if seq <= last_seq {
             continue;
         }
-        apply_record(&mut engine, &mut action_specs, record, funcs, actions)?;
+        // The function the live path ran. A resolve failure aborts (the
+        // environment changed under the log); an engine error is the
+        // one the original caller was already handed, so it is dropped.
+        let rule = resolve(&record, funcs, actions)?;
+        let _ = execute(&mut engine, &mut action_specs, record, rule);
         last_seq = seq;
         frames_replayed += 1;
     }
@@ -300,52 +308,4 @@ pub fn replay_traced(
         last_seq,
         frames_replayed,
     })
-}
-
-/// Re-executes one logged command. Engine-level errors are swallowed
-/// (they deterministically mirror errors the original caller saw);
-/// environment mismatches abort.
-fn apply_record(
-    engine: &mut RuleEngine,
-    specs: &mut HashMap<u32, ActionSpec>,
-    record: Record,
-    funcs: &FunctionRegistry,
-    actions: &ActionRegistry,
-) -> Result<(), RecoverError> {
-    match record {
-        Record::CreateRelation { schema } => {
-            let _ = engine.create_relation(schema);
-        }
-        Record::DropRelation { name } => {
-            let _ = engine.drop_relation(&name);
-        }
-        Record::AddRule { spec } => {
-            let rule = build_rule(&spec, funcs, actions)?;
-            if let Ok(id) = engine.add_rule(rule) {
-                specs.insert(id.0, spec.action);
-            }
-        }
-        Record::RemoveRule { id } => {
-            if engine.remove_rule(RuleId(id)).is_ok() {
-                specs.remove(&id);
-            }
-        }
-        Record::Insert { relation, values } => {
-            let _ = engine.insert(&relation, values);
-        }
-        Record::Update {
-            relation,
-            id,
-            values,
-        } => {
-            let _ = engine.update(&relation, TupleId(id), values);
-        }
-        Record::Delete { relation, id } => {
-            let _ = engine.delete(&relation, TupleId(id));
-        }
-        Record::InsertBatch { relation, rows } => {
-            let _ = engine.insert_batch(&relation, rows);
-        }
-    }
-    Ok(())
 }

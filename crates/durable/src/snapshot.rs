@@ -254,18 +254,12 @@ fn encode_body(s: &SnapshotData) -> Vec<u8> {
 fn decode_body(bytes: &[u8]) -> Result<SnapshotData, CodecError> {
     let mut r = Reader::new(bytes);
     let last_seq = r.u64()?;
-    let n_rel = r.u32()? as usize;
-    if n_rel > r.remaining() {
-        return Err(CodecError::Invalid(format!("relation count {n_rel}")));
-    }
+    let n_rel = r.count(4)?;
     let mut relations = Vec::with_capacity(n_rel);
     for _ in 0..n_rel {
         relations.push(decode_relation(&mut r)?);
     }
-    let n_rules = r.u32()? as usize;
-    if n_rules > r.remaining() {
-        return Err(CodecError::Invalid(format!("rule count {n_rules}")));
-    }
+    let n_rules = r.count(4)?;
     let mut rules = Vec::with_capacity(n_rules);
     for _ in 0..n_rules {
         let id = r.u32()?;
@@ -274,10 +268,7 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData, CodecError> {
         let priority = r.i32()?;
         let fired = r.u64()?;
         let action = decode_action(&mut r)?;
-        let n_conds = r.u32()? as usize;
-        if n_conds > r.remaining() {
-            return Err(CodecError::Invalid(format!("condition count {n_conds}")));
-        }
+        let n_conds = r.count(5)?;
         let mut conds = Vec::with_capacity(n_conds);
         for _ in 0..n_conds {
             conds.push(match r.u8()? {
@@ -305,10 +296,7 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData, CodecError> {
     let next_rule = r.u32()?;
     let total_fired = r.u64()?;
     let firing_limit = r.u64()?;
-    let n_log = r.u32()? as usize;
-    if n_log > r.remaining() {
-        return Err(CodecError::Invalid(format!("log count {n_log}")));
-    }
+    let n_log = r.count(4)?;
     let mut log = Vec::with_capacity(n_log);
     for _ in 0..n_log {
         log.push(r.str()?);

@@ -509,9 +509,10 @@ mod tests {
     fn report_json_shape() {
         let registry = Arc::new(Registry::new());
         let workload = WorkloadStats::new(&registry);
-        workload.record_insert("emp", 0, ClauseShape::Interval, Some(40));
-        workload.record_stab("emp", 0, 1);
-        workload.record_tuple("emp");
+        let age = workload.attr_recorder("emp", 0);
+        age.record_insert(ClauseShape::Interval, Some(40));
+        age.record_stab(1);
+        workload.relation_recorder("emp").record_tuple();
         let advisor = Advisor::new(workload);
         let json = advisor.report_json();
         for needle in [
@@ -536,10 +537,11 @@ mod tests {
     fn render_text_and_comments_mention_the_pick() {
         let registry = Arc::new(Registry::new());
         let workload = WorkloadStats::new(&registry);
+        let age = workload.attr_recorder("emp", 0);
         for _ in 0..10 {
-            workload.record_stab("emp", 0, 0);
+            age.record_stab(0);
         }
-        workload.record_insert("emp", 0, ClauseShape::Eq, Some(0));
+        age.record_insert(ClauseShape::Eq, Some(0));
         let advisor = Advisor::new(workload);
         let text = advisor.render_text();
         assert!(text.contains("index advisor"));

@@ -31,7 +31,7 @@
 use crate::matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
-use ibs::{BalanceMode, IbsTree, StabStats};
+use ibs::{BalanceMode, IbsTree, StabObserver, StabStats};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
 use predicate::{BoundClause, Predicate};
@@ -40,7 +40,7 @@ use relation::{Catalog, Tuple, Value};
 use std::sync::Arc;
 use telemetry::{
     AttrRecorder, ClauseShape, Counter, MatchTrace, RelationRecorder, ResidualTrace, StabTrace,
-    Telemetry, WorkloadStats,
+    Telemetry,
 };
 
 /// Where a registered predicate physically lives.
@@ -202,6 +202,10 @@ impl RelationIndex {
             workload: metrics.workload().attr_recorder(relation, attr),
             work: metrics.attr_work(relation, attr),
         });
+        if at.workload.is_enabled() {
+            at.workload
+                .record_insert(clause_shape_of(&interval), interval_length_of(&interval));
+        }
         at.tree
             .insert(id, interval)
             // srclint:allow(no-panic-in-lib): the store just minted this id; the tree cannot already hold it
@@ -210,102 +214,58 @@ impl RelationIndex {
 
     /// Appends to the non-indexable list.
     fn push_non_indexable(&mut self, id: PredicateId) {
+        self.tuple_recorder.record_non_indexable_insert();
         self.non_indexable.push(id);
     }
 
     /// Removes an indexed interval, dropping the tree when it empties.
-    /// Returns the removed interval so callers can account for its
-    /// clause shape without a second lookup.
-    fn remove_tree(&mut self, attr: usize, id: PredicateId) -> Interval<Value> {
+    fn remove_tree(&mut self, attr: usize, id: PredicateId) {
         // srclint:allow(no-panic-in-lib): the location map recorded a Tree placement for this attr
         let at = self.attr_trees.get_mut(&attr).expect("indexed tree exists");
         // srclint:allow(no-panic-in-lib): the tree held this id since the placement was recorded
         let interval = at.tree.remove(id).expect("indexed interval exists");
+        if at.workload.is_enabled() {
+            at.workload.record_delete(clause_shape_of(&interval));
+        }
         if at.tree.is_empty() {
             self.attr_trees.remove(&attr);
         }
-        interval
     }
 
     /// Removes from the non-indexable list.
     fn remove_non_indexable(&mut self, id: PredicateId) {
+        self.tuple_recorder.record_non_indexable_delete();
         self.non_indexable.retain(|&p| p != id);
     }
 
-    /// Partial match: stabs every per-attribute IBS-tree with the
-    /// tuple's value for that attribute, then sweeps the non-indexable
-    /// list. Each predicate lives in exactly one place, so no
-    /// deduplication is needed. Attributes beyond the tuple's arity are
-    /// skipped — a clause on a missing attribute cannot hold, and the
-    /// residual test agrees (see `BoundClause::test`).
-    fn collect_partial(&self, tuple: &Tuple, out: &mut Vec<PredicateId>) {
-        for (&attr, at) in &self.attr_trees {
-            if let Some(value) = tuple.values().get(attr) {
-                at.tree.stab_into(value, out);
-            }
-        }
-        out.extend_from_slice(&self.non_indexable);
-    }
-
-    /// [`collect_partial`](Self::collect_partial) with per-stab work
-    /// counting and per-attribute workload accounting. Only runs when
-    /// metrics or workload accounts are enabled; the disabled path
-    /// keeps calling the uninstrumented loop. Both kinds of recording
-    /// go through the handles cached in each tree, so a stab pays
-    /// atomic adds only — no name lookups on the match path. (Tuples
-    /// are counted here, i.e. only for relations with at least one
-    /// registered predicate — unindexed relations do no stab work and
-    /// carry no account.)
-    fn collect_partial_metered(
+    /// Partial match — the one walk over Figure 1's second level: stabs
+    /// every per-attribute IBS-tree with the tuple's value for that
+    /// attribute, then sweeps the non-indexable list. Each predicate
+    /// lives in exactly one place, so no deduplication is needed.
+    /// Attributes beyond the tuple's arity are skipped — a clause on a
+    /// missing attribute cannot hold, and the residual test agrees (see
+    /// `BoundClause::test`).
+    ///
+    /// Each stab reports its §5 work into a fresh `S` and is then handed
+    /// to `each` as `(attr, tree, value, ids reported, work)`. With
+    /// `S = ()` and an empty closure this monomorphizes to the bare loop
+    /// over uninstrumented stabs, as `IbsTree::stab_into_observed` does
+    /// one level down.
+    fn partial_match<S: StabObserver + Default>(
         &self,
         tuple: &Tuple,
         out: &mut Vec<PredicateId>,
-        metrics: &IndexMetrics,
+        mut each: impl FnMut(usize, &AttrTree, &Value, usize, S),
     ) {
-        self.tuple_recorder.record_tuple();
         for (&attr, at) in &self.attr_trees {
             if let Some(value) = tuple.values().get(attr) {
                 let before = out.len();
-                let mut stats = StabStats::default();
-                at.tree.stab_into_observed(value, out, &mut stats);
-                metrics.record_attr_stab(
-                    at.work.as_ref(),
-                    stats.nodes_visited,
-                    stats.marks_scanned,
-                );
-                at.workload.record_stab((out.len() - before) as u64);
+                let mut work = S::default();
+                at.tree.stab_into_observed(value, out, &mut work);
+                each(attr, at, value, out.len() - before, work);
             }
         }
         out.extend_from_slice(&self.non_indexable);
-        metrics.record_non_indexable(self.non_indexable.len() as u64);
-    }
-
-    /// The EXPLAIN version of the partial match: same candidates, plus
-    /// one [`StabTrace`] per attribute tree (ordered by attribute) and
-    /// the non-indexable sweep size, written into `trace`.
-    fn explain_partial(&self, tuple: &Tuple, out: &mut Vec<PredicateId>, trace: &mut MatchTrace) {
-        for (&attr, at) in &self.attr_trees {
-            if let Some(value) = tuple.values().get(attr) {
-                let mut stats = StabStats::default();
-                at.tree.stab_into_observed(value, out, &mut stats);
-                trace.stabs.push(StabTrace {
-                    attr,
-                    attr_name: format!("#{attr}"),
-                    value: value.to_string(),
-                    nodes_visited: stats.nodes_visited,
-                    marks_scanned: stats.marks_scanned,
-                    less_hits: stats.less_hits,
-                    eq_hits: stats.eq_hits,
-                    greater_hits: stats.greater_hits,
-                    universal_hits: stats.universal_hits,
-                    tree_intervals: at.tree.len(),
-                    tree_height: at.tree.height(),
-                });
-            }
-        }
-        trace.stabs.sort_by_key(|s| s.attr);
-        out.extend_from_slice(&self.non_indexable);
-        trace.non_indexable_scanned = self.non_indexable.len();
     }
 
     /// Structure snapshot, trees ordered by attribute.
@@ -384,28 +344,18 @@ impl IndexCore {
         catalog: &Catalog,
         metrics: &IndexMetrics,
     ) {
-        let workload = metrics.workload();
         let relation = stored.bound.relation().to_string();
         let placement = place(catalog, &stored);
         self.store.insert_bound(id, stored);
         let location = match placement {
             Placement::Unsatisfiable => Location::Unsatisfiable,
             Placement::Tree { attr, interval } => {
-                if workload.is_enabled() {
-                    workload.record_insert(
-                        &relation,
-                        attr,
-                        clause_shape_of(&interval),
-                        interval_length_of(&interval),
-                    );
-                }
                 let mode = self.mode;
                 self.relation_index(&relation, metrics)
                     .insert_tree(&relation, attr, id, interval, mode, metrics);
                 Location::Tree { attr }
             }
             Placement::NonIndexable => {
-                workload.record_non_indexable_insert(&relation);
                 self.relation_index(&relation, metrics)
                     .push_non_indexable(id);
                 Location::NonIndexable
@@ -415,11 +365,7 @@ impl IndexCore {
     }
 
     /// Unregisters `id`, returning its source form.
-    pub(crate) fn remove(
-        &mut self,
-        id: PredicateId,
-        workload: &WorkloadStats,
-    ) -> Option<Predicate> {
+    pub(crate) fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
         let stored = self.store.unregister(id)?;
         let (relation, location) = self
             .locations
@@ -428,15 +374,11 @@ impl IndexCore {
             .expect("stored predicate must have a location");
         match location {
             Location::Tree { attr } => {
-                let interval = self
-                    .relations
+                self.relations
                     .get_mut(&relation)
                     // srclint:allow(no-panic-in-lib): a Tree location implies the relation entry exists; see insert_bound
                     .expect("indexed relation exists")
                     .remove_tree(attr, id);
-                if workload.is_enabled() {
-                    workload.record_delete(&relation, attr, clause_shape_of(&interval));
-                }
             }
             Location::NonIndexable => {
                 self.relations
@@ -444,7 +386,6 @@ impl IndexCore {
                     // srclint:allow(no-panic-in-lib): a NonIndexable location implies the relation entry exists; see insert_bound
                     .expect("indexed relation exists")
                     .remove_non_indexable(id);
-                workload.record_non_indexable_delete(&relation);
             }
             Location::Unsatisfiable => {}
         }
@@ -467,9 +408,22 @@ impl IndexCore {
             {
                 let _stab = tracer.span("predindex_stab");
                 if metrics.is_enabled() || metrics.workload().is_enabled() {
-                    ri.collect_partial_metered(tuple, out, metrics);
+                    // Through the handles each tree and relation caches:
+                    // atomic adds only, no name lookups on the match
+                    // path. (Tuples are counted here, i.e. only for
+                    // relations with at least one registered predicate.)
+                    ri.tuple_recorder.record_tuple();
+                    ri.partial_match(tuple, out, |_, at, _, hits, work: StabStats| {
+                        metrics.record_attr_stab(
+                            at.work.as_ref(),
+                            work.nodes_visited,
+                            work.marks_scanned,
+                        );
+                        at.workload.record_stab(hits as u64);
+                    });
+                    metrics.record_non_indexable(ri.non_indexable.len() as u64);
                 } else {
-                    ri.collect_partial(tuple, out);
+                    ri.partial_match(tuple, out, |_, _, _, _, ()| {});
                 }
             }
             let partials = (out.len() - from) as u64;
@@ -497,7 +451,27 @@ impl IndexCore {
         let mut candidates = Vec::new();
         if let Some(ri) = self.relations.get(relation) {
             trace.relation_indexed = true;
-            ri.explain_partial(tuple, &mut candidates, &mut trace);
+            ri.partial_match(
+                tuple,
+                &mut candidates,
+                |attr, at, value, _, work: StabStats| {
+                    trace.stabs.push(StabTrace {
+                        attr,
+                        attr_name: format!("#{attr}"),
+                        value: value.to_string(),
+                        nodes_visited: work.nodes_visited,
+                        marks_scanned: work.marks_scanned,
+                        less_hits: work.less_hits,
+                        eq_hits: work.eq_hits,
+                        greater_hits: work.greater_hits,
+                        universal_hits: work.universal_hits,
+                        tree_intervals: at.tree.len(),
+                        tree_height: at.tree.height(),
+                    })
+                },
+            );
+            trace.stabs.sort_by_key(|s| s.attr);
+            trace.non_indexable_scanned = ri.non_indexable.len();
         }
         for &id in &candidates {
             trace.residual.push(ResidualTrace {
@@ -685,7 +659,7 @@ impl Matcher for PredicateIndex {
     }
 
     fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
-        self.core.remove(id, self.metrics.workload())
+        self.core.remove(id)
     }
 
     fn match_tuple(&self, relation: &str, tuple: &Tuple) -> Vec<PredicateId> {

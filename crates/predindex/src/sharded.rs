@@ -218,7 +218,7 @@ impl ShardedPredicateIndex {
                 // Re-probe under the write lock: a concurrent remover
                 // may have won the race between the two acquisitions.
                 // srclint:allow(lock-discipline, lock-order): guards are strictly sequential — the probe's read guard is dropped before the write lock is taken
-                if let Some(p) = self.lock_write(sid).remove(id, self.metrics.workload()) {
+                if let Some(p) = self.lock_write(sid).remove(id) {
                     return Some(p);
                 }
             }

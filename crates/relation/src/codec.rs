@@ -20,7 +20,7 @@
 //! have, or log replay after a snapshot would diverge.
 
 use crate::relation::{Relation, Tuple};
-use crate::schema::{Schema, SchemaBuilder};
+use crate::schema::{Attribute, Schema};
 use crate::value::{AttrType, Value};
 use std::fmt;
 
@@ -207,6 +207,22 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A `u32` element count, refused unless the remaining input could
+    /// hold that many elements of at least `min_bytes` each. Every
+    /// counted sequence is read through this before anything is
+    /// reserved, so a corrupted or hostile count cannot size an
+    /// allocation beyond a small multiple of the input.
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_bytes {
+            return Err(CodecError::Truncated {
+                needed: n.saturating_mul(min_bytes),
+                available: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
     /// Inverse of [`Writer::str`]. The length prefix is validated
     /// against the remaining input before any allocation, so a
     /// corrupted length cannot trigger an over-sized reservation.
@@ -290,21 +306,20 @@ pub fn encode_schema(w: &mut Writer, schema: &Schema) {
 /// Inverse of [`encode_schema`].
 pub fn decode_schema(r: &mut Reader<'_>) -> Result<Schema, CodecError> {
     let name = r.str()?;
-    let arity = r.u32()? as usize;
-    let mut builder: SchemaBuilder = Schema::builder(name);
-    let mut seen: Vec<String> = Vec::with_capacity(arity);
+    // Each attribute costs at least 5 bytes: name length prefix + type tag.
+    let arity = r.count(5)?;
+    let mut attrs: Vec<Attribute> = Vec::with_capacity(arity);
     for _ in 0..arity {
-        let attr = r.str()?;
-        let ty = decode_attr_type(r)?;
-        // SchemaBuilder panics on duplicates (a programming error on the
-        // construction path); decoding untrusted bytes must error.
-        if seen.contains(&attr) {
-            return Err(CodecError::Invalid(format!("duplicate attribute {attr:?}")));
-        }
-        seen.push(attr.clone());
-        builder = builder.attr(attr, ty);
+        attrs.push(Attribute {
+            name: r.str()?,
+            ty: decode_attr_type(r)?,
+        });
     }
-    Ok(builder.build())
+    // `SchemaBuilder` panics on duplicates (a programming error on the
+    // construction path) and finds them by scanning; decoding untrusted
+    // bytes must error, and in time linear in the input.
+    Schema::from_attributes(name, attrs)
+        .map_err(|dup| CodecError::Invalid(format!("duplicate attribute {dup:?}")))
 }
 
 /// Encodes a [`Tuple`] as a counted value sequence.
@@ -317,8 +332,8 @@ pub fn encode_tuple(w: &mut Writer, tuple: &Tuple) {
 
 /// Inverse of [`encode_tuple`].
 pub fn decode_tuple(r: &mut Reader<'_>) -> Result<Tuple, CodecError> {
-    let arity = r.u32()? as usize;
-    let mut values = Vec::with_capacity(arity.min(r.remaining()));
+    let arity = r.count(2)?;
+    let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(decode_value(r)?);
     }
@@ -352,8 +367,8 @@ pub fn encode_relation(w: &mut Writer, rel: &Relation) {
 /// empty slots (in any order — the *order* is preserved as written).
 pub fn decode_relation(r: &mut Reader<'_>) -> Result<Relation, CodecError> {
     let schema = decode_schema(r)?;
-    let slot_count = r.u32()? as usize;
-    let mut slots: Vec<Option<Tuple>> = Vec::with_capacity(slot_count.min(r.remaining()));
+    let slot_count = r.count(1)?;
+    let mut slots: Vec<Option<Tuple>> = Vec::with_capacity(slot_count);
     for _ in 0..slot_count {
         match r.u8()? {
             0 => slots.push(None),
@@ -381,8 +396,8 @@ pub fn decode_relation(r: &mut Reader<'_>) -> Result<Relation, CodecError> {
             tag => return Err(CodecError::BadTag { what: "slot", tag }),
         }
     }
-    let free_count = r.u32()? as usize;
-    let mut free: Vec<u32> = Vec::with_capacity(free_count.min(r.remaining()));
+    let free_count = r.count(4)?;
+    let mut free: Vec<u32> = Vec::with_capacity(free_count);
     for _ in 0..free_count {
         free.push(r.u32()?);
     }
@@ -546,6 +561,58 @@ mod tests {
             decode_relation(&mut Reader::new(&bytes)),
             Err(CodecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn hostile_arity_is_an_error_not_a_reservation() {
+        // The schema of the 19-byte `APPLY` frame that used to abort the
+        // rule server: `with_capacity(u32::MAX)` attributes is ~100 GB.
+        let mut w = Writer::new();
+        w.str("r");
+        w.u32(u32::MAX);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            decode_schema(&mut Reader::new(&bytes)),
+            Err(CodecError::Truncated { .. })
+        ));
+        // One byte short of what the claimed arity needs is refused the
+        // same way; exactly enough is judged by its content.
+        let mut w = Writer::new();
+        w.str("r");
+        w.u32(2);
+        w.str("a");
+        encode_attr_type(&mut w, AttrType::Int);
+        w.bytes(&[0, 0, 0]);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            decode_schema(&mut Reader::new(&bytes)),
+            Err(CodecError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn duplicate_attributes_are_rejected_at_any_arity() {
+        // Wide enough that a pairwise scan (what the decoder and the
+        // builder both used to do) would be ~5e9 string compares.
+        let arity = 100_000u32;
+        let encode = |last: &str| {
+            let mut w = Writer::new();
+            w.str("wide");
+            w.u32(arity);
+            for i in 0..arity - 1 {
+                w.str(&format!("a{i}"));
+                encode_attr_type(&mut w, AttrType::Int);
+            }
+            w.str(last);
+            encode_attr_type(&mut w, AttrType::Int);
+            w.into_bytes()
+        };
+        let schema = decode_schema(&mut Reader::new(&encode("last"))).unwrap();
+        assert_eq!(schema.arity(), arity as usize);
+        assert_eq!(
+            decode_schema(&mut Reader::new(&encode("a7"))),
+            Err(CodecError::Invalid("duplicate attribute \"a7\"".into()))
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Relation schemas.
 
 use crate::value::AttrType;
+use std::collections::HashSet;
 use std::fmt;
 
 /// One attribute: a name and a type.
@@ -27,6 +28,17 @@ impl Schema {
         SchemaBuilder {
             name: name.into(),
             attrs: Vec::new(),
+        }
+    }
+
+    /// A schema from already-collected attributes — the decoder's way
+    /// in, where a duplicate name is bad input rather than a bug: it is
+    /// handed back as the error, found in time linear in the arity.
+    pub(crate) fn from_attributes(name: String, attrs: Vec<Attribute>) -> Result<Schema, String> {
+        let mut seen = HashSet::with_capacity(attrs.len());
+        match attrs.iter().find(|a| !seen.insert(a.name.as_str())) {
+            Some(dup) => Err(dup.name.clone()),
+            None => Ok(Schema { name, attrs }),
         }
     }
 

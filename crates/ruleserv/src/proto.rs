@@ -447,13 +447,8 @@ impl Reply {
             OP_FIRE => {
                 let seq = r.u64()?;
                 let ops_applied = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(ProtoError::Corrupt(format!(
-                        "firing count {n} exceeds remaining {}",
-                        r.remaining()
-                    )));
-                }
+                // Each firing costs at least its id and name prefix.
+                let n = r.count(8)?;
                 let mut fired = Vec::with_capacity(n);
                 for _ in 0..n {
                     let id = r.u32()?;
@@ -478,23 +473,10 @@ impl Reply {
                 // peers that predate joins simply end here.
                 let mut bindings = Vec::new();
                 if !r.is_empty() {
-                    let n = r.u32()? as usize;
-                    if n > r.remaining() {
-                        return Err(ProtoError::Corrupt(format!(
-                            "binding count {n} exceeds remaining {}",
-                            r.remaining()
-                        )));
-                    }
-                    for _ in 0..n {
+                    for _ in 0..r.count(12)? {
                         let relation = r.str()?;
                         let tuple_id = r.u32()?;
-                        let k = r.u32()? as usize;
-                        if k > r.remaining() {
-                            return Err(ProtoError::Corrupt(format!(
-                                "value count {k} exceeds remaining {}",
-                                r.remaining()
-                            )));
-                        }
+                        let k = r.count(2)?;
                         let mut values = Vec::with_capacity(k);
                         for _ in 0..k {
                             values.push(codec::decode_value(&mut r)?);
@@ -550,25 +532,11 @@ impl Reply {
 pub fn op_name(req: &Request) -> &'static str {
     match req {
         Request::Ping => "ping",
-        Request::Apply(record) => record_op_name(record),
+        Request::Apply(record) => record.name(),
         Request::Subscribe => "subscribe",
         Request::Unsubscribe => "unsubscribe",
         Request::Health => "health",
         Request::Sync => "sync",
-    }
-}
-
-/// The per-op label of one mutation record.
-pub fn record_op_name(record: &Record) -> &'static str {
-    match record {
-        Record::CreateRelation { .. } => "create_relation",
-        Record::DropRelation { .. } => "drop_relation",
-        Record::AddRule { .. } => "add_rule",
-        Record::RemoveRule { .. } => "remove_rule",
-        Record::Insert { .. } => "insert",
-        Record::Update { .. } => "update",
-        Record::Delete { .. } => "delete",
-        Record::InsertBatch { .. } => "insert_batch",
     }
 }
 
@@ -845,6 +813,23 @@ mod tests {
         let mut cursor = std::io::Cursor::new(wire);
         assert!(matches!(
             read_frame(&mut cursor),
+            Err(ProtoError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_hostile_arity_is_corrupt_not_an_allocation() {
+        // `CreateRelation` tag, relation "r", arity u32::MAX: 19 bytes
+        // on the wire that used to ask the allocator for ~100 GB on a
+        // session reader thread and abort the whole daemon.
+        let mut w = Writer::new();
+        w.u8(0);
+        w.str("r");
+        w.u32(u32::MAX);
+        let payload = w.into_bytes();
+        assert_eq!(encode_frame(OP_APPLY, &payload).len(), 19);
+        assert!(matches!(
+            Request::decode_traced(OP_APPLY, &payload),
             Err(ProtoError::Corrupt(_))
         ));
     }

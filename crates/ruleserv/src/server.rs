@@ -15,7 +15,11 @@
 //!
 //! * **One engine thread** owns the [`DurableRuleEngine`]; every
 //!   mutation flows through a single bounded `mpsc` queue, so WAL
-//!   ordering stays exactly as serial as the in-process engine.
+//!   ordering stays exactly as serial as the in-process engine. A
+//!   decoded `Record` goes to [`DurableRuleEngine::apply`] as it
+//!   arrived — the function WAL replay runs too. This module names no
+//!   record kind and decides nothing about what one does; it shapes the
+//!   reply from the [`Applied`] outcome.
 //! * **Group commit.** Each wake-up of the engine thread serves one
 //!   *group*: the message that woke it plus what was already queued
 //!   behind it — at most the count queued when the group opened, so
@@ -52,7 +56,7 @@
 
 use crate::metrics::ServerMetrics;
 use crate::proto::{op_name, read_frame, Event, EventBinding, FireSummary, Reply, Request};
-use durable::{DurableError, DurableRuleEngine, Record, SyncPolicy};
+use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -625,7 +629,7 @@ impl Committer<'_> {
         let (reply, effect) = match kind {
             Kind::Apply(record) => {
                 let next = engine.next_seq();
-                let (reply, events) = apply_record(engine, record, next);
+                let (reply, events) = shape(engine.apply(record), next);
                 // A request refused before logging acknowledges no
                 // sequence number.
                 seq = (engine.next_seq() > next).then_some(next);
@@ -737,83 +741,45 @@ impl Committer<'_> {
     }
 }
 
-/// Executes one logged mutation and shapes its reply, plus the
-/// subscription [`Event`]s its firings push (one per firing, carrying
-/// the bound tuples of join-rule firings).
-fn apply_record(engine: &mut DurableRuleEngine, record: Record, seq: u64) -> (Reply, Vec<Event>) {
-    let fire = |report: rules::FireReport| {
-        let events = report
-            .firings
-            .iter()
-            .map(|f| Event {
-                seq,
-                rule_id: f.rule.0,
-                rule: f.name.clone(),
-                bindings: f
-                    .bindings
-                    .iter()
-                    .map(|b| EventBinding {
-                        relation: b.relation.clone(),
-                        tuple_id: b.id.0,
-                        values: b.tuple.values().to_vec(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        let reply = Reply::Fire(FireSummary {
-            seq,
-            ops_applied: report.ops_applied as u64,
-            fired: report
-                .fired
-                .into_iter()
-                .map(|(id, name)| (id.0, name))
-                .collect(),
-        });
-        (reply, events)
-    };
-    let unit = |r: Result<(), String>| match r {
-        Ok(()) => (Reply::Unit, Vec::new()),
-        Err(e) => (Reply::Err(e), Vec::new()),
-    };
-    match record {
-        Record::CreateRelation { schema } => {
-            unit(engine.create_relation(schema).map_err(|e| e.to_string()))
+/// Shapes the reply to one applied record, plus the subscription
+/// [`Event`]s its firings push (one per firing, carrying the bound
+/// tuples of join-rule firings). What the record *did* is
+/// [`DurableRuleEngine::apply`]'s business; this only reads the outcome.
+fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>) {
+    let report = match outcome {
+        Ok(Applied::Fired(report)) => report,
+        Ok(Applied::RuleAdded(id)) => return (Reply::RuleId(id.0), Vec::new()),
+        Ok(Applied::Created | Applied::Dropped(_) | Applied::RuleRemoved(_)) => {
+            return (Reply::Unit, Vec::new())
         }
-        Record::DropRelation { name } => unit(
-            engine
-                .drop_relation(&name)
-                .map(drop)
-                .map_err(|e| e.to_string()),
-        ),
-        Record::AddRule { spec } => match engine.add_rule(spec) {
-            Ok(id) => (Reply::RuleId(id.0), Vec::new()),
-            Err(e) => (Reply::Err(e.to_string()), Vec::new()),
-        },
-        Record::RemoveRule { id } => unit(
-            engine
-                .remove_rule(rules::RuleId(id))
-                .map(drop)
-                .map_err(|e| e.to_string()),
-        ),
-        Record::Insert { relation, values } => match engine.insert(&relation, values) {
-            Ok(report) => fire(report),
-            Err(e) => (Reply::Err(e.to_string()), Vec::new()),
-        },
-        Record::Update {
-            relation,
-            id,
-            values,
-        } => match engine.update(&relation, relation::TupleId(id), values) {
-            Ok(report) => fire(report),
-            Err(e) => (Reply::Err(e.to_string()), Vec::new()),
-        },
-        Record::Delete { relation, id } => match engine.delete(&relation, relation::TupleId(id)) {
-            Ok(report) => fire(report),
-            Err(e) => (Reply::Err(e.to_string()), Vec::new()),
-        },
-        Record::InsertBatch { relation, rows } => match engine.insert_batch(&relation, rows) {
-            Ok(report) => fire(report),
-            Err(e) => (Reply::Err(e.to_string()), Vec::new()),
-        },
-    }
+        Err(e) => return (Reply::Err(e.to_string()), Vec::new()),
+    };
+    let events = report
+        .firings
+        .iter()
+        .map(|f| Event {
+            seq,
+            rule_id: f.rule.0,
+            rule: f.name.clone(),
+            bindings: f
+                .bindings
+                .iter()
+                .map(|b| EventBinding {
+                    relation: b.relation.clone(),
+                    tuple_id: b.id.0,
+                    values: b.tuple.values().to_vec(),
+                })
+                .collect(),
+        })
+        .collect();
+    let reply = Reply::Fire(FireSummary {
+        seq,
+        ops_applied: report.ops_applied as u64,
+        fired: report
+            .fired
+            .into_iter()
+            .map(|(id, name)| (id.0, name))
+            .collect(),
+    });
+    (reply, events)
 }

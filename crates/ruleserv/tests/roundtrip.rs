@@ -513,3 +513,49 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
         "slow-op ring must hold the traced insert, got {slow:?}"
     );
 }
+
+#[test]
+fn a_hostile_schema_arity_closes_one_connection_not_the_daemon() {
+    use std::io::{Read, Write};
+    let (server, _registry) = start("hostile-arity", ServerOptions::default());
+    let mut bystander = Client::connect(server.addr()).unwrap();
+    bystander.create_relation(emp_schema()).unwrap();
+
+    // `CreateRelation` tag, relation "r", arity u32::MAX: 19 bytes that
+    // used to make a session reader reserve ~100 GB and abort the
+    // process, WAL and every other session included.
+    let mut payload = relation::codec::Writer::new();
+    payload.u8(0);
+    payload.str("r");
+    payload.u32(u32::MAX);
+    let frame = ruleserv::proto::encode_frame(ruleserv::proto::OP_APPLY, &payload.into_bytes());
+    assert_eq!(frame.len(), 19);
+    let mut hostile = std::net::TcpStream::connect(server.addr()).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    hostile.write_all(&frame).unwrap();
+    // The frame is corrupt, so the session ends: EOF, with no reply.
+    let mut rest = Vec::new();
+    hostile.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "a corrupt frame is answered by closing");
+
+    // Everyone else is still served, on old connections and new ones.
+    bystander.ping().unwrap();
+    let ack = bystander
+        .insert("emp", vec![Value::Str("ann".into()), Value::Int(1)])
+        .unwrap();
+    assert!(ack.seq > 0);
+    Client::connect(server.addr()).unwrap().ping().unwrap();
+    let engine = server.shutdown().expect("engine handed back");
+    assert_eq!(
+        engine
+            .engine()
+            .db()
+            .catalog()
+            .relation("emp")
+            .unwrap()
+            .len(),
+        1
+    );
+}

@@ -6,8 +6,6 @@
 //!
 //! * a `Record` variant with no arm in `encode` or `decode_prefix`
 //!   (a grown variant the recovery path would refuse),
-//! * a `Record` variant absent from ruleserv's `record_op_name`
-//!   (per-op latency accounting silently lumps it as "?"),
 //! * an `OP_*` constant never written by an `encode` fn or matched by
 //!   a `decode*` fn,
 //! * a variant/opcode missing from (or disagreeing with) the
@@ -38,7 +36,7 @@ pub(super) fn check(
             continue;
         }
         if ctx.krate == "durable" {
-            check_record(ctx, ctxs, meta, diags);
+            check_record(ctx, meta, diags);
         }
         if ctx.krate == "ruleserv" {
             check_opcodes(ctx, ctxs, meta, diags);
@@ -48,12 +46,7 @@ pub(super) fn check(
 
 // ------------------------------------------------------------ Record
 
-fn check_record(
-    ctx: &FileContext,
-    ctxs: &[FileContext],
-    meta: &WorkspaceMeta,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_record(ctx: &FileContext, meta: &WorkspaceMeta, diags: &mut Vec<Diagnostic>) {
     let variants = enum_variants(ctx, "Record");
     if variants.is_empty() {
         return;
@@ -61,12 +54,6 @@ fn check_record(
     let tags = const_defs(ctx, "TAG_");
     let doc_rows = design_rows(meta, "Record tags");
     let authoritative = ctx.path.ends_with("crates/durable/src/record.rs");
-    // ruleserv's per-op accounting must name every record kind.
-    let op_namer: Option<&FileContext> = ctxs.iter().find(|c| {
-        c.krate == "ruleserv"
-            && c.section == Section::Src
-            && c.fns.iter().any(|f| f.name == "record_op_name")
-    });
 
     for (variant, tok) in &variants {
         if !any_fn_mentions_path(ctx, |n| n == "encode", "Record", variant) {
@@ -129,19 +116,6 @@ fn check_record(
                  (§14) — the codec registry is disarmed"
                     .to_string(),
             ),
-        }
-        if let Some(namer) = op_namer {
-            if !any_fn_mentions_path(namer, |n| n == "record_op_name", "Record", variant) {
-                push(
-                    ctx,
-                    diags,
-                    *tok,
-                    format!(
-                        "`Record::{variant}` is not named in ruleserv's `record_op_name` — \
-                     per-op latency accounting would lump it as unknown"
-                    ),
-                );
-            }
         }
     }
 

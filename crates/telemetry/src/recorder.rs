@@ -37,7 +37,6 @@
 //! ```
 
 use crate::handle::Telemetry;
-use crate::trace::Tracer;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -91,11 +90,6 @@ impl FlightRecorder {
     ) -> FlightRecorder {
         self.advisor = Some(Arc::new(advisor));
         self
-    }
-
-    /// The ring this recorder snapshots.
-    pub fn tracer(&self) -> &Tracer {
-        self.telemetry.tracer()
     }
 
     /// The directory dumps are written into.
@@ -202,7 +196,7 @@ impl Drop for PanicHookGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::{Registry, Tracer};
 
     fn temp_dir(label: &str) -> PathBuf {
         let dir =
@@ -230,7 +224,7 @@ mod tests {
         assert!(text.contains("rules_fired_total 7"));
         assert!(text.contains("\"name\":\"wal_append\""));
         // Dumping snapshots rather than drains: evidence survives.
-        assert_eq!(recorder.tracer().events().len(), 2);
+        assert_eq!(recorder.telemetry.tracer().events().len(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -379,76 +379,6 @@ impl WorkloadStats {
         }
     }
 
-    /// One stab of `relation`/`attr`'s tree reporting `hits` ids.
-    #[inline]
-    pub fn record_stab(&self, relation: &str, attr: usize, hits: u64) {
-        if !self.enabled {
-            return;
-        }
-        let cells = self.inner.attr_cells(relation, attr);
-        cells.stabs.inc();
-        cells.stab_hits.add(hits);
-        cells.overlap.record(hits);
-    }
-
-    /// One predicate placed into `relation`/`attr`'s tree. `length` is
-    /// the finite interval length when it has one (0 for a point).
-    pub fn record_insert(
-        &self,
-        relation: &str,
-        attr: usize,
-        shape: ClauseShape,
-        length: Option<u64>,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let cells = self.inner.attr_cells(relation, attr);
-        cells.shape_inserts[shape.index()].inc();
-        if let Some(len) = length {
-            cells.length.record(len);
-        }
-    }
-
-    /// One predicate removed from `relation`/`attr`'s tree.
-    pub fn record_delete(&self, relation: &str, attr: usize, shape: ClauseShape) {
-        if !self.enabled {
-            return;
-        }
-        self.inner.attr_cells(relation, attr).shape_deletes[shape.index()].inc();
-    }
-
-    /// One predicate appended to `relation`'s non-indexable list.
-    pub fn record_non_indexable_insert(&self, relation: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.inner
-            .relation_cells(relation)
-            .non_indexable_inserts
-            .inc();
-    }
-
-    /// One predicate removed from `relation`'s non-indexable list.
-    pub fn record_non_indexable_delete(&self, relation: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.inner
-            .relation_cells(relation)
-            .non_indexable_deletes
-            .inc();
-    }
-
-    /// One tuple presented to the matcher for `relation`.
-    #[inline]
-    pub fn record_tuple(&self, relation: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.inner.relation_cells(relation).tuples.inc();
-    }
-
     /// Lifetime account snapshots (sorted by relation, then attribute).
     pub fn lifetime(&self) -> (Vec<AttrUsage>, Vec<RelationUsage>) {
         if !self.enabled {
@@ -791,9 +721,11 @@ mod tests {
     fn disabled_records_nothing() {
         let w = WorkloadStats::disabled();
         assert!(!w.is_enabled());
-        w.record_stab("emp", 0, 3);
-        w.record_insert("emp", 0, ClauseShape::Eq, Some(0));
-        w.record_tuple("emp");
+        let age = w.attr_recorder("emp", 0);
+        assert!(!age.is_enabled() && !w.relation_recorder("emp").is_enabled());
+        age.record_stab(3);
+        age.record_insert(ClauseShape::Eq, Some(0));
+        w.relation_recorder("emp").record_tuple();
         assert!(w.sample_window().is_none());
         assert!(w.windows().is_empty());
         let (attrs, rels) = w.lifetime();
@@ -807,14 +739,17 @@ mod tests {
     #[test]
     fn accounts_accumulate_per_attribute() {
         let w = live();
-        w.record_insert("emp", 0, ClauseShape::Greater, None);
-        w.record_insert("emp", 0, ClauseShape::Interval, Some(40));
-        w.record_insert("emp", 1, ClauseShape::Eq, Some(0));
-        w.record_delete("emp", 0, ClauseShape::Greater);
-        w.record_stab("emp", 0, 2);
-        w.record_stab("emp", 0, 0);
-        w.record_tuple("emp");
-        w.record_non_indexable_insert("emp");
+        let (age, salary) = (w.attr_recorder("emp", 0), w.attr_recorder("emp", 1));
+        let emp = w.relation_recorder("emp");
+        age.record_insert(ClauseShape::Greater, None);
+        age.record_insert(ClauseShape::Interval, Some(40));
+        salary.record_insert(ClauseShape::Eq, Some(0));
+        age.record_delete(ClauseShape::Greater);
+        age.record_stab(2);
+        // A second handle onto the same account lands on the same cells.
+        w.attr_recorder("emp", 0).record_stab(0);
+        emp.record_tuple();
+        emp.record_non_indexable_insert();
 
         let (attrs, rels) = w.lifetime();
         assert_eq!(attrs.len(), 2);
@@ -841,9 +776,10 @@ mod tests {
     fn accounts_surface_as_metric_families() {
         let registry = Arc::new(Registry::new());
         let w = WorkloadStats::new(&registry);
-        w.record_insert("emp", 0, ClauseShape::Less, Some(7));
-        w.record_stab("emp", 0, 5);
-        w.record_tuple("emp");
+        let age = w.attr_recorder("emp", 0);
+        age.record_insert(ClauseShape::Less, Some(7));
+        age.record_stab(5);
+        w.relation_recorder("emp").record_tuple();
         w.sample_window();
         let text = registry.render_text();
         for needle in [
@@ -862,15 +798,16 @@ mod tests {
     #[test]
     fn windows_report_deltas_not_totals() {
         let w = live();
-        w.record_stab("emp", 0, 4);
-        w.record_insert("emp", 0, ClauseShape::Eq, Some(0));
+        let age = w.attr_recorder("emp", 0);
+        age.record_stab(4);
+        age.record_insert(ClauseShape::Eq, Some(0));
         let w1 = w.sample_window().unwrap();
         assert_eq!(w1.seq, 1);
         assert_eq!(w1.attrs[0].stabs, 1);
         assert_eq!(w1.attrs[0].inserts(), 1);
 
-        w.record_stab("emp", 0, 1);
-        w.record_stab("emp", 0, 1);
+        age.record_stab(1);
+        age.record_stab(1);
         let w2 = w.sample_window().unwrap();
         assert_eq!(w2.seq, 2);
         // The second window holds only the two new stabs...
@@ -884,7 +821,7 @@ mod tests {
     #[test]
     fn window_ring_is_bounded() {
         let w = live();
-        w.record_tuple("emp");
+        w.relation_recorder("emp").record_tuple();
         for _ in 0..(WORKLOAD_WINDOW_CAPACITY + 5) {
             w.sample_window();
         }
@@ -901,15 +838,16 @@ mod tests {
     #[test]
     fn summary_rolls_the_ring_up() {
         let w = live();
+        let age = w.attr_recorder("emp", 0);
         // Before any sample: lifetime fallback.
-        w.record_stab("emp", 0, 1);
+        age.record_stab(1);
         let s = w.summary();
         assert!(!s.windowed);
         assert_eq!(s.attrs[0].stabs, 1);
 
         w.sample_window();
-        w.record_stab("emp", 0, 3);
-        w.record_insert("emp", 0, ClauseShape::Greater, None);
+        age.record_stab(3);
+        age.record_insert(ClauseShape::Greater, None);
         w.sample_window();
         let s = w.summary();
         assert!(s.windowed);

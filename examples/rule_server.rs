@@ -8,14 +8,20 @@
 //! Exercises every request opcode exactly as a real client would —
 //! ping, DDL, all four mutations, rule add/remove, subscribe/event/
 //! unsubscribe, health, sync — printing one `ok <opcode>` line per
-//! step. CI runs this against a freshly started daemon as the protocol
-//! smoke test.
+//! step. Before any of it, one hostile frame: a `CreateRelation` whose
+//! arity claims four billion attributes. The server must close that
+//! connection and keep serving, so everything after it runs on fresh
+//! connections and fails if the daemon died. CI runs this against a
+//! freshly started daemon as the protocol smoke test.
 
 use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec};
 use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
+use ruleserv::proto::{encode_frame, OP_APPLY};
 use ruleserv::{serve, Client, ServerOptions};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn main() {
@@ -57,6 +63,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             addr
         }
     };
+
+    // `CreateRelation` tag, relation "r", arity u32::MAX — 19 bytes.
+    let mut payload = relation::codec::Writer::new();
+    payload.u8(0);
+    payload.str("r");
+    payload.u32(u32::MAX);
+    let mut hostile = TcpStream::connect(target)?;
+    hostile.set_read_timeout(Some(Duration::from_secs(5)))?;
+    hostile.write_all(&encode_frame(OP_APPLY, &payload.into_bytes()))?;
+    let mut answer = Vec::new();
+    hostile.read_to_end(&mut answer)?;
+    if !answer.is_empty() {
+        return Err("the hostile frame was answered instead of closing its connection".into());
+    }
+    println!("ok hostile frame (connection closed)");
 
     let mut client = Client::connect(target)?;
     let mut watcher = Client::connect(target)?;

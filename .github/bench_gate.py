@@ -40,6 +40,11 @@ REQUIRED = {
         "join/2premise/n1000/naive",
         "join/3premise/n1000/memoized",
         "join/3premise/n1000/naive",
+        "join/retract/alpha1k",
+        "join/retract/alpha10k",
+        "join/retract/alpha100k",
+        "join/snapshot_capture/tokens10k",
+        "join/snapshot_capture/tokens100k",
     ],
 }
 
@@ -114,7 +119,19 @@ def gate_join(rows, _base):
         speedup = ns_ratio(rows, config + "/naive", name)
         assert speedup >= 5, ("memo slower than 5x over naive", config, speedup)
         speedups.append((config, round(speedup, 2)))
-    return "speedups %s" % speedups
+    # Memo upkeep costs what it changes: a retraction from a premise no
+    # equality step keys, and a snapshot capture, must not grow with the
+    # memo around them. The same work at 100x / 10x the size, within 2x
+    # (a scan of the alpha memory read 40x at the parent of PR 21).
+    flat = []
+    for small, large in [
+        ("join/retract/alpha1k", "join/retract/alpha100k"),
+        ("join/snapshot_capture/tokens10k", "join/snapshot_capture/tokens100k"),
+    ]:
+        growth = ns_ratio(rows, large, small)
+        assert growth <= 2, ("cost grows with the memo", large, small, growth)
+        flat.append((large, round(growth, 2)))
+    return "speedups %s; growth %s" % (speedups, flat)
 
 
 GATES = {"observability": gate_observability, "advisor": gate_advisor, "join": gate_join}

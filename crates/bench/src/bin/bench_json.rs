@@ -20,7 +20,10 @@
 //!   (advisor pick, measured-cheapest backend, per-backend projected
 //!   and measured ns) and the workload-account overhead pair;
 //! * `join` — memoized vs naive per-insert cost for 2- and 3-premise
-//!   join rules.
+//!   join rules; the cost of one `JoinEngine::retract` from a premise
+//!   no equality step keys, at three alpha-memory sizes; the cost of
+//!   one snapshot `capture` at two token counts. The last two must
+//!   stay flat.
 //!
 //! Every row has a `name`; timing rows carry `ns_per_op`, rows of runs
 //! with a live registry carry the final `counters` so shape regressions
@@ -32,9 +35,9 @@
 
 use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
-use bench::timing::{consume, median_ns_per_op};
+use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
 use joinmemo::naive::full_matches;
-use joinmemo::CompiledJoin;
+use joinmemo::{CompiledJoin, JoinEngine};
 use predindex::{Backend, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
@@ -507,11 +510,98 @@ fn join_case(cfg: &Config, w: &mut JsonWriter, case: &JoinCase, n: usize) {
         .end_object();
 }
 
+/// An engine holding `n` `dept` and `n` `emp` tuples, one of each per
+/// join key, and the rule `emp.dno = dept.dno` seeded over them (not
+/// fired: the log stays empty). Premises sort by relation, so `dept`
+/// is premise 0 — the one no equality step keys — and the memo holds
+/// `2n` tokens.
+fn paired_engine(n: usize) -> RuleEngine {
+    let mut engine = RuleEngine::new(join_db());
+    for i in 0..n as i64 {
+        for relation in ["dept", "emp"] {
+            engine
+                .insert(relation, vec![Value::Int(i), Value::Int(i % 97)])
+                .expect("preload");
+        }
+    }
+    engine
+        .add_rule(join_rule(JOIN_CASES[0].condition))
+        .expect("rule adds");
+    engine
+}
+
+/// One `JoinEngine::retract` of a premise-0 tuple — its own token and
+/// the one complete match under it — with `n` tuples in that alpha
+/// memory. The memo is driven directly; each run's victims are fed
+/// back in, untimed, so every run sees the same memo.
+fn join_retract(cfg: &Config, w: &mut JsonWriter, n: usize, label: &str) {
+    let engine = paired_engine(n);
+    let catalog = engine.db().catalog();
+    let condition = join_rule(JOIN_CASES[0].condition).joins.remove(0);
+    let compiled = CompiledJoin::compile(&condition, catalog).expect("bench condition compiles");
+    let mut memo = JoinEngine::new();
+    memo.register(0, compiled);
+    memo.seed(0, catalog);
+
+    let dept = catalog.relation("dept").expect("preloaded");
+    let calls = cfg.pick(128, 512);
+    // Spread over the whole memory, not its most recent corner.
+    let victims: Vec<_> = dept.iter().step_by(n / calls).take(calls).collect();
+    let mut retracted = 0;
+    let ns = min_ns(cfg.pick(3, 7), || {
+        let ns = time_ns(|| {
+            for (id, _) in &victims {
+                retracted = consume(memo.retract("dept", id.0));
+            }
+        });
+        for (id, tuple) in &victims {
+            memo.insert(0, 0, id.0, tuple);
+        }
+        ns / calls as f64
+    });
+    timing_row(w, &format!("join/retract/alpha{label}"), ns)
+        .key("tokens_per_call")
+        .uint(retracted)
+        .end_object();
+}
+
+/// One snapshot `capture` of an engine whose memo holds `tokens`
+/// tokens: everything a snapshot does before it encodes.
+fn join_snapshot_capture(cfg: &Config, w: &mut JsonWriter, tokens: usize, label: &str) {
+    let engine = paired_engine(tokens / 2);
+    let specs = std::collections::HashMap::new();
+    let calls = cfg.pick(16, 64);
+    let ns = min_ns(cfg.pick(3, 7), || {
+        time_ns(|| {
+            for _ in 0..calls {
+                let snap = durable::snapshot::capture(&engine, &specs, 0).expect("capturable");
+                consume(snap.join_fingerprint);
+            }
+        }) / calls as f64
+    });
+    let held: usize = engine
+        .join_stats()
+        .iter()
+        .flat_map(|(_, _, memos)| memos)
+        .map(|memo| memo.level_counts.iter().sum::<usize>())
+        .sum();
+    timing_row(w, &format!("join/snapshot_capture/tokens{label}"), ns)
+        .key("tokens")
+        .uint(held as u64)
+        .end_object();
+}
+
 fn join(cfg: &Config, w: &mut JsonWriter) {
     for case in &JOIN_CASES {
         for &n in cfg.pick(&[1_000][..], &[1_000, 10_000][..]) {
             join_case(cfg, w, case, n);
         }
+    }
+    for (n, label) in [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")] {
+        join_retract(cfg, w, n, label);
+    }
+    for (tokens, label) in [(10_000, "10k"), (100_000, "100k")] {
+        join_snapshot_capture(cfg, w, tokens, label);
     }
 }
 

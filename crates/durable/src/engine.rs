@@ -13,7 +13,7 @@
 
 use crate::record::{execute, resolve, ActionSpec, Applied, Record, RuleSpec};
 use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
-use crate::snapshot::{capture, write_snapshot, SnapshotError, SNAPSHOT_FILE};
+use crate::snapshot::{self, SnapshotError, SnapshotMetrics};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
 use predindex::Advisor;
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use telemetry::{Counter, FlightRecorder, Histogram, Registry, Telemetry};
+use telemetry::{FlightRecorder, Registry, Telemetry};
 
 /// Subdirectory of a durable home where flight dumps land.
 pub const FLIGHT_DIR: &str = "flight";
@@ -113,28 +113,6 @@ impl From<RecoverError> for DurableError {
     }
 }
 
-/// The durability-layer metric handles (snapshot + recovery families;
-/// the WAL has its own bundle in [`WalMetrics`]).
-struct DurableMetrics {
-    /// Snapshots taken (`durable_snapshots_total`).
-    snapshots: Counter,
-    /// Capture + atomic-install latency (`durable_snapshot_nanos`).
-    snapshot_nanos: Histogram,
-    /// Installed snapshot file sizes (`durable_snapshot_bytes`).
-    snapshot_bytes: Histogram,
-}
-
-impl DurableMetrics {
-    /// A disabled registry hands out no-op handles.
-    fn from_registry(registry: &Registry) -> Self {
-        DurableMetrics {
-            snapshots: registry.counter("durable_snapshots_total"),
-            snapshot_nanos: registry.histogram("durable_snapshot_nanos"),
-            snapshot_bytes: registry.histogram("durable_snapshot_bytes"),
-        }
-    }
-}
-
 /// A rule engine with a durable home directory.
 pub struct DurableRuleEngine {
     dir: PathBuf,
@@ -147,7 +125,7 @@ pub struct DurableRuleEngine {
     since_snapshot: u64,
     /// Re-applied to each fresh log a truncation creates.
     wal_metrics: WalMetrics,
-    metrics: DurableMetrics,
+    metrics: SnapshotMetrics,
     /// Post-mortem dumps into `dir/flight/`; built once at open from
     /// the same telemetry handle the engine records into.
     recorder: FlightRecorder,
@@ -225,18 +203,20 @@ impl DurableRuleEngine {
                 .counter("durable_recovery_frames_total")
                 .add(recovered.frames_replayed);
         }
-        let snap = capture(
+        // Part of opening, not of the workload: off the clocks.
+        snapshot::take(
+            &dir,
             &recovered.engine,
             &recovered.action_specs,
             recovered.last_seq,
+            &SnapshotMetrics::default(),
         )?;
-        write_snapshot(&dir, &snap)?;
         let mut engine = recovered.engine;
         engine.attach_metrics(telemetry.clone());
         let wal_metrics = WalMetrics::new(&telemetry);
         let mut wal = Wal::create(&dir.join(WAL_FILE), recovered.last_seq + 1, opts.sync)?;
         wal.set_metrics(wal_metrics.clone());
-        let metrics = DurableMetrics::from_registry(registry);
+        let metrics = SnapshotMetrics::new(registry);
         Ok(DurableRuleEngine {
             dir,
             engine,
@@ -455,17 +435,8 @@ impl DurableRuleEngine {
         // that were answered with an error.
         self.wal.check_poisoned()?;
         let _span = self.engine.telemetry().tracer().span("durable_snapshot");
-        let timer = self.metrics.snapshot_nanos.start_timer();
         let last = self.wal.next_seq() - 1;
-        let snap = capture(&self.engine, &self.specs, last)?;
-        write_snapshot(&self.dir, &snap)?;
-        self.metrics.snapshot_nanos.stop_timer(timer);
-        self.metrics.snapshots.inc();
-        if self.metrics.snapshot_bytes.is_enabled() {
-            if let Ok(meta) = std::fs::metadata(self.dir.join(SNAPSHOT_FILE)) {
-                self.metrics.snapshot_bytes.record(meta.len());
-            }
-        }
+        snapshot::take(&self.dir, &self.engine, &self.specs, last, &self.metrics)?;
         // Only truncate the log after the snapshot rename is durable;
         // a crash between the two leaves a stale log whose records
         // replay skips by sequence number.

@@ -73,5 +73,7 @@ pub mod wal;
 pub use engine::{DurableError, DurableRuleEngine, Options, FLIGHT_DIR};
 pub use record::{ActionSpec, Applied, Record, RuleSpec};
 pub use recovery::{replay, replay_traced, ActionRegistry, RecoverError, Recovered, WAL_FILE};
-pub use snapshot::{read_snapshot, write_snapshot, SnapshotData, SnapshotError, SNAPSHOT_FILE};
+pub use snapshot::{
+    read_snapshot, write_snapshot, SnapshotData, SnapshotError, SnapshotMetrics, SNAPSHOT_FILE,
+};
 pub use wal::{parse_wal, read_wal, SyncPolicy, Wal, WalMetrics, WalSuffix};

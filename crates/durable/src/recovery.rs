@@ -202,7 +202,7 @@ pub fn replay_traced(
             let mut db = Database::new();
             for rel in snap.relations {
                 db.catalog_mut()
-                    .adopt_relation(rel)
+                    .adopt_relation(rel.into_owned())
                     .map_err(|e| RecoverError::Corrupt {
                         what: "snapshot relations",
                         detail: e.to_string(),

@@ -26,10 +26,12 @@ use crate::recovery::RecoverError;
 use relation::codec::{decode_relation, encode_relation, CodecError, Reader, Writer};
 use relation::Relation;
 use rules::{Action, EventMask, RuleEngine};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
+use telemetry::{Counter, Histogram, Registry};
 
 /// File magic for snapshot files.
 pub const SNAP_MAGIC: &[u8; 8] = b"PMSNAP\0\0";
@@ -75,14 +77,16 @@ pub enum CondSnap {
     Join(String),
 }
 
-/// Decoded snapshot contents.
+/// Snapshot contents: decoded from a file (owning its relations), or
+/// captured from a live engine (borrowing them — a capture is encoded
+/// straight from the catalog, never copied).
 #[derive(Debug, Default)]
-pub struct SnapshotData {
+pub struct SnapshotData<'a> {
     /// Sequence number of the last WAL record folded into this state;
     /// replay skips log records at or below it.
     pub last_seq: u64,
     /// Full relation states, sorted by name.
-    pub relations: Vec<Relation>,
+    pub relations: Vec<Cow<'a, Relation>>,
     /// Rules sorted by id.
     pub rules: Vec<RuleSnap>,
     /// The engine's next rule id.
@@ -131,15 +135,80 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Captures the engine's current state. `specs` maps rule id to the
-/// durable action spec (maintained by [`crate::DurableRuleEngine`]);
-/// rules absent from it fall back to their in-engine `Action::Log`.
-pub fn capture(
+/// The snapshot metric handles. Default is the no-op bundle.
+#[derive(Debug, Clone, Default)]
+pub struct SnapshotMetrics {
+    /// Snapshots installed (`durable_snapshots_total`).
+    snapshots: Counter,
+    /// Capture through install, failed attempts included
+    /// (`durable_snapshot_nanos`).
+    nanos: Histogram,
+    /// Installed file sizes (`durable_snapshot_bytes`).
+    bytes: Histogram,
+    /// Tuples per installed snapshot (`durable_snapshot_tuples`).
+    tuples: Histogram,
+    /// The stages of one snapshot, in order: [`capture`], then inside
+    /// [`write_snapshot`] encode + checksum, `write`, `fdatasync`,
+    /// rename + directory sync
+    /// (`durable_snapshot_{capture,encode,write,sync,install}_nanos`).
+    capture_nanos: Histogram,
+    encode_nanos: Histogram,
+    write_nanos: Histogram,
+    sync_nanos: Histogram,
+    install_nanos: Histogram,
+}
+
+impl SnapshotMetrics {
+    /// Resolves the bundle against `registry` (no-ops if disabled).
+    pub fn new(registry: &Registry) -> SnapshotMetrics {
+        SnapshotMetrics {
+            snapshots: registry.counter("durable_snapshots_total"),
+            nanos: registry.histogram("durable_snapshot_nanos"),
+            bytes: registry.histogram("durable_snapshot_bytes"),
+            tuples: registry.histogram("durable_snapshot_tuples"),
+            capture_nanos: registry.histogram("durable_snapshot_capture_nanos"),
+            encode_nanos: registry.histogram("durable_snapshot_encode_nanos"),
+            write_nanos: registry.histogram("durable_snapshot_write_nanos"),
+            sync_nanos: registry.histogram("durable_snapshot_sync_nanos"),
+            install_nanos: registry.histogram("durable_snapshot_install_nanos"),
+        }
+    }
+}
+
+/// Runs `stage` on `clock`, whether or not it fails.
+fn timed<T>(clock: &Histogram, stage: impl FnOnce() -> T) -> T {
+    let started = clock.start_timer();
+    let out = stage();
+    clock.stop_timer(started);
+    out
+}
+
+/// One whole snapshot: [`capture`]s `engine` and installs the result
+/// as `dir`'s snapshot ([`write_snapshot`]), on `metrics`' clocks.
+pub(crate) fn take(
+    dir: &Path,
     engine: &RuleEngine,
     specs: &HashMap<u32, ActionSpec>,
     last_seq: u64,
-) -> Result<SnapshotData, SnapshotError> {
-    let mut relations: Vec<Relation> = engine.db().catalog().relations().cloned().collect();
+    metrics: &SnapshotMetrics,
+) -> Result<(), SnapshotError> {
+    timed(&metrics.nanos, || {
+        let snap = timed(&metrics.capture_nanos, || capture(engine, specs, last_seq))?;
+        Ok(write_snapshot(dir, &snap, metrics)?)
+    })
+    .map(|()| metrics.snapshots.inc())
+}
+
+/// Captures the engine's current state. `specs` maps rule id to the
+/// durable action spec (maintained by [`crate::DurableRuleEngine`]);
+/// rules absent from it fall back to their in-engine `Action::Log`.
+pub fn capture<'a>(
+    engine: &'a RuleEngine,
+    specs: &HashMap<u32, ActionSpec>,
+    last_seq: u64,
+) -> Result<SnapshotData<'a>, SnapshotError> {
+    let mut relations: Vec<Cow<'a, Relation>> =
+        (engine.db().catalog().relations().map(Cow::Borrowed)).collect();
     relations.sort_by(|a, b| a.schema().name().cmp(b.schema().name()));
 
     let mut rules = Vec::new();
@@ -251,13 +320,13 @@ fn encode_body(s: &SnapshotData) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_body(bytes: &[u8]) -> Result<SnapshotData, CodecError> {
+fn decode_body(bytes: &[u8]) -> Result<SnapshotData<'static>, CodecError> {
     let mut r = Reader::new(bytes);
     let last_seq = r.u64()?;
     let n_rel = r.count(4)?;
     let mut relations = Vec::with_capacity(n_rel);
     for _ in 0..n_rel {
-        relations.push(decode_relation(&mut r)?);
+        relations.push(Cow::Owned(decode_relation(&mut r)?));
     }
     let n_rules = r.count(4)?;
     let mut rules = Vec::with_capacity(n_rules);
@@ -322,37 +391,57 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData, CodecError> {
 
 /// Writes `data` as the directory's snapshot, atomically: encode,
 /// write to a temp file, `fdatasync`, rename over the old snapshot,
-/// then fsync the directory so the rename itself is durable.
-pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> io::Result<()> {
-    let body = encode_body(data);
-    let mut out = Vec::with_capacity(SNAP_MAGIC.len() + 10 + body.len());
-    out.extend_from_slice(SNAP_MAGIC);
-    out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+/// then fsync the directory so the rename itself is durable. Each
+/// stage runs on its clock in `metrics`.
+pub fn write_snapshot(
+    dir: &Path,
+    data: &SnapshotData,
+    metrics: &SnapshotMetrics,
+) -> io::Result<()> {
+    let out = timed(&metrics.encode_nanos, || {
+        let body = encode_body(data);
+        let mut out = Vec::with_capacity(SNAP_MAGIC.len() + 10 + body.len());
+        out.extend_from_slice(SNAP_MAGIC);
+        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    });
 
     let tmp = dir.join(SNAPSHOT_TMP);
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    f.write_all(&out)?;
-    f.sync_data()?;
+    let f = timed(&metrics.write_nanos, || {
+        let mut f = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        f.write_all(&out)?;
+        io::Result::Ok(f)
+    })?;
+    timed(&metrics.sync_nanos, || f.sync_data())?;
     drop(f);
-    std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-    // Persist the rename (directory metadata). Failure here still
-    // leaves a consistent file at one of the two names.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+    timed(&metrics.install_nanos, || {
+        std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+        // Persist the rename (directory metadata). Failure here still
+        // leaves a consistent file at one of the two names.
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+        io::Result::Ok(())
+    })?;
+    metrics.bytes.record(out.len() as u64);
+    if metrics.tuples.is_enabled() {
+        metrics
+            .tuples
+            .record(data.relations.iter().map(|r| r.len() as u64).sum());
     }
     Ok(())
 }
 
 /// Reads the directory's snapshot. `Ok(None)` if none has ever been
 /// installed; any malformed content is a hard error.
-pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotData>, RecoverError> {
+pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotData<'static>>, RecoverError> {
     let path = dir.join(SNAPSHOT_FILE);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
@@ -411,7 +500,7 @@ mod tests {
         dir
     }
 
-    fn sample() -> SnapshotData {
+    fn sample() -> SnapshotData<'static> {
         SnapshotData {
             last_seq: 42,
             relations: Vec::new(),
@@ -440,7 +529,7 @@ mod tests {
     fn round_trips_through_disk() {
         let dir = tmp("round");
         assert!(read_snapshot(&dir).unwrap().is_none());
-        write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(&dir, &sample(), &SnapshotMetrics::default()).unwrap();
         let back = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(back.last_seq, 42);
         assert_eq!(back.rules, sample().rules);
@@ -451,7 +540,7 @@ mod tests {
     #[test]
     fn any_corruption_is_a_hard_error() {
         let dir = tmp("corrupt");
-        write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(&dir, &sample(), &SnapshotMetrics::default()).unwrap();
         let path = dir.join(SNAPSHOT_FILE);
         let clean = std::fs::read(&path).unwrap();
         for i in 0..clean.len() {

@@ -159,3 +159,41 @@ fn pure_wal_replay_rebuilds_memo() {
     assert_eq!(recovered.engine.join_fingerprint(), live_join_fp);
     assert_eq!(fingerprint(&recovered.engine), live_fp);
 }
+
+/// A snapshot file written by the code before the memo kept a running
+/// digest (PR 20: the fingerprint it recorded was recomputed over every
+/// alpha entry and token of three memos — a two-premise equality join,
+/// a three-premise chain, an ordering join — after inserts, deletes,
+/// updates and a reused tuple slot). Recovery reseeds the memos and
+/// refuses the file unless the digest it arrives at *incrementally* is
+/// that recorded value, so opening it pins the two as equal.
+#[test]
+fn a_snapshot_recorded_before_the_running_digest_still_recovers() {
+    const RECORDED: u64 = 0x93ab_a04a_9b3c_85ca;
+    let dir = TempDir::new("join-fixture");
+    std::fs::write(
+        dir.join(durable::SNAPSHOT_FILE),
+        include_bytes!("fixtures/snapshot_v2_pr20.bin"),
+    )
+    .unwrap();
+    let recovered = replay(dir.path(), &FunctionRegistry::default(), &test_actions()).unwrap();
+    let engine = &recovered.engine;
+    assert_eq!(engine.join_fingerprint(), RECORDED);
+    engine.check_join_invariants().unwrap();
+    let mut matches: Vec<(u32, usize)> = engine
+        .rules_detail()
+        .map(|(id, _, _)| (id.0, engine.join_matches(id).unwrap()[0].len()))
+        .collect();
+    matches.sort_unstable();
+    assert_eq!(matches, [(0, 15), (1, 11), (2, 10)]);
+
+    // And the engine it opens into writes the same digest back.
+    let mut engine = open(dir.path());
+    assert_eq!(engine.engine().join_fingerprint(), RECORDED);
+    engine.delete("emp", TupleId(0)).unwrap();
+    engine.snapshot().unwrap();
+    let after = engine.engine().join_fingerprint();
+    assert_ne!(after, RECORDED);
+    drop(engine);
+    assert_eq!(open(dir.path()).engine().join_fingerprint(), after);
+}

@@ -74,6 +74,31 @@ fn wal_snapshot_and_recovery_metrics_flow_through_one_registry() {
     let (count, size_sum) = registry.histogram_totals("durable_snapshot_bytes").unwrap();
     assert_eq!(count, 1);
     assert!(size_sum > 0);
+    assert_eq!(
+        registry.histogram_totals("durable_snapshot_tuples"),
+        Some((1, 3))
+    );
+    // The stages partition the snapshot: each ran once, inside it.
+    let (_, whole) = registry.histogram_totals("durable_snapshot_nanos").unwrap();
+    let mut parts = 0;
+    for stage in ["capture", "encode", "write", "sync", "install"] {
+        let name = format!("durable_snapshot_{stage}_nanos");
+        let (count, nanos) = registry.histogram_totals(&name).unwrap();
+        assert_eq!(count, 1, "{name}");
+        parts += nanos;
+    }
+    assert!(parts <= whole, "stages {parts} ns of a {whole} ns snapshot");
+
+    // A snapshot that fails still stops its clocks: the temp file's
+    // name is taken by a directory, so the write stage errors.
+    std::fs::create_dir(dir.join("snapshot.tmp")).unwrap();
+    assert!(engine.snapshot().is_err());
+    std::fs::remove_dir(dir.join("snapshot.tmp")).unwrap();
+    let count = |name: &str| registry.histogram_totals(name).unwrap().0;
+    assert_eq!(count("durable_snapshot_nanos"), 2);
+    assert_eq!(count("durable_snapshot_write_nanos"), 2);
+    assert_eq!(count("durable_snapshot_sync_nanos"), 1);
+    assert_eq!(registry.counter_value("durable_snapshots_total"), Some(1));
 
     // Post-truncation appends keep counting on the same cells.
     engine.insert("emp", vec![Value::Int(100)]).unwrap();

@@ -2,13 +2,11 @@
 //! relation routing for retraction and the crate's metric families.
 
 use crate::compile::CompiledJoin;
-use crate::memo::{InsertOutcome, JoinMemo};
+use crate::memo::{Binding, InsertOutcome, JoinMemo};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
 use std::hash::{Hash, Hasher};
 use telemetry::{Counter, Histogram, Registry, Telemetry};
-
-use crate::memo::Binding;
 
 /// Per-condition statistics, for `:memo`, stats surfaces, and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,12 +44,27 @@ impl Metrics {
             bytes: registry.histogram("join_memo_bytes"),
         }
     }
+
+    /// Samples `memo`'s gauges after a mutation. Reading them walks
+    /// the memo's tables, so a disabled registry skips the read too.
+    fn sample(&self, memo: &JoinMemo) {
+        if self.partials.is_enabled() {
+            self.partials.record(memo.partial_count() as u64);
+            self.bytes.record(memo.approx_bytes());
+        }
+    }
+
+    /// Counts one insertion into `memo`.
+    fn inserted(&self, memo: &JoinMemo, out: &InsertOutcome) {
+        self.probes.add(out.probes);
+        self.sample(memo);
+    }
 }
 
 /// All join memos of one rule engine.
 pub struct JoinEngine {
     memos: FnvHashMap<u64, JoinMemo>,
-    /// relation -> [(condition key, premise index)]
+    /// relation -> [(condition key, premise index)], sorted.
     by_relation: FnvHashMap<String, Vec<(u64, usize)>>,
     metrics: Metrics,
 }
@@ -88,10 +101,12 @@ impl JoinEngine {
     /// empty; use [`seed`](Self::seed) to fill it from existing tuples.
     pub fn register(&mut self, key: u64, compiled: CompiledJoin) {
         for i in 0..compiled.arity() {
-            self.by_relation
+            let premises = self
+                .by_relation
                 .entry(compiled.relation(i).to_string())
-                .or_default()
-                .push((key, i));
+                .or_default();
+            premises.push((key, i));
+            premises.sort_unstable();
         }
         self.memos.insert(key, JoinMemo::new(compiled));
     }
@@ -110,14 +125,6 @@ impl JoinEngine {
         }
     }
 
-    /// Condition keys that have a premise over `relation`, with the
-    /// premise index, sorted by key.
-    pub fn premises_over(&self, relation: &str) -> Vec<(u64, usize)> {
-        let mut v = self.by_relation.get(relation).cloned().unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
     /// Feeds an alpha-matching tuple into premise `premise` of
     /// condition `key`. Returns the completed matches (sorted by
     /// tuple-id vector) plus probe/creation counts.
@@ -126,19 +133,31 @@ impl JoinEngine {
             return InsertOutcome::default();
         };
         let out = memo.insert(premise, tid, tuple);
-        self.metrics.probes.add(out.probes);
-        self.metrics.partials.record(memo.partial_count() as u64);
-        self.metrics.bytes.record(memo.approx_bytes());
+        self.metrics.inserted(memo, &out);
         out
+    }
+
+    /// Retracts tuple `tid` of `relation` from every memo with a
+    /// premise over it, in key order; `each` sees `(condition key,
+    /// tokens retracted)` per premise. Returns the total.
+    fn retract_each(&mut self, relation: &str, tid: u32, mut each: impl FnMut(u64, u64)) -> u64 {
+        let mut total = 0;
+        for &(key, premise) in self.by_relation.get(relation).into_iter().flatten() {
+            if let Some(memo) = self.memos.get_mut(&key) {
+                let n = memo.retract(premise, tid);
+                total += n;
+                each(key, n);
+                self.metrics.sample(memo);
+            }
+        }
+        self.metrics.retractions.add(total);
+        total
     }
 
     /// Retracts tuple `tid` of `relation` from every memo with a
     /// premise over it. Returns the number of tokens retracted.
     pub fn retract(&mut self, relation: &str, tid: u32) -> u64 {
-        self.retract_counted(relation, tid)
-            .iter()
-            .map(|&(_, n)| n)
-            .sum()
+        self.retract_each(relation, tid, |_, _| {})
     }
 
     /// [`retract`](Self::retract), reporting the per-condition split:
@@ -149,22 +168,12 @@ impl JoinEngine {
     /// condition.
     pub fn retract_counted(&mut self, relation: &str, tid: u32) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut total = 0;
-        for (key, premise) in self.premises_over(relation) {
-            if let Some(memo) = self.memos.get_mut(&key) {
-                let n = memo.retract(premise, tid);
-                total += n;
-                if n > 0 {
-                    match out.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, c)) => *c += n,
-                        None => out.push((key, n)),
-                    }
-                }
-                self.metrics.partials.record(memo.partial_count() as u64);
-                self.metrics.bytes.record(memo.approx_bytes());
-            }
-        }
-        self.metrics.retractions.add(total);
+        self.retract_each(relation, tid, |key, n| match out.last_mut() {
+            // Premises arrive in key order: one condition's are adjacent.
+            Some((k, c)) if *k == key => *c += n,
+            _ if n > 0 => out.push((key, n)),
+            _ => {}
+        });
         out
     }
 
@@ -173,31 +182,14 @@ impl JoinEngine {
     /// ascending tuple-id order. Returns each complete match exactly
     /// once, in the (deterministic) order seeding discovered it.
     pub fn seed(&mut self, key: u64, catalog: &Catalog) -> Vec<Binding> {
-        let Some(memo) = self.memos.get(&key) else {
+        let Some(memo) = self.memos.get_mut(&key) else {
             return Vec::new();
         };
-        let arity = memo.plan().arity();
         let mut completions = Vec::new();
-        for i in 0..arity {
-            // Collect first: the scan borrows the memo immutably.
-            let matching: Vec<(u32, Tuple)> = {
-                let memo = &self.memos[&key];
-                let rel_name = memo.plan().relation(i);
-                match catalog.relation(rel_name) {
-                    Some(rel) => memo
-                        .plan()
-                        .alpha(i)
-                        .scan(rel)
-                        .map(|(tid, t)| (tid.0, t.clone()))
-                        .collect(),
-                    None => Vec::new(),
-                }
-            };
-            for (tid, tuple) in matching {
-                let out = self.insert(key, i, tid, &tuple);
-                completions.extend(out.bindings);
-            }
-        }
+        memo.seed(catalog, |memo, out| {
+            self.metrics.inserted(memo, &out);
+            completions.extend(out.bindings);
+        });
         completions
     }
 
@@ -220,6 +212,29 @@ impl JoinEngine {
             }
             self.seed(key, catalog);
         }
+    }
+
+    /// The test oracle for everything the memos maintain incrementally.
+    /// Per condition: the slab's links, stored positions, free list
+    /// and counters are consistent; the running digest equals a full
+    /// recompute and the digest of a fresh memo seeded from `catalog`;
+    /// the complete matches equal [`naive::full_matches`].
+    ///
+    /// [`naive::full_matches`]: crate::naive::full_matches
+    pub fn check_invariants(&self, catalog: &Catalog) -> Result<(), String> {
+        for (key, memo) in &self.memos {
+            let fail = |what: &str| format!("condition {key}: {what}");
+            memo.check_structure().map_err(|e| fail(&e))?;
+            let mut fresh = JoinMemo::new(memo.plan().clone());
+            fresh.seed(catalog, |_, _| {});
+            if fresh.fingerprint() != memo.fingerprint() {
+                return Err(fail("digest differs from a freshly seeded memo's"));
+            }
+            if memo.complete_matches() != crate::naive::full_matches(memo.plan(), catalog) {
+                return Err(fail("complete matches differ from the naive join"));
+            }
+        }
+        Ok(())
     }
 
     /// Statistics for every registered condition, sorted by key.

@@ -1121,6 +1121,14 @@ impl RuleEngine {
         self.joins.fingerprint()
     }
 
+    /// The join memos' test oracle
+    /// ([`JoinEngine::check_invariants`]) against this engine's
+    /// database: internal consistency, running digest = recomputed =
+    /// freshly seeded, complete matches = the naive join.
+    pub fn check_join_invariants(&self) -> Result<(), String> {
+        self.joins.check_invariants(self.db.catalog())
+    }
+
     /// Complete join matches of rule `id`: per join condition, the
     /// sorted tuple-id vectors (premise order) currently complete in
     /// the memo. `None` for unknown rules.

@@ -5,7 +5,10 @@
 //! set against [`joinmemo::naive::full_matches`] — a stateless
 //! from-scratch evaluator over the same database. Any drift between
 //! the memoized and recomputed answers is a retraction or extension
-//! bug in the beta layer.
+//! bug in the beta layer. The same step runs the memos' own oracle
+//! ([`RuleEngine::check_join_invariants`]): slab links and stored
+//! positions consistent, running digest = full recompute = a freshly
+//! seeded memo's.
 
 use joinmemo::naive::full_matches;
 use joinmemo::CompiledJoin;
@@ -72,6 +75,9 @@ fn live_ids(engine: &RuleEngine, rel: &str) -> Vec<TupleId> {
 /// evaluator, and that the memoized complete-match sets are exactly
 /// the from-scratch ones (sorted tuple-id vectors both sides).
 fn assert_parity(engine: &RuleEngine, context: &str) {
+    if let Err(e) = engine.check_join_invariants() {
+        panic!("{context}: {e}");
+    }
     let rules: Vec<_> = engine
         .rules_detail()
         .map(|(id, rule, _)| (id, rule.name.clone(), rule.joins.clone()))

@@ -4,7 +4,8 @@
 //! `server_connections_total`, `server_requests_total{op=…}`,
 //! `server_request_nanos{op=…}`, `server_busy_total`,
 //! `server_bytes_total{dir=…}`, `server_events_dropped_total`,
-//! `server_queue_depth`, and `server_commit_group_size`. A disabled
+//! `server_queue_depth`, `server_commit_group_size`, and
+//! `server_engine_dead_total`. A disabled
 //! registry hands out disabled handles, so an unmetered server pays
 //! one branch per site.
 
@@ -39,6 +40,9 @@ pub(crate) struct ServerMetrics {
     /// Requests released per commit group
     /// (`server_commit_group_size`).
     pub(crate) group_size: Histogram,
+    /// Engine-thread panics survived just long enough to answer
+    /// everyone with an error (`server_engine_dead_total`; 0 or 1).
+    pub(crate) engine_dead: Counter,
     /// Keyed by the labels in [`OP_NAMES`].
     per_op: HashMap<&'static str, OpMetrics>,
 }
@@ -66,6 +70,7 @@ impl ServerMetrics {
             events_dropped: registry.counter("server_events_dropped_total"),
             queue_depth: registry.histogram("server_queue_depth"),
             group_size: registry.histogram("server_commit_group_size"),
+            engine_dead: registry.counter("server_engine_dead_total"),
             per_op,
         }
     }

@@ -34,6 +34,13 @@
 //!   acknowledged — those replies become [`Reply::Err`] — and the
 //!   fail-stopped log refuses every later write, while `Ping` and
 //!   `Health` keep answering.
+//! * **A dead engine thread is a dead server, not a silent one.** If
+//!   the engine thread panics (a rule action, a broken invariant), the
+//!   request it was running, everything its group held, everything
+//!   queued and everything sessions still hand over is answered with
+//!   [`Reply::Err`]; the stop flag goes up, so the listener closes and
+//!   every session ends at its next poll. `server_engine_dead_total`
+//!   counts it and [`ServerHandle::shutdown`] returns `None`.
 //! * **One reader thread per connection** parses frames and forwards
 //!   them to the engine queue with `try_send`: a full queue produces an
 //!   immediate [`Reply::Busy`] instead of unbounded buffering — that is
@@ -60,6 +67,7 @@ use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
@@ -152,7 +160,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<DurableRuleEngine>>,
+    /// Yields `None` if the engine thread died.
+    engine: Option<JoinHandle<Option<DurableRuleEngine>>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -179,7 +188,7 @@ impl ServerHandle {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        self.engine.take().and_then(|t| t.join().ok())
+        self.engine.take().and_then(|t| t.join().ok()).flatten()
     }
 }
 
@@ -212,7 +221,13 @@ pub fn serve(
         let depth = Arc::clone(&depth);
         std::thread::Builder::new()
             .name("ruleserv-engine".into())
-            .spawn(move || engine_loop(engine, engine_rx, &stop, &metrics, &depth, &opts))?
+            .spawn(move || {
+                let served = engine_loop(engine, &engine_rx, &stop, &metrics, &depth, &opts);
+                if served.is_none() {
+                    bury(&engine_rx, &depth, addr);
+                }
+                served
+            })?
     };
 
     let accept_thread = {
@@ -525,6 +540,9 @@ struct Committer<'a> {
     subscribers: HashMap<u64, Subscriber>,
     /// Reused from group to group.
     held: Vec<Held>,
+    /// The request [`run`](Self::run) is inside, kept where a panic
+    /// under it cannot drop its reply slot unanswered.
+    running: Option<Ticket>,
     applied: u64,
     tracer: Tracer,
     profiler: Profiler,
@@ -533,17 +551,25 @@ struct Committer<'a> {
     opts: &'a ServerOptions,
 }
 
+/// Why every reply after an engine-thread panic is an error.
+const ENGINE_DEAD: &str = "the engine thread died; the server is shutting down";
+
+/// Serves groups until shutdown and hands the engine back — or, if a
+/// group panics, raises the stop flag, answers what the group had
+/// taken in with [`Reply::Err`] and returns `None`: the engine's state
+/// is unknown from then on, so it is dropped, never touched again.
 fn engine_loop(
     mut engine: DurableRuleEngine,
-    rx: Receiver<EngineMsg>,
+    rx: &Receiver<EngineMsg>,
     stop: &AtomicBool,
     metrics: &ServerMetrics,
     depth: &AtomicU64,
     opts: &ServerOptions,
-) -> DurableRuleEngine {
+) -> Option<DurableRuleEngine> {
     let mut committer = Committer {
         subscribers: HashMap::new(),
         held: Vec::new(),
+        running: None,
         applied: 0,
         tracer: engine.telemetry().tracer().clone(),
         profiler: engine.telemetry().profiler().clone(),
@@ -551,7 +577,7 @@ fn engine_loop(
         depth,
         opts,
     };
-    loop {
+    let served = catch_unwind(AssertUnwindSafe(|| loop {
         // Checked every iteration (not only on idle timeouts) so a
         // saturating workload cannot postpone shutdown indefinitely.
         let first = if stop.load(Ordering::Relaxed) {
@@ -568,9 +594,32 @@ fn engine_loop(
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         };
-        committer.commit_group(&mut engine, first, &rx);
+        committer.commit_group(&mut engine, first, rx);
+    }));
+    if served.is_ok() {
+        return Some(engine);
     }
-    engine
+    metrics.engine_dead.inc();
+    stop.store(true, Ordering::Relaxed);
+    let held = committer.held.drain(..).filter_map(|held| held.ack);
+    for ticket in held.map(|ack| ack.ticket).chain(committer.running.take()) {
+        let _ = ticket.slot.send(Reply::Err(ENGINE_DEAD.into()));
+    }
+    None
+}
+
+/// After the engine thread died: wakes the blocking accept so the
+/// listener closes, then answers every queued request, and every one
+/// a session still hands over before it sees the stop flag, with
+/// [`Reply::Err`] — until the last session is gone.
+fn bury(rx: &Receiver<EngineMsg>, depth: &AtomicU64, addr: SocketAddr) {
+    let _ = TcpStream::connect(wake_addr(addr));
+    for msg in rx {
+        if let EngineMsg::Request(Queued { ticket, .. }) = msg {
+            depth.fetch_sub(1, Ordering::Relaxed);
+            let _ = ticket.slot.send(Reply::Err(ENGINE_DEAD.into()));
+        }
+    }
 }
 
 impl Committer<'_> {
@@ -626,6 +675,7 @@ impl Committer<'_> {
         });
         let before = self.profiler.source_snapshot();
         let mut seq = None;
+        self.running = Some(ticket);
         let (reply, effect) = match kind {
             Kind::Apply(record) => {
                 let next = engine.next_seq();
@@ -659,15 +709,13 @@ impl Committer<'_> {
             }
         };
         let cost = self.profiler.source_snapshot().delta_since(&before);
-        self.held.push(Held {
-            ack: Some(Ack {
-                ticket,
-                reply,
-                seq,
-                cost,
-            }),
-            effect,
+        let ack = self.running.take().map(|ticket| Ack {
+            ticket,
+            reply,
+            seq,
+            cost,
         });
+        self.held.push(Held { ack, effect });
     }
 
     /// Releases the group in request order. `failure` is the group

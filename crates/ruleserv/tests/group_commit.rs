@@ -33,10 +33,12 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The test's end of the `"gate"` action: `entered` fires when a firing
-/// starts; the firing returns on a `()` through `open`.
+/// starts; the firing returns on a `()` through `open` — or, once
+/// `explode` is set, panics there, taking the engine thread with it.
 struct Gate {
     entered: Receiver<()>,
     open: Sender<()>,
+    explode: Arc<AtomicBool>,
 }
 
 /// `"gate"` parks the engine thread until the test opens it; `"slow"`
@@ -45,15 +47,23 @@ fn actions() -> (ActionRegistry, Gate) {
     let (entered_tx, entered) = mpsc::channel();
     let (open, open_rx) = mpsc::channel::<()>();
     let open_rx = Mutex::new(open_rx);
+    let explode = Arc::new(AtomicBool::new(false));
+    let fuse = Arc::clone(&explode);
     let mut actions = ActionRegistry::new();
     actions.register("gate", move |_ctx| {
         let _ = entered_tx.send(());
         // A dropped sender (the test is over, or this is a replay)
         // opens the gate too.
         let _ = open_rx.lock().unwrap().recv();
+        assert!(!fuse.load(Ordering::Relaxed), "the gate action exploded");
     });
     actions.register("slow", |_ctx| std::thread::sleep(Duration::from_millis(1)));
-    (actions, Gate { entered, open })
+    let gate = Gate {
+        entered,
+        open,
+        explode,
+    };
+    (actions, gate)
 }
 
 struct Fixture {
@@ -529,5 +539,75 @@ fn a_failed_log_acknowledges_nothing_more() {
     let catalog = recovered.engine().db().catalog();
     assert_eq!(catalog.relation("g").unwrap().len(), 1);
     drop(recovered);
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// Runs `wait` — a client blocking on the server — on a thread of its
+/// own and fails, by assertion, if it has not returned in ten seconds.
+fn within_ten_seconds<T: Send + 'static>(
+    what: &str,
+    wait: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || done.send(wait()));
+    match outcome.recv_timeout(Duration::from_secs(10)) {
+        Ok(outcome) => outcome,
+        Err(_) => panic!("{what}: the client is still waiting"),
+    }
+}
+
+/// An engine-thread panic (here: inside a rule action) must not leave
+/// anyone waiting. The request it was running, the requests queued
+/// behind it and whatever sessions still hand over are answered with
+/// an error; the listener closes; the death is counted.
+#[test]
+fn a_dead_engine_thread_answers_everyone_and_closes_the_server() {
+    let fx = start("dead-engine", DURABLE, ServerOptions::default());
+    let addr = fx.server.addr();
+    let mut holder = Client::connect(addr).unwrap();
+    let mut queued = Client::connect(addr).unwrap();
+    let mut late = Client::connect(addr).unwrap();
+    create_world(&fx, &mut holder);
+    late.ping().unwrap();
+
+    fx.close_gate(&mut holder);
+    let burst: Vec<Request> = (0..3).map(|v| insert("t", v)).collect();
+    fx.queue(&mut queued, &burst);
+    fx.gate.explode.store(true, Ordering::Relaxed);
+    fx.gate.open.send(()).unwrap();
+
+    let died = |reply: Result<Reply, ruleserv::ClientError>| match reply {
+        Ok(Reply::Err(why)) => assert!(why.contains("engine thread died"), "{why}"),
+        Ok(other) => panic!("a dead engine acknowledged a request: {}", other.kind()),
+        Err(e) => panic!("the connection closed on an unanswered request: {e}"),
+    };
+    died(within_ten_seconds("the request that panicked", move || {
+        holder.recv_reply()
+    }));
+    let replies = within_ten_seconds("the requests queued behind it", move || {
+        [(); 3].map(|()| queued.recv_reply())
+    });
+    replies.into_iter().for_each(died);
+    // A session that was idle through all of it: its next request is
+    // refused or its connection is closed under it, whichever its
+    // reader gets to first — it is not left unanswered.
+    match within_ten_seconds("a request after the death", move || {
+        late.call(&insert("q", 1))
+    }) {
+        Ok(reply) => assert_eq!(reply.kind(), "err"),
+        Err(_closed) => {}
+    }
+
+    assert_eq!(
+        fx.registry.counter_value("server_engine_dead_total"),
+        Some(1)
+    );
+    wait_until("the listener is closed", || {
+        TcpStream::connect(addr).is_err()
+    });
+    assert!(
+        fx.server.shutdown().is_none(),
+        "a dead engine is not handed back"
+    );
     std::fs::remove_dir_all(&fx.dir).unwrap();
 }

@@ -7,7 +7,7 @@
 //!
 //! The paper's critique — low-dimensional "slice" predicates over
 //! high-dimensional relations overlap extensively and index poorly — is
-//! reproduced quantitatively by the `ablation_matchers` benchmark; the
+//! reproduced quantitatively by `reproduce matchers` (ablation C); the
 //! inability to represent open intervals natively shows up here as
 //! world-bound clamping (see [`WORLD`]).
 //!

@@ -169,13 +169,16 @@ impl FileContext {
         }
     }
 
-    /// How many `srclint:allow` suppression comments the file carries
-    /// (one per comment token mentioning the marker, however many
-    /// lints it names).
+    /// How many `srclint:allow` suppression comments the file carries:
+    /// one per comment naming at least one registered lint, however
+    /// many it names. A comment that only *describes* the syntax
+    /// (`srclint:allow(<lint>)`, or any mention in a doc comment)
+    /// names none and is not a suppression.
     pub fn suppression_count(&self) -> usize {
         self.tokens
             .iter()
-            .filter(|t| t.is_comment() && t.text(&self.src).contains("srclint:allow("))
+            .filter(|t| t.is_comment())
+            .filter(|t| allow_names(t.text(&self.src)).any(crate::lints::is_registered))
             .count()
     }
 
@@ -523,23 +526,27 @@ fn find_closures(src: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
 fn find_allows(src: &str, tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {
     let mut out: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     for t in tokens.iter().filter(|t| t.is_comment()) {
-        let text = t.text(src);
-        let mut rest = text;
-        while let Some(at) = rest.find("srclint:allow(") {
-            rest = &rest[at + "srclint:allow(".len()..];
-            let Some(close) = rest.find(')') else { break };
-            for name in rest[..close].split(',') {
-                let name = name.trim().to_string();
-                if name.is_empty() {
-                    continue;
-                }
-                out.entry(t.line).or_default().insert(name.clone());
-                out.entry(t.line + 1).or_default().insert(name);
-            }
-            rest = &rest[close..];
+        for name in allow_names(t.text(src)) {
+            out.entry(t.line).or_default().insert(name.to_string());
+            out.entry(t.line + 1).or_default().insert(name.to_string());
         }
     }
     out
+}
+
+/// Every name listed by the `srclint:allow(a, b)` markers in one
+/// comment's text. Doc comments list none: they document an item (the
+/// lint modules' own docs quote the marker), they do not annotate a
+/// line.
+fn allow_names(comment: &str) -> impl Iterator<Item = &str> {
+    let is_doc = ["///", "//!", "/**", "/*!"]
+        .iter()
+        .any(|p| comment.starts_with(p));
+    let markers = if is_doc { "" } else { comment };
+    markers.split("srclint:allow(").skip(1).flat_map(|rest| {
+        let listed = rest.find(')').map_or("", |close| &rest[..close]);
+        listed.split(',').map(str::trim).filter(|n| !n.is_empty())
+    })
 }
 
 #[cfg(test)]
@@ -675,5 +682,22 @@ mod tests {
             "// srclint:allow(no-panic-in-lib): one\nfn f() {}\n// srclint:allow(lock-discipline, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
         );
         assert_eq!(c.suppression_count(), 2);
+    }
+
+    #[test]
+    fn suppression_count_skips_comments_that_only_describe_the_syntax() {
+        let c = ctx(concat!(
+            "//! Suppress with `// srclint:allow(<lint>): <why>`.\n",
+            "// as in srclint:allow(<lint>) or srclint:allow(...)\n",
+            "/// e.g. `// srclint:allow(no-panic-in-lib): <why>`\n",
+            "fn f() { x.unwrap(); }\n",
+            "// srclint:allow(no-panic-in-lib): a real one\n",
+            "fn g() { y.unwrap(); }\n",
+        ));
+        assert_eq!(c.suppression_count(), 1);
+        // Only the real one suppresses: the doc comment above `f`
+        // names a registered lint and still covers nothing.
+        assert!(!c.is_allowed("no-panic-in-lib", 4));
+        assert!(c.is_allowed("no-panic-in-lib", 6));
     }
 }

@@ -109,6 +109,14 @@ pub fn workspace_all() -> Vec<WorkspaceLint> {
     ]
 }
 
+/// Is `name` a lint of either suite (or the `all` wildcard) — i.e.
+/// does an allow comment naming it suppress anything?
+pub(crate) fn is_registered(name: &str) -> bool {
+    name == "all"
+        || all().iter().any(|l| l.name == name)
+        || workspace_all().iter().any(|l| l.name == name)
+}
+
 /// Is token `i` the identifier `name` invoked as a method
 /// (`recv.name(...)`)?
 pub(crate) fn is_method_call(ctx: &FileContext, i: usize, name: &str) -> bool {

@@ -1,8 +1,10 @@
 //! `no-panic-in-lib`: library code paths must not reach for
 //! `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!` or
 //! `unimplemented!`. A predicate index embedded in a rule engine is
-//! infrastructure — a stray panic tears down every shard's worker
-//! and poisons its lock. Fallible paths return `Result`; invariant
+//! infrastructure — the engine is serial, so a stray panic on the
+//! request path unwinds the rule server's one engine thread: every
+//! held, queued and later request is answered with an error and the
+//! daemon stops serving. Fallible paths return `Result`; invariant
 //! checks use `debug_assert!`; the few deliberate panics (poisoned
 //! locks, documented API misuse) carry a
 //! `// srclint:allow(no-panic-in-lib): <why>` justification.

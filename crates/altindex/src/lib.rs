@@ -15,6 +15,7 @@
 //! | [`IntervalSkipList`] | yes | §6 future-work direction (Hanson's own successor structure) |
 //! | `ibs::IbsTree` | yes | the paper's contribution (implements [`StabIndex`] here) |
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unreachable_pub)]
 
 mod common;

@@ -30,6 +30,7 @@
 //! The whole-stack benchmark (`stackbench`, `BENCHMARK.json`) is a
 //! package of its own under `benchmark/` and uses nothing from here.
 
+#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
 pub mod costmodel;

@@ -62,6 +62,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 pub mod crc;
 mod engine;

@@ -147,8 +147,7 @@ impl Applied {
 
 /// The typed wrappers know the outcome their own record kind produces.
 fn mismatch(wanted: &str) -> ! {
-    // srclint:allow(no-panic-in-lib): `execute` answers each record kind with one fixed outcome; a typed wrapper asking for another is a bug in this crate
-    panic!("record outcome is not {wanted}")
+    panic!("execute answers each record kind with one fixed outcome; this one is not {wanted}")
 }
 
 /// The live rule an `AddRule` record registers (`None` for every other
@@ -183,8 +182,8 @@ pub(crate) fn execute(
         }
         Record::DropRelation { name } => Applied::Dropped(engine.drop_relation(&name)?),
         Record::AddRule { spec } => {
-            // srclint:allow(no-panic-in-lib): both callers pass `resolve`'s answer, which is `Some` for exactly this variant
-            let rule = rule.expect("resolve builds every AddRule's rule");
+            let rule =
+                rule.expect("both callers pass resolve's answer, which is Some for every AddRule");
             let id = engine.add_rule(rule)?;
             specs.insert(id.0, spec.action);
             Applied::RuleAdded(id)
@@ -311,28 +310,40 @@ impl Record {
         }
     }
 
+    /// The record kind's leading byte in the WAL and on the wire
+    /// (DESIGN.md §14 "Record tags"). Exhaustive: a new variant does
+    /// not build until it has a tag.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Record::CreateRelation { .. } => TAG_CREATE_RELATION,
+            Record::DropRelation { .. } => TAG_DROP_RELATION,
+            Record::AddRule { .. } => TAG_ADD_RULE,
+            Record::RemoveRule { .. } => TAG_REMOVE_RULE,
+            Record::Insert { .. } => TAG_INSERT,
+            Record::Update { .. } => TAG_UPDATE,
+            Record::Delete { .. } => TAG_DELETE,
+            Record::InsertBatch { .. } => TAG_INSERT_BATCH,
+        }
+    }
+
     /// Serializes the record payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        w.u8(self.tag());
         match self {
             Record::CreateRelation { schema } => {
-                w.u8(TAG_CREATE_RELATION);
                 encode_schema(&mut w, schema);
             }
             Record::DropRelation { name } => {
-                w.u8(TAG_DROP_RELATION);
                 w.str(name);
             }
             Record::AddRule { spec } => {
-                w.u8(TAG_ADD_RULE);
                 encode_rule_spec(&mut w, spec);
             }
             Record::RemoveRule { id } => {
-                w.u8(TAG_REMOVE_RULE);
                 w.u32(*id);
             }
             Record::Insert { relation, values } => {
-                w.u8(TAG_INSERT);
                 w.str(relation);
                 encode_values(&mut w, values);
             }
@@ -341,18 +352,15 @@ impl Record {
                 id,
                 values,
             } => {
-                w.u8(TAG_UPDATE);
                 w.str(relation);
                 w.u32(*id);
                 encode_values(&mut w, values);
             }
             Record::Delete { relation, id } => {
-                w.u8(TAG_DELETE);
                 w.str(relation);
                 w.u32(*id);
             }
             Record::InsertBatch { relation, rows } => {
-                w.u8(TAG_INSERT_BATCH);
                 w.str(relation);
                 w.u32(rows.len() as u32);
                 for row in rows {

@@ -448,26 +448,24 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotData<'static>>, Recove
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(RecoverError::Io(e)),
     };
-    let header_len = SNAP_MAGIC.len() + 10;
-    if bytes.len() < header_len || &bytes[..8] != SNAP_MAGIC {
-        return Err(RecoverError::Corrupt {
-            what: "snapshot header",
-            detail: "bad magic or short file".into(),
-        });
-    }
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
+    let mut r = Reader::new(&bytes);
+    let (version, body_len, stored_crc) =
+        match (r.take(SNAP_MAGIC.len()), r.u16(), r.u32(), r.u32()) {
+            (Ok(magic), Ok(v), Ok(n), Ok(c)) if magic == SNAP_MAGIC => (v, n as usize, c),
+            _ => {
+                return Err(RecoverError::Corrupt {
+                    what: "snapshot header",
+                    detail: "bad magic or short file".into(),
+                })
+            }
+        };
     if version != SNAP_VERSION {
         return Err(RecoverError::Corrupt {
             what: "snapshot version",
             detail: format!("found {version}, expected {SNAP_VERSION}"),
         });
     }
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let body_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let stored_crc = u32::from_le_bytes(bytes[14..18].try_into().unwrap());
-    let body = &bytes[header_len..];
+    let body = &bytes[r.pos()..];
     if body.len() != body_len {
         return Err(RecoverError::Corrupt {
             what: "snapshot length",

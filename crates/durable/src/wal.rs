@@ -27,6 +27,7 @@
 
 use crate::crc::Crc32;
 use crate::record::Record;
+use relation::codec::Reader;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -317,35 +318,27 @@ pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
     let mut out = WalSuffix::default();
     // Header: anything short or mismatched means we cannot trust a
     // single byte of the file — treat as empty.
-    if bytes.len() < WAL_HEADER_LEN || &bytes[..8] != WAL_MAGIC {
+    let mut r = Reader::new(bytes);
+    let (Ok(magic), Ok(version), Ok(start_seq), Ok(stored_crc)) =
+        (r.take(WAL_MAGIC.len()), r.u16(), r.u64(), r.u32())
+    else {
         return out;
-    }
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let start_seq = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let stored_crc = u32::from_le_bytes(bytes[18..22].try_into().unwrap());
+    };
     let mut crc = Crc32::new();
     crc.update(&bytes[8..18]);
-    if version != WAL_VERSION || crc.finish() != stored_crc {
+    if magic != WAL_MAGIC || version != WAL_VERSION || crc.finish() != stored_crc {
         return out;
     }
     out.start_seq = start_seq;
 
-    let mut pos = WAL_HEADER_LEN;
     let mut expect_seq = start_seq;
     // Torn tail ends the read without error: anything after the first
     // anomaly is unreachable (frames are not self-synchronizing).
-    while let Some(frame) = bytes.get(pos..pos + 8) {
-        // srclint:allow(no-panic-in-lib): constant-width frame slice — try_into to a fixed array cannot fail
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
-        // srclint:allow(no-panic-in-lib): constant-width frame slice — try_into to a fixed array cannot fail
-        let stored_crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+    while let (Ok(len), Ok(stored_crc)) = (r.u32(), r.u32()) {
         if !(8..=MAX_FRAME).contains(&len) {
             break; // nonsense length
         }
-        let Some(body) = bytes.get(pos + 8..pos + 8 + len as usize) else {
+        let Ok(body) = r.take(len as usize) else {
             break; // frame extends past EOF: torn tail
         };
         let mut crc = Crc32::new();
@@ -353,17 +346,15 @@ pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
         if crc.finish() != stored_crc {
             break; // checksum mismatch
         }
-        // srclint:allow(no-panic-in-lib): body length was checked to be at least 8 above
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        if seq != expect_seq {
+        let mut body = Reader::new(body);
+        if body.u64() != Ok(expect_seq) {
             break; // sequence discontinuity
         }
-        let Ok(record) = Record::decode(&body[8..]) else {
+        let Ok(record) = body.take(body.remaining()).and_then(Record::decode) else {
             break; // checksummed but undecodable: foreign version data
         };
-        pos += 8 + len as usize;
-        out.records.push((seq, record));
-        out.frame_ends.push(pos as u64);
+        out.records.push((expect_seq, record));
+        out.frame_ends.push(r.pos() as u64);
         expect_seq += 1;
     }
     out

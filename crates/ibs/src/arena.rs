@@ -95,8 +95,10 @@ impl<K> Arena<K> {
             self.nodes[id.index()] = Some(Node::new(value));
             id
         } else {
-            // srclint:allow(no-panic-in-lib): u32 id-space exhaustion (4B nodes) is unrecoverable resource exhaustion
-            let id = NodeId(u32::try_from(self.nodes.len()).expect("arena overflow"));
+            let id = NodeId(
+                u32::try_from(self.nodes.len())
+                    .expect("fewer than 2^32 live nodes: the u32 id space is the arena's capacity"),
+            );
             self.nodes.push(Some(Node::new(value)));
             id
         }
@@ -104,8 +106,9 @@ impl<K> Arena<K> {
 
     /// Releases a node's slot back to the free list.
     pub(crate) fn dealloc(&mut self, id: NodeId) -> Node<K> {
-        // srclint:allow(no-panic-in-lib): documented, tested panic — a double free is tree-corruption and must not be papered over
-        let node = self.nodes[id.index()].take().expect("double free");
+        let node = self.nodes[id.index()]
+            .take()
+            .expect("double free: the node was already released, the tree's links are corrupt");
         self.free.push(id);
         self.live -= 1;
         node
@@ -162,16 +165,18 @@ impl<K> std::ops::Index<NodeId> for Arena<K> {
     type Output = Node<K>;
     #[inline]
     fn index(&self, id: NodeId) -> &Node<K> {
-        // srclint:allow(no-panic-in-lib): Index contract — a dangling NodeId is a broken tree link, not a recoverable state
-        self.nodes[id.index()].as_ref().expect("dangling node id")
+        self.nodes[id.index()]
+            .as_ref()
+            .expect("dangling node id: a tree link points at a freed slot")
     }
 }
 
 impl<K> std::ops::IndexMut<NodeId> for Arena<K> {
     #[inline]
     fn index_mut(&mut self, id: NodeId) -> &mut Node<K> {
-        // srclint:allow(no-panic-in-lib): Index contract — a dangling NodeId is a broken tree link, not a recoverable state
-        self.nodes[id.index()].as_mut().expect("dangling node id")
+        self.nodes[id.index()]
+            .as_mut()
+            .expect("dangling node id: a tree link points at a freed slot")
     }
 }
 

@@ -39,7 +39,6 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
     #[track_caller]
     pub fn assert_invariants(&self) {
         if let Err(e) = self.check_invariants() {
-            // srclint:allow(no-panic-in-lib): documented panicking wrapper over check_invariants, used by tests and fault drills
             panic!("IBS-tree invariant violated: {e}");
         }
     }
@@ -259,8 +258,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 match slot {
                     Slot::Less => inherited.extend(n.less.iter()),
                     Slot::Greater => inherited.extend(n.greater.iter()),
-                    // srclint:allow(no-panic-in-lib): the enclosing loop iterates Less/Greater frames only; Eq is structurally excluded
-                    Slot::Eq => unreachable!(),
+                    Slot::Eq => unreachable!("the path holds only Less/Greater frames"),
                 }
                 if child.is_null() {
                     let expected: HashSet<u32> = self

@@ -44,7 +44,9 @@
 //! assert_eq!(at18, vec![IntervalId(3), IntervalId(5)]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 mod arena;
 mod balance;

@@ -72,8 +72,9 @@ impl<K: Ord + Clone> IbsTree<K> {
                 continue;
             }
             prev = Some(id);
-            // srclint:allow(no-panic-in-lib): candidate ids were read out of the tree's own mark sets under the same borrow
-            let iv = self.get(id).expect("candidate came from the tree");
+            let iv = self
+                .get(id)
+                .expect("candidate ids were read from the tree's own mark sets");
             if iv.overlaps(query) {
                 out[keep] = id;
                 keep += 1;

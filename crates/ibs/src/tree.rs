@@ -350,13 +350,15 @@ impl<K: Ord + Clone> IbsTree<K> {
         //    owns the same node twice), then collect values whose nodes
         //    are now unowned and must be deleted.
         if let Some(v) = &lo_val {
-            // srclint:allow(no-panic-in-lib): endpoint-ownership invariant — every stored interval's finite endpoint has a node; absence is tree corruption
-            let n = self.find_node(v).expect("lo endpoint node missing");
+            let n = self
+                .find_node(v)
+                .expect("every stored interval's finite lo endpoint owns a node");
             self.arena[n].lo_owners.remove(id);
         }
         if let Some(v) = &hi_val {
-            // srclint:allow(no-panic-in-lib): endpoint-ownership invariant — every stored interval's finite endpoint has a node; absence is tree corruption
-            let n = self.find_node(v).expect("hi endpoint node missing");
+            let n = self
+                .find_node(v)
+                .expect("every stored interval's finite hi endpoint owns a node");
             self.arena[n].hi_owners.remove(id);
         }
         let mut doomed: Vec<K> = Vec::new();
@@ -364,8 +366,9 @@ impl<K: Ord + Clone> IbsTree<K> {
             if doomed.last() == Some(v) {
                 continue; // point interval: both endpoints share a node
             }
-            // srclint:allow(no-panic-in-lib): endpoint-ownership invariant — both endpoints were just verified above
-            let n = self.find_node(v).expect("endpoint node missing");
+            let n = self
+                .find_node(v)
+                .expect("both endpoint nodes were found just above");
             if !self.arena[n].has_owners() {
                 doomed.push(v.clone());
             }
@@ -485,8 +488,11 @@ impl<K: Ord + Clone> IbsTree<K> {
         // the new shape. (The interval being removed is already gone from
         // the side table, so it can never appear in `repair`.)
         for m in repair {
-            // srclint:allow(no-panic-in-lib): repair set is drawn from the side table under the same borrow; a missing id is registry corruption
-            let iv = self.intervals.get(&m.0).expect("repair id unknown").clone();
+            let iv = self
+                .intervals
+                .get(&m.0)
+                .expect("repair ids come from the interval table under this borrow")
+                .clone();
             self.place_marks(m, &iv);
         }
     }
@@ -537,13 +543,11 @@ impl<K: Ord + Clone> IbsTree<K> {
             let places = self
                 .placements
                 .get_mut(&id.0)
-                // srclint:allow(no-panic-in-lib): mark/placement registry is updated atomically by add_mark; divergence is the Figure 5/6 rotation bug this code prevents
-                .expect("mark without placement record");
+                .expect("add_mark records a placement with every mark it sets");
             let pos = places
                 .iter()
                 .position(|&(n, s)| n == node && s == slot)
-                // srclint:allow(no-panic-in-lib): same registry invariant as above, checked from the other side
-                .expect("placement record out of sync");
+                .expect("a mark's placement list names the node that carries it");
             places.swap_remove(pos);
         }
     }

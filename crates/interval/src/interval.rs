@@ -65,27 +65,23 @@ impl<K: Ord + Clone> Interval<K> {
     /// `[a, b]`. Panics if `a > b` (programmer error in literals; use
     /// [`Interval::new`] for data-driven construction).
     pub fn closed(a: K, b: K) -> Self {
-        // srclint:allow(no-panic-in-lib): documented panic — literal-convenience constructor; data-driven callers use Interval::new
         Self::new(Lower::Inclusive(a), Upper::Inclusive(b)).expect("closed(a, b) requires a <= b")
     }
 
     /// `(a, b)`. Panics if empty.
     pub fn open(a: K, b: K) -> Self {
-        // srclint:allow(no-panic-in-lib): documented panic — literal-convenience constructor; data-driven callers use Interval::new
         Self::new(Lower::Exclusive(a), Upper::Exclusive(b)).expect("open(a, b) requires a < b")
     }
 
     /// `[a, b)`. Panics if empty.
     pub fn closed_open(a: K, b: K) -> Self {
         Self::new(Lower::Inclusive(a), Upper::Exclusive(b))
-            // srclint:allow(no-panic-in-lib): documented panic — literal-convenience constructor; data-driven callers use Interval::new
             .expect("closed_open(a, b) requires a < b")
     }
 
     /// `(a, b]`. Panics if empty.
     pub fn open_closed(a: K, b: K) -> Self {
         Self::new(Lower::Exclusive(a), Upper::Inclusive(b))
-            // srclint:allow(no-panic-in-lib): documented panic — literal-convenience constructor; data-driven callers use Interval::new
             .expect("open_closed(a, b) requires a < b")
     }
 

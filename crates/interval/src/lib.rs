@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 mod bound;
 mod interval;

@@ -403,8 +403,9 @@ impl JoinMemo {
             self.tokens[parent as usize].first_child = id;
         }
         let owners = &mut self.alpha[level as usize];
-        // srclint:allow(no-panic-in-lib): insert stores the tuple before any token over it
-        let owner = owners.get_mut(&tid).expect("token over a known tuple");
+        let owner = owners
+            .get_mut(&tid)
+            .expect("insert stores the tuple before any token over it");
         push_front(&mut self.tokens, owner.first_owned, id, owned);
         owner.first_owned = id;
         self.level_counts[level as usize] += 1;

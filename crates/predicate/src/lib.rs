@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 mod clause;
 mod functions;
@@ -186,6 +187,33 @@ mod tests {
         assert!(!p.is_satisfiable());
         let p = parse_predicate("20 <= emp.age <= 10").unwrap();
         assert!(!p.is_satisfiable());
+    }
+
+    /// Condition text is hostile input (an `AddRule` frame carries it):
+    /// its size limits answer with an error where the parser used to
+    /// overflow its stack (`(` x 100k) or build 2^n predicates.
+    #[test]
+    fn oversized_conditions_are_errors_not_stack_or_memory_bombs() {
+        let too_complex = |text: &str| {
+            matches!(
+                parse_rule_conditions(text),
+                Err(ParseError::TooComplex { .. })
+            )
+        };
+        let nested = |n: usize| format!("{}emp.age < 5{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_predicates(&nested(64)).unwrap().len(), 1);
+        assert!(too_complex(&nested(65)));
+        assert!(too_complex(&"(".repeat(100_000)));
+
+        let all_differ = |n: usize| vec!["emp.age != 7"; n].join(" and ");
+        assert_eq!(parse_predicates(&all_differ(8)).unwrap().len(), 256);
+        assert!(too_complex(&all_differ(9)));
+        assert!(too_complex(&all_differ(64)));
+
+        let any_of = |n: usize| vec!["emp.age < 5"; n].join(" or ");
+        assert_eq!(parse_predicates(&any_of(256)).unwrap().len(), 256);
+        assert!(too_complex(&any_of(257)));
+        assert!(too_complex(&vec!["emp.age < 5"; 100_000].join(" and ")));
     }
 
     #[test]

@@ -52,7 +52,19 @@ pub enum ParseError {
     DisjunctionNotAllowed,
     /// Empty input.
     Empty,
+    /// The condition holds more than `limit` of `what`. Condition text
+    /// arrives over the wire, and without the limits a few hundred
+    /// bytes of `(`, or of `and`-ed `!=`, overflow the parser's stack or
+    /// expand to 2^n predicates.
+    TooComplex { what: &'static str, limit: usize },
 }
+
+/// Deepest parenthesis nesting a condition may have.
+const MAX_NESTING: usize = 64;
+
+/// Most comparisons a condition may hold, and most conjuncts its DNF
+/// may expand to.
+const MAX_TERMS: usize = 256;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -69,6 +81,9 @@ impl fmt::Display for ParseError {
                 f,
                 "conjunct mixes relations {first:?} and {second:?} (join predicates are not supported)"
             ),
+            ParseError::TooComplex { what, limit } => {
+                write!(f, "condition too complex: more than {limit} {what}")
+            }
             ParseError::DisjunctionNotAllowed => {
                 write!(f, "input is a disjunction; use parse_dnf to split it")
             }
@@ -143,6 +158,8 @@ fn parse_to_conjuncts(input: &str, allow_join: bool) -> Result<Vec<Vec<Leaf>>, P
         tokens,
         pos: 0,
         allow_join,
+        nesting: 0,
+        terms: 0,
     };
     let expr = p.expr()?;
     if p.pos != p.tokens.len() {
@@ -151,7 +168,7 @@ fn parse_to_conjuncts(input: &str, allow_join: bool) -> Result<Vec<Vec<Leaf>>, P
             expected: "end of input".into(),
         });
     }
-    Ok(dnf(&expr))
+    dnf(&expr)
 }
 
 /// Parses `input` into one predicate per disjunct of its DNF.
@@ -199,17 +216,29 @@ pub fn parse_condition(
 }
 
 /// Expands an expression tree to DNF: a list of conjuncts, each a list
-/// of leaves. `NotEqual` leaves split into two alternatives here.
-fn dnf(expr: &Expr) -> Vec<Vec<Leaf>> {
-    match expr {
+/// of leaves. `NotEqual` leaves split into two alternatives here, so
+/// `n` of them `and`-ed together are 2^n conjuncts: no level may
+/// return more than [`MAX_TERMS`].
+fn dnf(expr: &Expr) -> Result<Vec<Vec<Leaf>>, ParseError> {
+    let too_many = ParseError::TooComplex {
+        what: "conjuncts in its DNF",
+        limit: MAX_TERMS,
+    };
+    Ok(match expr {
         Expr::Or(a, b) => {
-            let mut out = dnf(a);
-            out.extend(dnf(b));
+            let mut out = dnf(a)?;
+            out.extend(dnf(b)?);
+            if out.len() > MAX_TERMS {
+                return Err(too_many);
+            }
             out
         }
         Expr::And(a, b) => {
-            let left = dnf(a);
-            let right = dnf(b);
+            let left = dnf(a)?;
+            let right = dnf(b)?;
+            if left.len() * right.len() > MAX_TERMS {
+                return Err(too_many);
+            }
             let mut out = Vec::with_capacity(left.len() * right.len());
             for l in &left {
                 for r in &right {
@@ -254,7 +283,7 @@ fn dnf(expr: &Expr) -> Vec<Vec<Leaf>> {
             }],
         ],
         Expr::Leaf(l) => vec![vec![l.clone()]],
-    }
+    })
 }
 
 fn build_predicate(leaves: Vec<Leaf>, funcs: &FunctionRegistry) -> Result<Predicate, ParseError> {
@@ -281,8 +310,7 @@ fn build_predicate(leaves: Vec<Leaf>, funcs: &FunctionRegistry) -> Result<Predic
                 (rel, Some(Clause::Func { name, attr, func }))
             }
             Leaf::NotEqual { .. } | Leaf::JoinNotEqual { .. } => {
-                // srclint:allow(no-panic-in-lib): dnf() expands every NotEqual into two Range alternatives before this loop runs
-                unreachable!("expanded during DNF")
+                unreachable!("dnf() expands every NotEqual into two Range alternatives")
             }
             Leaf::Join {
                 left_rel,
@@ -362,8 +390,7 @@ fn build_condition(
                 (rel, Some(Clause::Func { name, attr, func }), true)
             }
             Leaf::NotEqual { .. } | Leaf::Join { .. } | Leaf::JoinNotEqual { .. } => {
-                // srclint:allow(no-panic-in-lib): dnf() expands NotEqual leaves and the loop above diverts Join leaves
-                unreachable!("expanded during DNF or diverted above")
+                unreachable!("dnf() expands NotEqual leaves and the loop above diverts Join leaves")
             }
         };
         let entry = by_rel.entry(rel).or_insert_with(|| (Vec::new(), true));
@@ -440,6 +467,10 @@ struct Parser {
     /// Accept cross-relation comparisons (`a.x = b.y`) as join leaves
     /// instead of rejecting them. Set by [`parse_conditions`].
     allow_join: bool,
+    /// Open parentheses around the current position.
+    nesting: usize,
+    /// Comparisons and function calls parsed so far.
+    terms: usize,
 }
 
 impl Parser {
@@ -486,13 +517,28 @@ impl Parser {
     }
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::LParen) => {
-                self.next();
-                let e = self.expr()?;
-                self.expect(&Token::RParen, "')'")?;
-                Ok(e)
+        if self.peek() == Some(&Token::LParen) {
+            self.nesting += 1;
+            if self.nesting > MAX_NESTING {
+                return Err(ParseError::TooComplex {
+                    what: "nested parentheses",
+                    limit: MAX_NESTING,
+                });
             }
+            self.next();
+            let e = self.expr()?;
+            self.expect(&Token::RParen, "')'")?;
+            self.nesting -= 1;
+            return Ok(e);
+        }
+        self.terms += 1;
+        if self.terms > MAX_TERMS {
+            return Err(ParseError::TooComplex {
+                what: "comparisons",
+                limit: MAX_TERMS,
+            });
+        }
+        match self.peek() {
             Some(Token::Ident(_))
                 if matches!(self.tokens.get(self.pos + 1), Some(Token::LParen)) =>
             {
@@ -637,8 +683,9 @@ impl Parser {
                         right_rel,
                         right_attr,
                     },
-                    // srclint:allow(no-panic-in-lib): comparison() only dispatches here for tokens cmp_op() accepted
-                    _ => unreachable!("cmp_op filtered"),
+                    _ => unreachable!(
+                        "comparison() dispatches here only for tokens cmp_op() accepted"
+                    ),
                 };
                 return Ok(Expr::Leaf(leaf));
             }
@@ -674,8 +721,7 @@ impl Parser {
                 attr,
                 value: lit,
             },
-            // srclint:allow(no-panic-in-lib): comparison() only dispatches here for tokens cmp_op() accepted
-            _ => unreachable!("cmp_op filtered"),
+            _ => unreachable!("comparison() dispatches here only for tokens cmp_op() accepted"),
         };
         Ok(Expr::Leaf(leaf))
     }
@@ -705,14 +751,12 @@ impl Parser {
             let lower = match lo_op {
                 Token::Le => Lower::Inclusive(lo),
                 Token::Lt => Lower::Exclusive(lo),
-                // srclint:allow(no-panic-in-lib): both call sites below normalize descending chains to Lt/Le before calling
-                _ => unreachable!(),
+                _ => unreachable!("both call sites normalize descending chains to Lt/Le first"),
             };
             let upper = match hi_op {
                 Token::Le => Upper::Inclusive(hi),
                 Token::Lt => Upper::Exclusive(hi),
-                // srclint:allow(no-panic-in-lib): both call sites below normalize descending chains to Lt/Le before calling
-                _ => unreachable!(),
+                _ => unreachable!("both call sites normalize descending chains to Lt/Le first"),
             };
             Interval::new(lower, upper).ok()
         };

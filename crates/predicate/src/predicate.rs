@@ -121,10 +121,12 @@ impl Predicate {
                             let hop = if hi.is_inclusive() { "<=" } else { "<" };
                             format!(
                                 "{} {lop} {a} {hop} {}",
-                                // srclint:allow(no-panic-in-lib): every Unbounded combination is matched above, so both bounds are finite here
-                                source_literal(lo.value().expect("bounded"))?,
-                                // srclint:allow(no-panic-in-lib): every Unbounded combination is matched above, so both bounds are finite here
-                                source_literal(hi.value().expect("bounded"))?
+                                source_literal(
+                                    lo.value().expect("every Unbounded lo is matched above")
+                                )?,
+                                source_literal(
+                                    hi.value().expect("every Unbounded hi is matched above")
+                                )?
                             )
                         }
                     };

@@ -136,22 +136,24 @@ impl Matcher for PhysicalLockingMatcher {
 
     fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
         let stored = self.store.unregister(id)?;
-        // srclint:allow(no-panic-in-lib): store and locks are updated together
-        match self.locks.remove(&id.0).expect("stored lock") {
+        match self
+            .locks
+            .remove(&id.0)
+            .expect("store and locks are updated together")
+        {
             Lock::Index { relation, attr } => {
                 let table = self
                     .lock_tables
                     .get_mut(&(relation, attr))
-                    // srclint:allow(no-panic-in-lib): an Index lock records the table it lives in
-                    .expect("lock table exists");
-                // srclint:allow(no-panic-in-lib): the table held this id since the lock was recorded
-                table.remove(id).expect("interval lock exists");
+                    .expect("an Index lock records the table it lives in");
+                table
+                    .remove(id)
+                    .expect("the table has held this id since the lock was recorded");
             }
             Lock::Relation(relation) => {
                 self.relation_locks
                     .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a Relation lock implies the list exists
-                    .expect("relation lock list exists")
+                    .expect("a Relation lock implies its list exists")
                     .retain(|&p| p != id);
             }
             Lock::None => {}

@@ -54,8 +54,7 @@ impl Matcher for RTreeMatcher {
         }
         let schema = catalog
             .relation(&relation)
-            // srclint:allow(no-panic-in-lib): insert() verified the relation exists before building the rect
-            .expect("registration verified the relation")
+            .expect("insert() verified the relation exists before building the rect")
             .schema();
         let dims = schema.arity();
         // Start from the whole world; each range clause narrows its
@@ -90,10 +89,9 @@ impl Matcher for RTreeMatcher {
             let tree = self
                 .by_relation
                 .get_mut(stored.bound.relation())
-                // srclint:allow(no-panic-in-lib): a non-skipped stored id was inserted into its relation's tree
-                .expect("indexed relation exists");
-            // srclint:allow(no-panic-in-lib): the tree held this rect since insertion
-            tree.remove(id).expect("indexed rect exists");
+                .expect("a stored, non-skipped id was inserted into its relation's tree");
+            tree.remove(id)
+                .expect("the tree has held this rect since insertion");
             // Drop the tree once empty: its dimensionality is frozen at
             // creation, and the relation may come back with a different
             // schema arity.

@@ -43,8 +43,10 @@ impl Matcher for SequentialMatcher {
             .iter()
             .copied()
             .filter(|&id| {
-                // srclint:allow(no-panic-in-lib): order and store are updated together
-                let p = self.store.get(id).expect("order entry is stored");
+                let p = self
+                    .store
+                    .get(id)
+                    .expect("order and store are updated together");
                 p.bound.relation() == relation && p.bound.matches(tuple)
             })
             .collect();

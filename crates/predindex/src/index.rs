@@ -103,8 +103,7 @@ fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
     match most_selective_indexable(catalog, &stored.bound) {
         Some(cix) => {
             let BoundClause::Range { attr, interval } = &stored.bound.clauses()[cix] else {
-                // srclint:allow(no-panic-in-lib): most_selective_indexable only ever selects Range clauses
-                unreachable!("most_selective_indexable returns range clauses")
+                unreachable!("most_selective_indexable only ever selects Range clauses")
             };
             Placement::Tree {
                 attr: *attr,
@@ -208,8 +207,7 @@ impl RelationIndex {
         }
         at.tree
             .insert(id, interval)
-            // srclint:allow(no-panic-in-lib): the store just minted this id; the tree cannot already hold it
-            .expect("fresh predicate id");
+            .expect("the store just minted this id; the tree cannot already hold it");
     }
 
     /// Appends to the non-indexable list.
@@ -220,10 +218,14 @@ impl RelationIndex {
 
     /// Removes an indexed interval, dropping the tree when it empties.
     fn remove_tree(&mut self, attr: usize, id: PredicateId) {
-        // srclint:allow(no-panic-in-lib): the location map recorded a Tree placement for this attr
-        let at = self.attr_trees.get_mut(&attr).expect("indexed tree exists");
-        // srclint:allow(no-panic-in-lib): the tree held this id since the placement was recorded
-        let interval = at.tree.remove(id).expect("indexed interval exists");
+        let at = self
+            .attr_trees
+            .get_mut(&attr)
+            .expect("a Tree placement was recorded for this attribute");
+        let interval = at
+            .tree
+            .remove(id)
+            .expect("the tree has held this id since its placement was recorded");
         if at.workload.is_enabled() {
             at.workload.record_delete(clause_shape_of(&interval));
         }
@@ -370,21 +372,18 @@ impl IndexCore {
         let (relation, location) = self
             .locations
             .remove(&id.0)
-            // srclint:allow(no-panic-in-lib): store and locations are updated together (under one shard guard when sharded); divergence is an index-corruption bug
-            .expect("stored predicate must have a location");
+            .expect("store and locations are updated together: a stored predicate has a location");
         match location {
             Location::Tree { attr } => {
                 self.relations
                     .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a Tree location implies the relation entry exists; see insert_bound
-                    .expect("indexed relation exists")
+                    .expect("a Tree location implies the relation entry exists")
                     .remove_tree(attr, id);
             }
             Location::NonIndexable => {
                 self.relations
                     .get_mut(&relation)
-                    // srclint:allow(no-panic-in-lib): a NonIndexable location implies the relation entry exists; see insert_bound
-                    .expect("indexed relation exists")
+                    .expect("a NonIndexable location implies the relation entry exists")
                     .remove_non_indexable(id);
             }
             Location::Unsatisfiable => {}

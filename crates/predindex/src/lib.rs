@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 pub mod advisor;
 pub mod baselines;

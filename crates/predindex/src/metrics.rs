@@ -210,8 +210,10 @@ impl IndexMetrics {
 
     fn unindexed_relation_counter(&self, relation: &str) -> Counter {
         {
-            // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design
-            let map = self.unindexed.read().expect("metrics map poisoned");
+            let map = self
+                .unindexed
+                .read()
+                .expect("metrics map poisoned: a holder panicked");
             if let Some(c) = map.get(relation) {
                 return c.clone();
             }
@@ -225,8 +227,7 @@ impl IndexMetrics {
         self.unindexed
             // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
             .write()
-            // srclint:allow(no-panic-in-lib): a poisoned metrics map means a holder panicked; propagating is by design
-            .expect("metrics map poisoned")
+            .expect("metrics map poisoned: a holder panicked")
             .entry(relation.to_string())
             .or_insert(c)
             .clone()

@@ -126,8 +126,7 @@ impl ShardedPredicateIndex {
             // `&mut self` proves no guard is live, so no lock is taken.
             shard
                 .get_mut()
-                // srclint:allow(no-panic-in-lib): a poisoned shard lock means a writer panicked mid-update; propagating is the designed behaviour
-                .expect("shard lock poisoned")
+                .expect("shard lock poisoned: a writer panicked mid-update")
                 .rebind(&self.metrics);
         }
     }
@@ -141,8 +140,9 @@ impl ShardedPredicateIndex {
                 .metrics
                 .tracer()
                 .span_with("shard_lock", || vec![("shard", sid.to_string())]);
-            // srclint:allow(no-panic-in-lib): a poisoned shard lock means a writer panicked mid-update; propagating is the designed behaviour
-            self.shards[sid].read().expect("shard lock poisoned")
+            self.shards[sid]
+                .read()
+                .expect("shard lock poisoned: a writer panicked mid-update")
         };
         self.metrics.record_lock_wait(sid, wait);
         guard
@@ -156,8 +156,9 @@ impl ShardedPredicateIndex {
                 .metrics
                 .tracer()
                 .span_with("shard_lock", || vec![("shard", sid.to_string())]);
-            // srclint:allow(no-panic-in-lib): a poisoned shard lock means a writer panicked mid-update; propagating is the designed behaviour
-            self.shards[sid].write().expect("shard lock poisoned")
+            self.shards[sid]
+                .write()
+                .expect("shard lock poisoned: a writer panicked mid-update")
         };
         self.metrics.record_lock_wait(sid, wait);
         guard

@@ -205,12 +205,10 @@ impl Database {
     /// Inserts a tuple, returning a clone of what was stored (convenient
     /// for immediately matching it against predicates).
     pub fn insert(&mut self, relation: &str, values: Vec<Value>) -> Result<Tuple, CatalogError> {
-        Ok(self
-            .insert_event(relation, values)?
-            .current()
-            // srclint:allow(no-panic-in-lib): insert_event always yields Inserted, which carries the stored tuple
-            .unwrap()
-            .clone())
+        match self.insert_event(relation, values)? {
+            TupleEvent::Inserted { tuple, .. } => Ok(tuple),
+            _ => unreachable!("insert_event builds only Inserted events"),
+        }
     }
 
     /// Inserts a tuple and returns the full event.
@@ -227,8 +225,10 @@ impl Database {
         Ok(TupleEvent::Inserted {
             relation: relation.to_string(),
             id,
-            // srclint:allow(no-panic-in-lib): rel.insert just returned this id
-            tuple: rel.get(id).expect("just inserted").clone(),
+            tuple: rel
+                .get(id)
+                .expect("rel.insert just returned this id")
+                .clone(),
         })
     }
 
@@ -248,8 +248,10 @@ impl Database {
             relation: relation.to_string(),
             id,
             old,
-            // srclint:allow(no-panic-in-lib): rel.update just succeeded for this id
-            new: rel.get(id).expect("just updated").clone(),
+            new: rel
+                .get(id)
+                .expect("rel.update just succeeded for this id")
+                .clone(),
         })
     }
 

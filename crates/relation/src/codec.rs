@@ -167,32 +167,39 @@ impl<'a> Reader<'a> {
     }
 
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
+    }
+
+    /// Takes the next `N` raw bytes as a fixed-width array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let Some(out) = self.buf[self.pos..].first_chunk::<N>() else {
+            return Err(CodecError::Truncated {
+                needed: N,
+                available: self.remaining(),
+            });
+        };
+        self.pos += N;
+        Ok(*out)
     }
 
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        // srclint:allow(no-panic-in-lib): take(2) returned exactly 2 bytes; the array conversion is infallible
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        // srclint:allow(no-panic-in-lib): take(4) returned exactly 4 bytes; the array conversion is infallible
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        // srclint:allow(no-panic-in-lib): take(8) returned exactly 8 bytes; the array conversion is infallible
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     pub fn i32(&mut self) -> Result<i32, CodecError> {
-        // srclint:allow(no-panic-in-lib): take(4) returned exactly 4 bytes; the array conversion is infallible
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(i32::from_le_bytes)
     }
 
     pub fn i64(&mut self) -> Result<i64, CodecError> {
-        // srclint:allow(no-panic-in-lib): take(8) returned exactly 8 bytes; the array conversion is infallible
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(i64::from_le_bytes)
     }
 
     pub fn f64(&mut self) -> Result<f64, CodecError> {

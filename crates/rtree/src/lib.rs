@@ -23,6 +23,7 @@
 //! assert_eq!(hits, vec![IntervalId(0), IntervalId(1)]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
 mod bulk;

@@ -455,7 +455,7 @@ impl RuleEngine {
         let stored = &self.rules[&id.0];
         // Collect matching existing tuples per condition, deduplicated
         // per tuple (a tuple matching several disjuncts fires once).
-        let mut seeds: Vec<TupleEvent> = Vec::new();
+        let mut seeds: Vec<(TupleEvent, Vec<BoundTuple>)> = Vec::new();
         let mut seen: Vec<(String, TupleId)> = Vec::new();
         for pred in &stored.rule.conditions {
             let Some(rel) = self.db.catalog().relation(pred.relation()) else {
@@ -471,33 +471,12 @@ impl RuleEngine {
                     continue;
                 }
                 seen.push(key);
-                seeds.push(TupleEvent::Inserted {
+                let seed = TupleEvent::Inserted {
                     relation: pred.relation().to_string(),
                     id: tid,
                     tuple: tuple.clone(),
-                });
-            }
-        }
-        // Fire only the NEW rule on the backfill seeds (other rules
-        // already saw these tuples when they actually arrived); any
-        // database operations the firings queue chain normally through
-        // every rule.
-        let mut report = FireReport::default();
-        for seed in seeds {
-            if !self.rules[&id.0].rule.mask.on_insert {
-                break;
-            }
-            if report.fired.len() >= self.firing_limit {
-                return Err(EngineError::FiringLimit {
-                    limit: self.firing_limit,
-                });
-            }
-            let follow_ups = self.fire_one(id.0, &seed, &[], &mut report)?;
-            for ev in follow_ups {
-                let r = self.chain(ev)?;
-                report.fired.extend(r.fired);
-                report.firings.extend(r.firings);
-                report.ops_applied += r.ops_applied;
+                };
+                seeds.push((seed, Vec::new()));
             }
         }
         // Join backfill: every complete match seeding discovered fires
@@ -505,40 +484,55 @@ impl RuleEngine {
         // (seeding runs premises in ascending order, so that is the
         // tuple whose arrival would have completed the match).
         for binding in join_seeds {
-            if !self.rules[&id.0].rule.mask.on_insert {
-                break;
-            }
+            let Some((relation, tid, tuple)) = binding.tuples.last().cloned() else {
+                continue;
+            };
+            let seed = TupleEvent::Inserted {
+                relation,
+                id: tid,
+                tuple,
+            };
+            let bound = binding
+                .tuples
+                .into_iter()
+                .map(|(relation, id, tuple)| BoundTuple {
+                    relation,
+                    id,
+                    tuple,
+                })
+                .collect();
+            seeds.push((seed, bound));
+        }
+        let result = self.backfill(id.0, seeds);
+        self.repaired(result).map(|report| (id, report))
+    }
+
+    /// Fires only rule `rid` on the backfill seeds (other rules already
+    /// saw these tuples when they actually arrived); any database
+    /// operations the firings queue chain normally through every rule.
+    fn backfill(
+        &mut self,
+        rid: u32,
+        seeds: Vec<(TupleEvent, Vec<BoundTuple>)>,
+    ) -> Result<FireReport, EngineError> {
+        let mut report = FireReport::default();
+        if !self.rules[&rid].rule.mask.on_insert {
+            return Ok(report);
+        }
+        for (seed, bound) in seeds {
             if report.fired.len() >= self.firing_limit {
                 return Err(EngineError::FiringLimit {
                     limit: self.firing_limit,
                 });
             }
-            let Some((relation, tid, tuple)) = binding.tuples.last().cloned() else {
-                continue;
-            };
-            let ev = TupleEvent::Inserted {
-                relation,
-                id: tid,
-                tuple,
-            };
-            let bound: Vec<BoundTuple> = binding
-                .tuples
-                .iter()
-                .map(|(relation, id, tuple)| BoundTuple {
-                    relation: relation.clone(),
-                    id: *id,
-                    tuple: tuple.clone(),
-                })
-                .collect();
-            let follow_ups = self.fire_one(id.0, &ev, &bound, &mut report)?;
-            for ev in follow_ups {
-                let r = self.chain(ev)?;
+            for ev in self.fire_one(rid, &seed, &bound, &mut report)? {
+                let r = self.chain_level_inner(vec![ev])?;
                 report.fired.extend(r.fired);
                 report.firings.extend(r.firings);
                 report.ops_applied += r.ops_applied;
             }
         }
-        Ok((id, report))
+        Ok(report)
     }
 
     /// Unregisters a rule and its predicates.
@@ -586,8 +580,7 @@ impl RuleEngine {
     ) -> Result<(MatchTrace, FireReport), EngineError> {
         let ev = self.db.insert_event(relation, values)?;
         let TupleEvent::Inserted { tuple, .. } = &ev else {
-            // srclint:allow(no-panic-in-lib): insert_event constructs only Inserted events
-            unreachable!("insert_event yields Inserted")
+            unreachable!("insert_event builds only Inserted events")
         };
         let mut trace = self.index.explain_tuple(relation, tuple);
         // The index speaks schema positions; the engine knows names.
@@ -683,15 +676,20 @@ impl RuleEngine {
         self.chain_level(vec![first])
     }
 
-    /// The recognize-act cycle, level by level, with abort repair: if
-    /// the chain errors midway (firing limit, bad cascaded operation),
-    /// the database holds tuples whose events never reached the beta
-    /// layer, so the join memos are rebuilt wholesale from the
-    /// post-abort database before the error propagates. The rebuild is
-    /// deterministic, so WAL replay — which re-executes the same
-    /// command into the same error — repairs to the same memo.
+    /// The recognize-act cycle, level by level, with abort repair.
     fn chain_level(&mut self, level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
         let result = self.chain_level_inner(level);
+        self.repaired(result)
+    }
+
+    /// Abort repair: if a chain (or a retroactive backfill) errors
+    /// midway (firing limit, bad queued operation), the database holds
+    /// tuples whose events never reached the beta layer, so the join
+    /// memos are rebuilt wholesale from the post-abort database before
+    /// the error propagates. The rebuild is deterministic, so WAL
+    /// replay — which re-executes the same command into the same error
+    /// — repairs to the same memo.
+    fn repaired<T>(&mut self, result: Result<T, EngineError>) -> Result<T, EngineError> {
         if result.is_err() && !self.joins.is_empty() {
             self.joins.reseed_all(self.db.catalog());
         }
@@ -908,8 +906,10 @@ impl RuleEngine {
         report: &mut FireReport,
     ) -> Result<Vec<TupleEvent>, EngineError> {
         let tuple = matched_tuple(event).clone();
-        // srclint:allow(no-panic-in-lib): the agenda only holds ids of registered rules
-        let stored = self.rules.get_mut(&rid).expect("agenda rule exists");
+        let stored = self
+            .rules
+            .get_mut(&rid)
+            .expect("the agenda only holds ids of registered rules");
         let rule_name = stored.rule.name.clone();
         let action = stored.rule.action.clone();
         stored.fired += 1;
@@ -1084,8 +1084,10 @@ impl RuleEngine {
                 continue;
             }
             let (join_keys, join_pids, _) = engine.register_joins(rid, &joins)?;
-            // srclint:allow(no-panic-in-lib): rid came from the map's own keys
-            let s = engine.rules.get_mut(&rid).expect("restored rule exists");
+            let s = engine
+                .rules
+                .get_mut(&rid)
+                .expect("rid came from this map's own keys");
             s.join_keys = join_keys;
             s.join_pids = join_pids;
         }

@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 mod engine;
 mod rule;
@@ -526,6 +527,45 @@ mod retroactive_tests {
         // 2 backfill firings + 2 cascaded alert firings.
         assert_eq!(report.fired.len(), 4);
         assert_eq!(e.db().catalog().relation("alerts").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn retroactive_abort_repairs_the_join_memos() {
+        let mut e = seeded_engine();
+        e.add_rule(
+            Rule::builder("alerted-employee")
+                .when("emp.name = alerts.who")
+                .unwrap()
+                .then(Action::log("joined"))
+                .build(),
+        )
+        .unwrap();
+        // The first queued op lands a tuple in `alerts`, the second is
+        // refused: the backfill aborts with a tuple the join memo on
+        // `alerts` never saw an event for.
+        let err = e
+            .add_rule_retroactive(
+                Rule::builder("flag-then-fail")
+                    .when("emp.salary < 1000")
+                    .unwrap()
+                    .then(Action::callback(|ctx| {
+                        let t = ctx.event.current().expect("insert").clone();
+                        ctx.queue(DbOp::Insert {
+                            relation: "alerts".into(),
+                            values: vec![t.get(0).clone()],
+                        });
+                        ctx.queue(DbOp::Insert {
+                            relation: "alerts".into(),
+                            values: Vec::new(),
+                        });
+                    }))
+                    .build(),
+            )
+            .expect_err("the bad-arity insert aborts the backfill");
+        assert!(matches!(err, EngineError::Catalog(_)), "{err:?}");
+        assert_eq!(e.db().catalog().relation("alerts").unwrap().len(), 1);
+        e.check_join_invariants()
+            .expect("memos are rebuilt from the post-abort database");
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! after the Nth applied operation's WAL append, before the sync and
 //! the replies of the commit group it is in.
 
+#![deny(clippy::unwrap_used)]
+
 use durable::{ActionRegistry, DurableRuleEngine, Options, SyncPolicy};
 use predicate::FunctionRegistry;
 use predindex::Advisor;

@@ -23,6 +23,8 @@
 //! soak"). The server's latency and throughput instrument is
 //! stackbench's `serve_mixed` workload.
 
+#![deny(clippy::unwrap_used)]
+
 use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec, SyncPolicy};
 use predicate::FunctionRegistry;
 use rand::rngs::StdRng;

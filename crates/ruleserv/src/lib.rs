@@ -54,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 pub mod client;
 mod metrics;

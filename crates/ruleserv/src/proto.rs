@@ -71,6 +71,9 @@ use std::io::{self, Read, Write};
 /// frames; anything larger is corruption or abuse, not data.
 pub const MAX_FRAME: u32 = 1 << 26;
 
+/// The most a frame header alone makes [`read_frame`] reserve.
+pub const FRAME_RESERVE: usize = 64 << 10;
+
 /// Request opcodes.
 pub const OP_PING: u8 = 0x01;
 /// See [`OP_PING`].
@@ -176,17 +179,25 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap());
-    // srclint:allow(no-panic-in-lib): constant-width header slice — try_into to a fixed array cannot fail
-    let stored_crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let stored_crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if !(1..=MAX_FRAME).contains(&len) {
         return Err(ProtoError::Corrupt(format!(
             "frame length {len} out of range"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    // Reserve for what arrives, not for what the header claims: past
+    // `FRAME_RESERVE` the buffer grows with the bytes actually read, so
+    // a hostile length costs its sender the bandwidth, not us the memory.
+    let mut body = Vec::with_capacity((len as usize).min(FRAME_RESERVE));
+    r.by_ref().take(u64::from(len)).read_to_end(&mut body)?;
+    if body.len() < len as usize {
+        return Err(ProtoError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        )));
+    }
     let mut crc = Crc32::new();
     crc.update(&body);
     if crc.finish() != stored_crc {
@@ -220,16 +231,30 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request kind's opcode (DESIGN.md §14 "Opcodes"). Exhaustive:
+    /// a new variant does not build until it has one.
+    pub fn opcode(&self) -> u8 {
+        match self {
+            Request::Ping => OP_PING,
+            Request::Apply(_) => OP_APPLY,
+            Request::Subscribe => OP_SUBSCRIBE,
+            Request::Unsubscribe => OP_UNSUBSCRIBE,
+            Request::Health => OP_HEALTH,
+            Request::Sync => OP_SYNC,
+        }
+    }
+
     /// `(opcode, payload)` for the wire.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
-            Request::Ping => (OP_PING, Vec::new()),
-            Request::Apply(record) => (OP_APPLY, record.encode()),
-            Request::Subscribe => (OP_SUBSCRIBE, Vec::new()),
-            Request::Unsubscribe => (OP_UNSUBSCRIBE, Vec::new()),
-            Request::Health => (OP_HEALTH, Vec::new()),
-            Request::Sync => (OP_SYNC, Vec::new()),
-        }
+        let payload = match self {
+            Request::Apply(record) => record.encode(),
+            Request::Ping
+            | Request::Subscribe
+            | Request::Unsubscribe
+            | Request::Health
+            | Request::Sync => Vec::new(),
+        };
+        (self.opcode(), payload)
     }
 
     /// [`encode`](Self::encode) with an optional trace id appended as
@@ -261,13 +286,10 @@ impl Request {
     /// to `Some(id)`, zero to `None`, anything else is corruption.
     pub fn decode_traced(opcode: u8, payload: &[u8]) -> Result<(Request, Option<u64>), ProtoError> {
         let split_trace = |rest: &[u8]| -> Result<Option<u64>, ProtoError> {
-            match rest.len() {
-                0 => Ok(None),
-                8 => {
-                    // srclint:allow(no-panic-in-lib): length checked — try_into to [u8; 8] cannot fail
-                    Ok(Some(u64::from_le_bytes(rest.try_into().unwrap())))
-                }
-                n => Err(ProtoError::Corrupt(format!(
+            match (rest.len(), rest.first_chunk::<8>()) {
+                (0, _) => Ok(None),
+                (8, Some(id)) => Ok(Some(u64::from_le_bytes(*id))),
+                (n, _) => Err(ProtoError::Corrupt(format!(
                     "trace suffix must be 0 or 8 bytes, got {n}"
                 ))),
             }
@@ -379,12 +401,27 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// The reply kind's opcode (DESIGN.md §14 "Opcodes"). Exhaustive: a
+    /// new variant does not build until it has one.
+    pub fn opcode(&self) -> u8 {
+        match self {
+            Reply::Pong => OP_PONG,
+            Reply::Unit => OP_UNIT,
+            Reply::Fire(_) => OP_FIRE,
+            Reply::RuleId(_) => OP_RULE_ID,
+            Reply::Health(_) => OP_HEALTH_REPLY,
+            Reply::Err(_) => OP_ERR,
+            Reply::Busy => OP_BUSY,
+            Reply::Event(_) => OP_EVENT,
+            Reply::Lagged(_) => OP_LAGGED,
+        }
+    }
+
     /// `(opcode, payload)` for the wire.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut w = Writer::new();
         match self {
-            Reply::Pong => (OP_PONG, Vec::new()),
-            Reply::Unit => (OP_UNIT, Vec::new()),
+            Reply::Pong | Reply::Unit | Reply::Busy => {}
             Reply::Fire(f) => {
                 w.u64(f.seq);
                 w.u64(f.ops_applied);
@@ -393,21 +430,9 @@ impl Reply {
                     w.u32(*id);
                     w.str(name);
                 }
-                (OP_FIRE, w.into_bytes())
             }
-            Reply::RuleId(id) => {
-                w.u32(*id);
-                (OP_RULE_ID, w.into_bytes())
-            }
-            Reply::Health(text) => {
-                w.str(text);
-                (OP_HEALTH_REPLY, w.into_bytes())
-            }
-            Reply::Err(msg) => {
-                w.str(msg);
-                (OP_ERR, w.into_bytes())
-            }
-            Reply::Busy => (OP_BUSY, Vec::new()),
+            Reply::RuleId(id) => w.u32(*id),
+            Reply::Health(text) | Reply::Err(text) => w.str(text),
             Reply::Event(e) => {
                 w.u64(e.seq);
                 w.u32(e.rule_id);
@@ -423,13 +448,10 @@ impl Reply {
                         }
                     }
                 }
-                (OP_EVENT, w.into_bytes())
             }
-            Reply::Lagged(n) => {
-                w.u64(*n);
-                (OP_LAGGED, w.into_bytes())
-            }
+            Reply::Lagged(n) => w.u64(*n),
         }
+        (self.opcode(), w.into_bytes())
     }
 
     /// Writes the reply as one frame.

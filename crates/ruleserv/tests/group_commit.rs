@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::{Registry, SpanEventKind, Telemetry, TraceEvent, Tracer};
@@ -37,15 +37,17 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 /// `explode` is set, panics there, taking the engine thread with it.
 struct Gate {
     entered: Receiver<()>,
-    open: Sender<()>,
+    open: SyncSender<()>,
     explode: Arc<AtomicBool>,
 }
 
 /// `"gate"` parks the engine thread until the test opens it; `"slow"`
 /// costs a millisecond per firing.
 fn actions() -> (ActionRegistry, Gate) {
-    let (entered_tx, entered) = mpsc::channel();
-    let (open, open_rx) = mpsc::channel::<()>();
+    // Bounded like every queue in the workspace; no test leaves more
+    // than a handful of gate firings unread or unopened.
+    let (entered_tx, entered) = mpsc::sync_channel(64);
+    let (open, open_rx) = mpsc::sync_channel::<()>(64);
     let open_rx = Mutex::new(open_rx);
     let explode = Arc::new(AtomicBool::new(false));
     let fuse = Arc::clone(&explode);
@@ -548,7 +550,7 @@ fn within_ten_seconds<T: Send + 'static>(
     what: &str,
     wait: impl FnOnce() -> T + Send + 'static,
 ) -> T {
-    let (done, outcome) = mpsc::channel();
+    let (done, outcome) = mpsc::sync_channel(1);
     std::thread::spawn(move || done.send(wait()));
     match outcome.recv_timeout(Duration::from_secs(10)) {
         Ok(outcome) => outcome,

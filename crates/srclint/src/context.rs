@@ -182,6 +182,21 @@ impl FileContext {
             .count()
     }
 
+    /// Allow comments naming a lint that is not registered — a retired
+    /// lint's leftovers, or a typo that suppresses nothing — as
+    /// `(comment token, name)`. Only slug-shaped names count, so prose
+    /// that describes the syntax (`<lint>`, `...`) stays silent.
+    pub fn stale_allows(&self) -> impl Iterator<Item = (&Token, &str)> + '_ {
+        self.tokens
+            .iter()
+            .filter(|t| t.is_comment())
+            .flat_map(|t| allow_names(t.text(&self.src)).map(move |name| (t, name)))
+            .filter(|(_, name)| {
+                name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
+                    && !crate::lints::is_registered(name)
+            })
+    }
+
     /// Iterator over code-token indices (comments skipped).
     pub fn code_tokens(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.tokens.len()).filter(|&i| !self.tokens[i].is_comment())
@@ -611,11 +626,13 @@ mod tests {
 
     #[test]
     fn allow_covers_own_and_next_line() {
-        let c = ctx("// srclint:allow(no-panic-in-lib): fine here\nfn f() { x.unwrap(); }\nfn g() { y.unwrap(); }\n");
-        assert!(c.is_allowed("no-panic-in-lib", 1));
-        assert!(c.is_allowed("no-panic-in-lib", 2));
-        assert!(!c.is_allowed("no-panic-in-lib", 3));
-        assert!(!c.is_allowed("safety-comment", 2));
+        let c = ctx(
+            "// srclint:allow(lock-order): fine here\nfn f() { x.lock(); }\nfn g() { y.lock(); }\n",
+        );
+        assert!(c.is_allowed("lock-order", 1));
+        assert!(c.is_allowed("lock-order", 2));
+        assert!(!c.is_allowed("lock-order", 3));
+        assert!(!c.is_allowed("atomic-ordering", 2));
     }
 
     #[test]
@@ -679,7 +696,7 @@ mod tests {
     #[test]
     fn suppression_count_counts_allow_comments() {
         let c = ctx(
-            "// srclint:allow(no-panic-in-lib): one\nfn f() {}\n// srclint:allow(lock-discipline, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
+            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(lock-discipline, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
         );
         assert_eq!(c.suppression_count(), 2);
     }
@@ -689,15 +706,29 @@ mod tests {
         let c = ctx(concat!(
             "//! Suppress with `// srclint:allow(<lint>): <why>`.\n",
             "// as in srclint:allow(<lint>) or srclint:allow(...)\n",
-            "/// e.g. `// srclint:allow(no-panic-in-lib): <why>`\n",
-            "fn f() { x.unwrap(); }\n",
-            "// srclint:allow(no-panic-in-lib): a real one\n",
-            "fn g() { y.unwrap(); }\n",
+            "/// e.g. `// srclint:allow(lock-order): <why>`\n",
+            "fn f() { x.lock(); }\n",
+            "// srclint:allow(lock-order): a real one\n",
+            "fn g() { y.lock(); }\n",
         ));
         assert_eq!(c.suppression_count(), 1);
         // Only the real one suppresses: the doc comment above `f`
         // names a registered lint and still covers nothing.
-        assert!(!c.is_allowed("no-panic-in-lib", 4));
-        assert!(c.is_allowed("no-panic-in-lib", 6));
+        assert!(!c.is_allowed("lock-order", 4));
+        assert!(c.is_allowed("lock-order", 6));
+        assert_eq!(c.stale_allows().count(), 0);
+    }
+
+    #[test]
+    fn an_allow_naming_no_registered_lint_is_stale() {
+        let c = ctx(concat!(
+            "// srclint:allow(retired-lint): the lint retired, the comment stayed\n",
+            "fn f() {}\n",
+            "// srclint:allow(lock-order, lock-ordr): one live name, one typo\n",
+            "fn g() {}\n",
+        ));
+        let stale: Vec<(u32, &str)> = c.stale_allows().map(|(t, n)| (t.line, n)).collect();
+        assert_eq!(stale, [(1, "retired-lint"), (3, "lock-ordr")]);
+        assert_eq!(c.suppression_count(), 1);
     }
 }

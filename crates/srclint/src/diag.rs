@@ -25,7 +25,7 @@ impl fmt::Display for Severity {
 /// One finding, anchored to a source position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Lint slug, e.g. `no-panic-in-lib` — the name `srclint:allow`
+    /// Lint slug, e.g. `fsync-before-rename` — the name `srclint:allow`
     /// comments refer to.
     pub lint: &'static str,
     pub severity: Severity,
@@ -126,12 +126,12 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            lint: "no-panic-in-lib",
+            lint: "fsync-before-rename",
             severity: Severity::Deny,
             file: PathBuf::from("crates/x/src/lib.rs"),
             line: 3,
             col: 9,
-            message: "`unwrap()` in library path".into(),
+            message: "`rename` with no sync before it".into(),
         }
     }
 
@@ -149,7 +149,7 @@ mod tests {
     fn human_line_is_clickable() {
         assert_eq!(
             diag().render_human(),
-            "crates/x/src/lib.rs:3:9: error[no-panic-in-lib] `unwrap()` in library path"
+            "crates/x/src/lib.rs:3:9: error[fsync-before-rename] `rename` with no sync before it"
         );
     }
 

@@ -13,19 +13,20 @@
 //! cargo run -p srclint -- path/to/file.rs   # just these operands
 //! ```
 //!
-//! The run has two stages. The per-file suite (`safety-comment`,
-//! `no-panic-in-lib`, `lock-discipline`, `fsync-before-rename`,
-//! `metric-name-registry`, `channel-discipline`) sees one
+//! The run has two stages. The per-file suite (`lock-discipline`,
+//! `fsync-before-rename`, `metric-name-registry`) sees one
 //! [`FileContext`](context::FileContext) at a time. The cross-file
-//! suite (`lock-order`, `atomic-ordering`, `codec-conformance`) then
-//! runs over the [workspace model](model) — every function's lock /
-//! atomic / call events, resolved workspace-wide — because a deadlock
-//! or a codec gap is never one file's fault. Findings are suppressed
-//! line-by-line with `// srclint:allow(<lint>): <one-line
-//! justification>` — the justification is convention, but the lint
-//! name is checked.
+//! suite (`lock-order`, `atomic-ordering`) then runs over the
+//! [workspace model](model) — every function's lock / atomic / call
+//! events, resolved workspace-wide — because a deadlock is never one
+//! file's fault. Findings are suppressed line-by-line with
+//! `// srclint:allow(<lint>): <one-line justification>` — the
+//! justification is convention, but the lint name is checked: an allow
+//! naming no registered lint is itself a finding (`stale-allow`), so a
+//! retired lint's comments cannot linger.
 
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
@@ -131,6 +132,19 @@ pub fn run(config: &Config) -> io::Result<Report> {
         if lint_this {
             files_linted += 1;
             suppressions += ctx.suppression_count();
+            for (t, name) in ctx.stale_allows() {
+                diagnostics.push(Diagnostic {
+                    lint: "stale-allow",
+                    severity: Severity::Deny,
+                    file: ctx.path.clone(),
+                    line: t.line,
+                    col: t.col,
+                    message: format!(
+                        "`srclint:allow({name})` names no registered lint and suppresses \
+                         nothing — delete it (a retired lint's check lives in clippy or a test now)"
+                    ),
+                });
+            }
             for lint in &suite {
                 (lint.check)(&ctx, &meta, &mut diagnostics);
             }
@@ -139,7 +153,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
     }
 
     // Cross-file stage: always over the full model — a lock-order
-    // cycle or a codec gap is a workspace property, not a diff one.
+    // cycle is a workspace property, not a diff one.
     let workspace_model = model::build(&contexts);
     for lint in lints::workspace_all() {
         (lint.check)(&contexts, &workspace_model, &meta, &mut diagnostics);

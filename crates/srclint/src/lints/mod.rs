@@ -1,18 +1,20 @@
-//! The lint suite. Each lint encodes one project invariant that
-//! rustc/clippy cannot check; each is scoped to the crates and
-//! sections where the invariant holds, and every finding can be
-//! suppressed at the line level with
+//! The lint suite. One rule decides what is in it: srclint keeps a
+//! check only if rustc, clippy or a tier-1 unit test cannot make it.
+//! What is left needs a lexer over the whole workspace: facts about
+//! which function holds which lock, which file syncs before it
+//! renames, which string literal names a metric. (`unsafe` without a
+//! `// SAFETY:` comment, `unwrap()` in library code and unbounded
+//! `mpsc::channel()` are clippy's; codec arms and DESIGN.md §14's
+//! tables are exhaustive `match`es and `ruleserv/tests/wire_contract.rs`.)
+//! Each lint is scoped to the crates and sections where its invariant
+//! holds, and every finding can be suppressed at the line level with
 //! `// srclint:allow(<lint>): <one-line justification>`.
 
 mod atomic_ordering;
-mod channel_discipline;
-mod codec_conformance;
 mod fsync_rename;
 mod lock_discipline;
 mod lock_order;
 mod metric_names;
-mod no_panic;
-mod safety_comment;
 
 pub use lock_order::canonical_order as lock_order_canonical_order;
 pub use metric_names::design_families as metric_names_design_families;
@@ -55,16 +57,6 @@ pub struct WorkspaceLint {
 pub fn all() -> Vec<Lint> {
     vec![
         Lint {
-            name: "safety-comment",
-            summary: "every `unsafe` must be preceded by a // SAFETY: comment",
-            check: safety_comment::check,
-        },
-        Lint {
-            name: "no-panic-in-lib",
-            summary: "no unwrap/expect/panic!/unreachable! in library code paths",
-            check: no_panic::check,
-        },
-        Lint {
             name: "lock-discipline",
             summary: "predindex shard locks only via lock_read/lock_write; one guard per fn",
             check: lock_discipline::check,
@@ -78,11 +70,6 @@ pub fn all() -> Vec<Lint> {
             name: "metric-name-registry",
             summary: "metric families are snake_case literals listed in DESIGN.md",
             check: metric_names::check,
-        },
-        Lint {
-            name: "channel-discipline",
-            summary: "no unbounded mpsc::channel in library/server paths; sync_channel only",
-            check: channel_discipline::check,
         },
     ]
 }
@@ -100,11 +87,6 @@ pub fn workspace_all() -> Vec<WorkspaceLint> {
             name: "atomic-ordering",
             summary: "atomic orderings match usage class: counters/flags Relaxed, publication Release/Acquire",
             check: atomic_ordering::check,
-        },
-        WorkspaceLint {
-            name: "codec-conformance",
-            summary: "Record variants and proto opcodes have encode+decode arms and DESIGN.md rows",
-            check: codec_conformance::check,
         },
     ]
 }
@@ -127,18 +109,6 @@ pub(crate) fn is_method_call(ctx: &FileContext, i: usize, name: &str) -> bool {
         && ctx
             .next_code(i)
             .is_some_and(|n| ctx.tokens[n].is_punct(&ctx.src, '('))
-}
-
-/// Is token `i` the identifier `name` invoked as a macro
-/// (`name!(...)`)? Skips definitions (`macro_rules! name`).
-pub(crate) fn is_macro_call(ctx: &FileContext, i: usize, name: &str) -> bool {
-    ctx.tokens[i].is_ident(&ctx.src, name)
-        && ctx
-            .next_code(i)
-            .is_some_and(|n| ctx.tokens[n].is_punct(&ctx.src, '!'))
-        && !ctx
-            .prev_code(i)
-            .is_some_and(|p| ctx.tokens[p].is_ident(&ctx.src, "macro_rules"))
 }
 
 /// Is token `i` the identifier `name` called as a plain or path-

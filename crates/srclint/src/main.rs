@@ -1,6 +1,8 @@
 //! The `srclint` CLI. Exit codes: 0 clean, 1 findings (errors
 //! always; warnings too under `--deny`), 2 usage or I/O trouble.
 
+#![deny(clippy::unwrap_used)]
+
 use srclint::{render_json, Config, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;

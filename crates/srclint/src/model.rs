@@ -27,7 +27,7 @@ use crate::lexer::TokenKind;
 use std::collections::BTreeMap;
 
 /// Crates whose `src/` trees the concurrency passes reason about:
-/// the ones that own locks, atomics, or the wire codec.
+/// the ones that own locks or atomics.
 pub const CONCURRENCY_CRATES: &[&str] = &["predindex", "telemetry", "ruleserv", "durable"];
 
 /// A lock class: the crate that owns the lock and the field ident it

@@ -9,12 +9,10 @@ struct M {
 
 impl M {
     fn lock_read(&self, sid: usize) -> std::sync::RwLockReadGuard<'_, i32> {
-        // srclint:allow(no-panic-in-lib): poisoned shard lock means a writer panicked
         self.shards[sid].read().expect("poisoned")
     }
 
     fn lock_write(&self, sid: usize) -> std::sync::RwLockWriteGuard<'_, i32> {
-        // srclint:allow(no-panic-in-lib): poisoned shard lock means a writer panicked
         self.shards[sid].write().expect("poisoned")
     }
 
@@ -33,7 +31,6 @@ impl M {
     }
 
     fn other_rwlocks_are_out_of_scope(cache: &std::sync::RwLock<i32>) -> i32 {
-        // srclint:allow(no-panic-in-lib): fixture
         *cache.read().expect("not a shard lock")
     }
 

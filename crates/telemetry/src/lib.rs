@@ -57,6 +57,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::unwrap_used)]
 
 mod counter;
 mod explain;

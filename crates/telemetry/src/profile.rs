@@ -379,8 +379,7 @@ impl Profiler {
             .inner
             .accounts
             .lock()
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            .expect("profiler accounts poisoned");
+            .expect("profiler accounts poisoned: a holder panicked");
         credit(accounts.entry(rule).or_insert_with(|| {
             let label = match rule {
                 Some(rid) => rid.to_string(),
@@ -442,8 +441,11 @@ impl Profiler {
         if !self.enabled {
             return;
         }
-        // srclint:allow(no-panic-in-lib): a poisoned name map means a holder panicked; propagating is by design
-        let mut names = self.inner.names.lock().expect("profiler names poisoned");
+        let mut names = self
+            .inner
+            .names
+            .lock()
+            .expect("profiler names poisoned: a holder panicked");
         names.insert(rule, name.to_string());
     }
 
@@ -456,10 +458,12 @@ impl Profiler {
             .inner
             .accounts
             .lock()
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            .expect("profiler accounts poisoned");
-        // srclint:allow(no-panic-in-lib): a poisoned name map means a holder panicked; propagating is by design
-        let names = self.inner.names.lock().expect("profiler names poisoned");
+            .expect("profiler accounts poisoned: a holder panicked");
+        let names = self
+            .inner
+            .names
+            .lock()
+            .expect("profiler names poisoned: a holder panicked");
         accounts
             .iter()
             .map(|(&rule, a)| AccountSnapshot {
@@ -513,8 +517,11 @@ impl Profiler {
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
         // srclint:allow(atomic-ordering): an independent config word — see set_slow_threshold_nanos
         if nanos >= self.inner.slow_threshold.load(Ordering::Relaxed) {
-            // srclint:allow(no-panic-in-lib): a poisoned slow-op ring means a holder panicked; propagating is by design
-            let mut slow = self.inner.slow.lock().expect("slow-op ring poisoned");
+            let mut slow = self
+                .inner
+                .slow
+                .lock()
+                .expect("slow-op ring poisoned: a holder panicked");
             if slow.len() >= SLOW_OP_CAPACITY {
                 slow.pop_front();
             }
@@ -534,8 +541,11 @@ impl Profiler {
         if !self.enabled {
             return Vec::new();
         }
-        // srclint:allow(no-panic-in-lib): a poisoned slow-op ring means a holder panicked; propagating is by design
-        let slow = self.inner.slow.lock().expect("slow-op ring poisoned");
+        let slow = self
+            .inner
+            .slow
+            .lock()
+            .expect("slow-op ring poisoned: a holder panicked");
         slow.iter().cloned().collect()
     }
 

@@ -61,14 +61,15 @@ impl Registry {
         if !self.enabled {
             return Counter::disabled();
         }
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let mut metrics = self.metrics.lock().expect("registry lock poisoned");
+        let mut metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Counter::live()))
         {
             Metric::Counter(c) => c.clone(),
-            // srclint:allow(no-panic-in-lib): documented panic — a counter/histogram name collision is a naming bug, not a runtime condition
             Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
         }
     }
@@ -80,22 +81,25 @@ impl Registry {
         if !self.enabled {
             return Histogram::disabled();
         }
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let mut metrics = self.metrics.lock().expect("registry lock poisoned");
+        let mut metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Histogram::live()))
         {
             Metric::Histogram(h) => h.clone(),
-            // srclint:allow(no-panic-in-lib): documented panic — a counter/histogram name collision is a naming bug, not a runtime condition
             Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
         }
     }
 
     /// Current value of a registered counter (test/report convenience).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         match metrics.get(name)? {
             Metric::Counter(c) => Some(c.get()),
             Metric::Histogram(_) => None,
@@ -104,8 +108,10 @@ impl Registry {
 
     /// `(count, sum)` of a registered histogram.
     pub fn histogram_totals(&self, name: &str) -> Option<(u64, u64)> {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         match metrics.get(name)? {
             Metric::Histogram(h) => Some((h.count(), h.sum())),
             Metric::Counter(_) => None,
@@ -116,8 +122,10 @@ impl Registry {
     /// — collapses a labelled family (`foo_total{shard="..."}`) into
     /// one number.
     pub fn counter_family_total(&self, prefix: &str) -> u64 {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         metrics
             .iter()
             .filter(|(name, _)| name.starts_with(prefix))
@@ -132,8 +140,10 @@ impl Registry {
     /// `(name, count, sum, buckets)`, name-sorted — the quantile
     /// estimator's input (see [`crate::quantile`]).
     pub fn histogram_snapshots(&self) -> Vec<(String, u64, u64, [u64; HISTOGRAM_BUCKETS])> {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         metrics
             .iter()
             .filter_map(|(name, m)| match m {
@@ -145,8 +155,10 @@ impl Registry {
 
     /// Registered metric names in sorted order.
     pub fn names(&self) -> Vec<String> {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         metrics.keys().cloned().collect()
     }
 
@@ -156,8 +168,10 @@ impl Registry {
     /// bound); empty buckets below the highest occupied one are
     /// skipped, since cumulative counts make them redundant.
     pub fn render_text(&self) -> String {
-        // srclint:allow(no-panic-in-lib): a poisoned registry lock means a holder panicked; propagating is by design
-        let metrics = self.metrics.lock().expect("registry lock poisoned");
+        let metrics = self
+            .metrics
+            .lock()
+            .expect("registry lock poisoned: a holder panicked");
         let mut out = String::new();
         let mut last_family = String::new();
         for (name, metric) in metrics.iter() {

@@ -37,16 +37,23 @@
 //! ```
 
 use crate::handle::Telemetry;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Upper bound on request-header lines drained per request; anything
-/// longer is a hostile client and gets its reply early.
-const MAX_HEADER_LINES: usize = 256;
+/// Upper bound on a request head (request line plus headers). No more
+/// than this is ever read, let alone buffered, before the reply: a
+/// client streaming an endless line gets `431` instead of a `String`
+/// that grows for as long as it sends.
+const MAX_HEAD_BYTES: u64 = 8 << 10;
+
+/// After a `431`, how much of the oversized request is read and thrown
+/// away before the close. Closing on unread input resets the
+/// connection, and a reset can overtake the reply.
+const LINGER_BYTES: u64 = 4 << 20;
 
 /// The `/health` body producer: returns `key value` lines. Opaque so
 /// higher layers (the durable engine knows its WAL sequence and shard
@@ -209,24 +216,33 @@ fn handle(
     advisor: Option<&AdvisorHook>,
 ) -> io::Result<()> {
     let (registry, profiler) = (telemetry.registry(), telemetry.profiler());
-    let mut reader = BufReader::new(conn);
+    let mut head = BufReader::new((&conn).take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Drain the request headers up to the blank line before replying.
     // Answering while the client is still writing headers is an HTTP
     // violation: a keep-alive client (curl) sees the response overlap
     // its request, and a reply-then-close can RST away the body. The
-    // line cap bounds a malicious never-ending header stream; the
+    // byte cap bounds a malicious never-ending header stream; the
     // read timeout bounds a stalled one.
-    for _ in 0..MAX_HEADER_LINES {
+    let complete = loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+        match head.read_line(&mut line)? {
+            // End of input: the client's own is a short but whole
+            // request, the cap's is an oversized one.
+            0 => break head.get_ref().limit() > 0,
+            _ if line == "\r\n" || line == "\n" => break true,
+            _ => {}
         }
-    }
+    };
     // "GET /path HTTP/1.1" — only the path matters here.
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
+        _ if !complete => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes\n"),
+        ),
         "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", {
             let mut body = registry.render_text();
             if let Some(hook) = advisor {
@@ -270,14 +286,19 @@ fn handle(
             ),
         ),
     };
-    let mut conn = reader.into_inner();
+    let mut conn = &conn;
     write!(
         conn,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
     conn.write_all(body.as_bytes())?;
-    conn.flush()
+    conn.flush()?;
+    if !complete {
+        conn.shutdown(Shutdown::Write)?;
+        io::copy(&mut conn.take(LINGER_BYTES), &mut io::sink())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -342,6 +363,34 @@ mod tests {
                 c.read_to_string(&mut s).unwrap_or(0) == 0
             }
         );
+    }
+
+    /// A megabyte with no newline in it: the server reads one head's
+    /// worth, answers `431` and lets go, and a liveness probe on a
+    /// second connection is answered while the first is still sending.
+    #[test]
+    fn an_endless_request_line_is_cut_off_at_the_head_cap() {
+        let server = serve("127.0.0.1:0", Arc::new(Registry::new()), None, None).unwrap();
+        let addr = server.addr();
+
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.write_all(&[b'a'; 64 << 10]).unwrap();
+        let (head, body) = get(addr, "/health");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert_eq!(body, "up 1\n");
+
+        // The rest of the megabyte. The server has stopped listening,
+        // so a write may fail; the reply must arrive either way.
+        for _ in 0..15 {
+            let _ = hostile.write_all(&[b'a'; 64 << 10]);
+        }
+        let started = std::time::Instant::now();
+        let mut response = String::new();
+        hostile.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response:?}");
+        // Cut off by the cap, not by the 2 s read timeout running out.
+        assert!(started.elapsed() < Duration::from_secs(1));
+        server.shutdown();
     }
 
     #[test]

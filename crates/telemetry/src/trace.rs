@@ -206,8 +206,11 @@ impl Tracer {
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        // srclint:allow(no-panic-in-lib): a poisoned trace ring means a holder panicked; propagating is by design
-        self.inner.ring.lock().expect("trace ring poisoned").dropped
+        self.inner
+            .ring
+            .lock()
+            .expect("trace ring poisoned: a holder panicked")
+            .dropped
     }
 
     fn now_nanos(&self) -> u64 {
@@ -218,8 +221,7 @@ impl Tracer {
         self.inner
             .ring
             .lock()
-            // srclint:allow(no-panic-in-lib): a poisoned trace ring means a holder panicked; propagating is by design
-            .expect("trace ring poisoned")
+            .expect("trace ring poisoned: a holder panicked")
             .push(self.inner.capacity, ev);
     }
 
@@ -299,15 +301,17 @@ impl Tracer {
         self.inner
             .ring
             .lock()
-            // srclint:allow(no-panic-in-lib): a poisoned trace ring means a holder panicked; propagating is by design
-            .expect("trace ring poisoned")
+            .expect("trace ring poisoned: a holder panicked")
             .snapshot()
     }
 
     /// Empties the ring and returns its contents oldest-first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        // srclint:allow(no-panic-in-lib): a poisoned trace ring means a holder panicked; propagating is by design
-        let mut ring = self.inner.ring.lock().expect("trace ring poisoned");
+        let mut ring = self
+            .inner
+            .ring
+            .lock()
+            .expect("trace ring poisoned: a holder panicked");
         let out = ring.snapshot();
         ring.buf.clear();
         ring.head = 0;

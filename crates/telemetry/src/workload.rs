@@ -396,8 +396,11 @@ impl WorkloadStats {
         }
         let attrs = self.inner.attr_lifetime();
         let relations = self.inner.relation_lifetime();
-        // srclint:allow(no-panic-in-lib): a poisoned window ring means a holder panicked; propagating is by design
-        let mut state = self.inner.windows.lock().expect("window ring poisoned");
+        let mut state = self
+            .inner
+            .windows
+            .lock()
+            .expect("window ring poisoned: a holder panicked");
         let now = Instant::now();
         let elapsed =
             u64::try_from(now.duration_since(state.last_at).as_nanos()).unwrap_or(u64::MAX);
@@ -470,8 +473,11 @@ impl WorkloadStats {
             return;
         }
         self.sample_window();
-        // srclint:allow(no-panic-in-lib): a poisoned window ring means a holder panicked; propagating is by design
-        let mut state = self.inner.windows.lock().expect("window ring poisoned");
+        let mut state = self
+            .inner
+            .windows
+            .lock()
+            .expect("window ring poisoned: a holder panicked");
         state.ring.clear();
     }
 
@@ -480,8 +486,11 @@ impl WorkloadStats {
         if !self.enabled {
             return Vec::new();
         }
-        // srclint:allow(no-panic-in-lib): a poisoned window ring means a holder panicked; propagating is by design
-        let state = self.inner.windows.lock().expect("window ring poisoned");
+        let state = self
+            .inner
+            .windows
+            .lock()
+            .expect("window ring poisoned: a holder panicked");
         state.ring.iter().cloned().collect()
     }
 
@@ -583,8 +592,10 @@ impl Inner {
     /// lock and a hash probe once the cells exist.
     fn attr_cells(&self, relation: &str, attr: usize) -> Arc<AttrCells> {
         {
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            let map = self.attrs.read().expect("workload map poisoned");
+            let map = self
+                .attrs
+                .read()
+                .expect("workload map poisoned: a holder panicked");
             if let Some(cells) = map.get(relation).and_then(|inner| inner.get(&attr)) {
                 return Arc::clone(cells);
             }
@@ -619,8 +630,7 @@ impl Inner {
         self.attrs
             // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
             .write()
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            .expect("workload map poisoned")
+            .expect("workload map poisoned: a holder panicked")
             .entry(relation.to_string())
             .or_default()
             .entry(attr)
@@ -630,8 +640,10 @@ impl Inner {
 
     fn relation_cells(&self, relation: &str) -> Arc<RelationCells> {
         {
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            let map = self.relations.read().expect("workload map poisoned");
+            let map = self
+                .relations
+                .read()
+                .expect("workload map poisoned: a holder panicked");
             if let Some(cells) = map.get(relation) {
                 return Arc::clone(cells);
             }
@@ -649,16 +661,17 @@ impl Inner {
         self.relations
             // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
             .write()
-            // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-            .expect("workload map poisoned")
+            .expect("workload map poisoned: a holder panicked")
             .entry(relation.to_string())
             .or_insert(cells)
             .clone()
     }
 
     fn attr_lifetime(&self) -> Vec<AttrUsage> {
-        // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-        let map = self.attrs.read().expect("workload map poisoned");
+        let map = self
+            .attrs
+            .read()
+            .expect("workload map poisoned: a holder panicked");
         let mut out = Vec::new();
         for (relation, inner) in map.iter() {
             for (&attr, cells) in inner.iter() {
@@ -688,8 +701,10 @@ impl Inner {
     }
 
     fn relation_lifetime(&self) -> Vec<RelationUsage> {
-        // srclint:allow(no-panic-in-lib): a poisoned account map means a holder panicked; propagating is by design
-        let map = self.relations.read().expect("workload map poisoned");
+        let map = self
+            .relations
+            .read()
+            .expect("workload map poisoned: a holder panicked");
         let mut out: Vec<RelationUsage> = map
             .iter()
             .map(|(relation, cells)| {

@@ -94,6 +94,7 @@
 //! assert!(!telemetry.tracer().events().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
 pub use altindex;

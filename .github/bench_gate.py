@@ -27,6 +27,7 @@ REQUIRED = {
         "telemetry_primitive/histogram_record",
         "attribution_overhead/baseline",
         "attribution_overhead/profiled",
+        "engine/allocs_per_event/batch128",
     ],
     "advisor": [
         "advisor/stab_heavy",
@@ -79,7 +80,14 @@ def gate_observability(rows, base):
     base_ratio = ns_ratio(base, "attribution_overhead/profiled", "attribution_overhead/baseline")
     bound = max(base_ratio * 1.5, 1.30)
     assert ratio <= bound, ("attribution overhead", ratio, base_ratio, bound)
-    return "attribution ratio %.3f (baseline %.3f, bound %.3f)" % (ratio, base_ratio, bound)
+    # Heap allocations per event of one batch through the rule chain: a
+    # count, identical on every host, so the committed one with 10% room
+    # and no floor.
+    name = "engine/allocs_per_event/batch128"
+    allocs, base_allocs = rows[name]["allocs_per_event"], base[name]["allocs_per_event"]
+    assert allocs <= base_allocs * 1.10, (name, allocs, base_allocs)
+    return "attribution ratio %.3f (baseline %.3f, bound %.3f); %.3f allocations per event (committed %.3f)" % (
+        ratio, base_ratio, bound, allocs, base_allocs)
 
 
 def gate_advisor(rows, base):

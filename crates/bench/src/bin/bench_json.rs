@@ -14,8 +14,11 @@
 //! ```
 //!
 //! * `observability` — the §5.2 scheme-cost sweep, the telemetry and
-//!   profiler-attribution overhead pairs, and the raw cost of one
-//!   counter increment / histogram record;
+//!   profiler-attribution overhead pairs, the raw cost of one counter
+//!   increment / histogram record, and the heap allocations per event
+//!   of one 128-row batch through a `match_stab`-shaped engine (a
+//!   count, exact on any host: this binary's allocator is `System`
+//!   plus one relaxed add);
 //! * `advisor` — the three canonical workload shapes of [`bench::lab`]
 //!   (advisor pick, measured-cheapest backend, per-backend projected
 //!   and measured ns) and the workload-account overhead pair;
@@ -35,16 +38,53 @@
 
 use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
+use bench::stab_shape;
 use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
 use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predindex::{Backend, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::json::JsonWriter;
 use telemetry::{Registry, Telemetry, Tracer};
+
+/// Allocator calls that obtained memory (`alloc`, `realloc`) since the
+/// process started — what `engine/allocs_per_event/batch128` reads.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter beside it touches no memory
+// the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract for `realloc`, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 /// A suite appends its rows to the open `rows` array.
 type Suite = fn(&Config, &mut JsonWriter);
@@ -302,11 +342,42 @@ fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
     }
 }
 
+/// The recognize-act cycle's allocation budget: one warmed 128-row
+/// `insert_batch` through [`stab_shape`]'s engine — insert, rewrite
+/// half, delete all, three matching levels — counted by this binary's
+/// allocator. The same shape, seeds and batch the tier-1 test
+/// `rules/tests/alloc_budget.rs` pins; not a timing, so `--quick`
+/// changes nothing.
+fn allocs_per_event(w: &mut JsonWriter) {
+    const NAME: &str = "engine/allocs_per_event/batch128";
+    let mut engine = stab_shape::engine(2_000, 1);
+    engine
+        .insert_batch(stab_shape::RELATION, stab_shape::rows(128, 2))
+        .expect("warm-up batch");
+    let rows = stab_shape::rows(128, 3);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = engine
+        .insert_batch(stab_shape::RELATION, rows)
+        .expect("measured batch");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let events = report.ops_applied as u64;
+    let per_event = allocations as f64 / events as f64;
+    eprintln!("{NAME}: {allocations} allocations / {events} events = {per_event:.3}");
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("allocs_per_event").float(per_event, 3);
+    w.key("allocations").uint(allocations);
+    w.key("events").uint(events);
+    w.key("firings").uint(report.fired.len() as u64);
+    w.end_object();
+}
+
 fn observability(cfg: &Config, w: &mut JsonWriter) {
     scheme_cost(cfg, w);
     telemetry_overhead(cfg, w);
     telemetry_primitive(cfg, w);
     attribution_overhead(cfg, w);
+    allocs_per_event(w);
 }
 
 // ---------------------------------------------------------------------

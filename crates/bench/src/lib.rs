@@ -26,6 +26,8 @@
 //!   index advisor's validation lab (workload shapes, calibration,
 //!   measured replay; every backend driven through the one
 //!   `altindex::DynamicStabIndex` trait).
+//! * [`stab_shape`] — `match_stab` in miniature, the engine whose heap
+//!   allocations per event `bench_json` reports and a `rules` test pins.
 //!
 //! The whole-stack benchmark (`stackbench`, `BENCHMARK.json`) is a
 //! package of its own under `benchmark/` and uses nothing from here.
@@ -36,5 +38,6 @@
 pub mod costmodel;
 pub mod lab;
 pub mod scheme;
+pub mod stab_shape;
 pub mod timing;
 pub mod workload;

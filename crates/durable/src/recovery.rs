@@ -167,7 +167,7 @@ pub(crate) fn build_rule(
         }
     }
     Ok(Rule {
-        name: spec.name.clone(),
+        name: spec.name.as_str().into(),
         conditions,
         joins,
         mask: spec.mask,
@@ -238,7 +238,7 @@ pub fn replay_traced(
                     }
                 }
                 let rule = Rule {
-                    name: r.name,
+                    name: r.name.into(),
                     conditions,
                     joins,
                     mask: r.mask,

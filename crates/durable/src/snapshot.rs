@@ -219,7 +219,7 @@ pub fn capture<'a>(
                 Action::Log(msg) => ActionSpec::Log(msg.clone()),
                 Action::Callback(_) => {
                     return Err(SnapshotError::Unrepresentable {
-                        rule: rule.name.clone(),
+                        rule: rule.name.to_string(),
                         detail: "anonymous callback action (register it by name)".into(),
                     })
                 }
@@ -235,7 +235,7 @@ pub fn capture<'a>(
                 Some(src) => conds.push(CondSnap::Source(src)),
                 None => {
                     return Err(SnapshotError::Unrepresentable {
-                        rule: rule.name.clone(),
+                        rule: rule.name.to_string(),
                         detail: "condition has no source spelling".into(),
                     })
                 }
@@ -246,7 +246,7 @@ pub fn capture<'a>(
                 Some(src) => conds.push(CondSnap::Join(src)),
                 None => {
                     return Err(SnapshotError::Unrepresentable {
-                        rule: rule.name.clone(),
+                        rule: rule.name.to_string(),
                         detail: "join condition has no source spelling".into(),
                     })
                 }
@@ -254,7 +254,7 @@ pub fn capture<'a>(
         }
         rules.push(RuleSnap {
             id: id.0,
-            name: rule.name.clone(),
+            name: rule.name.to_string(),
             mask: rule.mask,
             priority: rule.priority,
             fired,

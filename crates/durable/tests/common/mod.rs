@@ -139,7 +139,7 @@ pub fn shadow_rule(spec: &RuleSpec, actions: &ActionRegistry) -> Rule {
         ActionSpec::Named(n) => Action::Callback(actions.get(n).expect("registered")),
     };
     Rule {
-        name: spec.name.clone(),
+        name: spec.name.as_str().into(),
         conditions,
         joins,
         mask: spec.mask,

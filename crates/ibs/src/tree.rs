@@ -194,6 +194,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         out: &mut Vec<IntervalId>,
         obs: &mut O,
     ) {
+        let from = out.len();
         out.extend_from_slice(&self.universal);
         obs.universal(self.universal.len());
         let mut cur = self.root;
@@ -219,11 +220,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             }
         }
         debug_assert!(
-            {
-                let mut v = out.clone();
-                v.sort_unstable();
-                v.windows(2).all(|w| w[0] != w[1])
-            },
+            all_distinct(&out[from..]),
             "a stab path collected the same interval twice"
         );
     }
@@ -703,4 +700,18 @@ impl<K> IbsTree<K> {
     pub(crate) fn root_id(&self) -> NodeId {
         self.root
     }
+}
+
+/// The debug check behind every stab: no id twice among the ids one
+/// stab appended (the caller's buffer may already hold other stabs'
+/// ids, which repeat freely). Short tails — every stab of a selective
+/// index — are compared pairwise, so a debug build of a hot loop that
+/// reuses its buffer still makes no allocation per stab.
+fn all_distinct(ids: &[IntervalId]) -> bool {
+    if ids.len() <= 32 {
+        return ids.iter().enumerate().all(|(i, id)| !ids[..i].contains(id));
+    }
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }

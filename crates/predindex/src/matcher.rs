@@ -2,8 +2,8 @@
 //! plus the shared predicate store (the paper's `PREDICATES` table).
 
 use predicate::{BindError, BoundPredicate, Predicate};
+use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a registered predicate. The same id doubles as the
@@ -98,7 +98,7 @@ impl StoredPredicate {
 /// is retrieved from PREDICATES and tested against t" (§4).
 #[derive(Debug, Clone, Default)]
 pub struct PredicateStore {
-    preds: HashMap<u32, StoredPredicate>,
+    preds: FnvHashMap<u32, StoredPredicate>,
     next: u32,
 }
 

@@ -15,7 +15,7 @@
 //! stays the alpha layer), matched premise tuples feed the join memo,
 //! and complete matches enter the agenda with all bound tuples.
 
-use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId};
+use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId, RuleName};
 use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::JoinCondition;
 use predindex::{IndexError, MatchTrace, Matcher, PredicateId, PredicateIndex, ShardStats};
@@ -23,6 +23,7 @@ use relation::fx::FnvHashMap;
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{Counter, Histogram, Registry, Telemetry};
@@ -81,22 +82,23 @@ impl From<CatalogError> for EngineError {
 
 /// One rule firing with its bound tuples (empty for single-relation
 /// firings) — the detailed counterpart of [`FireReport::fired`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Firing {
     /// The fired rule.
     pub rule: RuleId,
-    /// The rule's name.
-    pub name: String,
+    /// The rule's name (shared with the [`Rule`], not copied).
+    pub name: RuleName,
     /// For multi-premise firings: every premise's bound tuple, in
     /// premise order. Empty for single-relation firings.
     pub bindings: Vec<BoundTuple>,
 }
 
 /// What happened while processing one external mutation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FireReport {
-    /// `(rule, rule name)` in firing order, across the whole chain.
-    pub fired: Vec<(RuleId, String)>,
+    /// `(rule, rule name)` in firing order, across the whole chain. The
+    /// name is the rule's own [`RuleName`], shared by reference count.
+    pub fired: Vec<(RuleId, RuleName)>,
     /// The same firings with their join bindings attached (parallel to
     /// `fired`).
     pub firings: Vec<Firing>,
@@ -108,6 +110,26 @@ pub struct FireReport {
 /// condition, the premise predicate ids entered into the alpha index,
 /// and the complete matches discovered while seeding.
 type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>, Vec<Binding>);
+
+/// One agenda entry: `(priority, rule, bound tuples)` — the tuples of a
+/// completed join match, empty for a single-relation instantiation.
+type AgendaEntry = (i32, u32, Vec<BoundTuple>);
+
+/// The buffers one recognize-act chain owns and every level, event and
+/// firing in it reuses, so a level allocates for the tuples it writes
+/// and not per event matched or rule fired.
+#[derive(Default)]
+struct ChainBuffers {
+    /// The level's matches, flat: event `i`'s are `matched[bounds[i]]`.
+    matched: Vec<PredicateId>,
+    bounds: Vec<Range<usize>>,
+    /// The current event's agenda, and the join instantiations waiting
+    /// to be appended behind its plain ones.
+    agenda: Vec<AgendaEntry>,
+    join_entries: Vec<AgendaEntry>,
+    /// The operations the current firing's action queued.
+    ops: Vec<DbOp>,
+}
 
 struct StoredRule {
     rule: Rule,
@@ -519,13 +541,16 @@ impl RuleEngine {
         if !self.rules[&rid].rule.mask.on_insert {
             return Ok(report);
         }
+        let mut ops = Vec::new();
+        let mut produced = Vec::new();
         for (seed, bound) in seeds {
             if report.fired.len() >= self.firing_limit {
                 return Err(EngineError::FiringLimit {
                     limit: self.firing_limit,
                 });
             }
-            for ev in self.fire_one(rid, &seed, &bound, &mut report)? {
+            self.fire_one(rid, &seed, bound, &mut report, &mut ops, &mut produced)?;
+            for ev in produced.drain(..) {
                 let r = self.chain_level_inner(vec![ev])?;
                 report.fired.extend(r.fired);
                 report.firings.extend(r.firings);
@@ -719,6 +744,9 @@ impl RuleEngine {
         } else {
             Vec::new()
         };
+        let mut buf = ChainBuffers::default();
+        let mut next: Vec<TupleEvent> = Vec::new();
+        let mut next_tags: Vec<Option<u32>> = Vec::new();
         while !level.is_empty() {
             depth += 1;
             let _level_span = tracer.span_with("cascade_level", || {
@@ -728,25 +756,13 @@ impl RuleEngine {
                 ]
             });
             self.metrics.events_per_level.record(level.len() as u64);
-            let matches: Vec<Vec<PredicateId>> = {
+            {
                 let _match =
                     tracer.span_with("match_level", || vec![("tuples", level.len().to_string())]);
-                if profiling {
-                    self.match_level_accounted(&level, &tags)
-                } else {
-                    level
-                        .iter()
-                        .map(|event| {
-                            self.index
-                                .match_tuple(event.relation(), matched_tuple(event))
-                        })
-                        .collect()
-                }
-            };
+                self.match_level(&level, &tags, &mut buf.matched, &mut buf.bounds);
+            }
 
-            let mut next: Vec<TupleEvent> = Vec::new();
-            let mut next_tags: Vec<Option<u32>> = Vec::new();
-            for (pos, (event, matched)) in level.iter().zip(matches).enumerate() {
+            for (pos, event) in level.iter().enumerate() {
                 let account = tags.get(pos).copied().flatten();
                 report.ops_applied += 1;
                 self.metrics.ops.inc();
@@ -783,11 +799,12 @@ impl RuleEngine {
                 // one instantiation per newly *completed join match*,
                 // ordered by priority descending, then registration
                 // recency (newest first), OPS5-style. The stable sort
-                // keeps a rule's plain instantiation ahead of its join
-                // instantiations at equal (priority, rule).
-                let mut agenda: Vec<(i32, u32, Option<Vec<BoundTuple>>)> = Vec::new();
-                let mut join_entries: Vec<(i32, u32, Option<Vec<BoundTuple>>)> = Vec::new();
-                for pid in matched {
+                // keeps a rule's plain instantiations ahead of its join
+                // instantiations at equal (priority, rule) — and next
+                // to each other, so the disjunct duplicates fall to one
+                // pass over the sorted agenda (a lookup per matched
+                // predicate made a tuple firing F rules cost F²).
+                for &pid in &buf.matched[buf.bounds[pos].clone()] {
                     if let Some(&(rid, key, premise)) = self.pred_to_premise.get(&pid.0) {
                         let Some(tuple) = post else {
                             continue; // deletes only retract
@@ -810,7 +827,7 @@ impl RuleEngine {
                                     tuple,
                                 })
                                 .collect();
-                            join_entries.push((stored.rule.priority, rid, Some(bound)));
+                            buf.join_entries.push((stored.rule.priority, rid, bound));
                         }
                         continue;
                     }
@@ -818,72 +835,84 @@ impl RuleEngine {
                         continue;
                     };
                     let stored = &self.rules[&rid];
-                    if !stored.rule.mask.accepts(event) {
-                        continue;
-                    }
-                    if !agenda.iter().any(|(_, r, _)| *r == rid) {
-                        agenda.push((stored.rule.priority, rid, None));
+                    if stored.rule.mask.accepts(event) {
+                        buf.agenda.push((stored.rule.priority, rid, Vec::new()));
                     }
                 }
-                agenda.extend(join_entries);
-                agenda.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
+                buf.agenda.append(&mut buf.join_entries);
+                buf.agenda.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
+                buf.agenda.dedup_by(|later, kept| {
+                    later.1 == kept.1 && later.2.is_empty() && kept.2.is_empty()
+                });
 
-                for (_, rid, bound) in agenda {
+                for (_, rid, bindings) in buf.agenda.drain(..) {
                     if report.fired.len() >= self.firing_limit {
                         return Err(EngineError::FiringLimit {
                             limit: self.firing_limit,
                         });
                     }
-                    let bindings = bound.as_deref().unwrap_or(&[]);
-                    let produced = self.fire_one(rid, event, bindings, &mut report)?;
+                    let before = next.len();
+                    self.fire_one(rid, event, bindings, &mut report, &mut buf.ops, &mut next)?;
                     if profiling {
                         // Cascaded events bill their producing rule.
-                        next_tags.extend(std::iter::repeat_n(Some(rid), produced.len()));
+                        next_tags.extend(std::iter::repeat_n(Some(rid), next.len() - before));
                     }
-                    next.extend(produced);
                 }
             }
-            level = next;
-            tags = next_tags;
+            level.clear();
+            tags.clear();
+            std::mem::swap(&mut level, &mut next);
+            std::mem::swap(&mut tags, &mut next_tags);
         }
         self.metrics.cascade_depth.record(depth);
         Ok(report)
     }
 
-    /// The profiled matching stage: the level's events are grouped by
-    /// billing account, each group matched with the global cost
-    /// counters snapshotted around it (exact deltas — the engine is
-    /// serial), and the delta plus wall-clock credited to the account.
-    /// Matching is pure, so regrouping changes no result and no global
-    /// counter.
-    fn match_level_accounted(
+    /// The matching stage of one level, into the chain's flat buffer:
+    /// event `i`'s matching predicates end up at `matched[bounds[i]]`.
+    ///
+    /// With the profiler on, the level's events are grouped by billing
+    /// account (`tags`, parallel to `level`), each group matched with
+    /// the global cost counters snapshotted around it (exact deltas —
+    /// the engine is serial), and the delta plus wall-clock credited to
+    /// the account. Matching is pure, so regrouping changes no result
+    /// and no global counter.
+    fn match_level(
         &self,
         level: &[TupleEvent],
         tags: &[Option<u32>],
-    ) -> Vec<Vec<PredicateId>> {
+        matched: &mut Vec<PredicateId>,
+        bounds: &mut Vec<Range<usize>>,
+    ) {
+        matched.clear();
+        bounds.clear();
+        let mut match_event = |event: &TupleEvent| {
+            let from = matched.len();
+            self.index
+                .match_tuple_into(event.relation(), matched_tuple(event), matched);
+            from..matched.len()
+        };
+        let profiler = self.telemetry.profiler();
+        if !profiler.is_enabled() {
+            bounds.extend(level.iter().map(match_event));
+            return;
+        }
         let mut groups: BTreeMap<Option<u32>, Vec<usize>> = BTreeMap::new();
         for (i, &t) in tags.iter().enumerate() {
             groups.entry(t).or_default().push(i);
         }
-        let mut out: Vec<Vec<PredicateId>> = vec![Vec::new(); level.len()];
+        bounds.resize(level.len(), 0..0);
         for (account, positions) in groups {
-            let before = self.telemetry.profiler().source_snapshot();
+            let before = profiler.source_snapshot();
             let started = Instant::now();
             for i in positions {
-                let event = &level[i];
-                self.index
-                    .match_tuple_into(event.relation(), matched_tuple(event), &mut out[i]);
+                bounds[i] = match_event(&level[i]);
             }
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let mut delta = self
-                .telemetry
-                .profiler()
-                .source_snapshot()
-                .delta_since(&before);
+            let mut delta = profiler.source_snapshot().delta_since(&before);
             delta.stab_nanos = nanos;
-            self.telemetry.profiler().credit_match(account, &delta);
+            profiler.credit_match(account, &delta);
         }
-        out
     }
 
     /// The rule owning join-condition `key`, via the premise routing
@@ -895,40 +924,43 @@ impl RuleEngine {
             .map(|&(rid, _, _)| rid)
     }
 
-    /// Fires one rule on one event: runs the action, applies its queued
-    /// database operations, and returns the resulting events (which the
-    /// caller feeds back into the chain).
+    /// Fires one rule on one event: runs the action, applies the
+    /// database operations it queued (through `ops`, the chain's
+    /// scratch, left empty) and appends the resulting events to `out`
+    /// for the caller to feed back into the chain. The event, the
+    /// rule's name and its action are borrowed where they live; only
+    /// the report entry (a shared name, the moved `bindings`) is new.
     fn fire_one(
         &mut self,
         rid: u32,
         event: &TupleEvent,
-        bindings: &[BoundTuple],
+        bindings: Vec<BoundTuple>,
         report: &mut FireReport,
-    ) -> Result<Vec<TupleEvent>, EngineError> {
-        let tuple = matched_tuple(event).clone();
+        ops: &mut Vec<DbOp>,
+        out: &mut Vec<TupleEvent>,
+    ) -> Result<(), EngineError> {
         let stored = self
             .rules
             .get_mut(&rid)
             .expect("the agenda only holds ids of registered rules");
-        let rule_name = stored.rule.name.clone();
-        let action = stored.rule.action.clone();
         stored.fired += 1;
+        let rule = &stored.rule;
         self.total_fired += 1;
         self.metrics.fired.inc();
         self.telemetry.profiler().credit_firing(rid);
-        report.fired.push((RuleId(rid), rule_name.clone()));
-        report.firings.push(Firing {
-            rule: RuleId(rid),
-            name: rule_name.clone(),
-            bindings: bindings.to_vec(),
-        });
-        let tracer = self.telemetry.tracer().clone();
-        let _fire = tracer.span_with("rule_fire", || vec![("rule", rule_name.clone())]);
+        let _fire = self
+            .telemetry
+            .tracer()
+            .span_with("rule_fire", || vec![("rule", rule.name.to_string())]);
 
-        let mut ops = Vec::new();
-        match action {
+        match &rule.action {
             Action::Log(msg) => {
-                let mut line = format!("[{rule_name}] {msg}: {}{}", event.relation(), tuple);
+                let mut line = format!(
+                    "[{}] {msg}: {}{}",
+                    rule.name,
+                    event.relation(),
+                    matched_tuple(event)
+                );
                 if !bindings.is_empty() {
                     let parts: Vec<String> = bindings
                         .iter()
@@ -941,30 +973,35 @@ impl RuleEngine {
             Action::Callback(f) => {
                 let mut ctx = RuleContext {
                     event,
-                    rule_name: &rule_name,
-                    bindings,
+                    rule_name: &rule.name,
+                    bindings: &bindings,
                     log: &mut self.log,
-                    ops: &mut ops,
+                    ops,
                 };
                 f(&mut ctx);
             }
         }
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
+        for op in ops.drain(..) {
             let ev = match op {
                 DbOp::Insert { relation, values } => self.db.insert_event(&relation, values)?,
                 DbOp::UpdateCurrent { values } => {
                     let (rel, id) = current_target(event)?;
-                    self.db.update_event(&rel, id, values)?
+                    self.db.update_event(rel, id, values)?
                 }
                 DbOp::DeleteCurrent => {
                     let (rel, id) = current_target(event)?;
-                    self.db.delete_event(&rel, id)?
+                    self.db.delete_event(rel, id)?
                 }
             };
             out.push(ev);
         }
-        Ok(out)
+        report.fired.push((RuleId(rid), rule.name.clone()));
+        report.firings.push(Firing {
+            rule: RuleId(rid),
+            name: rule.name.clone(),
+            bindings,
+        });
+        Ok(())
     }
 }
 
@@ -978,10 +1015,10 @@ fn matched_tuple(event: &TupleEvent) -> &Tuple {
 }
 
 /// The `(relation, tuple id)` a `*Current` operation applies to.
-fn current_target(event: &TupleEvent) -> Result<(String, TupleId), EngineError> {
+fn current_target(event: &TupleEvent) -> Result<(&str, TupleId), EngineError> {
     match event {
         TupleEvent::Inserted { relation, id, .. } | TupleEvent::Updated { relation, id, .. } => {
-            Ok((relation.clone(), *id))
+            Ok((relation, *id))
         }
         TupleEvent::Deleted { relation, .. } => {
             Err(EngineError::Catalog(CatalogError::NoSuchRelation(format!(
@@ -1108,7 +1145,7 @@ impl RuleEngine {
                     .iter()
                     .filter_map(|&k| self.joins.stats_for(k))
                     .collect();
-                (RuleId(rid), s.rule.name.clone(), stats)
+                (RuleId(rid), s.rule.name.to_string(), stats)
             })
             .collect();
         out.sort_by_key(|(rid, _, _)| *rid);

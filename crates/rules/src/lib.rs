@@ -38,7 +38,22 @@
 //!     .unwrap();
 //! assert_eq!(report.fired.len(), 1);
 //! assert!(engine.log()[0].contains("below minimum"));
+//!
+//! // A report names each firing by the rule's own `RuleName` — one
+//! // reference-counted string per rule, shared, never copied — which
+//! // reads and compares as a `&str`.
+//! let (id, name) = &report.fired[0];
+//! assert_eq!(name.as_str(), "underpaid");
+//! assert!(*name == "underpaid" && name.starts_with("under"));
+//! assert_eq!(engine.rule(*id).unwrap().name, *name);
 //! ```
+//!
+//! One recognize-act chain owns its buffers — the level's matches in
+//! one flat vector, one agenda, one queue of pending operations — and a
+//! firing borrows the event, the rule's name and its action where they
+//! live, so a chain allocates for the tuples it writes (an event's
+//! relation name and tuple), not per event matched or rule fired
+//! (`tests/alloc_budget.rs` counts it).
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -48,7 +63,9 @@ mod engine;
 mod rule;
 
 pub use engine::{EngineError, FireReport, Firing, RuleEngine};
-pub use rule::{Action, BoundTuple, DbOp, EventMask, Rule, RuleBuilder, RuleContext, RuleId};
+pub use rule::{
+    Action, BoundTuple, DbOp, EventMask, Rule, RuleBuilder, RuleContext, RuleId, RuleName,
+};
 // The join vocabulary, re-exported so applications can hold join
 // conditions and memo stats without naming the lower crates.
 pub use joinmemo::MemoStats;
@@ -784,7 +801,7 @@ mod join_tests {
         assert!(e.insert("dept", dept(4, 1)).unwrap().fired.is_empty());
         // emp completes it.
         let r = e.insert("emp", emp("al", 4, 100)).unwrap();
-        assert_eq!(r.fired, vec![(id, "same-dept".to_string())]);
+        assert_eq!(r.fired, vec![(id, "same-dept".into())]);
         // The log line names both bound tuples.
         assert!(e.log()[0].contains("dept#"), "log: {:?}", e.log());
         assert!(e.log()[0].contains("emp#"), "log: {:?}", e.log());
@@ -1186,7 +1203,7 @@ mod drop_restore_tests {
 
         // The surviving disjunct of "both" still matches.
         let report = e.insert("dept", vec![Value::Int(9)]).unwrap();
-        assert_eq!(report.fired, vec![(both, "both".to_string())]);
+        assert_eq!(report.fired, vec![(both, "both".into())]);
 
         // Mutating the dropped relation is a catalog error, and
         // recreating the name does NOT resurrect the old conditions.

@@ -4,7 +4,67 @@
 use predicate::{parse_rule_conditions, JoinCondition, ParseError, ParsedCondition, Predicate};
 use relation::{Tuple, TupleEvent, TupleId, Value};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// A rule's name: one reference-counted string per rule, shared by the
+/// [`Rule`] and by every [`FireReport`](crate::FireReport) entry that
+/// names it, so reporting a firing copies a pointer, not the text.
+/// Reads as a `&str` ([`as_str`](Self::as_str), `Deref`) and compares
+/// with one.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RuleName(Arc<str>);
+
+impl RuleName {
+    /// The name as text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for RuleName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<String> for RuleName {
+    fn from(name: String) -> Self {
+        RuleName(name.into())
+    }
+}
+
+impl From<&str> for RuleName {
+    fn from(name: &str) -> Self {
+        RuleName(name.into())
+    }
+}
+
+impl PartialEq<str> for RuleName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for RuleName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for RuleName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for RuleName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
 
 /// Identifier of a registered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,7 +197,7 @@ impl fmt::Debug for Action {
 /// A production rule / trigger.
 #[derive(Debug, Clone)]
 pub struct Rule {
-    pub name: String,
+    pub name: RuleName,
     /// The single-relation condition conjuncts, already split into DNF:
     /// the rule fires when *any* conjunct matches.
     pub conditions: Vec<Predicate>,
@@ -230,7 +290,7 @@ impl RuleBuilder {
             self.name
         );
         Rule {
-            name: self.name,
+            name: self.name.into(),
             conditions: self.conditions,
             joins: self.joins,
             mask: self.mask,

@@ -808,7 +808,7 @@ fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>
         .map(|f| Event {
             seq,
             rule_id: f.rule.0,
-            rule: f.name.clone(),
+            rule: f.name.to_string(),
             bindings: f
                 .bindings
                 .iter()
@@ -826,7 +826,7 @@ fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>
         fired: report
             .fired
             .into_iter()
-            .map(|(id, name)| (id.0, name))
+            .map(|(id, name)| (id.0, name.to_string()))
             .collect(),
     });
     (reply, events)

@@ -46,6 +46,7 @@ REQUIRED = {
         "join/retract/alpha100k",
         "join/snapshot_capture/tokens10k",
         "join/snapshot_capture/tokens100k",
+        "join/bytes_per_alpha_entry/memos20",
     ],
 }
 
@@ -118,7 +119,7 @@ def gate_advisor(rows, base):
         picks, ratio, base_ratio, bound)
 
 
-def gate_join(rows, _base):
+def gate_join(rows, base):
     speedups = []
     for name in rows:
         if not name.endswith("/memoized"):
@@ -139,7 +140,15 @@ def gate_join(rows, _base):
         growth = ns_ratio(rows, large, small)
         assert growth <= 2, ("cost grows with the memo", large, small, growth)
         flat.append((large, round(growth, 2)))
-    return "speedups %s; growth %s" % (speedups, flat)
+    # Memos share the rows they hold: live heap bytes per alpha entry of 20
+    # memos over the same rows, a count identical on every host, so the
+    # committed one with 10% room and no floor (a memo that copies its rows
+    # read x2.5 at the parent of PR 25).
+    name = "join/bytes_per_alpha_entry/memos20"
+    per_entry, base_per_entry = rows[name]["bytes_per_entry"], base[name]["bytes_per_entry"]
+    assert per_entry <= base_per_entry * 1.10, (name, per_entry, base_per_entry)
+    return "speedups %s; growth %s; %.1f bytes per alpha entry (committed %.1f)" % (
+        speedups, flat, per_entry, base_per_entry)
 
 
 GATES = {"observability": gate_observability, "advisor": gate_advisor, "join": gate_join}

@@ -25,8 +25,10 @@
 //! * `join` — memoized vs naive per-insert cost for 2- and 3-premise
 //!   join rules; the cost of one `JoinEngine::retract` from a premise
 //!   no equality step keys, at three alpha-memory sizes; the cost of
-//!   one snapshot `capture` at two token counts. The last two must
-//!   stay flat.
+//!   one snapshot `capture` at two token counts (these two must stay
+//!   flat); and the live heap bytes per alpha entry of 20 memos over
+//!   the same 10k rows (a count, like the allocation row: memos share
+//!   the rows, so it stays near a table slot).
 //!
 //! Every row has a `name`; timing rows carry `ns_per_op`, rows of runs
 //! with a live registry carry the final `counters` so shape regressions
@@ -43,11 +45,11 @@ use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
 use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predindex::{Backend, Matcher, PredicateIndex};
-use relation::{AttrType, Database, Schema, Tuple, Value};
+use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::json::JsonWriter;
 use telemetry::{Registry, Telemetry, Tracer};
@@ -55,22 +57,27 @@ use telemetry::{Registry, Telemetry, Tracer};
 /// Allocator calls that obtained memory (`alloc`, `realloc`) since the
 /// process started — what `engine/allocs_per_event/batch128` reads.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed — what
+/// `join/bytes_per_alpha_entry/memos20` reads.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter beside it touches no memory
+// the `GlobalAlloc` contract; the counters beside it touch no memory
 // the allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -78,6 +85,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller's contract for `realloc`, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -619,7 +627,11 @@ fn join_retract(cfg: &Config, w: &mut JsonWriter, n: usize, label: &str) {
     // Spread over the whole memory, not its most recent corner.
     let victims: Vec<_> = dept.iter().step_by(n / calls).take(calls).collect();
     let mut retracted = 0;
-    let ns = min_ns(cfg.pick(3, 7), || {
+    // Seven runs under `--quick` too: the gate bounds the ratio of two
+    // of these minima, and a quick run's calls take ~30 µs, so the
+    // runs cost nothing and a fourth to seventh one keeps a neighbour's
+    // time slice out of the minimum.
+    let ns = min_ns(7, || {
         let ns = time_ns(|| {
             for (id, _) in &victims {
                 retracted = consume(memo.retract("dept", id.0));
@@ -662,6 +674,57 @@ fn join_snapshot_capture(cfg: &Config, w: &mut JsonWriter, tokens: usize, label:
         .end_object();
 }
 
+/// Live heap bytes per alpha entry: 20 memos of `customers.id =
+/// orders.customer` seeded over the same 10k `orders` rows (four ints,
+/// the row `join_cascade` writes) and no `customers` row, so no token —
+/// what the memos hold is alpha entries and their key buckets. Counted
+/// by this binary's allocator from before the memos exist, so the
+/// rows themselves (the catalog's) are in it only if a memo copies
+/// them. Not a timing, so `--quick` changes nothing.
+fn join_bytes_per_alpha_entry(w: &mut JsonWriter) {
+    const NAME: &str = "join/bytes_per_alpha_entry/memos20";
+    const MEMOS: u64 = 20;
+    const ROWS: i64 = 10_000;
+    let mut catalog = Catalog::new();
+    for relation in ["customers", "orders"] {
+        let schema = ["id", "customer", "amount", "region"]
+            .iter()
+            .fold(Schema::builder(relation), |s, a| s.attr(*a, AttrType::Int));
+        catalog
+            .create_relation(schema.build())
+            .expect("fresh catalog");
+    }
+    let orders = catalog.relation_mut("orders").expect("just created");
+    for i in 0..ROWS {
+        let row = [i, i * 7 % 1_000, i * 37 % 10_000, i % 8].map(Value::Int);
+        orders.insert(row.to_vec()).expect("a well-typed row");
+    }
+    let condition = join_rule("customers.id = orders.customer").joins.remove(0);
+    let compiled = CompiledJoin::compile(&condition, &catalog).expect("bench condition compiles");
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut memos = JoinEngine::new();
+    for key in 0..MEMOS {
+        memos.register(key, compiled.clone());
+        memos.seed(key, &catalog);
+    }
+    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let stats = memos.stats();
+    let entries: usize = stats.iter().flat_map(|s| &s.alpha_counts).sum();
+    assert!(
+        stats.iter().all(|s| s.level_counts.iter().all(|&n| n == 0)),
+        "no customers row, so no token"
+    );
+    let per_entry = live as f64 / entries as f64;
+    eprintln!("{NAME}: {live} live bytes / {entries} alpha entries = {per_entry:.1}");
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("bytes_per_entry").float(per_entry, 1);
+    w.key("live_bytes").uint(live);
+    w.key("alpha_entries").uint(entries as u64);
+    w.end_object();
+}
+
 fn join(cfg: &Config, w: &mut JsonWriter) {
     for case in &JOIN_CASES {
         for &n in cfg.pick(&[1_000][..], &[1_000, 10_000][..]) {
@@ -674,6 +737,7 @@ fn join(cfg: &Config, w: &mut JsonWriter) {
     for (tokens, label) in [(10_000, "10k"), (100_000, "100k")] {
         join_snapshot_capture(cfg, w, tokens, label);
     }
+    join_bytes_per_alpha_entry(w);
 }
 
 fn main() {

@@ -130,6 +130,10 @@ fn unlink(tokens: &mut [Token], id: u32, link: fn(&mut Token) -> &mut Link) -> O
 /// One alpha-memory entry.
 #[derive(Debug, Clone)]
 struct AlphaEntry {
+    /// A handle on the row the relation stored — shared with the
+    /// relation and every other memo, not a copy. It keeps the values
+    /// the memo saw after the relation replaces or deletes the row,
+    /// until the retraction has used them.
     tuple: Tuple,
     /// Position in its `alpha_key` bucket (premises `1..`).
     key_pos: u32,
@@ -215,8 +219,9 @@ pub(crate) struct JoinMemo {
     level_counts: Vec<usize>,
     /// The running [`fingerprint`](Self::fingerprint).
     digest: u64,
-    /// Heap bytes the alpha entries and key stores point at (tuple
-    /// and key values, bucket arrays), maintained incrementally.
+    /// Heap bytes the key stores point at (key values, bucket
+    /// arrays), maintained incrementally. An alpha entry's tuple is a
+    /// shared handle, counted in its table slot.
     heap_bytes: u64,
     scratch: Scratch,
 }
@@ -301,9 +306,12 @@ impl JoinMemo {
 
     /// Resident size as the containers account for it: the token
     /// slab and free list at capacity (a slab never shrinks), each
-    /// alpha and key-store table at capacity, and the heap behind
-    /// their entries — tuple values, key values, bucket arrays. What
-    /// the allocator rounds up is not in it.
+    /// alpha and key-store table at capacity, and the heap behind the
+    /// key stores' entries — key values, bucket arrays. An alpha
+    /// entry's tuple counts as its handle (in the table slot): the row
+    /// behind it belongs to the relation and is shared by every memo
+    /// and event that holds it. What the allocator rounds up is not in
+    /// it.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let slab =
             self.tokens.capacity() * size_of::<Token>() + self.free.capacity() * size_of::<u32>();
@@ -464,7 +472,6 @@ impl JoinMemo {
                 first_owned: NIL,
             },
         );
-        self.heap_bytes += values_bytes(tuple.values());
         self.digest = self.digest.wrapping_add(alpha_digest(k, tid, tuple));
 
         // Store each extension, then grow it rightward across the
@@ -584,7 +591,6 @@ impl JoinMemo {
 
         if let Some(entry) = self.alpha[k].remove(&tid) {
             self.digest = self.digest.wrapping_sub(alpha_digest(k, tid, &entry.tuple));
-            self.heap_bytes -= values_bytes(entry.tuple.values());
             if k > 0 {
                 self.alpha_key_into(k, &entry.tuple, &mut s.key);
                 let (moved, shrank) = bucket_remove(&mut self.alpha_key[k], &s.key, entry.key_pos);

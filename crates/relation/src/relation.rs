@@ -3,17 +3,29 @@
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A tuple: attribute values in schema order.
+///
+/// Immutable, and a handle: the values live in one reference-counted
+/// block, so a clone shares the row instead of copying it. The
+/// relation's slot, every [`TupleEvent`](crate::TupleEvent), each join
+/// memo's alpha entry and every firing that binds the row hold the
+/// same block; it is freed with the last of them. A write never
+/// changes a tuple in place — [`Relation::update`] stores a new one and
+/// hands back the old, which holders of the old row keep seeing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Wraps raw values (validated by [`Relation::insert`]).
+    /// Wraps raw values (validated by [`Relation::insert`]). Moves them
+    /// into one shared block: the only copy a row ever gets.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// The value at attribute position `i`.

@@ -1,9 +1,9 @@
 //! The recognize-act cycle's heap-allocation budget, counted, not
 //! timed: a cascade level allocates for the tuples it *writes* (an
-//! event's relation name and tuple), not per event matched or rule
-//! fired. A counting global allocator reads one `insert_batch` on a
-//! `match_stab`-shaped engine (`bench::stab_shape`, included by path —
-//! the same shape and seed `bench_json`'s gated
+//! event's relation name, a written row's one shared block), not per
+//! event matched or rule fired. A counting global allocator reads one
+//! `insert_batch` on a `match_stab`-shaped engine (`bench::stab_shape`,
+//! included by path — the same shape and seed `bench_json`'s gated
 //! `engine/allocs_per_event/batch128` row counts), checks the match
 //! path alone allocates nothing into a warm buffer, and drives the
 //! firing paths that still format (`Action::Log`) or bind (a join
@@ -102,8 +102,10 @@ fn a_batch_allocates_for_the_tuples_it_writes() {
         report.fired.len()
     );
     // 10 per event (3,208 here) before the chain owned its buffers;
-    // what is left is the event's relation name and tuple, and the
-    // values the touch action rewrites: 1.9 per event (604).
+    // what is left is 1.9 per event (604): the event's relation name,
+    // the block `Tuple::new` moves each written row into (the relation,
+    // the event and every memo share it), and the values the touch
+    // action rewrites.
     assert!(
         allocations <= 4 * events + 64,
         "{allocations} allocations for {events} events ({} firings)",

@@ -64,6 +64,7 @@
 use crate::metrics::ServerMetrics;
 use crate::proto::{op_name, read_frame, Event, EventBinding, FireSummary, Reply, Request};
 use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
+use rules::Firing;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -523,8 +524,14 @@ struct Ack {
 }
 
 enum Effect {
-    /// Pushed to every subscriber (none for most requests).
-    Events(Vec<Event>),
+    /// The firings of the record logged as `seq`, pushed to every
+    /// subscriber as [`Event`]s — built at release, and only if
+    /// someone subscribes (nobody, for most requests). The firings'
+    /// tuples are shared handles, so holding them copies no row.
+    Events {
+        seq: u64,
+        firings: Vec<Firing>,
+    },
     Subscribe {
         conn: u64,
         pipe: SlotQueue,
@@ -533,6 +540,14 @@ enum Effect {
     Forget {
         conn: u64,
     },
+}
+
+impl Effect {
+    /// A request that fired nothing.
+    const NO_EVENTS: Effect = Effect::Events {
+        seq: 0,
+        firings: Vec::new(),
+    };
 }
 
 /// The engine thread's state across groups.
@@ -679,7 +694,7 @@ impl Committer<'_> {
         let (reply, effect) = match kind {
             Kind::Apply(record) => {
                 let next = engine.next_seq();
-                let (reply, events) = shape(engine.apply(record), next);
+                let (reply, firings) = shape(engine.apply(record), next);
                 // A request refused before logging acknowledges no
                 // sequence number.
                 seq = (engine.next_seq() > next).then_some(next);
@@ -692,20 +707,17 @@ impl Committer<'_> {
                     // acknowledged op.
                     std::process::abort();
                 }
-                (reply, Effect::Events(events))
+                (reply, Effect::Events { seq: next, firings })
             }
             Kind::Subscribe { conn, pipe } => (Reply::Unit, Effect::Subscribe { conn, pipe }),
             Kind::Unsubscribe { conn } => (Reply::Unit, Effect::Forget { conn }),
-            Kind::Health => (
-                Reply::Health(engine.health_text()),
-                Effect::Events(Vec::new()),
-            ),
+            Kind::Health => (Reply::Health(engine.health_text()), Effect::NO_EVENTS),
             Kind::Sync => {
                 let reply = match engine.sync() {
                     Ok(()) => Reply::Unit,
                     Err(e) => Reply::Err(e.to_string()),
                 };
-                (reply, Effect::Events(Vec::new()))
+                (reply, Effect::NO_EVENTS)
             }
         };
         let cost = self.profiler.source_snapshot().delta_since(&before);
@@ -748,10 +760,12 @@ impl Committer<'_> {
         }
         for Held { ack, effect } in self.held.drain(..) {
             match effect {
-                Effect::Events(events) => {
+                // A subscriber whose `Subscribe` was held earlier in
+                // this group is in the set by now, in request order.
+                Effect::Events { seq, firings } => {
                     if failure.is_none() && !self.subscribers.is_empty() {
-                        for event in events {
-                            let frame = Reply::Event(event);
+                        for firing in &firings {
+                            let frame = Reply::Event(event(seq, firing));
                             for sub in self.subscribers.values_mut() {
                                 sub.push(frame.clone(), self.metrics);
                             }
@@ -789,11 +803,11 @@ impl Committer<'_> {
     }
 }
 
-/// Shapes the reply to one applied record, plus the subscription
-/// [`Event`]s its firings push (one per firing, carrying the bound
-/// tuples of join-rule firings). What the record *did* is
-/// [`DurableRuleEngine::apply`]'s business; this only reads the outcome.
-fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>) {
+/// Shapes the reply to one applied record, and hands back its firings
+/// for the subscription events they may become. What the record *did*
+/// is [`DurableRuleEngine::apply`]'s business; this only reads the
+/// outcome.
+fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Firing>) {
     let report = match outcome {
         Ok(Applied::Fired(report)) => report,
         Ok(Applied::RuleAdded(id)) => return (Reply::RuleId(id.0), Vec::new()),
@@ -802,24 +816,6 @@ fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>
         }
         Err(e) => return (Reply::Err(e.to_string()), Vec::new()),
     };
-    let events = report
-        .firings
-        .iter()
-        .map(|f| Event {
-            seq,
-            rule_id: f.rule.0,
-            rule: f.name.to_string(),
-            bindings: f
-                .bindings
-                .iter()
-                .map(|b| EventBinding {
-                    relation: b.relation.clone(),
-                    tuple_id: b.id.0,
-                    values: b.tuple.values().to_vec(),
-                })
-                .collect(),
-        })
-        .collect();
     let reply = Reply::Fire(FireSummary {
         seq,
         ops_applied: report.ops_applied as u64,
@@ -829,5 +825,24 @@ fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Event>
             .map(|(id, name)| (id.0, name.to_string()))
             .collect(),
     });
-    (reply, events)
+    (reply, report.firings)
+}
+
+/// The subscription [`Event`] of one firing of the record logged as
+/// `seq`, carrying the bound tuples of a join-rule firing.
+fn event(seq: u64, firing: &Firing) -> Event {
+    Event {
+        seq,
+        rule_id: firing.rule.0,
+        rule: firing.name.to_string(),
+        bindings: firing
+            .bindings
+            .iter()
+            .map(|b| EventBinding {
+                relation: b.relation.clone(),
+                tuple_id: b.id.0,
+                values: b.tuple.values().to_vec(),
+            })
+            .collect(),
+    }
 }

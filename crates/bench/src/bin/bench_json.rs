@@ -18,7 +18,8 @@
 //!   increment / histogram record, and the heap allocations per event
 //!   of one 128-row batch through a `match_stab`-shaped engine (a
 //!   count, exact on any host: this binary's allocator is `System`
-//!   plus one relaxed add);
+//!   plus one relaxed add), and the tests one §5.2-scenario match runs
+//!   (a count too, read off `predindex_residual_tests_total`);
 //! * `advisor` — the three canonical workload shapes of [`bench::lab`]
 //!   (advisor pick, measured-cheapest backend, per-backend projected
 //!   and measured ns) and the workload-account overhead pair;
@@ -38,6 +39,7 @@
 //! the bounds. `--quick` trims sweeps and run counts for CI. See
 //! EXPERIMENTS.md, "Machine-readable results", for the row names.
 
+use bench::costmodel;
 use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
@@ -380,12 +382,32 @@ fn allocs_per_event(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// The tests one match runs on the §5.2 scenario (200 predicates, 512
+/// tuples): `predindex_residual_tests_total` over the match loop, one
+/// per tree candidate plus one per opaque clause set swept. A count,
+/// exact on any host, so `--quick` changes nothing.
+fn residual_tests_per_match(w: &mut JsonWriter) {
+    const NAME: &str = "predindex/residual_tests_per_match/scheme200";
+    let work = costmodel::measure_work(&SchemeWorkload::default(), 512);
+    let per_match = work.residual_tests_per_tuple();
+    eprintln!("{NAME}: {per_match:.3} tests per match");
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("residual_tests_per_match").float(per_match, 3);
+    w.key("tuples").uint(work.tuples);
+    w.key("residual_tests").uint(work.residual_tests);
+    w.key("sweep_tests").uint(work.seq_tests);
+    w.key("matches").uint(work.matches);
+    w.end_object();
+}
+
 fn observability(cfg: &Config, w: &mut JsonWriter) {
     scheme_cost(cfg, w);
     telemetry_overhead(cfg, w);
     telemetry_primitive(cfg, w);
     attribution_overhead(cfg, w);
     allocs_per_event(w);
+    residual_tests_per_match(w);
 }
 
 // ---------------------------------------------------------------------

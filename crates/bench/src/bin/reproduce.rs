@@ -199,8 +199,8 @@ fn cost_model() {
     // counters of a real run, so they hold on any host.
     println!("   the §5.2 terms, counted per tuple matched (512 tuples):");
     println!(
-        "{:>7} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "preds", "ibs nodes", "marks", "seq tests", "residual", "matches"
+        "{:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "preds", "ibs nodes", "marks", "seq tests", "residual", "passes", "matches"
     );
     for predicates in [200usize, 1_000, 5_000] {
         let work = costmodel::measure_work(
@@ -212,12 +212,13 @@ fn cost_model() {
         );
         let tuples = work.tuples.max(1) as f64;
         println!(
-            "{predicates:>7} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+            "{predicates:>7} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
             work.ibs_nodes_per_tuple(),
             work.ibs_marks as f64 / tuples,
             work.seq_tests_per_tuple(),
             work.residual_tests_per_tuple(),
             work.residual_passes as f64 / tuples,
+            work.matches as f64 / tuples,
         );
     }
     println!();

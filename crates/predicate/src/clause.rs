@@ -75,8 +75,11 @@ impl fmt::Debug for Clause {
 }
 
 impl PartialEq for Clause {
-    /// Function clauses compare by `(name, attr)`: the registry maps a
-    /// name to one function, so this is referential equality in practice.
+    /// Function clauses compare by `(name, attr)`, not by the function:
+    /// two clauses parsed through registries that bind one name to
+    /// different functions are equal here. The predicate index does not
+    /// use this equality to share work; it groups opaque clauses by
+    /// function identity (`Arc` address) plus attribute.
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (

@@ -51,19 +51,19 @@ pub use predicate::{BindError, BoundClause, BoundPredicate, Predicate};
 /// Parses a single conjunctive predicate using the built-in function
 /// registry.
 pub fn parse_predicate(input: &str) -> Result<Predicate, ParseError> {
-    parse_conjunct(input, &FunctionRegistry::default())
+    parse_conjunct(input, FunctionRegistry::builtin())
 }
 
 /// Parses a (possibly disjunctive) condition into its DNF predicates
 /// using the built-in function registry.
 pub fn parse_predicates(input: &str) -> Result<Vec<Predicate>, ParseError> {
-    parse_dnf(input, &FunctionRegistry::default())
+    parse_dnf(input, FunctionRegistry::builtin())
 }
 
 /// Join-aware variant of [`parse_predicates`]: conjuncts that reference
 /// more than one relation come back as [`ParsedCondition::Join`].
 pub fn parse_rule_conditions(input: &str) -> Result<Vec<ParsedCondition>, ParseError> {
-    parse_conditions(input, &FunctionRegistry::default())
+    parse_conditions(input, FunctionRegistry::builtin())
 }
 
 #[cfg(test)]

@@ -20,6 +20,13 @@
 //! from the query optimizer)"; everything else is verified by the
 //! residual test against the `PREDICATES` table.
 //!
+//! The non-indexable list is kept grouped by clause set: predicates
+//! whose opaque clauses are the same functions on the same attributes
+//! share one [`OpaqueGroup`], tested once per tuple, and its members
+//! pass or fail together without a residual test of their own. A match
+//! is therefore: stab the trees, residual-test the tree candidates,
+//! sweep the groups, sort the tail once.
+//!
 //! The whole structure lives in one place, [`IndexCore`]: the relation
 //! hash, the `PREDICATES` store and the placement map, with the only
 //! insert, remove, match, EXPLAIN and stats bodies in the crate.
@@ -34,7 +41,7 @@ use crate::stats::{IndexStats, RelationStats, TreeStats};
 use ibs::{BalanceMode, IbsTree, StabObserver, StabStats};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
-use predicate::{BoundClause, Predicate};
+use predicate::{BoundClause, BoundPredicate, Predicate};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple, Value};
 use std::sync::Arc;
@@ -114,8 +121,8 @@ fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
     }
 }
 
-/// The residual test (Figure 1's last stage): keeps only ids whose full
-/// conjunction holds, then sorts the tail for deterministic output.
+/// The residual test (Figure 1's last stage) on the tree candidates:
+/// keeps only ids whose full conjunction holds.
 fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<PredicateId>, from: usize) {
     let mut keep = from;
     for i in from..out.len() {
@@ -125,7 +132,57 @@ fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<Predicat
         }
     }
     out.truncate(keep);
-    out[from..].sort_unstable();
+}
+
+/// The identity of a non-indexable predicate's clause set: its
+/// `(attribute, function address)` pairs, sorted and deduplicated.
+/// The address is the `PredFn`'s `Arc`, not its name — a registry can
+/// rebind a name, and two functions under one name must not share a
+/// test. A group holds its functions, so an address it keys on cannot
+/// be reused while the group lives.
+type OpaqueKey = Vec<(usize, usize)>;
+
+/// `bound`'s opaque clauses in key order, one per distinct
+/// `(attribute, function)`, with the key. Only called on predicates
+/// [`place`] sent to the non-indexable list, whose clauses are all
+/// functions.
+fn opaque_key(bound: &BoundPredicate) -> (OpaqueKey, Vec<&BoundClause>) {
+    let mut clauses: Vec<((usize, usize), &BoundClause)> = bound
+        .clauses()
+        .iter()
+        .map(|c| match c {
+            BoundClause::Func { attr, func, .. } => {
+                ((*attr, Arc::as_ptr(func).cast::<()>() as usize), c)
+            }
+            BoundClause::Range { .. } => {
+                unreachable!("a predicate with a range clause is placed in a tree")
+            }
+        })
+        .collect();
+    clauses.sort_unstable_by_key(|(key, _)| *key);
+    clauses.dedup_by_key(|(key, _)| *key);
+    clauses.into_iter().unzip()
+}
+
+/// One distinct clause set of a relation's non-indexable list and the
+/// predicates that carry exactly it (Rete's alpha-node sharing applied
+/// to Figure 1's list). The sweep tests `clauses` once per tuple and
+/// the members pass or fail together: their conjunction *is* the
+/// clause set, so a member that passes is fully tested.
+#[derive(Debug, Clone)]
+struct OpaqueGroup {
+    key: OpaqueKey,
+    /// One clause per key entry (the empty set holds for every tuple).
+    clauses: Vec<BoundClause>,
+    /// Members, in registration order.
+    ids: Vec<PredicateId>,
+}
+
+impl OpaqueGroup {
+    /// Does the clause set hold for `tuple`?
+    fn holds(&self, tuple: &Tuple) -> bool {
+        self.clauses.iter().all(|c| c.test(tuple))
+    }
 }
 
 /// One attribute's IBS-tree plus its pre-resolved telemetry: the
@@ -144,8 +201,9 @@ struct AttrTree {
 struct RelationIndex {
     /// One IBS-tree per attribute that has at least one indexed clause.
     attr_trees: FnvHashMap<usize, AttrTree>,
-    /// Predicates whose clauses are all opaque functions (or empty).
-    non_indexable: Vec<PredicateId>,
+    /// Predicates whose clauses are all opaque functions (or empty),
+    /// grouped by clause set.
+    non_indexable: Vec<OpaqueGroup>,
     /// Cached per-relation workload account (tuples matched).
     tuple_recorder: RelationRecorder,
     /// Cached `predindex_relation_matches_total` counter.
@@ -173,7 +231,7 @@ impl RelationIndex {
         let workload = metrics.workload();
         self.matches = metrics.relation_matches(relation);
         self.tuple_recorder = workload.relation_recorder(relation);
-        for _ in &self.non_indexable {
+        for _ in self.non_indexable.iter().flat_map(|g| &g.ids) {
             self.tuple_recorder.record_non_indexable_insert();
         }
         for (&attr, at) in self.attr_trees.iter_mut() {
@@ -210,10 +268,19 @@ impl RelationIndex {
             .expect("the store just minted this id; the tree cannot already hold it");
     }
 
-    /// Appends to the non-indexable list.
-    fn push_non_indexable(&mut self, id: PredicateId) {
+    /// Adds `id` to the group of its clause set, opening the group on
+    /// first use.
+    fn push_non_indexable(&mut self, id: PredicateId, bound: &BoundPredicate) {
         self.tuple_recorder.record_non_indexable_insert();
-        self.non_indexable.push(id);
+        let (key, clauses) = opaque_key(bound);
+        match self.non_indexable.iter_mut().find(|g| g.key == key) {
+            Some(group) => group.ids.push(id),
+            None => self.non_indexable.push(OpaqueGroup {
+                key,
+                clauses: clauses.into_iter().cloned().collect(),
+                ids: vec![id],
+            }),
+        }
     }
 
     /// Removes an indexed interval, dropping the tree when it empties.
@@ -234,19 +301,31 @@ impl RelationIndex {
         }
     }
 
-    /// Removes from the non-indexable list.
-    fn remove_non_indexable(&mut self, id: PredicateId) {
+    /// Removes `id` from its clause set's group, dropping the group when
+    /// it empties. `bound` is the predicate's own bound form, so its
+    /// functions (and their addresses) are the ones the group keys on.
+    fn remove_non_indexable(&mut self, id: PredicateId, bound: &BoundPredicate) {
         self.tuple_recorder.record_non_indexable_delete();
-        self.non_indexable.retain(|&p| p != id);
+        let (key, _) = opaque_key(bound);
+        let gix = self
+            .non_indexable
+            .iter()
+            .position(|g| g.key == key)
+            .expect("a NonIndexable predicate is a member of its clause set's group");
+        let group = &mut self.non_indexable[gix];
+        group.ids.retain(|&p| p != id);
+        if group.ids.is_empty() {
+            self.non_indexable.swap_remove(gix);
+        }
     }
 
-    /// Partial match — the one walk over Figure 1's second level: stabs
+    /// Partial match — the tree half of Figure 1's second level: stabs
     /// every per-attribute IBS-tree with the tuple's value for that
-    /// attribute, then sweeps the non-indexable list. Each predicate
-    /// lives in exactly one place, so no deduplication is needed.
-    /// Attributes beyond the tuple's arity are skipped — a clause on a
-    /// missing attribute cannot hold, and the residual test agrees (see
-    /// `BoundClause::test`).
+    /// attribute. Each indexable predicate lives in exactly one tree, so
+    /// no deduplication is needed; the non-indexable list is
+    /// [`sweep`](Self::sweep)'s. Attributes beyond the tuple's arity are
+    /// skipped — a clause on a missing attribute cannot hold, and the
+    /// residual test agrees (see `BoundClause::test`).
     ///
     /// Each stab reports its §5 work into a fresh `S` and is then handed
     /// to `each` as `(attr, tree, value, ids reported, work)`. With
@@ -267,7 +346,20 @@ impl RelationIndex {
                 each(attr, at, value, out.len() - before, work);
             }
         }
-        out.extend_from_slice(&self.non_indexable);
+    }
+
+    /// The non-indexable sweep: tests each clause set once and appends
+    /// every member of a set that holds — full matches, not candidates.
+    /// Returns `(sets tested, sets that held)`.
+    fn sweep(&self, tuple: &Tuple, out: &mut Vec<PredicateId>) -> (u64, u64) {
+        let mut held = 0;
+        for group in &self.non_indexable {
+            if group.holds(tuple) {
+                held += 1;
+                out.extend_from_slice(&group.ids);
+            }
+        }
+        (self.non_indexable.len() as u64, held)
     }
 
     /// Structure snapshot, trees ordered by attribute.
@@ -287,7 +379,7 @@ impl RelationIndex {
         RelationStats {
             relation: relation.to_string(),
             trees,
-            non_indexable: self.non_indexable.len(),
+            non_indexable: self.non_indexable.iter().map(|g| g.ids.len()).sum(),
         }
     }
 
@@ -347,9 +439,7 @@ impl IndexCore {
         metrics: &IndexMetrics,
     ) {
         let relation = stored.bound.relation().to_string();
-        let placement = place(catalog, &stored);
-        self.store.insert_bound(id, stored);
-        let location = match placement {
+        let location = match place(catalog, &stored) {
             Placement::Unsatisfiable => Location::Unsatisfiable,
             Placement::Tree { attr, interval } => {
                 let mode = self.mode;
@@ -359,10 +449,11 @@ impl IndexCore {
             }
             Placement::NonIndexable => {
                 self.relation_index(&relation, metrics)
-                    .push_non_indexable(id);
+                    .push_non_indexable(id, &stored.bound);
                 Location::NonIndexable
             }
         };
+        self.store.insert_bound(id, stored);
         self.locations.insert(id.0, (relation, location));
     }
 
@@ -384,16 +475,17 @@ impl IndexCore {
                 self.relations
                     .get_mut(&relation)
                     .expect("a NonIndexable location implies the relation entry exists")
-                    .remove_non_indexable(id);
+                    .remove_non_indexable(id, &stored.bound);
             }
             Location::Unsatisfiable => {}
         }
         Some(stored.source)
     }
 
-    /// The full match path: hash on relation name, partial match
-    /// (metered when counters or workload accounts are on), residual
-    /// filter, one `record_match`.
+    /// The full match path: hash on relation name, tree stabs (metered
+    /// when counters or workload accounts are on), the residual test on
+    /// the tree candidates, the grouped non-indexable sweep, one sort of
+    /// the tail and one `record_match`.
     pub(crate) fn match_into(
         &self,
         relation: &str,
@@ -420,19 +512,22 @@ impl IndexCore {
                         );
                         at.workload.record_stab(hits as u64);
                     });
-                    metrics.record_non_indexable(ri.non_indexable.len() as u64);
                 } else {
                     ri.partial_match(tuple, out, |_, _, _, _, ()| {});
                 }
             }
             let partials = (out.len() - from) as u64;
-            {
+            let (swept, passes) = {
                 let _residual = tracer.span_with("predindex_residual", || {
                     vec![("partials", partials.to_string())]
                 });
                 residual_filter(&self.store, tuple, out, from);
-            }
-            metrics.record_match(ri.matches.as_ref(), partials, (out.len() - from) as u64);
+                let tree_passes = (out.len() - from) as u64;
+                let (swept, held) = ri.sweep(tuple, out);
+                out[from..].sort_unstable();
+                (swept, tree_passes + held)
+            };
+            metrics.record_match(ri.matches.as_ref(), partials, swept, passes);
         } else {
             metrics.record_unindexed_match(relation);
         }
@@ -440,48 +535,61 @@ impl IndexCore {
 
     /// Builds the Figure 1 EXPLAIN trace for one tuple: the same walk
     /// as [`match_into`](Self::match_into), but recording per-stage
-    /// work and the outcome of every residual test instead of counters.
+    /// work and every outcome instead of counters — one `ResidualTrace`
+    /// per tree candidate, then one per member of each swept clause
+    /// set, carrying its set's outcome.
     pub(crate) fn explain(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
         let mut trace = MatchTrace {
             relation: relation.to_string(),
             tuple: tuple.to_string(),
             ..MatchTrace::default()
         };
+        let Some(ri) = self.relations.get(relation) else {
+            return trace;
+        };
+        trace.relation_indexed = true;
         let mut candidates = Vec::new();
-        if let Some(ri) = self.relations.get(relation) {
-            trace.relation_indexed = true;
-            ri.partial_match(
-                tuple,
-                &mut candidates,
-                |attr, at, value, _, work: StabStats| {
-                    trace.stabs.push(StabTrace {
-                        attr,
-                        attr_name: format!("#{attr}"),
-                        value: value.to_string(),
-                        nodes_visited: work.nodes_visited,
-                        marks_scanned: work.marks_scanned,
-                        less_hits: work.less_hits,
-                        eq_hits: work.eq_hits,
-                        greater_hits: work.greater_hits,
-                        universal_hits: work.universal_hits,
-                        tree_intervals: at.tree.len(),
-                        tree_height: at.tree.height(),
-                    })
-                },
-            );
-            trace.stabs.sort_by_key(|s| s.attr);
-            trace.non_indexable_scanned = ri.non_indexable.len();
-        }
+        ri.partial_match(
+            tuple,
+            &mut candidates,
+            |attr, at, value, _, work: StabStats| {
+                trace.stabs.push(StabTrace {
+                    attr,
+                    attr_name: format!("#{attr}"),
+                    value: value.to_string(),
+                    nodes_visited: work.nodes_visited,
+                    marks_scanned: work.marks_scanned,
+                    less_hits: work.less_hits,
+                    eq_hits: work.eq_hits,
+                    greater_hits: work.greater_hits,
+                    universal_hits: work.universal_hits,
+                    tree_intervals: at.tree.len(),
+                    tree_height: at.tree.height(),
+                })
+            },
+        );
+        trace.stabs.sort_by_key(|s| s.attr);
+        let residual = |id: PredicateId, pass: bool| ResidualTrace {
+            predicate: id.0,
+            pass,
+            source: self
+                .store
+                .get(id)
+                .and_then(|p| p.source.to_source())
+                .unwrap_or_else(|| "<opaque>".to_string()),
+        };
         for &id in &candidates {
-            trace.residual.push(ResidualTrace {
-                predicate: id.0,
-                pass: self.store.full_match(id, tuple),
-                source: self
-                    .store
-                    .get(id)
-                    .and_then(|p| p.source.to_source())
-                    .unwrap_or_else(|| "<opaque>".to_string()),
-            });
+            trace
+                .residual
+                .push(residual(id, self.store.full_match(id, tuple)));
+        }
+        trace.non_indexable_scanned = ri.non_indexable.len();
+        for group in &ri.non_indexable {
+            let pass = group.holds(tuple);
+            trace.non_indexable_predicates += group.ids.len();
+            trace
+                .residual
+                .extend(group.ids.iter().map(|&id| residual(id, pass)));
         }
         trace
     }

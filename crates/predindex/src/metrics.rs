@@ -37,15 +37,15 @@ pub(crate) struct IndexMetrics {
     workload: WorkloadStats,
     /// Tuples matched (`match_tuple*` calls, one per tuple).
     match_tuples: Counter,
-    /// Residual (full-conjunction) tests run — one per partial match.
+    /// Tests run: one per tree candidate plus one per clause set swept.
     residual_tests: Counter,
-    /// Residual tests that held (full matches).
+    /// Tests that held.
     residual_passes: Counter,
     /// IBS-tree endpoint nodes visited across all stabs.
     ibs_nodes: Counter,
     /// Marks collected across all stabs.
     ibs_marks: Counter,
-    /// Predicates swept from non-indexable lists.
+    /// Clause sets tested by the non-indexable sweep.
     non_indexable_scanned: Counter,
     /// Shard lock acquisition wait, all shards pooled (a no-op handle
     /// on the unsharded index, which has no lock to wait for).
@@ -139,20 +139,23 @@ impl IndexMetrics {
         })
     }
 
-    /// One matched tuple of a relation that holds predicates: its
-    /// partial-match count (= residual tests run), how many survived
-    /// the residual test, and the relation's cached matches counter.
+    /// One matched tuple of a relation that holds predicates: its tree
+    /// candidates and swept clause sets (together, the tests run), how
+    /// many of those tests held, and the relation's cached matches
+    /// counter.
     pub(crate) fn record_match(
         &self,
         relation_matches: Option<&Counter>,
         partials: u64,
+        swept: u64,
         passes: u64,
     ) {
         if !self.enabled {
             return;
         }
         self.match_tuples.inc();
-        self.residual_tests.add(partials);
+        self.non_indexable_scanned.add(swept);
+        self.residual_tests.add(partials + swept);
         self.residual_passes.add(passes);
         if let Some(c) = relation_matches {
             c.inc();
@@ -182,12 +185,6 @@ impl IndexMetrics {
             work.nodes.add(nodes);
             work.marks.add(marks);
         }
-    }
-
-    /// A non-indexable-list sweep of `n` predicates.
-    #[inline]
-    pub(crate) fn record_non_indexable(&self, n: u64) {
-        self.non_indexable_scanned.add(n);
     }
 
     /// Starts timing a shard-lock acquisition (`None` when disabled,

@@ -152,6 +152,8 @@ struct EngineMetrics {
     cascade_depth: Histogram,
     /// Events matched per chain level.
     events_per_level: Histogram,
+    /// Entry comparisons made building agendas (sort plus dedup).
+    agenda_comparisons: Counter,
 }
 
 impl EngineMetrics {
@@ -162,6 +164,7 @@ impl EngineMetrics {
             ops: registry.counter("rules_ops_applied_total"),
             cascade_depth: registry.histogram("rules_cascade_depth"),
             events_per_level: registry.histogram("rules_events_per_level"),
+            agenda_comparisons: registry.counter("rules_agenda_comparisons_total"),
         }
     }
 }
@@ -803,7 +806,9 @@ impl RuleEngine {
                 // instantiations at equal (priority, rule) — and next
                 // to each other, so the disjunct duplicates fall to one
                 // pass over the sorted agenda (a lookup per matched
-                // predicate made a tuple firing F rules cost F²).
+                // predicate made a tuple firing F rules cost F²). Both
+                // passes count their comparisons, so the agenda's cost is
+                // a number a test can bound.
                 for &pid in &buf.matched[buf.bounds[pos].clone()] {
                     if let Some(&(rid, key, premise)) = self.pred_to_premise.get(&pid.0) {
                         let Some(tuple) = post else {
@@ -840,10 +845,16 @@ impl RuleEngine {
                     }
                 }
                 buf.agenda.append(&mut buf.join_entries);
-                buf.agenda.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
+                let mut comparisons = 0;
+                buf.agenda.sort_by(|a, b| {
+                    comparisons += 1;
+                    b.0.cmp(&a.0).then(b.1.cmp(&a.1))
+                });
                 buf.agenda.dedup_by(|later, kept| {
+                    comparisons += 1;
                     later.1 == kept.1 && later.2.is_empty() && kept.2.is_empty()
                 });
+                self.metrics.agenda_comparisons.add(comparisons);
 
                 for (_, rid, bindings) in buf.agenda.drain(..) {
                     if report.fired.len() >= self.firing_limit {

@@ -60,9 +60,14 @@ pub struct MatchTrace {
     pub relation_indexed: bool,
     /// Per-attribute stab work, ordered by attribute.
     pub stabs: Vec<StabTrace>,
-    /// Predicates swept from the non-indexable list.
+    /// Clause sets the non-indexable sweep tested (one test each, shared
+    /// by every predicate in the set).
     pub non_indexable_scanned: usize,
-    /// Residual tests in partial-match order.
+    /// Predicates those clause sets cover: the last entries of
+    /// `residual`, each carrying its set's outcome.
+    pub non_indexable_predicates: usize,
+    /// Every predicate with an outcome: the tree candidates in
+    /// partial-match order, then the members of each swept clause set.
     pub residual: Vec<ResidualTrace>,
     /// Beta-layer (join memo) narration, one line per step — filled by
     /// engines that route alpha matches into a join layer; empty when
@@ -71,9 +76,15 @@ pub struct MatchTrace {
 }
 
 impl MatchTrace {
-    /// Size of the partial-match set (every candidate is residual-tested).
+    /// Size of the partial-match set: every predicate with an outcome.
     pub fn partial_matches(&self) -> usize {
         self.residual.len()
+    }
+
+    /// Tests actually run: one per tree candidate plus one per swept
+    /// clause set (what `predindex_residual_tests_total` counts).
+    pub fn residual_tests(&self) -> usize {
+        self.residual.len() - self.non_indexable_predicates + self.non_indexable_scanned
     }
 
     /// Ids that survived the residual test.
@@ -146,8 +157,8 @@ impl fmt::Display for MatchTrace {
         }
         writeln!(
             f,
-            "  3. non-indexable     {} predicate(s) swept",
-            self.non_indexable_scanned
+            "  3. non-indexable     {} predicate(s) swept in {} clause set test(s)",
+            self.non_indexable_predicates, self.non_indexable_scanned
         )?;
         let passed = self.residual.iter().filter(|r| r.pass).count();
         writeln!(
@@ -179,7 +190,7 @@ impl fmt::Display for MatchTrace {
             self.nodes_visited(),
             self.marks_scanned(),
             self.non_indexable_scanned,
-            self.partial_matches(),
+            self.residual_tests(),
         )
     }
 }

@@ -207,7 +207,8 @@ z_total 3
                 tree_intervals: 40,
                 tree_height: 6,
             }],
-            non_indexable_scanned: 2,
+            non_indexable_scanned: 1,
+            non_indexable_predicates: 2,
             residual: vec![
                 ResidualTrace {
                     predicate: 9,
@@ -217,12 +218,19 @@ z_total 3
                 ResidualTrace {
                     predicate: 11,
                     pass: false,
-                    source: "emp.age > 70".into(),
+                    source: "isodd(emp.age)".into(),
+                },
+                ResidualTrace {
+                    predicate: 12,
+                    pass: false,
+                    source: "isodd(emp.age)".into(),
                 },
             ],
             join_steps: Vec::new(),
         };
-        assert_eq!(trace.partial_matches(), 2);
+        assert_eq!(trace.partial_matches(), 3);
+        // Two members of one clause set cost one test.
+        assert_eq!(trace.residual_tests(), 2);
         assert_eq!(trace.matched(), vec![9]);
         assert_eq!(trace.nodes_visited(), 5);
         assert_eq!(trace.marks_scanned(), 7);
@@ -234,10 +242,12 @@ z_total 3
             "5 nodes visited",
             "non-indexable",
             "residual tests",
-            "2 partial match(es) -> 1 full match(es)",
+            "2 predicate(s) swept in 1 clause set test(s)",
+            "3 partial match(es) -> 1 full match(es)",
             "PASS",
             "fail",
             "cost: hash=1",
+            "seq_tests=1  residual_tests=2",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

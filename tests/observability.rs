@@ -154,7 +154,7 @@ fn counters_agree_with_the_explain_trace() {
     );
     assert_eq!(
         delta("predindex_residual_tests_total", tests0),
-        trace.partial_matches() as u64
+        trace.residual_tests() as u64
     );
     assert_eq!(
         delta("predindex_residual_passes_total", passes0),

@@ -29,6 +29,7 @@ REQUIRED = {
         "attribution_overhead/profiled",
         "engine/allocs_per_event/batch128",
         "predindex/residual_tests_per_match/scheme200",
+        "ibs/bytes_per_interval/stab_shape",
     ],
     "advisor": [
         "advisor/stab_heavy",
@@ -94,9 +95,15 @@ def gate_observability(rows, base):
     name = "predindex/residual_tests_per_match/scheme200"
     tests, base_tests = rows[name]["residual_tests_per_match"], base[name]["residual_tests_per_match"]
     assert tests <= base_tests * 1.10, (name, tests, base_tests)
+    # Live heap bytes per interval of the match_stab-shaped IBS-trees: a
+    # count, so the same 10% room and no floor (the layout before
+    # one-cache-line nodes read 643.7 against 556.3).
+    name = "ibs/bytes_per_interval/stab_shape"
+    per_interval, base_per_interval = rows[name]["bytes_per_interval"], base[name]["bytes_per_interval"]
+    assert per_interval <= base_per_interval * 1.10, (name, per_interval, base_per_interval)
     return ("attribution ratio %.3f (baseline %.3f, bound %.3f); %.3f allocations per event (committed %.3f); "
-            "%.3f residual tests per match (committed %.3f)") % (
-        ratio, base_ratio, bound, allocs, base_allocs, tests, base_tests)
+            "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f)") % (
+        ratio, base_ratio, bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval)
 
 
 def gate_advisor(rows, base):

@@ -19,7 +19,8 @@
 //!   of one 128-row batch through a `match_stab`-shaped engine (a
 //!   count, exact on any host: this binary's allocator is `System`
 //!   plus one relaxed add), and the tests one §5.2-scenario match runs
-//!   (a count too, read off `predindex_residual_tests_total`);
+//!   (a count too, read off `predindex_residual_tests_total`), and the
+//!   live heap bytes per interval of that engine's IBS-trees (a count);
 //! * `advisor` — the three canonical workload shapes of [`bench::lab`]
 //!   (advisor pick, measured-cheapest backend, per-backend projected
 //!   and measured ns) and the workload-account overhead pair;
@@ -44,8 +45,12 @@ use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
 use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
+use ibs::IbsTree;
+use interval::{Interval, IntervalId};
 use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
+use predicate::selectivity::most_selective_indexable;
+use predicate::{parse_predicate, BoundClause};
 use predindex::{Backend, Matcher, PredicateIndex};
 use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
@@ -401,6 +406,76 @@ fn residual_tests_per_match(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// Live heap bytes per indexed interval of [`stab_shape`]'s IBS-trees
+/// (5,000 band rules: one `match_stab` relation). The trees are rebuilt
+/// here from the engine's conditions, each predicate placed as the index
+/// places it — under its most selective range clause — and checked equal
+/// to the engine's own trees in intervals, nodes and marks; then they
+/// are counted by this binary's allocator from before the first insert.
+/// `IbsTree::approx_bytes` sits beside the count. Not a timing, so
+/// `--quick` changes nothing.
+fn ibs_bytes_per_interval(w: &mut JsonWriter) {
+    const NAME: &str = "ibs/bytes_per_interval/stab_shape";
+    const RULES: usize = 5_000;
+    let conditions = stab_shape::conditions(RULES, 1);
+    let db = stab_shape::database();
+    let catalog = db.catalog();
+    let relation = catalog
+        .relation(stab_shape::RELATION)
+        .expect("the shape's relation");
+    let placed: Vec<(usize, Interval<Value>)> = conditions
+        .iter()
+        .map(|text| {
+            let predicate = parse_predicate(text).expect("a generated condition parses");
+            let bound = predicate
+                .bind(relation.schema())
+                .expect("r has the attributes named");
+            let clause = most_selective_indexable(catalog, &bound)
+                .expect("every shape condition has a range clause");
+            match &bound.clauses()[clause] {
+                BoundClause::Range { attr, interval } => (*attr, interval.clone()),
+                other => panic!("most_selective_indexable picked {other:?}"),
+            }
+        })
+        .collect();
+    let mut trees: Vec<IbsTree<Value>> = (0..4).map(|_| IbsTree::new()).collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    for (id, (attr, interval)) in (0..).zip(&placed) {
+        trees[*attr]
+            .insert(IntervalId(id), interval.clone())
+            .expect("fresh id");
+    }
+    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+
+    let engine = stab_shape::engine(RULES, 1);
+    let engine_trees: Vec<(usize, usize, usize, usize)> = engine.shard_stats()[0].relations[0]
+        .trees
+        .iter()
+        .map(|t| (t.attr, t.intervals, t.nodes, t.markers))
+        .collect();
+    let rebuilt: Vec<(usize, usize, usize, usize)> = (0..)
+        .zip(&trees)
+        .filter(|(_, t)| !t.is_empty())
+        .map(|(attr, t)| (attr, t.len(), t.node_count(), t.marker_count()))
+        .collect();
+    assert_eq!(rebuilt, engine_trees, "the rebuilt trees are the engine's");
+    let sum = |count: fn(&IbsTree<Value>) -> usize| trees.iter().map(count).sum::<usize>();
+    let (intervals, approx) = (sum(IbsTree::len), sum(IbsTree::approx_bytes));
+    let per_interval = live as f64 / intervals as f64;
+    eprintln!(
+        "{NAME}: {live} live bytes / {intervals} intervals = {per_interval:.1} (approx_bytes {approx})"
+    );
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("bytes_per_interval").float(per_interval, 1);
+    w.key("live_bytes").uint(live);
+    w.key("approx_bytes").uint(approx as u64);
+    w.key("intervals").uint(intervals as u64);
+    w.key("nodes").uint(sum(IbsTree::node_count) as u64);
+    w.key("markers").uint(sum(IbsTree::marker_count) as u64);
+    w.end_object();
+}
+
 fn observability(cfg: &Config, w: &mut JsonWriter) {
     scheme_cost(cfg, w);
     telemetry_overhead(cfg, w);
@@ -408,6 +483,7 @@ fn observability(cfg: &Config, w: &mut JsonWriter) {
     attribution_overhead(cfg, w);
     allocs_per_event(w);
     residual_tests_per_match(w);
+    ibs_bytes_per_interval(w);
 }
 
 // ---------------------------------------------------------------------

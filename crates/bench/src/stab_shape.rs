@@ -10,7 +10,10 @@
 //! heap allocations over one batch of it and must agree to the unit:
 //! `bench_json`'s gated `engine/allocs_per_event/batch128` row and the
 //! tier-1 test `crates/rules/tests/alloc_budget.rs`, which includes
-//! this file by path (`rules` cannot depend on `bench`).
+//! this file by path (`rules` cannot depend on `bench`). A third,
+//! `bench_json`'s gated `ibs/bytes_per_interval/stab_shape` row,
+//! rebuilds the engine's IBS-trees from [`conditions`] and counts their
+//! bytes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,19 +52,33 @@ fn condition(rng: &mut StdRng) -> String {
     }
 }
 
-/// A telemetry-off engine over [`RELATION`] with `rules` no-op band
-/// rules and the plumbing: `touch` rewrites rows with `d` in the lower
-/// half (`d += SMALL`), `consume` deletes every row with `d` in the
-/// upper half or rewritten — each inserted row is deleted exactly once.
-pub fn engine(rules: usize, seed: u64) -> RuleEngine {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// An empty database holding [`RELATION`].
+pub fn database() -> Database {
     let mut db = Database::new();
     let schema = ["a", "b", "c", "d"]
         .iter()
         .fold(Schema::builder(RELATION), |s, a| s.attr(*a, AttrType::Int));
     db.create_relation(schema.build())
         .expect("a fresh database has no relation r");
-    let mut engine = RuleEngine::new(db);
+    db
+}
+
+/// The conditions of [`engine`]`(rules, seed)`'s rules, in the order it
+/// adds them: `rules` band rules, then `touch` and `consume`.
+pub fn conditions(rules: usize, seed: u64) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut conditions: Vec<String> = (0..rules).map(|_| condition(&mut rng)).collect();
+    conditions.push(format!("r.d < {}", SMALL / 2));
+    conditions.push(format!("r.d >= {}", SMALL / 2));
+    conditions
+}
+
+/// A telemetry-off engine over [`RELATION`] with `rules` no-op band
+/// rules and the plumbing: `touch` rewrites rows with `d` in the lower
+/// half (`d += SMALL`), `consume` deletes every row with `d` in the
+/// upper half or rewritten — each inserted row is deleted exactly once.
+pub fn engine(rules: usize, seed: u64) -> RuleEngine {
+    let mut engine = RuleEngine::new(database());
     let mut add = |name: String, condition: &str, action: Action| {
         let rule = Rule::builder(name)
             .when(condition)
@@ -70,16 +87,13 @@ pub fn engine(rules: usize, seed: u64) -> RuleEngine {
             .build();
         engine.add_rule(rule).expect("r has the attributes named");
     };
-    for n in 0..rules {
-        add(
-            format!("m{n}"),
-            &condition(&mut rng),
-            Action::callback(|_| {}),
-        );
+    let conditions = conditions(rules, seed);
+    for (n, condition) in conditions[..rules].iter().enumerate() {
+        add(format!("m{n}"), condition, Action::callback(|_| {}));
     }
     add(
         "touch".to_string(),
-        &format!("r.d < {}", SMALL / 2),
+        &conditions[rules],
         Action::callback(|ctx| {
             let Some(tuple) = ctx.event.current() else {
                 return;
@@ -93,7 +107,7 @@ pub fn engine(rules: usize, seed: u64) -> RuleEngine {
     );
     add(
         "consume".to_string(),
-        &format!("r.d >= {}", SMALL / 2),
+        &conditions[rules + 1],
         Action::callback(|ctx| ctx.queue(DbOp::DeleteCurrent)),
     );
     engine

@@ -4,7 +4,8 @@
 //! `NULL` sentinel; a free list recycles slots so ids stay stable across
 //! deletions (the mark registry depends on that stability).
 
-use crate::marks::MarkSet;
+use crate::marks::Marks;
+use interval::IntervalId;
 
 /// Index of a node in the arena. `NodeId::NULL` is the absent child.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,29 +27,28 @@ impl NodeId {
     }
 }
 
-/// One IBS-tree node: the paper's upside-down-"T" diagram — a value plus
-/// the `<`, `=`, `>` mark slots — extended with AVL height and endpoint
-/// ownership bookkeeping for dynamic deletion.
+/// One IBS-tree node's hot record: what a stab reads at each step — the
+/// paper's upside-down-"T" diagram, a value plus the `<`, `=`, `>` mark
+/// slots — in one 64-byte cache line. What only the update paths read
+/// (AVL height, endpoint owners) is its [`Cold`] record.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub(crate) struct Node<K> {
     /// The end point of an interval or the constant in an equality
     /// predicate (paper's `Value` field).
     pub(crate) value: K,
     pub(crate) left: NodeId,
     pub(crate) right: NodeId,
-    /// Height of the subtree rooted here (leaf = 1).
-    pub(crate) height: u32,
-    /// `<` slot.
-    pub(crate) less: MarkSet,
-    /// `=` slot.
-    pub(crate) eq: MarkSet,
-    /// `>` slot.
-    pub(crate) greater: MarkSet,
-    /// Intervals whose (finite) lower endpoint value equals `value`.
-    pub(crate) lo_owners: MarkSet,
-    /// Intervals whose (finite) upper endpoint value equals `value`.
-    pub(crate) hi_owners: MarkSet,
+    pub(crate) marks: Marks,
 }
+
+// A stab reads one cache line per node visit: with a 32-byte key (wider
+// than `relation::Value`'s 24) the hot record is exactly 64 bytes, and
+// the arena's `Option` around it costs no byte.
+const _: () = {
+    assert!(size_of::<Node<[u64; 4]>>() == 64);
+    assert!(size_of::<Option<Node<[u64; 4]>>>() == 64);
+};
 
 impl<K> Node<K> {
     fn new(value: K) -> Self {
@@ -56,25 +56,76 @@ impl<K> Node<K> {
             value,
             left: NodeId::NULL,
             right: NodeId::NULL,
-            height: 1,
-            less: MarkSet::new(),
-            eq: MarkSet::new(),
-            greater: MarkSet::new(),
-            lo_owners: MarkSet::new(),
-            hi_owners: MarkSet::new(),
+            marks: Marks::new(),
         }
-    }
-
-    /// Is any interval's endpoint anchored at this node?
-    pub(crate) fn has_owners(&self) -> bool {
-        !self.lo_owners.is_empty() || !self.hi_owners.is_empty()
     }
 }
 
-/// Slab of nodes with a free list.
+/// Which end of an interval an endpoint owner holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum End {
+    Lo,
+    Hi,
+}
+
+/// One node's cold record, in an array parallel to the hot one: read by
+/// insert, remove, rebalancing, `invariants` and `overlap`, never by a
+/// stab.
+#[derive(Debug, Clone)]
+pub(crate) struct Cold {
+    /// Height of the subtree rooted here (leaf = 1; 0 on a free slot).
+    pub(crate) height: u32,
+    /// Intervals with a finite endpoint at the node's value, each tagged
+    /// with the end it owns (a point interval owns both).
+    owners: Vec<(End, IntervalId)>,
+}
+
+impl Cold {
+    /// Records that `id`'s `end` is anchored here.
+    pub(crate) fn own(&mut self, end: End, id: IntervalId) {
+        self.owners.push((end, id));
+    }
+
+    /// Releases `id`'s `end`, which must be anchored here.
+    pub(crate) fn disown(&mut self, end: End, id: IntervalId) {
+        let pos = self
+            .owners
+            .iter()
+            .position(|&o| o == (end, id))
+            .expect("every stored interval's finite endpoint is owned at its node");
+        self.owners.swap_remove(pos);
+    }
+
+    /// Is `id`'s `end` anchored here?
+    pub(crate) fn owns(&self, end: End, id: IntervalId) -> bool {
+        self.owners.contains(&(end, id))
+    }
+
+    /// Is any interval's endpoint anchored here?
+    pub(crate) fn has_owners(&self) -> bool {
+        !self.owners.is_empty()
+    }
+
+    /// The intervals whose `end` is anchored here, in no order.
+    pub(crate) fn owners(&self, end: End) -> impl Iterator<Item = IntervalId> + '_ {
+        self.owners
+            .iter()
+            .filter(move |&&(e, _)| e == end)
+            .map(|&(_, id)| id)
+    }
+
+    /// Every owning interval, a point interval twice.
+    pub(crate) fn all_owners(&self) -> impl Iterator<Item = IntervalId> + '_ {
+        self.owners.iter().map(|&(_, id)| id)
+    }
+}
+
+/// Slab of nodes with a free list: hot records in `nodes`, cold records
+/// in `cold` at the same index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Arena<K> {
     nodes: Vec<Option<Node<K>>>,
+    cold: Vec<Cold>,
     free: Vec<NodeId>,
     live: usize,
 }
@@ -83,6 +134,7 @@ impl<K> Arena<K> {
     pub(crate) fn new() -> Self {
         Arena {
             nodes: Vec::new(),
+            cold: Vec::new(),
             free: Vec::new(),
             live: 0,
         }
@@ -93,6 +145,7 @@ impl<K> Arena<K> {
         self.live += 1;
         if let Some(id) = self.free.pop() {
             self.nodes[id.index()] = Some(Node::new(value));
+            self.cold[id.index()].height = 1;
             id
         } else {
             let id = NodeId(
@@ -100,6 +153,10 @@ impl<K> Arena<K> {
                     .expect("fewer than 2^32 live nodes: the u32 id space is the arena's capacity"),
             );
             self.nodes.push(Some(Node::new(value)));
+            self.cold.push(Cold {
+                height: 1,
+                owners: Vec::new(),
+            });
             id
         }
     }
@@ -109,6 +166,9 @@ impl<K> Arena<K> {
         let node = self.nodes[id.index()]
             .take()
             .expect("double free: the node was already released, the tree's links are corrupt");
+        let cold = &mut self.cold[id.index()];
+        debug_assert!(!cold.has_owners(), "released node still owned endpoints");
+        cold.height = 0;
         self.free.push(id);
         self.live -= 1;
         node
@@ -131,6 +191,65 @@ impl<K> Arena<K> {
             .iter()
             .enumerate()
             .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i as u32), n)))
+    }
+
+    /// A live node's cold record.
+    #[inline]
+    pub(crate) fn cold(&self, id: NodeId) -> &Cold {
+        debug_assert!(self.nodes[id.index()].is_some(), "dangling node id");
+        &self.cold[id.index()]
+    }
+
+    /// A live node's cold record, mutably.
+    #[inline]
+    pub(crate) fn cold_mut(&mut self, id: NodeId) -> &mut Cold {
+        debug_assert!(self.nodes[id.index()].is_some(), "dangling node id");
+        &mut self.cold[id.index()]
+    }
+
+    /// Swaps the endpoint owners of two distinct live nodes (they travel
+    /// with the value in a predecessor swap); heights stay in place.
+    pub(crate) fn swap_owners(&mut self, a: NodeId, b: NodeId) {
+        debug_assert!(self.nodes[a.index()].is_some() && self.nodes[b.index()].is_some());
+        let [a, b] = self
+            .cold
+            .get_disjoint_mut([a.index(), b.index()])
+            .expect("two distinct in-bounds node ids");
+        std::mem::swap(&mut a.owners, &mut b.owners);
+    }
+
+    /// Heap bytes the arena holds: both record arrays and the free list
+    /// at capacity, the owner lists, and every node's mark spill.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let arrays = self.nodes.capacity() * size_of::<Option<Node<K>>>()
+            + self.cold.capacity() * size_of::<Cold>()
+            + self.free.capacity() * size_of::<NodeId>();
+        let owners: usize = self.cold.iter().map(|c| c.owners.capacity()).sum();
+        let spills: usize = self.iter().map(|(_, n)| n.marks.heap_bytes()).sum();
+        arrays + owners * size_of::<(End, IntervalId)>() + spills
+    }
+
+    /// Starts loading `id`'s node into the cache: the stab descent asks
+    /// for both children before it compares the key, so the child it
+    /// takes is on its way while the comparison runs. A hint only — it
+    /// changes no state the program can observe, and on targets other
+    /// than x86_64 it does nothing.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, id: NodeId) {
+        // `wrapping_add`: `NULL` indexes past the arena, and the address
+        // is only computed, never dereferenced.
+        let slot = self.nodes.as_ptr().wrapping_add(id.index());
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: `prefetch` is a cache hint. It reads no memory the
+            // program sees and never faults, whatever the address — past
+            // the arena or unmapped — and SSE is part of the x86_64
+            // baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>()) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = slot;
     }
 }
 

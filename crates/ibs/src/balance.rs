@@ -41,15 +41,15 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         // Snapshot the mark sets that drive the migration *before* any
         // mutation, because the rules are defined on pre-rotation state.
-        let z_less: Vec<IntervalId> = self.arena[z].less.iter().collect();
-        let y_greater: Vec<IntervalId> = self.arena[y].greater.iter().collect();
+        let z_less: Vec<IntervalId> = self.arena[z].marks.iter(Slot::Less).collect();
+        let y_greater: Vec<IntervalId> = self.arena[y].marks.iter(Slot::Greater).collect();
 
         for &m in &z_less {
             self.add_mark(y, Slot::Less, m);
             self.add_mark(y, Slot::Eq, m);
         }
         for &m in &y_greater {
-            if self.arena[z].greater.contains(m) {
+            if self.arena[z].marks.contains(Slot::Greater, m) {
                 // In both `>` slots: y.> alone now covers B ∪ {z} ∪ C.
                 self.remove_mark(z, Slot::Eq, m);
                 self.remove_mark(z, Slot::Greater, m);
@@ -76,15 +76,15 @@ impl<K: Ord + Clone> IbsTree<K> {
         let y = self.arena[z].right;
         debug_assert!(!y.is_null(), "rotate_left requires a right child");
 
-        let z_greater: Vec<IntervalId> = self.arena[z].greater.iter().collect();
-        let y_less: Vec<IntervalId> = self.arena[y].less.iter().collect();
+        let z_greater: Vec<IntervalId> = self.arena[z].marks.iter(Slot::Greater).collect();
+        let y_less: Vec<IntervalId> = self.arena[y].marks.iter(Slot::Less).collect();
 
         for &m in &z_greater {
             self.add_mark(y, Slot::Greater, m);
             self.add_mark(y, Slot::Eq, m);
         }
         for &m in &y_less {
-            if self.arena[z].less.contains(m) {
+            if self.arena[z].marks.contains(Slot::Less, m) {
                 self.remove_mark(z, Slot::Eq, m);
                 self.remove_mark(z, Slot::Less, m);
             } else {

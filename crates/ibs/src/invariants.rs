@@ -17,8 +17,8 @@
 //! verifies BST order via descent fences, AVL height/balance bookkeeping,
 //! and endpoint-ownership accounting.
 
-use crate::arena::NodeId;
-use crate::marks::Slot;
+use crate::arena::{End, NodeId};
+use crate::marks::{Slot, SLOTS};
 use crate::tree::{BalanceMode, IbsTree};
 use interval::IntervalId;
 use std::collections::{HashMap, HashSet};
@@ -46,14 +46,10 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
     fn check_registry(&self) -> Result<(), String> {
         let mut scanned: HashMap<u32, Vec<(NodeId, Slot)>> = HashMap::new();
         for (nid, node) in self.arena.iter() {
-            for id in node.less.iter() {
-                scanned.entry(id.0).or_default().push((nid, Slot::Less));
-            }
-            for id in node.eq.iter() {
-                scanned.entry(id.0).or_default().push((nid, Slot::Eq));
-            }
-            for id in node.greater.iter() {
-                scanned.entry(id.0).or_default().push((nid, Slot::Greater));
+            for slot in SLOTS {
+                for id in node.marks.iter(slot) {
+                    scanned.entry(id.0).or_default().push((nid, slot));
+                }
             }
         }
         let normalize =
@@ -159,10 +155,11 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
             // Height / balance bookkeeping.
             let hl = self.height_of(n.left);
             let hr = self.height_of(n.right);
-            if n.height != 1 + hl.max(hr) {
+            let height = self.arena.cold(f.node).height;
+            if height != 1 + hl.max(hr) {
                 return Err(format!(
-                    "stale height at {:?}: stored {}, children {}/{}",
-                    n.value, n.height, hl, hr
+                    "stale height at {:?}: stored {height}, children {hl}/{hr}",
+                    n.value
                 ));
             }
             if self.mode() == BalanceMode::Avl && (hl as i64 - hr as i64).abs() > 1 {
@@ -173,7 +170,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
             }
 
             // Mark soundness.
-            for id in n.eq.iter() {
+            for id in n.marks.iter(Slot::Eq) {
                 let iv = self
                     .intervals
                     .get(&id.0)
@@ -185,7 +182,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                     ));
                 }
             }
-            for id in n.less.iter() {
+            for id in n.marks.iter(Slot::Less) {
                 let iv = self
                     .intervals
                     .get(&id.0)
@@ -197,7 +194,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                     ));
                 }
             }
-            for id in n.greater.iter() {
+            for id in n.marks.iter(Slot::Greater) {
                 let iv = self
                     .intervals
                     .get(&id.0)
@@ -214,7 +211,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
             // value collects `inherited ∪ eq` and must see every
             // containing interval exactly once.
             let mut collected: Vec<IntervalId> = f.inherited.clone();
-            collected.extend(n.eq.iter());
+            collected.extend(n.marks.iter(Slot::Eq));
             collected.extend_from_slice(&self.universal);
             let mut sorted = collected.clone();
             sorted.sort_unstable();
@@ -255,11 +252,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 ),
             ] {
                 let mut inherited = f.inherited.clone();
-                match slot {
-                    Slot::Less => inherited.extend(n.less.iter()),
-                    Slot::Greater => inherited.extend(n.greater.iter()),
-                    Slot::Eq => unreachable!("the path holds only Less/Greater frames"),
-                }
+                inherited.extend(n.marks.iter(slot));
                 if child.is_null() {
                     let expected: HashSet<u32> = self
                         .intervals
@@ -307,7 +300,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 let n = self
                     .find_node(lo)
                     .ok_or_else(|| format!("{id}: no node for lo endpoint {lo:?}"))?;
-                if !self.node(n).lo_owners.contains(id) {
+                if !self.arena.cold(n).owns(End::Lo, id) {
                     return Err(format!("{id}: lo endpoint {lo:?} not owned"));
                 }
             }
@@ -315,7 +308,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 let n = self
                     .find_node(hi)
                     .ok_or_else(|| format!("{id}: no node for hi endpoint {hi:?}"))?;
-                if !self.node(n).hi_owners.contains(id) {
+                if !self.arena.cold(n).owns(End::Hi, id) {
                     return Err(format!("{id}: hi endpoint {hi:?} not owned"));
                 }
             }
@@ -323,11 +316,12 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
         // Conversely: every owner entry corresponds to a live interval
         // with that endpoint value, and every node is owned by someone
         // (otherwise it should have been deleted).
-        for (_, node) in self.arena.iter() {
-            if !node.has_owners() {
+        for (nid, node) in self.arena.iter() {
+            let cold = self.arena.cold(nid);
+            if !cold.has_owners() {
                 return Err(format!("orphan endpoint node {:?}", node.value));
             }
-            for id in node.lo_owners.iter() {
+            for id in cold.owners(End::Lo) {
                 match self.intervals.get(&id.0) {
                     None => return Err(format!("lo owner {id} is not a live interval")),
                     Some(iv) => {
@@ -340,7 +334,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                     }
                 }
             }
-            for id in node.hi_owners.iter() {
+            for id in cold.owners(End::Hi) {
                 match self.intervals.get(&id.0) {
                     None => return Err(format!("hi owner {id} is not a live interval")),
                     Some(iv) => {

@@ -9,14 +9,14 @@
 //!
 //! Strategy: build a candidate superset from (a) a stab at the query's
 //! low anchor value — catching every interval that starts at or before
-//! the query and reaches into it — and (b) the `lo_owners` of every
+//! the query and reaches into it — and (b) the lower-end owners of every
 //! endpoint node whose value falls in the query's closed hull — catching
 //! every interval that starts inside the query; then filter the
 //! candidates with the exact [`Interval::overlaps`] test. Cost is
 //! `O(log N + K + L)` where `K` is the number of endpoint nodes in the
 //! query range.
 
-use crate::arena::NodeId;
+use crate::arena::{End, NodeId};
 use crate::tree::IbsTree;
 use interval::{Interval, IntervalId, Lower};
 
@@ -83,7 +83,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         out.truncate(keep);
     }
 
-    /// Collects `lo_owners` of all nodes with `lo <= value <= hi`
+    /// Collects the lower-end owners of all nodes with `lo <= value <= hi`
     /// (missing bound = unbounded on that side).
     fn collect_lo_owners_in_hull(
         &self,
@@ -102,7 +102,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             self.collect_lo_owners_in_hull(n.left, lo, hi, out);
         }
         if above_lo && below_hi {
-            n.lo_owners.extend_into(out);
+            out.extend(self.arena.cold(node).owners(End::Lo));
         }
         if below_hi {
             self.collect_lo_owners_in_hull(n.right, lo, hi, out);

@@ -27,8 +27,8 @@
 //! keep a registry from interval id to its mark placements, so clearing
 //! an interval is exact by construction (see DESIGN.md §5).
 
-use crate::arena::{Arena, Node, NodeId};
-use crate::marks::{MarkSet, Slot};
+use crate::arena::{Arena, End, Node, NodeId};
+use crate::marks::{Slot, SLOTS};
 use interval::{Interval, IntervalId};
 use std::collections::HashMap;
 
@@ -141,10 +141,21 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// (§5.1: `O(N log N)` worst case, `O(N)` when intervals are
     /// disjoint).
     pub fn marker_count(&self) -> usize {
-        self.arena
-            .iter()
-            .map(|(_, n)| n.less.len() + n.eq.len() + n.greater.len())
-            .sum()
+        self.arena.iter().map(|(_, n)| n.marks.total()).sum()
+    }
+
+    /// Heap bytes the tree holds, computed on read: the node arena (hot
+    /// and cold records, free list, owner lists, mark spills) and the
+    /// side tables `intervals`, `placements` (with each placement list)
+    /// and `universal`, all at capacity. Heap a key owns itself (a
+    /// string's bytes) is not counted.
+    pub fn approx_bytes(&self) -> usize {
+        let placed: usize = self.placements.values().map(Vec::capacity).sum();
+        self.arena.heap_bytes()
+            + map_bytes(&self.intervals)
+            + map_bytes(&self.placements)
+            + placed * size_of::<(NodeId, Slot)>()
+            + self.universal.capacity() * size_of::<IntervalId>()
     }
 
     /// Height of the endpoint tree (empty = 0).
@@ -200,24 +211,17 @@ impl<K: Ord + Clone> IbsTree<K> {
         let mut cur = self.root;
         while !cur.is_null() {
             let node = self.arena.get_live_unchecked(cur);
+            self.arena.prefetch(node.left);
+            self.arena.prefetch(node.right);
             obs.visit_node();
-            match x.cmp(&node.value) {
-                std::cmp::Ordering::Equal => {
-                    node.eq.extend_into(out);
-                    obs.collect(Slot::Eq, node.eq.len());
-                    break;
-                }
-                std::cmp::Ordering::Less => {
-                    node.less.extend_into(out);
-                    obs.collect(Slot::Less, node.less.len());
-                    cur = node.left;
-                }
-                std::cmp::Ordering::Greater => {
-                    node.greater.extend_into(out);
-                    obs.collect(Slot::Greater, node.greater.len());
-                    cur = node.right;
-                }
-            }
+            let (slot, next) = match x.cmp(&node.value) {
+                std::cmp::Ordering::Equal => (Slot::Eq, NodeId::NULL),
+                std::cmp::Ordering::Less => (Slot::Less, node.left),
+                std::cmp::Ordering::Greater => (Slot::Greater, node.right),
+            };
+            node.marks.extend_into(slot, out);
+            obs.collect(slot, node.marks.len(slot));
+            cur = next;
         }
         debug_assert!(
             all_distinct(&out[from..]),
@@ -231,20 +235,13 @@ impl<K: Ord + Clone> IbsTree<K> {
         let mut cur = self.root;
         while !cur.is_null() {
             let node = self.arena.get_live_unchecked(cur);
-            match x.cmp(&node.value) {
-                std::cmp::Ordering::Equal => {
-                    count += node.eq.len();
-                    break;
-                }
-                std::cmp::Ordering::Less => {
-                    count += node.less.len();
-                    cur = node.left;
-                }
-                std::cmp::Ordering::Greater => {
-                    count += node.greater.len();
-                    cur = node.right;
-                }
-            }
+            let (slot, next) = match x.cmp(&node.value) {
+                std::cmp::Ordering::Equal => (Slot::Eq, NodeId::NULL),
+                std::cmp::Ordering::Less => (Slot::Less, node.left),
+                std::cmp::Ordering::Greater => (Slot::Greater, node.right),
+            };
+            count += node.marks.len(slot);
+            cur = next;
         }
         count
     }
@@ -274,11 +271,11 @@ impl<K: Ord + Clone> IbsTree<K> {
         }
         if let Some(v) = &lo_val {
             let n = self.ensure_node(v.clone());
-            self.arena[n].lo_owners.insert(id);
+            self.arena.cold_mut(n).own(End::Lo, id);
         }
         if let Some(v) = &hi_val {
             let n = self.ensure_node(v.clone());
-            self.arena[n].hi_owners.insert(id);
+            self.arena.cold_mut(n).own(End::Hi, id);
         }
         self.place_marks(id, &iv);
         Ok(())
@@ -350,13 +347,13 @@ impl<K: Ord + Clone> IbsTree<K> {
             let n = self
                 .find_node(v)
                 .expect("every stored interval's finite lo endpoint owns a node");
-            self.arena[n].lo_owners.remove(id);
+            self.arena.cold_mut(n).disown(End::Lo, id);
         }
         if let Some(v) = &hi_val {
             let n = self
                 .find_node(v)
                 .expect("every stored interval's finite hi endpoint owns a node");
-            self.arena[n].hi_owners.remove(id);
+            self.arena.cold_mut(n).disown(End::Hi, id);
         }
         let mut doomed: Vec<K> = Vec::new();
         for v in [&lo_val, &hi_val].into_iter().flatten() {
@@ -366,7 +363,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             let n = self
                 .find_node(v)
                 .expect("both endpoint nodes were found just above");
-            if !self.arena[n].has_owners() {
+            if !self.arena.cold(n).has_owners() {
                 doomed.push(v.clone());
             }
         }
@@ -408,18 +405,15 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         // Collect the repair set T and strip its marks.
         let mut repair: Vec<IntervalId> = Vec::new();
-        let note = |set: &MarkSet, repair: &mut Vec<IntervalId>| {
-            for m in set.iter() {
+        fn note(repair: &mut Vec<IntervalId>, ids: impl Iterator<Item = IntervalId>) {
+            for m in ids {
                 if !repair.contains(&m) {
                     repair.push(m);
                 }
             }
-        };
-        {
-            let xn = &self.arena[x];
-            note(&xn.less, &mut repair);
-            note(&xn.eq, &mut repair);
-            note(&xn.greater, &mut repair);
+        }
+        for slot in SLOTS {
+            note(&mut repair, self.arena[x].marks.iter(slot));
         }
 
         let spliced; // the node physically removed from the tree
@@ -431,14 +425,10 @@ impl<K: Ord + Clone> IbsTree<K> {
                 path.push((y, false));
                 y = self.arena[y].right;
             }
-            {
-                let yn = &self.arena[y];
-                note(&yn.less, &mut repair);
-                note(&yn.eq, &mut repair);
-                note(&yn.greater, &mut repair);
-                note(&yn.lo_owners, &mut repair);
-                note(&yn.hi_owners, &mut repair);
+            for slot in SLOTS {
+                note(&mut repair, self.arena[y].marks.iter(slot));
             }
+            note(&mut repair, self.arena.cold(y).all_owners());
             for &m in &repair {
                 self.clear_marks(m);
             }
@@ -472,11 +462,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             }
         }
         let dead = self.arena.dealloc(spliced);
-        debug_assert!(
-            dead.less.is_empty() && dead.eq.is_empty() && dead.greater.is_empty(),
-            "spliced node still carried marks"
-        );
-        debug_assert!(!dead.has_owners(), "spliced node still owned endpoints");
+        debug_assert!(dead.marks.is_empty(), "spliced node still carried marks");
 
         // Rebalance up the (pre-splice) path.
         self.retrace(&path);
@@ -494,20 +480,13 @@ impl<K: Ord + Clone> IbsTree<K> {
         }
     }
 
-    /// Swaps `value`, `lo_owners`, `hi_owners` between two nodes, leaving
-    /// links, heights, and mark slots in place (the paper: "swap the
-    /// values of x and y, leaving the markers in their former
+    /// Swaps the value and its endpoint owners between two nodes,
+    /// leaving links, heights, and mark slots in place (the paper: "swap
+    /// the values of x and y, leaving the markers in their former
     /// locations").
     fn swap_node_values(&mut self, a: NodeId, b: NodeId) {
         debug_assert_ne!(a, b);
-        // Take both payloads out, swap, put back — avoids unsafe split
-        // borrows on the arena.
-        let mut an = std::mem::replace(&mut self.arena[a].lo_owners, MarkSet::new());
-        std::mem::swap(&mut an, &mut self.arena[b].lo_owners);
-        self.arena[a].lo_owners = an;
-        let mut an = std::mem::replace(&mut self.arena[a].hi_owners, MarkSet::new());
-        std::mem::swap(&mut an, &mut self.arena[b].hi_owners);
-        self.arena[a].hi_owners = an;
+        self.arena.swap_owners(a, b);
         let av = self.arena[a].value.clone();
         let bv = std::mem::replace(&mut self.arena[b].value, av);
         self.arena[a].value = bv;
@@ -519,24 +498,14 @@ impl<K: Ord + Clone> IbsTree<K> {
 
     /// Adds a mark and records the placement. Idempotent.
     pub(crate) fn add_mark(&mut self, node: NodeId, slot: Slot, id: IntervalId) {
-        let set = match slot {
-            Slot::Less => &mut self.arena[node].less,
-            Slot::Eq => &mut self.arena[node].eq,
-            Slot::Greater => &mut self.arena[node].greater,
-        };
-        if set.insert(id) {
+        if self.arena[node].marks.insert(slot, id) {
             self.placements.entry(id.0).or_default().push((node, slot));
         }
     }
 
     /// Removes a mark (if present) and its placement record.
     pub(crate) fn remove_mark(&mut self, node: NodeId, slot: Slot, id: IntervalId) {
-        let set = match slot {
-            Slot::Less => &mut self.arena[node].less,
-            Slot::Eq => &mut self.arena[node].eq,
-            Slot::Greater => &mut self.arena[node].greater,
-        };
-        if set.remove(id) {
+        if self.arena[node].marks.remove(slot, id) {
             let places = self
                 .placements
                 .get_mut(&id.0)
@@ -555,12 +524,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             return;
         };
         for (node, slot) in places {
-            let set = match slot {
-                Slot::Less => &mut self.arena[node].less,
-                Slot::Eq => &mut self.arena[node].eq,
-                Slot::Greater => &mut self.arena[node].greater,
-            };
-            let removed = set.remove(id);
+            let removed = self.arena[node].marks.remove(slot, id);
             debug_assert!(removed, "registry pointed at a missing mark");
         }
     }
@@ -624,7 +588,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         if n.is_null() {
             0
         } else {
-            self.arena[n].height
+            self.arena.cold(n).height
         }
     }
 
@@ -632,7 +596,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         let h = 1 + self
             .height_of(self.arena[n].left)
             .max(self.height_of(self.arena[n].right));
-        self.arena[n].height = h;
+        self.arena.cold_mut(n).height = h;
     }
 
     /// Walks a recorded root-to-parent path bottom-up, refreshing heights
@@ -700,6 +664,12 @@ impl<K> IbsTree<K> {
     pub(crate) fn root_id(&self) -> NodeId {
         self.root
     }
+}
+
+/// Table bytes of a hash map: its capacity is 7/8 of its slots, and
+/// each slot carries one control byte.
+fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+    m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
 /// The debug check behind every stab: no id twice among the ids one

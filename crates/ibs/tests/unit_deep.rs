@@ -145,6 +145,35 @@ fn id_reuse_after_removal() {
     assert_eq!(t.get(id(7)), Some(&Interval::closed(100, 200)));
 }
 
+/// A slot marks its inline id present with a bit, not a sentinel id, so
+/// the largest id is a mark like any other: alone in a slot (inline),
+/// and in slots it shares with smaller ids (spilled).
+#[test]
+fn largest_interval_id_is_a_legal_mark() {
+    let max = IntervalId(u32::MAX);
+    let sorted_stab = |t: &IbsTree<i32>, x: i32| {
+        let mut v = t.stab(&x);
+        v.sort_unstable();
+        v
+    };
+    let mut t = IbsTree::new();
+    t.insert(max, Interval::closed(10, 20)).unwrap();
+    t.assert_invariants();
+    assert_eq!(t.stab(&15), vec![max]);
+    t.insert(id(0), Interval::closed(0, 100)).unwrap();
+    t.insert(id(1), Interval::point(15)).unwrap();
+    t.assert_invariants();
+    assert_eq!(sorted_stab(&t, 15), vec![id(0), id(1), max]);
+    assert_eq!(sorted_stab(&t, 10), vec![id(0), max]);
+    assert_eq!(sorted_stab(&t, 30), vec![id(0)]);
+    assert_eq!(t.stab_count(&15), 3);
+    assert_eq!(t.remove(max), Some(Interval::closed(10, 20)));
+    t.assert_invariants();
+    assert_eq!(sorted_stab(&t, 15), vec![id(0), id(1)]);
+    assert_eq!(sorted_stab(&t, 10), vec![id(0)]);
+    assert!(!t.contains_id(max));
+}
+
 /// Alternating growth and shrink cycles the arena free list through
 /// many generations.
 #[test]

@@ -710,7 +710,7 @@ impl PredicateIndex {
     /// no-op bundle: one branch per would-be recording site.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
         let telemetry = telemetry.into();
-        self.metrics = IndexMetrics::new(&telemetry, 0);
+        self.metrics = IndexMetrics::new(&telemetry);
         self.core.rebind(&self.metrics);
     }
 

@@ -4,10 +4,10 @@
 //! IBS-tree per attribute with indexable clauses, a non-indexable list,
 //! and the `PREDICATES` residual test (Figure 1). The rule engine is
 //! serial and runs it as is — no lock, no threads.
-//! [`ShardedPredicateIndex`] is the concurrent front-end over the same
+//! [`ShardedPredicateIndex`] is a bare concurrent leaf over the same
 //! index core, for callers that bring their own threads: state
-//! partitioned by relation name behind per-shard reader–writer locks;
-//! the sequential index is its one-shard, lock-free case. The
+//! partitioned by relation name behind per-shard reader–writer locks,
+//! with insert, remove and match through `&self` and nothing else. The
 //! [`baselines`] module holds the four strategies §2 reviews —
 //! sequential search, OPS5-style hash + sequential, simulated physical
 //! locking, and R-tree multi-dimensional indexing — all behind the same
@@ -35,7 +35,7 @@ pub use index::PredicateIndex;
 pub use matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
 pub use memory::MatchMemory;
 pub use sharded::ShardedPredicateIndex;
-pub use stats::{IndexStats, RelationStats, ShardStats, TreeStats};
+pub use stats::{IndexStats, RelationStats, TreeStats};
 // Re-exported so downstream layers can speak the EXPLAIN types without
 // depending on `telemetry` directly.
 pub use telemetry::{MatchTrace, ResidualTrace, StabTrace};

@@ -13,8 +13,7 @@
 
 use relation::fx::FnvHashMap;
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
-use telemetry::{Counter, Histogram, Registry, Telemetry, Tracer, WorkloadStats};
+use telemetry::{Counter, Registry, Telemetry, Tracer, WorkloadStats};
 
 /// The stab-work counters of one `(relation, attribute)` IBS-tree.
 #[derive(Debug, Clone)]
@@ -23,9 +22,10 @@ pub(crate) struct AttrWork {
     marks: Counter,
 }
 
-/// Everything the index core and both front-ends record into: the
-/// counters, the span tracer and the workload accounts of one
-/// [`Telemetry`] handle. Any of the three can be on without the others.
+/// Everything the index core records into: the counters, the span
+/// tracer and the workload accounts of one [`Telemetry`] handle. Any of
+/// the three can be on without the others. `PredicateIndex` attaches
+/// one; the sharded front-end keeps the disabled bundle.
 #[derive(Debug)]
 pub(crate) struct IndexMetrics {
     /// Is the counter registry live? (Tracer and workload accounts
@@ -47,11 +47,6 @@ pub(crate) struct IndexMetrics {
     ibs_marks: Counter,
     /// Clause sets tested by the non-indexable sweep.
     non_indexable_scanned: Counter,
-    /// Shard lock acquisition wait, all shards pooled (a no-op handle
-    /// on the unsharded index, which has no lock to wait for).
-    lock_wait: Histogram,
-    /// Cumulative lock-wait nanos per shard.
-    shard_lock_wait: Vec<Counter>,
     /// `relation name -> matches counter` for relations that hold no
     /// predicates, minted on first match.
     unindexed: RwLock<FnvHashMap<String, Counter>>,
@@ -60,15 +55,13 @@ pub(crate) struct IndexMetrics {
 impl IndexMetrics {
     /// The no-op bundle every index starts with.
     pub(crate) fn disabled() -> Arc<IndexMetrics> {
-        Self::new(&Telemetry::disabled(), 0)
+        Self::new(&Telemetry::disabled())
     }
 
-    /// Resolves the bundle against `telemetry`. The two lock-wait
-    /// families are minted only for `shards > 0` (one counter per
-    /// shard); the unsharded index passes 0 and registers neither. A
-    /// disabled registry hands out no-op handles, so the counter half
-    /// is inert exactly when the registry is.
-    pub(crate) fn new(telemetry: &Telemetry, shards: usize) -> Arc<IndexMetrics> {
+    /// Resolves the bundle against `telemetry`. A disabled registry
+    /// hands out no-op handles, so the counter half is inert exactly
+    /// when the registry is.
+    pub(crate) fn new(telemetry: &Telemetry) -> Arc<IndexMetrics> {
         let registry = telemetry.registry();
         Arc::new(IndexMetrics {
             enabled: registry.is_enabled(),
@@ -81,18 +74,6 @@ impl IndexMetrics {
             ibs_nodes: registry.counter("predindex_ibs_nodes_visited_total"),
             ibs_marks: registry.counter("predindex_ibs_marks_scanned_total"),
             non_indexable_scanned: registry.counter("predindex_non_indexable_scanned_total"),
-            lock_wait: if shards > 0 {
-                registry.histogram("predindex_shard_lock_wait_nanos")
-            } else {
-                Histogram::disabled()
-            },
-            shard_lock_wait: (0..shards)
-                .map(|i| {
-                    registry.counter(&format!(
-                        "predindex_shard_lock_wait_nanos_total{{shard=\"{i}\"}}"
-                    ))
-                })
-                .collect(),
             unindexed: RwLock::new(FnvHashMap::default()),
         })
     }
@@ -184,24 +165,6 @@ impl IndexMetrics {
         if let Some(work) = work {
             work.nodes.add(nodes);
             work.marks.add(marks);
-        }
-    }
-
-    /// Starts timing a shard-lock acquisition (`None` when disabled,
-    /// so the disabled path never reads the clock).
-    #[inline]
-    pub(crate) fn lock_timer(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Ends a [`IndexMetrics::lock_timer`] measurement against `shard`.
-    pub(crate) fn record_lock_wait(&self, shard: usize, started: Option<Instant>) {
-        if let Some(t0) = started {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.lock_wait.record(nanos);
-            if let Some(c) = self.shard_lock_wait.get(shard) {
-                c.add(nanos);
-            }
         }
     }
 
@@ -320,7 +283,7 @@ mod tests {
             "isodd(emp.age)",
         ];
         let mut seq = PredicateIndex::new();
-        let sharded = ShardedPredicateIndex::with_shards(4);
+        let sharded = ShardedPredicateIndex::new();
         for s in &srcs {
             let p = parse_predicate(s).unwrap();
             seq.insert(p.clone(), db.catalog()).unwrap();
@@ -330,67 +293,21 @@ mod tests {
             .insert("emp", vec![Value::Int(61), Value::Int(99_000)])
             .unwrap();
 
-        for trace in [
-            seq.explain_tuple("emp", &t),
-            sharded.explain_tuple("emp", &t),
-        ] {
-            assert!(trace.relation_indexed);
-            let expect: Vec<u32> = seq.match_tuple("emp", &t).iter().map(|id| id.0).collect();
-            let mut got = trace.matched();
-            got.sort_unstable();
-            assert_eq!(got, expect);
-            assert_eq!(trace.partial_matches(), 3);
-            assert_eq!(trace.non_indexable_scanned, 1);
-            assert!(trace.nodes_visited() >= 1);
+        let trace = seq.explain_tuple("emp", &t);
+        assert!(trace.relation_indexed);
+        let mut got = trace.matched();
+        got.sort_unstable();
+        for index in [&seq as &dyn Matcher, &sharded] {
+            let expect: Vec<u32> = index.match_tuple("emp", &t).iter().map(|id| id.0).collect();
+            assert_eq!(got, expect, "{}", index.strategy());
         }
-        assert_eq!(seq.explain_tuple("emp", &t).shard, None);
-        assert!(sharded.explain_tuple("emp", &t).shard.is_some());
+        assert_eq!(trace.partial_matches(), 3);
+        assert_eq!(trace.non_indexable_scanned, 1);
+        assert!(trace.nodes_visited() >= 1);
         // Unknown relation: an honest empty trace, not a panic.
         let ghost = seq.explain_tuple("ghost", &t);
         assert!(!ghost.relation_indexed);
         assert_eq!(ghost.partial_matches(), 0);
-    }
-
-    #[test]
-    fn lock_wait_families_exist_only_on_the_sharded_index() {
-        let mut db = db();
-        let mut sharded = ShardedPredicateIndex::with_shards(4);
-        let registry = Arc::new(Registry::new());
-        sharded.attach_metrics(Arc::clone(&registry));
-        sharded
-            .insert_shared(parse_predicate("emp.age > 50").unwrap(), db.catalog())
-            .unwrap();
-        let t = db
-            .insert("emp", vec![Value::Int(61), Value::Int(0)])
-            .unwrap();
-        for _ in 0..3 {
-            assert_eq!(sharded.match_tuple("emp", &t).len(), 1);
-        }
-
-        // The insert and the three matches each timed one acquisition.
-        let (waits, _) = registry
-            .histogram_totals("predindex_shard_lock_wait_nanos")
-            .unwrap();
-        assert_eq!(waits, 4);
-        // Every shard got its own wait counter at attach time.
-        let names = registry.names();
-        for shard in 0..4 {
-            let name = format!("predindex_shard_lock_wait_nanos_total{{shard=\"{shard}\"}}");
-            assert!(names.contains(&name), "missing {name}");
-        }
-        assert_eq!(
-            registry.counter_value("predindex_match_tuples_total"),
-            Some(3)
-        );
-
-        // The sequential index has no lock, so it mints neither family.
-        let registry = Arc::new(Registry::new());
-        let mut seq = PredicateIndex::new();
-        seq.attach_metrics(Arc::clone(&registry));
-        seq.insert(parse_predicate("emp.age > 50").unwrap(), db.catalog())
-            .unwrap();
-        assert_eq!(seq.match_tuple("emp", &t).len(), 1);
-        assert!(registry.names().iter().all(|n| !n.contains("lock_wait")));
     }
 
     #[test]

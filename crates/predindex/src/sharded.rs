@@ -2,38 +2,39 @@
 //! callers that bring their own threads.
 //!
 //! [`ShardedPredicateIndex`] partitions the Figure 1 structure by the
-//! same key the paper hashes on — the relation name. Each shard is one
-//! [`IndexCore`] — the very type the sequential index wraps — owning a
-//! disjoint set of relations: their per-attribute IBS-trees and
-//! non-indexable lists, and the slice of the `PREDICATES` store for
-//! predicates over those relations, all behind one [`RwLock`]. The
-//! matching path takes only read locks, so any number of tuples can be
-//! matched concurrently — including against the *same*
-//! relation, since an `RwLock` admits parallel readers. Registration
-//! and removal write-lock exactly one shard, so predicate churn on one
-//! relation never blocks matching on another.
+//! same key the paper hashes on — the relation name. Each of its
+//! sixteen shards is one [`IndexCore`] — the very type the sequential
+//! index wraps — owning a disjoint set of relations: their
+//! per-attribute IBS-trees and non-indexable lists, and the slice of
+//! the `PREDICATES` store for predicates over those relations, all
+//! behind one [`RwLock`]. The matching path takes only read locks, so
+//! any number of tuples can be matched concurrently — including
+//! against the *same* relation, since an `RwLock` admits parallel
+//! readers. Registration and removal write-lock exactly one shard, so
+//! predicate churn on one relation never blocks matching on another.
 //!
 //! Ids are drawn from a process-wide atomic counter *after* binding
 //! succeeds, which keeps the assignment sequence identical to
 //! [`PredicateIndex`](crate::PredicateIndex) under single-threaded use —
 //! the differential tests rely on that.
 //!
-//! The index spawns no threads of its own. The rule engine is serial
-//! and runs the lock-free [`PredicateIndex`](crate::PredicateIndex);
-//! this front-end is the leaf for callers that match from several
-//! threads through `&self` (DESIGN.md §9 records why in-index batch
-//! fan-out was measured and deleted).
+//! This is a bare leaf: it records no metrics, has no EXPLAIN and no
+//! stats, and spawns no threads. The rule engine is serial and runs the
+//! lock-free [`PredicateIndex`](crate::PredicateIndex), which has all
+//! of those; DESIGN.md §9 records why in-index batch fan-out was
+//! measured and deleted.
 
 use crate::index::IndexCore;
 use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::IndexMetrics;
-use crate::stats::{IndexStats, RelationStats, ShardStats};
 use ibs::BalanceMode;
 use predicate::Predicate;
 use relation::{Catalog, Tuple};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use telemetry::{MatchTrace, Telemetry};
+
+/// Number of shards (a power of two: the relation-name hash is masked).
+const SHARDS: usize = 16;
 
 /// FNV-1a over the relation name — the same function the per-shard maps
 /// key with, reused as the shard selector (the Figure 1 hash step).
@@ -77,12 +78,9 @@ fn fnv1a(name: &str) -> u64 {
 #[derive(Debug)]
 pub struct ShardedPredicateIndex {
     shards: Box<[RwLock<IndexCore>]>,
-    /// Power-of-two mask selecting a shard from the relation-name hash.
-    mask: usize,
     next_id: AtomicU32,
-    /// Disabled by default; swapped by
-    /// [`attach_metrics`](ShardedPredicateIndex::attach_metrics)
-    /// (holds one lock-wait counter per shard).
+    /// Always the disabled bundle: the cores take one, and this
+    /// front-end records nothing.
     metrics: Arc<IndexMetrics>,
 }
 
@@ -93,95 +91,34 @@ impl Default for ShardedPredicateIndex {
 }
 
 impl ShardedPredicateIndex {
-    /// 16 shards of AVL-balanced IBS-trees.
+    /// Sixteen shards of AVL-balanced IBS-trees.
     pub fn new() -> Self {
-        Self::with_shards(16)
-    }
-
-    /// Explicit shard count (rounded up to a power of two, minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         ShardedPredicateIndex {
-            shards: (0..n)
+            shards: (0..SHARDS)
                 .map(|_| RwLock::new(IndexCore::new(BalanceMode::Avl)))
                 .collect(),
-            mask: n - 1,
             next_id: AtomicU32::new(0),
             metrics: IndexMetrics::disabled(),
         }
     }
 
-    /// Points the index at `telemetry` (a bare `Arc<Registry>` converts
-    /// into a counters-only handle): match-path and per-shard lock-wait
-    /// counters go to its registry, `shard_lock` / `predindex_stab` /
-    /// `predindex_residual` spans to its tracer, and workload accounts
-    /// to its workload handle, backfilled with the predicates already
-    /// registered. Whatever was attached before is replaced whole.
-    /// Until this is called the index runs with the no-op bundle: one
-    /// branch per would-be recording site.
-    pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
-        let telemetry = telemetry.into();
-        self.metrics = IndexMetrics::new(&telemetry, self.shards.len());
-        for shard in self.shards.iter_mut() {
-            // `&mut self` proves no guard is live, so no lock is taken.
-            shard
-                .get_mut()
-                .expect("shard lock poisoned: a writer panicked mid-update")
-                .rebind(&self.metrics);
-        }
-    }
-
-    /// Span-wrapped shard-lock acquisition: times the wait for the
-    /// lock-wait histogram and brackets it with a `shard_lock` span.
+    /// Read-locks shard `sid`.
     fn lock_read(&self, sid: usize) -> RwLockReadGuard<'_, IndexCore> {
-        let wait = self.metrics.lock_timer();
-        let guard = {
-            let _span = self
-                .metrics
-                .tracer()
-                .span_with("shard_lock", || vec![("shard", sid.to_string())]);
-            self.shards[sid]
-                .read()
-                .expect("shard lock poisoned: a writer panicked mid-update")
-        };
-        self.metrics.record_lock_wait(sid, wait);
-        guard
+        self.shards[sid]
+            .read()
+            .expect("shard lock poisoned: a writer panicked mid-update")
     }
 
-    /// [`lock_read`](Self::lock_read) for writers.
+    /// Write-locks shard `sid`.
     fn lock_write(&self, sid: usize) -> RwLockWriteGuard<'_, IndexCore> {
-        let wait = self.metrics.lock_timer();
-        let guard = {
-            let _span = self
-                .metrics
-                .tracer()
-                .span_with("shard_lock", || vec![("shard", sid.to_string())]);
-            self.shards[sid]
-                .write()
-                .expect("shard lock poisoned: a writer panicked mid-update")
-        };
-        self.metrics.record_lock_wait(sid, wait);
-        guard
-    }
-
-    /// The Figure 1 EXPLAIN: the exact path `tuple` takes through the
-    /// owning shard, with per-stage work counts and every residual-test
-    /// outcome. Takes the shard's read lock like a normal match.
-    pub fn explain_tuple(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
-        let sid = self.shard_of(relation);
-        let mut trace = self.lock_read(sid).explain(relation, tuple);
-        trace.shard = Some(sid);
-        trace
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards[sid]
+            .write()
+            .expect("shard lock poisoned: a writer panicked mid-update")
     }
 
     #[inline]
     fn shard_of(&self, relation: &str) -> usize {
-        fnv1a(relation) as usize & self.mask
+        fnv1a(relation) as usize & (SHARDS - 1)
     }
 
     /// Registers a predicate through a shared reference: binds against
@@ -213,12 +150,12 @@ impl ShardedPredicateIndex {
     /// shard is found by probing with read locks; only that shard is
     /// write-locked.
     pub fn remove_shared(&self, id: PredicateId) -> Option<Predicate> {
-        for sid in 0..self.shards.len() {
+        for sid in 0..SHARDS {
             let owns = self.lock_read(sid).contains(id);
             if owns {
                 // Re-probe under the write lock: a concurrent remover
                 // may have won the race between the two acquisitions.
-                // srclint:allow(lock-discipline, lock-order): guards are strictly sequential — the probe's read guard is dropped before the write lock is taken
+                // srclint:allow(lock-order): guards are strictly sequential — the probe's read guard is dropped before the write lock is taken
                 if let Some(p) = self.lock_write(sid).remove(id) {
                     return Some(p);
                 }
@@ -233,53 +170,6 @@ impl ShardedPredicateIndex {
         let sid = self.shard_of(relation);
         let shard = self.lock_read(sid);
         shard.match_into(relation, tuple, out, &self.metrics);
-    }
-
-    /// Per-shard structure snapshot (lock-occupancy diagnostics).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut stats: Vec<ShardStats> = (0..self.shards.len())
-            .map(|shard| {
-                let IndexStats {
-                    relations,
-                    predicates,
-                } = self.lock_read(shard).stats();
-                ShardStats {
-                    shard,
-                    predicates,
-                    imbalance: 0.0,
-                    relations,
-                }
-            })
-            .collect();
-        let total: usize = stats.iter().map(|s| s.predicates).sum();
-        if total > 0 {
-            let mean = total as f64 / stats.len() as f64;
-            for s in &mut stats {
-                s.imbalance = s.predicates as f64 / mean;
-            }
-        } else {
-            // No predicates anywhere: the index is trivially balanced,
-            // not infinitely skewed — report the balanced value.
-            for s in &mut stats {
-                s.imbalance = 1.0;
-            }
-        }
-        stats
-    }
-
-    /// Whole-index snapshot in the same shape as
-    /// [`PredicateIndex::stats`](crate::PredicateIndex::stats), merging
-    /// all shards.
-    pub fn stats(&self) -> IndexStats {
-        let per_shard = self.shard_stats();
-        let predicates = per_shard.iter().map(|s| s.predicates).sum();
-        let mut relations: Vec<RelationStats> =
-            per_shard.into_iter().flat_map(|s| s.relations).collect();
-        relations.sort_by(|a, b| a.relation.cmp(&b.relation));
-        IndexStats {
-            relations,
-            predicates,
-        }
     }
 }
 
@@ -299,9 +189,7 @@ impl Matcher for ShardedPredicateIndex {
     }
 
     fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|sid| self.lock_read(sid).len())
-            .sum()
+        (0..SHARDS).map(|sid| self.lock_read(sid).len()).sum()
     }
 
     fn strategy(&self) -> &'static str {
@@ -354,7 +242,7 @@ mod tests {
                     .unwrap(),
             );
         }
-        let sharded = ShardedPredicateIndex::with_shards(2);
+        let sharded = ShardedPredicateIndex::new();
         let catalog = db.catalog();
         std::thread::scope(|s| {
             for w in 0..4 {
@@ -384,20 +272,22 @@ mod tests {
 
     #[test]
     fn single_shard_still_correct() {
+        // `dept` and `proj` hash to one shard: its core keeps them apart.
         let mut db = db();
-        let sharded = ShardedPredicateIndex::with_shards(1);
+        let sharded = ShardedPredicateIndex::new();
+        assert_eq!(sharded.shard_of("dept"), sharded.shard_of("proj"));
         let id = sharded
-            .insert_shared(parse_predicate("emp.a > 5").unwrap(), db.catalog())
+            .insert_shared(parse_predicate("dept.a > 5").unwrap(), db.catalog())
             .unwrap();
         let hit = db
-            .insert("emp", vec![Value::Int(9), Value::Int(0)])
+            .insert("dept", vec![Value::Int(9), Value::Int(0)])
             .unwrap();
         let miss = db
-            .insert("emp", vec![Value::Int(1), Value::Int(0)])
+            .insert("dept", vec![Value::Int(1), Value::Int(0)])
             .unwrap();
-        assert_eq!(sharded.match_tuple("emp", &hit), vec![id]);
-        assert_eq!(sharded.match_tuple("emp", &miss), vec![]);
-        assert_eq!(sharded.match_tuple("dept", &hit), vec![]);
+        assert_eq!(sharded.match_tuple("dept", &hit), vec![id]);
+        assert_eq!(sharded.match_tuple("dept", &miss), vec![]);
+        assert_eq!(sharded.match_tuple("proj", &hit), vec![]);
     }
 
     #[test]
@@ -408,17 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedPredicateIndex::with_shards(0).shard_count(), 1);
-        assert_eq!(ShardedPredicateIndex::with_shards(3).shard_count(), 4);
-        assert_eq!(ShardedPredicateIndex::with_shards(16).shard_count(), 16);
-    }
-
-    #[test]
     fn exhausted_ids_are_an_error_not_a_wrap() {
         let mut db = db();
         let pred = |lo: i64| parse_predicate(&format!("emp.a > {lo}")).unwrap();
-        let sharded = ShardedPredicateIndex::with_shards(2);
+        let sharded = ShardedPredicateIndex::new();
         let first = sharded.insert_shared(pred(0), db.catalog()).unwrap();
         assert_eq!(first, PredicateId(0));
 
@@ -431,7 +314,8 @@ mod tests {
         }
         // Nothing was inserted and id 0 still holds its own predicate.
         assert_eq!(Matcher::len(&sharded), 1);
-        assert_eq!(sharded.stats().total_trees(), 1);
+        let stats = sharded.lock_read(sharded.shard_of("emp")).stats();
+        assert_eq!(stats.relations[0].trees[0].intervals, 1);
         let t = db
             .insert("emp", vec![Value::Int(9), Value::Int(0)])
             .unwrap();

@@ -8,7 +8,8 @@
 //! set, sharing part of one, repeating a clause, the empty predicate,
 //! range predicates with opaque residual clauses, and two functions
 //! registered under one name in different registries. Besides equal
-//! match sets it pins the sharing itself: every match runs exactly one
+//! match sets it pins the sharing itself, on the sequential index's
+//! counters (the shared core's): every match runs exactly one
 //! sweep test per distinct live `(attribute, function)` set of the
 //! tuple's relation, with function identity — not name — deciding
 //! "distinct".
@@ -215,11 +216,10 @@ proptest! {
         let db = test_db();
         let funcs = functions();
         let mut oracle = HashSequentialMatcher::new();
-        let (seq_registry, sharded_registry) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        let registry = Arc::new(Registry::new());
         let mut seq = PredicateIndex::new();
-        seq.attach_metrics(Arc::clone(&seq_registry));
-        let mut sharded = ShardedPredicateIndex::with_shards(2);
-        sharded.attach_metrics(Arc::clone(&sharded_registry));
+        seq.attach_metrics(Arc::clone(&registry));
+        let mut sharded = ShardedPredicateIndex::new();
 
         // id -> (relation, clause-set identity when non-indexable).
         let mut live: BTreeMap<PredicateId, (usize, Option<SetKey>)> = BTreeMap::new();
@@ -256,20 +256,19 @@ proptest! {
                         .filter(|(rel, _)| rel == r)
                         .filter_map(|(_, key)| key.as_ref())
                         .collect();
-                    for (name, front, registry) in [
-                        ("sequential", &seq as &dyn Matcher, &seq_registry),
-                        ("sharded", &sharded as &dyn Matcher, &sharded_registry),
-                    ] {
-                        let before = sweeps(registry);
-                        prop_assert_eq!(
-                            &front.match_tuple(RELS[*r], &tuple), &expected,
-                            "{} diverged on {:?}", name, values
-                        );
-                        prop_assert_eq!(
-                            sweeps(registry) - before, sets.len() as u64,
-                            "{} ran one sweep test per distinct clause set", name
-                        );
-                    }
+                    let before = sweeps(&registry);
+                    prop_assert_eq!(
+                        &seq.match_tuple(RELS[*r], &tuple), &expected,
+                        "sequential diverged on {:?}", values
+                    );
+                    prop_assert_eq!(
+                        sweeps(&registry) - before, sets.len() as u64,
+                        "one sweep test per distinct clause set"
+                    );
+                    prop_assert_eq!(
+                        &sharded.match_tuple(RELS[*r], &tuple), &expected,
+                        "sharded diverged on {:?}", values
+                    );
                 }
             }
         }
@@ -304,7 +303,7 @@ fn explain_lists_every_member_with_its_groups_outcome() {
     let registry = Arc::new(Registry::new());
     let mut seq = PredicateIndex::new();
     seq.attach_metrics(Arc::clone(&registry));
-    let sharded = ShardedPredicateIndex::with_shards(4);
+    let sharded = ShardedPredicateIndex::new();
     for src in sources {
         let p = parse_predicate(src).expect("parses");
         seq.insert(p.clone(), db.catalog()).expect("binds");
@@ -314,30 +313,28 @@ fn explain_lists_every_member_with_its_groups_outcome() {
         let t = db
             .insert("emp", vec![Value::Int(a), Value::Int(b)])
             .expect("well-typed row");
-        for trace in [
-            seq.explain_tuple("emp", &t),
-            sharded.explain_tuple("emp", &t),
-        ] {
-            // Two clause sets: {isodd(a)} with three members (a repeated
-            // clause and a differently spelled name fold into it) and
-            // {isodd(a), iseven(b)}.
-            assert_eq!(trace.non_indexable_scanned, 2);
-            assert_eq!(trace.non_indexable_predicates, 4);
-            assert_eq!(trace.partial_matches(), 5);
-            assert_eq!(trace.residual_tests(), 3);
-            let opaque: Vec<(u32, bool)> = trace.residual[1..]
-                .iter()
-                .map(|r| (r.predicate, r.pass))
-                .collect();
-            assert_eq!(
-                opaque,
-                [(0, pass), (1, pass), (2, pass), (3, pass)],
-                "every member, in group order, with its group's outcome"
-            );
-            let mut matched = trace.matched();
-            matched.sort_unstable();
-            let expect: Vec<u32> = seq.match_tuple("emp", &t).iter().map(|id| id.0).collect();
-            assert_eq!(matched, expect);
+        let trace = seq.explain_tuple("emp", &t);
+        // Two clause sets: {isodd(a)} with three members (a repeated
+        // clause and a differently spelled name fold into it) and
+        // {isodd(a), iseven(b)}.
+        assert_eq!(trace.non_indexable_scanned, 2);
+        assert_eq!(trace.non_indexable_predicates, 4);
+        assert_eq!(trace.partial_matches(), 5);
+        assert_eq!(trace.residual_tests(), 3);
+        let opaque: Vec<(u32, bool)> = trace.residual[1..]
+            .iter()
+            .map(|r| (r.predicate, r.pass))
+            .collect();
+        assert_eq!(
+            opaque,
+            [(0, pass), (1, pass), (2, pass), (3, pass)],
+            "every member, in group order, with its group's outcome"
+        );
+        let mut matched = trace.matched();
+        matched.sort_unstable();
+        for front in [&seq as &dyn Matcher, &sharded] {
+            let expect: Vec<u32> = front.match_tuple("emp", &t).iter().map(|id| id.0).collect();
+            assert_eq!(matched, expect, "{}", front.strategy());
         }
         let count = |name: &str| registry.counter_value(name).unwrap_or(0);
         let (tests, sweeps) = (

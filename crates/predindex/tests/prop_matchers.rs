@@ -14,9 +14,6 @@ use predindex::{
 };
 use proptest::prelude::*;
 use relation::{AttrType, Database, Schema, Tuple, Value};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use telemetry::{Registry, Telemetry};
 
 const RELS: [&str; 2] = ["emp", "item"];
 const INT_ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -127,7 +124,6 @@ proptest! {
             )),
             Box::new(RTreeMatcher::new()),
             Box::new(ShardedPredicateIndex::new()),
-            Box::new(ShardedPredicateIndex::with_shards(1)),
         ];
 
         let mut ids: Vec<PredicateId> = Vec::new();
@@ -162,101 +158,55 @@ proptest! {
         }
     }
 
-    /// The concurrent front-end against the paper's index, at one shard
-    /// and at N: both are the same index core, so after the same
-    /// insert/remove/match script they must agree on everything the
-    /// core does — id assignment, match sets, every `predindex_*`
-    /// counter (lock waits aside: only the sharded front-end locks) and
-    /// every workload account. The index spawns no threads, so the
+    /// The concurrent front-end against the paper's index: after the
+    /// same insert/remove script the two must agree on id assignment
+    /// and on every match set. The index spawns no threads, so the
     /// concurrency is the test's own: 1, 2 and 4 scoped callers of
-    /// `match_tuple_into` share each front-end through `&self`.
+    /// `match_tuple_into` share the front-end through `&self`.
     #[test]
     fn sharded_batch_matches_sequential_index(
         preds in prop::collection::vec(arb_predicate(), 1..30),
         removals in prop::collection::vec(0usize..30, 0..10),
         tuples in prop::collection::vec(arb_tuple(), 1..40),
-        shards in 2usize..9,
     ) {
         let db = test_db();
-        let enabled = || Telemetry::new(Arc::new(Registry::new())).with_workload_accounts();
-        let seq_telemetry = enabled();
         let mut seq = PredicateIndex::new();
-        seq.attach_metrics(seq_telemetry.clone());
-        let fronts: Vec<(ShardedPredicateIndex, Telemetry)> = [1, shards]
-            .into_iter()
-            .map(|n| {
-                let telemetry = enabled();
-                let mut index = ShardedPredicateIndex::with_shards(n);
-                index.attach_metrics(telemetry.clone());
-                (index, telemetry)
-            })
-            .collect();
+        let sharded = ShardedPredicateIndex::new();
 
         let mut ids: Vec<PredicateId> = Vec::new();
         for p in &preds {
             let a = seq.insert(p.clone(), db.catalog()).expect("valid predicate");
-            for (sharded, _) in &fronts {
-                let b = sharded.insert_shared(p.clone(), db.catalog()).expect("valid predicate");
-                prop_assert_eq!(a, b, "id assignment must agree");
-            }
+            let b = sharded.insert_shared(p.clone(), db.catalog()).expect("valid predicate");
+            prop_assert_eq!(a, b, "id assignment must agree");
             ids.push(a);
         }
         for &r in &removals {
             if ids.is_empty() { break; }
             let id = ids.remove(r % ids.len());
             prop_assert!(seq.remove(id).is_some());
-            for (sharded, _) in &fronts {
-                prop_assert!(sharded.remove_shared(id).is_some());
-            }
+            prop_assert!(sharded.remove_shared(id).is_some());
         }
 
         let batch: Vec<(&str, &Tuple)> =
             tuples.iter().map(|(r, t)| (RELS[*r], t)).collect();
-        // One sequential pass and one concurrent pass per front-end per
-        // round, so the accounts must be equal after every round.
+        let expected: Vec<Vec<PredicateId>> = batch
+            .iter()
+            .map(|(r, t)| seq.match_tuple(r, t))
+            .collect();
         for callers in [1usize, 2, 4] {
-            let expected: Vec<Vec<PredicateId>> = batch
-                .iter()
-                .map(|(r, t)| seq.match_tuple(r, t))
-                .collect();
-            for (sharded, telemetry) in &fronts {
-                let n = sharded.shard_count();
-                let mut got: Vec<Vec<PredicateId>> = vec![Vec::new(); batch.len()];
-                let chunk = batch.len().div_ceil(callers);
-                std::thread::scope(|scope| {
-                    for (items, slots) in batch.chunks(chunk).zip(got.chunks_mut(chunk)) {
-                        scope.spawn(move || {
-                            for ((r, t), slot) in items.iter().zip(slots) {
-                                sharded.match_tuple_into(r, t, slot);
-                            }
-                        });
-                    }
-                });
-                prop_assert_eq!(
-                    &got, &expected,
-                    "{} caller(s) diverged at {} shard(s)", callers, n
-                );
-                prop_assert_eq!(
-                    core_counters(telemetry), core_counters(&seq_telemetry),
-                    "counters diverged at {} shard(s)", n
-                );
-                prop_assert_eq!(
-                    telemetry.workload().lifetime(), seq_telemetry.workload().lifetime(),
-                    "workload accounts diverged at {} shard(s)", n
-                );
-            }
+            let mut got: Vec<Vec<PredicateId>> = vec![Vec::new(); batch.len()];
+            let chunk = batch.len().div_ceil(callers);
+            std::thread::scope(|scope| {
+                for (items, slots) in batch.chunks(chunk).zip(got.chunks_mut(chunk)) {
+                    let sharded = &sharded;
+                    scope.spawn(move || {
+                        for ((r, t), slot) in items.iter().zip(slots) {
+                            sharded.match_tuple_into(r, t, slot);
+                        }
+                    });
+                }
+            });
+            prop_assert_eq!(&got, &expected, "{} caller(s) diverged", callers);
         }
     }
-}
-
-/// Every `predindex_*` counter in the handle's registry except the
-/// lock-wait families, by name.
-fn core_counters(telemetry: &Telemetry) -> BTreeMap<String, u64> {
-    let registry = telemetry.registry();
-    registry
-        .names()
-        .into_iter()
-        .filter(|n| n.starts_with("predindex_") && !n.contains("lock_wait"))
-        .filter_map(|n| registry.counter_value(&n).map(|v| (n, v)))
-        .collect()
 }

@@ -18,8 +18,8 @@
 use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId, RuleName};
 use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::JoinCondition;
-use predindex::{IndexError, MatchTrace, Matcher, PredicateId, PredicateIndex, ShardStats};
-use relation::fx::FnvHashMap;
+use predindex::{IndexError, IndexStats, MatchTrace, Matcher, PredicateId, PredicateIndex};
+use relation::fx::{FnvHashMap, FnvHashSet};
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -111,6 +111,16 @@ pub struct FireReport {
 /// and the complete matches discovered while seeding.
 type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>, Vec<Binding>);
 
+/// Where the alpha matches of one predicate id go. Both variants name
+/// the owning rule only: a premise's memo key and position are the
+/// rule's own (`StoredRule::premise`), so the route stays one word.
+enum Route {
+    /// A single-relation condition: the rule goes on the agenda.
+    Rule(u32),
+    /// A join premise: the tuple goes into the beta layer.
+    Premise(u32),
+}
+
 /// One agenda entry: `(priority, rule, bound tuples)` — the tuples of a
 /// completed join match, empty for a single-relation instantiation.
 type AgendaEntry = (i32, u32, Vec<BoundTuple>);
@@ -139,6 +149,17 @@ struct StoredRule {
     join_keys: Vec<u64>,
     join_pids: Vec<Vec<PredicateId>>,
     fired: u64,
+}
+
+impl StoredRule {
+    /// `(memo key, premise index)` of the join premise registered as
+    /// `pid`.
+    fn premise(&self, pid: PredicateId) -> Option<(u64, usize)> {
+        self.join_keys
+            .iter()
+            .zip(&self.join_pids)
+            .find_map(|(&key, pids)| Some((key, pids.iter().position(|&p| p == pid)?)))
+    }
 }
 
 /// The engine-level metric handles, pre-resolved at attach time.
@@ -178,10 +199,9 @@ pub struct RuleEngine {
     db: Database,
     index: PredicateIndex,
     rules: FnvHashMap<u32, StoredRule>,
-    pred_to_rule: FnvHashMap<u32, u32>,
-    /// Premise predicate id -> (rule, memo key, premise index): routes
-    /// alpha matches of join premises into the beta layer.
-    pred_to_premise: FnvHashMap<u32, (u32, u64, usize)>,
+    /// Predicate id -> where its matches go: every id in the index has
+    /// exactly one route.
+    routes: FnvHashMap<u32, Route>,
     joins: JoinEngine,
     next_rule: u32,
     /// Engine-wide memo-key counter — keys stay stable across
@@ -205,8 +225,7 @@ impl RuleEngine {
             db,
             index: PredicateIndex::new(),
             rules: FnvHashMap::default(),
-            pred_to_rule: FnvHashMap::default(),
-            pred_to_premise: FnvHashMap::default(),
+            routes: FnvHashMap::default(),
             joins: JoinEngine::new(),
             next_rule: 0,
             next_join: 0,
@@ -257,18 +276,11 @@ impl RuleEngine {
     }
 
     /// The predicate-index structure (relations → per-attribute tree
-    /// sizes) in the per-shard shape external tooling walks
+    /// sizes) in the list shape external tooling walks
     /// (`.relations[].trees[]`; stackbench's `tree_totals`). The engine
-    /// runs one lock-free index core, so this is always the single
-    /// entry `shard: 0`, `imbalance: 1.0`.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let stats = self.index.stats();
-        vec![ShardStats {
-            shard: 0,
-            predicates: stats.predicates,
-            imbalance: 1.0,
-            relations: stats.relations,
-        }]
+    /// runs one lock-free index core, so the list has one entry.
+    pub fn shard_stats(&self) -> Vec<IndexStats> {
+        vec![self.index.stats()]
     }
 
     /// The metrics registry — render it with
@@ -312,7 +324,7 @@ impl RuleEngine {
                     let pid = stored.predicate_ids.remove(i);
                     stored.rule.conditions.remove(i);
                     self.index.remove(pid);
-                    self.pred_to_rule.remove(&pid.0);
+                    self.routes.remove(&pid.0);
                 } else {
                     i += 1;
                 }
@@ -332,7 +344,7 @@ impl RuleEngine {
                     stored.rule.joins.remove(j);
                     for pid in pids {
                         self.index.remove(pid);
-                        self.pred_to_premise.remove(&pid.0);
+                        self.routes.remove(&pid.0);
                     }
                     self.joins.unregister(key);
                 } else {
@@ -389,7 +401,7 @@ impl RuleEngine {
                 let id = RuleId(self.next_rule);
                 self.next_rule += 1;
                 for &pid in &predicate_ids {
-                    self.pred_to_rule.insert(pid.0, id.0);
+                    self.routes.insert(pid.0, Route::Rule(id.0));
                 }
                 self.telemetry.profiler().name_rule(id.0, &rule.name);
                 self.rules.insert(
@@ -455,8 +467,8 @@ impl RuleEngine {
         for (cj, pids) in compiled.into_iter().zip(&join_pids) {
             let key = self.next_join;
             self.next_join += 1;
-            for (premise, pid) in pids.iter().enumerate() {
-                self.pred_to_premise.insert(pid.0, (rid, key, premise));
+            for pid in pids {
+                self.routes.insert(pid.0, Route::Premise(rid));
             }
             self.joins.register(key, cj);
             seeds.extend(self.joins.seed(key, self.db.catalog()));
@@ -481,7 +493,7 @@ impl RuleEngine {
         // Collect matching existing tuples per condition, deduplicated
         // per tuple (a tuple matching several disjuncts fires once).
         let mut seeds: Vec<(TupleEvent, Vec<BoundTuple>)> = Vec::new();
-        let mut seen: Vec<(String, TupleId)> = Vec::new();
+        let mut seen: FnvHashSet<(&str, TupleId)> = FnvHashSet::default();
         for pred in &stored.rule.conditions {
             let Some(rel) = self.db.catalog().relation(pred.relation()) else {
                 continue;
@@ -491,11 +503,9 @@ impl RuleEngine {
                 continue;
             };
             for (tid, tuple) in bound.scan(rel) {
-                let key = (pred.relation().to_string(), tid);
-                if seen.contains(&key) {
+                if !seen.insert((pred.relation(), tid)) {
                     continue;
                 }
-                seen.push(key);
                 let seed = TupleEvent::Inserted {
                     relation: pred.relation().to_string(),
                     id: tid,
@@ -571,12 +581,12 @@ impl RuleEngine {
             .ok_or(EngineError::NoSuchRule(id))?;
         for pid in &stored.predicate_ids {
             self.index.remove(*pid);
-            self.pred_to_rule.remove(&pid.0);
+            self.routes.remove(&pid.0);
         }
         for (key, pids) in stored.join_keys.iter().zip(&stored.join_pids) {
             for pid in pids {
                 self.index.remove(*pid);
-                self.pred_to_premise.remove(&pid.0);
+                self.routes.remove(&pid.0);
             }
             self.joins.unregister(*key);
         }
@@ -625,10 +635,13 @@ impl RuleEngine {
         // alpha-matched, the memo state those matches produced, and the
         // complete matches that fired during the chain.
         for pid in trace.matched() {
-            let Some(&(rid, key, premise)) = self.pred_to_premise.get(&pid) else {
+            let Some(&Route::Premise(rid)) = self.routes.get(&pid) else {
                 continue;
             };
             let Some(stored) = self.rules.get(&rid) else {
+                continue;
+            };
+            let Some((key, premise)) = stored.premise(PredicateId(pid)) else {
                 continue;
             };
             let mut line = format!(
@@ -810,38 +823,42 @@ impl RuleEngine {
                 // passes count their comparisons, so the agenda's cost is
                 // a number a test can bound.
                 for &pid in &buf.matched[buf.bounds[pos].clone()] {
-                    if let Some(&(rid, key, premise)) = self.pred_to_premise.get(&pid.0) {
-                        let Some(tuple) = post else {
-                            continue; // deletes only retract
-                        };
-                        let out = self.joins.insert(key, premise, tid, tuple);
-                        self.telemetry
-                            .profiler()
-                            .credit_join_probes(rid, out.probes);
-                        let stored = &self.rules[&rid];
-                        if !stored.rule.mask.accepts(event) {
-                            continue;
+                    match self.routes.get(&pid.0) {
+                        Some(&Route::Rule(rid)) => {
+                            let stored = &self.rules[&rid];
+                            if stored.rule.mask.accepts(event) {
+                                buf.agenda.push((stored.rule.priority, rid, Vec::new()));
+                            }
                         }
-                        for binding in out.bindings {
-                            let bound = binding
-                                .tuples
-                                .into_iter()
-                                .map(|(relation, id, tuple)| BoundTuple {
-                                    relation,
-                                    id,
-                                    tuple,
-                                })
-                                .collect();
-                            buf.join_entries.push((stored.rule.priority, rid, bound));
+                        Some(&Route::Premise(rid)) => {
+                            let Some(tuple) = post else {
+                                continue; // deletes only retract
+                            };
+                            let stored = &self.rules[&rid];
+                            let (key, premise) = stored
+                                .premise(pid)
+                                .expect("a premise route names a rule that registered the premise");
+                            let out = self.joins.insert(key, premise, tid, tuple);
+                            self.telemetry
+                                .profiler()
+                                .credit_join_probes(rid, out.probes);
+                            if !stored.rule.mask.accepts(event) {
+                                continue;
+                            }
+                            for binding in out.bindings {
+                                let bound = binding
+                                    .tuples
+                                    .into_iter()
+                                    .map(|(relation, id, tuple)| BoundTuple {
+                                        relation,
+                                        id,
+                                        tuple,
+                                    })
+                                    .collect();
+                                buf.join_entries.push((stored.rule.priority, rid, bound));
+                            }
                         }
-                        continue;
-                    }
-                    let Some(&rid) = self.pred_to_rule.get(&pid.0) else {
-                        continue;
-                    };
-                    let stored = &self.rules[&rid];
-                    if stored.rule.mask.accepts(event) {
-                        buf.agenda.push((stored.rule.priority, rid, Vec::new()));
+                        None => {}
                     }
                 }
                 buf.agenda.append(&mut buf.join_entries);
@@ -926,13 +943,13 @@ impl RuleEngine {
         }
     }
 
-    /// The rule owning join-condition `key`, via the premise routing
-    /// table (retraction-attribution cold path).
+    /// The rule owning join-condition `key` (retraction-attribution
+    /// cold path).
     fn join_owner(&self, key: u64) -> Option<u32> {
-        self.pred_to_premise
-            .values()
-            .find(|&&(_, k, _)| k == key)
-            .map(|&(rid, _, _)| rid)
+        self.rules
+            .iter()
+            .find(|(_, s)| s.join_keys.contains(&key))
+            .map(|(&rid, _)| rid)
     }
 
     /// Fires one rule on one event: runs the action, applies the
@@ -1102,7 +1119,7 @@ impl RuleEngine {
             let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
             for pred in &rule.conditions {
                 let pid = engine.index.insert(pred.clone(), engine.db.catalog())?;
-                engine.pred_to_rule.insert(pid.0, rid.0);
+                engine.routes.insert(pid.0, Route::Rule(rid.0));
                 predicate_ids.push(pid);
             }
             engine.next_rule = engine.next_rule.max(rid.0 + 1);

@@ -72,7 +72,7 @@ pub use joinmemo::MemoStats;
 pub use predicate::{JoinCondition, ParsedCondition};
 // The observability vocabulary, re-exported so applications can hold
 // traces and registries without naming the lower crates.
-pub use predindex::{MatchTrace, ResidualTrace, ShardStats, StabTrace};
+pub use predindex::{IndexStats, MatchTrace, ResidualTrace, StabTrace};
 pub use telemetry::{Registry, Telemetry, Tracer};
 
 #[cfg(test)]
@@ -1342,7 +1342,6 @@ mod drop_restore_tests {
         );
         let text = m.render_text();
         assert!(text.contains("rules_fired_total 2"));
-        assert!(!text.contains("predindex_shard_lock_wait"));
     }
 
     #[test]
@@ -1445,7 +1444,6 @@ mod drop_restore_tests {
             .unwrap();
         assert_eq!(report.fired.len(), 1);
         assert!(trace.relation_indexed);
-        assert!(trace.shard.is_none());
         // Attribute names come from the schema, not positions.
         let names: Vec<&str> = trace.stabs.iter().map(|s| s.attr_name.as_str()).collect();
         assert!(names.contains(&"age") || names.contains(&"salary"));

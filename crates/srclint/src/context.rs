@@ -696,7 +696,7 @@ mod tests {
     #[test]
     fn suppression_count_counts_allow_comments() {
         let c = ctx(
-            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(lock-discipline, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
+            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(atomic-ordering, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
         );
         assert_eq!(c.suppression_count(), 2);
     }

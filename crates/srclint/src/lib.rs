@@ -13,8 +13,8 @@
 //! cargo run -p srclint -- path/to/file.rs   # just these operands
 //! ```
 //!
-//! The run has two stages. The per-file suite (`lock-discipline`,
-//! `fsync-before-rename`, `metric-name-registry`) sees one
+//! The run has two stages. The per-file suite (`fsync-before-rename`,
+//! `metric-name-registry`) sees one
 //! [`FileContext`](context::FileContext) at a time. The cross-file
 //! suite (`lock-order`, `atomic-ordering`) then runs over the
 //! [workspace model](model) — every function's lock / atomic / call

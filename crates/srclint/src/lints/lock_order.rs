@@ -11,8 +11,7 @@
 //! The analysis over-approximates guard lifetimes (a guard is assumed
 //! live to the end of its scope — early `drop` is invisible), so
 //! genuinely sequential acquisitions get a
-//! `// srclint:allow(lock-order): <why>` at the second site, exactly
-//! like `lock-discipline`'s batch path.
+//! `// srclint:allow(lock-order): <why>` at the second site.
 
 use super::{emit, WorkspaceMeta};
 use crate::callgraph::CallGraph;

@@ -12,7 +12,6 @@
 
 mod atomic_ordering;
 mod fsync_rename;
-mod lock_discipline;
 mod lock_order;
 mod metric_names;
 
@@ -56,11 +55,6 @@ pub struct WorkspaceLint {
 /// The full suite, in reporting order.
 pub fn all() -> Vec<Lint> {
     vec![
-        Lint {
-            name: "lock-discipline",
-            summary: "predindex shard locks only via lock_read/lock_write; one guard per fn",
-            check: lock_discipline::check,
-        },
         Lint {
             name: "fsync-before-rename",
             summary: "durable fns that rename must sync file contents first",

@@ -1,7 +1,7 @@
 // srclint-fixture: crate=telemetry section=src
 // A fixture, not compiled: nested acquisitions that follow DESIGN.md
-// §18's canonical order (accounts=3 < names=4 < metrics=6), plus the
-// blessed sequential-guard escape hatch.
+// §18's canonical order (accounts=3 < names=4 < metrics=6), the
+// blessed sequential-guard escape hatch, and a scoped fan-out.
 
 struct S {
     accounts: std::sync::Mutex<i32>,
@@ -34,5 +34,18 @@ impl S {
         // cannot see that, so the site declares it.
         // srclint:allow(lock-order): strictly sequential — the probe guard is dropped at its block end
         let _again = self.metrics.lock();
+    }
+
+    // Each scoped-thread closure is its own scope: its guard is not
+    // held under the enclosing fn's, so this is no `names -> names`.
+    fn fan_out(&self, workers: usize) {
+        let _n = self.names.lock();
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    let _w = self.names.lock();
+                });
+            }
+        });
     }
 }

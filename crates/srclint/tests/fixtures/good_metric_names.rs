@@ -3,12 +3,12 @@
 // snake_case families from DESIGN.md's table, labels after the `{{`
 // escape.
 
-fn mint(registry: &telemetry::Registry, shard: usize) {
+fn mint(registry: &telemetry::Registry, relation: &str) {
     let _ = registry.counter("rules_fired_total");
     let _ = registry.histogram("wal_fsync_nanos");
     // Labels may interpolate; the family prefix is still literal.
     let _ = registry.counter(&format!(
-        "predindex_shard_lock_wait_nanos_total{{shard=\"{shard}\"}}"
+        "predindex_relation_matches_total{{relation=\"{relation}\"}}"
     ));
 }
 

@@ -38,7 +38,6 @@ fn findings(name: &str) -> Vec<(String, u32)> {
 #[test]
 fn good_fixtures_are_clean() {
     for name in [
-        "good_lock_discipline.rs",
         "good_fsync_rename.rs",
         "good_metric_names.rs",
         "good_lexer_edges.rs",
@@ -51,23 +50,6 @@ fn good_fixtures_are_clean() {
 }
 
 // ----------------------------------------------------------------- bad
-
-#[test]
-fn bad_lock_discipline_flags_raw_and_double_acquisition() {
-    let found = findings("bad_lock_discipline.rs");
-    // The double-guard fn also trips the cross-file lock-order pass
-    // (a shard-while-shard edge) — assert both lints see it.
-    let discipline: Vec<_> = found
-        .iter()
-        .filter(|(l, _)| l == "lock-discipline")
-        .collect();
-    // One raw `.read()` outside the helpers, one second-guard site.
-    assert_eq!(discipline.len(), 2, "{found:?}");
-    assert!(
-        found.iter().any(|(l, _)| l == "lock-order"),
-        "nested shard guards should also be a lock-order finding: {found:?}"
-    );
-}
 
 #[test]
 fn bad_fsync_rename_flags_unsynced_and_late_sync() {
@@ -116,10 +98,10 @@ fn bad_stale_allow_flags_a_comment_naming_no_lint() {
 
 #[test]
 fn scoped_thread_closures_own_their_acquisitions() {
-    // The scoped fan-out shape in good_lock_discipline.rs: one guard in
-    // the fn plus one per spawned closure must NOT count as multiple
-    // acquisition sites in one scope.
-    let found = findings("good_lock_discipline.rs");
+    // The scoped fan-out shape in good_lock_order.rs: one guard in the
+    // fn plus one of the same class per spawned closure must NOT be a
+    // re-acquisition edge.
+    let found = findings("good_lock_order.rs");
     assert!(found.is_empty(), "{found:?}");
 }
 
@@ -166,7 +148,7 @@ fn design_md_table_is_present_and_parsed() {
         .expect("DESIGN.md has a parseable metric-families table");
     for expected in [
         "predindex_match_tuples_total",
-        "predindex_shard_lock_wait_nanos",
+        "predindex_attr_stab_nodes_total",
         "rules_fired_total",
         "wal_fsync_nanos",
         "durable_recovery_frames_total",
@@ -191,7 +173,6 @@ fn run_bin(args: &[&str]) -> (i32, String) {
 #[test]
 fn deny_exits_nonzero_on_each_bad_fixture_and_zero_on_good() {
     for name in [
-        "bad_lock_discipline.rs",
         "bad_fsync_rename.rs",
         "bad_metric_names.rs",
         "bad_lock_order.rs",

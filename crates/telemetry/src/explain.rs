@@ -54,8 +54,6 @@ pub struct MatchTrace {
     pub relation: String,
     /// Display form of the tuple.
     pub tuple: String,
-    /// Which shard the relation hashed to (sharded front-end only).
-    pub shard: Option<usize>,
     /// Did the relation-name hash find a second-level index?
     pub relation_indexed: bool,
     /// Per-attribute stab work, ordered by attribute.
@@ -111,28 +109,16 @@ impl MatchTrace {
 impl fmt::Display for MatchTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "EXPLAIN match {}{}", self.relation, self.tuple)?;
-        match self.shard {
-            Some(s) => writeln!(
-                f,
-                "  1. relation hash     {:12} -> shard {s}, {}",
-                self.relation,
-                if self.relation_indexed {
-                    "second-level index found"
-                } else {
-                    "no predicates registered"
-                }
-            )?,
-            None => writeln!(
-                f,
-                "  1. relation hash     {:12} -> {}",
-                self.relation,
-                if self.relation_indexed {
-                    "second-level index found"
-                } else {
-                    "no predicates registered"
-                }
-            )?,
-        }
+        writeln!(
+            f,
+            "  1. relation hash     {:12} -> {}",
+            self.relation,
+            if self.relation_indexed {
+                "second-level index found"
+            } else {
+                "no predicates registered"
+            }
+        )?;
         if self.stabs.is_empty() {
             writeln!(f, "  2. IBS-tree stabs    (no attribute trees)")?;
         } else {

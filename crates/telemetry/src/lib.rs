@@ -192,7 +192,6 @@ z_total 3
         let trace = MatchTrace {
             relation: "emp".into(),
             tuple: "(61, 12000)".into(),
-            shard: Some(3),
             relation_indexed: true,
             stabs: vec![StabTrace {
                 attr: 1,
@@ -237,7 +236,6 @@ z_total 3
         let text = trace.to_string();
         for needle in [
             "relation hash",
-            "shard 3",
             "IBS-tree stabs",
             "5 nodes visited",
             "non-indexable",

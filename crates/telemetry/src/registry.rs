@@ -23,7 +23,7 @@ enum Metric {
 ///
 /// Names follow the Prometheus convention: counters end in `_total`,
 /// histograms are bare, and a `{label="value"}` suffix partitions one
-/// family (e.g. `predindex_shard_lock_wait_nanos_total{shard="3"}`).
+/// family (e.g. `predindex_relation_matches_total{relation="emp"}`).
 #[derive(Debug)]
 pub struct Registry {
     enabled: bool,

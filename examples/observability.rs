@@ -1,7 +1,7 @@
 //! Observability tour: run a small durable rule workload with a live
 //! metrics registry, EXPLAIN one insert through the Figure-1 match
-//! path, then dump the Prometheus-style exposition — WAL fsyncs, shard
-//! lock waits, per-attribute IBS stab work, cascade depths, all of it.
+//! path, then dump the Prometheus-style exposition — WAL fsyncs,
+//! per-attribute IBS stab work, cascade depths, all of it.
 //!
 //! Run with `cargo run --example observability`.
 
@@ -78,7 +78,7 @@ fn main() {
         .unwrap();
 
     // A small workload: single inserts (each one WAL append + fsync +
-    // shard-locked match) and one batch.
+    // match) and one batch.
     for i in 0..40i64 {
         engine
             .insert(

@@ -20,11 +20,12 @@
 //!   selectivity estimation.
 //! * [`predindex`] — the Figure 1 predicate-indexing scheme plus the §2
 //!   baseline matchers, all behind one [`predindex::Matcher`] trait, and
-//!   [`predindex::ShardedPredicateIndex`], the concurrent front-end
-//!   over the same index core for callers with their own threads
-//!   (state partitioned by relation name behind per-shard
-//!   reader–writer locks; the sequential index — the one the rule
-//!   engine runs — is the one-shard, lock-free case).
+//!   [`predindex::ShardedPredicateIndex`], a bare concurrent leaf over
+//!   the same index core for callers with their own threads (state
+//!   partitioned by relation name behind per-shard reader–writer
+//!   locks; insert, remove and match through `&self`, nothing else —
+//!   metrics, EXPLAIN and stats belong to the lock-free
+//!   [`predindex::PredicateIndex`], the one the rule engine runs).
 //! * [`rules`] — a forward-chaining rule engine (triggers) built on top.
 //! * [`durable`] — opt-in durability for the rule engine: a checksummed
 //!   write-ahead log, atomic snapshots, and crash recovery that replays

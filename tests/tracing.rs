@@ -128,10 +128,24 @@ fn two_level_cascade_produces_a_parented_span_tree() {
         assert!(level_ids.contains(&m.parent), "match nests under a level");
     }
 
-    // The index under each match pass recorded its stab, and took no
-    // lock to do it: the engine runs the unsharded index.
+    // The index under each match pass recorded its stab, and the chain
+    // recorded no span outside the rule layer's and the index's.
     assert_eq!(by_name("predindex_stab").len(), 2);
-    assert!(by_name("shard_lock").is_empty());
+    for s in spans.values() {
+        assert!(
+            matches!(
+                s.name,
+                "cascade"
+                    | "cascade_level"
+                    | "match_level"
+                    | "rule_fire"
+                    | "predindex_stab"
+                    | "predindex_residual"
+            ),
+            "unexpected span {}",
+            s.name
+        );
+    }
 
     // Both firings produced rule_fire spans inside some level.
     let fires = by_name("rule_fire");

@@ -30,6 +30,7 @@ REQUIRED = {
         "engine/allocs_per_event/batch128",
         "predindex/residual_tests_per_match/scheme200",
         "ibs/bytes_per_interval/stab_shape",
+        "predindex/bytes_per_predicate/stab_shape",
     ],
     "advisor": [
         "advisor/stab_heavy",
@@ -101,9 +102,17 @@ def gate_observability(rows, base):
     name = "ibs/bytes_per_interval/stab_shape"
     per_interval, base_per_interval = rows[name]["bytes_per_interval"], base[name]["bytes_per_interval"]
     assert per_interval <= base_per_interval * 1.10, (name, per_interval, base_per_interval)
+    # Live heap bytes per predicate of the whole index over the same rules:
+    # a count, so the same 10% room and no floor (a PREDICATES table that
+    # kept every bound form beside its source read 1097.4 against 905.5).
+    name = "predindex/bytes_per_predicate/stab_shape"
+    per_predicate, base_per_predicate = rows[name]["bytes_per_predicate"], base[name]["bytes_per_predicate"]
+    assert per_predicate <= base_per_predicate * 1.10, (name, per_predicate, base_per_predicate)
     return ("attribution ratio %.3f (baseline %.3f, bound %.3f); %.3f allocations per event (committed %.3f); "
-            "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f)") % (
-        ratio, base_ratio, bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval)
+            "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f); "
+            "%.1f index bytes per predicate (committed %.1f)") % (
+        ratio, base_ratio, bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
+        per_predicate, base_per_predicate)
 
 
 def gate_advisor(rows, base):

@@ -20,7 +20,8 @@
 //!   count, exact on any host: this binary's allocator is `System`
 //!   plus one relaxed add), and the tests one §5.2-scenario match runs
 //!   (a count too, read off `predindex_residual_tests_total`), and the
-//!   live heap bytes per interval of that engine's IBS-trees (a count);
+//!   live heap bytes per interval of that engine's IBS-trees and per
+//!   predicate of its whole predicate index (counts);
 //! * `advisor` — the three canonical workload shapes of [`bench::lab`]
 //!   (advisor pick, measured-cheapest backend, per-backend projected
 //!   and measured ns) and the workload-account overhead pair;
@@ -476,6 +477,50 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// Live heap bytes per registered predicate of a [`PredicateIndex`]
+/// holding [`stab_shape`]'s conditions (5,000 band rules plus the two
+/// plumbing rules: one `match_stab` relation) — trees, both
+/// `PREDICATES` tables, source forms and residuals — counted by this
+/// binary's allocator from before the index exists, parsing included
+/// (a parsed predicate moves into the index). Its structure is checked
+/// equal to the engine's own index. `PredicateIndex::approx_bytes` sits
+/// beside the count. Not a timing, so `--quick` changes nothing.
+fn predindex_bytes_per_predicate(w: &mut JsonWriter) {
+    const NAME: &str = "predindex/bytes_per_predicate/stab_shape";
+    const RULES: usize = 5_000;
+    let conditions = stab_shape::conditions(RULES, 1);
+    let db = stab_shape::database();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut index = PredicateIndex::new();
+    for text in &conditions {
+        let predicate = parse_predicate(text).expect("a generated condition parses");
+        index
+            .insert(predicate, db.catalog())
+            .expect("r has the attributes named");
+    }
+    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+
+    let engine = stab_shape::engine(RULES, 1);
+    assert_eq!(
+        index.stats(),
+        engine.shard_stats()[0],
+        "the rebuilt index is the engine's"
+    );
+    let predicates = index.len();
+    let approx = index.approx_bytes();
+    let per_predicate = live as f64 / predicates as f64;
+    eprintln!(
+        "{NAME}: {live} live bytes / {predicates} predicates = {per_predicate:.1} (approx_bytes {approx})"
+    );
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("bytes_per_predicate").float(per_predicate, 1);
+    w.key("live_bytes").uint(live);
+    w.key("approx_bytes").uint(approx as u64);
+    w.key("predicates").uint(predicates as u64);
+    w.end_object();
+}
+
 fn observability(cfg: &Config, w: &mut JsonWriter) {
     scheme_cost(cfg, w);
     telemetry_overhead(cfg, w);
@@ -484,6 +529,7 @@ fn observability(cfg: &Config, w: &mut JsonWriter) {
     allocs_per_event(w);
     residual_tests_per_match(w);
     ibs_bytes_per_interval(w);
+    predindex_bytes_per_predicate(w);
 }
 
 // ---------------------------------------------------------------------

@@ -379,6 +379,12 @@ impl BoundPredicate {
         &self.clauses
     }
 
+    /// The bound clauses, moved out (satisfiability is the caller's to
+    /// have checked first).
+    pub fn into_clauses(self) -> Vec<BoundClause> {
+        self.clauses
+    }
+
     /// Can the predicate ever match?
     pub fn is_satisfiable(&self) -> bool {
         self.satisfiable

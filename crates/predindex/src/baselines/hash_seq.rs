@@ -15,7 +15,7 @@ use relation::{Catalog, Tuple};
 /// name; the list is then scanned sequentially.
 #[derive(Debug, Clone, Default)]
 pub struct HashSequentialMatcher {
-    store: PredicateStore,
+    pub(super) store: PredicateStore,
     by_relation: FnvHashMap<String, Vec<PredicateId>>,
 }
 

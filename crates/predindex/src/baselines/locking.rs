@@ -38,7 +38,7 @@ enum Lock {
 /// Simulated physical-locking matcher.
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalLockingMatcher {
-    store: PredicateStore,
+    pub(super) store: PredicateStore,
     /// `(relation, attr)` pairs that have a database index available for
     /// the optimizer to choose.
     indexed_attrs: FnvHashSet<(String, usize)>,

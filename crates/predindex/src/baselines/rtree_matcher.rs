@@ -31,7 +31,7 @@ fn clamp(x: f64) -> f64 {
 /// Per-relation k-dimensional R-tree over predicate regions.
 #[derive(Debug, Clone, Default)]
 pub struct RTreeMatcher {
-    store: PredicateStore,
+    pub(super) store: PredicateStore,
     by_relation: FnvHashMap<String, RTree>,
     /// Unsatisfiable predicates are stored but indexed nowhere.
     skipped: FnvHashMap<u32, ()>,

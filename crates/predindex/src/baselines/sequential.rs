@@ -13,7 +13,7 @@ use relation::{Catalog, Tuple};
 /// check is just the leading conjunct of each predicate test.
 #[derive(Debug, Clone, Default)]
 pub struct SequentialMatcher {
-    store: PredicateStore,
+    pub(super) store: PredicateStore,
     order: Vec<PredicateId>,
 }
 

@@ -27,21 +27,27 @@
 //! is therefore: stab the trees, residual-test the tree candidates,
 //! sweep the groups, sort the tail once.
 //!
+//! `PREDICATES` is split in two. The hot table holds, per id, where the
+//! predicate lives and the clauses a match still has to test: a tree
+//! candidate's stab has already proved its indexed clause, so only the
+//! others are kept, and a single-clause predicate keeps none. The cold
+//! table holds the source form, read by remove, EXPLAIN and `get`.
+//!
 //! The whole structure lives in one place, [`IndexCore`]: the relation
-//! hash, the `PREDICATES` store and the placement map, with the only
-//! insert, remove, match, EXPLAIN and stats bodies in the crate.
+//! hash and the two `PREDICATES` tables, with the only insert, remove,
+//! match, EXPLAIN and stats bodies in the crate.
 //! [`PredicateIndex`] is one core plus a plain id counter; the
 //! concurrent front-end in [`crate::sharded`] is several cores behind
 //! reader–writer locks plus an atomic counter. The sequential index is
 //! literally the one-shard case, so the two cannot drift apart.
 
-use crate::matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
+use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
 use ibs::{BalanceMode, IbsTree, StabObserver, StabStats};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
-use predicate::{BoundClause, BoundPredicate, Predicate};
+use predicate::{BoundClause, BoundPredicate, Clause, Predicate};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple, Value};
 use std::sync::Arc;
@@ -53,23 +59,89 @@ use telemetry::{
 /// Where a registered predicate physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Location {
-    /// In the IBS-tree of this attribute (by schema position).
-    Tree { attr: usize },
+    /// In the IBS-tree of this attribute (by schema position; a `u32`
+    /// keeps a hot table slot at 32 bytes, two to a cache line).
+    Tree { attr: u32 },
     /// On the relation's non-indexable list.
     NonIndexable,
     /// Nowhere: the predicate is unsatisfiable and can never match.
     Unsatisfiable,
 }
 
-/// The placement decision for a freshly bound predicate: [`Location`]
-/// plus the interval that goes into the tree, when there is one.
+/// The placement decision for a freshly bound predicate: [`Location`],
+/// with the position of the clause that goes into the tree when there
+/// is one.
 enum Placement {
-    Tree {
-        attr: usize,
-        interval: Interval<Value>,
-    },
+    Tree { clause: usize },
     NonIndexable,
     Unsatisfiable,
+}
+
+/// A predicate's hot `PREDICATES` entry: where it lives and the clauses
+/// a match still has to test.
+#[derive(Debug, Clone)]
+struct Hot {
+    location: Location,
+    /// In a tree: the bound clauses minus the indexed one, which the
+    /// stab proves (empty for a single-clause predicate). On the
+    /// non-indexable list: the opaque clauses, from which the group key
+    /// is derived. Unsatisfiable: empty.
+    residual: Box<[BoundClause]>,
+}
+
+// A hot slot, `(u32, Hot)`, is half a 64-byte line: no slot straddles
+// two lines.
+const _: () = assert!(size_of::<(u32, Hot)>() == 32);
+
+impl Hot {
+    /// The residual test: do the clauses the stab did not prove hold?
+    fn holds(&self, tuple: &Tuple) -> bool {
+        self.residual.iter().all(|c| c.test(tuple))
+    }
+}
+
+/// Table bytes of a hash map: its capacity is 7/8 of its slots, and
+/// each slot carries one control byte.
+fn map_bytes<K, V>(m: &FnvHashMap<K, V>) -> usize {
+    m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+}
+
+/// Heap bytes behind an interval: its endpoints' string contents.
+fn interval_heap(interval: &Interval<Value>) -> usize {
+    [interval.lo().value(), interval.hi().value()]
+        .into_iter()
+        .flatten()
+        .map(|v| match v {
+            Value::Str(s) => s.capacity(),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Heap bytes behind a clause slice: the slots plus what each owns.
+fn clauses_heap(clauses: &[BoundClause]) -> usize {
+    let owned: usize = clauses
+        .iter()
+        .map(|c| match c {
+            BoundClause::Range { interval, .. } => interval_heap(interval),
+            BoundClause::Func { name, .. } => name.capacity(),
+        })
+        .sum();
+    size_of_val(clauses) + owned
+}
+
+/// Heap bytes behind a source form: the relation name, the clause list
+/// and what each clause owns (a function's code is shared, not owned).
+fn source_heap(source: &Predicate) -> usize {
+    let owned: usize = source
+        .clauses()
+        .iter()
+        .map(|c| match c {
+            Clause::Range { attr, interval } => attr.len() + interval_heap(interval),
+            Clause::Func { name, attr, .. } => name.len() + attr.len(),
+        })
+        .sum();
+    source.relation().len() + size_of_val(source.clauses()) + owned
 }
 
 /// Classifies an indexed interval into the workload-account clause
@@ -103,30 +175,28 @@ fn interval_length_of(interval: &Interval<Value>) -> Option<u64> {
 
 /// Decides where a bound predicate belongs: the most selective
 /// indexable clause's tree, the non-indexable list, or nowhere.
-fn place(catalog: &Catalog, stored: &StoredPredicate) -> Placement {
-    if !stored.bound.is_satisfiable() {
+fn place(catalog: &Catalog, bound: &BoundPredicate) -> Placement {
+    if !bound.is_satisfiable() {
         return Placement::Unsatisfiable;
     }
-    match most_selective_indexable(catalog, &stored.bound) {
-        Some(cix) => {
-            let BoundClause::Range { attr, interval } = &stored.bound.clauses()[cix] else {
-                unreachable!("most_selective_indexable only ever selects Range clauses")
-            };
-            Placement::Tree {
-                attr: *attr,
-                interval: interval.clone(),
-            }
-        }
+    match most_selective_indexable(catalog, bound) {
+        Some(clause) => Placement::Tree { clause },
         None => Placement::NonIndexable,
     }
 }
 
 /// The residual test (Figure 1's last stage) on the tree candidates:
-/// keeps only ids whose full conjunction holds.
-fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<PredicateId>, from: usize) {
+/// keeps only ids whose full conjunction holds. The stab proved each
+/// candidate's indexed clause, so only its hot residual is tested.
+fn residual_filter(
+    hot: &FnvHashMap<u32, Hot>,
+    tuple: &Tuple,
+    out: &mut Vec<PredicateId>,
+    from: usize,
+) {
     let mut keep = from;
     for i in from..out.len() {
-        if store.full_match(out[i], tuple) {
+        if hot.get(&out[i].0).is_some_and(|h| h.holds(tuple)) {
             out.swap(keep, i);
             keep += 1;
         }
@@ -142,13 +212,11 @@ fn residual_filter(store: &PredicateStore, tuple: &Tuple, out: &mut Vec<Predicat
 /// be reused while the group lives.
 type OpaqueKey = Vec<(usize, usize)>;
 
-/// `bound`'s opaque clauses in key order, one per distinct
-/// `(attribute, function)`, with the key. Only called on predicates
-/// [`place`] sent to the non-indexable list, whose clauses are all
-/// functions.
-fn opaque_key(bound: &BoundPredicate) -> (OpaqueKey, Vec<&BoundClause>) {
-    let mut clauses: Vec<((usize, usize), &BoundClause)> = bound
-        .clauses()
+/// `clauses` in key order, one per distinct `(attribute, function)`,
+/// with the key. Only called on predicates [`place`] sent to the
+/// non-indexable list, whose clauses are all functions.
+fn opaque_key(clauses: &[BoundClause]) -> (OpaqueKey, Vec<&BoundClause>) {
+    let mut clauses: Vec<((usize, usize), &BoundClause)> = clauses
         .iter()
         .map(|c| match c {
             BoundClause::Func { attr, func, .. } => {
@@ -182,6 +250,13 @@ impl OpaqueGroup {
     /// Does the clause set hold for `tuple`?
     fn holds(&self, tuple: &Tuple) -> bool {
         self.clauses.iter().all(|c| c.test(tuple))
+    }
+
+    /// Heap bytes behind the key, the clauses and the member list.
+    fn heap_bytes(&self) -> usize {
+        self.key.capacity() * size_of::<(usize, usize)>()
+            + clauses_heap(&self.clauses)
+            + self.ids.capacity() * size_of::<PredicateId>()
     }
 }
 
@@ -265,14 +340,14 @@ impl RelationIndex {
         }
         at.tree
             .insert(id, interval)
-            .expect("the store just minted this id; the tree cannot already hold it");
+            .expect("the front-end just minted this id; the tree cannot already hold it");
     }
 
     /// Adds `id` to the group of its clause set, opening the group on
     /// first use.
-    fn push_non_indexable(&mut self, id: PredicateId, bound: &BoundPredicate) {
+    fn push_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
         self.tuple_recorder.record_non_indexable_insert();
-        let (key, clauses) = opaque_key(bound);
+        let (key, clauses) = opaque_key(clauses);
         match self.non_indexable.iter_mut().find(|g| g.key == key) {
             Some(group) => group.ids.push(id),
             None => self.non_indexable.push(OpaqueGroup {
@@ -283,8 +358,9 @@ impl RelationIndex {
         }
     }
 
-    /// Removes an indexed interval, dropping the tree when it empties.
-    fn remove_tree(&mut self, attr: usize, id: PredicateId) {
+    /// Removes an indexed interval, dropping the tree when it empties,
+    /// and returns it.
+    fn remove_tree(&mut self, attr: usize, id: PredicateId) -> Interval<Value> {
         let at = self
             .attr_trees
             .get_mut(&attr)
@@ -299,14 +375,16 @@ impl RelationIndex {
         if at.tree.is_empty() {
             self.attr_trees.remove(&attr);
         }
+        interval
     }
 
     /// Removes `id` from its clause set's group, dropping the group when
-    /// it empties. `bound` is the predicate's own bound form, so its
-    /// functions (and their addresses) are the ones the group keys on.
-    fn remove_non_indexable(&mut self, id: PredicateId, bound: &BoundPredicate) {
+    /// it empties. `clauses` are the predicate's own hot residual, so
+    /// its functions (and their addresses) are the ones the group keys
+    /// on.
+    fn remove_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
         self.tuple_recorder.record_non_indexable_delete();
-        let (key, _) = opaque_key(bound);
+        let (key, _) = opaque_key(clauses);
         let gix = self
             .non_indexable
             .iter()
@@ -395,18 +473,45 @@ impl RelationIndex {
             .map(|t| t.tree.marker_count())
             .sum()
     }
+
+    /// Heap bytes behind the tree table, each tree (string keys aside:
+    /// the core counts those per predicate) and the grouped list.
+    fn heap_bytes(&self) -> usize {
+        let trees: usize = self
+            .attr_trees
+            .values()
+            .map(|at| at.tree.approx_bytes())
+            .sum();
+        let groups: usize = self.non_indexable.iter().map(OpaqueGroup::heap_bytes).sum();
+        map_bytes(&self.attr_trees)
+            + trees
+            + self.non_indexable.capacity() * size_of::<OpaqueGroup>()
+            + groups
+    }
+}
+
+/// Heap bytes a tree holds for one indexed interval's string keys: a
+/// copy in its interval table and one in each endpoint's node (an
+/// overcount when two intervals share an endpoint).
+fn tree_key_heap(interval: &Interval<Value>) -> usize {
+    2 * interval_heap(interval)
 }
 
 /// The Figure 1 structure itself: relation-name hash → per-relation
-/// second-level index, the `PREDICATES` store, and where each stored
-/// predicate was placed. Ids are assigned by the owning front-end;
-/// everything else — placement, removal, matching, EXPLAIN, stats,
-/// workload accounting — happens here and nowhere else.
+/// second-level index, and `PREDICATES` as two per-id tables — `hot`,
+/// what the match path reads (where each predicate was placed and the
+/// clauses its residual test runs), and `cold`, the source form that
+/// only remove, EXPLAIN and `get` read. Ids are assigned by the owning
+/// front-end; everything else — placement, removal, matching, EXPLAIN,
+/// stats, workload accounting — happens here and nowhere else.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexCore {
     relations: FnvHashMap<String, RelationIndex>,
-    store: PredicateStore,
-    locations: FnvHashMap<u32, (String, Location)>,
+    hot: FnvHashMap<u32, Hot>,
+    cold: FnvHashMap<u32, Predicate>,
+    /// Heap behind the per-predicate entries — source forms, residuals,
+    /// tree string keys — counted at insert and remove.
+    entry_heap: usize,
     mode: BalanceMode,
 }
 
@@ -415,22 +520,30 @@ impl IndexCore {
     pub(crate) fn new(mode: BalanceMode) -> Self {
         IndexCore {
             relations: FnvHashMap::default(),
-            store: PredicateStore::new(),
-            locations: FnvHashMap::default(),
+            hot: FnvHashMap::default(),
+            cold: FnvHashMap::default(),
+            entry_heap: 0,
             mode,
         }
     }
 
     /// `relation`'s second-level index, created (with its telemetry
-    /// handles resolved against `metrics`) on first use.
+    /// handles resolved against `metrics`) on first use. The name is
+    /// copied only then.
     fn relation_index(&mut self, relation: &str, metrics: &IndexMetrics) -> &mut RelationIndex {
+        if !self.relations.contains_key(relation) {
+            self.relations
+                .insert(relation.to_string(), RelationIndex::new(relation, metrics));
+        }
         self.relations
-            .entry(relation.to_string())
-            .or_insert_with(|| RelationIndex::new(relation, metrics))
+            .get_mut(relation)
+            .expect("the entry was created above if it was missing")
     }
 
     /// Stores `stored` under the caller-assigned `id` and indexes it
-    /// where [`place`] says it belongs.
+    /// where [`place`] says it belongs. The bound clauses are moved, not
+    /// copied: the indexed one into its tree, the rest into the hot
+    /// entry.
     pub(crate) fn insert_bound(
         &mut self,
         id: PredicateId,
@@ -438,48 +551,67 @@ impl IndexCore {
         catalog: &Catalog,
         metrics: &IndexMetrics,
     ) {
-        let relation = stored.bound.relation().to_string();
-        let location = match place(catalog, &stored) {
-            Placement::Unsatisfiable => Location::Unsatisfiable,
-            Placement::Tree { attr, interval } => {
+        let StoredPredicate { source, bound } = stored;
+        let placement = place(catalog, &bound);
+        let mut clauses = bound.into_clauses();
+        let relation = source.relation();
+        let mut heap = source_heap(&source);
+        let location = match placement {
+            Placement::Unsatisfiable => {
+                clauses.clear();
+                Location::Unsatisfiable
+            }
+            Placement::Tree { clause } => {
+                let BoundClause::Range { attr, interval } = clauses.remove(clause) else {
+                    unreachable!("most_selective_indexable only ever selects Range clauses")
+                };
+                heap += tree_key_heap(&interval);
                 let mode = self.mode;
-                self.relation_index(&relation, metrics)
-                    .insert_tree(&relation, attr, id, interval, mode, metrics);
-                Location::Tree { attr }
+                self.relation_index(relation, metrics)
+                    .insert_tree(relation, attr, id, interval, mode, metrics);
+                Location::Tree {
+                    attr: u32::try_from(attr).expect("a schema has fewer than 2^32 attributes"),
+                }
             }
             Placement::NonIndexable => {
-                self.relation_index(&relation, metrics)
-                    .push_non_indexable(id, &stored.bound);
+                self.relation_index(relation, metrics)
+                    .push_non_indexable(id, &clauses);
                 Location::NonIndexable
             }
         };
-        self.store.insert_bound(id, stored);
-        self.locations.insert(id.0, (relation, location));
+        let residual = clauses.into_boxed_slice();
+        self.entry_heap += heap + clauses_heap(&residual);
+        self.hot.insert(id.0, Hot { location, residual });
+        self.cold.insert(id.0, source);
     }
 
     /// Unregisters `id`, returning its source form.
     pub(crate) fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
-        let stored = self.store.unregister(id)?;
-        let (relation, location) = self
-            .locations
+        let Hot { location, residual } = self.hot.remove(&id.0)?;
+        let source = self
+            .cold
             .remove(&id.0)
-            .expect("store and locations are updated together: a stored predicate has a location");
+            .expect("hot and cold are updated together: a hot entry has a source");
+        let mut heap = source_heap(&source) + clauses_heap(&residual);
         match location {
             Location::Tree { attr } => {
-                self.relations
-                    .get_mut(&relation)
+                let interval = self
+                    .relations
+                    .get_mut(source.relation())
                     .expect("a Tree location implies the relation entry exists")
-                    .remove_tree(attr, id);
+                    .remove_tree(attr as usize, id);
+                heap += tree_key_heap(&interval);
             }
             Location::NonIndexable => {
                 self.relations
-                    .get_mut(&relation)
+                    .get_mut(source.relation())
                     .expect("a NonIndexable location implies the relation entry exists")
-                    .remove_non_indexable(id, &stored.bound);
+                    .remove_non_indexable(id, &residual);
             }
             Location::Unsatisfiable => {}
         }
-        Some(stored.source)
+        self.entry_heap -= heap;
+        Some(source)
     }
 
     /// The full match path: hash on relation name, tree stabs (metered
@@ -521,7 +653,7 @@ impl IndexCore {
                 let _residual = tracer.span_with("predindex_residual", || {
                     vec![("partials", partials.to_string())]
                 });
-                residual_filter(&self.store, tuple, out, from);
+                residual_filter(&self.hot, tuple, out, from);
                 let tree_passes = (out.len() - from) as u64;
                 let (swept, held) = ri.sweep(tuple, out);
                 out[from..].sort_unstable();
@@ -573,15 +705,14 @@ impl IndexCore {
             predicate: id.0,
             pass,
             source: self
-                .store
-                .get(id)
-                .and_then(|p| p.source.to_source())
+                .cold
+                .get(&id.0)
+                .and_then(Predicate::to_source)
                 .unwrap_or_else(|| "<opaque>".to_string()),
         };
         for &id in &candidates {
-            trace
-                .residual
-                .push(residual(id, self.store.full_match(id, tuple)));
+            let pass = self.hot.get(&id.0).is_some_and(|h| h.holds(tuple));
+            trace.residual.push(residual(id, pass));
         }
         trace.non_indexable_scanned = ri.non_indexable.len();
         for group in &ri.non_indexable {
@@ -602,19 +733,36 @@ impl IndexCore {
         }
     }
 
-    /// The stored form of a registered predicate.
-    pub(crate) fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
-        self.store.get(id)
+    /// The source form of a registered predicate.
+    pub(crate) fn get(&self, id: PredicateId) -> Option<&Predicate> {
+        self.cold.get(&id.0)
     }
 
     /// Does this core hold `id`?
     pub(crate) fn contains(&self, id: PredicateId) -> bool {
-        self.locations.contains_key(&id.0)
+        self.hot.contains_key(&id.0)
     }
 
     /// Number of stored predicates (including unsatisfiable ones).
     pub(crate) fn len(&self) -> usize {
-        self.store.len()
+        self.hot.len()
+    }
+
+    /// Resident bytes: every table at capacity, each tree's
+    /// `approx_bytes`, the grouped lists, and the per-predicate heap
+    /// counted at insert and remove. What the allocator rounds up is not
+    /// in it.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let relations: usize = self
+            .relations
+            .iter()
+            .map(|(name, ri)| name.capacity() + ri.heap_bytes())
+            .sum();
+        map_bytes(&self.relations)
+            + relations
+            + map_bytes(&self.hot)
+            + map_bytes(&self.cold)
+            + self.entry_heap
     }
 
     /// Number of per-attribute IBS-trees.
@@ -637,7 +785,7 @@ impl IndexCore {
         relations.sort_by(|a, b| a.relation.cmp(&b.relation));
         IndexStats {
             relations,
-            predicates: self.store.len(),
+            predicates: self.hot.len(),
         }
     }
 }
@@ -722,9 +870,18 @@ impl PredicateIndex {
         self.core.explain(relation, tuple)
     }
 
-    /// The stored form of a registered predicate.
-    pub fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
+    /// The source form of a registered predicate, as it was inserted.
+    pub fn get(&self, id: PredicateId) -> Option<&Predicate> {
         self.core.get(id)
+    }
+
+    /// Approximate resident bytes of the index: its tables at capacity,
+    /// its IBS-trees, and the heap behind every registered predicate
+    /// (counted when it is inserted and removed, so this is a sum on
+    /// read, not a walk of the predicates). Shared function code and the
+    /// metric bundle are not counted.
+    pub fn approx_bytes(&self) -> usize {
+        self.core.approx_bytes()
     }
 
     /// Matching ids appended into a caller-owned buffer (hot path).
@@ -811,7 +968,7 @@ mod tests {
         // Nothing was inserted and id 0 still holds its own predicate.
         assert_eq!(index.len(), 1);
         assert_eq!(index.stats().relations[0].trees[0].intervals, 1);
-        assert_eq!(index.get(first).unwrap().source, pred(0));
+        assert_eq!(index.get(first), Some(&pred(0)));
         let t = db.insert("emp", vec![Value::Int(9)]).unwrap();
         assert_eq!(index.match_tuple("emp", &t), vec![first]);
     }

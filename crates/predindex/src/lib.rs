@@ -32,7 +32,7 @@ pub use baselines::{
     HashSequentialMatcher, PhysicalLockingMatcher, RTreeMatcher, SequentialMatcher,
 };
 pub use index::PredicateIndex;
-pub use matcher::{IndexError, Matcher, PredicateId, PredicateStore, StoredPredicate};
+pub use matcher::{IndexError, Matcher, PredicateId};
 pub use memory::MatchMemory;
 pub use sharded::ShardedPredicateIndex;
 pub use stats::{IndexStats, RelationStats, TreeStats};

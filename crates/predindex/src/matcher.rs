@@ -1,5 +1,5 @@
 //! The common interface all predicate-matching strategies implement,
-//! plus the shared predicate store (the paper's `PREDICATES` table).
+//! plus the baselines' predicate store (the paper's `PREDICATES` table).
 
 use predicate::{BindError, BoundPredicate, Predicate};
 use relation::fx::FnvHashMap;
@@ -70,17 +70,16 @@ pub trait Matcher {
 
 /// A registered predicate: source form plus bound (evaluable) form.
 #[derive(Debug, Clone)]
-pub struct StoredPredicate {
-    pub source: Predicate,
-    pub bound: BoundPredicate,
+pub(crate) struct StoredPredicate {
+    pub(crate) source: Predicate,
+    pub(crate) bound: BoundPredicate,
 }
 
 impl StoredPredicate {
     /// Binds `pred` against the catalog without storing it anywhere.
-    /// Matchers that allocate ids themselves (e.g. the sharded index,
-    /// which draws from an atomic counter only after binding succeeds)
-    /// bind first, then [`PredicateStore::insert_bound`].
-    pub fn bind(pred: Predicate, catalog: &Catalog) -> Result<StoredPredicate, IndexError> {
+    /// The index front-ends bind first, draw an id only once binding
+    /// has succeeded, and then hand the pair to their core.
+    pub(crate) fn bind(pred: Predicate, catalog: &Catalog) -> Result<StoredPredicate, IndexError> {
         let rel = catalog
             .relation(pred.relation())
             .ok_or_else(|| IndexError::NoSuchRelation(pred.relation().to_string()))?;
@@ -92,72 +91,59 @@ impl StoredPredicate {
     }
 }
 
-/// The `PREDICATES` side table shared by every matcher implementation:
-/// "a main-memory table called PREDICATES that holds the predicates.
-/// When a partial match between a tuple t and a predicate P is found, P
-/// is retrieved from PREDICATES and tested against t" (§4).
+/// The `PREDICATES` side table of the §2 baselines: "a main-memory
+/// table called PREDICATES that holds the predicates. When a partial
+/// match between a tuple t and a predicate P is found, P is retrieved
+/// from PREDICATES and tested against t" (§4). The index keeps its own,
+/// split into a hot and a cold table (`index.rs`).
 #[derive(Debug, Clone, Default)]
-pub struct PredicateStore {
+pub(crate) struct PredicateStore {
     preds: FnvHashMap<u32, StoredPredicate>,
     next: u32,
 }
 
 impl PredicateStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        PredicateStore::default()
-    }
-
-    /// Binds and stores a predicate, assigning the next id.
-    pub fn register(
+    /// Binds and stores a predicate, assigning the next id. Ids are
+    /// never reused: the last one is an error with nothing stored, as
+    /// in `PredicateIndex::insert`, not a wrap onto a live entry.
+    pub(crate) fn register(
         &mut self,
         pred: Predicate,
         catalog: &Catalog,
     ) -> Result<(PredicateId, &StoredPredicate), IndexError> {
         let stored = StoredPredicate::bind(pred, catalog)?;
         let id = PredicateId(self.next);
-        self.next += 1;
-        self.preds.insert(id.0, stored);
-        Ok((id, &self.preds[&id.0]))
-    }
-
-    /// Stores an already-bound predicate under a caller-assigned id.
-    /// Used by matchers that partition one logical store across several
-    /// physical ones but still hand out globally unique ids.
-    pub fn insert_bound(&mut self, id: PredicateId, stored: StoredPredicate) -> &StoredPredicate {
-        self.preds.insert(id.0, stored);
-        &self.preds[&id.0]
+        self.next = self.next.checked_add(1).ok_or(IndexError::IdsExhausted)?;
+        Ok((id, self.preds.entry(id.0).or_insert(stored)))
     }
 
     /// Removes a stored predicate.
-    pub fn unregister(&mut self, id: PredicateId) -> Option<StoredPredicate> {
+    pub(crate) fn unregister(&mut self, id: PredicateId) -> Option<StoredPredicate> {
         self.preds.remove(&id.0)
     }
 
     /// Looks up a stored predicate.
-    pub fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
+    pub(crate) fn get(&self, id: PredicateId) -> Option<&StoredPredicate> {
         self.preds.get(&id.0)
     }
 
     /// The residual test: does the full conjunction hold?
-    pub fn full_match(&self, id: PredicateId, tuple: &Tuple) -> bool {
+    pub(crate) fn full_match(&self, id: PredicateId, tuple: &Tuple) -> bool {
         self.preds
             .get(&id.0)
             .is_some_and(|p| p.bound.matches(tuple))
     }
 
     /// Number of stored predicates.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.preds.len()
     }
+}
 
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    /// Iterates `(id, stored)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (PredicateId, &StoredPredicate)> {
-        self.preds.iter().map(|(&id, p)| (PredicateId(id), p))
+#[cfg(test)]
+impl PredicateStore {
+    /// Moves the id counter, so a test can reach the last id.
+    pub(crate) fn set_next(&mut self, next: u32) {
+        self.next = next;
     }
 }

@@ -169,8 +169,8 @@ mod tests {
         // Ground truth by rescanning the relation.
         let rel = db.catalog().relation("emp").unwrap();
         for &pid in &ids {
-            let stored = index.get(pid).unwrap();
-            let want: Vec<TupleId> = stored.bound.scan(rel).map(|(tid, _)| tid).collect();
+            let bound = index.get(pid).unwrap().bind(rel.schema()).unwrap();
+            let want: Vec<TupleId> = bound.scan(rel).map(|(tid, _)| tid).collect();
             let got: Vec<TupleId> = mem.matches_of(pid).collect();
             assert_eq!(got, want, "predicate {pid}");
         }

@@ -6,7 +6,7 @@
 //! sixteen shards is one [`IndexCore`] — the very type the sequential
 //! index wraps — owning a disjoint set of relations: their
 //! per-attribute IBS-trees and non-indexable lists, and the slice of
-//! the `PREDICATES` store for predicates over those relations, all
+//! the `PREDICATES` tables for predicates over those relations, all
 //! behind one [`RwLock`]. The matching path takes only read locks, so
 //! any number of tuples can be matched concurrently — including
 //! against the *same* relation, since an `RwLock` admits parallel

@@ -38,7 +38,7 @@ pub struct IndexStats {
     /// relation name.
     pub relations: Vec<RelationStats>,
     /// Total registered predicates (including unsatisfiable ones, which
-    /// live only in the PREDICATES table).
+    /// live only in the PREDICATES tables).
     pub predicates: usize,
 }
 

@@ -13,12 +13,15 @@ fn ground_truth(
     index: &PredicateIndex,
     pred: predmatch::predindex::PredicateId,
 ) -> Vec<TupleId> {
-    let stored = index.get(pred).expect("registered predicate");
+    let source = index.get(pred).expect("registered predicate");
     let rel = db
         .catalog()
-        .relation(stored.bound.relation())
+        .relation(source.relation())
         .expect("relation exists");
-    stored.bound.scan(rel).map(|(tid, _)| tid).collect()
+    let bound = source
+        .bind(rel.schema())
+        .expect("it bound when it was inserted");
+    bound.scan(rel).map(|(tid, _)| tid).collect()
 }
 
 #[test]

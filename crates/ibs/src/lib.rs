@@ -58,7 +58,7 @@ mod tree;
 
 pub use marks::{MarkSet, Slot};
 pub use observe::{StabObserver, StabStats};
-pub use tree::{BalanceMode, DuplicateId, IbsTree};
+pub use tree::{BalanceMode, DuplicateId, IbsTree, LANES};
 
 #[cfg(test)]
 mod tests {

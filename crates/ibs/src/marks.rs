@@ -177,16 +177,41 @@ impl Marks {
         first.into_iter().chain(self.rest(slot).iter().copied())
     }
 
-    /// Appends `slot`'s ids to `out`: the stab hot path. A slot with one
-    /// mark is one push from the node's own cache line.
-    #[inline]
-    pub(crate) fn extend_into(&self, slot: Slot, out: &mut Vec<IntervalId>) {
-        if self.has(slot) {
+    /// Appends `slot`'s inline id to `out`, if the slot holds one: the
+    /// stab hot path, without a branch on the slot. While `out` has room
+    /// the id is written whether or not the slot holds it and the length
+    /// then moves by the present bit; a full `out` grows only for an id
+    /// the slot holds.
+    #[inline(always)]
+    pub(crate) fn first_into(&self, slot: Slot, out: &mut Vec<IntervalId>) {
+        let len = out.len();
+        if len < out.capacity() || self.has(slot) {
             out.push(self.first[slot as usize]);
-            if let Some(spill) = &self.spill {
-                out.extend_from_slice(&spill[slot as usize]);
-            }
+            out.truncate(len + usize::from(self.has(slot)));
         }
+    }
+
+    /// Appends `slot`'s ids after the first to `out` (none without a
+    /// spill). A stab reads these last: they sit behind one more load.
+    #[inline]
+    pub(crate) fn spill_into(&self, slot: Slot, out: &mut Vec<IntervalId>) {
+        let rest = self.rest(slot);
+        if !rest.is_empty() {
+            out.extend_from_slice(rest);
+        }
+    }
+
+    /// Does some slot hold more than one id?
+    #[inline(always)]
+    pub(crate) fn has_spill(&self) -> bool {
+        self.spill.is_some()
+    }
+
+    /// Appends `slot`'s ids to `out`.
+    #[cfg(test)]
+    fn extend_into(&self, slot: Slot, out: &mut Vec<IntervalId>) {
+        self.first_into(slot, out);
+        self.spill_into(slot, out);
     }
 
     /// Heap bytes behind the slots: the spill block and its three
@@ -196,12 +221,6 @@ impl Marks {
             let ids: usize = spill.iter().map(Vec::capacity).sum();
             size_of::<[Vec<IntervalId>; 3]>() + ids * size_of::<IntervalId>()
         })
-    }
-
-    /// Does the spill exist?
-    #[cfg(test)]
-    fn has_spill(&self) -> bool {
-        self.spill.is_some()
     }
 }
 

@@ -29,8 +29,18 @@
 
 use crate::arena::{Arena, End, Node, NodeId};
 use crate::marks::{Slot, SLOTS};
+use crate::StabStats;
 use interval::{Interval, IntervalId};
 use std::collections::HashMap;
+
+/// Keys one [`IbsTree::stab_lanes_into`] call descends together: sixteen
+/// independent descents keep enough node loads in flight to hide most
+/// of a miss, and their cursors fill one cache line. A constant, not a
+/// setting (DESIGN.md §5).
+pub const LANES: usize = 16;
+
+/// Spilled slots a group's descent parks before it stops to read them.
+const PARKED: usize = 64;
 
 /// Whether the tree rebalances itself.
 ///
@@ -198,52 +208,145 @@ impl<K: Ord + Clone> IbsTree<K> {
 
     /// As [`IbsTree::stab_into`], reporting each unit of §5 work — node
     /// visits and mark collections — to `obs`. With the `()` observer
-    /// this monomorphizes to exactly the uninstrumented loop.
+    /// this monomorphizes to exactly the uninstrumented loop. This is
+    /// the one-lane case of [`IbsTree::stab_lanes_into`].
     pub fn stab_into_observed<O: crate::StabObserver>(
         &self,
         x: &K,
         out: &mut Vec<IntervalId>,
         obs: &mut O,
     ) {
-        let from = out.len();
-        out.extend_from_slice(&self.universal);
-        obs.universal(self.universal.len());
-        let mut cur = self.root;
-        while !cur.is_null() {
-            let node = self.arena.get_live_unchecked(cur);
-            self.arena.prefetch(node.left);
-            self.arena.prefetch(node.right);
-            obs.visit_node();
-            let (slot, next) = match x.cmp(&node.value) {
-                std::cmp::Ordering::Equal => (Slot::Eq, NodeId::NULL),
-                std::cmp::Ordering::Less => (Slot::Less, node.left),
-                std::cmp::Ordering::Greater => (Slot::Greater, node.right),
-            };
-            node.marks.extend_into(slot, out);
-            obs.collect(slot, node.marks.len(slot));
-            cur = next;
-        }
-        debug_assert!(
-            all_distinct(&out[from..]),
-            "a stab path collected the same interval twice"
-        );
+        self.descend(&[x], std::slice::from_mut(out), std::slice::from_mut(obs));
     }
 
-    /// Counts the intervals containing `x` without materializing ids.
-    pub fn stab_count(&self, x: &K) -> usize {
-        let mut count = self.universal.len();
-        let mut cur = self.root;
-        while !cur.is_null() {
-            let node = self.arena.get_live_unchecked(cur);
-            let (slot, next) = match x.cmp(&node.value) {
-                std::cmp::Ordering::Equal => (Slot::Eq, NodeId::NULL),
-                std::cmp::Ordering::Less => (Slot::Less, node.left),
-                std::cmp::Ordering::Greater => (Slot::Greater, node.right),
-            };
-            count += node.marks.len(slot);
-            cur = next;
+    /// Stabs the tree with up to [`LANES`] keys at once: lane `l`
+    /// appends the ids of every interval containing `keys[l]` to
+    /// `outs[l]` and reports its work to `observers[l]`, exactly as
+    /// [`IbsTree::stab_into_observed`] would: the same ids (in another
+    /// order when a slot holds several) and the same work. The lanes
+    /// descend in lock-step, one node per lane per round; the step has
+    /// no branch on the comparison, so the lanes' node loads overlap
+    /// instead of waiting behind one another's mispredictions
+    /// (DESIGN.md §5).
+    ///
+    /// # Panics
+    ///
+    /// If there are more than [`LANES`] keys, or `outs` or `observers`
+    /// is not as long as `keys`.
+    pub fn stab_lanes_into<O: crate::StabObserver>(
+        &self,
+        keys: &[&K],
+        outs: &mut [Vec<IntervalId>],
+        observers: &mut [O],
+    ) {
+        let n = keys.len();
+        assert!(
+            n <= LANES && outs.len() == n && observers.len() == n,
+            "one output and one observer per key, at most {LANES} keys"
+        );
+        self.descend(keys, outs, observers);
+    }
+
+    /// The one descent body behind every stab (paper Figure 4): each
+    /// lane walks the search path for its key one [`step`](Self::step)
+    /// per round. A lane alone asks for both children before it
+    /// compares and reads a slot's spilled ids where it finds them. In
+    /// a group each lane asks for its next node once it knows it, and
+    /// the other lanes' steps hide the load; spilled ids sit behind a
+    /// second load that nothing hides, so the group parks each spilled
+    /// slot it passes and reads them all once it has reached its
+    /// leaves, where those loads overlap instead of stalling the
+    /// rounds.
+    #[inline(always)]
+    fn descend<O: crate::StabObserver>(
+        &self,
+        keys: &[&K],
+        outs: &mut [Vec<IntervalId>],
+        observers: &mut [O],
+    ) {
+        let n = keys.len();
+        let from: [usize; LANES] = std::array::from_fn(|l| outs.get(l).map_or(0, Vec::len));
+        for (out, obs) in outs.iter_mut().zip(observers.iter_mut()) {
+            out.extend_from_slice(&self.universal);
+            obs.universal(self.universal.len());
         }
-        count
+        let mut cur = [self.root; LANES];
+        let mut parked = [(NodeId::NULL, 0, Slot::Eq); PARKED];
+        let mut held = 0;
+        let mut live = !self.root.is_null();
+        while live {
+            live = false;
+            for l in 0..n {
+                let at = cur[l];
+                if at.is_null() {
+                    continue;
+                }
+                let node = self.arena.get_live_unchecked(at);
+                if n == 1 {
+                    self.arena.prefetch(node.left);
+                    self.arena.prefetch(node.right);
+                }
+                let (next, slot) = Self::step(node, keys[l], &mut outs[l], &mut observers[l]);
+                if n == 1 {
+                    node.marks.spill_into(slot, &mut outs[l]);
+                } else {
+                    parked[held] = (at, l as u8, slot);
+                    held += usize::from(node.marks.has_spill());
+                    if held == PARKED {
+                        self.read_parked(&parked, outs);
+                        held = 0;
+                    }
+                    self.arena.prefetch(next);
+                }
+                live |= !next.is_null();
+                cur[l] = next;
+            }
+        }
+        self.read_parked(&parked[..held], outs);
+        for (out, from) in outs.iter().zip(from) {
+            debug_assert!(
+                all_distinct(&out[from..]),
+                "a stab path collected the same interval twice"
+            );
+        }
+    }
+
+    /// One node of a stab's descent, without a branch on the
+    /// comparison: the three-way order `s` of `x` against the node's
+    /// value picks the slot to collect and the child to take
+    /// (`[left, NULL, right][s]`), and the slot's inline mark is
+    /// written unconditionally (see `Marks::first_into`). Returns the
+    /// next node, null once the descent ends, and the slot collected.
+    #[inline(always)]
+    fn step<O: crate::StabObserver>(
+        node: &Node<K>,
+        x: &K,
+        out: &mut Vec<IntervalId>,
+        obs: &mut O,
+    ) -> (NodeId, Slot) {
+        obs.visit_node();
+        let s = (x.cmp(&node.value) as i8 + 1) as usize;
+        let slot = SLOTS[s];
+        node.marks.first_into(slot, out);
+        obs.collect(slot, node.marks.len(slot));
+        ([node.left, NodeId::NULL, node.right][s], slot)
+    }
+
+    /// Appends the spilled ids of each parked `(node, lane, slot)` to
+    /// its lane's output.
+    fn read_parked(&self, parked: &[(NodeId, u8, Slot)], outs: &mut [Vec<IntervalId>]) {
+        for &(node, lane, slot) in parked {
+            let marks = &self.arena.get_live_unchecked(node).marks;
+            marks.spill_into(slot, &mut outs[usize::from(lane)]);
+        }
+    }
+
+    /// Counts the intervals containing `x`: the one-lane stab, into a
+    /// scratch buffer.
+    pub fn stab_count(&self, x: &K) -> usize {
+        let mut stats = StabStats::default();
+        self.stab_into_observed(x, &mut Vec::new(), &mut stats);
+        stats.marks_scanned as usize
     }
 
     // ------------------------------------------------------------------

@@ -12,7 +12,7 @@
 //! * compare stabbing results against the oracle for every key in the
 //!   domain.
 
-use ibs::{BalanceMode, IbsTree};
+use ibs::{BalanceMode, IbsTree, StabStats};
 use interval::{Interval, IntervalId, Lower, Upper};
 use proptest::prelude::*;
 
@@ -343,4 +343,144 @@ proptest! {
             prop_assert_eq!(got, want, "query {}", q);
         }
     }
+}
+
+/// A lock-step step: churn, or a group of keys stabbed together.
+#[derive(Debug, Clone)]
+enum LaneOp {
+    Insert(Interval<i32>),
+    /// Remove the k-th live interval (mod current size).
+    Remove(usize),
+    /// Stab a group; each key is a literal or, with `true`, an endpoint
+    /// of the k-th live interval (mod size) — a key equal to a node
+    /// value. `spare` ids sit in every output first, at exact capacity.
+    Group(Vec<(i32, bool)>, usize),
+}
+
+fn arb_lane_ops(max_key: i32, len: usize) -> impl Strategy<Value = Vec<LaneOp>> {
+    let key = (-1..=max_key + 1, any::<bool>());
+    prop::collection::vec(
+        prop_oneof![
+            3 => arb_interval(max_key).prop_map(LaneOp::Insert),
+            1 => (0usize..64).prop_map(LaneOp::Remove),
+            2 => (prop::collection::vec(key, 0..ibs::LANES + 1), 0usize..4)
+                .prop_map(|(keys, spare)| LaneOp::Group(keys, spare)),
+        ],
+        1..len,
+    )
+}
+
+/// An output buffer holding `spare` ids at exactly its capacity, so the
+/// first id a stab appends grows it.
+fn full_buffer(spare: usize) -> Vec<IntervalId> {
+    let mut out = Vec::with_capacity(spare);
+    out.extend((0..spare as u32).map(|i| IntervalId(7 + i)));
+    out.shrink_to_fit();
+    out
+}
+
+/// `stab_lanes_into` against one `stab_into_observed` per lane: the same
+/// id set after the untouched prefix, and the same `StabStats`; the
+/// unobserved lanes report the same ids too.
+fn check_lanes(tree: &IbsTree<i32>, keys: &[i32], spare: usize) -> Result<(), TestCaseError> {
+    let refs: Vec<&i32> = keys.iter().collect();
+    let mut outs: Vec<Vec<IntervalId>> = keys.iter().map(|_| full_buffer(spare)).collect();
+    let mut stats = vec![StabStats::default(); keys.len()];
+    tree.stab_lanes_into(&refs, &mut outs, &mut stats);
+    let mut bare: Vec<Vec<IntervalId>> = keys.iter().map(|_| Vec::new()).collect();
+    tree.stab_lanes_into(&refs, &mut bare, &mut vec![(); keys.len()]);
+    for (lane, x) in keys.iter().enumerate() {
+        let mut want = Vec::new();
+        let mut want_stats = StabStats::default();
+        tree.stab_into_observed(x, &mut want, &mut want_stats);
+        want.sort_unstable();
+        prop_assert_eq!(&outs[lane][..spare], &full_buffer(spare)[..]);
+        let mut got = outs[lane][spare..].to_vec();
+        got.sort_unstable();
+        prop_assert_eq!(&got, &want, "lane {} stab({})", lane, x);
+        prop_assert_eq!(stats[lane], want_stats, "lane {} stab({})", lane, x);
+        bare[lane].sort_unstable();
+        prop_assert_eq!(&bare[lane], &want, "lane {} unobserved stab({})", lane, x);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under insert/remove churn, a group of keys stabbed in lock-step
+    /// gets per lane exactly what a one-lane stab gets. Ids count down
+    /// from `u32::MAX`; keys repeat within a group and hit node values.
+    #[test]
+    fn lanes_agree_with_one_lane_stabs(ops in arb_lane_ops(20, 50)) {
+        for mode in [BalanceMode::Avl, BalanceMode::None] {
+            let mut tree: IbsTree<i32> = IbsTree::with_mode(mode);
+            let mut live: Vec<(IntervalId, Interval<i32>)> = Vec::new();
+            let mut next = 0u32;
+            for op in ops.clone() {
+                match op {
+                    LaneOp::Insert(iv) => {
+                        let id = IntervalId(u32::MAX - next);
+                        next += 1;
+                        tree.insert(id, iv.clone()).expect("fresh id");
+                        live.push((id, iv));
+                    }
+                    LaneOp::Remove(k) if !live.is_empty() => {
+                        let (id, _) = live.swap_remove(k % live.len());
+                        tree.remove(id).expect("live id");
+                    }
+                    LaneOp::Remove(_) => {}
+                    LaneOp::Group(keys, spare) => {
+                        let keys: Vec<i32> = keys
+                            .into_iter()
+                            .map(|(k, endpoint)| {
+                                let iv = live.get(k.unsigned_abs() as usize % live.len().max(1));
+                                match iv.map(|(_, iv)| (iv.lo().value(), iv.hi().value())) {
+                                    Some((Some(&lo), _)) if endpoint => lo,
+                                    Some((_, Some(&hi))) if endpoint => hi,
+                                    _ => k,
+                                }
+                            })
+                            .collect();
+                        check_lanes(&tree, &keys, spare)?;
+                    }
+                }
+            }
+            let all: Vec<i32> = (-1..=21).collect();
+            for group in all.chunks(ibs::LANES) {
+                check_lanes(&tree, group, 1)?;
+            }
+        }
+    }
+}
+
+/// The edges a churn rarely lands on: no key, an empty tree, a one-node
+/// tree stabbed at and around its value, a full group of one repeated
+/// key, and a spill reached through a buffer at exact capacity.
+#[test]
+fn lanes_on_empty_and_one_node_trees() {
+    let mut tree: IbsTree<i32> = IbsTree::new();
+    tree.stab_lanes_into::<()>(&[], &mut [], &mut []);
+    check_lanes(&tree, &[3; ibs::LANES], 0).unwrap();
+    tree.insert(IntervalId(u32::MAX), Interval::point(5))
+        .unwrap();
+    check_lanes(&tree, &[5], 2).unwrap();
+    check_lanes(&tree, &[4, 5, 6, 5], 0).unwrap();
+    check_lanes(&tree, &[5; ibs::LANES], 3).unwrap();
+    // Three intervals share the point's `=` slot: two of them spill.
+    tree.insert(IntervalId(0), Interval::closed(5, 9)).unwrap();
+    tree.insert(IntervalId(1), Interval::closed(1, 5)).unwrap();
+    check_lanes(&tree, &[5, 1, 9, 5, 0, 10], 1).unwrap();
+    let mut out = full_buffer(2);
+    tree.stab_lanes_into(&[&5], std::slice::from_mut(&mut out), &mut [()]);
+    assert_eq!(out.len(), 5);
+}
+
+#[test]
+#[should_panic(expected = "at most 16 keys")]
+fn more_keys_than_lanes_is_a_caller_bug() {
+    let tree: IbsTree<i32> = IbsTree::new();
+    let keys = [&0; ibs::LANES + 1];
+    let mut outs = vec![Vec::new(); ibs::LANES + 1];
+    tree.stab_lanes_into(&keys, &mut outs, &mut [(); ibs::LANES + 1]);
 }

@@ -44,12 +44,13 @@
 use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
-use ibs::{BalanceMode, IbsTree, StabObserver, StabStats};
+use ibs::{BalanceMode, IbsTree, StabObserver, StabStats, LANES};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
 use predicate::{BoundClause, BoundPredicate, Clause, Predicate};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple, Value};
+use std::ops::Range;
 use std::sync::Arc;
 use telemetry::{
     AttrRecorder, ClauseShape, Counter, MatchTrace, RelationRecorder, ResidualTrace, StabTrace,
@@ -397,31 +398,51 @@ impl RelationIndex {
         }
     }
 
-    /// Partial match — the tree half of Figure 1's second level: stabs
-    /// every per-attribute IBS-tree with the tuple's value for that
-    /// attribute. Each indexable predicate lives in exactly one tree, so
-    /// no deduplication is needed; the non-indexable list is
-    /// [`sweep`](Self::sweep)'s. Attributes beyond the tuple's arity are
+    /// Partial match — the tree half of Figure 1's second level — for a
+    /// group of at most [`LANES`] tuples: stabs every per-attribute
+    /// IBS-tree with each tuple's value for that attribute, appending
+    /// tuple `l`'s candidates to `outs[l]`. The group descends each tree
+    /// in lock-step (`IbsTree::stab_lanes_into`). Each indexable
+    /// predicate lives in exactly one tree, so no deduplication is
+    /// needed; the non-indexable list is
+    /// [`sweep`](Self::sweep)'s. Attributes beyond a tuple's arity are
     /// skipped — a clause on a missing attribute cannot hold, and the
-    /// residual test agrees (see `BoundClause::test`).
+    /// residual test agrees (see `BoundClause::test`) — and a group
+    /// holding such a tuple, like a group of one, stabs that tree one
+    /// lane at a time.
     ///
     /// Each stab reports its §5 work into a fresh `S` and is then handed
-    /// to `each` as `(attr, tree, value, ids reported, work)`. With
-    /// `S = ()` and an empty closure this monomorphizes to the bare loop
-    /// over uninstrumented stabs, as `IbsTree::stab_into_observed` does
-    /// one level down.
-    fn partial_match<S: StabObserver + Default>(
+    /// to `each` as `(attr, tree, value, work)`. With `S = ()` and
+    /// an empty closure this monomorphizes to the bare loop over
+    /// uninstrumented stabs, as `IbsTree::stab_into_observed` does one
+    /// level down.
+    fn partial_match<S: StabObserver + Default + Copy>(
         &self,
-        tuple: &Tuple,
-        out: &mut Vec<PredicateId>,
-        mut each: impl FnMut(usize, &AttrTree, &Value, usize, S),
+        group: &[&Tuple],
+        outs: &mut [Vec<PredicateId>],
+        mut each: impl FnMut(usize, &AttrTree, &Value, S),
     ) {
+        let n = group.len();
         for (&attr, at) in &self.attr_trees {
-            if let Some(value) = tuple.values().get(attr) {
-                let before = out.len();
-                let mut work = S::default();
-                at.tree.stab_into_observed(value, out, &mut work);
-                each(attr, at, value, out.len() - before, work);
+            if n > 1 && group.iter().all(|t| attr < t.values().len()) {
+                let mut keys = [&group[0].values()[attr]; LANES];
+                for (key, tuple) in keys.iter_mut().zip(group) {
+                    *key = &tuple.values()[attr];
+                }
+                let mut work = [S::default(); LANES];
+                at.tree
+                    .stab_lanes_into(&keys[..n], &mut outs[..n], &mut work[..n]);
+                for (key, work) in keys[..n].iter().zip(work) {
+                    each(attr, at, key, work);
+                }
+            } else {
+                for (tuple, out) in group.iter().zip(outs.iter_mut()) {
+                    if let Some(value) = tuple.values().get(attr) {
+                        let mut work = S::default();
+                        at.tree.stab_into_observed(value, out, &mut work);
+                        each(attr, at, value, work);
+                    }
+                }
             }
         }
     }
@@ -488,6 +509,15 @@ impl RelationIndex {
             + self.non_indexable.capacity() * size_of::<OpaqueGroup>()
             + groups
     }
+}
+
+/// The candidate buffers of one lock-step group, one per lane: where
+/// [`PredicateIndex::match_run_into`] stabs a group's tuples before
+/// each tuple's residual test. Scratch with no meaning between calls;
+/// reuse one so a warm run allocates nothing.
+#[derive(Debug, Default)]
+pub struct MatchLanes {
+    bufs: [Vec<PredicateId>; LANES],
 }
 
 /// Heap bytes a tree holds for one indexed interval's string keys: a
@@ -614,54 +644,97 @@ impl IndexCore {
         Some(source)
     }
 
-    /// The full match path: hash on relation name, tree stabs (metered
-    /// when counters or workload accounts are on), the residual test on
-    /// the tree candidates, the grouped non-indexable sweep, one sort of
-    /// the tail and one `record_match`.
-    pub(crate) fn match_into(
+    /// The full match path over a run of tuples of `relation`: hash on
+    /// the relation name once, then per group of tuples — as many as
+    /// there are `lanes`, at most [`LANES`], one without lanes — the
+    /// tree stabs in lock-step (metered when counters or workload
+    /// accounts are on), then per tuple the residual test on its tree
+    /// candidates, the grouped non-indexable sweep, one sort of its
+    /// matches and one `record_match`. Each tuple's matches are
+    /// appended to `out` and their range handed to `matched`, in run
+    /// order. A group of one stabs straight into `out`; a larger group
+    /// stabs into `lanes`, and each tuple's candidates are copied behind
+    /// `out` for its test.
+    pub(crate) fn match_into<'t>(
         &self,
         relation: &str,
-        tuple: &Tuple,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+        lanes: &mut [Vec<PredicateId>],
         out: &mut Vec<PredicateId>,
         metrics: &IndexMetrics,
+        mut matched: impl FnMut(Range<usize>),
     ) {
-        let from = out.len();
+        let width = lanes.len().min(LANES);
+        let lanes = &mut lanes[..width];
+        let mut tuples = tuples.into_iter();
+        let Some(ri) = self.relations.get(relation) else {
+            for _ in tuples {
+                metrics.record_unindexed_match(relation);
+                matched(out.len()..out.len());
+            }
+            return;
+        };
         let tracer = metrics.tracer();
-        if let Some(ri) = self.relations.get(relation) {
+        let counted = metrics.is_enabled() || metrics.workload().is_enabled();
+        while let Some(first) = tuples.next() {
+            let mut group = [first; LANES];
+            let mut n = 1;
+            for tuple in tuples.by_ref().take(lanes.len().saturating_sub(1)) {
+                group[n] = tuple;
+                n += 1;
+            }
+            let group = &group[..n];
+            let from = out.len();
             {
                 let _stab = tracer.span("predindex_stab");
-                if metrics.is_enabled() || metrics.workload().is_enabled() {
+                let outs = if n == 1 {
+                    std::slice::from_mut(out)
+                } else {
+                    lanes[..n].iter_mut().for_each(Vec::clear);
+                    &mut lanes[..n]
+                };
+                if counted {
                     // Through the handles each tree and relation caches:
                     // atomic adds only, no name lookups on the match
                     // path. (Tuples are counted here, i.e. only for
                     // relations with at least one registered predicate.)
-                    ri.tuple_recorder.record_tuple();
-                    ri.partial_match(tuple, out, |_, at, _, hits, work: StabStats| {
+                    for _ in group {
+                        ri.tuple_recorder.record_tuple();
+                    }
+                    ri.partial_match(group, outs, |_, at, _, work: StabStats| {
                         metrics.record_attr_stab(
                             at.work.as_ref(),
                             work.nodes_visited,
                             work.marks_scanned,
                         );
-                        at.workload.record_stab(hits as u64);
+                        at.workload.record_stab(work.marks_scanned);
                     });
                 } else {
-                    ri.partial_match(tuple, out, |_, _, _, _, ()| {});
+                    ri.partial_match(group, outs, |_, _, _, ()| {});
                 }
             }
-            let partials = (out.len() - from) as u64;
-            let (swept, passes) = {
-                let _residual = tracer.span_with("predindex_residual", || {
-                    vec![("partials", partials.to_string())]
-                });
-                residual_filter(&self.hot, tuple, out, from);
-                let tree_passes = (out.len() - from) as u64;
-                let (swept, held) = ri.sweep(tuple, out);
-                out[from..].sort_unstable();
-                (swept, tree_passes + held)
-            };
-            metrics.record_match(ri.matches.as_ref(), partials, swept, passes);
-        } else {
-            metrics.record_unindexed_match(relation);
+            for (lane, tuple) in group.iter().enumerate() {
+                let from = if n == 1 {
+                    from
+                } else {
+                    let from = out.len();
+                    out.extend_from_slice(&lanes[lane]);
+                    from
+                };
+                let partials = (out.len() - from) as u64;
+                let (swept, passes) = {
+                    let _residual = tracer.span_with("predindex_residual", || {
+                        vec![("partials", partials.to_string())]
+                    });
+                    residual_filter(&self.hot, tuple, out, from);
+                    let tree_passes = (out.len() - from) as u64;
+                    let (swept, held) = ri.sweep(tuple, out);
+                    out[from..].sort_unstable();
+                    (swept, tree_passes + held)
+                };
+                metrics.record_match(ri.matches.as_ref(), partials, swept, passes);
+                matched(from..out.len());
+            }
         }
     }
 
@@ -682,9 +755,9 @@ impl IndexCore {
         trace.relation_indexed = true;
         let mut candidates = Vec::new();
         ri.partial_match(
-            tuple,
-            &mut candidates,
-            |attr, at, value, _, work: StabStats| {
+            &[tuple],
+            std::slice::from_mut(&mut candidates),
+            |attr, at, value, work: StabStats| {
                 trace.stabs.push(StabTrace {
                     attr,
                     attr_name: format!("#{attr}"),
@@ -884,9 +957,57 @@ impl PredicateIndex {
         self.core.approx_bytes()
     }
 
-    /// Matching ids appended into a caller-owned buffer (hot path).
+    /// Matching ids appended into a caller-owned buffer (hot path): the
+    /// run of one tuple.
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
-        self.core.match_into(relation, tuple, out, &self.metrics);
+        self.core
+            .match_into(relation, [tuple], &mut [], out, &self.metrics, |_| {});
+    }
+
+    /// Matches a run of tuples of one relation — what a rule engine's
+    /// matching level holds — as that many
+    /// [`match_tuple_into`](Self::match_tuple_into) calls would, with
+    /// the same ids, counters and spans, but descending each IBS-tree
+    /// with up to [`LANES`] of the tuples in lock-step. Each tuple's
+    /// matches are appended to `out`, sorted, and their range is handed
+    /// to `matched`, in run order. `lanes` is scratch: keep one and
+    /// reuse it, so a warm run allocates nothing.
+    ///
+    /// ```
+    /// use predindex::{MatchLanes, Matcher, PredicateIndex};
+    /// use predicate::parse_predicate;
+    /// use relation::{AttrType, Database, Schema, Value};
+    ///
+    /// let mut db = Database::new();
+    /// db.create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
+    ///     .unwrap();
+    /// let mut index = PredicateIndex::new();
+    /// let old = index.insert(parse_predicate("emp.age > 50").unwrap(), db.catalog()).unwrap();
+    /// let run: Vec<_> = [61, 30]
+    ///     .map(|age| db.insert("emp", vec![Value::Int(age)]).unwrap())
+    ///     .to_vec();
+    ///
+    /// let (mut out, mut ranges) = (Vec::new(), Vec::new());
+    /// index.match_run_into("emp", &run, &mut MatchLanes::default(), &mut out, |r| ranges.push(r));
+    /// assert_eq!(out, vec![old]);
+    /// assert_eq!(ranges, vec![0..1, 1..1]);
+    /// ```
+    pub fn match_run_into<'t>(
+        &self,
+        relation: &str,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+        lanes: &mut MatchLanes,
+        out: &mut Vec<PredicateId>,
+        matched: impl FnMut(Range<usize>),
+    ) {
+        self.core.match_into(
+            relation,
+            tuples,
+            &mut lanes.bufs,
+            out,
+            &self.metrics,
+            matched,
+        );
     }
 
     /// Number of per-attribute IBS-trees across all relations (for

@@ -31,7 +31,7 @@ pub use advisor::{Advisor, AdvisorConstants, Backend, BackendProjection, Recomme
 pub use baselines::{
     HashSequentialMatcher, PhysicalLockingMatcher, RTreeMatcher, SequentialMatcher,
 };
-pub use index::PredicateIndex;
+pub use index::{MatchLanes, PredicateIndex};
 pub use matcher::{IndexError, Matcher, PredicateId};
 pub use memory::MatchMemory;
 pub use sharded::ShardedPredicateIndex;

@@ -169,7 +169,7 @@ impl ShardedPredicateIndex {
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
         let sid = self.shard_of(relation);
         let shard = self.lock_read(sid);
-        shard.match_into(relation, tuple, out, &self.metrics);
+        shard.match_into(relation, [tuple], &mut [], out, &self.metrics, |_| {});
     }
 }
 

@@ -18,7 +18,9 @@
 use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId, RuleName};
 use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::JoinCondition;
-use predindex::{IndexError, IndexStats, MatchTrace, Matcher, PredicateId, PredicateIndex};
+use predindex::{
+    IndexError, IndexStats, MatchLanes, MatchTrace, Matcher, PredicateId, PredicateIndex,
+};
 use relation::fx::{FnvHashMap, FnvHashSet};
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::collections::BTreeMap;
@@ -133,6 +135,8 @@ struct ChainBuffers {
     /// The level's matches, flat: event `i`'s are `matched[bounds[i]]`.
     matched: Vec<PredicateId>,
     bounds: Vec<Range<usize>>,
+    /// The index's per-lane candidate buffers for lock-step stabs.
+    lanes: MatchLanes,
     /// The current event's agenda, and the join instantiations waiting
     /// to be appended behind its plain ones.
     agenda: Vec<AgendaEntry>,
@@ -707,7 +711,12 @@ impl RuleEngine {
     ) -> Result<FireReport, EngineError> {
         let mut events = Vec::with_capacity(rows.len());
         for values in rows {
-            events.push(self.db.insert_event(relation, values)?);
+            match self.db.insert_event(relation, values) {
+                Ok(event) => events.push(event),
+                // The rows before this one are stored but their events
+                // never reach the beta layer: repair as a chain abort.
+                Err(e) => return self.repaired(Err(e.into())),
+            }
         }
         self.chain_level(events)
     }
@@ -724,7 +733,8 @@ impl RuleEngine {
     }
 
     /// Abort repair: if a chain (or a retroactive backfill) errors
-    /// midway (firing limit, bad queued operation), the database holds
+    /// midway (firing limit, bad queued operation), or a batch rejects
+    /// a row after storing the rows before it, the database holds
     /// tuples whose events never reached the beta layer, so the join
     /// memos are rebuilt wholesale from the post-abort database before
     /// the error propagates. The rebuild is deterministic, so WAL
@@ -775,7 +785,7 @@ impl RuleEngine {
             {
                 let _match =
                     tracer.span_with("match_level", || vec![("tuples", level.len().to_string())]);
-                self.match_level(&level, &tags, &mut buf.matched, &mut buf.bounds);
+                self.match_level(&level, &tags, &mut buf);
             }
 
             for (pos, event) in level.iter().enumerate() {
@@ -898,31 +908,34 @@ impl RuleEngine {
 
     /// The matching stage of one level, into the chain's flat buffer:
     /// event `i`'s matching predicates end up at `matched[bounds[i]]`.
+    /// Each run of consecutive events on one relation is matched as one
+    /// run, so the index descends its trees with a group of them in
+    /// lock-step (`PredicateIndex::match_run_into`).
     ///
     /// With the profiler on, the level's events are grouped by billing
-    /// account (`tags`, parallel to `level`), each group matched with
-    /// the global cost counters snapshotted around it (exact deltas —
-    /// the engine is serial), and the delta plus wall-clock credited to
-    /// the account. Matching is pure, so regrouping changes no result
-    /// and no global counter.
-    fn match_level(
-        &self,
-        level: &[TupleEvent],
-        tags: &[Option<u32>],
-        matched: &mut Vec<PredicateId>,
-        bounds: &mut Vec<Range<usize>>,
-    ) {
+    /// account (`tags`, parallel to `level`), each group's runs matched
+    /// with the global cost counters snapshotted around it (exact
+    /// deltas — the engine is serial), and the delta plus wall-clock
+    /// credited to the account. Matching is pure, so regrouping changes
+    /// no result and no global counter.
+    fn match_level(&self, level: &[TupleEvent], tags: &[Option<u32>], buf: &mut ChainBuffers) {
+        let ChainBuffers {
+            matched,
+            bounds,
+            lanes,
+            ..
+        } = buf;
         matched.clear();
         bounds.clear();
-        let mut match_event = |event: &TupleEvent| {
-            let from = matched.len();
-            self.index
-                .match_tuple_into(event.relation(), matched_tuple(event), matched);
-            from..matched.len()
-        };
         let profiler = self.telemetry.profiler();
         if !profiler.is_enabled() {
-            bounds.extend(level.iter().map(match_event));
+            for run in level.chunk_by(|a, b| a.relation() == b.relation()) {
+                let tuples = run.iter().map(matched_tuple);
+                self.index
+                    .match_run_into(run[0].relation(), tuples, lanes, matched, |r| {
+                        bounds.push(r)
+                    });
+            }
             return;
         }
         let mut groups: BTreeMap<Option<u32>, Vec<usize>> = BTreeMap::new();
@@ -933,8 +946,15 @@ impl RuleEngine {
         for (account, positions) in groups {
             let before = profiler.source_snapshot();
             let started = Instant::now();
-            for i in positions {
-                bounds[i] = match_event(&level[i]);
+            let same_relation = |&a: &usize, &b: &usize| level[a].relation() == level[b].relation();
+            for run in positions.chunk_by(same_relation) {
+                let tuples = run.iter().map(|&i| matched_tuple(&level[i]));
+                let mut at = run.iter();
+                self.index
+                    .match_run_into(level[run[0]].relation(), tuples, lanes, matched, |r| {
+                        let i = at.next().expect("one range per tuple of the run");
+                        bounds[*i] = r;
+                    });
             }
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let mut delta = profiler.source_snapshot().delta_since(&before);

@@ -715,6 +715,44 @@ mod batch_tests {
     }
 
     #[test]
+    fn a_rejected_row_leaves_the_join_memos_in_step() {
+        let mut db = Database::new();
+        for (relation, other) in [("emp", "name"), ("dept", "floor")] {
+            let schema = Schema::builder(relation)
+                .attr(other, AttrType::Str)
+                .attr("dno", AttrType::Int);
+            db.create_relation(schema.build()).unwrap();
+        }
+        let mut e = RuleEngine::new(db);
+        let id = e
+            .add_rule(
+                Rule::builder("same-dept")
+                    .when("emp.dno = dept.dno")
+                    .unwrap()
+                    .then(Action::log("joined"))
+                    .build(),
+            )
+            .unwrap();
+        // The second row has the wrong arity: the batch fails after the
+        // first is stored.
+        let err = e
+            .insert_batch(
+                "dept",
+                vec![vec![Value::str("one"), Value::Int(4)], vec![Value::Int(5)]],
+            )
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Catalog(_)), "{err}");
+        assert_eq!(e.db().catalog().relation("dept").unwrap().len(), 1);
+        // The stored row is in the beta layer: an employee joins it.
+        let r = e
+            .insert("emp", vec![Value::str("al"), Value::Int(4)])
+            .unwrap();
+        assert_eq!(r.fired.len(), 1);
+        assert_eq!(e.join_matches(id).unwrap()[0].len(), 1);
+        e.check_join_invariants().unwrap();
+    }
+
+    #[test]
     fn empty_batch_is_a_no_op() {
         let mut e = engine();
         let r = e.insert_batch("t", Vec::new()).unwrap();

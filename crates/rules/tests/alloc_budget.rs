@@ -5,7 +5,8 @@
 //! `insert_batch` on a `match_stab`-shaped engine (`bench::stab_shape`,
 //! included by path — the same shape and seed `bench_json`'s gated
 //! `engine/allocs_per_event/batch128` row counts), checks the match
-//! path alone allocates nothing into a warm buffer, and drives the
+//! path alone — a tuple at a time or a run in lock-step — allocates
+//! nothing into warm buffers, and drives the
 //! firing paths that still format (`Action::Log`) or bind (a join
 //! rule) against an engine fed one tuple at a time. The counter is
 //! per thread, so the cases can run side by side.
@@ -13,7 +14,7 @@
 #[path = "../../bench/src/stab_shape.rs"]
 mod stab_shape;
 
-use predindex::{Matcher, PredicateIndex};
+use predindex::{MatchLanes, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, FireReport, Rule, RuleEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -156,6 +157,26 @@ fn matching_into_a_warm_buffer_allocates_nothing() {
     // One flat buffer for the whole level, as the engine matches it.
     assert!(out.len() >= BATCH, "{} matches", out.len());
     assert!(out.len() <= 1024, "the buffer grew: {} matches", out.len());
+    assert_eq!(allocations, 0);
+
+    // The level as one run, as the engine hands it over: the same ids;
+    // the lanes' candidate buffers warm up on the first run and are
+    // reused after.
+    let one_at_a_time = out.clone();
+    let mut lanes = MatchLanes::default();
+    let mut bounds = Vec::with_capacity(BATCH);
+    let mut run = |out: &mut Vec<_>, bounds: &mut Vec<_>| {
+        out.clear();
+        bounds.clear();
+        index.match_run_into(stab_shape::RELATION, &tuples, &mut lanes, out, |r| {
+            bounds.push(r)
+        });
+    };
+    run(&mut out, &mut bounds);
+    assert_eq!(out, one_at_a_time);
+    let ((), allocations) = counted(|| run(&mut out, &mut bounds));
+    assert_eq!(out, one_at_a_time);
+    assert_eq!(bounds.len(), BATCH);
     assert_eq!(allocations, 0);
 }
 

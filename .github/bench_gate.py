@@ -84,6 +84,13 @@ def gate_observability(rows, base):
     base_ratio = ns_ratio(base, "attribution_overhead/profiled", "attribution_overhead/baseline")
     bound = max(base_ratio * 1.5, 1.30)
     assert ratio <= bound, ("attribution overhead", ratio, base_ratio, bound)
+    # The enabled-mode cost of live counters on the match path: the
+    # committed ratio with 1.15x slack, floored at 1.20 (ROADMAP aim 4
+    # keeps it gated; the committed lines read 1.05-1.21).
+    counters = ns_ratio(rows, "telemetry_overhead/counters", "telemetry_overhead/disabled")
+    base_counters = ns_ratio(base, "telemetry_overhead/counters", "telemetry_overhead/disabled")
+    counters_bound = max(base_counters * 1.15, 1.20)
+    assert counters <= counters_bound, ("counter overhead", counters, base_counters, counters_bound)
     # Heap allocations per event of one batch through the rule chain: a
     # count, identical on every host, so the committed one with 10% room
     # and no floor.
@@ -108,10 +115,11 @@ def gate_observability(rows, base):
     name = "predindex/bytes_per_predicate/stab_shape"
     per_predicate, base_per_predicate = rows[name]["bytes_per_predicate"], base[name]["bytes_per_predicate"]
     assert per_predicate <= base_per_predicate * 1.10, (name, per_predicate, base_per_predicate)
-    return ("attribution ratio %.3f (baseline %.3f, bound %.3f); %.3f allocations per event (committed %.3f); "
+    return ("attribution ratio %.3f (baseline %.3f, bound %.3f); counter overhead %.3f (baseline %.3f, bound %.3f); "
+            "%.3f allocations per event (committed %.3f); "
             "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f); "
             "%.1f index bytes per predicate (committed %.1f)") % (
-        ratio, base_ratio, bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
+        ratio, base_ratio, bound, counters, base_counters, counters_bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
         per_predicate, base_per_predicate)
 
 

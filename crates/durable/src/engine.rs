@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use telemetry::{FlightRecorder, Registry, Telemetry};
+use telemetry::{FlightRecorder, Registry, Stage, StageClock, StageRecord, Telemetry};
 
 /// Subdirectory of a durable home where flight dumps land.
 pub const FLIGHT_DIR: &str = "flight";
@@ -129,6 +129,10 @@ pub struct DurableRuleEngine {
     /// Post-mortem dumps into `dir/flight/`; built once at open from
     /// the same telemetry handle the engine records into.
     recorder: FlightRecorder,
+    /// The stage clock of the latest logged operation (running only
+    /// under the profiler); its record is
+    /// [`last_record`](DurableRuleEngine::last_record).
+    clock: StageClock,
 }
 
 impl DurableRuleEngine {
@@ -164,7 +168,9 @@ impl DurableRuleEngine {
     ///   exposition) lands under `dir/flight/` before the error
     ///   returns;
     /// * **profiling** — per-rule cost accounts (recovered rules are
-    ///   named retroactively), also carried in flight dumps;
+    ///   named retroactively), also carried in flight dumps, and a
+    ///   stage record per logged operation
+    ///   ([`last_record`](Self::last_record));
     /// * **workload accounts** — the index advisor's input; flight
     ///   dumps then gain the advisor's text report, so a crash leaves
     ///   behind what the workload wanted the index to look like.
@@ -229,6 +235,7 @@ impl DurableRuleEngine {
             wal_metrics,
             metrics,
             recorder,
+            clock: StageClock::default(),
         })
     }
 
@@ -305,10 +312,53 @@ impl DurableRuleEngine {
     /// though not necessarily synced, before the engine sees the
     /// operation), *execute*, then the snapshot cadence.
     pub fn apply(&mut self, record: Record) -> Result<Applied, DurableError> {
-        let rule = resolve(&record, &self.funcs, &self.actions)?;
+        self.timed(|d| {
+            let rule = resolve(&record, &d.funcs, &d.actions)?;
+            d.logged(record, |engine, specs, record| {
+                execute(engine, specs, record, rule)
+            })
+        })
+    }
+
+    /// The stage record of the latest [`apply`](Self::apply) (or
+    /// [`explain_insert`](Self::explain_insert)): `wal`, `snapshot`, the
+    /// rule engine's stages, and `other` for the rest, with the work
+    /// the engine billed. All zeros unless the profiler is on.
+    pub fn last_record(&self) -> &StageRecord {
+        self.clock.record()
+    }
+
+    /// Runs one logged operation under a fresh stage clock, then closes
+    /// its record — an operation refused before it was logged too.
+    fn timed<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<T, DurableError>,
+    ) -> Result<T, DurableError> {
+        self.clock = StageClock::start(self.engine.telemetry().profiler().is_enabled());
+        let out = op(self);
+        self.clock.lap(Stage::Other);
+        out
+    }
+
+    /// Log-then-apply: appends `record`, hands it to `run` with the
+    /// engine and the action specs, then the snapshot cadence. The
+    /// clock laps `wal` and `snapshot` and folds in the engine's own
+    /// record of the run.
+    fn logged<T>(
+        &mut self,
+        record: Record,
+        run: impl FnOnce(
+            &mut RuleEngine,
+            &mut HashMap<u32, ActionSpec>,
+            Record,
+        ) -> Result<T, EngineError>,
+    ) -> Result<T, DurableError> {
         self.wal.append(&record)?;
-        let out = execute(&mut self.engine, &mut self.specs, record, rule);
+        self.clock.lap(Stage::Wal);
+        let out = run(&mut self.engine, &mut self.specs, record);
+        self.clock.enclose(Stage::Other, self.engine.last_record());
         self.bump_snapshot_cadence()?;
+        self.clock.lap(Stage::Snapshot);
         Ok(out?)
     }
 
@@ -372,13 +422,15 @@ impl DurableRuleEngine {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<(MatchTrace, FireReport), DurableError> {
-        self.wal.append(&Record::Insert {
+        let record = Record::Insert {
             relation: relation.to_string(),
             values: values.clone(),
-        })?;
-        let out = self.engine.explain_insert(relation, values);
-        self.bump_snapshot_cadence()?;
-        Ok(out?)
+        };
+        self.timed(|d| {
+            d.logged(record, |engine, _, _| {
+                engine.explain_insert(relation, values)
+            })
+        })
     }
 
     /// Updates a tuple and runs the rule chain (logged).

@@ -139,8 +139,15 @@ impl JoinEngine {
 
     /// Retracts tuple `tid` of `relation` from every memo with a
     /// premise over it, in key order; `each` sees `(condition key,
-    /// tokens retracted)` per premise. Returns the total.
-    fn retract_each(&mut self, relation: &str, tid: u32, mut each: impl FnMut(u64, u64)) -> u64 {
+    /// tokens retracted)` per premise — how a caller bills each
+    /// condition's share without a list built per retraction. Returns
+    /// the total.
+    pub fn retract_each(
+        &mut self,
+        relation: &str,
+        tid: u32,
+        mut each: impl FnMut(u64, u64),
+    ) -> u64 {
         let mut total = 0;
         for &(key, premise) in self.by_relation.get(relation).into_iter().flatten() {
             if let Some(memo) = self.memos.get_mut(&key) {
@@ -158,23 +165,6 @@ impl JoinEngine {
     /// premise over it. Returns the number of tokens retracted.
     pub fn retract(&mut self, relation: &str, tid: u32) -> u64 {
         self.retract_each(relation, tid, |_, _| {})
-    }
-
-    /// [`retract`](Self::retract), reporting the per-condition split:
-    /// `(condition key, tokens retracted)` for every key that lost at
-    /// least one token (several premises of one condition over the
-    /// same relation merge into one entry). The cost-attribution layer
-    /// uses this to bill each retraction to the rule owning the
-    /// condition.
-    pub fn retract_counted(&mut self, relation: &str, tid: u32) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        self.retract_each(relation, tid, |key, n| match out.last_mut() {
-            // Premises arrive in key order: one condition's are adjacent.
-            Some((k, c)) if *k == key => *c += n,
-            _ if n > 0 => out.push((key, n)),
-            _ => {}
-        });
-        out
     }
 
     /// Seeds condition `key` from every existing tuple of `catalog`

@@ -130,11 +130,13 @@ fn run_seed(seed: u64) {
             if let Some(id) = w.some_id(&mut rng, rel) {
                 let values = row(&mut rng);
                 w.cat.relation_mut(rel).unwrap().update(id, values).unwrap();
-                let split = w.je.retract_counted(rel, id.0);
+                let mut split = Vec::new();
+                let total = w.je.retract_each(rel, id.0, |key, n| split.push((key, n)));
                 assert!(
-                    split.windows(2).all(|p| p[0].0 < p[1].0),
-                    "one entry per key"
+                    split.windows(2).all(|p| p[0].0 <= p[1].0),
+                    "premises in key order"
                 );
+                assert_eq!(total, split.iter().map(|&(_, n)| n).sum::<u64>());
                 w.feed(rel, id);
             }
         } else if roll < 88 {

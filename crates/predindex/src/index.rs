@@ -53,8 +53,8 @@ use relation::{Catalog, Tuple, Value};
 use std::ops::Range;
 use std::sync::Arc;
 use telemetry::{
-    AttrRecorder, ClauseShape, Counter, MatchTrace, RelationRecorder, ResidualTrace, StabTrace,
-    Telemetry,
+    AttrRecorder, ClauseShape, CostSnapshot, Counter, MatchTrace, RelationRecorder, ResidualTrace,
+    StabTrace, Stage, StageClock, Telemetry,
 };
 
 /// Where a registered predicate physically lives.
@@ -412,7 +412,8 @@ impl RelationIndex {
     /// lane at a time.
     ///
     /// Each stab reports its §5 work into a fresh `S` and is then handed
-    /// to `each` as `(attr, tree, value, work)`. With `S = ()` and
+    /// to `each` as `(lane, attr, tree, value, work)`, `lane` being the
+    /// tuple's position in the group. With `S = ()` and
     /// an empty closure this monomorphizes to the bare loop over
     /// uninstrumented stabs, as `IbsTree::stab_into_observed` does one
     /// level down.
@@ -420,7 +421,7 @@ impl RelationIndex {
         &self,
         group: &[&Tuple],
         outs: &mut [Vec<PredicateId>],
-        mut each: impl FnMut(usize, &AttrTree, &Value, S),
+        mut each: impl FnMut(usize, usize, &AttrTree, &Value, S),
     ) {
         let n = group.len();
         for (&attr, at) in &self.attr_trees {
@@ -432,15 +433,15 @@ impl RelationIndex {
                 let mut work = [S::default(); LANES];
                 at.tree
                     .stab_lanes_into(&keys[..n], &mut outs[..n], &mut work[..n]);
-                for (key, work) in keys[..n].iter().zip(work) {
-                    each(attr, at, key, work);
+                for (lane, (key, work)) in keys[..n].iter().zip(work).enumerate() {
+                    each(lane, attr, at, key, work);
                 }
             } else {
-                for (tuple, out) in group.iter().zip(outs.iter_mut()) {
+                for (lane, (tuple, out)) in group.iter().zip(outs.iter_mut()).enumerate() {
                     if let Some(value) = tuple.values().get(attr) {
                         let mut work = S::default();
                         at.tree.stab_into_observed(value, out, &mut work);
-                        each(attr, at, value, work);
+                        each(lane, attr, at, value, work);
                     }
                 }
             }
@@ -651,10 +652,12 @@ impl IndexCore {
     /// accounts are on), then per tuple the residual test on its tree
     /// candidates, the grouped non-indexable sweep, one sort of its
     /// matches and one `record_match`. Each tuple's matches are
-    /// appended to `out` and their range handed to `matched`, in run
-    /// order. A group of one stabs straight into `out`; a larger group
-    /// stabs into `lanes`, and each tuple's candidates are copied behind
-    /// `out` for its test.
+    /// appended to `out` and their range handed to `matched` with the
+    /// tuple's work counts, in run order. `clock` laps `stab` and
+    /// `residual` once per group. A group of one stabs straight into
+    /// `out`; a larger group stabs into `lanes`, and each tuple's
+    /// candidates are copied behind `out` for its test.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn match_into<'t>(
         &self,
         relation: &str,
@@ -662,7 +665,8 @@ impl IndexCore {
         lanes: &mut [Vec<PredicateId>],
         out: &mut Vec<PredicateId>,
         metrics: &IndexMetrics,
-        mut matched: impl FnMut(Range<usize>),
+        clock: &mut StageClock,
+        mut matched: impl FnMut(Range<usize>, &CostSnapshot),
     ) {
         let width = lanes.len().min(LANES);
         let lanes = &mut lanes[..width];
@@ -670,7 +674,7 @@ impl IndexCore {
         let Some(ri) = self.relations.get(relation) else {
             for _ in tuples {
                 metrics.record_unindexed_match(relation);
-                matched(out.len()..out.len());
+                matched(out.len()..out.len(), &CostSnapshot::default());
             }
             return;
         };
@@ -685,6 +689,8 @@ impl IndexCore {
             }
             let group = &group[..n];
             let from = out.len();
+            // Per lane, its tuple's stab work (nodes, marks), when metered.
+            let mut stabbed = [(0, 0); LANES];
             {
                 let _stab = tracer.span("predindex_stab");
                 let outs = if n == 1 {
@@ -701,18 +707,21 @@ impl IndexCore {
                     for _ in group {
                         ri.tuple_recorder.record_tuple();
                     }
-                    ri.partial_match(group, outs, |_, at, _, work: StabStats| {
+                    ri.partial_match(group, outs, |lane, _, at, _, work: StabStats| {
                         metrics.record_attr_stab(
                             at.work.as_ref(),
                             work.nodes_visited,
                             work.marks_scanned,
                         );
                         at.workload.record_stab(work.marks_scanned);
+                        stabbed[lane].0 += work.nodes_visited;
+                        stabbed[lane].1 += work.marks_scanned;
                     });
                 } else {
-                    ri.partial_match(group, outs, |_, _, _, ()| {});
+                    ri.partial_match(group, outs, |_, _, _, _, ()| {});
                 }
             }
+            clock.lap(Stage::Stab);
             for (lane, tuple) in group.iter().enumerate() {
                 let from = if n == 1 {
                     from
@@ -733,8 +742,18 @@ impl IndexCore {
                     (swept, tree_passes + held)
                 };
                 metrics.record_match(ri.matches.as_ref(), partials, swept, passes);
-                matched(from..out.len());
+                let (ibs_nodes, ibs_marks) = stabbed[lane];
+                let work = CostSnapshot {
+                    ibs_nodes,
+                    ibs_marks,
+                    residual_tests: partials + swept,
+                    residual_passes: passes,
+                    non_indexable: swept,
+                    ..CostSnapshot::default()
+                };
+                matched(from..out.len(), &work);
             }
+            clock.lap(Stage::Residual);
         }
     }
 
@@ -757,7 +776,7 @@ impl IndexCore {
         ri.partial_match(
             &[tuple],
             std::slice::from_mut(&mut candidates),
-            |attr, at, value, work: StabStats| {
+            |_, attr, at, value, work: StabStats| {
                 trace.stabs.push(StabTrace {
                     attr,
                     attr_name: format!("#{attr}"),
@@ -960,8 +979,16 @@ impl PredicateIndex {
     /// Matching ids appended into a caller-owned buffer (hot path): the
     /// run of one tuple.
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
-        self.core
-            .match_into(relation, [tuple], &mut [], out, &self.metrics, |_| {});
+        let clock = &mut StageClock::default();
+        self.core.match_into(
+            relation,
+            [tuple],
+            &mut [],
+            out,
+            &self.metrics,
+            clock,
+            |_, _| {},
+        );
     }
 
     /// Matches a run of tuples of one relation — what a rule engine's
@@ -970,13 +997,18 @@ impl PredicateIndex {
     /// the same ids, counters and spans, but descending each IBS-tree
     /// with up to [`LANES`] of the tuples in lock-step. Each tuple's
     /// matches are appended to `out`, sorted, and their range is handed
-    /// to `matched`, in run order. `lanes` is scratch: keep one and
-    /// reuse it, so a warm run allocates nothing.
+    /// to `matched`, in run order, with the tuple's own work: its stab
+    /// counts (zero unless the index is metered), residual tests, passes
+    /// and sweeps — the same counts the registry's counters add up.
+    /// `clock` laps the `stab` and `residual` stages once per lock-step
+    /// group (an inert clock costs one branch). `lanes` is scratch: keep
+    /// one and reuse it, so a warm run allocates nothing.
     ///
     /// ```
     /// use predindex::{MatchLanes, Matcher, PredicateIndex};
     /// use predicate::parse_predicate;
     /// use relation::{AttrType, Database, Schema, Value};
+    /// use telemetry::StageClock;
     ///
     /// let mut db = Database::new();
     /// db.create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
@@ -987,10 +1019,15 @@ impl PredicateIndex {
     ///     .map(|age| db.insert("emp", vec![Value::Int(age)]).unwrap())
     ///     .to_vec();
     ///
-    /// let (mut out, mut ranges) = (Vec::new(), Vec::new());
-    /// index.match_run_into("emp", &run, &mut MatchLanes::default(), &mut out, |r| ranges.push(r));
+    /// let (mut out, mut ranges, mut tests) = (Vec::new(), Vec::new(), 0);
+    /// let (lanes, clock) = (&mut MatchLanes::default(), &mut StageClock::default());
+    /// index.match_run_into("emp", &run, lanes, &mut out, clock, |r, work| {
+    ///     ranges.push(r);
+    ///     tests += work.residual_tests;
+    /// });
     /// assert_eq!(out, vec![old]);
     /// assert_eq!(ranges, vec![0..1, 1..1]);
+    /// assert_eq!(tests, 1); // 61 found the tree's one candidate; 30 found none
     /// ```
     pub fn match_run_into<'t>(
         &self,
@@ -998,7 +1035,8 @@ impl PredicateIndex {
         tuples: impl IntoIterator<Item = &'t Tuple>,
         lanes: &mut MatchLanes,
         out: &mut Vec<PredicateId>,
-        matched: impl FnMut(Range<usize>),
+        clock: &mut StageClock,
+        matched: impl FnMut(Range<usize>, &CostSnapshot),
     ) {
         self.core.match_into(
             relation,
@@ -1006,6 +1044,7 @@ impl PredicateIndex {
             &mut lanes.bufs,
             out,
             &self.metrics,
+            clock,
             matched,
         );
     }

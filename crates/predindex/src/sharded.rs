@@ -32,6 +32,7 @@ use predicate::Predicate;
 use relation::{Catalog, Tuple};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use telemetry::StageClock;
 
 /// Number of shards (a power of two: the relation-name hash is masked).
 const SHARDS: usize = 16;
@@ -169,7 +170,16 @@ impl ShardedPredicateIndex {
     pub fn match_tuple_into(&self, relation: &str, tuple: &Tuple, out: &mut Vec<PredicateId>) {
         let sid = self.shard_of(relation);
         let shard = self.lock_read(sid);
-        shard.match_into(relation, [tuple], &mut [], out, &self.metrics, |_| {});
+        let clock = &mut StageClock::default();
+        shard.match_into(
+            relation,
+            [tuple],
+            &mut [],
+            out,
+            &self.metrics,
+            clock,
+            |_, _| {},
+        );
     }
 }
 

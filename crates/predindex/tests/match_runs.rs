@@ -13,7 +13,9 @@
 //! the same predicates under separate telemetry: one matches tuple by
 //! tuple, the other run by run, and afterwards every counter of their
 //! registries and every workload account must read the same.
-//! `HashSequentialMatcher` checks the ids themselves.
+//! `HashSequentialMatcher` checks the ids themselves. The work each
+//! tuple's callback is handed must add up to the counters too, and be
+//! the same whether the tuple stabbed in a lock-step group or alone.
 
 use predicate::parse_predicate;
 use predindex::{HashSequentialMatcher, MatchLanes, Matcher, PredicateId, PredicateIndex};
@@ -22,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use relation::{AttrType, Database, Schema, Tuple, Value};
 use std::ops::Range;
 use std::sync::Arc;
-use telemetry::{Registry, Telemetry};
+use telemetry::{CostSnapshot, Registry, StageClock, Telemetry};
 
 const RELS: [&str; 3] = ["emp", "item", "ghost"];
 const ATTRS: [&str; 3] = ["a", "b", "c"];
@@ -91,6 +93,19 @@ fn level(rng: &mut StdRng) -> Vec<(&'static str, Tuple)> {
     level
 }
 
+/// The §5.2 terms `registry`'s match-path counters have added up.
+fn counted(registry: &Registry) -> CostSnapshot {
+    let c = |name: &str| registry.counter_value(name).unwrap_or(0);
+    CostSnapshot {
+        ibs_nodes: c("predindex_ibs_nodes_visited_total"),
+        ibs_marks: c("predindex_ibs_marks_scanned_total"),
+        residual_tests: c("predindex_residual_tests_total"),
+        residual_passes: c("predindex_residual_passes_total"),
+        non_indexable: c("predindex_non_indexable_scanned_total"),
+        ..CostSnapshot::default()
+    }
+}
+
 /// An index holding `conditions`, counting into its own registry and
 /// workload accounts.
 fn counted_index(db: &Database, conditions: &[String]) -> (PredicateIndex, Telemetry) {
@@ -115,6 +130,8 @@ fn runs_match_like_one_tuple_at_a_time() {
             .collect();
         let (single, single_telemetry) = counted_index(&db, &conditions);
         let (batched, batched_telemetry) = counted_index(&db, &conditions);
+        let (lone, lone_telemetry) = counted_index(&db, &conditions);
+        let (mut batched_sum, mut lone_sum) = (CostSnapshot::default(), CostSnapshot::default());
         let mut oracle = HashSequentialMatcher::new();
         for c in &conditions {
             oracle
@@ -124,6 +141,7 @@ fn runs_match_like_one_tuple_at_a_time() {
 
         // One scratch for every level, as the rule engine keeps one.
         let mut lanes = MatchLanes::default();
+        let clock = &mut StageClock::start(true);
         for _ in 0..4 {
             let level = level(&mut rng);
             let mut one = Vec::new();
@@ -135,15 +153,35 @@ fn runs_match_like_one_tuple_at_a_time() {
             }
             let mut run_ids = vec![PredicateId(u32::MAX)];
             let mut run_bounds: Vec<Range<usize>> = Vec::new();
+            let mut run_work = Vec::new();
             for run in level.chunk_by(|a, b| a.0 == b.0) {
                 let tuples = run.iter().map(|(_, t)| t);
-                batched.match_run_into(run[0].0, tuples, &mut lanes, &mut run_ids, |r| {
-                    run_bounds.push(r.start - 1..r.end - 1)
-                });
+                batched.match_run_into(
+                    run[0].0,
+                    tuples,
+                    &mut lanes,
+                    &mut run_ids,
+                    clock,
+                    |r, w| {
+                        run_bounds.push(r.start - 1..r.end - 1);
+                        run_work.push(*w);
+                    },
+                );
             }
             assert_eq!(run_ids[0], PredicateId(u32::MAX), "seed {seed}: prefix");
             assert_eq!(&run_ids[1..], &one[..], "seed {seed}: ids");
             assert_eq!(run_bounds, one_bounds, "seed {seed}: bounds");
+            // Each tuple alone, as a run of one: one-lane stabs.
+            let (mut lone_ids, mut lone_work) = (Vec::new(), Vec::new());
+            for (rel, tuple) in &level {
+                lone.match_run_into(rel, [tuple], &mut lanes, &mut lone_ids, clock, |_, w| {
+                    lone_work.push(*w)
+                });
+            }
+            assert_eq!(lone_ids, one, "seed {seed}: one-lane ids");
+            assert_eq!(lone_work, run_work, "seed {seed}: per-tuple work");
+            run_work.iter().for_each(|w| batched_sum.add(w));
+            lone_work.iter().for_each(|w| lone_sum.add(w));
             for ((rel, tuple), bounds) in level.iter().zip(&one_bounds) {
                 let mut want = oracle.match_tuple(rel, tuple);
                 want.sort_unstable();
@@ -170,6 +208,21 @@ fn runs_match_like_one_tuple_at_a_time() {
             batched_telemetry.workload().lifetime(),
             "seed {seed}: workload accounts"
         );
+        // The work handed out adds up to what the counters counted, in
+        // lock-step groups and in one-lane stabs alike.
+        assert_eq!(batched_sum, counted(registry_b), "seed {seed}: group work");
+        assert_eq!(
+            lone_sum,
+            counted(lone_telemetry.registry()),
+            "seed {seed}: lone work"
+        );
+        assert_eq!(
+            lone_sum,
+            counted(registry_a),
+            "seed {seed}: per-tuple counters"
+        );
+        // The clock lapped the stab and residual stages of every group.
+        assert!(clock.record().total() > 0, "seed {seed}: no laps");
     }
 }
 
@@ -185,7 +238,11 @@ fn a_run_without_predicates_still_counts_its_tuples() {
         &tuples,
         &mut MatchLanes::default(),
         &mut out,
-        |r| ranges.push(r),
+        &mut StageClock::default(),
+        |r, w| {
+            assert_eq!(*w, CostSnapshot::default());
+            ranges.push(r)
+        },
     );
     assert!(out.is_empty());
     assert_eq!(ranges, vec![0..0; 20]);

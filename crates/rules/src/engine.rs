@@ -23,12 +23,12 @@ use predindex::{
 };
 use relation::fx::{FnvHashMap, FnvHashSet};
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
-use telemetry::{Counter, Histogram, Registry, Telemetry};
+use telemetry::{
+    CostSnapshot, Counter, Histogram, Profiler, Registry, Stage, StageClock, StageRecord, Telemetry,
+};
 
 /// Errors from engine operations.
 #[derive(Debug)]
@@ -135,6 +135,9 @@ struct ChainBuffers {
     /// The level's matches, flat: event `i`'s are `matched[bounds[i]]`.
     matched: Vec<PredicateId>,
     bounds: Vec<Range<usize>>,
+    /// Event `i`'s match work, with its share of the level's matching
+    /// time (kept only while the profiler records).
+    work: Vec<CostSnapshot>,
     /// The index's per-lane candidate buffers for lock-step stabs.
     lanes: MatchLanes,
     /// The current event's agenda, and the join instantiations waiting
@@ -208,9 +211,6 @@ pub struct RuleEngine {
     routes: FnvHashMap<u32, Route>,
     joins: JoinEngine,
     next_rule: u32,
-    /// Engine-wide memo-key counter — keys stay stable across
-    /// `drop_relation`'s vector compaction.
-    next_join: u64,
     log: Vec<String>,
     firing_limit: usize,
     total_fired: u64,
@@ -219,6 +219,10 @@ pub struct RuleEngine {
     /// [`attach_metrics`](RuleEngine::attach_metrics).
     telemetry: Telemetry,
     metrics: EngineMetrics,
+    /// The stage clock of the latest public operation; its record is
+    /// [`last_record`](RuleEngine::last_record). Runs only under the
+    /// profiler.
+    clock: StageClock,
 }
 
 impl RuleEngine {
@@ -232,12 +236,12 @@ impl RuleEngine {
             routes: FnvHashMap::default(),
             joins: JoinEngine::new(),
             next_rule: 0,
-            next_join: 0,
             log: Vec::new(),
             firing_limit: 10_000,
             total_fired: 0,
             telemetry: Telemetry::disabled(),
             metrics: EngineMetrics::from_registry(&Registry::disabled()),
+            clock: StageClock::default(),
         }
     }
 
@@ -252,8 +256,9 @@ impl RuleEngine {
     ///   `cascade_level` / `match_level` / `rule_fire` spans, and the
     ///   index adds `predindex_stab` / `predindex_residual`, all into
     ///   one ring;
-    /// * **profiler** — per-rule cost attribution; the level's events
-    ///   are grouped by billing account only when this is on.
+    /// * **profiler** — per-rule cost attribution, billed per event
+    ///   from the work its own match and memo calls did, and a stage
+    ///   record per operation ([`last_record`](Self::last_record)).
     ///   Already-registered rules get their display names immediately;
     /// * **workload accounts** — per-attribute op mix, clause shapes
     ///   and stab selectivity feeding the index advisor, backfilled
@@ -277,6 +282,34 @@ impl RuleEngine {
     /// The attached telemetry handle (everything disabled by default).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The stage record of the latest operation: nanoseconds in `stab`,
+    /// `residual`, `join`, `agenda`, `fire` and `other`, and the work
+    /// its events were billed, from where its recognize-act chain
+    /// starts to its last firing. Timed only under the profiler; an
+    /// operation that runs no chain leaves an empty record.
+    pub fn last_record(&self) -> &StageRecord {
+        self.clock.record()
+    }
+
+    /// Opens the record of one public operation, empty. Every mutating
+    /// entry point calls this first, so
+    /// [`last_record`](Self::last_record) never describes an earlier
+    /// operation.
+    fn open_record(&mut self) {
+        self.clock = StageClock::default();
+    }
+
+    /// A boundary before a chain level or a backfill firing: starts the
+    /// operation's clock there under the profiler, and later laps the
+    /// time since the last boundary as `other`.
+    fn chain_boundary(&mut self) {
+        if self.clock.is_on() {
+            self.clock.lap(Stage::Other);
+        } else if self.telemetry.profiler().is_enabled() {
+            self.clock = StageClock::start(true);
+        }
     }
 
     /// The predicate-index structure (relations → per-attribute tree
@@ -306,6 +339,7 @@ impl RuleEngine {
 
     /// Creates a relation in the underlying database.
     pub fn create_relation(&mut self, schema: Schema) -> Result<(), EngineError> {
+        self.open_record();
         self.db.create_relation(schema)?;
         Ok(())
     }
@@ -319,6 +353,7 @@ impl RuleEngine {
     /// predicates bind against a schema at registration time, and the
     /// new relation's schema need not be compatible.
     pub fn drop_relation(&mut self, name: &str) -> Result<Relation, EngineError> {
+        self.open_record();
         let rel = self.db.drop_relation(name)?;
         for stored in self.rules.values_mut() {
             // `conditions` and `predicate_ids` are parallel vectors.
@@ -383,6 +418,7 @@ impl RuleEngine {
     /// only brings the partial-match state up to date so the next
     /// insert extends the right prefixes.
     pub fn add_rule(&mut self, rule: Rule) -> Result<RuleId, EngineError> {
+        self.open_record();
         Ok(self.add_rule_inner(rule)?.0)
     }
 
@@ -468,9 +504,8 @@ impl RuleEngine {
         // prefix over the current tuples before the next event).
         let mut join_keys = Vec::with_capacity(compiled.len());
         let mut seeds = Vec::new();
-        for (cj, pids) in compiled.into_iter().zip(&join_pids) {
-            let key = self.next_join;
-            self.next_join += 1;
+        for (j, (cj, pids)) in compiled.into_iter().zip(&join_pids).enumerate() {
+            let key = join_key(rid, j);
             for pid in pids {
                 self.routes.insert(pid.0, Route::Premise(rid));
             }
@@ -492,6 +527,7 @@ impl RuleEngine {
         &mut self,
         rule: Rule,
     ) -> Result<(RuleId, FireReport), EngineError> {
+        self.open_record();
         let (id, join_seeds) = self.add_rule_inner(rule)?;
         let stored = &self.rules[&id.0];
         // Collect matching existing tuples per condition, deduplicated
@@ -566,7 +602,9 @@ impl RuleEngine {
                     limit: self.firing_limit,
                 });
             }
+            self.chain_boundary();
             self.fire_one(rid, &seed, bound, &mut report, &mut ops, &mut produced)?;
+            self.clock.lap(Stage::Fire);
             for ev in produced.drain(..) {
                 let r = self.chain_level_inner(vec![ev])?;
                 report.fired.extend(r.fired);
@@ -579,6 +617,7 @@ impl RuleEngine {
 
     /// Unregisters a rule and its predicates.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<Rule, EngineError> {
+        self.open_record();
         let stored = self
             .rules
             .remove(&id.0)
@@ -603,6 +642,7 @@ impl RuleEngine {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<FireReport, EngineError> {
+        self.open_record();
         let ev = self.db.insert_event(relation, values)?;
         self.chain(ev)
     }
@@ -620,6 +660,7 @@ impl RuleEngine {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<(MatchTrace, FireReport), EngineError> {
+        self.open_record();
         let ev = self.db.insert_event(relation, values)?;
         let TupleEvent::Inserted { tuple, .. } = &ev else {
             unreachable!("insert_event builds only Inserted events")
@@ -688,12 +729,14 @@ impl RuleEngine {
         id: TupleId,
         values: Vec<Value>,
     ) -> Result<FireReport, EngineError> {
+        self.open_record();
         let ev = self.db.update_event(relation, id, values)?;
         self.chain(ev)
     }
 
     /// Deletes a tuple and runs the rule chain it triggers.
     pub fn delete(&mut self, relation: &str, id: TupleId) -> Result<FireReport, EngineError> {
+        self.open_record();
         let ev = self.db.delete_event(relation, id)?;
         self.chain(ev)
     }
@@ -709,6 +752,7 @@ impl RuleEngine {
         relation: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<FireReport, EngineError> {
+        self.open_record();
         let mut events = Vec::with_capacity(rows.len());
         for values in rows {
             match self.db.insert_event(relation, values) {
@@ -775,6 +819,7 @@ impl RuleEngine {
         let mut next_tags: Vec<Option<u32>> = Vec::new();
         while !level.is_empty() {
             depth += 1;
+            self.chain_boundary();
             let _level_span = tracer.span_with("cascade_level", || {
                 vec![
                     ("level", depth.to_string()),
@@ -785,14 +830,22 @@ impl RuleEngine {
             {
                 let _match =
                     tracer.span_with("match_level", || vec![("tuples", level.len().to_string())]);
-                self.match_level(&level, &tags, &mut buf);
+                self.match_level(&level, &mut buf);
             }
 
             for (pos, event) in level.iter().enumerate() {
-                let account = tags.get(pos).copied().flatten();
                 report.ops_applied += 1;
                 self.metrics.ops.inc();
-                self.telemetry.profiler().credit_op(account);
+                if profiling {
+                    // The event bills its account for itself and for
+                    // its own match work.
+                    let account = tags[pos];
+                    let cost = CostSnapshot {
+                        ops: 1,
+                        ..buf.work[pos]
+                    };
+                    charge(self.telemetry.profiler(), &mut self.clock, account, cost);
+                }
 
                 // Beta-layer maintenance runs on *every* event,
                 // regardless of rule masks (masks gate firing, not
@@ -806,17 +859,17 @@ impl RuleEngine {
                     TupleEvent::Deleted { id, .. } => (id.0, None),
                 };
                 if !matches!(event, TupleEvent::Inserted { .. }) && !self.joins.is_empty() {
-                    if profiling {
-                        // Bill each condition's retractions to the
-                        // rule owning it.
-                        for (key, n) in self.joins.retract_counted(event.relation(), tid) {
-                            if let Some(rid) = self.join_owner(key) {
-                                self.telemetry.profiler().credit_join_retractions(rid, n);
-                            }
-                        }
-                    } else {
-                        self.joins.retract(event.relation(), tid);
-                    }
+                    // Each condition's retractions bill the rule owning
+                    // it, which its key names.
+                    let (profiler, clock) = (self.telemetry.profiler(), &mut self.clock);
+                    self.joins.retract_each(event.relation(), tid, |key, n| {
+                        let cost = CostSnapshot {
+                            join_retractions: n,
+                            ..CostSnapshot::default()
+                        };
+                        charge(profiler, clock, Some(join_owner(key)), cost);
+                    });
+                    self.clock.lap(Stage::Join);
                 }
 
                 // Build the agenda: one instantiation per *rule* for
@@ -848,10 +901,14 @@ impl RuleEngine {
                             let (key, premise) = stored
                                 .premise(pid)
                                 .expect("a premise route names a rule that registered the premise");
+                            self.clock.lap(Stage::Agenda);
                             let out = self.joins.insert(key, premise, tid, tuple);
-                            self.telemetry
-                                .profiler()
-                                .credit_join_probes(rid, out.probes);
+                            self.clock.lap(Stage::Join);
+                            let cost = CostSnapshot {
+                                join_probes: out.probes,
+                                ..CostSnapshot::default()
+                            };
+                            charge(self.telemetry.profiler(), &mut self.clock, Some(rid), cost);
                             if !stored.rule.mask.accepts(event) {
                                 continue;
                             }
@@ -882,6 +939,7 @@ impl RuleEngine {
                     later.1 == kept.1 && later.2.is_empty() && kept.2.is_empty()
                 });
                 self.metrics.agenda_comparisons.add(comparisons);
+                self.clock.lap(Stage::Agenda);
 
                 for (_, rid, bindings) in buf.agenda.drain(..) {
                     if report.fired.len() >= self.firing_limit {
@@ -896,6 +954,7 @@ impl RuleEngine {
                         next_tags.extend(std::iter::repeat_n(Some(rid), next.len() - before));
                     }
                 }
+                self.clock.lap(Stage::Fire);
             }
             level.clear();
             tags.clear();
@@ -910,66 +969,40 @@ impl RuleEngine {
     /// event `i`'s matching predicates end up at `matched[bounds[i]]`.
     /// Each run of consecutive events on one relation is matched as one
     /// run, so the index descends its trees with a group of them in
-    /// lock-step (`PredicateIndex::match_run_into`).
-    ///
-    /// With the profiler on, the level's events are grouped by billing
-    /// account (`tags`, parallel to `level`), each group's runs matched
-    /// with the global cost counters snapshotted around it (exact
-    /// deltas — the engine is serial), and the delta plus wall-clock
-    /// credited to the account. Matching is pure, so regrouping changes
-    /// no result and no global counter.
-    fn match_level(&self, level: &[TupleEvent], tags: &[Option<u32>], buf: &mut ChainBuffers) {
+    /// lock-step (`PredicateIndex::match_run_into`), whatever accounts
+    /// the events bill. With the profiler on, the index laps `stab` and
+    /// `residual` once per group and hands back each tuple's work
+    /// (`work[i]`), and the level's matching time is split across the
+    /// events by that work.
+    fn match_level(&mut self, level: &[TupleEvent], buf: &mut ChainBuffers) {
         let ChainBuffers {
             matched,
             bounds,
+            work,
             lanes,
             ..
         } = buf;
         matched.clear();
         bounds.clear();
-        let profiler = self.telemetry.profiler();
-        if !profiler.is_enabled() {
-            for run in level.chunk_by(|a, b| a.relation() == b.relation()) {
-                let tuples = run.iter().map(matched_tuple);
-                self.index
-                    .match_run_into(run[0].relation(), tuples, lanes, matched, |r| {
-                        bounds.push(r)
-                    });
-            }
-            return;
+        work.clear();
+        let profiling = self.clock.is_on();
+        let matching =
+            |c: &StageClock| c.record().nanos(Stage::Stab) + c.record().nanos(Stage::Residual);
+        let before = matching(&self.clock);
+        for run in level.chunk_by(|a, b| a.relation() == b.relation()) {
+            let tuples = run.iter().map(matched_tuple);
+            let clock = &mut self.clock;
+            self.index
+                .match_run_into(run[0].relation(), tuples, lanes, matched, clock, |r, w| {
+                    bounds.push(r);
+                    if profiling {
+                        work.push(*w);
+                    }
+                });
         }
-        let mut groups: BTreeMap<Option<u32>, Vec<usize>> = BTreeMap::new();
-        for (i, &t) in tags.iter().enumerate() {
-            groups.entry(t).or_default().push(i);
+        if profiling {
+            apportion(matching(&self.clock) - before, work);
         }
-        bounds.resize(level.len(), 0..0);
-        for (account, positions) in groups {
-            let before = profiler.source_snapshot();
-            let started = Instant::now();
-            let same_relation = |&a: &usize, &b: &usize| level[a].relation() == level[b].relation();
-            for run in positions.chunk_by(same_relation) {
-                let tuples = run.iter().map(|&i| matched_tuple(&level[i]));
-                let mut at = run.iter();
-                self.index
-                    .match_run_into(level[run[0]].relation(), tuples, lanes, matched, |r| {
-                        let i = at.next().expect("one range per tuple of the run");
-                        bounds[*i] = r;
-                    });
-            }
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let mut delta = profiler.source_snapshot().delta_since(&before);
-            delta.stab_nanos = nanos;
-            profiler.credit_match(account, &delta);
-        }
-    }
-
-    /// The rule owning join-condition `key` (retraction-attribution
-    /// cold path).
-    fn join_owner(&self, key: u64) -> Option<u32> {
-        self.rules
-            .iter()
-            .find(|(_, s)| s.join_keys.contains(&key))
-            .map(|(&rid, _)| rid)
     }
 
     /// Fires one rule on one event: runs the action, applies the
@@ -995,7 +1028,16 @@ impl RuleEngine {
         let rule = &stored.rule;
         self.total_fired += 1;
         self.metrics.fired.inc();
-        self.telemetry.profiler().credit_firing(rid);
+        let firing = CostSnapshot {
+            firings: 1,
+            ..CostSnapshot::default()
+        };
+        charge(
+            self.telemetry.profiler(),
+            &mut self.clock,
+            Some(rid),
+            firing,
+        );
         let _fire = self
             .telemetry
             .tracer()
@@ -1051,6 +1093,48 @@ impl RuleEngine {
         });
         Ok(())
     }
+}
+
+/// Bills `cost` to `account` and adds it to the operation's record —
+/// the one way the engine's work reaches the profiler. One branch when
+/// the profiler is off.
+fn charge(profiler: &Profiler, clock: &mut StageClock, account: Option<u32>, cost: CostSnapshot) {
+    if clock.is_on() {
+        profiler.bill(account, &cost);
+        clock.add_work(&cost);
+    }
+}
+
+/// Splits a level's matching time across its events in proportion to
+/// each one's match work plus one (a tuple that found nothing still
+/// rode in its group), as their `stab_nanos`. The shares sum to `nanos`
+/// exactly.
+fn apportion(nanos: u64, work: &mut [CostSnapshot]) {
+    let weight = |w: &CostSnapshot| w.work() + 1;
+    let total: u64 = work.iter().map(weight).sum();
+    let (mut upto, mut given) = (0, 0);
+    for w in work {
+        upto += weight(w);
+        let share = match nanos.checked_mul(upto) {
+            Some(product) => product / total,
+            None => (u128::from(nanos) * u128::from(upto) / u128::from(total)) as u64,
+        };
+        w.stab_nanos = share - given;
+        given = share;
+    }
+}
+
+/// The memo key of rule `rid`'s `j`-th join condition: the rule in the
+/// high half, so a retraction's key names the rule it bills. Unique
+/// (rule ids are never reused) and stable across `drop_relation`'s
+/// vector compaction.
+fn join_key(rid: u32, j: usize) -> u64 {
+    (u64::from(rid) << 32) | j as u64
+}
+
+/// The rule owning join condition `key`.
+fn join_owner(key: u64) -> u32 {
+    (key >> 32) as u32
 }
 
 /// The tuple an event is matched on: the post-state for insert/update,

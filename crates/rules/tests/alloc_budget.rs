@@ -6,7 +6,8 @@
 //! included by path — the same shape and seed `bench_json`'s gated
 //! `engine/allocs_per_event/batch128` row counts), checks the match
 //! path alone — a tuple at a time or a run in lock-step — allocates
-//! nothing into warm buffers, and drives the
+//! nothing into warm buffers — with the profiler's stage clock running
+//! as well — and drives the
 //! firing paths that still format (`Action::Log`) or bind (a join
 //! rule) against an engine fed one tuple at a time. The counter is
 //! per thread, so the cases can run side by side.
@@ -16,9 +17,11 @@ mod stab_shape;
 
 use predindex::{MatchLanes, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
-use rules::{Action, FireReport, Rule, RuleEngine};
+use rules::{Action, FireReport, Registry, Rule, RuleEngine, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use telemetry::{CostSnapshot, StageClock};
 
 thread_local! {
     /// Allocator calls that obtained memory (`alloc`, `realloc`) on
@@ -161,23 +164,45 @@ fn matching_into_a_warm_buffer_allocates_nothing() {
 
     // The level as one run, as the engine hands it over: the same ids;
     // the lanes' candidate buffers warm up on the first run and are
-    // reused after.
+    // reused after. Then again with the profiler on, as the engine runs
+    // it then: metered, the clock lapping each group, each tuple's work
+    // kept.
     let one_at_a_time = out.clone();
     let mut lanes = MatchLanes::default();
     let mut bounds = Vec::with_capacity(BATCH);
-    let mut run = |out: &mut Vec<_>, bounds: &mut Vec<_>| {
-        out.clear();
-        bounds.clear();
-        index.match_run_into(stab_shape::RELATION, &tuples, &mut lanes, out, |r| {
-            bounds.push(r)
-        });
-    };
-    run(&mut out, &mut bounds);
-    assert_eq!(out, one_at_a_time);
-    let ((), allocations) = counted(|| run(&mut out, &mut bounds));
-    assert_eq!(out, one_at_a_time);
-    assert_eq!(bounds.len(), BATCH);
-    assert_eq!(allocations, 0);
+    let mut work: Vec<CostSnapshot> = Vec::with_capacity(BATCH);
+    for profiled in [false, true] {
+        if profiled {
+            let registry = Arc::new(Registry::new());
+            index.attach_metrics(Telemetry::new(registry).with_profiling());
+        }
+        let mut run = |out: &mut Vec<_>, bounds: &mut Vec<_>, work: &mut Vec<_>| {
+            out.clear();
+            bounds.clear();
+            work.clear();
+            let clock = &mut StageClock::start(profiled);
+            index.match_run_into(
+                stab_shape::RELATION,
+                &tuples,
+                &mut lanes,
+                out,
+                clock,
+                |r, w| {
+                    bounds.push(r);
+                    work.push(*w);
+                },
+            );
+            clock.record().total()
+        };
+        run(&mut out, &mut bounds, &mut work);
+        assert_eq!(out, one_at_a_time);
+        let (lapped, allocations) = counted(|| run(&mut out, &mut bounds, &mut work));
+        assert_eq!(out, one_at_a_time);
+        assert_eq!(bounds.len(), BATCH);
+        assert_eq!(allocations, 0, "profiled: {profiled}");
+        assert_eq!(lapped > 0, profiled);
+        assert_eq!(work.iter().any(|w| w.ibs_nodes > 0), profiled);
+    }
 }
 
 fn emp_dept() -> RuleEngine {

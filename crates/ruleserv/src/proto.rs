@@ -549,20 +549,22 @@ impl Reply {
     }
 }
 
-/// The per-op label a [`Request`] is metered under
-/// (`server_requests_total{op=…}`).
-pub fn op_name(req: &Request) -> &'static str {
+/// The position in [`OP_NAMES`] of the label a [`Request`] is metered
+/// under (`server_requests_total{op=…}`): ping, the record kinds in tag
+/// order, then the session requests.
+pub fn op_index(req: &Request) -> usize {
     match req {
-        Request::Ping => "ping",
-        Request::Apply(record) => record.name(),
-        Request::Subscribe => "subscribe",
-        Request::Unsubscribe => "unsubscribe",
-        Request::Health => "health",
-        Request::Sync => "sync",
+        Request::Ping => 0,
+        Request::Apply(record) => 1 + usize::from(record.tag()),
+        Request::Subscribe => 9,
+        Request::Unsubscribe => 10,
+        Request::Health => 11,
+        Request::Sync => 12,
     }
 }
 
-/// Every op label, in a fixed order (metric pre-minting).
+/// Every op label, in a fixed order (metric pre-minting; indexed by
+/// [`op_index`]).
 pub const OP_NAMES: &[&str] = &[
     "ping",
     "create_relation",
@@ -865,7 +867,15 @@ mod tests {
     #[test]
     fn op_names_cover_every_request_shape() {
         for req in sample_requests() {
-            assert!(OP_NAMES.contains(&op_name(&req)));
+            let name = match &req {
+                Request::Ping => "ping",
+                Request::Apply(record) => record.name(),
+                Request::Subscribe => "subscribe",
+                Request::Unsubscribe => "unsubscribe",
+                Request::Health => "health",
+                Request::Sync => "sync",
+            };
+            assert_eq!(OP_NAMES[op_index(&req)], name);
         }
     }
 }

@@ -60,9 +60,19 @@
 //!   and counted*; the next event that fits is preceded by a
 //!   [`Reply::Lagged`] frame carrying the drop count — a slow
 //!   subscriber can stall its own stream, never the engine.
+//! * **One stage record per request.** Each request carries a
+//!   [`Receipt`] from the frame's decode to the flush that sends its
+//!   reply: the reader laps `decode`, the engine thread `queue`, the
+//!   durable engine's record of the op (`wal`, the rule engine's
+//!   stages, `snapshot`) plus `other`, and `group_wait` at release;
+//!   the writer laps `handoff` and, at the flush, `write`, and closes
+//!   the record into `server_request_nanos`, `server_stage_nanos` and
+//!   the slow-op ring. The clock runs only under the profiler.
 
 use crate::metrics::ServerMetrics;
-use crate::proto::{op_name, read_frame, Event, EventBinding, FireSummary, Reply, Request};
+use crate::proto::{
+    op_index, read_frame, Event, EventBinding, FireSummary, Reply, Request, OP_NAMES,
+};
 use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
 use rules::Firing;
 use std::collections::HashMap;
@@ -74,7 +84,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::{wake_addr, CostSnapshot, Profiler, Tracer};
+use telemetry::{wake_addr, Stage, StageClock, Tracer};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -96,11 +106,12 @@ pub struct ServerOptions {
     /// replies — the exact window recovery tests need. `None` in
     /// production.
     pub crash_after: Option<u64>,
-    /// Requests whose queue-to-reply latency meets this threshold are
-    /// captured in the profiler's slow-op ring (with their trace id
-    /// and cost breakdown). Ignored unless the engine carries an
-    /// enabled [`telemetry::Profiler`]; `None` leaves the profiler's
-    /// own threshold untouched.
+    /// Requests whose decode-to-flush latency meets this threshold are
+    /// captured in the profiler's slow-op ring, with their trace id and
+    /// their stage record: nanoseconds per stage, which sum to that
+    /// latency, and the work the request did. Ignored unless the engine
+    /// carries an enabled [`telemetry::Profiler`]; `None` leaves the
+    /// profiler's own threshold untouched.
     pub slow_op_threshold: Option<Duration>,
 }
 
@@ -117,11 +128,14 @@ impl Default for ServerOptions {
     }
 }
 
+/// What a slot carries: a reply, with the receipt of the request it
+/// answers (a pushed event answers none).
+type Answer = (Reply, Option<Receipt>);
 /// One reply slot: the writer emits whatever arrives here, in the
 /// order the receiving ends were queued.
-type Slot = mpsc::SyncSender<Reply>;
+type Slot = mpsc::SyncSender<Answer>;
 /// The writer-side queue of slots to drain, in reply order.
-type SlotQueue = SyncSender<Receiver<Reply>>;
+type SlotQueue = SyncSender<Receiver<Answer>>;
 
 /// A request crossing from a session reader into the engine thread.
 struct Queued {
@@ -129,15 +143,32 @@ struct Queued {
     ticket: Ticket,
 }
 
-/// What answering a request takes, whatever its kind.
-struct Ticket {
-    /// The metric and span label ([`op_name`]).
-    op: &'static str,
+/// What the writer needs to close a request's record once its reply
+/// is flushed.
+struct Receipt {
+    /// The metric and span label's index into [`OP_NAMES`].
+    op: usize,
     /// The client's optional trace id, stamped onto the engine-side
     /// `server_request` span and the slow-op log.
     trace: Option<u64>,
+    /// When the frame was read: where `server_request_nanos` starts.
+    started: Instant,
+    /// The request's stages so far, from `started` on.
+    clock: StageClock,
+}
+
+/// What answering a request takes, whatever its kind.
+struct Ticket {
     slot: Slot,
-    enqueued: Instant,
+    receipt: Receipt,
+}
+
+impl Ticket {
+    /// Hands `reply` to the connection's writer, in the request's
+    /// place in the reply order.
+    fn answer(self, reply: Reply) {
+        let _ = self.slot.send((reply, Some(self.receipt)));
+    }
 }
 
 enum Kind {
@@ -148,6 +179,9 @@ enum Kind {
     Sync,
 }
 
+// A request carries its stage record inline (~200 bytes), so a running
+// clock allocates nothing; the rare hangup does not need the room.
+#[allow(clippy::large_enum_variant)]
 enum EngineMsg {
     Request(Queued),
     /// Session ended: forget its subscription.
@@ -212,7 +246,7 @@ pub fn serve(
             .set_slow_threshold_nanos(threshold.as_nanos() as u64);
     }
     let stop = Arc::new(AtomicBool::new(false));
-    let metrics = Arc::new(ServerMetrics::from_registry(engine.metrics()));
+    let metrics = Arc::new(ServerMetrics::new(engine.telemetry()));
     let depth = Arc::new(AtomicU64::new(0));
 
     let (engine_tx, engine_rx) = mpsc::sync_channel::<EngineMsg>(opts.queue_cap.max(1));
@@ -294,7 +328,7 @@ fn spawn_session(
     conn.set_write_timeout(Some(opts.write_timeout)).ok();
     let write_half = conn.try_clone()?;
 
-    let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Receiver<Reply>>(opts.pipeline_cap.max(1));
+    let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Receiver<Answer>>(opts.pipeline_cap.max(1));
     let writer = {
         let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
@@ -366,30 +400,40 @@ fn reader_loop(
             // session; there is no way to resynchronise a byte stream.
             Ok(None) | Err(_) => return,
         };
+        let started = Instant::now();
+        let mut clock = match metrics.profiler.is_enabled() {
+            true => StageClock::start_at(started),
+            false => StageClock::default(),
+        };
         metrics.bytes_in.add(8 + 1 + payload.len() as u64);
         let (request, trace) = match Request::decode_traced(opcode, &payload) {
             Ok(r) => r,
             Err(_) => return,
         };
-        let op = op_name(&request);
-        let enqueued = Instant::now();
+        clock.lap(Stage::Decode);
 
         // Reply slot first, *then* the engine handoff: the slot queue
         // is what fixes reply order, so it must observe requests in
         // arrival order before anyone can fulfil them.
         // Oneshot: exactly one reply ever crosses a slot, so the
         // bound of 1 means the fulfilling side never blocks.
-        let (slot, slot_rx) = mpsc::sync_channel::<Reply>(1);
+        let (slot, slot_rx) = mpsc::sync_channel::<Answer>(1);
         if pipe_tx.send(slot_rx).is_err() {
             return; // writer died (socket error)
         }
+        let receipt = Receipt {
+            op: op_index(&request),
+            trace,
+            started,
+            clock,
+        };
+        let ticket = Ticket { slot, receipt };
 
         let kind = match request {
             Request::Ping => {
                 // Answered here: liveness of the session must not
                 // depend on engine-queue headroom.
-                metrics.record_op(op, enqueued.elapsed());
-                let _ = slot.send(Reply::Pong);
+                ticket.answer(Reply::Pong);
                 continue;
             }
             Request::Apply(record) => Kind::Apply(record),
@@ -401,15 +445,7 @@ fn reader_loop(
             Request::Health => Kind::Health,
             Request::Sync => Kind::Sync,
         };
-        let msg = EngineMsg::Request(Queued {
-            kind,
-            ticket: Ticket {
-                op,
-                trace,
-                slot,
-                enqueued,
-            },
-        });
+        let msg = EngineMsg::Request(Queued { kind, ticket });
         // Count the message before handing it over: the engine thread
         // decrements after processing, and may get there before a
         // post-send increment would run (which would wrap below zero).
@@ -424,7 +460,7 @@ fn reader_loop(
                 // an unbounded buffer. The slot is already queued, so
                 // the reply still lands in request order.
                 metrics.busy.inc();
-                let _ = bounced.ticket.slot.send(Reply::Busy);
+                bounced.ticket.answer(Reply::Busy);
             }
             // The engine is gone.
             Err(_) => {
@@ -438,8 +474,10 @@ fn reader_loop(
 /// The writer: drain slots in order, batch flushes. Exits when every
 /// slot producer (reader + engine subscription) is gone or the socket
 /// fails.
-fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Reply>>, metrics: &ServerMetrics) {
+fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Answer>>, metrics: &ServerMetrics) {
     let mut out = BufWriter::with_capacity(64 * 1024, conn);
+    // The receipts of the replies written since the last flush.
+    let mut written: Vec<Receipt> = Vec::new();
     loop {
         // Prefer the non-blocking path so consecutive ready replies
         // share one flush; block (after flushing) only when idle.
@@ -449,23 +487,56 @@ fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Reply>>, metrics: &Se
                 if out.flush().is_err() {
                     return;
                 }
+                close(&mut written, metrics);
                 match pipe_rx.recv() {
                     Ok(rx) => rx,
                     Err(_) => return,
                 }
             }
             Err(mpsc::TryRecvError::Disconnected) => {
-                let _ = out.flush();
+                if out.flush().is_ok() {
+                    close(&mut written, metrics);
+                }
                 return;
             }
         };
         // A dropped sender (engine shut down before fulfilling) skips
         // the slot; the connection is going down anyway.
-        let Ok(reply) = slot_rx.recv() else { continue };
+        let Ok((reply, mut receipt)) = slot_rx.recv() else {
+            continue;
+        };
+        if let Some(receipt) = receipt.as_mut() {
+            receipt.clock.lap(Stage::Handoff);
+        }
         let (opcode, payload) = reply.encode();
         metrics.bytes_out.add(8 + 1 + payload.len() as u64);
         if crate::proto::write_frame(&mut out, opcode, &payload).is_err() {
             return;
+        }
+        written.extend(receipt);
+    }
+}
+
+/// Closes the records of the replies a flush just sent, at one clock
+/// reading: the rest of each is `write`. The latency each observes in
+/// `server_request_nanos` is its record's total when the clock ran.
+fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
+    if written.is_empty() {
+        return;
+    }
+    let flushed = Instant::now();
+    for mut receipt in written.drain(..) {
+        let clock = &mut receipt.clock;
+        clock.lap_at(Stage::Write, flushed);
+        if clock.is_on() {
+            let record = clock.record();
+            metrics.record_op(receipt.op, record.total());
+            metrics.record_stages(record);
+            let op = OP_NAMES[receipt.op];
+            metrics.profiler.record_request(op, receipt.trace, record);
+        } else {
+            let nanos = telemetry::nanos(flushed.duration_since(receipt.started));
+            metrics.record_op(receipt.op, nanos);
         }
     }
 }
@@ -501,7 +572,7 @@ impl Subscriber {
 /// the connection is gone.
 fn try_push(pipe: &SlotQueue, reply: Reply) -> bool {
     let (tx, rx) = mpsc::sync_channel(1);
-    let _ = tx.send(reply);
+    let _ = tx.send((reply, None));
     pipe.try_send(rx).is_ok()
 }
 
@@ -520,7 +591,6 @@ struct Ack {
     /// The WAL sequence number the reply acknowledges, when the
     /// request logged a record.
     seq: Option<u64>,
-    cost: CostSnapshot,
 }
 
 enum Effect {
@@ -560,7 +630,6 @@ struct Committer<'a> {
     running: Option<Ticket>,
     applied: u64,
     tracer: Tracer,
-    profiler: Profiler,
     metrics: &'a ServerMetrics,
     depth: &'a AtomicU64,
     opts: &'a ServerOptions,
@@ -587,7 +656,6 @@ fn engine_loop(
         running: None,
         applied: 0,
         tracer: engine.telemetry().tracer().clone(),
-        profiler: engine.telemetry().profiler().clone(),
         metrics,
         depth,
         opts,
@@ -618,7 +686,7 @@ fn engine_loop(
     stop.store(true, Ordering::Relaxed);
     let held = committer.held.drain(..).filter_map(|held| held.ack);
     for ticket in held.map(|ack| ack.ticket).chain(committer.running.take()) {
-        let _ = ticket.slot.send(Reply::Err(ENGINE_DEAD.into()));
+        ticket.answer(Reply::Err(ENGINE_DEAD.into()));
     }
     None
 }
@@ -632,7 +700,7 @@ fn bury(rx: &Receiver<EngineMsg>, depth: &AtomicU64, addr: SocketAddr) {
     for msg in rx {
         if let EngineMsg::Request(Queued { ticket, .. }) = msg {
             depth.fetch_sub(1, Ordering::Relaxed);
-            let _ = ticket.slot.send(Reply::Err(ENGINE_DEAD.into()));
+            ticket.answer(Reply::Err(ENGINE_DEAD.into()));
         }
     }
 }
@@ -667,7 +735,7 @@ impl Committer<'_> {
 
     /// Runs one request against the engine and holds its outcome.
     fn run(&mut self, engine: &mut DurableRuleEngine, msg: EngineMsg) {
-        let Queued { kind, ticket } = match msg {
+        let Queued { kind, mut ticket } = match msg {
             EngineMsg::Request(req) => req,
             EngineMsg::Hangup { conn } => {
                 self.held.push(Held {
@@ -677,18 +745,25 @@ impl Committer<'_> {
                 return;
             }
         };
+        ticket.receipt.clock.lap(Stage::Queue);
         self.depth.fetch_sub(1, Ordering::Relaxed);
         // The engine-side request span: every op the engine thread
         // serves opens one, carrying the client's trace id when the
         // frame had the suffix — the wire-to-span round trip.
         let _span = self.tracer.span_with("server_request", || {
-            let mut args = vec![("op", ticket.op.to_string())];
-            if let Some(id) = ticket.trace {
+            let mut args = vec![("op", OP_NAMES[ticket.receipt.op].to_string())];
+            if let Some(id) = ticket.receipt.trace {
                 args.push(("trace", format!("{id:#x}")));
             }
             args
         });
-        let before = self.profiler.source_snapshot();
+        // The run is `other`, but for an applied record's own stages
+        // and a sync's `wal`.
+        let (stage, applied) = match &kind {
+            Kind::Apply(_) => (Stage::Other, true),
+            Kind::Sync => (Stage::Wal, false),
+            _ => (Stage::Other, false),
+        };
         let mut seq = None;
         self.running = Some(ticket);
         let (reply, effect) = match kind {
@@ -720,12 +795,13 @@ impl Committer<'_> {
                 (reply, Effect::NO_EVENTS)
             }
         };
-        let cost = self.profiler.source_snapshot().delta_since(&before);
-        let ack = self.running.take().map(|ticket| Ack {
-            ticket,
-            reply,
-            seq,
-            cost,
+        let ack = self.running.take().map(|mut ticket| {
+            let clock = &mut ticket.receipt.clock;
+            match applied {
+                true => clock.enclose(stage, engine.last_record()),
+                false => clock.lap(stage),
+            }
+            Ack { ticket, reply, seq }
         });
         self.held.push(Held { ack, effect });
     }
@@ -781,10 +857,9 @@ impl Committer<'_> {
                 }
             }
             let Some(Ack {
-                ticket,
+                mut ticket,
                 mut reply,
                 seq,
-                cost,
             }) = ack
             else {
                 continue;
@@ -792,13 +867,8 @@ impl Committer<'_> {
             if let (Some(why), Some(_)) = (&failure, seq) {
                 reply = Reply::Err(why.clone());
             }
-            // Recorded as the reply leaves, so the wait for the
-            // group's sync is inside every latency quantile.
-            let elapsed = ticket.enqueued.elapsed();
-            self.metrics.record_op(ticket.op, elapsed);
-            self.profiler
-                .record_request(ticket.op, ticket.trace, elapsed.as_nanos() as u64, cost);
-            let _ = ticket.slot.send(reply);
+            ticket.receipt.clock.lap(Stage::GroupWait);
+            ticket.answer(reply);
         }
     }
 }

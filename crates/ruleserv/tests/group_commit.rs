@@ -12,7 +12,7 @@ use durable::{
 use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
-use ruleserv::proto::encode_frame;
+use ruleserv::proto::{encode_frame, OP_NAMES};
 use ruleserv::{serve, Client, Reply, Request, ServerHandle, ServerOptions};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::{Registry, SpanEventKind, Telemetry, TraceEvent, Tracer};
+use telemetry::{Registry, SpanEventKind, Stage, StageRecord, Telemetry, TraceEvent, Tracer};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ruleserv-group-{tag}-{}", std::process::id()));
@@ -87,16 +87,25 @@ const DURABLE: Options = Options {
 };
 
 fn start(tag: &str, durable: Options, opts: ServerOptions) -> Fixture {
+    start_with(tag, durable, opts, false)
+}
+
+/// [`start`], with the profiler on when `profiled`.
+fn start_with(tag: &str, durable: Options, opts: ServerOptions, profiled: bool) -> Fixture {
     let dir = tempdir(tag);
     let registry = Arc::new(Registry::new());
     let tracer = Tracer::new(1 << 17);
     let (actions, gate) = actions();
+    let mut telemetry = Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone());
+    if profiled {
+        telemetry = telemetry.with_profiling();
+    }
     let engine = DurableRuleEngine::open_with_metrics(
         &dir,
         FunctionRegistry::default(),
         actions.clone(),
         durable,
-        Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
+        telemetry,
     )
     .unwrap();
     let server = serve("127.0.0.1:0", engine, opts).unwrap();
@@ -375,6 +384,109 @@ fn queued_requests_share_a_sync_and_a_lone_request_has_its_own() {
         Some((lone + 2, lone + 51))
     );
     fx.server.shutdown().unwrap();
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// The time partition on the server (DESIGN.md §14): with the profiler
+/// on, every request's stages — the second member of an `Always` commit
+/// group, a `Ping`, a `Busy` bounce, everything before — sum to its
+/// `server_request_nanos` observation, op by op; the stage families
+/// add up to the same total; and the requests' work adds up to the
+/// global counters, exactly as the per-rule accounts do.
+#[test]
+fn every_request_record_partitions_its_latency() {
+    let opts = ServerOptions {
+        queue_cap: 2,
+        slow_op_threshold: Some(Duration::ZERO),
+        ..ServerOptions::default()
+    };
+    let fx = start_with("stages", DURABLE, opts, true);
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut client = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+    client.enable_trace_ids(0x100);
+
+    // Two inserts fill the queue behind the gate and share the next
+    // group; the third is bounced; the ping is answered by the reader.
+    fx.close_gate(&mut holder);
+    fx.queue(&mut client, &[insert("t", 1), insert("t", 2)]);
+    client.send(&insert("t", 3)).unwrap();
+    client.send(&Request::Ping).unwrap();
+    client.flush().unwrap();
+    let busy = || fx.registry.counter_value("server_busy_total").unwrap_or(0);
+    wait_until("the third insert is bounced", || busy() == 1);
+    fx.open_gate(&mut holder);
+    for kind in ["fire", "fire", "busy", "pong"] {
+        assert_eq!(client.recv_reply().unwrap().kind(), kind);
+    }
+    // Every writer has flushed, so every record is closed.
+    let engine = fx.server.shutdown().expect("engine handed back");
+    let slow = engine.telemetry().profiler().slow_ops();
+    // The world (7), the gate, three inserts and the ping.
+    assert_eq!(slow.len(), 12);
+
+    let mut requests = (0, 0);
+    for op in OP_NAMES {
+        let name = format!("server_request_nanos{{op=\"{op}\"}}");
+        let observed = fx.registry.histogram_totals(&name).unwrap_or((0, 0));
+        let records: Vec<&StageRecord> = slow
+            .iter()
+            .filter(|s| s.op == *op)
+            .map(|s| &s.record)
+            .collect();
+        let total = records.iter().map(|r| r.total()).sum();
+        assert_eq!(observed, (records.len() as u64, total), "{op}");
+        requests = (requests.0 + observed.0, requests.1 + observed.1);
+    }
+    assert_eq!(requests.0, 12);
+    let mut staged = 0;
+    for stage in Stage::ALL {
+        let name = format!("server_stage_nanos{{stage=\"{}\"}}", stage.name());
+        let (count, sum) = fx.registry.histogram_totals(&name).unwrap();
+        assert_eq!(count, 12, "{name}");
+        staged += sum;
+    }
+    assert_eq!(staged, requests.1);
+    for s in &slow {
+        let stages: u64 = Stage::ALL.iter().map(|&st| s.record.nanos(st)).sum();
+        assert_eq!(stages, s.record.total(), "{s:?}");
+    }
+
+    let traced = |id: u64| {
+        let found = slow.iter().find(|s| s.trace_id == Some(id));
+        found.map(|s| s.record).expect("a traced request")
+    };
+    let second = traced(0x101);
+    for stage in [Stage::Decode, Stage::Queue, Stage::Wal, Stage::GroupWait] {
+        assert!(second.nanos(stage) > 0, "no {}: {second:?}", stage.name());
+    }
+    assert_eq!(second.work.firings, 1);
+    let bounced = traced(0x102);
+    assert_eq!(bounced.nanos(Stage::Queue), 0);
+    assert_eq!(bounced.work, Default::default());
+    assert!(bounced.total() > 0);
+    let ping = slow.iter().find(|s| s.op == "ping").expect("the ping");
+    assert_eq!(ping.record.nanos(Stage::Queue), 0);
+
+    // The requests' work partitions the global counters.
+    let term = |f: fn(&StageRecord) -> u64| slow.iter().map(|s| f(&s.record)).sum::<u64>();
+    let global = |name: &str| fx.registry.counter_value(name).unwrap_or(0);
+    assert_eq!(term(|r| r.work.firings), global("rules_fired_total"));
+    assert_eq!(term(|r| r.work.ops), global("rules_ops_applied_total"));
+    assert_eq!(
+        term(|r| r.work.ibs_nodes),
+        global("predindex_ibs_nodes_visited_total")
+    );
+    assert_eq!(
+        term(|r| r.work.residual_tests),
+        global("predindex_residual_tests_total")
+    );
+    assert_eq!(
+        term(|r| r.work.non_indexable),
+        global("predindex_non_indexable_scanned_total")
+    );
+    assert!(global("rules_fired_total") >= 3);
+    drop(engine);
     std::fs::remove_dir_all(&fx.dir).unwrap();
 }
 

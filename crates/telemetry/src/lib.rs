@@ -68,6 +68,7 @@ mod profile;
 mod recorder;
 mod registry;
 mod server;
+mod stages;
 mod trace;
 mod workload;
 
@@ -81,6 +82,7 @@ pub use profile::{
 pub use recorder::{FlightRecorder, PanicHookGuard};
 pub use registry::Registry;
 pub use server::{serve, wake_addr, AdvisorHook, HealthFn, ServerHandle};
+pub use stages::{nanos, Stage, StageClock, StageRecord};
 pub use trace::{
     chrome_trace_json, Span, SpanEventKind, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,
 };

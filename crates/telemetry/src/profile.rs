@@ -6,10 +6,12 @@
 //! unit of match/join/cascade work is *attributed* to the rule that
 //! caused it — level-0 (client-injected) events bill the reserved
 //! `external` account, cascaded events bill the rule whose firing
-//! queued them, join probes bill the rule owning the join condition,
-//! firings bill the fired rule. The invariant the root integration
-//! test pins: for every cost term, the accounts sum to the global
-//! counter.
+//! queued them, join probes and retractions bill the rule owning the
+//! join condition, firings bill the fired rule. The engine bills each
+//! piece of work from the counts the call that did it returns
+//! ([`Profiler::bill`]), the same counts its op's
+//! [`StageRecord`] sums. The invariant the root integration test pins:
+//! for every cost term, the accounts sum to the global counter.
 //!
 //! A [`Profiler`] is a cheap clonable handle with the same disabled
 //! contract as [`Counter`](crate::Counter): a disabled profiler costs
@@ -20,16 +22,17 @@
 //! cells.
 //!
 //! The profiler also owns the **slow-op ring**: a bounded log of
-//! requests whose wall-clock exceeded a configurable threshold, each
-//! with its wire trace id (if the client stamped one) and the full
-//! [`CostSnapshot`] delta the request consumed. The ring keeps the
-//! newest [`SLOW_OP_CAPACITY`] entries; readers snapshot, they never
-//! drain.
+//! requests whose wall-clock met a configurable threshold, each with
+//! its wire trace id (if the client stamped one) and the stage record
+//! it carried — nanoseconds per stage and the work it did. The ring
+//! keeps the newest [`SLOW_OP_CAPACITY`] entries; readers snapshot,
+//! they never drain.
 
 use crate::counter::Counter;
 use crate::histogram::{quantile, HISTOGRAM_BUCKETS};
 use crate::json::JsonWriter;
 use crate::registry::Registry;
+use crate::stages::StageRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,8 +51,8 @@ pub const SLOW_OP_CAPACITY: usize = 64;
 /// rest are work counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostSnapshot {
-    /// Wall-clock nanos spent matching (predicate-index stabs plus
-    /// residual tests, measured around the batch call).
+    /// Wall-clock nanos spent matching (an op's `stab` and `residual`
+    /// stages, split across its events by their work).
     pub stab_nanos: u64,
     /// IBS-tree endpoint nodes visited.
     pub ibs_nodes: u64,
@@ -72,23 +75,18 @@ pub struct CostSnapshot {
 }
 
 impl CostSnapshot {
-    /// Field-wise `self - earlier` (saturating; counters are monotone,
-    /// so a live delta never actually saturates).
-    pub fn delta_since(&self, earlier: &CostSnapshot) -> CostSnapshot {
-        CostSnapshot {
-            stab_nanos: self.stab_nanos.saturating_sub(earlier.stab_nanos),
-            ibs_nodes: self.ibs_nodes.saturating_sub(earlier.ibs_nodes),
-            ibs_marks: self.ibs_marks.saturating_sub(earlier.ibs_marks),
-            residual_tests: self.residual_tests.saturating_sub(earlier.residual_tests),
-            residual_passes: self.residual_passes.saturating_sub(earlier.residual_passes),
-            non_indexable: self.non_indexable.saturating_sub(earlier.non_indexable),
-            join_probes: self.join_probes.saturating_sub(earlier.join_probes),
-            join_retractions: self
-                .join_retractions
-                .saturating_sub(earlier.join_retractions),
-            firings: self.firings.saturating_sub(earlier.firings),
-            ops: self.ops.saturating_sub(earlier.ops),
-        }
+    /// Field-wise `self += other`.
+    pub fn add(&mut self, other: &CostSnapshot) {
+        self.stab_nanos += other.stab_nanos;
+        self.ibs_nodes += other.ibs_nodes;
+        self.ibs_marks += other.ibs_marks;
+        self.residual_tests += other.residual_tests;
+        self.residual_passes += other.residual_passes;
+        self.non_indexable += other.non_indexable;
+        self.join_probes += other.join_probes;
+        self.join_retractions += other.join_retractions;
+        self.firings += other.firings;
+        self.ops += other.ops;
     }
 
     /// Total *work units* (every term except the nanos) — the
@@ -161,10 +159,9 @@ pub struct SlowOp {
     pub op: String,
     /// The client-stamped wire trace id, if the request carried one.
     pub trace_id: Option<u64>,
-    /// Queue + processing wall-clock.
-    pub nanos: u64,
-    /// The cost delta the request consumed.
-    pub cost: CostSnapshot,
+    /// The request's stage record: its total is the request's
+    /// wall-clock, its work what the request consumed.
+    pub record: StageRecord,
 }
 
 /// The per-account counter cells. All registry-backed, so the families
@@ -213,6 +210,31 @@ impl Account {
         }
     }
 
+    /// The cells beside the terms of `cost` they accumulate.
+    fn terms<'a>(&'a self, cost: &CostSnapshot) -> [(&'a Counter, u64); 10] {
+        [
+            (&self.stab_nanos, cost.stab_nanos),
+            (&self.ibs_nodes, cost.ibs_nodes),
+            (&self.ibs_marks, cost.ibs_marks),
+            (&self.residual_tests, cost.residual_tests),
+            (&self.residual_passes, cost.residual_passes),
+            (&self.non_indexable, cost.non_indexable),
+            (&self.join_probes, cost.join_probes),
+            (&self.join_retractions, cost.join_retractions),
+            (&self.firings, cost.firings),
+            (&self.ops, cost.ops),
+        ]
+    }
+
+    /// Adds `cost`'s non-zero terms.
+    fn add(&self, cost: &CostSnapshot) {
+        for (cell, n) in self.terms(cost) {
+            if n > 0 {
+                cell.add(n);
+            }
+        }
+    }
+
     fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
             stab_nanos: self.stab_nanos.get(),
@@ -229,41 +251,8 @@ impl Account {
     }
 }
 
-/// Handles on the *global* cost-term counters the accounts partition.
-/// Reading them before/after a bounded piece of work yields the exact
-/// delta to credit, because the engine processes events serially.
-#[derive(Debug, Clone)]
-struct Sources {
-    ibs_nodes: Counter,
-    ibs_marks: Counter,
-    residual_tests: Counter,
-    residual_passes: Counter,
-    non_indexable: Counter,
-    join_probes: Counter,
-    join_retractions: Counter,
-    firings: Counter,
-    ops: Counter,
-}
-
-impl Sources {
-    fn mint(registry: &Registry) -> Sources {
-        Sources {
-            ibs_nodes: registry.counter("predindex_ibs_nodes_visited_total"),
-            ibs_marks: registry.counter("predindex_ibs_marks_scanned_total"),
-            residual_tests: registry.counter("predindex_residual_tests_total"),
-            residual_passes: registry.counter("predindex_residual_passes_total"),
-            non_indexable: registry.counter("predindex_non_indexable_scanned_total"),
-            join_probes: registry.counter("join_probes_total"),
-            join_retractions: registry.counter("join_retractions_total"),
-            firings: registry.counter("rules_fired_total"),
-            ops: registry.counter("rules_ops_applied_total"),
-        }
-    }
-}
-
 struct Inner {
     registry: Arc<Registry>,
-    sources: Sources,
     accounts: Mutex<BTreeMap<Option<u32>, Account>>,
     names: Mutex<BTreeMap<u32, String>>,
     slow: Mutex<VecDeque<SlowOp>>,
@@ -299,18 +288,7 @@ impl Default for Profiler {
 impl Profiler {
     /// The permanently no-op profiler.
     pub fn disabled() -> Profiler {
-        Profiler {
-            enabled: false,
-            inner: Arc::new(Inner {
-                registry: Arc::new(Registry::disabled()),
-                sources: Sources::mint(&Registry::disabled()),
-                accounts: Mutex::new(BTreeMap::new()),
-                names: Mutex::new(BTreeMap::new()),
-                slow: Mutex::new(VecDeque::new()),
-                slow_threshold: AtomicU64::new(u64::MAX),
-                next_seq: AtomicU64::new(0),
-            }),
-        }
+        Profiler::over(false, Arc::new(Registry::disabled()))
     }
 
     /// A profiler accounting into `registry` — the same registry the
@@ -321,11 +299,14 @@ impl Profiler {
         if !registry.is_enabled() {
             return Profiler::disabled();
         }
+        Profiler::over(true, Arc::clone(registry))
+    }
+
+    fn over(enabled: bool, registry: Arc<Registry>) -> Profiler {
         Profiler {
-            enabled: true,
+            enabled,
             inner: Arc::new(Inner {
-                registry: Arc::clone(registry),
-                sources: Sources::mint(registry),
+                registry,
                 accounts: Mutex::new(BTreeMap::new()),
                 names: Mutex::new(BTreeMap::new()),
                 slow: Mutex::new(VecDeque::new()),
@@ -346,93 +327,27 @@ impl Profiler {
         &self.inner.registry
     }
 
-    /// Current values of the global cost-term counters (the
-    /// `stab_nanos` field is always 0 — wall-clock has no global
-    /// counter; callers time it around the work themselves). Two
-    /// snapshots bracket a bounded piece of serial work; their
-    /// [`CostSnapshot::delta_since`] is the bill.
-    pub fn source_snapshot(&self) -> CostSnapshot {
-        if !self.enabled {
-            return CostSnapshot::default();
+    /// Bills `cost` to the account of `rule` (`None` = external),
+    /// minting the account on first use. The terms are added under the
+    /// map lock to the account in place; an all-zero cost bills nothing
+    /// and mints nothing.
+    pub fn bill(&self, rule: Option<u32>, cost: &CostSnapshot) {
+        if !self.enabled || *cost == CostSnapshot::default() {
+            return;
         }
-        let s = &self.inner.sources;
-        CostSnapshot {
-            stab_nanos: 0,
-            ibs_nodes: s.ibs_nodes.get(),
-            ibs_marks: s.ibs_marks.get(),
-            residual_tests: s.residual_tests.get(),
-            residual_passes: s.residual_passes.get(),
-            non_indexable: s.non_indexable.get(),
-            join_probes: s.join_probes.get(),
-            join_retractions: s.join_retractions.get(),
-            firings: s.firings.get(),
-            ops: s.ops.get(),
-        }
-    }
-
-    /// Runs `credit` on the account of `rule` (`None` = external),
-    /// minting it on first use. The credit runs under the map lock on
-    /// the account in place: handing a clone out instead would cost ten
-    /// `Arc` clone/drop pairs per credit, three credits per insert.
-    fn with_account(&self, rule: Option<u32>, credit: impl FnOnce(&Account)) {
         let mut accounts = self
             .inner
             .accounts
             .lock()
             .expect("profiler accounts poisoned: a holder panicked");
-        credit(accounts.entry(rule).or_insert_with(|| {
+        let account = accounts.entry(rule).or_insert_with(|| {
             let label = match rule {
                 Some(rid) => rid.to_string(),
                 None => EXTERNAL_ACCOUNT.to_string(),
             };
             Account::mint(&self.inner.registry, &label)
-        }));
-    }
-
-    /// Credits a matching-stage delta (stab nanos + predindex terms)
-    /// to `rule`'s account.
-    pub fn credit_match(&self, rule: Option<u32>, delta: &CostSnapshot) {
-        if !self.enabled {
-            return;
-        }
-        self.with_account(rule, |a| {
-            a.stab_nanos.add(delta.stab_nanos);
-            a.ibs_nodes.add(delta.ibs_nodes);
-            a.ibs_marks.add(delta.ibs_marks);
-            a.residual_tests.add(delta.residual_tests);
-            a.residual_passes.add(delta.residual_passes);
-            a.non_indexable.add(delta.non_indexable);
         });
-    }
-
-    /// Credits `n` join-memo probes to the rule *owning* the join
-    /// condition.
-    pub fn credit_join_probes(&self, rule: u32, n: u64) {
-        if self.enabled && n > 0 {
-            self.with_account(Some(rule), |a| a.join_probes.add(n));
-        }
-    }
-
-    /// Credits `n` join-memo retractions to the owning rule.
-    pub fn credit_join_retractions(&self, rule: u32, n: u64) {
-        if self.enabled && n > 0 {
-            self.with_account(Some(rule), |a| a.join_retractions.add(n));
-        }
-    }
-
-    /// Credits one firing to the fired rule.
-    pub fn credit_firing(&self, rule: u32) {
-        if self.enabled {
-            self.with_account(Some(rule), |a| a.firings.inc());
-        }
-    }
-
-    /// Credits one processed database operation to the account that
-    /// caused the event (`None` = client-injected).
-    pub fn credit_op(&self, rule: Option<u32>) {
-        if self.enabled {
-            self.with_account(rule, |a| a.ops.inc());
-        }
+        account.add(cost);
     }
 
     /// Registers a display name for rule `rule` (used by `/top` and
@@ -501,22 +416,17 @@ impl Profiler {
         self.inner.slow_threshold.load(Ordering::Relaxed)
     }
 
-    /// Observes one completed request: assigns it an ordinal and, if
-    /// `nanos` meets the threshold, captures it in the slow-op ring
-    /// (evicting the oldest entry at capacity). Returns the ordinal.
-    pub fn record_request(
-        &self,
-        op: &str,
-        trace_id: Option<u64>,
-        nanos: u64,
-        cost: CostSnapshot,
-    ) -> u64 {
+    /// Observes one completed request by its stage record: assigns it
+    /// an ordinal and, if the record's total meets the threshold,
+    /// captures it in the slow-op ring (evicting the oldest entry at
+    /// capacity). Returns the ordinal.
+    pub fn record_request(&self, op: &str, trace_id: Option<u64>, record: &StageRecord) -> u64 {
         if !self.enabled {
             return 0;
         }
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
         // srclint:allow(atomic-ordering): an independent config word — see set_slow_threshold_nanos
-        if nanos >= self.inner.slow_threshold.load(Ordering::Relaxed) {
+        if record.total() >= self.inner.slow_threshold.load(Ordering::Relaxed) {
             let mut slow = self
                 .inner
                 .slow
@@ -529,8 +439,7 @@ impl Profiler {
                 seq,
                 op: op.to_string(),
                 trace_id,
-                nanos,
-                cost,
+                record: *record,
             });
         }
         seq
@@ -550,12 +459,13 @@ impl Profiler {
     }
 
     /// The `/profile` endpoint body: accounts, tail-latency quantiles
-    /// of every registered histogram, and the slow-op ring, as one
-    /// JSON document (`schema: telemetry/profile-v1`).
+    /// of every registered histogram, and the slow-op ring — each entry
+    /// with its `stages`, which sum to its `nanos` — as one JSON
+    /// document (`schema: telemetry/profile-v2`).
     pub fn profile_json(&self, registry: &Registry) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("schema").string("telemetry/profile-v1");
+        w.key("schema").string("telemetry/profile-v2");
         match self.slow_threshold_nanos() {
             u64::MAX => w.key("slow_threshold_nanos").null(),
             threshold => w.key("slow_threshold_nanos").uint(threshold),
@@ -590,9 +500,11 @@ impl Profiler {
                 Some(id) => w.key("trace_id").uint(id),
                 None => w.key("trace_id").null(),
             };
-            w.key("nanos").uint(s.nanos);
+            w.key("nanos").uint(s.record.total());
+            w.key("stages");
+            s.record.write_stages_json(&mut w);
             w.key("cost");
-            s.cost.write_json(&mut w);
+            s.record.work.write_json(&mut w);
             w.end_object();
         }
         w.end_array();
@@ -690,10 +602,10 @@ impl Profiler {
                 s.seq,
                 s.op,
                 trace,
-                s.nanos / 1_000,
-                s.cost.ibs_nodes,
-                s.cost.residual_tests,
-                s.cost.firings,
+                s.record.total() / 1_000,
+                s.record.work.ibs_nodes,
+                s.record.work.residual_tests,
+                s.record.work.firings,
             );
         }
         out
@@ -725,17 +637,21 @@ pub(crate) fn quantile_line(name: &str, buckets: &[u64; HISTOGRAM_BUCKETS]) -> S
 mod tests {
     use super::*;
 
+    fn firing() -> CostSnapshot {
+        CostSnapshot {
+            firings: 1,
+            ..CostSnapshot::default()
+        }
+    }
+
     #[test]
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
-        p.credit_firing(3);
-        p.credit_op(None);
-        p.credit_match(Some(1), &CostSnapshot::default());
-        p.record_request("insert", Some(7), 1_000_000, CostSnapshot::default());
+        p.bill(Some(3), &firing());
+        p.record_request("insert", Some(7), &StageRecord::other(1_000_000));
         assert!(p.accounts().is_empty());
         assert!(p.slow_ops().is_empty());
-        assert_eq!(p.source_snapshot(), CostSnapshot::default());
         // A disabled registry also yields a disabled profiler.
         assert!(!Profiler::new(&Arc::new(Registry::disabled())).is_enabled());
     }
@@ -744,11 +660,25 @@ mod tests {
     fn accounts_partition_into_labelled_families() {
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
-        p.credit_firing(2);
-        p.credit_firing(2);
-        p.credit_firing(5);
-        p.credit_op(None);
-        p.credit_join_probes(5, 7);
+        p.bill(Some(2), &firing());
+        p.bill(Some(2), &firing());
+        p.bill(Some(5), &firing());
+        p.bill(
+            None,
+            &CostSnapshot {
+                ops: 1,
+                ..CostSnapshot::default()
+            },
+        );
+        p.bill(
+            Some(5),
+            &CostSnapshot {
+                join_probes: 7,
+                ..CostSnapshot::default()
+            },
+        );
+        // Nothing to bill: no account for rule 9.
+        p.bill(Some(9), &CostSnapshot::default());
         p.name_rule(2, "escalate");
         assert_eq!(
             registry.counter_value("profile_rule_firings_total{rule=\"2\"}"),
@@ -767,27 +697,27 @@ mod tests {
         assert_eq!(accounts[0].rule, None);
         assert_eq!(accounts[1].name.as_deref(), Some("escalate"));
         assert_eq!(accounts[2].cost.join_probes, 7);
+        assert_eq!(accounts[2].cost.firings, 1);
     }
 
     #[test]
     fn top_ranks_by_stab_then_work() {
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
-        p.credit_match(
-            Some(1),
+        let stab = |nanos| CostSnapshot {
+            stab_nanos: nanos,
+            ..CostSnapshot::default()
+        };
+        p.bill(Some(1), &stab(100));
+        p.bill(Some(2), &stab(900));
+        // No stab time, some work.
+        p.bill(
+            Some(3),
             &CostSnapshot {
-                stab_nanos: 100,
-                ..Default::default()
+                join_probes: 50,
+                ..CostSnapshot::default()
             },
         );
-        p.credit_match(
-            Some(2),
-            &CostSnapshot {
-                stab_nanos: 900,
-                ..Default::default()
-            },
-        );
-        p.credit_join_probes(3, 50); // no stab time, some work
         let top = p.top(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].rule, Some(2));
@@ -801,13 +731,13 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
         // Threshold off: nothing captures.
-        p.record_request("insert", None, u64::MAX - 1, CostSnapshot::default());
+        p.record_request("insert", None, &StageRecord::other(u64::MAX - 1));
         assert!(p.slow_ops().is_empty());
         p.set_slow_threshold_nanos(1_000);
-        p.record_request("insert", None, 999, CostSnapshot::default());
+        p.record_request("insert", None, &StageRecord::other(999));
         assert!(p.slow_ops().is_empty());
         for i in 0..(SLOW_OP_CAPACITY + 5) {
-            p.record_request("sync", Some(i as u64), 2_000, CostSnapshot::default());
+            p.record_request("sync", Some(i as u64), &StageRecord::other(2_000));
         }
         let slow = p.slow_ops();
         assert_eq!(slow.len(), SLOW_OP_CAPACITY);
@@ -825,18 +755,20 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.histogram("lat_nanos").record(7);
         let p = Profiler::new(&registry);
-        p.credit_firing(1);
+        p.bill(Some(1), &firing());
         p.name_rule(1, "a \"quoted\" rule");
         p.set_slow_threshold_nanos(10);
-        p.record_request("insert", Some(0xdead), 55, CostSnapshot::default());
+        p.record_request("insert", Some(0xdead), &StageRecord::other(55));
         let json = p.profile_json(&registry);
-        assert!(json.starts_with("{\"schema\":\"telemetry/profile-v1\""));
+        assert!(json.starts_with("{\"schema\":\"telemetry/profile-v2\""));
         assert!(json.contains("\"slow_threshold_nanos\":10"));
         assert!(json.contains("\"rule\":\"1\""));
         assert!(json.contains("a \\\"quoted\\\" rule"));
         assert!(json.contains("\"name\":\"lat_nanos\""));
         assert!(json.contains("\"p50\":"));
         assert!(json.contains("\"trace_id\":57005"));
+        assert!(json.contains("\"nanos\":55,\"stages\":{\"decode\":0,"));
+        assert!(json.contains("\"other\":55,"));
         let top = p.top_json(5);
         assert!(top.starts_with("{\"schema\":\"telemetry/top-v1\""));
         assert!(top.contains("\"work\":"));
@@ -849,9 +781,9 @@ mod tests {
         assert!(p.render_slow_text().contains("capture off"));
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
-        p.credit_firing(1);
+        p.bill(Some(1), &firing());
         p.set_slow_threshold_nanos(1);
-        p.record_request("delete", None, 5_000, CostSnapshot::default());
+        p.record_request("delete", None, &StageRecord::other(5_000));
         assert!(p.render_top_text(5).contains("rule"));
         let slow = p.render_slow_text();
         assert!(slow.contains("delete"));

@@ -235,10 +235,14 @@ mod tests {
             .with_tracer(Tracer::new(16))
             .with_profiling();
         let profiler = telemetry.profiler();
-        profiler.credit_firing(4);
+        let firing = crate::CostSnapshot {
+            firings: 1,
+            ..Default::default()
+        };
+        profiler.bill(Some(4), &firing);
         profiler.name_rule(4, "noisy");
         profiler.set_slow_threshold_nanos(1);
-        profiler.record_request("insert", Some(0xbeef), 50, Default::default());
+        profiler.record_request("insert", Some(0xbeef), &crate::StageRecord::other(50));
         let recorder = FlightRecorder::new(telemetry, &dir);
         let text = recorder.render("why");
         assert!(text.contains("== profile (per-rule accounts) =="));

@@ -398,13 +398,17 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.histogram("req_nanos").record(1_000);
         let telemetry = Telemetry::new(Arc::clone(&registry)).with_profiling();
-        telemetry.profiler().credit_firing(3);
+        let firing = crate::CostSnapshot {
+            firings: 1,
+            ..Default::default()
+        };
+        telemetry.profiler().bill(Some(3), &firing);
         telemetry.profiler().name_rule(3, "reorder");
         let server = serve("127.0.0.1:0", telemetry, None, None).unwrap();
 
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.contains("application/json"));
-        assert!(body.contains("\"schema\":\"telemetry/profile-v1\""));
+        assert!(body.contains("\"schema\":\"telemetry/profile-v2\""));
         assert!(body.contains("\"rule\":\"3\""));
         assert!(body.contains("\"name\":\"req_nanos\""));
 

@@ -7,7 +7,7 @@
 //! curl -s http://127.0.0.1:9898/metrics | head
 //! curl -s http://127.0.0.1:9898/health
 //! curl -s http://127.0.0.1:9898/trace > trace.json   # drains the span ring
-//! curl -s http://127.0.0.1:9898/profile              # cost accounts + quantiles + slow ops
+//! curl -s http://127.0.0.1:9898/profile              # cost accounts + quantiles + stage records
 //! curl -s http://127.0.0.1:9898/top                  # the 10 most expensive rule accounts
 //! curl -s http://127.0.0.1:9898/advisor              # workload-driven index recommendations
 //! ```
@@ -139,15 +139,16 @@ fn build_engine(dir: &std::path::Path, telemetry: Telemetry) -> DurableRuleEngin
 fn main() {
     let cfg = parse_args();
     // One handle for the engine and the exposition server. Cost
-    // attribution on: per-rule accounts feed /profile and /top, and
-    // inserts slower than 50ms land in the slow-op ring. Workload
-    // accounts on: /advisor serves the ranked §5.2 cost projection,
-    // and flight dumps carry the text report.
+    // attribution on: per-rule accounts feed /profile and /top, and a
+    // zero threshold keeps every insert's stage record in the slow-op
+    // ring (the newest 64). Workload accounts on: /advisor serves the
+    // ranked §5.2 cost projection, and flight dumps carry the text
+    // report.
     let telemetry = Telemetry::new(Arc::new(Registry::new()))
         .with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY))
         .with_profiling()
         .with_workload_accounts();
-    telemetry.profiler().set_slow_threshold_nanos(50_000_000);
+    telemetry.profiler().set_slow_threshold_nanos(0);
     let dir = std::env::temp_dir().join(format!("predmatch-monitor-{}", std::process::id()));
 
     let advisor = Advisor::new(telemetry.workload().clone());
@@ -200,6 +201,9 @@ fn main() {
                     ],
                 )
                 .expect("insert");
+            telemetry
+                .profiler()
+                .record_request("insert", None, e.last_record());
             fired_total += report.fired.len() as u64;
             i += 1;
         }

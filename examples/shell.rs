@@ -22,7 +22,7 @@
 //! :explain <relation> <value> ...       EXPLAIN the match path a tuple would take
 //! :trace <path>                         drain the span ring to <path> as Chrome JSON
 //! :top [k]                              the k most expensive rule cost accounts (default 10)
-//! :slow                                 recent per-insert cost captures (the slow-op ring)
+//! :slow                                 recent inserts' stage records (the slow-op ring)
 //! :advise                               workload-driven index recommendations (§5.2 costs)
 //! help                                  this text
 //! quit
@@ -35,7 +35,6 @@ use predmatch::rules::{Action, Rule, RuleEngine};
 use predmatch::telemetry::{Telemetry, Tracer};
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Shell {
     engine: RuleEngine,
@@ -235,23 +234,14 @@ impl Shell {
         let values = self.parse_values(rel_name, &raw)?;
         let tuple = Tuple::new(values.clone());
         let matches = self.index.match_tuple(rel_name, &tuple);
-        let before = self.telemetry.profiler().source_snapshot();
-        let started = Instant::now();
         let report = self
             .engine
             .insert(rel_name, values)
             .map_err(|e| e.to_string())?;
-        let cost = self
-            .telemetry
+        let record = self.engine.last_record();
+        self.telemetry
             .profiler()
-            .source_snapshot()
-            .delta_since(&before);
-        self.telemetry.profiler().record_request(
-            "insert",
-            None,
-            started.elapsed().as_nanos() as u64,
-            cost,
-        );
+            .record_request("insert", None, record);
         let mut out = if matches.is_empty() {
             format!("inserted {tuple}; no predicates match")
         } else {

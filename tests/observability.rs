@@ -7,10 +7,13 @@
 //! mark, and the function predicate must land on the non-indexable
 //! list and be swept on every match.
 
+use predmatch::durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec};
+use predmatch::predicate::FunctionRegistry;
 use predmatch::prelude::*;
-use predmatch::rules::DbOp;
-use predmatch::telemetry::EXTERNAL_ACCOUNT;
+use predmatch::rules::{DbOp, EventMask};
+use predmatch::telemetry::{nanos, Stage, StageRecord, EXTERNAL_ACCOUNT};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// `emp(name, age, salary)` with three rules:
 /// * `underpaid`:  emp.salary < 20000   — salary tree, one interval
@@ -160,15 +163,10 @@ fn counters_agree_with_the_explain_trace() {
     );
 }
 
-/// The profiler's attribution invariant (DESIGN.md §16): the per-rule
-/// accounts *partition* the global §5.2 cost counters. For every cost
-/// term, summing the `profile_rule_*_total{rule=...}` cells across all
-/// accounts must reproduce the global counter exactly — no work is
-/// dropped, none is double-billed — under a workload that exercises
-/// every account kind: external inserts, a cascading rule (its queued
-/// ops bill *its* account, not external), and a two-relation join rule.
-#[test]
-fn per_rule_accounts_sum_to_the_global_counters() {
+/// A profiled engine over `emp`, `dept` and `alerts`: `raise-alert`
+/// queues an alert for every underpaid employee, `escalate` fires on
+/// the alert, and `same-dept` joins employees to floor-1 departments.
+fn profiled_engine() -> RuleEngine {
     let mut db = Database::new();
     for schema in [
         Schema::builder("emp")
@@ -189,9 +187,6 @@ fn per_rule_accounts_sum_to_the_global_counters() {
     }
     let mut engine = RuleEngine::new(db);
     engine.attach_metrics(Telemetry::new(Arc::new(Registry::new())).with_profiling());
-    let registry = engine.metrics().clone();
-    let profiler = engine.telemetry().profiler().clone();
-
     engine
         .add_rule(
             Rule::builder("raise-alert")
@@ -224,6 +219,21 @@ fn per_rule_accounts_sum_to_the_global_counters() {
                 .build(),
         )
         .unwrap();
+    engine
+}
+
+/// The profiler's attribution invariant (DESIGN.md §16): the per-rule
+/// accounts *partition* the global §5.2 cost counters. For every cost
+/// term, summing the `profile_rule_*_total{rule=...}` cells across all
+/// accounts must reproduce the global counter exactly — no work is
+/// dropped, none is double-billed — under a workload that exercises
+/// every account kind: external inserts, a cascading rule (its queued
+/// ops bill *its* account, not external), and a two-relation join rule.
+#[test]
+fn per_rule_accounts_sum_to_the_global_counters() {
+    let mut engine = profiled_engine();
+    let registry = engine.metrics().clone();
+    let profiler = engine.telemetry().profiler().clone();
 
     engine
         .insert("dept", vec![Value::str("Shoe"), Value::Int(1)])
@@ -324,7 +334,7 @@ fn per_rule_accounts_sum_to_the_global_counters() {
     // /profile reads the same cells.
     let json = profiler.profile_json(&registry);
     assert!(
-        json.contains("\"schema\":\"telemetry/profile-v1\""),
+        json.contains("\"schema\":\"telemetry/profile-v2\""),
         "{json}"
     );
     assert!(
@@ -332,4 +342,136 @@ fn per_rule_accounts_sum_to_the_global_counters() {
         "{json}"
     );
     assert!(json.contains("\"name\":\"raise-alert\""), "{json}");
+}
+
+/// The §5.2 terms `registry`'s global counters hold.
+fn counted(registry: &Registry) -> [u64; 9] {
+    [
+        "predindex_ibs_nodes_visited_total",
+        "predindex_ibs_marks_scanned_total",
+        "predindex_residual_tests_total",
+        "predindex_residual_passes_total",
+        "predindex_non_indexable_scanned_total",
+        "join_probes_total",
+        "join_retractions_total",
+        "rules_fired_total",
+        "rules_ops_applied_total",
+    ]
+    .map(|name| registry.counter_value(name).unwrap_or(0))
+}
+
+/// A record's work, in [`counted`]'s order.
+fn work(record: &StageRecord) -> [u64; 9] {
+    let w = record.work;
+    [
+        w.ibs_nodes,
+        w.ibs_marks,
+        w.residual_tests,
+        w.residual_passes,
+        w.non_indexable,
+        w.join_probes,
+        w.join_retractions,
+        w.firings,
+        w.ops,
+    ]
+}
+
+/// `record`'s stages sum to its total, which fits inside `outer`, the
+/// clock pair around the call.
+fn partitions(record: &StageRecord, outer: u64) {
+    let stages: u64 = Stage::ALL.iter().map(|&s| record.nanos(s)).sum();
+    assert_eq!(stages, record.total());
+    assert!(record.total() <= outer, "{} > {outer}", record.total());
+}
+
+/// The time partition in process (DESIGN.md §16): an op's stages sum
+/// to its record's total, which a clock pair around the call encloses;
+/// every stage the op crosses took time; and the record's work is what
+/// the op added to the global counters.
+#[test]
+fn an_op_record_partitions_its_time_and_its_work() {
+    let mut engine = profiled_engine();
+    let registry = engine.metrics().clone();
+    engine
+        .insert("dept", vec![Value::str("Shoe"), Value::Int(1)])
+        .unwrap();
+    // An underpaid employee of a floor-1 department: a match, a join
+    // premise, two firings, and the alert they cascade into.
+    let emp = vec![Value::str("ann"), Value::Int(500), Value::str("Shoe")];
+    let before = counted(&registry);
+    let started = Instant::now();
+    let report = engine.insert("emp", emp.clone()).unwrap();
+    let outer = nanos(started.elapsed());
+    let record = *engine.last_record();
+    partitions(&record, outer);
+    for stage in [
+        Stage::Stab,
+        Stage::Residual,
+        Stage::Join,
+        Stage::Agenda,
+        Stage::Fire,
+    ] {
+        assert!(record.nanos(stage) > 0, "no {}: {record:?}", stage.name());
+    }
+    assert_eq!(report.fired.len(), 3);
+    let after = counted(&registry);
+    let added: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(work(&record).to_vec(), added);
+    assert_eq!(
+        record.work.stab_nanos,
+        record.nanos(Stage::Stab) + record.nanos(Stage::Residual)
+    );
+
+    // Updating her retracts her join tokens: the join stage again.
+    let tid = predmatch::relation::TupleId(0);
+    engine.update("emp", tid, emp).unwrap();
+    assert!(engine.last_record().work.join_retractions > 0);
+    assert!(engine.last_record().nanos(Stage::Join) > 0);
+    // An op that runs no chain leaves an empty record.
+    engine
+        .add_rule(
+            Rule::builder("idle")
+                .when("emp.salary > 9999999")
+                .unwrap()
+                .build(),
+        )
+        .unwrap();
+    assert_eq!(*engine.last_record(), StageRecord::default());
+
+    // The durable engine folds the rule engine's record into its own,
+    // beside the WAL append.
+    let dir = std::env::temp_dir().join(format!("observability-stages-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let telemetry = Telemetry::new(Arc::new(Registry::new())).with_profiling();
+    let mut durable = DurableRuleEngine::open_with_metrics(
+        &dir,
+        FunctionRegistry::default(),
+        ActionRegistry::new(),
+        Options::default(),
+        telemetry,
+    )
+    .unwrap();
+    durable
+        .create_relation(Schema::builder("t").attr("v", AttrType::Int).build())
+        .unwrap();
+    durable
+        .add_rule(RuleSpec {
+            name: "big".into(),
+            condition: "t.v > 3".into(),
+            mask: EventMask::ALL,
+            priority: 0,
+            action: ActionSpec::Log("big".into()),
+        })
+        .unwrap();
+    let started = Instant::now();
+    durable.insert("t", vec![Value::Int(5)]).unwrap();
+    let outer = nanos(started.elapsed());
+    let record = *durable.last_record();
+    partitions(&record, outer);
+    for stage in [Stage::Wal, Stage::Stab, Stage::Residual, Stage::Fire] {
+        assert!(record.nanos(stage) > 0, "no {}: {record:?}", stage.name());
+    }
+    assert_eq!(record.work.firings, 1);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,8 +6,8 @@
 RUN.jsonl is what `bench_json --suite all --quick --out RUN.jsonl` just
 wrote; HISTORY.jsonl is the committed BENCH_history.jsonl. Each suite in the
 run is checked on its own rows and, where a bound is relative, against that
-suite's last `quick: false` line in the history. Ratios, speedups and
-projection errors are derived here from the rows; the report stores none.
+suite's last `quick: false` line in the history. Ratios and speedups are
+derived here from the rows; the report stores none.
 Quick CI runs on shared runners are noisy, so relative bounds carry slack and
 a floor that a real regression still trips.
 """
@@ -31,13 +31,6 @@ REQUIRED = {
         "predindex/residual_tests_per_match/scheme200",
         "ibs/bytes_per_interval/stab_shape",
         "predindex/bytes_per_predicate/stab_shape",
-    ],
-    "advisor": [
-        "advisor/stab_heavy",
-        "advisor/churn_heavy",
-        "advisor/non_indexable_heavy",
-        "workload_overhead/disabled",
-        "workload_overhead/enabled",
     ],
     "join": [
         "join/2premise/n1000/memoized",
@@ -68,13 +61,6 @@ def rows_by_name(doc):
 
 def ns_ratio(rows, numerator, denominator):
     return rows[numerator]["ns_per_op"] / rows[denominator]["ns_per_op"]
-
-
-def projection_error(shape):
-    """Symmetric ratio >= 1: how far off the picked backend's projection was."""
-    pick = shape["advisor_pick"]
-    projected, measured = shape["projected_ns"][pick], shape["measured_ns"][pick]
-    return max(projected / measured, measured / projected)
 
 
 def gate_observability(rows, base):
@@ -123,34 +109,6 @@ def gate_observability(rows, base):
         per_predicate, base_per_predicate)
 
 
-def gate_advisor(rows, base):
-    picks = []
-    for name, shape in rows.items():
-        if not name.startswith("advisor/"):
-            continue
-        # The pick must be the measured-cheapest backend, or (on a noisy
-        # shared runner) measure within 10% of it.
-        pick, cheapest = shape["advisor_pick"], shape["measured_cheapest"]
-        measured = shape["measured_ns"]
-        assert pick == cheapest or measured[pick] <= 1.10 * measured[cheapest], shape
-        # Projection quality: the winner's projected-vs-measured error,
-        # bounded against the committed run with slack.
-        error = projection_error(shape)
-        bound = max(projection_error(base[name]) * 1.5, 3.0)
-        assert error <= bound, (name, "winner projection error", error, bound)
-        picks.append((name, pick, pick == cheapest))
-    # Workload-account overhead on the match path: the committed ratio with
-    # 1.15x slack, floored at 1.12. The budget is <= 1.10 on a quiet machine
-    # and per-call name hashing measured 1.21-1.45x, so the floor still trips
-    # on a real regression.
-    ratio = ns_ratio(rows, "workload_overhead/enabled", "workload_overhead/disabled")
-    base_ratio = ns_ratio(base, "workload_overhead/enabled", "workload_overhead/disabled")
-    bound = max(base_ratio * 1.15, 1.12)
-    assert ratio <= bound, ("workload-account overhead", ratio, base_ratio, bound)
-    return "%s; workload overhead %.3fx (baseline %.3fx, bound %.3fx)" % (
-        picks, ratio, base_ratio, bound)
-
-
 def gate_join(rows, base):
     speedups = []
     for name in rows:
@@ -183,7 +141,7 @@ def gate_join(rows, base):
         speedups, flat, per_entry, base_per_entry)
 
 
-GATES = {"observability": gate_observability, "advisor": gate_advisor, "join": gate_join}
+GATES = {"observability": gate_observability, "join": gate_join}
 
 
 def main(run_path, history_path):

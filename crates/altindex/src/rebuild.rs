@@ -4,9 +4,9 @@
 //! This is the only way a [`BulkBuild`] structure can take on-line
 //! updates, and it is the cost the paper holds against segment and
 //! interval trees ("they do not allow dynamic insertion and deletion
-//! of predicates"). The adapter lets the one differential harness and
-//! the one benchmark lab drive them through [`DynamicStabIndex`] like
-//! every other backend, paying that cost in the open.
+//! of predicates"). The adapter lets the differential harness drive
+//! them through [`DynamicStabIndex`] like every other backend, paying
+//! that cost in the open.
 
 use crate::common::{BulkBuild, DynamicStabIndex, StabIndex};
 use interval::{Interval, IntervalId};

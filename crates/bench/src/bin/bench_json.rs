@@ -1,9 +1,9 @@
-//! The machine-readable benchmark report: one binary, three suites,
-//! one schema.
+//! The machine-readable benchmark report: one binary, two suites, one
+//! schema.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_json -- \
-//!     [--suite observability|advisor|join|all] [--quick] [--out PATH]
+//!     [--suite observability|join|all] [--quick] [--out PATH]
 //! ```
 //!
 //! Each suite run appends one line to `--out` (default
@@ -22,9 +22,6 @@
 //!   (a count too, read off `predindex_residual_tests_total`), and the
 //!   live heap bytes per interval of that engine's IBS-trees and per
 //!   predicate of its whole predicate index (counts);
-//! * `advisor` — the three canonical workload shapes of [`bench::lab`]
-//!   (advisor pick, measured-cheapest backend, per-backend projected
-//!   and measured ns) and the workload-account overhead pair;
 //! * `join` — memoized vs naive per-insert cost for 2- and 3-premise
 //!   join rules; the cost of one `JoinEngine::retract` from a premise
 //!   no equality step keys, at three alpha-memory sizes; the cost of
@@ -36,13 +33,12 @@
 //! Every row has a `name`; timing rows carry `ns_per_op`, rows of runs
 //! with a live registry carry the final `counters` so shape regressions
 //! (more residual tests, more nodes visited) show even when wall-clock
-//! noise hides them. Ratios, speedups and projection errors are not
-//! stored: `.github/bench_gate.py` derives them from the rows and holds
-//! the bounds. `--quick` trims sweeps and run counts for CI. See
+//! noise hides them. Ratios and speedups are not stored:
+//! `.github/bench_gate.py` derives them from the rows and holds the
+//! bounds. `--quick` trims sweeps and run counts for CI. See
 //! EXPERIMENTS.md, "Machine-readable results", for the row names.
 
 use bench::costmodel;
-use bench::lab::{self, ShapeOutcome};
 use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
 use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
@@ -52,7 +48,7 @@ use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::selectivity::most_selective_indexable;
 use predicate::{parse_predicate, BoundClause};
-use predindex::{Backend, Matcher, PredicateIndex};
+use predindex::{Matcher, PredicateIndex};
 use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,11 +101,7 @@ static ALLOCATOR: Counting = Counting;
 /// A suite appends its rows to the open `rows` array.
 type Suite = fn(&Config, &mut JsonWriter);
 
-const SUITES: [(&str, Suite); 3] = [
-    ("observability", observability),
-    ("advisor", advisor),
-    ("join", join),
-];
+const SUITES: [(&str, Suite); 2] = [("observability", observability), ("join", join)];
 
 struct Config {
     suite: String,
@@ -130,7 +122,7 @@ impl Config {
 
 fn usage(problem: &str) -> ! {
     eprintln!(
-        "{problem}\nusage: bench_json [--suite observability|advisor|join|all] [--quick] [--out PATH]"
+        "{problem}\nusage: bench_json [--suite observability|join|all] [--quick] [--out PATH]"
     );
     std::process::exit(2)
 }
@@ -530,84 +522,6 @@ fn observability(cfg: &Config, w: &mut JsonWriter) {
     residual_tests_per_match(w);
     ibs_bytes_per_interval(w);
     predindex_bytes_per_predicate(w);
-}
-
-// ---------------------------------------------------------------------
-// advisor
-// ---------------------------------------------------------------------
-
-/// `{"backend": ns, ...}` in the order given.
-fn backend_map(w: &mut JsonWriter, key: &str, pairs: impl Iterator<Item = (Backend, f64)>) {
-    w.key(key).begin_object();
-    for (backend, ns) in pairs {
-        w.key(backend.name()).float(ns, 1);
-    }
-    w.end_object();
-}
-
-fn shape_row(w: &mut JsonWriter, o: &ShapeOutcome) {
-    let rec = &o.recommendation;
-    eprintln!(
-        "advisor/{}: pick {} / measured cheapest {}, margin {:.2}x",
-        o.name,
-        rec.best(),
-        o.measured_cheapest(),
-        rec.margin,
-    );
-    w.begin_object();
-    w.key("name").string(&format!("advisor/{}", o.name));
-    w.key("advisor_pick").string(rec.best().name());
-    w.key("measured_cheapest")
-        .string(o.measured_cheapest().name());
-    w.key("margin").float(rec.margin, 2);
-    w.key("live").uint(rec.live);
-    w.key("stabs").uint(rec.stabs);
-    w.key("inserts").uint(rec.inserts);
-    w.key("deletes").uint(rec.deletes);
-    backend_map(
-        w,
-        "projected_ns",
-        rec.ranked.iter().map(|p| (p.backend, p.projected_nanos)),
-    );
-    backend_map(w, "measured_ns", o.measured.iter().copied());
-    w.end_object();
-}
-
-/// Match-path cost with workload accounts off vs on, counters on in
-/// both modes (the accounts live in the registry, so they cannot be on
-/// without it) — the delta is the workload hooks alone.
-fn workload_overhead(cfg: &Config, w: &mut JsonWriter) {
-    let workload = SchemeWorkload::default();
-    let tuples = workload.tuples(cfg.pick(128, 512));
-    for (mode, enabled) in [("disabled", false), ("enabled", true)] {
-        let mut telemetry = Telemetry::new(Arc::new(Registry::new()));
-        if enabled {
-            telemetry = telemetry.with_workload_accounts();
-        }
-        let ns = scheme_match_ns(cfg, &workload, &tuples, telemetry);
-        timing_row(w, &format!("workload_overhead/{mode}"), ns).end_object();
-    }
-}
-
-fn advisor(cfg: &Config, w: &mut JsonWriter) {
-    eprintln!("calibrating backend unit constants...");
-    let constants = lab::calibrate_constants();
-    eprintln!(
-        "  stab ns/unit: ibs {:.1}, skiplist {:.1}, interval_tree {:.1}, naive {:.2}",
-        constants.ibs.unit_stab_ns,
-        constants.skiplist.unit_stab_ns,
-        constants.interval_tree.unit_stab_ns,
-        constants.naive.unit_stab_ns,
-    );
-    let shapes = if cfg.quick {
-        lab::quick_shapes()
-    } else {
-        lab::bench_shapes()
-    };
-    for spec in &shapes {
-        shape_row(w, &lab::run_shape(spec, &constants));
-    }
-    workload_overhead(cfg, w);
 }
 
 // ---------------------------------------------------------------------

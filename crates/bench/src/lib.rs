@@ -19,13 +19,10 @@
 //! * `cargo run --release -p bench --bin reproduce [name…]` prints the
 //!   paper-style tables EXPERIMENTS.md quotes — tables for people.
 //! * `bench_json` — the one report binary, gated rows for CI. `--suite
-//!   observability|advisor|join|all` appends one `bench/report-v1` line
-//!   per suite to `BENCH_history.jsonl`; `.github/bench_gate.py` holds
+//!   observability|join|all` appends one `bench/report-v1` line per
+//!   suite to `BENCH_history.jsonl`; `.github/bench_gate.py` holds
 //!   every bound on those rows.
-//! * [`timing`] — the one timing module both share, with [`lab`], the
-//!   index advisor's validation lab (workload shapes, calibration,
-//!   measured replay; every backend driven through the one
-//!   `altindex::DynamicStabIndex` trait).
+//! * [`timing`] — the one timing module both share.
 //! * [`stab_shape`] — `match_stab` in miniature, the engine whose heap
 //!   allocations per event `bench_json` reports and a `rules` test pins.
 //!
@@ -36,7 +33,6 @@
 #![deny(unreachable_pub)]
 
 pub mod costmodel;
-pub mod lab;
 pub mod scheme;
 pub mod stab_shape;
 pub mod timing;

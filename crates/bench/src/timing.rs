@@ -1,9 +1,9 @@
 //! The harness's one timing module — the only clock in the crate.
 //!
-//! The reproduction tables, the JSON report and the advisor lab need
-//! stable medians (or minima) over full parameter sweeps, which a few
-//! timed runs deliver in seconds; the comparison targets are shapes,
-//! orderings and gated ratios, not confidence intervals.
+//! The reproduction tables and the JSON report need stable medians (or
+//! minima) over full parameter sweeps, which a few timed runs deliver
+//! in seconds; the comparison targets are shapes, orderings and gated
+//! ratios, not confidence intervals.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -16,7 +16,6 @@ use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
 use crate::snapshot::{self, SnapshotError, SnapshotMetrics};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
-use predindex::Advisor;
 use relation::{Relation, Schema, TupleId, Value};
 use rules::{EngineError, FireReport, MatchTrace, Rule, RuleEngine, RuleId};
 use std::collections::HashMap;
@@ -170,10 +169,7 @@ impl DurableRuleEngine {
     /// * **profiling** — per-rule cost accounts (recovered rules are
     ///   named retroactively), also carried in flight dumps, and a
     ///   stage record per logged operation
-    ///   ([`last_record`](Self::last_record));
-    /// * **workload accounts** — the index advisor's input; flight
-    ///   dumps then gain the advisor's text report, so a crash leaves
-    ///   behind what the workload wanted the index to look like.
+    ///   ([`last_record`](Self::last_record)).
     ///
     /// None of it is replayed: accounts restart empty on reopen.
     pub fn open_with_metrics(
@@ -186,11 +182,7 @@ impl DurableRuleEngine {
         let dir = dir.into();
         let telemetry = telemetry.into();
         std::fs::create_dir_all(&dir)?;
-        let mut recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
-        if telemetry.workload().is_enabled() {
-            let advisor = Advisor::new(telemetry.workload().clone());
-            recorder = recorder.with_advisor(move || advisor.render_text());
-        }
+        let recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
         let recovered = match replay_traced(&dir, &funcs, &actions, telemetry.tracer()) {
             Ok(r) => r,
             Err(e) => {

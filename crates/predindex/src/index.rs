@@ -53,8 +53,7 @@ use relation::{Catalog, Tuple, Value};
 use std::ops::Range;
 use std::sync::Arc;
 use telemetry::{
-    AttrRecorder, ClauseShape, CostSnapshot, Counter, MatchTrace, RelationRecorder, ResidualTrace,
-    StabTrace, Stage, StageClock, Telemetry,
+    CostSnapshot, Counter, MatchTrace, ResidualTrace, StabTrace, Stage, StageClock, Telemetry,
 };
 
 /// Where a registered predicate physically lives.
@@ -145,35 +144,6 @@ fn source_heap(source: &Predicate) -> usize {
     source.relation().len() + size_of_val(source.clauses()) + owned
 }
 
-/// Classifies an indexed interval into the workload-account clause
-/// taxonomy: a point is `=`, a half-open interval is `<` or `>` by
-/// which side is unbounded, everything else (both sides bounded, or a
-/// universal clause) counts as an interval.
-fn clause_shape_of(interval: &Interval<Value>) -> ClauseShape {
-    if interval.is_point() {
-        return ClauseShape::Eq;
-    }
-    match (interval.lo().value(), interval.hi().value()) {
-        (None, Some(_)) => ClauseShape::Less,
-        (Some(_), None) => ClauseShape::Greater,
-        _ => ClauseShape::Interval,
-    }
-}
-
-/// The finite length of an indexed interval for the workload length
-/// histogram: 0 for a point, `|hi - lo|` for bounded numeric bounds,
-/// `None` when a side is unbounded or the endpoints are not numeric.
-fn interval_length_of(interval: &Interval<Value>) -> Option<u64> {
-    if interval.is_point() {
-        return Some(0);
-    }
-    match (interval.lo().value(), interval.hi().value()) {
-        (Some(Value::Int(a)), Some(Value::Int(b))) => Some(b.abs_diff(*a)),
-        (Some(Value::Float(a)), Some(Value::Float(b))) => Some((b - a).abs() as u64),
-        _ => None,
-    }
-}
-
 /// Decides where a bound predicate belongs: the most selective
 /// indexable clause's tree, the non-indexable list, or nowhere.
 fn place(catalog: &Catalog, bound: &BoundPredicate) -> Placement {
@@ -261,14 +231,12 @@ impl OpaqueGroup {
     }
 }
 
-/// One attribute's IBS-tree plus its pre-resolved telemetry: the
-/// workload account and the per-tree stab-work counters. Both are
+/// One attribute's IBS-tree plus its pre-resolved stab-work counters,
 /// minted when the tree (or the telemetry attachment) is created, so
 /// the stab path records with atomic adds only.
 #[derive(Debug, Clone)]
 struct AttrTree {
     tree: IbsTree<Value>,
-    workload: AttrRecorder,
     work: Option<AttrWork>,
 }
 
@@ -280,8 +248,6 @@ struct RelationIndex {
     /// Predicates whose clauses are all opaque functions (or empty),
     /// grouped by clause set.
     non_indexable: Vec<OpaqueGroup>,
-    /// Cached per-relation workload account (tuples matched).
-    tuple_recorder: RelationRecorder,
     /// Cached `predindex_relation_matches_total` counter.
     matches: Option<Counter>,
 }
@@ -292,31 +258,16 @@ impl RelationIndex {
         RelationIndex {
             attr_trees: FnvHashMap::default(),
             non_indexable: Vec::new(),
-            tuple_recorder: metrics.workload().relation_recorder(relation),
             matches: metrics.relation_matches(relation),
         }
     }
 
     /// Re-mints every cached handle from `metrics` — called when
-    /// telemetry is attached to an index that already holds trees. The
-    /// existing population is backfilled into the workload accounts as
-    /// inserts so derived live counts are correct for predicates
-    /// registered before attachment; attach a given handle to an index
-    /// once, or the backfill double-counts.
+    /// telemetry is attached to an index that already holds trees.
     fn rebind(&mut self, relation: &str, metrics: &IndexMetrics) {
-        let workload = metrics.workload();
         self.matches = metrics.relation_matches(relation);
-        self.tuple_recorder = workload.relation_recorder(relation);
-        for _ in self.non_indexable.iter().flat_map(|g| &g.ids) {
-            self.tuple_recorder.record_non_indexable_insert();
-        }
         for (&attr, at) in self.attr_trees.iter_mut() {
             at.work = metrics.attr_work(relation, attr);
-            at.workload = workload.attr_recorder(relation, attr);
-            for (_, interval) in at.tree.iter() {
-                at.workload
-                    .record_insert(clause_shape_of(interval), interval_length_of(interval));
-            }
         }
     }
 
@@ -332,13 +283,8 @@ impl RelationIndex {
     ) {
         let at = self.attr_trees.entry(attr).or_insert_with(|| AttrTree {
             tree: IbsTree::with_mode(mode),
-            workload: metrics.workload().attr_recorder(relation, attr),
             work: metrics.attr_work(relation, attr),
         });
-        if at.workload.is_enabled() {
-            at.workload
-                .record_insert(clause_shape_of(&interval), interval_length_of(&interval));
-        }
         at.tree
             .insert(id, interval)
             .expect("the front-end just minted this id; the tree cannot already hold it");
@@ -347,7 +293,6 @@ impl RelationIndex {
     /// Adds `id` to the group of its clause set, opening the group on
     /// first use.
     fn push_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
-        self.tuple_recorder.record_non_indexable_insert();
         let (key, clauses) = opaque_key(clauses);
         match self.non_indexable.iter_mut().find(|g| g.key == key) {
             Some(group) => group.ids.push(id),
@@ -370,9 +315,6 @@ impl RelationIndex {
             .tree
             .remove(id)
             .expect("the tree has held this id since its placement was recorded");
-        if at.workload.is_enabled() {
-            at.workload.record_delete(clause_shape_of(&interval));
-        }
         if at.tree.is_empty() {
             self.attr_trees.remove(&attr);
         }
@@ -384,7 +326,6 @@ impl RelationIndex {
     /// its functions (and their addresses) are the ones the group keys
     /// on.
     fn remove_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
-        self.tuple_recorder.record_non_indexable_delete();
         let (key, _) = opaque_key(clauses);
         let gix = self
             .non_indexable
@@ -534,7 +475,7 @@ fn tree_key_heap(interval: &Interval<Value>) -> usize {
 /// clauses its residual test runs), and `cold`, the source form that
 /// only remove, EXPLAIN and `get` read. Ids are assigned by the owning
 /// front-end; everything else — placement, removal, matching, EXPLAIN,
-/// stats, workload accounting — happens here and nowhere else.
+/// stats — happens here and nowhere else.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexCore {
     relations: FnvHashMap<String, RelationIndex>,
@@ -648,10 +589,10 @@ impl IndexCore {
     /// The full match path over a run of tuples of `relation`: hash on
     /// the relation name once, then per group of tuples — as many as
     /// there are `lanes`, at most [`LANES`], one without lanes — the
-    /// tree stabs in lock-step (metered when counters or workload
-    /// accounts are on), then per tuple the residual test on its tree
-    /// candidates, the grouped non-indexable sweep, one sort of its
-    /// matches and one `record_match`. Each tuple's matches are
+    /// tree stabs in lock-step (metered when counters are on), then per
+    /// tuple the residual test on its tree candidates, the grouped
+    /// non-indexable sweep, one sort of its matches and one
+    /// `record_match`. Each tuple's matches are
     /// appended to `out` and their range handed to `matched` with the
     /// tuple's work counts, in run order. `clock` laps `stab` and
     /// `residual` once per group. A group of one stabs straight into
@@ -679,7 +620,6 @@ impl IndexCore {
             return;
         };
         let tracer = metrics.tracer();
-        let counted = metrics.is_enabled() || metrics.workload().is_enabled();
         while let Some(first) = tuples.next() {
             let mut group = [first; LANES];
             let mut n = 1;
@@ -699,21 +639,15 @@ impl IndexCore {
                     lanes[..n].iter_mut().for_each(Vec::clear);
                     &mut lanes[..n]
                 };
-                if counted {
+                if metrics.is_enabled() {
                     // Through the handles each tree and relation caches:
-                    // atomic adds only, no name lookups on the match
-                    // path. (Tuples are counted here, i.e. only for
-                    // relations with at least one registered predicate.)
-                    for _ in group {
-                        ri.tuple_recorder.record_tuple();
-                    }
+                    // atomic adds only, no name lookups on the match path.
                     ri.partial_match(group, outs, |lane, _, at, _, work: StabStats| {
                         metrics.record_attr_stab(
                             at.work.as_ref(),
                             work.nodes_visited,
                             work.marks_scanned,
                         );
-                        at.workload.record_stab(work.marks_scanned);
                         stabbed[lane].0 += work.nodes_visited;
                         stabbed[lane].1 += work.marks_scanned;
                     });
@@ -817,8 +751,8 @@ impl IndexCore {
         trace
     }
 
-    /// Re-mints every cached telemetry handle and backfills the
-    /// existing population (see [`RelationIndex::rebind`]).
+    /// Re-mints every cached telemetry handle (see
+    /// [`RelationIndex::rebind`]).
     pub(crate) fn rebind(&mut self, metrics: &IndexMetrics) {
         for (relation, ri) in self.relations.iter_mut() {
             ri.rebind(relation, metrics);
@@ -942,12 +876,10 @@ impl PredicateIndex {
 
     /// Points the index at `telemetry` (a bare `Arc<Registry>` converts
     /// into a counters-only handle): match-path counters go to its
-    /// registry, `predindex_stab` / `predindex_residual` spans to its
-    /// tracer, and per-relation+attribute workload accounts (the
-    /// [`crate::advisor`] feed) to its workload handle, backfilled with
-    /// the predicates already registered. Whatever was attached before
-    /// is replaced whole. Until this is called the index runs with the
-    /// no-op bundle: one branch per would-be recording site.
+    /// registry and `predindex_stab` / `predindex_residual` spans to its
+    /// tracer. Whatever was attached before is replaced whole. Until
+    /// this is called the index runs with the no-op bundle: one branch
+    /// per would-be recording site.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
         let telemetry = telemetry.into();
         self.metrics = IndexMetrics::new(&telemetry);
@@ -1104,7 +1036,6 @@ impl Matcher for PredicateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interval::Interval;
     use predicate::parse_predicate;
     use relation::{AttrType, Database, Schema};
 
@@ -1131,28 +1062,5 @@ mod tests {
         assert_eq!(index.get(first), Some(&pred(0)));
         let t = db.insert("emp", vec![Value::Int(9)]).unwrap();
         assert_eq!(index.match_tuple("emp", &t), vec![first]);
-    }
-
-    fn closed(lo: i64, hi: i64) -> Interval<Value> {
-        Interval::closed(Value::Int(lo), Value::Int(hi))
-    }
-
-    #[test]
-    fn interval_length_spans_the_whole_i64_range() {
-        assert_eq!(interval_length_of(&closed(3, 3)), Some(0));
-        assert_eq!(interval_length_of(&closed(-5, 20)), Some(25));
-        // `hi - lo` exceeds i64::MAX: wrapping_sub + unsigned_abs got
-        // these wrong (1 and ~6.4e18).
-        assert_eq!(
-            interval_length_of(&closed(i64::MIN, i64::MAX)),
-            Some(u64::MAX)
-        );
-        assert_eq!(
-            interval_length_of(&closed(
-                -6_000_000_000_000_000_000,
-                6_000_000_000_000_000_000
-            )),
-            Some(12_000_000_000_000_000_000)
-        );
     }
 }

@@ -18,7 +18,6 @@
 #![deny(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod advisor;
 pub mod baselines;
 mod index;
 mod matcher;
@@ -27,7 +26,6 @@ mod metrics;
 mod sharded;
 mod stats;
 
-pub use advisor::{Advisor, AdvisorConstants, Backend, BackendProjection, Recommendation};
 pub use baselines::{
     HashSequentialMatcher, PhysicalLockingMatcher, RTreeMatcher, SequentialMatcher,
 };

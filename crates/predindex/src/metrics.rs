@@ -13,7 +13,7 @@
 
 use relation::fx::FnvHashMap;
 use std::sync::{Arc, RwLock};
-use telemetry::{Counter, Registry, Telemetry, Tracer, WorkloadStats};
+use telemetry::{Counter, Registry, Telemetry, Tracer};
 
 /// The stab-work counters of one `(relation, attribute)` IBS-tree.
 #[derive(Debug, Clone)]
@@ -22,19 +22,17 @@ pub(crate) struct AttrWork {
     marks: Counter,
 }
 
-/// Everything the index core records into: the counters, the span
-/// tracer and the workload accounts of one [`Telemetry`] handle. Any of
-/// the three can be on without the others. `PredicateIndex` attaches
-/// one; the sharded front-end keeps the disabled bundle.
+/// Everything the index core records into: the counters and the span
+/// tracer of one [`Telemetry`] handle. Either can be on without the
+/// other. `PredicateIndex` attaches one; the sharded front-end keeps the
+/// disabled bundle.
 #[derive(Debug)]
 pub(crate) struct IndexMetrics {
-    /// Is the counter registry live? (Tracer and workload accounts
-    /// carry their own flags.)
+    /// Is the counter registry live? (The tracer carries its own flag.)
     enabled: bool,
     /// Needed to mint the lazy per-relation / per-attribute families.
     registry: Arc<Registry>,
     tracer: Tracer,
-    workload: WorkloadStats,
     /// Tuples matched (`match_tuple*` calls, one per tuple).
     match_tuples: Counter,
     /// Tests run: one per tree candidate plus one per clause set swept.
@@ -67,7 +65,6 @@ impl IndexMetrics {
             enabled: registry.is_enabled(),
             registry: Arc::clone(registry),
             tracer: telemetry.tracer().clone(),
-            workload: telemetry.workload().clone(),
             match_tuples: registry.counter("predindex_match_tuples_total"),
             residual_tests: registry.counter("predindex_residual_tests_total"),
             residual_passes: registry.counter("predindex_residual_passes_total"),
@@ -89,12 +86,6 @@ impl IndexMetrics {
     #[inline]
     pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The per-relation+attribute workload accounts.
-    #[inline]
-    pub(crate) fn workload(&self) -> &WorkloadStats {
-        &self.workload
     }
 
     /// Resolves the stab-work pair of `relation`'s tree on `attr`

@@ -12,7 +12,7 @@
 //! group, with some tuples shorter than the schema. Two indexes hold
 //! the same predicates under separate telemetry: one matches tuple by
 //! tuple, the other run by run, and afterwards every counter of their
-//! registries and every workload account must read the same.
+//! registries must read the same.
 //! `HashSequentialMatcher` checks the ids themselves. The work each
 //! tuple's callback is handed must add up to the counters too, and be
 //! the same whether the tuple stabbed in a lock-step group or alone.
@@ -106,8 +106,7 @@ fn counted(registry: &Registry) -> CostSnapshot {
     }
 }
 
-/// An index holding `conditions`, counting into its own registry and
-/// workload accounts.
+/// An index holding `conditions`, counting into its own registry.
 fn counted_index(db: &Database, conditions: &[String]) -> (PredicateIndex, Telemetry) {
     let mut index = PredicateIndex::new();
     for c in conditions {
@@ -115,7 +114,7 @@ fn counted_index(db: &Database, conditions: &[String]) -> (PredicateIndex, Telem
             .insert(parse_predicate(c).expect("parses"), db.catalog())
             .expect("binds");
     }
-    let telemetry = Telemetry::new(Arc::new(Registry::new())).with_workload_accounts();
+    let telemetry = Telemetry::new(Arc::new(Registry::new()));
     index.attach_metrics(telemetry.clone());
     (index, telemetry)
 }
@@ -203,11 +202,6 @@ fn runs_match_like_one_tuple_at_a_time() {
                 "seed {seed}: {name}"
             );
         }
-        assert_eq!(
-            single_telemetry.workload().lifetime(),
-            batched_telemetry.workload().lifetime(),
-            "seed {seed}: workload accounts"
-        );
         // The work handed out adds up to what the counters counted, in
         // lock-step groups and in one-lane stabs alike.
         assert_eq!(batched_sum, counted(registry_b), "seed {seed}: group work");

@@ -214,8 +214,8 @@ pub struct RuleEngine {
     log: Vec<String>,
     firing_limit: usize,
     total_fired: u64,
-    /// Registry, tracer, profiler and workload accounts — everything
-    /// off by default (one branch per site), replaced whole by
+    /// Registry, tracer and profiler — everything off by default (one
+    /// branch per site), replaced whole by
     /// [`attach_metrics`](RuleEngine::attach_metrics).
     telemetry: Telemetry,
     metrics: EngineMetrics,
@@ -259,11 +259,7 @@ impl RuleEngine {
     /// * **profiler** — per-rule cost attribution, billed per event
     ///   from the work its own match and memo calls did, and a stage
     ///   record per operation ([`last_record`](Self::last_record)).
-    ///   Already-registered rules get their display names immediately;
-    /// * **workload accounts** — per-attribute op mix, clause shapes
-    ///   and stab selectivity feeding the index advisor, backfilled
-    ///   with the predicates already registered (so attach a given
-    ///   handle once).
+    ///   Already-registered rules get their display names immediately.
     ///
     /// Whatever was attached before is replaced whole.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {

@@ -1404,8 +1404,7 @@ mod drop_restore_tests {
 
         let first = Telemetry::new(Arc::new(Registry::new()))
             .with_tracer(Tracer::new(256))
-            .with_profiling()
-            .with_workload_accounts();
+            .with_profiling();
         e.attach_metrics(first.clone());
         e.insert("emp", vec![Value::Int(1)]).unwrap();
         let a = first.registry();
@@ -1418,12 +1417,9 @@ mod drop_restore_tests {
             |t: &Telemetry| -> Vec<_> { t.profiler().accounts().iter().map(|a| a.cost).collect() };
         let accounts = billed(&first);
         assert!(!accounts.is_empty());
-        let (attrs, _) = first.workload().lifetime();
-        let stabs: u64 = attrs.iter().map(|u| u.stabs).sum();
-        assert!(stabs > 0);
 
-        // A bare registry: every layer moves to it, and the tracer,
-        // profiler and workload accounts of the old handle go quiet
+        // A bare registry: every layer moves to it, and the tracer and
+        // profiler of the old handle go quiet
         // rather than staying half attached.
         let b = Arc::new(Registry::new());
         e.attach_metrics(Arc::clone(&b));
@@ -1437,12 +1433,9 @@ mod drop_restore_tests {
         assert_eq!(a.counter_value("predindex_match_tuples_total"), Some(1));
         assert_eq!(first.tracer().events().len(), spans);
         assert_eq!(billed(&first), accounts);
-        let (attrs, _) = first.workload().lifetime();
-        assert_eq!(attrs.iter().map(|u| u.stabs).sum::<u64>(), stabs);
         let now = e.telemetry();
         assert!(!now.tracer().is_enabled());
         assert!(!now.profiler().is_enabled());
-        assert!(!now.workload().is_enabled());
     }
 
     #[test]

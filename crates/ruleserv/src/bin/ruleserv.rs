@@ -6,7 +6,8 @@
 //!
 //! Opens (creating or recovering) the durable engine at `--dir`,
 //! serves the wire protocol on `--bind`, and optionally exposes the
-//! telemetry HTTP endpoints (`/metrics`, `/health`, `/trace`) on
+//! telemetry HTTP endpoints (`/metrics`, `/health`, `/trace`,
+//! `/profile`, `/top`) on
 //! `--metrics`. Prints `LISTENING <addr>` on stdout once ready —
 //! supervisors and tests parse that line — and runs until stdin
 //! reaches EOF (or `--seconds` elapse), then shuts down gracefully.
@@ -19,11 +20,10 @@
 
 use durable::{ActionRegistry, DurableRuleEngine, Options, SyncPolicy};
 use predicate::FunctionRegistry;
-use predindex::Advisor;
 use ruleserv::{serve, ServerOptions};
 use std::io::Read;
 use std::sync::Arc;
-use telemetry::{AdvisorHook, Registry, Telemetry};
+use telemetry::{Registry, Telemetry};
 
 struct Config {
     dir: String,
@@ -37,7 +37,6 @@ struct Config {
     crash_after: Option<u64>,
     profile: bool,
     slow_ms: Option<u64>,
-    advise: bool,
 }
 
 fn usage() -> ! {
@@ -56,8 +55,7 @@ fn usage() -> ! {
          \x20 --snapshot-every N  snapshot cadence in logged ops (default 1024)\n\
          \x20 --crash-after N   abort after op N's WAL append, before its reply (crash tests)\n\
          \x20 --profile         attach the cost-attribution profiler (/profile, /top on --metrics)\n\
-         \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)\n\
-         \x20 --advise          attach workload accounts + index advisor (/advisor on --metrics)"
+         \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)"
     );
     std::process::exit(2)
 }
@@ -75,7 +73,6 @@ fn parse_args() -> Config {
         crash_after: None,
         profile: false,
         slow_ms: None,
-        advise: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -87,7 +84,7 @@ fn parse_args() -> Config {
             "--dir" => cfg.dir = value(&mut args),
             "--bind" => cfg.bind = value(&mut args),
             "--metrics" => cfg.metrics = Some(value(&mut args)),
-            "--seconds" => cfg.seconds = value(&mut args).parse().ok(),
+            "--seconds" => cfg.seconds = Some(value(&mut args).parse().unwrap_or_else(|_| usage())),
             "--queue-cap" => cfg.queue_cap = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--pipeline-cap" => {
                 cfg.pipeline_cap = value(&mut args).parse().unwrap_or_else(|_| usage())
@@ -96,13 +93,12 @@ fn parse_args() -> Config {
                 cfg.sync_every = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--snapshot-every" => {
-                cfg.snapshot_every = value(&mut args).parse().ok();
+                cfg.snapshot_every = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--crash-after" => {
                 cfg.crash_after = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--profile" => cfg.profile = true,
-            "--advise" => cfg.advise = true,
             "--slow-ms" => {
                 cfg.slow_ms = Some(value(&mut args).parse().unwrap_or_else(|_| usage()));
                 cfg.profile = true;
@@ -126,14 +122,6 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
     if cfg.profile {
         telemetry = telemetry.with_profiling();
     }
-    if cfg.advise {
-        // Workload accounts feed the advisor; the engine's flight
-        // dumps pick the advisor report up from the same handle.
-        telemetry = telemetry.with_workload_accounts();
-    }
-    let advisor = cfg
-        .advise
-        .then(|| Advisor::new(telemetry.workload().clone()));
     let engine = DurableRuleEngine::open_with_metrics(
         &cfg.dir,
         FunctionRegistry::default(),
@@ -164,13 +152,6 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
             // The engine has moved into its thread; /health is served
             // from the registry-backed families instead.
             let health_registry = Arc::clone(&registry);
-            let hook = advisor.map(|advisor| {
-                let json = advisor.clone();
-                AdvisorHook::new(
-                    move || json.report_json(),
-                    move || advisor.metrics_comment_lines(),
-                )
-            });
             let handle = telemetry::serve(
                 addr,
                 telemetry,
@@ -181,7 +162,6 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
                         health_registry.counter_family_total("server_connections_total"),
                     )
                 })),
-                hook,
             )?;
             println!("METRICS {}", handle.addr());
             Some(handle)

@@ -211,3 +211,35 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A flag the daemon cannot read is a usage error (exit 2) before any
+/// directory is opened, for the numeric flags and the removed
+/// `--advise` alike — never a silent default.
+#[test]
+fn malformed_or_unknown_flags_exit_with_usage() {
+    let dir = std::env::temp_dir().join(format!("ruleserv-usage-{}", std::process::id()));
+    for args in [
+        &["--seconds", "abc"][..],
+        &["--snapshot-every", "never"],
+        &["--advise"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruleserv"))
+            .arg("--dir")
+            .arg(&dir)
+            .args(["--bind", "127.0.0.1:0"])
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run ruleserv");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: ruleserv"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not start serving");
+    }
+    assert!(
+        !dir.exists(),
+        "a usage error must not open the durable home"
+    );
+}

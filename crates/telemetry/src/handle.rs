@@ -1,13 +1,12 @@
 //! [`Telemetry`]: the one handle every layer accepts.
 //!
-//! The stack records into four facilities — the metric [`Registry`],
-//! the span [`Tracer`], the cost-attribution [`Profiler`] and the
-//! per-attribute [`WorkloadStats`] accounts. The last two partition or
-//! extend counters that live in the registry, so they are only
-//! meaningful when built over the *same* registry the layers record
-//! into. This bundle makes that the only constructible state: it is
-//! built from one `Arc<Registry>`, and the profiler and workload
-//! accounts are switched on *from* it, never passed in.
+//! The stack records into three facilities — the metric [`Registry`],
+//! the span [`Tracer`] and the cost-attribution [`Profiler`]. The
+//! profiler partitions counters that live in the registry, so it is
+//! only meaningful when built over the *same* registry the layers
+//! record into. This bundle makes that the only constructible state: it
+//! is built from one `Arc<Registry>`, and the profiler is switched on
+//! *from* it, never passed in.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -21,37 +20,31 @@
 //! // Everything on, all over one registry.
 //! let full = Telemetry::new(Arc::new(Registry::new()))
 //!     .with_tracer(Tracer::new(1024))
-//!     .with_profiling()
-//!     .with_workload_accounts();
+//!     .with_profiling();
 //! assert!(Arc::ptr_eq(full.registry(), full.profiler().registry()));
-//! assert!(Arc::ptr_eq(full.registry(), full.workload().registry()));
 //! ```
 
 use crate::profile::Profiler;
 use crate::registry::Registry;
 use crate::trace::Tracer;
-use crate::workload::WorkloadStats;
 use std::sync::Arc;
 
-/// Registry + tracer + profiler + workload accounts, handed to each
-/// layer once. Cloning shares every underlying cell.
+/// Registry + tracer + profiler, handed to each layer once. Cloning
+/// shares every underlying cell.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     registry: Arc<Registry>,
     tracer: Tracer,
     profiler: Profiler,
-    workload: WorkloadStats,
 }
 
 impl Telemetry {
-    /// Counters and histograms into `registry`; tracer, profiler and
-    /// workload accounts off.
+    /// Counters and histograms into `registry`; tracer and profiler off.
     pub fn new(registry: Arc<Registry>) -> Telemetry {
         Telemetry {
             registry,
             tracer: Tracer::disabled(),
             profiler: Profiler::disabled(),
-            workload: WorkloadStats::disabled(),
         }
     }
 
@@ -74,13 +67,6 @@ impl Telemetry {
         self
     }
 
-    /// Switches per-relation+attribute workload accounts on, over this
-    /// bundle's registry (a disabled registry keeps them off).
-    pub fn with_workload_accounts(mut self) -> Telemetry {
-        self.workload = WorkloadStats::new(&self.registry);
-        self
-    }
-
     /// The metric registry.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -94,11 +80,6 @@ impl Telemetry {
     /// The cost-attribution profiler.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// The workload accounts.
-    pub fn workload(&self) -> &WorkloadStats {
-        &self.workload
     }
 }
 

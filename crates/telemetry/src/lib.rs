@@ -24,14 +24,14 @@
 //!   buffer, and [`serve`] exposes `/metrics`, `/health`, and `/trace`
 //!   over a dependency-free HTTP responder.
 //! * **One JSON writer** — [`json::JsonWriter`] renders every JSON
-//!   document the stack serves or commits (`/profile`, `/top`,
-//!   `/advisor`, the Chrome trace, the bench report), so escaping and
-//!   comma placement exist once.
+//!   document the stack serves or commits (`/profile`, `/top`, the
+//!   Chrome trace, the bench report), so escaping and comma placement
+//!   exist once.
 //!
 //! The crate is std-only and dependency-free; the relational layers
 //! (`predindex`, `joinmemo`, `rules`, `durable`) each accept one
-//! [`Telemetry`] handle — registry, tracer, profiler and workload
-//! accounts built over a single registry — and fill in the traces.
+//! [`Telemetry`] handle — registry, tracer and profiler built over a
+//! single registry — and fill in the traces.
 //!
 //! ```
 //! use telemetry::Registry;
@@ -70,7 +70,6 @@ mod registry;
 mod server;
 mod stages;
 mod trace;
-mod workload;
 
 pub use counter::Counter;
 pub use explain::{MatchTrace, ResidualTrace, StabTrace};
@@ -81,14 +80,10 @@ pub use profile::{
 };
 pub use recorder::{FlightRecorder, PanicHookGuard};
 pub use registry::Registry;
-pub use server::{serve, wake_addr, AdvisorHook, HealthFn, ServerHandle};
+pub use server::{serve, wake_addr, HealthFn, ServerHandle};
 pub use stages::{nanos, Stage, StageClock, StageRecord};
 pub use trace::{
     chrome_trace_json, Span, SpanEventKind, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,
-};
-pub use workload::{
-    AttrRecorder, AttrUsage, ClauseShape, RelationRecorder, RelationUsage, WorkloadStats,
-    WorkloadSummary, WorkloadWindow, WORKLOAD_WINDOW_CAPACITY,
 };
 
 #[cfg(test)]

@@ -52,9 +52,6 @@ pub struct FlightRecorder {
     /// the per-rule cost accounts and the slow-op ring after the
     /// metrics section.
     telemetry: Telemetry,
-    /// When set, dumps carry the index advisor's report (an opaque
-    /// text producer — the advisor lives above this crate).
-    advisor: Option<Arc<dyn Fn() -> String + Send + Sync>>,
     dir: PathBuf,
     /// Disambiguates dumps landing in the same wall-clock second.
     seq: AtomicU64,
@@ -75,21 +72,9 @@ impl FlightRecorder {
     pub fn new(telemetry: impl Into<Telemetry>, dir: impl Into<PathBuf>) -> FlightRecorder {
         FlightRecorder {
             telemetry: telemetry.into(),
-            advisor: None,
             dir: dir.into(),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// Attaches an index-advisor report producer whose text joins
-    /// every dump — a crashed process leaves behind not just what it
-    /// was doing but what its workload wanted the index to look like.
-    pub fn with_advisor(
-        mut self,
-        advisor: impl Fn() -> String + Send + Sync + 'static,
-    ) -> FlightRecorder {
-        self.advisor = Some(Arc::new(advisor));
-        self
     }
 
     /// The directory dumps are written into.
@@ -127,10 +112,6 @@ impl FlightRecorder {
         if profiler.is_enabled() {
             out.push('\n');
             out.push_str(&profiler.render_flight());
-        }
-        if let Some(advisor) = &self.advisor {
-            out.push_str("\n== advisor (index recommendations) ==\n");
-            out.push_str(&advisor());
         }
         out.push_str("\n== trace (chrome JSON, last line) ==\n");
         out.push_str(&crate::trace::chrome_trace_json(&events));
@@ -252,20 +233,6 @@ mod tests {
         // Without a profiler the sections stay out.
         let plain = FlightRecorder::new(Arc::new(Registry::new()), &dir);
         assert!(!plain.render("x").contains("== profile"));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dump_includes_advisor_section_when_attached() {
-        let dir = temp_dir("advisor");
-        let recorder = FlightRecorder::new(Arc::new(Registry::new()), &dir)
-            .with_advisor(|| "emp.0: best=naive margin=2.10x\n".to_string());
-        let text = recorder.render("why");
-        assert!(text.contains("== advisor (index recommendations) =="));
-        assert!(text.contains("best=naive"));
-        // Without an advisor the section stays out.
-        let plain = FlightRecorder::new(Arc::new(Registry::new()), &dir);
-        assert!(!plain.render("x").contains("== advisor"));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! A dependency-free metrics exposition server.
 //!
-//! One `std::net::TcpListener` accept thread answering three paths,
+//! One `std::net::TcpListener` accept thread answering five paths,
 //! enough for a Prometheus scraper, a load balancer, and a human with
 //! `curl`:
 //!
@@ -10,6 +10,8 @@
 //!   nothing about engines).
 //! * `GET /trace`   — drains the trace ring as Chrome trace-event
 //!   JSON; save the body and load it in Perfetto.
+//! * `GET /profile` and `GET /top` — the profiler's per-rule accounts
+//!   and live histogram quantiles, and its ten costliest rules.
 //!
 //! This is deliberately not a web framework: each connection is
 //! answered by a short-lived thread (so a stalled scraper can never
@@ -25,7 +27,7 @@
 //!
 //! let registry = Arc::new(Registry::new());
 //! registry.counter("rules_fired_total").add(2);
-//! let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
+//! let server = serve("127.0.0.1:0", Arc::clone(&registry), None).unwrap();
 //!
 //! let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
 //! write!(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -59,36 +61,6 @@ const LINGER_BYTES: u64 = 4 << 20;
 /// higher layers (the durable engine knows its WAL sequence and shard
 /// balance) can report without this crate depending on them.
 pub type HealthFn = Box<dyn Fn() -> String + Send + Sync>;
-
-/// The `/advisor` producer pair, opaque for the same reason as
-/// [`HealthFn`]: the index advisor lives above this crate (it knows
-/// the §5.2 backend cost model), so the server only asks it for bodies.
-pub struct AdvisorHook {
-    json: Box<dyn Fn() -> String + Send + Sync>,
-    comment: Box<dyn Fn() -> String + Send + Sync>,
-}
-
-impl AdvisorHook {
-    /// `json` answers `GET /advisor` (a `telemetry/advisor-v1`
-    /// document); `comment` yields `# advisor ...` lines appended to
-    /// the `/metrics` exposition (each line must start with `#` so
-    /// scrapers parse past them).
-    pub fn new(
-        json: impl Fn() -> String + Send + Sync + 'static,
-        comment: impl Fn() -> String + Send + Sync + 'static,
-    ) -> AdvisorHook {
-        AdvisorHook {
-            json: Box::new(json),
-            comment: Box::new(comment),
-        }
-    }
-}
-
-impl std::fmt::Debug for AdvisorHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdvisorHook").finish_non_exhaustive()
-    }
-}
 
 /// A running exposition server; dropping it without
 /// [`shutdown`](ServerHandle::shutdown) detaches the accept thread
@@ -148,20 +120,15 @@ pub fn wake_addr(addr: SocketAddr) -> SocketAddr {
 }
 
 /// Binds `bind` (e.g. `"127.0.0.1:9184"`, or port `0` for ephemeral)
-/// and serves `/metrics`, `/health`, `/trace`, `/profile`, `/top` and
-/// `/advisor` until [`ServerHandle::shutdown`], all from one
-/// [`Telemetry`] handle (a bare `Arc<Registry>` converts into one).
-/// With the handle's profiler off, `/profile` and `/top` still answer,
-/// with empty accounts but live histogram quantiles. With an
-/// [`AdvisorHook`], `/advisor` reports the index advisor's ranked
-/// backend recommendations and `/metrics` gains its `# advisor` comment
-/// lines; without one `/advisor` answers 200 with an empty
-/// `telemetry/advisor-v1` document, so scripted consumers need no probe.
+/// and serves `/metrics`, `/health`, `/trace`, `/profile` and `/top`
+/// until [`ServerHandle::shutdown`], all from one [`Telemetry`] handle
+/// (a bare `Arc<Registry>` converts into one). With the handle's
+/// profiler off, `/profile` and `/top` still answer, with empty
+/// accounts but live histogram quantiles.
 pub fn serve(
     bind: &str,
     telemetry: impl Into<Telemetry>,
     health: Option<HealthFn>,
-    advisor: Option<AdvisorHook>,
 ) -> io::Result<ServerHandle> {
     let telemetry = telemetry.into();
     let listener = TcpListener::bind(bind)?;
@@ -169,7 +136,6 @@ pub fn serve(
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let health = Arc::new(health);
-    let advisor = Arc::new(advisor);
     let thread = std::thread::Builder::new()
         .name("telemetry-exposition".into())
         .spawn(move || {
@@ -189,16 +155,10 @@ pub fn serve(
                 // scraper.
                 let telemetry = telemetry.clone();
                 let health = Arc::clone(&health);
-                let advisor = Arc::clone(&advisor);
                 let _ = std::thread::Builder::new()
                     .name("telemetry-conn".into())
                     .spawn(move || {
-                        let _ = handle(
-                            conn,
-                            &telemetry,
-                            health.as_deref(),
-                            advisor.as_ref().as_ref(),
-                        );
+                        let _ = handle(conn, &telemetry, health.as_deref());
                     });
             }
         })?;
@@ -213,7 +173,6 @@ fn handle(
     conn: TcpStream,
     telemetry: &Telemetry,
     health: Option<&(dyn Fn() -> String + Send + Sync)>,
-    advisor: Option<&AdvisorHook>,
 ) -> io::Result<()> {
     let (registry, profiler) = (telemetry.registry(), telemetry.profiler());
     let mut head = BufReader::new((&conn).take(MAX_HEAD_BYTES));
@@ -243,13 +202,11 @@ fn handle(
             "text/plain; charset=utf-8",
             format!("request head exceeds {MAX_HEAD_BYTES} bytes\n"),
         ),
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", {
-            let mut body = registry.render_text();
-            if let Some(hook) = advisor {
-                body.push_str(&(hook.comment)());
-            }
-            body
-        }),
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.render_text(),
+        ),
         "/health" => (
             "200 OK",
             "text/plain; charset=utf-8",
@@ -266,24 +223,10 @@ fn handle(
             profiler.profile_json(registry),
         ),
         "/top" => ("200 OK", "application/json", profiler.top_json(10)),
-        "/advisor" => (
-            "200 OK",
-            "application/json",
-            advisor.map_or_else(
-                || {
-                    "{\"schema\":\"telemetry/advisor-v1\",\"windowed\":false,\
-                     \"recommendations\":[],\"relations\":[]}\n"
-                        .to_string()
-                },
-                |hook| (hook.json)(),
-            ),
-        ),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            format!(
-                "no route for {path:?}; try /metrics, /health, /trace, /profile, /top, /advisor\n"
-            ),
+            format!("no route for {path:?}; try /metrics, /health, /trace, /profile, /top\n"),
         ),
     };
     let mut conn = &conn;
@@ -326,7 +269,6 @@ mod tests {
             "127.0.0.1:0",
             Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
             Some(Box::new(|| "up 1\nwal_next_seq 42\n".to_string())),
-            None,
         )
         .unwrap();
         let addr = server.addr();
@@ -347,8 +289,18 @@ mod tests {
         assert!(body.contains("\"traceEvents\":[]"));
         assert!(tracer.events().is_empty());
 
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"));
+        // An unknown path, and the index advisor's retired route, are
+        // 404s that name exactly the routes there are.
+        for path in ["/nope", "/advisor"] {
+            let (head, body) = get(addr, path);
+            assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
+            let routes = body.split_once("try ").map(|(_, r)| r.trim_end());
+            assert_eq!(
+                routes,
+                Some("/metrics, /health, /trace, /profile, /top"),
+                "{path}"
+            );
+        }
 
         server.shutdown();
         assert!(
@@ -370,7 +322,7 @@ mod tests {
     /// second connection is answered while the first is still sending.
     #[test]
     fn an_endless_request_line_is_cut_off_at_the_head_cap() {
-        let server = serve("127.0.0.1:0", Arc::new(Registry::new()), None, None).unwrap();
+        let server = serve("127.0.0.1:0", Arc::new(Registry::new()), None).unwrap();
         let addr = server.addr();
 
         let mut hostile = TcpStream::connect(addr).unwrap();
@@ -404,7 +356,7 @@ mod tests {
         };
         telemetry.profiler().bill(Some(3), &firing);
         telemetry.profiler().name_rule(3, "reorder");
-        let server = serve("127.0.0.1:0", telemetry, None, None).unwrap();
+        let server = serve("127.0.0.1:0", telemetry, None).unwrap();
 
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.contains("application/json"));
@@ -422,43 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn serves_advisor_json_and_metric_comments() {
-        let registry = Arc::new(Registry::new());
-        registry.counter("rules_fired_total").add(1);
-        let hook = AdvisorHook::new(
-            || "{\"schema\":\"telemetry/advisor-v1\",\"recommendations\":[]}\n".to_string(),
-            || "# advisor emp.0 best=ibs margin=1.50x\n".to_string(),
-        );
-        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, Some(hook)).unwrap();
-
-        let (head, body) = get(server.addr(), "/advisor");
-        assert!(head.contains("application/json"));
-        assert!(body.contains("\"schema\":\"telemetry/advisor-v1\""));
-
-        // /metrics keeps the exposition and appends the comment lines.
-        let (_, body) = get(server.addr(), "/metrics");
-        assert!(body.contains("rules_fired_total 1"));
-        assert!(body.contains("# advisor emp.0 best=ibs margin=1.50x"));
-
-        let (_, body) = get(server.addr(), "/nope");
-        assert!(body.contains("/advisor"));
-        server.shutdown();
-    }
-
-    #[test]
-    fn advisor_route_answers_empty_without_a_hook() {
-        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
-        let (head, body) = get(server.addr(), "/advisor");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert!(body.contains("\"recommendations\":[]"));
-        server.shutdown();
-    }
-
-    #[test]
     fn plain_serve_answers_profile_with_empty_accounts() {
         let registry = Arc::new(Registry::new());
         registry.histogram("h").record(4);
-        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&registry), None).unwrap();
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
         assert!(body.contains("\"accounts\":[]"));
@@ -479,7 +398,6 @@ mod tests {
         let server = serve(
             "127.0.0.1:0",
             Telemetry::disabled().with_tracer(tracer.clone()),
-            None,
             None,
         )
         .unwrap();
@@ -504,7 +422,7 @@ mod tests {
         // Regression: the shutdown self-connect used the bound address
         // verbatim, and connecting to 0.0.0.0 can fail — leaving the
         // accept thread blocked and `join` hung forever.
-        let server = serve("0.0.0.0:0", Telemetry::disabled(), None, None).unwrap();
+        let server = serve("0.0.0.0:0", Telemetry::disabled(), None).unwrap();
         assert!(server.addr().ip().is_unspecified());
         let done = std::thread::spawn(move || server.shutdown());
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -530,7 +448,7 @@ mod tests {
 
     #[test]
     fn a_stalled_connection_does_not_block_other_requests() {
-        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
+        let server = serve("127.0.0.1:0", Telemetry::disabled(), None).unwrap();
         // Connect and send nothing: under the old serial accept loop
         // this held every later request hostage for the full 2 s read
         // timeout.
@@ -552,7 +470,7 @@ mod tests {
     fn headers_are_drained_before_the_reply() {
         let registry = Arc::new(Registry::new());
         registry.counter("rules_fired_total").add(3);
-        let server = serve("127.0.0.1:0", Arc::clone(&registry), None, None).unwrap();
+        let server = serve("127.0.0.1:0", Arc::clone(&registry), None).unwrap();
         // Dribble the headers out slowly: the server must wait for the
         // blank line (i.e. consume the full request) before replying.
         let mut conn = TcpStream::connect(server.addr()).unwrap();
@@ -578,7 +496,7 @@ mod tests {
 
     #[test]
     fn default_health_reports_up() {
-        let server = serve("127.0.0.1:0", Telemetry::disabled(), None, None).unwrap();
+        let server = serve("127.0.0.1:0", Telemetry::disabled(), None).unwrap();
         let (_, body) = get(server.addr(), "/health");
         assert_eq!(body, "up 1\n");
         server.shutdown();

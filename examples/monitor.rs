@@ -9,7 +9,6 @@
 //! curl -s http://127.0.0.1:9898/trace > trace.json   # drains the span ring
 //! curl -s http://127.0.0.1:9898/profile              # cost accounts + quantiles + stage records
 //! curl -s http://127.0.0.1:9898/top                  # the 10 most expensive rule accounts
-//! curl -s http://127.0.0.1:9898/advisor              # workload-driven index recommendations
 //! ```
 //!
 //! The workload is a two-level cascade (underpaid employees raise
@@ -25,12 +24,9 @@
 
 use predmatch::durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec};
 use predmatch::predicate::FunctionRegistry;
-use predmatch::predindex::Advisor;
 use predmatch::prelude::*;
 use predmatch::rules::{DbOp, EventMask};
-use predmatch::telemetry::{
-    chrome_trace_json, serve, AdvisorHook, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY,
-};
+use predmatch::telemetry::{chrome_trace_json, serve, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -141,33 +137,23 @@ fn main() {
     // One handle for the engine and the exposition server. Cost
     // attribution on: per-rule accounts feed /profile and /top, and a
     // zero threshold keeps every insert's stage record in the slow-op
-    // ring (the newest 64). Workload accounts on: /advisor serves the
-    // ranked §5.2 cost projection, and flight dumps carry the text
-    // report.
+    // ring (the newest 64).
     let telemetry = Telemetry::new(Arc::new(Registry::new()))
         .with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY))
-        .with_profiling()
-        .with_workload_accounts();
+        .with_profiling();
     telemetry.profiler().set_slow_threshold_nanos(0);
     let dir = std::env::temp_dir().join(format!("predmatch-monitor-{}", std::process::id()));
-
-    let advisor = Advisor::new(telemetry.workload().clone());
     let engine = Arc::new(Mutex::new(build_engine(&dir, telemetry.clone())));
 
     // /health reports through the engine (WAL seq, rule count); the
     // workload shares it behind a mutex.
     let health_engine = engine.clone();
-    let json_advisor = advisor.clone();
     let server = serve(
         &format!("127.0.0.1:{}", cfg.port),
         telemetry.clone(),
         Some(Box::new(move || {
             health_engine.lock().expect("engine lock").health_text()
         })),
-        Some(AdvisorHook::new(
-            move || json_advisor.report_json(),
-            move || advisor.metrics_comment_lines(),
-        )),
     )
     .expect("exposition server binds");
     // Parsed by CI; keep the format stable.
@@ -177,7 +163,6 @@ fn main() {
     println!("  curl http://{}/trace", server.addr());
     println!("  curl http://{}/profile", server.addr());
     println!("  curl http://{}/top", server.addr());
-    println!("  curl http://{}/advisor", server.addr());
 
     let deadline = Instant::now() + Duration::from_secs(cfg.seconds);
     let mut i: i64 = 0;

@@ -23,13 +23,12 @@
 //! :trace <path>                         drain the span ring to <path> as Chrome JSON
 //! :top [k]                              the k most expensive rule cost accounts (default 10)
 //! :slow                                 recent inserts' stage records (the slow-op ring)
-//! :advise                               workload-driven index recommendations (§5.2 costs)
 //! help                                  this text
 //! quit
 //! ```
 
 use predmatch::predicate::parse_predicates;
-use predmatch::predindex::{Advisor, Matcher};
+use predmatch::predindex::Matcher;
 use predmatch::prelude::*;
 use predmatch::rules::{Action, Rule, RuleEngine};
 use predmatch::telemetry::{Telemetry, Tracer};
@@ -41,7 +40,6 @@ struct Shell {
     index: PredicateIndex,
     sources: Vec<(PredicateIdWrap, String)>,
     telemetry: Telemetry,
-    advisor: Advisor,
 }
 
 type PredicateIdWrap = predmatch::predindex::PredicateId;
@@ -51,11 +49,10 @@ impl Shell {
         // Live telemetry so :metrics and :trace have something to show;
         // the counters and the span ring cost nothing until rendered.
         // One handle feeds both the shell's direct index and the
-        // engine's, so :advise sees every stab.
+        // engine's, so :metrics counts every stab.
         let telemetry = Telemetry::new(Arc::new(Registry::new()))
             .with_tracer(Tracer::new(predmatch::telemetry::DEFAULT_TRACE_CAPACITY))
-            .with_profiling()
-            .with_workload_accounts();
+            .with_profiling();
         // A zero threshold captures every insert in the slow-op ring,
         // so :slow doubles as a recent-op cost log in the shell.
         telemetry.profiler().set_slow_threshold_nanos(0);
@@ -63,13 +60,11 @@ impl Shell {
         index.attach_metrics(telemetry.clone());
         let mut engine = RuleEngine::new(Database::new());
         engine.attach_metrics(telemetry.clone());
-        let advisor = Advisor::new(telemetry.workload().clone());
         Shell {
             engine,
             index,
             sources: Vec::new(),
             telemetry,
-            advisor,
         }
     }
 
@@ -98,10 +93,9 @@ impl Shell {
             ":trace" => self.cmd_trace(rest),
             ":top" => self.cmd_top(rest),
             ":slow" => Ok(self.telemetry.profiler().render_slow_text()),
-            ":advise" => Ok(self.advisor.render_text()),
             "help" => Ok(
                 "commands: relation, predicate, rule, insert, drop, stats, list, \
-                 :memo, :metrics, :explain, :trace, :top, :slow, :advise, help, quit"
+                 :memo, :metrics, :explain, :trace, :top, :slow, help, quit"
                     .to_string(),
             ),
             other => Err(format!("unknown command {other:?} (try 'help')")),
@@ -348,7 +342,6 @@ insert emp fi 28 21000 Shoe
 :explain emp ed 55 18000 Shoe
 :top
 :slow
-:advise
 :metrics
 "#;
 

@@ -30,9 +30,9 @@
 //! * [`durable`] — opt-in durability for the rule engine: a checksummed
 //!   write-ahead log, atomic snapshots, and crash recovery that replays
 //!   the engine operation-for-operation ([`durable::DurableRuleEngine`]).
-//! * [`telemetry`] — counters, spans, per-rule cost accounts and
-//!   workload accounts, handed to every layer as one
-//!   [`telemetry::Telemetry`] handle (see *Observability* below).
+//! * [`telemetry`] — counters, spans and per-rule cost accounts,
+//!   handed to every layer as one [`telemetry::Telemetry`] handle (see
+//!   *Observability* below).
 //!
 //! ## Quickstart
 //!
@@ -83,8 +83,7 @@
 //!     .unwrap();
 //! let telemetry = Telemetry::new(Arc::new(Registry::new()))
 //!     .with_tracer(Tracer::new(1024)) // spans
-//!     .with_profiling() // per-rule cost accounts
-//!     .with_workload_accounts(); // the index advisor's input
+//!     .with_profiling(); // per-rule cost accounts
 //! let mut engine = RuleEngine::new(db);
 //! engine.attach_metrics(telemetry.clone());
 //! engine

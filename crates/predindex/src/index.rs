@@ -27,15 +27,19 @@
 //! is therefore: stab the trees, residual-test the tree candidates,
 //! sweep the groups, sort the tail once.
 //!
-//! `PREDICATES` is split in two. The hot table holds, per id, where the
-//! predicate lives and the clauses a match still has to test: a tree
-//! candidate's stab has already proved its indexed clause, so only the
-//! others are kept, and a single-clause predicate keeps none. The cold
-//! table holds the source form, read by remove, EXPLAIN and `get`.
+//! `PREDICATES` is a [`Slab`]: each predicate has a dense slot, and
+//! the IBS marks and group members name that slot, not the id, so a
+//! candidate's residual test is one indexed load. The hot half of a
+//! slot holds where the predicate lives, the clauses a match still has
+//! to test (a tree candidate's stab has already proved its indexed
+//! clause, so a single-clause predicate keeps none), its id and the
+//! caller's route word, which a [`Routed`] match hands back. The cold
+//! half holds the source form, read by remove, EXPLAIN and `get`; the
+//! id → slot map is read only by those.
 //!
 //! The whole structure lives in one place, [`IndexCore`]: the relation
-//! hash and the two `PREDICATES` tables, with the only insert, remove,
-//! match, EXPLAIN and stats bodies in the crate.
+//! hash and the `PREDICATES` slab, with the only insert, remove, match,
+//! EXPLAIN and stats bodies in the crate.
 //! [`PredicateIndex`] is one core plus a plain id counter; the
 //! concurrent front-end in [`crate::sharded`] is several cores behind
 //! reader–writer locks plus an atomic counter. The sequential index is
@@ -43,6 +47,7 @@
 
 use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
+use crate::slab::{map_bytes, Slab};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
 use ibs::{BalanceMode, IbsTree, StabObserver, StabStats, LANES};
 use interval::Interval;
@@ -77,8 +82,8 @@ enum Placement {
     Unsatisfiable,
 }
 
-/// A predicate's hot `PREDICATES` entry: where it lives and the clauses
-/// a match still has to test.
+/// A predicate's hot `PREDICATES` entry: where it lives, the clauses a
+/// match still has to test, and what a match appends for it.
 #[derive(Debug, Clone)]
 struct Hot {
     location: Location,
@@ -87,23 +92,19 @@ struct Hot {
     /// non-indexable list: the opaque clauses, from which the group key
     /// is derived. Unsatisfiable: empty.
     residual: Box<[BoundClause]>,
+    id: PredicateId,
+    /// The caller's word, handed back with every [`Routed`] match.
+    route: u32,
 }
 
-// A hot slot, `(u32, Hot)`, is half a 64-byte line: no slot straddles
-// two lines.
-const _: () = assert!(size_of::<(u32, Hot)>() == 32);
+// A hot slot is half a 64-byte line: no slot straddles two lines.
+const _: () = assert!(size_of::<Option<Hot>>() == 32);
 
 impl Hot {
     /// The residual test: do the clauses the stab did not prove hold?
     fn holds(&self, tuple: &Tuple) -> bool {
         self.residual.iter().all(|c| c.test(tuple))
     }
-}
-
-/// Table bytes of a hash map: its capacity is 7/8 of its slots, and
-/// each slot carries one control byte.
-fn map_bytes<K, V>(m: &FnvHashMap<K, V>) -> usize {
-    m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
 /// Heap bytes behind an interval: its endpoints' string contents.
@@ -156,23 +157,82 @@ fn place(catalog: &Catalog, bound: &BoundPredicate) -> Placement {
     }
 }
 
-/// The residual test (Figure 1's last stage) on the tree candidates:
-/// keeps only ids whose full conjunction holds. The stab proved each
-/// candidate's indexed clause, so only its hot residual is tested.
-fn residual_filter(
-    hot: &FnvHashMap<u32, Hot>,
-    tuple: &Tuple,
-    out: &mut Vec<PredicateId>,
-    from: usize,
-) {
+/// What a match appends for each matching predicate: its bare id, or
+/// the id with the route word it was inserted under ([`Routed`]).
+/// Entries sort by id.
+pub trait MatchOut: Copy + Ord {
+    /// The entry for predicate `id`, inserted with `route`.
+    fn of(id: PredicateId, route: u32) -> Self;
+
+    /// `out` itself when an entry is a bare id: a match without lanes
+    /// stabs a tuple's candidate slots straight into it and tests them
+    /// in place.
+    fn as_ids(out: &mut Vec<Self>) -> Option<&mut Vec<PredicateId>>;
+}
+
+impl MatchOut for PredicateId {
+    fn of(id: PredicateId, _: u32) -> Self {
+        id
+    }
+
+    fn as_ids(out: &mut Vec<Self>) -> Option<&mut Vec<PredicateId>> {
+        Some(out)
+    }
+}
+
+/// A match that carries its route: the predicate's id and the word its
+/// caller inserted it with ([`PredicateIndex::insert_routed`]), so the
+/// caller reaches what the predicate stands for without a lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Routed {
+    pub id: PredicateId,
+    pub route: u32,
+}
+
+impl MatchOut for Routed {
+    fn of(id: PredicateId, route: u32) -> Self {
+        Routed { id, route }
+    }
+
+    fn as_ids(_: &mut Vec<Self>) -> Option<&mut Vec<PredicateId>> {
+        None
+    }
+}
+
+/// The `PREDICATES` slab: per slot, the hot entry and the source form.
+type Predicates = Slab<Hot, Predicate>;
+
+/// The residual test (Figure 1's last stage) on a tuple's tree
+/// candidates, in place: `ids[from..]` holds candidate slots (the
+/// marks the stab found), and keeps the ids of those whose full
+/// conjunction holds. The stab proved each candidate's indexed clause,
+/// so only its hot residual is tested.
+fn residual_in_place(preds: &Predicates, tuple: &Tuple, ids: &mut Vec<PredicateId>, from: usize) {
     let mut keep = from;
-    for i in from..out.len() {
-        if hot.get(&out[i].0).is_some_and(|h| h.holds(tuple)) {
-            out.swap(keep, i);
+    for i in from..ids.len() {
+        let hot = preds.hot(ids[i].0);
+        if hot.holds(tuple) {
+            ids[keep] = hot.id;
             keep += 1;
         }
     }
-    out.truncate(keep);
+    ids.truncate(keep);
+}
+
+/// The residual test on candidate slots held in a lane: appends to `out`
+/// the entry of each one whose full conjunction holds.
+fn residual_into<T: MatchOut>(
+    preds: &Predicates,
+    tuple: &Tuple,
+    slots: &[PredicateId],
+    out: &mut Vec<T>,
+) {
+    for slot in slots {
+        let hot = preds.hot(slot.0);
+        if hot.holds(tuple) {
+            out.push(T::of(hot.id, hot.route));
+        }
+    }
 }
 
 /// The identity of a non-indexable predicate's clause set: its
@@ -213,8 +273,8 @@ struct OpaqueGroup {
     key: OpaqueKey,
     /// One clause per key entry (the empty set holds for every tuple).
     clauses: Vec<BoundClause>,
-    /// Members, in registration order.
-    ids: Vec<PredicateId>,
+    /// Members' slots, in registration order.
+    slots: Vec<u32>,
 }
 
 impl OpaqueGroup {
@@ -227,7 +287,7 @@ impl OpaqueGroup {
     fn heap_bytes(&self) -> usize {
         self.key.capacity() * size_of::<(usize, usize)>()
             + clauses_heap(&self.clauses)
-            + self.ids.capacity() * size_of::<PredicateId>()
+            + self.slots.capacity() * size_of::<u32>()
     }
 }
 
@@ -271,12 +331,13 @@ impl RelationIndex {
         }
     }
 
-    /// Indexes `interval` under `attr`, creating the tree on first use.
+    /// Indexes `interval` under `attr` with mark `slot`, creating the
+    /// tree on first use.
     fn insert_tree(
         &mut self,
         relation: &str,
         attr: usize,
-        id: PredicateId,
+        slot: u32,
         interval: Interval<Value>,
         mode: BalanceMode,
         metrics: &IndexMetrics,
@@ -286,46 +347,46 @@ impl RelationIndex {
             work: metrics.attr_work(relation, attr),
         });
         at.tree
-            .insert(id, interval)
-            .expect("the front-end just minted this id; the tree cannot already hold it");
+            .insert(PredicateId(slot), interval)
+            .expect("the slot was vacant; the tree cannot already hold it");
     }
 
-    /// Adds `id` to the group of its clause set, opening the group on
+    /// Adds `slot` to the group of its clause set, opening the group on
     /// first use.
-    fn push_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
+    fn push_non_indexable(&mut self, slot: u32, clauses: &[BoundClause]) {
         let (key, clauses) = opaque_key(clauses);
         match self.non_indexable.iter_mut().find(|g| g.key == key) {
-            Some(group) => group.ids.push(id),
+            Some(group) => group.slots.push(slot),
             None => self.non_indexable.push(OpaqueGroup {
                 key,
                 clauses: clauses.into_iter().cloned().collect(),
-                ids: vec![id],
+                slots: vec![slot],
             }),
         }
     }
 
-    /// Removes an indexed interval, dropping the tree when it empties,
-    /// and returns it.
-    fn remove_tree(&mut self, attr: usize, id: PredicateId) -> Interval<Value> {
+    /// Removes the interval marked `slot`, dropping the tree when it
+    /// empties, and returns it.
+    fn remove_tree(&mut self, attr: usize, slot: u32) -> Interval<Value> {
         let at = self
             .attr_trees
             .get_mut(&attr)
             .expect("a Tree placement was recorded for this attribute");
         let interval = at
             .tree
-            .remove(id)
-            .expect("the tree has held this id since its placement was recorded");
+            .remove(PredicateId(slot))
+            .expect("the tree has held this slot since its placement was recorded");
         if at.tree.is_empty() {
             self.attr_trees.remove(&attr);
         }
         interval
     }
 
-    /// Removes `id` from its clause set's group, dropping the group when
-    /// it empties. `clauses` are the predicate's own hot residual, so
-    /// its functions (and their addresses) are the ones the group keys
-    /// on.
-    fn remove_non_indexable(&mut self, id: PredicateId, clauses: &[BoundClause]) {
+    /// Removes `slot` from its clause set's group, dropping the group
+    /// when it empties. `clauses` are the predicate's own hot residual,
+    /// so its functions (and their addresses) are the ones the group
+    /// keys on.
+    fn remove_non_indexable(&mut self, slot: u32, clauses: &[BoundClause]) {
         let (key, _) = opaque_key(clauses);
         let gix = self
             .non_indexable
@@ -333,8 +394,8 @@ impl RelationIndex {
             .position(|g| g.key == key)
             .expect("a NonIndexable predicate is a member of its clause set's group");
         let group = &mut self.non_indexable[gix];
-        group.ids.retain(|&p| p != id);
-        if group.ids.is_empty() {
+        group.slots.retain(|&s| s != slot);
+        if group.slots.is_empty() {
             self.non_indexable.swap_remove(gix);
         }
     }
@@ -342,7 +403,7 @@ impl RelationIndex {
     /// Partial match — the tree half of Figure 1's second level — for a
     /// group of at most [`LANES`] tuples: stabs every per-attribute
     /// IBS-tree with each tuple's value for that attribute, appending
-    /// tuple `l`'s candidates to `outs[l]`. The group descends each tree
+    /// tuple `l`'s candidate slots to `outs[l]`. The group descends each tree
     /// in lock-step (`IbsTree::stab_lanes_into`). Each indexable
     /// predicate lives in exactly one tree, so no deduplication is
     /// needed; the non-indexable list is
@@ -392,12 +453,20 @@ impl RelationIndex {
     /// The non-indexable sweep: tests each clause set once and appends
     /// every member of a set that holds — full matches, not candidates.
     /// Returns `(sets tested, sets that held)`.
-    fn sweep(&self, tuple: &Tuple, out: &mut Vec<PredicateId>) -> (u64, u64) {
+    fn sweep<T: MatchOut>(
+        &self,
+        preds: &Predicates,
+        tuple: &Tuple,
+        out: &mut Vec<T>,
+    ) -> (u64, u64) {
         let mut held = 0;
         for group in &self.non_indexable {
             if group.holds(tuple) {
                 held += 1;
-                out.extend_from_slice(&group.ids);
+                out.extend(group.slots.iter().map(|&slot| {
+                    let hot = preds.hot(slot);
+                    T::of(hot.id, hot.route)
+                }));
             }
         }
         (self.non_indexable.len() as u64, held)
@@ -420,7 +489,7 @@ impl RelationIndex {
         RelationStats {
             relation: relation.to_string(),
             trees,
-            non_indexable: self.non_indexable.iter().map(|g| g.ids.len()).sum(),
+            non_indexable: self.non_indexable.iter().map(|g| g.slots.len()).sum(),
         }
     }
 
@@ -454,9 +523,9 @@ impl RelationIndex {
 }
 
 /// The candidate buffers of one lock-step group, one per lane: where
-/// [`PredicateIndex::match_run_into`] stabs a group's tuples before
-/// each tuple's residual test. Scratch with no meaning between calls;
-/// reuse one so a warm run allocates nothing.
+/// [`PredicateIndex::match_run_into`] stabs a group's tuples (their
+/// candidate slots) before each tuple's residual test. Scratch with no
+/// meaning between calls; reuse one so a warm run allocates nothing.
 #[derive(Debug, Default)]
 pub struct MatchLanes {
     bufs: [Vec<PredicateId>; LANES],
@@ -469,18 +538,17 @@ fn tree_key_heap(interval: &Interval<Value>) -> usize {
     2 * interval_heap(interval)
 }
 
-/// The Figure 1 structure itself: relation-name hash → per-relation
-/// second-level index, and `PREDICATES` as two per-id tables — `hot`,
-/// what the match path reads (where each predicate was placed and the
-/// clauses its residual test runs), and `cold`, the source form that
-/// only remove, EXPLAIN and `get` read. Ids are assigned by the owning
-/// front-end; everything else — placement, removal, matching, EXPLAIN,
-/// stats — happens here and nowhere else.
+/// The Figure 1 structure itself: relation-name hash → per-attribute
+/// second-level index, and `PREDICATES` as one slab — per slot, the hot
+/// entry the match path reads (placement, residual clauses, id, route
+/// word) and the source form that only remove, EXPLAIN and `get` read.
+/// Ids are assigned by the owning front-end; everything else —
+/// placement, removal, matching, EXPLAIN, stats — happens here and
+/// nowhere else.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexCore {
     relations: FnvHashMap<String, RelationIndex>,
-    hot: FnvHashMap<u32, Hot>,
-    cold: FnvHashMap<u32, Predicate>,
+    preds: Predicates,
     /// Heap behind the per-predicate entries — source forms, residuals,
     /// tree string keys — counted at insert and remove.
     entry_heap: usize,
@@ -492,8 +560,7 @@ impl IndexCore {
     pub(crate) fn new(mode: BalanceMode) -> Self {
         IndexCore {
             relations: FnvHashMap::default(),
-            hot: FnvHashMap::default(),
-            cold: FnvHashMap::default(),
+            preds: Slab::default(),
             entry_heap: 0,
             mode,
         }
@@ -512,13 +579,14 @@ impl IndexCore {
             .expect("the entry was created above if it was missing")
     }
 
-    /// Stores `stored` under the caller-assigned `id` and indexes it
-    /// where [`place`] says it belongs. The bound clauses are moved, not
-    /// copied: the indexed one into its tree, the rest into the hot
-    /// entry.
+    /// Stores `stored` under the caller-assigned `id` with its `route`
+    /// word in the next free slot, and indexes the slot where [`place`]
+    /// says it belongs. The bound clauses are moved, not copied: the
+    /// indexed one into its tree, the rest into the hot entry.
     pub(crate) fn insert_bound(
         &mut self,
         id: PredicateId,
+        route: u32,
         stored: StoredPredicate,
         catalog: &Catalog,
         metrics: &IndexMetrics,
@@ -527,6 +595,7 @@ impl IndexCore {
         let placement = place(catalog, &bound);
         let mut clauses = bound.into_clauses();
         let relation = source.relation();
+        let slot = self.preds.next_slot();
         let mut heap = source_heap(&source);
         let location = match placement {
             Placement::Unsatisfiable => {
@@ -540,30 +609,37 @@ impl IndexCore {
                 heap += tree_key_heap(&interval);
                 let mode = self.mode;
                 self.relation_index(relation, metrics)
-                    .insert_tree(relation, attr, id, interval, mode, metrics);
+                    .insert_tree(relation, attr, slot, interval, mode, metrics);
                 Location::Tree {
                     attr: u32::try_from(attr).expect("a schema has fewer than 2^32 attributes"),
                 }
             }
             Placement::NonIndexable => {
                 self.relation_index(relation, metrics)
-                    .push_non_indexable(id, &clauses);
+                    .push_non_indexable(slot, &clauses);
                 Location::NonIndexable
             }
         };
         let residual = clauses.into_boxed_slice();
         self.entry_heap += heap + clauses_heap(&residual);
-        self.hot.insert(id.0, Hot { location, residual });
-        self.cold.insert(id.0, source);
+        let hot = Hot {
+            location,
+            residual,
+            id,
+            route,
+        };
+        self.preds.insert(id.0, hot, source);
     }
 
     /// Unregisters `id`, returning its source form.
     pub(crate) fn remove(&mut self, id: PredicateId) -> Option<Predicate> {
-        let Hot { location, residual } = self.hot.remove(&id.0)?;
-        let source = self
-            .cold
-            .remove(&id.0)
-            .expect("hot and cold are updated together: a hot entry has a source");
+        let (
+            slot,
+            Hot {
+                location, residual, ..
+            },
+            source,
+        ) = self.preds.remove(id.0)?;
         let mut heap = source_heap(&source) + clauses_heap(&residual);
         match location {
             Location::Tree { attr } => {
@@ -571,14 +647,14 @@ impl IndexCore {
                     .relations
                     .get_mut(source.relation())
                     .expect("a Tree location implies the relation entry exists")
-                    .remove_tree(attr as usize, id);
+                    .remove_tree(attr as usize, slot);
                 heap += tree_key_heap(&interval);
             }
             Location::NonIndexable => {
                 self.relations
                     .get_mut(source.relation())
                     .expect("a NonIndexable location implies the relation entry exists")
-                    .remove_non_indexable(id, &residual);
+                    .remove_non_indexable(slot, &residual);
             }
             Location::Unsatisfiable => {}
         }
@@ -590,27 +666,28 @@ impl IndexCore {
     /// the relation name once, then per group of tuples — as many as
     /// there are `lanes`, at most [`LANES`], one without lanes — the
     /// tree stabs in lock-step (metered when counters are on), then per
-    /// tuple the residual test on its tree candidates, the grouped
+    /// tuple the residual test on its candidate slots, the grouped
     /// non-indexable sweep, one sort of its matches and one
     /// `record_match`. Each tuple's matches are
     /// appended to `out` and their range handed to `matched` with the
     /// tuple's work counts, in run order. `clock` laps `stab` and
-    /// `residual` once per group. A group of one stabs straight into
-    /// `out`; a larger group stabs into `lanes`, and each tuple's
-    /// candidates are copied behind `out` for its test.
+    /// `residual` once per group. Without lanes a tuple stabs straight
+    /// into `out` (bare ids only) and is tested in place; with lanes it
+    /// stabs into its lane, and the residual test appends its matches.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn match_into<'t>(
+    pub(crate) fn match_into<'t, T: MatchOut>(
         &self,
         relation: &str,
         tuples: impl IntoIterator<Item = &'t Tuple>,
         lanes: &mut [Vec<PredicateId>],
-        out: &mut Vec<PredicateId>,
+        out: &mut Vec<T>,
         metrics: &IndexMetrics,
         clock: &mut StageClock,
         mut matched: impl FnMut(Range<usize>, &CostSnapshot),
     ) {
         let width = lanes.len().min(LANES);
         let lanes = &mut lanes[..width];
+        let direct = lanes.is_empty();
         let mut tuples = tuples.into_iter();
         let Some(ri) = self.relations.get(relation) else {
             for _ in tuples {
@@ -633,8 +710,10 @@ impl IndexCore {
             let mut stabbed = [(0, 0); LANES];
             {
                 let _stab = tracer.span("predindex_stab");
-                let outs = if n == 1 {
-                    std::slice::from_mut(out)
+                let outs = if direct {
+                    std::slice::from_mut(
+                        T::as_ids(out).expect("a match without lanes appends bare ids"),
+                    )
                 } else {
                     lanes[..n].iter_mut().for_each(Vec::clear);
                     &mut lanes[..n]
@@ -657,21 +736,24 @@ impl IndexCore {
             }
             clock.lap(Stage::Stab);
             for (lane, tuple) in group.iter().enumerate() {
-                let from = if n == 1 {
-                    from
+                let from = if direct { from } else { out.len() };
+                let partials = if direct {
+                    out.len() - from
                 } else {
-                    let from = out.len();
-                    out.extend_from_slice(&lanes[lane]);
-                    from
-                };
-                let partials = (out.len() - from) as u64;
+                    lanes[lane].len()
+                } as u64;
                 let (swept, passes) = {
                     let _residual = tracer.span_with("predindex_residual", || {
                         vec![("partials", partials.to_string())]
                     });
-                    residual_filter(&self.hot, tuple, out, from);
+                    if direct {
+                        let ids = T::as_ids(out).expect("a match without lanes appends bare ids");
+                        residual_in_place(&self.preds, tuple, ids, from);
+                    } else {
+                        residual_into(&self.preds, tuple, &lanes[lane], out);
+                    }
                     let tree_passes = (out.len() - from) as u64;
-                    let (swept, held) = ri.sweep(tuple, out);
+                    let (swept, held) = ri.sweep(&self.preds, tuple, out);
                     out[from..].sort_unstable();
                     (swept, tree_passes + held)
                 };
@@ -695,7 +777,8 @@ impl IndexCore {
     /// as [`match_into`](Self::match_into), but recording per-stage
     /// work and every outcome instead of counters — one `ResidualTrace`
     /// per tree candidate, then one per member of each swept clause
-    /// set, carrying its set's outcome.
+    /// set, carrying its set's outcome. A slot is named by the id that
+    /// lives in it now.
     pub(crate) fn explain(&self, relation: &str, tuple: &Tuple) -> MatchTrace {
         let mut trace = MatchTrace {
             relation: relation.to_string(),
@@ -727,26 +810,26 @@ impl IndexCore {
             },
         );
         trace.stabs.sort_by_key(|s| s.attr);
-        let residual = |id: PredicateId, pass: bool| ResidualTrace {
-            predicate: id.0,
+        let residual = |slot: u32, pass: bool| ResidualTrace {
+            predicate: self.preds.hot(slot).id.0,
             pass,
             source: self
-                .cold
-                .get(&id.0)
-                .and_then(Predicate::to_source)
+                .preds
+                .cold(slot)
+                .to_source()
                 .unwrap_or_else(|| "<opaque>".to_string()),
         };
-        for &id in &candidates {
-            let pass = self.hot.get(&id.0).is_some_and(|h| h.holds(tuple));
-            trace.residual.push(residual(id, pass));
+        for slot in candidates {
+            let pass = self.preds.hot(slot.0).holds(tuple);
+            trace.residual.push(residual(slot.0, pass));
         }
         trace.non_indexable_scanned = ri.non_indexable.len();
         for group in &ri.non_indexable {
             let pass = group.holds(tuple);
-            trace.non_indexable_predicates += group.ids.len();
+            trace.non_indexable_predicates += group.slots.len();
             trace
                 .residual
-                .extend(group.ids.iter().map(|&id| residual(id, pass)));
+                .extend(group.slots.iter().map(|&slot| residual(slot, pass)));
         }
         trace
     }
@@ -761,17 +844,22 @@ impl IndexCore {
 
     /// The source form of a registered predicate.
     pub(crate) fn get(&self, id: PredicateId) -> Option<&Predicate> {
-        self.cold.get(&id.0)
+        Some(self.preds.cold(self.preds.slot(id.0)?))
+    }
+
+    /// The route word a registered predicate was inserted with.
+    pub(crate) fn route(&self, id: PredicateId) -> Option<u32> {
+        Some(self.preds.hot(self.preds.slot(id.0)?).route)
     }
 
     /// Does this core hold `id`?
     pub(crate) fn contains(&self, id: PredicateId) -> bool {
-        self.hot.contains_key(&id.0)
+        self.preds.slot(id.0).is_some()
     }
 
     /// Number of stored predicates (including unsatisfiable ones).
     pub(crate) fn len(&self) -> usize {
-        self.hot.len()
+        self.preds.len()
     }
 
     /// Resident bytes: every table at capacity, each tree's
@@ -784,11 +872,7 @@ impl IndexCore {
             .iter()
             .map(|(name, ri)| name.capacity() + ri.heap_bytes())
             .sum();
-        map_bytes(&self.relations)
-            + relations
-            + map_bytes(&self.hot)
-            + map_bytes(&self.cold)
-            + self.entry_heap
+        map_bytes(&self.relations) + relations + self.preds.table_bytes() + self.entry_heap
     }
 
     /// Number of per-attribute IBS-trees.
@@ -811,7 +895,7 @@ impl IndexCore {
         relations.sort_by(|a, b| a.relation.cmp(&b.relation));
         IndexStats {
             relations,
-            predicates: self.hot.len(),
+            predicates: self.preds.len(),
         }
     }
 }
@@ -899,6 +983,37 @@ impl PredicateIndex {
         self.core.get(id)
     }
 
+    /// Registers `pred` like [`Matcher::insert`], with a `route` word
+    /// that every [`Routed`] match of it carries — what a caller needs
+    /// to act on the match (a rule engine: the rule's slot), handed
+    /// back without a lookup.
+    pub fn insert_routed(
+        &mut self,
+        pred: Predicate,
+        catalog: &Catalog,
+        route: u32,
+    ) -> Result<PredicateId, IndexError> {
+        let stored = StoredPredicate::bind(pred, catalog)?;
+        // Drawn only after binding succeeds, so failed inserts leave
+        // no gap in the id sequence. Ids are never reused: a stale id
+        // must not name a newer predicate, so the last id is an error,
+        // not a restart.
+        let id = PredicateId(self.next_id);
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .ok_or(IndexError::IdsExhausted)?;
+        self.core
+            .insert_bound(id, route, stored, catalog, &self.metrics);
+        Ok(id)
+    }
+
+    /// The route word `id` was registered with (0 through
+    /// [`Matcher::insert`]).
+    pub fn route(&self, id: PredicateId) -> Option<u32> {
+        self.core.route(id)
+    }
+
     /// Approximate resident bytes of the index: its tables at capacity,
     /// its IBS-trees, and the heap behind every registered predicate
     /// (counted when it is inserted and removed, so this is a sum on
@@ -928,7 +1043,8 @@ impl PredicateIndex {
     /// [`match_tuple_into`](Self::match_tuple_into) calls would, with
     /// the same ids, counters and spans, but descending each IBS-tree
     /// with up to [`LANES`] of the tuples in lock-step. Each tuple's
-    /// matches are appended to `out`, sorted, and their range is handed
+    /// matches — bare ids, or [`Routed`] ids with their route words —
+    /// are appended to `out`, sorted by id, and their range is handed
     /// to `matched`, in run order, with the tuple's own work: its stab
     /// counts (zero unless the index is metered), residual tests, passes
     /// and sweeps — the same counts the registry's counters add up.
@@ -937,7 +1053,7 @@ impl PredicateIndex {
     /// one and reuse it, so a warm run allocates nothing.
     ///
     /// ```
-    /// use predindex::{MatchLanes, Matcher, PredicateIndex};
+    /// use predindex::{MatchLanes, PredicateIndex, Routed};
     /// use predicate::parse_predicate;
     /// use relation::{AttrType, Database, Schema, Value};
     /// use telemetry::StageClock;
@@ -946,27 +1062,29 @@ impl PredicateIndex {
     /// db.create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
     ///     .unwrap();
     /// let mut index = PredicateIndex::new();
-    /// let old = index.insert(parse_predicate("emp.age > 50").unwrap(), db.catalog()).unwrap();
+    /// let pred = parse_predicate("emp.age > 50").unwrap();
+    /// let old = index.insert_routed(pred, db.catalog(), 7).unwrap();
     /// let run: Vec<_> = [61, 30]
     ///     .map(|age| db.insert("emp", vec![Value::Int(age)]).unwrap())
     ///     .to_vec();
     ///
-    /// let (mut out, mut ranges, mut tests) = (Vec::new(), Vec::new(), 0);
+    /// let mut out: Vec<Routed> = Vec::new();
+    /// let (mut ranges, mut tests) = (Vec::new(), 0);
     /// let (lanes, clock) = (&mut MatchLanes::default(), &mut StageClock::default());
     /// index.match_run_into("emp", &run, lanes, &mut out, clock, |r, work| {
     ///     ranges.push(r);
     ///     tests += work.residual_tests;
     /// });
-    /// assert_eq!(out, vec![old]);
+    /// assert_eq!(out, vec![Routed { id: old, route: 7 }]);
     /// assert_eq!(ranges, vec![0..1, 1..1]);
     /// assert_eq!(tests, 1); // 61 found the tree's one candidate; 30 found none
     /// ```
-    pub fn match_run_into<'t>(
+    pub fn match_run_into<'t, T: MatchOut>(
         &self,
         relation: &str,
         tuples: impl IntoIterator<Item = &'t Tuple>,
         lanes: &mut MatchLanes,
-        out: &mut Vec<PredicateId>,
+        out: &mut Vec<T>,
         clock: &mut StageClock,
         matched: impl FnMut(Range<usize>, &CostSnapshot),
     ) {
@@ -1000,18 +1118,7 @@ impl PredicateIndex {
 
 impl Matcher for PredicateIndex {
     fn insert(&mut self, pred: Predicate, catalog: &Catalog) -> Result<PredicateId, IndexError> {
-        let stored = StoredPredicate::bind(pred, catalog)?;
-        // Drawn only after binding succeeds, so failed inserts leave
-        // no gap in the id sequence. Ids are never reused: wrapping
-        // would overwrite a live `PREDICATES` entry, so the last id is
-        // an error, not a restart.
-        let id = PredicateId(self.next_id);
-        self.next_id = self
-            .next_id
-            .checked_add(1)
-            .ok_or(IndexError::IdsExhausted)?;
-        self.core.insert_bound(id, stored, catalog, &self.metrics);
-        Ok(id)
+        self.insert_routed(pred, catalog, 0)
     }
 
     fn remove(&mut self, id: PredicateId) -> Option<Predicate> {

@@ -24,15 +24,17 @@ mod matcher;
 mod memory;
 mod metrics;
 mod sharded;
+mod slab;
 mod stats;
 
 pub use baselines::{
     HashSequentialMatcher, PhysicalLockingMatcher, RTreeMatcher, SequentialMatcher,
 };
-pub use index::{MatchLanes, PredicateIndex};
+pub use index::{MatchLanes, MatchOut, PredicateIndex, Routed};
 pub use matcher::{IndexError, Matcher, PredicateId};
 pub use memory::MatchMemory;
 pub use sharded::ShardedPredicateIndex;
+pub use slab::Slab;
 pub use stats::{IndexStats, RelationStats, TreeStats};
 // Re-exported so downstream layers can speak the EXPLAIN types without
 // depending on `telemetry` directly.

@@ -143,7 +143,7 @@ impl ShardedPredicateIndex {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
             .map(PredicateId)
             .map_err(|_| IndexError::IdsExhausted)?;
-        shard.insert_bound(id, stored, catalog, &self.metrics);
+        shard.insert_bound(id, 0, stored, catalog, &self.metrics);
         Ok(id)
     }
 

@@ -171,7 +171,7 @@ fn runs_match_like_one_tuple_at_a_time() {
             assert_eq!(&run_ids[1..], &one[..], "seed {seed}: ids");
             assert_eq!(run_bounds, one_bounds, "seed {seed}: bounds");
             // Each tuple alone, as a run of one: one-lane stabs.
-            let (mut lone_ids, mut lone_work) = (Vec::new(), Vec::new());
+            let (mut lone_ids, mut lone_work) = (Vec::<PredicateId>::new(), Vec::new());
             for (rel, tuple) in &level {
                 lone.match_run_into(rel, [tuple], &mut lanes, &mut lone_ids, clock, |_, w| {
                     lone_work.push(*w)
@@ -225,7 +225,7 @@ fn a_run_without_predicates_still_counts_its_tuples() {
     let db = test_db();
     let (index, telemetry) = counted_index(&db, &["emp.a > 3".to_string()]);
     let tuples: Vec<Tuple> = (0..20).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
-    let mut out = Vec::new();
+    let mut out: Vec<PredicateId> = Vec::new();
     let mut ranges = Vec::new();
     index.match_run_into(
         "ghost",

@@ -15,13 +15,14 @@
 //! stays the alpha layer), matched premise tuples feed the join memo,
 //! and complete matches enter the agenda with all bound tuples.
 
-use crate::rule::{Action, BoundTuple, DbOp, Rule, RuleContext, RuleId, RuleName};
+use crate::rule::{Action, BoundTuple, DbOp, EventMask, Rule, RuleContext, RuleId, RuleName};
 use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
-use predicate::JoinCondition;
+use predicate::{JoinCondition, Predicate};
 use predindex::{
-    IndexError, IndexStats, MatchLanes, MatchTrace, Matcher, PredicateId, PredicateIndex,
+    IndexError, IndexStats, MatchLanes, MatchTrace, Matcher, PredicateId, PredicateIndex, Routed,
+    Slab,
 };
-use relation::fx::{FnvHashMap, FnvHashSet};
+use relation::fx::FnvHashSet;
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::fmt;
 use std::ops::Range;
@@ -113,27 +114,32 @@ pub struct FireReport {
 /// and the complete matches discovered while seeding.
 type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>, Vec<Binding>);
 
-/// Where the alpha matches of one predicate id go. Both variants name
-/// the owning rule only: a premise's memo key and position are the
-/// rule's own (`StoredRule::premise`), so the route stays one word.
-enum Route {
-    /// A single-relation condition: the rule goes on the agenda.
-    Rule(u32),
-    /// A join premise: the tuple goes into the beta layer.
-    Premise(u32),
-}
+/// The ids a rule's registration holds: its conditions' predicate ids,
+/// and per join condition the memo key and the premises' predicate ids.
+type RegisteredIds = (Vec<PredicateId>, Vec<u64>, Vec<Vec<PredicateId>>);
 
-/// One agenda entry: `(priority, rule, bound tuples)` — the tuples of a
-/// completed join match, empty for a single-relation instantiation.
-type AgendaEntry = (i32, u32, Vec<BoundTuple>);
+/// The premise bit of a route word. Every predicate the engine
+/// registers carries its rule's slot as its route word, so a match
+/// names the rule it belongs to without a lookup; the bit is set when
+/// the predicate is a join premise (the tuple goes into the beta
+/// layer) and clear for a single-relation condition (the rule goes on
+/// the agenda). Slots stay below it: each live rule holds far more
+/// than the two bytes 2^31 of them would leave it.
+const PREMISE: u32 = 1 << 31;
+
+/// One agenda entry: `(priority, rule id, rule slot, bound tuples)` —
+/// the tuples of a completed join match, empty for a single-relation
+/// instantiation.
+type AgendaEntry = (i32, u32, u32, Vec<BoundTuple>);
 
 /// The buffers one recognize-act chain owns and every level, event and
 /// firing in it reuses, so a level allocates for the tuples it writes
 /// and not per event matched or rule fired.
 #[derive(Default)]
 struct ChainBuffers {
-    /// The level's matches, flat: event `i`'s are `matched[bounds[i]]`.
-    matched: Vec<PredicateId>,
+    /// The level's matches with their routes, flat: event `i`'s are
+    /// `matched[bounds[i]]`.
+    matched: Vec<Routed>,
     bounds: Vec<Range<usize>>,
     /// Event `i`'s match work, with its share of the level's matching
     /// time (kept only while the profiler records).
@@ -148,17 +154,76 @@ struct ChainBuffers {
     ops: Vec<DbOp>,
 }
 
-struct StoredRule {
-    rule: Rule,
-    predicate_ids: Vec<PredicateId>,
-    /// Per join condition (parallel to `rule.joins`): the engine-wide
-    /// memo key and the premise predicate ids registered in the index.
-    join_keys: Vec<u64>,
-    join_pids: Vec<Vec<PredicateId>>,
+/// The hot half of a registered rule: everything the agenda and a
+/// firing read, in one slot of one cache line.
+#[derive(Clone)]
+struct HotRule {
+    id: u32,
+    priority: i32,
+    mask: EventMask,
+    name: RuleName,
+    action: Action,
     fired: u64,
 }
 
-impl StoredRule {
+const _: () = assert!(size_of::<Option<HotRule>>() == 64);
+
+/// The cold half: the rule's conditions and what they registered.
+#[derive(Clone)]
+struct ColdRule {
+    conditions: Vec<Predicate>,
+    joins: Vec<JoinCondition>,
+    /// Parallel to `conditions`: their ids in the index.
+    predicate_ids: Vec<PredicateId>,
+    /// Per join condition (parallel to `joins`): the engine-wide memo
+    /// key and the premise predicate ids registered in the index.
+    join_keys: Vec<u64>,
+    join_pids: Vec<Vec<PredicateId>>,
+}
+
+/// `rule` split into the two halves of a slot, with the ids its
+/// conditions and join premises registered.
+fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule, ColdRule) {
+    let Rule {
+        name,
+        conditions,
+        joins,
+        mask,
+        action,
+        priority,
+    } = rule;
+    let (predicate_ids, join_keys, join_pids) = registered;
+    let hot = HotRule {
+        id,
+        priority,
+        mask,
+        name,
+        action,
+        fired,
+    };
+    let cold = ColdRule {
+        conditions,
+        joins,
+        predicate_ids,
+        join_keys,
+        join_pids,
+    };
+    (hot, cold)
+}
+
+/// The rule a slot's two halves hold, whole again.
+fn unsplit(hot: HotRule, cold: ColdRule) -> Rule {
+    Rule {
+        name: hot.name,
+        conditions: cold.conditions,
+        joins: cold.joins,
+        mask: hot.mask,
+        action: hot.action,
+        priority: hot.priority,
+    }
+}
+
+impl ColdRule {
     /// `(memo key, premise index)` of the join premise registered as
     /// `pid`.
     fn premise(&self, pid: PredicateId) -> Option<(u64, usize)> {
@@ -205,10 +270,10 @@ impl EngineMetrics {
 pub struct RuleEngine {
     db: Database,
     index: PredicateIndex,
-    rules: FnvHashMap<u32, StoredRule>,
-    /// Predicate id -> where its matches go: every id in the index has
-    /// exactly one route.
-    routes: FnvHashMap<u32, Route>,
+    /// Registered rules by slot (reused), found from a `RuleId` through
+    /// the slab's id map by the public calls and from a match by its
+    /// route word.
+    rules: Slab<HotRule, ColdRule>,
     joins: JoinEngine,
     next_rule: u32,
     log: Vec<String>,
@@ -232,8 +297,7 @@ impl RuleEngine {
         RuleEngine {
             db,
             index: PredicateIndex::new(),
-            rules: FnvHashMap::default(),
-            routes: FnvHashMap::default(),
+            rules: Slab::default(),
             joins: JoinEngine::new(),
             next_rule: 0,
             log: Vec::new(),
@@ -268,8 +332,8 @@ impl RuleEngine {
         self.index.attach_metrics(telemetry.clone());
         self.joins.attach_metrics(telemetry.clone());
         if telemetry.profiler().is_enabled() {
-            for (&rid, s) in &self.rules {
-                telemetry.profiler().name_rule(rid, &s.rule.name);
+            for (_, rule, _) in self.rules.iter() {
+                telemetry.profiler().name_rule(rule.id, &rule.name);
             }
         }
         self.telemetry = telemetry;
@@ -351,15 +415,14 @@ impl RuleEngine {
     pub fn drop_relation(&mut self, name: &str) -> Result<Relation, EngineError> {
         self.open_record();
         let rel = self.db.drop_relation(name)?;
-        for stored in self.rules.values_mut() {
+        for (_, stored) in self.rules.iter_mut() {
             // `conditions` and `predicate_ids` are parallel vectors.
             let mut i = 0;
-            while i < stored.rule.conditions.len() {
-                if stored.rule.conditions[i].relation() == name {
+            while i < stored.conditions.len() {
+                if stored.conditions[i].relation() == name {
                     let pid = stored.predicate_ids.remove(i);
-                    stored.rule.conditions.remove(i);
+                    stored.conditions.remove(i);
                     self.index.remove(pid);
-                    self.routes.remove(&pid.0);
                 } else {
                     i += 1;
                 }
@@ -368,18 +431,17 @@ impl RuleEngine {
             // relation can never complete again — unregister it whole
             // (`joins` / `join_keys` / `join_pids` are parallel).
             let mut j = 0;
-            while j < stored.rule.joins.len() {
-                let touches = stored.rule.joins[j]
+            while j < stored.joins.len() {
+                let touches = stored.joins[j]
                     .premises()
                     .iter()
                     .any(|p| p.relation() == name);
                 if touches {
                     let key = stored.join_keys.remove(j);
                     let pids = stored.join_pids.remove(j);
-                    stored.rule.joins.remove(j);
+                    stored.joins.remove(j);
                     for pid in pids {
                         self.index.remove(pid);
-                        self.routes.remove(&pid.0);
                     }
                     self.joins.unregister(key);
                 } else {
@@ -418,10 +480,17 @@ impl RuleEngine {
         Ok(self.add_rule_inner(rule)?.0)
     }
 
-    fn add_rule_inner(&mut self, rule: Rule) -> Result<(RuleId, Vec<Binding>), EngineError> {
+    /// Registers `rule` in the slot the rule slab hands out next, which
+    /// every predicate it registers carries as its route. Returns the
+    /// rule's id and slot and the join matches seeding found.
+    fn add_rule_inner(&mut self, rule: Rule) -> Result<(RuleId, u32, Vec<Binding>), EngineError> {
+        let slot = self.rules.next_slot();
         let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
         for pred in &rule.conditions {
-            match self.index.insert(pred.clone(), self.db.catalog()) {
+            match self
+                .index
+                .insert_routed(pred.clone(), self.db.catalog(), slot)
+            {
                 Ok(pid) => predicate_ids.push(pid),
                 Err(e) => {
                     // Roll back the partial registration.
@@ -432,25 +501,15 @@ impl RuleEngine {
                 }
             }
         }
-        match self.register_joins(self.next_rule, &rule.joins) {
+        match self.register_joins(self.next_rule, slot, &rule.joins) {
             Ok((join_keys, join_pids, seeds)) => {
                 let id = RuleId(self.next_rule);
                 self.next_rule += 1;
-                for &pid in &predicate_ids {
-                    self.routes.insert(pid.0, Route::Rule(id.0));
-                }
                 self.telemetry.profiler().name_rule(id.0, &rule.name);
-                self.rules.insert(
-                    id.0,
-                    StoredRule {
-                        rule,
-                        predicate_ids,
-                        join_keys,
-                        join_pids,
-                        fired: 0,
-                    },
-                );
-                Ok((id, seeds))
+                let (hot, cold) = split(id.0, rule, 0, (predicate_ids, join_keys, join_pids));
+                let taken = self.rules.insert(id.0, hot, cold);
+                debug_assert_eq!(taken, slot, "the slab handed out the slot it promised");
+                Ok((id, slot, seeds))
             }
             Err(e) => {
                 for pid in predicate_ids {
@@ -461,14 +520,16 @@ impl RuleEngine {
         }
     }
 
-    /// Compiles and registers `joins` for rule `rid`: each premise
-    /// enters the predicate index, each condition gets a stable memo
-    /// key, and each memo is seeded from the existing tuples. Returns
-    /// the keys, premise predicate ids, and the complete matches
-    /// seeding discovered. Rolls itself back on failure.
+    /// Compiles and registers `joins` for rule `rid` in `slot`: each
+    /// premise enters the predicate index routed to the slot, each
+    /// condition gets a stable memo key, and each memo is seeded from
+    /// the existing tuples. Returns the keys, premise predicate ids, and
+    /// the complete matches seeding discovered. Rolls itself back on
+    /// failure.
     fn register_joins(
         &mut self,
         rid: u32,
+        slot: u32,
         joins: &[JoinCondition],
     ) -> Result<RegisteredJoins, EngineError> {
         // Compile everything first: compilation is pure, so a failure
@@ -483,7 +544,11 @@ impl RuleEngine {
         for cj in &compiled {
             let mut pids = Vec::with_capacity(cj.arity());
             for premise in cj.condition().premises() {
-                match self.index.insert(premise.clone(), self.db.catalog()) {
+                let route = slot | PREMISE;
+                match self
+                    .index
+                    .insert_routed(premise.clone(), self.db.catalog(), route)
+                {
                     Ok(pid) => pids.push(pid),
                     Err(e) => {
                         for pid in pids.into_iter().chain(join_pids.into_iter().flatten()) {
@@ -495,16 +560,13 @@ impl RuleEngine {
             }
             join_pids.push(pids);
         }
-        // Beta layer: stable keys, premise routing, memo registration,
-        // and a silent seed (the memo must hold every valid premise
-        // prefix over the current tuples before the next event).
+        // Beta layer: stable keys, memo registration, and a silent seed
+        // (the memo must hold every valid premise prefix over the
+        // current tuples before the next event).
         let mut join_keys = Vec::with_capacity(compiled.len());
         let mut seeds = Vec::new();
-        for (j, (cj, pids)) in compiled.into_iter().zip(&join_pids).enumerate() {
+        for (j, cj) in compiled.into_iter().enumerate() {
             let key = join_key(rid, j);
-            for pid in pids {
-                self.routes.insert(pid.0, Route::Premise(rid));
-            }
             self.joins.register(key, cj);
             seeds.extend(self.joins.seed(key, self.db.catalog()));
             join_keys.push(key);
@@ -524,13 +586,12 @@ impl RuleEngine {
         rule: Rule,
     ) -> Result<(RuleId, FireReport), EngineError> {
         self.open_record();
-        let (id, join_seeds) = self.add_rule_inner(rule)?;
-        let stored = &self.rules[&id.0];
+        let (id, slot, join_seeds) = self.add_rule_inner(rule)?;
         // Collect matching existing tuples per condition, deduplicated
         // per tuple (a tuple matching several disjuncts fires once).
         let mut seeds: Vec<(TupleEvent, Vec<BoundTuple>)> = Vec::new();
         let mut seen: FnvHashSet<(&str, TupleId)> = FnvHashSet::default();
-        for pred in &stored.rule.conditions {
+        for pred in &self.rules.cold(slot).conditions {
             let Some(rel) = self.db.catalog().relation(pred.relation()) else {
                 continue;
             };
@@ -574,21 +635,24 @@ impl RuleEngine {
                 .collect();
             seeds.push((seed, bound));
         }
-        let result = self.backfill(id.0, seeds);
-        self.repaired(result).map(|report| (id, report))
+        let mut report = FireReport::default();
+        let result = self.backfill(slot, seeds, &mut report);
+        self.repaired(result).map(|()| (id, report))
     }
 
-    /// Fires only rule `rid` on the backfill seeds (other rules already
-    /// saw these tuples when they actually arrived); any database
-    /// operations the firings queue chain normally through every rule.
+    /// Fires only the rule in `slot` on the backfill seeds (other rules
+    /// already saw these tuples when they actually arrived); any
+    /// database operations the firings queue chain normally through
+    /// every rule. Every firing, cascades included, goes into `report`
+    /// and counts against the one firing limit of the operation.
     fn backfill(
         &mut self,
-        rid: u32,
+        slot: u32,
         seeds: Vec<(TupleEvent, Vec<BoundTuple>)>,
-    ) -> Result<FireReport, EngineError> {
-        let mut report = FireReport::default();
-        if !self.rules[&rid].rule.mask.on_insert {
-            return Ok(report);
+        report: &mut FireReport,
+    ) -> Result<(), EngineError> {
+        if !self.rules.hot(slot).mask.on_insert {
+            return Ok(());
         }
         let mut ops = Vec::new();
         let mut produced = Vec::new();
@@ -599,37 +663,29 @@ impl RuleEngine {
                 });
             }
             self.chain_boundary();
-            self.fire_one(rid, &seed, bound, &mut report, &mut ops, &mut produced)?;
+            self.fire_one(slot, &seed, bound, report, &mut ops, &mut produced)?;
             self.clock.lap(Stage::Fire);
             for ev in produced.drain(..) {
-                let r = self.chain_level_inner(vec![ev])?;
-                report.fired.extend(r.fired);
-                report.firings.extend(r.firings);
-                report.ops_applied += r.ops_applied;
+                self.chain_level_inner(vec![ev], report)?;
             }
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Unregisters a rule and its predicates.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<Rule, EngineError> {
         self.open_record();
-        let stored = self
-            .rules
-            .remove(&id.0)
-            .ok_or(EngineError::NoSuchRule(id))?;
-        for pid in &stored.predicate_ids {
+        let (_, hot, cold) = self.rules.remove(id.0).ok_or(EngineError::NoSuchRule(id))?;
+        for pid in &cold.predicate_ids {
             self.index.remove(*pid);
-            self.routes.remove(&pid.0);
         }
-        for (key, pids) in stored.join_keys.iter().zip(&stored.join_pids) {
+        for (key, pids) in cold.join_keys.iter().zip(&cold.join_pids) {
             for pid in pids {
                 self.index.remove(*pid);
-                self.routes.remove(&pid.0);
             }
             self.joins.unregister(*key);
         }
-        Ok(stored.rule)
+        Ok(unsplit(hot, cold))
     }
 
     /// Inserts a tuple and runs the rule chain it triggers.
@@ -676,19 +732,20 @@ impl RuleEngine {
         // alpha-matched, the memo state those matches produced, and the
         // complete matches that fired during the chain.
         for pid in trace.matched() {
-            let Some(&Route::Premise(rid)) = self.routes.get(&pid) else {
+            let Some(route) = self.index.route(PredicateId(pid)) else {
                 continue;
             };
-            let Some(stored) = self.rules.get(&rid) else {
+            if route & PREMISE == 0 {
                 continue;
-            };
-            let Some((key, premise)) = stored.premise(PredicateId(pid)) else {
+            }
+            let slot = route & !PREMISE;
+            let Some((key, premise)) = self.rules.cold(slot).premise(PredicateId(pid)) else {
                 continue;
             };
             let mut line = format!(
                 "premise {} of rule {:?} matched",
                 premise + 1,
-                stored.rule.name
+                self.rules.hot(slot).name
             );
             if let Some(stats) = self.joins.stats_for(key) {
                 line.push_str(&format!(
@@ -768,8 +825,9 @@ impl RuleEngine {
 
     /// The recognize-act cycle, level by level, with abort repair.
     fn chain_level(&mut self, level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
-        let result = self.chain_level_inner(level);
-        self.repaired(result)
+        let mut report = FireReport::default();
+        let result = self.chain_level_inner(level, &mut report);
+        self.repaired(result).map(|()| report)
     }
 
     /// Abort repair: if a chain (or a retroactive backfill) errors
@@ -792,9 +850,13 @@ impl RuleEngine {
     /// agenda, fire, queue the actions' database events for the next
     /// level. Equivalent to the one-event-at-a-time FIFO loop (matching
     /// is pure and the rule set cannot change mid-chain: firing only
-    /// queues database operations).
-    fn chain_level_inner(&mut self, mut level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
-        let mut report = FireReport::default();
+    /// queues database operations). Firings are appended to `report`,
+    /// whose length is what the firing limit bounds.
+    fn chain_level_inner(
+        &mut self,
+        mut level: Vec<TupleEvent>,
+        report: &mut FireReport,
+    ) -> Result<(), EngineError> {
         let mut depth = 0u64;
         // Cheap handle copy so span guards don't hold a `self` borrow.
         let tracer = self.telemetry.tracer().clone();
@@ -881,47 +943,54 @@ impl RuleEngine {
                 // predicate made a tuple firing F rules cost F²). Both
                 // passes count their comparisons, so the agenda's cost is
                 // a number a test can bound.
-                for &pid in &buf.matched[buf.bounds[pos].clone()] {
-                    match self.routes.get(&pid.0) {
-                        Some(&Route::Rule(rid)) => {
-                            let stored = &self.rules[&rid];
-                            if stored.rule.mask.accepts(event) {
-                                buf.agenda.push((stored.rule.priority, rid, Vec::new()));
-                            }
+                // Each match's route names its rule's slot: the agenda
+                // reads priority, mask and id from the slot's hot half.
+                for m in &buf.matched[buf.bounds[pos].clone()] {
+                    let slot = m.route & !PREMISE;
+                    if m.route & PREMISE == 0 {
+                        let rule = self.rules.hot(slot);
+                        if rule.mask.accepts(event) {
+                            buf.agenda.push((rule.priority, rule.id, slot, Vec::new()));
                         }
-                        Some(&Route::Premise(rid)) => {
-                            let Some(tuple) = post else {
-                                continue; // deletes only retract
-                            };
-                            let stored = &self.rules[&rid];
-                            let (key, premise) = stored
-                                .premise(pid)
-                                .expect("a premise route names a rule that registered the premise");
-                            self.clock.lap(Stage::Agenda);
-                            let out = self.joins.insert(key, premise, tid, tuple);
-                            self.clock.lap(Stage::Join);
-                            let cost = CostSnapshot {
-                                join_probes: out.probes,
-                                ..CostSnapshot::default()
-                            };
-                            charge(self.telemetry.profiler(), &mut self.clock, Some(rid), cost);
-                            if !stored.rule.mask.accepts(event) {
-                                continue;
-                            }
-                            for binding in out.bindings {
-                                let bound = binding
-                                    .tuples
-                                    .into_iter()
-                                    .map(|(relation, id, tuple)| BoundTuple {
-                                        relation,
-                                        id,
-                                        tuple,
-                                    })
-                                    .collect();
-                                buf.join_entries.push((stored.rule.priority, rid, bound));
-                            }
-                        }
-                        None => {}
+                        continue;
+                    }
+                    let Some(tuple) = post else {
+                        continue; // deletes only retract
+                    };
+                    let (key, premise) = self
+                        .rules
+                        .cold(slot)
+                        .premise(m.id)
+                        .expect("a premise route names a rule that registered the premise");
+                    self.clock.lap(Stage::Agenda);
+                    let out = self.joins.insert(key, premise, tid, tuple);
+                    self.clock.lap(Stage::Join);
+                    let rule = self.rules.hot(slot);
+                    let cost = CostSnapshot {
+                        join_probes: out.probes,
+                        ..CostSnapshot::default()
+                    };
+                    charge(
+                        self.telemetry.profiler(),
+                        &mut self.clock,
+                        Some(rule.id),
+                        cost,
+                    );
+                    if !rule.mask.accepts(event) {
+                        continue;
+                    }
+                    for binding in out.bindings {
+                        let bindings = binding
+                            .tuples
+                            .into_iter()
+                            .map(|(relation, id, tuple)| BoundTuple {
+                                relation,
+                                id,
+                                tuple,
+                            })
+                            .collect();
+                        buf.join_entries
+                            .push((rule.priority, rule.id, slot, bindings));
                     }
                 }
                 buf.agenda.append(&mut buf.join_entries);
@@ -932,19 +1001,19 @@ impl RuleEngine {
                 });
                 buf.agenda.dedup_by(|later, kept| {
                     comparisons += 1;
-                    later.1 == kept.1 && later.2.is_empty() && kept.2.is_empty()
+                    later.1 == kept.1 && later.3.is_empty() && kept.3.is_empty()
                 });
                 self.metrics.agenda_comparisons.add(comparisons);
                 self.clock.lap(Stage::Agenda);
 
-                for (_, rid, bindings) in buf.agenda.drain(..) {
+                for (_, rid, slot, bindings) in buf.agenda.drain(..) {
                     if report.fired.len() >= self.firing_limit {
                         return Err(EngineError::FiringLimit {
                             limit: self.firing_limit,
                         });
                     }
                     let before = next.len();
-                    self.fire_one(rid, event, bindings, &mut report, &mut buf.ops, &mut next)?;
+                    self.fire_one(slot, event, bindings, report, &mut buf.ops, &mut next)?;
                     if profiling {
                         // Cascaded events bill their producing rule.
                         next_tags.extend(std::iter::repeat_n(Some(rid), next.len() - before));
@@ -958,7 +1027,7 @@ impl RuleEngine {
             std::mem::swap(&mut tags, &mut next_tags);
         }
         self.metrics.cascade_depth.record(depth);
-        Ok(report)
+        Ok(())
     }
 
     /// The matching stage of one level, into the chain's flat buffer:
@@ -1001,27 +1070,26 @@ impl RuleEngine {
         }
     }
 
-    /// Fires one rule on one event: runs the action, applies the
-    /// database operations it queued (through `ops`, the chain's
+    /// Fires the rule in `slot` on one event: runs the action, applies
+    /// the database operations it queued (through `ops`, the chain's
     /// scratch, left empty) and appends the resulting events to `out`
-    /// for the caller to feed back into the chain. The event, the
-    /// rule's name and its action are borrowed where they live; only
-    /// the report entry (a shared name, the moved `bindings`) is new.
+    /// for the caller to feed back into the chain. The event and the
+    /// rule's hot half — name, action, fire count — are read where
+    /// they live; only the report entry (a shared name, the moved
+    /// `bindings`) is new.
     fn fire_one(
         &mut self,
-        rid: u32,
+        slot: u32,
         event: &TupleEvent,
         bindings: Vec<BoundTuple>,
         report: &mut FireReport,
         ops: &mut Vec<DbOp>,
         out: &mut Vec<TupleEvent>,
     ) -> Result<(), EngineError> {
-        let stored = self
-            .rules
-            .get_mut(&rid)
-            .expect("the agenda only holds ids of registered rules");
-        stored.fired += 1;
-        let rule = &stored.rule;
+        let rule = self.rules.hot_mut(slot);
+        rule.fired += 1;
+        let rid = rule.id;
+        let rule = &*rule;
         self.total_fired += 1;
         self.metrics.fired.inc();
         let firing = CostSnapshot {
@@ -1162,7 +1230,7 @@ impl RuleEngine {
     pub fn rules(&self) -> impl Iterator<Item = (RuleId, &str)> {
         self.rules
             .iter()
-            .map(|(&id, s)| (RuleId(id), s.rule.name.as_str()))
+            .map(|(_, h, _)| (RuleId(h.id), h.name.as_str()))
     }
 
     /// Iterates `(id, rule name, firings)` — per-rule activity counters
@@ -1170,20 +1238,26 @@ impl RuleEngine {
     pub fn fire_counts(&self) -> impl Iterator<Item = (RuleId, &str, u64)> {
         self.rules
             .iter()
-            .map(|(&id, s)| (RuleId(id), s.rule.name.as_str(), s.fired))
+            .map(|(_, h, _)| (RuleId(h.id), h.name.as_str(), h.fired))
     }
 
-    /// The rule registered under `id`, if any.
-    pub fn rule(&self, id: RuleId) -> Option<&Rule> {
-        self.rules.get(&id.0).map(|s| &s.rule)
+    /// The rule registered under `id`, if any, reassembled from its
+    /// slot's two halves.
+    pub fn rule(&self, id: RuleId) -> Option<Rule> {
+        let slot = self.rules.slot(id.0)?;
+        Some(unsplit(
+            self.rules.hot(slot).clone(),
+            self.rules.cold(slot).clone(),
+        ))
     }
 
     /// Iterates `(id, rule, firings)` in unspecified order — the full
-    /// per-rule state a snapshot needs to capture.
-    pub fn rules_detail(&self) -> impl Iterator<Item = (RuleId, &Rule, u64)> {
+    /// per-rule state a snapshot needs to capture, each rule
+    /// reassembled from its slot's two halves.
+    pub fn rules_detail(&self) -> impl Iterator<Item = (RuleId, Rule, u64)> + '_ {
         self.rules
             .iter()
-            .map(|(&id, s)| (RuleId(id), &s.rule, s.fired))
+            .map(|(_, h, c)| (RuleId(h.id), unsplit(h.clone(), c.clone()), h.fired))
     }
 
     /// The current per-mutation firing limit.
@@ -1216,23 +1290,17 @@ impl RuleEngine {
             ..RuleEngine::new(db)
         };
         for (rid, rule, fired) in rules {
+            let slot = engine.rules.next_slot();
             let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
             for pred in &rule.conditions {
-                let pid = engine.index.insert(pred.clone(), engine.db.catalog())?;
-                engine.routes.insert(pid.0, Route::Rule(rid.0));
+                let pid = engine
+                    .index
+                    .insert_routed(pred.clone(), engine.db.catalog(), slot)?;
                 predicate_ids.push(pid);
             }
             engine.next_rule = engine.next_rule.max(rid.0 + 1);
-            engine.rules.insert(
-                rid.0,
-                StoredRule {
-                    rule,
-                    predicate_ids,
-                    join_keys: Vec::new(),
-                    join_pids: Vec::new(),
-                    fired,
-                },
-            );
+            let (hot, cold) = split(rid.0, rule, fired, (predicate_ids, vec![], vec![]));
+            engine.rules.insert(rid.0, hot, cold);
         }
         // Re-register join conditions and reseed their memos from the
         // restored database (in rule-id order for determinism). The
@@ -1241,20 +1309,21 @@ impl RuleEngine {
         // identical to the pre-crash incremental state, which
         // [`join_fingerprint`](Self::join_fingerprint) lets callers
         // verify.
-        let mut rids: Vec<u32> = engine.rules.keys().copied().collect();
+        let mut rids: Vec<(u32, u32)> = engine
+            .rules
+            .iter()
+            .map(|(slot, h, _)| (h.id, slot))
+            .collect();
         rids.sort_unstable();
-        for rid in rids {
-            let joins = engine.rules[&rid].rule.joins.clone();
+        for (rid, slot) in rids {
+            let joins = engine.rules.cold(slot).joins.clone();
             if joins.is_empty() {
                 continue;
             }
-            let (join_keys, join_pids, _) = engine.register_joins(rid, &joins)?;
-            let s = engine
-                .rules
-                .get_mut(&rid)
-                .expect("rid came from this map's own keys");
-            s.join_keys = join_keys;
-            s.join_pids = join_pids;
+            let (join_keys, join_pids, _) = engine.register_joins(rid, slot, &joins)?;
+            let cold = engine.rules.cold_mut(slot);
+            cold.join_keys = join_keys;
+            cold.join_pids = join_pids;
         }
         Ok(engine)
     }
@@ -1266,14 +1335,14 @@ impl RuleEngine {
         let mut out: Vec<(RuleId, String, Vec<MemoStats>)> = self
             .rules
             .iter()
-            .filter(|(_, s)| !s.join_keys.is_empty())
-            .map(|(&rid, s)| {
-                let stats = s
+            .filter(|(_, _, c)| !c.join_keys.is_empty())
+            .map(|(_, h, c)| {
+                let stats = c
                     .join_keys
                     .iter()
                     .filter_map(|&k| self.joins.stats_for(k))
                     .collect();
-                (RuleId(rid), s.rule.name.to_string(), stats)
+                (RuleId(h.id), h.name.to_string(), stats)
             })
             .collect();
         out.sort_by_key(|(rid, _, _)| *rid);
@@ -1300,11 +1369,14 @@ impl RuleEngine {
     /// sorted tuple-id vectors (premise order) currently complete in
     /// the memo. `None` for unknown rules.
     pub fn join_matches(&self, id: RuleId) -> Option<Vec<Vec<Vec<u32>>>> {
-        self.rules.get(&id.0).map(|s| {
-            s.join_keys
+        let slot = self.rules.slot(id.0)?;
+        Some(
+            self.rules
+                .cold(slot)
+                .join_keys
                 .iter()
                 .map(|&k| self.joins.complete_matches(k))
-                .collect()
-        })
+                .collect(),
+        )
     }
 }

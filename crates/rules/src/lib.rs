@@ -600,6 +600,66 @@ mod retroactive_tests {
         // al and cy match both disjuncts but fire once each.
         assert_eq!(report.fired.len(), 2);
     }
+
+    #[test]
+    fn backfill_cascades_share_the_firing_limit() {
+        let engine = || {
+            let mut db = Database::new();
+            db.create_relation(Schema::builder("u").attr("x", AttrType::Int).build())
+                .unwrap();
+            db.create_relation(Schema::builder("seed").attr("s", AttrType::Int).build())
+                .unwrap();
+            let mut e = RuleEngine::new(db);
+            e.set_firing_limit(4);
+            // Counts down: u.x = n inserts u.x = n - 1 until 0.
+            e.add_rule(
+                Rule::builder("count-down")
+                    .when("u.x > 0")
+                    .unwrap()
+                    .then(Action::callback(|ctx| {
+                        let Value::Int(x) = ctx.event.current().expect("insert").get(0) else {
+                            unreachable!("u.x is an Int")
+                        };
+                        ctx.queue(DbOp::Insert {
+                            relation: "u".into(),
+                            values: vec![Value::Int(x - 1)],
+                        });
+                    }))
+                    .build(),
+            )
+            .unwrap();
+            e
+        };
+        // A plain insert of u.x = 5 fires five times: the fifth errors.
+        let err = engine().insert("u", vec![Value::Int(5)]).unwrap_err();
+        assert!(
+            matches!(err, EngineError::FiringLimit { limit: 4 }),
+            "{err:?}"
+        );
+
+        // One backfill firing that inserts u.x = 4 starts a cascade of
+        // four more: five firings in one operation, so it errors too.
+        let mut e = engine();
+        e.insert("seed", vec![Value::Int(1)]).unwrap();
+        let err = e
+            .add_rule_retroactive(
+                Rule::builder("seed-four")
+                    .when("seed.s > 0")
+                    .unwrap()
+                    .then(Action::callback(|ctx| {
+                        ctx.queue(DbOp::Insert {
+                            relation: "u".into(),
+                            values: vec![Value::Int(4)],
+                        });
+                    }))
+                    .build(),
+            )
+            .expect_err("the backfill's cascades count against its firing limit");
+        assert!(
+            matches!(err, EngineError::FiringLimit { limit: 4 }),
+            "{err:?}"
+        );
+    }
 }
 
 #[cfg(test)]

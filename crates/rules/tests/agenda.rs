@@ -4,7 +4,7 @@
 //! tuple that fires F rules used to cost F².
 
 use relation::{AttrType, Database, Schema, Value};
-use rules::{Action, Rule, RuleEngine};
+use rules::{Action, EngineError, Rule, RuleEngine};
 use std::sync::Arc;
 use telemetry::Registry;
 
@@ -76,4 +76,90 @@ fn a_hot_tuple_costs_the_same_per_firing_at_eight_times_the_rules() {
         large <= small * 2.5,
         "{large:.1} comparisons per firing at 20,000 rules against {small:.1} at 2,500"
     );
+}
+
+/// Rules live in a slab whose free list hands a removed rule's slot to
+/// the next rule added, while `RuleId`s stay monotonic. A reused slot
+/// must hold a new rule in every respect: the old id is gone, the fire
+/// count starts again, recency follows the id and not the slot, and a
+/// join rule in it keeps its memos exact.
+#[test]
+fn a_reused_rule_slot_holds_a_new_rule() {
+    let mut db = Database::new();
+    db.create_relation(Schema::builder("r").attr("a", AttrType::Int).build())
+        .expect("fresh relation");
+    db.create_relation(Schema::builder("s").attr("b", AttrType::Int).build())
+        .expect("fresh relation");
+    let mut e = RuleEngine::new(db);
+    let rule = |name: &str, condition: &str| {
+        Rule::builder(name)
+            .when(condition)
+            .expect("parses")
+            .then(Action::callback(|_| {}))
+            .build()
+    };
+    // Slots 0 and 1; "gone" fires twice before it goes.
+    let gone = e.add_rule(rule("gone", "r.a >= 0")).expect("adds");
+    let kept = e.add_rule(rule("kept", "r.a >= 0")).expect("adds");
+    for a in [1, 2] {
+        e.insert("r", vec![Value::Int(a)]).expect("insert");
+    }
+    e.remove_rule(gone).expect("live");
+    // The free list hands slot 0, below "kept"'s, to the next rule.
+    let fresh = e.add_rule(rule("fresh", "r.a >= 0")).expect("adds");
+    assert!(fresh > kept && kept > gone, "ids stay monotonic");
+
+    assert!(matches!(e.remove_rule(gone), Err(EngineError::NoSuchRule(id)) if id == gone));
+    assert!(e.rule(gone).is_none());
+    assert!(e.join_matches(gone).is_none());
+    let counts = |e: &RuleEngine| {
+        let mut c: Vec<(String, u64)> = e
+            .fire_counts()
+            .map(|(_, name, n)| (name.to_string(), n))
+            .collect();
+        c.sort();
+        c
+    };
+    assert_eq!(counts(&e), [("fresh".into(), 0), ("kept".into(), 2)]);
+
+    // Equal priority: the newer rule fires first although its slot is
+    // the lower one.
+    let report = e.insert("r", vec![Value::Int(3)]).expect("insert");
+    let order: Vec<&str> = report.fired.iter().map(|(_, n)| n.as_str()).collect();
+    assert_eq!(order, ["fresh", "kept"]);
+    assert_eq!(counts(&e), [("fresh".into(), 1), ("kept".into(), 3)]);
+
+    // A join rule takes a vacated slot in its turn.
+    e.remove_rule(fresh).expect("live");
+    let old_join = e.add_rule(rule("old-join", "r.a = s.b")).expect("adds");
+    e.insert("s", vec![Value::Int(5)]).expect("insert");
+    e.remove_rule(old_join).expect("live");
+    let join = e
+        .add_rule(rule("join", "r.a = s.b and s.b > 1"))
+        .expect("adds");
+    e.insert("s", vec![Value::Int(7)]).expect("insert");
+    let report = e.insert("r", vec![Value::Int(7)]).expect("insert");
+    let order: Vec<&str> = report.fired.iter().map(|(_, n)| n.as_str()).collect();
+    assert_eq!(order, ["join", "kept"]);
+    let report = e.insert("r", vec![Value::Int(5)]).expect("insert");
+    let order: Vec<&str> = report.fired.iter().map(|(_, n)| n.as_str()).collect();
+    assert_eq!(order, ["join", "kept"], "the memo was seeded with s.b = 5");
+    e.check_join_invariants()
+        .expect("memos equal the naive join");
+    assert_eq!(e.join_matches(join).map(|m| m[0].len()), Some(2));
+
+    // The same rules registered afresh digest the same memo state.
+    let rules: Vec<_> = e.rules_detail().collect();
+    let restored = RuleEngine::restore(
+        e.db().clone(),
+        rules,
+        e.next_rule_id(),
+        e.total_fired(),
+        e.log().to_vec(),
+    )
+    .expect("restores");
+    assert_eq!(restored.join_fingerprint(), e.join_fingerprint());
+    restored
+        .check_join_invariants()
+        .expect("memos equal the naive join");
 }

@@ -10,7 +10,6 @@
 //! | [`NaiveIntervalList`] | yes | §2.1 sequential baseline; Fig. 9 comparison; test oracle |
 //! | [`SegmentTree`] | no | §4.1 static comparator |
 //! | [`CenteredIntervalTree`] | no | §4.1 static comparator |
-//! | [`RebuildOnMutation`] | by rebuilding | either static comparator behind [`DynamicStabIndex`] |
 //! | [`IntervalTreap`] | yes | §4.1 dynamic comparator (priority-search-tree stand-in) |
 //! | [`IntervalSkipList`] | yes | §6 future-work direction (Hanson's own successor structure) |
 //! | `ibs::IbsTree` | yes | the paper's contribution (implements [`StabIndex`] here) |
@@ -21,7 +20,6 @@
 mod common;
 mod interval_tree;
 mod naive;
-mod rebuild;
 mod segment_tree;
 mod skiplist;
 mod treap;
@@ -29,7 +27,6 @@ mod treap;
 pub use common::{BulkBuild, DynamicStabIndex, StabIndex};
 pub use interval_tree::CenteredIntervalTree;
 pub use naive::NaiveIntervalList;
-pub use rebuild::RebuildOnMutation;
 pub use segment_tree::SegmentTree;
 pub use skiplist::IntervalSkipList;
 pub use treap::IntervalTreap;

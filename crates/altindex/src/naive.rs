@@ -16,16 +16,6 @@ pub struct NaiveIntervalList<K> {
 }
 
 impl<K: Ord + Clone> NaiveIntervalList<K> {
-    /// An empty list.
-    pub fn new() -> Self {
-        NaiveIntervalList { items: Vec::new() }
-    }
-
-    /// Iterates the stored pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (IntervalId, &Interval<K>)> {
-        self.items.iter().map(|(id, iv)| (*id, iv))
-    }
-
     /// The interval stored under `id`.
     pub fn get(&self, id: IntervalId) -> Option<&Interval<K>> {
         self.items.iter().find(|(i, _)| *i == id).map(|(_, iv)| iv)
@@ -70,7 +60,7 @@ mod tests {
 
     #[test]
     fn basic_ops() {
-        let mut l = NaiveIntervalList::new();
+        let mut l = NaiveIntervalList::default();
         l.insert(IntervalId(1), Interval::closed(1, 5));
         l.insert(IntervalId(2), Interval::point(3));
         assert_eq!(l.len(), 2);

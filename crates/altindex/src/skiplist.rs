@@ -70,13 +70,9 @@ impl<K: Ord + Clone> Default for IntervalSkipList<K> {
 }
 
 impl<K: Ord + Clone> IntervalSkipList<K> {
-    /// An empty list with the default seed.
+    /// An empty list; tower heights come from a fixed seed, so every
+    /// list built by the same operations has the same shape.
     pub fn new() -> Self {
-        Self::with_seed(0x5eed_cafe)
-    }
-
-    /// An empty list whose tower heights are drawn from `seed`.
-    pub fn with_seed(seed: u64) -> Self {
         IntervalSkipList {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -86,7 +82,7 @@ impl<K: Ord + Clone> IntervalSkipList<K> {
             intervals: HashMap::new(),
             placements: HashMap::new(),
             universal: Vec::new(),
-            rng: seed,
+            rng: 0x5eed_cafe,
         }
     }
 

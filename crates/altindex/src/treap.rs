@@ -69,11 +69,6 @@ impl<K: Ord + Clone> IntervalTreap<K> {
         }
     }
 
-    /// The interval stored under `id`.
-    pub fn get(&self, id: IntervalId) -> Option<&Interval<K>> {
-        self.by_id.get(&id.0)
-    }
-
     fn update(node: &mut Node<K>) {
         let mut max_hi = node.hi.clone();
         if let Some(l) = &node.left {

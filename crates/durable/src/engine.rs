@@ -20,7 +20,7 @@ use relation::{Relation, Schema, TupleId, Value};
 use rules::{EngineError, FireReport, MatchTrace, Rule, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use telemetry::{FlightRecorder, Registry, Stage, StageClock, StageRecord, Telemetry};
 
@@ -251,11 +251,6 @@ impl DurableRuleEngine {
         &self.engine
     }
 
-    /// The durable directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The sequence number the next logged operation will carry.
     pub fn next_seq(&self) -> u64 {
         self.wal.next_seq()
@@ -463,14 +458,6 @@ impl DurableRuleEngine {
         .map(Applied::into_report)
     }
 
-    /// Changes the firing limit. Limit changes are not logged records;
-    /// the new value is persisted by forcing a snapshot immediately,
-    /// so replay of any later record runs under the right limit.
-    pub fn set_firing_limit(&mut self, limit: usize) -> Result<(), DurableError> {
-        self.engine.set_firing_limit(limit);
-        self.snapshot()
-    }
-
     /// Takes a snapshot now and truncates the log. On return the
     /// snapshot file covers every operation ever applied, and the WAL
     /// is empty.
@@ -532,6 +519,7 @@ impl DurableRuleEngine {
 mod tests {
     use super::*;
     use relation::AttrType;
+    use std::path::Path;
 
     fn open(name: &str) -> (PathBuf, DurableRuleEngine) {
         let dir =

@@ -30,7 +30,7 @@ use crate::record::Record;
 use relation::codec::Reader;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use telemetry::{Counter, Histogram, Telemetry, Tracer};
 
 /// File magic for WAL files.
@@ -108,7 +108,6 @@ impl WalMetrics {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     next_seq: u64,
     policy: SyncPolicy,
     unsynced: u32,
@@ -151,7 +150,6 @@ impl Wal {
         file.sync_data()?;
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             next_seq: start_seq,
             policy,
             unsynced: 0,
@@ -171,11 +169,6 @@ impl Wal {
     /// counters stay monotonic across truncations).
     pub fn set_metrics(&mut self, metrics: WalMetrics) {
         self.metrics = metrics;
-    }
-
-    /// The path this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The sequence number the next append will carry.
@@ -364,6 +357,7 @@ pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
 mod tests {
     use super::*;
     use crate::record::Record;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =

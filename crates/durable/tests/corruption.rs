@@ -13,8 +13,8 @@ mod common;
 
 use common::{apply_both, fingerprint, test_actions, Cmd, TempDir};
 use durable::{
-    parse_wal, replay, ActionSpec, DurableRuleEngine, Options, RuleSpec, SyncPolicy, SNAPSHOT_FILE,
-    WAL_FILE,
+    parse_wal, read_snapshot, replay, write_snapshot, ActionSpec, DurableError, DurableRuleEngine,
+    Options, RecoverError, RuleSpec, SnapshotMetrics, SyncPolicy, SNAPSHOT_FILE, WAL_FILE,
 };
 use predicate::FunctionRegistry;
 use relation::{AttrType, Database, Schema, Value};
@@ -122,5 +122,45 @@ fn snapshot_damage_is_always_refused() {
     for cut in (0..snap_bytes.len()).step_by(7) {
         std::fs::write(crash.join(SNAPSHOT_FILE), &snap_bytes[..cut]).unwrap();
         assert!(replay(crash.path(), &funcs, &actions).is_err());
+    }
+}
+
+/// A snapshot whose checksum is valid but which names one rule id twice
+/// is corrupt state from outside the program: opening refuses it.
+#[test]
+fn a_snapshot_naming_a_rule_id_twice_is_refused() {
+    let dir = TempDir::new("snap-dup-rule");
+    let opts = Options {
+        sync: SyncPolicy::Manual,
+        snapshot_every: None,
+    };
+    let (funcs, actions) = (FunctionRegistry::default(), test_actions());
+    {
+        let mut durable =
+            DurableRuleEngine::open(dir.path(), funcs.clone(), actions.clone(), opts).unwrap();
+        durable
+            .create_relation(Schema::builder("emp").attr("x", AttrType::Int).build())
+            .unwrap();
+        durable
+            .add_rule(RuleSpec {
+                name: "pos".into(),
+                condition: "emp.x > 0".into(),
+                mask: EventMask::ALL,
+                priority: 0,
+                action: ActionSpec::Named("cascade".into()),
+            })
+            .unwrap();
+        durable.snapshot().unwrap();
+    }
+    let mut snap = read_snapshot(dir.path()).unwrap().unwrap();
+    assert_eq!(snap.rules.len(), 1);
+    snap.rules.push(snap.rules[0].clone());
+    write_snapshot(dir.path(), &snap, &SnapshotMetrics::default()).unwrap();
+
+    match DurableRuleEngine::open(dir.path(), funcs, actions, opts) {
+        Err(DurableError::Recover(RecoverError::Corrupt { detail, .. })) => {
+            assert!(detail.contains("already registered"), "{detail}");
+        }
+        other => panic!("expected a corrupt-snapshot refusal, got {:?}", other.err()),
     }
 }

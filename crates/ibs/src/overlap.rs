@@ -108,13 +108,6 @@ impl<K: Ord + Clone> IbsTree<K> {
             self.collect_lo_owners_in_hull(n.right, lo, hi, out);
         }
     }
-
-    /// Counts the stored intervals overlapping `query`.
-    pub fn stab_interval_count(&self, query: &Interval<K>) -> usize {
-        let mut out = Vec::new();
-        self.stab_interval_into(query, &mut out);
-        out.len()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +159,6 @@ mod tests {
                 v
             };
             assert_eq!(sorted(t.stab_interval(&q)), want, "query {q}");
-            assert_eq!(t.stab_interval_count(&q), want.len(), "count {q}");
         }
     }
 

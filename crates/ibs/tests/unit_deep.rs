@@ -4,7 +4,7 @@
 //! and churn that cycles arena slots.
 
 use ibs::{BalanceMode, IbsTree};
-use interval::{Interval, IntervalId};
+use interval::{Interval, IntervalId, Lower, Upper};
 
 fn id(n: u32) -> IntervalId {
     IntervalId(n)
@@ -215,7 +215,8 @@ fn overlap_query_boundary_pileup() {
         if i % 2 == 0 {
             t.insert(id(i), Interval::closed(50, hi)).unwrap();
         } else {
-            t.insert(id(i), Interval::open_closed(50, hi)).unwrap();
+            let iv = Interval::new(Lower::Exclusive(50), Upper::Inclusive(hi)).unwrap();
+            t.insert(id(i), iv).unwrap();
         }
     }
     t.assert_invariants();

@@ -79,12 +79,6 @@ impl<K: Ord + Clone> Interval<K> {
             .expect("closed_open(a, b) requires a < b")
     }
 
-    /// `(a, b]`. Panics if empty.
-    pub fn open_closed(a: K, b: K) -> Self {
-        Self::new(Lower::Exclusive(a), Upper::Inclusive(b))
-            .expect("open_closed(a, b) requires a < b")
-    }
-
     /// `[a, +∞)` — the paper's `x ≥ a`.
     pub fn at_least(a: K) -> Self {
         Interval {
@@ -301,7 +295,8 @@ mod tests {
     fn overlaps_cases() {
         let a = Interval::closed(1, 5);
         assert!(a.overlaps(&Interval::closed(5, 9))); // touch at closed ends
-        assert!(!a.overlaps(&Interval::open_closed(5, 9))); // (5,9] misses 5
+        let five_nine = Interval::new(Lower::Exclusive(5), Upper::Inclusive(9)).unwrap();
+        assert!(!a.overlaps(&five_nine)); // (5,9] misses 5
         assert!(!Interval::closed_open(1, 5).overlaps(&Interval::closed(5, 9)));
         assert!(a.overlaps(&Interval::closed(0, 1)));
         assert!(!a.overlaps(&Interval::closed(6, 9)));
@@ -316,7 +311,10 @@ mod tests {
     fn intersection() {
         let a = Interval::greater_than(5);
         let b = Interval::at_most(10);
-        assert_eq!(a.intersect(&b), Some(Interval::open_closed(5, 10)));
+        assert_eq!(
+            a.intersect(&b),
+            Interval::new(Lower::Exclusive(5), Upper::Inclusive(10)).ok()
+        );
         assert_eq!(
             Interval::closed(1, 5).intersect(&Interval::closed(5, 9)),
             Some(Interval::point(5))

@@ -29,12 +29,6 @@ pub use interval::{Interval, IntervalError};
 pub struct IntervalId(pub u32);
 
 impl IntervalId {
-    /// The raw index value.
-    #[inline]
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
     /// The id as a usize, for indexing side tables.
     #[inline]
     pub fn index(self) -> usize {

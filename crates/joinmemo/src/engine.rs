@@ -259,11 +259,6 @@ impl JoinEngine {
             .unwrap_or_default()
     }
 
-    /// Total live partial (non-complete) matches across all memos.
-    pub fn total_partials(&self) -> usize {
-        self.memos.values().map(|m| m.partial_count()).sum()
-    }
-
     /// Order-independent digest of every memo's state. Keys do not
     /// enter the digest (they are engine-internal and differ across
     /// restores); each memo contributes its condition source plus its

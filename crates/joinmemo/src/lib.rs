@@ -147,7 +147,8 @@ mod tests {
         // complete matches.
         assert_eq!(je.retract("dept", d.0), 4);
         assert!(je.complete_matches(1).is_empty());
-        assert_eq!(je.total_partials(), 0);
+        let tokens: usize = je.stats().iter().flat_map(|s| &s.level_counts).sum();
+        assert_eq!(tokens, 0);
     }
 
     #[test]

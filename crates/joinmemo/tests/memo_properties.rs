@@ -162,7 +162,8 @@ fn run_seed(seed: u64) {
         }
     }
     w.je.check_invariants(&w.cat).unwrap();
-    assert_eq!(w.je.total_partials(), 0);
+    let tokens: usize = w.je.stats().iter().flat_map(|s| &s.level_counts).sum();
+    assert_eq!(tokens, 0);
     let mut empty = JoinEngine::new();
     for (key, plan) in &w.live {
         empty.register(*key, plan.clone());

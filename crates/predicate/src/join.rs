@@ -177,11 +177,6 @@ impl JoinCondition {
         self.premises.len()
     }
 
-    /// Index of the premise over `relation`, if any.
-    pub fn premise_of(&self, relation: &str) -> Option<usize> {
-        self.premises.iter().position(|p| p.relation() == relation)
-    }
-
     /// Renders the condition back to parser-accepted source. Reparsing
     /// the result reproduces this condition exactly (premises re-sort to
     /// the same order because they are rendered in sorted order).

@@ -43,9 +43,8 @@ pub mod selectivity;
 pub use clause::{Clause, PredFn};
 pub use functions::FunctionRegistry;
 pub use join::{JoinCondition, JoinOp, JoinTest, ParsedCondition};
-pub use parser::{
-    lex, parse_condition, parse_conditions, parse_conjunct, parse_dnf, LexError, ParseError, Token,
-};
+use parser::parse_dnf;
+pub use parser::{parse_condition, parse_conditions, parse_conjunct, LexError, ParseError};
 pub use predicate::{BindError, BoundClause, BoundPredicate, Predicate};
 
 /// Parses a single conjunctive predicate using the built-in function

@@ -13,7 +13,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier (relation, attribute, or function name).
     Ident(String),
     /// Integer literal.
@@ -74,7 +74,7 @@ impl fmt::Display for LexError {
 }
 
 /// Tokenizes `input`.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

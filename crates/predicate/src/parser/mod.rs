@@ -3,5 +3,6 @@
 mod lexer;
 mod parse;
 
-pub use lexer::{lex, LexError, Token};
-pub use parse::{parse_condition, parse_conditions, parse_conjunct, parse_dnf, ParseError};
+pub use lexer::LexError;
+pub(crate) use parse::parse_dnf;
+pub use parse::{parse_condition, parse_conditions, parse_conjunct, ParseError};

@@ -172,7 +172,10 @@ fn parse_to_conjuncts(input: &str, allow_join: bool) -> Result<Vec<Vec<Leaf>>, P
 }
 
 /// Parses `input` into one predicate per disjunct of its DNF.
-pub fn parse_dnf(input: &str, funcs: &FunctionRegistry) -> Result<Vec<Predicate>, ParseError> {
+pub(crate) fn parse_dnf(
+    input: &str,
+    funcs: &FunctionRegistry,
+) -> Result<Vec<Predicate>, ParseError> {
     parse_to_conjuncts(input, false)?
         .into_iter()
         .map(|leaves| build_predicate(leaves, funcs))
@@ -188,7 +191,7 @@ pub fn parse_conjunct(input: &str, funcs: &FunctionRegistry) -> Result<Predicate
     }
 }
 
-/// Join-aware variant of [`parse_dnf`]: each DNF conjunct becomes either
+/// Join-aware DNF parse: each conjunct of `input`'s DNF becomes either
 /// a single-relation [`Predicate`] or a multi-relation
 /// [`JoinCondition`], depending on how many relations it references.
 /// Cross-relation comparisons (`emp.dno = dept.dno`) are accepted here

@@ -11,7 +11,7 @@ use std::fmt;
 /// Disjunctive conditions are split into several `Predicate`s before
 /// they get here ("we assume that any predicate containing a disjunction
 /// is broken up into two or more predicates", §1); the parser's
-/// [`crate::parse_dnf`] does that split.
+/// [`crate::parse_predicates`] does that split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     relation: String,
@@ -324,13 +324,6 @@ pub enum BoundClause {
 }
 
 impl BoundClause {
-    /// The attribute index this clause restricts.
-    pub fn attr(&self) -> usize {
-        match self {
-            BoundClause::Range { attr, .. } | BoundClause::Func { attr, .. } => *attr,
-        }
-    }
-
     /// Evaluates the clause against a tuple. A clause over an attribute
     /// the tuple does not carry (arity shorter than the bound schema,
     /// e.g. a projected tuple) holds for no value, so it is `false`

@@ -498,14 +498,6 @@ impl RelationIndex {
         self.attr_trees.len()
     }
 
-    /// Total markers across this relation's trees (§5.1 space metric).
-    fn marker_count(&self) -> usize {
-        self.attr_trees
-            .values()
-            .map(|t| t.tree.marker_count())
-            .sum()
-    }
-
     /// Heap bytes behind the tree table, each tree (string keys aside:
     /// the core counts those per predicate) and the grouped list.
     fn heap_bytes(&self) -> usize {
@@ -880,11 +872,6 @@ impl IndexCore {
         self.relations.values().map(|r| r.tree_count()).sum()
     }
 
-    /// Total markers across all IBS-trees (§5.1 space metric).
-    pub(crate) fn marker_count(&self) -> usize {
-        self.relations.values().map(|r| r.marker_count()).sum()
-    }
-
     /// Structure snapshot, relations sorted by name.
     pub(crate) fn stats(&self) -> IndexStats {
         let mut relations: Vec<RelationStats> = self
@@ -1103,11 +1090,6 @@ impl PredicateIndex {
     /// diagnostics and the §5.2 cost model).
     pub fn attribute_tree_count(&self) -> usize {
         self.core.tree_count()
-    }
-
-    /// Total markers across all IBS-trees (§5.1 space metric).
-    pub fn marker_count(&self) -> usize {
-        self.core.marker_count()
     }
 
     /// Snapshots the index structure.

@@ -71,16 +71,6 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Has anything been written?
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends raw bytes verbatim (no length prefix).
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
@@ -88,10 +78,6 @@ impl Writer {
 
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn u32(&mut self, v: u32) {

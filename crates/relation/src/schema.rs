@@ -61,11 +61,6 @@ impl Schema {
     pub fn attr_index(&self, name: &str) -> Option<usize> {
         self.attrs.iter().position(|a| a.name == name)
     }
-
-    /// The attribute called `name`.
-    pub fn attr(&self, name: &str) -> Option<&Attribute> {
-        self.attrs.iter().find(|a| a.name == name)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -129,7 +124,10 @@ mod tests {
         assert_eq!(s.arity(), 4);
         assert_eq!(s.attr_index("salary"), Some(2));
         assert_eq!(s.attr_index("nope"), None);
-        assert_eq!(s.attr("age").unwrap().ty, AttrType::Int);
+        assert_eq!(
+            s.attributes()[s.attr_index("age").unwrap()].ty,
+            AttrType::Int
+        );
     }
 
     #[test]

@@ -68,16 +68,6 @@ impl ColumnStats {
         }
     }
 
-    /// Rows sampled.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Distinct values seen.
-    pub fn distinct(&self) -> usize {
-        self.distinct
-    }
-
     /// Fraction of the column ≤ `v` (0 at/below min, 1 at/above max),
     /// linearly interpolated by bucket position.
     fn fraction_at_most(&self, v: &Value) -> f64 {

@@ -26,12 +26,11 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
-mod bulk;
 mod rect;
 mod tree;
 
 pub use rect::{Rect, WORLD};
-pub use tree::{RTree, SplitAlgorithm};
+pub use tree::RTree;
 
 #[cfg(test)]
 mod tests {
@@ -52,22 +51,16 @@ mod tests {
 
     #[test]
     fn one_dimensional_intervals() {
-        for split in [SplitAlgorithm::Linear, SplitAlgorithm::Quadratic] {
-            let mut t = RTree::with_split(1, split);
-            for i in 0..100u32 {
-                let a = (i as f64) * 5.0;
-                t.insert(id(i), Rect::new(vec![a], vec![a + 20.0]));
-            }
-            t.check_invariants().unwrap();
-            // Point 50 is inside [a, a+20] for a in {30,35,40,45,50}.
-            let mut hits = t.stab(&[50.0]);
-            hits.sort();
-            assert_eq!(
-                hits,
-                (6..=10).map(id).collect::<Vec<_>>(),
-                "split {split:?}"
-            );
+        let mut t = RTree::new(1);
+        for i in 0..100u32 {
+            let a = (i as f64) * 5.0;
+            t.insert(id(i), Rect::new(vec![a], vec![a + 20.0]));
         }
+        t.check_invariants().unwrap();
+        // Point 50 is inside [a, a+20] for a in {30,35,40,45,50}.
+        let mut hits = t.stab(&[50.0]);
+        hits.sort();
+        assert_eq!(hits, (6..=10).map(id).collect::<Vec<_>>());
     }
 
     #[test]
@@ -118,21 +111,6 @@ mod tests {
             want.sort();
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn window_search() {
-        let mut t = RTree::new(2);
-        t.insert(id(0), Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]));
-        t.insert(id(1), Rect::new(vec![5.0, 5.0], vec![6.0, 6.0]));
-        t.insert(id(2), Rect::new(vec![0.5, 0.5], vec![5.5, 5.5]));
-        let mut hits = t.search_window(&Rect::new(vec![0.8, 0.8], vec![2.0, 2.0]));
-        hits.sort();
-        assert_eq!(hits, vec![id(0), id(2)]);
-        assert_eq!(
-            t.search_window(&Rect::new(vec![8.0, 8.0], vec![9.0, 9.0])),
-            vec![]
-        );
     }
 
     #[test]

@@ -33,14 +33,6 @@ impl Rect {
         Rect { lo, hi }
     }
 
-    /// A degenerate rectangle containing a single point.
-    pub fn point(p: Vec<f64>) -> Self {
-        Rect {
-            lo: p.clone(),
-            hi: p,
-        }
-    }
-
     /// The rectangle covering the whole (clamped) world in `dims`
     /// dimensions.
     pub fn world(dims: usize) -> Self {
@@ -137,7 +129,7 @@ mod tests {
         assert!(!a.contains_point(&[10.1]));
         assert!(a.intersects(&Rect::new(vec![10.0], vec![20.0])));
         assert!(!a.intersects(&Rect::new(vec![10.5], vec![20.0])));
-        let p = Rect::point(vec![5.0]);
+        let p = Rect::new(vec![5.0], vec![5.0]);
         assert!(a.intersects(&p));
         assert_eq!(p.area(), 0.0);
     }

@@ -1,24 +1,12 @@
 //! Guttman's R-tree [Gut84], the paper's §2.4 baseline for predicate
 //! indexing and a §4.1 comparator for 1-D interval indexing.
 //!
-//! Dynamic insert (ChooseLeaf → split → AdjustTree), delete (FindLeaf →
-//! CondenseTree with orphan reinsertion), and point/window search, with
-//! both of Guttman's classic node-split heuristics selectable.
+//! Dynamic insert (ChooseLeaf → quadratic split → AdjustTree), delete
+//! (FindLeaf → CondenseTree with orphan reinsertion), and point search.
 
 use crate::rect::Rect;
 use interval::IntervalId;
 use std::collections::HashMap;
-
-/// Which of Guttman's node-split algorithms to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitAlgorithm {
-    /// Linear-cost split: pick seeds by maximum normalized separation.
-    Linear,
-    /// Quadratic-cost split: pick seeds by maximum dead area, distribute
-    /// by maximal preference. Guttman's recommended default.
-    #[default]
-    Quadratic,
-}
 
 const MAX_ENTRIES: usize = 8;
 const MIN_ENTRIES: usize = 3;
@@ -61,18 +49,12 @@ pub struct RTree {
     /// Height of the tree: 1 = root is a leaf.
     height: usize,
     dims: usize,
-    split: SplitAlgorithm,
     by_id: HashMap<u32, Rect>,
 }
 
 impl RTree {
-    /// An empty tree over `dims` dimensions with the quadratic split.
+    /// An empty tree over `dims` dimensions.
     pub fn new(dims: usize) -> Self {
-        Self::with_split(dims, SplitAlgorithm::Quadratic)
-    }
-
-    /// An empty tree with an explicit split algorithm.
-    pub fn with_split(dims: usize, split: SplitAlgorithm) -> Self {
         let root_node = Node {
             kind: NodeKind::Leaf(Vec::new()),
         };
@@ -82,7 +64,6 @@ impl RTree {
             root: 0,
             height: 1,
             dims,
-            split,
             by_id: HashMap::new(),
         }
     }
@@ -100,11 +81,6 @@ impl RTree {
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// The rectangle stored under `id`.
-    pub fn get(&self, id: IntervalId) -> Option<&Rect> {
-        self.by_id.get(&id.0)
     }
 
     fn node(&self, ix: usize) -> &Node {
@@ -164,32 +140,6 @@ impl RTree {
                 }
             }
         }
-    }
-
-    /// All ids whose rectangle intersects the window `w`.
-    pub fn search_window(&self, w: &Rect) -> Vec<IntervalId> {
-        assert_eq!(w.dims(), self.dims, "window dimensionality mismatch");
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(ix) = stack.pop() {
-            match &self.node(ix).kind {
-                NodeKind::Leaf(entries) => {
-                    for (id, r) in entries {
-                        if r.intersects(w) {
-                            out.push(*id);
-                        }
-                    }
-                }
-                NodeKind::Internal(entries) => {
-                    for (child, r) in entries {
-                        if r.intersects(w) {
-                            stack.push(*child);
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -289,14 +239,14 @@ impl RTree {
     fn split_node(&mut self, ix: usize) -> usize {
         match std::mem::replace(&mut self.node_mut(ix).kind, NodeKind::Leaf(Vec::new())) {
             NodeKind::Leaf(entries) => {
-                let (a, b) = split_entries(entries, |(_, r)| r, self.split);
+                let (a, b) = split_entries(entries, |(_, r)| r);
                 self.node_mut(ix).kind = NodeKind::Leaf(a);
                 self.alloc(Node {
                     kind: NodeKind::Leaf(b),
                 })
             }
             NodeKind::Internal(entries) => {
-                let (a, b) = split_entries(entries, |(_, r)| r, self.split);
+                let (a, b) = split_entries(entries, |(_, r)| r);
                 self.node_mut(ix).kind = NodeKind::Internal(a);
                 self.alloc(Node {
                     kind: NodeKind::Internal(b),
@@ -423,57 +373,6 @@ impl RTree {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Bulk-load support (see `bulk.rs`)
-    // ------------------------------------------------------------------
-
-    /// Records an id → rect mapping during bulk load; returns false on
-    /// duplicates.
-    pub(crate) fn register_bulk_id(&mut self, id: IntervalId, rect: Rect) -> bool {
-        self.by_id.insert(id.0, rect).is_none()
-    }
-
-    /// Allocates a packed leaf; returns its handle and MBR.
-    pub(crate) fn alloc_leaf_for_bulk(
-        &mut self,
-        entries: Vec<(IntervalId, Rect)>,
-    ) -> (usize, Rect) {
-        debug_assert!(!entries.is_empty() && entries.len() <= MAX_ENTRIES);
-        let node = Node {
-            kind: NodeKind::Leaf(entries),
-        };
-        let mbr = node.mbr().expect("non-empty leaf");
-        (self.alloc(node), mbr)
-    }
-
-    /// Allocates a packed internal node over child handles; returns its
-    /// handle and MBR.
-    pub(crate) fn alloc_internal_for_bulk(
-        &mut self,
-        children: Vec<(usize, Rect)>,
-    ) -> (usize, Rect) {
-        debug_assert!(!children.is_empty() && children.len() <= MAX_ENTRIES);
-        let node = Node {
-            kind: NodeKind::Internal(children),
-        };
-        let mbr = node.mbr().expect("non-empty internal node");
-        (self.alloc(node), mbr)
-    }
-
-    /// Replaces the (empty) initial root with the packed tree's root.
-    pub(crate) fn set_root_for_bulk(&mut self, root: usize, height: usize) {
-        let old = self.root;
-        debug_assert_eq!(self.node(old).len(), 0, "bulk load into non-empty tree");
-        self.dealloc(old);
-        self.root = root;
-        self.height = height;
-    }
-
-    /// Live node count (tests: packing density checks).
-    pub fn node_count_for_tests(&self) -> usize {
-        self.nodes.iter().flatten().count()
-    }
-
     /// Verifies structural invariants (for tests): entry counts, MBR
     /// accuracy, uniform leaf depth, and id bookkeeping.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -549,17 +448,12 @@ impl Entry {
     }
 }
 
-/// Splits an overflowing entry list into two groups per Guttman.
-fn split_entries<T>(
-    mut entries: Vec<T>,
-    rect_of: impl Fn(&T) -> &Rect,
-    algo: SplitAlgorithm,
-) -> (Vec<T>, Vec<T>) {
+/// Splits an overflowing entry list into two groups with Guttman's
+/// quadratic split: seeds by maximum dead area, then each entry to the
+/// group it enlarges least.
+fn split_entries<T>(mut entries: Vec<T>, rect_of: impl Fn(&T) -> &Rect) -> (Vec<T>, Vec<T>) {
     debug_assert!(entries.len() > MAX_ENTRIES);
-    let (seed_a, seed_b) = match algo {
-        SplitAlgorithm::Quadratic => pick_seeds_quadratic(&entries, &rect_of),
-        SplitAlgorithm::Linear => pick_seeds_linear(&entries, &rect_of),
-    };
+    let (seed_a, seed_b) = pick_seeds_quadratic(&entries, &rect_of);
     // Remove the higher index first so the lower stays valid.
     let (hi, lo) = if seed_a > seed_b {
         (seed_a, seed_b)
@@ -617,40 +511,6 @@ fn pick_seeds_quadratic<T>(entries: &[T], rect_of: &impl Fn(&T) -> &Rect) -> (us
                 worst_waste = waste;
                 best = (i, j);
             }
-        }
-    }
-    best
-}
-
-/// Linear PickSeeds: the pair with greatest normalized separation along
-/// any dimension.
-fn pick_seeds_linear<T>(entries: &[T], rect_of: &impl Fn(&T) -> &Rect) -> (usize, usize) {
-    let dims = rect_of(&entries[0]).dims();
-    let mut best = (0, 1);
-    let mut best_sep = f64::NEG_INFINITY;
-    for d in 0..dims {
-        // Entry with highest low side and entry with lowest high side.
-        let (mut hi_lo_ix, mut lo_hi_ix) = (0, 0);
-        let (mut min_lo, mut max_lo) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut min_hi, mut max_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (i, e) in entries.iter().enumerate() {
-            let r = rect_of(e);
-            if r.lo[d] > max_lo {
-                max_lo = r.lo[d];
-                hi_lo_ix = i;
-            }
-            min_lo = min_lo.min(r.lo[d]);
-            if r.hi[d] < min_hi {
-                min_hi = r.hi[d];
-                lo_hi_ix = i;
-            }
-            max_hi = max_hi.max(r.hi[d]);
-        }
-        let width = (max_hi - min_lo).max(f64::MIN_POSITIVE);
-        let sep = (max_lo - min_hi) / width;
-        if sep > best_sep && hi_lo_ix != lo_hi_ix {
-            best_sep = sep;
-            best = (lo_hi_ix, hi_lo_ix);
         }
     }
     best

@@ -47,6 +47,13 @@ pub enum EngineError {
     /// A join condition failed to compile (unknown relation/attribute,
     /// cross-relation type mismatch).
     Join(CompileError),
+    /// A rule with this id is already registered (a restored rule set
+    /// named it twice).
+    DuplicateRule(RuleId),
+    /// Every `u32` rule id has been handed out. Ids are never reused,
+    /// so the engine refuses further rules rather than wrap onto a
+    /// live one.
+    RuleIdsExhausted,
 }
 
 impl fmt::Display for EngineError {
@@ -59,6 +66,8 @@ impl fmt::Display for EngineError {
             }
             EngineError::NoSuchRule(id) => write!(f, "no such rule {id}"),
             EngineError::Join(e) => write!(f, "{e}"),
+            EngineError::DuplicateRule(id) => write!(f, "rule {id} is already registered"),
+            EngineError::RuleIdsExhausted => write!(f, "rule ids exhausted"),
         }
     }
 }
@@ -484,27 +493,13 @@ impl RuleEngine {
     /// every predicate it registers carries as its route. Returns the
     /// rule's id and slot and the join matches seeding found.
     fn add_rule_inner(&mut self, rule: Rule) -> Result<(RuleId, u32, Vec<Binding>), EngineError> {
+        let id = RuleId(self.next_rule);
+        let next = self.check_fresh(id)?;
         let slot = self.rules.next_slot();
-        let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
-        for pred in &rule.conditions {
-            match self
-                .index
-                .insert_routed(pred.clone(), self.db.catalog(), slot)
-            {
-                Ok(pid) => predicate_ids.push(pid),
-                Err(e) => {
-                    // Roll back the partial registration.
-                    for pid in predicate_ids {
-                        self.index.remove(pid);
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        match self.register_joins(self.next_rule, slot, &rule.joins) {
+        let predicate_ids = self.register_conditions(slot, &rule.conditions)?;
+        match self.register_joins(id.0, slot, &rule.joins) {
             Ok((join_keys, join_pids, seeds)) => {
-                let id = RuleId(self.next_rule);
-                self.next_rule += 1;
+                self.next_rule = next;
                 self.telemetry.profiler().name_rule(id.0, &rule.name);
                 let (hot, cold) = split(id.0, rule, 0, (predicate_ids, join_keys, join_pids));
                 let taken = self.rules.insert(id.0, hot, cold);
@@ -518,6 +513,41 @@ impl RuleEngine {
                 Err(e)
             }
         }
+    }
+
+    /// Checks that rule `id` may be registered: it is not live, and it
+    /// is not the last `u32`, so the id after it exists. Returns that
+    /// id. Runs before anything is registered.
+    fn check_fresh(&self, id: RuleId) -> Result<u32, EngineError> {
+        if self.rules.slot(id.0).is_some() {
+            return Err(EngineError::DuplicateRule(id));
+        }
+        id.0.checked_add(1).ok_or(EngineError::RuleIdsExhausted)
+    }
+
+    /// Registers a rule's condition predicates in the index, each routed
+    /// to `slot`. Rolls itself back on failure.
+    fn register_conditions(
+        &mut self,
+        slot: u32,
+        conditions: &[Predicate],
+    ) -> Result<Vec<PredicateId>, EngineError> {
+        let mut predicate_ids = Vec::with_capacity(conditions.len());
+        for pred in conditions {
+            match self
+                .index
+                .insert_routed(pred.clone(), self.db.catalog(), slot)
+            {
+                Ok(pid) => predicate_ids.push(pid),
+                Err(e) => {
+                    for pid in predicate_ids {
+                        self.index.remove(pid);
+                    }
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok(predicate_ids)
     }
 
     /// Compiles and registers `joins` for rule `rid` in `slot`: each
@@ -1290,15 +1320,10 @@ impl RuleEngine {
             ..RuleEngine::new(db)
         };
         for (rid, rule, fired) in rules {
+            let next = engine.check_fresh(rid)?;
             let slot = engine.rules.next_slot();
-            let mut predicate_ids = Vec::with_capacity(rule.conditions.len());
-            for pred in &rule.conditions {
-                let pid = engine
-                    .index
-                    .insert_routed(pred.clone(), engine.db.catalog(), slot)?;
-                predicate_ids.push(pid);
-            }
-            engine.next_rule = engine.next_rule.max(rid.0 + 1);
+            let predicate_ids = engine.register_conditions(slot, &rule.conditions)?;
+            engine.next_rule = engine.next_rule.max(next);
             let (hot, cold) = split(rid.0, rule, fired, (predicate_ids, vec![], vec![]));
             engine.rules.insert(rid.0, hot, cold);
         }

@@ -1376,6 +1376,41 @@ mod drop_restore_tests {
     }
 
     #[test]
+    fn exhausted_rule_ids_are_an_error_before_anything_registers() {
+        let rule = |name: &str| Rule::builder(name).when("emp.x > 0").unwrap().build();
+        let e = engine();
+        let db = e.db().clone();
+        let mut e =
+            RuleEngine::restore(db, vec![(RuleId(0), rule("a"), 0)], u32::MAX, 0, vec![]).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                e.add_rule(rule("late")),
+                Err(EngineError::RuleIdsExhausted)
+            ));
+        }
+        assert_eq!(e.rule_count(), 1);
+        assert_eq!(e.next_rule_id(), u32::MAX);
+        // The refused rules left no predicate behind: one rule fires.
+        assert_eq!(e.insert("emp", vec![Value::Int(1)]).unwrap().fired.len(), 1);
+    }
+
+    #[test]
+    fn restore_refuses_duplicate_and_exhausted_rule_ids() {
+        let rule = |name: &str| Rule::builder(name).when("emp.x > 0").unwrap().build();
+        let db = engine().db().clone();
+        let twice = vec![(RuleId(4), rule("a"), 0), (RuleId(4), rule("b"), 0)];
+        assert!(matches!(
+            RuleEngine::restore(db.clone(), twice, 5, 0, vec![]),
+            Err(EngineError::DuplicateRule(RuleId(4)))
+        ));
+        let last = vec![(RuleId(u32::MAX), rule("a"), 0)];
+        assert!(matches!(
+            RuleEngine::restore(db, last, 0, 0, vec![]),
+            Err(EngineError::RuleIdsExhausted)
+        ));
+    }
+
+    #[test]
     fn metrics_count_firings_cascades_and_match_work() {
         let mut db = Database::new();
         db.create_relation(

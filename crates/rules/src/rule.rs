@@ -251,18 +251,6 @@ impl RuleBuilder {
         Ok(self)
     }
 
-    /// Sets the condition from already-built predicates.
-    pub fn when_predicates(mut self, preds: Vec<Predicate>) -> Self {
-        self.conditions = preds;
-        self
-    }
-
-    /// Adds an already-built join condition as a further alternative.
-    pub fn when_join(mut self, join: JoinCondition) -> Self {
-        self.joins.push(join);
-        self
-    }
-
     /// Sets the event mask.
     pub fn on(mut self, mask: EventMask) -> Self {
         self.mask = mask;

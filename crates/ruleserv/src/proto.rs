@@ -268,12 +268,6 @@ impl Request {
         (opcode, payload)
     }
 
-    /// Writes the request as one frame.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let (opcode, payload) = self.encode();
-        write_frame(w, opcode, &payload)
-    }
-
     /// Writes the request as one frame with an optional trace-id
     /// suffix.
     pub fn write_to_traced(&self, w: &mut impl Write, trace: Option<u64>) -> io::Result<()> {
@@ -452,12 +446,6 @@ impl Reply {
             Reply::Lagged(n) => w.u64(*n),
         }
         (self.opcode(), w.into_bytes())
-    }
-
-    /// Writes the reply as one frame.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let (opcode, payload) = self.encode();
-        write_frame(w, opcode, &payload)
     }
 
     /// Decodes a reply frame.
@@ -660,7 +648,7 @@ mod tests {
     fn requests_round_trip_through_frames() {
         let mut wire = Vec::new();
         for req in sample_requests() {
-            req.write_to(&mut wire).unwrap();
+            req.write_to_traced(&mut wire, None).unwrap();
         }
         let mut cursor = std::io::Cursor::new(wire);
         for expected in sample_requests() {
@@ -674,7 +662,8 @@ mod tests {
     fn replies_round_trip_through_frames() {
         let mut wire = Vec::new();
         for reply in sample_replies() {
-            reply.write_to(&mut wire).unwrap();
+            let (opcode, payload) = reply.encode();
+            write_frame(&mut wire, opcode, &payload).unwrap();
         }
         let mut cursor = std::io::Cursor::new(wire);
         for expected in sample_replies() {
@@ -691,7 +680,7 @@ mod tests {
             relation: "emp".into(),
             values: vec![Value::Int(1), Value::str("x")],
         })
-        .write_to(&mut wire)
+        .write_to_traced(&mut wire, None)
         .unwrap();
         // Every strict prefix is either a clean EOF (empty) or a torn
         // frame (UnexpectedEof) — never a panic, never a bogus frame.
@@ -771,7 +760,7 @@ mod tests {
         legacy_len.u64(1);
         legacy_len.u32(0);
         legacy_len.str("j");
-        let legacy_len = legacy_len.len();
+        let legacy_len = legacy_len.into_bytes().len();
         for cut in legacy_len + 1..payload.len() {
             assert!(
                 Reply::decode(OP_EVENT, &payload[..cut]).is_err(),

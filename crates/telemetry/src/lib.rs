@@ -78,7 +78,7 @@ pub use histogram::{bucket_index, bucket_upper_bound, quantile, Histogram, HISTO
 pub use profile::{
     AccountSnapshot, CostSnapshot, Profiler, SlowOp, EXTERNAL_ACCOUNT, SLOW_OP_CAPACITY,
 };
-pub use recorder::{FlightRecorder, PanicHookGuard};
+pub use recorder::FlightRecorder;
 pub use registry::Registry;
 pub use server::{serve, wake_addr, HealthFn, ServerHandle};
 pub use stages::{nanos, Stage, StageClock, StageRecord};

@@ -5,9 +5,8 @@
 //! something goes wrong after hours of healthy traffic. A
 //! [`FlightRecorder`] pairs the ring with the metric
 //! [`Registry`](crate::Registry) and a dump directory: on demand
-//! ([`dump`](FlightRecorder::dump)), or automatically when a panic
-//! unwinds through an [installed hook](FlightRecorder::install_panic_hook),
-//! it writes one timestamped file holding
+//! ([`dump`](FlightRecorder::dump)) it writes one timestamped file
+//! holding
 //!
 //! 1. a header (reason, wall-clock time, event/drop counts),
 //! 2. the full Prometheus exposition of the registry, and
@@ -40,9 +39,8 @@ use crate::handle::Telemetry;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Pairs the trace ring with the metric registry and knows where to
@@ -75,11 +73,6 @@ impl FlightRecorder {
             dir: dir.into(),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// The directory dumps are written into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Renders the dump body without touching the filesystem — the
@@ -137,47 +130,13 @@ impl FlightRecorder {
         fs::write(&path, self.render(reason))?;
         Ok(path)
     }
-
-    /// Installs a panic hook that writes a dump before the default
-    /// handler runs. The hook stays active until the returned guard
-    /// drops; the previous hook is always chained, so backtraces and
-    /// other handlers keep working.
-    ///
-    /// The wrapper closure itself remains in the hook chain after the
-    /// guard drops (hooks cannot be safely un-chained once another
-    /// layer may have stacked on top) — deactivation is by flag, which
-    /// makes the guard sound even with overlapping scopes.
-    pub fn install_panic_hook(self: &Arc<Self>) -> PanicHookGuard {
-        let active = Arc::new(AtomicBool::new(true));
-        let recorder = Arc::clone(self);
-        let flag = Arc::clone(&active);
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if flag.load(Ordering::Relaxed) {
-                let _ = recorder.dump("panic");
-            }
-            previous(info);
-        }));
-        PanicHookGuard { active }
-    }
-}
-
-/// Deactivates the associated panic hook when dropped.
-#[must_use = "the panic hook deactivates when this guard drops"]
-pub struct PanicHookGuard {
-    active: Arc<AtomicBool>,
-}
-
-impl Drop for PanicHookGuard {
-    fn drop(&mut self) {
-        self.active.store(false, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Registry, Tracer};
+    use std::sync::Arc;
 
     fn temp_dir(label: &str) -> PathBuf {
         let dir =
@@ -246,33 +205,6 @@ mod tests {
         assert_ne!(a, b);
         let text = fs::read_to_string(&a).unwrap();
         assert!(text.contains("(registry disabled or empty)"));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn panic_hook_dumps_then_deactivates() {
-        let dir = temp_dir("panic");
-        let tracer = Tracer::new(32);
-        tracer.instant("before_crash");
-        let recorder = Arc::new(FlightRecorder::new(
-            Telemetry::disabled().with_tracer(tracer),
-            &dir,
-        ));
-        {
-            let _guard = recorder.install_panic_hook();
-            let result = std::panic::catch_unwind(|| panic!("boom"));
-            assert!(result.is_err());
-        }
-        let dumps: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
-        assert_eq!(dumps.len(), 1, "hook must dump exactly once");
-        let text = fs::read_to_string(dumps[0].path()).unwrap();
-        assert!(text.contains("# flight dump: panic"));
-        assert!(text.contains("before_crash"));
-
-        // Guard dropped: a later panic must not dump again.
-        let result = std::panic::catch_unwind(|| panic!("boom 2"));
-        assert!(result.is_err());
-        assert_eq!(fs::read_dir(&dir).unwrap().flatten().count(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 }

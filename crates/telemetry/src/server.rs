@@ -85,11 +85,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.addr.port()
-    }
-
     /// Stops accepting, wakes the accept thread, and joins it.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);

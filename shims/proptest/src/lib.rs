@@ -3,15 +3,14 @@
 //! The build environment cannot reach a registry, so this workspace
 //! vendors the subset of proptest's API that its test suites use:
 //!
-//! * the [`Strategy`] trait with `prop_map`, `prop_filter`,
-//!   `prop_filter_map`, `prop_recursive`, and `boxed`;
+//! * the [`Strategy`] trait with `prop_map`, `prop_filter_map`,
+//!   `prop_recursive`, and `boxed`;
 //! * strategies for integer/float ranges, `&str` character-class
 //!   patterns (`"[a-z]{0,6}"`), [`Just`], tuples, and
 //!   [`collection::vec`];
 //! * [`arbitrary::Arbitrary`] with [`prelude::any`];
 //! * the [`proptest!`], [`prop_oneof!`], [`prop_assert!`],
-//!   [`prop_assert_eq!`], [`prop_assert_ne!`], and [`prop_assume!`]
-//!   macros.
+//!   [`prop_assert_eq!`], and [`prop_assume!`] macros.
 //!
 //! Semantics match upstream where the tests can observe them —
 //! generation is random and configurable via `ProptestConfig::cases`,
@@ -80,9 +79,6 @@ impl fmt::Display for TestCaseError {
     }
 }
 
-/// Convenient alias matching upstream.
-pub type TestCaseResult = Result<(), TestCaseError>;
-
 /// Runner configuration (subset: case count).
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -127,16 +123,6 @@ pub trait Strategy {
         F: Fn(Self::Value) -> U,
     {
         Map { inner: self, f }
-    }
-
-    /// Keeps only values where `f` returns true.
-    fn prop_filter<F>(self, reason: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        let _ = reason;
-        Filter { inner: self, f }
     }
 
     /// Map-and-filter in one pass: `None` from `f` rejects the sample.
@@ -212,20 +198,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
 
     fn generate(&self, rng: &mut TestRng) -> Option<U> {
         self.inner.generate(rng).map(&self.f)
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-
-    fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
-        self.inner.generate(rng).filter(&self.f)
     }
 }
 
@@ -588,10 +560,8 @@ pub mod prelude {
     //! `use proptest::prelude::*;` — everything the tests name.
 
     pub use super::arbitrary::{Any, Arbitrary};
-    pub use super::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
-    pub use super::{BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError, TestCaseResult};
+    pub use super::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
+    pub use super::{BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError};
     /// Upstream exposes the crate under `prop::` inside the prelude.
     pub use crate as prop;
     use std::marker::PhantomData;
@@ -657,30 +627,6 @@ macro_rules! prop_assert_eq {
                 "assertion failed: `{} == {}` at {}:{}: {}\n  left: {:?}\n right: {:?}",
                 stringify!($left), stringify!($right), file!(), line!(),
                 format!($($fmt)+), l, r
-            )));
-        }
-    }};
-}
-
-/// Fails the current case if both sides are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        if l == r {
-            return Err($crate::TestCaseError::fail(format!(
-                "assertion failed: `{} != {}` at {}:{}\n  both: {:?}",
-                stringify!($left), stringify!($right), file!(), line!(), l
-            )));
-        }
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)+) => {{
-        let (l, r) = (&$left, &$right);
-        if l == r {
-            return Err($crate::TestCaseError::fail(format!(
-                "assertion failed: `{} != {}` at {}:{}: {}\n  both: {:?}",
-                stringify!($left), stringify!($right), file!(), line!(),
-                format!($($fmt)+), l
             )));
         }
     }};
@@ -764,7 +710,7 @@ mod tests {
 
         #[test]
         fn filters_are_respected(
-            v in (0i32..100).prop_filter("even", |n| n % 2 == 0),
+            v in (0i32..100).prop_filter_map("even", |n| (n % 2 == 0).then_some(n)),
             s in "[a-c]{1,4}",
         ) {
             prop_assert_eq!(v % 2, 0);

@@ -2,8 +2,8 @@
 //!
 //! The build environment cannot reach a registry, so this workspace
 //! vendors the subset of `rand` 0.8 it actually uses: [`SeedableRng`],
-//! [`Rng::gen_range`] / [`Rng::gen_bool`] / [`Rng::gen`],
-//! [`rngs::StdRng`], and [`seq::SliceRandom::shuffle`]. The generator is
+//! [`Rng::gen_range`] / [`Rng::gen_bool`] / [`Rng::gen`] (bytes only),
+//! [`rngs::StdRng`], and [`seq::SliceRandom`]'s `shuffle` and `choose`. The generator is
 //! xoshiro256** seeded via SplitMix64 — statistically solid for test and
 //! benchmark workloads, deterministic per seed, but **not** the same
 //! stream as upstream `StdRng` (which is ChaCha12). Nothing in this
@@ -15,11 +15,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// The next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// The next 32 uniformly random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Construction from seed material (the subset used: `seed_from_u64`).
@@ -106,27 +101,9 @@ pub trait Standard: Sized {
     fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-impl Standard for bool {
+impl Standard for u8 {
     fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-macro_rules! impl_standard_int {
-    ($($t:ty),+) => {$(
-        impl Standard for $t {
-            fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )+};
-}
-
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Standard for f64 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        rng.next_u64() as u8
     }
 }
 
@@ -199,9 +176,6 @@ pub mod rngs {
             result
         }
     }
-
-    /// Alias: callers asking for the "small" generator get the same one.
-    pub type SmallRng = StdRng;
 }
 
 pub mod seq {

@@ -21,8 +21,7 @@ use rules::{EngineError, FireReport, MatchTrace, Rule, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
-use telemetry::{FlightRecorder, Registry, Stage, StageClock, StageRecord, Telemetry};
+use telemetry::{FlightRecorder, Stage, StageClock, StageRecord, Telemetry};
 
 /// Subdirectory of a durable home where flight dumps land.
 pub const FLIGHT_DIR: &str = "flight";
@@ -229,13 +228,6 @@ impl DurableRuleEngine {
             recorder,
             clock: StageClock::default(),
         })
-    }
-
-    /// The metrics registry the engine records into — disabled (empty)
-    /// unless opened through
-    /// [`open_with_metrics`](Self::open_with_metrics).
-    pub fn metrics(&self) -> &Arc<Registry> {
-        self.engine.metrics()
     }
 
     /// The telemetry handle this engine was opened with (everything

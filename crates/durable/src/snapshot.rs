@@ -11,8 +11,7 @@
 //! *including holes*, free list — so recovered tuple-id allocation is
 //! bit-identical), every rule (condition source text, event mask,
 //! priority, fire count, action spec), and the engine counters and
-//! log. Column statistics are derivable (`Catalog::analyze`) and not
-//! stored.
+//! log.
 //!
 //! Unlike the WAL there is no tolerated torn tail: snapshots are
 //! written to a temporary file, synced, and atomically renamed, so a

@@ -145,6 +145,6 @@ fn plain_open_stays_dark() {
         .unwrap();
     engine.insert("emp", vec![Value::Int(1)]).unwrap();
     engine.snapshot().unwrap();
-    assert!(!engine.metrics().is_enabled());
-    assert!(engine.metrics().names().is_empty());
+    assert!(!engine.telemetry().registry().is_enabled());
+    assert!(engine.telemetry().registry().names().is_empty());
 }

@@ -2,7 +2,7 @@
 //! relation routing for retraction and the crate's metric families.
 
 use crate::compile::CompiledJoin;
-use crate::memo::{Binding, InsertOutcome, JoinMemo};
+use crate::memo::{InsertOutcome, JoinMemo};
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
 use std::hash::{Hash, Hasher};
@@ -169,18 +169,12 @@ impl JoinEngine {
 
     /// Seeds condition `key` from every existing tuple of `catalog`
     /// that passes its premises' alpha tests, premise by premise in
-    /// ascending tuple-id order. Returns each complete match exactly
-    /// once, in the (deterministic) order seeding discovered it.
-    pub fn seed(&mut self, key: u64, catalog: &Catalog) -> Vec<Binding> {
-        let Some(memo) = self.memos.get_mut(&key) else {
-            return Vec::new();
-        };
-        let mut completions = Vec::new();
-        memo.seed(catalog, |memo, out| {
-            self.metrics.inserted(memo, &out);
-            completions.extend(out.bindings);
-        });
-        completions
+    /// ascending tuple-id order. Seeding fires nothing: the complete
+    /// matches it builds are only memo state.
+    pub fn seed(&mut self, key: u64, catalog: &Catalog) {
+        if let Some(memo) = self.memos.get_mut(&key) {
+            memo.seed(catalog, |memo, out| self.metrics.inserted(memo, &out));
+        }
     }
 
     /// Rebuilds every memo from scratch against the current database:

@@ -70,12 +70,7 @@ impl World {
     fn register(&mut self, src: &str) {
         let plan = compile(src, &self.cat);
         self.je.register(self.next_key, plan.clone());
-        let seeded = self.je.seed(self.next_key, &self.cat);
-        assert_eq!(
-            seeded.len(),
-            self.je.complete_matches(self.next_key).len(),
-            "seed reports every complete match once"
-        );
+        self.je.seed(self.next_key, &self.cat);
         self.live.push((self.next_key, plan));
         self.next_key += 1;
     }

@@ -389,9 +389,9 @@ impl BoundPredicate {
     }
 
     /// Scans a relation for every tuple the predicate matches — the
-    /// query-side inverse of tuple-driven matching. Used when a rule is
-    /// registered retroactively and must fire on facts already in the
-    /// database.
+    /// query-side inverse of tuple-driven matching. Used to seed a join
+    /// memo from the tuples already in the database, and by the
+    /// oracles.
     pub fn scan<'a>(
         &'a self,
         relation: &'a relation::Relation,

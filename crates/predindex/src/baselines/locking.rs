@@ -101,11 +101,7 @@ impl Matcher for PhysicalLockingMatcher {
                     BoundClause::Range { attr, interval }
                         if self.indexed_attrs.contains(&(relation.clone(), *attr)) =>
                     {
-                        Some((
-                            *attr,
-                            interval.clone(),
-                            clause_selectivity(catalog, &relation, c),
-                        ))
+                        Some((*attr, interval.clone(), clause_selectivity(c)))
                     }
                     _ => None,
                 })

@@ -194,13 +194,9 @@ mod tests {
 
     #[test]
     fn index_uses_most_selective_clause() {
-        // With stats: age = 30 (selectivity 1/50) should be chosen over
-        // salary > 0 (near 1.0), so the salary tree is never built.
-        let mut db = emp_db();
-        for i in 0..500i64 {
-            emp_tuple(&mut db, "e", 20 + (i % 50), (i * 37) % 10_000, "d");
-        }
-        db.catalog_mut().analyze();
+        // age = 30 (an equality) is chosen over salary > 0 (a one-sided
+        // range), so the salary tree is never built.
+        let db = emp_db();
         let mut m = PredicateIndex::new();
         m.insert(
             parse_predicate("emp.age = 30 and emp.salary > 0").unwrap(),

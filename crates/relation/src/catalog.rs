@@ -1,10 +1,9 @@
-//! The catalog (named relations + statistics) and the [`Database`]
+//! The catalog of named relations and the [`Database`]
 //! facade whose mutations emit the tuple events a rule system consumes.
 
 use crate::fx::FnvHashMap;
 use crate::relation::{Relation, RelationError, Tuple, TupleId};
 use crate::schema::Schema;
-use crate::stats::ColumnStats;
 use crate::value::Value;
 use std::fmt;
 
@@ -37,12 +36,10 @@ impl From<RelationError> for CatalogError {
     }
 }
 
-/// Named relations plus per-column optimizer statistics.
+/// Named relations.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: FnvHashMap<String, Relation>,
-    /// `(relation, attr index)` → stats, populated by [`Catalog::analyze`].
-    stats: FnvHashMap<(String, usize), ColumnStats>,
 }
 
 impl Catalog {
@@ -74,18 +71,15 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drops a relation, returning it, along with its column stats.
+    /// Drops a relation, returning it.
     /// Predicates already registered against the relation are the
     /// caller's concern: matchers bind at registration time and keep
     /// matching against their own state, so dropping here neither
     /// unregisters them nor invalidates in-flight matching.
     pub fn drop_relation(&mut self, name: &str) -> Result<Relation, CatalogError> {
-        let rel = self
-            .relations
+        self.relations
             .remove(name)
-            .ok_or_else(|| CatalogError::NoSuchRelation(name.to_string()))?;
-        self.stats.retain(|(r, _), _| r != name);
-        Ok(rel)
+            .ok_or_else(|| CatalogError::NoSuchRelation(name.to_string()))
     }
 
     /// The relation called `name`.
@@ -101,27 +95,6 @@ impl Catalog {
     /// Iterates relations in unspecified order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
-    }
-
-    /// (Re)builds column statistics for every relation from current
-    /// contents — the stand-in for "selectivity estimates are obtained
-    /// from the query optimizer" (§4).
-    pub fn analyze(&mut self) {
-        self.stats.clear();
-        for (name, rel) in &self.relations {
-            for i in 0..rel.schema().arity() {
-                let column: Vec<Value> = rel.iter().map(|(_, t)| t.get(i).clone()).collect();
-                self.stats
-                    .insert((name.clone(), i), ColumnStats::from_values(column));
-            }
-        }
-    }
-
-    /// Stats for one column, if analyzed.
-    pub fn column_stats(&self, relation: &str, attr: usize) -> Option<&ColumnStats> {
-        // Allocation-free lookup would need a borrowed pair key; this
-        // path only runs at predicate-registration time, not per tuple.
-        self.stats.get(&(relation.to_string(), attr))
     }
 }
 
@@ -187,7 +160,7 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access (schema changes, analyze).
+    /// Mutable catalog access (schema changes).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -278,7 +251,6 @@ impl Database {
 mod tests {
     use super::*;
     use crate::value::AttrType;
-    use interval::Interval;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -327,17 +299,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_relation_removes_state_and_stats() {
+    fn drop_relation_removes_state() {
         let mut d = db();
         d.insert("emp", vec![Value::str("al"), Value::Int(30)])
             .unwrap();
-        d.catalog_mut().analyze();
-        assert!(d.catalog().column_stats("emp", 1).is_some());
 
         let rel = d.drop_relation("emp").unwrap();
         assert_eq!(rel.schema().name(), "emp");
         assert!(d.catalog().relation("emp").is_none());
-        assert!(d.catalog().column_stats("emp", 1).is_none());
         assert!(matches!(
             d.drop_relation("emp"),
             Err(CatalogError::NoSuchRelation(_))
@@ -356,20 +325,5 @@ mod tests {
             d.insert("nope", vec![]),
             Err(CatalogError::NoSuchRelation(_))
         ));
-    }
-
-    #[test]
-    fn analyze_builds_stats() {
-        let mut d = db();
-        for i in 0..100 {
-            d.insert("emp", vec![Value::str(format!("e{i}")), Value::Int(i)])
-                .unwrap();
-        }
-        d.catalog_mut().analyze();
-        let stats = d.catalog().column_stats("emp", 1).unwrap();
-        // Half the column, not the 5% a stats-free closed range gets.
-        let half = stats.selectivity(&Interval::closed(Value::Int(0), Value::Int(49)));
-        assert!((0.4..=0.6).contains(&half), "half = {half}");
-        assert!(d.catalog().column_stats("emp", 5).is_none());
     }
 }

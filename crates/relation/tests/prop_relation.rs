@@ -1,10 +1,8 @@
 //! Property tests on the relational substrate: total-order axioms for
-//! [`Value`], histogram selectivity behavior, and relation storage
-//! round-trips.
+//! [`Value`] and relation storage round-trips.
 
-use interval::Interval;
 use proptest::prelude::*;
-use relation::{AttrType, ColumnStats, Relation, Schema, Value};
+use relation::{AttrType, Relation, Schema, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -70,25 +68,6 @@ proptest! {
         if va < vb {
             prop_assert!(va.as_f64_lossy() <= vb.as_f64_lossy());
         }
-    }
-
-    /// Selectivity lies in (0, 1] and grows with interval inclusion
-    /// (over non-degenerate ranges).
-    #[test]
-    fn selectivity_bounds_and_monotonicity(
-        data in prop::collection::vec(-500i64..500, 1..300),
-        lo in -600i64..600,
-        w1 in 0i64..200,
-        w2 in 0i64..200,
-    ) {
-        let stats = ColumnStats::from_values(data.into_iter().map(Value::Int).collect());
-        let narrow = Interval::closed(Value::Int(lo), Value::Int(lo + w1));
-        let wide = Interval::closed(Value::Int(lo), Value::Int(lo + w1 + w2));
-        let s_narrow = stats.selectivity(&narrow);
-        let s_wide = stats.selectivity(&wide);
-        prop_assert!(s_narrow > 0.0 && s_narrow <= 1.0, "narrow = {}", s_narrow);
-        prop_assert!(s_wide > 0.0 && s_wide <= 1.0, "wide = {}", s_wide);
-        prop_assert!(s_narrow <= s_wide + 1e-12, "monotonicity: {} > {}", s_narrow, s_wide);
     }
 
     /// Relation storage: insert/update/delete round-trips arbitrary

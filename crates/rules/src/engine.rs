@@ -16,17 +16,15 @@
 //! and complete matches enter the agenda with all bound tuples.
 
 use crate::rule::{Action, BoundTuple, DbOp, EventMask, Rule, RuleContext, RuleId, RuleName};
-use joinmemo::{Binding, CompileError, CompiledJoin, JoinEngine, MemoStats};
+use joinmemo::{CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::{JoinCondition, Predicate};
 use predindex::{
     IndexError, IndexStats, MatchLanes, MatchTrace, Matcher, PredicateId, PredicateIndex, Routed,
     Slab,
 };
-use relation::fx::FnvHashSet;
 use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, TupleId, Value};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 use telemetry::{
     CostSnapshot, Counter, Histogram, Profiler, Registry, Stage, StageClock, StageRecord, Telemetry,
 };
@@ -119,9 +117,9 @@ pub struct FireReport {
 }
 
 /// What [`RuleEngine::register_joins`] hands back: one memo key per
-/// condition, the premise predicate ids entered into the alpha index,
-/// and the complete matches discovered while seeding.
-type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>, Vec<Binding>);
+/// condition, and the premise predicate ids entered into the alpha
+/// index.
+type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>);
 
 /// The ids a rule's registration holds: its conditions' predicate ids,
 /// and per join condition the memo key and the premises' predicate ids.
@@ -370,9 +368,9 @@ impl RuleEngine {
         self.clock = StageClock::default();
     }
 
-    /// A boundary before a chain level or a backfill firing: starts the
-    /// operation's clock there under the profiler, and later laps the
-    /// time since the last boundary as `other`.
+    /// A boundary before a chain level: starts the operation's clock
+    /// there under the profiler, and later laps the time since the last
+    /// boundary as `other`.
     fn chain_boundary(&mut self) {
         if self.clock.is_on() {
             self.clock.lap(Stage::Other);
@@ -387,13 +385,6 @@ impl RuleEngine {
     /// runs one lock-free index core, so the list has one entry.
     pub fn shard_stats(&self) -> Vec<IndexStats> {
         vec![self.index.stats()]
-    }
-
-    /// The metrics registry — render it with
-    /// [`Registry::render_text`] or query individual values. Disabled
-    /// (empty) unless [`attach_metrics`](Self::attach_metrics) was used.
-    pub fn metrics(&self) -> &Arc<Registry> {
-        self.telemetry.registry()
     }
 
     /// Changes the per-mutation firing limit (runaway-chain guard).
@@ -477,34 +468,28 @@ impl RuleEngine {
         self.rules.len()
     }
 
-    /// Registers a rule; its condition predicates enter the predicate
-    /// index. Join conditions additionally register every premise in
-    /// the index (alpha layer) and seed a beta memo from the tuples
-    /// already in the database — seeding does **not** fire the rule
-    /// (see [`add_rule_retroactive`](Self::add_rule_retroactive)), it
-    /// only brings the partial-match state up to date so the next
-    /// insert extends the right prefixes.
+    /// Registers a rule in the slot the rule slab hands out next, which
+    /// every predicate it registers carries as its route; its condition
+    /// predicates enter the predicate index. Join conditions
+    /// additionally register every premise in the index (alpha layer)
+    /// and seed a beta memo from the tuples already in the database —
+    /// seeding does **not** fire the rule, it only brings the
+    /// partial-match state up to date so the next insert extends the
+    /// right prefixes. A rule fires on changes that arrive after it.
     pub fn add_rule(&mut self, rule: Rule) -> Result<RuleId, EngineError> {
         self.open_record();
-        Ok(self.add_rule_inner(rule)?.0)
-    }
-
-    /// Registers `rule` in the slot the rule slab hands out next, which
-    /// every predicate it registers carries as its route. Returns the
-    /// rule's id and slot and the join matches seeding found.
-    fn add_rule_inner(&mut self, rule: Rule) -> Result<(RuleId, u32, Vec<Binding>), EngineError> {
         let id = RuleId(self.next_rule);
         let next = self.check_fresh(id)?;
         let slot = self.rules.next_slot();
         let predicate_ids = self.register_conditions(slot, &rule.conditions)?;
         match self.register_joins(id.0, slot, &rule.joins) {
-            Ok((join_keys, join_pids, seeds)) => {
+            Ok((join_keys, join_pids)) => {
                 self.next_rule = next;
                 self.telemetry.profiler().name_rule(id.0, &rule.name);
                 let (hot, cold) = split(id.0, rule, 0, (predicate_ids, join_keys, join_pids));
                 let taken = self.rules.insert(id.0, hot, cold);
                 debug_assert_eq!(taken, slot, "the slab handed out the slot it promised");
-                Ok((id, slot, seeds))
+                Ok(id)
             }
             Err(e) => {
                 for pid in predicate_ids {
@@ -553,9 +538,8 @@ impl RuleEngine {
     /// Compiles and registers `joins` for rule `rid` in `slot`: each
     /// premise enters the predicate index routed to the slot, each
     /// condition gets a stable memo key, and each memo is seeded from
-    /// the existing tuples. Returns the keys, premise predicate ids, and
-    /// the complete matches seeding discovered. Rolls itself back on
-    /// failure.
+    /// the existing tuples. Returns the keys and premise predicate ids.
+    /// Rolls itself back on failure.
     fn register_joins(
         &mut self,
         rid: u32,
@@ -594,112 +578,13 @@ impl RuleEngine {
         // (the memo must hold every valid premise prefix over the
         // current tuples before the next event).
         let mut join_keys = Vec::with_capacity(compiled.len());
-        let mut seeds = Vec::new();
         for (j, cj) in compiled.into_iter().enumerate() {
             let key = join_key(rid, j);
             self.joins.register(key, cj);
-            seeds.extend(self.joins.seed(key, self.db.catalog()));
+            self.joins.seed(key, self.db.catalog());
             join_keys.push(key);
         }
-        Ok((join_keys, join_pids, seeds))
-    }
-
-    /// Registers a rule and immediately fires it on every tuple already
-    /// in the database that satisfies its condition (as if each had just
-    /// been inserted). Returns the rule id and the backfill report.
-    ///
-    /// This is how a trigger system brings a new rule up to date with
-    /// existing facts — tuple-driven matching (the paper's problem) only
-    /// covers changes arriving *after* registration.
-    pub fn add_rule_retroactive(
-        &mut self,
-        rule: Rule,
-    ) -> Result<(RuleId, FireReport), EngineError> {
-        self.open_record();
-        let (id, slot, join_seeds) = self.add_rule_inner(rule)?;
-        // Collect matching existing tuples per condition, deduplicated
-        // per tuple (a tuple matching several disjuncts fires once).
-        let mut seeds: Vec<(TupleEvent, Vec<BoundTuple>)> = Vec::new();
-        let mut seen: FnvHashSet<(&str, TupleId)> = FnvHashSet::default();
-        for pred in &self.rules.cold(slot).conditions {
-            let Some(rel) = self.db.catalog().relation(pred.relation()) else {
-                continue;
-            };
-            let schema = rel.schema();
-            let Ok(bound) = pred.bind(schema) else {
-                continue;
-            };
-            for (tid, tuple) in bound.scan(rel) {
-                if !seen.insert((pred.relation(), tid)) {
-                    continue;
-                }
-                let seed = TupleEvent::Inserted {
-                    relation: pred.relation().to_string(),
-                    id: tid,
-                    tuple: tuple.clone(),
-                };
-                seeds.push((seed, Vec::new()));
-            }
-        }
-        // Join backfill: every complete match seeding discovered fires
-        // once, presented as an insert of its last premise's tuple
-        // (seeding runs premises in ascending order, so that is the
-        // tuple whose arrival would have completed the match).
-        for binding in join_seeds {
-            let Some((relation, tid, tuple)) = binding.tuples.last().cloned() else {
-                continue;
-            };
-            let seed = TupleEvent::Inserted {
-                relation,
-                id: tid,
-                tuple,
-            };
-            let bound = binding
-                .tuples
-                .into_iter()
-                .map(|(relation, id, tuple)| BoundTuple {
-                    relation,
-                    id,
-                    tuple,
-                })
-                .collect();
-            seeds.push((seed, bound));
-        }
-        let mut report = FireReport::default();
-        let result = self.backfill(slot, seeds, &mut report);
-        self.repaired(result).map(|()| (id, report))
-    }
-
-    /// Fires only the rule in `slot` on the backfill seeds (other rules
-    /// already saw these tuples when they actually arrived); any
-    /// database operations the firings queue chain normally through
-    /// every rule. Every firing, cascades included, goes into `report`
-    /// and counts against the one firing limit of the operation.
-    fn backfill(
-        &mut self,
-        slot: u32,
-        seeds: Vec<(TupleEvent, Vec<BoundTuple>)>,
-        report: &mut FireReport,
-    ) -> Result<(), EngineError> {
-        if !self.rules.hot(slot).mask.on_insert {
-            return Ok(());
-        }
-        let mut ops = Vec::new();
-        let mut produced = Vec::new();
-        for (seed, bound) in seeds {
-            if report.fired.len() >= self.firing_limit {
-                return Err(EngineError::FiringLimit {
-                    limit: self.firing_limit,
-                });
-            }
-            self.chain_boundary();
-            self.fire_one(slot, &seed, bound, report, &mut ops, &mut produced)?;
-            self.clock.lap(Stage::Fire);
-            for ev in produced.drain(..) {
-                self.chain_level_inner(vec![ev], report)?;
-            }
-        }
-        Ok(())
+        Ok((join_keys, join_pids))
     }
 
     /// Unregisters a rule and its predicates.
@@ -860,9 +745,9 @@ impl RuleEngine {
         self.repaired(result).map(|()| report)
     }
 
-    /// Abort repair: if a chain (or a retroactive backfill) errors
-    /// midway (firing limit, bad queued operation), or a batch rejects
-    /// a row after storing the rows before it, the database holds
+    /// Abort repair: if a chain errors midway (firing limit, bad queued
+    /// operation), or a batch rejects a row after storing the rows
+    /// before it, the database holds
     /// tuples whose events never reached the beta layer, so the join
     /// memos are rebuilt wholesale from the post-abort database before
     /// the error propagates. The rebuild is deterministic, so WAL
@@ -1345,7 +1230,7 @@ impl RuleEngine {
             if joins.is_empty() {
                 continue;
             }
-            let (join_keys, join_pids, _) = engine.register_joins(rid, slot, &joins)?;
+            let (join_keys, join_pids) = engine.register_joins(rid, slot, &joins)?;
             let cold = engine.rules.cold_mut(slot);
             cold.join_keys = join_keys;
             cold.join_pids = join_pids;

@@ -437,232 +437,6 @@ mod agenda_tests {
 }
 
 #[cfg(test)]
-mod retroactive_tests {
-    use super::*;
-    use relation::{AttrType, Database, Schema, Value};
-
-    fn seeded_engine() -> RuleEngine {
-        let mut db = Database::new();
-        db.create_relation(
-            Schema::builder("emp")
-                .attr("name", AttrType::Str)
-                .attr("salary", AttrType::Int)
-                .build(),
-        )
-        .unwrap();
-        db.create_relation(Schema::builder("alerts").attr("who", AttrType::Str).build())
-            .unwrap();
-        let mut e = RuleEngine::new(db);
-        for (n, s) in [("al", 900), ("bo", 5_000), ("cy", 700), ("di", 80_000)] {
-            e.insert("emp", vec![Value::str(n), Value::Int(s)]).unwrap();
-        }
-        e
-    }
-
-    #[test]
-    fn retroactive_rule_fires_on_existing_tuples() {
-        let mut e = seeded_engine();
-        let (_, report) = e
-            .add_rule_retroactive(
-                Rule::builder("underpaid")
-                    .when("emp.salary < 1000")
-                    .unwrap()
-                    .then(Action::log("backpay"))
-                    .build(),
-            )
-            .unwrap();
-        // al (900) and cy (700) already violate; bo and di do not.
-        assert_eq!(report.fired.len(), 2);
-        assert_eq!(e.log().len(), 2);
-        // And it keeps firing on future inserts.
-        let r = e
-            .insert("emp", vec![Value::str("ed"), Value::Int(100)])
-            .unwrap();
-        assert_eq!(r.fired.len(), 1);
-    }
-
-    #[test]
-    fn retroactive_backfill_does_not_refire_other_rules() {
-        let mut e = seeded_engine();
-        e.add_rule(
-            Rule::builder("everything")
-                .when("emp.salary >= 0")
-                .unwrap()
-                .then(Action::log("E"))
-                .build(),
-        )
-        .unwrap();
-        // The pre-existing rule must not re-fire during another rule's
-        // backfill.
-        let (_, report) = e
-            .add_rule_retroactive(
-                Rule::builder("rich")
-                    .when("emp.salary > 50000")
-                    .unwrap()
-                    .then(Action::log("R"))
-                    .build(),
-            )
-            .unwrap();
-        assert_eq!(report.fired.len(), 1, "only di matches the new rule");
-        assert!(report.fired.iter().all(|(_, n)| n == "rich"));
-        assert_eq!(
-            e.log()
-                .iter()
-                .filter(|l| l.contains("[everything]"))
-                .count(),
-            0,
-            "pre-existing rule re-fired during backfill"
-        );
-    }
-
-    #[test]
-    fn retroactive_cascades_chain_through_all_rules() {
-        let mut e = seeded_engine();
-        e.add_rule(
-            Rule::builder("on-alert")
-                .when(r#"alerts.who <= "zzzz""#)
-                .unwrap()
-                .then(Action::log("alert seen"))
-                .build(),
-        )
-        .unwrap();
-        let (_, report) = e
-            .add_rule_retroactive(
-                Rule::builder("flag-underpaid")
-                    .when("emp.salary < 1000")
-                    .unwrap()
-                    .then(Action::callback(|ctx| {
-                        let t = ctx.event.current().expect("insert").clone();
-                        ctx.queue(DbOp::Insert {
-                            relation: "alerts".into(),
-                            values: vec![t.get(0).clone()],
-                        });
-                    }))
-                    .build(),
-            )
-            .unwrap();
-        // 2 backfill firings + 2 cascaded alert firings.
-        assert_eq!(report.fired.len(), 4);
-        assert_eq!(e.db().catalog().relation("alerts").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn retroactive_abort_repairs_the_join_memos() {
-        let mut e = seeded_engine();
-        e.add_rule(
-            Rule::builder("alerted-employee")
-                .when("emp.name = alerts.who")
-                .unwrap()
-                .then(Action::log("joined"))
-                .build(),
-        )
-        .unwrap();
-        // The first queued op lands a tuple in `alerts`, the second is
-        // refused: the backfill aborts with a tuple the join memo on
-        // `alerts` never saw an event for.
-        let err = e
-            .add_rule_retroactive(
-                Rule::builder("flag-then-fail")
-                    .when("emp.salary < 1000")
-                    .unwrap()
-                    .then(Action::callback(|ctx| {
-                        let t = ctx.event.current().expect("insert").clone();
-                        ctx.queue(DbOp::Insert {
-                            relation: "alerts".into(),
-                            values: vec![t.get(0).clone()],
-                        });
-                        ctx.queue(DbOp::Insert {
-                            relation: "alerts".into(),
-                            values: Vec::new(),
-                        });
-                    }))
-                    .build(),
-            )
-            .expect_err("the bad-arity insert aborts the backfill");
-        assert!(matches!(err, EngineError::Catalog(_)), "{err:?}");
-        assert_eq!(e.db().catalog().relation("alerts").unwrap().len(), 1);
-        e.check_join_invariants()
-            .expect("memos are rebuilt from the post-abort database");
-    }
-
-    #[test]
-    fn retroactive_disjunction_fires_once_per_tuple() {
-        let mut e = seeded_engine();
-        let (_, report) = e
-            .add_rule_retroactive(
-                Rule::builder("extremes")
-                    .when("emp.salary < 1000 or emp.salary < 5000")
-                    .unwrap()
-                    .then(Action::log("X"))
-                    .build(),
-            )
-            .unwrap();
-        // al and cy match both disjuncts but fire once each.
-        assert_eq!(report.fired.len(), 2);
-    }
-
-    #[test]
-    fn backfill_cascades_share_the_firing_limit() {
-        let engine = || {
-            let mut db = Database::new();
-            db.create_relation(Schema::builder("u").attr("x", AttrType::Int).build())
-                .unwrap();
-            db.create_relation(Schema::builder("seed").attr("s", AttrType::Int).build())
-                .unwrap();
-            let mut e = RuleEngine::new(db);
-            e.set_firing_limit(4);
-            // Counts down: u.x = n inserts u.x = n - 1 until 0.
-            e.add_rule(
-                Rule::builder("count-down")
-                    .when("u.x > 0")
-                    .unwrap()
-                    .then(Action::callback(|ctx| {
-                        let Value::Int(x) = ctx.event.current().expect("insert").get(0) else {
-                            unreachable!("u.x is an Int")
-                        };
-                        ctx.queue(DbOp::Insert {
-                            relation: "u".into(),
-                            values: vec![Value::Int(x - 1)],
-                        });
-                    }))
-                    .build(),
-            )
-            .unwrap();
-            e
-        };
-        // A plain insert of u.x = 5 fires five times: the fifth errors.
-        let err = engine().insert("u", vec![Value::Int(5)]).unwrap_err();
-        assert!(
-            matches!(err, EngineError::FiringLimit { limit: 4 }),
-            "{err:?}"
-        );
-
-        // One backfill firing that inserts u.x = 4 starts a cascade of
-        // four more: five firings in one operation, so it errors too.
-        let mut e = engine();
-        e.insert("seed", vec![Value::Int(1)]).unwrap();
-        let err = e
-            .add_rule_retroactive(
-                Rule::builder("seed-four")
-                    .when("seed.s > 0")
-                    .unwrap()
-                    .then(Action::callback(|ctx| {
-                        ctx.queue(DbOp::Insert {
-                            relation: "u".into(),
-                            values: vec![Value::Int(4)],
-                        });
-                    }))
-                    .build(),
-            )
-            .expect_err("the backfill's cascades count against its firing limit");
-        assert!(
-            matches!(err, EngineError::FiringLimit { limit: 4 }),
-            "{err:?}"
-        );
-    }
-}
-
-#[cfg(test)]
 mod batch_tests {
     use super::*;
     use relation::{AttrType, Database, Schema, Value};
@@ -1018,28 +792,54 @@ mod join_tests {
     }
 
     #[test]
-    fn retroactive_join_backfills_existing_matches() {
-        let mut e = engine();
-        e.insert("dept", dept(1, 1)).unwrap();
-        e.insert("dept", dept(2, 2)).unwrap();
-        e.insert("emp", emp("al", 1, 100)).unwrap();
-        e.insert("emp", emp("bo", 2, 100)).unwrap();
-        e.insert("emp", emp("cy", 1, 100)).unwrap();
-        let (id, report) = e
-            .add_rule_retroactive(
-                Rule::builder("first-floor")
-                    .when("emp.dno = dept.dno and dept.floor = 1")
-                    .unwrap()
-                    .then(Action::log("backfill"))
-                    .build(),
-            )
+    fn abort_repairs_the_join_memos() {
+        let mut db = Database::new();
+        db.create_relation(
+            Schema::builder("emp")
+                .attr("name", AttrType::Str)
+                .attr("salary", AttrType::Int)
+                .build(),
+        )
+        .unwrap();
+        db.create_relation(Schema::builder("alerts").attr("who", AttrType::Str).build())
             .unwrap();
-        // al and cy join dept 1 (floor 1); bo joins dept 2 (floor 2).
-        assert_eq!(report.fired.len(), 2);
-        assert!(report.firings.iter().all(|f| f.bindings.len() == 2));
-        assert_eq!(e.join_matches(id).unwrap()[0].len(), 2);
-        // And the memo keeps working incrementally afterwards.
-        assert_eq!(e.insert("emp", emp("di", 1, 1)).unwrap().fired.len(), 1);
+        let mut e = RuleEngine::new(db);
+        e.add_rule(
+            Rule::builder("alerted-employee")
+                .when("emp.name = alerts.who")
+                .unwrap()
+                .then(Action::log("joined"))
+                .build(),
+        )
+        .unwrap();
+        // The first queued op lands a tuple in `alerts`, the second is
+        // refused: the chain aborts mid-level with a tuple the join memo
+        // on `alerts` never saw an event for.
+        e.add_rule(
+            Rule::builder("flag-then-fail")
+                .when("emp.salary < 1000")
+                .unwrap()
+                .then(Action::callback(|ctx| {
+                    let t = ctx.event.current().expect("insert").clone();
+                    ctx.queue(DbOp::Insert {
+                        relation: "alerts".into(),
+                        values: vec![t.get(0).clone()],
+                    });
+                    ctx.queue(DbOp::Insert {
+                        relation: "alerts".into(),
+                        values: Vec::new(),
+                    });
+                }))
+                .build(),
+        )
+        .unwrap();
+        let err = e
+            .insert("emp", vec![Value::str("al"), Value::Int(900)])
+            .expect_err("the bad-arity insert aborts the chain");
+        assert!(matches!(err, EngineError::Catalog(_)), "{err:?}");
+        assert_eq!(e.db().catalog().relation("alerts").unwrap().len(), 1);
+        e.check_join_invariants()
+            .expect("memos are rebuilt from the post-abort database");
     }
 
     #[test]
@@ -1249,7 +1049,7 @@ mod join_tests {
         e.insert("dept", dept(4, 1)).unwrap();
         e.insert("emp", emp("al", 4, 1)).unwrap();
         e.delete("emp", TupleId(0)).unwrap();
-        let m = e.metrics();
+        let m = e.telemetry().registry();
         assert!(m.counter_value("join_probes_total").unwrap() >= 1);
         assert!(m.counter_value("join_retractions_total").unwrap() >= 1);
         let (samples, _) = m.histogram_totals("join_partial_matches").unwrap();
@@ -1458,7 +1258,7 @@ mod drop_restore_tests {
         )
         .unwrap();
 
-        let m = e.metrics();
+        let m = e.telemetry().registry();
         assert_eq!(m.counter_value("rules_fired_total"), Some(2));
         // 1 external insert + 1 cascaded alert insert.
         assert_eq!(m.counter_value("rules_ops_applied_total"), Some(2));

@@ -1,9 +1,9 @@
 //! Differential testing of the incremental join memo: drive a
 //! [`RuleEngine`] through randomized streams of inserts, deletes,
-//! updates, and rule add/removes (including retroactive adds), and
-//! after every operation compare each join condition's complete-match
-//! set against [`joinmemo::naive::full_matches`] — a stateless
-//! from-scratch evaluator over the same database. Any drift between
+//! updates, and rule add/removes, and after every operation compare
+//! each join condition's complete-match set against
+//! [`joinmemo::naive::full_matches`] — a stateless from-scratch
+//! evaluator over the same database. Any drift between
 //! the memoized and recomputed answers is a retraction or extension
 //! bug in the beta layer. The same step runs the memos' own oracle
 //! ([`RuleEngine::check_join_invariants`]): slab links and stored
@@ -154,19 +154,15 @@ fn run_seed(seed: u64) {
                 engine.update(rel, id, row).unwrap();
             }
         } else if roll < 90 {
-            // Retroactive adds must seed the memo to exactly the
-            // naive answer over the pre-existing tuples.
+            // A late add must seed the memo to exactly the naive
+            // answer over the pre-existing tuples.
             let rule = if rng.gen_bool(0.7) {
                 join_rule(&mut rng, rule_n)
             } else {
                 plain_rule(&mut rng, rule_n)
             };
             rule_n += 1;
-            if rng.gen_bool(0.5) {
-                engine.add_rule_retroactive(rule).unwrap();
-            } else {
-                engine.add_rule(rule).unwrap();
-            }
+            engine.add_rule(rule).unwrap();
         } else {
             let ids: Vec<_> = engine.rules_detail().map(|(id, _, _)| id).collect();
             if ids.len() > 1 {

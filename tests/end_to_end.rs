@@ -76,8 +76,6 @@ fn parsed_predicates_match_through_the_index() {
 #[test]
 fn index_and_baselines_agree_on_a_realistic_workload() {
     let mut db = company_db();
-    // Populate and analyze so selectivity-driven clause choice is
-    // exercised.
     for i in 0..500i64 {
         db.insert(
             "emp",
@@ -90,7 +88,6 @@ fn index_and_baselines_agree_on_a_realistic_workload() {
         )
         .unwrap();
     }
-    db.catalog_mut().analyze();
 
     let sources: Vec<String> = (0..60)
         .map(|i| match i % 5 {

@@ -128,7 +128,7 @@ fn explain_counts_match_a_hand_computed_stab() {
 fn counters_agree_with_the_explain_trace() {
     let mut engine = engine();
     let (trace, _) = engine.explain_insert("emp", tuple()).unwrap();
-    let registry = engine.metrics().clone();
+    let registry = engine.telemetry().registry().clone();
 
     let before = |name: &str| registry.counter_value(name).unwrap_or(0);
     let nodes0 = before("predindex_ibs_nodes_visited_total");
@@ -232,7 +232,7 @@ fn profiled_engine() -> RuleEngine {
 #[test]
 fn per_rule_accounts_sum_to_the_global_counters() {
     let mut engine = profiled_engine();
-    let registry = engine.metrics().clone();
+    let registry = engine.telemetry().registry().clone();
     let profiler = engine.telemetry().profiler().clone();
 
     engine
@@ -391,7 +391,7 @@ fn partitions(record: &StageRecord, outer: u64) {
 #[test]
 fn an_op_record_partitions_its_time_and_its_work() {
     let mut engine = profiled_engine();
-    let registry = engine.metrics().clone();
+    let registry = engine.telemetry().registry().clone();
     engine
         .insert("dept", vec![Value::str("Shoe"), Value::Int(1)])
         .unwrap();

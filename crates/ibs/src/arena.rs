@@ -207,15 +207,23 @@ impl<K> Arena<K> {
         &mut self.cold[id.index()]
     }
 
-    /// Swaps the endpoint owners of two distinct live nodes (they travel
-    /// with the value in a predecessor swap); heights stay in place.
-    pub(crate) fn swap_owners(&mut self, a: NodeId, b: NodeId) {
-        debug_assert!(self.nodes[a.index()].is_some() && self.nodes[b.index()].is_some());
-        let [a, b] = self
+    /// Swaps the value and its endpoint owners between two distinct live
+    /// nodes (they travel together in a predecessor swap), moving the
+    /// keys rather than cloning them; links, heights and marks stay in
+    /// place.
+    pub(crate) fn swap_values(&mut self, a: NodeId, b: NodeId) {
+        let [na, nb] = self
+            .nodes
+            .get_disjoint_mut([a.index(), b.index()])
+            .expect("two distinct in-bounds node ids");
+        let dangling = "dangling node id: a tree link points at a freed slot";
+        let (na, nb) = (na.as_mut().expect(dangling), nb.as_mut().expect(dangling));
+        std::mem::swap(&mut na.value, &mut nb.value);
+        let [ca, cb] = self
             .cold
             .get_disjoint_mut([a.index(), b.index()])
             .expect("two distinct in-bounds node ids");
-        std::mem::swap(&mut a.owners, &mut b.owners);
+        std::mem::swap(&mut ca.owners, &mut cb.owners);
     }
 
     /// Heap bytes the arena holds: both record arrays and the free list

@@ -25,7 +25,9 @@
 //!   union, so the now-redundant copies in `z.=` and `z.>` are removed.
 //!
 //! All moves go through [`IbsTree::add_mark`]/[`IbsTree::remove_mark`] so
-//! the placement registry stays exact.
+//! the placement registry stays exact. The two mark lists that drive a
+//! rotation are copied into the tree's scratch buffers, so a rotation
+//! allocates nothing once they have grown.
 
 use crate::arena::NodeId;
 use crate::marks::Slot;
@@ -41,8 +43,9 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         // Snapshot the mark sets that drive the migration *before* any
         // mutation, because the rules are defined on pre-rotation state.
-        let z_less: Vec<IntervalId> = self.arena[z].marks.iter(Slot::Less).collect();
-        let y_greater: Vec<IntervalId> = self.arena[y].marks.iter(Slot::Greater).collect();
+        let [mut z_less, mut y_greater] = std::mem::take(&mut self.scratch.moved);
+        z_less.extend(self.arena[z].marks.iter(Slot::Less));
+        y_greater.extend(self.arena[y].marks.iter(Slot::Greater));
 
         for &m in &z_less {
             self.add_mark(y, Slot::Less, m);
@@ -59,6 +62,7 @@ impl<K: Ord + Clone> IbsTree<K> {
                 self.add_mark(z, Slot::Less, m);
             }
         }
+        self.scratch.moved = [cleared(z_less), cleared(y_greater)];
 
         // Structural rotation.
         let b = self.arena[y].right;
@@ -76,8 +80,9 @@ impl<K: Ord + Clone> IbsTree<K> {
         let y = self.arena[z].right;
         debug_assert!(!y.is_null(), "rotate_left requires a right child");
 
-        let z_greater: Vec<IntervalId> = self.arena[z].marks.iter(Slot::Greater).collect();
-        let y_less: Vec<IntervalId> = self.arena[y].marks.iter(Slot::Less).collect();
+        let [mut z_greater, mut y_less] = std::mem::take(&mut self.scratch.moved);
+        z_greater.extend(self.arena[z].marks.iter(Slot::Greater));
+        y_less.extend(self.arena[y].marks.iter(Slot::Less));
 
         for &m in &z_greater {
             self.add_mark(y, Slot::Greater, m);
@@ -92,6 +97,7 @@ impl<K: Ord + Clone> IbsTree<K> {
                 self.add_mark(z, Slot::Greater, m);
             }
         }
+        self.scratch.moved = [cleared(z_greater), cleared(y_less)];
 
         let b = self.arena[y].left;
         self.arena[z].right = b;
@@ -100,6 +106,12 @@ impl<K: Ord + Clone> IbsTree<K> {
         self.update_height(y);
         y
     }
+}
+
+/// `buf`, emptied, to go back into the scratch with its capacity.
+fn cleared(mut buf: Vec<IntervalId>) -> Vec<IntervalId> {
+    buf.clear();
+    buf
 }
 
 #[cfg(test)]

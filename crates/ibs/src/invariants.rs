@@ -44,48 +44,44 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
     }
 
     fn check_registry(&self) -> Result<(), String> {
-        let mut scanned: HashMap<u32, Vec<(NodeId, Slot)>> = HashMap::new();
+        // id → its non-empty set of (node, slot index) placements.
+        type Places = HashMap<u32, HashSet<(u32, u8)>>;
+        let mut from_scan = Places::new();
         for (nid, node) in self.arena.iter() {
             for slot in SLOTS {
                 for id in node.marks.iter(slot) {
-                    scanned.entry(id.0).or_default().push((nid, slot));
+                    from_scan
+                        .entry(id.0)
+                        .or_default()
+                        .insert((nid.0, slot as u8));
                 }
             }
         }
-        let normalize =
-            |m: &HashMap<u32, Vec<(NodeId, Slot)>>| -> HashMap<u32, HashSet<(u32, u8)>> {
-                m.iter()
-                    .filter(|(_, v)| !v.is_empty())
-                    .map(|(&id, v)| {
-                        (
-                            id,
-                            v.iter()
-                                .map(|&(n, s)| {
-                                    (
-                                        n.0,
-                                        match s {
-                                            Slot::Less => 0u8,
-                                            Slot::Eq => 1,
-                                            Slot::Greater => 2,
-                                        },
-                                    )
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            };
-        let from_scan = normalize(&scanned);
-        let from_registry = normalize(&self.placements);
+        let from_registry: Places = self
+            .placements
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(&id, v)| (id, v.iter().map(|&(n, s)| (n.0, s as u8)).collect()))
+            .collect();
         if from_scan != from_registry {
             return Err(format!(
                 "placement registry out of sync: scan={from_scan:?} registry={from_registry:?}"
             ));
         }
-        for id in scanned.keys() {
+        let placed: usize = self.placements.values().map(Vec::len).sum();
+        if placed != self.marker_count() {
+            return Err(format!(
+                "placement registry lists {placed} placements for {} marks",
+                self.marker_count()
+            ));
+        }
+        for id in from_scan.keys() {
             if !self.intervals.contains_key(id) {
                 return Err(format!("marks exist for unknown interval #{id}"));
             }
+        }
+        if !self.scratch.is_empty() {
+            return Err("an update left its scratch buffers non-empty".into());
         }
         Ok(())
     }

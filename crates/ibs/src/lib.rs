@@ -50,6 +50,7 @@
 
 mod arena;
 mod balance;
+mod idmap;
 mod invariants;
 mod marks;
 mod observe;

@@ -28,10 +28,10 @@
 //! an interval is exact by construction (see DESIGN.md §5).
 
 use crate::arena::{Arena, End, Node, NodeId};
+use crate::idmap::IdMap;
 use crate::marks::{Slot, SLOTS};
 use crate::StabStats;
 use interval::{Interval, IntervalId};
-use std::collections::HashMap;
 
 /// Keys one [`IbsTree::stab_lanes_into`] call descends together: sixteen
 /// independent descents keep enough node loads in flight to hide most
@@ -94,13 +94,52 @@ pub struct IbsTree<K> {
     pub(crate) root: NodeId,
     /// id → the interval itself (the paper's `PREDICATES` side table,
     /// scoped to this tree).
-    pub(crate) intervals: HashMap<u32, Interval<K>>,
+    pub(crate) intervals: IdMap<Interval<K>>,
     /// id → every `(node, slot)` currently holding a mark for it.
-    pub(crate) placements: HashMap<u32, Vec<(NodeId, Slot)>>,
+    pub(crate) placements: IdMap<Vec<(NodeId, Slot)>>,
     /// Intervals with no finite endpoint at all: `(-inf, +inf)` matches
     /// every key, so it is reported unconditionally rather than marked.
     pub(crate) universal: Vec<IntervalId>,
+    pub(crate) scratch: Scratch,
     mode: BalanceMode,
+}
+
+/// The buffers an insert or a remove works in, kept from call to call so
+/// that an update allocates nothing of its own once they have grown to
+/// the tree's height. Each is empty between calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// A descent's `(node, went_left)` path, walked back by the retrace.
+    path: Vec<(NodeId, bool)>,
+    /// `place_marks`' pending `(node, lo fence, hi fence)` positions.
+    stack: Vec<(NodeId, NodeId, NodeId)>,
+    /// `delete_value`'s repair set `T`.
+    repair: Vec<IntervalId>,
+    /// The two mark lists a rotation moves.
+    pub(crate) moved: [Vec<IntervalId>; 2],
+    /// The placement list of the last interval removed, emptied, for
+    /// the next one inserted.
+    spare: Vec<(NodeId, Slot)>,
+}
+
+impl Scratch {
+    /// Heap bytes of the buffers at capacity.
+    fn heap_bytes(&self) -> usize {
+        let ids = self.repair.capacity() + self.moved.iter().map(Vec::capacity).sum::<usize>();
+        self.path.capacity() * size_of::<(NodeId, bool)>()
+            + self.stack.capacity() * size_of::<(NodeId, NodeId, NodeId)>()
+            + ids * size_of::<IntervalId>()
+            + self.spare.capacity() * size_of::<(NodeId, Slot)>()
+    }
+
+    /// Are all the buffers empty?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.path.is_empty()
+            && self.stack.is_empty()
+            && self.repair.is_empty()
+            && self.moved.iter().all(Vec::is_empty)
+            && self.spare.is_empty()
+    }
 }
 
 impl<K: Ord + Clone> Default for IbsTree<K> {
@@ -120,9 +159,10 @@ impl<K: Ord + Clone> IbsTree<K> {
         IbsTree {
             arena: Arena::new(),
             root: NodeId::NULL,
-            intervals: HashMap::new(),
-            placements: HashMap::new(),
+            intervals: IdMap::default(),
+            placements: IdMap::default(),
             universal: Vec::new(),
+            scratch: Scratch::default(),
             mode,
         }
     }
@@ -155,10 +195,10 @@ impl<K: Ord + Clone> IbsTree<K> {
     }
 
     /// Heap bytes the tree holds, computed on read: the node arena (hot
-    /// and cold records, free list, owner lists, mark spills) and the
-    /// side tables `intervals`, `placements` (with each placement list)
-    /// and `universal`, all at capacity. Heap a key owns itself (a
-    /// string's bytes) is not counted.
+    /// and cold records, free list, owner lists, mark spills), the side
+    /// tables `intervals`, `placements` (with each placement list) and
+    /// `universal`, and the update scratch buffers, all at capacity. Heap
+    /// a key owns itself (a string's bytes) is not counted.
     pub fn approx_bytes(&self) -> usize {
         let placed: usize = self.placements.values().map(Vec::capacity).sum();
         self.arena.heap_bytes()
@@ -166,6 +206,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             + map_bytes(&self.placements)
             + placed * size_of::<(NodeId, Slot)>()
             + self.universal.capacity() * size_of::<IntervalId>()
+            + self.scratch.heap_bytes()
     }
 
     /// Height of the endpoint tree (empty = 0).
@@ -364,23 +405,21 @@ impl<K: Ord + Clone> IbsTree<K> {
         if self.intervals.contains_key(&id.0) {
             return Err(DuplicateId(id));
         }
-        self.intervals.insert(id.0, iv.clone());
-
-        let lo_val = iv.lo().value().cloned();
-        let hi_val = iv.hi().value().cloned();
-        if lo_val.is_none() && hi_val.is_none() {
+        let (lo, hi) = (iv.lo().value(), iv.hi().value());
+        if lo.is_none() && hi.is_none() {
             self.universal.push(id);
-            return Ok(());
+        } else {
+            if let Some(v) = lo {
+                let n = self.ensure_node(v);
+                self.arena.cold_mut(n).own(End::Lo, id);
+            }
+            if let Some(v) = hi {
+                let n = self.ensure_node(v);
+                self.arena.cold_mut(n).own(End::Hi, id);
+            }
+            self.place_marks(id, &iv);
         }
-        if let Some(v) = &lo_val {
-            let n = self.ensure_node(v.clone());
-            self.arena.cold_mut(n).own(End::Lo, id);
-        }
-        if let Some(v) = &hi_val {
-            let n = self.ensure_node(v.clone());
-            self.arena.cold_mut(n).own(End::Hi, id);
-        }
-        self.place_marks(id, &iv);
+        self.intervals.insert(id.0, iv);
         Ok(())
     }
 
@@ -398,30 +437,57 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// `addRight` take — but no redundant mark is ever placed beyond a
     /// subtree already covered by an ancestor's mark, which the paper's
     /// formulation only guarantees up to set semantics of its result.
+    ///
+    /// A fence is the ancestor whose value bounds the position (null
+    /// for unbounded), so every key is read in place, never cloned.
     pub(crate) fn place_marks(&mut self, id: IntervalId, iv: &Interval<K>) {
-        // (node, lo_fence, hi_fence) positions partially overlapping iv.
-        let mut stack: Vec<(NodeId, Option<K>, Option<K>)> = Vec::new();
+        let mut stack = std::mem::take(&mut self.scratch.stack);
+        // The interval's placement list is held for the whole call, one
+        // registry lookup rather than one per mark; a new interval takes
+        // the list the last removed one left.
+        let mut places = match self.placements.remove(&id.0) {
+            Some(places) => places,
+            None => std::mem::take(&mut self.scratch.spare),
+        };
+        let mut mark = |arena: &mut Arena<K>, n: NodeId, slot: Slot| {
+            if arena[n].marks.insert(slot, id) {
+                places.push((n, slot));
+            }
+        };
         if !self.root.is_null() {
-            stack.push((self.root, None, None));
+            stack.push((self.root, NodeId::NULL, NodeId::NULL));
         }
         while let Some((n, lo_f, hi_f)) = stack.pop() {
-            let v = self.arena[n].value.clone();
-            if iv.contains(&v) {
-                self.add_mark(n, Slot::Eq, id);
+            let node = &self.arena[n];
+            let (lo, v, hi) = (self.fence(lo_f), Some(&node.value), self.fence(hi_f));
+            let eq = iv.contains(&node.value);
+            let less = iv.covers_open_range(lo, v);
+            let left = (!less && !node.left.is_null() && iv.overlaps_open_range(lo, v))
+                .then_some(node.left);
+            let greater = iv.covers_open_range(v, hi);
+            let right = (!greater && !node.right.is_null() && iv.overlaps_open_range(v, hi))
+                .then_some(node.right);
+            if eq {
+                mark(&mut self.arena, n, Slot::Eq);
             }
-            let left = self.arena[n].left;
-            if iv.covers_open_range(lo_f.as_ref(), Some(&v)) {
-                self.add_mark(n, Slot::Less, id);
-            } else if !left.is_null() && iv.overlaps_open_range(lo_f.as_ref(), Some(&v)) {
-                stack.push((left, lo_f.clone(), Some(v.clone())));
+            if less {
+                mark(&mut self.arena, n, Slot::Less);
+            } else if let Some(left) = left {
+                stack.push((left, lo_f, n));
             }
-            let right = self.arena[n].right;
-            if iv.covers_open_range(Some(&v), hi_f.as_ref()) {
-                self.add_mark(n, Slot::Greater, id);
-            } else if !right.is_null() && iv.overlaps_open_range(Some(&v), hi_f.as_ref()) {
-                stack.push((right, Some(v), hi_f));
+            if greater {
+                mark(&mut self.arena, n, Slot::Greater);
+            } else if let Some(right) = right {
+                stack.push((right, n, hi_f));
             }
         }
+        self.placements.insert(id.0, places);
+        self.scratch.stack = stack;
+    }
+
+    /// The value of a fence node; `None` (unbounded) for the null fence.
+    fn fence(&self, n: NodeId) -> Option<&K> {
+        (!n.is_null()).then(|| &self.arena[n].value)
     }
 
     // ------------------------------------------------------------------
@@ -432,49 +498,44 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// nodes are deleted when no remaining interval is anchored at them.
     pub fn remove(&mut self, id: IntervalId) -> Option<Interval<K>> {
         let iv = self.intervals.remove(&id.0)?;
-
-        let lo_val = iv.lo().value().cloned();
-        let hi_val = iv.hi().value().cloned();
-        if lo_val.is_none() && hi_val.is_none() {
+        let (lo, hi) = (iv.lo().value(), iv.hi().value());
+        if lo.is_none() && hi.is_none() {
             self.universal.retain(|&u| u != id);
             return Some(iv);
         }
 
         // 1. Every mark for the interval comes out, registry-exact.
         self.clear_marks(id);
+        if let Some(places) = self.placements.remove(&id.0) {
+            if places.capacity() > self.scratch.spare.capacity() {
+                self.scratch.spare = places;
+            }
+        }
 
-        // 2. Release both endpoint ownerships first (a point interval
-        //    owns the same node twice), then collect values whose nodes
-        //    are now unowned and must be deleted.
-        if let Some(v) = &lo_val {
-            let n = self
-                .find_node(v)
-                .expect("every stored interval's finite lo endpoint owns a node");
+        // 2. Release both endpoint ownerships at their nodes (a point
+        //    interval owns the same node twice), then decide from those
+        //    nodes which are now unowned and must be deleted.
+        let node_of = |v| {
+            let n = self.find_node(v);
+            n.expect("every stored interval's finite endpoint owns a node")
+        };
+        let (lo, hi) = (lo.map(|v| (v, node_of(v))), hi.map(|v| (v, node_of(v))));
+        if let Some((_, n)) = lo {
             self.arena.cold_mut(n).disown(End::Lo, id);
         }
-        if let Some(v) = &hi_val {
-            let n = self
-                .find_node(v)
-                .expect("every stored interval's finite hi endpoint owns a node");
+        if let Some((_, n)) = hi {
             self.arena.cold_mut(n).disown(End::Hi, id);
         }
-        let mut doomed: Vec<K> = Vec::new();
-        for v in [&lo_val, &hi_val].into_iter().flatten() {
-            if doomed.last() == Some(v) {
-                continue; // point interval: both endpoints share a node
-            }
-            let n = self
-                .find_node(v)
-                .expect("both endpoint nodes were found just above");
-            if !self.arena.cold(n).has_owners() {
-                doomed.push(v.clone());
-            }
-        }
+        let unowned = |&(_, n): &(&K, NodeId)| !self.arena.cold(n).has_owners();
+        let doomed_lo = lo.filter(unowned);
+        // A point interval's two ends share one node, deleted once.
+        let doomed_hi = hi.filter(|end| unowned(end) && lo.map(|(_, l)| l) != Some(end.1));
 
         // 3. Delete unowned endpoint nodes (each fixes up the marks of
-        //    intervals the restructuring disturbed).
-        for v in doomed {
-            self.delete_value(&v);
+        //    intervals the restructuring disturbed). By value: the first
+        //    splice can move the second value to another node.
+        for (v, _) in [doomed_lo, doomed_hi].into_iter().flatten() {
+            self.delete_value(v);
         }
         Some(iv)
     }
@@ -486,7 +547,7 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// at the predecessor's value).
     fn delete_value(&mut self, v: &K) {
         // Descend to the target, recording (node, went_left) for retrace.
-        let mut path: Vec<(NodeId, bool)> = Vec::new();
+        let mut path = std::mem::take(&mut self.scratch.path);
         let mut cur = self.root;
         loop {
             assert!(!cur.is_null(), "delete_value: value not in tree");
@@ -507,7 +568,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         let two_children = !self.arena[x].left.is_null() && !self.arena[x].right.is_null();
 
         // Collect the repair set T and strip its marks.
-        let mut repair: Vec<IntervalId> = Vec::new();
+        let mut repair = std::mem::take(&mut self.scratch.repair);
         fn note(repair: &mut Vec<IntervalId>, ids: impl Iterator<Item = IntervalId>) {
             for m in ids {
                 if !repair.contains(&m) {
@@ -536,9 +597,11 @@ impl<K: Ord + Clone> IbsTree<K> {
                 self.clear_marks(m);
             }
             // Swap the values (and the endpoint ownership that travels
-            // with a value) of x and y; marks were already stripped from
-            // both nodes, so only the payload moves.
-            self.swap_node_values(x, y);
+            // with a value) of x and y, leaving links, heights and mark
+            // slots in place (the paper: "swap the values of x and y,
+            // leaving the markers in their former locations"); marks
+            // were already stripped from both nodes.
+            self.arena.swap_values(x, y);
             spliced = y;
         } else {
             for &m in &repair {
@@ -569,30 +632,22 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         // Rebalance up the (pre-splice) path.
         self.retrace(&path);
+        path.clear();
+        self.scratch.path = path;
 
         // Re-place marks for every disturbed interval, canonically for
         // the new shape. (The interval being removed is already gone from
-        // the side table, so it can never appear in `repair`.)
-        for m in repair {
-            let iv = self
-                .intervals
+        // the side table, so it can never appear in `repair`.) Placing
+        // marks never reads the table, so it is lent out meanwhile.
+        let intervals = std::mem::take(&mut self.intervals);
+        for m in repair.drain(..) {
+            let iv = intervals
                 .get(&m.0)
-                .expect("repair ids come from the interval table under this borrow")
-                .clone();
-            self.place_marks(m, &iv);
+                .expect("repair ids come from the interval table");
+            self.place_marks(m, iv);
         }
-    }
-
-    /// Swaps the value and its endpoint owners between two nodes,
-    /// leaving links, heights, and mark slots in place (the paper: "swap
-    /// the values of x and y, leaving the markers in their former
-    /// locations").
-    fn swap_node_values(&mut self, a: NodeId, b: NodeId) {
-        debug_assert_ne!(a, b);
-        self.arena.swap_owners(a, b);
-        let av = self.arena[a].value.clone();
-        let bv = std::mem::replace(&mut self.arena[b].value, av);
-        self.arena[a].value = bv;
+        self.intervals = intervals;
+        self.scratch.repair = repair;
     }
 
     // ------------------------------------------------------------------
@@ -621,12 +676,13 @@ impl<K: Ord + Clone> IbsTree<K> {
         }
     }
 
-    /// Removes every mark belonging to `id`, registry-exact.
+    /// Removes every mark belonging to `id`, registry-exact. The emptied
+    /// placement list stays in the registry for `id`'s next placement.
     pub(crate) fn clear_marks(&mut self, id: IntervalId) {
-        let Some(places) = self.placements.remove(&id.0) else {
+        let Some(places) = self.placements.get_mut(&id.0) else {
             return;
         };
-        for (node, slot) in places {
+        for (node, slot) in places.drain(..) {
             let removed = self.arena[node].marks.remove(slot, id);
             debug_assert!(removed, "registry pointed at a missing mark");
         }
@@ -650,41 +706,39 @@ impl<K: Ord + Clone> IbsTree<K> {
     }
 
     /// Finds or inserts the node for `v`, rebalancing after an insert.
-    fn ensure_node(&mut self, v: K) -> NodeId {
+    /// The key is cloned only into a new node.
+    fn ensure_node(&mut self, v: &K) -> NodeId {
         if self.root.is_null() {
-            let n = self.arena.alloc(v);
+            let n = self.arena.alloc(v.clone());
             self.root = n;
             return n;
         }
-        let mut path: Vec<(NodeId, bool)> = Vec::new();
+        let mut path = std::mem::take(&mut self.scratch.path);
         let mut cur = self.root;
-        loop {
-            match v.cmp(&self.arena[cur].value) {
-                std::cmp::Ordering::Equal => return cur,
-                std::cmp::Ordering::Less => {
-                    path.push((cur, true));
-                    let next = self.arena[cur].left;
-                    if next.is_null() {
-                        let n = self.arena.alloc(v);
-                        self.arena[cur].left = n;
-                        self.retrace(&path);
-                        return n;
-                    }
-                    cur = next;
+        let found = loop {
+            let node = &self.arena[cur];
+            let went_left = match v.cmp(&node.value) {
+                std::cmp::Ordering::Equal => break cur,
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+            };
+            path.push((cur, went_left));
+            let next = if went_left { node.left } else { node.right };
+            if next.is_null() {
+                let n = self.arena.alloc(v.clone());
+                if went_left {
+                    self.arena[cur].left = n;
+                } else {
+                    self.arena[cur].right = n;
                 }
-                std::cmp::Ordering::Greater => {
-                    path.push((cur, false));
-                    let next = self.arena[cur].right;
-                    if next.is_null() {
-                        let n = self.arena.alloc(v);
-                        self.arena[cur].right = n;
-                        self.retrace(&path);
-                        return n;
-                    }
-                    cur = next;
-                }
+                self.retrace(&path);
+                break n;
             }
-        }
+            cur = next;
+        };
+        path.clear();
+        self.scratch.path = path;
+        found
     }
 
     pub(crate) fn height_of(&self, n: NodeId) -> u32 {
@@ -704,25 +758,33 @@ impl<K: Ord + Clone> IbsTree<K> {
 
     /// Walks a recorded root-to-parent path bottom-up, refreshing heights
     /// and (in AVL mode) rotating where the balance factor exceeds ±1.
+    /// It stops at the first position whose subtree is as high after its
+    /// rebalance as before: every node above it keeps its children's
+    /// heights, so it would neither change height nor rotate.
     fn retrace(&mut self, path: &[(NodeId, bool)]) {
         for i in (0..path.len()).rev() {
             let (n, _) = path[i];
+            let before = self.height_of(n);
             self.update_height(n);
+            let mut top = n;
             if self.mode == BalanceMode::Avl {
-                let new_sub = self.rebalance(n);
-                if new_sub != n {
+                top = self.rebalance(n);
+                if top != n {
                     match i.checked_sub(1) {
-                        None => self.root = new_sub,
+                        None => self.root = top,
                         Some(pi) => {
                             let (parent, went_left) = path[pi];
                             if went_left {
-                                self.arena[parent].left = new_sub;
+                                self.arena[parent].left = top;
                             } else {
-                                self.arena[parent].right = new_sub;
+                                self.arena[parent].right = top;
                             }
                         }
                     }
                 }
+            }
+            if self.height_of(top) == before {
+                break;
             }
         }
     }
@@ -771,8 +833,8 @@ impl<K> IbsTree<K> {
 
 /// Table bytes of a hash map: its capacity is 7/8 of its slots, and
 /// each slot carries one control byte.
-fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
-    m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+fn map_bytes<V>(m: &IdMap<V>) -> usize {
+    m.capacity() * 8 / 7 * (size_of::<(u32, V)>() + 1)
 }
 
 /// The debug check behind every stab: no id twice among the ids one

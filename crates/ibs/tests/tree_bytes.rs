@@ -60,13 +60,17 @@ impl Keys {
 }
 
 /// Builds a tree of `n` intervals from `make`, and returns the estimate
-/// beside the counted bytes, before and after removing every other
-/// interval (freed slots, dropped spills, tables that do not shrink).
+/// beside the counted bytes three times: built; after removing every
+/// other interval (freed slots, dropped spills, tables that do not
+/// shrink); and after refilling the freed ids and churning every id
+/// once more (a remove and a re-insert from `make`), which has grown the
+/// update scratch buffers and left repaired intervals' placement lists
+/// at their old capacity.
 fn measure(
     mode: BalanceMode,
     n: u32,
     mut make: impl FnMut(u32) -> Interval<i64>,
-) -> [(usize, usize); 2] {
+) -> [(usize, usize); 3] {
     let before = LIVE.load(Ordering::Relaxed);
     let mut tree = IbsTree::with_mode(mode);
     for i in 0..n {
@@ -81,7 +85,16 @@ fn measure(
         tree.remove(IntervalId(i)).expect("inserted above");
     }
     let halved = counted(&tree);
-    [built, halved]
+    for i in (0..n).step_by(2) {
+        tree.insert(IntervalId(i), make(i)).expect("removed above");
+    }
+    for i in 0..n {
+        tree.remove(IntervalId(i)).expect("refilled above");
+        tree.insert(IntervalId(i), make(i))
+            .expect("removed just now");
+    }
+    let churned = counted(&tree);
+    [built, halved, churned]
 }
 
 #[test]
@@ -121,7 +134,7 @@ fn approx_bytes_is_within_a_fifth_of_the_allocator_count() {
         ),
     ];
     for (shape, counts) in shapes {
-        for (when, (approx, counted)) in ["built", "halved"].iter().zip(counts) {
+        for (when, (approx, counted)) in ["built", "halved", "churned"].iter().zip(counts) {
             assert!(counted > 100_000, "{shape} {when}: only {counted} bytes");
             let ratio = approx as f64 / counted as f64;
             assert!(

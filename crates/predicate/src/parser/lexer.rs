@@ -11,17 +11,19 @@
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Token {
+/// A lexical token. Identifiers and string literals borrow the input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
     /// Identifier (relation, attribute, or function name).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// Double-quoted string literal (supports `\"` and `\\`).
-    Str(String),
+    /// Double-quoted string literal, as written between the quotes:
+    /// its escapes (`\"` and `\\`) are checked, not yet resolved
+    /// ([`unescape`]).
+    Str(&'a str),
     /// Boolean literal.
     Bool(bool),
     Lt,
@@ -37,13 +39,13 @@ pub(crate) enum Token {
     Dot,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
             Token::Int(i) => write!(f, "{i}"),
             Token::Float(x) => write!(f, "{x}"),
-            Token::Str(s) => write!(f, "{s:?}"),
+            Token::Str(s) => write!(f, "{:?}", unescape(s)),
             Token::Bool(b) => write!(f, "{b}"),
             Token::Lt => write!(f, "<"),
             Token::Le => write!(f, "<="),
@@ -73,10 +75,11 @@ impl fmt::Display for LexError {
     }
 }
 
-/// Tokenizes `input`.
-pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+/// Tokenizes `input`. A token takes at least one byte, so the list is
+/// sized once, from the input's length.
+pub(crate) fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(input.len());
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
@@ -151,12 +154,17 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
                 let word = &input[start..i];
-                out.push(match word.to_ascii_lowercase().as_str() {
-                    "and" => Token::And,
-                    "or" => Token::Or,
-                    "true" => Token::Bool(true),
-                    "false" => Token::Bool(false),
-                    _ => Token::Ident(word.to_string()),
+                let is = |keyword: &str| word.eq_ignore_ascii_case(keyword);
+                out.push(if is("and") {
+                    Token::And
+                } else if is("or") {
+                    Token::Or
+                } else if is("true") {
+                    Token::Bool(true)
+                } else if is("false") {
+                    Token::Bool(false)
+                } else {
+                    Token::Ident(word)
                 });
             }
             _ => {
@@ -178,36 +186,26 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     Ok(out)
 }
 
-fn lex_string(input: &str, start: usize) -> Result<(String, usize), LexError> {
+/// Finds the end of the string literal opening at `start`, checking
+/// its escapes; returns its body and the byte after the closing quote.
+fn lex_string(input: &str, start: usize) -> Result<(&str, usize), LexError> {
     let bytes = input.as_bytes();
-    let mut s = String::new();
     let mut i = start + 1; // skip opening quote
     while i < bytes.len() {
         match bytes[i] {
-            b'"' => return Ok((s, i + 1)),
-            b'\\' => {
-                match bytes.get(i + 1) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    _ => {
-                        return Err(LexError {
-                            pos: i,
-                            message: "bad escape".into(),
-                        })
-                    }
+            b'"' => return Ok((&input[start + 1..i], i + 1)),
+            b'\\' => match bytes.get(i + 1) {
+                Some(b'"' | b'\\') => i += 2,
+                _ => {
+                    return Err(LexError {
+                        pos: i,
+                        message: "bad escape".into(),
+                    })
                 }
-                i += 2;
-            }
-            _ => {
-                // Copy one full UTF-8 character; `i` always sits on a
-                // char boundary, but exiting to the unterminated-string
-                // error beats panicking if that ever breaks.
-                let Some(ch) = input[i..].chars().next() else {
-                    break;
-                };
-                s.push(ch);
-                i += ch.len_utf8();
-            }
+            },
+            // A quote or backslash is never a UTF-8 continuation byte,
+            // so stepping by bytes finds them.
+            _ => i += 1,
         }
     }
     Err(LexError {
@@ -216,7 +214,24 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), LexError> {
     })
 }
 
-fn lex_number(input: &str, start: usize) -> Result<(Token, usize), LexError> {
+/// Resolves the escapes of a string literal's body (`lex_string`
+/// checked them).
+pub(crate) fn unescape(body: &str) -> String {
+    if !body.contains('\\') {
+        return body.to_string();
+    }
+    let mut s = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        s.push(match c {
+            '\\' => chars.next().unwrap_or('\\'),
+            c => c,
+        });
+    }
+    s
+}
+
+fn lex_number(input: &str, start: usize) -> Result<(Token<'_>, usize), LexError> {
     let bytes = input.as_bytes();
     let mut i = start;
     if bytes[i] == b'-' {
@@ -272,15 +287,15 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("EMP".into()),
+                Token::Ident("EMP"),
                 Token::Dot,
-                Token::Ident("salary".into()),
+                Token::Ident("salary"),
                 Token::Lt,
                 Token::Int(20000),
                 Token::And,
-                Token::Ident("EMP".into()),
+                Token::Ident("EMP"),
                 Token::Dot,
-                Token::Ident("age".into()),
+                Token::Ident("age"),
                 Token::Gt,
                 Token::Int(50),
             ]
@@ -308,7 +323,9 @@ mod tests {
     #[test]
     fn strings_and_escapes() {
         let toks = lex(r#"emp.job = "Sales\"person\\" "#).unwrap();
-        assert_eq!(toks[4], Token::Str("Sales\"person\\".into()));
+        assert_eq!(toks[4], Token::Str(r#"Sales\"person\\"#));
+        assert_eq!(unescape(r#"Sales\"person\\"#), "Sales\"person\\");
+        assert_eq!(toks[4].to_string(), r#""Sales\"person\\""#);
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl Rule {
             conditions: Vec::new(),
             joins: Vec::new(),
             mask: EventMask::INSERT_UPDATE,
-            action: Action::log("fired"),
+            action: None,
             priority: 0,
         }
     }
@@ -230,7 +230,9 @@ pub struct RuleBuilder {
     conditions: Vec<Predicate>,
     joins: Vec<JoinCondition>,
     mask: EventMask,
-    action: Action,
+    /// `None` until [`then`](Self::then): [`build`](Self::build) makes
+    /// it `Action::log("fired")`.
+    action: Option<Action>,
     priority: i32,
 }
 
@@ -257,9 +259,9 @@ impl RuleBuilder {
         self
     }
 
-    /// Sets the action.
+    /// Sets the action (default: log `fired`).
     pub fn then(mut self, action: Action) -> Self {
-        self.action = action;
+        self.action = Some(action);
         self
     }
 
@@ -282,7 +284,7 @@ impl RuleBuilder {
             conditions: self.conditions,
             joins: self.joins,
             mask: self.mask,
-            action: self.action,
+            action: self.action.unwrap_or_else(|| Action::log("fired")),
             priority: self.priority,
         }
     }
@@ -312,6 +314,21 @@ mod tests {
             .unwrap()
             .build();
         assert_eq!(r.conditions.len(), 2);
+    }
+
+    #[test]
+    fn a_rule_without_an_action_logs_fired() {
+        use crate::RuleEngine;
+        use relation::{AttrType, Database, Schema};
+        let mut engine = RuleEngine::new(Database::new());
+        engine
+            .create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
+            .unwrap();
+        let rule = Rule::builder("old").when("emp.age > 50").unwrap().build();
+        engine.add_rule(rule).unwrap();
+        engine.insert("emp", vec![Value::Int(40)]).unwrap();
+        engine.insert("emp", vec![Value::Int(61)]).unwrap();
+        assert_eq!(engine.log(), ["[old] fired: emp(61)"]);
     }
 
     #[test]

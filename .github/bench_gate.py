@@ -31,6 +31,7 @@ REQUIRED = {
         "predindex/residual_tests_per_match/scheme200",
         "ibs/bytes_per_interval/stab_shape",
         "predindex/bytes_per_predicate/stab_shape",
+        "rules/bytes_per_rule/stab_shape",
     ],
     "join": [
         "join/2premise/n1000/memoized",
@@ -101,12 +102,18 @@ def gate_observability(rows, base):
     name = "predindex/bytes_per_predicate/stab_shape"
     per_predicate, base_per_predicate = rows[name]["bytes_per_predicate"], base[name]["bytes_per_predicate"]
     assert per_predicate <= base_per_predicate * 1.10, (name, per_predicate, base_per_predicate)
+    # Live heap bytes per rule the engine keeps beyond its index over the
+    # same rules: a count, so the same 10% room and no floor (a cold half
+    # that kept a copy of every condition read 728.9 against 321.5).
+    name = "rules/bytes_per_rule/stab_shape"
+    per_rule, base_per_rule = rows[name]["bytes_per_rule"], base[name]["bytes_per_rule"]
+    assert per_rule <= base_per_rule * 1.10, (name, per_rule, base_per_rule)
     return ("attribution ratio %.3f (baseline %.3f, bound %.3f); counter overhead %.3f (baseline %.3f, bound %.3f); "
             "%.3f allocations per event (committed %.3f); "
             "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f); "
-            "%.1f index bytes per predicate (committed %.1f)") % (
+            "%.1f index bytes per predicate (committed %.1f); %.1f engine bytes per rule (committed %.1f)") % (
         ratio, base_ratio, bound, counters, base_counters, counters_bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
-        per_predicate, base_per_predicate)
+        per_predicate, base_per_predicate, per_rule, base_per_rule)
 
 
 def gate_join(rows, base):

@@ -20,8 +20,9 @@
 //!   count, exact on any host: this binary's allocator is `System`
 //!   plus one relaxed add), and the tests one §5.2-scenario match runs
 //!   (a count too, read off `predindex_residual_tests_total`), and the
-//!   live heap bytes per interval of that engine's IBS-trees and per
-//!   predicate of its whole predicate index (counts);
+//!   live heap bytes per interval of that engine's IBS-trees, per
+//!   predicate of its whole predicate index, and per rule of the engine
+//!   beyond that index (counts);
 //! * `join` — memoized vs naive per-insert cost for 2- and 3-premise
 //!   join rules; the cost of one `JoinEngine::retract` from a premise
 //!   no equality step keys, at three alpha-memory sizes; the cost of
@@ -479,25 +480,7 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
 /// beside the count. Not a timing, so `--quick` changes nothing.
 fn predindex_bytes_per_predicate(w: &mut JsonWriter) {
     const NAME: &str = "predindex/bytes_per_predicate/stab_shape";
-    const RULES: usize = 5_000;
-    let conditions = stab_shape::conditions(RULES, 1);
-    let db = stab_shape::database();
-    let before = LIVE.load(Ordering::Relaxed);
-    let mut index = PredicateIndex::new();
-    for text in &conditions {
-        let predicate = parse_predicate(text).expect("a generated condition parses");
-        index
-            .insert(predicate, db.catalog())
-            .expect("r has the attributes named");
-    }
-    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
-
-    let engine = stab_shape::engine(RULES, 1);
-    assert_eq!(
-        index.stats(),
-        engine.shard_stats()[0],
-        "the rebuilt index is the engine's"
-    );
+    let (index, live) = stab_shape_index();
     let predicates = index.len();
     let approx = index.approx_bytes();
     let per_predicate = live as f64 / predicates as f64;
@@ -513,6 +496,62 @@ fn predindex_bytes_per_predicate(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// Band rules in the byte rows' `stab_shape` engine: one `match_stab`
+/// relation.
+const STAB_SHAPE_RULES: usize = 5_000;
+
+/// [`stab_shape`]'s conditions at [`STAB_SHAPE_RULES`] band rules,
+/// parsed into a bare [`PredicateIndex`], and the live heap bytes the
+/// index holds, counted from before it exists (a parsed predicate moves
+/// into it). The index is checked equal to the engine's own.
+fn stab_shape_index() -> (PredicateIndex, u64) {
+    let conditions = stab_shape::conditions(STAB_SHAPE_RULES, 1);
+    let db = stab_shape::database();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut index = PredicateIndex::new();
+    for text in &conditions {
+        let predicate = parse_predicate(text).expect("a generated condition parses");
+        index
+            .insert(predicate, db.catalog())
+            .expect("r has the attributes named");
+    }
+    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let engine = stab_shape::engine(STAB_SHAPE_RULES, 1);
+    assert_eq!(
+        index.stats(),
+        engine.shard_stats()[0],
+        "the rebuilt index is the engine's"
+    );
+    (index, live)
+}
+
+/// Live heap bytes per rule that a [`RuleEngine`] holding
+/// [`stab_shape`]'s rules (5,000 band rules plus the two plumbing rules)
+/// keeps beyond its predicate index: the engine's bytes, counted from
+/// before it exists, less those of a bare index over the same
+/// conditions. A condition lives once, in the index, so what is left is
+/// each rule's slot, name, action and id list. Not a timing, so
+/// `--quick` changes nothing.
+fn rules_bytes_per_rule(w: &mut JsonWriter) {
+    const NAME: &str = "rules/bytes_per_rule/stab_shape";
+    let before = LIVE.load(Ordering::Relaxed);
+    let engine = stab_shape::engine(STAB_SHAPE_RULES, 1);
+    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let (_, index_bytes) = stab_shape_index();
+    let rules = engine.rule_count();
+    let per_rule = (live - index_bytes) as f64 / rules as f64;
+    eprintln!(
+        "{NAME}: ({live} engine bytes - {index_bytes} index bytes) / {rules} rules = {per_rule:.1}"
+    );
+    w.begin_object();
+    w.key("name").string(NAME);
+    w.key("bytes_per_rule").float(per_rule, 1);
+    w.key("live_bytes").uint(live);
+    w.key("index_bytes").uint(index_bytes);
+    w.key("rules").uint(rules as u64);
+    w.end_object();
+}
+
 fn observability(cfg: &Config, w: &mut JsonWriter) {
     scheme_cost(cfg, w);
     telemetry_overhead(cfg, w);
@@ -522,6 +561,7 @@ fn observability(cfg: &Config, w: &mut JsonWriter) {
     residual_tests_per_match(w);
     ibs_bytes_per_interval(w);
     predindex_bytes_per_predicate(w);
+    rules_bytes_per_rule(w);
 }
 
 // ---------------------------------------------------------------------

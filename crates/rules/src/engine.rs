@@ -134,6 +134,9 @@ type RegisteredIds = (Vec<PredicateId>, Vec<u64>, Vec<Vec<PredicateId>>);
 /// than the two bytes 2^31 of them would leave it.
 const PREMISE: u32 = 1 << 31;
 
+/// The invariant behind every read of a live rule's condition ids.
+const REGISTERED: &str = "a live rule's condition is registered in the index";
+
 /// One agenda entry: `(priority, rule id, rule slot, bound tuples)` —
 /// the tuples of a completed join match, empty for a single-relation
 /// instantiation.
@@ -175,12 +178,12 @@ struct HotRule {
 
 const _: () = assert!(size_of::<Option<HotRule>>() == 64);
 
-/// The cold half: the rule's conditions and what they registered.
-#[derive(Clone)]
+/// The cold half: the rule's join conditions and what its conditions
+/// registered. A single-relation condition lives only in the index
+/// (§4's `PREDICATES`), read back through its id.
 struct ColdRule {
-    conditions: Vec<Predicate>,
     joins: Vec<JoinCondition>,
-    /// Parallel to `conditions`: their ids in the index.
+    /// The rule's conditions' ids in the index, in the rule's order.
     predicate_ids: Vec<PredicateId>,
     /// Per join condition (parallel to `joins`): the engine-wide memo
     /// key and the premise predicate ids registered in the index.
@@ -189,7 +192,8 @@ struct ColdRule {
 }
 
 /// `rule` split into the two halves of a slot, with the ids its
-/// conditions and join premises registered.
+/// conditions and join premises registered. Its conditions have already
+/// moved into the index.
 fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule, ColdRule) {
     let Rule {
         name,
@@ -199,6 +203,7 @@ fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule
         action,
         priority,
     } = rule;
+    debug_assert!(conditions.is_empty(), "the conditions live in the index");
     let (predicate_ids, join_keys, join_pids) = registered;
     let hot = HotRule {
         id,
@@ -209,7 +214,6 @@ fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule
         fired,
     };
     let cold = ColdRule {
-        conditions,
         joins,
         predicate_ids,
         join_keys,
@@ -218,12 +222,13 @@ fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule
     (hot, cold)
 }
 
-/// The rule a slot's two halves hold, whole again.
-fn unsplit(hot: HotRule, cold: ColdRule) -> Rule {
+/// The rule a slot's hot half, join conditions and conditions (read
+/// back from the index) make, whole again.
+fn unsplit(hot: HotRule, joins: Vec<JoinCondition>, conditions: Vec<Predicate>) -> Rule {
     Rule {
         name: hot.name,
-        conditions: cold.conditions,
-        joins: cold.joins,
+        conditions,
+        joins,
         mask: hot.mask,
         action: hot.action,
         priority: hot.priority,
@@ -416,17 +421,14 @@ impl RuleEngine {
         self.open_record();
         let rel = self.db.drop_relation(name)?;
         for (_, stored) in self.rules.iter_mut() {
-            // `conditions` and `predicate_ids` are parallel vectors.
-            let mut i = 0;
-            while i < stored.conditions.len() {
-                if stored.conditions[i].relation() == name {
-                    let pid = stored.predicate_ids.remove(i);
-                    stored.conditions.remove(i);
-                    self.index.remove(pid);
-                } else {
-                    i += 1;
+            stored.predicate_ids.retain(|&pid| {
+                let source = self.index.get(pid).expect(REGISTERED);
+                if source.relation() != name {
+                    return true;
                 }
-            }
+                self.index.remove(pid);
+                false
+            });
             // A join condition with *any* premise over the dropped
             // relation can never complete again — unregister it whole
             // (`joins` / `join_keys` / `join_pids` are parallel).
@@ -476,12 +478,12 @@ impl RuleEngine {
     /// seeding does **not** fire the rule, it only brings the
     /// partial-match state up to date so the next insert extends the
     /// right prefixes. A rule fires on changes that arrive after it.
-    pub fn add_rule(&mut self, rule: Rule) -> Result<RuleId, EngineError> {
+    pub fn add_rule(&mut self, mut rule: Rule) -> Result<RuleId, EngineError> {
         self.open_record();
         let id = RuleId(self.next_rule);
         let next = self.check_fresh(id)?;
         let slot = self.rules.next_slot();
-        let predicate_ids = self.register_conditions(slot, &rule.conditions)?;
+        let predicate_ids = self.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
         match self.register_joins(id.0, slot, &rule.joins) {
             Ok((join_keys, join_pids)) => {
                 self.next_rule = next;
@@ -510,19 +512,17 @@ impl RuleEngine {
         id.0.checked_add(1).ok_or(EngineError::RuleIdsExhausted)
     }
 
-    /// Registers a rule's condition predicates in the index, each routed
-    /// to `slot`. Rolls itself back on failure.
+    /// Moves a rule's condition predicates into the index, each routed
+    /// to `slot`; the index holds the only copy. Rolls itself back on
+    /// failure.
     fn register_conditions(
         &mut self,
         slot: u32,
-        conditions: &[Predicate],
+        conditions: Vec<Predicate>,
     ) -> Result<Vec<PredicateId>, EngineError> {
         let mut predicate_ids = Vec::with_capacity(conditions.len());
         for pred in conditions {
-            match self
-                .index
-                .insert_routed(pred.clone(), self.db.catalog(), slot)
-            {
+            match self.index.insert_routed(pred, self.db.catalog(), slot) {
                 Ok(pid) => predicate_ids.push(pid),
                 Err(e) => {
                     for pid in predicate_ids {
@@ -587,20 +587,23 @@ impl RuleEngine {
         Ok((join_keys, join_pids))
     }
 
-    /// Unregisters a rule and its predicates.
+    /// Unregisters a rule and its predicates, handing back the rule with
+    /// the conditions the index held.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<Rule, EngineError> {
         self.open_record();
         let (_, hot, cold) = self.rules.remove(id.0).ok_or(EngineError::NoSuchRule(id))?;
-        for pid in &cold.predicate_ids {
-            self.index.remove(*pid);
-        }
+        let conditions = cold
+            .predicate_ids
+            .iter()
+            .map(|&pid| self.index.remove(pid).expect(REGISTERED))
+            .collect();
         for (key, pids) in cold.join_keys.iter().zip(&cold.join_pids) {
             for pid in pids {
                 self.index.remove(*pid);
             }
             self.joins.unregister(*key);
         }
-        Ok(unsplit(hot, cold))
+        Ok(unsplit(hot, cold.joins, conditions))
     }
 
     /// Inserts a tuple and runs the rule chain it triggers.
@@ -1157,22 +1160,31 @@ impl RuleEngine {
     }
 
     /// The rule registered under `id`, if any, reassembled from its
-    /// slot's two halves.
+    /// slot's two halves and its conditions in the index.
     pub fn rule(&self, id: RuleId) -> Option<Rule> {
         let slot = self.rules.slot(id.0)?;
-        Some(unsplit(
-            self.rules.hot(slot).clone(),
-            self.rules.cold(slot).clone(),
-        ))
+        Some(self.reassemble(self.rules.hot(slot), self.rules.cold(slot)))
     }
 
     /// Iterates `(id, rule, firings)` in unspecified order — the full
     /// per-rule state a snapshot needs to capture, each rule
-    /// reassembled from its slot's two halves.
+    /// reassembled from its slot's two halves and its conditions in the
+    /// index.
     pub fn rules_detail(&self) -> impl Iterator<Item = (RuleId, Rule, u64)> + '_ {
         self.rules
             .iter()
-            .map(|(_, h, c)| (RuleId(h.id), unsplit(h.clone(), c.clone()), h.fired))
+            .map(|(_, h, c)| (RuleId(h.id), self.reassemble(h, c), h.fired))
+    }
+
+    /// A copy of the rule a slot holds, its conditions cloned from the
+    /// index.
+    fn reassemble(&self, hot: &HotRule, cold: &ColdRule) -> Rule {
+        let conditions = cold
+            .predicate_ids
+            .iter()
+            .map(|&pid| self.index.get(pid).expect(REGISTERED).clone())
+            .collect();
+        unsplit(hot.clone(), cold.joins.clone(), conditions)
     }
 
     /// The current per-mutation firing limit.
@@ -1204,10 +1216,11 @@ impl RuleEngine {
             total_fired,
             ..RuleEngine::new(db)
         };
-        for (rid, rule, fired) in rules {
+        for (rid, mut rule, fired) in rules {
             let next = engine.check_fresh(rid)?;
             let slot = engine.rules.next_slot();
-            let predicate_ids = engine.register_conditions(slot, &rule.conditions)?;
+            let predicate_ids =
+                engine.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
             engine.next_rule = engine.next_rule.max(next);
             let (hot, cold) = split(rid.0, rule, fired, (predicate_ids, vec![], vec![]));
             engine.rules.insert(rid.0, hot, cold);

@@ -16,8 +16,8 @@ use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
 use crate::snapshot::{self, SnapshotError, SnapshotMetrics};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
-use relation::{Relation, Schema, TupleId, Value};
-use rules::{EngineError, FireReport, MatchTrace, Rule, RuleEngine, RuleId};
+use relation::{Schema, TupleId, Value};
+use rules::{EngineError, FireReport, MatchTrace, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
@@ -359,25 +359,11 @@ impl DurableRuleEngine {
         self.apply(Record::CreateRelation { schema }).map(drop)
     }
 
-    /// Drops a relation and every rule condition on it (logged).
-    pub fn drop_relation(&mut self, name: &str) -> Result<Relation, DurableError> {
-        self.apply(Record::DropRelation {
-            name: name.to_string(),
-        })
-        .map(Applied::into_relation)
-    }
-
     /// Registers a rule from its durable spec (logged, unless the spec
     /// is refused — see [`apply`](Self::apply)).
     pub fn add_rule(&mut self, spec: RuleSpec) -> Result<RuleId, DurableError> {
         self.apply(Record::AddRule { spec })
             .map(Applied::into_rule_id)
-    }
-
-    /// Unregisters a rule (logged).
-    pub fn remove_rule(&mut self, id: RuleId) -> Result<Rule, DurableError> {
-        self.apply(Record::RemoveRule { id: id.0 })
-            .map(Applied::into_rule)
     }
 
     /// Inserts a tuple and runs the rule chain (logged).
@@ -608,8 +594,14 @@ mod tests {
         typed.delete("u", TupleId(1)).unwrap();
         // Rejected by the engine, logged all the same.
         assert!(typed.delete("u", TupleId(9)).is_err());
-        typed.remove_rule(rule).unwrap();
-        typed.drop_relation("u").unwrap();
+        assert!(matches!(
+            typed.apply(Record::RemoveRule { id: rule.0 }),
+            Ok(Applied::RuleRemoved(_))
+        ));
+        assert!(matches!(
+            typed.apply(Record::DropRelation { name: "u".into() }),
+            Ok(Applied::Dropped(_))
+        ));
 
         let (raw_dir, mut raw) = open("log-apply");
         let u = || "u".to_string();

@@ -116,25 +116,11 @@ pub enum Applied {
 }
 
 impl Applied {
-    pub(crate) fn into_relation(self) -> Relation {
-        let Applied::Dropped(relation) = self else {
-            mismatch("a dropped relation")
-        };
-        relation
-    }
-
     pub(crate) fn into_rule_id(self) -> RuleId {
         let Applied::RuleAdded(id) = self else {
             mismatch("a rule id")
         };
         id
-    }
-
-    pub(crate) fn into_rule(self) -> Rule {
-        let Applied::RuleRemoved(rule) = self else {
-            mismatch("a removed rule")
-        };
-        rule
     }
 
     pub(crate) fn into_report(self) -> FireReport {

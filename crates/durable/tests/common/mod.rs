@@ -4,7 +4,7 @@
 //! and uses a different subset of it.
 #![allow(dead_code)]
 
-use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, RuleSpec};
+use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Record, RuleSpec};
 use predicate::FunctionRegistry;
 use relation::{Schema, TupleId, Value};
 use rules::{Action, Rule, RuleEngine, RuleId};
@@ -191,7 +191,7 @@ pub fn apply_both(
             assert_eq!(a.is_ok(), b.is_ok(), "create {:?}", schema.name());
         }
         Cmd::Drop(name) => {
-            let a = durable.drop_relation(name);
+            let a = durable.apply(Record::DropRelation { name: name.clone() });
             let b = shadow.drop_relation(name);
             assert_eq!(a.is_ok(), b.is_ok(), "drop {name:?}");
         }
@@ -210,7 +210,7 @@ pub fn apply_both(
             }
         }
         Cmd::RemoveRule(id) => {
-            let a = durable.remove_rule(RuleId(*id));
+            let a = durable.apply(Record::RemoveRule { id: *id });
             let b = shadow.remove_rule(RuleId(*id));
             assert_eq!(a.is_ok(), b.is_ok(), "remove_rule {id}");
         }

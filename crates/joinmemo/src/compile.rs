@@ -85,7 +85,7 @@ pub(crate) struct PremisePlan {
 /// per-premise extension plans.
 #[derive(Debug, Clone)]
 pub struct CompiledJoin {
-    cond: JoinCondition,
+    pub(crate) cond: JoinCondition,
     alphas: Vec<BoundPredicate>,
     plans: Vec<PremisePlan>,
 }

@@ -3,6 +3,7 @@
 
 use crate::compile::CompiledJoin;
 use crate::memo::{InsertOutcome, JoinMemo};
+use predicate::JoinCondition;
 use relation::fx::FnvHashMap;
 use relation::{Catalog, Tuple};
 use std::hash::{Hash, Hasher};
@@ -111,18 +112,24 @@ impl JoinEngine {
         self.memos.insert(key, JoinMemo::new(compiled));
     }
 
-    /// Removes a condition and its memo.
-    pub fn unregister(&mut self, key: u64) {
-        if let Some(memo) = self.memos.remove(&key) {
-            for i in 0..memo.plan().arity() {
-                if let Some(v) = self.by_relation.get_mut(memo.plan().relation(i)) {
-                    v.retain(|&(k, _)| k != key);
-                    if v.is_empty() {
-                        self.by_relation.remove(memo.plan().relation(i));
-                    }
+    /// Removes a condition and its memo, handing back the condition.
+    pub fn unregister(&mut self, key: u64) -> Option<JoinCondition> {
+        let memo = self.memos.remove(&key)?;
+        for i in 0..memo.plan().arity() {
+            if let Some(v) = self.by_relation.get_mut(memo.plan().relation(i)) {
+                v.retain(|&(k, _)| k != key);
+                if v.is_empty() {
+                    self.by_relation.remove(memo.plan().relation(i));
                 }
             }
         }
+        Some(memo.plan.cond)
+    }
+
+    /// The condition registered under `key`: its memo holds the only
+    /// copy.
+    pub fn condition(&self, key: u64) -> Option<&JoinCondition> {
+        self.memos.get(&key).map(|memo| memo.plan().condition())
     }
 
     /// Feeds an alpha-matching tuple into premise `premise` of
@@ -226,15 +233,7 @@ impl JoinEngine {
         let mut out: Vec<MemoStats> = self
             .memos
             .iter()
-            .map(|(&key, memo)| MemoStats {
-                key,
-                relations: (0..memo.plan().arity())
-                    .map(|i| memo.plan().relation(i).to_string())
-                    .collect(),
-                alpha_counts: memo.alpha_counts(),
-                level_counts: memo.level_counts().to_vec(),
-                approx_bytes: memo.approx_bytes(),
-            })
+            .map(|(&key, memo)| memo_stats(key, memo))
             .collect();
         out.sort_by_key(|s| s.key);
         out
@@ -242,7 +241,7 @@ impl JoinEngine {
 
     /// Statistics for one condition.
     pub fn stats_for(&self, key: u64) -> Option<MemoStats> {
-        self.stats().into_iter().find(|s| s.key == key)
+        self.memos.get(&key).map(|memo| memo_stats(key, memo))
     }
 
     /// Complete matches of condition `key` as sorted tuple-id vectors.
@@ -270,5 +269,18 @@ impl JoinEngine {
             acc = acc.wrapping_add(h.finish() ^ memo.fingerprint());
         }
         acc
+    }
+}
+
+/// The statistics of `memo`, registered under `key`.
+fn memo_stats(key: u64, memo: &JoinMemo) -> MemoStats {
+    MemoStats {
+        key,
+        relations: (0..memo.plan().arity())
+            .map(|i| memo.plan().relation(i).to_string())
+            .collect(),
+        alpha_counts: memo.alpha_counts(),
+        level_counts: memo.level_counts().to_vec(),
+        approx_bytes: memo.approx_bytes(),
     }
 }

@@ -201,7 +201,7 @@ fn bucket_remove(store: &mut KeyStore, key: &[Value], pos: u32) -> (Option<u32>,
 /// The memo for one compiled join condition.
 #[derive(Debug)]
 pub(crate) struct JoinMemo {
-    plan: CompiledJoin,
+    pub(crate) plan: CompiledJoin,
     /// Per premise: tuple id -> entry (the alpha memory).
     alpha: Vec<FnvHashMap<u32, AlphaEntry>>,
     /// Per premise `1..`: equality-key -> tuple ids, for rightward

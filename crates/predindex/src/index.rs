@@ -49,7 +49,7 @@ use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
 use crate::slab::{map_bytes, Slab};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
-use ibs::{BalanceMode, IbsTree, StabObserver, StabStats, LANES};
+use ibs::{IbsTree, StabObserver, StabStats, LANES};
 use interval::Interval;
 use predicate::selectivity::most_selective_indexable;
 use predicate::{BoundClause, BoundPredicate, Clause, Predicate};
@@ -339,11 +339,10 @@ impl RelationIndex {
         attr: usize,
         slot: u32,
         interval: Interval<Value>,
-        mode: BalanceMode,
         metrics: &IndexMetrics,
     ) {
         let at = self.attr_trees.entry(attr).or_insert_with(|| AttrTree {
-            tree: IbsTree::with_mode(mode),
+            tree: IbsTree::new(),
             work: metrics.attr_work(relation, attr),
         });
         at.tree
@@ -544,17 +543,15 @@ pub(crate) struct IndexCore {
     /// Heap behind the per-predicate entries — source forms, residuals,
     /// tree string keys — counted at insert and remove.
     entry_heap: usize,
-    mode: BalanceMode,
 }
 
 impl IndexCore {
-    /// An empty core whose IBS-trees balance by `mode`.
-    pub(crate) fn new(mode: BalanceMode) -> Self {
+    /// An empty core; its IBS-trees are AVL-balanced.
+    pub(crate) fn new() -> Self {
         IndexCore {
             relations: FnvHashMap::default(),
             preds: Slab::default(),
             entry_heap: 0,
-            mode,
         }
     }
 
@@ -599,9 +596,8 @@ impl IndexCore {
                     unreachable!("most_selective_indexable only ever selects Range clauses")
                 };
                 heap += tree_key_heap(&interval);
-                let mode = self.mode;
                 self.relation_index(relation, metrics)
-                    .insert_tree(relation, attr, slot, interval, mode, metrics);
+                    .insert_tree(relation, attr, slot, interval, metrics);
                 Location::Tree {
                     attr: u32::try_from(attr).expect("a schema has fewer than 2^32 attributes"),
                 }
@@ -932,14 +928,8 @@ impl Default for PredicateIndex {
 impl PredicateIndex {
     /// An index whose IBS-trees are AVL-balanced.
     pub fn new() -> Self {
-        Self::with_mode(BalanceMode::Avl)
-    }
-
-    /// An index with explicit IBS-tree balancing (the paper's empirical
-    /// section ran unbalanced trees).
-    pub fn with_mode(mode: BalanceMode) -> Self {
         PredicateIndex {
-            core: IndexCore::new(mode),
+            core: IndexCore::new(),
             next_id: 0,
             metrics: IndexMetrics::disabled(),
         }

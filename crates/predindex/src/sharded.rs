@@ -27,7 +27,6 @@
 use crate::index::IndexCore;
 use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::IndexMetrics;
-use ibs::BalanceMode;
 use predicate::Predicate;
 use relation::{Catalog, Tuple};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -95,9 +94,7 @@ impl ShardedPredicateIndex {
     /// Sixteen shards of AVL-balanced IBS-trees.
     pub fn new() -> Self {
         ShardedPredicateIndex {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(IndexCore::new(BalanceMode::Avl)))
-                .collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(IndexCore::new())).collect(),
             next_id: AtomicU32::new(0),
             metrics: IndexMetrics::disabled(),
         }

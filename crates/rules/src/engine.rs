@@ -116,15 +116,6 @@ pub struct FireReport {
     pub ops_applied: usize,
 }
 
-/// What [`RuleEngine::register_joins`] hands back: one memo key per
-/// condition, and the premise predicate ids entered into the alpha
-/// index.
-type RegisteredJoins = (Vec<u64>, Vec<Vec<PredicateId>>);
-
-/// The ids a rule's registration holds: its conditions' predicate ids,
-/// and per join condition the memo key and the premises' predicate ids.
-type RegisteredIds = (Vec<PredicateId>, Vec<u64>, Vec<Vec<PredicateId>>);
-
 /// The premise bit of a route word. Every predicate the engine
 /// registers carries its rule's slot as its route word, so a match
 /// names the rule it belongs to without a lookup; the bit is set when
@@ -136,6 +127,9 @@ const PREMISE: u32 = 1 << 31;
 
 /// The invariant behind every read of a live rule's condition ids.
 const REGISTERED: &str = "a live rule's condition is registered in the index";
+
+/// The invariant behind every read of a live rule's memo keys.
+const MEMO: &str = "a live rule's join condition has a registered memo";
 
 /// One agenda entry: `(priority, rule id, rule slot, bound tuples)` —
 /// the tuples of a completed join match, empty for a single-relation
@@ -178,52 +172,38 @@ struct HotRule {
 
 const _: () = assert!(size_of::<Option<HotRule>>() == 64);
 
-/// The cold half: the rule's join conditions and what its conditions
-/// registered. A single-relation condition lives only in the index
-/// (§4's `PREDICATES`), read back through its id.
+impl HotRule {
+    /// The hot half of `rule`, whose conditions and join conditions
+    /// have already moved into the index and the memos.
+    fn new(id: u32, rule: Rule, fired: u64) -> HotRule {
+        debug_assert!(
+            rule.conditions.is_empty() && rule.joins.is_empty(),
+            "the conditions live in the index, the join conditions in their memos"
+        );
+        HotRule {
+            id,
+            priority: rule.priority,
+            mask: rule.mask,
+            name: rule.name,
+            action: rule.action,
+            fired,
+        }
+    }
+}
+
+/// The cold half: ids only. A single-relation condition lives only in
+/// the index (§4's `PREDICATES`), read back through its id; a join
+/// condition lives only in its memo, read back through its key.
 struct ColdRule {
-    joins: Vec<JoinCondition>,
     /// The rule's conditions' ids in the index, in the rule's order.
     predicate_ids: Vec<PredicateId>,
-    /// Per join condition (parallel to `joins`): the engine-wide memo
+    /// Per join condition, in the rule's order: the engine-wide memo
     /// key and the premise predicate ids registered in the index.
-    join_keys: Vec<u64>,
-    join_pids: Vec<Vec<PredicateId>>,
+    joins: Vec<(u64, Vec<PredicateId>)>,
 }
 
-/// `rule` split into the two halves of a slot, with the ids its
-/// conditions and join premises registered. Its conditions have already
-/// moved into the index.
-fn split(id: u32, rule: Rule, fired: u64, registered: RegisteredIds) -> (HotRule, ColdRule) {
-    let Rule {
-        name,
-        conditions,
-        joins,
-        mask,
-        action,
-        priority,
-    } = rule;
-    debug_assert!(conditions.is_empty(), "the conditions live in the index");
-    let (predicate_ids, join_keys, join_pids) = registered;
-    let hot = HotRule {
-        id,
-        priority,
-        mask,
-        name,
-        action,
-        fired,
-    };
-    let cold = ColdRule {
-        joins,
-        predicate_ids,
-        join_keys,
-        join_pids,
-    };
-    (hot, cold)
-}
-
-/// The rule a slot's hot half, join conditions and conditions (read
-/// back from the index) make, whole again.
+/// The rule a slot's hot half, join conditions (read back from their
+/// memos) and conditions (read back from the index) make, whole again.
 fn unsplit(hot: HotRule, joins: Vec<JoinCondition>, conditions: Vec<Predicate>) -> Rule {
     Rule {
         name: hot.name,
@@ -239,10 +219,9 @@ impl ColdRule {
     /// `(memo key, premise index)` of the join premise registered as
     /// `pid`.
     fn premise(&self, pid: PredicateId) -> Option<(u64, usize)> {
-        self.join_keys
+        self.joins
             .iter()
-            .zip(&self.join_pids)
-            .find_map(|(&key, pids)| Some((key, pids.iter().position(|&p| p == pid)?)))
+            .find_map(|(key, pids)| Some((*key, pids.iter().position(|&p| p == pid)?)))
     }
 }
 
@@ -430,26 +409,20 @@ impl RuleEngine {
                 false
             });
             // A join condition with *any* premise over the dropped
-            // relation can never complete again — unregister it whole
-            // (`joins` / `join_keys` / `join_pids` are parallel).
-            let mut j = 0;
-            while j < stored.joins.len() {
-                let touches = stored.joins[j]
-                    .premises()
+            // relation can never complete again — unregister it whole.
+            stored.joins.retain(|(key, pids)| {
+                let touches = pids
                     .iter()
-                    .any(|p| p.relation() == name);
-                if touches {
-                    let key = stored.join_keys.remove(j);
-                    let pids = stored.join_pids.remove(j);
-                    stored.joins.remove(j);
-                    for pid in pids {
-                        self.index.remove(pid);
-                    }
-                    self.joins.unregister(key);
-                } else {
-                    j += 1;
+                    .any(|&pid| self.index.get(pid).expect(REGISTERED).relation() == name);
+                if !touches {
+                    return true;
                 }
-            }
+                for &pid in pids {
+                    self.index.remove(pid);
+                }
+                self.joins.unregister(*key);
+                false
+            });
         }
         Ok(rel)
     }
@@ -484,12 +457,15 @@ impl RuleEngine {
         let next = self.check_fresh(id)?;
         let slot = self.rules.next_slot();
         let predicate_ids = self.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
-        match self.register_joins(id.0, slot, &rule.joins) {
-            Ok((join_keys, join_pids)) => {
+        match self.register_joins(id.0, slot, std::mem::take(&mut rule.joins)) {
+            Ok(joins) => {
                 self.next_rule = next;
                 self.telemetry.profiler().name_rule(id.0, &rule.name);
-                let (hot, cold) = split(id.0, rule, 0, (predicate_ids, join_keys, join_pids));
-                let taken = self.rules.insert(id.0, hot, cold);
+                let cold = ColdRule {
+                    predicate_ids,
+                    joins,
+                };
+                let taken = self.rules.insert(id.0, HotRule::new(id.0, rule, 0), cold);
                 debug_assert_eq!(taken, slot, "the slab handed out the slot it promised");
                 Ok(id)
             }
@@ -537,25 +513,26 @@ impl RuleEngine {
 
     /// Compiles and registers `joins` for rule `rid` in `slot`: each
     /// premise enters the predicate index routed to the slot, each
-    /// condition gets a stable memo key, and each memo is seeded from
-    /// the existing tuples. Returns the keys and premise predicate ids.
-    /// Rolls itself back on failure.
+    /// condition gets a stable memo key and moves into its memo, and
+    /// each memo is seeded from the existing tuples. Returns each
+    /// condition's key and premise predicate ids. Rolls itself back on
+    /// failure.
     fn register_joins(
         &mut self,
         rid: u32,
         slot: u32,
-        joins: &[JoinCondition],
-    ) -> Result<RegisteredJoins, EngineError> {
+        joins: Vec<JoinCondition>,
+    ) -> Result<Vec<(u64, Vec<PredicateId>)>, EngineError> {
         // Compile everything first: compilation is pure, so a failure
         // here leaves nothing to roll back.
         let mut compiled = Vec::with_capacity(joins.len());
-        for join in joins {
+        for join in &joins {
             compiled.push(CompiledJoin::compile(join, self.db.catalog())?);
         }
         // Alpha layer: every premise is an ordinary single-relation
         // predicate in the Figure 1 index.
-        let mut join_pids: Vec<Vec<PredicateId>> = Vec::with_capacity(compiled.len());
-        for cj in &compiled {
+        let mut registered: Vec<(u64, Vec<PredicateId>)> = Vec::with_capacity(compiled.len());
+        for (j, cj) in compiled.iter().enumerate() {
             let mut pids = Vec::with_capacity(cj.arity());
             for premise in cj.condition().premises() {
                 let route = slot | PREMISE;
@@ -565,26 +542,24 @@ impl RuleEngine {
                 {
                     Ok(pid) => pids.push(pid),
                     Err(e) => {
-                        for pid in pids.into_iter().chain(join_pids.into_iter().flatten()) {
+                        let earlier = registered.into_iter().flat_map(|(_, pids)| pids);
+                        for pid in pids.into_iter().chain(earlier) {
                             self.index.remove(pid);
                         }
                         return Err(e.into());
                     }
                 }
             }
-            join_pids.push(pids);
+            registered.push((join_key(rid, j), pids));
         }
-        // Beta layer: stable keys, memo registration, and a silent seed
-        // (the memo must hold every valid premise prefix over the
-        // current tuples before the next event).
-        let mut join_keys = Vec::with_capacity(compiled.len());
-        for (j, cj) in compiled.into_iter().enumerate() {
-            let key = join_key(rid, j);
+        // Beta layer: memo registration and a silent seed (the memo
+        // must hold every valid premise prefix over the current tuples
+        // before the next event).
+        for (&(key, _), cj) in registered.iter().zip(compiled) {
             self.joins.register(key, cj);
             self.joins.seed(key, self.db.catalog());
-            join_keys.push(key);
         }
-        Ok((join_keys, join_pids))
+        Ok(registered)
     }
 
     /// Unregisters a rule and its predicates, handing back the rule with
@@ -597,13 +572,17 @@ impl RuleEngine {
             .iter()
             .map(|&pid| self.index.remove(pid).expect(REGISTERED))
             .collect();
-        for (key, pids) in cold.join_keys.iter().zip(&cold.join_pids) {
-            for pid in pids {
-                self.index.remove(*pid);
-            }
-            self.joins.unregister(*key);
-        }
-        Ok(unsplit(hot, cold.joins, conditions))
+        let joins = cold
+            .joins
+            .into_iter()
+            .map(|(key, pids)| {
+                for pid in pids {
+                    self.index.remove(pid);
+                }
+                self.joins.unregister(key).expect(MEMO)
+            })
+            .collect();
+        Ok(unsplit(hot, joins, conditions))
     }
 
     /// Inserts a tuple and runs the rule chain it triggers.
@@ -1184,7 +1163,12 @@ impl RuleEngine {
             .iter()
             .map(|&pid| self.index.get(pid).expect(REGISTERED).clone())
             .collect();
-        unsplit(hot.clone(), cold.joins.clone(), conditions)
+        let joins = cold
+            .joins
+            .iter()
+            .map(|&(key, _)| self.joins.condition(key).expect(MEMO).clone())
+            .collect();
+        unsplit(hot.clone(), joins, conditions)
     }
 
     /// The current per-mutation firing limit.
@@ -1216,13 +1200,23 @@ impl RuleEngine {
             total_fired,
             ..RuleEngine::new(db)
         };
+        // Join conditions are held aside until every rule's conditions
+        // are registered.
+        let mut held = Vec::new();
         for (rid, mut rule, fired) in rules {
             let next = engine.check_fresh(rid)?;
             let slot = engine.rules.next_slot();
             let predicate_ids =
                 engine.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
             engine.next_rule = engine.next_rule.max(next);
-            let (hot, cold) = split(rid.0, rule, fired, (predicate_ids, vec![], vec![]));
+            if !rule.joins.is_empty() {
+                held.push((rid.0, slot, std::mem::take(&mut rule.joins)));
+            }
+            let hot = HotRule::new(rid.0, rule, fired);
+            let cold = ColdRule {
+                predicate_ids,
+                joins: Vec::new(),
+            };
             engine.rules.insert(rid.0, hot, cold);
         }
         // Re-register join conditions and reseed their memos from the
@@ -1232,21 +1226,9 @@ impl RuleEngine {
         // identical to the pre-crash incremental state, which
         // [`join_fingerprint`](Self::join_fingerprint) lets callers
         // verify.
-        let mut rids: Vec<(u32, u32)> = engine
-            .rules
-            .iter()
-            .map(|(slot, h, _)| (h.id, slot))
-            .collect();
-        rids.sort_unstable();
-        for (rid, slot) in rids {
-            let joins = engine.rules.cold(slot).joins.clone();
-            if joins.is_empty() {
-                continue;
-            }
-            let (join_keys, join_pids) = engine.register_joins(rid, slot, &joins)?;
-            let cold = engine.rules.cold_mut(slot);
-            cold.join_keys = join_keys;
-            cold.join_pids = join_pids;
+        held.sort_unstable_by_key(|&(rid, ..)| rid);
+        for (rid, slot, joins) in held {
+            engine.rules.cold_mut(slot).joins = engine.register_joins(rid, slot, joins)?;
         }
         Ok(engine)
     }
@@ -1258,12 +1240,12 @@ impl RuleEngine {
         let mut out: Vec<(RuleId, String, Vec<MemoStats>)> = self
             .rules
             .iter()
-            .filter(|(_, _, c)| !c.join_keys.is_empty())
+            .filter(|(_, _, c)| !c.joins.is_empty())
             .map(|(_, h, c)| {
                 let stats = c
-                    .join_keys
+                    .joins
                     .iter()
-                    .filter_map(|&k| self.joins.stats_for(k))
+                    .filter_map(|&(k, _)| self.joins.stats_for(k))
                     .collect();
                 (RuleId(h.id), h.name.to_string(), stats)
             })
@@ -1296,9 +1278,9 @@ impl RuleEngine {
         Some(
             self.rules
                 .cold(slot)
-                .join_keys
+                .joins
                 .iter()
-                .map(|&k| self.joins.complete_matches(k))
+                .map(|&(k, _)| self.joins.complete_matches(k))
                 .collect(),
         )
     }

@@ -124,9 +124,6 @@ pub struct DurableRuleEngine {
     /// Re-applied to each fresh log a truncation creates.
     wal_metrics: WalMetrics,
     metrics: SnapshotMetrics,
-    /// Post-mortem dumps into `dir/flight/`; built once at open from
-    /// the same telemetry handle the engine records into.
-    recorder: FlightRecorder,
     /// The stage clock of the latest logged operation (running only
     /// under the profiler); its record is
     /// [`last_record`](DurableRuleEngine::last_record).
@@ -181,7 +178,6 @@ impl DurableRuleEngine {
         let dir = dir.into();
         let telemetry = telemetry.into();
         std::fs::create_dir_all(&dir)?;
-        let recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
         let recovered = match replay_traced(&dir, &funcs, &actions, telemetry.tracer()) {
             Ok(r) => r,
             Err(e) => {
@@ -189,6 +185,7 @@ impl DurableRuleEngine {
                 // refusal means the snapshot itself is damaged — ship
                 // the recovery spans as context for the post-mortem.
                 if matches!(e, RecoverError::Corrupt { .. }) {
+                    let recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
                     let _ = recorder.dump("recovery-corrupt");
                 }
                 return Err(e.into());
@@ -225,7 +222,6 @@ impl DurableRuleEngine {
             since_snapshot: 0,
             wal_metrics,
             metrics,
-            recorder,
             clock: StageClock::default(),
         })
     }
@@ -468,12 +464,6 @@ impl DurableRuleEngine {
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.wal.sync()?;
         Ok(())
-    }
-
-    /// Writes a post-mortem dump (recent spans + metric exposition) to
-    /// `dir/flight/` and returns its path.
-    pub fn dump_flight(&self, reason: &str) -> Result<PathBuf, DurableError> {
-        Ok(self.recorder.dump(reason)?)
     }
 
     /// A small line-oriented liveness report, suitable as the `/health`

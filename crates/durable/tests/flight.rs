@@ -1,9 +1,10 @@
 //! Flight-recorder integration: the durable engine's trace ring must
 //! double as a post-mortem buffer.
 //!
-//! Two properties: an explicit dump captures the spans of recent WAL
-//! work plus the metric exposition, and a corrupt snapshot makes the
-//! open itself leave a dump behind before refusing.
+//! Two properties: a dump taken over the engine's telemetry handle
+//! captures the spans of recent WAL work plus the metric exposition,
+//! and a corrupt snapshot makes the open itself leave a dump behind
+//! before refusing.
 
 mod common;
 
@@ -16,15 +17,22 @@ use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use std::sync::Arc;
-use telemetry::{Registry, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY};
+use telemetry::{FlightRecorder, Registry, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY};
 
-fn open_traced(dir: &std::path::Path) -> Result<DurableRuleEngine, DurableError> {
+fn traced() -> Telemetry {
+    Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY))
+}
+
+fn open_traced(
+    dir: &std::path::Path,
+    telemetry: Telemetry,
+) -> Result<DurableRuleEngine, DurableError> {
     DurableRuleEngine::open_with_metrics(
         dir,
         FunctionRegistry::default(),
         test_actions(),
         Options::default(),
-        Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY)),
+        telemetry,
     )
 }
 
@@ -53,10 +61,12 @@ fn run_workload(engine: &mut DurableRuleEngine) {
 #[test]
 fn explicit_dump_captures_wal_spans_and_metrics() {
     let dir = TempDir::new("flight-dump");
-    let mut engine = open_traced(dir.path()).unwrap();
+    let telemetry = traced();
+    let mut engine = open_traced(dir.path(), telemetry.clone()).unwrap();
     run_workload(&mut engine);
 
-    let path = engine.dump_flight("test-probe").unwrap();
+    let recorder = FlightRecorder::new(telemetry, dir.join(FLIGHT_DIR));
+    let path = recorder.dump("test-probe").unwrap();
     assert!(path.starts_with(dir.join(FLIGHT_DIR)));
     let text = std::fs::read_to_string(&path).unwrap();
 
@@ -78,7 +88,7 @@ fn explicit_dump_captures_wal_spans_and_metrics() {
 
     // Dumps snapshot rather than drain: a second dump sees the same
     // evidence.
-    let second = engine.dump_flight("again").unwrap();
+    let second = recorder.dump("again").unwrap();
     assert_ne!(path, second);
     assert!(std::fs::read_to_string(&second)
         .unwrap()
@@ -89,7 +99,7 @@ fn explicit_dump_captures_wal_spans_and_metrics() {
 fn corrupt_snapshot_leaves_a_flight_dump_on_open() {
     let dir = TempDir::new("flight-corrupt");
     {
-        let mut engine = open_traced(dir.path()).unwrap();
+        let mut engine = open_traced(dir.path(), traced()).unwrap();
         run_workload(&mut engine);
         engine.snapshot().unwrap();
     }
@@ -100,7 +110,7 @@ fn corrupt_snapshot_leaves_a_flight_dump_on_open() {
     bytes[mid] ^= 0x55;
     std::fs::write(&snap_path, &bytes).unwrap();
 
-    let err = match open_traced(dir.path()) {
+    let err = match open_traced(dir.path(), traced()) {
         Ok(_) => panic!("corrupt snapshot must refuse to open"),
         Err(e) => e,
     };

@@ -345,8 +345,8 @@ mod tests {
         let mut a = build(BalanceMode::Avl);
         let b = a.clone();
         a.remove(id(0)).unwrap();
-        assert!(!a.contains_id(id(0)));
-        assert!(b.contains_id(id(0)));
+        assert!(a.get(id(0)).is_none());
+        assert!(b.get(id(0)).is_some());
         b.assert_invariants();
     }
 

@@ -7,7 +7,7 @@
 //! better constants at the set sizes that occur. On `bench::stab_shape`'s
 //! trees (`match_stab` in miniature) a match's four stabs collect 4.0
 //! non-empty slots, and 83.5% of them hold one id, 12.5% two
-//! (EXPERIMENTS.md "PR 27"). So a node keeps each slot's smallest id
+//! (EXPERIMENTS.md "IBS-tree layer"). So a node keeps each slot's smallest id
 //! inline ([`Marks`]) and only the rest in a heap spill shared by its
 //! three slots: a one-mark slot costs no load beyond the node's own
 //! cache line.
@@ -266,11 +266,6 @@ impl MarkSet {
         self.ids.binary_search(&id).is_ok()
     }
 
-    /// Number of marks in the set.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
@@ -279,11 +274,6 @@ impl MarkSet {
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = IntervalId> + '_ {
         self.ids.iter().copied()
-    }
-
-    /// The ids as a slice (sorted ascending).
-    pub fn as_slice(&self) -> &[IntervalId] {
-        &self.ids
     }
 
     /// Appends all ids to `out` (a stab's hot path: one extend per
@@ -320,12 +310,12 @@ mod tests {
         assert!(s.insert(id(1)));
         assert!(s.insert(id(3)));
         assert!(!s.insert(id(3)), "duplicate insert is a no-op");
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.iter().count(), 3);
         assert!(s.contains(id(1)));
         assert!(!s.contains(id(2)));
         assert!(s.remove(id(3)));
         assert!(!s.remove(id(3)));
-        assert_eq!(s.as_slice(), &[id(1), id(5)]);
+        assert!(s.iter().eq([id(1), id(5)]));
     }
 
     #[test]
@@ -341,7 +331,7 @@ mod tests {
     #[test]
     fn from_iter_dedups() {
         let s: MarkSet = [id(3), id(1), id(3), id(2)].into_iter().collect();
-        assert_eq!(s.as_slice(), &[id(1), id(2), id(3)]);
+        assert!(s.iter().eq([id(1), id(2), id(3)]));
     }
 
     /// One step of the slot property: an op on a slot, with ids drawn

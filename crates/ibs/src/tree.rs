@@ -219,11 +219,6 @@ impl<K: Ord + Clone> IbsTree<K> {
         self.intervals.get(&id.0)
     }
 
-    /// Does the tree contain an interval under `id`?
-    pub fn contains_id(&self, id: IntervalId) -> bool {
-        self.intervals.contains_key(&id.0)
-    }
-
     /// Iterates all `(id, interval)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (IntervalId, &Interval<K>)> {
         self.intervals.iter().map(|(&id, iv)| (IntervalId(id), iv))

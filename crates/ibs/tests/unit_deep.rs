@@ -171,7 +171,7 @@ fn largest_interval_id_is_a_legal_mark() {
     t.assert_invariants();
     assert_eq!(sorted_stab(&t, 15), vec![id(0), id(1)]);
     assert_eq!(sorted_stab(&t, 10), vec![id(0)]);
-    assert!(!t.contains_id(max));
+    assert!(t.get(max).is_none());
 }
 
 /// Alternating growth and shrink cycles the arena free list through

@@ -1,9 +1,10 @@
 //! Premise-chain compilation: a [`JoinCondition`] bound against a
 //! catalog.
 //!
-//! Compilation resolves every premise to a [`BoundPredicate`] (the
-//! alpha-layer test, used for seeding and the naive evaluator — at
-//! runtime the predicate index performs this test) and lowers every
+//! Compilation checks that every premise binds to a
+//! [`BoundPredicate`](predicate::BoundPredicate) (the alpha-layer test:
+//! at runtime the predicate index performs it, and seeding and the
+//! naive evaluator bind their own) and lowers every
 //! cross-relation [`JoinTest`] into a *step* attached to its right
 //! premise: the canonical form has `left < right`, so each premise
 //! `j > 0` owns the tests that connect it to earlier premises.
@@ -11,7 +12,7 @@
 //! steps (`<`, `<=`, `>`, `>=` — the interval joins) are residual
 //! filters applied while extending a partial match.
 
-use predicate::{BindError, BoundPredicate, JoinCondition, JoinOp};
+use predicate::{BindError, JoinCondition, JoinOp};
 use relation::{AttrType, Catalog};
 use std::fmt;
 
@@ -81,28 +82,27 @@ pub(crate) struct PremisePlan {
     pub(crate) residual: Vec<ResidualStep>,
 }
 
-/// A join condition compiled against a catalog: bound premises plus
-/// per-premise extension plans.
+/// A join condition compiled against a catalog: the condition plus
+/// per-premise extension plans. The premises' bound forms are not
+/// kept; the predicate index holds each premise for the alpha match,
+/// and seeding binds its own.
 #[derive(Debug, Clone)]
 pub struct CompiledJoin {
     pub(crate) cond: JoinCondition,
-    alphas: Vec<BoundPredicate>,
     plans: Vec<PremisePlan>,
 }
 
 impl CompiledJoin {
     /// Binds `cond` against `catalog`, type-checking every test.
     pub fn compile(cond: &JoinCondition, catalog: &Catalog) -> Result<CompiledJoin, CompileError> {
-        let mut alphas = Vec::with_capacity(cond.arity());
         for p in cond.premises() {
             let rel = catalog
                 .relation(p.relation())
                 .ok_or_else(|| CompileError::NoSuchRelation(p.relation().to_string()))?;
-            let bound = p.bind(rel.schema()).map_err(|error| CompileError::Bind {
+            p.bind(rel.schema()).map_err(|error| CompileError::Bind {
                 relation: p.relation().to_string(),
                 error,
             })?;
-            alphas.push(bound);
         }
         let mut plans: Vec<PremisePlan> = vec![PremisePlan::default(); cond.arity()];
         for t in cond.tests() {
@@ -140,7 +140,6 @@ impl CompiledJoin {
         }
         Ok(CompiledJoin {
             cond: cond.clone(),
-            alphas,
             plans,
         })
     }
@@ -152,17 +151,12 @@ impl CompiledJoin {
 
     /// Number of premises.
     pub fn arity(&self) -> usize {
-        self.alphas.len()
+        self.plans.len()
     }
 
     /// Relation of premise `i`.
     pub fn relation(&self, i: usize) -> &str {
         self.cond.premises()[i].relation()
-    }
-
-    /// The bound alpha test of premise `i`.
-    pub fn alpha(&self, i: usize) -> &BoundPredicate {
-        &self.alphas[i]
     }
 
     pub(crate) fn plan(&self, i: usize) -> &PremisePlan {

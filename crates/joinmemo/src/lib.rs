@@ -175,11 +175,13 @@ mod tests {
         let mut inc = JoinEngine::new();
         inc.register(0, plan.clone());
         for premise in [0usize, 1] {
-            let tuples: Vec<_> = cat
-                .relation(plan.relation(premise))
-                .unwrap()
+            let rel = cat.relation(plan.relation(premise)).unwrap();
+            let alpha = plan.condition().premises()[premise]
+                .bind(rel.schema())
+                .unwrap();
+            let tuples: Vec<_> = rel
                 .iter()
-                .filter(|(_, t)| plan.alpha(premise).matches(t))
+                .filter(|(_, t)| alpha.matches(t))
                 .map(|(tid, t)| (tid.0, t.clone()))
                 .collect();
             for (tid, t) in tuples {

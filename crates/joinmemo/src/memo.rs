@@ -515,8 +515,9 @@ impl JoinMemo {
             let Some(rel) = catalog.relation(self.plan.relation(i)) else {
                 continue;
             };
-            // Its own copy: the scan would keep the plan borrowed.
-            let alpha = self.plan.alpha(i).clone();
+            let alpha = self.plan.condition().premises()[i]
+                .bind(rel.schema())
+                .expect("a compiled premise binds against its relation's schema");
             for (tid, tuple) in alpha.scan(rel) {
                 let out = self.insert(i, tid.0, tuple);
                 each(self, out);

@@ -21,11 +21,15 @@ pub fn full_matches(compiled: &CompiledJoin, catalog: &Catalog) -> Vec<Vec<u32>>
     let mut alphas: Vec<Vec<(u32, &Tuple)>> = Vec::with_capacity(n);
     for i in 0..n {
         let tuples = match catalog.relation(compiled.relation(i)) {
-            Some(rel) => compiled
-                .alpha(i)
-                .scan(rel)
-                .map(|(tid, t)| (tid.0, t))
-                .collect(),
+            Some(rel) => {
+                let alpha = compiled.condition().premises()[i]
+                    .bind(rel.schema())
+                    .expect("a compiled premise binds against its relation's schema");
+                rel.iter()
+                    .filter(|(_, t)| alpha.matches(t))
+                    .map(|(tid, t)| (tid.0, t))
+                    .collect()
+            }
             None => Vec::new(),
         };
         alphas.push(tuples);

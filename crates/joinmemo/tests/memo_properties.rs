@@ -79,9 +79,10 @@ impl World {
     /// every premise over its relation whose alpha test it passes.
     fn feed(&mut self, rel: &str, id: TupleId) {
         let tuple = self.cat.relation(rel).unwrap().get(id).unwrap().clone();
+        let schema = self.cat.relation(rel).unwrap().schema();
         for (key, plan) in &self.live {
-            for premise in 0..plan.arity() {
-                if plan.relation(premise) == rel && plan.alpha(premise).matches(&tuple) {
+            for (premise, pred) in plan.condition().premises().iter().enumerate() {
+                if pred.relation() == rel && pred.bind(schema).unwrap().matches(&tuple) {
                     self.je.insert(*key, premise, id.0, &tuple);
                 }
             }

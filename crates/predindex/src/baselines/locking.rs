@@ -45,7 +45,7 @@ pub struct PhysicalLockingMatcher {
     /// Interval locks per indexed attribute.
     lock_tables: FnvHashMap<(String, usize), IntervalTreap<Value>>,
     /// Relation-level locks.
-    relation_locks: FnvHashMap<String, Vec<PredicateId>>,
+    pub(crate) relation_locks: FnvHashMap<String, Vec<PredicateId>>,
     locks: FnvHashMap<u32, Lock>,
 }
 
@@ -72,12 +72,6 @@ impl PhysicalLockingMatcher {
             }
         }
         m
-    }
-
-    /// How many predicates ended up with relation-level locks (the
-    /// paper's degenerate-case metric).
-    pub fn relation_lock_count(&self) -> usize {
-        self.relation_locks.values().map(|v| v.len()).sum()
     }
 }
 

@@ -7,8 +7,7 @@
 //! Opens (creating or recovering) the durable engine at `--dir`,
 //! serves the wire protocol on `--bind`, and optionally exposes the
 //! telemetry HTTP endpoints (`/metrics`, `/health`, `/trace`,
-//! `/profile`, `/top`) on
-//! `--metrics`. Prints `LISTENING <addr>` on stdout once ready —
+//! `/profile`) on `--metrics`. Prints `LISTENING <addr>` on stdout once ready —
 //! supervisors and tests parse that line — and runs until stdin
 //! reaches EOF (or `--seconds` elapse), then shuts down gracefully.
 //!
@@ -54,7 +53,7 @@ fn usage() -> ! {
          \x20 --sync-every N    reply before syncing, fsync every N appends (default: sync before replying)\n\
          \x20 --snapshot-every N  snapshot cadence in logged ops (default 1024)\n\
          \x20 --crash-after N   abort after op N's WAL append, before its reply (crash tests)\n\
-         \x20 --profile         attach the cost-attribution profiler (/profile, /top on --metrics)\n\
+         \x20 --profile         attach the cost-attribution profiler (/profile on --metrics)\n\
          \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)"
     );
     std::process::exit(2)

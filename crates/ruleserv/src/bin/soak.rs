@@ -19,8 +19,8 @@
 //!
 //! The run ends with a one-line summary on stdout. It measures nothing:
 //! with 32 × 64 requests in flight against a queue of 1,024 its timings
-//! are the pipeline's, not the server's (EXPERIMENTS.md, "Server
-//! soak"). The server's latency and throughput instrument is
+//! are the pipeline's, not the server's (EXPERIMENTS.md, "Rule server
+//! layer"). The server's latency and throughput instrument is
 //! stackbench's `serve_mixed` workload.
 
 #![deny(clippy::unwrap_used)]

@@ -14,9 +14,9 @@
 //!
 //! Pushed frames ([`Event`] from subscriptions, `Lagged` notices) can
 //! interleave with replies at any point; the reply readers divert them
-//! into an internal queue, drained with [`Client::take_events`] /
-//! [`Client::lagged`], and [`Client::wait_event`] blocks for the next
-//! one when the connection is otherwise idle.
+//! into an internal queue, which [`Client::wait_event`] drains before
+//! it blocks for the next one, and [`Client::lagged`] totals the
+//! events the server dropped.
 
 use crate::proto::{read_frame, Event, FireSummary, ProtoError, Reply, Request};
 use durable::{Record, RuleSpec};
@@ -82,13 +82,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     events: VecDeque<Event>,
     lagged: u64,
-    /// Requests sent minus replies received.
-    in_flight: u64,
-    /// When set, the trace id the *next* request will carry (then
-    /// incremented); `None` = untraced, byte-identical wire format.
-    trace_next: Option<u64>,
-    /// The trace id the most recent request carried.
-    trace_last: Option<u64>,
 }
 
 impl Client {
@@ -102,48 +95,14 @@ impl Client {
             reader: BufReader::with_capacity(64 * 1024, read_half),
             events: VecDeque::new(),
             lagged: 0,
-            in_flight: 0,
-            trace_next: None,
-            trace_last: None,
         })
-    }
-
-    /// Requests currently in flight (sent, reply not yet read).
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
-    }
-
-    /// Starts stamping a trace id on every subsequent request: `seed`
-    /// on the next one, incrementing per request. The server echoes
-    /// the id into its `server_request` span and slow-op log, so a
-    /// client-side ordinal (or an upstream correlation id) links a
-    /// wire request to the engine-side evidence.
-    pub fn enable_trace_ids(&mut self, seed: u64) {
-        self.trace_next = Some(seed);
-    }
-
-    /// Stops stamping trace ids (requests revert to the pre-trace
-    /// byte format).
-    pub fn disable_trace_ids(&mut self) {
-        self.trace_next = None;
-    }
-
-    /// The trace id the most recently sent request carried, if any.
-    pub fn last_trace_id(&self) -> Option<u64> {
-        self.trace_last
     }
 
     /// Queues one request without waiting for its reply (pipelining).
     /// Buffered; [`recv_reply`](Self::recv_reply) flushes before
     /// reading, or call [`flush`](Self::flush) explicitly.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let trace = self.trace_next;
-        request.write_to_traced(&mut self.writer, trace)?;
-        if let Some(id) = trace {
-            self.trace_next = Some(id.wrapping_add(1));
-            self.trace_last = Some(id);
-        }
-        self.in_flight += 1;
+        request.write_to_traced(&mut self.writer, None)?;
         Ok(())
     }
 
@@ -164,21 +123,14 @@ impl Client {
             match Reply::decode(opcode, &payload)? {
                 Reply::Event(e) => self.events.push_back(e),
                 Reply::Lagged(n) => self.lagged += n,
-                reply => {
-                    self.in_flight = self.in_flight.saturating_sub(1);
-                    return Ok(reply);
-                }
+                reply => return Ok(reply),
             }
         }
     }
 
-    /// Events received so far (subscriptions), in arrival order.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        self.events.drain(..).collect()
-    }
-
     /// Total events the server reported dropping because this
-    /// connection's reply queue was full.
+    /// connection's reply queue was full. Kept public: it is the only
+    /// way a subscriber learns that it missed events.
     pub fn lagged(&self) -> u64 {
         self.lagged
     }

@@ -12,7 +12,7 @@ use durable::{
 use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
-use ruleserv::proto::{encode_frame, OP_NAMES};
+use ruleserv::proto::{encode_frame, read_frame, OP_NAMES};
 use ruleserv::{serve, Client, Reply, Request, ServerHandle, ServerOptions};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -180,11 +180,16 @@ impl Fixture {
     /// Sends `requests` on `client` and returns once they are all in
     /// the engine queue (behind a closed gate: in the next group).
     fn queue(&self, client: &mut Client, requests: &[Request]) {
-        self.sent.set(self.sent.get() + requests.len() as u64);
         for request in requests {
             client.send(request).unwrap();
         }
         client.flush().unwrap();
+        self.wait_queued(requests.len());
+    }
+
+    /// Returns once `n` more requests are in the engine queue.
+    fn wait_queued(&self, n: usize) {
+        self.sent.set(self.sent.get() + n as u64);
         wait_until("the requests are queued", || {
             let queued = self.registry.histogram_totals("server_queue_depth");
             queued.map_or(0, |t| t.0) >= self.sent.get()
@@ -234,7 +239,7 @@ fn releases(events: &[TraceEvent]) -> Vec<(u64, u64, Option<u64>)> {
 /// ended and *completed before* the release.
 fn durability_order_holds(tag: &str, snapshot_every: Option<u64>) {
     const CONNECTIONS: i64 = 2;
-    const DEPTH: u64 = 8;
+    const DEPTH: i64 = 8;
     const INSERTS: i64 = 400;
     let fx = start(
         tag,
@@ -256,7 +261,7 @@ fn durability_order_holds(tag: &str, snapshot_every: Option<u64>) {
                 let mut last_seq = 0;
                 let (mut sent, mut received) = (0, 0);
                 while received < INSERTS {
-                    while sent < INSERTS && client.in_flight() < DEPTH {
+                    while sent < INSERTS && sent - received < DEPTH {
                         client.send(&insert("t", c * INSERTS + sent)).unwrap();
                         sent += 1;
                     }
@@ -402,22 +407,29 @@ fn every_request_record_partitions_its_latency() {
     };
     let fx = start_with("stages", DURABLE, opts, true);
     let mut holder = Client::connect(fx.server.addr()).unwrap();
-    let mut client = Client::connect(fx.server.addr()).unwrap();
+    // Raw frames: each request carries trace id 0x100, 0x101, ... in
+    // order, which `Client` does not write.
+    let mut traced = TcpStream::connect(fx.server.addr()).unwrap();
+    traced.set_nodelay(true).unwrap();
+    let send = |stream: &mut TcpStream, id: u64, request: Request| {
+        request.write_to_traced(stream, Some(id)).unwrap();
+    };
     create_world(&fx, &mut holder);
-    client.enable_trace_ids(0x100);
 
     // Two inserts fill the queue behind the gate and share the next
     // group; the third is bounced; the ping is answered by the reader.
     fx.close_gate(&mut holder);
-    fx.queue(&mut client, &[insert("t", 1), insert("t", 2)]);
-    client.send(&insert("t", 3)).unwrap();
-    client.send(&Request::Ping).unwrap();
-    client.flush().unwrap();
+    send(&mut traced, 0x100, insert("t", 1));
+    send(&mut traced, 0x101, insert("t", 2));
+    fx.wait_queued(2);
+    send(&mut traced, 0x102, insert("t", 3));
+    send(&mut traced, 0x103, Request::Ping);
     let busy = || fx.registry.counter_value("server_busy_total").unwrap_or(0);
     wait_until("the third insert is bounced", || busy() == 1);
     fx.open_gate(&mut holder);
     for kind in ["fire", "fire", "busy", "pong"] {
-        assert_eq!(client.recv_reply().unwrap().kind(), kind);
+        let (opcode, payload) = read_frame(&mut traced).unwrap().unwrap();
+        assert_eq!(Reply::decode(opcode, &payload).unwrap().kind(), kind);
     }
     // Every writer has flushed, so every record is closed.
     let engine = fx.server.shutdown().expect("engine handed back");
@@ -521,7 +533,10 @@ fn a_group_keeps_subscriptions_in_request_order() {
     }
     // A round trip later every event of the group has been pushed.
     client.ping().unwrap();
-    let events: Vec<u64> = client.take_events().iter().map(|e| e.seq).collect();
+    let mut events = Vec::new();
+    while let Some(e) = client.wait_event(Duration::from_millis(100)).unwrap() {
+        events.push(e.seq);
+    }
     assert_eq!(events, vec![seqs[1]], "only the insert between the two");
     fx.server.shutdown().unwrap();
     std::fs::remove_dir_all(&fx.dir).unwrap();

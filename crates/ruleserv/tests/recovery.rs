@@ -111,7 +111,7 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
             }
             sent += 1;
         }
-        while client.in_flight() > 4 {
+        while sent - acked > 4 {
             match client.recv_reply() {
                 Ok(reply) => {
                     assert_eq!(
@@ -131,7 +131,7 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
     }
     // Drain any stragglers delivered before the abort.
     if !died {
-        while client.in_flight() > 0 {
+        while sent > acked {
             match client.recv_reply() {
                 Ok(_) => acked += 1,
                 Err(_) => {

@@ -24,7 +24,7 @@
 //!   buffer, and [`serve`] exposes `/metrics`, `/health`, and `/trace`
 //!   over a dependency-free HTTP responder.
 //! * **One JSON writer** — [`json::JsonWriter`] renders every JSON
-//!   document the stack serves or commits (`/profile`, `/top`, the
+//!   document the stack serves or commits (`/profile`, the
 //!   Chrome trace, the bench report), so escaping and comma placement
 //!   exist once.
 //!

@@ -138,7 +138,7 @@ impl AccountSnapshot {
         }
     }
 
-    /// The `"rule"` and `"name"` members `/profile` and `/top` share.
+    /// The account's `"rule"` and `"name"` members in `/profile`.
     fn write_identity(&self, w: &mut JsonWriter) {
         w.key("rule").string(&self.label());
         match &self.name {
@@ -350,8 +350,8 @@ impl Profiler {
         account.add(cost);
     }
 
-    /// Registers a display name for rule `rule` (used by `/top` and
-    /// the shell ranking).
+    /// Registers a display name for rule `rule` (used by `/profile`
+    /// and the shell ranking).
     pub fn name_rule(&self, rule: u32, name: &str) {
         if !self.enabled {
             return;
@@ -505,26 +505,6 @@ impl Profiler {
             s.record.write_stages_json(&mut w);
             w.key("cost");
             s.record.work.write_json(&mut w);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// The `/top` endpoint body: the `k` most expensive accounts
-    /// (`schema: telemetry/top-v1`).
-    pub fn top_json(&self, k: usize) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("schema").string("telemetry/top-v1");
-        w.key("top").begin_array();
-        for a in &self.top(k) {
-            w.begin_object();
-            a.write_identity(&mut w);
-            w.key("work").uint(a.cost.work());
-            w.key("cost");
-            a.cost.write_json(&mut w);
             w.end_object();
         }
         w.end_array();
@@ -769,9 +749,6 @@ mod tests {
         assert!(json.contains("\"trace_id\":57005"));
         assert!(json.contains("\"nanos\":55,\"stages\":{\"decode\":0,"));
         assert!(json.contains("\"other\":55,"));
-        let top = p.top_json(5);
-        assert!(top.starts_with("{\"schema\":\"telemetry/top-v1\""));
-        assert!(top.contains("\"work\":"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A dependency-free metrics exposition server.
 //!
-//! One `std::net::TcpListener` accept thread answering five paths,
+//! One `std::net::TcpListener` accept thread answering four paths,
 //! enough for a Prometheus scraper, a load balancer, and a human with
 //! `curl`:
 //!
@@ -10,8 +10,8 @@
 //!   nothing about engines).
 //! * `GET /trace`   — drains the trace ring as Chrome trace-event
 //!   JSON; save the body and load it in Perfetto.
-//! * `GET /profile` and `GET /top` — the profiler's per-rule accounts
-//!   and live histogram quantiles, and its ten costliest rules.
+//! * `GET /profile` — the profiler's per-rule accounts with their
+//!   costs, live histogram quantiles and the slow-op ring.
 //!
 //! This is deliberately not a web framework: each connection is
 //! answered by a short-lived thread (so a stalled scraper can never
@@ -115,11 +115,11 @@ pub fn wake_addr(addr: SocketAddr) -> SocketAddr {
 }
 
 /// Binds `bind` (e.g. `"127.0.0.1:9184"`, or port `0` for ephemeral)
-/// and serves `/metrics`, `/health`, `/trace`, `/profile` and `/top`
-/// until [`ServerHandle::shutdown`], all from one [`Telemetry`] handle
-/// (a bare `Arc<Registry>` converts into one). With the handle's
-/// profiler off, `/profile` and `/top` still answer, with empty
-/// accounts but live histogram quantiles.
+/// and serves `/metrics`, `/health`, `/trace` and `/profile` until
+/// [`ServerHandle::shutdown`], all from one [`Telemetry`] handle (a
+/// bare `Arc<Registry>` converts into one). With the handle's profiler
+/// off, `/profile` still answers, with empty accounts but live
+/// histogram quantiles.
 pub fn serve(
     bind: &str,
     telemetry: impl Into<Telemetry>,
@@ -217,11 +217,10 @@ fn handle(
             "application/json",
             profiler.profile_json(registry),
         ),
-        "/top" => ("200 OK", "application/json", profiler.top_json(10)),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            format!("no route for {path:?}; try /metrics, /health, /trace, /profile, /top\n"),
+            format!("no route for {path:?}; try /metrics, /health, /trace, /profile\n"),
         ),
     };
     let mut conn = &conn;
@@ -259,7 +258,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("predindex_match_tuples_total").add(5);
         let tracer = Tracer::new(64);
-        tracer.instant("ping");
+        tracer.instant_with("ping", Vec::new);
         let server = serve(
             "127.0.0.1:0",
             Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
@@ -284,15 +283,15 @@ mod tests {
         assert!(body.contains("\"traceEvents\":[]"));
         assert!(tracer.events().is_empty());
 
-        // An unknown path, and the index advisor's retired route, are
-        // 404s that name exactly the routes there are.
-        for path in ["/nope", "/advisor"] {
+        // An unknown path, and the retired `/advisor` and `/top`
+        // routes, are 404s that name exactly the routes there are.
+        for path in ["/nope", "/advisor", "/top"] {
             let (head, body) = get(addr, path);
             assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
             let routes = body.split_once("try ").map(|(_, r)| r.trim_end());
             assert_eq!(
                 routes,
-                Some("/metrics, /health, /trace, /profile, /top"),
+                Some("/metrics, /health, /trace, /profile"),
                 "{path}"
             );
         }
@@ -341,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_profile_and_top() {
+    fn serves_profile_with_named_accounts() {
         let registry = Arc::new(Registry::new());
         registry.histogram("req_nanos").record(1_000);
         let telemetry = Telemetry::new(Arc::clone(&registry)).with_profiling();
@@ -356,12 +355,8 @@ mod tests {
         let (head, body) = get(server.addr(), "/profile");
         assert!(head.contains("application/json"));
         assert!(body.contains("\"schema\":\"telemetry/profile-v2\""));
-        assert!(body.contains("\"rule\":\"3\""));
+        assert!(body.contains("\"rule\":\"3\",\"name\":\"reorder\""));
         assert!(body.contains("\"name\":\"req_nanos\""));
-
-        let (_, body) = get(server.addr(), "/top");
-        assert!(body.contains("\"schema\":\"telemetry/top-v1\""));
-        assert!(body.contains("\"reorder\""));
 
         let (_, body) = get(server.addr(), "/nope");
         assert!(body.contains("/profile"));
@@ -388,7 +383,7 @@ mod tests {
         const EVENTS: usize = 500;
         let tracer = Tracer::new(2048);
         for _ in 0..EVENTS {
-            tracer.instant("race_evt");
+            tracer.instant_with("race_evt", Vec::new);
         }
         let server = serve(
             "127.0.0.1:0",

@@ -31,7 +31,7 @@
 //! {
 //!     let _outer = tracer.span("cascade");
 //!     let _inner = tracer.span("match_level");
-//!     tracer.instant("agenda_built");
+//!     tracer.instant_with("agenda_built", Vec::new);
 //! }
 //! let events = tracer.events();
 //! assert_eq!(events.len(), 5); // 2 begins + 1 instant + 2 ends
@@ -268,13 +268,8 @@ impl Tracer {
         }
     }
 
-    /// Records a point-in-time event inside the current span.
-    #[inline]
-    pub fn instant(&self, name: &'static str) {
-        self.instant_with(name, Vec::new);
-    }
-
-    /// [`instant`](Self::instant) with a lazily built payload.
+    /// Records a point-in-time event inside the current span, with a
+    /// lazily built payload (`Vec::new` for none).
     pub fn instant_with(
         &self,
         name: &'static str,
@@ -416,7 +411,7 @@ mod tests {
         {
             let _a = tracer.span("outer");
             let _b = tracer.span_with("inner", || vec![("k", "v".to_string())]);
-            tracer.instant("tick");
+            tracer.instant_with("tick", Vec::new);
         }
         let events = tracer.events();
         assert_eq!(events.len(), 5);
@@ -445,7 +440,7 @@ mod tests {
                 built = true;
                 Vec::new()
             });
-            tracer.instant("y");
+            tracer.instant_with("y", Vec::new);
         }
         assert!(!built, "args closure must not run when disabled");
         assert!(tracer.events().is_empty());
@@ -457,7 +452,7 @@ mod tests {
     fn ring_wraps_at_capacity_keeping_the_newest() {
         let tracer = Tracer::new(16);
         for _ in 0..40 {
-            tracer.instant("e");
+            tracer.instant_with("e", Vec::new);
         }
         let events = tracer.events();
         assert_eq!(events.len(), 16);
@@ -473,12 +468,12 @@ mod tests {
     #[test]
     fn drain_empties_the_ring() {
         let tracer = Tracer::new(32);
-        tracer.instant("a");
-        tracer.instant("b");
+        tracer.instant_with("a", Vec::new);
+        tracer.instant_with("b", Vec::new);
         let drained = tracer.drain();
         assert_eq!(drained.len(), 2);
         assert!(tracer.events().is_empty());
-        tracer.instant("c");
+        tracer.instant_with("c", Vec::new);
         assert_eq!(tracer.events().len(), 1);
     }
 

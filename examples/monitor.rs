@@ -8,7 +8,6 @@
 //! curl -s http://127.0.0.1:9898/health
 //! curl -s http://127.0.0.1:9898/trace > trace.json   # drains the span ring
 //! curl -s http://127.0.0.1:9898/profile              # cost accounts + quantiles + stage records
-//! curl -s http://127.0.0.1:9898/top                  # the 10 most expensive rule accounts
 //! ```
 //!
 //! The workload is a two-level cascade (underpaid employees raise
@@ -135,7 +134,7 @@ fn build_engine(dir: &std::path::Path, telemetry: Telemetry) -> DurableRuleEngin
 fn main() {
     let cfg = parse_args();
     // One handle for the engine and the exposition server. Cost
-    // attribution on: per-rule accounts feed /profile and /top, and a
+    // attribution on: per-rule accounts feed /profile, and a
     // zero threshold keeps every insert's stage record in the slow-op
     // ring (the newest 64).
     let telemetry = Telemetry::new(Arc::new(Registry::new()))
@@ -162,7 +161,6 @@ fn main() {
     println!("  curl http://{}/health", server.addr());
     println!("  curl http://{}/trace", server.addr());
     println!("  curl http://{}/profile", server.addr());
-    println!("  curl http://{}/top", server.addr());
 
     let deadline = Instant::now() + Duration::from_secs(cfg.seconds);
     let mut i: i64 = 0;

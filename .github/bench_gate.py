@@ -91,14 +91,14 @@ def gate_observability(rows, base):
     tests, base_tests = rows[name]["residual_tests_per_match"], base[name]["residual_tests_per_match"]
     assert tests <= base_tests * 1.10, (name, tests, base_tests)
     # Live heap bytes per interval of the match_stab-shaped IBS-trees: a
-    # count, so the same 10% room and no floor (the layout before
-    # one-cache-line nodes read 643.7 against 556.3).
+    # count, so the same 10% room and no floor (a placement registry
+    # beside the tree read 556.4 against 435.6).
     name = "ibs/bytes_per_interval/stab_shape"
     per_interval, base_per_interval = rows[name]["bytes_per_interval"], base[name]["bytes_per_interval"]
     assert per_interval <= base_per_interval * 1.10, (name, per_interval, base_per_interval)
     # Live heap bytes per predicate of the whole index over the same rules:
-    # a count, so the same 10% room and no floor (a PREDICATES table that
-    # kept every bound form beside its source read 1097.4 against 905.5).
+    # a count, so the same 10% room and no floor (a placement registry
+    # beside each tree read 904.0 against 783.1).
     name = "predindex/bytes_per_predicate/stab_shape"
     per_predicate, base_per_predicate = rows[name]["bytes_per_predicate"], base[name]["bytes_per_predicate"]
     assert per_predicate <= base_per_predicate * 1.10, (name, per_predicate, base_per_predicate)

@@ -2,7 +2,7 @@
 //!
 //! Nodes live in a `Vec` and refer to each other by `u32` index with a
 //! `NULL` sentinel; a free list recycles slots so ids stay stable across
-//! deletions (the mark registry depends on that stability).
+//! deletions (a delete's recorded path holds ids across the splice).
 
 use crate::marks::Marks;
 use interval::IntervalId;
@@ -58,6 +58,13 @@ impl<K> Node<K> {
             right: NodeId::NULL,
             marks: Marks::new(),
         }
+    }
+}
+
+impl<K: Ord> Node<K> {
+    /// The child on the search path to `v`; null once `v` is found.
+    pub(crate) fn toward(&self, v: &K) -> NodeId {
+        [self.left, NodeId::NULL, self.right][(v.cmp(&self.value) as i8 + 1) as usize]
     }
 }
 

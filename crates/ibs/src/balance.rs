@@ -24,10 +24,10 @@
 //!   `(z, fence)`; after the rotation `y.>` alone covers that whole
 //!   union, so the now-redundant copies in `z.=` and `z.>` are removed.
 //!
-//! All moves go through [`IbsTree::add_mark`]/[`IbsTree::remove_mark`] so
-//! the placement registry stays exact. The two mark lists that drive a
-//! rotation are copied into the tree's scratch buffers, so a rotation
-//! allocates nothing once they have grown.
+//! So every mark stays where the canonical walk would place it on the new
+//! shape, which is where a remove looks for it (DESIGN.md §5). The two
+//! mark lists that drive a rotation are copied into the tree's scratch
+//! buffers, so a rotation allocates nothing once they have grown.
 
 use crate::arena::NodeId;
 use crate::marks::Slot;
@@ -48,18 +48,18 @@ impl<K: Ord + Clone> IbsTree<K> {
         y_greater.extend(self.arena[y].marks.iter(Slot::Greater));
 
         for &m in &z_less {
-            self.add_mark(y, Slot::Less, m);
-            self.add_mark(y, Slot::Eq, m);
+            self.arena[y].marks.insert(Slot::Less, m);
+            self.arena[y].marks.insert(Slot::Eq, m);
         }
         for &m in &y_greater {
             if self.arena[z].marks.contains(Slot::Greater, m) {
                 // In both `>` slots: y.> alone now covers B ∪ {z} ∪ C.
-                self.remove_mark(z, Slot::Eq, m);
-                self.remove_mark(z, Slot::Greater, m);
+                self.arena[z].marks.remove(Slot::Eq, m);
+                self.arena[z].marks.remove(Slot::Greater, m);
             } else {
                 // Only in y.>: it covered exactly z's new left subtree.
-                self.remove_mark(y, Slot::Greater, m);
-                self.add_mark(z, Slot::Less, m);
+                self.arena[y].marks.remove(Slot::Greater, m);
+                self.arena[z].marks.insert(Slot::Less, m);
             }
         }
         self.scratch.moved = [cleared(z_less), cleared(y_greater)];
@@ -85,16 +85,16 @@ impl<K: Ord + Clone> IbsTree<K> {
         y_less.extend(self.arena[y].marks.iter(Slot::Less));
 
         for &m in &z_greater {
-            self.add_mark(y, Slot::Greater, m);
-            self.add_mark(y, Slot::Eq, m);
+            self.arena[y].marks.insert(Slot::Greater, m);
+            self.arena[y].marks.insert(Slot::Eq, m);
         }
         for &m in &y_less {
             if self.arena[z].marks.contains(Slot::Less, m) {
-                self.remove_mark(z, Slot::Eq, m);
-                self.remove_mark(z, Slot::Less, m);
+                self.arena[z].marks.remove(Slot::Eq, m);
+                self.arena[z].marks.remove(Slot::Less, m);
             } else {
-                self.remove_mark(y, Slot::Less, m);
-                self.add_mark(z, Slot::Greater, m);
+                self.arena[y].marks.remove(Slot::Less, m);
+                self.arena[z].marks.insert(Slot::Greater, m);
             }
         }
         self.scratch.moved = [cleared(z_greater), cleared(y_less)];
@@ -119,7 +119,7 @@ mod tests {
     //! White-box validation of the Figure 5/6 rotation rules: build an
     //! unbalanced tree with a rich mark population, rotate manually, and
     //! verify (a) every stabbing answer is unchanged and (b) the full
-    //! invariant (soundness + completeness + registry) still holds —
+    //! invariant (soundness + completeness + canonical marks) still holds —
     //! i.e. the mark migrations of Figure 6 are exactly right.
 
     use crate::tree::{BalanceMode, IbsTree};

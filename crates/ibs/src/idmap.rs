@@ -1,9 +1,9 @@
-//! The hash behind the tree's side tables.
+//! The hash behind the tree's interval table.
 //!
-//! `intervals` and `placements` are keyed by interval ids, which the
-//! predicate index hands out as its own slab slots: no key comes from
-//! outside the program, so the tables need no DoS-resistant hash, and
-//! SipHash would be most of the cost of a mark move (DESIGN.md §5). One
+//! `intervals` is keyed by interval ids, which the predicate index hands
+//! out as its own slab slots: no key comes from outside the program, so
+//! the table needs no DoS-resistant hash, and every insert and remove
+//! would pay SipHash's rounds for nothing (DESIGN.md §5). One
 //! multiply by an odd constant is enough: the low bits (the bucket) stay
 //! a permutation of the id's low bits, and the top bits (the table's tag
 //! byte) mix every bit of it.

@@ -13,22 +13,25 @@
 //!   either covers a whole gap or misses it entirely, so this finite
 //!   check covers every possible query point.
 //!
-//! It also cross-checks the placement registry against a full arena scan,
-//! verifies BST order via descent fences, AVL height/balance bookkeeping,
-//! and endpoint-ownership accounting.
+//! It also checks that every interval's marks are exactly those the
+//! canonical walk places on the current shape (what lets a remove find
+//! them by walking), and verifies BST order via descent fences, AVL
+//! height/balance bookkeeping, and endpoint-ownership accounting.
 
 use crate::arena::{End, NodeId};
 use crate::marks::{Slot, SLOTS};
 use crate::tree::{BalanceMode, IbsTree};
 use interval::IntervalId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt::Debug;
 
 impl<K: Ord + Clone + Debug> IbsTree<K> {
     /// Verifies every structural and semantic invariant, returning a
     /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.check_registry()?;
+        if !self.scratch.is_empty() {
+            return Err("an update left its scratch buffers non-empty".into());
+        }
         self.check_universal()?;
         self.check_structure_and_marks()?;
         self.check_owners()?;
@@ -41,49 +44,6 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
         if let Err(e) = self.check_invariants() {
             panic!("IBS-tree invariant violated: {e}");
         }
-    }
-
-    fn check_registry(&self) -> Result<(), String> {
-        // id → its non-empty set of (node, slot index) placements.
-        type Places = HashMap<u32, HashSet<(u32, u8)>>;
-        let mut from_scan = Places::new();
-        for (nid, node) in self.arena.iter() {
-            for slot in SLOTS {
-                for id in node.marks.iter(slot) {
-                    from_scan
-                        .entry(id.0)
-                        .or_default()
-                        .insert((nid.0, slot as u8));
-                }
-            }
-        }
-        let from_registry: Places = self
-            .placements
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&id, v)| (id, v.iter().map(|&(n, s)| (n.0, s as u8)).collect()))
-            .collect();
-        if from_scan != from_registry {
-            return Err(format!(
-                "placement registry out of sync: scan={from_scan:?} registry={from_registry:?}"
-            ));
-        }
-        let placed: usize = self.placements.values().map(Vec::len).sum();
-        if placed != self.marker_count() {
-            return Err(format!(
-                "placement registry lists {placed} placements for {} marks",
-                self.marker_count()
-            ));
-        }
-        for id in from_scan.keys() {
-            if !self.intervals.contains_key(id) {
-                return Err(format!("marks exist for unknown interval #{id}"));
-            }
-        }
-        if !self.scratch.is_empty() {
-            return Err("an update left its scratch buffers non-empty".into());
-        }
-        Ok(())
     }
 
     fn check_universal(&self) -> Result<(), String> {
@@ -111,6 +71,8 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
             lo_fence: Option<K>,
             hi_fence: Option<K>,
             inherited: Vec<IntervalId>,
+            /// The intervals whose canonical walk visits this node.
+            active: Vec<u32>,
         }
 
         let mut live_nodes = 0usize;
@@ -121,6 +83,11 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 lo_fence: None,
                 hi_fence: None,
                 inherited: Vec::new(),
+                // Every walk but a universal interval's starts at the root.
+                active: (self.intervals.iter())
+                    .filter(|(_, iv)| iv.lo().value().is_some() || iv.hi().value().is_some())
+                    .map(|(&id, _)| id)
+                    .collect(),
             });
         } else if !self.arena.is_empty() {
             return Err("null root but arena has live nodes".into());
@@ -165,40 +132,26 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 ));
             }
 
-            // Mark soundness.
-            for id in n.marks.iter(Slot::Eq) {
-                let iv = self
-                    .intervals
-                    .get(&id.0)
-                    .ok_or_else(|| format!("= mark for unknown {id}"))?;
-                if !iv.contains(&n.value) {
+            // Canonical marks: each slot holds exactly the active
+            // intervals the walk marks there — so every mark is sound, and
+            // sits where a remove looks for it.
+            let (lo, v, hi) = (f.lo_fence.as_ref(), Some(&n.value), f.hi_fence.as_ref());
+            for slot in SLOTS {
+                let got: BTreeSet<u32> = n.marks.iter(slot).map(|id| id.0).collect();
+                if let Some(id) = got.iter().find(|id| !self.intervals.contains_key(id)) {
+                    return Err(format!("{slot} mark for unknown interval #{id}"));
+                }
+                let want: BTreeSet<u32> = (f.active.iter().copied())
+                    .filter(|id| match slot {
+                        Slot::Less => self.intervals[id].covers_open_range(lo, v),
+                        Slot::Eq => self.intervals[id].contains(&n.value),
+                        Slot::Greater => self.intervals[id].covers_open_range(v, hi),
+                    })
+                    .collect();
+                if got != want {
                     return Err(format!(
-                        "unsound = mark: {id} ({iv:?}) does not contain {:?}",
+                        "{slot} slot of {:?} holds {got:?}; the canonical walk marks {want:?}",
                         n.value
-                    ));
-                }
-            }
-            for id in n.marks.iter(Slot::Less) {
-                let iv = self
-                    .intervals
-                    .get(&id.0)
-                    .ok_or_else(|| format!("< mark for unknown {id}"))?;
-                if !iv.covers_open_range(f.lo_fence.as_ref(), Some(&n.value)) {
-                    return Err(format!(
-                        "unsound < mark: {id} ({iv:?}) does not cover ({:?}, {:?})",
-                        f.lo_fence, n.value
-                    ));
-                }
-            }
-            for id in n.marks.iter(Slot::Greater) {
-                let iv = self
-                    .intervals
-                    .get(&id.0)
-                    .ok_or_else(|| format!("> mark for unknown {id}"))?;
-                if !iv.covers_open_range(Some(&n.value), f.hi_fence.as_ref()) {
-                    return Err(format!(
-                        "unsound > mark: {id} ({iv:?}) does not cover ({:?}, {:?})",
-                        n.value, f.hi_fence
                     ));
                 }
             }
@@ -267,11 +220,20 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                         ));
                     }
                 } else {
+                    // The walk goes on into a child it partly overlaps.
+                    let (lo, hi) = (gap_lo.as_ref(), gap_hi.as_ref());
+                    let active = (f.active.iter().copied())
+                        .filter(|id| {
+                            let iv = &self.intervals[id];
+                            !iv.covers_open_range(lo, hi) && iv.overlaps_open_range(lo, hi)
+                        })
+                        .collect();
                     stack.push(Frame {
                         node: child,
                         lo_fence: gap_lo,
                         hi_fence: gap_hi,
                         inherited,
+                        active,
                     });
                 }
             }

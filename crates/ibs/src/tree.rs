@@ -22,10 +22,12 @@
 //!
 //! Deletion follows §4.2's endpoint-ownership rule (an endpoint node is
 //! removed only when no remaining interval is anchored at it) with the
-//! predecessor-swap splice. Instead of re-deriving mark positions by
-//! reversing insertion — fragile once rotations have migrated marks — we
-//! keep a registry from interval id to its mark placements, so clearing
-//! an interval is exact by construction (see DESIGN.md §5).
+//! predecessor-swap splice, and finds an interval's marks as §4.2 does,
+//! by "the reverse of the procedure for insertion": every mark sits where
+//! the canonical walk of [`IbsTree::place_marks`] would place it on the
+//! current shape (the rotations and the repair set keep it there), and
+//! that walk never leaves the search paths to the interval's endpoints,
+//! so clearing them clears the interval (DESIGN.md §5).
 
 use crate::arena::{Arena, End, Node, NodeId};
 use crate::idmap::IdMap;
@@ -95,8 +97,6 @@ pub struct IbsTree<K> {
     /// id → the interval itself (the paper's `PREDICATES` side table,
     /// scoped to this tree).
     pub(crate) intervals: IdMap<Interval<K>>,
-    /// id → every `(node, slot)` currently holding a mark for it.
-    pub(crate) placements: IdMap<Vec<(NodeId, Slot)>>,
     /// Intervals with no finite endpoint at all: `(-inf, +inf)` matches
     /// every key, so it is reported unconditionally rather than marked.
     pub(crate) universal: Vec<IntervalId>,
@@ -111,15 +111,13 @@ pub struct IbsTree<K> {
 pub(crate) struct Scratch {
     /// A descent's `(node, went_left)` path, walked back by the retrace.
     path: Vec<(NodeId, bool)>,
-    /// `place_marks`' pending `(node, lo fence, hi fence)` positions.
+    /// The canonical walk's pending `(node, lo fence, hi fence)`
+    /// positions.
     stack: Vec<(NodeId, NodeId, NodeId)>,
     /// `delete_value`'s repair set `T`.
     repair: Vec<IntervalId>,
     /// The two mark lists a rotation moves.
     pub(crate) moved: [Vec<IntervalId>; 2],
-    /// The placement list of the last interval removed, emptied, for
-    /// the next one inserted.
-    spare: Vec<(NodeId, Slot)>,
 }
 
 impl Scratch {
@@ -129,7 +127,6 @@ impl Scratch {
         self.path.capacity() * size_of::<(NodeId, bool)>()
             + self.stack.capacity() * size_of::<(NodeId, NodeId, NodeId)>()
             + ids * size_of::<IntervalId>()
-            + self.spare.capacity() * size_of::<(NodeId, Slot)>()
     }
 
     /// Are all the buffers empty?
@@ -138,7 +135,6 @@ impl Scratch {
             && self.stack.is_empty()
             && self.repair.is_empty()
             && self.moved.iter().all(Vec::is_empty)
-            && self.spare.is_empty()
     }
 }
 
@@ -160,7 +156,6 @@ impl<K: Ord + Clone> IbsTree<K> {
             arena: Arena::new(),
             root: NodeId::NULL,
             intervals: IdMap::default(),
-            placements: IdMap::default(),
             universal: Vec::new(),
             scratch: Scratch::default(),
             mode,
@@ -195,16 +190,12 @@ impl<K: Ord + Clone> IbsTree<K> {
     }
 
     /// Heap bytes the tree holds, computed on read: the node arena (hot
-    /// and cold records, free list, owner lists, mark spills), the side
-    /// tables `intervals`, `placements` (with each placement list) and
-    /// `universal`, and the update scratch buffers, all at capacity. Heap
-    /// a key owns itself (a string's bytes) is not counted.
+    /// and cold records, free list, owner lists, mark spills), the
+    /// interval table, `universal` and the update scratch buffers, all at
+    /// capacity. Heap a key owns itself (a string's bytes) is not counted.
     pub fn approx_bytes(&self) -> usize {
-        let placed: usize = self.placements.values().map(Vec::capacity).sum();
         self.arena.heap_bytes()
             + map_bytes(&self.intervals)
-            + map_bytes(&self.placements)
-            + placed * size_of::<(NodeId, Slot)>()
             + self.universal.capacity() * size_of::<IntervalId>()
             + self.scratch.heap_bytes()
     }
@@ -436,47 +427,37 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// A fence is the ancestor whose value bounds the position (null
     /// for unbounded), so every key is read in place, never cloned.
     pub(crate) fn place_marks(&mut self, id: IntervalId, iv: &Interval<K>) {
+        self.walk_canonical(iv, |arena, n, slot| {
+            arena[n].marks.insert(slot, id);
+        });
+    }
+
+    /// Walks `iv`'s canonical placement on the current shape (see
+    /// [`IbsTree::place_marks`]), calling `f` with each `(node, slot)`
+    /// that carries its mark.
+    fn walk_canonical(&mut self, iv: &Interval<K>, mut f: impl FnMut(&mut Arena<K>, NodeId, Slot)) {
         let mut stack = std::mem::take(&mut self.scratch.stack);
-        // The interval's placement list is held for the whole call, one
-        // registry lookup rather than one per mark; a new interval takes
-        // the list the last removed one left.
-        let mut places = match self.placements.remove(&id.0) {
-            Some(places) => places,
-            None => std::mem::take(&mut self.scratch.spare),
-        };
-        let mut mark = |arena: &mut Arena<K>, n: NodeId, slot: Slot| {
-            if arena[n].marks.insert(slot, id) {
-                places.push((n, slot));
-            }
-        };
         if !self.root.is_null() {
             stack.push((self.root, NodeId::NULL, NodeId::NULL));
         }
         while let Some((n, lo_f, hi_f)) = stack.pop() {
             let node = &self.arena[n];
             let (lo, v, hi) = (self.fence(lo_f), Some(&node.value), self.fence(hi_f));
-            let eq = iv.contains(&node.value);
             let less = iv.covers_open_range(lo, v);
-            let left = (!less && !node.left.is_null() && iv.overlaps_open_range(lo, v))
-                .then_some(node.left);
             let greater = iv.covers_open_range(v, hi);
-            let right = (!greater && !node.right.is_null() && iv.overlaps_open_range(v, hi))
-                .then_some(node.right);
-            if eq {
-                mark(&mut self.arena, n, Slot::Eq);
+            if !less && !node.left.is_null() && iv.overlaps_open_range(lo, v) {
+                stack.push((node.left, lo_f, n));
             }
-            if less {
-                mark(&mut self.arena, n, Slot::Less);
-            } else if let Some(left) = left {
-                stack.push((left, lo_f, n));
+            if !greater && !node.right.is_null() && iv.overlaps_open_range(v, hi) {
+                stack.push((node.right, n, hi_f));
             }
-            if greater {
-                mark(&mut self.arena, n, Slot::Greater);
-            } else if let Some(right) = right {
-                stack.push((right, n, hi_f));
+            let marked = [less, iv.contains(&node.value), greater];
+            for (slot, marked) in SLOTS.into_iter().zip(marked) {
+                if marked {
+                    f(&mut self.arena, n, slot);
+                }
             }
         }
-        self.placements.insert(id.0, places);
         self.scratch.stack = stack;
     }
 
@@ -499,22 +480,14 @@ impl<K: Ord + Clone> IbsTree<K> {
             return Some(iv);
         }
 
-        // 1. Every mark for the interval comes out, registry-exact.
-        self.clear_marks(id);
-        if let Some(places) = self.placements.remove(&id.0) {
-            if places.capacity() > self.scratch.spare.capacity() {
-                self.scratch.spare = places;
-            }
-        }
+        // 1. Every mark for the interval comes out, on the shape that
+        //    placed them, by a walk that ends at the endpoint nodes.
+        let [lo_node, hi_node] = self.clear_marks(id, &iv);
 
         // 2. Release both endpoint ownerships at their nodes (a point
         //    interval owns the same node twice), then decide from those
         //    nodes which are now unowned and must be deleted.
-        let node_of = |v| {
-            let n = self.find_node(v);
-            n.expect("every stored interval's finite endpoint owns a node")
-        };
-        let (lo, hi) = (lo.map(|v| (v, node_of(v))), hi.map(|v| (v, node_of(v))));
+        let (lo, hi) = (lo.map(|v| (v, lo_node)), hi.map(|v| (v, hi_node)));
         if let Some((_, n)) = lo {
             self.arena.cold_mut(n).disown(End::Lo, id);
         }
@@ -562,7 +535,15 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         let two_children = !self.arena[x].left.is_null() && !self.arena[x].right.is_null();
 
-        // Collect the repair set T and strip its marks.
+        // Collect the repair set T and strip its marks. Clearing and
+        // placing marks never read the interval table, so it is lent out
+        // meanwhile. (The interval being removed is already gone from it,
+        // so it can never appear in `repair`.)
+        let intervals = std::mem::take(&mut self.intervals);
+        let interval = |m: IntervalId| {
+            let iv = intervals.get(&m.0);
+            iv.expect("repair ids come from the interval table")
+        };
         let mut repair = std::mem::take(&mut self.scratch.repair);
         fn note(repair: &mut Vec<IntervalId>, ids: impl Iterator<Item = IntervalId>) {
             for m in ids {
@@ -589,7 +570,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             }
             note(&mut repair, self.arena.cold(y).all_owners());
             for &m in &repair {
-                self.clear_marks(m);
+                self.clear_marks(m, interval(m));
             }
             // Swap the values (and the endpoint ownership that travels
             // with a value) of x and y, leaving links, heights and mark
@@ -600,7 +581,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             spliced = y;
         } else {
             for &m in &repair {
-                self.clear_marks(m);
+                self.clear_marks(m, interval(m));
             }
             spliced = x;
         }
@@ -631,56 +612,54 @@ impl<K: Ord + Clone> IbsTree<K> {
         self.scratch.path = path;
 
         // Re-place marks for every disturbed interval, canonically for
-        // the new shape. (The interval being removed is already gone from
-        // the side table, so it can never appear in `repair`.) Placing
-        // marks never reads the table, so it is lent out meanwhile.
-        let intervals = std::mem::take(&mut self.intervals);
+        // the new shape.
         for m in repair.drain(..) {
-            let iv = intervals
-                .get(&m.0)
-                .expect("repair ids come from the interval table");
-            self.place_marks(m, iv);
+            self.place_marks(m, interval(m));
         }
         self.intervals = intervals;
         self.scratch.repair = repair;
     }
 
-    // ------------------------------------------------------------------
-    // Mark bookkeeping
-    // ------------------------------------------------------------------
-
-    /// Adds a mark and records the placement. Idempotent.
-    pub(crate) fn add_mark(&mut self, node: NodeId, slot: Slot, id: IntervalId) {
-        if self.arena[node].marks.insert(slot, id) {
-            self.placements.entry(id.0).or_default().push((node, slot));
+    /// Removes every mark of `id` (whose interval is `iv`), on the shape
+    /// that placed them: the reverse of [`IbsTree::place_marks`]. That
+    /// walk descends only into a child whose key range `iv` partly
+    /// overlaps, and since `iv`'s endpoints are tree values, such a child
+    /// holds one of them: every mark sits on the search path to a finite
+    /// endpoint. So the two paths are walked, one node of each per round
+    /// and their shared prefix once, and `id` leaves all three slots of
+    /// every node on them. Returns the nodes holding `iv`'s lower and
+    /// upper endpoint (null for an unbounded end), where the paths end.
+    pub(crate) fn clear_marks(&mut self, id: IntervalId, iv: &Interval<K>) -> [NodeId; 2] {
+        let ends = [iv.lo().value(), iv.hi().value()];
+        let mut at = ends.map(|v| if v.is_some() { self.root } else { NodeId::NULL });
+        let mut found = [NodeId::NULL; 2];
+        let mut cleared = 0;
+        while at != [NodeId::NULL; 2] {
+            let shared = at[0] == at[1];
+            for (i, v) in ends.into_iter().enumerate() {
+                let Some(v) = v.filter(|_| !at[i].is_null()) else {
+                    continue;
+                };
+                let node = &mut self.arena[at[i]];
+                if !(shared && i == 1) {
+                    for slot in SLOTS {
+                        cleared += usize::from(node.marks.remove(slot, id));
+                    }
+                }
+                let next = node.toward(v);
+                if next.is_null() {
+                    debug_assert!(*v == node.value, "a stored endpoint owns a node");
+                    found[i] = at[i];
+                }
+                at[i] = next;
+            }
         }
-    }
-
-    /// Removes a mark (if present) and its placement record.
-    pub(crate) fn remove_mark(&mut self, node: NodeId, slot: Slot, id: IntervalId) {
-        if self.arena[node].marks.remove(slot, id) {
-            let places = self
-                .placements
-                .get_mut(&id.0)
-                .expect("add_mark records a placement with every mark it sets");
-            let pos = places
-                .iter()
-                .position(|&(n, s)| n == node && s == slot)
-                .expect("a mark's placement list names the node that carries it");
-            places.swap_remove(pos);
+        if cfg!(debug_assertions) {
+            let mut placed = 0;
+            self.walk_canonical(iv, |_, _, _| placed += 1);
+            debug_assert_eq!(cleared, placed, "{id}'s marks were not canonical");
         }
-    }
-
-    /// Removes every mark belonging to `id`, registry-exact. The emptied
-    /// placement list stays in the registry for `id`'s next placement.
-    pub(crate) fn clear_marks(&mut self, id: IntervalId) {
-        let Some(places) = self.placements.get_mut(&id.0) else {
-            return;
-        };
-        for (node, slot) in places.drain(..) {
-            let removed = self.arena[node].marks.remove(slot, id);
-            debug_assert!(removed, "registry pointed at a missing mark");
-        }
+        found
     }
 
     // ------------------------------------------------------------------
@@ -690,14 +669,10 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// Finds the node holding exactly `v`.
     pub(crate) fn find_node(&self, v: &K) -> Option<NodeId> {
         let mut cur = self.root;
-        while !cur.is_null() {
-            match v.cmp(&self.arena[cur].value) {
-                std::cmp::Ordering::Equal => return Some(cur),
-                std::cmp::Ordering::Less => cur = self.arena[cur].left,
-                std::cmp::Ordering::Greater => cur = self.arena[cur].right,
-            }
+        while !cur.is_null() && self.arena[cur].value != *v {
+            cur = self.arena[cur].toward(v);
         }
-        None
+        (!cur.is_null()).then_some(cur)
     }
 
     /// Finds or inserts the node for `v`, rebalancing after an insert.

@@ -7,7 +7,7 @@
 //! and a naive `Vec` oracle, and after every operation
 //!
 //! * verify every structural invariant (BST order, AVL balance, mark
-//!   soundness, mark completeness at every node and gap, registry and
+//!   soundness, mark completeness at every node and gap, canonical marks and
 //!   ownership accounting), and
 //! * compare stabbing results against the oracle for every key in the
 //!   domain.
@@ -119,7 +119,7 @@ proptest! {
     }
 
     #[test]
-    fn marker_count_matches_registry(ops in arb_ops(20, 40)) {
+    fn marks_are_canonical_and_bounded(ops in arb_ops(20, 40)) {
         let mut tree: IbsTree<i32> = IbsTree::new();
         let mut live = Vec::new();
         let mut next = 0u32;
@@ -138,8 +138,8 @@ proptest! {
                 Op::Remove(_) => {}
             }
         }
-        // marker_count is a full arena scan; it must agree with what the
-        // invariant checker already proved about the registry.
+        // Every interval's marks are where the canonical walk places them
+        // on the final shape, and their count stays within §5.1's bound.
         tree.assert_invariants();
         prop_assert!(tree.marker_count() <= tree.len() * (2 * (tree.height() as usize + 1)));
     }

@@ -64,8 +64,7 @@ impl Keys {
 /// other interval (freed slots, dropped spills, tables that do not
 /// shrink); and after refilling the freed ids and churning every id
 /// once more (a remove and a re-insert from `make`), which has grown the
-/// update scratch buffers and left repaired intervals' placement lists
-/// at their old capacity.
+/// update scratch buffers.
 fn measure(
     mode: BalanceMode,
     n: u32,

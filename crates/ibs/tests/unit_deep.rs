@@ -245,3 +245,54 @@ fn misses_on_large_tree() {
         assert_eq!(t.stab(&gap), vec![], "gap {gap}");
     }
 }
+
+/// A remove finds an interval's marks by walking the search paths to its
+/// finite endpoints, so this churns every shape those paths must reach —
+/// half-unbounded, point, exclusive-bound and shared-endpoint intervals
+/// on a 40-key domain — through rotations and predecessor-swap deletes,
+/// in both modes, with every invariant (canonical marks included)
+/// checked after each update. Draining the tree leaves no node and no
+/// mark behind.
+#[test]
+fn seeded_churn_of_every_shape_drains_to_nothing() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    for mode in [BalanceMode::Avl, BalanceMode::None] {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut t = IbsTree::with_mode(mode);
+        let mut live = Vec::new();
+        for next in 0u32..500 {
+            if live.is_empty() || rng.gen_bool(0.55) {
+                let a = rng.gen_range(0..40);
+                let b = a + rng.gen_range(1..12);
+                let iv = match rng.gen_range(0..9) {
+                    0 => Interval::at_most(a),
+                    1 => Interval::less_than(a),
+                    2 => Interval::at_least(a),
+                    3 => Interval::greater_than(a),
+                    4 => Interval::point(a),
+                    5 => Interval::open(a, b),
+                    6 => Interval::closed_open(a, b),
+                    7 => Interval::new(Lower::Exclusive(a), Upper::Inclusive(b)).unwrap(),
+                    _ => Interval::closed(a, b),
+                };
+                t.insert(id(next), iv).unwrap();
+                live.push(id(next));
+            } else {
+                let gone = live.swap_remove(rng.gen_range(0..live.len()));
+                t.remove(gone).unwrap();
+            }
+            t.assert_invariants();
+        }
+        assert!(t.node_count() > 20, "the churn left a tree worth draining");
+        while !live.is_empty() {
+            let gone = live.swap_remove(rng.gen_range(0..live.len()));
+            t.remove(gone).unwrap();
+            t.assert_invariants();
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.node_count(), 0, "{mode:?}: nodes left");
+        assert_eq!(t.marker_count(), 0, "{mode:?}: marks left");
+    }
+}

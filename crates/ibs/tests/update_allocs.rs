@@ -1,8 +1,9 @@
 //! Heap allocations per IBS-tree update, counted by a global allocator:
 //! a hardware-independent work count beside `ibs.insert_ns` and
 //! `ibs.remove_ns`. A churned tree reuses its scratch buffers, node
-//! slots, owner lists and placement lists, so what an update still
-//! allocates is a mark spill it opens or grows. One test in this
+//! slots and owner lists, and finds a removed interval's marks by walking
+//! its endpoint paths, so what an update still allocates is a mark spill
+//! it opens or grows. One test in this
 //! binary, so nothing else allocates while it counts.
 
 use ibs::IbsTree;
@@ -117,9 +118,10 @@ fn an_update_on_a_churned_tree_allocates_at_most_a_few_times() {
     let per_insert = inserts as f64 / f64::from(CYCLES);
     let per_remove = removes as f64 / f64::from(CYCLES);
     println!("allocations per insert {per_insert:.2}, per remove {per_remove:.2}");
-    // The tree reads 0.69 and 0.55 here (8.11 and 7.98 before the
-    // update path kept its buffers): one `Vec::new()` per placement
-    // crosses either bound.
+    // The tree reads 0.68 and 0.55 here (0.69 and 0.55 while a
+    // placement registry beside it kept a list per interval; 8.11 and
+    // 7.98 before the update path kept its buffers): one `Vec::new()`
+    // per placed interval crosses either bound.
     assert!(
         per_insert <= 1.0,
         "{per_insert:.2} allocations per insert (bound 1.0)"

@@ -42,14 +42,14 @@
 use bench::costmodel;
 use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
-use bench::timing::{consume, median_ns_per_op, min_ns, time_ns};
+use bench::timing::{consume, median, median_ns_per_op, min_ns, time_ns};
 use ibs::IbsTree;
 use interval::{Interval, IntervalId};
 use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::selectivity::most_selective_indexable;
 use predicate::{parse_predicate, BoundClause};
-use predindex::{Matcher, PredicateIndex};
+use predindex::{Matcher, PredicateId, PredicateIndex};
 use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -194,14 +194,8 @@ fn counters(w: &mut JsonWriter, registry: &Registry) {
 // observability
 // ---------------------------------------------------------------------
 
-/// A §5.2 scenario index recording into `telemetry`, and the median
-/// ns/tuple of matching `tuples` through it.
-fn scheme_match_ns(
-    cfg: &Config,
-    w: &SchemeWorkload,
-    tuples: &[Tuple],
-    telemetry: Telemetry,
-) -> f64 {
+/// A §5.2 scenario index recording into `telemetry`.
+fn scheme_index(w: &SchemeWorkload, telemetry: Telemetry) -> PredicateIndex {
     let db = w.database();
     let mut index = PredicateIndex::new();
     index.attach_metrics(telemetry);
@@ -210,13 +204,18 @@ fn scheme_match_ns(
             .insert(p, db.catalog())
             .expect("valid scenario predicate");
     }
-    let mut out = Vec::with_capacity(64);
-    median_ns_per_op(cfg.pick(5, 9), tuples.len(), || {
+    index
+}
+
+/// Nanoseconds per tuple of one pass of `tuples` through `index`.
+fn scheme_pass_ns(index: &PredicateIndex, tuples: &[Tuple], out: &mut Vec<PredicateId>) -> f64 {
+    let ns = time_ns(|| {
         for t in tuples {
             out.clear();
-            index.match_tuple_into(SchemeWorkload::RELATION, t, &mut out);
+            index.match_tuple_into(SchemeWorkload::RELATION, t, out);
         }
-    })
+    });
+    ns / tuples.len() as f64
 }
 
 fn scheme_cost(cfg: &Config, w: &mut JsonWriter) {
@@ -226,7 +225,10 @@ fn scheme_cost(cfg: &Config, w: &mut JsonWriter) {
             ..SchemeWorkload::default()
         };
         let tuples = workload.tuples(cfg.pick(128, 512));
-        let ns = scheme_match_ns(cfg, &workload, &tuples, Telemetry::disabled());
+        let index = scheme_index(&workload, Telemetry::disabled());
+        let mut out = Vec::with_capacity(64);
+        let runs = (0..cfg.pick(5, 9)).map(|_| scheme_pass_ns(&index, &tuples, &mut out));
+        let ns = median(runs.collect());
         timing_row(w, &format!("scheme_cost/preds{preds}"), ns).end_object();
     }
 }
@@ -237,26 +239,47 @@ fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
     // disabled: the regression guard — every hook is one branch.
     // counters: live registry, tracing off.
     // tracing: live registry plus a span ring (wraps freely).
-    for (mode, counters_on, tracing_on) in [
+    let modes = [
         ("disabled", false, false),
         ("counters", true, false),
         ("tracing", true, true),
-    ] {
-        let registry = Arc::new(if counters_on {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        });
-        let tracer = if tracing_on {
-            Tracer::new(telemetry::DEFAULT_TRACE_CAPACITY)
-        } else {
-            Tracer::disabled()
-        };
-        let telemetry = Telemetry::new(Arc::clone(&registry)).with_tracer(tracer);
-        let ns = scheme_match_ns(cfg, &workload, &tuples, telemetry);
-        let row = timing_row(w, &format!("telemetry_overhead/{mode}"), ns);
+    ];
+    let indexes: Vec<_> = modes
+        .iter()
+        .map(|&(_, counters_on, tracing_on)| {
+            let registry = Arc::new(if counters_on {
+                Registry::new()
+            } else {
+                Registry::disabled()
+            });
+            let tracer = if tracing_on {
+                Tracer::new(telemetry::DEFAULT_TRACE_CAPACITY)
+            } else {
+                Tracer::disabled()
+            };
+            let telemetry = Telemetry::new(Arc::clone(&registry)).with_tracer(tracer);
+            (registry, scheme_index(&workload, telemetry))
+        })
+        .collect();
+    // One pass of each mode per round, so a neighbour's burst lands on
+    // all three modes' samples rather than on one mode's whole block.
+    let mut samples = vec![Vec::new(); modes.len()];
+    let mut out = Vec::with_capacity(64);
+    for _ in 0..cfg.pick(5, 9) {
+        for ((_, index), mode_samples) in indexes.iter().zip(&mut samples) {
+            mode_samples.push(scheme_pass_ns(index, &tuples, &mut out));
+        }
+    }
+    for ((&(mode, counters_on, _), (registry, _)), mode_samples) in
+        modes.iter().zip(&indexes).zip(samples)
+    {
+        let row = timing_row(
+            w,
+            &format!("telemetry_overhead/{mode}"),
+            median(mode_samples),
+        );
         if counters_on {
-            counters(row, &registry);
+            counters(row, registry);
         }
         row.end_object();
     }

@@ -12,13 +12,15 @@ use std::time::Instant;
 /// returns the median per-operation time in nanoseconds.
 pub fn median_ns_per_op(runs: usize, ops_per_run: usize, mut f: impl FnMut()) -> f64 {
     assert!(runs >= 1 && ops_per_run >= 1);
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64 / ops_per_run as f64
-        })
-        .collect();
+    median(
+        (0..runs)
+            .map(|_| time_ns(&mut f) / ops_per_run as f64)
+            .collect(),
+    )
+}
+
+/// The median of `samples` (the upper one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     samples[samples.len() / 2]
 }

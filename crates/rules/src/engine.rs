@@ -90,28 +90,16 @@ impl From<CatalogError> for EngineError {
     }
 }
 
-/// One rule firing with its bound tuples (empty for single-relation
-/// firings) — the detailed counterpart of [`FireReport::fired`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Firing {
-    /// The fired rule.
-    pub rule: RuleId,
-    /// The rule's name (shared with the [`Rule`], not copied).
-    pub name: RuleName,
-    /// For multi-premise firings: every premise's bound tuple, in
-    /// premise order. Empty for single-relation firings.
-    pub bindings: Vec<BoundTuple>,
-}
-
 /// What happened while processing one external mutation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FireReport {
     /// `(rule, rule name)` in firing order, across the whole chain. The
     /// name is the rule's own [`RuleName`], shared by reference count.
     pub fired: Vec<(RuleId, RuleName)>,
-    /// The same firings with their join bindings attached (parallel to
-    /// `fired`).
-    pub firings: Vec<Firing>,
+    /// Each firing's bound tuples, parallel to `fired` (`bindings[i]`
+    /// belongs to `fired[i]`): for a multi-premise rule every premise's
+    /// tuple in premise order, empty for a single-relation rule.
+    pub bindings: Vec<Vec<BoundTuple>>,
     /// Number of database operations applied (1 external + cascaded).
     pub ops_applied: usize,
 }
@@ -654,18 +642,17 @@ impl RuleEngine {
             }
             trace.join_steps.push(line);
         }
-        for firing in &report.firings {
-            if firing.bindings.is_empty() {
+        for ((_, name), bindings) in report.fired.iter().zip(&report.bindings) {
+            if bindings.is_empty() {
                 continue;
             }
-            let bound: Vec<String> = firing
-                .bindings
+            let bound: Vec<String> = bindings
                 .iter()
                 .map(|b| format!("{}#{}{}", b.relation, b.id.0, b.tuple))
                 .collect();
             trace.join_steps.push(format!(
                 "complete match fired rule {:?}: {}",
-                firing.name,
+                name,
                 bound.join(" * ")
             ));
         }
@@ -1047,11 +1034,7 @@ impl RuleEngine {
             out.push(ev);
         }
         report.fired.push((RuleId(rid), rule.name.clone()));
-        report.firings.push(Firing {
-            rule: RuleId(rid),
-            name: rule.name.clone(),
-            bindings,
-        });
+        report.bindings.push(bindings);
         Ok(())
     }
 }

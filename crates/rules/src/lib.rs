@@ -62,7 +62,7 @@
 mod engine;
 mod rule;
 
-pub use engine::{EngineError, FireReport, Firing, RuleEngine};
+pub use engine::{EngineError, FireReport, RuleEngine};
 pub use rule::{
     Action, BoundTuple, DbOp, EventMask, Rule, RuleBuilder, RuleContext, RuleId, RuleName,
 };
@@ -997,7 +997,7 @@ mod join_tests {
         // Last arrival completes the 3-way join.
         let r = e.insert("dept", dept(4, 1)).unwrap();
         assert_eq!(r.fired.len(), 1);
-        assert_eq!(r.firings[0].bindings.len(), 3);
+        assert_eq!(r.bindings[0].len(), 3);
         assert_eq!(e.join_matches(id).unwrap()[0], vec![vec![0, 0, 0]]);
     }
 

@@ -38,7 +38,7 @@ fn two_matching_disjuncts_fire_once_in_place() {
     let report = e.insert("r", vec![Value::Int(7)]).expect("insert");
     let order: Vec<&str> = report.fired.iter().map(|(_, n)| n.as_str()).collect();
     assert_eq!(order, ["urgent", "newer", "either", "older"]);
-    assert_eq!(report.firings.len(), 4);
+    assert_eq!(report.bindings.len(), 4);
 
     // One disjunct alone still fires it.
     let report = e.insert("r", vec![Value::Int(20)]).expect("insert");

@@ -73,7 +73,7 @@ fn one_at_a_time(engine: &mut RuleEngine, relation: &str, rows: Vec<Vec<Value>>)
     for row in rows {
         let r = engine.insert(relation, row).expect("a well-typed row");
         whole.fired.extend(r.fired);
-        whole.firings.extend(r.firings);
+        whole.bindings.extend(r.bindings);
         whole.ops_applied += r.ops_applied;
     }
     whole
@@ -286,6 +286,6 @@ fn a_join_firing_moves_its_bindings_into_the_report() {
     assert_eq!(batched.log()[0], "same-dept dept#2 emp#2");
     // Departments 2 and 3 are above floor 1; dno 4 has no department.
     let expected = (0..BATCH).filter(|i| matches!(i % 5, 2 | 3)).count();
-    assert_eq!(report.firings.len(), expected);
-    assert!(report.firings.iter().all(|f| f.bindings.len() == 2));
+    assert_eq!(report.bindings.len(), expected);
+    assert!(report.bindings.iter().all(|b| b.len() == 2));
 }

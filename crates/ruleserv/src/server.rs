@@ -74,7 +74,7 @@ use crate::proto::{
     op_index, read_frame, Event, EventBinding, FireSummary, Reply, Request, OP_NAMES,
 };
 use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
-use rules::Firing;
+use rules::{BoundTuple, FireReport, RuleId, RuleName};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -596,11 +596,11 @@ struct Ack {
 enum Effect {
     /// The firings of the record logged as `seq`, pushed to every
     /// subscriber as [`Event`]s — built at release, and only if
-    /// someone subscribes (nobody, for most requests). The firings'
-    /// tuples are shared handles, so holding them copies no row.
+    /// someone subscribes (nobody, for most requests). The report's
+    /// bound tuples are shared handles, so holding them copies no row.
     Events {
         seq: u64,
-        firings: Vec<Firing>,
+        report: FireReport,
     },
     Subscribe {
         conn: u64,
@@ -616,7 +616,11 @@ impl Effect {
     /// A request that fired nothing.
     const NO_EVENTS: Effect = Effect::Events {
         seq: 0,
-        firings: Vec::new(),
+        report: FireReport {
+            fired: Vec::new(),
+            bindings: Vec::new(),
+            ops_applied: 0,
+        },
     };
 }
 
@@ -769,7 +773,7 @@ impl Committer<'_> {
         let (reply, effect) = match kind {
             Kind::Apply(record) => {
                 let next = engine.next_seq();
-                let (reply, firings) = shape(engine.apply(record), next);
+                let (reply, report) = shape(engine.apply(record), next);
                 // A request refused before logging acknowledges no
                 // sequence number.
                 seq = (engine.next_seq() > next).then_some(next);
@@ -782,7 +786,7 @@ impl Committer<'_> {
                     // acknowledged op.
                     std::process::abort();
                 }
-                (reply, Effect::Events { seq: next, firings })
+                (reply, Effect::Events { seq: next, report })
             }
             Kind::Subscribe { conn, pipe } => (Reply::Unit, Effect::Subscribe { conn, pipe }),
             Kind::Unsubscribe { conn } => (Reply::Unit, Effect::Forget { conn }),
@@ -838,10 +842,10 @@ impl Committer<'_> {
             match effect {
                 // A subscriber whose `Subscribe` was held earlier in
                 // this group is in the set by now, in request order.
-                Effect::Events { seq, firings } => {
+                Effect::Events { seq, report } => {
                     if failure.is_none() && !self.subscribers.is_empty() {
-                        for firing in &firings {
-                            let frame = Reply::Event(event(seq, firing));
+                        for (fired, bindings) in report.fired.iter().zip(&report.bindings) {
+                            let frame = Reply::Event(event(seq, fired, bindings));
                             for sub in self.subscribers.values_mut() {
                                 sub.push(frame.clone(), self.metrics);
                             }
@@ -873,40 +877,39 @@ impl Committer<'_> {
     }
 }
 
-/// Shapes the reply to one applied record, and hands back its firings
-/// for the subscription events they may become. What the record *did*
-/// is [`DurableRuleEngine::apply`]'s business; this only reads the
-/// outcome.
-fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, Vec<Firing>) {
+/// Shapes the reply to one applied record, and hands back its report
+/// for the subscription events its firings may become. What the record
+/// *did* is [`DurableRuleEngine::apply`]'s business; this only reads
+/// the outcome.
+fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, FireReport) {
     let report = match outcome {
         Ok(Applied::Fired(report)) => report,
-        Ok(Applied::RuleAdded(id)) => return (Reply::RuleId(id.0), Vec::new()),
+        Ok(Applied::RuleAdded(id)) => return (Reply::RuleId(id.0), FireReport::default()),
         Ok(Applied::Created | Applied::Dropped(_) | Applied::RuleRemoved(_)) => {
-            return (Reply::Unit, Vec::new())
+            return (Reply::Unit, FireReport::default())
         }
-        Err(e) => return (Reply::Err(e.to_string()), Vec::new()),
+        Err(e) => return (Reply::Err(e.to_string()), FireReport::default()),
     };
     let reply = Reply::Fire(FireSummary {
         seq,
         ops_applied: report.ops_applied as u64,
         fired: report
             .fired
-            .into_iter()
+            .iter()
             .map(|(id, name)| (id.0, name.to_string()))
             .collect(),
     });
-    (reply, report.firings)
+    (reply, report)
 }
 
 /// The subscription [`Event`] of one firing of the record logged as
 /// `seq`, carrying the bound tuples of a join-rule firing.
-fn event(seq: u64, firing: &Firing) -> Event {
+fn event(seq: u64, (rule, name): &(RuleId, RuleName), bindings: &[BoundTuple]) -> Event {
     Event {
         seq,
-        rule_id: firing.rule.0,
-        rule: firing.name.to_string(),
-        bindings: firing
-            .bindings
+        rule_id: rule.0,
+        rule: name.to_string(),
+        bindings: bindings
             .iter()
             .map(|b| EventBinding {
                 relation: b.relation.clone(),

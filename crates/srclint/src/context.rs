@@ -41,6 +41,9 @@ pub struct FileContext {
     /// is `predmatch`; files outside any crate get the empty string.
     pub krate: String,
     pub section: Section,
+    /// The workspace path a fixture poses as, which guard rows match
+    /// instead of `path`.
+    pub posed: Option<PathBuf>,
     /// Token-index ranges belonging to `#[cfg(test)]` / `#[test]`
     /// items — exempt from library-path lints.
     test_ranges: Vec<(usize, usize)>,
@@ -69,16 +72,13 @@ pub enum Scope {
 
 impl FileContext {
     /// Builds the context for `src` at `path`. Crate and section are
-    /// inferred from the path unless the file opens with an explicit
-    /// `// srclint-fixture: crate=<name> section=<sec>` directive
-    /// (how the fixture corpus poses as real workspace files).
+    /// inferred from the path, or from the workspace path a
+    /// `// srclint-fixture: path=<path>` first line names (how the
+    /// fixture corpus poses as real workspace files).
     pub fn new(path: &Path, src: String) -> FileContext {
         let tokens = lex(&src);
-        let (mut krate, mut section) = classify(path);
-        if let Some((k, s)) = fixture_directive(&src) {
-            krate = k;
-            section = s;
-        }
+        let posed = fixture_directive(&src);
+        let (krate, section) = classify(posed.as_deref().unwrap_or(path));
         let test_ranges = find_test_ranges(&src, &tokens);
         let fns = find_fns(&src, &tokens);
         let closures = find_closures(&src, &tokens);
@@ -89,6 +89,7 @@ impl FileContext {
             tokens,
             krate,
             section,
+            posed,
             test_ranges,
             fns,
             closures,
@@ -107,6 +108,20 @@ impl FileContext {
         self.allows
             .get(&line)
             .is_some_and(|s| s.contains(lint) || s.contains("all"))
+    }
+
+    /// The first and last line of the item `kind name` (`struct
+    /// ColdRule`, `fn f`): from its keyword to its closing brace or `;`.
+    pub fn item(&self, kind: &str, name: &str) -> Option<(u32, u32)> {
+        let named = |i| {
+            self.next_code(i)
+                .is_some_and(|n| self.tokens[n].is_ident(&self.src, name))
+        };
+        let at = self
+            .code_tokens()
+            .find(|&i| self.tokens[i].is_ident(&self.src, kind) && named(i))?;
+        let last = &self.tokens[item_end(&self.src, &self.tokens, at) - 1];
+        Some((self.tokens[at].line, last.line))
     }
 
     /// The innermost fn whose body contains token `i`.
@@ -143,14 +158,6 @@ impl FileContext {
             (Some((fi, _)), None) => Some(Scope::Fn(fi)),
             (None, Some((ci, _))) => Some(Scope::Closure(ci)),
             (None, None) => None,
-        }
-    }
-
-    /// Token range of a scope's body.
-    pub fn scope_body(&self, s: Scope) -> (usize, usize) {
-        match s {
-            Scope::Fn(i) => self.fns[i].body,
-            Scope::Closure(i) => self.closures[i],
         }
     }
 
@@ -248,27 +255,13 @@ fn classify(path: &Path) -> (String, Section) {
     (String::new(), Section::Other)
 }
 
-/// Parses the fixture header `// srclint-fixture: crate=x section=src`
-/// from the first line of the file.
-fn fixture_directive(src: &str) -> Option<(String, Section)> {
-    let first = src.lines().next()?;
-    let rest = first.trim().strip_prefix("// srclint-fixture:")?;
-    let mut krate = String::new();
-    let mut section = Section::Src;
-    for part in rest.split_whitespace() {
-        if let Some(v) = part.strip_prefix("crate=") {
-            krate = v.to_string();
-        } else if let Some(v) = part.strip_prefix("section=") {
-            section = match v {
-                "src" => Section::Src,
-                "tests" => Section::Tests,
-                "benches" => Section::Benches,
-                "examples" => Section::Examples,
-                _ => Section::Other,
-            };
-        }
-    }
-    Some((krate, section))
+/// The path the fixture header `// srclint-fixture: path=<workspace
+/// path>` on the file's first line names.
+fn fixture_directive(src: &str) -> Option<PathBuf> {
+    let first = src.lines().next()?.trim();
+    first
+        .strip_prefix("// srclint-fixture: path=")
+        .map(PathBuf::from)
 }
 
 /// Finds token ranges covered by test-only items: an outer attribute
@@ -639,10 +632,14 @@ mod tests {
     fn fixture_directive_overrides_path() {
         let c = FileContext::new(
             Path::new("crates/srclint/tests/fixtures/x.rs"),
-            "// srclint-fixture: crate=predindex section=src\nfn f() {}\n".to_string(),
+            "// srclint-fixture: path=crates/predindex/src/lib.rs\nfn f() {}\n".to_string(),
         );
         assert_eq!(c.krate, "predindex");
         assert_eq!(c.section, Section::Src);
+        assert_eq!(
+            c.posed.as_deref(),
+            Some(Path::new("crates/predindex/src/lib.rs"))
+        );
     }
 
     #[test]

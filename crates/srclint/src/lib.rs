@@ -14,8 +14,8 @@
 //! ```
 //!
 //! The run has two stages. The per-file suite (`fsync-before-rename`,
-//! `metric-name-registry`) sees one
-//! [`FileContext`](context::FileContext) at a time. The cross-file
+//! `metric-name-registry`, and the [`guard`](guards) table, which reads
+//! manifests too) sees one [`FileContext`](context::FileContext) at a time. The cross-file
 //! suite (`lock-order`, `atomic-ordering`) then runs over the
 //! [workspace model](model) — every function's lock / atomic / call
 //! events, resolved workspace-wide — because a deadlock is never one
@@ -23,7 +23,7 @@
 //! `// srclint:allow(<lint>): <one-line justification>` — the
 //! justification is convention, but the lint name is checked: an allow
 //! naming no registered lint is itself a finding (`stale-allow`), so a
-//! retired lint's comments cannot linger.
+//! retired lint's comments cannot linger. No allow suppresses a guard.
 
 #![deny(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
@@ -32,6 +32,7 @@
 pub mod callgraph;
 pub mod context;
 pub mod diag;
+pub mod guards;
 pub mod lexer;
 pub mod lints;
 pub mod model;
@@ -75,7 +76,8 @@ impl Config {
 /// A finished run.
 pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
-    /// Files lexed and modeled (the full set, under `--changed` too).
+    /// Rust files lexed and modeled (the full set, under `--changed`
+    /// too).
     pub files_scanned: usize,
     /// Files the per-file suite reported on (smaller than
     /// `files_scanned` only under `--changed`).
@@ -118,17 +120,22 @@ pub fn run(config: &Config) -> io::Result<Report> {
 
     let suite = lints::all();
     let mut diagnostics = Vec::new();
-    let files_scanned = files.len();
     let mut files_linted = 0usize;
     let mut suppressions = 0usize;
     let mut contexts = Vec::with_capacity(files.len());
     for path in files {
-        let src = fs::read_to_string(&path)?;
+        let src = String::from_utf8_lossy(&fs::read(&path)?).into_owned();
         let ctx = FileContext::new(&path, src);
         let lint_this = match &changed {
             Some(set) => set.contains(&ctx.path),
             None => true,
         };
+        if lint_this {
+            guards::check(&ctx, &config.root, &mut diagnostics);
+        }
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue; // a manifest or the lockfile: guard rows only
+        }
         if lint_this {
             files_linted += 1;
             suppressions += ctx.suppression_count();
@@ -165,7 +172,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
     diagnostics.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
     Ok(Report {
         diagnostics,
-        files_scanned,
+        files_scanned: contexts.len(),
         files_linted,
         suppressions,
         elapsed_ms: started.elapsed().as_millis() as u64,

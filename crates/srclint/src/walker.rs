@@ -1,5 +1,5 @@
 //! Workspace discovery: find the root (the `Cargo.toml` that declares
-//! `[workspace]`) and enumerate the Rust sources that lints run over.
+//! `[workspace]`) and enumerate the files lints and guard rows read.
 //!
 //! Excluded by design: `target/` (build output), `shims/` (offline
 //! stand-ins for third-party crates — not our code to lint), and any
@@ -33,10 +33,12 @@ fn dir_included(name: &str) -> bool {
     !matches!(name, "target" | "shims" | "fixtures" | ".git" | ".github")
 }
 
-/// Collects every `.rs` file under `root`'s lintable trees, sorted
-/// for deterministic reports.
+/// Collects every file under `root`'s lintable trees, and the root
+/// manifest and lockfile, sorted for deterministic reports. Lints read
+/// the `.rs` files; guard rows read them all.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
+    let mut out = vec![root.join("Cargo.toml"), root.join("Cargo.lock")];
+    out.retain(|p| p.is_file());
     for top in ["crates", "src", "tests", "examples", "benches"] {
         let dir = root.join(top);
         if dir.is_dir() {
@@ -100,7 +102,7 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             if dir_included(&name) {
                 collect(&path, out)?;
             }
-        } else if name.ends_with(".rs") {
+        } else {
             out.push(path);
         }
     }

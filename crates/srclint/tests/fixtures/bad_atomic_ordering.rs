@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/bad_atomic_ordering.rs
 // A fixture, not compiled: every atomic-ordering finding shape. The
 // classifier sees all sites of a field at once, so each struct field
 // below earns its class from its own usage.

@@ -1,4 +1,4 @@
-// srclint-fixture: crate=durable section=src
+// srclint-fixture: path=crates/durable/src/bad_fsync_rename.rs
 // A fixture, not compiled: publishing a file that was never synced.
 
 use std::fs;

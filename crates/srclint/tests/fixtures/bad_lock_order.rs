@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/bad_lock_order.rs
 // A fixture, not compiled: lock-order violations. Ranks come from
 // DESIGN.md §18's canonical table — `accounts` is rank 3, `names`
 // rank 4, `metrics` rank 6 — so everything below runs backwards or

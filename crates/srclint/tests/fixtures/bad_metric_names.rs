@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/bad_metric_names.rs
 // A fixture, not compiled: every way a metric name can go wrong.
 
 fn mint(registry: &telemetry::Registry, shard: usize) {

@@ -1,4 +1,4 @@
-// srclint-fixture: crate=durable section=src
+// srclint-fixture: path=crates/durable/src/bad_stale_allow.rs
 //
 // An allow comment that names no registered lint is a finding.
 // srclint:allow(retired-lint): the lint went away, its comment did not

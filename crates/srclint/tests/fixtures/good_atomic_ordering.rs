@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/good_atomic_ordering.rs
 // A fixture, not compiled: atomics whose orderings match their class,
 // plus the allowlisted independent-config-word shape.
 

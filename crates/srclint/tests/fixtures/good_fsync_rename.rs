@@ -1,4 +1,4 @@
-// srclint-fixture: crate=durable section=src
+// srclint-fixture: path=crates/durable/src/good_fsync_rename.rs
 // A fixture, not compiled: write → sync → rename, the only order that
 // survives a crash.
 

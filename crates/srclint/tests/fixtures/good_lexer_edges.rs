@@ -1,4 +1,4 @@
-// srclint-fixture: crate=predicate section=src
+// srclint-fixture: path=crates/predicate/src/good_lexer_edges.rs
 // A fixture, not compiled: lexer edge cases that would surface false
 // positives if mishandled. Everything below is clean.
 

@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/good_lock_order.rs
 // A fixture, not compiled: nested acquisitions that follow DESIGN.md
 // §18's canonical order (accounts=3 < names=4 < metrics=6), the
 // blessed sequential-guard escape hatch, and a scoped fan-out.

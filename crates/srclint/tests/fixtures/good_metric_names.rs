@@ -1,4 +1,4 @@
-// srclint-fixture: crate=telemetry section=src
+// srclint-fixture: path=crates/telemetry/src/good_metric_names.rs
 // A fixture, not compiled: conforming registrations — literal
 // snake_case families from DESIGN.md's table, labels after the `{{`
 // escape.

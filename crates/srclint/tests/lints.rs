@@ -1,9 +1,9 @@
-//! Fixture-driven positive/negative tests for every lint, plus
-//! exit-code checks on the built binary. Fixtures live in
+//! Fixture-driven positive/negative tests for every lint and guard row,
+//! plus exit-code checks on the built binary. Fixtures live in
 //! `tests/fixtures/` (excluded from the workspace walk) and pose as
-//! workspace files via the `// srclint-fixture:` header.
+//! workspace files via the `// srclint-fixture: path=` header.
 
-use srclint::{run, Config};
+use srclint::{run, Config, Diagnostic};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -18,33 +18,43 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Lints one fixture and returns `(lint, line)` per finding.
-fn findings(name: &str) -> Vec<(String, u32)> {
+/// Every fixture whose name starts with `prefix`, sorted.
+fn fixtures(prefix: &str) -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("fixtures dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Lints one fixture.
+fn diagnostics(name: &str) -> Vec<Diagnostic> {
     let report = run(&Config {
         root: workspace_root(),
         paths: vec![fixture(name)],
         changed_ref: None,
     })
     .expect("fixture lints");
-    report
-        .diagnostics
-        .iter()
-        .map(|d| (d.lint.to_string(), d.line))
-        .collect()
+    report.diagnostics
+}
+
+/// Lints one fixture and returns `(lint, line)` per finding.
+fn findings(name: &str) -> Vec<(String, u32)> {
+    let found = diagnostics(name).into_iter();
+    found.map(|d| (d.lint.to_string(), d.line)).collect()
 }
 
 // ---------------------------------------------------------------- good
 
 #[test]
 fn good_fixtures_are_clean() {
-    for name in [
-        "good_fsync_rename.rs",
-        "good_metric_names.rs",
-        "good_lexer_edges.rs",
-        "good_lock_order.rs",
-        "good_atomic_ordering.rs",
-    ] {
-        let found = findings(name);
+    let good = fixtures("good_");
+    assert!(good.len() >= 8, "{good:?}");
+    for name in good {
+        let found = findings(&name);
         assert!(found.is_empty(), "{name} should be clean, got {found:?}");
     }
 }
@@ -94,6 +104,72 @@ fn bad_stale_allow_flags_a_comment_naming_no_lint() {
     // live name on the same fixture's other comment is not a finding.
     let found = findings("bad_stale_allow.rs");
     assert_eq!(found, [("stale-allow".to_string(), 4)], "{found:?}");
+}
+
+/// Lints one fixture and returns the message of every guard finding.
+fn guard_messages(name: &str) -> Vec<String> {
+    let guards = diagnostics(name).into_iter().filter(|d| d.lint == "guard");
+    guards.map(|d| d.message).collect()
+}
+
+#[test]
+fn every_guard_row_fails_on_a_bad_fixture() {
+    // Each bad guard fixture poses as a workspace file; together they
+    // break every row of the table, and each breaks at least one.
+    let mut messages = Vec::new();
+    for name in fixtures("bad_guard_") {
+        let found = guard_messages(&name);
+        assert!(!found.is_empty(), "{name} breaks no guard row");
+        messages.extend(found);
+    }
+    let rows = srclint::guards::GUARDS;
+    for (i, row) in rows.iter().enumerate() {
+        let tail = format!("({})", row.why);
+        assert!(
+            rows.iter().filter(|r| r.why == row.why).count() == 1,
+            "row {i}'s reason is not unique: {}",
+            row.why
+        );
+        assert!(
+            messages.iter().any(|m| m.ends_with(&tail)),
+            "no bad fixture breaks row {i} ({})",
+            row.why
+        );
+    }
+}
+
+#[test]
+fn no_allow_comment_suppresses_a_guard_row() {
+    // An allow naming `guard` names no lint, so it is itself a finding,
+    // and neither it nor the `all` wildcard hides the rows below them.
+    let found = findings("bad_guard_unsuppressed.rs");
+    let expected = [("stale-allow", 2), ("guard", 4), ("guard", 9)];
+    let expected: Vec<(String, u32)> = expected.map(|(l, n)| (l.to_string(), n)).to_vec();
+    assert_eq!(found, expected);
+}
+
+#[test]
+fn guard_rows_read_comments_strings_and_field_shapes() {
+    // A retired lint is found in a doc comment and inside a list; a
+    // span name is found as a string literal; a field is found by name
+    // with or without `pub(crate)`, and by type.
+    let allow = guard_messages("bad_guard_allow.rs");
+    assert_eq!(allow.len(), 2, "{allow:?}");
+    let sharded = guard_messages("bad_guard_sharded.rs");
+    assert!(
+        sharded.iter().any(|m| m.starts_with("`\"shard_lock\"")),
+        "{sharded:?}"
+    );
+    let maps = findings("bad_guard_hashed_maps.rs");
+    assert_eq!(
+        maps.iter()
+            .filter(|(_, line)| *line == 8 || *line == 9)
+            .count(),
+        2,
+        "{maps:?}"
+    );
+    let tree = guard_messages("bad_guard_tree.rs");
+    assert!(tree.iter().any(|m| m.contains("placements")), "{tree:?}");
 }
 
 #[test]
@@ -172,22 +248,20 @@ fn run_bin(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn deny_exits_nonzero_on_each_bad_fixture_and_zero_on_good() {
-    for name in [
-        "bad_fsync_rename.rs",
-        "bad_metric_names.rs",
-        "bad_lock_order.rs",
-        "bad_atomic_ordering.rs",
-        "bad_stale_allow.rs",
-    ] {
-        let (code, _) = run_bin(&["--deny", fixture(name).to_str().expect("utf8 path")]);
+    // Every fixture in the directory, so a new one is checked the day
+    // it is added.
+    let (bad, good) = (fixtures("bad_"), fixtures("good_"));
+    assert_eq!(
+        bad.len() + good.len(),
+        fixtures("").len(),
+        "a fixture is neither bad_ nor good_"
+    );
+    for name in bad {
+        let (code, _) = run_bin(&["--deny", fixture(&name).to_str().expect("utf8 path")]);
         assert_eq!(code, 1, "{name} should fail --deny");
     }
-    for name in [
-        "good_metric_names.rs",
-        "good_lock_order.rs",
-        "good_atomic_ordering.rs",
-    ] {
-        let (code, out) = run_bin(&["--deny", fixture(name).to_str().expect("utf8 path")]);
+    for name in good {
+        let (code, out) = run_bin(&["--deny", fixture(&name).to_str().expect("utf8 path")]);
         assert_eq!(code, 0, "{name} should pass --deny: {out}");
     }
 }

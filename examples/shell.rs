@@ -253,20 +253,15 @@ impl Shell {
                 .collect();
             format!("inserted {tuple}; matches:\n{}", lines.join("\n"))
         };
-        for firing in &report.firings {
-            if firing.bindings.is_empty() {
-                out.push_str(&format!("\n  fired {:?}", firing.name));
+        for ((_, name), bindings) in report.fired.iter().zip(&report.bindings) {
+            if bindings.is_empty() {
+                out.push_str(&format!("\n  fired {:?}", name));
             } else {
-                let bound: Vec<String> = firing
-                    .bindings
+                let bound: Vec<String> = bindings
                     .iter()
                     .map(|b| format!("{}#{}{}", b.relation, b.id.0, b.tuple))
                     .collect();
-                out.push_str(&format!(
-                    "\n  fired {:?} on {}",
-                    firing.name,
-                    bound.join(" * ")
-                ));
+                out.push_str(&format!("\n  fired {:?} on {}", name, bound.join(" * ")));
             }
         }
         Ok(out)

@@ -27,9 +27,11 @@
 //!   join rules; the cost of one `JoinEngine::retract` from a premise
 //!   no equality step keys, at three alpha-memory sizes; the cost of
 //!   one snapshot `capture` at two token counts (these two must stay
-//!   flat); and the live heap bytes per alpha entry of 20 memos over
+//!   flat); the live heap bytes per alpha entry of 20 memos over
 //!   the same 10k rows (a count, like the allocation row: memos share
-//!   the rows, so it stays near a table slot).
+//!   the rows, so it stays near a table slot); and one update through
+//!   `join_cascade`'s 20 join conditions, with the heap allocations per
+//!   memo insert (a count).
 //!
 //! Every row has a `name`; timing rows carry `ns_per_op`, rows of runs
 //! with a live registry carry the final `counters` so shape regressions
@@ -50,6 +52,8 @@ use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::selectivity::most_selective_indexable;
 use predicate::{parse_predicate, BoundClause};
 use predindex::{Matcher, PredicateId, PredicateIndex};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -846,6 +850,140 @@ fn join_bytes_per_alpha_entry(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// `join_cascade`'s 20 join conditions, as its `join2-*` and `join3-*`
+/// rules spell them.
+fn cascade_conditions() -> Vec<String> {
+    let two = (0..12).map(|k| {
+        let (tier, amount) = (k % 8, 5_000 + (k * 331) % 4_000);
+        format!(
+            "orders.cust = customers.id and customers.tier = {tier} and orders.amount > {amount}"
+        )
+    });
+    let three = (0..8).map(|k| {
+        let (tier, amount, risk) = (k % 6, 5_000 + (k * 577) % 4_000, 30 + (k * 7) % 50);
+        format!(
+            "orders.cust = customers.id and customers.region = regions.id and regions.risk > {risk} \
+             and customers.tier >= {tier} and orders.amount > {amount}"
+        )
+    });
+    two.chain(three).collect()
+}
+
+/// One update of `join_cascade`'s shape, driven straight into its 20
+/// join conditions' memos: 20k `orders`, 10k `customers` and 64
+/// `regions` rows drawn the way that workload draws them, and updates
+/// that rewrite a random `orders` (70%) or `customers` row in place.
+/// An update is the memos' retraction of the old row plus an insert
+/// into every premise over the relation whose alpha test the new row
+/// passes. Reports ns per update and, from a fixed count of updates
+/// that `--quick` does not change, the allocations per memo insert
+/// (a count: the bindings an insert returns, and whatever the memo's
+/// stores allocate).
+fn join_update_cascade(cfg: &Config, w: &mut JsonWriter) {
+    const NAME: &str = "join/update/cascade20";
+    const RELATIONS: [(&str, [&str; 4], i64); 3] = [
+        ("orders", ["id", "cust", "amount", "region"], 20_000),
+        ("customers", ["id", "tier", "region", "credit"], 10_000),
+        ("regions", ["id", "risk", "zone", "pad"], 64),
+    ];
+    let row = |rng: &mut StdRng, relation: usize, id: i64| -> Vec<Value> {
+        let mut draw = |below: i64| rng.gen_range(0..below);
+        let values = match relation {
+            0 => [id, draw(10_000), draw(10_000), draw(64)],
+            1 => [id, draw(8), draw(64), draw(100_000)],
+            _ => [id, draw(100), draw(8), 0],
+        };
+        values.map(Value::Int).to_vec()
+    };
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut catalog = Catalog::new();
+    let mut ids = [Vec::new(), Vec::new()];
+    for (r, (name, attrs, rows)) in RELATIONS.iter().enumerate().rev() {
+        let schema = attrs
+            .iter()
+            .fold(Schema::builder(*name), |s, a| s.attr(*a, AttrType::Int));
+        catalog
+            .create_relation(schema.build())
+            .expect("fresh catalog");
+        for id in 0..*rows {
+            let values = row(&mut rng, r, id);
+            let tid = catalog
+                .relation_mut(name)
+                .expect("just created")
+                .insert(values)
+                .expect("a well-typed row");
+            if let Some(ids) = ids.get_mut(r) {
+                ids.push(tid);
+            }
+        }
+    }
+    // Per updated relation: every premise over it, with its alpha test.
+    let mut premises = [Vec::new(), Vec::new()];
+    let mut memos = JoinEngine::new();
+    for (key, condition) in (0..).zip(cascade_conditions()) {
+        let condition = join_rule(&condition).joins.remove(0);
+        let compiled =
+            CompiledJoin::compile(&condition, &catalog).expect("bench condition compiles");
+        for (premise, alpha) in condition.premises().iter().enumerate() {
+            let relation = RELATIONS.iter().position(|r| r.0 == alpha.relation());
+            if let Some(over) = relation.and_then(|r| premises.get_mut(r)) {
+                let schema = catalog
+                    .relation(alpha.relation())
+                    .expect("created above")
+                    .schema();
+                over.push((key, premise, alpha.bind(schema).expect("premise binds")));
+            }
+        }
+        memos.register(key, compiled);
+        memos.seed(key, &catalog);
+    }
+
+    // (memo inserts, allocations inside them)
+    let mut inserts = (0u64, 0u64);
+    let mut update = |rng: &mut StdRng, inserts: &mut (u64, u64)| {
+        let r = usize::from(!rng.gen_bool(0.7));
+        let (name, ..) = RELATIONS[r];
+        let tid = ids[r][rng.gen_range(0..ids[r].len())];
+        memos.retract(name, tid.0);
+        let values = row(rng, r, i64::from(tid.0));
+        let relation = catalog.relation_mut(name).expect("created above");
+        relation.update(tid, values).expect("a live row");
+        let tuple = relation.get(tid).expect("just updated");
+        for (key, premise, alpha) in &premises[r] {
+            if alpha.matches(tuple) {
+                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                consume(memos.insert(*key, *premise, tid.0, tuple));
+                inserts.1 += ALLOCATIONS.load(Ordering::Relaxed) - before;
+                inserts.0 += 1;
+            }
+        }
+    };
+    // A warm-up, then the counted updates, then the timed runs.
+    for counted in [false, true] {
+        let mut sink = (0, 0);
+        for _ in 0..4_096 {
+            update(&mut rng, if counted { &mut inserts } else { &mut sink });
+        }
+    }
+    let updates = cfg.pick(1_024, 4_096);
+    let ns = median_ns_per_op(cfg.pick(3, 7), updates, || {
+        for _ in 0..updates {
+            update(&mut rng, &mut (0, 0));
+        }
+    });
+    let per_insert = inserts.1 as f64 / inserts.0 as f64;
+    eprintln!(
+        "{NAME}: {per_insert:.2} allocations per memo insert ({} inserts)",
+        inserts.0
+    );
+    timing_row(w, NAME, ns)
+        .key("allocs_per_insert")
+        .float(per_insert, 2)
+        .key("memo_inserts")
+        .uint(inserts.0)
+        .end_object();
+}
+
 fn join(cfg: &Config, w: &mut JsonWriter) {
     for case in &JOIN_CASES {
         for &n in cfg.pick(&[1_000][..], &[1_000, 10_000][..]) {
@@ -859,6 +997,7 @@ fn join(cfg: &Config, w: &mut JsonWriter) {
         join_snapshot_capture(cfg, w, tokens, label);
     }
     join_bytes_per_alpha_entry(w);
+    join_update_cascade(cfg, w);
 }
 
 fn main() {

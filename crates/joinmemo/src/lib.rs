@@ -106,7 +106,7 @@ mod tests {
         let b = &out.bindings[0];
         assert_eq!(b.tuples[0].0, "dept");
         assert_eq!(b.tuples[1].0, "emp");
-        assert_eq!(b.tuple_ids(), vec![d.0, e.0]);
+        assert_eq!(b.tuple_ids().collect::<Vec<_>>(), vec![d.0, e.0]);
 
         // Non-joining tuple completes nothing.
         let e2 = cat

@@ -18,8 +18,15 @@
 //!   whose last premise is that tuple) — walked only to delete, so
 //!   threaded through the tokens themselves ([`Link`]);
 //! - the `level_key` bucket a later premise probes from the right —
-//!   scanned on every probe, so a plain `Vec` the token leaves by
+//!   scanned on every probe, so a plain array the token leaves by
 //!   `swap_remove` at its stored position.
+//!
+//! A key store (`level_key`, `alpha_key`) maps a join value to a bucket
+//! of ids. Most join values are distinct — one `orders.cust` or
+//! `customers.id` per bucket — so a one-value key ([`Key`]) and a
+//! bucket of up to four ids ([`Ids`]) sit inline in the table slot: a
+//! store touches the heap only for a multi-value key, a string value,
+//! or a bucket that grows past four.
 //!
 //! Stores are hash-keyed by join values (the equality steps of the
 //! premise being extended); ordering steps filter candidates as they
@@ -34,8 +41,10 @@
 use crate::compile::CompiledJoin;
 use relation::fx::{FnvHashMap, FnvHasher};
 use relation::{Catalog, Tuple, TupleId, Value};
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
+use std::ops::Deref;
 
 /// One complete match: the bound tuple of every premise, in premise
 /// order.
@@ -47,8 +56,8 @@ pub struct Binding {
 
 impl Binding {
     /// The premise tuple ids, in premise order.
-    pub fn tuple_ids(&self) -> Vec<u32> {
-        self.tuples.iter().map(|(_, id, _)| id.0).collect()
+    pub fn tuple_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.tuples.iter().map(|(_, id, _)| id.0)
     }
 }
 
@@ -141,20 +150,145 @@ struct AlphaEntry {
     first_owned: u32,
 }
 
-/// Equality-key -> ids, each id knowing its position in the bucket.
-type KeyStore = FnvHashMap<Vec<Value>, Vec<u32>>;
+/// A key store's key: the values of a premise's equality steps. One
+/// value — a single equality step, the common join — sits inline;
+/// any other count is a boxed slice. Hashing and equality go through
+/// the slice, so a probe looks a bucket up by `&[Value]`.
+#[derive(Debug, Clone)]
+enum Key {
+    One(Value),
+    Many(Box<[Value]>),
+}
 
-/// Heap bytes behind a value slice: the slots plus string contents.
-fn values_bytes(vs: &[Value]) -> u64 {
-    let strings: usize = vs
+impl Key {
+    fn new(values: &[Value]) -> Key {
+        match values {
+            [v] => Key::One(v.clone()),
+            vs => Key::Many(vs.into()),
+        }
+    }
+
+    fn values(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Key {}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self.values()
+    }
+}
+
+/// Heap bytes behind the key of `values`: string contents, plus the
+/// slots unless the one value sits inline.
+fn key_bytes(values: &[Value]) -> u64 {
+    let strings: usize = values
         .iter()
         .map(|v| match v {
             Value::Str(s) => s.len(),
             _ => 0,
         })
         .sum();
-    (std::mem::size_of_val(vs) + strings) as u64
+    let slots = match values.len() {
+        1 => 0,
+        _ => std::mem::size_of_val(values),
+    };
+    (slots + strings) as u64
 }
+
+/// Ids a bucket holds inline before it spills to a `Vec`.
+const INLINE_IDS: usize = 4;
+
+/// A bucket's ids, in the order `swap_remove` leaves them: up to
+/// [`INLINE_IDS`] inline, else a `Vec`, which stays until the bucket
+/// empties.
+#[derive(Debug, Clone)]
+enum Ids {
+    Inline { len: u8, ids: [u32; INLINE_IDS] },
+    Spilled(Vec<u32>),
+}
+
+impl Ids {
+    fn one(id: u32) -> Ids {
+        let mut ids = [0; INLINE_IDS];
+        ids[0] = id;
+        Ids::Inline { len: 1, ids }
+    }
+
+    /// Appends `id`; returns its position.
+    fn push(&mut self, id: u32) -> u32 {
+        match self {
+            Ids::Inline { len, ids } if (*len as usize) < INLINE_IDS => {
+                ids[*len as usize] = id;
+                *len += 1;
+                *len as u32 - 1
+            }
+            Ids::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_IDS);
+                spilled.extend_from_slice(ids);
+                spilled.push(id);
+                *self = Ids::Spilled(spilled);
+                INLINE_IDS as u32
+            }
+            Ids::Spilled(ids) => {
+                ids.push(id);
+                ids.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Removes the id at `pos` by moving the last one into it.
+    fn swap_remove(&mut self, pos: usize) {
+        match self {
+            Ids::Inline { len, ids } => {
+                *len -= 1;
+                ids[pos] = ids[*len as usize];
+            }
+            Ids::Spilled(ids) => {
+                ids.swap_remove(pos);
+            }
+        }
+    }
+
+    /// Heap bytes behind the bucket: a spilled array's capacity.
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            Ids::Inline { .. } => 0,
+            Ids::Spilled(ids) => (ids.capacity() * size_of::<u32>()) as u64,
+        }
+    }
+}
+
+impl Deref for Ids {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Ids::Inline { len, ids } => &ids[..*len as usize],
+            Ids::Spilled(ids) => ids,
+        }
+    }
+}
+
+/// Equality-key -> ids, each id knowing its position in the bucket.
+type KeyStore = FnvHashMap<Key, Ids>;
 
 /// Table bytes of a hash map: its capacity is 7/8 of its slots, and
 /// each slot carries one control byte.
@@ -162,22 +296,16 @@ fn map_bytes<K, V>(m: &FnvHashMap<K, V>) -> u64 {
     (m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)) as u64
 }
 
-fn slots_bytes(bucket: &Vec<u32>) -> u64 {
-    (bucket.capacity() * size_of::<u32>()) as u64
-}
-
 /// Appends `id` to the bucket of `key`. Returns its position and the
 /// heap bytes the store grew by.
 fn bucket_push(store: &mut KeyStore, key: &[Value], id: u32) -> (u32, u64) {
     if let Some(bucket) = store.get_mut(key) {
-        let before = slots_bytes(bucket);
-        bucket.push(id);
-        return (bucket.len() as u32 - 1, slots_bytes(bucket) - before);
+        let before = bucket.heap_bytes();
+        let pos = bucket.push(id);
+        return (pos, bucket.heap_bytes() - before);
     }
-    let bucket = vec![id];
-    let grew = values_bytes(key) + slots_bytes(&bucket);
-    store.insert(key.to_vec(), bucket);
-    (0, grew)
+    store.insert(Key::new(key), Ids::one(id));
+    (0, key_bytes(key))
 }
 
 /// Removes the id at `pos` of the bucket of `key` by `swap_remove`.
@@ -191,7 +319,7 @@ fn bucket_remove(store: &mut KeyStore, key: &[Value], pos: u32) -> (Option<u32>,
     };
     bucket.swap_remove(pos as usize);
     if bucket.is_empty() {
-        let shrank = values_bytes(key) + slots_bytes(bucket);
+        let shrank = key_bytes(key) + bucket.heap_bytes();
         store.remove(key);
         return (None, shrank);
     }
@@ -492,14 +620,17 @@ impl JoinMemo {
             self.heap_bytes += grew;
             if let Some(cands) = self.alpha_key[j].get(s.key.as_slice()) {
                 out.probes += cands.len() as u64;
-                let accepted = cands
-                    .iter()
-                    .filter(|&&c| self.residual_ok(j, id, &self.alpha[j][&c].tuple));
+                // The candidate's tuple is read only for an ordering step.
+                let residual = &self.plan.plan(j).residual;
+                let accepted = cands.iter().filter(|&&c| {
+                    residual.is_empty() || self.residual_ok(j, id, &self.alpha[j][&c].tuple)
+                });
                 s.work.extend(accepted.map(|&c| (id, c)));
             }
         }
         self.scratch = s;
-        out.bindings.sort_by_key(|b| b.tuple_ids());
+        out.bindings
+            .sort_by(|a, b| a.tuple_ids().cmp(b.tuple_ids()));
         out
     }
 
@@ -742,12 +873,12 @@ impl JoinMemo {
         )?;
         ensure(level_counts == self.level_counts, "level counts")?;
         for (level, store) in self.level_key.iter().enumerate() {
-            let members: usize = store.values().map(Vec::len).sum();
+            let members: usize = store.values().map(|b| b.len()).sum();
             ensure(members == level_counts[level], "level key members")?;
             ensure(store.values().all(|b| !b.is_empty()), "empty level bucket")?;
         }
         for (p, store) in self.alpha_key.iter().enumerate() {
-            let members: usize = store.values().map(Vec::len).sum();
+            let members: usize = store.values().map(|b| b.len()).sum();
             let expect = if p == 0 { 0 } else { self.alpha[p].len() };
             ensure(members == expect, "alpha key members")?;
             ensure(store.values().all(|b| !b.is_empty()), "empty alpha bucket")?;

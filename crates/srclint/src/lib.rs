@@ -148,7 +148,12 @@ pub fn run(config: &Config) -> io::Result<Report> {
                     col: t.col,
                     message: format!(
                         "`srclint:allow({name})` names no registered lint and suppresses \
-                         nothing — delete it (a retired lint's check lives in clippy or a test now)"
+                         nothing — delete it ({})",
+                        if name == "guard" {
+                            "a guard row takes no allow: restore what the row keeps deleted"
+                        } else {
+                            "a retired lint's check lives in clippy or a test now"
+                        }
                     ),
                 });
             }

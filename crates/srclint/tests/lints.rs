@@ -146,6 +146,18 @@ fn no_allow_comment_suppresses_a_guard_row() {
     let expected = [("stale-allow", 2), ("guard", 4), ("guard", 9)];
     let expected: Vec<(String, u32)> = expected.map(|(l, n)| (l.to_string(), n)).to_vec();
     assert_eq!(found, expected);
+    // The allow's finding gives the guard table's reason, not a
+    // retired lint's.
+    let stale: Vec<String> = diagnostics("bad_guard_unsuppressed.rs")
+        .into_iter()
+        .filter(|d| d.lint == "stale-allow")
+        .map(|d| d.message)
+        .collect();
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(
+        stale[0].contains("a guard row takes no allow") && !stale[0].contains("retired lint"),
+        "{stale:?}"
+    );
 }
 
 #[test]

@@ -148,7 +148,7 @@ def gate_join(rows, base):
     # Heap allocations per memo insert on join_cascade's 20 join conditions:
     # a count, identical on every host and under --quick, so the committed
     # one with 10% room and no floor (a heap key and a heap bucket per join
-    # value read 3.02 against 1.40).
+    # value read 3.02 against 1.41).
     name = "join/update/cascade20"
     per_insert, base_per_insert = rows[name]["allocs_per_insert"], base[name]["allocs_per_insert"]
     assert per_insert <= base_per_insert * 1.10, (name, per_insert, base_per_insert)

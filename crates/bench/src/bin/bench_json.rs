@@ -850,23 +850,40 @@ fn join_bytes_per_alpha_entry(w: &mut JsonWriter) {
     w.end_object();
 }
 
+/// `join_cascade`'s table sizes and rule constants, spelled as
+/// `benchmark/src/workloads/join_cascade.rs` spells them:
+/// `tests::cascade_row_mirrors_the_workload` holds every line this row
+/// copies from that file to both files, so the workload cannot change
+/// under the gated row unnoticed.
+mod cascade {
+    pub(crate) const N_ORDERS: usize = 20_000;
+    pub(crate) const N_CUSTOMERS: usize = 10_000;
+    pub(crate) const N_REGIONS: i64 = 64;
+    pub(crate) const AMOUNT: i64 = 10_000;
+    pub(crate) const TIERS: i64 = 8;
+}
+
 /// `join_cascade`'s 20 join conditions, as its `join2-*` and `join3-*`
 /// rules spell them.
 fn cascade_conditions() -> Vec<String> {
-    let two = (0..12).map(|k| {
-        let (tier, amount) = (k % 8, 5_000 + (k * 331) % 4_000);
-        format!(
+    use cascade::{AMOUNT, TIERS};
+    let mut out = Vec::new();
+    for k in 0..12 {
+        let tier = k % TIERS;
+        let amount = AMOUNT / 2 + (k * 331) % (AMOUNT * 4 / 10);
+        out.push(format!(
             "orders.cust = customers.id and customers.tier = {tier} and orders.amount > {amount}"
-        )
-    });
-    let three = (0..8).map(|k| {
-        let (tier, amount, risk) = (k % 6, 5_000 + (k * 577) % 4_000, 30 + (k * 7) % 50);
-        format!(
-            "orders.cust = customers.id and customers.region = regions.id and regions.risk > {risk} \
-             and customers.tier >= {tier} and orders.amount > {amount}"
-        )
-    });
-    two.chain(three).collect()
+        ));
+    }
+    for k in 0..8 {
+        let tier = k % (TIERS - 2);
+        let amount = AMOUNT / 2 + (k * 577) % (AMOUNT * 4 / 10);
+        let risk = 30 + (k * 7) % 50;
+        out.push(format!(
+            "orders.cust = customers.id and customers.region = regions.id and regions.risk > {risk} and customers.tier >= {tier} and orders.amount > {amount}"
+        ));
+    }
+    out
 }
 
 /// One update of `join_cascade`'s shape, driven straight into its 20
@@ -880,18 +897,32 @@ fn cascade_conditions() -> Vec<String> {
 /// (a count: the bindings an insert returns, and whatever the memo's
 /// stores allocate).
 fn join_update_cascade(cfg: &Config, w: &mut JsonWriter) {
+    use cascade::{AMOUNT, N_CUSTOMERS, N_ORDERS, N_REGIONS, TIERS};
     const NAME: &str = "join/update/cascade20";
     const RELATIONS: [(&str, [&str; 4], i64); 3] = [
-        ("orders", ["id", "cust", "amount", "region"], 20_000),
-        ("customers", ["id", "tier", "region", "credit"], 10_000),
-        ("regions", ["id", "risk", "zone", "pad"], 64),
+        (
+            "orders",
+            ["id", "cust", "amount", "region"],
+            N_ORDERS as i64,
+        ),
+        (
+            "customers",
+            ["id", "tier", "region", "credit"],
+            N_CUSTOMERS as i64,
+        ),
+        ("regions", ["id", "risk", "zone", "pad"], N_REGIONS),
     ];
     let row = |rng: &mut StdRng, relation: usize, id: i64| -> Vec<Value> {
-        let mut draw = |below: i64| rng.gen_range(0..below);
+        let mut range = |lo: i64, hi: i64| rng.gen_range(lo..hi);
         let values = match relation {
-            0 => [id, draw(10_000), draw(10_000), draw(64)],
-            1 => [id, draw(8), draw(64), draw(100_000)],
-            _ => [id, draw(100), draw(8), 0],
+            0 => [
+                id,
+                range(0, N_CUSTOMERS as i64),
+                range(0, AMOUNT),
+                range(0, N_REGIONS),
+            ],
+            1 => [id, range(0, TIERS), range(0, N_REGIONS), range(0, 100_000)],
+            _ => [id, range(0, 100), range(0, 8), 0],
         };
         values.map(Value::Int).to_vec()
     };
@@ -1028,5 +1059,51 @@ fn main() {
                 std::process::exit(1);
             });
         eprintln!("appended the {name} suite to {}", cfg.out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// What `join/update/cascade20` copies from `join_cascade`: each
+    /// line must appear in the workload's source and in this file
+    /// outside this test.
+    const CASCADE_MIRROR: [&str; 20] = [
+        "const N_ORDERS: usize = 20_000;",
+        "const N_CUSTOMERS: usize = 10_000;",
+        "const N_REGIONS: i64 = 64;",
+        "const AMOUNT: i64 = 10_000;",
+        "const TIERS: i64 = 8;",
+        "for k in 0..12 {",
+        "let tier = k % TIERS;",
+        "let amount = AMOUNT / 2 + (k * 331) % (AMOUNT * 4 / 10);",
+        "\"orders.cust = customers.id and customers.tier = {tier} and orders.amount > {amount}\"",
+        "for k in 0..8 {",
+        "let tier = k % (TIERS - 2);",
+        "let amount = AMOUNT / 2 + (k * 577) % (AMOUNT * 4 / 10);",
+        "let risk = 30 + (k * 7) % 50;",
+        "\"orders.cust = customers.id and customers.region = regions.id and regions.risk > {risk} and customers.tier >= {tier} and orders.amount > {amount}\"",
+        "range(0, AMOUNT)",
+        "range(0, N_REGIONS)",
+        "range(0, TIERS)",
+        "range(0, 100_000)",
+        "range(0, 100)",
+        "range(0, 8)",
+    ];
+
+    #[test]
+    fn cascade_row_mirrors_the_workload() {
+        let workload = include_str!("../../../../benchmark/src/workloads/join_cascade.rs");
+        let own = include_str!("bench_json.rs");
+        let own = &own[..own.find("mod tests {").expect("this module")];
+        for line in CASCADE_MIRROR {
+            assert!(
+                workload.contains(line),
+                "join_cascade no longer has `{line}`"
+            );
+            assert!(
+                own.contains(line),
+                "join/update/cascade20 no longer has `{line}`"
+            );
+        }
     }
 }

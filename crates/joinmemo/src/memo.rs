@@ -22,11 +22,14 @@
 //!   `swap_remove` at its stored position.
 //!
 //! A key store (`level_key`, `alpha_key`) maps a join value to a bucket
-//! of ids. Most join values are distinct — one `orders.cust` or
-//! `customers.id` per bucket — so a one-value key ([`Key`]) and a
-//! bucket of up to four ids ([`Ids`]) sit inline in the table slot: a
-//! store touches the heap only for a multi-value key, a string value,
-//! or a bucket that grows past four.
+//! of ids. A store keyed by a row's identity (`orders.cust`,
+//! `customers.id`) rarely holds more than three ids per value, so a one-value
+//! key ([`Key`]) and a bucket of up to three ids ([`Ids`]) sit inline
+//! in the table slot: such a store touches the heap only for a string
+//! value or a bucket that grows past three. A store keyed by a value
+//! many rows share (`customers.region`: 64 values under thousands of
+//! tokens) keeps each bucket in a `Vec`, and a multi-value key keeps
+//! its values on the heap.
 //!
 //! Stores are hash-keyed by join values (the equality steps of the
 //! premise being extended); ordering steps filter candidates as they
@@ -213,8 +216,14 @@ fn key_bytes(values: &[Value]) -> u64 {
     (slots + strings) as u64
 }
 
-/// Ids a bucket holds inline before it spills to a `Vec`.
-const INLINE_IDS: usize = 4;
+/// Ids a bucket holds inline before it spills to a `Vec`. Three keep
+/// [`Ids`] at the size of a `Vec<u32>`, so a table slot is 48 bytes;
+/// four to six would make it 56. On `join_cascade`, 98.5% of the pushes
+/// into its one-value stores keyed by a row's identity land in a bucket
+/// of at most three (EXPERIMENTS.md "Join memo layer").
+const INLINE_IDS: usize = 3;
+
+const _: () = assert!(size_of::<Ids>() == size_of::<Vec<u32>>());
 
 /// A bucket's ids, in the order `swap_remove` leaves them: up to
 /// [`INLINE_IDS`] inline, else a `Vec`, which stays until the bucket
@@ -254,10 +263,13 @@ impl Ids {
         }
     }
 
-    /// Removes the id at `pos` by moving the last one into it.
+    /// Removes the id at `pos` by moving the last one into it. Panics
+    /// if `pos` is out of bounds, as `Vec::swap_remove` does: a stale
+    /// `key_pos` must not drop a live id.
     fn swap_remove(&mut self, pos: usize) {
         match self {
             Ids::Inline { len, ids } => {
+                assert!(pos < *len as usize, "bucket position {pos} out of bounds");
                 *len -= 1;
                 ids[pos] = ids[*len as usize];
             }

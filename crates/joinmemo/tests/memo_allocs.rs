@@ -1,5 +1,5 @@
 //! Allocations per memo operation, on one-value join keys whose
-//! buckets hold at most four ids — the shape of `join_cascade`'s
+//! buckets hold at most three ids — the shape of `join_cascade`'s
 //! `orders.cust = customers.id`. Such a key and bucket sit inline in
 //! the key store's table slot, so on warm tables:
 //!
@@ -67,9 +67,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// Join keys the seeded rows use; the fed rows' keys lie above them.
 const KEYS: i64 = 256;
 /// Seeded rows per key: `a` (premise 0) and `b` (premise 1). A fed row
-/// joins a bucket of at most this many and leaves it at most four.
-const A_PER_KEY: i64 = 2;
-const B_PER_KEY: i64 = 3;
+/// joins a bucket of at most this many and leaves it at most three.
+const A_PER_KEY: i64 = 1;
+const B_PER_KEY: i64 = 2;
 
 /// A seeded memo (condition key 0) and the rows the tests feed it.
 struct Fixture {

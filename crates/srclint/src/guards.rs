@@ -59,6 +59,9 @@ pub const GUARDS: &[Guard] = &[
 /// The trees the name-level rows cover, as the greps they replaced did.
 const ALL: &str = "crates src tests examples";
 
+/// The lint name of a guard row's findings.
+pub(crate) const LINT: &str = "guard";
+
 /// Runs every row covering the file's workspace path (or the path a
 /// fixture poses as). srclint's fixture corpus and this file are never
 /// read: they spell every forbidden text.
@@ -72,7 +75,7 @@ pub(crate) fn check<'a>(ctx: &'a FileContext, root: &Path, diags: &mut Vec<Diagn
     for row in GUARDS.iter().filter(|row| covers(row.files, &rel)) {
         let mut push = |line, at: usize, what: String| {
             diags.push(Diagnostic {
-                lint: "guard",
+                lint: LINT,
                 severity: Severity::Deny,
                 file: ctx.path.clone(),
                 line,

@@ -149,7 +149,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
                     message: format!(
                         "`srclint:allow({name})` names no registered lint and suppresses \
                          nothing — delete it ({})",
-                        if name == "guard" {
+                        if name == guards::LINT {
                             "a guard row takes no allow: restore what the row keeps deleted"
                         } else {
                             "a retired lint's check lives in clippy or a test now"

@@ -18,7 +18,8 @@
 //!   increment / histogram record, and the heap allocations per event
 //!   of one 128-row batch through a `match_stab`-shaped engine (a
 //!   count, exact on any host: this binary's allocator is `System`
-//!   plus one relaxed add), and the tests one §5.2-scenario match runs
+//!   plus a thread-local tally and one relaxed add, `counting_alloc.rs`
+//!   included by path), and the tests one §5.2-scenario match runs
 //!   (a count too, read off `predindex_residual_tests_total`), and the
 //!   live heap bytes per interval of that engine's IBS-trees, per
 //!   predicate of its whole predicate index, and per rule of the engine
@@ -41,10 +42,14 @@
 //! bounds. `--quick` trims sweeps and run counts for CI. See
 //! EXPERIMENTS.md, "Machine-readable results", for the row names.
 
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
+
 use bench::costmodel;
 use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
 use bench::timing::{consume, median, median_ns_per_op, min_ns, time_ns};
+use counting_alloc::{counted, live_bytes};
 use ibs::IbsTree;
 use interval::{Interval, IntervalId};
 use joinmemo::naive::full_matches;
@@ -56,52 +61,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relation::{AttrType, Catalog, Database, Schema, Tuple, Value};
 use rules::{Action, Rule, RuleEngine};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::json::JsonWriter;
 use telemetry::{Registry, Telemetry, Tracer};
-
-/// Allocator calls that obtained memory (`alloc`, `realloc`) since the
-/// process started — what `engine/allocs_per_event/batch128` reads.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed — what
-/// `join/bytes_per_alpha_entry/memos20` reads.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters beside it touch no memory
-// the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// A suite appends its rows to the open `rows` array.
 type Suite = fn(&Config, &mut JsonWriter);
@@ -391,11 +354,8 @@ fn allocs_per_event(w: &mut JsonWriter) {
         .insert_batch(stab_shape::RELATION, stab_shape::rows(128, 2))
         .expect("warm-up batch");
     let rows = stab_shape::rows(128, 3);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = engine
-        .insert_batch(stab_shape::RELATION, rows)
-        .expect("measured batch");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (report, counts) = counted(|| engine.insert_batch(stab_shape::RELATION, rows));
+    let (report, allocations) = (report.expect("measured batch"), counts.calls);
     let events = report.ops_applied as u64;
     let per_event = allocations as f64 / events as f64;
     eprintln!("{NAME}: {allocations} allocations / {events} events = {per_event:.3}");
@@ -460,13 +420,13 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
         })
         .collect();
     let mut trees: Vec<IbsTree<Value>> = (0..4).map(|_| IbsTree::new()).collect();
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     for (id, (attr, interval)) in (0..).zip(&placed) {
         trees[*attr]
             .insert(IntervalId(id), interval.clone())
             .expect("fresh id");
     }
-    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let live = (live_bytes() - before) as u64;
 
     let engine = stab_shape::engine(RULES, 1);
     let engine_trees: Vec<(usize, usize, usize, usize)> = engine.shard_stats()[0].relations[0]
@@ -534,7 +494,7 @@ const STAB_SHAPE_RULES: usize = 5_000;
 fn stab_shape_index() -> (PredicateIndex, u64) {
     let conditions = stab_shape::conditions(STAB_SHAPE_RULES, 1);
     let db = stab_shape::database();
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let mut index = PredicateIndex::new();
     for text in &conditions {
         let predicate = parse_predicate(text).expect("a generated condition parses");
@@ -542,7 +502,7 @@ fn stab_shape_index() -> (PredicateIndex, u64) {
             .insert(predicate, db.catalog())
             .expect("r has the attributes named");
     }
-    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let live = (live_bytes() - before) as u64;
     let engine = stab_shape::engine(STAB_SHAPE_RULES, 1);
     assert_eq!(
         index.stats(),
@@ -561,9 +521,9 @@ fn stab_shape_index() -> (PredicateIndex, u64) {
 /// `--quick` changes nothing.
 fn rules_bytes_per_rule(w: &mut JsonWriter) {
     const NAME: &str = "rules/bytes_per_rule/stab_shape";
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let engine = stab_shape::engine(STAB_SHAPE_RULES, 1);
-    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let live = (live_bytes() - before) as u64;
     let (_, index_bytes) = stab_shape_index();
     let rules = engine.rule_count();
     let per_rule = (live - index_bytes) as f64 / rules as f64;
@@ -827,13 +787,13 @@ fn join_bytes_per_alpha_entry(w: &mut JsonWriter) {
     let condition = join_rule("customers.id = orders.customer").joins.remove(0);
     let compiled = CompiledJoin::compile(&condition, &catalog).expect("bench condition compiles");
 
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let mut memos = JoinEngine::new();
     for key in 0..MEMOS {
         memos.register(key, compiled.clone());
         memos.seed(key, &catalog);
     }
-    let live = (LIVE.load(Ordering::Relaxed) - before) as u64;
+    let live = (live_bytes() - before) as u64;
     let stats = memos.stats();
     let entries: usize = stats.iter().flat_map(|s| &s.alpha_counts).sum();
     assert!(
@@ -982,9 +942,9 @@ fn join_update_cascade(cfg: &Config, w: &mut JsonWriter) {
         let tuple = relation.get(tid).expect("just updated");
         for (key, premise, alpha) in &premises[r] {
             if alpha.matches(tuple) {
-                let before = ALLOCATIONS.load(Ordering::Relaxed);
-                consume(memos.insert(*key, *premise, tid.0, tuple));
-                inserts.1 += ALLOCATIONS.load(Ordering::Relaxed) - before;
+                inserts.1 += counted(|| consume(memos.insert(*key, *premise, tid.0, tuple)))
+                    .1
+                    .calls;
                 inserts.0 += 1;
             }
         }

@@ -1,49 +1,17 @@
-//! Heap allocations per IBS-tree update, counted by a global allocator:
-//! a hardware-independent work count beside `ibs.insert_ns` and
+//! Heap allocations per IBS-tree update, counted per thread by
+//! `bench`'s counting allocator (included by path): a
+//! hardware-independent work count beside `ibs.insert_ns` and
 //! `ibs.remove_ns`. A churned tree reuses its scratch buffers, node
 //! slots and owner lists, and finds a removed interval's marks by walking
 //! its endpoint paths, so what an update still allocates is a mark spill
-//! it opens or grows. One test in this
-//! binary, so nothing else allocates while it counts.
+//! it opens or grows.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use ibs::IbsTree;
 use interval::{Interval, IntervalId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Calls to `alloc` and `realloc`: a buffer that grows counts once per
-/// growth.
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter beside it touches no memory
-// the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// A deterministic stream of keys (SplitMix64), so the workload needs
 /// no seeded generator from outside the crate.
@@ -79,13 +47,6 @@ const LIVE: u32 = 200;
 /// Remove-and-reinsert cycles before counting and while counting.
 const CYCLES: u32 = 10_000;
 
-/// Allocations `f` makes.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
 #[test]
 fn an_update_on_a_churned_tree_allocates_at_most_a_few_times() {
     let mut keys = Keys(37);
@@ -99,11 +60,11 @@ fn an_update_on_a_churned_tree_allocates_at_most_a_few_times() {
     let cycle = |tree: &mut IbsTree<i64>, keys: &mut Keys| {
         let id = IntervalId(keys.below(u64::from(LIVE)) as u32);
         let iv = keys.interval();
-        let removed = allocations(|| {
+        let ((), removed) = counted(|| {
             tree.remove(id).expect("every id below LIVE is in the tree");
         });
-        let inserted = allocations(|| tree.insert(id, iv).expect("the id was just freed"));
-        (inserted, removed)
+        let ((), inserted) = counted(|| tree.insert(id, iv).expect("the id was just freed"));
+        (inserted.calls, removed.calls)
     };
     for _ in 0..CYCLES {
         cycle(&mut tree, &mut keys);

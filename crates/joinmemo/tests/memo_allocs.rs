@@ -8,61 +8,17 @@
 //! - an insertion that completes matches allocates what a clone of the
 //!   bindings it returns allocates, and nothing more.
 //!
-//! A counting global allocator counts the calls that obtain memory,
-//! per thread, so the tests of this binary may run side by side.
+//! `bench`'s counting allocator (included by path) counts the calls
+//! that obtain memory, per thread, so the tests of this binary may run
+//! side by side.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::{parse_condition, FunctionRegistry};
 use relation::{AttrType, Catalog, Schema, Tuple, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// `alloc` and `realloc` calls this thread made.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<u64>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations `f` makes on this thread, with its result.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
-}
 
 /// Join keys the seeded rows use; the fed rows' keys lie above them.
 const KEYS: i64 = 256;
@@ -163,11 +119,13 @@ fn a_retraction_allocates_nothing() {
     assert!(victims.iter().any(|v| v.0 == 0) && victims.iter().any(|v| v.0 == 1));
     for round in 0..2 {
         let mut retracted = 0;
-        let (allocs, ()) = allocations(|| {
+        let allocs = counted(|| {
             for &(premise, tid, _) in &victims {
                 retracted += memo.retract(["a", "b"][premise], tid);
             }
-        });
+        })
+        .1
+        .calls;
         assert!(retracted > 0, "the victims own tokens");
         if round > 0 {
             assert_eq!(
@@ -190,13 +148,15 @@ fn an_insert_that_completes_no_match_allocates_nothing() {
     } = fixture(16);
     feed_and_retract(&mut memo, &lonely);
     let mut created = 0;
-    let (allocs, ()) = allocations(|| {
+    let allocs = counted(|| {
         for (premise, tid, tuple) in &lonely {
             let out = memo.insert(0, *premise, *tid, tuple);
             assert!(out.bindings.is_empty());
             created += out.created;
         }
-    });
+    })
+    .1
+    .calls;
     assert_eq!(created, 16, "one level-0 token per fed `a` row");
     assert_eq!(
         allocs,
@@ -213,12 +173,12 @@ fn an_insert_that_completes_matches_allocates_only_its_bindings() {
     } = fixture(16);
     feed_and_retract(&mut memo, &joining);
     for (premise, tid, tuple) in &joining {
-        let (allocs, out) = allocations(|| memo.insert(0, *premise, *tid, tuple));
+        let (out, allocs) = counted(|| memo.insert(0, *premise, *tid, tuple));
         // A fed `a` row meets its key's `b` rows, a fed `b` row its
         // key's `a` rows.
         let expected = [B_PER_KEY, A_PER_KEY][*premise] as usize;
         assert_eq!(out.bindings.len(), expected);
-        let (cloned, _) = allocations(|| out.bindings.clone());
+        let (allocs, cloned) = (allocs.calls, counted(|| out.bindings.clone()).1.calls);
         assert_eq!(
             allocs, cloned,
             "an insert returning {expected} bindings allocated {allocs} times, \

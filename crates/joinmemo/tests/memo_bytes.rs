@@ -1,51 +1,18 @@
 //! `MemoStats::approx_bytes` (the `join_memo_bytes` histogram,
 //! stackbench's `joinmemo.memo_bytes`) against a counted size: the
-//! bytes the allocator holds for a memo, measured by a counting global
-//! allocator. The rows are the catalog's, allocated before the count
-//! starts: a memo holds handles on them, and only a copy would show.
-//! One test in this binary, so nothing else allocates while it counts.
+//! bytes the allocator holds for a memo, read from `bench`'s counting
+//! allocator (included by path). The rows are the catalog's, allocated
+//! before the count starts: a memo holds handles on them, and only a
+//! copy would show. The live bytes are process-wide: one test in this
+//! binary, so nothing else allocates while it counts.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::live_bytes;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::{parse_condition, FunctionRegistry};
 use relation::{AttrType, Catalog, Schema, TupleId, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter beside it touches no memory
-// the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const RELS: [&str; 3] = ["a", "b", "c"];
 
@@ -82,12 +49,12 @@ fn measure(condition: &str, cat: &Catalog) -> [(u64, u64); 2] {
     let cond = parse_condition(condition, &FunctionRegistry::default()).unwrap();
     let plan = CompiledJoin::compile(cond.as_join().unwrap(), cat).unwrap();
 
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let mut je = JoinEngine::new();
     je.register(0, plan);
     je.seed(0, cat);
     let counted = |je: &JoinEngine| {
-        let counted = (LIVE.load(Ordering::Relaxed) - before) as u64;
+        let counted = (live_bytes() - before) as u64;
         (je.stats_for(0).unwrap().approx_bytes, counted)
     };
     let seeded = counted(&je);

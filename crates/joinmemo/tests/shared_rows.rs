@@ -2,53 +2,16 @@
 //! K memos with the same alpha memories; feeding one tuple to all of
 //! them and retracting it again must allocate the same bytes at K = 20
 //! as at K = 1 — a memo that copied the row would allocate it K times.
-//! A counting global allocator reads the bytes, per thread.
+//! `bench`'s counting allocator (included by path) reads the bytes, per
+//! thread.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use joinmemo::{CompiledJoin, JoinEngine};
 use predicate::{parse_condition, FunctionRegistry};
 use relation::{AttrType, Catalog, Schema, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Bytes this thread obtained from `alloc` and growing `realloc`s.
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<u64>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// `a.k = b.k` over a catalog where `b` holds `rows` rows of join key
 /// 1 and `a` holds none: the fed `b` tuple lands in a warm bucket and
@@ -104,9 +67,7 @@ fn feed_and_retract_bytes(memos: u64) -> u64 {
         assert_eq!(je.retract("b", tid.0), 0);
     };
     round();
-    let before = ALLOCATED.with(Cell::get);
-    round();
-    ALLOCATED.with(Cell::get) - before
+    counted(round).1.bytes
 }
 
 #[test]

@@ -4,64 +4,21 @@
 //! allocations of one `parse_rule_conditions` call minus those of
 //! cloning its result are the parse's garbage; an identifier copied
 //! into a token, a cloned token or leaf, or a boxed expression node
-//! shows up there at once. The counter is per thread, so the cases can
-//! run side by side.
+//! shows up there at once. The counter is `bench`'s counting allocator
+//! (included by path); it counts per thread, so the cases can run side
+//! by side.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use predicate::parse_rule_conditions;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocator calls that obtained memory (`alloc`, `realloc`) on
-    /// this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<u64>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// Allocations of parsing `text`, minus those of cloning the result.
 fn garbage(text: &str) -> u64 {
-    let before = allocations();
-    let parsed = parse_rule_conditions(text).expect("every shape parses");
-    let parse = allocations() - before;
-    let before = allocations();
-    let kept = parsed.clone();
-    let clone = allocations() - before;
-    drop(kept);
-    parse - clone
+    let (parsed, parse) = counted(|| parse_rule_conditions(text).expect("every shape parses"));
+    let clone = counted(|| parsed.clone()).1;
+    parse.calls - clone.calls
 }
 
 /// `rule_churn`'s six condition shapes.

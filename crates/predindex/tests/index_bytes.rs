@@ -1,50 +1,16 @@
 //! `PredicateIndex::approx_bytes` against a counted size: the bytes the
-//! allocator holds for an index, measured by a counting global
-//! allocator from before the index exists, built and then with every
-//! other predicate removed. One test in this binary, so nothing else
-//! allocates while it counts.
+//! allocator holds for an index, read from `bench`'s counting allocator
+//! (included by path) from before the index exists, built and then with
+//! every other predicate removed. The live bytes are process-wide: one
+//! test in this binary, so nothing else allocates while it counts.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::live_bytes;
 use predicate::parse_predicate;
 use predindex::{Matcher, PredicateId, PredicateIndex};
 use relation::{AttrType, Database, Schema};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter beside it touches no memory
-// the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// A deterministic stream of numbers (SplitMix64), so the shapes need
 /// no seeded generator from outside the crate.
@@ -65,7 +31,7 @@ impl Keys {
 /// other one (freed entries, trees and groups that empty, tables that
 /// do not shrink).
 fn measure(db: &Database, n: u32, mut make: impl FnMut(u32) -> String) -> [(usize, usize); 2] {
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes();
     let mut index = PredicateIndex::new();
     for i in 0..n {
         let text = make(i);
@@ -73,7 +39,7 @@ fn measure(db: &Database, n: u32, mut make: impl FnMut(u32) -> String) -> [(usiz
         index.insert(pred, db.catalog()).expect("the shape binds");
     }
     let counted = |index: &PredicateIndex| {
-        let counted = (LIVE.load(Ordering::Relaxed) - before) as usize;
+        let counted = (live_bytes() - before) as usize;
         (index.approx_bytes(), counted)
     };
     let built = counted(&index);

@@ -10,62 +10,20 @@
 //! as well — and drives the
 //! firing paths that still format (`Action::Log`) or bind (a join
 //! rule) against an engine fed one tuple at a time. The counter is
-//! per thread, so the cases can run side by side.
+//! `bench`'s counting allocator, also included by path; it counts per
+//! thread, so the cases can run side by side.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "../../bench/src/stab_shape.rs"]
 mod stab_shape;
 
+use counting_alloc::counted;
 use predindex::{MatchLanes, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, FireReport, Registry, Rule, RuleEngine, Telemetry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use telemetry::{CostSnapshot, StageClock};
-
-thread_local! {
-    /// Allocator calls that obtained memory (`alloc`, `realloc`) on
-    /// this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<u64>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the allocations this thread made running it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// Inserts `rows` one tuple at a time and concatenates the reports.
 fn one_at_a_time(engine: &mut RuleEngine, relation: &str, rows: Vec<Vec<Value>>) -> FireReport {
@@ -91,11 +49,11 @@ fn a_batch_allocates_for_the_tuples_it_writes() {
         .expect("warm-up batch");
 
     let rows = stab_shape::rows(BATCH, 3);
-    let (report, allocations) = counted({
+    let (report, counts) = counted({
         let rows = rows.clone();
         || engine.insert_batch(stab_shape::RELATION, rows)
     });
-    let report = report.expect("measured batch");
+    let (report, allocations) = (report.expect("measured batch"), counts.calls);
 
     // Every row is inserted, about half are rewritten, all are deleted.
     let events = report.ops_applied as u64;
@@ -152,11 +110,13 @@ fn matching_into_a_warm_buffer_allocates_nothing() {
         .map(relation::Tuple::new)
         .collect();
     let mut out = Vec::with_capacity(1024);
-    let ((), allocations) = counted(|| {
+    let allocations = counted(|| {
         for tuple in &tuples {
             index.match_tuple_into(stab_shape::RELATION, tuple, &mut out);
         }
-    });
+    })
+    .1
+    .calls;
     // One flat buffer for the whole level, as the engine matches it.
     assert!(out.len() >= BATCH, "{} matches", out.len());
     assert!(out.len() <= 1024, "the buffer grew: {} matches", out.len());
@@ -199,7 +159,7 @@ fn matching_into_a_warm_buffer_allocates_nothing() {
         let (lapped, allocations) = counted(|| run(&mut out, &mut bounds, &mut work));
         assert_eq!(out, one_at_a_time);
         assert_eq!(bounds.len(), BATCH);
-        assert_eq!(allocations, 0, "profiled: {profiled}");
+        assert_eq!(allocations.calls, 0, "profiled: {profiled}");
         assert_eq!(lapped > 0, profiled);
         assert_eq!(work.iter().any(|w| w.ibs_nodes > 0), profiled);
     }
@@ -233,11 +193,11 @@ fn a_log_action_prints_the_borrowed_tuple() {
         .collect();
 
     let mut batched = build();
-    let (report, allocations) = counted({
+    let (report, counts) = counted({
         let rows = rows.clone();
         || batched.insert_batch("emp", rows)
     });
-    let report = report.expect("batch");
+    let (report, allocations) = (report.expect("batch"), counts.calls);
     let mut serial = build();
     assert_eq!(report, one_at_a_time(&mut serial, "emp", rows));
     assert_eq!(batched.log(), serial.log());

@@ -5,57 +5,16 @@
 //! condition shapes adds a pre-built rule and removes a live one per
 //! cycle; the mean allocations of each call (the removal's result
 //! dropped as well) are bounded. A copy of each condition kept beside
-//! the index shows up at once. The counter is per thread, so the test
-//! runs beside others.
+//! the index shows up at once. The counter is `bench`'s counting
+//! allocator (included by path); it counts per thread, so the test runs
+//! beside others.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use relation::{AttrType, Database, Schema};
 use rules::{Action, Rule, RuleEngine, RuleId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocator calls that obtained memory (`alloc`, `realloc`) on
-    /// this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<u64>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the allocations this thread made running it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// SplitMix64, so the condition stream depends on the seed alone.
 struct Rng(u64);
@@ -177,7 +136,7 @@ fn a_rule_change_allocates_for_its_ids_not_its_conditions() {
         live.push(id);
         let gone = live.swap_remove(rng.below(live.len() as u64) as usize);
         let ((), remove) = counted(|| drop(engine.remove_rule(gone).expect("a live rule")));
-        (add, remove)
+        (add.calls, remove.calls)
     };
     for _ in 0..CYCLES {
         cycle(&mut engine, &mut live);

@@ -13,13 +13,15 @@
 //!   path, tested instead of grepped: hostile bytes get `Ok` or `Err`,
 //!   never a panic, and never a reservation the input did not pay for.
 
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counted;
 use durable::{ActionSpec, Record, RuleSpec};
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use ruleserv::proto::{self, encode_frame, read_frame, Event, EventBinding, FireSummary};
 use ruleserv::{Reply, Request};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -254,54 +256,17 @@ fn every_variant_round_trips_and_matches_design_md() {
 
 // ------------------------------------------------------ the mutator
 
-thread_local! {
-    /// The largest single reservation this thread has asked the
-    /// allocator for since the cell was last cleared.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Watching;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the thread-local beside it is a plain
-// `Cell<usize>` with no destructor and touches no memory the allocator
-// hands out.
-unsafe impl GlobalAlloc for Watching {
-    // SAFETY: callers uphold `GlobalAlloc::alloc`'s contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LARGEST.try_with(|c| c.set(c.get().max(layout.size())));
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: callers uphold `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = LARGEST.try_with(|c| c.set(c.get().max(new_size)));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Watching = Watching;
-
 /// Runs one decoder over hostile `input`. It may answer `Ok` or `Err`;
 /// it may not panic, and it may not reserve more than the input paid
 /// for, a small multiple of its length: `Reader::count` admits a count
 /// only if that many minimum-size elements fit in what is left (≤ 16
 /// bytes of `Vec` per input byte), the condition lexer keeps a ~40-byte
 /// token per input byte at worst, and `read_frame` reserves at most
-/// `FRAME_RESERVE` on a header's word.
+/// `FRAME_RESERVE` on a header's word. `bench`'s counting allocator
+/// (included by path) reads the largest request, per thread.
 fn probe<T>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> T) {
-    LARGEST.with(|c| c.set(0));
-    let outcome = catch_unwind(AssertUnwindSafe(|| drop(decode(input))));
-    let largest = LARGEST.with(Cell::get);
+    let (outcome, counts) = counted(|| catch_unwind(AssertUnwindSafe(|| drop(decode(input)))));
+    let largest = counts.largest;
     let shown = &input[..input.len().min(96)];
     assert!(outcome.is_ok(), "{what} panicked on {shown:02x?}");
     let paid_for = proto::FRAME_RESERVE + 64 * input.len();

@@ -54,6 +54,7 @@ pub const GUARDS: &[Guard] = &[
     Guard { files: "crates/rules/src/engine.rs", hit: |l| field(l, "", "JoinCondition"), must: false, within: "struct ColdRule", why: "§5 (bc6bb6b): a rule's join conditions live in their memos" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "clone()"), must: false, within: "fn register_conditions", why: "§5 (2c8ec46): the index gets each condition by move" },
     Guard { files: ALL, hit: |l| allow(l, "no-panic-in-lib|safety-comment|channel-discipline|codec-conformance|lock-discipline"), must: false, within: "", why: "§13 (1bb1b18, 1fb40f5): no comment names a retired lint" },
+    Guard { files: "crates src tests examples !crates/bench/src/counting_alloc.rs", hit: |l| text(l, "impl GlobalAlloc|#[global_allocator]"), must: false, within: "", why: "§19 (2c279f1): one counting allocator, included by path" },
 ];
 
 /// The trees the name-level rows cover, as the greps they replaced did.

@@ -15,6 +15,7 @@
 use predicate::{BindError, JoinCondition, JoinOp};
 use relation::{AttrType, Catalog};
 use std::fmt;
+use std::sync::Arc;
 
 /// Compilation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +90,8 @@ pub(crate) struct PremisePlan {
 #[derive(Debug, Clone)]
 pub struct CompiledJoin {
     pub(crate) cond: JoinCondition,
+    /// Each premise's relation, shared by every binding over it.
+    pub(crate) names: Vec<Arc<str>>,
     plans: Vec<PremisePlan>,
 }
 
@@ -140,6 +143,11 @@ impl CompiledJoin {
         }
         Ok(CompiledJoin {
             cond: cond.clone(),
+            names: cond
+                .premises()
+                .iter()
+                .map(|p| p.relation().into())
+                .collect(),
             plans,
         })
     }
@@ -156,7 +164,7 @@ impl CompiledJoin {
 
     /// Relation of premise `i`.
     pub fn relation(&self, i: usize) -> &str {
-        self.cond.premises()[i].relation()
+        &self.names[i]
     }
 
     pub(crate) fn plan(&self, i: usize) -> &PremisePlan {

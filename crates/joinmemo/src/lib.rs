@@ -37,7 +37,7 @@ pub mod naive;
 
 pub use compile::{CompileError, CompiledJoin};
 pub use engine::{JoinEngine, MemoStats};
-pub use memo::{Binding, InsertOutcome};
+pub use memo::{Binding, BoundTuple, InsertOutcome};
 
 #[cfg(test)]
 mod tests {
@@ -104,8 +104,8 @@ mod tests {
         let out = je.insert(7, 1, e.0, &et);
         assert_eq!(out.bindings.len(), 1);
         let b = &out.bindings[0];
-        assert_eq!(b.tuples[0].0, "dept");
-        assert_eq!(b.tuples[1].0, "emp");
+        assert_eq!(&*b.tuples[0].relation, "dept");
+        assert_eq!(&*b.tuples[1].relation, "emp");
         assert_eq!(b.tuple_ids().collect::<Vec<_>>(), vec![d.0, e.0]);
 
         // Non-joining tuple completes nothing.

@@ -48,19 +48,32 @@ use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Deref;
+use std::sync::Arc;
+
+/// One premise's bound tuple in a complete match. The rule engine hands
+/// it to the firing's action and report as it is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundTuple {
+    /// The premise's relation, shared with the compiled join.
+    pub relation: Arc<str>,
+    /// Id of the bound tuple.
+    pub id: TupleId,
+    /// The bound tuple's values at binding time.
+    pub tuple: Tuple,
+}
 
 /// One complete match: the bound tuple of every premise, in premise
 /// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binding {
-    /// `(relation, tuple id, tuple)` per premise.
-    pub tuples: Vec<(String, TupleId, Tuple)>,
+    /// One bound tuple per premise.
+    pub tuples: Vec<BoundTuple>,
 }
 
 impl Binding {
     /// The premise tuple ids, in premise order.
     pub fn tuple_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.tuples.iter().map(|(_, id, _)| id.0)
+        self.tuples.iter().map(|b| b.id.0)
     }
 }
 
@@ -566,11 +579,11 @@ impl JoinMemo {
         while at != NIL {
             let t = self.token(at);
             let p = t.level as usize;
-            tuples.push((
-                self.plan.relation(p).to_string(),
-                TupleId(t.tid),
-                self.alpha[p][&t.tid].tuple.clone(),
-            ));
+            tuples.push(BoundTuple {
+                relation: Arc::clone(&self.plan.names[p]),
+                id: TupleId(t.tid),
+                tuple: self.alpha[p][&t.tid].tuple.clone(),
+            });
             at = t.parent;
         }
         tuples.reverse();

@@ -15,8 +15,8 @@
 //! stays the alpha layer), matched premise tuples feed the join memo,
 //! and complete matches enter the agenda with all bound tuples.
 
-use crate::rule::{Action, BoundTuple, DbOp, EventMask, Rule, RuleContext, RuleId, RuleName};
-use joinmemo::{CompileError, CompiledJoin, JoinEngine, MemoStats};
+use crate::rule::{Action, DbOp, EventMask, Rule, RuleContext, RuleId, RuleName};
+use joinmemo::{BoundTuple, CompileError, CompiledJoin, JoinEngine, MemoStats};
 use predicate::{JoinCondition, Predicate};
 use predindex::{
     IndexError, IndexStats, MatchLanes, MatchTrace, Matcher, PredicateId, PredicateIndex, Routed,
@@ -864,17 +864,8 @@ impl RuleEngine {
                         continue;
                     }
                     for binding in out.bindings {
-                        let bindings = binding
-                            .tuples
-                            .into_iter()
-                            .map(|(relation, id, tuple)| BoundTuple {
-                                relation,
-                                id,
-                                tuple,
-                            })
-                            .collect();
                         buf.join_entries
-                            .push((rule.priority, rule.id, slot, bindings));
+                            .push((rule.priority, rule.id, slot, binding.tuples));
                     }
                 }
                 buf.agenda.append(&mut buf.join_entries);

@@ -63,12 +63,11 @@ mod engine;
 mod rule;
 
 pub use engine::{EngineError, FireReport, RuleEngine};
-pub use rule::{
-    Action, BoundTuple, DbOp, EventMask, Rule, RuleBuilder, RuleContext, RuleId, RuleName,
-};
+pub use rule::{Action, DbOp, EventMask, Rule, RuleBuilder, RuleContext, RuleId, RuleName};
 // The join vocabulary, re-exported so applications can hold join
-// conditions and memo stats without naming the lower crates.
-pub use joinmemo::MemoStats;
+// conditions, bound tuples and memo stats without naming the lower
+// crates.
+pub use joinmemo::{BoundTuple, MemoStats};
 pub use predicate::{JoinCondition, ParsedCondition};
 // The observability vocabulary, re-exported so applications can hold
 // traces and registries without naming the lower crates.

@@ -1,8 +1,9 @@
 //! Rule definitions: `if condition then action` (§1 of the paper),
 //! extended with multi-premise (join) conditions.
 
+use joinmemo::BoundTuple;
 use predicate::{parse_rule_conditions, JoinCondition, ParseError, ParsedCondition, Predicate};
-use relation::{Tuple, TupleEvent, TupleId, Value};
+use relation::{TupleEvent, Value};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -126,17 +127,6 @@ pub enum DbOp {
     UpdateCurrent { values: Vec<Value> },
     /// Delete the tuple the rule fired on.
     DeleteCurrent,
-}
-
-/// One premise's bound tuple in a multi-premise (join) firing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundTuple {
-    /// The premise's relation.
-    pub relation: String,
-    /// Id of the bound tuple.
-    pub id: TupleId,
-    /// The bound tuple's values at binding time.
-    pub tuple: Tuple,
 }
 
 /// Execution context handed to a firing rule's action.

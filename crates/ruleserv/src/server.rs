@@ -912,7 +912,7 @@ fn event(seq: u64, (rule, name): &(RuleId, RuleName), bindings: &[BoundTuple]) -
         bindings: bindings
             .iter()
             .map(|b| EventBinding {
-                relation: b.relation.clone(),
+                relation: b.relation.to_string(),
                 tuple_id: b.id.0,
                 values: b.tuple.values().to_vec(),
             })

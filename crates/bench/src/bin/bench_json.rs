@@ -202,7 +202,10 @@ fn scheme_cost(cfg: &Config, w: &mut JsonWriter) {
 
 fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
     let workload = SchemeWorkload::default();
-    let tuples = workload.tuples(cfg.pick(128, 512));
+    // The pass a full run times, under `--quick` too: the gate holds a
+    // quick ratio to the committed full one, and a shorter pass reads
+    // higher. Only the round count differs.
+    let tuples = workload.tuples(512);
     // disabled: the regression guard — every hook is one branch.
     // counters: live registry, tracing off.
     // tracing: live registry plus a span ring (wraps freely).

@@ -151,7 +151,7 @@ fn a_rule_change_allocates_for_its_ids_not_its_conditions() {
     let per_add = adds as f64 / CYCLES as f64;
     let per_remove = removes as f64 / CYCLES as f64;
     println!("allocations per add_rule {per_add:.2}, per remove_rule {per_remove:.2}");
-    // The engine reads 4.95 and 1.54 here: an add allocates its id list
+    // The engine reads 4.35 and 1.53 here: an add allocates its id list
     // and what the index binds and places, a removal the condition list
     // it hands back. Cloning each condition into the rule's cold half as
     // well read 8.60 per add.

@@ -31,10 +31,10 @@
 
 use crate::arena::NodeId;
 use crate::marks::Slot;
-use crate::tree::IbsTree;
+use crate::tree::IbsCore;
 use interval::IntervalId;
 
-impl<K: Ord + Clone> IbsTree<K> {
+impl<K: Ord + Clone> IbsCore<K> {
     /// Rotates the subtree rooted at `z` to the right (its left child
     /// comes up), returning the new subtree root.
     pub(crate) fn rotate_right(&mut self, z: NodeId) -> NodeId {
@@ -75,7 +75,7 @@ impl<K: Ord + Clone> IbsTree<K> {
 
     /// Rotates the subtree rooted at `z` to the left (its right child
     /// comes up), returning the new subtree root. Mirror image of
-    /// [`IbsTree::rotate_right`].
+    /// [`IbsCore::rotate_right`].
     pub(crate) fn rotate_left(&mut self, z: NodeId) -> NodeId {
         let y = self.arena[z].right;
         debug_assert!(!y.is_null(), "rotate_left requires a right child");
@@ -122,7 +122,8 @@ mod tests {
     //! invariant (soundness + completeness + canonical marks) still holds —
     //! i.e. the mark migrations of Figure 6 are exactly right.
 
-    use crate::tree::{BalanceMode, IbsTree};
+    use crate::tree::BalanceMode;
+    use crate::IbsTree;
     use interval::{Interval, IntervalId};
 
     /// A deliberately unbalanced tree (mode `None`) whose root has a
@@ -163,10 +164,10 @@ mod tests {
     fn manual_rotate_right_preserves_semantics() {
         let mut t = rich_tree();
         let before = all_stabs(&t);
-        let root = t.root_id();
-        assert!(!t.node(root).left.is_null(), "shape precondition");
-        let new_root = t.rotate_right(root);
-        t.root = new_root;
+        let root = t.core.root_id();
+        assert!(!t.core.node(root).left.is_null(), "shape precondition");
+        let new_root = t.core.rotate_right(root);
+        t.core.root = new_root;
         t.assert_invariants();
         assert_eq!(all_stabs(&t), before, "rotation changed query results");
     }
@@ -175,10 +176,10 @@ mod tests {
     fn manual_rotate_left_preserves_semantics() {
         let mut t = rich_tree();
         let before = all_stabs(&t);
-        let root = t.root_id();
-        assert!(!t.node(root).right.is_null(), "shape precondition");
-        let new_root = t.rotate_left(root);
-        t.root = new_root;
+        let root = t.core.root_id();
+        assert!(!t.core.node(root).right.is_null(), "shape precondition");
+        let new_root = t.core.rotate_left(root);
+        t.core.root = new_root;
         t.assert_invariants();
         assert_eq!(all_stabs(&t), before, "rotation changed query results");
     }
@@ -192,11 +193,11 @@ mod tests {
         let before = all_stabs(&t);
         let markers_before = t.marker_count();
         for _ in 0..6 {
-            let r = t.rotate_right(t.root_id());
-            t.root = r;
+            let r = t.core.rotate_right(t.core.root_id());
+            t.core.root = r;
             t.assert_invariants();
-            let r = t.rotate_left(t.root_id());
-            t.root = r;
+            let r = t.core.rotate_left(t.core.root_id());
+            t.core.root = r;
             t.assert_invariants();
         }
         assert_eq!(all_stabs(&t), before);
@@ -218,15 +219,15 @@ mod tests {
         let before = all_stabs(&t);
         // Shape from the fixed insertion order: 20(5(·,15(10,·)),30) —
         // node 15 sits two levels down and has a left child.
-        let root = t.root_id();
-        let five = t.node(root).left;
-        let fifteen = t.node(five).right;
-        assert_eq!(t.node(fifteen).value, 15, "shape precondition");
-        assert!(!t.node(fifteen).left.is_null(), "shape precondition");
-        let new_sub = t.rotate_right(fifteen);
-        t.arena[five].right = new_sub;
-        t.update_height(five);
-        t.update_height(root);
+        let root = t.core.root_id();
+        let five = t.core.node(root).left;
+        let fifteen = t.core.node(five).right;
+        assert_eq!(t.core.node(fifteen).value, 15, "shape precondition");
+        assert!(!t.core.node(fifteen).left.is_null(), "shape precondition");
+        let new_sub = t.core.rotate_right(fifteen);
+        t.core.arena[five].right = new_sub;
+        t.core.update_height(five);
+        t.core.update_height(root);
         t.assert_invariants();
         assert_eq!(all_stabs(&t), before);
     }

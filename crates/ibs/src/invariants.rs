@@ -17,38 +17,76 @@
 //! canonical walk places on the current shape (what lets a remove find
 //! them by walking), and verifies BST order via descent fences, AVL
 //! height/balance bookkeeping, and endpoint-ownership accounting.
+//!
+//! A core keeps no interval, so the checker reads the ones it holds —
+//! every endpoint owner and every universal id — through the caller's
+//! lender, and holds the core's count to how many there are.
 
 use crate::arena::{End, NodeId};
 use crate::marks::{Slot, SLOTS};
-use crate::tree::{BalanceMode, IbsTree};
-use interval::IntervalId;
-use std::collections::{BTreeSet, HashSet};
+use crate::tree::{BalanceMode, IbsCore};
+use interval::{Interval, IntervalId};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Debug;
 
-impl<K: Ord + Clone + Debug> IbsTree<K> {
+/// The intervals a core holds, by raw id, as its lender yields them.
+type Held<'a, K> = BTreeMap<u32, &'a Interval<K>>;
+
+impl<K: Ord + Clone + Debug> IbsCore<K> {
     /// Verifies every structural and semantic invariant, returning a
-    /// description of the first violation found.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// description of the first violation found. `lend` yields each
+    /// interval the core holds by id, as for [`remove`](Self::remove).
+    pub fn check_invariants<'a, L>(&self, lend: L) -> Result<(), String>
+    where
+        L: Fn(IntervalId) -> &'a Interval<K>,
+        K: 'a,
+    {
         if !self.scratch.is_empty() {
             return Err("an update left its scratch buffers non-empty".into());
         }
-        self.check_universal()?;
-        self.check_structure_and_marks()?;
-        self.check_owners()?;
+        let held = self.held(lend);
+        if held.len() != self.len() {
+            return Err(format!(
+                "the core counts {} intervals but holds {}",
+                self.len(),
+                held.len()
+            ));
+        }
+        self.check_universal(&held)?;
+        self.check_structure_and_marks(&held)?;
+        self.check_owners(&held)?;
         Ok(())
     }
 
     /// Panicking wrapper for use in tests.
     #[track_caller]
-    pub fn assert_invariants(&self) {
-        if let Err(e) = self.check_invariants() {
+    pub fn assert_invariants<'a, L>(&self, lend: L)
+    where
+        L: Fn(IntervalId) -> &'a Interval<K>,
+        K: 'a,
+    {
+        if let Err(e) = self.check_invariants(lend) {
             panic!("IBS-tree invariant violated: {e}");
         }
     }
 
-    fn check_universal(&self) -> Result<(), String> {
-        let expect: HashSet<u32> = self
-            .intervals
+    /// Every id the core holds: each endpoint owner (a point interval
+    /// twice) and each universal interval.
+    pub(crate) fn held_ids(&self) -> impl Iterator<Item = IntervalId> + '_ {
+        let owners = self
+            .arena
+            .iter()
+            .flat_map(|(n, _)| self.arena.cold(n).all_owners());
+        owners.chain(self.universal.iter().copied())
+    }
+
+    /// Every id the core holds with its lent interval.
+    fn held<'a>(&self, lend: impl Fn(IntervalId) -> &'a Interval<K>) -> Held<'a, K> {
+        self.held_ids().map(|id| (id.0, lend(id))).collect()
+    }
+
+    fn check_universal(&self, intervals: &Held<'_, K>) -> Result<(), String> {
+        let expect: HashSet<u32> = intervals
             .iter()
             .filter(|(_, iv)| iv.lo().value().is_none() && iv.hi().value().is_none())
             .map(|(&id, _)| id)
@@ -65,7 +103,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
         Ok(())
     }
 
-    fn check_structure_and_marks(&self) -> Result<(), String> {
+    fn check_structure_and_marks(&self, intervals: &Held<'_, K>) -> Result<(), String> {
         struct Frame<K> {
             node: NodeId,
             lo_fence: Option<K>,
@@ -84,7 +122,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 hi_fence: None,
                 inherited: Vec::new(),
                 // Every walk but a universal interval's starts at the root.
-                active: (self.intervals.iter())
+                active: (intervals.iter())
                     .filter(|(_, iv)| iv.lo().value().is_some() || iv.hi().value().is_some())
                     .map(|(&id, _)| id)
                     .collect(),
@@ -138,14 +176,14 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
             let (lo, v, hi) = (f.lo_fence.as_ref(), Some(&n.value), f.hi_fence.as_ref());
             for slot in SLOTS {
                 let got: BTreeSet<u32> = n.marks.iter(slot).map(|id| id.0).collect();
-                if let Some(id) = got.iter().find(|id| !self.intervals.contains_key(id)) {
+                if let Some(id) = got.iter().find(|id| !intervals.contains_key(id)) {
                     return Err(format!("{slot} mark for unknown interval #{id}"));
                 }
                 let want: BTreeSet<u32> = (f.active.iter().copied())
                     .filter(|id| match slot {
-                        Slot::Less => self.intervals[id].covers_open_range(lo, v),
-                        Slot::Eq => self.intervals[id].contains(&n.value),
-                        Slot::Greater => self.intervals[id].covers_open_range(v, hi),
+                        Slot::Less => intervals[id].covers_open_range(lo, v),
+                        Slot::Eq => intervals[id].contains(&n.value),
+                        Slot::Greater => intervals[id].covers_open_range(v, hi),
                     })
                     .collect();
                 if got != want {
@@ -170,8 +208,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                     n.value
                 ));
             }
-            let expected: HashSet<u32> = self
-                .intervals
+            let expected: HashSet<u32> = intervals
                 .iter()
                 .filter(|(_, iv)| iv.contains(&n.value))
                 .map(|(&id, _)| id)
@@ -203,8 +240,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 let mut inherited = f.inherited.clone();
                 inherited.extend(n.marks.iter(slot));
                 if child.is_null() {
-                    let expected: HashSet<u32> = self
-                        .intervals
+                    let expected: HashSet<u32> = intervals
                         .iter()
                         .filter(|(_, iv)| iv.covers_open_range(gap_lo.as_ref(), gap_hi.as_ref()))
                         .map(|(&id, _)| id)
@@ -224,7 +260,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                     let (lo, hi) = (gap_lo.as_ref(), gap_hi.as_ref());
                     let active = (f.active.iter().copied())
                         .filter(|id| {
-                            let iv = &self.intervals[id];
+                            let iv = &intervals[id];
                             !iv.covers_open_range(lo, hi) && iv.overlaps_open_range(lo, hi)
                         })
                         .collect();
@@ -249,10 +285,10 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
         Ok(())
     }
 
-    fn check_owners(&self) -> Result<(), String> {
+    fn check_owners(&self, intervals: &Held<'_, K>) -> Result<(), String> {
         // Every finite endpoint of every interval must be owned at the
         // node holding that value.
-        for (&raw, iv) in &self.intervals {
+        for (&raw, iv) in intervals {
             let id = IntervalId(raw);
             if let Some(lo) = iv.lo().value() {
                 let n = self
@@ -280,7 +316,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 return Err(format!("orphan endpoint node {:?}", node.value));
             }
             for id in cold.owners(End::Lo) {
-                match self.intervals.get(&id.0) {
+                match intervals.get(&id.0) {
                     None => return Err(format!("lo owner {id} is not a live interval")),
                     Some(iv) => {
                         if iv.lo().value() != Some(&node.value) {
@@ -293,7 +329,7 @@ impl<K: Ord + Clone + Debug> IbsTree<K> {
                 }
             }
             for id in cold.owners(End::Hi) {
-                match self.intervals.get(&id.0) {
+                match intervals.get(&id.0) {
                     None => return Err(format!("hi owner {id} is not a live interval")),
                     Some(iv) => {
                         if iv.hi().value() != Some(&node.value) {

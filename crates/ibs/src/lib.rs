@@ -55,11 +55,13 @@ mod invariants;
 mod marks;
 mod observe;
 mod overlap;
+mod shell;
 mod tree;
 
 pub use marks::{MarkSet, Slot};
 pub use observe::{StabObserver, StabStats};
-pub use tree::{BalanceMode, DuplicateId, IbsTree, LANES};
+pub use shell::{DuplicateId, IbsTree};
+pub use tree::{BalanceMode, IbsCore, LANES};
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 //! query range.
 
 use crate::arena::{End, NodeId};
-use crate::tree::IbsTree;
+use crate::IbsTree;
 use interval::{Interval, IntervalId, Lower};
 
 impl<K: Ord + Clone> IbsTree<K> {
@@ -45,7 +45,7 @@ impl<K: Ord + Clone> IbsTree<K> {
                 // range scan below covers starters, this covers the
                 // rest. (A stab at "the leftmost point" has no anchor
                 // value to use.)
-                out.extend_from_slice(&self.universal);
+                out.extend_from_slice(&self.core.universal);
                 for (id, iv) in self.iter() {
                     if iv.lo().value().is_none() {
                         out.push(id);
@@ -59,7 +59,7 @@ impl<K: Ord + Clone> IbsTree<K> {
         // boundary cases that the exact filter removes.
         let lo_anchor = query.lo().value();
         let hi_anchor = query.hi().value();
-        self.collect_lo_owners_in_hull(self.root_id(), lo_anchor, hi_anchor, out);
+        self.collect_lo_owners_in_hull(self.core.root_id(), lo_anchor, hi_anchor, out);
 
         // Exact filter + dedupe.
         let tail = &mut out[from..];
@@ -95,14 +95,14 @@ impl<K: Ord + Clone> IbsTree<K> {
         if node.is_null() {
             return;
         }
-        let n = self.node(node);
+        let n = self.core.node(node);
         let above_lo = lo.is_none_or(|l| &n.value >= l);
         let below_hi = hi.is_none_or(|h| &n.value <= h);
         if above_lo {
             self.collect_lo_owners_in_hull(n.left, lo, hi, out);
         }
         if above_lo && below_hi {
-            out.extend(self.arena.cold(node).owners(End::Lo));
+            out.extend(self.core.arena.cold(node).owners(End::Lo));
         }
         if below_hi {
             self.collect_lo_owners_in_hull(n.right, lo, hi, out);

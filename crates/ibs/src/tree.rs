@@ -24,18 +24,24 @@
 //! removed only when no remaining interval is anchored at it) with the
 //! predecessor-swap splice, and finds an interval's marks as §4.2 does,
 //! by "the reverse of the procedure for insertion": every mark sits where
-//! the canonical walk of [`IbsTree::place_marks`] would place it on the
+//! the canonical walk of [`IbsCore::place_marks`] would place it on the
 //! current shape (the rotations and the repair set keep it there), and
 //! that walk never leaves the search paths to the interval's endpoints,
 //! so clearing them clears the interval (DESIGN.md §5).
+//!
+//! [`IbsCore`] is that state and nothing beside it: nodes, marks,
+//! endpoint owners and the universal list, §5.1's space. It keeps no
+//! copy of an interval. An insert reads the interval it is handed, and
+//! a remove is handed the removed interval and a *lender* that yields
+//! any other stored interval by id, for the repair set a node deletion
+//! disturbs. [`crate::IbsTree`] is the owning shell over a core; the
+//! predicate index lends from its `PREDICATES` slab instead.
 
 use crate::arena::{Arena, End, Node, NodeId};
-use crate::idmap::IdMap;
 use crate::marks::{Slot, SLOTS};
-use crate::StabStats;
 use interval::{Interval, IntervalId};
 
-/// Keys one [`IbsTree::stab_lanes_into`] call descends together: sixteen
+/// Keys one [`IbsCore::stab_lanes_into`] call descends together: sixteen
 /// independent descents keep enough node loads in flight to hide most
 /// of a miss, and their cursors fill one cache line. A constant, not a
 /// setting (DESIGN.md §5).
@@ -61,46 +67,47 @@ pub enum BalanceMode {
     Avl,
 }
 
-/// Error returned by [`IbsTree::insert`] when the id is already present.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DuplicateId(pub IntervalId);
-
-impl std::fmt::Display for DuplicateId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "interval id {} is already in the tree", self.0)
-    }
-}
-
-impl std::error::Error for DuplicateId {}
-
-/// A dynamically updatable index over intervals and points supporting
-/// stabbing queries in `O(log N + L)`.
+/// The IBS-tree's own state: endpoint nodes with their marks and
+/// owners, the universal list, the update scratch buffers and a count.
+/// The intervals themselves live with the caller, who hands each one to
+/// [`insert`](Self::insert) and [`remove`](Self::remove) and lends the
+/// stored ones back by id when a remove repairs marks.
 ///
 /// ```
-/// use ibs::IbsTree;
+/// use ibs::IbsCore;
 /// use interval::{Interval, IntervalId};
 ///
-/// let mut t = IbsTree::new();
-/// t.insert(IntervalId(0), Interval::closed(9, 19)).unwrap();   // paper Fig. 2: A
-/// t.insert(IntervalId(1), Interval::closed(2, 7)).unwrap();    // B
-/// t.insert(IntervalId(4), Interval::closed(8, 12)).unwrap();   // E
-/// t.insert(IntervalId(6), Interval::at_most(17)).unwrap();     // G = (-inf, 17]
-///
-/// let mut hits = t.stab(&10);
+/// // The caller's table, indexed by id: paper Fig. 2's A, B, E and G.
+/// let table = [
+///     Interval::closed(9, 19),
+///     Interval::closed(2, 7),
+///     Interval::closed(8, 12),
+///     Interval::at_most(17),
+/// ];
+/// let lend = |id: IntervalId| &table[id.index()];
+/// let mut core = IbsCore::new();
+/// for (i, iv) in table.iter().enumerate() {
+///     core.insert(IntervalId(i as u32), iv);
+/// }
+/// let mut hits = Vec::new();
+/// core.stab_into(&10, &mut hits);
 /// hits.sort();
-/// assert_eq!(hits, vec![IntervalId(0), IntervalId(4), IntervalId(6)]);
+/// assert_eq!(hits, vec![IntervalId(0), IntervalId(2), IntervalId(3)]);
+///
+/// core.remove(IntervalId(0), &table[0], lend);
+/// core.assert_invariants(lend);
+/// assert_eq!(core.len(), 3);
 /// ```
 #[derive(Debug, Clone)]
-pub struct IbsTree<K> {
+pub struct IbsCore<K> {
     pub(crate) arena: Arena<K>,
     pub(crate) root: NodeId,
-    /// id → the interval itself (the paper's `PREDICATES` side table,
-    /// scoped to this tree).
-    pub(crate) intervals: IdMap<Interval<K>>,
     /// Intervals with no finite endpoint at all: `(-inf, +inf)` matches
     /// every key, so it is reported unconditionally rather than marked.
     pub(crate) universal: Vec<IntervalId>,
     pub(crate) scratch: Scratch,
+    /// Intervals indexed.
+    len: usize,
     mode: BalanceMode,
 }
 
@@ -138,43 +145,43 @@ impl Scratch {
     }
 }
 
-impl<K: Ord + Clone> Default for IbsTree<K> {
+impl<K: Ord + Clone> Default for IbsCore<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord + Clone> IbsTree<K> {
-    /// An empty AVL-balanced tree.
+impl<K: Ord + Clone> IbsCore<K> {
+    /// An empty AVL-balanced core.
     pub fn new() -> Self {
         Self::with_mode(BalanceMode::Avl)
     }
 
-    /// An empty tree with an explicit balancing mode.
+    /// An empty core with an explicit balancing mode.
     pub fn with_mode(mode: BalanceMode) -> Self {
-        IbsTree {
+        IbsCore {
             arena: Arena::new(),
             root: NodeId::NULL,
-            intervals: IdMap::default(),
             universal: Vec::new(),
             scratch: Scratch::default(),
+            len: 0,
             mode,
         }
     }
 
-    /// The balancing mode this tree was created with.
+    /// The balancing mode this core was created with.
     pub fn mode(&self) -> BalanceMode {
         self.mode
     }
 
     /// Number of intervals currently indexed.
     pub fn len(&self) -> usize {
-        self.intervals.len()
+        self.len
     }
 
     /// Is the tree empty of intervals?
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.len == 0
     }
 
     /// Number of live endpoint nodes.
@@ -189,13 +196,13 @@ impl<K: Ord + Clone> IbsTree<K> {
         self.arena.iter().map(|(_, n)| n.marks.total()).sum()
     }
 
-    /// Heap bytes the tree holds, computed on read: the node arena (hot
-    /// and cold records, free list, owner lists, mark spills), the
-    /// interval table, `universal` and the update scratch buffers, all at
-    /// capacity. Heap a key owns itself (a string's bytes) is not counted.
+    /// Heap bytes the core holds, computed on read: the node arena (hot
+    /// and cold records, free list, owner lists, mark spills),
+    /// `universal` and the update scratch buffers, all at capacity —
+    /// §5.1's nodes plus marks. Heap a key owns itself (a string's
+    /// bytes) is not counted.
     pub fn approx_bytes(&self) -> usize {
         self.arena.heap_bytes()
-            + map_bytes(&self.intervals)
             + self.universal.capacity() * size_of::<IntervalId>()
             + self.scratch.heap_bytes()
     }
@@ -205,38 +212,20 @@ impl<K: Ord + Clone> IbsTree<K> {
         self.height_of(self.root)
     }
 
-    /// The interval stored under `id`, if any.
-    pub fn get(&self, id: IntervalId) -> Option<&Interval<K>> {
-        self.intervals.get(&id.0)
-    }
-
-    /// Iterates all `(id, interval)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (IntervalId, &Interval<K>)> {
-        self.intervals.iter().map(|(&id, iv)| (IntervalId(id), iv))
-    }
-
     // ------------------------------------------------------------------
     // Stabbing queries (paper Figure 4, `findIntervals`)
     // ------------------------------------------------------------------
 
-    /// Returns the ids of every interval containing `x`, in unspecified
-    /// order (each id exactly once).
-    pub fn stab(&self, x: &K) -> Vec<IntervalId> {
-        let mut out = Vec::new();
-        self.stab_into(x, &mut out);
-        out
-    }
-
-    /// As [`IbsTree::stab`], appending into a caller-owned buffer so hot
-    /// loops can reuse the allocation.
+    /// Appends the ids of every interval containing `x` to `out`, in
+    /// unspecified order (each id exactly once).
     pub fn stab_into(&self, x: &K, out: &mut Vec<IntervalId>) {
         self.stab_into_observed(x, out, &mut ());
     }
 
-    /// As [`IbsTree::stab_into`], reporting each unit of §5 work — node
+    /// As [`IbsCore::stab_into`], reporting each unit of §5 work — node
     /// visits and mark collections — to `obs`. With the `()` observer
     /// this monomorphizes to exactly the uninstrumented loop. This is
-    /// the one-lane case of [`IbsTree::stab_lanes_into`].
+    /// the one-lane case of [`IbsCore::stab_lanes_into`].
     pub fn stab_into_observed<O: crate::StabObserver>(
         &self,
         x: &K,
@@ -249,7 +238,7 @@ impl<K: Ord + Clone> IbsTree<K> {
     /// Stabs the tree with up to [`LANES`] keys at once: lane `l`
     /// appends the ids of every interval containing `keys[l]` to
     /// `outs[l]` and reports its work to `observers[l]`, exactly as
-    /// [`IbsTree::stab_into_observed`] would: the same ids (in another
+    /// [`IbsCore::stab_into_observed`] would: the same ids (in another
     /// order when a slot holds several) and the same work. The lanes
     /// descend in lock-step, one node per lane per round; the step has
     /// no branch on the comparison, so the lanes' node loads overlap
@@ -368,29 +357,21 @@ impl<K: Ord + Clone> IbsTree<K> {
         }
     }
 
-    /// Counts the intervals containing `x`: the one-lane stab, into a
-    /// scratch buffer.
-    pub fn stab_count(&self, x: &K) -> usize {
-        let mut stats = StabStats::default();
-        self.stab_into_observed(x, &mut Vec::new(), &mut stats);
-        stats.marks_scanned as usize
-    }
-
     // ------------------------------------------------------------------
     // Insertion (paper Figure 3, `addLeft` / `addRight`)
     // ------------------------------------------------------------------
 
-    /// Indexes `iv` under `id`.
+    /// Indexes `iv` under `id`, which the core must not hold yet: the
+    /// core keeps no table to check that against, its caller does. The
+    /// interval is read, not kept — only its endpoint keys are cloned,
+    /// into new nodes.
     ///
     /// Structure first, marks second: both endpoint nodes are inserted
     /// (and the tree rebalanced) before any mark is placed, so marks are
     /// always placed canonically with respect to the final shape. This is
     /// an equivalent refactoring of the paper's interleaved
     /// `insertPredicate`.
-    pub fn insert(&mut self, id: IntervalId, iv: Interval<K>) -> Result<(), DuplicateId> {
-        if self.intervals.contains_key(&id.0) {
-            return Err(DuplicateId(id));
-        }
+    pub fn insert(&mut self, id: IntervalId, iv: &Interval<K>) {
         let (lo, hi) = (iv.lo().value(), iv.hi().value());
         if lo.is_none() && hi.is_none() {
             self.universal.push(id);
@@ -403,10 +384,9 @@ impl<K: Ord + Clone> IbsTree<K> {
                 let n = self.ensure_node(v);
                 self.arena.cold_mut(n).own(End::Hi, id);
             }
-            self.place_marks(id, &iv);
+            self.place_marks(id, iv);
         }
-        self.intervals.insert(id.0, iv);
-        Ok(())
+        self.len += 1;
     }
 
     /// Places the marks for `iv` canonically. The endpoint nodes must
@@ -433,7 +413,7 @@ impl<K: Ord + Clone> IbsTree<K> {
     }
 
     /// Walks `iv`'s canonical placement on the current shape (see
-    /// [`IbsTree::place_marks`]), calling `f` with each `(node, slot)`
+    /// [`IbsCore::place_marks`]), calling `f` with each `(node, slot)`
     /// that carries its mark.
     fn walk_canonical(&mut self, iv: &Interval<K>, mut f: impl FnMut(&mut Arena<K>, NodeId, Slot)) {
         let mut stack = std::mem::take(&mut self.scratch.stack);
@@ -470,19 +450,30 @@ impl<K: Ord + Clone> IbsTree<K> {
     // Removal (paper §4.2 deletion procedure)
     // ------------------------------------------------------------------
 
-    /// Removes the interval stored under `id`, returning it. Endpoint
-    /// nodes are deleted when no remaining interval is anchored at them.
-    pub fn remove(&mut self, id: IntervalId) -> Option<Interval<K>> {
-        let iv = self.intervals.remove(&id.0)?;
+    /// Removes `id`, which the core holds with exactly the interval
+    /// `iv`. Endpoint nodes are deleted when no remaining interval is
+    /// anchored at them; a deletion re-places the marks of the intervals
+    /// it disturbs, and `lend` yields each of those by id — any interval
+    /// the core still holds, never `id` itself.
+    ///
+    /// # Panics
+    ///
+    /// If an endpoint of `iv` is not owned by `id` in the core.
+    pub fn remove<'a, L>(&mut self, id: IntervalId, iv: &Interval<K>, lend: L)
+    where
+        L: Fn(IntervalId) -> &'a Interval<K>,
+        K: 'a,
+    {
+        self.len -= 1;
         let (lo, hi) = (iv.lo().value(), iv.hi().value());
         if lo.is_none() && hi.is_none() {
             self.universal.retain(|&u| u != id);
-            return Some(iv);
+            return;
         }
 
         // 1. Every mark for the interval comes out, on the shape that
         //    placed them, by a walk that ends at the endpoint nodes.
-        let [lo_node, hi_node] = self.clear_marks(id, &iv);
+        let [lo_node, hi_node] = self.clear_marks(id, iv);
 
         // 2. Release both endpoint ownerships at their nodes (a point
         //    interval owns the same node twice), then decide from those
@@ -503,17 +494,19 @@ impl<K: Ord + Clone> IbsTree<K> {
         //    intervals the restructuring disturbed). By value: the first
         //    splice can move the second value to another node.
         for (v, _) in [doomed_lo, doomed_hi].into_iter().flatten() {
-            self.delete_value(v);
+            self.delete_value(v, &lend);
         }
-        Some(iv)
     }
 
     /// Deletes the node holding `v` from the endpoint tree, repairing the
     /// marks of every interval the restructuring could disturb (the
     /// paper's temporary set `T`, here taken as: all intervals with marks
     /// on the spliced or value-swapped nodes, plus all intervals anchored
-    /// at the predecessor's value).
-    fn delete_value(&mut self, v: &K) {
+    /// at the predecessor's value). `lend` yields each of them.
+    fn delete_value<'a>(&mut self, v: &K, lend: &impl Fn(IntervalId) -> &'a Interval<K>)
+    where
+        K: 'a,
+    {
         // Descend to the target, recording (node, went_left) for retrace.
         let mut path = std::mem::take(&mut self.scratch.path);
         let mut cur = self.root;
@@ -535,15 +528,9 @@ impl<K: Ord + Clone> IbsTree<K> {
 
         let two_children = !self.arena[x].left.is_null() && !self.arena[x].right.is_null();
 
-        // Collect the repair set T and strip its marks. Clearing and
-        // placing marks never read the interval table, so it is lent out
-        // meanwhile. (The interval being removed is already gone from it,
-        // so it can never appear in `repair`.)
-        let intervals = std::mem::take(&mut self.intervals);
-        let interval = |m: IntervalId| {
-            let iv = intervals.get(&m.0);
-            iv.expect("repair ids come from the interval table")
-        };
+        // Collect the repair set T and strip its marks. (The interval
+        // being removed has no marks or owners left, so it can never
+        // appear in `repair`.)
         let mut repair = std::mem::take(&mut self.scratch.repair);
         fn note(repair: &mut Vec<IntervalId>, ids: impl Iterator<Item = IntervalId>) {
             for m in ids {
@@ -570,7 +557,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             }
             note(&mut repair, self.arena.cold(y).all_owners());
             for &m in &repair {
-                self.clear_marks(m, interval(m));
+                self.clear_marks(m, lend(m));
             }
             // Swap the values (and the endpoint ownership that travels
             // with a value) of x and y, leaving links, heights and mark
@@ -581,7 +568,7 @@ impl<K: Ord + Clone> IbsTree<K> {
             spliced = y;
         } else {
             for &m in &repair {
-                self.clear_marks(m, interval(m));
+                self.clear_marks(m, lend(m));
             }
             spliced = x;
         }
@@ -614,14 +601,13 @@ impl<K: Ord + Clone> IbsTree<K> {
         // Re-place marks for every disturbed interval, canonically for
         // the new shape.
         for m in repair.drain(..) {
-            self.place_marks(m, interval(m));
+            self.place_marks(m, lend(m));
         }
-        self.intervals = intervals;
         self.scratch.repair = repair;
     }
 
     /// Removes every mark of `id` (whose interval is `iv`), on the shape
-    /// that placed them: the reverse of [`IbsTree::place_marks`]. That
+    /// that placed them: the reverse of [`IbsCore::place_marks`]. That
     /// walk descends only into a child whose key range `iv` partly
     /// overlaps, and since `iv`'s endpoints are tree values, such a child
     /// holds one of them: every mark sits on the search path to a finite
@@ -790,7 +776,7 @@ impl<K: Ord + Clone> IbsTree<K> {
 }
 
 /// Borrow-friendly access used by the balance and invariants modules.
-impl<K> IbsTree<K> {
+impl<K> IbsCore<K> {
     pub(crate) fn node(&self, id: NodeId) -> &Node<K> {
         &self.arena[id]
     }
@@ -799,12 +785,6 @@ impl<K> IbsTree<K> {
     pub(crate) fn root_id(&self) -> NodeId {
         self.root
     }
-}
-
-/// Table bytes of a hash map: its capacity is 7/8 of its slots, and
-/// each slot carries one control byte.
-fn map_bytes<V>(m: &IdMap<V>) -> usize {
-    m.capacity() * 8 / 7 * (size_of::<(u32, V)>() + 1)
 }
 
 /// The debug check behind every stab: no id twice among the ids one

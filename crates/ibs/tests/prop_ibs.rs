@@ -11,8 +11,11 @@
 //!   ownership accounting), and
 //! * compare stabbing results against the oracle for every key in the
 //!   domain.
+//!
+//! A bare `IbsCore`, lent its intervals from a `Vec`, runs in lockstep
+//! with the owning `IbsTree` shell.
 
-use ibs::{BalanceMode, IbsTree, StabStats};
+use ibs::{BalanceMode, IbsCore, IbsTree, StabStats};
 use interval::{Interval, IntervalId, Lower, Upper};
 use proptest::prelude::*;
 
@@ -483,4 +486,63 @@ fn more_keys_than_lanes_is_a_caller_bug() {
     let keys = [&0; ibs::LANES + 1];
     let mut outs = vec![Vec::new(); ibs::LANES + 1];
     tree.stab_lanes_into(&keys, &mut outs, &mut [(); ibs::LANES + 1]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The core under a caller's table and the owning shell, in
+    /// lockstep: a core lent its intervals from a `Vec` indexed by id
+    /// (as the predicate index lends from its slab) must take the same
+    /// shape as an `IbsTree` fed the same sequence — the same stabs, in
+    /// the same order with the same `StabStats`, the same node, mark
+    /// and height counts — and hold every invariant after every op.
+    #[test]
+    fn a_lent_core_runs_in_lockstep_with_the_shell(ops in arb_churn_ops(25, 60)) {
+        let mut core: IbsCore<i32> = IbsCore::new();
+        let mut shell: IbsTree<i32> = IbsTree::new();
+        let mut table: Vec<Option<Interval<i32>>> = Vec::new();
+        let mut live: Vec<IntervalId> = Vec::new();
+        fn lend<'a>(table: &'a [Option<Interval<i32>>]) -> impl Fn(IntervalId) -> &'a Interval<i32> {
+            |id| table[id.index()].as_ref().expect("the core asks only for held ids")
+        }
+        for op in ops {
+            match op {
+                ChurnOp::Insert(iv) => {
+                    let id = IntervalId(table.len() as u32);
+                    core.insert(id, &iv);
+                    shell.insert(id, iv.clone()).expect("fresh id");
+                    table.push(Some(iv));
+                    live.push(id);
+                }
+                ChurnOp::Remove(k) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let id = live.swap_remove(k % live.len());
+                    let iv = table[id.index()].take().expect("live id");
+                    core.remove(id, &iv, lend(&table));
+                    prop_assert_eq!(shell.remove(id), Some(iv));
+                }
+                ChurnOp::Stab(x) => {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    let (mut sa, mut sb) = (StabStats::default(), StabStats::default());
+                    core.stab_into_observed(&x, &mut a, &mut sa);
+                    shell.stab_into_observed(&x, &mut b, &mut sb);
+                    prop_assert_eq!(a, b, "stab({})", x);
+                    prop_assert_eq!(sa, sb, "stab({}) work", x);
+                }
+                // The shell's own read: its overlap query has no core
+                // counterpart.
+                ChurnOp::StabInterval(_) => {}
+            }
+            core.assert_invariants(lend(&table));
+            shell.assert_invariants();
+            prop_assert_eq!(core.len(), shell.len());
+            prop_assert_eq!(
+                (core.node_count(), core.marker_count(), core.height()),
+                (shell.node_count(), shell.marker_count(), shell.height())
+            );
+        }
+    }
 }

@@ -37,6 +37,14 @@
 //! half holds the source form, read by remove, EXPLAIN and `get`; the
 //! id → slot map is read only by those.
 //!
+//! An IBS-tree here is a bare [`IbsCore`]: nodes and marks, no copy of
+//! an interval. Each interval lives once, in its predicate's source
+//! form — the hot entry records which clause the tree indexes — and the
+//! index lends it to the core by slot when a remove repairs marks.
+//! Where binding coerced an endpoint (an `Int` literal on a `Float`
+//! attribute), the source clause is not the indexed interval, so the
+//! bound one is kept beside the slab instead.
+//!
 //! The whole structure lives in one place, [`IndexCore`]: the relation
 //! hash and the `PREDICATES` slab, with the only insert, remove, match,
 //! EXPLAIN and stats bodies in the crate.
@@ -49,8 +57,8 @@ use crate::matcher::{IndexError, Matcher, PredicateId, StoredPredicate};
 use crate::metrics::{AttrWork, IndexMetrics};
 use crate::slab::{map_bytes, Slab};
 use crate::stats::{IndexStats, RelationStats, TreeStats};
-use ibs::{IbsTree, StabObserver, StabStats, LANES};
-use interval::Interval;
+use ibs::{IbsCore, StabObserver, StabStats, LANES};
+use interval::{Interval, IntervalId};
 use predicate::selectivity::most_selective_indexable;
 use predicate::{BoundClause, BoundPredicate, Clause, Predicate};
 use relation::fx::FnvHashMap;
@@ -64,9 +72,11 @@ use telemetry::{
 /// Where a registered predicate physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Location {
-    /// In the IBS-tree of this attribute (by schema position; a `u32`
-    /// keeps a hot table slot at 32 bytes, two to a cache line).
-    Tree { attr: u32 },
+    /// In the IBS-tree of this attribute (by schema position), indexed
+    /// under the source clause at position `clause` (`u16::MAX` past
+    /// that, where the interval is kept beside the slab). A `u32` and a
+    /// `u16` keep a hot table slot at 32 bytes, two to a cache line.
+    Tree { attr: u32, clause: u16 },
     /// On the relation's non-indexable list.
     NonIndexable,
     /// Nowhere: the predicate is unsatisfiable and can never match.
@@ -293,10 +303,11 @@ impl OpaqueGroup {
 
 /// One attribute's IBS-tree plus its pre-resolved stab-work counters,
 /// minted when the tree (or the telemetry attachment) is created, so
-/// the stab path records with atomic adds only.
+/// the stab path records with atomic adds only. The tree is a bare
+/// core: its intervals are lent from `PREDICATES` ([`tree_interval`]).
 #[derive(Debug, Clone)]
 struct AttrTree {
-    tree: IbsTree<Value>,
+    tree: IbsCore<Value>,
     work: Option<AttrWork>,
 }
 
@@ -331,23 +342,21 @@ impl RelationIndex {
         }
     }
 
-    /// Indexes `interval` under `attr` with mark `slot`, creating the
-    /// tree on first use.
+    /// Indexes `interval` under `attr` with mark `slot` (vacant until
+    /// now, so no tree holds it), creating the tree on first use.
     fn insert_tree(
         &mut self,
         relation: &str,
         attr: usize,
         slot: u32,
-        interval: Interval<Value>,
+        interval: &Interval<Value>,
         metrics: &IndexMetrics,
     ) {
         let at = self.attr_trees.entry(attr).or_insert_with(|| AttrTree {
-            tree: IbsTree::new(),
+            tree: IbsCore::new(),
             work: metrics.attr_work(relation, attr),
         });
-        at.tree
-            .insert(PredicateId(slot), interval)
-            .expect("the slot was vacant; the tree cannot already hold it");
+        at.tree.insert(PredicateId(slot), interval);
     }
 
     /// Adds `slot` to the group of its clause set, opening the group on
@@ -364,21 +373,24 @@ impl RelationIndex {
         }
     }
 
-    /// Removes the interval marked `slot`, dropping the tree when it
-    /// empties, and returns it.
-    fn remove_tree(&mut self, attr: usize, slot: u32) -> Interval<Value> {
+    /// Removes `interval`, marked `slot`, from `attr`'s tree, dropping
+    /// the tree when it empties. `lend` yields the other slots'
+    /// intervals the removal repairs.
+    fn remove_tree<'a>(
+        &mut self,
+        attr: usize,
+        slot: u32,
+        interval: &Interval<Value>,
+        lend: impl Fn(IntervalId) -> &'a Interval<Value>,
+    ) {
         let at = self
             .attr_trees
             .get_mut(&attr)
             .expect("a Tree placement was recorded for this attribute");
-        let interval = at
-            .tree
-            .remove(PredicateId(slot))
-            .expect("the tree has held this slot since its placement was recorded");
+        at.tree.remove(PredicateId(slot), interval, lend);
         if at.tree.is_empty() {
             self.attr_trees.remove(&attr);
         }
-        interval
     }
 
     /// Removes `slot` from its clause set's group, dropping the group
@@ -523,10 +535,41 @@ pub struct MatchLanes {
 }
 
 /// Heap bytes a tree holds for one indexed interval's string keys: a
-/// copy in its interval table and one in each endpoint's node (an
-/// overcount when two intervals share an endpoint).
+/// copy in each endpoint's node (an overcount when two intervals share
+/// an endpoint). The interval itself is its source form's.
 fn tree_key_heap(interval: &Interval<Value>) -> usize {
-    2 * interval_heap(interval)
+    interval_heap(interval)
+}
+
+/// Bound copies of tree intervals the source form cannot lend, by slot.
+type BoundCopies = FnvHashMap<u32, Interval<Value>>;
+
+/// The interval `slot`'s tree holds: the bound copy kept for it, or else
+/// the source clause its hot entry names. What every [`IbsCore`] here is
+/// lent.
+fn tree_interval<'a>(
+    preds: &'a Predicates,
+    copies: &'a BoundCopies,
+    slot: u32,
+) -> &'a Interval<Value> {
+    if let Some(interval) = copies.get(&slot) {
+        return interval;
+    }
+    let Location::Tree { clause, .. } = preds.hot(slot).location else {
+        unreachable!("a tree mark names a slot placed in a tree")
+    };
+    match &preds.cold(slot).clauses()[usize::from(clause)] {
+        Clause::Range { interval, .. } => interval,
+        Clause::Func { .. } => unreachable!("binding maps a range clause to a range clause"),
+    }
+}
+
+/// Did binding change an endpoint of `source` into `bound`? By type,
+/// not by `==`: `Value`'s order holds `Int(5)` and `Float(5.0)` equal.
+fn coerced(source: &Interval<Value>, bound: &Interval<Value>) -> bool {
+    let ty = |v: Option<&Value>| v.map(Value::attr_type);
+    ty(source.lo().value()) != ty(bound.lo().value())
+        || ty(source.hi().value()) != ty(bound.hi().value())
 }
 
 /// The Figure 1 structure itself: relation-name hash → per-attribute
@@ -540,6 +583,11 @@ fn tree_key_heap(interval: &Interval<Value>) -> usize {
 pub(crate) struct IndexCore {
     relations: FnvHashMap<String, RelationIndex>,
     preds: Predicates,
+    /// The bound interval of each tree slot whose source clause cannot
+    /// lend it: binding coerced an endpoint, or the clause sits past
+    /// position `u16::MAX`. Empty unless a predicate compares a `Float`
+    /// attribute with an `Int` literal.
+    bound_copies: BoundCopies,
     /// Heap behind the per-predicate entries — source forms, residuals,
     /// tree string keys — counted at insert and remove.
     entry_heap: usize,
@@ -551,19 +599,23 @@ impl IndexCore {
         IndexCore {
             relations: FnvHashMap::default(),
             preds: Slab::default(),
+            bound_copies: FnvHashMap::default(),
             entry_heap: 0,
         }
     }
 
-    /// `relation`'s second-level index, created (with its telemetry
-    /// handles resolved against `metrics`) on first use. The name is
-    /// copied only then.
-    fn relation_index(&mut self, relation: &str, metrics: &IndexMetrics) -> &mut RelationIndex {
-        if !self.relations.contains_key(relation) {
-            self.relations
-                .insert(relation.to_string(), RelationIndex::new(relation, metrics));
+    /// `relation`'s second-level index in `relations`, created (with
+    /// its telemetry handles resolved against `metrics`) on first use.
+    /// The name is copied only then.
+    fn relation_index<'r>(
+        relations: &'r mut FnvHashMap<String, RelationIndex>,
+        relation: &str,
+        metrics: &IndexMetrics,
+    ) -> &'r mut RelationIndex {
+        if !relations.contains_key(relation) {
+            relations.insert(relation.to_string(), RelationIndex::new(relation, metrics));
         }
-        self.relations
+        relations
             .get_mut(relation)
             .expect("the entry was created above if it was missing")
     }
@@ -571,7 +623,9 @@ impl IndexCore {
     /// Stores `stored` under the caller-assigned `id` with its `route`
     /// word in the next free slot, and indexes the slot where [`place`]
     /// says it belongs. The bound clauses are moved, not copied: the
-    /// indexed one into its tree, the rest into the hot entry.
+    /// rest into the hot entry, and the indexed one dropped once its
+    /// tree has read it — the tree borrows the source clause — unless
+    /// binding changed it, when it is kept in `bound_copies`.
     pub(crate) fn insert_bound(
         &mut self,
         id: PredicateId,
@@ -595,15 +649,26 @@ impl IndexCore {
                 let BoundClause::Range { attr, interval } = clauses.remove(clause) else {
                     unreachable!("most_selective_indexable only ever selects Range clauses")
                 };
+                let Clause::Range { interval: lent, .. } = &source.clauses()[clause] else {
+                    unreachable!("binding maps a range clause to a range clause")
+                };
+                let position = u16::try_from(clause).ok().filter(|&c| c < u16::MAX);
                 heap += tree_key_heap(&interval);
-                self.relation_index(relation, metrics)
+                let interval = if position.is_some() && !coerced(lent, &interval) {
+                    lent
+                } else {
+                    heap += interval_heap(&interval);
+                    self.bound_copies.entry(slot).or_insert(interval)
+                };
+                Self::relation_index(&mut self.relations, relation, metrics)
                     .insert_tree(relation, attr, slot, interval, metrics);
                 Location::Tree {
                     attr: u32::try_from(attr).expect("a schema has fewer than 2^32 attributes"),
+                    clause: position.unwrap_or(u16::MAX),
                 }
             }
             Placement::NonIndexable => {
-                self.relation_index(relation, metrics)
+                Self::relation_index(&mut self.relations, relation, metrics)
                     .push_non_indexable(slot, &clauses);
                 Location::NonIndexable
             }
@@ -630,13 +695,22 @@ impl IndexCore {
         ) = self.preds.remove(id.0)?;
         let mut heap = source_heap(&source) + clauses_heap(&residual);
         match location {
-            Location::Tree { attr } => {
-                let interval = self
-                    .relations
+            Location::Tree { attr, clause } => {
+                let copy = self.bound_copies.remove(&slot);
+                let interval =
+                    copy.as_ref()
+                        .unwrap_or_else(|| match &source.clauses()[usize::from(clause)] {
+                            Clause::Range { interval, .. } => interval,
+                            Clause::Func { .. } => unreachable!("a tree indexes a range clause"),
+                        });
+                heap += tree_key_heap(interval) + copy.as_ref().map_or(0, interval_heap);
+                let (preds, copies) = (&self.preds, &self.bound_copies);
+                self.relations
                     .get_mut(source.relation())
                     .expect("a Tree location implies the relation entry exists")
-                    .remove_tree(attr as usize, slot);
-                heap += tree_key_heap(&interval);
+                    .remove_tree(attr as usize, slot, interval, |m| {
+                        tree_interval(preds, copies, m.0)
+                    });
             }
             Location::NonIndexable => {
                 self.relations
@@ -860,7 +934,106 @@ impl IndexCore {
             .iter()
             .map(|(name, ri)| name.capacity() + ri.heap_bytes())
             .sum();
-        map_bytes(&self.relations) + relations + self.preds.table_bytes() + self.entry_heap
+        map_bytes(&self.relations)
+            + relations
+            + self.preds.table_bytes()
+            + map_bytes(&self.bound_copies)
+            + self.entry_heap
+    }
+
+    /// Checks each tree against `PREDICATES`: every slot placed in a
+    /// tree is lent the interval binding its source against `catalog`
+    /// yields — endpoint types included — and is kept in `bound_copies`
+    /// exactly when its source clause cannot lend that; each tree holds
+    /// exactly the slots placed in it and passes
+    /// [`IbsCore::check_invariants`] lent as a remove lends it.
+    pub(crate) fn check_invariants(&self, catalog: &Catalog) -> Result<(), String> {
+        let mut placed: FnvHashMap<(&str, usize), FnvHashMap<u32, &Interval<Value>>> =
+            FnvHashMap::default();
+        for (slot, hot, source) in self.preds.iter() {
+            let Location::Tree { attr, clause } = hot.location else {
+                if self.bound_copies.contains_key(&slot) {
+                    return Err(format!("slot {slot} is in no tree but keeps a bound copy"));
+                }
+                continue;
+            };
+            let schema = catalog
+                .relation(source.relation())
+                .ok_or_else(|| format!("slot {slot}: no relation {}", source.relation()))?
+                .schema();
+            let bound = source
+                .bind(schema)
+                .map_err(|e| format!("slot {slot}: {e}"))?;
+            let fail = |what: String| format!("slot {slot} ({:?}): {what}", source.to_source());
+            let lent = tree_interval(&self.preds, &self.bound_copies, slot);
+            let copied = self.bound_copies.contains_key(&slot);
+            fn range_on(c: &BoundClause, attr: usize) -> Option<&Interval<Value>> {
+                match c {
+                    BoundClause::Range { attr: a, interval } if *a == attr => Some(interval),
+                    _ => None,
+                }
+            }
+            let on_attr = |c| range_on(c, attr as usize);
+            let same = |iv: &Interval<Value>| iv == lent && !coerced(iv, lent);
+            if clause == u16::MAX {
+                // A position past `u16`: only a bound copy can lend it.
+                if !copied || !bound.clauses().iter().filter_map(on_attr).any(same) {
+                    return Err(fail(format!("lent {lent}, kept in no bound copy")));
+                }
+            } else {
+                let i = usize::from(clause);
+                let Some(Clause::Range { interval: src, .. }) = source.clauses().get(i) else {
+                    return Err(fail(format!("source clause {i} is not a range")));
+                };
+                let Some(iv) = bound.clauses().get(i).and_then(on_attr) else {
+                    return Err(fail(format!("bound clause {i} is not a range on #{attr}")));
+                };
+                if !same(iv) {
+                    return Err(fail(format!("lent {lent}, bound {iv}")));
+                }
+                if copied != coerced(src, iv) {
+                    return Err(fail(
+                        "a bound copy is kept iff binding changed the clause".into(),
+                    ));
+                }
+            }
+            placed
+                .entry((source.relation(), attr as usize))
+                .or_default()
+                .insert(slot, lent);
+        }
+        let fallback = Interval::unbounded();
+        for (relation, ri) in &self.relations {
+            for (&attr, at) in &ri.attr_trees {
+                let slots = placed
+                    .remove(&(relation.as_str(), attr))
+                    .unwrap_or_default();
+                let stray = std::cell::Cell::new(None);
+                let lend = |id: IntervalId| {
+                    slots.get(&id.0).copied().unwrap_or_else(|| {
+                        stray.set(Some(id));
+                        &fallback
+                    })
+                };
+                let checked = at.tree.check_invariants(lend);
+                let tree = format!("tree {relation}.#{attr}");
+                if let Some(id) = stray.get() {
+                    return Err(format!("{tree} holds slot {}, not placed in it", id.0));
+                }
+                checked.map_err(|e| format!("{tree}: {e}"))?;
+                if at.tree.len() != slots.len() {
+                    return Err(format!(
+                        "{tree} holds {} intervals; {} slots are placed in it",
+                        at.tree.len(),
+                        slots.len()
+                    ));
+                }
+            }
+        }
+        match placed.keys().next() {
+            Some((relation, attr)) => Err(format!("slots placed in {relation}.#{attr}, no tree")),
+            None => Ok(()),
+        }
     }
 
     /// Number of per-attribute IBS-trees.
@@ -1085,6 +1258,15 @@ impl PredicateIndex {
     /// Snapshots the index structure.
     pub fn stats(&self) -> IndexStats {
         self.core.stats()
+    }
+
+    /// Verifies every IBS-tree against `PREDICATES`, returning the first
+    /// violation found: each tree passes `IbsCore::check_invariants`,
+    /// lent its intervals as a remove lends them, and holds exactly the
+    /// predicates placed in it; each is lent the interval binding its
+    /// source form against `catalog` yields, endpoint types included.
+    pub fn check_invariants(&self, catalog: &Catalog) -> Result<(), String> {
+        self.core.check_invariants(catalog)
     }
 }
 

@@ -44,9 +44,9 @@ pub const GUARDS: &[Guard] = &[
     Guard { files: "crates/predindex/src/index.rs", hit: |l| field(l, "hot|cold", "HashMap|BTreeMap"), must: false, within: "", why: "§5 (1b65011): PREDICATES is dense, not a map" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| field(l, "routes", ""), must: false, within: "", why: "§5 (1b65011): a match's route word names its rule's slot" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| field(l, "rules", "HashMap|BTreeMap"), must: false, within: "", why: "§5 (1b65011): the engine keeps its rules in a slab" },
-    Guard { files: "crates/ibs/src/tree.rs", hit: |l| text(l, "std::collections::HashMap|std::collections::hash_map"), must: false, within: "", why: "§5 (950d1fc): no IBS-tree side table hashes with SipHash" },
+    Guard { files: "crates/ibs/src/tree.rs crates/ibs/src/shell.rs", hit: |l| text(l, "std::collections::HashMap|std::collections::hash_map"), must: false, within: "", why: "§5 (950d1fc): no IBS-tree side table hashes with SipHash" },
     Guard { files: "crates/ibs/src/*.rs", hit: |l| field(l, "placements", "").or(field(l, "", "(NodeId, Slot)")), must: false, within: "", why: "§5 (fbc911f): the IBS-tree keeps no placement registry" },
-    Guard { files: "crates/ibs/src/tree.rs", hit: |l| text(l, "pub(crate) intervals: IdMap<"), must: true, within: "", why: "§5 (950d1fc, fbc911f): the interval table hashes with IdMap" },
+    Guard { files: "crates/ibs/src/shell.rs", hit: |l| text(l, "pub(crate) intervals: IdMap<"), must: true, within: "", why: "§5 (950d1fc, fbc911f): the interval table hashes with IdMap" },
     Guard { files: "crates/predicate/src/parser", hit: |l| text(l, "enum Expr|fn dnf(|to_ascii_lowercase|Ident(String)"), must: false, within: "", why: "§5 (e73d6c3): the parser clones no identifier and builds no tree" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "struct ColdRule {"), must: true, within: "", why: "§5 (2c8ec46): the rows that read `struct ColdRule` have it to read" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "fn register_conditions("), must: true, within: "", why: "§5 (2c8ec46): the row that reads `fn register_conditions` has it to read" },
@@ -55,6 +55,7 @@ pub const GUARDS: &[Guard] = &[
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "clone()"), must: false, within: "fn register_conditions", why: "§5 (2c8ec46): the index gets each condition by move" },
     Guard { files: ALL, hit: |l| allow(l, "no-panic-in-lib|safety-comment|channel-discipline|codec-conformance|lock-discipline"), must: false, within: "", why: "§13 (1bb1b18, 1fb40f5): no comment names a retired lint" },
     Guard { files: "crates src tests examples !crates/bench/src/counting_alloc.rs", hit: |l| text(l, "impl GlobalAlloc|#[global_allocator]"), must: false, within: "", why: "§19 (2c279f1): one counting allocator, included by path" },
+    Guard { files: "crates/ibs/src/tree.rs", hit: |l| field(l, "", "IdMap|HashMap|BTreeMap"), must: false, within: "", why: "§5 (IBS core split): the core keeps nodes and marks, no id-keyed table" },
 ];
 
 /// The trees the name-level rows cover, as the greps they replaced did.

@@ -1,20 +1,19 @@
 // srclint-fixture: path=crates/ibs/src/tree.rs
-// Nodes, their marks and one interval table hashed by `IdMap`. A remove
-// walks the endpoint paths, so a walk hands back `(NodeId, Slot)` pairs
-// without any table of them.
+// The IBS-tree core: nodes, marks and owners, and a remove lent the
+// intervals it repairs. A remove walks the endpoint paths, so a walk
+// hands back `(NodeId, Slot)` pairs without any table of them.
 
-use crate::idmap::IdMap;
-
-pub struct IbsTree<K> {
-    pub(crate) intervals: IdMap<Interval<K>>,
+pub struct IbsCore<K> {
+    pub(crate) arena: Vec<K>,
+    pub(crate) universal: Vec<u32>,
     scratch: Vec<u32>,
+    len: usize,
 }
 
-fn endpoint(tree: &IbsTree<u32>) -> (NodeId, Slot) {
-    let _ = tree;
+fn endpoint(core: &IbsCore<u32>, lend: impl Fn(u32) -> u32) -> (NodeId, Slot) {
+    let _ = (core, lend(0));
     (NodeId, Slot)
 }
 
-pub struct Interval<K>(K);
 pub struct NodeId;
 pub struct Slot;

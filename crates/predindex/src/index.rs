@@ -558,7 +558,14 @@ fn tree_interval<'a>(
     let Location::Tree { clause, .. } = preds.hot(slot).location else {
         unreachable!("a tree mark names a slot placed in a tree")
     };
-    match &preds.cold(slot).clauses()[usize::from(clause)] {
+    indexed(preds.cold(slot), clause)
+}
+
+/// The interval of `source`'s clause at position `clause`, which a tree
+/// indexes: binding maps clauses one to one, and a tree indexes only a
+/// range clause.
+fn indexed(source: &Predicate, clause: u16) -> &Interval<Value> {
+    match &source.clauses()[usize::from(clause)] {
         Clause::Range { interval, .. } => interval,
         Clause::Func { .. } => unreachable!("binding maps a range clause to a range clause"),
     }
@@ -697,12 +704,7 @@ impl IndexCore {
         match location {
             Location::Tree { attr, clause } => {
                 let copy = self.bound_copies.remove(&slot);
-                let interval =
-                    copy.as_ref()
-                        .unwrap_or_else(|| match &source.clauses()[usize::from(clause)] {
-                            Clause::Range { interval, .. } => interval,
-                            Clause::Func { .. } => unreachable!("a tree indexes a range clause"),
-                        });
+                let interval = copy.as_ref().unwrap_or_else(|| indexed(&source, clause));
                 heap += tree_key_heap(interval) + copy.as_ref().map_or(0, interval_heap);
                 let (preds, copies) = (&self.preds, &self.bound_copies);
                 self.relations

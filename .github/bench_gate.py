@@ -79,6 +79,17 @@ def gate_observability(rows, base):
     base_counters = ns_ratio(base, "telemetry_overhead/counters", "telemetry_overhead/disabled")
     counters_bound = max(base_counters * 1.15, 1.20)
     assert counters <= counters_bound, ("counter overhead", counters, base_counters, counters_bound)
+    # The count twins of the two time ratios above (ROADMAP item 3, step 1):
+    # live metric updates per matched tuple with counters on, and profiler
+    # bills per insert. A change to either path moves its count exactly, on
+    # any host, so the committed ones with 10% room and no floor. They add
+    # gates; the time bounds above stay as they are.
+    name = "telemetry_overhead/counters"
+    updates, base_updates = rows[name]["metric_updates_per_tuple"], base[name]["metric_updates_per_tuple"]
+    assert updates <= base_updates * 1.10, (name, updates, base_updates)
+    name = "attribution_overhead/profiled"
+    bills, base_bills = rows[name]["bills_per_op"], base[name]["bills_per_op"]
+    assert bills <= base_bills * 1.10, (name, bills, base_bills)
     # Heap allocations per event of one batch through the rule chain: a
     # count, identical on every host, so the committed one with 10% room
     # and no floor.
@@ -91,15 +102,18 @@ def gate_observability(rows, base):
     name = "predindex/residual_tests_per_match/scheme200"
     tests, base_tests = rows[name]["residual_tests_per_match"], base[name]["residual_tests_per_match"]
     assert tests <= base_tests * 1.10, (name, tests, base_tests)
-    # Live heap bytes per interval of the match_stab-shaped IBS-trees: a
-    # count, so the same 10% room and no floor (a placement registry
-    # beside the tree read 556.4 against 435.6).
+    # Live heap bytes per interval of the match_stab-shaped IBS-trees, held
+    # as the index holds them (bare cores, intervals lent): a count, so the
+    # same 10% room and no floor (read on owning trees, an interval table
+    # beside the nodes made 435.6 against 286.0, and a placement registry
+    # besides 556.4).
     name = "ibs/bytes_per_interval/stab_shape"
     per_interval, base_per_interval = rows[name]["bytes_per_interval"], base[name]["bytes_per_interval"]
     assert per_interval <= base_per_interval * 1.10, (name, per_interval, base_per_interval)
     # Live heap bytes per predicate of the whole index over the same rules:
-    # a count, so the same 10% room and no floor (a placement registry
-    # beside each tree read 904.0 against 783.1).
+    # a count, so the same 10% room and no floor (a copy of each interval in
+    # its tree read 783.1 against 633.5, and a placement registry besides
+    # 904.0).
     name = "predindex/bytes_per_predicate/stab_shape"
     per_predicate, base_per_predicate = rows[name]["bytes_per_predicate"], base[name]["bytes_per_predicate"]
     assert per_predicate <= base_per_predicate * 1.10, (name, per_predicate, base_per_predicate)
@@ -110,10 +124,12 @@ def gate_observability(rows, base):
     per_rule, base_per_rule = rows[name]["bytes_per_rule"], base[name]["bytes_per_rule"]
     assert per_rule <= base_per_rule * 1.10, (name, per_rule, base_per_rule)
     return ("attribution ratio %.3f (baseline %.3f, bound %.3f); counter overhead %.3f (baseline %.3f, bound %.3f); "
+            "%.3f metric updates per tuple (committed %.3f); %.3f bills per op (committed %.3f); "
             "%.3f allocations per event (committed %.3f); "
             "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f); "
             "%.1f index bytes per predicate (committed %.1f); %.1f engine bytes per rule (committed %.1f)") % (
-        ratio, base_ratio, bound, counters, base_counters, counters_bound, allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
+        ratio, base_ratio, bound, counters, base_counters, counters_bound, updates, base_updates, bills, base_bills,
+        allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
         per_predicate, base_per_predicate, per_rule, base_per_rule)
 
 

@@ -50,7 +50,7 @@ use bench::scheme::SchemeWorkload;
 use bench::stab_shape;
 use bench::timing::{consume, median, median_ns_per_op, min_ns, time_ns};
 use counting_alloc::{counted, live_bytes};
-use ibs::IbsTree;
+use ibs::IbsCore;
 use interval::{Interval, IntervalId};
 use joinmemo::naive::full_matches;
 use joinmemo::{CompiledJoin, JoinEngine};
@@ -146,13 +146,28 @@ fn timing_row<'w>(w: &'w mut JsonWriter, name: &str, ns_per_op: f64) -> &'w mut 
     w.key("ns_per_op").float(ns_per_op, 1)
 }
 
-/// The `counters` member: every counter in `registry`, sorted by name.
+/// The `counters` member: every counter in `registry`, sorted by name —
+/// the counts, which read the same on every run of the same code. The
+/// `*_nanos_total` families hold clock readings, which differ from run
+/// to run, so they go beside `ns_per_op` in a `nanos_totals` member
+/// instead (present only when there are any).
 fn counters(w: &mut JsonWriter, registry: &Registry) {
-    w.key("counters").begin_object();
-    for name in registry.names() {
-        if let Some(value) = registry.counter_value(&name) {
-            w.key(&name).uint(value);
+    let values: Vec<(String, u64)> = (registry.names().into_iter())
+        .filter_map(|name| Some((registry.counter_value(&name)?, name)))
+        .map(|(value, name)| (name, value))
+        .collect();
+    let (nanos, counts): (Vec<_>, Vec<_>) =
+        (values.iter()).partition(|(name, _)| name.contains("_nanos_total"));
+    if !nanos.is_empty() {
+        w.key("nanos_totals").begin_object();
+        for (name, value) in nanos {
+            w.key(name).uint(*value);
         }
+        w.end_object();
+    }
+    w.key("counters").begin_object();
+    for (name, value) in counts {
+        w.key(name).uint(*value);
     }
     w.end_object();
 }
@@ -240,6 +255,13 @@ fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
             mode_samples.push(scheme_pass_ns(index, &tuples, &mut out));
         }
     }
+    // The counters-on time's count twin, exact on any host: the metric
+    // updates one untimed pass makes, through a registry whose handles
+    // tally them.
+    let tallied = scheme_index(&workload, Arc::new(Registry::tallying()).into());
+    let before = telemetry::metric_updates();
+    scheme_pass_ns(&tallied, &tuples, &mut out);
+    let updates_per_tuple = (telemetry::metric_updates() - before) as f64 / tuples.len() as f64;
     for ((&(mode, counters_on, _), (registry, _)), mode_samples) in
         modes.iter().zip(&indexes).zip(samples)
     {
@@ -248,6 +270,10 @@ fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
             &format!("telemetry_overhead/{mode}"),
             median(mode_samples),
         );
+        if mode == "counters" {
+            row.key("metric_updates_per_tuple")
+                .float(updates_per_tuple, 3);
+        }
         if counters_on {
             counters(row, registry);
         }
@@ -282,12 +308,8 @@ fn telemetry_primitive(cfg: &Config, w: &mut JsonWriter) {
 }
 
 /// A rule engine loaded with salary-band rules: the attribution
-/// workload. `profiled` attaches live per-rule cost accounts.
-fn band_engine(profiled: bool, registry: &Arc<Registry>) -> RuleEngine {
-    let mut telemetry = Telemetry::new(Arc::clone(registry));
-    if profiled {
-        telemetry = telemetry.with_profiling();
-    }
+/// workload, recording into `telemetry`.
+fn band_engine(telemetry: Telemetry) -> RuleEngine {
     let mut engine = RuleEngine::new(Database::new());
     engine.attach_metrics(telemetry);
     engine
@@ -317,11 +339,18 @@ fn band_engine(profiled: bool, registry: &Arc<Registry>) -> RuleEngine {
 /// The cost-attribution guard: the full rule-chain insert path with the
 /// profiler detached (`baseline` — every profiler hook is one branch)
 /// versus attached (`profiled` — per-rule accounts billed per event).
+/// The profiled row carries the time's count twin: `Profiler::bill`
+/// calls per insert, each a lock and an account entry.
 fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
     let inserts = cfg.pick(128, 512);
     for (mode, profiled) in [("baseline", false), ("profiled", true)] {
         let registry = Arc::new(Registry::new());
-        let mut engine = band_engine(profiled, &registry);
+        let mut telemetry = Telemetry::new(Arc::clone(&registry));
+        if profiled {
+            telemetry = telemetry.with_profiling();
+        }
+        let profiler = telemetry.profiler().clone();
+        let mut engine = band_engine(telemetry);
         let mut i = 0i64;
         let ns = median_ns_per_op(cfg.pick(5, 9), inserts, || {
             for _ in 0..inserts {
@@ -339,6 +368,10 @@ fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
             }
         });
         let row = timing_row(w, &format!("attribution_overhead/{mode}"), ns);
+        if profiled {
+            row.key("bills_per_op")
+                .float(profiler.bills() as f64 / i as f64, 3);
+        }
         counters(row, &registry);
         row.end_object();
     }
@@ -396,8 +429,10 @@ fn residual_tests_per_match(w: &mut JsonWriter) {
 /// places it — under its most selective range clause — and checked equal
 /// to the engine's own trees in intervals, nodes and marks; then they
 /// are counted by this binary's allocator from before the first insert.
-/// `IbsTree::approx_bytes` sits beside the count. Not a timing, so
-/// `--quick` changes nothing.
+/// They are held as the index holds them: bare [`IbsCore`]s, each
+/// interval lent from `placed` rather than copied in, so the count is
+/// §5.1's space — nodes plus marks. `IbsCore::approx_bytes` sits beside
+/// the count. Not a timing, so `--quick` changes nothing.
 fn ibs_bytes_per_interval(w: &mut JsonWriter) {
     const NAME: &str = "ibs/bytes_per_interval/stab_shape";
     const RULES: usize = 5_000;
@@ -422,12 +457,10 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
             }
         })
         .collect();
-    let mut trees: Vec<IbsTree<Value>> = (0..4).map(|_| IbsTree::new()).collect();
+    let mut trees: Vec<IbsCore<Value>> = (0..4).map(|_| IbsCore::new()).collect();
     let before = live_bytes();
     for (id, (attr, interval)) in (0..).zip(&placed) {
-        trees[*attr]
-            .insert(IntervalId(id), interval.clone())
-            .expect("fresh id");
+        trees[*attr].insert(IntervalId(id), interval);
     }
     let live = (live_bytes() - before) as u64;
 
@@ -443,8 +476,8 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
         .map(|(attr, t)| (attr, t.len(), t.node_count(), t.marker_count()))
         .collect();
     assert_eq!(rebuilt, engine_trees, "the rebuilt trees are the engine's");
-    let sum = |count: fn(&IbsTree<Value>) -> usize| trees.iter().map(count).sum::<usize>();
-    let (intervals, approx) = (sum(IbsTree::len), sum(IbsTree::approx_bytes));
+    let sum = |count: fn(&IbsCore<Value>) -> usize| trees.iter().map(count).sum::<usize>();
+    let (intervals, approx) = (sum(IbsCore::len), sum(IbsCore::approx_bytes));
     let per_interval = live as f64 / intervals as f64;
     eprintln!(
         "{NAME}: {live} live bytes / {intervals} intervals = {per_interval:.1} (approx_bytes {approx})"
@@ -455,8 +488,8 @@ fn ibs_bytes_per_interval(w: &mut JsonWriter) {
     w.key("live_bytes").uint(live);
     w.key("approx_bytes").uint(approx as u64);
     w.key("intervals").uint(intervals as u64);
-    w.key("nodes").uint(sum(IbsTree::node_count) as u64);
-    w.key("markers").uint(sum(IbsTree::marker_count) as u64);
+    w.key("nodes").uint(sum(IbsCore::node_count) as u64);
+    w.key("markers").uint(sum(IbsCore::marker_count) as u64);
     w.end_object();
 }
 

@@ -1,7 +1,29 @@
 //! Lock-free monotone counters.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+thread_local! {
+    /// Live metric updates this thread has made ([`metric_updates`]).
+    static UPDATES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Tallies one update of a tallying handle on this thread.
+pub(crate) fn note_update() {
+    UPDATES.with(|n| n.set(n.get() + 1));
+}
+
+/// The updates this thread has made through the handles of
+/// [`Registry::tallying`](crate::Registry::tallying) registries —
+/// [`Counter::add`]s and
+/// [`Histogram::record`](crate::Histogram::record)s. A count of the
+/// recording work a path does, exact on any host: read it before and
+/// after the path. Other registries' handles do not tally, so a
+/// recording site pays nothing for this.
+pub fn metric_updates() -> u64 {
+    UPDATES.with(Cell::get)
+}
 
 /// A cheap, clonable handle to one monotone counter.
 ///
@@ -14,14 +36,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Counter {
     enabled: bool,
+    /// Also tally each update on the thread ([`metric_updates`]).
+    tally: bool,
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// A live counter starting at zero.
-    pub(crate) fn live() -> Counter {
+    /// A live counter starting at zero, tallying its updates if `tally`.
+    pub(crate) fn live(tally: bool) -> Counter {
         Counter {
             enabled: true,
+            tally,
             cell: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -30,6 +55,7 @@ impl Counter {
     pub fn disabled() -> Counter {
         Counter {
             enabled: false,
+            tally: false,
             cell: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -45,6 +71,9 @@ impl Counter {
     pub fn add(&self, n: u64) {
         if self.enabled {
             self.cell.fetch_add(n, Ordering::Relaxed);
+            if self.tally {
+                note_update();
+            }
         }
     }
 

@@ -39,6 +39,9 @@ impl Default for HistogramCells {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     enabled: bool,
+    /// Also tally each record on the thread
+    /// ([`metric_updates`](crate::metric_updates)).
+    tally: bool,
     cells: Arc<HistogramCells>,
 }
 
@@ -100,10 +103,12 @@ pub fn quantile(buckets: &[u64; HISTOGRAM_BUCKETS], q: f64) -> u64 {
 }
 
 impl Histogram {
-    /// A live histogram with empty buckets.
-    pub(crate) fn live() -> Histogram {
+    /// A live histogram with empty buckets, tallying its updates if
+    /// `tally` ([`metric_updates`](crate::metric_updates)).
+    pub(crate) fn live(tally: bool) -> Histogram {
         Histogram {
             enabled: true,
+            tally,
             cells: Arc::new(HistogramCells::default()),
         }
     }
@@ -112,6 +117,7 @@ impl Histogram {
     pub fn disabled() -> Histogram {
         Histogram {
             enabled: false,
+            tally: false,
             cells: Arc::new(HistogramCells::default()),
         }
     }
@@ -129,6 +135,9 @@ impl Histogram {
             self.cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
             self.cells.sum.fetch_add(v, Ordering::Relaxed);
             self.cells.count.fetch_add(1, Ordering::Relaxed);
+            if self.tally {
+                crate::counter::note_update();
+            }
         }
     }
 
@@ -183,7 +192,7 @@ mod tests {
 
     #[test]
     fn quantile_lands_in_the_right_bucket() {
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         // 90 fast observations in [8,15], 10 slow in [1024,2047].
         for _ in 0..90 {
             h.record(10);
@@ -204,7 +213,7 @@ mod tests {
     fn quantile_interpolates_within_a_bucket() {
         // All mass in one bucket: low quantiles sit near the bucket's
         // lower bound, high quantiles near its upper bound.
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         for _ in 0..100 {
             h.record(1_000); // bucket [512,1023]
         }
@@ -218,7 +227,7 @@ mod tests {
 
     #[test]
     fn quantile_survives_the_top_bucket() {
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         h.record(u64::MAX);
         let buckets = h.buckets();
         assert!(quantile(&buckets, 0.5) >= 1u64 << 63);
@@ -228,7 +237,7 @@ mod tests {
     fn quantile_in_bucket_zero_is_exactly_zero() {
         // Bucket 0 holds only the value 0: every quantile of an
         // all-zero histogram must be 0, never interpolated past it.
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         for _ in 0..7 {
             h.record(0);
         }
@@ -243,7 +252,7 @@ mod tests {
         // Many observations in bucket 64 ([2^63, u64::MAX]): every
         // quantile must stay inside the bucket bounds even where the
         // interpolation arithmetic rounds at the extremes.
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         for _ in 0..100 {
             h.record(u64::MAX);
         }
@@ -259,7 +268,7 @@ mod tests {
     fn quantile_stays_within_every_occupied_bucket() {
         // Mixed-bucket histogram: each quantile estimate must land
         // inside [lo, hi] of whichever bucket holds its rank.
-        let h = Histogram::live();
+        let h = Histogram::live(false);
         for v in [0u64, 0, 3, 3, 3, 200, 200, 5_000] {
             h.record(v);
         }

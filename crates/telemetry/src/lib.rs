@@ -71,7 +71,7 @@ mod server;
 mod stages;
 mod trace;
 
-pub use counter::Counter;
+pub use counter::{metric_updates, Counter};
 pub use explain::{MatchTrace, ResidualTrace, StabTrace};
 pub use handle::Telemetry;
 pub use histogram::{bucket_index, bucket_upper_bound, quantile, Histogram, HISTOGRAM_BUCKETS};

@@ -261,6 +261,8 @@ struct Inner {
     slow_threshold: AtomicU64,
     /// Ordinal of the next observed request.
     next_seq: AtomicU64,
+    /// Calls of [`Profiler::bill`] that reached the accounts.
+    bills: AtomicU64,
 }
 
 /// The attribution recorder: cheap clonable handle, one branch per
@@ -312,6 +314,7 @@ impl Profiler {
                 slow: Mutex::new(VecDeque::new()),
                 slow_threshold: AtomicU64::new(u64::MAX),
                 next_seq: AtomicU64::new(0),
+                bills: AtomicU64::new(0),
             }),
         }
     }
@@ -348,6 +351,14 @@ impl Profiler {
             Account::mint(&self.inner.registry, &label)
         });
         account.add(cost);
+        self.inner.bills.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many [`bill`](Self::bill) calls have reached the accounts:
+    /// the lock and map entry each one costs, as a count exact on any
+    /// host.
+    pub fn bills(&self) -> u64 {
+        self.inner.bills.load(Ordering::Relaxed)
     }
 
     /// Registers a display name for rule `rule` (used by `/profile`

@@ -27,6 +27,8 @@ enum Metric {
 #[derive(Debug)]
 pub struct Registry {
     enabled: bool,
+    /// Do its handles tally their updates ([`Registry::tallying`])?
+    tally: bool,
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
@@ -35,7 +37,20 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             enabled: true,
+            tally: false,
             metrics: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// A live registry whose handles also tally each update on the
+    /// updating thread, read back by
+    /// [`metric_updates`](crate::metric_updates): how a benchmark counts
+    /// the recording work of a path. Handles of other registries skip
+    /// the tally, one predictable branch.
+    pub fn tallying() -> Registry {
+        Registry {
+            tally: true,
+            ..Registry::new()
         }
     }
 
@@ -44,6 +59,7 @@ impl Registry {
     pub fn disabled() -> Registry {
         Registry {
             enabled: false,
+            tally: false,
             metrics: Mutex::new(BTreeMap::new()),
         }
     }
@@ -67,7 +83,7 @@ impl Registry {
             .expect("registry lock poisoned: a holder panicked");
         match metrics
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::live()))
+            .or_insert_with(|| Metric::Counter(Counter::live(self.tally)))
         {
             Metric::Counter(c) => c.clone(),
             Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
@@ -87,7 +103,7 @@ impl Registry {
             .expect("registry lock poisoned: a holder panicked");
         match metrics
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::live()))
+            .or_insert_with(|| Metric::Histogram(Histogram::live(self.tally)))
         {
             Metric::Histogram(h) => h.clone(),
             Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),

@@ -152,22 +152,22 @@ fn timing_row<'w>(w: &'w mut JsonWriter, name: &str, ns_per_op: f64) -> &'w mut 
 /// to run, so they go beside `ns_per_op` in a `nanos_totals` member
 /// instead (present only when there are any).
 fn counters(w: &mut JsonWriter, registry: &Registry) {
-    let values: Vec<(String, u64)> = (registry.names().into_iter())
-        .filter_map(|name| Some((registry.counter_value(&name)?, name)))
-        .map(|(value, name)| (name, value))
-        .collect();
+    let values = registry.names().into_iter().filter_map(|name| {
+        let value = registry.counter_value(&name)?;
+        Some((name, value))
+    });
     let (nanos, counts): (Vec<_>, Vec<_>) =
-        (values.iter()).partition(|(name, _)| name.contains("_nanos_total"));
+        values.partition(|(name, _)| name.contains("_nanos_total"));
     if !nanos.is_empty() {
         w.key("nanos_totals").begin_object();
         for (name, value) in nanos {
-            w.key(name).uint(*value);
+            w.key(&name).uint(value);
         }
         w.end_object();
     }
     w.key("counters").begin_object();
     for (name, value) in counts {
-        w.key(name).uint(*value);
+        w.key(&name).uint(value);
     }
     w.end_object();
 }

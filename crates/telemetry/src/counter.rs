@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 thread_local! {
-    /// Live metric updates this thread has made ([`metric_updates`]).
+    /// The updates this thread has made through tallying handles
+    /// ([`metric_updates`]).
     static UPDATES: Cell<u64> = const { Cell::new(0) };
 }
 

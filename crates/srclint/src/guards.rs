@@ -55,7 +55,7 @@ pub const GUARDS: &[Guard] = &[
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "clone()"), must: false, within: "fn register_conditions", why: "§5 (2c8ec46): the index gets each condition by move" },
     Guard { files: ALL, hit: |l| allow(l, "no-panic-in-lib|safety-comment|channel-discipline|codec-conformance|lock-discipline"), must: false, within: "", why: "§13 (1bb1b18, 1fb40f5): no comment names a retired lint" },
     Guard { files: "crates src tests examples !crates/bench/src/counting_alloc.rs", hit: |l| text(l, "impl GlobalAlloc|#[global_allocator]"), must: false, within: "", why: "§19 (2c279f1): one counting allocator, included by path" },
-    Guard { files: "crates/ibs/src/tree.rs", hit: |l| field(l, "", "IdMap|HashMap|BTreeMap"), must: false, within: "", why: "§5 (IBS core split): the core keeps nodes and marks, no id-keyed table" },
+    Guard { files: "crates/ibs/src/tree.rs", hit: |l| field(l, "", "IdMap|HashMap|BTreeMap"), must: false, within: "", why: "§5 (2e0fd41): the IBS-tree core keeps nodes and marks, no id-keyed table" },
 ];
 
 /// The trees the name-level rows cover, as the greps they replaced did.

@@ -754,10 +754,12 @@ impl IndexCore {
         let direct = lanes.is_empty();
         let mut tuples = tuples.into_iter();
         let Some(ri) = self.relations.get(relation) else {
+            let mut run = 0;
             for _ in tuples {
-                metrics.record_unindexed_match(relation);
+                run += 1;
                 matched(out.len()..out.len(), &CostSnapshot::default());
             }
+            metrics.record_unindexed_run(relation, run);
             return;
         };
         let tracer = metrics.tracer();

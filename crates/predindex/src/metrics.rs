@@ -6,13 +6,13 @@
 //! are resolved where the structure they describe is created — each
 //! per-attribute tree carries its [`AttrWork`] pair and each relation
 //! its matches counter (see `index.rs`) — so a counted stab is atomic
-//! adds only. The one name-keyed map left serves tuples of relations
-//! no predicate mentions, which have no structure to hang a handle on.
-//! None of it runs when the bundle is disabled: every recording helper
+//! adds only. A run of tuples of a relation no predicate mentions has
+//! no structure to hang a handle on: it mints its relation's counter
+//! through the registry, which hands back one cell per name, once per
+//! run. None of it runs when the bundle is disabled: every recording helper
 //! starts with the same single branch the `telemetry` handles use.
 
-use relation::fx::FnvHashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use telemetry::{Counter, Registry, Telemetry, Tracer};
 
 /// The stab-work counters of one `(relation, attribute)` IBS-tree.
@@ -45,9 +45,6 @@ pub(crate) struct IndexMetrics {
     ibs_marks: Counter,
     /// Clause sets tested by the non-indexable sweep.
     non_indexable_scanned: Counter,
-    /// `relation name -> matches counter` for relations that hold no
-    /// predicates, minted on first match.
-    unindexed: RwLock<FnvHashMap<String, Counter>>,
 }
 
 impl IndexMetrics {
@@ -71,7 +68,6 @@ impl IndexMetrics {
             ibs_nodes: registry.counter("predindex_ibs_nodes_visited_total"),
             ibs_marks: registry.counter("predindex_ibs_marks_scanned_total"),
             non_indexable_scanned: registry.counter("predindex_non_indexable_scanned_total"),
-            unindexed: RwLock::new(FnvHashMap::default()),
         })
     }
 
@@ -134,15 +130,17 @@ impl IndexMetrics {
         }
     }
 
-    /// One matched tuple of a relation no predicate mentions: nothing
-    /// to test, but the tuple still counts, against a counter found by
-    /// name.
-    pub(crate) fn record_unindexed_match(&self, relation: &str) {
-        if !self.enabled {
+    /// A run of `tuples` matched tuples of a relation no predicate
+    /// mentions: nothing to test, but each tuple still counts, against
+    /// the relation's matches counter minted once for the run.
+    pub(crate) fn record_unindexed_run(&self, relation: &str, tuples: u64) {
+        if tuples == 0 {
             return;
         }
-        self.match_tuples.inc();
-        self.unindexed_relation_counter(relation).inc();
+        if let Some(c) = self.relation_matches(relation) {
+            self.match_tuples.add(tuples);
+            c.add(tuples);
+        }
     }
 
     /// One per-attribute stab's work, attributed globally and to the
@@ -157,31 +155,6 @@ impl IndexMetrics {
             work.nodes.add(nodes);
             work.marks.add(marks);
         }
-    }
-
-    fn unindexed_relation_counter(&self, relation: &str) -> Counter {
-        {
-            let map = self
-                .unindexed
-                .read()
-                .expect("metrics map poisoned: a holder panicked");
-            if let Some(c) = map.get(relation) {
-                return c.clone();
-            }
-        }
-        // The registry hands back the same cell for the same name, so a
-        // racing mint (or a later `relation_matches` for a relation
-        // that gains predicates) lands on one counter.
-        let c = self.registry.counter(&format!(
-            "predindex_relation_matches_total{{relation=\"{relation}\"}}"
-        ));
-        self.unindexed
-            // srclint:allow(lock-order): strictly sequential — the probe's read guard is dropped at its block end before the mint takes the write lock
-            .write()
-            .expect("metrics map poisoned: a holder panicked")
-            .entry(relation.to_string())
-            .or_insert(c)
-            .clone()
     }
 }
 

@@ -12,6 +12,8 @@
 //! against the *same* relation, since an `RwLock` admits parallel
 //! readers. Registration and removal write-lock exactly one shard, so
 //! predicate churn on one relation never blocks matching on another.
+//! Every method holds one shard lock at a time and calls out to
+//! nothing that takes another: its metrics are the disabled bundle.
 //!
 //! Ids are drawn from a process-wide atomic counter *after* binding
 //! succeeds, which keeps the assignment sequence identical to
@@ -153,7 +155,8 @@ impl ShardedPredicateIndex {
             if owns {
                 // Re-probe under the write lock: a concurrent remover
                 // may have won the race between the two acquisitions.
-                // srclint:allow(lock-order): guards are strictly sequential — the probe's read guard is dropped before the write lock is taken
+                // The probe's read guard died with its statement, so
+                // the write lock is the only one held here.
                 if let Some(p) = self.lock_write(sid).remove(id) {
                     return Some(p);
                 }

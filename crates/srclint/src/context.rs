@@ -49,25 +49,9 @@ pub struct FileContext {
     test_ranges: Vec<(usize, usize)>,
     /// All fn spans, in source order.
     pub fns: Vec<FnSpan>,
-    /// Token-index ranges of closure bodies (`|..| { .. }` and
-    /// `|..| expr`), in source order. A closure is its own scope:
-    /// code inside one — a `thread::scope` spawn, say — runs on its
-    /// own schedule and must not be attributed to the enclosing fn.
-    pub closures: Vec<(usize, usize)>,
     /// line -> lints allowed on that line (an allow comment covers its
     /// own line and the next).
     allows: BTreeMap<u32, BTreeSet<String>>,
-}
-
-/// A scope a token belongs to: either a named `fn` body or an
-/// anonymous closure body. Lints that count per-scope facts (lock
-/// acquisitions, most prominently) key on this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Scope {
-    /// Index into [`FileContext::fns`].
-    Fn(usize),
-    /// Index into [`FileContext::closures`].
-    Closure(usize),
 }
 
 impl FileContext {
@@ -81,7 +65,6 @@ impl FileContext {
         let (krate, section) = classify(posed.as_deref().unwrap_or(path));
         let test_ranges = find_test_ranges(&src, &tokens);
         let fns = find_fns(&src, &tokens);
-        let closures = find_closures(&src, &tokens);
         let allows = find_allows(&src, &tokens);
         FileContext {
             path: path.to_path_buf(),
@@ -92,7 +75,6 @@ impl FileContext {
             posed,
             test_ranges,
             fns,
-            closures,
             allows,
         }
     }
@@ -122,58 +104,6 @@ impl FileContext {
             .find(|&i| self.tokens[i].is_ident(&self.src, kind) && named(i))?;
         let last = &self.tokens[item_end(&self.src, &self.tokens, at) - 1];
         Some((self.tokens[at].line, last.line))
-    }
-
-    /// The innermost fn whose body contains token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| i >= f.body.0 && i < f.body.1)
-            .min_by_key(|f| f.body.1 - f.body.0)
-    }
-
-    /// The innermost scope — fn body or closure body — containing
-    /// token `i`. A closure nested in a fn wins over the fn.
-    pub fn enclosing_scope(&self, i: usize) -> Option<Scope> {
-        let fn_ix = self
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| i >= f.body.0 && i < f.body.1)
-            .min_by_key(|(_, f)| f.body.1 - f.body.0);
-        let cl_ix = self
-            .closures
-            .iter()
-            .enumerate()
-            .filter(|(_, &(a, b))| i >= a && i < b)
-            .min_by_key(|(_, &(a, b))| b - a);
-        match (fn_ix, cl_ix) {
-            (Some((fi, f)), Some((ci, &(a, b)))) => {
-                if b - a < f.body.1 - f.body.0 {
-                    Some(Scope::Closure(ci))
-                } else {
-                    Some(Scope::Fn(fi))
-                }
-            }
-            (Some((fi, _)), None) => Some(Scope::Fn(fi)),
-            (None, Some((ci, _))) => Some(Scope::Closure(ci)),
-            (None, None) => None,
-        }
-    }
-
-    /// Human-readable name for a scope: the fn name, or
-    /// `{closure in <fn>}` for closures.
-    pub fn scope_name(&self, s: Scope) -> String {
-        match s {
-            Scope::Fn(i) => self.fns[i].name.clone(),
-            Scope::Closure(i) => {
-                let start = self.closures[i].0;
-                match self.enclosing_fn(start) {
-                    Some(f) => format!("{{closure in {}}}", f.name),
-                    None => "{closure}".to_string(),
-                }
-            }
-        }
     }
 
     /// How many `srclint:allow` suppression comments the file carries:
@@ -417,117 +347,6 @@ fn find_fns(src: &str, tokens: &[Token]) -> Vec<FnSpan> {
     out
 }
 
-/// Records closure bodies. A `|` opens a closure's parameter list
-/// when the previous code token is `move`, `(`, `,`, or `=` — the
-/// positions where an expression (and therefore a closure literal)
-/// begins and bitwise-or cannot. Params run to the matching `|` on
-/// the same statement; the body is the braced block after it, or,
-/// for expression-bodied closures (`move || self.work(x)`), the
-/// token run up to the `,`/`)`/`;` that ends the expression. Or-
-/// patterns inside closure params would fool the param scan; the
-/// workspace has none.
-fn find_closures(src: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !tokens[i].is_punct(src, '|') {
-            i += 1;
-            continue;
-        }
-        let prev = (0..i).rev().find(|&j| !tokens[j].is_comment());
-        let opens = match prev {
-            None => true,
-            Some(p) => {
-                let t = &tokens[p];
-                t.is_ident(src, "move")
-                    || t.is_punct(src, '(')
-                    || t.is_punct(src, ',')
-                    || t.is_punct(src, '=')
-            }
-        };
-        if !opens {
-            i += 1;
-            continue;
-        }
-        // Find the closing `|` of the parameter list; give up at
-        // statement boundaries (then it was a bitwise-or after all).
-        let mut close = None;
-        for (j, t) in tokens
-            .iter()
-            .enumerate()
-            .take(tokens.len().min(i + 40))
-            .skip(i + 1)
-        {
-            if t.is_punct(src, '|') {
-                close = Some(j);
-                break;
-            }
-            if t.is_punct(src, ';') || t.is_punct(src, '{') || t.is_punct(src, '}') {
-                break;
-            }
-        }
-        let Some(close) = close else {
-            i += 1;
-            continue;
-        };
-        // Body start: past an optional `-> Type` return annotation.
-        let mut b = close + 1;
-        while b < tokens.len() && tokens[b].is_comment() {
-            b += 1;
-        }
-        if b + 1 < tokens.len() && tokens[b].is_punct(src, '-') && tokens[b + 1].is_punct(src, '>')
-        {
-            while b < tokens.len() && !tokens[b].is_punct(src, '{') {
-                b += 1;
-            }
-        }
-        if b >= tokens.len() {
-            i = close + 1;
-            continue;
-        }
-        let end = if tokens[b].is_punct(src, '{') {
-            // Braced body: to the matching `}`.
-            let mut depth = 0i32;
-            let mut j = b;
-            while j < tokens.len() {
-                if tokens[j].is_punct(src, '{') {
-                    depth += 1;
-                } else if tokens[j].is_punct(src, '}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            (j + 1).min(tokens.len())
-        } else {
-            // Expression body: to the `,`, `;`, or unbalanced closer
-            // that ends the expression.
-            let mut depth = 0i32;
-            let mut j = b;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct(src, '(') || t.is_punct(src, '[') || t.is_punct(src, '{') {
-                    depth += 1;
-                } else if t.is_punct(src, ')') || t.is_punct(src, ']') || t.is_punct(src, '}') {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                } else if depth == 0 && (t.is_punct(src, ',') || t.is_punct(src, ';')) {
-                    break;
-                }
-                j += 1;
-            }
-            j.min(tokens.len())
-        };
-        out.push((b, end));
-        i = close + 1;
-    }
-    out
-}
-
 /// Collects `srclint:allow(a, b)` comments into a line -> lints map.
 /// An allow on line L covers L (trailing form) and L+1 (preceding
 /// form).
@@ -614,18 +433,20 @@ mod tests {
             .code_tokens()
             .find(|&i| c.tokens[i].is_ident(&c.src, "b"))
             .expect("token");
-        assert_eq!(c.enclosing_fn(b_ix).map(|f| f.name.as_str()), Some("inner"));
+        let (outer, inner) = (c.fns[0].body, c.fns[1].body);
+        assert!(outer.0 < inner.0 && inner.1 < outer.1, "{outer:?} {inner:?}");
+        assert!((inner.0..inner.1).contains(&b_ix));
     }
 
     #[test]
     fn allow_covers_own_and_next_line() {
         let c = ctx(
-            "// srclint:allow(lock-order): fine here\nfn f() { x.lock(); }\nfn g() { y.lock(); }\n",
+            "// srclint:allow(atomic-ordering): fine here\nfn f() { x.load(); }\nfn g() { y.load(); }\n",
         );
-        assert!(c.is_allowed("lock-order", 1));
-        assert!(c.is_allowed("lock-order", 2));
-        assert!(!c.is_allowed("lock-order", 3));
-        assert!(!c.is_allowed("atomic-ordering", 2));
+        assert!(c.is_allowed("atomic-ordering", 1));
+        assert!(c.is_allowed("atomic-ordering", 2));
+        assert!(!c.is_allowed("atomic-ordering", 3));
+        assert!(!c.is_allowed("metric-name-registry", 2));
     }
 
     #[test]
@@ -652,48 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn spawn_closures_are_found_and_own_their_tokens() {
-        let c = ctx(
-            "fn outer(s: &S) { let a = go(); s.spawn(move || { let b = work(); }); let d = tail(); }",
-        );
-        assert_eq!(c.closures.len(), 1, "{:?}", c.closures);
-        let b_ix = c
-            .code_tokens()
-            .find(|&i| c.tokens[i].is_ident(&c.src, "b"))
-            .expect("b token");
-        let a_ix = c
-            .code_tokens()
-            .find(|&i| c.tokens[i].is_ident(&c.src, "a"))
-            .expect("a token");
-        // `b` belongs to the closure, `a` to the fn — and the closure
-        // scope wins over the enclosing fn for its own tokens.
-        assert_eq!(c.enclosing_scope(b_ix), Some(Scope::Closure(0)));
-        assert_eq!(c.enclosing_scope(a_ix), Some(Scope::Fn(0)));
-        assert_eq!(c.scope_name(Scope::Closure(0)), "{closure in outer}");
-    }
-
-    #[test]
-    fn or_operators_are_not_closures() {
-        let c =
-            ctx("fn f(a: bool, b: bool) -> bool { let x = a | b; if a || b { true } else { x } }");
-        assert!(c.closures.is_empty(), "{:?}", c.closures);
-    }
-
-    #[test]
-    fn expression_bodied_closure_ends_at_comma() {
-        let c = ctx("fn f(v: Vec<i32>) { v.iter().map(|x| x + 1, ); let y = after(); }");
-        assert_eq!(c.closures.len(), 1);
-        let y_ix = c
-            .code_tokens()
-            .find(|&i| c.tokens[i].is_ident(&c.src, "y"))
-            .expect("y token");
-        assert_eq!(c.enclosing_scope(y_ix), Some(Scope::Fn(0)));
-    }
-
-    #[test]
     fn suppression_count_counts_allow_comments() {
         let c = ctx(
-            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(atomic-ordering, lock-order): two lints, one comment\nfn g() {}\n// plain comment\n",
+            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(atomic-ordering, metric-name-registry): two lints, one comment\nfn g() {}\n// plain comment\n",
         );
         assert_eq!(c.suppression_count(), 2);
     }
@@ -703,16 +485,16 @@ mod tests {
         let c = ctx(concat!(
             "//! Suppress with `// srclint:allow(<lint>): <why>`.\n",
             "// as in srclint:allow(<lint>) or srclint:allow(...)\n",
-            "/// e.g. `// srclint:allow(lock-order): <why>`\n",
-            "fn f() { x.lock(); }\n",
-            "// srclint:allow(lock-order): a real one\n",
-            "fn g() { y.lock(); }\n",
+            "/// e.g. `// srclint:allow(atomic-ordering): <why>`\n",
+            "fn f() { x.load(); }\n",
+            "// srclint:allow(atomic-ordering): a real one\n",
+            "fn g() { y.load(); }\n",
         ));
         assert_eq!(c.suppression_count(), 1);
         // Only the real one suppresses: the doc comment above `f`
         // names a registered lint and still covers nothing.
-        assert!(!c.is_allowed("lock-order", 4));
-        assert!(c.is_allowed("lock-order", 6));
+        assert!(!c.is_allowed("atomic-ordering", 4));
+        assert!(c.is_allowed("atomic-ordering", 6));
         assert_eq!(c.stale_allows().count(), 0);
     }
 
@@ -721,11 +503,11 @@ mod tests {
         let c = ctx(concat!(
             "// srclint:allow(retired-lint): the lint retired, the comment stayed\n",
             "fn f() {}\n",
-            "// srclint:allow(lock-order, lock-ordr): one live name, one typo\n",
+            "// srclint:allow(atomic-ordering, atomic-ordring): one live name, one typo\n",
             "fn g() {}\n",
         ));
         let stale: Vec<(u32, &str)> = c.stale_allows().map(|(t, n)| (t.line, n)).collect();
-        assert_eq!(stale, [(1, "retired-lint"), (3, "lock-ordr")]);
+        assert_eq!(stale, [(1, "retired-lint"), (3, "atomic-ordring")]);
         assert_eq!(c.suppression_count(), 1);
     }
 }

@@ -16,10 +16,9 @@
 //! The run has two stages. The per-file suite (`fsync-before-rename`,
 //! `metric-name-registry`, and the [`guard`](guards) table, which reads
 //! manifests too) sees one [`FileContext`](context::FileContext) at a time. The cross-file
-//! suite (`lock-order`, `atomic-ordering`) then runs over the
-//! [workspace model](model) — every function's lock / atomic / call
-//! events, resolved workspace-wide — because a deadlock is never one
-//! file's fault. Findings are suppressed line-by-line with
+//! lint (`atomic-ordering`) then runs over the [workspace
+//! model](model) — every atomic site, grouped by field workspace-wide —
+//! because a field's class is set by every site that touches it. Findings are suppressed line-by-line with
 //! `// srclint:allow(<lint>): <one-line justification>` — the
 //! justification is convention, but the lint name is checked: an allow
 //! naming no registered lint is itself a finding (`stale-allow`), so a
@@ -29,7 +28,6 @@
 #![deny(clippy::unwrap_used)]
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod context;
 pub mod diag;
 pub mod guards;
@@ -107,11 +105,9 @@ pub fn run(config: &Config) -> io::Result<Report> {
     };
     let design = fs::read_to_string(config.root.join("DESIGN.md")).ok();
     let meta = WorkspaceMeta {
-        root: config.root.clone(),
         metric_families: design
             .as_deref()
             .and_then(lints::metric_names_design_families),
-        design,
     };
     let changed = config
         .changed_ref
@@ -152,7 +148,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
                         if name == guards::LINT {
                             "a guard row takes no allow: restore what the row keeps deleted"
                         } else {
-                            "a retired lint's check lives in clippy or a test now"
+                            "a retired lint's check lives in clippy, a test or a guard row now"
                         }
                     ),
                 });
@@ -164,8 +160,8 @@ pub fn run(config: &Config) -> io::Result<Report> {
         contexts.push(ctx);
     }
 
-    // Cross-file stage: always over the full model — a lock-order
-    // cycle is a workspace property, not a diff one.
+    // Cross-file stage: always over the full model — an atomic
+    // field's class is a workspace property, not a diff one.
     let workspace_model = model::build(&contexts);
     for lint in lints::workspace_all() {
         (lint.check)(&contexts, &workspace_model, &meta, &mut diagnostics);

@@ -1,8 +1,8 @@
 //! The lint suite. One rule decides what is in it: srclint keeps a
 //! check only if rustc, clippy or a tier-1 unit test cannot make it.
 //! What is left needs a lexer over the whole workspace: facts about
-//! which function holds which lock, which file syncs before it
-//! renames, which string literal names a metric. (`unsafe` without a
+//! which file syncs before it renames, which string literal names a
+//! metric, which ordering every site of an atomic field uses. (`unsafe` without a
 //! `// SAFETY:` comment, `unwrap()` in library code and unbounded
 //! `mpsc::channel()` are clippy's; codec arms and DESIGN.md §14's
 //! tables are exhaustive `match`es and `ruleserv/tests/wire_contract.rs`.)
@@ -12,25 +12,18 @@
 
 mod atomic_ordering;
 mod fsync_rename;
-mod lock_order;
 mod metric_names;
 
-pub use lock_order::canonical_order as lock_order_canonical_order;
 pub use metric_names::design_families as metric_names_design_families;
 
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
 use crate::model::WorkspaceModel;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 /// Workspace-level facts lints can consult (beyond the single file
 /// they are looking at).
 pub struct WorkspaceMeta {
-    pub root: PathBuf,
-    /// The full DESIGN.md text, for lints that parse a canonical
-    /// table out of it (`None` when the document is absent).
-    pub design: Option<String>,
     /// Metric families declared in DESIGN.md's canonical table;
     /// `None` when DESIGN.md (or the table) is absent, which turns
     /// the registry cross-check off rather than failing every site.
@@ -72,11 +65,6 @@ pub fn all() -> Vec<Lint> {
 /// invocation, over the model of every linted file.
 pub fn workspace_all() -> Vec<WorkspaceLint> {
     vec![
-        WorkspaceLint {
-            name: "lock-order",
-            summary: "nested lock acquisitions follow DESIGN.md's canonical lock order",
-            check: lock_order::check,
-        },
         WorkspaceLint {
             name: "atomic-ordering",
             summary: "atomic orderings match usage class: counters/flags Relaxed, publication Release/Acquire",

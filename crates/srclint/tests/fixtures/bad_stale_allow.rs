@@ -4,5 +4,5 @@
 // srclint:allow(retired-lint): the lint went away, its comment did not
 fn quiet() {}
 
-// srclint:allow(lock-order): a live name is a suppression, not a finding
+// srclint:allow(atomic-ordering): a live name is a suppression, not a finding
 fn live() {}

@@ -78,15 +78,6 @@ fn bad_metric_names_flags_every_shape() {
 }
 
 #[test]
-fn bad_lock_order_flags_backward_self_unranked_and_transitive() {
-    let found = findings("bad_lock_order.rs");
-    assert!(found.iter().all(|(l, _)| l == "lock-order"), "{found:?}");
-    // Backward direct edge, re-acquisition, an unranked class, and a
-    // backward edge reached through a call.
-    assert_eq!(found.len(), 4, "{found:?}");
-}
-
-#[test]
 fn bad_atomic_ordering_flags_every_class() {
     let found = findings("bad_atomic_ordering.rs");
     assert!(
@@ -182,49 +173,6 @@ fn guard_rows_read_comments_strings_and_field_shapes() {
     );
     let tree = guard_messages("bad_guard_tree.rs");
     assert!(tree.iter().any(|m| m.contains("placements")), "{tree:?}");
-}
-
-#[test]
-fn scoped_thread_closures_own_their_acquisitions() {
-    // The scoped fan-out shape in good_lock_order.rs: one guard in the
-    // fn plus one of the same class per spawned closure must NOT be a
-    // re-acquisition edge.
-    let found = findings("good_lock_order.rs");
-    assert!(found.is_empty(), "{found:?}");
-}
-
-#[test]
-fn design_md_lock_order_table_is_present_and_parsed() {
-    // The deadlock guard must be armed: if DESIGN.md loses the
-    // canonical-order table, every edge check silently vanishes
-    // (well — loudly, but via a different finding; this pins the
-    // parse itself).
-    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
-    let meta = srclint::lints::WorkspaceMeta {
-        root: workspace_root(),
-        design: Some(design),
-        metric_families: None,
-    };
-    let order = srclint::lints::lock_order_canonical_order(&meta)
-        .expect("DESIGN.md has a parseable canonical lock-order table");
-    for (krate, ident) in [
-        ("predindex", "shards"),
-        ("predindex", "unindexed"),
-        ("telemetry", "accounts"),
-        ("telemetry", "names"),
-        ("telemetry", "metrics"),
-        ("telemetry", "ring"),
-    ] {
-        assert!(
-            order.contains_key(&(krate.to_string(), ident.to_string())),
-            "table lost `{krate}.{ident}`"
-        );
-    }
-    // Ranks must actually order the hierarchy the workspace uses.
-    let rank = |k: &str, i: &str| order[&(k.to_string(), i.to_string())];
-    assert!(rank("predindex", "shards") < rank("predindex", "unindexed"));
-    assert!(rank("telemetry", "accounts") < rank("telemetry", "names"));
-    assert!(rank("telemetry", "names") < rank("telemetry", "metrics"));
 }
 
 #[test]

@@ -36,7 +36,7 @@ use crate::stages::StageRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Label value of the account billed for client-injected work.
 pub const EXTERNAL_ACCOUNT: &str = "external";
@@ -251,10 +251,19 @@ impl Account {
     }
 }
 
+/// The accounts and the rule names, under one lock: a snapshot reads
+/// both in one acquisition.
+#[derive(Default)]
+struct Ledger {
+    accounts: BTreeMap<Option<u32>, Account>,
+    names: BTreeMap<u32, String>,
+}
+
 struct Inner {
     registry: Arc<Registry>,
-    accounts: Mutex<BTreeMap<Option<u32>, Account>>,
-    names: Mutex<BTreeMap<u32, String>>,
+    /// Minting an account takes the registry's lock under this one:
+    /// the workspace's one nested acquisition (DESIGN.md §18).
+    ledger: Mutex<Ledger>,
     slow: Mutex<VecDeque<SlowOp>>,
     /// Requests at or over this wall-clock (nanos) enter the slow-op
     /// ring; `u64::MAX` disables capture.
@@ -309,8 +318,7 @@ impl Profiler {
             enabled,
             inner: Arc::new(Inner {
                 registry,
-                accounts: Mutex::new(BTreeMap::new()),
-                names: Mutex::new(BTreeMap::new()),
+                ledger: Mutex::default(),
                 slow: Mutex::new(VecDeque::new()),
                 slow_threshold: AtomicU64::new(u64::MAX),
                 next_seq: AtomicU64::new(0),
@@ -330,20 +338,23 @@ impl Profiler {
         &self.inner.registry
     }
 
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.inner
+            .ledger
+            .lock()
+            .expect("profiler ledger poisoned: a holder panicked")
+    }
+
     /// Bills `cost` to the account of `rule` (`None` = external),
     /// minting the account on first use. The terms are added under the
-    /// map lock to the account in place; an all-zero cost bills nothing
+    /// ledger lock to the account in place; an all-zero cost bills nothing
     /// and mints nothing.
     pub fn bill(&self, rule: Option<u32>, cost: &CostSnapshot) {
         if !self.enabled || *cost == CostSnapshot::default() {
             return;
         }
-        let mut accounts = self
-            .inner
-            .accounts
-            .lock()
-            .expect("profiler accounts poisoned: a holder panicked");
-        let account = accounts.entry(rule).or_insert_with(|| {
+        let mut ledger = self.ledger();
+        let account = ledger.accounts.entry(rule).or_insert_with(|| {
             let label = match rule {
                 Some(rid) => rid.to_string(),
                 None => EXTERNAL_ACCOUNT.to_string(),
@@ -367,12 +378,7 @@ impl Profiler {
         if !self.enabled {
             return;
         }
-        let mut names = self
-            .inner
-            .names
-            .lock()
-            .expect("profiler names poisoned: a holder panicked");
-        names.insert(rule, name.to_string());
+        self.ledger().names.insert(rule, name.to_string());
     }
 
     /// Snapshot of every account, external first then by rule id.
@@ -380,21 +386,13 @@ impl Profiler {
         if !self.enabled {
             return Vec::new();
         }
-        let accounts = self
-            .inner
+        let ledger = self.ledger();
+        ledger
             .accounts
-            .lock()
-            .expect("profiler accounts poisoned: a holder panicked");
-        let names = self
-            .inner
-            .names
-            .lock()
-            .expect("profiler names poisoned: a holder panicked");
-        accounts
             .iter()
             .map(|(&rule, a)| AccountSnapshot {
                 rule,
-                name: rule.and_then(|rid| names.get(&rid).cloned()),
+                name: rule.and_then(|rid| ledger.names.get(&rid).cloned()),
                 cost: a.snapshot(),
             })
             .collect()

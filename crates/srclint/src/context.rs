@@ -434,7 +434,10 @@ mod tests {
             .find(|&i| c.tokens[i].is_ident(&c.src, "b"))
             .expect("token");
         let (outer, inner) = (c.fns[0].body, c.fns[1].body);
-        assert!(outer.0 < inner.0 && inner.1 < outer.1, "{outer:?} {inner:?}");
+        assert!(
+            outer.0 < inner.0 && inner.1 < outer.1,
+            "{outer:?} {inner:?}"
+        );
         assert!((inner.0..inner.1).contains(&b_ix));
     }
 

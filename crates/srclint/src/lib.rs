@@ -15,10 +15,11 @@
 //!
 //! The run has two stages. The per-file suite (`fsync-before-rename`,
 //! `metric-name-registry`, and the [`guard`](guards) table, which reads
-//! manifests too) sees one [`FileContext`](context::FileContext) at a time. The cross-file
-//! lint (`atomic-ordering`) then runs over the [workspace
-//! model](model) — every atomic site, grouped by field workspace-wide —
-//! because a field's class is set by every site that touches it. Findings are suppressed line-by-line with
+//! manifests too) sees one [`FileContext`](context::FileContext) at a
+//! time. The cross-file lint (`atomic-ordering`) then runs over the
+//! [workspace model](model) — every atomic site, grouped by field
+//! workspace-wide — because a field's class is set by every site that
+//! touches it. Findings are suppressed line-by-line with
 //! `// srclint:allow(<lint>): <one-line justification>` — the
 //! justification is convention, but the lint name is checked: an allow
 //! naming no registered lint is itself a finding (`stale-allow`), so a
@@ -162,9 +163,9 @@ pub fn run(config: &Config) -> io::Result<Report> {
 
     // Cross-file stage: always over the full model — an atomic
     // field's class is a workspace property, not a diff one.
-    let workspace_model = model::build(&contexts);
+    let atomics = model::build(&contexts);
     for lint in lints::workspace_all() {
-        (lint.check)(&contexts, &workspace_model, &meta, &mut diagnostics);
+        (lint.check)(&contexts, &atomics, &meta, &mut diagnostics);
     }
 
     for d in &mut diagnostics {

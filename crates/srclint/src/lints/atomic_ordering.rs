@@ -27,7 +27,7 @@
 use super::{emit, WorkspaceMeta};
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
-use crate::model::{AtomicOp, WorkspaceModel};
+use crate::model::{AtomicOp, AtomicSite};
 use std::collections::BTreeMap;
 
 const LINT: &str = "atomic-ordering";
@@ -53,23 +53,23 @@ impl Class {
 
 pub(super) fn check(
     ctxs: &[FileContext],
-    model: &WorkspaceModel,
+    atomics: &[AtomicSite],
     _meta: &WorkspaceMeta,
     diags: &mut Vec<Diagnostic>,
 ) {
     // Classify per (crate, field): usage anywhere in the linted set
     // determines the class every site is held to.
     let mut groups: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    for (i, s) in model.atomics.iter().enumerate() {
+    for (i, s) in atomics.iter().enumerate() {
         groups
             .entry((s.krate.clone(), s.field.clone()))
             .or_default()
             .push(i);
     }
     for sites in groups.values() {
-        let class = classify(model, sites);
+        let class = classify(atomics, sites);
         for &i in sites {
-            let s = &model.atomics[i];
+            let s = &atomics[i];
             let ctx = &ctxs[s.file];
             match (s.ordering.as_str(), class) {
                 ("SeqCst", Class::Counter) => emit(
@@ -119,12 +119,12 @@ pub(super) fn check(
     }
 }
 
-fn classify(model: &WorkspaceModel, sites: &[usize]) -> Class {
+fn classify(atomics: &[AtomicSite], sites: &[usize]) -> Class {
     let mut any_bool_store = false;
     let mut any_plain_store = false;
     let mut any_rmw = false;
     for &i in sites {
-        let s = &model.atomics[i];
+        let s = &atomics[i];
         match s.op {
             AtomicOp::Store if s.stores_bool => any_bool_store = true,
             AtomicOp::Store => any_plain_store = true,

@@ -18,7 +18,7 @@ pub use metric_names::design_families as metric_names_design_families;
 
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
-use crate::model::WorkspaceModel;
+use crate::model::AtomicSite;
 use std::collections::BTreeSet;
 
 /// Workspace-level facts lints can consult (beyond the single file
@@ -38,11 +38,11 @@ pub struct Lint {
 }
 
 /// A cross-file lint: runs once over the whole linted set, after the
-/// per-file suite, with the workspace model in hand.
+/// per-file suite, with the workspace model (every atomic site) in hand.
 pub struct WorkspaceLint {
     pub name: &'static str,
     pub summary: &'static str,
-    pub check: fn(&[FileContext], &WorkspaceModel, &WorkspaceMeta, &mut Vec<Diagnostic>),
+    pub check: fn(&[FileContext], &[AtomicSite], &WorkspaceMeta, &mut Vec<Diagnostic>),
 }
 
 /// The full suite, in reporting order.

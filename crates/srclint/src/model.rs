@@ -40,12 +40,6 @@ pub struct AtomicSite {
     pub stores_bool: bool,
 }
 
-/// The whole linted set, digested for the cross-file pass.
-#[derive(Debug, Default)]
-pub struct WorkspaceModel {
-    pub atomics: Vec<AtomicSite>,
-}
-
 const ATOMIC_RMW: &[&str] = &[
     "fetch_add",
     "fetch_sub",
@@ -60,20 +54,18 @@ const ATOMIC_RMW: &[&str] = &[
 
 const MEM_ORDERINGS: &[&str] = &["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
 
-/// Builds the model over every context. Only `src/` of the
-/// concurrency crates contributes atomics; test ranges are skipped.
-pub fn build(ctxs: &[FileContext]) -> WorkspaceModel {
-    let mut model = WorkspaceModel::default();
+/// Builds the model over every context: its atomic sites. Only `src/`
+/// of the concurrency crates contributes; test ranges are skipped.
+pub fn build(ctxs: &[FileContext]) -> Vec<AtomicSite> {
+    let mut atomics = Vec::new();
     for (file, ctx) in ctxs.iter().enumerate() {
         if ctx.section != Section::Src || !CONCURRENCY_CRATES.contains(&ctx.krate.as_str()) {
             continue;
         }
         let sites = ctx.code_tokens().filter(|&i| !ctx.in_test(i));
-        model
-            .atomics
-            .extend(sites.filter_map(|i| atomic_site(ctx, i, file)));
+        atomics.extend(sites.filter_map(|i| atomic_site(ctx, i, file)));
     }
-    model
+    atomics
 }
 
 /// The field ident a method call's receiver chain ends in:
@@ -178,7 +170,7 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    fn model_of(src: &str) -> WorkspaceModel {
+    fn model_of(src: &str) -> Vec<AtomicSite> {
         let ctx = FileContext::new(Path::new("crates/telemetry/src/x.rs"), src.to_string());
         build(std::slice::from_ref(&ctx))
     }
@@ -190,13 +182,13 @@ mod tests {
              let n = self.hits.fetch_add(1, Ordering::Relaxed); \
              let v = self.stop.load(Ordering::SeqCst); }\n",
         );
-        assert_eq!(m.atomics.len(), 3);
-        assert_eq!(m.atomics[0].field, "stop");
-        assert_eq!(m.atomics[0].op, AtomicOp::Store);
-        assert!(m.atomics[0].stores_bool);
-        assert_eq!(m.atomics[0].ordering, "SeqCst");
-        assert_eq!(m.atomics[1].op, AtomicOp::Rmw);
-        assert_eq!(m.atomics[1].ordering, "Relaxed");
-        assert_eq!(m.atomics[2].op, AtomicOp::Load);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m[0].field, "stop");
+        assert_eq!(m[0].op, AtomicOp::Store);
+        assert!(m[0].stores_bool);
+        assert_eq!(m[0].ordering, "SeqCst");
+        assert_eq!(m[1].op, AtomicOp::Rmw);
+        assert_eq!(m[1].ordering, "Relaxed");
+        assert_eq!(m[2].op, AtomicOp::Load);
     }
 }

@@ -78,6 +78,16 @@ fn bad_metric_names_flags_every_shape() {
 }
 
 #[test]
+fn bad_guard_lock_field_flags_every_new_lock() {
+    // A new `Mutex` field and a new `RwLock` field behind an `Arc` fail
+    // the row; a kept field's declaration does not.
+    let found = findings("bad_guard_lock_field.rs");
+    assert!(found.iter().all(|(l, _)| l == "guard"), "{found:?}");
+    let lines: Vec<u32> = found.iter().map(|&(_, line)| line).collect();
+    assert_eq!(lines, [7, 8], "{found:?}");
+}
+
+#[test]
 fn bad_atomic_ordering_flags_every_class() {
     let found = findings("bad_atomic_ordering.rs");
     assert!(
@@ -173,6 +183,22 @@ fn guard_rows_read_comments_strings_and_field_shapes() {
     );
     let tree = guard_messages("bad_guard_tree.rs");
     assert!(tree.iter().any(|m| m.contains("placements")), "{tree:?}");
+}
+
+#[test]
+fn design_md_names_every_kept_lock_field() {
+    // The guard row's list of kept lock fields and DESIGN.md §18's
+    // "Locks", which says where each one nests, must name the same
+    // fields: a lock added to one and not the other fails here.
+    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
+    let (_, locks) = design.split_once("\n### Locks\n").expect("§18 has `Locks`");
+    let locks = &locks[..locks.find("\n### ").expect("a section follows")];
+    let kept = srclint::guards::LOCKS.split('|');
+    let names: Vec<&str> = kept.map(|d| d.split(':').next().expect("name")).collect();
+    assert_eq!(names.len(), 5, "{names:?}");
+    for name in names {
+        assert!(locks.contains(&format!("{name}`")), "`Locks` lost `{name}`");
+    }
 }
 
 #[test]

@@ -482,11 +482,20 @@ impl Naive {
         Ok(next)
     }
 
+    /// The tuples of `relation` in `seen`, in id order.
+    fn rows(&self, relation: &str) -> impl Iterator<Item = (&(String, u32), &Tuple)> {
+        let key = |id| (relation.to_string(), id);
+        self.seen.range(key(0)..=key(u32::MAX))
+    }
+
     /// Every rule against one event: once if its mask takes the event
     /// and one of its conditions holds on the event's tuple; and per join
     /// premise the new tuple satisfies, once per combination of `seen`
     /// tuples for the other premises — the solution-set product — that
-    /// passes the join's tests.
+    /// passes the join's tests. The product grows premise by premise,
+    /// each premise's candidates read from its own relation's part of
+    /// `seen`, and a partial combination is dropped as soon as a test
+    /// whose two premises it binds fails.
     #[allow(clippy::type_complexity)]
     fn match_all(
         &self,
@@ -516,19 +525,6 @@ impl Naive {
                 if !eval(cat, &premises[at], tuple) {
                     continue;
                 }
-                let mut partials: Vec<Vec<(u32, &Tuple)>> = vec![Vec::new()];
-                for (q, premise) in premises.iter().enumerate() {
-                    let candidates: Vec<(u32, &Tuple)> = match q == at {
-                        true => vec![(id, tuple)],
-                        false => (self.seen.iter())
-                            .filter(|((r, _), t)| r == premise.relation() && eval(cat, premise, t))
-                            .map(|((_, i), t)| (*i, t))
-                            .collect(),
-                    };
-                    partials = (partials.iter())
-                        .flat_map(|p| candidates.iter().map(|&c| [&p[..], &[c]].concat()))
-                        .collect();
-                }
                 let value = |b: &[(u32, &Tuple)], p: usize, a: &str| {
                     let schema = cat
                         .relation(premises[p].relation())
@@ -536,20 +532,36 @@ impl Naive {
                         .schema();
                     b[p].1.values()[schema.attr_index(a).expect("checked at add")].clone()
                 };
-                for b in partials {
-                    let holds = |t: &JoinTest| {
-                        t.op.holds(
-                            &value(&b, t.left, &t.left_attr),
-                            &value(&b, t.right, &t.right_attr),
-                        )
+                let holds = |b: &[(u32, &Tuple)], t: &JoinTest| {
+                    t.op.holds(
+                        &value(b, t.left, &t.left_attr),
+                        &value(b, t.right, &t.right_attr),
+                    )
+                };
+                let mut partials: Vec<Vec<(u32, &Tuple)>> = vec![Vec::new()];
+                for (q, premise) in premises.iter().enumerate() {
+                    let candidates: Vec<(u32, &Tuple)> = match q == at {
+                        true => vec![(id, tuple)],
+                        false => (self.rows(premise.relation()))
+                            .filter(|(_, t)| eval(cat, premise, t))
+                            .map(|((_, i), t)| (*i, t))
+                            .collect(),
                     };
-                    if join.tests().iter().all(holds) {
-                        let named = premises
-                            .iter()
-                            .zip(&b)
-                            .map(|(p, (i, _))| (p.relation().to_string(), *i));
-                        agenda.push(entry(Some(named.collect())));
-                    }
+                    // The tests this premise completes: both sides bound.
+                    let due: Vec<&JoinTest> = (join.tests().iter())
+                        .filter(|t| t.left.max(t.right) == q)
+                        .collect();
+                    partials = (partials.iter())
+                        .flat_map(|p| candidates.iter().map(|&c| [&p[..], &[c]].concat()))
+                        .filter(|b| due.iter().all(|t| holds(b, t)))
+                        .collect();
+                }
+                for b in partials {
+                    let named = premises
+                        .iter()
+                        .zip(&b)
+                        .map(|(p, (i, _))| (p.relation().to_string(), *i));
+                    agenda.push(entry(Some(named.collect())));
                 }
             }
         }

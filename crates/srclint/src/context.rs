@@ -1,11 +1,9 @@
 //! Per-file analysis context shared by every lint: the token stream,
 //! which crate/section the file belongs to, which token ranges are
-//! test-only (`#[cfg(test)]` / `#[test]` items), where each `fn` body
-//! begins and ends, and which lines carry `srclint:allow(...)`
-//! suppressions.
+//! test-only (`#[cfg(test)]` / `#[test]` items), and where each `fn`
+//! body and named item begins and ends.
 
 use crate::lexer::{lex, Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Which part of a crate a file lives in. Lints use this to scope
@@ -49,9 +47,6 @@ pub struct FileContext {
     test_ranges: Vec<(usize, usize)>,
     /// All fn spans, in source order.
     pub fns: Vec<FnSpan>,
-    /// line -> lints allowed on that line (an allow comment covers its
-    /// own line and the next).
-    allows: BTreeMap<u32, BTreeSet<String>>,
 }
 
 impl FileContext {
@@ -65,7 +60,6 @@ impl FileContext {
         let (krate, section) = classify(posed.as_deref().unwrap_or(path));
         let test_ranges = find_test_ranges(&src, &tokens);
         let fns = find_fns(&src, &tokens);
-        let allows = find_allows(&src, &tokens);
         FileContext {
             path: path.to_path_buf(),
             src,
@@ -75,21 +69,12 @@ impl FileContext {
             posed,
             test_ranges,
             fns,
-            allows,
         }
     }
 
     /// Is token `i` inside a test-only item?
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| i >= a && i < b)
-    }
-
-    /// Is `lint` suppressed at `line` by an allow comment on that
-    /// line or the line above?
-    pub fn is_allowed(&self, lint: &str, line: u32) -> bool {
-        self.allows
-            .get(&line)
-            .is_some_and(|s| s.contains(lint) || s.contains("all"))
     }
 
     /// The first and last line of the item `kind name` (`struct
@@ -104,34 +89,6 @@ impl FileContext {
             .find(|&i| self.tokens[i].is_ident(&self.src, kind) && named(i))?;
         let last = &self.tokens[item_end(&self.src, &self.tokens, at) - 1];
         Some((self.tokens[at].line, last.line))
-    }
-
-    /// How many `srclint:allow` suppression comments the file carries:
-    /// one per comment naming at least one registered lint, however
-    /// many it names. A comment that only *describes* the syntax
-    /// (`srclint:allow(<lint>)`, or any mention in a doc comment)
-    /// names none and is not a suppression.
-    pub fn suppression_count(&self) -> usize {
-        self.tokens
-            .iter()
-            .filter(|t| t.is_comment())
-            .filter(|t| allow_names(t.text(&self.src)).any(crate::lints::is_registered))
-            .count()
-    }
-
-    /// Allow comments naming a lint that is not registered — a retired
-    /// lint's leftovers, or a typo that suppresses nothing — as
-    /// `(comment token, name)`. Only slug-shaped names count, so prose
-    /// that describes the syntax (`<lint>`, `...`) stays silent.
-    pub fn stale_allows(&self) -> impl Iterator<Item = (&Token, &str)> + '_ {
-        self.tokens
-            .iter()
-            .filter(|t| t.is_comment())
-            .flat_map(|t| allow_names(t.text(&self.src)).map(move |name| (t, name)))
-            .filter(|(_, name)| {
-                name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
-                    && !crate::lints::is_registered(name)
-            })
     }
 
     /// Iterator over code-token indices (comments skipped).
@@ -347,35 +304,6 @@ fn find_fns(src: &str, tokens: &[Token]) -> Vec<FnSpan> {
     out
 }
 
-/// Collects `srclint:allow(a, b)` comments into a line -> lints map.
-/// An allow on line L covers L (trailing form) and L+1 (preceding
-/// form).
-fn find_allows(src: &str, tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {
-    let mut out: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for t in tokens.iter().filter(|t| t.is_comment()) {
-        for name in allow_names(t.text(src)) {
-            out.entry(t.line).or_default().insert(name.to_string());
-            out.entry(t.line + 1).or_default().insert(name.to_string());
-        }
-    }
-    out
-}
-
-/// Every name listed by the `srclint:allow(a, b)` markers in one
-/// comment's text. Doc comments list none: they document an item (the
-/// lint modules' own docs quote the marker), they do not annotate a
-/// line.
-fn allow_names(comment: &str) -> impl Iterator<Item = &str> {
-    let is_doc = ["///", "//!", "/**", "/*!"]
-        .iter()
-        .any(|p| comment.starts_with(p));
-    let markers = if is_doc { "" } else { comment };
-    markers.split("srclint:allow(").skip(1).flat_map(|rest| {
-        let listed = rest.find(')').map_or("", |close| &rest[..close]);
-        listed.split(',').map(str::trim).filter(|n| !n.is_empty())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,17 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn allow_covers_own_and_next_line() {
-        let c = ctx(
-            "// srclint:allow(atomic-ordering): fine here\nfn f() { x.load(); }\nfn g() { y.load(); }\n",
-        );
-        assert!(c.is_allowed("atomic-ordering", 1));
-        assert!(c.is_allowed("atomic-ordering", 2));
-        assert!(!c.is_allowed("atomic-ordering", 3));
-        assert!(!c.is_allowed("metric-name-registry", 2));
-    }
-
-    #[test]
     fn fixture_directive_overrides_path() {
         let c = FileContext::new(
             Path::new("crates/srclint/tests/fixtures/x.rs"),
@@ -473,44 +390,5 @@ mod tests {
         assert_eq!(c.fns[0].body, (0, 0));
         assert_eq!(c.fns[1].name, "has_body");
         assert!(c.fns[1].body.1 > c.fns[1].body.0);
-    }
-
-    #[test]
-    fn suppression_count_counts_allow_comments() {
-        let c = ctx(
-            "// srclint:allow(atomic-ordering): one\nfn f() {}\n// srclint:allow(atomic-ordering, metric-name-registry): two lints, one comment\nfn g() {}\n// plain comment\n",
-        );
-        assert_eq!(c.suppression_count(), 2);
-    }
-
-    #[test]
-    fn suppression_count_skips_comments_that_only_describe_the_syntax() {
-        let c = ctx(concat!(
-            "//! Suppress with `// srclint:allow(<lint>): <why>`.\n",
-            "// as in srclint:allow(<lint>) or srclint:allow(...)\n",
-            "/// e.g. `// srclint:allow(atomic-ordering): <why>`\n",
-            "fn f() { x.load(); }\n",
-            "// srclint:allow(atomic-ordering): a real one\n",
-            "fn g() { y.load(); }\n",
-        ));
-        assert_eq!(c.suppression_count(), 1);
-        // Only the real one suppresses: the doc comment above `f`
-        // names a registered lint and still covers nothing.
-        assert!(!c.is_allowed("atomic-ordering", 4));
-        assert!(c.is_allowed("atomic-ordering", 6));
-        assert_eq!(c.stale_allows().count(), 0);
-    }
-
-    #[test]
-    fn an_allow_naming_no_registered_lint_is_stale() {
-        let c = ctx(concat!(
-            "// srclint:allow(retired-lint): the lint retired, the comment stayed\n",
-            "fn f() {}\n",
-            "// srclint:allow(atomic-ordering, atomic-ordring): one live name, one typo\n",
-            "fn g() {}\n",
-        ));
-        let stale: Vec<(u32, &str)> = c.stale_allows().map(|(t, n)| (t.line, n)).collect();
-        assert_eq!(stale, [(1, "retired-lint"), (3, "atomic-ordring")]);
-        assert_eq!(c.suppression_count(), 1);
     }
 }

@@ -1,34 +1,16 @@
-//! Diagnostics: what a lint reports, how severe it is, and how the
-//! report is rendered for humans (`file:line:col`) and for machines
-//! (`--format json`, hand-rolled since the workspace is std-only).
+//! Diagnostics: what a lint reports, and how the report is rendered
+//! for humans (`file:line:col`) and for machines (`--format json`,
+//! hand-rolled since the workspace is std-only).
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// How bad a finding is. `Deny` findings always fail the run;
-/// `Warn` findings fail it only under `--deny`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warn,
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warn => "warning",
-            Severity::Deny => "error",
-        })
-    }
-}
-
-/// One finding, anchored to a source position.
+/// One finding, anchored to a source position. Every finding is an
+/// error: it fails the run.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Lint slug, e.g. `fsync-before-rename` — the name `srclint:allow`
-    /// comments refer to.
+    /// Lint slug, e.g. `fsync-before-rename`, or `guard` for a guard
+    /// row.
     pub lint: &'static str,
-    pub severity: Severity,
     /// Path relative to the workspace root when possible.
     pub file: PathBuf,
     pub line: u32,
@@ -37,15 +19,15 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// `file:line:col: severity[lint] message` — one line, clickable
-    /// in most terminals and editors.
+    /// `file:line:col: error[lint] message` — one line, clickable in
+    /// most terminals and editors, and the shape CI's problem matcher
+    /// reads.
     pub fn render_human(&self) -> String {
         format!(
-            "{}:{}:{}: {}[{}] {}",
+            "{}:{}:{}: error[{}] {}",
             self.file.display(),
             self.line,
             self.col,
-            self.severity,
             self.lint,
             self.message
         )
@@ -73,26 +55,20 @@ fn json_escape(s: &str) -> String {
 
 /// The full report as a JSON document: a stable schema CI can upload
 /// as an artifact and scripts can consume without a JSON dependency
-/// on our side. `report-v2` extends v1 with `files_linted` (differs
-/// from `files_scanned` under `--changed`), the workspace-wide
-/// `srclint:allow` suppression count, and wall-clock timing; every
-/// v1 field keeps its name and shape.
+/// on our side. `report-v3` is v2 without `files_linted`,
+/// `suppressions` and the summary's `warnings`: every run lints every
+/// file it scans, no comment suppresses a finding, and every finding
+/// is an error (its `severity` always reads `error`).
 pub fn render_json(report: &crate::Report) -> String {
     let diags = &report.diagnostics;
-    let mut out = String::from("{\n  \"schema\": \"srclint/report-v2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"srclint/report-v3\",\n");
     out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"files_linted\": {},\n  \"suppressions\": {},\n  \"elapsed_ms\": {},\n",
-        report.files_scanned, report.files_linted, report.suppressions, report.elapsed_ms
+        "  \"files_scanned\": {},\n  \"elapsed_ms\": {},\n",
+        report.files_scanned, report.elapsed_ms
     ));
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Deny)
-        .count();
     out.push_str(&format!(
-        "  \"summary\": {{ \"total\": {}, \"errors\": {}, \"warnings\": {} }},\n",
-        diags.len(),
-        errors,
-        diags.len() - errors
+        "  \"summary\": {{ \"total\": {0}, \"errors\": {0} }},\n",
+        diags.len()
     ));
     out.push_str("  \"diagnostics\": [");
     for (i, d) in diags.iter().enumerate() {
@@ -100,9 +76,8 @@ pub fn render_json(report: &crate::Report) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{ \"lint\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\" }}",
+            "\n    {{ \"lint\": \"{}\", \"severity\": \"error\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\" }}",
             json_escape(d.lint),
-            d.severity,
             json_escape(&d.file.display().to_string()),
             d.line,
             d.col,
@@ -127,7 +102,6 @@ mod tests {
     fn diag() -> Diagnostic {
         Diagnostic {
             lint: "fsync-before-rename",
-            severity: Severity::Deny,
             file: PathBuf::from("crates/x/src/lib.rs"),
             line: 3,
             col: 9,
@@ -139,8 +113,6 @@ mod tests {
         crate::Report {
             diagnostics: diags,
             files_scanned: 7,
-            files_linted: 7,
-            suppressions: 2,
             elapsed_ms: 12,
         }
     }
@@ -156,10 +128,8 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let s = render_json(&report(vec![diag()]));
-        assert!(s.contains("\"schema\": \"srclint/report-v2\""));
+        assert!(s.contains("\"schema\": \"srclint/report-v3\""));
         assert!(s.contains("\"files_scanned\": 7"));
-        assert!(s.contains("\"files_linted\": 7"));
-        assert!(s.contains("\"suppressions\": 2"));
         assert!(s.contains("\"elapsed_ms\": 12"));
         assert!(s.contains("\"errors\": 1"));
         assert!(s.contains("crates/x/src/lib.rs"));

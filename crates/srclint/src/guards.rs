@@ -1,13 +1,14 @@
-//! `guard`: what a deletion removed stays removed. Each row names the
-//! files it covers, what must not come back there (comments and strings
-//! included, as the greps they replaced read them), an item that bounds
-//! the search, and the DESIGN.md section and commits that set it.
+//! `guard`: what a deletion removed stays removed, and what is kept to a
+//! reviewed list stays on it. Each row names the files it covers, what
+//! must not appear there (comments and strings included, as the greps
+//! they replaced read them), an item that bounds the search, and the
+//! DESIGN.md section and commits that set it.
 
 use crate::context::FileContext;
-use crate::diag::{relativize, Diagnostic, Severity};
+use crate::diag::{relativize, Diagnostic};
 use std::path::Path;
 
-/// One structural guard. No `srclint:allow` comment suppresses it.
+/// One structural guard.
 pub struct Guard {
     /// Space-separated workspace paths: a path covers all below it, a
     /// `*` component matches any name (`*.rs` any `.rs` name), and a
@@ -53,21 +54,27 @@ pub const GUARDS: &[Guard] = &[
     Guard { files: "crates/rules/src/engine.rs", hit: |l| field(l, "conditions", ""), must: false, within: "struct ColdRule", why: "§5 (2c8ec46): a rule's conditions live in the index" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| field(l, "", "JoinCondition"), must: false, within: "struct ColdRule", why: "§5 (bc6bb6b): a rule's join conditions live in their memos" },
     Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "clone()"), must: false, within: "fn register_conditions", why: "§5 (2c8ec46): the index gets each condition by move" },
-    Guard { files: ALL, hit: |l| allow(l, "no-panic-in-lib|safety-comment|channel-discipline|codec-conformance|lock-discipline|lock-order"), must: false, within: "", why: "§13 (1bb1b18, 1fb40f5, 6222172): no comment names a retired lint" },
+    Guard { files: ALL, hit: |l| text(l, "srclint:allow("), must: false, within: "", why: "§13 (1bb1b18, 1fb40f5, 6222172, 56aac5f): no lint takes an allow comment" },
     Guard { files: "crates src tests examples !crates/bench/src/counting_alloc.rs", hit: |l| text(l, "impl GlobalAlloc|#[global_allocator]"), must: false, within: "", why: "§19 (2c279f1): one counting allocator, included by path" },
     Guard { files: "crates/ibs/src/tree.rs", hit: |l| field(l, "", "IdMap|HashMap|BTreeMap"), must: false, within: "", why: "§5 (2e0fd41): the IBS-tree core keeps nodes and marks, no id-keyed table" },
     Guard { files: "crates/*/src src", hit: |l| field(l, "", "Mutex<|RwLock<").filter(|_| text(l, LOCKS).is_none()), must: false, within: "", why: "§18 (6222172): five lock fields; a new one comes with a review of where it nests" },
+    Guard { files: "crates/*/src src", hit: |l| text(l, "SeqCst"), must: false, within: "", why: "§18 (56aac5f): no SeqCst; counters and polled flags are Relaxed" },
+    Guard { files: "crates/*/src src", hit: |l| store(l).filter(|_| text(l, STORES).is_none()), must: false, within: "", why: "§18 (56aac5f): one atomic config word; a new publication comes with a review of its ordering" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's
 /// `Locks` lists them.
 pub const LOCKS: &str = "metrics: Mutex<BTreeMap<String, Metric>>|ring: Mutex<Ring>|ledger: Mutex<Ledger>|slow: Mutex<VecDeque<SlowOp>>|shards: Box<[RwLock<IndexCore>]>";
 
+/// The atomic stores of a value that is not a `bool` literal that
+/// remain, as DESIGN.md §18's `Atomics` lists them.
+pub const STORES: &str = "slow_threshold.store(|next_id.store(u32::MAX";
+
 /// The trees the name-level rows cover, as the greps they replaced did.
 const ALL: &str = "crates src tests examples";
 
 /// The lint name of a guard row's findings.
-pub(crate) const LINT: &str = "guard";
+const LINT: &str = "guard";
 
 /// Runs every row covering the file's workspace path (or the path a
 /// fixture poses as). srclint's fixture corpus and this file are never
@@ -83,7 +90,6 @@ pub(crate) fn check<'a>(ctx: &'a FileContext, root: &Path, diags: &mut Vec<Diagn
         let mut push = |line, at: usize, what: String| {
             diags.push(Diagnostic {
                 lint: LINT,
-                severity: Severity::Deny,
                 file: ctx.path.clone(),
                 line,
                 col: at as u32 + 1,
@@ -100,7 +106,7 @@ pub(crate) fn check<'a>(ctx: &'a FileContext, root: &Path, diags: &mut Vec<Diagn
             push(1, 0, "the line it requires is gone".into());
         }
         for &(n, at, l) in hits.iter().filter(|_| !row.must) {
-            push(n, at, format!("`{}` is back", &l[at..]));
+            push(n, at, format!("`{}` breaks a guard row", &l[at..]));
         }
     }
 }
@@ -121,12 +127,11 @@ fn text(line: &str, alts: &str) -> Option<usize> {
     alts.split('|').filter_map(|lit| line.find(lit)).min()
 }
 
-/// An `srclint:allow(..)` list naming one of the `|`-separated names.
-fn allow(line: &str, names: &str) -> Option<usize> {
-    let retired = |n: &str| names.split('|').any(|r| r == n.trim());
-    let listed = |i: usize| line[i..].split(['(', ')']).nth(1).unwrap_or("");
-    let mut at = line.match_indices("srclint:allow(").map(|(i, _)| i);
-    at.find(|&i| listed(i).split(',').any(retired))
+/// An atomic `.store(` whose value is not a `true` or `false` literal.
+fn store(line: &str) -> Option<usize> {
+    let flag = |v: &str| v.starts_with("true,") || v.starts_with("false,");
+    let mut at = line.match_indices(".store(").map(|(i, _)| i);
+    at.find(|&i| !flag(line[i + ".store(".len()..].trim_start()))
 }
 
 /// A line declaring `[pub[(..)]] name: ty`, `name` one of `names`

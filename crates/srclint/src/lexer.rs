@@ -5,9 +5,8 @@
 //! the whole analyzer stays std-only so it builds against an
 //! unreachable registry.
 //!
-//! Comments are kept in the token stream (lints need them for
-//! `// SAFETY:` and `// srclint:allow(...)` detection); whitespace is
-//! dropped. Every token carries a byte span and a 1-based `line:col`
+//! Comments are kept in the token stream (the lints skip them by
+//! kind); whitespace is dropped. Every token carries a byte span and a 1-based `line:col`
 //! so diagnostics point at real source positions.
 
 /// What a token is. Literal sub-flavours that no lint distinguishes

@@ -1,16 +1,14 @@
 //! The lint suite. One rule decides what is in it: srclint keeps a
 //! check only if rustc, clippy or a tier-1 unit test cannot make it.
 //! What is left needs a lexer over the whole workspace: facts about
-//! which file syncs before it renames, which string literal names a
-//! metric, which ordering every site of an atomic field uses. (`unsafe` without a
-//! `// SAFETY:` comment, `unwrap()` in library code and unbounded
-//! `mpsc::channel()` are clippy's; codec arms and DESIGN.md §14's
-//! tables are exhaustive `match`es and `ruleserv/tests/wire_contract.rs`.)
+//! which file syncs before it renames and which string literal names a
+//! metric. (`unsafe` without a `// SAFETY:` comment, `unwrap()` in
+//! library code and unbounded `mpsc::channel()` are clippy's; codec
+//! arms and DESIGN.md §14's tables are exhaustive `match`es and
+//! `ruleserv/tests/wire_contract.rs`; atomic orderings are guard rows.)
 //! Each lint is scoped to the crates and sections where its invariant
-//! holds, and every finding can be suppressed at the line level with
-//! `// srclint:allow(<lint>): <one-line justification>`.
+//! holds.
 
-mod atomic_ordering;
 mod fsync_rename;
 mod metric_names;
 
@@ -18,7 +16,6 @@ pub use metric_names::design_families as metric_names_design_families;
 
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
-use crate::model::AtomicSite;
 use std::collections::BTreeSet;
 
 /// Workspace-level facts lints can consult (beyond the single file
@@ -30,19 +27,11 @@ pub struct WorkspaceMeta {
     pub metric_families: Option<BTreeSet<String>>,
 }
 
-/// One lint: a stable slug (the `srclint:allow` name) and a checker.
+/// One lint: a stable slug and a checker.
 pub struct Lint {
     pub name: &'static str,
     pub summary: &'static str,
     pub check: fn(&FileContext, &WorkspaceMeta, &mut Vec<Diagnostic>),
-}
-
-/// A cross-file lint: runs once over the whole linted set, after the
-/// per-file suite, with the workspace model (every atomic site) in hand.
-pub struct WorkspaceLint {
-    pub name: &'static str,
-    pub summary: &'static str,
-    pub check: fn(&[FileContext], &[AtomicSite], &WorkspaceMeta, &mut Vec<Diagnostic>),
 }
 
 /// The full suite, in reporting order.
@@ -59,26 +48,6 @@ pub fn all() -> Vec<Lint> {
             check: metric_names::check,
         },
     ]
-}
-
-/// The cross-file suite, in reporting order. These run once per
-/// invocation, over the model of every linted file.
-pub fn workspace_all() -> Vec<WorkspaceLint> {
-    vec![
-        WorkspaceLint {
-            name: "atomic-ordering",
-            summary: "atomic orderings match usage class: counters/flags Relaxed, publication Release/Acquire",
-            check: atomic_ordering::check,
-        },
-    ]
-}
-
-/// Is `name` a lint of either suite (or the `all` wildcard) — i.e.
-/// does an allow comment naming it suppress anything?
-pub(crate) fn is_registered(name: &str) -> bool {
-    name == "all"
-        || all().iter().any(|l| l.name == name)
-        || workspace_all().iter().any(|l| l.name == name)
 }
 
 /// Is token `i` the identifier `name` invoked as a method
@@ -103,7 +72,7 @@ pub(crate) fn is_call(ctx: &FileContext, i: usize, name: &str) -> bool {
             .is_some_and(|n| ctx.tokens[n].is_punct(&ctx.src, '('))
 }
 
-/// Emits `msg` at token `i` unless an allow comment suppresses it.
+/// Emits `msg` at token `i`.
 pub(crate) fn emit(
     ctx: &FileContext,
     diags: &mut Vec<Diagnostic>,
@@ -112,12 +81,8 @@ pub(crate) fn emit(
     msg: String,
 ) {
     let t = &ctx.tokens[i];
-    if ctx.is_allowed(lint, t.line) {
-        return;
-    }
     diags.push(Diagnostic {
         lint,
-        severity: crate::diag::Severity::Deny,
         file: ctx.path.clone(),
         line: t.line,
         col: t.col,

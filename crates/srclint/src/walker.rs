@@ -6,11 +6,9 @@
 //! `fixtures/` directory (srclint's own test corpus is deliberately
 //! full of violations).
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 /// Walks upward from `start` to the directory whose `Cargo.toml`
 /// contains a `[workspace]` table.
@@ -64,32 +62,6 @@ pub fn expand_paths(paths: &[PathBuf]) -> io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
-}
-
-/// The files `git diff --name-only <ref>` reports as changed,
-/// resolved against `root`. Returns `None` — meaning "lint
-/// everything" — when git is missing, `root` is not a repository, or
-/// the ref does not resolve: a degraded environment should widen the
-/// run, never silently pass it.
-pub fn git_changed_files(root: &Path, git_ref: &str) -> Option<BTreeSet<PathBuf>> {
-    let out = Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", git_ref])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let listing = String::from_utf8(out.stdout).ok()?;
-    Some(
-        listing
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(|l| root.join(l))
-            .collect(),
-    )
 }
 
 fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -1,6 +1,5 @@
 // srclint-fixture: path=crates/durable/src/bad_guard_allow.rs
-// A retired lint named in a list and in a doc comment: both are found,
-// though only the plain comment is also a stale allow.
+// An allow comment, in a doc comment and in a list: both are found.
 
 /// Quote: `srclint:allow(no-panic-in-lib)`.
 pub fn first(v: &[u32]) -> u32 {

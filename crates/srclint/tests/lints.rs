@@ -35,7 +35,6 @@ fn diagnostics(name: &str) -> Vec<Diagnostic> {
     let report = run(&Config {
         root: workspace_root(),
         paths: vec![fixture(name)],
-        changed_ref: None,
     })
     .expect("fixture lints");
     report.diagnostics
@@ -85,26 +84,31 @@ fn bad_guard_lock_field_flags_every_new_lock() {
     assert!(found.iter().all(|(l, _)| l == "guard"), "{found:?}");
     let lines: Vec<u32> = found.iter().map(|&(_, line)| line).collect();
     assert_eq!(lines, [7, 8], "{found:?}");
+    // The row forbids a new lock, not a deleted one come back, and its
+    // finding says so.
+    for message in guard_messages("bad_guard_lock_field.rs") {
+        assert!(!message.contains("is back"), "{message}");
+        assert!(message.contains("breaks a guard row"), "{message}");
+    }
 }
 
 #[test]
-fn bad_atomic_ordering_flags_every_class() {
-    let found = findings("bad_atomic_ordering.rs");
-    assert!(
-        found.iter().all(|(l, _)| l == "atomic-ordering"),
-        "{found:?}"
+fn bad_guard_atomics_fails_both_atomic_rows() {
+    // A `SeqCst` counter, a `SeqCst` flag store and load: "no SeqCst".
+    // A `Relaxed` store of a value that is not a `bool` literal: "one
+    // atomic config word". The `Acquire` load breaks neither.
+    let found = diagnostics("bad_guard_atomics.rs");
+    assert!(found.iter().all(|d| d.lint == "guard"), "{found:?}");
+    let rows = |tail: &str| -> Vec<u32> {
+        let hits = found.iter().filter(|d| d.message.ends_with(tail));
+        hits.map(|d| d.line).collect()
+    };
+    assert_eq!(
+        rows("no SeqCst; counters and polled flags are Relaxed)"),
+        [17, 21, 25]
     );
-    // SeqCst counter RMW, SeqCst flag store + load, Relaxed
-    // publication store.
+    assert_eq!(rows("a review of its ordering)"), [29]);
     assert_eq!(found.len(), 4, "{found:?}");
-}
-
-#[test]
-fn bad_stale_allow_flags_a_comment_naming_no_lint() {
-    // A retired lint's comment (or a typo) suppresses nothing; the
-    // live name on the same fixture's other comment is not a finding.
-    let found = findings("bad_stale_allow.rs");
-    assert_eq!(found, [("stale-allow".to_string(), 4)], "{found:?}");
 }
 
 /// Lints one fixture and returns the message of every guard finding.
@@ -140,31 +144,9 @@ fn every_guard_row_fails_on_a_bad_fixture() {
 }
 
 #[test]
-fn no_allow_comment_suppresses_a_guard_row() {
-    // An allow naming `guard` names no lint, so it is itself a finding,
-    // and neither it nor the `all` wildcard hides the rows below them.
-    let found = findings("bad_guard_unsuppressed.rs");
-    let expected = [("stale-allow", 2), ("guard", 4), ("guard", 9)];
-    let expected: Vec<(String, u32)> = expected.map(|(l, n)| (l.to_string(), n)).to_vec();
-    assert_eq!(found, expected);
-    // The allow's finding gives the guard table's reason, not a
-    // retired lint's.
-    let stale: Vec<String> = diagnostics("bad_guard_unsuppressed.rs")
-        .into_iter()
-        .filter(|d| d.lint == "stale-allow")
-        .map(|d| d.message)
-        .collect();
-    assert_eq!(stale.len(), 1, "{stale:?}");
-    assert!(
-        stale[0].contains("a guard row takes no allow") && !stale[0].contains("retired lint"),
-        "{stale:?}"
-    );
-}
-
-#[test]
 fn guard_rows_read_comments_strings_and_field_shapes() {
-    // A retired lint is found in a doc comment and inside a list; a
-    // span name is found as a string literal; a field is found by name
+    // An allow comment is found in a doc comment and as a line
+    // comment; a span name is found as a string literal; a field is found by name
     // with or without `pub(crate)`, and by type.
     let allow = guard_messages("bad_guard_allow.rs");
     assert_eq!(allow.len(), 2, "{allow:?}");
@@ -198,6 +180,23 @@ fn design_md_names_every_kept_lock_field() {
     assert_eq!(names.len(), 5, "{names:?}");
     for name in names {
         assert!(locks.contains(&format!("{name}`")), "`Locks` lost `{name}`");
+    }
+}
+
+#[test]
+fn design_md_names_every_reviewed_atomic_store() {
+    // The same for the atomic stores of a non-`bool` value and
+    // DESIGN.md §18's "Atomics", which says why each one's ordering
+    // holds.
+    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
+    let (_, atomics) = design
+        .split_once("\n### Atomics\n")
+        .expect("§18 has `Atomics`");
+    let atomics = atomics.split("\n## ").next().expect("text");
+    let stores: Vec<&str> = srclint::guards::STORES.split('|').collect();
+    assert_eq!(stores.len(), 2, "{stores:?}");
+    for store in stores {
+        assert!(atomics.contains(store), "`Atomics` lost `{store}`");
     }
 }
 
@@ -243,26 +242,13 @@ fn deny_exits_nonzero_on_each_bad_fixture_and_zero_on_good() {
         "a fixture is neither bad_ nor good_"
     );
     for name in bad {
-        let (code, _) = run_bin(&["--deny", fixture(&name).to_str().expect("utf8 path")]);
-        assert_eq!(code, 1, "{name} should fail --deny");
+        let (code, _) = run_bin(&[fixture(&name).to_str().expect("utf8 path")]);
+        assert_eq!(code, 1, "{name} should fail");
     }
     for name in good {
-        let (code, out) = run_bin(&["--deny", fixture(&name).to_str().expect("utf8 path")]);
-        assert_eq!(code, 0, "{name} should pass --deny: {out}");
+        let (code, out) = run_bin(&[fixture(&name).to_str().expect("utf8 path")]);
+        assert_eq!(code, 0, "{name} should pass: {out}");
     }
-}
-
-#[test]
-fn changed_mode_restricts_per_file_stage_but_stays_clean() {
-    // --changed narrows the per-file stage to the git diff; the
-    // cross-file stage still sees the whole workspace. Either way the
-    // tree must be clean. When git is unavailable the run widens to a
-    // full walk, so this asserts the same invariant in both worlds.
-    let (code, out) = run_bin(&["--deny", "--changed"]);
-    assert_eq!(code, 0, "--changed run should be clean: {out}");
-    let (code_json, json) = run_bin(&["--changed", "--format", "json"]);
-    assert_eq!(code_json, 0);
-    assert!(json.contains("\"files_linted\""), "{json}");
 }
 
 #[test]
@@ -273,18 +259,33 @@ fn json_report_is_well_formed() {
         fixture("bad_fsync_rename.rs").to_str().expect("utf8 path"),
     ]);
     assert_eq!(code, 1);
-    assert!(out.contains("\"schema\": \"srclint/report-v2\""), "{out}");
+    assert!(out.contains("\"schema\": \"srclint/report-v3\""), "{out}");
     assert!(out.contains("\"lint\": \"fsync-before-rename\""));
     assert!(out.contains("\"severity\": \"error\""));
-    assert!(out.contains("\"files_linted\""), "{out}");
-    assert!(out.contains("\"suppressions\""), "{out}");
+    assert!(out.contains("\"files_scanned\": 1,"), "{out}");
     assert!(out.contains("\"elapsed_ms\""), "{out}");
+    assert!(
+        out.contains("\"summary\": { \"total\": 2, \"errors\": 2 }"),
+        "{out}"
+    );
+    for gone in ["files_linted", "suppressions", "warnings"] {
+        assert!(!out.contains(gone), "v3 has no `{gone}`: {out}");
+    }
     // Paths in the report are workspace-relative.
     assert!(out.contains("crates/srclint/tests/fixtures/bad_fsync_rename.rs"));
 }
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let (code, _) = run_bin(&["--definitely-not-a-flag"]);
-    assert_eq!(code, 2);
+    // No `--deny` or `--changed`: every finding fails the run, and
+    // every run lints every file it scans.
+    for flag in [
+        "--definitely-not-a-flag",
+        "--deny",
+        "--changed",
+        "--changed=HEAD",
+    ] {
+        let (code, _) = run_bin(&[flag]);
+        assert_eq!(code, 2, "{flag}");
+    }
 }

@@ -266,7 +266,9 @@ struct Inner {
     ledger: Mutex<Ledger>,
     slow: Mutex<VecDeque<SlowOp>>,
     /// Requests at or over this wall-clock (nanos) enter the slow-op
-    /// ring; `u64::MAX` disables capture.
+    /// ring; `u64::MAX` disables capture. Stored and loaded `Relaxed`:
+    /// an independent config word that guards no other data, so a
+    /// reader needs no happens-before edge.
     slow_threshold: AtomicU64,
     /// Ordinal of the next observed request.
     next_seq: AtomicU64,
@@ -415,13 +417,11 @@ impl Profiler {
 
     /// Sets the slow-op capture threshold (`u64::MAX` = off).
     pub fn set_slow_threshold_nanos(&self, nanos: u64) {
-        // srclint:allow(atomic-ordering): an independent config word — the threshold guards no other data, so readers need no happens-before edge
         self.inner.slow_threshold.store(nanos, Ordering::Relaxed);
     }
 
     /// The current slow-op capture threshold.
     pub fn slow_threshold_nanos(&self) -> u64 {
-        // srclint:allow(atomic-ordering): an independent config word — see set_slow_threshold_nanos
         self.inner.slow_threshold.load(Ordering::Relaxed)
     }
 
@@ -434,7 +434,6 @@ impl Profiler {
             return 0;
         }
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        // srclint:allow(atomic-ordering): an independent config word — see set_slow_threshold_nanos
         if record.total() >= self.inner.slow_threshold.load(Ordering::Relaxed) {
             let mut slow = self
                 .inner

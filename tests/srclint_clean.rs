@@ -1,6 +1,6 @@
 //! The workspace is srclint-clean: every invariant in DESIGN.md §13
 //! holds across every crate, so a violation fails `cargo test` even
-//! before CI's dedicated `srclint --deny` step runs.
+//! before CI's dedicated `srclint` step runs.
 
 use std::path::Path;
 
@@ -14,7 +14,7 @@ fn workspace_has_no_srclint_findings() {
         report.files_scanned
     );
     assert!(
-        !report.is_failure(true),
+        !report.is_failure(),
         "srclint findings in the workspace:\n{}",
         report
             .diagnostics

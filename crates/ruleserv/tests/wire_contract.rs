@@ -3,8 +3,8 @@
 //! them, checked two ways.
 //!
 //! * `every_variant_round_trips_and_matches_design_md` is what is left
-//!   of srclint's `codec-conformance` once the compiler has taken the
-//!   legs it can (`Record::tag`, `Request::opcode`, `Reply::opcode` and
+//!   of the retired `codec-conformance` lint once the compiler has taken
+//!   the legs it can (`Record::tag`, `Request::opcode`, `Reply::opcode` and
 //!   the `encode` fns are exhaustive matches): a decode arm per tag and
 //!   opcode, and DESIGN.md §14's `Opcodes` / `Record tags` tables equal
 //!   to the constants in both directions.

@@ -12,6 +12,7 @@ use predmatch::predicate::FunctionRegistry;
 use predmatch::prelude::*;
 use predmatch::rules::{DbOp, EventMask};
 use predmatch::telemetry::{nanos, Stage, StageRecord, EXTERNAL_ACCOUNT};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -474,4 +475,141 @@ fn an_op_record_partitions_its_time_and_its_work() {
     assert_eq!(record.work.firings, 1);
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The (family, kind) of each row of DESIGN.md §11's `Metric families`
+/// table: its first cell's backticked name and its second cell.
+fn metric_families_table() -> Vec<(String, String)> {
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
+        .expect("DESIGN.md");
+    let (_, table) = design
+        .split_once("\n### Metric families\n")
+        .expect("§11 has `Metric families`");
+    let table = table.split("\n## ").next().expect("text");
+    let row = |l: &str| {
+        let (family, rest) = l.strip_prefix("| `")?.split_once('`')?;
+        let kind = rest.split('|').nth(1)?.trim();
+        Some((family.to_string(), kind.to_string()))
+    };
+    table.lines().filter_map(row).collect()
+}
+
+/// §11's table is there and every row reads: a unique family, a kind
+/// that is `counter` or `histogram`, and a name the kind allows.
+#[test]
+fn design_md_table_is_present_and_parsed() {
+    let rows = metric_families_table();
+    assert!(rows.len() >= 50, "§11's table has {} rows", rows.len());
+    let families: BTreeSet<&str> = rows.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(families.len(), rows.len(), "a family is listed twice");
+    for (family, kind) in &rows {
+        let counter = match kind.as_str() {
+            "counter" => true,
+            "histogram" => false,
+            other => panic!("`{family}` has kind `{other}`"),
+        };
+        assert_eq!(
+            family.ends_with("_total"),
+            counter,
+            "`{family}` is a {kind}: counters end `_total` and histograms do not"
+        );
+    }
+}
+
+/// DESIGN.md §11's metric-families table, both ways. A profiled durable
+/// engine runs a single-relation rule, a join rule and an insert into a
+/// relation no predicate names, takes a snapshot, reopens (replaying
+/// the WAL after it), and serves; the families the registry then holds
+/// are exactly the table's first column. A family minted only on a path
+/// this does not drive is not seen here.
+#[test]
+fn the_registry_mints_exactly_the_metric_families_table() {
+    let table = metric_families_table();
+    let listed: BTreeSet<&str> = table.iter().map(|(family, _)| family.as_str()).collect();
+
+    let dir = std::env::temp_dir().join(format!("observability-families-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Arc::new(Registry::new());
+    let open = || {
+        DurableRuleEngine::open_with_metrics(
+            &dir,
+            FunctionRegistry::default(),
+            ActionRegistry::new(),
+            Options::default(),
+            Telemetry::new(registry.clone()).with_profiling(),
+        )
+        .unwrap()
+    };
+    let mut engine = open();
+    for schema in [
+        Schema::builder("emp")
+            .attr("salary", AttrType::Int)
+            .attr("dept", AttrType::Str)
+            .build(),
+        Schema::builder("dept")
+            .attr("name", AttrType::Str)
+            .attr("floor", AttrType::Int)
+            .build(),
+        Schema::builder("audit").attr("v", AttrType::Int).build(),
+    ] {
+        engine.create_relation(schema).unwrap();
+    }
+    for (name, condition) in [
+        ("underpaid", "emp.salary < 1000"),
+        ("same-dept", "emp.dept = dept.name and dept.floor = 1"),
+    ] {
+        engine
+            .add_rule(RuleSpec {
+                name: name.into(),
+                condition: condition.into(),
+                mask: EventMask::ALL,
+                priority: 0,
+                action: ActionSpec::Log(name.into()),
+            })
+            .unwrap();
+    }
+    engine
+        .insert("dept", vec![Value::str("Shoe"), Value::Int(1)])
+        .unwrap();
+    engine
+        .insert("emp", vec![Value::Int(500), Value::str("Shoe")])
+        .unwrap();
+    engine.insert("audit", vec![Value::Int(1)]).unwrap();
+    engine.snapshot().unwrap();
+    engine.insert("audit", vec![Value::Int(2)]).unwrap();
+    drop(engine);
+    let server = ruleserv::serve("127.0.0.1:0", open(), ruleserv::ServerOptions::default())
+        .expect("the server binds");
+    server
+        .shutdown()
+        .expect("the engine thread returns the engine");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let names = registry.names();
+    let family = |name: &str| name.split('{').next().expect("a name").to_string();
+    let minted: BTreeSet<String> = names.iter().map(|n| family(n)).collect();
+    let missing: Vec<_> = listed.iter().filter(|f| !minted.contains(**f)).collect();
+    let unlisted: Vec<_> = minted
+        .iter()
+        .filter(|f| !listed.contains(f.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty() && unlisted.is_empty(),
+        "§11 rows no code minted: {missing:?}; families §11 does not list: {unlisted:?}"
+    );
+    let snapshots = registry.histogram_snapshots();
+    let histograms: BTreeSet<String> = snapshots.iter().map(|h| family(&h.0)).collect();
+    for family in &minted {
+        let snake = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+        assert!(
+            family.chars().all(snake),
+            "`{family}` is not snake_case ASCII"
+        );
+        let counter = !histograms.contains(family);
+        assert_eq!(
+            family.ends_with("_total"),
+            counter,
+            "`{family}`: counters end `_total` and histograms do not"
+        );
+    }
 }

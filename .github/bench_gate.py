@@ -27,6 +27,7 @@ REQUIRED = {
         "telemetry_primitive/histogram_record",
         "attribution_overhead/baseline",
         "attribution_overhead/profiled",
+        "attribution_overhead/traced",
         "engine/allocs_per_event/batch128",
         "predindex/residual_tests_per_match/scheme200",
         "ibs/bytes_per_interval/stab_shape",
@@ -79,6 +80,13 @@ def gate_observability(rows, base):
     base_counters = ns_ratio(base, "telemetry_overhead/counters", "telemetry_overhead/disabled")
     counters_bound = max(base_counters * 1.15, 1.20)
     assert counters <= counters_bound, ("counter overhead", counters, base_counters, counters_bound)
+    # The enabled-mode cost of a tracer on the same match path, bounded the
+    # same way: the index traces nothing of its own, so it reads about the
+    # counters ratio (a span per tuple read 1.70).
+    tracing = ns_ratio(rows, "telemetry_overhead/tracing", "telemetry_overhead/disabled")
+    base_tracing = ns_ratio(base, "telemetry_overhead/tracing", "telemetry_overhead/disabled")
+    tracing_bound = max(base_tracing * 1.15, 1.20)
+    assert tracing <= tracing_bound, ("tracing overhead", tracing, base_tracing, tracing_bound)
     # The count twins of the two time ratios above (ROADMAP item 3, step 1):
     # live metric updates per matched tuple with counters on, and profiler
     # bills per insert. A change to either path moves its count exactly, on
@@ -90,6 +98,16 @@ def gate_observability(rows, base):
     name = "attribution_overhead/profiled"
     bills, base_bills = rows[name]["bills_per_op"], base[name]["bills_per_op"]
     assert bills <= base_bills * 1.10, (name, bills, base_bills)
+    # The tracer's count twins, gated the same way: ring events per matched
+    # tuple of the bare index (0: a span per tuple added back fails it), and
+    # per insert of a tracer-only rule chain (its `op` event and one per
+    # stage it lapped).
+    name = "telemetry_overhead/tracing"
+    ring, base_ring = rows[name]["ring_events_per_tuple"], base[name]["ring_events_per_tuple"]
+    assert ring <= base_ring * 1.10, (name, ring, base_ring)
+    name = "attribution_overhead/traced"
+    op_events, base_op_events = rows[name]["ring_events_per_op"], base[name]["ring_events_per_op"]
+    assert op_events <= base_op_events * 1.10, (name, op_events, base_op_events)
     # Heap allocations per event of one batch through the rule chain: a
     # count, identical on every host, so the committed one with 10% room
     # and no floor.
@@ -124,11 +142,14 @@ def gate_observability(rows, base):
     per_rule, base_per_rule = rows[name]["bytes_per_rule"], base[name]["bytes_per_rule"]
     assert per_rule <= base_per_rule * 1.10, (name, per_rule, base_per_rule)
     return ("attribution ratio %.3f (baseline %.3f, bound %.3f); counter overhead %.3f (baseline %.3f, bound %.3f); "
+            "tracing overhead %.3f (baseline %.3f, bound %.3f); "
             "%.3f metric updates per tuple (committed %.3f); %.3f bills per op (committed %.3f); "
+            "%.3f ring events per tuple (committed %.3f); %.3f ring events per op (committed %.3f); "
             "%.3f allocations per event (committed %.3f); "
             "%.3f residual tests per match (committed %.3f); %.1f IBS bytes per interval (committed %.1f); "
             "%.1f index bytes per predicate (committed %.1f); %.1f engine bytes per rule (committed %.1f)") % (
-        ratio, base_ratio, bound, counters, base_counters, counters_bound, updates, base_updates, bills, base_bills,
+        ratio, base_ratio, bound, counters, base_counters, counters_bound, tracing, base_tracing, tracing_bound,
+        updates, base_updates, bills, base_bills, ring, base_ring, op_events, base_op_events,
         allocs, base_allocs, tests, base_tests, per_interval, base_per_interval,
         per_predicate, base_per_predicate, per_rule, base_per_rule)
 

@@ -262,6 +262,15 @@ fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
     let before = telemetry::metric_updates();
     scheme_pass_ns(&tallied, &tuples, &mut out);
     let updates_per_tuple = (telemetry::metric_updates() - before) as f64 / tuples.len() as f64;
+    // The tracing time's count twin: the ring events one untimed pass
+    // pushes, evicted ones included. The bare index traces nothing.
+    let tracer = Tracer::new(telemetry::DEFAULT_TRACE_CAPACITY);
+    let traced = scheme_index(
+        &workload,
+        Telemetry::new(Arc::new(Registry::new())).with_tracer(tracer.clone()),
+    );
+    scheme_pass_ns(&traced, &tuples, &mut out);
+    let events_per_tuple = ring_events(&tracer) as f64 / tuples.len() as f64;
     for ((&(mode, counters_on, _), (registry, _)), mode_samples) in
         modes.iter().zip(&indexes).zip(samples)
     {
@@ -274,11 +283,19 @@ fn telemetry_overhead(cfg: &Config, w: &mut JsonWriter) {
             row.key("metric_updates_per_tuple")
                 .float(updates_per_tuple, 3);
         }
+        if mode == "tracing" {
+            row.key("ring_events_per_tuple").float(events_per_tuple, 3);
+        }
         if counters_on {
             counters(row, registry);
         }
         row.end_object();
     }
+}
+
+/// Events `tracer` has pushed: those in its ring and those evicted.
+fn ring_events(tracer: &Tracer) -> u64 {
+    tracer.events().len() as u64 + tracer.dropped()
 }
 
 /// The raw cost of the two recording primitives on live handles. (On
@@ -338,18 +355,29 @@ fn band_engine(telemetry: Telemetry) -> RuleEngine {
 
 /// The cost-attribution guard: the full rule-chain insert path with the
 /// profiler detached (`baseline` — every profiler hook is one branch)
-/// versus attached (`profiled` — per-rule accounts billed per event).
-/// The profiled row carries the time's count twin: `Profiler::bill`
-/// calls per insert, each a lock and an account entry.
+/// versus attached (`profiled` — per-rule accounts billed per event),
+/// and with a tracer alone (`traced` — the stage clock runs and each
+/// op's record goes into the ring, but nothing bills). The profiled row
+/// carries the time's count twin: `Profiler::bill` calls per insert,
+/// each a lock and an account entry; the traced row the ring events per
+/// insert, one `op` and one per stage it lapped.
 fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
     let inserts = cfg.pick(128, 512);
-    for (mode, profiled) in [("baseline", false), ("profiled", true)] {
+    let modes = [
+        ("baseline", false, false),
+        ("profiled", true, false),
+        ("traced", false, true),
+    ];
+    for (mode, profiled, traced) in modes {
         let registry = Arc::new(Registry::new());
         let mut telemetry = Telemetry::new(Arc::clone(&registry));
         if profiled {
             telemetry = telemetry.with_profiling();
         }
-        let profiler = telemetry.profiler().clone();
+        if traced {
+            telemetry = telemetry.with_tracer(Tracer::new(telemetry::DEFAULT_TRACE_CAPACITY));
+        }
+        let (profiler, tracer) = (telemetry.profiler().clone(), telemetry.tracer().clone());
         let mut engine = band_engine(telemetry);
         let mut i = 0i64;
         let ns = median_ns_per_op(cfg.pick(5, 9), inserts, || {
@@ -371,6 +399,12 @@ fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
         if profiled {
             row.key("bills_per_op")
                 .float(profiler.bills() as f64 / i as f64, 3);
+        }
+        if traced {
+            let accounts = registry.counter_family_total("profile_rule_");
+            assert_eq!(accounts, 0, "a tracer-only engine billed an account");
+            row.key("ring_events_per_op")
+                .float(ring_events(&tracer) as f64 / i as f64, 3);
         }
         counters(row, &registry);
         row.end_object();

@@ -125,7 +125,7 @@ pub struct DurableRuleEngine {
     wal_metrics: WalMetrics,
     metrics: SnapshotMetrics,
     /// The stage clock of the latest logged operation (running only
-    /// under the profiler); its record is
+    /// under the profiler or the tracer); its record is
     /// [`last_record`](DurableRuleEngine::last_record).
     clock: StageClock,
 }
@@ -156,8 +156,9 @@ impl DurableRuleEngine {
     /// `durable_recovery_frames_total` counts the WAL frames this open
     /// replayed on top of the snapshot. A full [`Telemetry`] adds:
     ///
-    /// * a **tracer** — cascade, match, WAL, snapshot and recovery
-    ///   phases emit spans into its ring, which doubles as the flight
+    /// * a **tracer** — the WAL, snapshot and recovery phases emit
+    ///   spans into its ring, and the engine each rule chain's stage
+    ///   record as an `op` event; the ring doubles as the flight
     ///   recorder: if recovery refuses a corrupt snapshot, a
     ///   post-mortem dump (the recovery spans plus the metric
     ///   exposition) lands under `dir/flight/` before the error
@@ -298,7 +299,8 @@ impl DurableRuleEngine {
     /// The stage record of the latest [`apply`](Self::apply) (or
     /// [`explain_insert`](Self::explain_insert)): `wal`, `snapshot`, the
     /// rule engine's stages, and `other` for the rest, with the work
-    /// the engine billed. All zeros unless the profiler is on.
+    /// the engine's record held. All zeros unless the profiler or the
+    /// tracer is on.
     pub fn last_record(&self) -> &StageRecord {
         self.clock.record()
     }
@@ -309,7 +311,7 @@ impl DurableRuleEngine {
         &mut self,
         op: impl FnOnce(&mut Self) -> Result<T, DurableError>,
     ) -> Result<T, DurableError> {
-        self.clock = StageClock::start(self.engine.telemetry().profiler().is_enabled());
+        self.clock = StageClock::start(self.engine.telemetry().times_stages());
         let out = op(self);
         self.clock.lap(Stage::Other);
         out

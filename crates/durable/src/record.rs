@@ -281,7 +281,7 @@ fn decode_values(r: &mut Reader<'_>) -> Result<Vec<Value>, CodecError> {
 }
 
 impl Record {
-    /// The record kind's label on metrics, spans and the slow-op log
+    /// The record kind's label on metrics, trace events and the slow-op log
     /// (`server_requests_total{op=…}`).
     pub fn name(&self) -> &'static str {
         match self {

@@ -76,8 +76,8 @@ fn explicit_dump_captures_wal_spans_and_metrics() {
         "no wal_append span:\n{text}"
     );
     assert!(text.contains("\"wal_fsync\""), "no wal_fsync span:\n{text}");
-    // ...alongside the cascade spans the same insert produced...
-    assert!(text.contains("\"cascade\""), "no cascade span:\n{text}");
+    // ...alongside the stage record the same insert's chain left...
+    assert!(text.contains("\"name\":\"op\""), "no op event:\n{text}");
     // ...and the counter exposition.
     assert!(text.contains("wal_appends_total"), "no metrics:\n{text}");
     assert!(

@@ -598,6 +598,10 @@ pub(crate) struct IndexCore {
     /// Heap behind the per-predicate entries — source forms, residuals,
     /// tree string keys — counted at insert and remove.
     entry_heap: usize,
+    /// The matches counter of each relation declared to the index
+    /// (`None` while counters are off), for the runs of one that no
+    /// predicate mentions.
+    declared: FnvHashMap<String, Option<Counter>>,
 }
 
 impl IndexCore {
@@ -608,6 +612,7 @@ impl IndexCore {
             preds: Slab::default(),
             bound_copies: FnvHashMap::default(),
             entry_heap: 0,
+            declared: FnvHashMap::default(),
         }
     }
 
@@ -759,10 +764,18 @@ impl IndexCore {
                 run += 1;
                 matched(out.len()..out.len(), &CostSnapshot::default());
             }
-            metrics.record_unindexed_run(relation, run);
+            match self.declared.get(relation) {
+                Some(counter) => metrics.record_unindexed_run(counter.as_ref(), run),
+                // Never declared: minted here, and only for a run that
+                // counts something.
+                None if run > 0 => {
+                    let counter = metrics.relation_matches(relation);
+                    metrics.record_unindexed_run(counter.as_ref(), run);
+                }
+                None => {}
+            }
             return;
         };
-        let tracer = metrics.tracer();
         while let Some(first) = tuples.next() {
             let mut group = [first; LANES];
             let mut n = 1;
@@ -774,31 +787,28 @@ impl IndexCore {
             let from = out.len();
             // Per lane, its tuple's stab work (nodes, marks), when metered.
             let mut stabbed = [(0, 0); LANES];
-            {
-                let _stab = tracer.span("predindex_stab");
-                let outs = if direct {
-                    std::slice::from_mut(
-                        T::as_ids(out).expect("a match without lanes appends bare ids"),
-                    )
-                } else {
-                    lanes[..n].iter_mut().for_each(Vec::clear);
-                    &mut lanes[..n]
-                };
-                if metrics.is_enabled() {
-                    // Through the handles each tree and relation caches:
-                    // atomic adds only, no name lookups on the match path.
-                    ri.partial_match(group, outs, |lane, _, at, _, work: StabStats| {
-                        metrics.record_attr_stab(
-                            at.work.as_ref(),
-                            work.nodes_visited,
-                            work.marks_scanned,
-                        );
-                        stabbed[lane].0 += work.nodes_visited;
-                        stabbed[lane].1 += work.marks_scanned;
-                    });
-                } else {
-                    ri.partial_match(group, outs, |_, _, _, _, ()| {});
-                }
+            let outs = if direct {
+                std::slice::from_mut(
+                    T::as_ids(out).expect("a match without lanes appends bare ids"),
+                )
+            } else {
+                lanes[..n].iter_mut().for_each(Vec::clear);
+                &mut lanes[..n]
+            };
+            if metrics.is_enabled() {
+                // Through the handles each tree and relation caches:
+                // atomic adds only, no name lookups on the match path.
+                ri.partial_match(group, outs, |lane, _, at, _, work: StabStats| {
+                    metrics.record_attr_stab(
+                        at.work.as_ref(),
+                        work.nodes_visited,
+                        work.marks_scanned,
+                    );
+                    stabbed[lane].0 += work.nodes_visited;
+                    stabbed[lane].1 += work.marks_scanned;
+                });
+            } else {
+                ri.partial_match(group, outs, |_, _, _, _, ()| {});
             }
             clock.lap(Stage::Stab);
             for (lane, tuple) in group.iter().enumerate() {
@@ -808,21 +818,16 @@ impl IndexCore {
                 } else {
                     lanes[lane].len()
                 } as u64;
-                let (swept, passes) = {
-                    let _residual = tracer.span_with("predindex_residual", || {
-                        vec![("partials", partials.to_string())]
-                    });
-                    if direct {
-                        let ids = T::as_ids(out).expect("a match without lanes appends bare ids");
-                        residual_in_place(&self.preds, tuple, ids, from);
-                    } else {
-                        residual_into(&self.preds, tuple, &lanes[lane], out);
-                    }
-                    let tree_passes = (out.len() - from) as u64;
-                    let (swept, held) = ri.sweep(&self.preds, tuple, out);
-                    out[from..].sort_unstable();
-                    (swept, tree_passes + held)
-                };
+                if direct {
+                    let ids = T::as_ids(out).expect("a match without lanes appends bare ids");
+                    residual_in_place(&self.preds, tuple, ids, from);
+                } else {
+                    residual_into(&self.preds, tuple, &lanes[lane], out);
+                }
+                let tree_passes = (out.len() - from) as u64;
+                let (swept, held) = ri.sweep(&self.preds, tuple, out);
+                out[from..].sort_unstable();
+                let passes = tree_passes + held;
                 metrics.record_match(ri.matches.as_ref(), partials, swept, passes);
                 let (ibs_nodes, ibs_marks) = stabbed[lane];
                 let work = CostSnapshot {
@@ -901,10 +906,13 @@ impl IndexCore {
     }
 
     /// Re-mints every cached telemetry handle (see
-    /// [`RelationIndex::rebind`]).
+    /// [`RelationIndex::rebind`]), the declared relations' too.
     pub(crate) fn rebind(&mut self, metrics: &IndexMetrics) {
         for (relation, ri) in self.relations.iter_mut() {
             ri.rebind(relation, metrics);
+        }
+        for (relation, counter) in self.declared.iter_mut() {
+            *counter = metrics.relation_matches(relation);
         }
     }
 
@@ -1114,14 +1122,23 @@ impl PredicateIndex {
 
     /// Points the index at `telemetry` (a bare `Arc<Registry>` converts
     /// into a counters-only handle): match-path counters go to its
-    /// registry and `predindex_stab` / `predindex_residual` spans to its
-    /// tracer. Whatever was attached before is replaced whole. Until
-    /// this is called the index runs with the no-op bundle: one branch
-    /// per would-be recording site.
+    /// registry. The index traces nothing; its caller's stage clock
+    /// times its stabs and residual tests. Whatever was attached before
+    /// is replaced whole. Until this is called the index runs with the
+    /// no-op bundle: one branch per would-be recording site.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
         let telemetry = telemetry.into();
         self.metrics = IndexMetrics::new(&telemetry);
         self.core.rebind(&self.metrics);
+    }
+
+    /// Tells the index that `relation` exists, so its matches counter is
+    /// resolved here and on every later attach: a run of it that no
+    /// predicate mentions then counts with atomic adds only, where an
+    /// undeclared one mints its counter through the registry per run.
+    pub fn declare_relation(&mut self, relation: &str) {
+        let counter = self.metrics.relation_matches(relation);
+        self.core.declared.insert(relation.to_string(), counter);
     }
 
     /// The Figure 1 EXPLAIN: the exact path `tuple` takes through the
@@ -1195,7 +1212,7 @@ impl PredicateIndex {
     /// Matches a run of tuples of one relation — what a rule engine's
     /// matching level holds — as that many
     /// [`match_tuple_into`](Self::match_tuple_into) calls would, with
-    /// the same ids, counters and spans, but descending each IBS-tree
+    /// the same ids and counters, but descending each IBS-tree
     /// with up to [`LANES`] of the tuples in lock-step. Each tuple's
     /// matches — bare ids, or [`Routed`] ids with their route words —
     /// are appended to `out`, sorted by id, and their range is handed

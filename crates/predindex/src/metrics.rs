@@ -6,14 +6,15 @@
 //! are resolved where the structure they describe is created — each
 //! per-attribute tree carries its [`AttrWork`] pair and each relation
 //! its matches counter (see `index.rs`) — so a counted stab is atomic
-//! adds only. A run of tuples of a relation no predicate mentions has
-//! no structure to hang a handle on: it mints its relation's counter
-//! through the registry, which hands back one cell per name, once per
-//! run. None of it runs when the bundle is disabled: every recording helper
-//! starts with the same single branch the `telemetry` handles use.
+//! adds only. A relation no predicate mentions has no such structure:
+//! its counter is resolved when the relation is declared to the index,
+//! and a run of an undeclared one mints it through the registry, which
+//! hands back one cell per name, once per run. None of it runs when the
+//! bundle is disabled: every recording helper starts with the same
+//! single branch the `telemetry` handles use.
 
 use std::sync::Arc;
-use telemetry::{Counter, Registry, Telemetry, Tracer};
+use telemetry::{Counter, Registry, Telemetry};
 
 /// The stab-work counters of one `(relation, attribute)` IBS-tree.
 #[derive(Debug, Clone)]
@@ -22,17 +23,15 @@ pub(crate) struct AttrWork {
     marks: Counter,
 }
 
-/// Everything the index core records into: the counters and the span
-/// tracer of one [`Telemetry`] handle. Either can be on without the
-/// other. `PredicateIndex` attaches one; the sharded front-end keeps the
-/// disabled bundle.
+/// Everything the index core records into: the counters of one
+/// [`Telemetry`] handle's registry. `PredicateIndex` attaches one; the
+/// sharded front-end keeps the disabled bundle.
 #[derive(Debug)]
 pub(crate) struct IndexMetrics {
-    /// Is the counter registry live? (The tracer carries its own flag.)
+    /// Is the counter registry live?
     enabled: bool,
     /// Needed to mint the lazy per-relation / per-attribute families.
     registry: Arc<Registry>,
-    tracer: Tracer,
     /// Tuples matched (`match_tuple*` calls, one per tuple).
     match_tuples: Counter,
     /// Tests run: one per tree candidate plus one per clause set swept.
@@ -61,7 +60,6 @@ impl IndexMetrics {
         Arc::new(IndexMetrics {
             enabled: registry.is_enabled(),
             registry: Arc::clone(registry),
-            tracer: telemetry.tracer().clone(),
             match_tuples: registry.counter("predindex_match_tuples_total"),
             residual_tests: registry.counter("predindex_residual_tests_total"),
             residual_passes: registry.counter("predindex_residual_passes_total"),
@@ -71,17 +69,10 @@ impl IndexMetrics {
         })
     }
 
-    /// Does this bundle record counters? (The tracer is separate; see
-    /// [`tracer`](Self::tracer).)
+    /// Does this bundle record counters?
     #[inline]
     pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The span tracer threaded through the match path.
-    #[inline]
-    pub(crate) fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Resolves the stab-work pair of `relation`'s tree on `attr`
@@ -132,12 +123,9 @@ impl IndexMetrics {
 
     /// A run of `tuples` matched tuples of a relation no predicate
     /// mentions: nothing to test, but each tuple still counts, against
-    /// the relation's matches counter minted once for the run.
-    pub(crate) fn record_unindexed_run(&self, relation: &str, tuples: u64) {
-        if tuples == 0 {
-            return;
-        }
-        if let Some(c) = self.relation_matches(relation) {
+    /// the relation's matches counter (`None` when counters are off).
+    pub(crate) fn record_unindexed_run(&self, relation_matches: Option<&Counter>, tuples: u64) {
+        if let Some(c) = relation_matches {
             self.match_tuples.add(tuples);
             c.add(tuples);
         }
@@ -272,6 +260,39 @@ mod tests {
         let ghost = seq.explain_tuple("ghost", &t);
         assert!(!ghost.relation_indexed);
         assert_eq!(ghost.partial_matches(), 0);
+    }
+
+    #[test]
+    fn a_declared_relation_counts_like_an_undeclared_one() {
+        let mut db = db();
+        for name in ["dept", "ghost"] {
+            db.create_relation(Schema::builder(name).attr("n", AttrType::Int).build())
+                .unwrap();
+        }
+        let mut index = PredicateIndex::new();
+        index
+            .insert(parse_predicate("emp.age > 50").unwrap(), db.catalog())
+            .unwrap();
+        // Declared before counters are on: attaching resolves it.
+        index.declare_relation("dept");
+        let registry = Arc::new(Registry::new());
+        index.attach_metrics(Arc::clone(&registry));
+        let mut lanes = crate::MatchLanes::default();
+        let mut out: Vec<crate::PredicateId> = Vec::new();
+        let mut clock = telemetry::StageClock::default();
+        for name in ["dept", "ghost"] {
+            let t = db.insert(name, vec![Value::Int(1)]).unwrap();
+            let run = [&t, &t, &t];
+            index.match_run_into(name, run, &mut lanes, &mut out, &mut clock, |r, _| {
+                assert!(r.is_empty());
+            });
+            let family = format!("predindex_relation_matches_total{{relation=\"{name}\"}}");
+            assert_eq!(registry.counter_value(&family), Some(3), "{name}");
+        }
+        assert_eq!(
+            registry.counter_value("predindex_match_tuples_total"),
+            Some(6)
+        );
     }
 
     #[test]

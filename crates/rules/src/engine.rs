@@ -265,7 +265,7 @@ pub struct RuleEngine {
     metrics: EngineMetrics,
     /// The stage clock of the latest public operation; its record is
     /// [`last_record`](RuleEngine::last_record). Runs only under the
-    /// profiler.
+    /// profiler or the tracer.
     clock: StageClock,
 }
 
@@ -295,20 +295,22 @@ impl RuleEngine {
     ///
     /// * **registry** — all engine-, index- and join-level metric
     ///   families record there (a disabled one turns recording off);
-    /// * **tracer** — every recognize-act chain records `cascade` /
-    ///   `cascade_level` / `match_level` / `rule_fire` spans, and the
-    ///   index adds `predindex_stab` / `predindex_residual`, all into
-    ///   one ring;
+    /// * **tracer** — every recognize-act chain's stage record
+    ///   ([`last_record`](Self::last_record)) goes into its ring as one
+    ///   `op` event with a child per stage;
     /// * **profiler** — per-rule cost attribution, billed per event
-    ///   from the work its own match and memo calls did, and a stage
-    ///   record per operation ([`last_record`](Self::last_record)).
-    ///   Already-registered rules get their display names immediately.
+    ///   from the work its own match and memo calls did, and the same
+    ///   stage record per operation. Already-registered rules get their
+    ///   display names immediately.
     ///
     /// Whatever was attached before is replaced whole.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
         let telemetry = telemetry.into();
         self.metrics = EngineMetrics::from_registry(telemetry.registry());
         self.index.attach_metrics(telemetry.clone());
+        for relation in self.db.catalog().relations() {
+            self.index.declare_relation(relation.schema().name());
+        }
         self.joins.attach_metrics(telemetry.clone());
         if telemetry.profiler().is_enabled() {
             for (_, rule, _) in self.rules.iter() {
@@ -326,8 +328,8 @@ impl RuleEngine {
     /// The stage record of the latest operation: nanoseconds in `stab`,
     /// `residual`, `join`, `agenda`, `fire` and `other`, and the work
     /// its events were billed, from where its recognize-act chain
-    /// starts to its last firing. Timed only under the profiler; an
-    /// operation that runs no chain leaves an empty record.
+    /// starts to its last firing. Timed only under the profiler or the
+    /// tracer; an operation that runs no chain leaves an empty record.
     pub fn last_record(&self) -> &StageRecord {
         self.clock.record()
     }
@@ -341,12 +343,12 @@ impl RuleEngine {
     }
 
     /// A boundary before a chain level: starts the operation's clock
-    /// there under the profiler, and later laps the time since the last
-    /// boundary as `other`.
+    /// there when stages are timed, and later laps the time since the
+    /// last boundary as `other`.
     fn chain_boundary(&mut self) {
         if self.clock.is_on() {
             self.clock.lap(Stage::Other);
-        } else if self.telemetry.profiler().is_enabled() {
+        } else if self.telemetry.times_stages() {
             self.clock = StageClock::start(true);
         }
     }
@@ -372,7 +374,9 @@ impl RuleEngine {
     /// Creates a relation in the underlying database.
     pub fn create_relation(&mut self, schema: Schema) -> Result<(), EngineError> {
         self.open_record();
+        let name = schema.name().to_string();
         self.db.create_relation(schema)?;
+        self.index.declare_relation(&name);
         Ok(())
     }
 
@@ -707,10 +711,21 @@ impl RuleEngine {
         self.chain_level(vec![first])
     }
 
-    /// The recognize-act cycle, level by level, with abort repair.
+    /// The recognize-act cycle, level by level, with abort repair. Its
+    /// stage record goes to the tracer as `op`, an aborted chain's too.
     fn chain_level(&mut self, level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
         let mut report = FireReport::default();
-        let result = self.chain_level_inner(level, &mut report);
+        let mut levels = 0u64;
+        let result = self.chain_level_inner(level, &mut report, &mut levels);
+        self.telemetry
+            .tracer()
+            .record("op", &self.clock, &Stage::ALL, || {
+                vec![
+                    ("levels", levels.to_string()),
+                    ("events", report.ops_applied.to_string()),
+                    ("firings", report.fired.len().to_string()),
+                ]
+            });
         self.repaired(result).map(|()| report)
     }
 
@@ -735,23 +750,21 @@ impl RuleEngine {
     /// level. Equivalent to the one-event-at-a-time FIFO loop (matching
     /// is pure and the rule set cannot change mid-chain: firing only
     /// queues database operations). Firings are appended to `report`,
-    /// whose length is what the firing limit bounds.
+    /// whose length is what the firing limit bounds, and `depth` counts
+    /// the levels begun.
     fn chain_level_inner(
         &mut self,
         mut level: Vec<TupleEvent>,
         report: &mut FireReport,
+        depth: &mut u64,
     ) -> Result<(), EngineError> {
-        let mut depth = 0u64;
-        // Cheap handle copy so span guards don't hold a `self` borrow.
-        let tracer = self.telemetry.tracer().clone();
-        let _cascade = tracer.span_with("cascade", || vec![("seeds", level.len().to_string())]);
         // Attribution tags, parallel to `level`: the billing account of
         // each event — `None` (external) for the client-injected level
         // 0, the producing rule for cascaded events. Maintained only
-        // when the profiler records, so the disabled path pays exactly
-        // the `profiling` branch.
-        let profiling = self.telemetry.profiler().is_enabled();
-        let mut tags: Vec<Option<u32>> = if profiling {
+        // while stages are timed, so the untimed path pays exactly the
+        // `timed` branch.
+        let timed = self.telemetry.times_stages();
+        let mut tags: Vec<Option<u32>> = if timed {
             vec![None; level.len()]
         } else {
             Vec::new()
@@ -760,25 +773,15 @@ impl RuleEngine {
         let mut next: Vec<TupleEvent> = Vec::new();
         let mut next_tags: Vec<Option<u32>> = Vec::new();
         while !level.is_empty() {
-            depth += 1;
+            *depth += 1;
             self.chain_boundary();
-            let _level_span = tracer.span_with("cascade_level", || {
-                vec![
-                    ("level", depth.to_string()),
-                    ("events", level.len().to_string()),
-                ]
-            });
             self.metrics.events_per_level.record(level.len() as u64);
-            {
-                let _match =
-                    tracer.span_with("match_level", || vec![("tuples", level.len().to_string())]);
-                self.match_level(&level, &mut buf);
-            }
+            self.match_level(&level, &mut buf);
 
             for (pos, event) in level.iter().enumerate() {
                 report.ops_applied += 1;
                 self.metrics.ops.inc();
-                if profiling {
+                if timed {
                     // The event bills its account for itself and for
                     // its own match work.
                     let account = tags[pos];
@@ -889,7 +892,7 @@ impl RuleEngine {
                     }
                     let before = next.len();
                     self.fire_one(slot, event, bindings, report, &mut buf.ops, &mut next)?;
-                    if profiling {
+                    if timed {
                         // Cascaded events bill their producing rule.
                         next_tags.extend(std::iter::repeat_n(Some(rid), next.len() - before));
                     }
@@ -901,7 +904,7 @@ impl RuleEngine {
             std::mem::swap(&mut level, &mut next);
             std::mem::swap(&mut tags, &mut next_tags);
         }
-        self.metrics.cascade_depth.record(depth);
+        self.metrics.cascade_depth.record(*depth);
         Ok(())
     }
 
@@ -910,7 +913,7 @@ impl RuleEngine {
     /// Each run of consecutive events on one relation is matched as one
     /// run, so the index descends its trees with a group of them in
     /// lock-step (`PredicateIndex::match_run_into`), whatever accounts
-    /// the events bill. With the profiler on, the index laps `stab` and
+    /// the events bill. With stages timed, the index laps `stab` and
     /// `residual` once per group and hands back each tuple's work
     /// (`work[i]`), and the level's matching time is split across the
     /// events by that work.
@@ -925,7 +928,7 @@ impl RuleEngine {
         matched.clear();
         bounds.clear();
         work.clear();
-        let profiling = self.clock.is_on();
+        let timed = self.clock.is_on();
         let matching =
             |c: &StageClock| c.record().nanos(Stage::Stab) + c.record().nanos(Stage::Residual);
         let before = matching(&self.clock);
@@ -935,12 +938,12 @@ impl RuleEngine {
             self.index
                 .match_run_into(run[0].relation(), tuples, lanes, matched, clock, |r, w| {
                     bounds.push(r);
-                    if profiling {
+                    if timed {
                         work.push(*w);
                     }
                 });
         }
-        if profiling {
+        if timed {
             apportion(matching(&self.clock) - before, work);
         }
     }
@@ -977,10 +980,6 @@ impl RuleEngine {
             Some(rid),
             firing,
         );
-        let _fire = self
-            .telemetry
-            .tracer()
-            .span_with("rule_fire", || vec![("rule", rule.name.to_string())]);
 
         match &rule.action {
             Action::Log(msg) => {
@@ -1030,9 +1029,10 @@ impl RuleEngine {
     }
 }
 
-/// Bills `cost` to `account` and adds it to the operation's record —
-/// the one way the engine's work reaches the profiler. One branch when
-/// the profiler is off.
+/// Adds `cost` to the operation's running record and, under the
+/// profiler, bills it to `account` — the one way the engine's work
+/// reaches either. One branch when the clock is off; a tracer alone
+/// mints no account.
 fn charge(profiler: &Profiler, clock: &mut StageClock, account: Option<u32>, cost: CostSnapshot) {
     if clock.is_on() {
         profiler.bill(account, &cost);

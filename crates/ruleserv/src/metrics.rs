@@ -10,7 +10,7 @@
 //! disabled handles, so an unmetered server pays one branch per site.
 
 use crate::proto::OP_NAMES;
-use telemetry::{Counter, Histogram, Profiler, Stage, StageRecord, Telemetry};
+use telemetry::{Counter, Histogram, Stage, StageRecord, Telemetry};
 
 /// Per-op request counter + latency histogram.
 struct OpMetrics {
@@ -44,9 +44,9 @@ pub(crate) struct ServerMetrics {
     /// minted only under the profiler, the only time records carry
     /// stages.
     stages: Vec<Histogram>,
-    /// Owns the slow-op ring; enabled, every request carries a running
-    /// stage clock.
-    pub(crate) profiler: Profiler,
+    /// The engine's handle: its profiler owns the slow-op ring, and its
+    /// tracer takes each closed record and the `commit_release` instants.
+    pub(crate) telemetry: Telemetry,
     /// Indexed like [`OP_NAMES`].
     per_op: Vec<OpMetrics>,
 }
@@ -79,7 +79,7 @@ impl ServerMetrics {
                     .collect(),
                 false => Vec::new(),
             },
-            profiler: telemetry.profiler().clone(),
+            telemetry: telemetry.clone(),
             per_op,
         }
     }

@@ -57,9 +57,9 @@
 //! new servers (and vice versa, untraced) interoperate frame-for-frame.
 //! [`Request::decode_traced`] accepts both forms;
 //! [`Request::decode`] stays strict and rejects the suffix. The id is
-//! request metadata, not data: the server stamps it on its
-//! `server_request` span and the slow-op log, and it never reaches
-//! the WAL.
+//! request metadata, not data: the server stamps it on the request's
+//! `server_request` trace event and the slow-op log, and it never
+//! reaches the WAL.
 
 use durable::crc::Crc32;
 use durable::Record;

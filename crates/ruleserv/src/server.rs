@@ -66,8 +66,11 @@
 //!   durable engine's record of the op (`wal`, the rule engine's
 //!   stages, `snapshot`) plus `other`, and `group_wait` at release;
 //!   the writer laps `handoff` and, at the flush, `write`, and closes
-//!   the record into `server_request_nanos`, `server_stage_nanos` and
-//!   the slow-op ring. The clock runs only under the profiler.
+//!   the record into `server_request_nanos`, under the profiler into
+//!   `server_stage_nanos` and the slow-op ring, and under the tracer
+//!   into a `server_request` event whose children are the server's
+//!   five stages and one `engine` child for the rest. The clock runs
+//!   only under the profiler or the tracer.
 
 use crate::metrics::ServerMetrics;
 use crate::proto::{
@@ -84,7 +87,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::{wake_addr, Stage, StageClock, Tracer};
+use telemetry::{wake_addr, Stage, StageClock};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -146,10 +149,10 @@ struct Queued {
 /// What the writer needs to close a request's record once its reply
 /// is flushed.
 struct Receipt {
-    /// The metric and span label's index into [`OP_NAMES`].
+    /// The metric and trace label's index into [`OP_NAMES`].
     op: usize,
-    /// The client's optional trace id, stamped onto the engine-side
-    /// `server_request` span and the slow-op log.
+    /// The client's optional trace id, stamped onto the
+    /// `server_request` event and the slow-op log.
     trace: Option<u64>,
     /// When the frame was read: where `server_request_nanos` starts.
     started: Instant,
@@ -401,7 +404,7 @@ fn reader_loop(
             Ok(None) | Err(_) => return,
         };
         let started = Instant::now();
-        let mut clock = match metrics.profiler.is_enabled() {
+        let mut clock = match metrics.telemetry.times_stages() {
             true => StageClock::start_at(started),
             false => StageClock::default(),
         };
@@ -517,9 +520,21 @@ fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Answer>>, metrics: &S
     }
 }
 
+/// The stages the server itself laps; the rest of a request's record
+/// is the engine's, and its trace shows them as one `engine` child.
+const SERVER_STAGES: [Stage; 5] = [
+    Stage::Decode,
+    Stage::Queue,
+    Stage::GroupWait,
+    Stage::Handoff,
+    Stage::Write,
+];
+
 /// Closes the records of the replies a flush just sent, at one clock
 /// reading: the rest of each is `write`. The latency each observes in
-/// `server_request_nanos` is its record's total when the clock ran.
+/// `server_request_nanos` is its record's total when the clock ran,
+/// and the `server_request` event it leaves in the trace spans the
+/// same total.
 fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
     if written.is_empty() {
         return;
@@ -533,7 +548,15 @@ fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
             metrics.record_op(receipt.op, record.total());
             metrics.record_stages(record);
             let op = OP_NAMES[receipt.op];
-            metrics.profiler.record_request(op, receipt.trace, record);
+            let (profiler, tracer) = (metrics.telemetry.profiler(), metrics.telemetry.tracer());
+            profiler.record_request(op, receipt.trace, record);
+            tracer.record("server_request", clock, &SERVER_STAGES, || {
+                let mut args = vec![("op", op.to_string())];
+                if let Some(id) = receipt.trace {
+                    args.push(("trace", format!("{id:#x}")));
+                }
+                args
+            });
         } else {
             let nanos = telemetry::nanos(flushed.duration_since(receipt.started));
             metrics.record_op(receipt.op, nanos);
@@ -633,7 +656,6 @@ struct Committer<'a> {
     /// under it cannot drop its reply slot unanswered.
     running: Option<Ticket>,
     applied: u64,
-    tracer: Tracer,
     metrics: &'a ServerMetrics,
     depth: &'a AtomicU64,
     opts: &'a ServerOptions,
@@ -659,7 +681,6 @@ fn engine_loop(
         held: Vec::new(),
         running: None,
         applied: 0,
-        tracer: engine.telemetry().tracer().clone(),
         metrics,
         depth,
         opts,
@@ -751,16 +772,6 @@ impl Committer<'_> {
         };
         ticket.receipt.clock.lap(Stage::Queue);
         self.depth.fetch_sub(1, Ordering::Relaxed);
-        // The engine-side request span: every op the engine thread
-        // serves opens one, carrying the client's trace id when the
-        // frame had the suffix — the wire-to-span round trip.
-        let _span = self.tracer.span_with("server_request", || {
-            let mut args = vec![("op", OP_NAMES[ticket.receipt.op].to_string())];
-            if let Some(id) = ticket.receipt.trace {
-                args.push(("trace", format!("{id:#x}")));
-            }
-            args
-        });
         // The run is `other`, but for an applied record's own stages
         // and a sync's `wal`.
         let (stage, applied) = match &kind {
@@ -830,13 +841,16 @@ impl Committer<'_> {
                 engine.durable_seq()
             );
             self.metrics.group_size.record(released);
-            self.tracer.instant_with("commit_release", || {
-                let mut args = vec![("size", released.to_string())];
-                if let Some(seq) = high {
-                    args.push(("seq", seq.to_string()));
-                }
-                args
-            });
+            self.metrics
+                .telemetry
+                .tracer()
+                .instant_with("commit_release", || {
+                    let mut args = vec![("size", released.to_string())];
+                    if let Some(seq) = high {
+                        args.push(("seq", seq.to_string()));
+                    }
+                    args
+                });
         }
         for Held { ack, effect } in self.held.drain(..) {
             match effect {

@@ -10,13 +10,15 @@ use durable::{
     ActionRegistry, ActionSpec, DurableRuleEngine, Options, Record, RuleSpec, SyncPolicy,
 };
 use predicate::FunctionRegistry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use ruleserv::proto::{encode_frame, read_frame, OP_NAMES};
 use ruleserv::{serve, Client, Reply, Request, ServerHandle, ServerOptions};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -304,6 +306,7 @@ fn durability_order_holds(tag: &str, snapshot_every: Option<u64>) {
                 _ => {}
             },
             SpanEventKind::Instant => {}
+            SpanEventKind::Complete { .. } => {}
         }
     }
     let releases = releases(&events);
@@ -667,6 +670,73 @@ fn a_failed_log_acknowledges_nothing_more() {
         DurableRuleEngine::open(&fx.dir, FunctionRegistry::default(), fx.actions, DURABLE).unwrap();
     let catalog = recovered.engine().db().catalog();
     assert_eq!(catalog.relation("g").unwrap().len(), 1);
+    drop(recovered);
+    std::fs::remove_dir_all(&fx.dir).unwrap();
+}
+
+/// A malformed frame inside an open commit group: connection A's
+/// pipelined writes wait behind the gate, and connection B sends one
+/// insert with a seeded bit flipped past its length word, which the
+/// frame's CRC refuses. B is closed without a reply; A's group releases
+/// every ack in request order; a reopen finds exactly A's writes.
+#[test]
+fn a_malformed_frame_inside_an_open_group_closes_only_its_connection() {
+    let fx = start("malformed-in-group", DURABLE, ServerOptions::default());
+    let addr = fx.server.addr();
+    let mut holder = Client::connect(addr).unwrap();
+    let mut a = Client::connect(addr).unwrap();
+    create_world(&fx, &mut holder);
+
+    fx.close_gate(&mut holder);
+    let writes: Vec<Request> = (0..12).map(|v| insert("q", v)).collect();
+    fx.queue(&mut a, &writes);
+    let (opcode, payload) = insert("q", 1_000).encode();
+    let mut wire = encode_frame(opcode, &payload);
+    let mut rng = StdRng::seed_from_u64(51);
+    let bit = rng.gen_range(32..wire.len() * 8);
+    wire[bit / 8] ^= 1 << (bit % 8);
+    let mut b = TcpStream::connect(addr).unwrap();
+    b.write_all(&wire).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut buf = [0u8; 64];
+    match b.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Ok(n) => panic!("B was answered {:02x?}", &buf[..n]),
+        Err(e) => panic!("B stayed open while the group was held ({e})"),
+    }
+
+    fx.open_gate(&mut holder);
+    let mut last = 0;
+    for n in 0..writes.len() {
+        match a.recv_reply().unwrap() {
+            Reply::Fire(ack) => {
+                assert!(ack.seq > last, "ack {n} left request order");
+                last = ack.seq;
+            }
+            other => panic!("ack {n}: expected fire, got {}", other.kind()),
+        }
+    }
+
+    drop(fx.server.shutdown());
+    // Replay runs the gate's insert again: a dropped gate lets it pass.
+    drop(fx.gate);
+    let recovered =
+        DurableRuleEngine::open(&fx.dir, FunctionRegistry::default(), fx.actions, DURABLE).unwrap();
+    let q = recovered.engine().db().catalog().relation("q").unwrap();
+    let mut values: Vec<i64> = q
+        .iter()
+        .map(|(_, t)| match t.values()[0] {
+            Value::Int(v) => v,
+            ref other => panic!("a non-integer row {other:?}"),
+        })
+        .collect();
+    values.sort_unstable();
+    assert_eq!(
+        values,
+        (0..12).collect::<Vec<_>>(),
+        "the state holds exactly A's writes"
+    );
     drop(recovered);
     std::fs::remove_dir_all(&fx.dir).unwrap();
 }

@@ -486,45 +486,77 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
 
     let engine = server.shutdown().expect("engine handed back");
     let events = engine.telemetry().tracer().events();
-    let begins: Vec<_> = events
+    let requests: Vec<_> = events
         .iter()
-        .filter(|e| e.name == "server_request" && matches!(e.kind, telemetry::SpanEventKind::Begin))
+        .filter(|e| e.name == "server_request")
         .collect();
-    assert!(
-        begins.len() >= 3,
-        "each engine-served request opens a span, got {}",
-        begins.len()
-    );
-    let trace_args: Vec<&str> = begins
-        .iter()
-        .flat_map(|e| e.args.iter())
-        .filter(|(k, _)| *k == "trace")
-        .map(|(_, v)| v.as_str())
-        .collect();
-    assert!(
-        trace_args.contains(&"0xabc0"),
-        "create_relation trace id missing"
-    );
-    assert!(trace_args.contains(&"0xabc1"), "insert trace id missing");
-    assert!(
-        begins
+    assert_eq!(requests.len(), 3, "each reply flushed leaves one event");
+    let arg = |e: &telemetry::TraceEvent, key: &str| {
+        let (_, value) = e.args.iter().find(|(k, _)| *k == key)?;
+        Some(value.clone())
+    };
+    let dur = |e: &telemetry::TraceEvent| match e.kind {
+        telemetry::SpanEventKind::Complete { dur } => dur,
+        kind => panic!("{} is a {kind:?} event", e.name),
+    };
+    let registry = engine.telemetry().registry();
+    for request in &requests {
+        // The children tile the request: the server's own stages and
+        // one `engine` child for the rest, end to end from its start.
+        let children: Vec<_> = events.iter().filter(|e| e.parent == request.span).collect();
+        let mut at = request.nanos;
+        for child in &children {
+            assert!(
+                matches!(
+                    child.name,
+                    "decode" | "queue" | "engine" | "group_wait" | "handoff" | "write"
+                ),
+                "unexpected child {}",
+                child.name
+            );
+            assert_eq!(child.nanos, at);
+            at += dur(child);
+        }
+        assert_eq!(
+            at - request.nanos,
+            dur(request),
+            "children sum to the request exactly"
+        );
+        assert!(children.iter().any(|c| c.name == "engine"));
+        // Its duration is what `server_request_nanos` observed for the
+        // op's one request.
+        let op = arg(request, "op").expect("op arg");
+        let name = format!("server_request_nanos{{op=\"{op}\"}}");
+        assert_eq!(
+            registry.histogram_totals(&name),
+            Some((1, dur(request))),
+            "{op}"
+        );
+    }
+    let traced = |id: &str| {
+        requests
             .iter()
-            .any(|e| e.args.contains(&("op", "insert".to_string()))),
-        "spans carry the op label"
-    );
-    let untraced_health = begins.iter().any(|e| {
-        e.args.contains(&("op", "health".to_string())) && e.args.iter().all(|(k, _)| *k != "trace")
-    });
+            .find(|e| arg(e, "trace").as_deref() == Some(id))
+    };
+    let create = traced("0xabc0").expect("create_relation trace id missing");
+    let insert = traced("0xabc1").expect("insert trace id missing");
+    assert_eq!(arg(create, "op").as_deref(), Some("create_relation"));
+    assert_eq!(arg(insert, "op").as_deref(), Some("insert"));
+    let untraced_health = requests
+        .iter()
+        .any(|e| arg(e, "op").as_deref() == Some("health") && arg(e, "trace").is_none());
     assert!(
         untraced_health,
-        "untraced request must open a trace-less span"
+        "an untraced request leaves a trace-less event"
     );
 
-    // The slow-op ring captured the traced insert with its id.
+    // The slow-op ring captured the traced insert with its id, and the
+    // same record the trace shows.
     let slow = engine.telemetry().profiler().slow_ops();
     assert!(
-        slow.iter()
-            .any(|s| s.trace_id == Some(0xabc1) && s.op == "insert"),
+        slow.iter().any(|s| s.trace_id == Some(0xabc1)
+            && s.op == "insert"
+            && s.record.total() == dur(insert)),
         "slow-op ring must hold the traced insert, got {slow:?}"
     );
 }

@@ -81,6 +81,12 @@ impl Telemetry {
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
+
+    /// Does an op's stage clock run? Under the profiler, which bills
+    /// from its record, or the tracer, which shows it.
+    pub fn times_stages(&self) -> bool {
+        self.profiler.is_enabled() || self.tracer.is_enabled()
+    }
 }
 
 impl From<Arc<Registry>> for Telemetry {

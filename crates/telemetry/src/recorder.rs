@@ -25,7 +25,7 @@
 //! let telemetry = Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(256));
 //! telemetry.registry().counter("rules_fired_total").add(3);
 //! {
-//!     let _s = telemetry.tracer().span("cascade");
+//!     let _s = telemetry.tracer().span("durable_snapshot");
 //! }
 //! let recorder = FlightRecorder::new(telemetry, &dir);
 //! let path = recorder.dump("doc-example").unwrap();

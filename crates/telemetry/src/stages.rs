@@ -13,8 +13,9 @@
 //! stage — by a checked subtraction, since an inner record never
 //! outlasts the interval around it.
 //!
-//! A clock started off never reads the time and adds no work: each lap
-//! is one branch.
+//! Each stage also counts its laps, and an enclosing clock adds the
+//! inner record's. A clock started off never reads the time and adds
+//! no work: each lap is one branch.
 
 use crate::json::JsonWriter;
 use crate::profile::CostSnapshot;
@@ -95,10 +96,11 @@ impl Stage {
     }
 }
 
-/// One op's nanoseconds per stage, and the §5.2 work it did.
+/// One op's nanoseconds and laps per stage, and the §5.2 work it did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageRecord {
     nanos: [u64; Stage::COUNT],
+    laps: [u32; Stage::COUNT],
     /// The work counts the op's events were billed, summed; its
     /// `stab_nanos` is the op's `stab` plus `residual` time.
     pub work: CostSnapshot,
@@ -110,12 +112,18 @@ impl StageRecord {
         self.nanos[stage as usize]
     }
 
+    /// How many laps charged `stage`.
+    pub fn laps(&self, stage: Stage) -> u32 {
+        self.laps[stage as usize]
+    }
+
     /// The op's wall time: the sum of its stages.
     pub fn total(&self) -> u64 {
         self.nanos.iter().sum()
     }
 
-    /// `{"decode":…,…}`: every stage by name, zeros included.
+    /// `{"decode":…,…}`: every stage's nanoseconds by name, zeros
+    /// included.
     pub(crate) fn write_stages_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         for stage in Stage::ALL {
@@ -128,8 +136,14 @@ impl StageRecord {
     #[cfg(test)]
     pub(crate) fn other(nanos: u64) -> StageRecord {
         let mut record = StageRecord::default();
-        record.nanos[Stage::Other as usize] = nanos;
+        record.charge(Stage::Other, nanos);
         record
+    }
+
+    /// Adds one lap of `nanos` to `stage`.
+    fn charge(&mut self, stage: Stage, nanos: u64) {
+        self.nanos[stage as usize] += nanos;
+        self.laps[stage as usize] += 1;
     }
 }
 
@@ -165,6 +179,13 @@ impl StageClock {
         self.last.is_some()
     }
 
+    /// Where a running clock started: its laps tile the interval from
+    /// there to the last boundary, so that is the record's total back.
+    pub fn started(&self) -> Option<Instant> {
+        let total = Duration::from_nanos(self.record.total());
+        self.last.and_then(|last| last.checked_sub(total))
+    }
+
     /// Charges the time since the last boundary to `stage`.
     #[inline]
     pub fn lap(&mut self, stage: Stage) {
@@ -177,14 +198,15 @@ impl StageClock {
     /// can close several records).
     pub fn lap_at(&mut self, stage: Stage, now: Instant) {
         if let Some(last) = self.last.as_mut() {
-            self.record.nanos[stage as usize] += nanos(now.duration_since(*last));
+            self.record.charge(stage, nanos(now.duration_since(*last)));
             *last = now;
         }
     }
 
     /// Laps `stage` around `inner`, the closed record of a layer that
-    /// ran since the last boundary: `inner`'s stages and work are added
-    /// as they are, and `stage` gets the rest of the interval.
+    /// ran since the last boundary: `inner`'s stages, laps and work are
+    /// added as they are, and `stage` gets the rest of the interval as
+    /// one lap.
     pub fn enclose(&mut self, stage: Stage, inner: &StageRecord) {
         let Some(last) = self.last.as_mut() else {
             return;
@@ -194,8 +216,11 @@ impl StageClock {
             .checked_sub(inner.total())
             .expect("an inner record lies inside the interval enclosing it");
         *last = now;
-        self.record.nanos[stage as usize] += own;
+        self.record.charge(stage, own);
         for (mine, theirs) in self.record.nanos.iter_mut().zip(inner.nanos) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.record.laps.iter_mut().zip(inner.laps) {
             *mine += theirs;
         }
         self.record.work.add(&inner.work);

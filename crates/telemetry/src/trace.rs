@@ -1,52 +1,48 @@
-//! Span tracing: a bounded ring buffer of structured events.
+//! Tracing: a bounded ring of structured events.
 //!
 //! Where the metric [`Registry`](crate::Registry) answers "how much
 //! work, in total", the [`Tracer`] answers "where did *this second* of
-//! time go": begin/end span pairs and instant events, each stamped with
-//! monotonic nanoseconds, a span id, the enclosing span's id, a static
-//! name, and a small key/value payload. Events land in a fixed-capacity
-//! ring — old events are evicted, never reallocated — so the tracer
-//! doubles as a flight recorder: the ring always holds the last moments
-//! before a crash (see [`crate::FlightRecorder`]).
-//!
-//! The recorder is chosen at construction, exactly like
-//! [`Registry::disabled`](crate::Registry::disabled): a
-//! [`Tracer::disabled`] handle costs one predictable branch per
-//! would-be span — no clock read, no lock, no id allocation — so span
-//! scaffolding can stay compiled into every hot path.
-//!
-//! Span nesting is tracked per thread: a span begun while another span
-//! from the same thread is open becomes its child. Worker threads get
-//! their own lanes (and their own `tid` in the export), which is how
-//! batch matching fan-out renders as parallel tracks.
-//!
-//! [`chrome_trace_json`](Tracer::chrome_trace_json) renders the ring in
-//! the Chrome trace-event format — load the output in Perfetto
-//! (`ui.perfetto.dev`) or `chrome://tracing` to see the cascade.
+//! time go". [`record`](Tracer::record) pushes an op's closed
+//! [`StageRecord`] as one complete event with a child per stage, which
+//! sum to it exactly; [`span`](Tracer::span) and
+//! [`instant_with`](Tracer::instant_with) mark what no record times (the
+//! durability layer's appends, syncs, snapshots and recovery). Each
+//! event carries monotonic nanoseconds, a span id, the id of the span
+//! open around it on its thread, a static name and a small key/value
+//! payload. The ring is fixed-capacity — old events are evicted, never
+//! reallocated — so it doubles as a flight recorder (see
+//! [`crate::FlightRecorder`]). A [`Tracer::disabled`] handle costs one
+//! branch per would-be event: no clock read, no lock, no id.
+//! [`chrome_trace_json`](Tracer::chrome_trace_json) renders the ring for
+//! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
 //! ```
-//! use telemetry::Tracer;
+//! use telemetry::{Stage, StageClock, Tracer};
 //!
 //! let tracer = Tracer::new(1024);
 //! {
-//!     let _outer = tracer.span("cascade");
-//!     let _inner = tracer.span("match_level");
-//!     tracer.instant_with("agenda_built", Vec::new);
+//!     let _append = tracer.span("wal_append");
+//!     tracer.instant_with("commit_release", Vec::new);
 //! }
-//! let events = tracer.events();
-//! assert_eq!(events.len(), 5); // 2 begins + 1 instant + 2 ends
-//! assert!(tracer.chrome_trace_json().contains("\"traceEvents\""));
+//! let mut clock = StageClock::start(true);
+//! clock.lap(Stage::Stab);
+//! clock.lap(Stage::Fire);
+//! tracer.record("op", &clock, &Stage::ALL, Vec::new);
+//! // A begin, an instant and an end; then `op`, `stab` and `fire`.
+//! assert_eq!(tracer.events().len(), 6);
+//! assert!(tracer.chrome_trace_json().contains("\"ph\":\"X\""));
 //!
 //! // Disabled: same call sites, nothing recorded.
 //! let off = Tracer::disabled();
-//! let _s = off.span("cascade");
+//! off.record("op", &clock, &Stage::ALL, Vec::new);
 //! assert!(off.events().is_empty());
 //! ```
 
 use crate::json::JsonWriter;
+use crate::stages::{nanos, Stage, StageClock, StageRecord};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default event capacity of a [`Tracer`] ring.
@@ -61,6 +57,8 @@ pub enum SpanEventKind {
     End,
     /// A point-in-time marker inside the current span.
     Instant,
+    /// A closed interval of `dur` nanoseconds from the event's `nanos`.
+    Complete { dur: u64 },
 }
 
 /// One ring entry.
@@ -69,7 +67,7 @@ pub struct TraceEvent {
     pub kind: SpanEventKind,
     /// Static name — span names are a closed vocabulary, not data.
     pub name: &'static str,
-    /// Span id (`Begin`/`End` share it; `Instant` gets its own).
+    /// Span id (`Begin`/`End` share it; every other event gets its own).
     pub span: u64,
     /// Enclosing span id on the same thread, 0 at top level.
     pub parent: u64,
@@ -77,7 +75,7 @@ pub struct TraceEvent {
     pub nanos: u64,
     /// Small dense thread id (1, 2, ... in first-use order).
     pub tid: u64,
-    /// Small key/value payload (only `Begin` and `Instant` carry one).
+    /// Small key/value payload (an `End` carries none).
     pub args: Vec<(&'static str, String)>,
 }
 
@@ -160,36 +158,29 @@ impl Tracer {
     /// A live tracer holding the most recent `capacity` events
     /// (clamped to at least 16 so a dump is never content-free).
     pub fn new(capacity: usize) -> Tracer {
-        let capacity = capacity.max(16);
-        Tracer {
-            enabled: true,
-            inner: Arc::new(TracerInner {
-                epoch: Instant::now(),
-                capacity,
-                next_span: AtomicU64::new(1),
-                ring: Mutex::new(Ring {
-                    buf: Vec::new(),
-                    head: 0,
-                    dropped: 0,
-                }),
-            }),
-        }
+        Tracer::with(true, capacity.max(16))
     }
 
     /// The no-op recorder: every span/instant call is one branch.
     pub fn disabled() -> Tracer {
+        Tracer::with(false, 0)
+    }
+
+    fn with(enabled: bool, capacity: usize) -> Tracer {
+        let ring = Ring {
+            buf: Vec::new(),
+            head: 0,
+            dropped: 0,
+        };
+        let inner = TracerInner {
+            epoch: Instant::now(),
+            capacity,
+            next_span: AtomicU64::new(1),
+            ring: Mutex::new(ring),
+        };
         Tracer {
-            enabled: false,
-            inner: Arc::new(TracerInner {
-                epoch: Instant::now(),
-                capacity: 0,
-                next_span: AtomicU64::new(1),
-                ring: Mutex::new(Ring {
-                    buf: Vec::new(),
-                    head: 0,
-                    dropped: 0,
-                }),
-            }),
+            enabled,
+            inner: Arc::new(inner),
         }
     }
 
@@ -206,23 +197,46 @@ impl Tracer {
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .ring
-            .lock()
-            .expect("trace ring poisoned: a holder panicked")
-            .dropped
+        self.ring().dropped
     }
 
-    fn now_nanos(&self) -> u64 {
-        u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        let ring = self.inner.ring.lock();
+        ring.expect("trace ring poisoned: a holder panicked")
     }
 
-    fn push(&self, ev: TraceEvent) {
-        self.inner
-            .ring
-            .lock()
-            .expect("trace ring poisoned: a holder panicked")
-            .push(self.inner.capacity, ev);
+    fn next_id(&self) -> u64 {
+        self.inner.next_span.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// An event of this thread at `at` (nanoseconds since the epoch),
+    /// under the innermost span open on it.
+    fn event(
+        &self,
+        kind: SpanEventKind,
+        name: &'static str,
+        span: u64,
+        at: Option<Instant>,
+        args: Vec<(&'static str, String)>,
+    ) -> TraceEvent {
+        let at = at.unwrap_or_else(Instant::now);
+        TraceEvent {
+            kind,
+            name,
+            span,
+            parent: SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0)),
+            nanos: nanos(at.saturating_duration_since(self.inner.epoch)),
+            tid: thread_id(),
+            args,
+        }
+    }
+
+    /// Pushes `events` under one lock, so they sit together in the ring.
+    fn push(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        let mut ring = self.ring();
+        for ev in events {
+            ring.push(self.inner.capacity, ev);
+        }
     }
 
     /// Opens a span; the returned guard records the matching `End` when
@@ -246,22 +260,10 @@ impl Tracer {
                 id: 0,
             };
         }
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let parent = s.last().copied().unwrap_or(0);
-            s.push(id);
-            parent
-        });
-        self.push(TraceEvent {
-            kind: SpanEventKind::Begin,
-            name,
-            span: id,
-            parent,
-            nanos: self.now_nanos(),
-            tid: thread_id(),
-            args: args(),
-        });
+        let id = self.next_id();
+        let begin = self.event(SpanEventKind::Begin, name, id, None, args());
+        SPAN_STACK.with(|s| s.borrow_mut().push(id));
+        self.push([begin]);
         Span {
             tracer: Some(self),
             id,
@@ -275,38 +277,71 @@ impl Tracer {
         name: &'static str,
         args: impl FnOnce() -> Vec<(&'static str, String)>,
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            let id = self.next_id();
+            self.push([self.event(SpanEventKind::Instant, name, id, None, args())]);
         }
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-        self.push(TraceEvent {
-            kind: SpanEventKind::Instant,
-            name,
-            span: id,
-            parent,
-            nanos: self.now_nanos(),
-            tid: thread_id(),
-            args: args(),
+    }
+
+    /// Pushes `clock`'s record as one [`Complete`](SpanEventKind::Complete)
+    /// event `name`, from where the clock started for the record's
+    /// total, and under it one complete child per stage the clock
+    /// lapped, laid end to end from the parent's start in
+    /// [`Stage::ALL`] order, so the children's durations sum to the
+    /// parent's exactly. A stage in `own` is a child of its own name,
+    /// carrying its `laps` (and `stab` and `residual` their work
+    /// counts); consecutive stages a layer does not own ran in the
+    /// engine it wraps, and are one `engine` child. Disabled, or with
+    /// the clock off: nothing, and `args` never runs.
+    pub fn record(
+        &self,
+        name: &'static str,
+        clock: &StageClock,
+        own: &[Stage],
+        args: impl FnOnce() -> Vec<(&'static str, String)>,
+    ) {
+        let Some(start) = self.enabled.then(|| clock.started()).flatten() else {
+            return;
+        };
+        let record = clock.record();
+        let mut children: Vec<(&'static str, u64, _)> = Vec::new();
+        for stage in Stage::ALL.into_iter().filter(|&s| record.laps(s) > 0) {
+            let dur = record.nanos(stage);
+            match children.last_mut() {
+                _ if own.contains(&stage) => {
+                    children.push((stage.name(), dur, stage_args(stage, record)));
+                }
+                Some(("engine", engine, _)) => *engine += dur,
+                _ => children.push(("engine", dur, Vec::new())),
+            }
+        }
+        let (id, total) = (self.next_id(), record.total());
+        let kind = SpanEventKind::Complete { dur: total };
+        let parent = self.event(kind, name, id, Some(start), args());
+        let mut at = parent.nanos;
+        let children = children.into_iter().map(|(name, dur, args)| {
+            let kind = SpanEventKind::Complete { dur };
+            let child = self.event(kind, name, self.next_id(), Some(start), args);
+            let nanos = at;
+            at += dur;
+            TraceEvent {
+                parent: id,
+                nanos,
+                ..child
+            }
         });
+        let events: Vec<TraceEvent> = std::iter::once(parent).chain(children).collect();
+        self.push(events);
     }
 
     /// Oldest-first snapshot of the ring (non-destructive).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .ring
-            .lock()
-            .expect("trace ring poisoned: a holder panicked")
-            .snapshot()
+        self.ring().snapshot()
     }
 
     /// Empties the ring and returns its contents oldest-first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut ring = self
-            .inner
-            .ring
-            .lock()
-            .expect("trace ring poisoned: a holder panicked");
+        let mut ring = self.ring();
         let out = ring.snapshot();
         ring.buf.clear();
         ring.head = 0;
@@ -338,7 +373,7 @@ pub struct Span<'a> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         let Some(tracer) = self.tracer else { return };
-        let parent = SPAN_STACK.with(|s| {
+        SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Pop our own frame; tolerate a foreign top (mis-scoped
             // guard) by searching, so the stack cannot corrupt.
@@ -347,25 +382,35 @@ impl Drop for Span<'_> {
             } else if let Some(i) = s.iter().rposition(|&x| x == self.id) {
                 s.remove(i);
             }
-            s.last().copied().unwrap_or(0)
         });
-        tracer.push(TraceEvent {
-            kind: SpanEventKind::End,
-            name: "",
-            span: self.id,
-            parent,
-            nanos: tracer.now_nanos(),
-            tid: thread_id(),
-            args: Vec::new(),
-        });
+        tracer.push([tracer.event(SpanEventKind::End, "", self.id, None, Vec::new())]);
     }
 }
 
+/// A stage child's payload: its laps, and the work counts of the two
+/// matching stages.
+fn stage_args(stage: Stage, record: &StageRecord) -> Vec<(&'static str, String)> {
+    let work = &record.work;
+    let counts: &[(&'static str, u64)] = match stage {
+        Stage::Stab => &[("ibs_nodes", work.ibs_nodes), ("ibs_marks", work.ibs_marks)],
+        Stage::Residual => &[
+            ("residual_tests", work.residual_tests),
+            ("residual_passes", work.residual_passes),
+            ("non_indexable", work.non_indexable),
+        ],
+        _ => &[],
+    };
+    let mut args = vec![("laps", record.laps(stage).to_string())];
+    args.extend(counts.iter().map(|&(k, v)| (k, v.to_string())));
+    args
+}
+
 /// Renders events in the Chrome trace-event JSON object format
-/// (`{"traceEvents": [...]}`). Timestamps are microseconds with
-/// nanosecond fractions; span and parent ids ride in `args` so
-/// Perfetto's query view can reconstruct the tree explicitly (the
-/// implicit B/E stack per `tid` already nests correctly).
+/// (`{"traceEvents": [...]}`). Timestamps and durations are
+/// microseconds with nanosecond fractions; span and parent ids ride in
+/// `args` so Perfetto's query view can reconstruct the tree explicitly
+/// (the implicit B/E stack and the X intervals per `tid` already nest
+/// correctly).
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -378,8 +423,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             SpanEventKind::Begin => "B",
             SpanEventKind::End => "E",
             SpanEventKind::Instant => "i",
+            SpanEventKind::Complete { .. } => "X",
         });
         w.key("ts").float(ev.nanos as f64 / 1_000.0, 3);
+        if let SpanEventKind::Complete { dur } = ev.kind {
+            w.key("dur").float(dur as f64 / 1_000.0, 3);
+        }
         w.key("pid").uint(1);
         w.key("tid").uint(ev.tid);
         if matches!(ev.kind, SpanEventKind::Instant) {
@@ -514,5 +563,100 @@ mod tests {
         };
         assert_eq!(parent_of(a_id), parent_of(b_id));
         assert_ne!(a_id, b_id);
+    }
+
+    /// A record with `laps` laps of `stage`, `n` nanoseconds each.
+    fn clock_with(laps: &[(Stage, u64)]) -> StageClock {
+        let at = Instant::now();
+        let mut clock = StageClock::start_at(at);
+        let mut now = at;
+        for &(stage, n) in laps {
+            now += std::time::Duration::from_nanos(n);
+            clock.lap_at(stage, now);
+        }
+        clock
+    }
+
+    #[test]
+    fn a_record_is_a_parent_whose_children_tile_it() {
+        let tracer = Tracer::new(64);
+        let mut clock = clock_with(&[(Stage::Stab, 5), (Stage::Residual, 7), (Stage::Stab, 3)]);
+        clock.add_work(&crate::CostSnapshot {
+            ibs_nodes: 9,
+            ..crate::CostSnapshot::default()
+        });
+        {
+            let _outer = tracer.span("outer");
+            tracer.record("op", &clock, &Stage::ALL, || vec![("levels", "1".into())]);
+        }
+        let events = tracer.events();
+        let (op, stab, residual) = (&events[1], &events[2], &events[3]);
+        assert_eq!(op.kind, SpanEventKind::Complete { dur: 15 });
+        assert_eq!(op.parent, events[0].span);
+        assert_eq!(op.args, vec![("levels", "1".to_string())]);
+        assert_eq!(
+            (stab.name, stab.kind),
+            ("stab", SpanEventKind::Complete { dur: 8 })
+        );
+        assert_eq!(
+            stab.args,
+            vec![
+                ("laps", "2".to_string()),
+                ("ibs_nodes", "9".to_string()),
+                ("ibs_marks", "0".to_string())
+            ]
+        );
+        assert_eq!(residual.kind, SpanEventKind::Complete { dur: 7 });
+        assert!([stab, residual].iter().all(|c| c.parent == op.span));
+        assert_eq!((stab.nanos, residual.nanos), (op.nanos, op.nanos + 8));
+        assert_eq!(events.len(), 5, "the outer span's end follows");
+        let json = tracer.chrome_trace_json();
+        assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");
+        assert!(json.contains("\"dur\":0.015"), "{json}");
+    }
+
+    #[test]
+    fn stages_a_layer_does_not_own_are_one_engine_child() {
+        let tracer = Tracer::new(64);
+        let laps = [
+            (Stage::Decode, 2),
+            (Stage::Queue, 3),
+            (Stage::Wal, 5),
+            (Stage::Fire, 7),
+            (Stage::Write, 11),
+        ];
+        let own = [Stage::Decode, Stage::Queue, Stage::Write];
+        tracer.record("server_request", &clock_with(&laps), &own, Vec::new);
+        let children: Vec<_> = tracer.events()[1..]
+            .iter()
+            .map(|e| (e.name, e.kind))
+            .collect();
+        let complete = |dur| SpanEventKind::Complete { dur };
+        assert_eq!(
+            children,
+            vec![
+                ("decode", complete(2)),
+                ("queue", complete(3)),
+                ("engine", complete(12)),
+                ("write", complete(11)),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_off_clock_or_a_disabled_tracer_records_nothing() {
+        let tracer = Tracer::new(64);
+        tracer.record("op", &StageClock::start(false), &Stage::ALL, || {
+            unreachable!("args of a record that is not pushed")
+        });
+        assert!(tracer.events().is_empty());
+        let off = Tracer::disabled();
+        off.record(
+            "op",
+            &clock_with(&[(Stage::Fire, 1)]),
+            &Stage::ALL,
+            Vec::new,
+        );
+        assert!(off.events().is_empty());
     }
 }

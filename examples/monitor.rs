@@ -6,7 +6,7 @@
 //! # elsewhere:
 //! curl -s http://127.0.0.1:9898/metrics | head
 //! curl -s http://127.0.0.1:9898/health
-//! curl -s http://127.0.0.1:9898/trace > trace.json   # drains the span ring
+//! curl -s http://127.0.0.1:9898/trace > trace.json   # drains the trace ring
 //! curl -s http://127.0.0.1:9898/profile              # cost accounts + quantiles + stage records
 //! ```
 //!

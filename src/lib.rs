@@ -82,7 +82,7 @@
 //! db.create_relation(Schema::builder("emp").attr("age", AttrType::Int).build())
 //!     .unwrap();
 //! let telemetry = Telemetry::new(Arc::new(Registry::new()))
-//!     .with_tracer(Tracer::new(1024)) // spans
+//!     .with_tracer(Tracer::new(1024)) // each op's stage record
 //!     .with_profiling(); // per-rule cost accounts
 //! let mut engine = RuleEngine::new(db);
 //! engine.attach_metrics(telemetry.clone());
@@ -91,7 +91,8 @@
 //!     .unwrap();
 //! engine.insert("emp", vec![Value::Int(61)]).unwrap();
 //! assert_eq!(telemetry.registry().counter_value("rules_fired_total"), Some(1));
-//! assert!(!telemetry.tracer().events().is_empty());
+//! let op = &telemetry.tracer().events()[0];
+//! assert_eq!(op.name, "op"); // its children are the stages it lapped
 //! ```
 
 #![forbid(unsafe_code)]

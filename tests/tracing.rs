@@ -1,55 +1,27 @@
-//! End-to-end span tracing: a two-level rule cascade must come out of
-//! the tracer as a correctly parented span tree whose child durations
-//! fit inside their parents.
+//! End-to-end tracing: a two-level rule cascade comes out of the tracer
+//! as its stage record — one `op` event whose stage children tile it
+//! exactly — and a tracer alone times the chain without billing it.
 
 use predmatch::prelude::*;
 use predmatch::rules::DbOp;
-use predmatch::telemetry::{SpanEventKind, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
-use std::collections::HashMap;
+use predmatch::telemetry::{SpanEventKind, Stage, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::sync::Arc;
 
-/// A reconstructed span: name, parent id, and wall duration.
-struct SpanRec {
-    name: &'static str,
-    parent: u64,
-    begin: u64,
-    end: u64,
+fn dur(event: &TraceEvent) -> u64 {
+    match event.kind {
+        SpanEventKind::Complete { dur } => dur,
+        kind => panic!("{} is a {kind:?} event, not a complete one", event.name),
+    }
 }
 
-/// Pairs Begin/End events by span id (panics on an unpaired span —
-/// the workload closes everything before the snapshot).
-fn reconstruct(events: &[TraceEvent]) -> HashMap<u64, SpanRec> {
-    let mut spans: HashMap<u64, SpanRec> = HashMap::new();
-    for ev in events {
-        match ev.kind {
-            SpanEventKind::Begin => {
-                spans.insert(
-                    ev.span,
-                    SpanRec {
-                        name: ev.name,
-                        parent: ev.parent,
-                        begin: ev.nanos,
-                        end: 0,
-                    },
-                );
-            }
-            SpanEventKind::End => {
-                spans
-                    .get_mut(&ev.span)
-                    .unwrap_or_else(|| panic!("End without Begin for span {}", ev.span))
-                    .end = ev.nanos;
-            }
-            SpanEventKind::Instant => {}
-        }
-    }
-    for (id, s) in &spans {
-        assert!(s.end >= s.begin, "span {id} ({}) never ended", s.name);
-    }
-    spans
+fn arg<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a str> {
+    let (_, value) = event.args.iter().find(|(k, _)| *k == key)?;
+    Some(value)
 }
 
-#[test]
-fn two_level_cascade_produces_a_parented_span_tree() {
+/// An engine on `emp` and `alerts` where an underpaid `emp` insert
+/// raises an alert, which escalates: two levels, two firings.
+fn cascade_engine(telemetry: Telemetry) -> RuleEngine {
     let mut db = Database::new();
     db.create_relation(
         Schema::builder("emp")
@@ -65,11 +37,8 @@ fn two_level_cascade_produces_a_parented_span_tree() {
             .build(),
     )
     .unwrap();
-
-    let tracer = Tracer::new(DEFAULT_TRACE_CAPACITY);
     let mut engine = RuleEngine::new(db);
-    engine.attach_metrics(Telemetry::new(Arc::new(Registry::new())).with_tracer(tracer.clone()));
-
+    engine.attach_metrics(telemetry);
     engine
         .add_rule(
             Rule::builder("raise-alert")
@@ -93,88 +62,91 @@ fn two_level_cascade_produces_a_parented_span_tree() {
                 .build(),
         )
         .unwrap();
+    engine
+}
 
+#[test]
+fn two_level_cascade_produces_a_parented_span_tree() {
+    let tracer = Tracer::new(DEFAULT_TRACE_CAPACITY);
+    let registry = Arc::new(Registry::new());
+    let mut engine =
+        cascade_engine(Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()));
     let report = engine
         .insert("emp", vec![Value::str("al"), Value::Int(500)])
         .unwrap();
     assert_eq!(report.fired.len(), 2, "both rules fire through the chain");
 
+    // One op event for the chain, top level, carrying the cascade's
+    // shape; then its stage children and nothing else.
     let events = tracer.events();
-    let spans = reconstruct(&events);
-    let by_name = |name: &str| -> Vec<(&u64, &SpanRec)> {
-        spans.iter().filter(|(_, s)| s.name == name).collect()
-    };
+    let (op, children) = events.split_first().expect("the chain left its record");
+    assert_eq!(op.name, "op");
+    assert_eq!(op.parent, 0, "op is a top-level event");
+    assert_eq!(arg(op, "levels"), Some("2"));
+    assert_eq!(arg(op, "events"), Some("2"));
+    assert_eq!(arg(op, "firings"), Some("2"));
+    let record = engine.last_record();
+    assert_eq!(dur(op), record.total(), "the op spans its record");
 
-    // Exactly one cascade root, at top level.
-    let cascades = by_name("cascade");
-    assert_eq!(cascades.len(), 1, "one insert, one cascade");
-    let (&root_id, root) = cascades[0];
-    assert_eq!(root.parent, 0, "cascade is a top-level span");
-
-    // Two cascade levels (the external insert, then the alert), both
-    // children of the root.
-    let levels = by_name("cascade_level");
-    assert_eq!(levels.len(), 2, "two-level cascade");
-    for (_, level) in &levels {
-        assert_eq!(level.parent, root_id, "levels nest under the cascade");
-        assert!(level.begin >= root.begin && level.end <= root.end);
-    }
-
-    // Each level runs one match pass, parented to its level.
-    let level_ids: Vec<u64> = levels.iter().map(|(&id, _)| id).collect();
-    let matches = by_name("match_level");
-    assert_eq!(matches.len(), 2);
-    for (_, m) in &matches {
-        assert!(level_ids.contains(&m.parent), "match nests under a level");
-    }
-
-    // The index under each match pass recorded its stab, and the chain
-    // recorded no span outside the rule layer's and the index's.
-    assert_eq!(by_name("predindex_stab").len(), 2);
-    for s in spans.values() {
-        assert!(
-            matches!(
-                s.name,
-                "cascade"
-                    | "cascade_level"
-                    | "match_level"
-                    | "rule_fire"
-                    | "predindex_stab"
-                    | "predindex_residual"
-            ),
-            "unexpected span {}",
-            s.name
+    // A child per stage the chain lapped, in stage order, each holding
+    // exactly its stage of the record: the two levels' stabs and
+    // residual tests, each event's agenda and firing, and the `other`
+    // between the levels.
+    let names: Vec<_> = children.iter().map(|c| c.name).collect();
+    assert_eq!(names, ["stab", "residual", "agenda", "fire", "other"]);
+    let mut at = op.nanos;
+    for (child, stage) in children
+        .iter()
+        .zip(Stage::ALL.into_iter().filter(|&s| record.laps(s) > 0))
+    {
+        assert_eq!(child.name, stage.name());
+        assert_eq!(child.parent, op.span);
+        assert_eq!(
+            child.nanos, at,
+            "children lie end to end from the op's start"
         );
+        assert_eq!(dur(child), record.nanos(stage));
+        assert_eq!(
+            arg(child, "laps"),
+            Some(record.laps(stage).to_string().as_str())
+        );
+        at += dur(child);
     }
-
-    // Both firings produced rule_fire spans inside some level.
-    let fires = by_name("rule_fire");
-    assert_eq!(fires.len(), 2);
-    for (_, f) in &fires {
-        assert!(level_ids.contains(&f.parent), "firing nests under a level");
-    }
-
-    // Durations are consistent: levels are disjoint in time, and their
-    // summed duration fits inside the root span.
-    let mut level_spans: Vec<&SpanRec> = levels.iter().map(|(_, s)| *s).collect();
-    level_spans.sort_by_key(|s| s.begin);
-    assert!(
-        level_spans[0].end <= level_spans[1].begin,
-        "levels run one after another"
+    assert_eq!(at - op.nanos, dur(op), "the children sum to the op exactly");
+    assert_eq!(record.laps(Stage::Stab), 2, "one lock-step group per level");
+    let stab = &children[0];
+    assert_eq!(
+        arg(stab, "ibs_nodes"),
+        Some(record.work.ibs_nodes.to_string().as_str())
     );
-    let summed: u64 = level_spans.iter().map(|s| s.end - s.begin).sum();
-    assert!(
-        summed <= root.end - root.begin,
-        "child time {summed} exceeds root {}",
-        root.end - root.begin
-    );
+    assert_eq!(arg(&children[1], "residual_tests"), Some("2"));
 
-    // And the whole thing exports as Chrome JSON with the span names.
     let json = tracer.chrome_trace_json();
-    for name in ["cascade", "cascade_level", "match_level", "rule_fire"] {
-        assert!(
-            json.contains(&format!("\"name\":\"{name}\"")),
-            "{name} missing"
-        );
-    }
+    assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");
+    assert!(json.contains("\"name\":\"stab\",\"ph\":\"X\""), "{json}");
+}
+
+#[test]
+fn a_tracer_alone_times_the_chain_and_mints_no_account() {
+    let registry = Arc::new(Registry::new());
+    let telemetry =
+        Telemetry::new(Arc::clone(&registry)).with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY));
+    assert!(telemetry.times_stages() && !telemetry.profiler().is_enabled());
+    let mut engine = cascade_engine(telemetry);
+    let report = engine
+        .insert("emp", vec![Value::str("al"), Value::Int(500)])
+        .unwrap();
+    let record = engine.last_record();
+    assert!(record.total() > 0, "the tracer starts the clock");
+    assert_eq!(record.work.firings, report.fired.len() as u64);
+    assert_eq!(record.work.ops, report.ops_applied as u64);
+    assert!(
+        registry
+            .names()
+            .iter()
+            .all(|name| !name.starts_with("profile_")),
+        "a tracer-only engine billed an account: {:?}",
+        registry.names()
+    );
+    assert_eq!(engine.telemetry().profiler().bills(), 0);
 }

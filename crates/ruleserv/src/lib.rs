@@ -57,6 +57,7 @@
 #![deny(clippy::unwrap_used)]
 
 pub mod client;
+mod commit;
 mod metrics;
 pub mod proto;
 pub mod server;

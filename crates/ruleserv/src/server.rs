@@ -22,44 +22,42 @@
 //!   reply from the [`Applied`] outcome.
 //! * **Group commit.** Each wake-up of the engine thread serves one
 //!   *group*: the message that woke it plus what was already queued
-//!   behind it — at most the count queued when the group opened, so
-//!   no client can keep a group open; no timer, no added wait. Every
-//!   request keeps its own WAL record, sequence number and reply, but
+//!   behind it, with no timer and no added wait. Every request keeps its
+//!   own WAL record, sequence number and reply, but
 //!   `SyncPolicy::Always`'s per-record `fdatasync` is deferred
-//!   ([`DurableRuleEngine::group`]): **one** covers the group, and only
-//!   then are the held replies, subscription events and subscription
-//!   changes released, in request order. `Always` still means *durable
-//!   before acknowledged*, and a lone request still costs exactly one
-//!   sync. If the group's sync fails, nothing the group logged is
-//!   acknowledged — those replies become [`Reply::Err`] — and the
-//!   fail-stopped log refuses every later write, while `Ping` and
-//!   `Health` keep answering.
-//! * **A dead engine thread is a dead server, not a silent one.** If
-//!   the engine thread panics (a rule action, a broken invariant), the
-//!   request it was running, everything its group held, everything
-//!   queued and everything sessions still hand over is answered with
-//!   [`Reply::Err`]; the stop flag goes up, so the listener closes and
-//!   every session ends at its next poll. `server_engine_dead_total`
-//!   counts it and [`ServerHandle::shutdown`] returns `None`.
+//!   ([`DurableRuleEngine::group`]): **one** covers the group, and a lone
+//!   request still costs exactly one sync. What may leave when, and in
+//!   which order, is the `commit` module's: a sans-IO core that holds six
+//!   rules (request order, nothing before the sync, a failed sync
+//!   acknowledges nothing, a group closed to later arrivals, counted lag,
+//!   a panic answers everyone) and a test that checks them over every
+//!   interleaving of small scripts. This module is its shell: it owns the
+//!   engine, the channels, the clocks and the tracer, and feeds the core
+//!   what happened.
+//! * **A dead engine thread is a dead server, not a silent one.** The
+//!   stop flag goes up, the listener closes, every session ends at its
+//!   next poll, and the core answers everything with [`Reply::Err`];
+//!   `server_engine_dead_total` counts it and [`ServerHandle::shutdown`]
+//!   returns `None`.
 //! * **One reader thread per connection** parses frames and forwards
 //!   them to the engine queue with `try_send`: a full queue produces an
 //!   immediate [`Reply::Busy`] instead of unbounded buffering — that is
 //!   the backpressure contract.
 //! * **One writer thread per connection** owns the socket's write half.
-//!   The reader allocates a *reply slot* (a oneshot channel) per
-//!   request and pushes the receiving end onto the writer's bounded
-//!   slot queue **in request order**; whoever fulfils the slot (the
-//!   engine for accepted requests, the reader itself for `Busy` and
-//!   `Pong`), the writer emits replies strictly in that order. Replies
-//!   can never be lost or reordered by construction. The slot queue's
-//!   bound caps per-connection pipelining: a client that keeps sending
-//!   past it blocks in TCP, which is backpressure too.
-//! * **Subscriptions** ride the same slot queues: at release the
-//!   engine pushes pre-fulfilled slots carrying [`Reply::Event`]
-//!   frames. Events to a connection whose queue is full are *dropped
-//!   and counted*; the next event that fits is preceded by a
-//!   [`Reply::Lagged`] frame carrying the drop count — a slow
-//!   subscriber can stall its own stream, never the engine.
+//!   The reader queues a *reply slot* per request onto the writer's
+//!   bounded slot queue **in request order**: a reply already in hand
+//!   (`Pong`) rides the slot itself; otherwise the slot is the receiving
+//!   end of a oneshot channel that the engine (or the reader, for
+//!   `Busy`) fulfils later. The writer emits replies strictly in slot
+//!   order, so replies can never be lost or reordered by construction.
+//!   The slot queue's bound caps per-connection pipelining: a client
+//!   that keeps sending past it blocks in TCP, which is backpressure too.
+//! * **Subscriptions** ride the same slot queues: at release the core
+//!   pushes [`Reply::Event`] frames as ready slots. Events to a
+//!   connection whose queue is full are *dropped and counted*; the next
+//!   event that fits is preceded by a [`Reply::Lagged`] frame carrying
+//!   the drop count — a slow subscriber can stall its own stream, never
+//!   the engine.
 //! * **One stage record per request.** Each request carries a
 //!   [`Receipt`] from the frame's decode to the flush that sends its
 //!   reply: the reader laps `decode`, the engine thread `queue`, the
@@ -72,15 +70,13 @@
 //!   five stages and one `engine` child for the rest. The clock runs
 //!   only under the profiler or the tracer.
 
+use crate::commit::{Change, Core};
 use crate::metrics::ServerMetrics;
-use crate::proto::{
-    op_index, read_frame, Event, EventBinding, FireSummary, Reply, Request, OP_NAMES,
-};
+use crate::proto::{op_index, read_frame, FireSummary, Reply, Request, OP_NAMES};
 use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
-use rules::{BoundTuple, FireReport, RuleId, RuleName};
-use std::collections::HashMap;
+use rules::FireReport;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -134,11 +130,16 @@ impl Default for ServerOptions {
 /// What a slot carries: a reply, with the receipt of the request it
 /// answers (a pushed event answers none).
 type Answer = (Reply, Option<Receipt>);
-/// One reply slot: the writer emits whatever arrives here, in the
-/// order the receiving ends were queued.
-type Slot = mpsc::SyncSender<Answer>;
+/// One place in a connection's reply order. A reply in hand when its
+/// place is queued — a `Pong`, a pushed frame — crosses as it is (boxed:
+/// the queue allocates its whole bound up front); one the engine or a
+/// `Busy` bounce gives later waits on a oneshot channel.
+enum Slot {
+    Ready(Box<Answer>),
+    Pending(Receiver<Answer>),
+}
 /// The writer-side queue of slots to drain, in reply order.
-type SlotQueue = SyncSender<Receiver<Answer>>;
+type SlotQueue = SyncSender<Slot>;
 
 /// A request crossing from a session reader into the engine thread.
 struct Queued {
@@ -162,7 +163,7 @@ struct Receipt {
 
 /// What answering a request takes, whatever its kind.
 struct Ticket {
-    slot: Slot,
+    slot: SyncSender<Answer>,
     receipt: Receipt,
 }
 
@@ -176,8 +177,8 @@ impl Ticket {
 
 enum Kind {
     Apply(Record),
-    Subscribe { conn: u64, pipe: SlotQueue },
-    Unsubscribe { conn: u64 },
+    /// A subscribe or an unsubscribe, for the core to release.
+    Change(Change<SlotQueue>),
     Health,
     Sync,
 }
@@ -259,13 +260,7 @@ pub fn serve(
         let depth = Arc::clone(&depth);
         std::thread::Builder::new()
             .name("ruleserv-engine".into())
-            .spawn(move || {
-                let served = engine_loop(engine, &engine_rx, &stop, &metrics, &depth, &opts);
-                if served.is_none() {
-                    bury(&engine_rx, &depth, addr);
-                }
-                served
-            })?
+            .spawn(move || engine_loop(engine, &engine_rx, &stop, &metrics, &depth, &opts, addr))?
     };
 
     let accept_thread = {
@@ -331,12 +326,18 @@ fn spawn_session(
     conn.set_write_timeout(Some(opts.write_timeout)).ok();
     let write_half = conn.try_clone()?;
 
-    let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Receiver<Answer>>(opts.pipeline_cap.max(1));
+    let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Slot>(opts.pipeline_cap.max(1));
     let writer = {
         let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name(format!("ruleserv-w{conn_id}"))
-            .spawn(move || writer_loop(write_half, pipe_rx, &metrics))?
+            .spawn(move || {
+                writer_loop(&write_half, pipe_rx, &metrics);
+                // A writer that gave up (a write error or timeout) wakes
+                // the reader, so the session ends even if the client
+                // sends nothing more.
+                let _ = write_half.shutdown(Shutdown::Both);
+            })?
     };
 
     std::thread::Builder::new()
@@ -414,40 +415,38 @@ fn reader_loop(
             Err(_) => return,
         };
         clock.lap(Stage::Decode);
-
-        // Reply slot first, *then* the engine handoff: the slot queue
-        // is what fixes reply order, so it must observe requests in
-        // arrival order before anyone can fulfil them.
-        // Oneshot: exactly one reply ever crosses a slot, so the
-        // bound of 1 means the fulfilling side never blocks.
-        let (slot, slot_rx) = mpsc::sync_channel::<Answer>(1);
-        if pipe_tx.send(slot_rx).is_err() {
-            return; // writer died (socket error)
-        }
         let receipt = Receipt {
             op: op_index(&request),
             trace,
             started,
             clock,
         };
-        let ticket = Ticket { slot, receipt };
-
         let kind = match request {
             Request::Ping => {
                 // Answered here: liveness of the session must not
                 // depend on engine-queue headroom.
-                ticket.answer(Reply::Pong);
-                continue;
+                let pong = Slot::Ready(Box::new((Reply::Pong, Some(receipt))));
+                match pipe_tx.send(pong) {
+                    Ok(()) => continue,
+                    Err(_) => return, // writer died (socket error)
+                }
             }
             Request::Apply(record) => Kind::Apply(record),
-            Request::Subscribe => Kind::Subscribe {
-                conn: conn_id,
-                pipe: pipe_tx.clone(),
-            },
-            Request::Unsubscribe => Kind::Unsubscribe { conn: conn_id },
+            Request::Subscribe => Kind::Change(Change::Subscribe(conn_id, pipe_tx.clone())),
+            Request::Unsubscribe => Kind::Change(Change::Forget(conn_id)),
             Request::Health => Kind::Health,
             Request::Sync => Kind::Sync,
         };
+        // Reply slot first, *then* the engine handoff: the slot queue
+        // is what fixes reply order, so it must observe requests in
+        // arrival order before anyone can fulfil them.
+        // Oneshot: exactly one reply ever crosses a slot, so the
+        // bound of 1 means the fulfilling side never blocks.
+        let (slot, slot_rx) = mpsc::sync_channel::<Answer>(1);
+        if pipe_tx.send(Slot::Pending(slot_rx)).is_err() {
+            return; // writer died (socket error)
+        }
+        let ticket = Ticket { slot, receipt };
         let msg = EngineMsg::Request(Queued { kind, ticket });
         // Count the message before handing it over: the engine thread
         // decrements after processing, and may get there before a
@@ -477,22 +476,22 @@ fn reader_loop(
 /// The writer: drain slots in order, batch flushes. Exits when every
 /// slot producer (reader + engine subscription) is gone or the socket
 /// fails.
-fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Answer>>, metrics: &ServerMetrics) {
+fn writer_loop(conn: &TcpStream, pipe_rx: Receiver<Slot>, metrics: &ServerMetrics) {
     let mut out = BufWriter::with_capacity(64 * 1024, conn);
     // The receipts of the replies written since the last flush.
     let mut written: Vec<Receipt> = Vec::new();
     loop {
         // Prefer the non-blocking path so consecutive ready replies
         // share one flush; block (after flushing) only when idle.
-        let slot_rx = match pipe_rx.try_recv() {
-            Ok(rx) => rx,
+        let slot = match pipe_rx.try_recv() {
+            Ok(slot) => slot,
             Err(mpsc::TryRecvError::Empty) => {
                 if out.flush().is_err() {
                     return;
                 }
                 close(&mut written, metrics);
                 match pipe_rx.recv() {
-                    Ok(rx) => rx,
+                    Ok(slot) => slot,
                     Err(_) => return,
                 }
             }
@@ -503,10 +502,14 @@ fn writer_loop(conn: TcpStream, pipe_rx: Receiver<Receiver<Answer>>, metrics: &S
                 return;
             }
         };
-        // A dropped sender (engine shut down before fulfilling) skips
-        // the slot; the connection is going down anyway.
-        let Ok((reply, mut receipt)) = slot_rx.recv() else {
-            continue;
+        let (reply, mut receipt) = match slot {
+            Slot::Ready(answer) => *answer,
+            Slot::Pending(rx) => match rx.recv() {
+                Ok(answer) => answer,
+                // A dropped sender (engine shut down before fulfilling)
+                // skips the slot; the connection is going down anyway.
+                Err(_) => continue,
+            },
         };
         if let Some(receipt) = receipt.as_mut() {
             receipt.clock.lap(Stage::Handoff);
@@ -564,110 +567,13 @@ fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
     }
 }
 
-/// One subscriber: where to push events, and how many were dropped
-/// since the last one that fit.
-struct Subscriber {
-    pipe: SlotQueue,
-    lagged: u64,
-}
-
-impl Subscriber {
-    /// Best-effort push of one pre-fulfilled slot.
-    fn push(&mut self, reply: Reply, metrics: &ServerMetrics) {
-        if self.lagged > 0 {
-            let lag = Reply::Lagged(self.lagged);
-            if try_push(&self.pipe, lag) {
-                self.lagged = 0;
-            } else {
-                metrics.events_dropped.inc();
-                self.lagged += 1; // the event below is dropped too
-                return;
-            }
-        }
-        if !try_push(&self.pipe, reply) {
-            metrics.events_dropped.inc();
-            self.lagged += 1;
-        }
-    }
-}
-
-/// Queues an already-fulfilled slot; `false` when the pipe is full or
-/// the connection is gone.
-fn try_push(pipe: &SlotQueue, reply: Reply) -> bool {
-    let (tx, rx) = mpsc::sync_channel(1);
-    let _ = tx.send((reply, None));
-    pipe.try_send(rx).is_ok()
-}
-
-/// What a request leaves behind until its group's sync has landed.
-/// Everything outward-facing is held — the reply, and the effect on
-/// the subscriber set and its streams — and released in request order.
-struct Held {
-    /// `None` for a hangup, which answers nobody.
-    ack: Option<Ack>,
-    effect: Effect,
-}
-
-struct Ack {
-    ticket: Ticket,
-    reply: Reply,
-    /// The WAL sequence number the reply acknowledges, when the
-    /// request logged a record.
-    seq: Option<u64>,
-}
-
-enum Effect {
-    /// The firings of the record logged as `seq`, pushed to every
-    /// subscriber as [`Event`]s — built at release, and only if
-    /// someone subscribes (nobody, for most requests). The report's
-    /// bound tuples are shared handles, so holding them copies no row.
-    Events {
-        seq: u64,
-        report: FireReport,
-    },
-    Subscribe {
-        conn: u64,
-        pipe: SlotQueue,
-    },
-    /// Unsubscribe or hangup.
-    Forget {
-        conn: u64,
-    },
-}
-
-impl Effect {
-    /// A request that fired nothing.
-    const NO_EVENTS: Effect = Effect::Events {
-        seq: 0,
-        report: FireReport {
-            fired: Vec::new(),
-            bindings: Vec::new(),
-            ops_applied: 0,
-        },
-    };
-}
-
-/// The engine thread's state across groups.
-struct Committer<'a> {
-    subscribers: HashMap<u64, Subscriber>,
-    /// Reused from group to group.
-    held: Vec<Held>,
-    /// The request [`run`](Self::run) is inside, kept where a panic
-    /// under it cannot drop its reply slot unanswered.
-    running: Option<Ticket>,
-    applied: u64,
-    metrics: &'a ServerMetrics,
-    depth: &'a AtomicU64,
-    opts: &'a ServerOptions,
-}
-
-/// Why every reply after an engine-thread panic is an error.
-const ENGINE_DEAD: &str = "the engine thread died; the server is shutting down";
-
-/// Serves groups until shutdown and hands the engine back — or, if a
-/// group panics, raises the stop flag, answers what the group had
-/// taken in with [`Reply::Err`] and returns `None`: the engine's state
-/// is unknown from then on, so it is dropped, never touched again.
+/// Serves groups until shutdown and hands the engine back. If a group
+/// panics, the engine's state is unknown from then on, so it is
+/// dropped, never touched again: the stop flag goes up, the blocking
+/// accept is woken so the listener closes, and the core answers what it
+/// took, then every request queued or still handed over, with
+/// [`ENGINE_DEAD`](crate::commit::ENGINE_DEAD) — until the last session
+/// is gone; then `None`.
 fn engine_loop(
     mut engine: DurableRuleEngine,
     rx: &Receiver<EngineMsg>,
@@ -675,20 +581,14 @@ fn engine_loop(
     metrics: &ServerMetrics,
     depth: &AtomicU64,
     opts: &ServerOptions,
+    addr: SocketAddr,
 ) -> Option<DurableRuleEngine> {
-    let mut committer = Committer {
-        subscribers: HashMap::new(),
-        held: Vec::new(),
-        running: None,
-        applied: 0,
-        metrics,
-        depth,
-        opts,
-    };
+    let mut core = Core::default();
+    let mut applied = 0;
     let served = catch_unwind(AssertUnwindSafe(|| loop {
         // Checked every iteration (not only on idle timeouts) so a
         // saturating workload cannot postpone shutdown indefinitely.
-        let first = if stop.load(Ordering::Relaxed) {
+        let mut first = Some(if stop.load(Ordering::Relaxed) {
             // Drain what the readers managed to enqueue before they
             // saw the flag, then retire.
             match rx.try_recv() {
@@ -701,194 +601,135 @@ fn engine_loop(
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
-        };
-        committer.commit_group(&mut engine, first, rx);
+        });
+        // Group commit: `first` and what was queued behind it run back
+        // to back, each request its own WAL record, sequence number and
+        // reply; one `fdatasync` covers them all, and only then does the
+        // core let anything leave.
+        core.open(depth.load(Ordering::Relaxed));
+        let synced = engine.group(|engine| {
+            while let Some(msg) = core.pull(|| first.take().or_else(|| rx.try_recv().ok())) {
+                if let Some(kind) = take(&mut core, msg, depth) {
+                    run(&mut core, engine, kind, &mut applied, opts);
+                }
+            }
+        });
+        release(&mut core, &engine, synced.err(), metrics);
     }));
     if served.is_ok() {
         return Some(engine);
     }
     metrics.engine_dead.inc();
     stop.store(true, Ordering::Relaxed);
-    let held = committer.held.drain(..).filter_map(|held| held.ack);
-    for ticket in held.map(|ack| ack.ticket).chain(committer.running.take()) {
-        ticket.answer(Reply::Err(ENGINE_DEAD.into()));
-    }
-    None
-}
-
-/// After the engine thread died: wakes the blocking accept so the
-/// listener closes, then answers every queued request, and every one
-/// a session still hands over before it sees the stop flag, with
-/// [`Reply::Err`] — until the last session is gone.
-fn bury(rx: &Receiver<EngineMsg>, depth: &AtomicU64, addr: SocketAddr) {
     let _ = TcpStream::connect(wake_addr(addr));
-    for msg in rx {
-        if let EngineMsg::Request(Queued { ticket, .. }) = msg {
-            depth.fetch_sub(1, Ordering::Relaxed);
-            ticket.answer(Reply::Err(ENGINE_DEAD.into()));
-        }
+    loop {
+        core.abandon(|ticket, reply| ticket.answer(reply));
+        let msg = core.pull(|| rx.recv().ok())?;
+        take(&mut core, msg, depth);
     }
 }
 
-impl Committer<'_> {
-    /// Group commit: `first` and what was queued behind it when it
-    /// arrived run back to back — each request its own WAL record,
-    /// sequence number and reply — then one `fdatasync` covers them
-    /// all, and only then does anything leave the engine thread.
-    fn commit_group(
-        &mut self,
-        engine: &mut DurableRuleEngine,
-        first: EngineMsg,
-        rx: &Receiver<EngineMsg>,
-    ) {
-        // Closed to later arrivals: the group takes what the queue held
-        // when it opened (`first` is still counted in `depth`), so a
-        // client that keeps the queue full cannot hold everyone's
-        // replies back.
-        let limit = self.depth.load(Ordering::Relaxed);
-        let synced = engine.group(|engine| {
-            self.run(engine, first);
-            for _ in 1..limit {
-                match rx.try_recv() {
-                    Ok(msg) => self.run(engine, msg),
-                    Err(_) => break,
-                }
-            }
-        });
-        self.release(engine, synced.err());
-    }
-
-    /// Runs one request against the engine and holds its outcome.
-    fn run(&mut self, engine: &mut DurableRuleEngine, msg: EngineMsg) {
-        let Queued { kind, mut ticket } = match msg {
-            EngineMsg::Request(req) => req,
-            EngineMsg::Hangup { conn } => {
-                self.held.push(Held {
-                    ack: None,
-                    effect: Effect::Forget { conn },
-                });
-                return;
-            }
-        };
-        ticket.receipt.clock.lap(Stage::Queue);
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        // The run is `other`, but for an applied record's own stages
-        // and a sync's `wal`.
-        let (stage, applied) = match &kind {
-            Kind::Apply(_) => (Stage::Other, true),
-            Kind::Sync => (Stage::Wal, false),
-            _ => (Stage::Other, false),
-        };
-        let mut seq = None;
-        self.running = Some(ticket);
-        let (reply, effect) = match kind {
-            Kind::Apply(record) => {
-                let next = engine.next_seq();
-                let (reply, report) = shape(engine.apply(record), next);
-                // A request refused before logging acknowledges no
-                // sequence number.
-                seq = (engine.next_seq() > next).then_some(next);
-                self.applied += 1;
-                if self.opts.crash_after == Some(self.applied) {
-                    // The recovery-test window: this op's WAL append
-                    // has happened; its group's sync and every reply
-                    // of the group have not. A real crash here may
-                    // lose the group's unacknowledged tail, never an
-                    // acknowledged op.
-                    std::process::abort();
-                }
-                (reply, Effect::Events { seq: next, report })
-            }
-            Kind::Subscribe { conn, pipe } => (Reply::Unit, Effect::Subscribe { conn, pipe }),
-            Kind::Unsubscribe { conn } => (Reply::Unit, Effect::Forget { conn }),
-            Kind::Health => (Reply::Health(engine.health_text()), Effect::NO_EVENTS),
-            Kind::Sync => {
-                let reply = match engine.sync() {
-                    Ok(()) => Reply::Unit,
-                    Err(e) => Reply::Err(e.to_string()),
-                };
-                (reply, Effect::NO_EVENTS)
-            }
-        };
-        let ack = self.running.take().map(|mut ticket| {
-            let clock = &mut ticket.receipt.clock;
-            match applied {
-                true => clock.enclose(stage, engine.last_record()),
-                false => clock.lap(stage),
-            }
-            Ack { ticket, reply, seq }
-        });
-        self.held.push(Held { ack, effect });
-    }
-
-    /// Releases the group in request order. `failure` is the group
-    /// sync's error: memory is then ahead of disk, so every reply that
-    /// would acknowledge a logged record turns into an error and its
-    /// events stay unsent.
-    fn release(&mut self, engine: &DurableRuleEngine, failure: Option<DurableError>) {
-        let failure = failure.map(|e| e.to_string());
-        let acks = self.held.iter().filter_map(|held| held.ack.as_ref());
-        let released = acks.clone().count() as u64;
-        if released > 0 {
-            // The highest sequence number about to be acknowledged.
-            let high = match failure {
-                None => acks.filter_map(|ack| ack.seq).max(),
-                Some(_) => None,
-            };
-            debug_assert!(
-                engine.sync_policy() != SyncPolicy::Always || high <= Some(engine.durable_seq()),
-                "releasing sequence {high:?}, durable up to {}",
-                engine.durable_seq()
-            );
-            self.metrics.group_size.record(released);
-            self.metrics
-                .telemetry
-                .tracer()
-                .instant_with("commit_release", || {
-                    let mut args = vec![("size", released.to_string())];
-                    if let Some(seq) = high {
-                        args.push(("seq", seq.to_string()));
-                    }
-                    args
-                });
+/// Hands a message to the core — a request's ticket, counted out of
+/// `depth`, or a hangup — and returns what the engine is to run.
+fn take(core: &mut Core<Ticket, SlotQueue>, msg: EngineMsg, depth: &AtomicU64) -> Option<Kind> {
+    let Queued { kind, mut ticket } = match msg {
+        EngineMsg::Request(queued) => queued,
+        EngineMsg::Hangup { conn } => {
+            core.hangup(conn);
+            return None;
         }
-        for Held { ack, effect } in self.held.drain(..) {
-            match effect {
-                // A subscriber whose `Subscribe` was held earlier in
-                // this group is in the set by now, in request order.
-                Effect::Events { seq, report } => {
-                    if failure.is_none() && !self.subscribers.is_empty() {
-                        for (fired, bindings) in report.fired.iter().zip(&report.bindings) {
-                            let frame = Reply::Event(event(seq, fired, bindings));
-                            for sub in self.subscribers.values_mut() {
-                                sub.push(frame.clone(), self.metrics);
-                            }
-                        }
-                    }
-                }
-                Effect::Subscribe { conn, pipe } => {
-                    self.subscribers
-                        .insert(conn, Subscriber { pipe, lagged: 0 });
-                }
-                Effect::Forget { conn } => {
-                    self.subscribers.remove(&conn);
-                }
+    };
+    ticket.receipt.clock.lap(Stage::Queue);
+    depth.fetch_sub(1, Ordering::Relaxed);
+    core.take(ticket);
+    Some(kind)
+}
+
+/// Runs the request the core took last against the engine and settles
+/// its outcome there. The run is `other`, but for an applied record's
+/// own stages and a sync's `wal`.
+fn run(
+    core: &mut Core<Ticket, SlotQueue>,
+    engine: &mut DurableRuleEngine,
+    kind: Kind,
+    applied: &mut u64,
+    opts: &ServerOptions,
+) {
+    let quiet = || Change::Fired(FireReport::default());
+    let (reply, stage, change) = match kind {
+        Kind::Apply(record) => {
+            let next = engine.next_seq();
+            let (reply, report) = shape(engine.apply(record), next);
+            // A request refused before logging acknowledges no
+            // sequence number.
+            let seq = (engine.next_seq() > next).then_some(next);
+            *applied += 1;
+            if opts.crash_after == Some(*applied) {
+                // The recovery-test window: this op's WAL append has
+                // happened; its group's sync and every reply of the
+                // group have not. A real crash here may lose the group's
+                // unacknowledged tail, never an acknowledged op.
+                std::process::abort();
             }
-            let Some(Ack {
-                mut ticket,
-                mut reply,
-                seq,
-            }) = ack
-            else {
-                continue;
-            };
-            if let (Some(why), Some(_)) = (&failure, seq) {
-                reply = Reply::Err(why.clone());
-            }
-            ticket.receipt.clock.lap(Stage::GroupWait);
-            ticket.answer(reply);
+            let clock = &mut core.settle(reply, seq, Change::Fired(report)).receipt.clock;
+            clock.enclose(Stage::Other, engine.last_record());
+            return;
         }
+        Kind::Change(change) => (Reply::Unit, Stage::Other, change),
+        Kind::Health => (Reply::Health(engine.health_text()), Stage::Other, quiet()),
+        Kind::Sync => {
+            let reply = engine
+                .sync()
+                .map_or_else(|e| Reply::Err(e.to_string()), |()| Reply::Unit);
+            (reply, Stage::Wal, quiet())
+        }
+    };
+    core.settle(reply, None, change).receipt.clock.lap(stage);
+}
+
+/// Releases the group once its sync has returned: records its size and
+/// a `commit_release` instant carrying the highest sequence number it
+/// acknowledges, then lets the core answer and push. Every push that
+/// does not fit drops one event, so each counts in
+/// `server_events_dropped_total`.
+fn release(
+    core: &mut Core<Ticket, SlotQueue>,
+    engine: &DurableRuleEngine,
+    failure: Option<DurableError>,
+    metrics: &ServerMetrics,
+) {
+    let failure = failure.map(|e| e.to_string());
+    let (released, high) = core.acks();
+    let high = high.filter(|_| failure.is_none());
+    if released > 0 {
+        debug_assert!(
+            engine.sync_policy() != SyncPolicy::Always || high <= Some(engine.durable_seq()),
+            "releasing sequence {high:?}, durable up to {}",
+            engine.durable_seq()
+        );
+        metrics.group_size.record(released);
+        metrics
+            .telemetry
+            .tracer()
+            .instant_with("commit_release", || {
+                let mut args = vec![("size", released.to_string())];
+                if let Some(seq) = high {
+                    args.push(("seq", seq.to_string()));
+                }
+                args
+            });
     }
+    let push = |pipe: &SlotQueue, frame| {
+        let fits = pipe.try_send(Slot::Ready(Box::new((frame, None)))).is_ok();
+        if !fits {
+            metrics.events_dropped.inc();
+        }
+        fits
+    };
+    core.close(failure.as_deref(), push, |mut ticket, reply| {
+        ticket.receipt.clock.lap(Stage::GroupWait);
+        ticket.answer(reply);
+    });
 }
 
 /// Shapes the reply to one applied record, and hands back its report
@@ -914,22 +755,4 @@ fn shape(outcome: Result<Applied, DurableError>, seq: u64) -> (Reply, FireReport
             .collect(),
     });
     (reply, report)
-}
-
-/// The subscription [`Event`] of one firing of the record logged as
-/// `seq`, carrying the bound tuples of a join-rule firing.
-fn event(seq: u64, (rule, name): &(RuleId, RuleName), bindings: &[BoundTuple]) -> Event {
-    Event {
-        seq,
-        rule_id: rule.0,
-        rule: name.to_string(),
-        bindings: bindings
-            .iter()
-            .map(|b| EventBinding {
-                relation: b.relation.to_string(),
-                tuple_id: b.id.0,
-                values: b.tuple.values().to_vec(),
-            })
-            .collect(),
-    }
 }

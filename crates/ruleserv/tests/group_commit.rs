@@ -810,3 +810,27 @@ fn a_dead_engine_thread_answers_everyone_and_closes_the_server() {
     );
     std::fs::remove_dir_all(&fx.dir).unwrap();
 }
+
+/// A connection that is subscribed when the engine thread dies: the
+/// dead engine lets go of its pipe, so that session ends like every
+/// other and shutdown returns.
+#[test]
+fn a_dead_engine_thread_lets_its_subscribers_go() {
+    let fx = start("dead-subscriber", DURABLE, ServerOptions::default());
+    let mut holder = Client::connect(fx.server.addr()).unwrap();
+    let mut subscriber = Client::connect(fx.server.addr()).unwrap();
+    create_world(&fx, &mut holder);
+    assert_eq!(fx.call(&mut subscriber, &Request::Subscribe).kind(), "unit");
+
+    fx.close_gate(&mut holder);
+    fx.gate.explode.store(true, Ordering::Relaxed);
+    fx.gate.open.send(()).unwrap();
+    let reply = within_ten_seconds("the request that panicked", move || holder.recv_reply());
+    assert!(matches!(reply, Ok(Reply::Err(_))), "{reply:?}");
+
+    let Fixture { server, dir, .. } = fx;
+    let engine = within_ten_seconds("shutdown", move || server.shutdown().is_some());
+    assert!(!engine, "a dead engine is not handed back");
+    drop(subscriber);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

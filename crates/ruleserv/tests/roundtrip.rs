@@ -2,13 +2,18 @@
 //! clients, one of each opcode, pipelining, backpressure, and
 //! subscription streams.
 
+use durable::Record;
 use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec, SyncPolicy};
 use predicate::FunctionRegistry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
-use ruleserv::proto::read_frame;
+use ruleserv::proto::{encode_frame, read_frame};
 use ruleserv::{serve, Client, ClientError, Reply, Request, ServerHandle, ServerOptions};
-use std::sync::Arc;
+use std::io::{ErrorKind, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use telemetry::Registry;
 
@@ -605,4 +610,261 @@ fn a_hostile_schema_arity_closes_one_connection_not_the_daemon() {
             .len(),
         1
     );
+}
+
+/// A rule on `relation` named `name` whose firing only logs.
+fn logging_rule(name: String, relation: &str) -> RuleSpec {
+    RuleSpec {
+        name,
+        condition: format!("{relation}.v >= 0"),
+        mask: EventMask::INSERT_UPDATE,
+        priority: 0,
+        action: ActionSpec::Log("hit".into()),
+    }
+}
+
+/// One subscriber that stops reading, beside a writer that floods it
+/// with firings: every write is answered, and once the subscriber
+/// drains and one more event fits, every firing has reached it as an
+/// event or inside a `Lagged` count — and the counts are exactly the
+/// server's drops.
+#[test]
+fn a_subscription_flood_is_counted_exactly() {
+    const RULES: usize = 16;
+    const WRITES: usize = 200;
+    let opts = ServerOptions {
+        pipeline_cap: 2,
+        ..ServerOptions::default()
+    };
+    let (server, registry) = start("flood", opts);
+    let mut writer = Client::connect(server.addr()).unwrap();
+    let mut subscriber = Client::connect(server.addr()).unwrap();
+    for name in ["f", "g"] {
+        let schema = Schema::builder(name).attr("v", AttrType::Int).build();
+        writer.create_relation(schema).unwrap();
+    }
+    // Long names make every event a 2 KiB frame: a burst outruns the
+    // subscriber's writer thread, and the flood outgrows its socket.
+    for r in 0..RULES {
+        let name = format!("flood{r}-{}", "x".repeat(2 << 10));
+        writer.add_rule(logging_rule(name, "f")).unwrap();
+    }
+    writer.add_rule(logging_rule("last".into(), "g")).unwrap();
+    subscriber.subscribe().unwrap();
+
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut fired = 0;
+    for _ in 0..WRITES {
+        let ack = writer
+            .insert("f", vec![Value::Int(rng.gen_range(0..1000))])
+            .unwrap();
+        fired += ack.fired.len() as u64;
+    }
+    assert_eq!(fired, (WRITES * RULES) as u64);
+
+    // Drain what reached the subscriber, until two reads in a row see
+    // nothing at all.
+    let (mut events, mut quiet) = (0, 0);
+    while quiet < 2 {
+        let lagged = subscriber.lagged();
+        match subscriber.wait_event(Duration::from_millis(300)).unwrap() {
+            Some(_) => (events, quiet) = (events + 1, 0),
+            None if subscriber.lagged() == lagged => quiet += 1,
+            None => quiet = 0,
+        }
+    }
+    // One more event fits now, behind the `Lagged` frame that
+    // announces every drop since the last event that fit.
+    fired += writer.insert("g", vec![Value::Int(0)]).unwrap().fired.len() as u64;
+    loop {
+        let lagged = subscriber.lagged();
+        match subscriber.wait_event(Duration::from_secs(5)).unwrap() {
+            Some(event) => {
+                events += 1;
+                if event.rule == "last" {
+                    break;
+                }
+            }
+            None => assert_ne!(subscriber.lagged(), lagged, "the last event never came"),
+        }
+    }
+    assert!(
+        subscriber.lagged() > 0,
+        "the flood never overflowed two slots"
+    );
+    assert_eq!(events + subscriber.lagged(), fired);
+    assert_eq!(
+        registry.counter_value("server_events_dropped_total"),
+        Some(subscriber.lagged())
+    );
+    server.shutdown().unwrap();
+}
+
+/// A client that keeps pipelining requests but stops reading their
+/// replies: once its socket has been full for `write_timeout`, the
+/// server drops that connection, while a bystander on another one is
+/// served before and after, and the server still shuts down. The
+/// client reads again only a second (five write timeouts) later, by
+/// which time the server has given up on it.
+#[test]
+fn a_client_that_keeps_sending_but_stops_reading_is_dropped_alone() {
+    let opts = ServerOptions {
+        pipeline_cap: 8,
+        write_timeout: Duration::from_millis(200),
+        ..ServerOptions::default()
+    };
+    let (server, _) = start("stall", opts);
+    let mut bystander = Client::connect(server.addr()).unwrap();
+    for name in ["w", "q"] {
+        let schema = Schema::builder(name).attr("v", AttrType::Int).build();
+        bystander.create_relation(schema).unwrap();
+    }
+    // Every insert into `w` is acknowledged with this rule's name, so
+    // each of its replies is a 16 KiB frame.
+    let name = "x".repeat(16 << 10);
+    bystander.add_rule(logging_rule(name, "w")).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut stalled = TcpStream::connect(server.addr()).unwrap();
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut sent = 0;
+    while sent < 4096 {
+        let insert = Request::Apply(Record::Insert {
+            relation: "w".into(),
+            values: vec![Value::Int(rng.gen_range(0..1000))],
+        });
+        let (opcode, payload) = insert.encode();
+        if stalled.write_all(&encode_frame(opcode, &payload)).is_err() {
+            break; // the server stopped reading it
+        }
+        sent += 1;
+    }
+    let mut serve = |base: i64| {
+        for v in base..base + 20 {
+            let ack = bystander.insert("q", vec![Value::Int(v)]).unwrap();
+            assert!(ack.seq > 0);
+        }
+        bystander.ping().unwrap();
+    };
+    serve(0);
+    // Well past the write timeout: the server has given up on it.
+    std::thread::sleep(Duration::from_secs(1));
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut replies = 0;
+    let mut reader = std::io::BufReader::new(&stalled);
+    let end = loop {
+        match read_frame(&mut reader) {
+            Ok(Some(_)) => replies += 1,
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+    };
+    assert!(
+        !matches!(&end, Some(ruleserv::ProtoError::Io(e)) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut),
+        "the stalled connection is still open after {replies} replies"
+    );
+    assert!(
+        replies < sent,
+        "all {sent} replies arrived: nothing stalled"
+    );
+    serve(20);
+
+    let (done, handed_back) = mpsc::sync_channel(1);
+    std::thread::spawn(move || done.send(server.shutdown().is_some()));
+    let engine = handed_back.recv_timeout(Duration::from_secs(10));
+    assert_eq!(engine, Ok(true), "shutdown hands the engine back");
+}
+
+/// A subscriber that stops reading *and* sending: once its socket has
+/// been full for `write_timeout`, its session ends and the engine lets
+/// go of it, so later firings drop no more events. The writer on
+/// another connection is answered throughout, the subscriber's socket
+/// ends after what was buffered, and the server still shuts down.
+#[test]
+fn a_subscriber_that_stops_reading_and_sending_is_let_go() {
+    const RULES: usize = 16;
+    let opts = ServerOptions {
+        pipeline_cap: 2,
+        write_timeout: Duration::from_millis(200),
+        ..ServerOptions::default()
+    };
+    let (server, registry) = start("silent", opts);
+    let mut writer = Client::connect(server.addr()).unwrap();
+    let schema = Schema::builder("s").attr("v", AttrType::Int).build();
+    writer.create_relation(schema).unwrap();
+    // Long names make every event a 16 KiB frame.
+    for r in 0..RULES {
+        let name = format!("s{r}-{}", "x".repeat(16 << 10));
+        writer.add_rule(logging_rule(name, "s")).unwrap();
+    }
+    // Subscribes, reads that reply, then neither reads nor sends again.
+    let mut silent = TcpStream::connect(server.addr()).unwrap();
+    let (opcode, payload) = Request::Subscribe.encode();
+    silent.write_all(&encode_frame(opcode, &payload)).unwrap();
+    let mut reader = std::io::BufReader::new(&silent);
+    let (opcode, payload) = read_frame(&mut reader).unwrap().unwrap();
+    assert_eq!(Reply::decode(opcode, &payload).unwrap(), Reply::Unit);
+    let counters = || {
+        let counter = |name| registry.counter_value(name).unwrap_or(0);
+        (
+            counter("server_events_dropped_total"),
+            counter("server_bytes_total{dir=\"out\"}"),
+        )
+    };
+
+    // Every write fires 16 events of 16 KiB each into a 2-slot pipe.
+    // While the subscriber is held, each write drops some of them, or
+    // they all fit because its writer took at least 14 — each counted
+    // in the bytes out before its socket write. A write that drops
+    // nothing and sends out less than one event beside its own reply
+    // says the subscriber was let go.
+    let mut rng = StdRng::seed_from_u64(22);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut writes = 0;
+    loop {
+        let (dropped, out) = counters();
+        let ack = writer
+            .insert("s", vec![Value::Int(rng.gen_range(0..1000))])
+            .unwrap();
+        assert_eq!(ack.fired.len(), RULES);
+        writes += 1;
+        let (_, payload) = Reply::Fire(ack).encode();
+        let replied = 9 + payload.len() as u64;
+        let now = counters();
+        if now.0 == dropped && now.1 - out - replied < 16 << 10 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "after {writes} writes the silent subscriber is still held: {} events dropped",
+            now.0
+        );
+    }
+    assert!(counters().0 > 0, "the subscriber's socket never filled");
+    writer.ping().unwrap();
+
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut frames = 0;
+    let end = loop {
+        match read_frame(&mut reader) {
+            Ok(Some(_)) => frames += 1,
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+    };
+    assert!(
+        !matches!(&end, Some(ruleserv::ProtoError::Io(e)) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut),
+        "the silent connection is still open after {frames} frames"
+    );
+
+    let (done, handed_back) = mpsc::sync_channel(1);
+    std::thread::spawn(move || done.send(server.shutdown().is_some()));
+    let engine = handed_back.recv_timeout(Duration::from_secs(10));
+    assert_eq!(engine, Ok(true), "shutdown hands the engine back");
 }

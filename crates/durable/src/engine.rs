@@ -441,7 +441,8 @@ impl DurableRuleEngine {
         // A fail-stopped log stays stopped: memory may hold operations
         // that were answered with an error.
         self.wal.check_poisoned()?;
-        let _span = self.engine.telemetry().tracer().span("durable_snapshot");
+        let tracer = self.engine.telemetry().tracer();
+        let _span = tracer.span("durable_snapshot", []);
         let last = self.wal.next_seq() - 1;
         snapshot::take(&self.dir, &self.engine, &self.specs, last, &self.metrics)?;
         // Only truncate the log after the snapshot rename is durable;

@@ -187,16 +187,17 @@ pub fn replay(
 }
 
 /// [`replay`] with span tracing: the snapshot load and the WAL-suffix
-/// replay each get a span in `tracer`'s ring, so a recovery that ends
-/// in a `Corrupt` refusal leaves its last steps in the flight
+/// replay each get a span in `tracer`'s ring (the replay's carries the
+/// last sequence number and the frames replayed), so a recovery that
+/// ends in a `Corrupt` refusal leaves its last steps in the flight
 /// recorder.
-pub fn replay_traced(
+pub(crate) fn replay_traced(
     dir: &Path,
     funcs: &FunctionRegistry,
     actions: &ActionRegistry,
     tracer: &telemetry::Tracer,
 ) -> Result<Recovered, RecoverError> {
-    let snapshot_span = tracer.span("recovery_snapshot_load");
+    let snapshot_span = tracer.span("recovery_snapshot_load", []);
     let (mut engine, mut action_specs, mut last_seq) = match read_snapshot(dir)? {
         Some(snap) => {
             let mut db = Database::new();
@@ -277,7 +278,7 @@ pub fn replay_traced(
     };
     drop(snapshot_span);
 
-    let replay_span = tracer.span("recovery_wal_replay");
+    let replay_span = tracer.span("recovery_wal_replay", []);
     let suffix = read_wal(&dir.join(WAL_FILE))?;
     let mut frames_replayed = 0;
     for (seq, record) in suffix.records {
@@ -294,13 +295,7 @@ pub fn replay_traced(
         last_seq = seq;
         frames_replayed += 1;
     }
-    drop(replay_span);
-    tracer.instant_with("recovery_done", || {
-        vec![
-            ("last_seq", last_seq.to_string()),
-            ("frames_replayed", frames_replayed.to_string()),
-        ]
-    });
+    replay_span.close([("last_seq", last_seq), ("frames_replayed", frames_replayed)]);
 
     Ok(Recovered {
         engine,

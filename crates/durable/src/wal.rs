@@ -204,13 +204,13 @@ impl Wal {
         }
     }
 
-    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+    fn write_frame(&self, frame: &[u8]) -> io::Result<()> {
         #[cfg(test)]
         if self.fail_next_write.take() {
-            self.file.write_all(&frame[..frame.len() / 2])?;
+            (&self.file).write_all(&frame[..frame.len() / 2])?;
             return Err(io::Error::other("injected write fault"));
         }
-        self.file.write_all(frame)
+        (&self.file).write_all(frame)
     }
 
     fn sync_file(&self) -> io::Result<()> {
@@ -223,24 +223,21 @@ impl Wal {
 
     /// Appends one record, returning its sequence number. The frame is
     /// written in full (buffered only by the OS); whether it is forced
-    /// to stable storage is the [`SyncPolicy`]'s call.
+    /// to stable storage is the [`SyncPolicy`]'s call. The `wal_append`
+    /// span covers the write; a sync the policy calls for follows it.
     pub fn append(&mut self, record: &Record) -> io::Result<u64> {
         self.check_poisoned()?;
         let seq = self.next_seq;
         let payload = record.encode();
         let frame = encode_frame(seq, &payload);
-        // The handle is cloned so the span guard does not borrow
-        // `self` across the mutable `sync` call below (the fsync span
-        // still nests inside this one).
-        let tracer = self.metrics.tracer.clone();
-        let _span = tracer.span_with("wal_append", || {
-            vec![("seq", seq.to_string()), ("bytes", frame.len().to_string())]
-        });
-        if let Err(e) = self.write_frame(&frame) {
-            return Err(self.poison(e));
-        }
+        let bytes = frame.len() as u64;
+        let tracer = &self.metrics.tracer;
+        let span = tracer.span("wal_append", [("seq", seq), ("bytes", bytes)]);
+        let written = self.write_frame(&frame);
+        drop(span);
+        written.map_err(|e| self.poison(e))?;
         self.metrics.appends.inc();
-        self.metrics.append_bytes.add(frame.len() as u64);
+        self.metrics.append_bytes.add(bytes);
         self.next_seq += 1;
         self.unsynced += 1;
         match self.policy {
@@ -255,7 +252,7 @@ impl Wal {
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
         self.check_poisoned()?;
-        let span = self.metrics.tracer.span("wal_fsync");
+        let span = self.metrics.tracer.span("wal_fsync", []);
         let timer = self.metrics.fsync_nanos.start_timer();
         let synced = self.sync_file();
         drop(span);

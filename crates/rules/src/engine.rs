@@ -717,15 +717,10 @@ impl RuleEngine {
         let mut report = FireReport::default();
         let mut levels = 0u64;
         let result = self.chain_level_inner(level, &mut report, &mut levels);
-        self.telemetry
-            .tracer()
-            .record("op", &self.clock, &Stage::ALL, || {
-                vec![
-                    ("levels", levels.to_string()),
-                    ("events", report.ops_applied.to_string()),
-                    ("firings", report.fired.len().to_string()),
-                ]
-            });
+        let (events, firings) = (report.ops_applied as u64, report.fired.len() as u64);
+        let args = [("levels", levels), ("events", events), ("firings", firings)];
+        let tracer = self.telemetry.tracer();
+        tracer.record("op", &self.clock, &Stage::ALL, args);
         self.repaired(result).map(|()| report)
     }
 

@@ -23,7 +23,7 @@ use predindex::{MatchLanes, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, FireReport, Registry, Rule, RuleEngine, Telemetry};
 use std::sync::Arc;
-use telemetry::{CostSnapshot, StageClock};
+use telemetry::{CostSnapshot, StageClock, Tracer};
 
 /// Inserts `rows` one tuple at a time and concatenates the reports.
 fn one_at_a_time(engine: &mut RuleEngine, relation: &str, rows: Vec<Vec<Value>>) -> FireReport {
@@ -174,6 +174,41 @@ fn emp_dept() -> RuleEngine {
         db.create_relation(schema.build()).expect("fresh relation");
     }
     RuleEngine::new(db)
+}
+
+/// Once its ring has wrapped, a tracer adds no allocation to a warm op:
+/// each event is one closed interval whose args are held inline, and
+/// the op's record goes in without a buffer. Both engines run the stage
+/// clock (the profiler starts it, as a tracer does), so the one
+/// difference between them is the tracer.
+#[test]
+fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
+    let tracer = Tracer::new(16);
+    let profiled = || Telemetry::new(Arc::new(Registry::new())).with_profiling();
+    let mut engines = [profiled(), profiled().with_tracer(tracer.clone())].map(|telemetry| {
+        let mut engine = emp_dept();
+        engine.attach_metrics(telemetry);
+        let rule = Rule::builder("paid")
+            .when("emp.salary > 10")
+            .expect("parses");
+        engine
+            .add_rule(rule.then(Action::log("seen")).build())
+            .expect("emp has salary");
+        engine
+    });
+    let row = |i: i64| vec![Value::Int(i % 3), Value::Int(i)];
+    let counts = engines.each_mut().map(|engine| {
+        for i in 0..BATCH as i64 {
+            engine.insert("emp", row(i)).expect("warm-up row");
+        }
+        let (report, counts) = counted(|| engine.insert("emp", row(BATCH as i64)));
+        assert_eq!(report.expect("measured row").fired.len(), 1);
+        counts
+    });
+    assert!(tracer.dropped() > 0, "the ring never wrapped");
+    assert!(counts[0].calls > 0, "the op writes a tuple");
+    assert_eq!(counts[1], counts[0], "traced against untraced");
+    assert_eq!(engines[0].log(), engines[1].log());
 }
 
 #[test]

@@ -76,11 +76,21 @@ impl From<ProtoError> for ClientError {
     }
 }
 
+/// A frame the server pushed, as [`Client::wait_event`] hands it over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Pushed {
+    /// A rule firing on a subscribed connection.
+    Event(Event),
+    /// The server dropped this many events since the last one that fit
+    /// (also added to [`Client::lagged`]).
+    Lagged(u64),
+}
+
 /// One connection to a rule server.
 pub struct Client {
     writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
-    events: VecDeque<Event>,
+    pushed: VecDeque<Pushed>,
     lagged: u64,
 }
 
@@ -93,7 +103,7 @@ impl Client {
         Ok(Client {
             writer: BufWriter::with_capacity(64 * 1024, stream),
             reader: BufReader::with_capacity(64 * 1024, read_half),
-            events: VecDeque::new(),
+            pushed: VecDeque::new(),
             lagged: 0,
         })
     }
@@ -117,13 +127,9 @@ impl Client {
     pub fn recv_reply(&mut self) -> Result<Reply, ClientError> {
         self.flush()?;
         loop {
-            let Some((opcode, payload)) = read_frame(&mut self.reader)? else {
-                return Err(ClientError::Closed);
-            };
-            match Reply::decode(opcode, &payload)? {
-                Reply::Event(e) => self.events.push_back(e),
-                Reply::Lagged(n) => self.lagged += n,
-                reply => return Ok(reply),
+            match self.next_frame()? {
+                Ok(pushed) => self.pushed.push_back(pushed),
+                Err(reply) => return Ok(reply),
             }
         }
     }
@@ -135,29 +141,38 @@ impl Client {
         self.lagged
     }
 
-    /// Blocks up to `timeout` for the next pushed event while the
-    /// connection is idle (no replies outstanding). Returns `None` on
-    /// timeout.
-    pub fn wait_event(&mut self, timeout: Duration) -> Result<Option<Event>, ClientError> {
-        if let Some(e) = self.events.pop_front() {
-            return Ok(Some(e));
+    /// The next frame: a pushed one as [`Pushed`] (a `Lagged` count is
+    /// added to [`lagged`](Self::lagged)), any other reply as it is.
+    fn next_frame(&mut self) -> Result<Result<Pushed, Reply>, ClientError> {
+        let Some((opcode, payload)) = read_frame(&mut self.reader)? else {
+            return Err(ClientError::Closed);
+        };
+        Ok(match Reply::decode(opcode, &payload)? {
+            Reply::Event(e) => Ok(Pushed::Event(e)),
+            Reply::Lagged(n) => {
+                self.lagged += n;
+                Ok(Pushed::Lagged(n))
+            }
+            reply => Err(reply),
+        })
+    }
+
+    /// Blocks up to `timeout` for the next pushed frame while the
+    /// connection is idle (no replies outstanding). Returns `None` only
+    /// when nothing arrived before the timeout.
+    pub fn wait_event(&mut self, timeout: Duration) -> Result<Option<Pushed>, ClientError> {
+        if let Some(pushed) = self.pushed.pop_front() {
+            return Ok(Some(pushed));
         }
         self.flush()?;
         self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        let result = match read_frame(&mut self.reader) {
-            Ok(Some((opcode, payload))) => match Reply::decode(opcode, &payload)? {
-                Reply::Event(e) => Ok(Some(e)),
-                Reply::Lagged(n) => {
-                    self.lagged += n;
-                    Ok(None)
-                }
-                reply => Err(ClientError::Unexpected {
-                    wanted: "event",
-                    got: reply.kind().to_string(),
-                }),
-            },
-            Ok(None) => Err(ClientError::Closed),
-            Err(ProtoError::Io(e))
+        let result = match self.next_frame() {
+            Ok(Ok(pushed)) => Ok(Some(pushed)),
+            Ok(Err(reply)) => Err(ClientError::Unexpected {
+                wanted: "event",
+                got: reply.kind().to_string(),
+            }),
+            Err(ClientError::Io(e))
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -165,7 +180,7 @@ impl Client {
             {
                 Ok(None)
             }
-            Err(e) => Err(e.into()),
+            Err(e) => Err(e),
         };
         self.reader.get_ref().set_read_timeout(None)?;
         result

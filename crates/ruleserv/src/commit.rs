@@ -175,7 +175,9 @@ impl<T, P> Core<T, P> {
                     }
                 }
                 Change::Subscribe(conn, pipe) => {
-                    self.subscribers.insert(conn, (pipe, 0));
+                    // A second subscribe keeps the count not yet announced.
+                    let lagged = self.subscribers.get(&conn).map_or(0, |s| s.1);
+                    self.subscribers.insert(conn, (pipe, lagged));
                 }
                 Change::Forget(conn) => {
                     self.subscribers.remove(&conn);

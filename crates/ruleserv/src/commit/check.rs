@@ -546,7 +546,7 @@ fn every_interleaving_keeps_the_six_rules() {
     // Each script with the slot-queue bounds it runs under: one slot
     // makes every push race the writer; two let a `Lagged` frame fit
     // where its event then does not.
-    let scripts: [(&Script, &[usize]); 4] = [
+    let scripts: [(&Script, &[usize]); 5] = [
         // A subscriber that may never drain, beside two writes.
         (&[&[Subscribe, Ping], &[Write(2), Write(2)]], &[1, 2]),
         // A subscriber that hangs up while a third connection pings.
@@ -564,6 +564,9 @@ fn every_interleaving_keeps_the_six_rules() {
             &[&[Subscribe, Write(1)], &[Subscribe, Write(2), Hangup]],
             &[1],
         ),
+        // A subscriber that subscribes again after a write its full
+        // pipe dropped: the drop count survives the second subscribe.
+        (&[&[Subscribe, Subscribe], &[Write(2), Write(1)]], &[1, 2]),
     ];
     let mut total = 0;
     for (script, pipes) in scripts {

@@ -62,6 +62,6 @@ mod metrics;
 pub mod proto;
 pub mod server;
 
-pub use client::{Client, ClientError};
+pub use client::{Client, ClientError, Pushed};
 pub use proto::{Event, FireSummary, ProtoError, Reply, Request};
 pub use server::{serve, ServerHandle, ServerOptions};

@@ -83,7 +83,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::{wake_addr, Stage, StageClock};
+use telemetry::{wake_addr, ArgValue, Args, Stage, StageClock};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -553,13 +553,11 @@ fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
             let op = OP_NAMES[receipt.op];
             let (profiler, tracer) = (metrics.telemetry.profiler(), metrics.telemetry.tracer());
             profiler.record_request(op, receipt.trace, record);
-            tracer.record("server_request", clock, &SERVER_STAGES, || {
-                let mut args = vec![("op", op.to_string())];
-                if let Some(id) = receipt.trace {
-                    args.push(("trace", format!("{id:#x}")));
-                }
-                args
-            });
+            let args = Args::NONE.with("op", ArgValue::Label(op));
+            let args = receipt
+                .trace
+                .map_or(args, |id| args.with("trace", ArgValue::Num(id)));
+            tracer.record("server_request", clock, &SERVER_STAGES, args);
         } else {
             let nanos = telemetry::nanos(flushed.duration_since(receipt.started));
             metrics.record_op(receipt.op, nanos);
@@ -708,16 +706,9 @@ fn release(
             engine.durable_seq()
         );
         metrics.group_size.record(released);
-        metrics
-            .telemetry
-            .tracer()
-            .instant_with("commit_release", || {
-                let mut args = vec![("size", released.to_string())];
-                if let Some(seq) = high {
-                    args.push(("seq", seq.to_string()));
-                }
-                args
-            });
+        let args = Args::from([("size", released)]);
+        let args = high.map_or(args, |seq| args.with("seq", ArgValue::Num(seq)));
+        metrics.telemetry.tracer().mark("commit_release", args);
     }
     let push = |pipe: &SlotQueue, frame| {
         let fits = pipe.try_send(Slot::Ready(Box::new((frame, None)))).is_ok();

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use relation::{AttrType, Schema, Value};
 use rules::EventMask;
 use ruleserv::proto::{encode_frame, read_frame, OP_NAMES};
-use ruleserv::{serve, Client, Reply, Request, ServerHandle, ServerOptions};
+use ruleserv::{serve, Client, Pushed, Reply, Request, ServerHandle, ServerOptions};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::{Registry, SpanEventKind, Stage, StageRecord, Telemetry, TraceEvent, Tracer};
+use telemetry::{Registry, Stage, StageRecord, Telemetry, TraceEvent, Tracer};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ruleserv-group-{tag}-{}", std::process::id()));
@@ -213,22 +213,14 @@ impl Fixture {
     }
 }
 
-fn arg<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a str> {
-    event
-        .args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v.as_str())
-}
-
 /// `(nanos, size, highest released seq)` of every `commit_release`.
 fn releases(events: &[TraceEvent]) -> Vec<(u64, u64, Option<u64>)> {
     events
         .iter()
-        .filter(|e| e.kind == SpanEventKind::Instant && e.name == "commit_release")
+        .filter(|e| e.dur == 0 && e.name == "commit_release")
         .map(|e| {
-            let size = arg(e, "size").expect("size").parse().unwrap();
-            (e.nanos, size, arg(e, "seq").map(|s| s.parse().unwrap()))
+            let size = e.args.num("size").expect("size");
+            (e.nanos, size, e.args.num("seq"))
         })
         .collect()
 }
@@ -286,27 +278,18 @@ fn durability_order_holds(tag: &str, snapshot_every: Option<u64>) {
     assert_eq!(fx.tracer.dropped(), 0, "the ring holds the whole run");
     let events = fx.tracer.events();
 
-    // Span ends carry no name: pair them with their begins by id.
-    let mut open: HashMap<u64, &TraceEvent> = HashMap::new();
+    // Each span is one closed interval: `nanos` to `nanos + dur`.
     let mut append_end: HashMap<u64, u64> = HashMap::new();
     let mut covers: Vec<(u64, u64)> = Vec::new();
     for event in &events {
-        match event.kind {
-            SpanEventKind::Begin => {
-                open.insert(event.span, event);
+        let end = event.nanos + event.dur;
+        match event.name {
+            "wal_append" => {
+                let seq = event.args.num("seq").expect("seq");
+                append_end.insert(seq, end);
             }
-            SpanEventKind::End => match open.remove(&event.span) {
-                Some(begin) if begin.name == "wal_append" => {
-                    let seq = arg(begin, "seq").expect("seq").parse().unwrap();
-                    append_end.insert(seq, event.nanos);
-                }
-                Some(begin) if matches!(begin.name, "wal_fsync" | "durable_snapshot") => {
-                    covers.push((begin.nanos, event.nanos));
-                }
-                _ => {}
-            },
-            SpanEventKind::Instant => {}
-            SpanEventKind::Complete { .. } => {}
+            "wal_fsync" | "durable_snapshot" => covers.push((event.nanos, end)),
+            _ => {}
         }
     }
     let releases = releases(&events);
@@ -537,7 +520,10 @@ fn a_group_keeps_subscriptions_in_request_order() {
     // A round trip later every event of the group has been pushed.
     client.ping().unwrap();
     let mut events = Vec::new();
-    while let Some(e) = client.wait_event(Duration::from_millis(100)).unwrap() {
+    while let Some(pushed) = client.wait_event(Duration::from_millis(100)).unwrap() {
+        let Pushed::Event(e) = pushed else {
+            panic!("no drops at this depth")
+        };
         events.push(e.seq);
     }
     assert_eq!(events, vec![seqs[1]], "only the insert between the two");

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
 use ruleserv::proto::{encode_frame, read_frame};
-use ruleserv::{serve, Client, ClientError, Reply, Request, ServerHandle, ServerOptions};
+use ruleserv::{serve, Client, ClientError, Pushed, Reply, Request, ServerHandle, ServerOptions};
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
@@ -269,10 +269,9 @@ fn subscriptions_stream_rule_firings_to_other_connections() {
     writer
         .insert("emp", vec![Value::Str("ann".into()), Value::Int(500)])
         .unwrap();
-    let event = watcher
-        .wait_event(Duration::from_secs(5))
-        .unwrap()
-        .expect("the firing must be pushed to the subscriber");
+    let Some(Pushed::Event(event)) = watcher.wait_event(Duration::from_secs(5)).unwrap() else {
+        panic!("the firing must be pushed to the subscriber");
+    };
     assert_eq!(event.rule_id, rule);
     assert_eq!(event.rule, "watchme");
 
@@ -348,10 +347,9 @@ fn join_rules_fire_over_the_wire_with_bound_tuples() {
         .insert("emp", vec![Value::Str("al".into()), Value::Int(4)])
         .unwrap();
     assert_eq!(ack.fired.len(), 1);
-    let event = watcher
-        .wait_event(Duration::from_secs(5))
-        .unwrap()
-        .expect("join firing must be pushed");
+    let Some(Pushed::Event(event)) = watcher.wait_event(Duration::from_secs(5)).unwrap() else {
+        panic!("join firing must be pushed");
+    };
     assert_eq!(event.rule_id, rule);
     assert_eq!(event.rule, "same-dept");
     assert_eq!(event.bindings.len(), 2, "bindings: {:?}", event.bindings);
@@ -372,10 +370,9 @@ fn join_rules_fire_over_the_wire_with_bound_tuples() {
         .insert("emp", vec![Value::Str("al".into()), Value::Int(4)])
         .unwrap();
     assert_eq!(again.fired.len(), 1, "one firing after delete+reinsert");
-    let event = watcher
-        .wait_event(Duration::from_secs(5))
-        .unwrap()
-        .expect("re-completed join must be pushed");
+    let Some(Pushed::Event(event)) = watcher.wait_event(Duration::from_secs(5)).unwrap() else {
+        panic!("re-completed join must be pushed");
+    };
     assert_eq!(event.bindings.len(), 2);
     server.shutdown().unwrap();
 }
@@ -496,14 +493,11 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
         .filter(|e| e.name == "server_request")
         .collect();
     assert_eq!(requests.len(), 3, "each reply flushed leaves one event");
-    let arg = |e: &telemetry::TraceEvent, key: &str| {
-        let (_, value) = e.args.iter().find(|(k, _)| *k == key)?;
-        Some(value.clone())
+    let label = |e: &telemetry::TraceEvent, key: &str| match e.args.get(key)? {
+        telemetry::ArgValue::Label(label) => Some(label),
+        telemetry::ArgValue::Num(_) => None,
     };
-    let dur = |e: &telemetry::TraceEvent| match e.kind {
-        telemetry::SpanEventKind::Complete { dur } => dur,
-        kind => panic!("{} is a {kind:?} event", e.name),
-    };
+    let dur = |e: &telemetry::TraceEvent| e.dur;
     let registry = engine.telemetry().registry();
     for request in &requests {
         // The children tile the request: the server's own stages and
@@ -530,7 +524,7 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
         assert!(children.iter().any(|c| c.name == "engine"));
         // Its duration is what `server_request_nanos` observed for the
         // op's one request.
-        let op = arg(request, "op").expect("op arg");
+        let op = label(request, "op").expect("op arg");
         let name = format!("server_request_nanos{{op=\"{op}\"}}");
         assert_eq!(
             registry.histogram_totals(&name),
@@ -538,18 +532,14 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
             "{op}"
         );
     }
-    let traced = |id: &str| {
-        requests
-            .iter()
-            .find(|e| arg(e, "trace").as_deref() == Some(id))
-    };
-    let create = traced("0xabc0").expect("create_relation trace id missing");
-    let insert = traced("0xabc1").expect("insert trace id missing");
-    assert_eq!(arg(create, "op").as_deref(), Some("create_relation"));
-    assert_eq!(arg(insert, "op").as_deref(), Some("insert"));
+    let traced = |id: u64| requests.iter().find(|e| e.args.num("trace") == Some(id));
+    let create = traced(0xabc0).expect("create_relation trace id missing");
+    let insert = traced(0xabc1).expect("insert trace id missing");
+    assert_eq!(label(create, "op"), Some("create_relation"));
+    assert_eq!(label(insert, "op"), Some("insert"));
     let untraced_health = requests
         .iter()
-        .any(|e| arg(e, "op").as_deref() == Some("health") && arg(e, "trace").is_none());
+        .any(|e| label(e, "op") == Some("health") && e.args.get("trace").is_none());
     assert!(
         untraced_health,
         "an untraced request leaves a trace-less event"
@@ -623,6 +613,60 @@ fn logging_rule(name: String, relation: &str) -> RuleSpec {
     }
 }
 
+/// Events pushed to `subscriber` until two reads in a row see nothing
+/// at all (`Lagged` notices are counted by the client).
+fn drain(subscriber: &mut Client) -> u64 {
+    let (mut events, mut quiet) = (0, 0);
+    while quiet < 2 {
+        match subscriber.wait_event(Duration::from_millis(300)).unwrap() {
+            Some(Pushed::Event(_)) => (events, quiet) = (events + 1, 0),
+            Some(Pushed::Lagged(_)) => quiet = 0,
+            None => quiet += 1,
+        }
+    }
+    events
+}
+
+/// Events pushed to `subscriber` up to and including the firing of the
+/// rule named `last`.
+fn events_through_last(subscriber: &mut Client) -> u64 {
+    let mut events = 0;
+    loop {
+        let pushed = subscriber.wait_event(Duration::from_secs(5)).unwrap();
+        if let Pushed::Event(event) = pushed.expect("the last event never came") {
+            events += 1;
+            if event.rule == "last" {
+                return events;
+            }
+        }
+    }
+}
+
+/// A flooded subscriber with `RULES` 2 KiB-named rules on `f` and one
+/// rule `last` on `g`: the server, its registry, a writer, and a
+/// subscriber whose pipe holds two slots.
+fn flood_fixture(tag: &str, rules: usize) -> (ServerHandle, Arc<Registry>, Client, Client) {
+    let opts = ServerOptions {
+        pipeline_cap: 2,
+        ..ServerOptions::default()
+    };
+    let (server, registry) = start(tag, opts);
+    let mut writer = Client::connect(server.addr()).unwrap();
+    let subscriber = Client::connect(server.addr()).unwrap();
+    for name in ["f", "g"] {
+        let schema = Schema::builder(name).attr("v", AttrType::Int).build();
+        writer.create_relation(schema).unwrap();
+    }
+    // Long names make every event a 2 KiB frame: a burst outruns the
+    // subscriber's writer thread, and the flood outgrows its socket.
+    for r in 0..rules {
+        let name = format!("flood{r}-{}", "x".repeat(2 << 10));
+        writer.add_rule(logging_rule(name, "f")).unwrap();
+    }
+    writer.add_rule(logging_rule("last".into(), "g")).unwrap();
+    (server, registry, writer, subscriber)
+}
+
 /// One subscriber that stops reading, beside a writer that floods it
 /// with firings: every write is answered, and once the subscriber
 /// drains and one more event fits, every firing has reached it as an
@@ -632,24 +676,7 @@ fn logging_rule(name: String, relation: &str) -> RuleSpec {
 fn a_subscription_flood_is_counted_exactly() {
     const RULES: usize = 16;
     const WRITES: usize = 200;
-    let opts = ServerOptions {
-        pipeline_cap: 2,
-        ..ServerOptions::default()
-    };
-    let (server, registry) = start("flood", opts);
-    let mut writer = Client::connect(server.addr()).unwrap();
-    let mut subscriber = Client::connect(server.addr()).unwrap();
-    for name in ["f", "g"] {
-        let schema = Schema::builder(name).attr("v", AttrType::Int).build();
-        writer.create_relation(schema).unwrap();
-    }
-    // Long names make every event a 2 KiB frame: a burst outruns the
-    // subscriber's writer thread, and the flood outgrows its socket.
-    for r in 0..RULES {
-        let name = format!("flood{r}-{}", "x".repeat(2 << 10));
-        writer.add_rule(logging_rule(name, "f")).unwrap();
-    }
-    writer.add_rule(logging_rule("last".into(), "g")).unwrap();
+    let (server, registry, mut writer, mut subscriber) = flood_fixture("flood", RULES);
     subscriber.subscribe().unwrap();
 
     let mut rng = StdRng::seed_from_u64(20);
@@ -663,35 +690,48 @@ fn a_subscription_flood_is_counted_exactly() {
     assert_eq!(fired, (WRITES * RULES) as u64);
 
     // Drain what reached the subscriber, until two reads in a row see
-    // nothing at all.
-    let (mut events, mut quiet) = (0, 0);
-    while quiet < 2 {
-        let lagged = subscriber.lagged();
-        match subscriber.wait_event(Duration::from_millis(300)).unwrap() {
-            Some(_) => (events, quiet) = (events + 1, 0),
-            None if subscriber.lagged() == lagged => quiet += 1,
-            None => quiet = 0,
-        }
-    }
-    // One more event fits now, behind the `Lagged` frame that
-    // announces every drop since the last event that fit.
+    // nothing at all; then one more event fits, behind the `Lagged`
+    // frame that announces every drop since the last event that fit.
+    let mut events = drain(&mut subscriber);
     fired += writer.insert("g", vec![Value::Int(0)]).unwrap().fired.len() as u64;
-    loop {
-        let lagged = subscriber.lagged();
-        match subscriber.wait_event(Duration::from_secs(5)).unwrap() {
-            Some(event) => {
-                events += 1;
-                if event.rule == "last" {
-                    break;
-                }
-            }
-            None => assert_ne!(subscriber.lagged(), lagged, "the last event never came"),
-        }
-    }
+    events += events_through_last(&mut subscriber);
     assert!(
         subscriber.lagged() > 0,
         "the flood never overflowed two slots"
     );
+    assert_eq!(events + subscriber.lagged(), fired);
+    assert_eq!(
+        registry.counter_value("server_events_dropped_total"),
+        Some(subscriber.lagged())
+    );
+    server.shutdown().unwrap();
+}
+
+/// A flooded subscriber that subscribes again before it has read a
+/// `Lagged` notice: the second subscribe keeps the count of what the
+/// first one missed, so the next notice still announces every drop.
+#[test]
+fn a_second_subscribe_keeps_the_pending_drop_count() {
+    const RULES: usize = 16;
+    const WRITES: usize = 100;
+    let (server, registry, mut writer, mut subscriber) = flood_fixture("resubscribe", RULES);
+    subscriber.subscribe().unwrap();
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut fired = 0;
+    for _ in 0..WRITES {
+        let ack = writer
+            .insert("f", vec![Value::Int(rng.gen_range(0..1000))])
+            .unwrap();
+        fired += ack.fired.len() as u64;
+    }
+    // The reply to the second subscribe queues behind the pushed
+    // frames, which the call reads on its way to it.
+    subscriber.subscribe().unwrap();
+    let mut events = drain(&mut subscriber);
+    let dropped = registry.counter_value("server_events_dropped_total");
+    assert!(dropped > Some(subscriber.lagged()), "no drop was pending");
+    fired += writer.insert("g", vec![Value::Int(0)]).unwrap().fired.len() as u64;
+    events += events_through_last(&mut subscriber);
     assert_eq!(events + subscriber.lagged(), fired);
     assert_eq!(
         registry.counter_value("server_events_dropped_total"),

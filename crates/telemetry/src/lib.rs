@@ -17,10 +17,9 @@
 //!   actually took (relation hash, per-attribute stab work, the
 //!   non-indexable sweep, residual pass/fail per predicate), rendered
 //!   as a human-readable report mirroring the paper's §5.2 cost table.
-//! * **Span tracing** — a [`Tracer`] ring of begin/end/instant events
-//!   with per-thread nesting and a Chrome trace-event JSON export
-//!   (Perfetto-loadable), the same disabled-path contract as the
-//!   registry. The ring doubles as a [`FlightRecorder`] post-mortem
+//! * **Span tracing** — a [`Tracer`] ring of closed intervals with
+//!   inline numeric args and a Perfetto-loadable Chrome trace-event
+//!   JSON export, the same disabled-path contract as the registry. The ring doubles as a [`FlightRecorder`] post-mortem
 //!   buffer, and [`serve`] exposes `/metrics`, `/health`, and `/trace`
 //!   over a dependency-free HTTP responder.
 //! * **One JSON writer** — [`json::JsonWriter`] renders every JSON
@@ -83,7 +82,7 @@ pub use registry::Registry;
 pub use server::{serve, wake_addr, HealthFn, ServerHandle};
 pub use stages::{nanos, Stage, StageClock, StageRecord};
 pub use trace::{
-    chrome_trace_json, Span, SpanEventKind, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,
+    chrome_trace_json, ArgValue, Args, Span, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! let telemetry = Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(256));
 //! telemetry.registry().counter("rules_fired_total").add(3);
 //! {
-//!     let _s = telemetry.tracer().span("durable_snapshot");
+//!     let _s = telemetry.tracer().span("durable_snapshot", []);
 //! }
 //! let recorder = FlightRecorder::new(telemetry, &dir);
 //! let path = recorder.dump("doc-example").unwrap();
@@ -152,7 +152,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("rules_fired_total").add(7);
         {
-            let _s = tracer.span("wal_append");
+            let _s = tracer.span("wal_append", [("seq", 1)]);
         }
         let recorder = FlightRecorder::new(Telemetry::new(registry).with_tracer(tracer), &dir);
         let path = recorder.dump("unit test!").unwrap();
@@ -164,7 +164,7 @@ mod tests {
         assert!(text.contains("rules_fired_total 7"));
         assert!(text.contains("\"name\":\"wal_append\""));
         // Dumping snapshots rather than drains: evidence survives.
-        assert_eq!(recorder.telemetry.tracer().events().len(), 2);
+        assert_eq!(recorder.telemetry.tracer().events().len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 

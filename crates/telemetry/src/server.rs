@@ -258,7 +258,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("predindex_match_tuples_total").add(5);
         let tracer = Tracer::new(64);
-        tracer.instant_with("ping", Vec::new);
+        tracer.mark("ping", []);
         let server = serve(
             "127.0.0.1:0",
             Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone()),
@@ -383,7 +383,7 @@ mod tests {
         const EVENTS: usize = 500;
         let tracer = Tracer::new(2048);
         for _ in 0..EVENTS {
-            tracer.instant_with("race_evt", Vec::new);
+            tracer.mark("race_evt", []);
         }
         let server = serve(
             "127.0.0.1:0",

@@ -1,16 +1,15 @@
-//! Tracing: a bounded ring of structured events.
+//! Tracing: a bounded ring of closed intervals.
 //!
 //! Where the metric [`Registry`](crate::Registry) answers "how much
 //! work, in total", the [`Tracer`] answers "where did *this second* of
-//! time go". [`record`](Tracer::record) pushes an op's closed
-//! [`StageRecord`] as one complete event with a child per stage, which
-//! sum to it exactly; [`span`](Tracer::span) and
-//! [`instant_with`](Tracer::instant_with) mark what no record times (the
-//! durability layer's appends, syncs, snapshots and recovery). Each
-//! event carries monotonic nanoseconds, a span id, the id of the span
-//! open around it on its thread, a static name and a small key/value
-//! payload. The ring is fixed-capacity — old events are evicted, never
-//! reallocated — so it doubles as a flight recorder (see
+//! time go". Every event is pushed once, closed: [`record`](Tracer::record)
+//! pushes an op's [`StageRecord`] as one event with a child per stage,
+//! which sum to it exactly; a [`span`](Tracer::span) guard pushes one
+//! event on drop for what no record times (the durability layer's
+//! appends, syncs, snapshots and recovery), and [`mark`](Tracer::mark)
+//! one of length zero. An event's [`Args`] are held inline, so a push
+//! into a full ring allocates nothing. The ring is fixed-capacity — old
+//! events are evicted — so it doubles as a flight recorder (see
 //! [`crate::FlightRecorder`]). A [`Tracer::disabled`] handle costs one
 //! branch per would-be event: no clock read, no lock, no id.
 //! [`chrome_trace_json`](Tracer::chrome_trace_json) renders the ring for
@@ -21,26 +20,27 @@
 //!
 //! let tracer = Tracer::new(1024);
 //! {
-//!     let _append = tracer.span("wal_append");
-//!     tracer.instant_with("commit_release", Vec::new);
+//!     let _append = tracer.span("wal_append", [("seq", 7), ("bytes", 40)]);
+//!     tracer.mark("commit_release", [("size", 1)]);
 //! }
 //! let mut clock = StageClock::start(true);
 //! clock.lap(Stage::Stab);
 //! clock.lap(Stage::Fire);
-//! tracer.record("op", &clock, &Stage::ALL, Vec::new);
-//! // A begin, an instant and an end; then `op`, `stab` and `fire`.
-//! assert_eq!(tracer.events().len(), 6);
+//! tracer.record("op", &clock, &Stage::ALL, []);
+//! // The mark, then the span it closed inside; then `op`, `stab` and
+//! // `fire`.
+//! assert_eq!(tracer.events().len(), 5);
+//! assert_eq!(tracer.events()[1].args.num("seq"), Some(7));
 //! assert!(tracer.chrome_trace_json().contains("\"ph\":\"X\""));
 //!
 //! // Disabled: same call sites, nothing recorded.
 //! let off = Tracer::disabled();
-//! off.record("op", &clock, &Stage::ALL, Vec::new);
+//! off.record("op", &clock, &Stage::ALL, []);
 //! assert!(off.events().is_empty());
 //! ```
 
 use crate::json::JsonWriter;
 use crate::stages::{nanos, Stage, StageClock, StageRecord};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -48,38 +48,87 @@ use std::time::Instant;
 /// Default event capacity of a [`Tracer`] ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
-/// What kind of moment an event records.
+/// The most args one event carries (the `residual` stage child's four).
+const MAX_ARGS: usize = 4;
+
+/// One arg's value: a count, or a label from a closed vocabulary
+/// (`server_request`'s `op`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanEventKind {
-    /// A span opened.
-    Begin,
-    /// A span closed (matched to its `Begin` by span id).
-    End,
-    /// A point-in-time marker inside the current span.
-    Instant,
-    /// A closed interval of `dur` nanoseconds from the event's `nanos`.
-    Complete { dur: u64 },
+pub enum ArgValue {
+    Num(u64),
+    Label(&'static str),
 }
 
-/// One ring entry.
-#[derive(Debug, Clone)]
+/// An event's key/value payload, held inline: at most four pairs. An array of `(key, u64)` pairs converts into one;
+/// [`with`](Args::with) adds a label or an optional pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Args([Option<(&'static str, ArgValue)>; MAX_ARGS]);
+
+impl Args {
+    /// No args.
+    pub const NONE: Args = Args([None; MAX_ARGS]);
+
+    /// These args and `key = value` (past four, the pair is dropped:
+    /// the vocabulary is closed, so that is a bug).
+    pub fn with(mut self, key: &'static str, value: ArgValue) -> Args {
+        let free = self.0.iter_mut().find(|pair| pair.is_none());
+        debug_assert!(free.is_some(), "{key}: more than {MAX_ARGS} args");
+        if let Some(pair) = free {
+            *pair = Some((key, value));
+        }
+        self
+    }
+
+    /// The pairs, in the order they were added.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, ArgValue)> + '_ {
+        self.0.iter().flatten().copied()
+    }
+
+    /// The value of `key`, if the event carries it.
+    pub fn get(&self, key: &str) -> Option<ArgValue> {
+        self.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The count `key`, if the event carries it as one.
+    pub fn num(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            ArgValue::Num(n) => Some(n),
+            ArgValue::Label(_) => None,
+        }
+    }
+}
+
+impl<const N: usize> From<[(&'static str, u64); N]> for Args {
+    fn from(pairs: [(&'static str, u64); N]) -> Args {
+        const { assert!(N <= MAX_ARGS, "more args than an event holds") };
+        pairs.into_iter().fold(Args::NONE, |args, (key, n)| {
+            args.with(key, ArgValue::Num(n))
+        })
+    }
+}
+
+/// One ring entry: a closed interval (an instant is `dur: 0`).
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
-    pub kind: SpanEventKind,
     /// Static name — span names are a closed vocabulary, not data.
     pub name: &'static str,
-    /// Span id (`Begin`/`End` share it; every other event gets its own).
+    /// This event's id.
     pub span: u64,
-    /// Enclosing span id on the same thread, 0 at top level.
+    /// The record this event is a stage child of; 0 for every other
+    /// event, which nests by time on its `tid`.
     pub parent: u64,
-    /// Monotonic nanoseconds since the tracer was constructed.
+    /// Monotonic nanoseconds since the tracer was constructed, at the
+    /// interval's start.
     pub nanos: u64,
+    /// The interval's length in nanoseconds.
+    pub dur: u64,
     /// Small dense thread id (1, 2, ... in first-use order).
     pub tid: u64,
-    /// Small key/value payload (an `End` carries none).
-    pub args: Vec<(&'static str, String)>,
+    pub args: Args,
 }
 
 /// Fixed-capacity circular buffer.
+#[derive(Default)]
 struct Ring {
     buf: Vec<TraceEvent>,
     /// Next write position once the buffer is full.
@@ -89,22 +138,22 @@ struct Ring {
 }
 
 impl Ring {
-    fn push(&mut self, capacity: usize, ev: TraceEvent) {
-        if self.buf.len() < capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % capacity;
-            self.dropped += 1;
+    fn push(&mut self, capacity: usize, events: impl IntoIterator<Item = TraceEvent>) {
+        for ev in events {
+            if self.buf.len() < capacity {
+                self.buf.push(ev);
+            } else {
+                self.buf[self.head] = ev;
+                self.head = (self.head + 1) % capacity;
+                self.dropped += 1;
+            }
         }
     }
 
     /// Oldest-first snapshot.
     fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        let (old, new) = self.buf.split_at(self.head);
+        [new, old].concat()
     }
 }
 
@@ -120,12 +169,6 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// Dense per-thread id, assigned on first trace from the thread.
     static THREAD_ID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    /// The stack of open span ids on this thread (top = current parent).
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn thread_id() -> u64 {
-    THREAD_ID.with(|&t| t)
 }
 
 /// A cheap, clonable handle to one bounded event ring.
@@ -161,22 +204,17 @@ impl Tracer {
         Tracer::with(true, capacity.max(16))
     }
 
-    /// The no-op recorder: every span/instant call is one branch.
+    /// The no-op recorder: every span/mark/record call is one branch.
     pub fn disabled() -> Tracer {
         Tracer::with(false, 0)
     }
 
     fn with(enabled: bool, capacity: usize) -> Tracer {
-        let ring = Ring {
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
-        };
         let inner = TracerInner {
             epoch: Instant::now(),
             capacity,
             next_span: AtomicU64::new(1),
-            ring: Mutex::new(ring),
+            ring: Mutex::default(),
         };
         Tracer {
             enabled,
@@ -209,129 +247,86 @@ impl Tracer {
         self.inner.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// An event of this thread at `at` (nanoseconds since the epoch),
-    /// under the innermost span open on it.
-    fn event(
-        &self,
-        kind: SpanEventKind,
-        name: &'static str,
-        span: u64,
-        at: Option<Instant>,
-        args: Vec<(&'static str, String)>,
-    ) -> TraceEvent {
-        let at = at.unwrap_or_else(Instant::now);
+    /// A top-level event of this thread from `start`, `dur` long.
+    fn event(&self, name: &'static str, start: Instant, dur: u64, args: Args) -> TraceEvent {
         TraceEvent {
-            kind,
             name,
-            span,
-            parent: SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0)),
-            nanos: nanos(at.saturating_duration_since(self.inner.epoch)),
-            tid: thread_id(),
+            span: self.next_id(),
+            parent: 0,
+            nanos: nanos(start.saturating_duration_since(self.inner.epoch)),
+            dur,
+            tid: THREAD_ID.with(|&t| t),
             args,
         }
     }
 
-    /// Pushes `events` under one lock, so they sit together in the ring.
-    fn push(&self, events: impl IntoIterator<Item = TraceEvent>) {
-        let mut ring = self.ring();
-        for ev in events {
-            ring.push(self.inner.capacity, ev);
-        }
+    fn push(&self, event: TraceEvent) {
+        self.ring().push(self.inner.capacity, [event]);
     }
 
-    /// Opens a span; the returned guard records the matching `End` when
+    /// Opens a span; the returned guard pushes it, closed, when
     /// dropped. Disabled: a branch and an inert guard.
     #[inline]
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        self.span_with(name, Vec::new)
+    pub fn span(&self, name: &'static str, args: impl Into<Args>) -> Span<'_> {
+        let open = self.enabled.then(|| (self, Instant::now(), args.into()));
+        Span { name, open }
     }
 
-    /// [`span`](Self::span) with a lazily built payload — `args` runs
-    /// only when the tracer is enabled, so call sites pay nothing to
-    /// describe spans they never record.
-    pub fn span_with(
-        &self,
-        name: &'static str,
-        args: impl FnOnce() -> Vec<(&'static str, String)>,
-    ) -> Span<'_> {
-        if !self.enabled {
-            return Span {
-                tracer: None,
-                id: 0,
-            };
-        }
-        let id = self.next_id();
-        let begin = self.event(SpanEventKind::Begin, name, id, None, args());
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        self.push([begin]);
-        Span {
-            tracer: Some(self),
-            id,
-        }
-    }
-
-    /// Records a point-in-time event inside the current span, with a
-    /// lazily built payload (`Vec::new` for none).
-    pub fn instant_with(
-        &self,
-        name: &'static str,
-        args: impl FnOnce() -> Vec<(&'static str, String)>,
-    ) {
+    /// Pushes a zero-length event now.
+    pub fn mark(&self, name: &'static str, args: impl Into<Args>) {
         if self.enabled {
-            let id = self.next_id();
-            self.push([self.event(SpanEventKind::Instant, name, id, None, args())]);
+            self.push(self.event(name, Instant::now(), 0, args.into()));
         }
     }
 
-    /// Pushes `clock`'s record as one [`Complete`](SpanEventKind::Complete)
-    /// event `name`, from where the clock started for the record's
-    /// total, and under it one complete child per stage the clock
-    /// lapped, laid end to end from the parent's start in
-    /// [`Stage::ALL`] order, so the children's durations sum to the
+    /// Pushes `clock`'s record as one event `name`, from where the
+    /// clock started for the record's total, and under it one child per
+    /// stage the clock lapped, laid end to end from the parent's start
+    /// in [`Stage::ALL`] order, so the children's durations sum to the
     /// parent's exactly. A stage in `own` is a child of its own name,
     /// carrying its `laps` (and `stab` and `residual` their work
     /// counts); consecutive stages a layer does not own ran in the
-    /// engine it wraps, and are one `engine` child. Disabled, or with
-    /// the clock off: nothing, and `args` never runs.
+    /// engine it wraps, and are one `engine` child. All go in under one
+    /// lock, so they sit together in the ring. Disabled, or with the
+    /// clock off: nothing.
     pub fn record(
         &self,
         name: &'static str,
         clock: &StageClock,
         own: &[Stage],
-        args: impl FnOnce() -> Vec<(&'static str, String)>,
+        args: impl Into<Args>,
     ) {
         let Some(start) = self.enabled.then(|| clock.started()).flatten() else {
             return;
         };
         let record = clock.record();
-        let mut children: Vec<(&'static str, u64, _)> = Vec::new();
+        let parent = self.event(name, start, record.total(), args.into());
+        let mut ring = self.ring();
+        ring.push(self.inner.capacity, [parent]);
+        let mut child: Option<TraceEvent> = None;
         for stage in Stage::ALL.into_iter().filter(|&s| record.laps(s) > 0) {
-            let dur = record.nanos(stage);
-            match children.last_mut() {
-                _ if own.contains(&stage) => {
-                    children.push((stage.name(), dur, stage_args(stage, record)));
-                }
-                Some(("engine", engine, _)) => *engine += dur,
-                _ => children.push(("engine", dur, Vec::new())),
+            let (dur, owned) = (record.nanos(stage), own.contains(&stage));
+            if let Some(engine) = child.as_mut().filter(|c| !owned && c.name == "engine") {
+                engine.dur += dur;
+                continue;
             }
-        }
-        let (id, total) = (self.next_id(), record.total());
-        let kind = SpanEventKind::Complete { dur: total };
-        let parent = self.event(kind, name, id, Some(start), args());
-        let mut at = parent.nanos;
-        let children = children.into_iter().map(|(name, dur, args)| {
-            let kind = SpanEventKind::Complete { dur };
-            let child = self.event(kind, name, self.next_id(), Some(start), args);
-            let nanos = at;
-            at += dur;
-            TraceEvent {
-                parent: id,
+            let (name, args) = match owned {
+                true => (stage.name(), stage_args(stage, record)),
+                false => ("engine", Args::NONE),
+            };
+            let nanos = child.map_or(parent.nanos, |c| c.nanos + c.dur);
+            let next = TraceEvent {
+                name,
+                span: self.next_id(),
+                parent: parent.span,
                 nanos,
-                ..child
-            }
-        });
-        let events: Vec<TraceEvent> = std::iter::once(parent).chain(children).collect();
-        self.push(events);
+                dur,
+                args,
+                ..parent
+            };
+            ring.push(self.inner.capacity, child.replace(next));
+        }
+        ring.push(self.inner.capacity, child);
     }
 
     /// Oldest-first snapshot of the ring (non-destructive).
@@ -361,56 +356,59 @@ impl Tracer {
     }
 }
 
-/// An open span; records its `End` event on drop.
-///
-/// Must be dropped on the thread that opened it (RAII scoping
-/// guarantees this for ordinary `let` bindings).
+/// An open span: it keeps its start and args, and pushes one closed
+/// event when dropped. Until then the ring does not show it.
 pub struct Span<'a> {
-    tracer: Option<&'a Tracer>,
-    id: u64,
+    name: &'static str,
+    open: Option<(&'a Tracer, Instant, Args)>,
+}
+
+impl Span<'_> {
+    /// Closes the span now, with `args` added to those it opened with.
+    pub fn close(mut self, args: impl Into<Args>) {
+        if let Some((_, _, open)) = &mut self.open {
+            *open = args.into().iter().fold(*open, |a, (k, v)| a.with(k, v));
+        }
+    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(tracer) = self.tracer else { return };
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Pop our own frame; tolerate a foreign top (mis-scoped
-            // guard) by searching, so the stack cannot corrupt.
-            if s.last() == Some(&self.id) {
-                s.pop();
-            } else if let Some(i) = s.iter().rposition(|&x| x == self.id) {
-                s.remove(i);
-            }
-        });
-        tracer.push([tracer.event(SpanEventKind::End, "", self.id, None, Vec::new())]);
+        if let Some((tracer, start, args)) = self.open {
+            let dur = nanos(start.elapsed());
+            tracer.push(tracer.event(self.name, start, dur, args));
+        }
     }
 }
 
 /// A stage child's payload: its laps, and the work counts of the two
 /// matching stages.
-fn stage_args(stage: Stage, record: &StageRecord) -> Vec<(&'static str, String)> {
-    let work = &record.work;
-    let counts: &[(&'static str, u64)] = match stage {
-        Stage::Stab => &[("ibs_nodes", work.ibs_nodes), ("ibs_marks", work.ibs_marks)],
-        Stage::Residual => &[
-            ("residual_tests", work.residual_tests),
-            ("residual_passes", work.residual_passes),
-            ("non_indexable", work.non_indexable),
-        ],
-        _ => &[],
-    };
-    let mut args = vec![("laps", record.laps(stage).to_string())];
-    args.extend(counts.iter().map(|&(k, v)| (k, v.to_string())));
-    args
+fn stage_args(stage: Stage, record: &StageRecord) -> Args {
+    let (laps, w) = (u64::from(record.laps(stage)), &record.work);
+    match stage {
+        Stage::Stab => [
+            ("laps", laps),
+            ("ibs_nodes", w.ibs_nodes),
+            ("ibs_marks", w.ibs_marks),
+        ]
+        .into(),
+        Stage::Residual => [
+            ("laps", laps),
+            ("residual_tests", w.residual_tests),
+            ("residual_passes", w.residual_passes),
+            ("non_indexable", w.non_indexable),
+        ]
+        .into(),
+        _ => [("laps", laps)].into(),
+    }
 }
 
 /// Renders events in the Chrome trace-event JSON object format
-/// (`{"traceEvents": [...]}`). Timestamps and durations are
-/// microseconds with nanosecond fractions; span and parent ids ride in
-/// `args` so Perfetto's query view can reconstruct the tree explicitly
-/// (the implicit B/E stack and the X intervals per `tid` already nest
-/// correctly).
+/// (`{"traceEvents": [...]}`), each a complete `"ph":"X"` event.
+/// Timestamps and durations are microseconds with nanosecond
+/// fractions; span and parent ids ride in `args` so Perfetto's query
+/// view can rebuild a record's tree explicitly (the intervals per `tid`
+/// already nest by time).
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -419,30 +417,21 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     for ev in events {
         w.begin_object();
         w.key("name").string(ev.name);
-        w.key("ph").string(match ev.kind {
-            SpanEventKind::Begin => "B",
-            SpanEventKind::End => "E",
-            SpanEventKind::Instant => "i",
-            SpanEventKind::Complete { .. } => "X",
-        });
+        w.key("ph").string("X");
         w.key("ts").float(ev.nanos as f64 / 1_000.0, 3);
-        if let SpanEventKind::Complete { dur } = ev.kind {
-            w.key("dur").float(dur as f64 / 1_000.0, 3);
-        }
+        w.key("dur").float(ev.dur as f64 / 1_000.0, 3);
         w.key("pid").uint(1);
         w.key("tid").uint(ev.tid);
-        if matches!(ev.kind, SpanEventKind::Instant) {
-            w.key("s").string("t");
+        w.key("args").begin_object();
+        w.key("span").uint(ev.span);
+        w.key("parent").uint(ev.parent);
+        for (k, v) in ev.args.iter() {
+            match v {
+                ArgValue::Num(n) => w.key(k).uint(n),
+                ArgValue::Label(label) => w.key(k).string(label),
+            };
         }
-        if !matches!(ev.kind, SpanEventKind::End) {
-            w.key("args").begin_object();
-            w.key("span").uint(ev.span);
-            w.key("parent").uint(ev.parent);
-            for (k, v) in &ev.args {
-                w.key(k).string(v);
-            }
-            w.end_object();
-        }
+        w.end_object();
         w.end_object();
     }
     w.end_array();
@@ -455,43 +444,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_nest_by_thread_stack() {
+    fn a_span_is_one_closed_event_pushed_when_it_closes() {
         let tracer = Tracer::new(64);
         {
-            let _a = tracer.span("outer");
-            let _b = tracer.span_with("inner", || vec![("k", "v".to_string())]);
-            tracer.instant_with("tick", Vec::new);
+            let _a = tracer.span("outer", []);
+            let _b = tracer.span("inner", [("k", 7)]);
+            tracer.mark("tick", []);
         }
         let events = tracer.events();
-        assert_eq!(events.len(), 5);
-        let outer = &events[0];
-        let inner = &events[1];
-        assert_eq!(outer.kind, SpanEventKind::Begin);
-        assert_eq!(outer.parent, 0);
-        assert_eq!(inner.parent, outer.span);
-        assert_eq!(inner.args, vec![("k", "v".to_string())]);
-        let tick = &events[2];
-        assert_eq!(tick.kind, SpanEventKind::Instant);
-        assert_eq!(tick.parent, inner.span);
-        // LIFO drop order: inner ends before outer.
-        assert_eq!(events[3].kind, SpanEventKind::End);
-        assert_eq!(events[3].span, inner.span);
-        assert_eq!(events[4].span, outer.span);
-        assert!(events.windows(2).all(|w| w[0].nanos <= w[1].nanos));
+        let names: Vec<_> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["tick", "inner", "outer"], "close order");
+        let (tick, inner, outer) = (&events[0], &events[1], &events[2]);
+        assert_eq!(inner.args.num("k"), Some(7));
+        assert_eq!(tick.dur, 0);
+        assert!(events.iter().all(|e| e.parent == 0));
+        // Nesting is by time: the inner interval lies inside the outer,
+        // the mark inside both.
+        let end = |e: &TraceEvent| e.nanos + e.dur;
+        assert!(outer.nanos <= inner.nanos && end(inner) <= end(outer));
+        assert!(inner.nanos <= tick.nanos && end(tick) <= end(inner));
+    }
+
+    #[test]
+    fn a_span_closed_with_args_carries_both_sets() {
+        let tracer = Tracer::new(64);
+        let span = tracer.span("recovery_wal_replay", [("from", 1)]);
+        span.close([("last_seq", 9), ("frames_replayed", 4)]);
+        let events = tracer.events();
+        let args: Vec<_> = events[0].args.iter().collect();
+        assert_eq!(
+            args,
+            [
+                ("from", ArgValue::Num(1)),
+                ("last_seq", ArgValue::Num(9)),
+                ("frames_replayed", ArgValue::Num(4)),
+            ]
+        );
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let mut built = false;
         {
-            let _s = tracer.span_with("x", || {
-                built = true;
-                Vec::new()
-            });
-            tracer.instant_with("y", Vec::new);
+            let _s = tracer.span("x", [("k", 1)]);
+            tracer.mark("y", []);
         }
-        assert!(!built, "args closure must not run when disabled");
+        tracer.span("z", []).close([("k", 2)]);
         assert!(tracer.events().is_empty());
         assert_eq!(tracer.dropped(), 0);
         assert!(!tracer.is_enabled());
@@ -501,12 +499,12 @@ mod tests {
     fn ring_wraps_at_capacity_keeping_the_newest() {
         let tracer = Tracer::new(16);
         for _ in 0..40 {
-            tracer.instant_with("e", Vec::new);
+            tracer.mark("e", []);
         }
         let events = tracer.events();
         assert_eq!(events.len(), 16);
         assert_eq!(tracer.dropped(), 24);
-        // The survivors are the 16 most recent instants: strictly
+        // The survivors are the 16 most recent marks: strictly
         // increasing span ids ending at the last allocated one.
         let ids: Vec<u64> = events.iter().map(|e| e.span).collect();
         let max = *ids.iter().max().unwrap();
@@ -517,52 +515,51 @@ mod tests {
     #[test]
     fn drain_empties_the_ring() {
         let tracer = Tracer::new(32);
-        tracer.instant_with("a", Vec::new);
-        tracer.instant_with("b", Vec::new);
+        tracer.mark("a", []);
+        tracer.mark("b", []);
         let drained = tracer.drain();
         assert_eq!(drained.len(), 2);
         assert!(tracer.events().is_empty());
-        tracer.instant_with("c", Vec::new);
+        tracer.mark("c", []);
         assert_eq!(tracer.events().len(), 1);
     }
 
     #[test]
-    fn chrome_json_escapes_and_pairs() {
+    fn chrome_json_writes_every_event_as_a_complete_one() {
         let tracer = Tracer::new(32);
         {
-            let _s = tracer.span_with("fire", || vec![("rule", "say \"hi\"\n".to_string())]);
+            let _s = tracer.span("fire", [("rule", 3)]);
         }
+        tracer.mark("tick", []);
+        let args = Args::NONE
+            .with("op", ArgValue::Label("insert"))
+            .with("trace", ArgValue::Num(0xabc));
+        tracer.mark("server_request", args);
         let json = tracer.chrome_trace_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
-        assert!(json.contains("say \\\"hi\\\"\\n"));
-        assert_eq!(json.matches("\"name\":\"fire\"").count(), 1);
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3, "{json}");
+        assert_eq!(json.matches("\"dur\":").count(), 3, "{json}");
+        assert!(!json.contains("\"ph\":\"B\"") && !json.contains("\"ph\":\"i\""));
+        assert!(json.contains("\"rule\":3"), "{json}");
+        assert!(json.contains("\"op\":\"insert\",\"trace\":2748"), "{json}");
+        assert!(json.contains("\"name\":\"tick\",\"ph\":\"X\""), "{json}");
     }
 
     #[test]
     fn sibling_spans_share_a_parent() {
         let tracer = Tracer::new(64);
-        let root = tracer.span("root");
-        let a_id = {
-            let a = tracer.span("a");
-            a.id
-        };
-        let b_id = {
-            let b = tracer.span("b");
-            b.id
-        };
+        let root = tracer.span("root", []);
+        drop(tracer.span("a", []));
+        drop(tracer.span("b", []));
         drop(root);
         let events = tracer.events();
-        let parent_of = |id: u64| {
-            events
-                .iter()
-                .find(|e| e.span == id && e.kind == SpanEventKind::Begin)
-                .unwrap()
-                .parent
-        };
-        assert_eq!(parent_of(a_id), parent_of(b_id));
-        assert_ne!(a_id, b_id);
+        let (a, b, root) = (&events[0], &events[1], &events[2]);
+        assert_eq!((a.name, b.name, root.name), ("a", "b", "root"));
+        assert_eq!(a.parent, b.parent);
+        assert_ne!(a.span, b.span);
+        // Both lie inside the root's interval, one after the other.
+        assert!(root.nanos <= a.nanos && a.nanos + a.dur <= b.nanos);
+        assert!(b.nanos + b.dur <= root.nanos + root.dur);
     }
 
     /// A record with `laps` laps of `stage`, `n` nanoseconds each.
@@ -586,30 +583,23 @@ mod tests {
             ..crate::CostSnapshot::default()
         });
         {
-            let _outer = tracer.span("outer");
-            tracer.record("op", &clock, &Stage::ALL, || vec![("levels", "1".into())]);
+            let _outer = tracer.span("outer", []);
+            tracer.record("op", &clock, &Stage::ALL, [("levels", 1)]);
         }
         let events = tracer.events();
-        let (op, stab, residual) = (&events[1], &events[2], &events[3]);
-        assert_eq!(op.kind, SpanEventKind::Complete { dur: 15 });
-        assert_eq!(op.parent, events[0].span);
-        assert_eq!(op.args, vec![("levels", "1".to_string())]);
-        assert_eq!(
-            (stab.name, stab.kind),
-            ("stab", SpanEventKind::Complete { dur: 8 })
-        );
+        let (op, stab, residual) = (&events[0], &events[1], &events[2]);
+        assert_eq!((op.name, op.dur, op.parent), ("op", 15, 0));
+        assert_eq!(op.args, Args::from([("levels", 1)]));
+        assert_eq!((stab.name, stab.dur), ("stab", 8));
         assert_eq!(
             stab.args,
-            vec![
-                ("laps", "2".to_string()),
-                ("ibs_nodes", "9".to_string()),
-                ("ibs_marks", "0".to_string())
-            ]
+            Args::from([("laps", 2), ("ibs_nodes", 9), ("ibs_marks", 0)])
         );
-        assert_eq!(residual.kind, SpanEventKind::Complete { dur: 7 });
+        assert_eq!((residual.name, residual.dur), ("residual", 7));
         assert!([stab, residual].iter().all(|c| c.parent == op.span));
         assert_eq!((stab.nanos, residual.nanos), (op.nanos, op.nanos + 8));
-        assert_eq!(events.len(), 5, "the outer span's end follows");
+        assert_eq!(events.len(), 4, "the outer span follows, closed");
+        assert_eq!(events[3].name, "outer");
         let json = tracer.chrome_trace_json();
         assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"dur\":0.015"), "{json}");
@@ -626,37 +616,24 @@ mod tests {
             (Stage::Write, 11),
         ];
         let own = [Stage::Decode, Stage::Queue, Stage::Write];
-        tracer.record("server_request", &clock_with(&laps), &own, Vec::new);
+        tracer.record("server_request", &clock_with(&laps), &own, []);
         let children: Vec<_> = tracer.events()[1..]
             .iter()
-            .map(|e| (e.name, e.kind))
+            .map(|e| (e.name, e.dur))
             .collect();
-        let complete = |dur| SpanEventKind::Complete { dur };
         assert_eq!(
             children,
-            vec![
-                ("decode", complete(2)),
-                ("queue", complete(3)),
-                ("engine", complete(12)),
-                ("write", complete(11)),
-            ]
+            vec![("decode", 2), ("queue", 3), ("engine", 12), ("write", 11)]
         );
     }
 
     #[test]
     fn an_off_clock_or_a_disabled_tracer_records_nothing() {
         let tracer = Tracer::new(64);
-        tracer.record("op", &StageClock::start(false), &Stage::ALL, || {
-            unreachable!("args of a record that is not pushed")
-        });
+        tracer.record("op", &StageClock::start(false), &Stage::ALL, []);
         assert!(tracer.events().is_empty());
         let off = Tracer::disabled();
-        off.record(
-            "op",
-            &clock_with(&[(Stage::Fire, 1)]),
-            &Stage::ALL,
-            Vec::new,
-        );
+        off.record("op", &clock_with(&[(Stage::Fire, 1)]), &Stage::ALL, []);
         assert!(off.events().is_empty());
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The workload is a two-level cascade (underpaid employees raise
 //! alerts, level-2 alerts escalate) driven in small batches until
-//! `--seconds` elapse, so every span family — cascade levels, match
-//! phases, WAL appends and fsyncs, snapshots — shows up in the ring.
+//! `--seconds` elapse, so every event family — ops with their stage
+//! children, WAL appends and fsyncs, snapshots — shows up in the ring.
 //! On exit the remaining ring is written to `--trace-out` as Chrome
 //! trace-event JSON (loadable in Perfetto), the server shuts down
 //! gracefully, and the scratch durable directory is removed.

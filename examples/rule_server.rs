@@ -19,7 +19,7 @@ use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
 use ruleserv::proto::{encode_frame, OP_APPLY};
-use ruleserv::{serve, Client, ServerOptions};
+use ruleserv::{serve, Client, Pushed, ServerOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -115,9 +115,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    let event = watcher
-        .wait_event(Duration::from_secs(5))?
-        .ok_or("no event pushed to the subscriber")?;
+    let Some(Pushed::Event(event)) = watcher.wait_event(Duration::from_secs(5))? else {
+        return Err("no event pushed to the subscriber".into());
+    };
     println!("ok event (rule {} at seq {})", event.rule, event.seq);
 
     let upd = client.update(

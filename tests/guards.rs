@@ -67,6 +67,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/*/src src", hit: |l| store(l).filter(|_| text(l, STORES).is_none()), must: false, within: "", why: "§18 (56aac5f): one atomic config word; a new publication comes with a review of its ordering" },
     Guard { files: "crates/durable/src", hit: |l| text(l, "rename(").filter(|_| text(l, RENAMES).is_none()), must: false, within: "", why: "§10: one rename publishes a snapshot; a new one comes with a review of what it syncs first" },
     Guard { files: "Cargo.toml Cargo.lock crates/*/Cargo.toml", hit: |l| text(l, "srclint"), must: false, within: "", why: "§13: the guard table is a tier-1 test; no lint crate" },
+    Guard { files: ALL, hit: |l| text(l, "SPAN_STACK|SpanEventKind|span_with|instant_with"), must: false, within: "", why: "§12: one event shape, a closed interval with inline args; no span stack, no begin/end kinds, no args closure" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's

@@ -4,19 +4,15 @@
 
 use predmatch::prelude::*;
 use predmatch::rules::DbOp;
-use predmatch::telemetry::{SpanEventKind, Stage, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
+use predmatch::telemetry::{Stage, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::sync::Arc;
 
 fn dur(event: &TraceEvent) -> u64 {
-    match event.kind {
-        SpanEventKind::Complete { dur } => dur,
-        kind => panic!("{} is a {kind:?} event, not a complete one", event.name),
-    }
+    event.dur
 }
 
-fn arg<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a str> {
-    let (_, value) = event.args.iter().find(|(k, _)| *k == key)?;
-    Some(value)
+fn arg(event: &TraceEvent, key: &str) -> Option<u64> {
+    event.args.num(key)
 }
 
 /// An engine on `emp` and `alerts` where an underpaid `emp` insert
@@ -82,9 +78,9 @@ fn two_level_cascade_produces_a_parented_span_tree() {
     let (op, children) = events.split_first().expect("the chain left its record");
     assert_eq!(op.name, "op");
     assert_eq!(op.parent, 0, "op is a top-level event");
-    assert_eq!(arg(op, "levels"), Some("2"));
-    assert_eq!(arg(op, "events"), Some("2"));
-    assert_eq!(arg(op, "firings"), Some("2"));
+    assert_eq!(arg(op, "levels"), Some(2));
+    assert_eq!(arg(op, "events"), Some(2));
+    assert_eq!(arg(op, "firings"), Some(2));
     let record = engine.last_record();
     assert_eq!(dur(op), record.total(), "the op spans its record");
 
@@ -106,20 +102,14 @@ fn two_level_cascade_produces_a_parented_span_tree() {
             "children lie end to end from the op's start"
         );
         assert_eq!(dur(child), record.nanos(stage));
-        assert_eq!(
-            arg(child, "laps"),
-            Some(record.laps(stage).to_string().as_str())
-        );
+        assert_eq!(arg(child, "laps"), Some(u64::from(record.laps(stage))));
         at += dur(child);
     }
     assert_eq!(at - op.nanos, dur(op), "the children sum to the op exactly");
     assert_eq!(record.laps(Stage::Stab), 2, "one lock-step group per level");
     let stab = &children[0];
-    assert_eq!(
-        arg(stab, "ibs_nodes"),
-        Some(record.work.ibs_nodes.to_string().as_str())
-    );
-    assert_eq!(arg(&children[1], "residual_tests"), Some("2"));
+    assert_eq!(arg(stab, "ibs_nodes"), Some(record.work.ibs_nodes));
+    assert_eq!(arg(&children[1], "residual_tests"), Some(2));
 
     let json = tracer.chrome_trace_json();
     assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");

@@ -147,27 +147,13 @@ fn timing_row<'w>(w: &'w mut JsonWriter, name: &str, ns_per_op: f64) -> &'w mut 
 }
 
 /// The `counters` member: every counter in `registry`, sorted by name —
-/// the counts, which read the same on every run of the same code. The
-/// `*_nanos_total` families hold clock readings, which differ from run
-/// to run, so they go beside `ns_per_op` in a `nanos_totals` member
-/// instead (present only when there are any).
+/// the counts, which read the same on every run of the same code.
 fn counters(w: &mut JsonWriter, registry: &Registry) {
-    let values = registry.names().into_iter().filter_map(|name| {
-        let value = registry.counter_value(&name)?;
-        Some((name, value))
-    });
-    let (nanos, counts): (Vec<_>, Vec<_>) =
-        values.partition(|(name, _)| name.contains("_nanos_total"));
-    if !nanos.is_empty() {
-        w.key("nanos_totals").begin_object();
-        for (name, value) in nanos {
+    w.key("counters").begin_object();
+    for name in registry.names() {
+        if let Some(value) = registry.counter_value(&name) {
             w.key(&name).uint(value);
         }
-        w.end_object();
-    }
-    w.key("counters").begin_object();
-    for (name, value) in counts {
-        w.key(&name).uint(value);
     }
     w.end_object();
 }
@@ -355,12 +341,13 @@ fn band_engine(telemetry: Telemetry) -> RuleEngine {
 
 /// The cost-attribution guard: the full rule-chain insert path with the
 /// profiler detached (`baseline` — every profiler hook is one branch)
-/// versus attached (`profiled` — per-rule accounts billed per event),
-/// and with a tracer alone (`traced` — the stage clock runs and each
-/// op's record goes into the ring, but nothing bills). The profiled row
+/// versus attached (`profiled` — per-rule accounts charged per event and
+/// billed once per op), and with a tracer alone (`traced` — the stage
+/// clock runs and each op's record goes into the ring, but nothing
+/// bills). The profiled row
 /// carries the time's count twin: `Profiler::bill` calls per insert,
-/// each a lock and an account entry; the traced row the ring events per
-/// insert, one `op` and one per stage it lapped.
+/// each one acquisition of the ledger for the whole op; the traced row
+/// the ring events per insert, one `op` and one per stage it lapped.
 fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
     let inserts = cfg.pick(128, 512);
     let modes = [
@@ -401,8 +388,6 @@ fn attribution_overhead(cfg: &Config, w: &mut JsonWriter) {
                 .float(profiler.bills() as f64 / i as f64, 3);
         }
         if traced {
-            let accounts = registry.counter_family_total("profile_rule_");
-            assert_eq!(accounts, 0, "a tracer-only engine billed an account");
             row.key("ring_events_per_op")
                 .float(ring_events(&tracer) as f64 / i as f64, 3);
         }

@@ -8,17 +8,37 @@
 //! Snapshot: the snapshot is written atomically and checksummed, so
 //! any damage there is a **hard error** — recovery must refuse (and
 //! must not panic) rather than proceed from silently wrong state.
+//!
+//! Beside the byte-level sweeps, a seeded mutator shaped like the wire
+//! one in `ruleserv/tests/hostile_server.rs` (bit flips, truncations,
+//! length words set to 0, one short, a little long or near `u32::MAX`)
+//! runs over the log's frames and the snapshot, under `bench`'s
+//! counting allocator (included by path): no mutation may panic
+//! recovery or make it reserve more than the files pay for.
 
 mod common;
+#[path = "../../bench/src/counting_alloc.rs"]
+mod counting_alloc;
 
 use common::{apply_both, fingerprint, test_actions, Cmd, TempDir};
+use counting_alloc::counted;
 use durable::{
     parse_wal, read_snapshot, replay, write_snapshot, ActionSpec, DurableError, DurableRuleEngine,
     Options, RecoverError, RuleSpec, SnapshotMetrics, SyncPolicy, SNAPSHOT_FILE, WAL_FILE,
 };
 use predicate::FunctionRegistry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{EventMask, RuleEngine};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Seeded mutations per file.
+const MUTATIONS: usize = 300;
+
+/// What any recovery may reserve at once, beside 64 bytes per byte of
+/// the files it reads.
+const FLOOR: usize = 64 * 1024;
 
 /// A compact workload with rules, firings, and churn.
 fn build(dir: &TempDir) -> (Vec<String>, Vec<u8>, Vec<u8>) {
@@ -162,5 +182,111 @@ fn a_snapshot_naming_a_rule_id_twice_is_refused() {
             assert!(detail.contains("already registered"), "{detail}");
         }
         other => panic!("expected a corrupt-snapshot refusal, got {:?}", other.err()),
+    }
+}
+
+/// One seeded mutation of a file, shaped like `hostile_server.rs`'s
+/// mutator of a wire frame: a bit flip, a truncation, or an edit of the
+/// little-endian length word at `len_at` to 0, one short, a little long
+/// or near `u32::MAX`. Returns the damaged file and the first byte it
+/// changed (a truncation changes the byte it cuts at).
+fn mutate(rng: &mut StdRng, mut file: Vec<u8>, len_at: usize) -> (Vec<u8>, usize) {
+    match rng.gen_range(0..3) {
+        0 => {
+            let bit = rng.gen_range(0..file.len() * 8);
+            file[bit / 8] ^= 1 << (bit % 8);
+            (file, bit / 8)
+        }
+        1 => {
+            let cut = rng.gen_range(0..file.len());
+            file.truncate(cut);
+            (file, cut)
+        }
+        _ => {
+            let word = &mut file[len_at..len_at + 4];
+            let len = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let edited = match rng.gen_range(0..4) {
+                0 => 0,
+                1 => len - 1,
+                2 => len + rng.gen_range(1..65),
+                _ => u32::MAX - rng.gen_range(0..16),
+            };
+            word.copy_from_slice(&edited.to_le_bytes());
+            (file, len_at)
+        }
+    }
+}
+
+/// Replays `dir` under the counting allocator: it must not panic, and
+/// no single reservation may exceed what the files on disk pay for.
+fn replay_counted(dir: &TempDir, paid_for: usize, what: &str) -> Result<String, RecoverError> {
+    let (funcs, actions) = (FunctionRegistry::default(), test_actions());
+    let (outcome, counts) = counted(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            replay(dir.path(), &funcs, &actions).map(|r| fingerprint(&r.engine))
+        }))
+    });
+    let outcome = outcome.unwrap_or_else(|_| panic!("{what}: recovery panicked"));
+    assert!(
+        counts.largest <= paid_for,
+        "{what}: recovery reserved {} bytes at once, over {paid_for}",
+        counts.largest
+    );
+    outcome
+}
+
+/// The seeded mutator over the log's frames: whatever one mutation
+/// does to frame `i` — or to the header — recovery replays exactly the
+/// frames before it, the op prefix it vouches for, and reserves no more
+/// than the files pay for.
+#[test]
+fn seeded_wal_frame_damage_recovers_to_the_frames_before_it() {
+    let build_dir = TempDir::new("wal-mutate-build");
+    let (expected, wal_bytes, snap_bytes) = build(&build_dir);
+    let frame_ends = parse_wal(&wal_bytes).frame_ends;
+    assert_eq!(frame_ends.len() + 1, expected.len(), "a frame per op");
+    let starts: Vec<usize> = std::iter::once(durable::wal::WAL_HEADER_LEN as u64)
+        .chain(frame_ends.iter().copied())
+        .take(frame_ends.len())
+        .map(|s| s as usize)
+        .collect();
+    let paid_for = FLOOR + 64 * (wal_bytes.len() + snap_bytes.len());
+
+    let crash = TempDir::new("wal-mutate-crash");
+    let mut rng = StdRng::seed_from_u64(0x5741_4c20);
+    for round in 0..MUTATIONS {
+        let frame = rng.gen_range(0..starts.len());
+        let (bad, at) = mutate(&mut rng, wal_bytes.clone(), starts[frame]);
+        std::fs::write(crash.join(SNAPSHOT_FILE), &snap_bytes).unwrap();
+        std::fs::write(crash.join(WAL_FILE), &bad).unwrap();
+        let what = format!("round {round}: frame {frame}, damage at byte {at}");
+        let got = replay_counted(&crash, paid_for, &what)
+            .unwrap_or_else(|e| panic!("{what}: recovery refused the log: {e}"));
+        let before = frame_ends.iter().filter(|&&end| end <= at as u64).count();
+        assert_eq!(got, expected[before], "{what}: not the {before}-op prefix");
+    }
+}
+
+/// The same mutator over the snapshot, its length word the body's:
+/// every mutation is refused, without a panic or an oversized
+/// reservation.
+#[test]
+fn seeded_snapshot_damage_is_refused() {
+    let build_dir = TempDir::new("snap-mutate-build");
+    let (_, wal_bytes, snap_bytes) = build(&build_dir);
+    let len_at = durable::snapshot::SNAP_MAGIC.len() + 2;
+    let paid_for = FLOOR + 64 * (wal_bytes.len() + snap_bytes.len());
+
+    let crash = TempDir::new("snap-mutate-crash");
+    let mut rng = StdRng::seed_from_u64(0x534e_4150);
+    for round in 0..MUTATIONS {
+        let (bad, at) = mutate(&mut rng, snap_bytes.clone(), len_at);
+        std::fs::write(crash.join(SNAPSHOT_FILE), &bad).unwrap();
+        std::fs::write(crash.join(WAL_FILE), &wal_bytes).unwrap();
+        let what = format!("round {round}: damage at byte {at}");
+        assert!(
+            replay_counted(&crash, paid_for, &what).is_err(),
+            "{what}: a damaged snapshot was accepted"
+        );
     }
 }

@@ -26,7 +26,7 @@ use relation::{CatalogError, Database, Relation, Schema, Tuple, TupleEvent, Tupl
 use std::fmt;
 use std::ops::Range;
 use telemetry::{
-    CostSnapshot, Counter, Histogram, Profiler, Registry, Stage, StageClock, StageRecord, Telemetry,
+    CostSnapshot, Counter, Histogram, Registry, Stage, StageClock, StageRecord, Telemetry,
 };
 
 /// Errors from engine operations.
@@ -124,9 +124,10 @@ const MEMO: &str = "a live rule's join condition has a registered memo";
 /// instantiation.
 type AgendaEntry = (i32, u32, u32, Vec<BoundTuple>);
 
-/// The buffers one recognize-act chain owns and every level, event and
-/// firing in it reuses, so a level allocates for the tuples it writes
-/// and not per event matched or rule fired.
+/// The buffers every recognize-act chain, and every level, event and
+/// firing in it, reuses: the engine keeps them across operations, so a
+/// warm operation allocates for the tuples it writes and not per event
+/// matched, rule fired or account charged.
 #[derive(Default)]
 struct ChainBuffers {
     /// The level's matches with their routes, flat: event `i`'s are
@@ -144,6 +145,17 @@ struct ChainBuffers {
     join_entries: Vec<AgendaEntry>,
     /// The operations the current firing's action queued.
     ops: Vec<DbOp>,
+    /// The events the level's firings queued for the next level.
+    next: Vec<TupleEvent>,
+    /// Each event's billing account, parallel to the level and to
+    /// `next`: `None` (external) for the client-injected level 0, the
+    /// producing rule for cascaded events. Kept only while stages are
+    /// timed.
+    tags: Vec<Option<u32>>,
+    next_tags: Vec<Option<u32>>,
+    /// The operation's charges, `(account, cost)`, billed to the
+    /// profiler at once when its chain ends.
+    bills: Vec<(Option<u32>, CostSnapshot)>,
 }
 
 /// The hot half of a registered rule: everything the agenda and a
@@ -267,6 +279,8 @@ pub struct RuleEngine {
     /// [`last_record`](RuleEngine::last_record). Runs only under the
     /// profiler or the tracer.
     clock: StageClock,
+    /// The chain's buffers, taken out for each chain and put back.
+    buffers: ChainBuffers,
 }
 
 impl RuleEngine {
@@ -285,6 +299,7 @@ impl RuleEngine {
             telemetry: Telemetry::disabled(),
             metrics: EngineMetrics::from_registry(&Registry::disabled()),
             clock: StageClock::default(),
+            buffers: ChainBuffers::default(),
         }
     }
 
@@ -298,10 +313,10 @@ impl RuleEngine {
     /// * **tracer** — every recognize-act chain's stage record
     ///   ([`last_record`](Self::last_record)) goes into its ring as one
     ///   `op` event with a child per stage;
-    /// * **profiler** — per-rule cost attribution, billed per event
-    ///   from the work its own match and memo calls did, and the same
-    ///   stage record per operation. Already-registered rules get their
-    ///   display names immediately.
+    /// * **profiler** — per-rule cost attribution, charged per event
+    ///   from the work its own match and memo calls did and billed once
+    ///   per operation, and the same stage record per operation.
+    ///   Already-registered rules get their display names immediately.
     ///
     /// Whatever was attached before is replaced whole.
     pub fn attach_metrics(&mut self, telemetry: impl Into<Telemetry>) {
@@ -712,11 +727,19 @@ impl RuleEngine {
     }
 
     /// The recognize-act cycle, level by level, with abort repair. Its
-    /// stage record goes to the tracer as `op`, an aborted chain's too.
+    /// charges go to the profiler as one bill and its stage record to
+    /// the tracer as `op`, an aborted chain's too, both after its last
+    /// lap.
     fn chain_level(&mut self, level: Vec<TupleEvent>) -> Result<FireReport, EngineError> {
         let mut report = FireReport::default();
         let mut levels = 0u64;
-        let result = self.chain_level_inner(level, &mut report, &mut levels);
+        let mut buf = std::mem::take(&mut self.buffers);
+        let result = self.chain_level_inner(level, &mut buf, &mut report, &mut levels);
+        self.telemetry.profiler().bill(&buf.bills);
+        buf.bills.clear();
+        // An aborted chain leaves the events it had queued.
+        buf.next.clear();
+        self.buffers = buf;
         let (events, firings) = (report.ops_applied as u64, report.fired.len() as u64);
         let args = [("levels", levels), ("events", events), ("firings", firings)];
         let tracer = self.telemetry.tracer();
@@ -750,41 +773,35 @@ impl RuleEngine {
     fn chain_level_inner(
         &mut self,
         mut level: Vec<TupleEvent>,
+        buf: &mut ChainBuffers,
         report: &mut FireReport,
         depth: &mut u64,
     ) -> Result<(), EngineError> {
-        // Attribution tags, parallel to `level`: the billing account of
-        // each event — `None` (external) for the client-injected level
-        // 0, the producing rule for cascaded events. Maintained only
-        // while stages are timed, so the untimed path pays exactly the
-        // `timed` branch.
+        // The tags are kept only while stages are timed, so the untimed
+        // path pays exactly the `timed` branch.
         let timed = self.telemetry.times_stages();
-        let mut tags: Vec<Option<u32>> = if timed {
-            vec![None; level.len()]
-        } else {
-            Vec::new()
-        };
-        let mut buf = ChainBuffers::default();
-        let mut next: Vec<TupleEvent> = Vec::new();
-        let mut next_tags: Vec<Option<u32>> = Vec::new();
+        buf.tags.clear();
+        buf.next_tags.clear();
+        if timed {
+            buf.tags.resize(level.len(), None);
+        }
         while !level.is_empty() {
             *depth += 1;
             self.chain_boundary();
             self.metrics.events_per_level.record(level.len() as u64);
-            self.match_level(&level, &mut buf);
+            self.match_level(&level, buf);
 
             for (pos, event) in level.iter().enumerate() {
                 report.ops_applied += 1;
                 self.metrics.ops.inc();
                 if timed {
-                    // The event bills its account for itself and for
+                    // The event charges its account for itself and for
                     // its own match work.
-                    let account = tags[pos];
                     let cost = CostSnapshot {
                         ops: 1,
                         ..buf.work[pos]
                     };
-                    charge(self.telemetry.profiler(), &mut self.clock, account, cost);
+                    charge(&mut self.clock, &mut buf.bills, buf.tags[pos], cost);
                 }
 
                 // Beta-layer maintenance runs on *every* event,
@@ -799,15 +816,15 @@ impl RuleEngine {
                     TupleEvent::Deleted { id, .. } => (id.0, None),
                 };
                 if !matches!(event, TupleEvent::Inserted { .. }) && !self.joins.is_empty() {
-                    // Each condition's retractions bill the rule owning
+                    // Each condition's retractions charge the rule owning
                     // it, which its key names.
-                    let (profiler, clock) = (self.telemetry.profiler(), &mut self.clock);
+                    let (clock, bills) = (&mut self.clock, &mut buf.bills);
                     self.joins.retract_each(event.relation(), tid, |key, n| {
                         let cost = CostSnapshot {
                             join_retractions: n,
                             ..CostSnapshot::default()
                         };
-                        charge(profiler, clock, Some(join_owner(key)), cost);
+                        charge(clock, bills, Some(join_owner(key)), cost);
                     });
                     self.clock.lap(Stage::Join);
                 }
@@ -852,12 +869,7 @@ impl RuleEngine {
                         join_probes: out.probes,
                         ..CostSnapshot::default()
                     };
-                    charge(
-                        self.telemetry.profiler(),
-                        &mut self.clock,
-                        Some(rule.id),
-                        cost,
-                    );
+                    charge(&mut self.clock, &mut buf.bills, Some(rule.id), cost);
                     if !rule.mask.accepts(event) {
                         continue;
                     }
@@ -885,19 +897,26 @@ impl RuleEngine {
                             limit: self.firing_limit,
                         });
                     }
-                    let before = next.len();
-                    self.fire_one(slot, event, bindings, report, &mut buf.ops, &mut next)?;
+                    // A firing charges the fired rule.
+                    let firing = CostSnapshot {
+                        firings: 1,
+                        ..CostSnapshot::default()
+                    };
+                    charge(&mut self.clock, &mut buf.bills, Some(rid), firing);
+                    let before = buf.next.len();
+                    self.fire_one(slot, event, bindings, report, &mut buf.ops, &mut buf.next)?;
                     if timed {
                         // Cascaded events bill their producing rule.
-                        next_tags.extend(std::iter::repeat_n(Some(rid), next.len() - before));
+                        let queued = buf.next.len() - before;
+                        buf.next_tags.extend(std::iter::repeat_n(Some(rid), queued));
                     }
                 }
                 self.clock.lap(Stage::Fire);
             }
             level.clear();
-            tags.clear();
-            std::mem::swap(&mut level, &mut next);
-            std::mem::swap(&mut tags, &mut next_tags);
+            buf.tags.clear();
+            std::mem::swap(&mut level, &mut buf.next);
+            std::mem::swap(&mut buf.tags, &mut buf.next_tags);
         }
         self.metrics.cascade_depth.record(*depth);
         Ok(())
@@ -965,16 +984,6 @@ impl RuleEngine {
         let rule = &*rule;
         self.total_fired += 1;
         self.metrics.fired.inc();
-        let firing = CostSnapshot {
-            firings: 1,
-            ..CostSnapshot::default()
-        };
-        charge(
-            self.telemetry.profiler(),
-            &mut self.clock,
-            Some(rid),
-            firing,
-        );
 
         match &rule.action {
             Action::Log(msg) => {
@@ -1024,14 +1033,20 @@ impl RuleEngine {
     }
 }
 
-/// Adds `cost` to the operation's running record and, under the
-/// profiler, bills it to `account` — the one way the engine's work
-/// reaches either. One branch when the clock is off; a tracer alone
-/// mints no account.
-fn charge(profiler: &Profiler, clock: &mut StageClock, account: Option<u32>, cost: CostSnapshot) {
+/// Adds `cost` to the operation's running record and to its bill for
+/// `account` — the one way the engine's work reaches either. One branch
+/// when the clock is off. It takes no lock: the bill reaches the
+/// profiler once, when the chain ends, and a tracer alone mints no
+/// account.
+fn charge(
+    clock: &mut StageClock,
+    bills: &mut Vec<(Option<u32>, CostSnapshot)>,
+    account: Option<u32>,
+    cost: CostSnapshot,
+) {
     if clock.is_on() {
-        profiler.bill(account, &cost);
         clock.add_work(&cost);
+        bills.push((account, cost));
     }
 }
 

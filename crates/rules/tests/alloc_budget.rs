@@ -176,18 +176,27 @@ fn emp_dept() -> RuleEngine {
     RuleEngine::new(db)
 }
 
-/// Once its ring has wrapped, a tracer adds no allocation to a warm op:
-/// each event is one closed interval whose args are held inline, and
-/// the op's record goes in without a buffer. Both engines run the stage
-/// clock (the profiler starts it, as a tracer does), so the one
-/// difference between them is the tracer.
+/// A warm op allocates the same with the profiler on as with
+/// everything off, and the same again with a tracer beside it: the
+/// chain's buffers, its accounts' tags and its bill list stay on the
+/// engine across ops, an account once minted is a map entry the next
+/// bill adds to, and once its ring has wrapped the tracer pushes each
+/// closed interval with its args inline and the op's record without a
+/// buffer.
 #[test]
 fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
     let tracer = Tracer::new(16);
     let profiled = || Telemetry::new(Arc::new(Registry::new())).with_profiling();
-    let mut engines = [profiled(), profiled().with_tracer(tracer.clone())].map(|telemetry| {
+    let telemetry = [
+        None,
+        Some(profiled()),
+        Some(profiled().with_tracer(tracer.clone())),
+    ];
+    let mut engines = telemetry.map(|telemetry| {
         let mut engine = emp_dept();
-        engine.attach_metrics(telemetry);
+        if let Some(telemetry) = telemetry {
+            engine.attach_metrics(telemetry);
+        }
         let rule = Rule::builder("paid")
             .when("emp.salary > 10")
             .expect("parses");
@@ -206,9 +215,12 @@ fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
         counts
     });
     assert!(tracer.dropped() > 0, "the ring never wrapped");
+    assert!(engines[1].telemetry().profiler().bills() > BATCH as u64);
     assert!(counts[0].calls > 0, "the op writes a tuple");
-    assert_eq!(counts[1], counts[0], "traced against untraced");
+    assert_eq!(counts[1], counts[0], "profiled against bare");
+    assert_eq!(counts[2], counts[1], "traced against untraced");
     assert_eq!(engines[0].log(), engines[1].log());
+    assert_eq!(engines[1].log(), engines[2].log());
 }
 
 #[test]

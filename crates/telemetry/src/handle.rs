@@ -21,7 +21,7 @@
 //! let full = Telemetry::new(Arc::new(Registry::new()))
 //!     .with_tracer(Tracer::new(1024))
 //!     .with_profiling();
-//! assert!(Arc::ptr_eq(full.registry(), full.profiler().registry()));
+//! assert!(full.profiler().is_enabled());
 //! ```
 
 use crate::profile::Profiler;

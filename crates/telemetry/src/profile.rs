@@ -7,19 +7,20 @@
 //! caused it — level-0 (client-injected) events bill the reserved
 //! `external` account, cascaded events bill the rule whose firing
 //! queued them, join probes and retractions bill the rule owning the
-//! join condition, firings bill the fired rule. The engine bills each
-//! piece of work from the counts the call that did it returns
-//! ([`Profiler::bill`]), the same counts its op's
-//! [`StageRecord`] sums. The invariant the root integration test pins:
-//! for every cost term, the accounts sum to the global counter.
+//! join condition, firings bill the fired rule. The engine charges each
+//! piece of work from the counts the call that did it returns, the same
+//! counts its op's [`StageRecord`] sums, and bills the op's charges once
+//! when the op ends ([`Profiler::bill`]). The invariant the root
+//! integration test pins: for every cost term, the accounts sum to the
+//! global counter.
 //!
 //! A [`Profiler`] is a cheap clonable handle with the same disabled
 //! contract as [`Counter`](crate::Counter): a disabled profiler costs
-//! one branch per call site and mints nothing. An enabled profiler
-//! keeps its accounts as labelled counter families
-//! (`profile_rule_*_total{rule="3"}`) in the registry it was built
-//! over, so `/metrics`, `/profile`, and flight dumps all read the same
-//! cells.
+//! one branch per call site and keeps nothing. An enabled profiler
+//! keeps each account as a plain [`CostSnapshot`] in its ledger, beside
+//! the rule names and the slow-op ring, under one lock that nothing
+//! else is taken under. `/profile`, the shell's `:top` and flight dumps
+//! read the ledger.
 //!
 //! The profiler also owns the **slow-op ring**: a bounded log of
 //! requests whose wall-clock met a configurable threshold, each with
@@ -28,7 +29,6 @@
 //! keeps the newest [`SLOW_OP_CAPACITY`] entries; readers snapshot,
 //! they never drain.
 
-use crate::counter::Counter;
 use crate::histogram::{quantile, HISTOGRAM_BUCKETS};
 use crate::json::JsonWriter;
 use crate::registry::Registry;
@@ -164,107 +164,20 @@ pub struct SlowOp {
     pub record: StageRecord,
 }
 
-/// The per-account counter cells. All registry-backed, so the families
-/// render in `/metrics` alongside the globals they partition.
-#[derive(Debug, Clone)]
-struct Account {
-    stab_nanos: Counter,
-    ibs_nodes: Counter,
-    ibs_marks: Counter,
-    residual_tests: Counter,
-    residual_passes: Counter,
-    non_indexable: Counter,
-    join_probes: Counter,
-    join_retractions: Counter,
-    firings: Counter,
-    ops: Counter,
-}
-
-impl Account {
-    fn mint(registry: &Registry, label: &str) -> Account {
-        Account {
-            stab_nanos: registry.counter(&format!(
-                "profile_rule_stab_nanos_total{{rule=\"{label}\"}}"
-            )),
-            ibs_nodes: registry
-                .counter(&format!("profile_rule_ibs_nodes_total{{rule=\"{label}\"}}")),
-            ibs_marks: registry
-                .counter(&format!("profile_rule_ibs_marks_total{{rule=\"{label}\"}}")),
-            residual_tests: registry.counter(&format!(
-                "profile_rule_residual_tests_total{{rule=\"{label}\"}}"
-            )),
-            residual_passes: registry.counter(&format!(
-                "profile_rule_residual_passes_total{{rule=\"{label}\"}}"
-            )),
-            non_indexable: registry.counter(&format!(
-                "profile_rule_non_indexable_total{{rule=\"{label}\"}}"
-            )),
-            join_probes: registry.counter(&format!(
-                "profile_rule_join_probes_total{{rule=\"{label}\"}}"
-            )),
-            join_retractions: registry.counter(&format!(
-                "profile_rule_join_retractions_total{{rule=\"{label}\"}}"
-            )),
-            firings: registry.counter(&format!("profile_rule_firings_total{{rule=\"{label}\"}}")),
-            ops: registry.counter(&format!("profile_rule_ops_total{{rule=\"{label}\"}}")),
-        }
-    }
-
-    /// The cells beside the terms of `cost` they accumulate.
-    fn terms<'a>(&'a self, cost: &CostSnapshot) -> [(&'a Counter, u64); 10] {
-        [
-            (&self.stab_nanos, cost.stab_nanos),
-            (&self.ibs_nodes, cost.ibs_nodes),
-            (&self.ibs_marks, cost.ibs_marks),
-            (&self.residual_tests, cost.residual_tests),
-            (&self.residual_passes, cost.residual_passes),
-            (&self.non_indexable, cost.non_indexable),
-            (&self.join_probes, cost.join_probes),
-            (&self.join_retractions, cost.join_retractions),
-            (&self.firings, cost.firings),
-            (&self.ops, cost.ops),
-        ]
-    }
-
-    /// Adds `cost`'s non-zero terms.
-    fn add(&self, cost: &CostSnapshot) {
-        for (cell, n) in self.terms(cost) {
-            if n > 0 {
-                cell.add(n);
-            }
-        }
-    }
-
-    fn snapshot(&self) -> CostSnapshot {
-        CostSnapshot {
-            stab_nanos: self.stab_nanos.get(),
-            ibs_nodes: self.ibs_nodes.get(),
-            ibs_marks: self.ibs_marks.get(),
-            residual_tests: self.residual_tests.get(),
-            residual_passes: self.residual_passes.get(),
-            non_indexable: self.non_indexable.get(),
-            join_probes: self.join_probes.get(),
-            join_retractions: self.join_retractions.get(),
-            firings: self.firings.get(),
-            ops: self.ops.get(),
-        }
-    }
-}
-
-/// The accounts and the rule names, under one lock: a snapshot reads
-/// both in one acquisition.
+/// Everything an enabled profiler keeps, under one lock: a snapshot
+/// reads the accounts and the names in one acquisition, and a bill adds
+/// an op's costs in one. Nothing else is locked while it is held.
 #[derive(Default)]
 struct Ledger {
-    accounts: BTreeMap<Option<u32>, Account>,
+    accounts: BTreeMap<Option<u32>, CostSnapshot>,
     names: BTreeMap<u32, String>,
+    slow: VecDeque<SlowOp>,
+    /// Acquisitions that billed an op's costs.
+    bills: u64,
 }
 
 struct Inner {
-    registry: Arc<Registry>,
-    /// Minting an account takes the registry's lock under this one:
-    /// the workspace's one nested acquisition (DESIGN.md §18).
     ledger: Mutex<Ledger>,
-    slow: Mutex<VecDeque<SlowOp>>,
     /// Requests at or over this wall-clock (nanos) enter the slow-op
     /// ring; `u64::MAX` disables capture. Stored and loaded `Relaxed`:
     /// an independent config word that guards no other data, so a
@@ -272,8 +185,6 @@ struct Inner {
     slow_threshold: AtomicU64,
     /// Ordinal of the next observed request.
     next_seq: AtomicU64,
-    /// Calls of [`Profiler::bill`] that reached the accounts.
-    bills: AtomicU64,
 }
 
 /// The attribution recorder: cheap clonable handle, one branch per
@@ -301,30 +212,23 @@ impl Default for Profiler {
 impl Profiler {
     /// The permanently no-op profiler.
     pub fn disabled() -> Profiler {
-        Profiler::over(false, Arc::new(Registry::disabled()))
+        Profiler::over(false)
     }
 
-    /// A profiler accounting into `registry` — the same registry the
-    /// engine's telemetry is attached to, so the global counters the
-    /// accounts partition live next to the account families. A
+    /// A profiler over `registry` — the registry the engine's telemetry
+    /// is attached to, whose global counters the accounts partition. A
     /// disabled registry yields a disabled profiler.
-    pub fn new(registry: &Arc<Registry>) -> Profiler {
-        if !registry.is_enabled() {
-            return Profiler::disabled();
-        }
-        Profiler::over(true, Arc::clone(registry))
+    pub fn new(registry: &Registry) -> Profiler {
+        Profiler::over(registry.is_enabled())
     }
 
-    fn over(enabled: bool, registry: Arc<Registry>) -> Profiler {
+    fn over(enabled: bool) -> Profiler {
         Profiler {
             enabled,
             inner: Arc::new(Inner {
-                registry,
                 ledger: Mutex::default(),
-                slow: Mutex::new(VecDeque::new()),
                 slow_threshold: AtomicU64::new(u64::MAX),
                 next_seq: AtomicU64::new(0),
-                bills: AtomicU64::new(0),
             }),
         }
     }
@@ -335,11 +239,6 @@ impl Profiler {
         self.enabled
     }
 
-    /// The registry the accounts live in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.inner.registry
-    }
-
     fn ledger(&self) -> MutexGuard<'_, Ledger> {
         self.inner
             .ledger
@@ -347,31 +246,27 @@ impl Profiler {
             .expect("profiler ledger poisoned: a holder panicked")
     }
 
-    /// Bills `cost` to the account of `rule` (`None` = external),
-    /// minting the account on first use. The terms are added under the
-    /// ledger lock to the account in place; an all-zero cost bills nothing
-    /// and mints nothing.
-    pub fn bill(&self, rule: Option<u32>, cost: &CostSnapshot) {
-        if !self.enabled || *cost == CostSnapshot::default() {
+    /// Bills one op's costs: each entry's cost is added to the account
+    /// of its rule (`None` = external), minted on first use, all under
+    /// one acquisition of the ledger. An all-zero cost mints nothing,
+    /// and an op with nothing to bill takes no lock.
+    pub fn bill(&self, entries: &[(Option<u32>, CostSnapshot)]) {
+        let zero = CostSnapshot::default();
+        if !self.enabled || entries.iter().all(|(_, cost)| *cost == zero) {
             return;
         }
         let mut ledger = self.ledger();
-        let account = ledger.accounts.entry(rule).or_insert_with(|| {
-            let label = match rule {
-                Some(rid) => rid.to_string(),
-                None => EXTERNAL_ACCOUNT.to_string(),
-            };
-            Account::mint(&self.inner.registry, &label)
-        });
-        account.add(cost);
-        self.inner.bills.fetch_add(1, Ordering::Relaxed);
+        ledger.bills += 1;
+        for (rule, cost) in entries.iter().filter(|(_, cost)| *cost != zero) {
+            ledger.accounts.entry(*rule).or_default().add(cost);
+        }
     }
 
     /// How many [`bill`](Self::bill) calls have reached the accounts:
-    /// the lock and map entry each one costs, as a count exact on any
+    /// the ledger acquisitions billing cost, as a count exact on any
     /// host.
     pub fn bills(&self) -> u64 {
-        self.inner.bills.load(Ordering::Relaxed)
+        self.ledger().bills
     }
 
     /// Registers a display name for rule `rule` (used by `/profile`
@@ -392,10 +287,10 @@ impl Profiler {
         ledger
             .accounts
             .iter()
-            .map(|(&rule, a)| AccountSnapshot {
+            .map(|(&rule, &cost)| AccountSnapshot {
                 rule,
                 name: rule.and_then(|rid| ledger.names.get(&rid).cloned()),
-                cost: a.snapshot(),
+                cost,
             })
             .collect()
     }
@@ -435,20 +330,17 @@ impl Profiler {
         }
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
         if record.total() >= self.inner.slow_threshold.load(Ordering::Relaxed) {
-            let mut slow = self
-                .inner
-                .slow
-                .lock()
-                .expect("slow-op ring poisoned: a holder panicked");
-            if slow.len() >= SLOW_OP_CAPACITY {
-                slow.pop_front();
-            }
-            slow.push_back(SlowOp {
+            let slow = SlowOp {
                 seq,
                 op: op.to_string(),
                 trace_id,
                 record: *record,
-            });
+            };
+            let mut ledger = self.ledger();
+            if ledger.slow.len() >= SLOW_OP_CAPACITY {
+                ledger.slow.pop_front();
+            }
+            ledger.slow.push_back(slow);
         }
         seq
     }
@@ -458,12 +350,7 @@ impl Profiler {
         if !self.enabled {
             return Vec::new();
         }
-        let slow = self
-            .inner
-            .slow
-            .lock()
-            .expect("slow-op ring poisoned: a holder panicked");
-        slow.iter().cloned().collect()
+        self.ledger().slow.iter().cloned().collect()
     }
 
     /// The `/profile` endpoint body: accounts, tail-latency quantiles
@@ -636,56 +523,49 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
-        p.bill(Some(3), &firing());
+        p.bill(&[(Some(3), firing())]);
         p.record_request("insert", Some(7), &StageRecord::other(1_000_000));
         assert!(p.accounts().is_empty());
         assert!(p.slow_ops().is_empty());
+        assert_eq!(p.bills(), 0);
         // A disabled registry also yields a disabled profiler.
-        assert!(!Profiler::new(&Arc::new(Registry::disabled())).is_enabled());
+        assert!(!Profiler::new(&Registry::disabled()).is_enabled());
     }
 
     #[test]
-    fn accounts_partition_into_labelled_families() {
+    fn one_bill_adds_an_ops_entries_to_their_accounts() {
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
-        p.bill(Some(2), &firing());
-        p.bill(Some(2), &firing());
-        p.bill(Some(5), &firing());
-        p.bill(
-            None,
-            &CostSnapshot {
-                ops: 1,
-                ..CostSnapshot::default()
-            },
-        );
-        p.bill(
-            Some(5),
-            &CostSnapshot {
-                join_probes: 7,
-                ..CostSnapshot::default()
-            },
-        );
-        // Nothing to bill: no account for rule 9.
-        p.bill(Some(9), &CostSnapshot::default());
+        let cost = |ops, join_probes| CostSnapshot {
+            ops,
+            join_probes,
+            ..CostSnapshot::default()
+        };
+        p.bill(&[
+            (Some(2), firing()),
+            (Some(2), firing()),
+            (Some(5), firing()),
+            (None, cost(1, 0)),
+            (Some(5), cost(0, 7)),
+            // Nothing to bill: no account for rule 9.
+            (Some(9), CostSnapshot::default()),
+        ]);
+        assert_eq!(p.bills(), 1, "one op, one acquisition");
+        // An op with nothing to bill takes no lock and mints nothing.
+        p.bill(&[(Some(9), CostSnapshot::default())]);
+        p.bill(&[]);
+        assert_eq!(p.bills(), 1);
         p.name_rule(2, "escalate");
-        assert_eq!(
-            registry.counter_value("profile_rule_firings_total{rule=\"2\"}"),
-            Some(2)
-        );
-        assert_eq!(
-            registry.counter_value("profile_rule_ops_total{rule=\"external\"}"),
-            Some(1)
-        );
-        assert_eq!(
-            registry.counter_family_total("profile_rule_firings_total"),
-            3
-        );
         let accounts = p.accounts();
         assert_eq!(accounts.len(), 3); // external, 2, 5
         assert_eq!(accounts[0].rule, None);
+        assert_eq!(accounts[0].cost, cost(1, 0));
         assert_eq!(accounts[1].name.as_deref(), Some("escalate"));
+        assert_eq!(accounts[1].cost.firings, 2);
         assert_eq!(accounts[2].cost.join_probes, 7);
         assert_eq!(accounts[2].cost.firings, 1);
+        // The accounts are the profiler's own: the registry holds none.
+        assert!(registry.names().is_empty(), "{:?}", registry.names());
     }
 
     #[test]
@@ -696,16 +576,16 @@ mod tests {
             stab_nanos: nanos,
             ..CostSnapshot::default()
         };
-        p.bill(Some(1), &stab(100));
-        p.bill(Some(2), &stab(900));
-        // No stab time, some work.
-        p.bill(
-            Some(3),
-            &CostSnapshot {
-                join_probes: 50,
-                ..CostSnapshot::default()
-            },
-        );
+        let probes = CostSnapshot {
+            join_probes: 50,
+            ..CostSnapshot::default()
+        };
+        // Rule 3: no stab time, some work.
+        p.bill(&[
+            (Some(1), stab(100)),
+            (Some(2), stab(900)),
+            (Some(3), probes),
+        ]);
         let top = p.top(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].rule, Some(2));
@@ -743,7 +623,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.histogram("lat_nanos").record(7);
         let p = Profiler::new(&registry);
-        p.bill(Some(1), &firing());
+        p.bill(&[(Some(1), firing())]);
         p.name_rule(1, "a \"quoted\" rule");
         p.set_slow_threshold_nanos(10);
         p.record_request("insert", Some(0xdead), &StageRecord::other(55));
@@ -766,7 +646,7 @@ mod tests {
         assert!(p.render_slow_text().contains("capture off"));
         let registry = Arc::new(Registry::new());
         let p = Profiler::new(&registry);
-        p.bill(Some(1), &firing());
+        p.bill(&[(Some(1), firing())]);
         p.set_slow_threshold_nanos(1);
         p.record_request("delete", None, &StageRecord::other(5_000));
         assert!(p.render_top_text(5).contains("rule"));

@@ -179,7 +179,7 @@ mod tests {
             firings: 1,
             ..Default::default()
         };
-        profiler.bill(Some(4), &firing);
+        profiler.bill(&[(Some(4), firing)]);
         profiler.name_rule(4, "noisy");
         profiler.set_slow_threshold_nanos(1);
         profiler.record_request("insert", Some(0xbeef), &crate::StageRecord::other(50));

@@ -348,7 +348,7 @@ mod tests {
             firings: 1,
             ..Default::default()
         };
-        telemetry.profiler().bill(Some(3), &firing);
+        telemetry.profiler().bill(&[(Some(3), firing)]);
         telemetry.profiler().name_rule(3, "reorder");
         let server = serve("127.0.0.1:0", telemetry, None).unwrap();
 

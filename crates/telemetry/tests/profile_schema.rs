@@ -235,9 +235,7 @@ fn loaded() -> (Arc<Registry>, Profiler) {
         ops: 1,
         ..CostSnapshot::default()
     };
-    p.bill(Some(1), &work);
-    p.bill(Some(7), &work);
-    p.bill(None, &work);
+    p.bill(&[(Some(1), work), (Some(7), work), (None, work)]);
     p.name_rule(1, "a \"quoted\"\tname");
     p.set_slow_threshold_nanos(100);
     p.record_request(

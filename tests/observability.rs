@@ -10,8 +10,8 @@
 use predmatch::durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Options, RuleSpec};
 use predmatch::predicate::FunctionRegistry;
 use predmatch::prelude::*;
-use predmatch::rules::{DbOp, EventMask};
-use predmatch::telemetry::{nanos, Stage, StageRecord, EXTERNAL_ACCOUNT};
+use predmatch::rules::{DbOp, EngineError, EventMask};
+use predmatch::telemetry::{nanos, CostSnapshot, Stage, StageRecord, EXTERNAL_ACCOUNT};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -225,8 +225,8 @@ fn profiled_engine() -> RuleEngine {
 
 /// The profiler's attribution invariant (DESIGN.md §16): the per-rule
 /// accounts *partition* the global §5.2 cost counters. For every cost
-/// term, summing the `profile_rule_*_total{rule=...}` cells across all
-/// accounts must reproduce the global counter exactly — no work is
+/// term, summing that term of every account's cost in `/profile`'s
+/// ledger must reproduce the global counter exactly — no work is
 /// dropped, none is double-billed — under a workload that exercises
 /// every account kind: external inserts, a cascading rule (its queued
 /// ops bill *its* account, not external), and a two-relation join rule.
@@ -345,6 +345,45 @@ fn per_rule_accounts_sum_to_the_global_counters() {
     assert!(json.contains("\"name\":\"raise-alert\""), "{json}");
 }
 
+/// An aborted chain bills what it did: a rule that feeds itself runs
+/// the op into the firing limit, and the op's one bill, made after its
+/// last lap, still partitions every global counter and equals the
+/// work its record holds.
+#[test]
+fn an_aborted_chain_bills_once_and_partitions_exactly() {
+    let mut engine = profiled_engine();
+    engine.set_firing_limit(40);
+    let echo = Rule::builder("echo")
+        .when("alerts.level >= 2")
+        .unwrap()
+        .then(Action::callback(|ctx| {
+            ctx.queue(DbOp::Insert {
+                relation: "alerts".into(),
+                values: vec![Value::str("echo"), Value::Int(2)],
+            });
+        }));
+    engine.add_rule(echo.build()).unwrap();
+    let registry = engine.telemetry().registry().clone();
+    let profiler = engine.telemetry().profiler().clone();
+
+    let underpaid = vec![Value::str("al"), Value::Int(500), Value::str("Shoe")];
+    let err = engine.insert("emp", underpaid).unwrap_err();
+    assert!(
+        matches!(err, EngineError::FiringLimit { limit: 40 }),
+        "{err}"
+    );
+    assert_eq!(profiler.bills(), 1, "one bill for the aborted op");
+    let mut billed = [0u64; 9];
+    for a in profiler.accounts() {
+        for (sum, term) in billed.iter_mut().zip(terms(&a.cost)) {
+            *sum += term;
+        }
+    }
+    assert_eq!(billed, counted(&registry));
+    assert_eq!(work(engine.last_record()), billed);
+    assert!(billed[7] >= 40, "{billed:?}: the chain ran to the limit");
+}
+
 /// The §5.2 terms `registry`'s global counters hold.
 fn counted(registry: &Registry) -> [u64; 9] {
     [
@@ -363,7 +402,11 @@ fn counted(registry: &Registry) -> [u64; 9] {
 
 /// A record's work, in [`counted`]'s order.
 fn work(record: &StageRecord) -> [u64; 9] {
-    let w = record.work;
+    terms(&record.work)
+}
+
+/// Cost terms in [`counted`]'s order.
+fn terms(w: &CostSnapshot) -> [u64; 9] {
     [
         w.ibs_nodes,
         w.ibs_marks,
@@ -499,7 +542,7 @@ fn metric_families_table() -> Vec<(String, String)> {
 #[test]
 fn design_md_table_is_present_and_parsed() {
     let rows = metric_families_table();
-    assert!(rows.len() >= 50, "§11's table has {} rows", rows.len());
+    assert!(rows.len() >= 40, "§11's table has {} rows", rows.len());
     let families: BTreeSet<&str> = rows.iter().map(|(f, _)| f.as_str()).collect();
     assert_eq!(families.len(), rows.len(), "a family is listed twice");
     for (family, kind) in &rows {

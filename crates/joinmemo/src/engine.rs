@@ -1,10 +1,12 @@
-//! The join-memo engine: every registered join condition's memo, plus
-//! relation routing for retraction and the crate's metric families.
+//! The join-memo engine: every registered join condition's memo, the
+//! alpha tables they share (one per relation, [`crate::alpha`]), and
+//! the crate's metric families.
 
+use crate::alpha::Table;
 use crate::compile::CompiledJoin;
-use crate::memo::{InsertOutcome, JoinMemo};
+use crate::memo::{Column, InsertOutcome, JoinMemo};
 use predicate::JoinCondition;
-use relation::fx::FnvHashMap;
+use relation::fx::FxHashMap;
 use relation::{Catalog, Tuple};
 use std::hash::{Hash, Hasher};
 use telemetry::{Counter, Histogram, Registry, Telemetry};
@@ -46,27 +48,36 @@ impl Metrics {
         }
     }
 
+    /// Whether [`sample`](Self::sample) reads anything.
+    fn sampling(&self) -> bool {
+        self.partials.is_enabled()
+    }
+
     /// Samples `memo`'s gauges after a mutation. Reading them walks
     /// the memo's tables, so a disabled registry skips the read too.
-    fn sample(&self, memo: &JoinMemo) {
-        if self.partials.is_enabled() {
+    fn sample(&self, memo: &JoinMemo, tables: &[Table]) {
+        if self.sampling() {
             self.partials.record(memo.partial_count() as u64);
-            self.bytes.record(memo.approx_bytes());
+            self.bytes.record(memo.approx_bytes(tables));
         }
     }
 
     /// Counts one insertion into `memo`.
-    fn inserted(&self, memo: &JoinMemo, out: &InsertOutcome) {
+    fn inserted(&self, memo: &JoinMemo, tables: &[Table], out: &InsertOutcome) {
         self.probes.add(out.probes);
-        self.sample(memo);
+        self.sample(memo, tables);
     }
 }
 
-/// All join memos of one rule engine.
+/// All join memos of one rule engine, and the alpha tables they share.
 pub struct JoinEngine {
-    memos: FnvHashMap<u64, JoinMemo>,
-    /// relation -> [(condition key, premise index)], sorted.
-    by_relation: FnvHashMap<String, Vec<(u64, usize)>>,
+    memos: FxHashMap<u64, JoinMemo>,
+    /// One table per relation that some premise names; a slot whose
+    /// table went with its last column is empty, on `free_tables`.
+    tables: Vec<Table>,
+    /// relation -> its table's slot.
+    by_relation: FxHashMap<String, u32>,
+    free_tables: Vec<u32>,
     metrics: Metrics,
 }
 
@@ -80,8 +91,10 @@ impl JoinEngine {
     /// An empty engine with disabled metrics.
     pub fn new() -> JoinEngine {
         JoinEngine {
-            memos: FnvHashMap::default(),
-            by_relation: FnvHashMap::default(),
+            memos: FxHashMap::default(),
+            tables: Vec::new(),
+            by_relation: FxHashMap::default(),
+            free_tables: Vec::new(),
             metrics: Metrics::from_registry(&Registry::disabled()),
         }
     }
@@ -98,29 +111,46 @@ impl JoinEngine {
     }
 
     /// Registers a compiled condition under the caller-chosen `key`
-    /// (the rules engine uses a monotonic counter). The memo starts
-    /// empty; use [`seed`](Self::seed) to fill it from existing tuples.
+    /// (the rules engine uses a monotonic counter), replacing any
+    /// condition under it. Each premise gets a column of its relation's
+    /// table. The memo starts empty; use [`seed`](Self::seed) to fill it
+    /// from existing tuples.
     pub fn register(&mut self, key: u64, compiled: CompiledJoin) {
-        for i in 0..compiled.arity() {
-            let premises = self
-                .by_relation
-                .entry(compiled.relation(i).to_string())
-                .or_default();
-            premises.push((key, i));
-            premises.sort_unstable();
-        }
-        self.memos.insert(key, JoinMemo::new(compiled));
+        self.unregister(key);
+        let columns = (0..compiled.arity())
+            .map(|i| {
+                let table = self.table_for(compiled.relation(i));
+                let column = self.tables[table as usize].add_column(key, i as u32);
+                Column { table, column }
+            })
+            .collect();
+        self.memos.insert(key, JoinMemo::new(compiled, columns));
     }
 
-    /// Removes a condition and its memo, handing back the condition.
+    /// The slot of `relation`'s table, made if no premise named it.
+    fn table_for(&mut self, relation: &str) -> u32 {
+        if let Some(&table) = self.by_relation.get(relation) {
+            return table;
+        }
+        let table = self.free_tables.pop().unwrap_or_else(|| {
+            self.tables.push(Table::default());
+            self.tables.len() as u32 - 1
+        });
+        self.by_relation.insert(relation.to_string(), table);
+        table
+    }
+
+    /// Removes a condition and its memo, clearing its columns, handing
+    /// back the condition. A table goes with its last column.
     pub fn unregister(&mut self, key: u64) -> Option<JoinCondition> {
         let memo = self.memos.remove(&key)?;
-        for i in 0..memo.plan().arity() {
-            if let Some(v) = self.by_relation.get_mut(memo.plan().relation(i)) {
-                v.retain(|&(k, _)| k != key);
-                if v.is_empty() {
-                    self.by_relation.remove(memo.plan().relation(i));
-                }
+        for (i, c) in memo.columns().iter().enumerate() {
+            let table = &mut self.tables[c.table as usize];
+            table.remove_column(c.column);
+            if table.is_unused() {
+                *table = Table::default();
+                self.by_relation.remove(memo.plan().relation(i));
+                self.free_tables.push(c.table);
             }
         }
         Some(memo.plan.cond)
@@ -139,16 +169,17 @@ impl JoinEngine {
         let Some(memo) = self.memos.get_mut(&key) else {
             return InsertOutcome::default();
         };
-        let out = memo.insert(premise, tid, tuple);
-        self.metrics.inserted(memo, &out);
+        let out = memo.insert(&mut self.tables, premise, tid, tuple);
+        self.metrics.inserted(memo, &self.tables, &out);
         out
     }
 
     /// Retracts tuple `tid` of `relation` from every memo with a
-    /// premise over it, in key order; `each` sees `(condition key,
-    /// tokens retracted)` per premise — how a caller bills each
-    /// condition's share without a list built per retraction. Returns
-    /// the total.
+    /// premise that holds it, in key order; `each` sees `(condition
+    /// key, tokens retracted)` per such premise — how a caller bills
+    /// each condition's share without a list built per retraction.
+    /// The tuple's row is found once, and only its live cells are
+    /// visited. Returns the total.
     pub fn retract_each(
         &mut self,
         relation: &str,
@@ -156,12 +187,27 @@ impl JoinEngine {
         mut each: impl FnMut(u64, u64),
     ) -> u64 {
         let mut total = 0;
-        for &(key, premise) in self.by_relation.get(relation).into_iter().flatten() {
-            if let Some(memo) = self.memos.get_mut(&key) {
-                let n = memo.retract(premise, tid);
-                total += n;
-                each(key, n);
-                self.metrics.sample(memo);
+        if let Some(&table) = self.by_relation.get(relation) {
+            let t = table as usize;
+            let row = self.tables[t].row(tid);
+            for i in 0..self.tables[t].columns().len() {
+                let (key, premise, column) = self.tables[t].columns()[i];
+                let held = row.filter(|&row| self.tables[t].cell(row, column).is_live());
+                // The gauges sample every memo over the relation, as
+                // they did when each memo looked the tuple up itself.
+                if held.is_none() && !self.metrics.sampling() {
+                    continue;
+                }
+                let memo = self
+                    .memos
+                    .get_mut(&key)
+                    .expect("a live column's condition is registered");
+                if let Some(row) = held {
+                    let n = memo.retract(&mut self.tables, premise as usize, row);
+                    total += n;
+                    each(key, n);
+                }
+                self.metrics.sample(memo, &self.tables);
             }
         }
         self.metrics.retractions.add(total);
@@ -180,48 +226,76 @@ impl JoinEngine {
     /// matches it builds are only memo state.
     pub fn seed(&mut self, key: u64, catalog: &Catalog) {
         if let Some(memo) = self.memos.get_mut(&key) {
-            memo.seed(catalog, |memo, out| self.metrics.inserted(memo, &out));
+            let metrics = &self.metrics;
+            memo.seed(&mut self.tables, catalog, |memo, tables, out| {
+                metrics.inserted(memo, tables, &out)
+            });
         }
     }
 
     /// Rebuilds every memo from scratch against the current database:
-    /// discard all alpha entries and tokens, then re-seed each
+    /// clear the tables, discard all tokens, then re-seed each
     /// condition from `catalog`. Restores the memo invariant (tokens =
     /// all valid premise prefixes over current tuples) after a caller
     /// mutated the database without driving the corresponding events
     /// through [`insert`](Self::insert)/[`retract`](Self::retract) —
     /// the rules engine uses this when a cascade aborts midway.
     pub fn reseed_all(&mut self, catalog: &Catalog) {
-        let keys: Vec<u64> = {
-            let mut k: Vec<u64> = self.memos.keys().copied().collect();
-            k.sort_unstable();
-            k
-        };
-        for key in keys {
+        for table in &mut self.tables {
+            table.clear();
+        }
+        let mut keys: Vec<u64> = self.memos.keys().copied().collect();
+        keys.sort_unstable();
+        for &key in &keys {
             if let Some(memo) = self.memos.get_mut(&key) {
                 memo.reset();
             }
+        }
+        for key in keys {
             self.seed(key, catalog);
         }
     }
 
     /// The test oracle for everything the memos maintain incrementally.
-    /// Per condition: the slab's links, stored positions, free list
-    /// and counters are consistent; the running digest equals a full
-    /// recompute and the digest of a fresh memo seeded from `catalog`;
-    /// the complete matches equal [`naive::full_matches`].
+    /// Per table: each row's live count equals its live cells, no row
+    /// is without one, a freed column is all absent, and the live
+    /// columns are exactly the memos' premises. Per condition: the
+    /// slab's links, stored positions, free list and counters are
+    /// consistent; the running digest equals a full recompute and the
+    /// digest of a fresh memo seeded from `catalog`; the complete
+    /// matches equal [`naive::full_matches`].
     ///
     /// [`naive::full_matches`]: crate::naive::full_matches
     pub fn check_invariants(&self, catalog: &Catalog) -> Result<(), String> {
+        let mut columns = 0;
+        for (relation, &t) in &self.by_relation {
+            let fail = |what: &str| format!("table of {relation}: {what}");
+            let table = &self.tables[t as usize];
+            table.check().map_err(|e| fail(&e))?;
+            for &(key, premise, column) in table.columns() {
+                let memo = self.memos.get(&key).ok_or_else(|| fail("orphan column"))?;
+                let c = memo.columns().get(premise as usize);
+                if !c.is_some_and(|c| c.table == t && c.column == column) {
+                    return Err(fail("column not its premise's"));
+                }
+            }
+            columns += table.columns().len();
+        }
+        if columns != self.memos.values().map(|m| m.columns().len()).sum() {
+            return Err("a premise without its column".to_string());
+        }
         for (key, memo) in &self.memos {
             let fail = |what: &str| format!("condition {key}: {what}");
-            memo.check_structure().map_err(|e| fail(&e))?;
-            let mut fresh = JoinMemo::new(memo.plan().clone());
-            fresh.seed(catalog, |_, _| {});
-            if fresh.fingerprint() != memo.fingerprint() {
+            memo.check_structure(&self.tables).map_err(|e| fail(&e))?;
+            let mut fresh = JoinEngine::new();
+            fresh.register(*key, memo.plan().clone());
+            fresh.seed(*key, catalog);
+            if fresh.memos[key].fingerprint() != memo.fingerprint() {
                 return Err(fail("digest differs from a freshly seeded memo's"));
             }
-            if memo.complete_matches() != crate::naive::full_matches(memo.plan(), catalog) {
+            if memo.complete_matches(&self.tables)
+                != crate::naive::full_matches(memo.plan(), catalog)
+            {
                 return Err(fail("complete matches differ from the naive join"));
             }
         }
@@ -233,7 +307,7 @@ impl JoinEngine {
         let mut out: Vec<MemoStats> = self
             .memos
             .iter()
-            .map(|(&key, memo)| memo_stats(key, memo))
+            .map(|(&key, memo)| memo_stats(key, memo, &self.tables))
             .collect();
         out.sort_by_key(|s| s.key);
         out
@@ -241,14 +315,16 @@ impl JoinEngine {
 
     /// Statistics for one condition.
     pub fn stats_for(&self, key: u64) -> Option<MemoStats> {
-        self.memos.get(&key).map(|memo| memo_stats(key, memo))
+        self.memos
+            .get(&key)
+            .map(|memo| memo_stats(key, memo, &self.tables))
     }
 
     /// Complete matches of condition `key` as sorted tuple-id vectors.
     pub fn complete_matches(&self, key: u64) -> Vec<Vec<u32>> {
         self.memos
             .get(&key)
-            .map(|m| m.complete_matches())
+            .map(|m| m.complete_matches(&self.tables))
             .unwrap_or_default()
     }
 
@@ -270,17 +346,37 @@ impl JoinEngine {
         }
         acc
     }
+
+    /// The resident bytes of every memo and table: what the memos'
+    /// `approx_bytes` sum to.
+    #[cfg(test)]
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let memos: u64 = self.memos.values().map(JoinMemo::own_bytes).sum();
+        memos + self.tables.iter().map(Table::approx_bytes).sum::<u64>()
+    }
+
+    /// The widths of the tables in use, by relation.
+    #[cfg(test)]
+    pub(crate) fn widths(&self) -> Vec<(String, usize)> {
+        let mut out: Vec<_> = self
+            .by_relation
+            .iter()
+            .map(|(r, &t)| (r.clone(), self.tables[t as usize].width()))
+            .collect();
+        out.sort();
+        out
+    }
 }
 
 /// The statistics of `memo`, registered under `key`.
-fn memo_stats(key: u64, memo: &JoinMemo) -> MemoStats {
+fn memo_stats(key: u64, memo: &JoinMemo, tables: &[Table]) -> MemoStats {
     MemoStats {
         key,
         relations: (0..memo.plan().arity())
             .map(|i| memo.plan().relation(i).to_string())
             .collect(),
-        alpha_counts: memo.alpha_counts(),
+        alpha_counts: memo.alpha_counts().to_vec(),
         level_counts: memo.level_counts().to_vec(),
-        approx_bytes: memo.approx_bytes(),
+        approx_bytes: memo.approx_bytes(tables),
     }
 }

@@ -30,6 +30,7 @@
 #![deny(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
+mod alpha;
 mod compile;
 mod engine;
 mod memo;
@@ -241,6 +242,77 @@ mod tests {
         let cond = parse_condition("emp.name = dept.dno", &FunctionRegistry::default()).unwrap();
         let err = CompiledJoin::compile(cond.as_join().unwrap(), &cat).unwrap_err();
         assert!(matches!(err, CompileError::TypeMismatch { .. }));
+    }
+
+    /// `emp` and `dept` with `rows` rows each over ten departments.
+    fn seeded_catalog(rows: i64) -> Catalog {
+        let mut cat = catalog();
+        for i in 0..rows {
+            let (dept_row, emp_row) = (dept(i % 10, i % 3), emp("e", i % 10, i));
+            cat.relation_mut("dept").unwrap().insert(dept_row).unwrap();
+            cat.relation_mut("emp").unwrap().insert(emp_row).unwrap();
+        }
+        cat
+    }
+
+    #[test]
+    fn the_memos_bytes_sum_to_the_engines() {
+        let mut cat = seeded_catalog(300);
+        let mut je = JoinEngine::new();
+        let conditions = [
+            "emp.dno = dept.dno",
+            "emp.dno = dept.dno and dept.floor = 1",
+            "emp.salary < dept.dno and emp.dno = 2",
+        ];
+        for (key, src) in (0..).zip(conditions) {
+            je.register(key, compile(src, &cat));
+            je.seed(key, &cat);
+        }
+        let summed = |je: &JoinEngine| je.stats().iter().map(|s| s.approx_bytes).sum::<u64>();
+        assert_eq!(summed(&je), je.approx_bytes());
+        let ids: Vec<_> = cat
+            .relation("dept")
+            .unwrap()
+            .iter()
+            .map(|(id, _)| id)
+            .collect();
+        for id in ids.into_iter().step_by(3) {
+            cat.relation_mut("dept").unwrap().delete(id).unwrap();
+            je.retract("dept", id.0);
+        }
+        assert_eq!(summed(&je), je.approx_bytes());
+        je.unregister(1);
+        assert_eq!(summed(&je), je.approx_bytes());
+        je.check_invariants(&cat).unwrap();
+    }
+
+    #[test]
+    fn register_unregister_churn_leaves_width_and_bytes_where_they_were() {
+        let cat = seeded_catalog(200);
+        let mut je = JoinEngine::new();
+        je.register(0, compile("emp.dno = dept.dno", &cat));
+        je.seed(0, &cat);
+        let churned = compile("emp.dno = dept.dno and dept.floor = 1", &cat);
+        let state = |je: &JoinEngine| (je.widths(), je.approx_bytes());
+        let mut first = None;
+        for key in 1..=1_000 {
+            je.register(key, churned.clone());
+            je.seed(key, &cat);
+            assert!(je.widths().iter().all(|(_, width)| *width == 2));
+            je.unregister(key);
+            // The first cycle leaves the freed column behind; every
+            // later one reuses it.
+            let now = state(&je);
+            assert_eq!(
+                *first.get_or_insert_with(|| now.clone()),
+                now,
+                "cycle {key}"
+            );
+        }
+        je.check_invariants(&cat).unwrap();
+        // A table goes with its last column.
+        je.unregister(0);
+        assert_eq!(state(&je), (Vec::new(), 0));
     }
 
     #[test]

@@ -8,15 +8,23 @@
 //! is what makes the [`fingerprint`](JoinMemo::fingerprint) comparable
 //! across crash/recovery boundaries.
 //!
-//! Tokens form a forest in a slab (`Vec` + free list, id = slot): a
-//! token holds only the tuple of its own level and a link to its
-//! parent, the token over premises `0..k`; its tuple-id vector is the
-//! path to the root. Each token also sits in three lists, and leaves
-//! every one of them in O(1):
+//! The alpha memories are not the memo's: each premise is a column of
+//! the shared table of its relation ([`crate::alpha`]), which holds the
+//! tuple's row once for every memo, and the memo keeps only `(table,
+//! column)` and an entry count per premise. Tokens and key-store
+//! buckets name rows, so reading a bound tuple is an index, not a
+//! lookup; the digest still hashes tuple ids.
 //!
-//! - its parent's child list and its tuple's *owner* list (the tokens
-//!   whose last premise is that tuple) — walked only to delete, so
-//!   threaded through the tokens themselves ([`Link`]);
+//! Tokens form a forest in a slab (`Vec` + free list, id = slot): a
+//! token holds only the row of its own level and a link to its parent,
+//! the token over premises `0..k`; its row vector is the path to the
+//! root. Each token also sits in three lists, and leaves every one of
+//! them in O(1):
+//!
+//! - its parent's child list and its row's *owner* list (the tokens
+//!   whose last premise is that row, headed in the row's cell) — walked
+//!   only to delete, so threaded through the tokens themselves
+//!   ([`Link`]);
 //! - the `level_key` bucket a later premise probes from the right —
 //!   scanned on every probe, so a plain array the token leaves by
 //!   `swap_remove` at its stored position.
@@ -41,10 +49,12 @@
 //! owns — exactly the tokens that contain it — so a retraction costs
 //! the tokens it removes, whatever the size of the stores around them.
 
+use crate::alpha::Table;
 use crate::compile::CompiledJoin;
-use relation::fx::{FnvHashMap, FnvHasher};
+use relation::fx::{FnvHasher, FxHashMap};
 use relation::{Catalog, Tuple, TupleId, Value};
 use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Deref;
@@ -90,7 +100,7 @@ pub struct InsertOutcome {
 }
 
 /// "No token": list ends, the parent of a level-0 token.
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 /// `Token::level` of a slot on the free list.
 const FREE: u32 = u32::MAX;
 
@@ -103,8 +113,8 @@ struct Link {
 
 #[derive(Debug, Clone)]
 struct Token {
-    /// The tuple of premise `level` this token binds (its owner).
-    tid: u32,
+    /// The row of premise `level` this token binds (its owner).
+    row: u32,
     /// The token over premises `0..level`, `NIL` at level 0.
     parent: u32,
     level: u32,
@@ -112,7 +122,7 @@ struct Token {
     first_child: u32,
     /// Place in the parent's child list.
     sibling: Link,
-    /// Place in the owner list of `(level, tid)`.
+    /// Place in the owner list of `(level, row)`.
     owned: Link,
     /// Position in its `level_key` bucket (levels below the last).
     key_pos: u32,
@@ -150,20 +160,6 @@ fn unlink(tokens: &mut [Token], id: u32, link: fn(&mut Token) -> &mut Link) -> O
     }
     link(&mut tokens[prev as usize]).next = next;
     None
-}
-
-/// One alpha-memory entry.
-#[derive(Debug, Clone)]
-struct AlphaEntry {
-    /// A handle on the row the relation stored — shared with the
-    /// relation and every other memo, not a copy. It keeps the values
-    /// the memo saw after the relation replaces or deletes the row,
-    /// until the retraction has used them.
-    tuple: Tuple,
-    /// Position in its `alpha_key` bucket (premises `1..`).
-    key_pos: u32,
-    /// Head of the owner list: tokens whose last premise is this tuple.
-    first_owned: u32,
 }
 
 /// A key store's key: the values of a premise's equality steps. One
@@ -313,11 +309,11 @@ impl Deref for Ids {
 }
 
 /// Equality-key -> ids, each id knowing its position in the bucket.
-type KeyStore = FnvHashMap<Key, Ids>;
+type KeyStore = FxHashMap<Key, Ids>;
 
 /// Table bytes of a hash map: its capacity is 7/8 of its slots, and
 /// each slot carries one control byte.
-fn map_bytes<K, V>(m: &FnvHashMap<K, V>) -> u64 {
+pub(crate) fn map_bytes<K, V, S>(m: &HashMap<K, V, S>) -> u64 {
     (m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)) as u64
 }
 
@@ -351,16 +347,25 @@ fn bucket_remove(store: &mut KeyStore, key: &[Value], pos: u32) -> (Option<u32>,
     (bucket.get(pos as usize).copied(), 0)
 }
 
+/// Where a premise's alpha memory lives: a column of a shared table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Column {
+    /// The table's slot in the engine.
+    pub(crate) table: u32,
+    pub(crate) column: u32,
+}
+
 /// The memo for one compiled join condition.
 #[derive(Debug)]
 pub(crate) struct JoinMemo {
     pub(crate) plan: CompiledJoin,
-    /// Per premise: tuple id -> entry (the alpha memory).
-    alpha: Vec<FnvHashMap<u32, AlphaEntry>>,
-    /// Per premise `1..`: equality-key -> tuple ids, for rightward
-    /// probes. Premise 0 is never probed (a probe extends a token,
-    /// and every token already binds premise 0), so its store stays
-    /// empty.
+    /// Per premise: its column of the relation's shared table.
+    columns: Vec<Column>,
+    /// Per premise: rows live in its column (the alpha-memory size).
+    alpha_counts: Vec<usize>,
+    /// Per premise `1..`: equality-key -> rows, for rightward probes.
+    /// Premise 0 is never probed (a probe extends a token, and every
+    /// token already binds premise 0), so its store stays empty.
     alpha_key: Vec<KeyStore>,
     /// The token slab; `free` lists the slots whose level is `FREE`.
     tokens: Vec<Token>,
@@ -373,8 +378,7 @@ pub(crate) struct JoinMemo {
     /// The running [`fingerprint`](Self::fingerprint).
     digest: u64,
     /// Heap bytes the key stores point at (key values, bucket
-    /// arrays), maintained incrementally. An alpha entry's tuple is a
-    /// shared handle, counted in its table slot.
+    /// arrays), maintained incrementally.
     heap_bytes: u64,
     scratch: Scratch,
 }
@@ -386,7 +390,7 @@ struct Scratch {
     key: Vec<Value>,
     /// A token's tuple-id vector.
     tids: Vec<u32>,
-    /// The `(parent, tuple)` extensions an insertion has yet to store.
+    /// The `(parent, row)` extensions an insertion has yet to store.
     work: Vec<(u32, u32)>,
     /// The tokens a retraction removes.
     doomed: Vec<u32>,
@@ -414,15 +418,19 @@ fn token_digest(tids: &[u32]) -> u64 {
 }
 
 impl JoinMemo {
-    pub(crate) fn new(plan: CompiledJoin) -> JoinMemo {
+    /// A memo over `columns`, one per premise, which the engine has
+    /// added to the tables.
+    pub(crate) fn new(plan: CompiledJoin, columns: Vec<Column>) -> JoinMemo {
         let n = plan.arity();
+        debug_assert_eq!(columns.len(), n, "one column per premise");
         JoinMemo {
             plan,
-            alpha: vec![FnvHashMap::default(); n],
-            alpha_key: vec![FnvHashMap::default(); n],
+            columns,
+            alpha_counts: vec![0; n],
+            alpha_key: vec![FxHashMap::default(); n],
             tokens: Vec::new(),
             free: Vec::new(),
-            level_key: vec![FnvHashMap::default(); n.saturating_sub(1)],
+            level_key: vec![FxHashMap::default(); n.saturating_sub(1)],
             level_counts: vec![0; n],
             digest: DIGEST_SEED,
             heap_bytes: 0,
@@ -434,10 +442,16 @@ impl JoinMemo {
         &self.plan
     }
 
-    /// Discards every alpha entry and token, keeping the plan — the
-    /// first step of a from-scratch reseed.
+    /// Each premise's column.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Discards every token and the alpha counts, keeping the plan and
+    /// the columns — the first step of a from-scratch reseed, once the
+    /// engine has cleared the tables.
     pub(crate) fn reset(&mut self) {
-        *self = JoinMemo::new(self.plan.clone());
+        *self = JoinMemo::new(self.plan.clone(), std::mem::take(&mut self.columns));
     }
 
     /// Token count per level (`counts[k]` = partial matches over
@@ -447,8 +461,8 @@ impl JoinMemo {
     }
 
     /// Alpha-memory size per premise.
-    pub(crate) fn alpha_counts(&self) -> Vec<usize> {
-        self.alpha.iter().map(|m| m.len()).collect()
+    pub(crate) fn alpha_counts(&self) -> &[usize] {
+        &self.alpha_counts
     }
 
     /// Partial (non-complete) token count.
@@ -459,40 +473,53 @@ impl JoinMemo {
 
     /// Resident size as the containers account for it: the token
     /// slab and free list at capacity (a slab never shrinks), each
-    /// alpha and key-store table at capacity, and the heap behind the
-    /// key stores' entries — key values, bucket arrays. An alpha
-    /// entry's tuple counts as its handle (in the table slot): the row
-    /// behind it belongs to the relation and is shared by every memo
-    /// and event that holds it. What the allocator rounds up is not in
-    /// it.
-    pub(crate) fn approx_bytes(&self) -> u64 {
+    /// key-store table at capacity, the heap behind the key stores'
+    /// entries — key values, bucket arrays — and each column's share
+    /// of its table ([`Table::share`]), so the memos' figures sum to
+    /// the engine's. A row's tuple counts as its handle: the row behind
+    /// it belongs to the relation and is shared by every memo and event
+    /// that holds it. What the allocator rounds up is not in it.
+    pub(crate) fn approx_bytes(&self, tables: &[Table]) -> u64 {
+        let columns = self.columns.iter();
+        let shares: u64 = columns
+            .map(|c| tables[c.table as usize].share(c.column))
+            .sum();
+        self.own_bytes() + shares
+    }
+
+    /// [`approx_bytes`](Self::approx_bytes) less the table shares.
+    pub(crate) fn own_bytes(&self) -> u64 {
         let slab =
             self.tokens.capacity() * size_of::<Token>() + self.free.capacity() * size_of::<u32>();
-        let alpha: u64 = self.alpha.iter().map(map_bytes).sum();
         let stores = self.alpha_key.iter().chain(&self.level_key);
-        slab as u64 + alpha + stores.map(map_bytes).sum::<u64>() + self.heap_bytes
+        slab as u64 + stores.map(map_bytes).sum::<u64>() + self.heap_bytes
     }
 
     fn token(&self, id: u32) -> &Token {
         &self.tokens[id as usize]
     }
 
+    /// The table premise `premise`'s rows live in.
+    fn table<'t>(&self, tables: &'t [Table], premise: usize) -> &'t Table {
+        &tables[self.columns[premise].table as usize]
+    }
+
     /// The tuple `token` binds at `premise` (at or below its level).
-    fn tuple_at(&self, token: u32, premise: usize) -> &Tuple {
+    fn tuple_at<'t>(&self, tables: &'t [Table], token: u32, premise: usize) -> &'t Tuple {
         let mut t = self.token(token);
         while t.level as usize != premise {
             t = self.token(t.parent);
         }
-        &self.alpha[premise][&t.tid].tuple
+        self.table(tables, premise).tuple(t.row)
     }
 
     /// Fills `tids` with `token`'s tuple-id vector, premise order.
-    fn tids_into(&self, token: u32, tids: &mut Vec<u32>) {
+    fn tids_into(&self, tables: &[Table], token: u32, tids: &mut Vec<u32>) {
         tids.clear();
         let mut at = token;
         while at != NIL {
             let t = self.token(at);
-            tids.push(t.tid);
+            tids.push(self.table(tables, t.level as usize).tid(t.row));
             at = t.parent;
         }
         tids.reverse();
@@ -508,33 +535,35 @@ impl JoinMemo {
 
     /// Fills `key` with the equality-key `token` (over `0..j`)
     /// presents to premise `j`.
-    fn probe_key_into(&self, j: usize, token: u32, key: &mut Vec<Value>) {
+    fn probe_key_into(&self, tables: &[Table], j: usize, token: u32, key: &mut Vec<Value>) {
         key.clear();
         let eq = &self.plan.plan(j).eq;
         key.extend(eq.iter().map(|s| {
-            self.tuple_at(token, s.left_premise)
+            self.tuple_at(tables, token, s.left_premise)
                 .get(s.left_attr)
                 .clone()
         }));
     }
 
     /// Ordering steps of premise `j` against candidate `tuple`.
-    fn residual_ok(&self, j: usize, token: u32, tuple: &Tuple) -> bool {
+    fn residual_ok(&self, tables: &[Table], j: usize, token: u32, tuple: &Tuple) -> bool {
         self.plan.plan(j).residual.iter().all(|s| {
-            let left = self.tuple_at(token, s.left_premise).get(s.left_attr);
+            let left = self
+                .tuple_at(tables, token, s.left_premise)
+                .get(s.left_attr);
             s.op.holds(left, tuple.get(s.right_attr))
         })
     }
 
-    /// Allocates the token `parent` + `tid` and links it to its parent
+    /// Allocates the token `parent` + `row` and links it to its parent
     /// and its owner; the caller files it under its `level_key`.
-    fn alloc_token(&mut self, parent: u32, tid: u32) -> u32 {
+    fn alloc_token(&mut self, tables: &mut [Table], parent: u32, row: u32) -> u32 {
         let level = match parent {
             NIL => 0,
             p => self.token(p).level + 1,
         };
         let token = Token {
-            tid,
+            row,
             parent,
             level,
             first_child: NIL,
@@ -563,26 +592,25 @@ impl JoinMemo {
             push_front(&mut self.tokens, head, id, sibling);
             self.tokens[parent as usize].first_child = id;
         }
-        let owners = &mut self.alpha[level as usize];
-        let owner = owners
-            .get_mut(&tid)
-            .expect("insert stores the tuple before any token over it");
+        let Column { table, column } = self.columns[level as usize];
+        let owner = tables[table as usize].cell_mut(row, column);
         push_front(&mut self.tokens, owner.first_owned, id, owned);
         owner.first_owned = id;
         self.level_counts[level as usize] += 1;
         id
     }
 
-    fn binding_of(&self, token: u32) -> Binding {
+    fn binding_of(&self, tables: &[Table], token: u32) -> Binding {
         let mut tuples = Vec::with_capacity(self.plan.arity());
         let mut at = token;
         while at != NIL {
             let t = self.token(at);
             let p = t.level as usize;
+            let table = self.table(tables, p);
             tuples.push(BoundTuple {
                 relation: Arc::clone(&self.plan.names[p]),
-                id: TupleId(t.tid),
-                tuple: self.alpha[p][&t.tid].tuple.clone(),
+                id: TupleId(table.tid(t.row)),
+                tuple: table.tuple(t.row).clone(),
             });
             at = t.parent;
         }
@@ -592,54 +620,55 @@ impl JoinMemo {
 
     /// Feeds one alpha-matching tuple of premise `k` into the memo.
     /// The caller is responsible for the alpha test (at runtime the
-    /// predicate index performs it; seeding uses
-    /// [`CompiledJoin::alpha`]).
-    pub(crate) fn insert(&mut self, k: usize, tid: u32, tuple: &Tuple) -> InsertOutcome {
+    /// predicate index performs it; seeding uses the premise's bound
+    /// predicate).
+    pub(crate) fn insert(
+        &mut self,
+        tables: &mut [Table],
+        k: usize,
+        tid: u32,
+        tuple: &Tuple,
+    ) -> InsertOutcome {
         let n = self.plan.arity();
         let mut out = InsertOutcome::default();
-        if self.alpha[k].contains_key(&tid) {
+        let Column { table, column } = self.columns[k];
+        let Some(row) = tables[table as usize].enter(column, tid, tuple) else {
             return out; // duplicate feed (e.g. two premise pids) — ignore
-        }
+        };
+        self.alpha_counts[k] += 1;
         let mut s = std::mem::take(&mut self.scratch);
 
-        let mut key_pos = 0;
         if k == 0 {
-            s.work.push((NIL, tid));
+            s.work.push((NIL, row));
         } else {
             self.alpha_key_into(k, tuple, &mut s.key);
-            let (pos, grew) = bucket_push(&mut self.alpha_key[k], &s.key, tid);
-            key_pos = pos;
+            let (pos, grew) = bucket_push(&mut self.alpha_key[k], &s.key, row);
+            tables[table as usize].cell_mut(row, column).key_pos = pos;
             self.heap_bytes += grew;
             // Leftward: prefixes over 0..k that accept the new tuple.
             if let Some(cands) = self.level_key[k - 1].get(s.key.as_slice()) {
                 out.probes += cands.len() as u64;
-                let accepted = cands.iter().filter(|&&c| self.residual_ok(k, c, tuple));
-                s.work.extend(accepted.map(|&c| (c, tid)));
+                let accepted = cands
+                    .iter()
+                    .filter(|&&c| self.residual_ok(tables, k, c, tuple));
+                s.work.extend(accepted.map(|&c| (c, row)));
             }
         }
-        self.alpha[k].insert(
-            tid,
-            AlphaEntry {
-                tuple: tuple.clone(),
-                key_pos,
-                first_owned: NIL,
-            },
-        );
         self.digest = self.digest.wrapping_add(alpha_digest(k, tid, tuple));
 
         // Store each extension, then grow it rightward across the
         // premises after its own as far as the known tuples allow.
         while let Some((parent, last)) = s.work.pop() {
-            let id = self.alloc_token(parent, last);
+            let id = self.alloc_token(tables, parent, last);
             out.created += 1;
-            self.tids_into(id, &mut s.tids);
+            self.tids_into(tables, id, &mut s.tids);
             self.digest = self.digest.wrapping_add(token_digest(&s.tids));
             let j = s.tids.len();
             if j == n {
-                out.bindings.push(self.binding_of(id));
+                out.bindings.push(self.binding_of(tables, id));
                 continue;
             }
-            self.probe_key_into(j, id, &mut s.key);
+            self.probe_key_into(tables, j, id, &mut s.key);
             let (pos, grew) = bucket_push(&mut self.level_key[j - 1], &s.key, id);
             self.tokens[id as usize].key_pos = pos;
             self.heap_bytes += grew;
@@ -647,8 +676,9 @@ impl JoinMemo {
                 out.probes += cands.len() as u64;
                 // The candidate's tuple is read only for an ordering step.
                 let residual = &self.plan.plan(j).residual;
+                let rows = self.table(tables, j);
                 let accepted = cands.iter().filter(|&&c| {
-                    residual.is_empty() || self.residual_ok(j, id, &self.alpha[j][&c].tuple)
+                    residual.is_empty() || self.residual_ok(tables, j, id, rows.tuple(c))
                 });
                 s.work.extend(accepted.map(|&c| (id, c)));
             }
@@ -664,8 +694,9 @@ impl JoinMemo {
     /// sees the memo after every insertion, with its outcome.
     pub(crate) fn seed(
         &mut self,
+        tables: &mut [Table],
         catalog: &Catalog,
-        mut each: impl FnMut(&JoinMemo, InsertOutcome),
+        mut each: impl FnMut(&JoinMemo, &[Table], InsertOutcome),
     ) {
         for i in 0..self.plan.arity() {
             let Some(rel) = catalog.relation(self.plan.relation(i)) else {
@@ -675,20 +706,22 @@ impl JoinMemo {
                 .bind(rel.schema())
                 .expect("a compiled premise binds against its relation's schema");
             for (tid, tuple) in alpha.scan(rel) {
-                let out = self.insert(i, tid.0, tuple);
-                each(self, out);
+                let out = self.insert(tables, i, tid.0, tuple);
+                each(self, tables, out);
             }
         }
     }
 
-    /// Retracts a tuple of premise `k`: removes its alpha entry and
+    /// Retracts `row` from premise `k`: removes its alpha entry and
     /// every token containing it — the subtrees under the tokens it
     /// owns. Returns the number of tokens retracted.
-    pub(crate) fn retract(&mut self, k: usize, tid: u32) -> u64 {
+    pub(crate) fn retract(&mut self, tables: &mut [Table], k: usize, row: u32) -> u64 {
         let n = self.plan.arity();
-        let Some(entry) = self.alpha[k].get(&tid) else {
+        let Column { table, column } = self.columns[k];
+        let entry = tables[table as usize].cell(row, column);
+        if !entry.is_live() {
             return 0;
-        };
+        }
         let mut s = std::mem::take(&mut self.scratch);
 
         // Owned tokens first, each followed (breadth first) by its
@@ -711,12 +744,12 @@ impl JoinMemo {
         // ... then removed children before parents, so a token's path
         // (its key and digest term) is intact when its turn comes.
         for &id in s.doomed.iter().rev() {
-            self.tids_into(id, &mut s.tids);
+            self.tids_into(tables, id, &mut s.tids);
             self.digest = self.digest.wrapping_sub(token_digest(&s.tids));
             let level = s.tids.len() - 1;
             self.level_counts[level] -= 1;
             if level + 1 < n {
-                self.probe_key_into(level + 1, id, &mut s.key);
+                self.probe_key_into(tables, level + 1, id, &mut s.key);
                 let pos = self.token(id).key_pos;
                 let (moved, shrank) = bucket_remove(&mut self.level_key[level], &s.key, pos);
                 if let Some(moved) = moved {
@@ -725,7 +758,7 @@ impl JoinMemo {
                 self.heap_bytes -= shrank;
             }
             let Token {
-                parent, tid: last, ..
+                parent, row: last, ..
             } = *self.token(id);
             if level == k {
                 // The subtree's root: its parent lives on. (Its owner
@@ -737,40 +770,42 @@ impl JoinMemo {
                 }
             } else if let Some(head) = unlink(&mut self.tokens, id, owned) {
                 // A descendant: its parent goes too, its owner stays.
-                if let Some(owner) = self.alpha[level].get_mut(&last) {
-                    owner.first_owned = head;
-                }
+                let owner = self.columns[level];
+                tables[owner.table as usize]
+                    .cell_mut(last, owner.column)
+                    .first_owned = head;
             }
             self.tokens[id as usize].level = FREE;
             self.free.push(id);
         }
         let retracted = s.doomed.len() as u64;
 
-        if let Some(entry) = self.alpha[k].remove(&tid) {
-            self.digest = self.digest.wrapping_sub(alpha_digest(k, tid, &entry.tuple));
-            if k > 0 {
-                self.alpha_key_into(k, &entry.tuple, &mut s.key);
-                let (moved, shrank) = bucket_remove(&mut self.alpha_key[k], &s.key, entry.key_pos);
-                if let Some(moved) = moved {
-                    if let Some(e) = self.alpha[k].get_mut(&moved) {
-                        e.key_pos = entry.key_pos;
-                    }
-                }
-                self.heap_bytes -= shrank;
+        let rows = &tables[table as usize];
+        let tuple = rows.tuple(row);
+        let digest = alpha_digest(k, rows.tid(row), tuple);
+        self.digest = self.digest.wrapping_sub(digest);
+        if k > 0 {
+            self.alpha_key_into(k, tuple, &mut s.key);
+            let (moved, shrank) = bucket_remove(&mut self.alpha_key[k], &s.key, entry.key_pos);
+            if let Some(moved) = moved {
+                tables[table as usize].cell_mut(moved, column).key_pos = entry.key_pos;
             }
+            self.heap_bytes -= shrank;
         }
+        tables[table as usize].leave(row, column);
+        self.alpha_counts[k] -= 1;
         self.scratch = s;
         retracted
     }
 
     /// All complete matches as tuple-id vectors, sorted.
-    pub(crate) fn complete_matches(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn complete_matches(&self, tables: &[Table]) -> Vec<Vec<u32>> {
         let last = self.plan.arity() as u32 - 1;
         let mut out = Vec::with_capacity(self.level_counts[last as usize]);
         for (id, t) in self.tokens.iter().enumerate() {
             if t.level == last {
                 let mut tids = Vec::new();
-                self.tids_into(id as u32, &mut tids);
+                self.tids_into(tables, id as u32, &mut tids);
                 out.push(tids);
             }
         }
@@ -792,17 +827,18 @@ impl JoinMemo {
 
     /// [`fingerprint`](Self::fingerprint) recomputed from every stored
     /// item — the oracle the running digest is tested against.
-    fn fingerprint_recomputed(&self) -> u64 {
+    fn fingerprint_recomputed(&self, tables: &[Table]) -> u64 {
         let mut acc = DIGEST_SEED;
-        for (p, m) in self.alpha.iter().enumerate() {
-            for (&tid, entry) in m {
-                acc = acc.wrapping_add(alpha_digest(p, tid, &entry.tuple));
+        for (p, c) in self.columns.iter().enumerate() {
+            let rows = &tables[c.table as usize];
+            for row in rows.rows_in(c.column) {
+                acc = acc.wrapping_add(alpha_digest(p, rows.tid(row), rows.tuple(row)));
             }
         }
         let mut tids = Vec::new();
         for (id, t) in self.tokens.iter().enumerate() {
             if t.level != FREE {
-                self.tids_into(id as u32, &mut tids);
+                self.tids_into(tables, id as u32, &mut tids);
                 acc = acc.wrapping_add(token_digest(&tids));
             }
         }
@@ -814,7 +850,7 @@ impl JoinMemo {
     /// points back at its holder, every live token sits in exactly the
     /// lists its path says it should, the counters and the running
     /// digest equal a recount.
-    pub(crate) fn check_structure(&self) -> Result<(), String> {
+    pub(crate) fn check_structure(&self, tables: &[Table]) -> Result<(), String> {
         let n = self.plan.arity();
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
 
@@ -833,14 +869,18 @@ impl JoinMemo {
         let mut owned_seen = 0usize;
         let mut child_seen = 0usize;
         let mut key = Vec::new();
-        for (p, m) in self.alpha.iter().enumerate() {
-            for (&tid, entry) in m {
+        for (p, c) in self.columns.iter().enumerate() {
+            let rows = &tables[c.table as usize];
+            let mut entries = 0;
+            for row in rows.rows_in(c.column) {
+                entries += 1;
+                let entry = rows.cell(row, c.column);
                 if p > 0 {
-                    self.alpha_key_into(p, &entry.tuple, &mut key);
+                    self.alpha_key_into(p, rows.tuple(row), &mut key);
                     let at = self.alpha_key[p]
                         .get(key.as_slice())
                         .and_then(|b| b.get(entry.key_pos as usize));
-                    ensure(at == Some(&tid), "alpha key position")?;
+                    ensure(at == Some(&row), "alpha key position")?;
                 }
                 let (mut prev, mut at) = (NIL, entry.first_owned);
                 while at != NIL {
@@ -848,12 +888,13 @@ impl JoinMemo {
                         .tokens
                         .get(at as usize)
                         .ok_or("owned id out of range")?;
-                    ensure(t.level as usize == p && t.tid == tid, "owner list member")?;
+                    ensure(t.level as usize == p && t.row == row, "owner list member")?;
                     ensure(t.owned.prev == prev, "owner list back link")?;
                     owned_seen += 1;
                     (prev, at) = (at, t.owned.next);
                 }
             }
+            ensure(entries == self.alpha_counts[p], "alpha count")?;
         }
         for (id, t) in self.tokens.iter().enumerate() {
             if t.level == FREE {
@@ -863,8 +904,9 @@ impl JoinMemo {
             let level = t.level as usize;
             ensure(level < n, "token level")?;
             level_counts[level] += 1;
+            let c = self.columns[level];
             ensure(
-                self.alpha[level].contains_key(&t.tid),
+                tables[c.table as usize].holds(t.row, c.column),
                 "token tuple unknown",
             )?;
             match t.parent {
@@ -875,7 +917,7 @@ impl JoinMemo {
                 }
             }
             if level + 1 < n {
-                self.probe_key_into(level + 1, id, &mut key);
+                self.probe_key_into(tables, level + 1, id, &mut key);
                 let at = self.level_key[level]
                     .get(key.as_slice())
                     .and_then(|b| b.get(t.key_pos as usize));
@@ -904,12 +946,12 @@ impl JoinMemo {
         }
         for (p, store) in self.alpha_key.iter().enumerate() {
             let members: usize = store.values().map(|b| b.len()).sum();
-            let expect = if p == 0 { 0 } else { self.alpha[p].len() };
+            let expect = if p == 0 { 0 } else { self.alpha_counts[p] };
             ensure(members == expect, "alpha key members")?;
             ensure(store.values().all(|b| !b.is_empty()), "empty alpha bucket")?;
         }
         ensure(
-            self.digest == self.fingerprint_recomputed(),
+            self.digest == self.fingerprint_recomputed(tables),
             "running digest differs from the recomputed one",
         )
     }

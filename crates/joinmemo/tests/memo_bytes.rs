@@ -100,4 +100,58 @@ fn approx_bytes_is_within_a_fifth_of_the_allocator_count() {
             );
         }
     }
+
+    // A sixth shape: three conditions over the same relations, whose
+    // premises share each relation's table. The summed estimate
+    // charges every table once.
+    let shared = [
+        "a.k = b.k",
+        "a.k = b.k and b.k = c.k",
+        "a.v < b.v and a.k = 0 and b.k = 1",
+    ];
+    let cat = catalog(2_000, 400, false);
+    for (when, (approx, counted)) in ["seeded", "halved"].iter().zip(measure_all(&shared, &cat)) {
+        assert!(counted > 100_000, "shared {when}: only {counted} bytes");
+        let ratio = approx as f64 / counted as f64;
+        assert!(
+            (1.0 / 1.2..=1.2).contains(&ratio),
+            "{shared:?} {when}: summed approx_bytes {approx} vs {counted} counted (x{ratio:.2})"
+        );
+    }
+}
+
+/// [`measure`] for several conditions at once, their `approx_bytes`
+/// summed.
+fn measure_all(conditions: &[&str], cat: &Catalog) -> [(u64, u64); 2] {
+    let plans: Vec<CompiledJoin> = conditions
+        .iter()
+        .map(|c| {
+            let cond = parse_condition(c, &FunctionRegistry::default()).unwrap();
+            CompiledJoin::compile(cond.as_join().unwrap(), cat).unwrap()
+        })
+        .collect();
+
+    let before = live_bytes();
+    let mut je = JoinEngine::new();
+    for (key, plan) in (0..).zip(plans) {
+        je.register(key, plan);
+        je.seed(key, cat);
+    }
+    let counted = |je: &JoinEngine| {
+        let counted = (live_bytes() - before) as u64;
+        let approx = je.stats().iter().map(|s| s.approx_bytes).sum();
+        (approx, counted)
+    };
+    let seeded = counted(&je);
+    let ids: Vec<TupleId> = cat
+        .relation("b")
+        .unwrap()
+        .iter()
+        .map(|(id, _)| id)
+        .collect();
+    for id in ids.iter().step_by(2) {
+        je.retract("b", id.0);
+    }
+    let halved = counted(&je);
+    [seeded, halved]
 }

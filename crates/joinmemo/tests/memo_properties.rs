@@ -173,3 +173,86 @@ fn incremental_upkeep_matches_every_oracle_over_random_streams() {
         run_seed(seed);
     }
 }
+
+/// Conditions that share every relation: each premise over `a`, `b`
+/// or `c` is a column of the same shared table, so a tuple's row holds
+/// several memos' cells at once, and a retraction or an unregister of
+/// one leaves the others' cells in place. (A condition cannot join a
+/// relation with itself — `JoinCondition` refuses it — so two premises
+/// over one relation are always two conditions' columns.)
+const SHARED: [&str; 4] = [
+    "a.k = b.k",
+    "a.k = b.k and a.v > 3",
+    "a.k = b.k and b.k = c.k",
+    "b.v <= c.v and b.k = c.k",
+];
+
+fn run_shared_seed(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = World {
+        cat: catalog(),
+        je: JoinEngine::new(),
+        live: Vec::new(),
+        next_key: 0,
+    };
+    for src in SHARED {
+        w.register(src);
+    }
+    for op in 0..80 {
+        let rel = RELS[rng.gen_range(0..RELS.len())];
+        let roll = rng.gen_range(0..100);
+        if roll < 45 {
+            let id = w
+                .cat
+                .relation_mut(rel)
+                .unwrap()
+                .insert(row(&mut rng))
+                .unwrap();
+            w.feed(rel, id);
+        } else if roll < 60 {
+            if let Some(id) = w.some_id(&mut rng, rel) {
+                w.cat.relation_mut(rel).unwrap().delete(id).unwrap();
+                w.je.retract(rel, id.0);
+            }
+        } else if roll < 75 {
+            if let Some(id) = w.some_id(&mut rng, rel) {
+                let values = row(&mut rng);
+                w.cat.relation_mut(rel).unwrap().update(id, values).unwrap();
+                w.je.retract(rel, id.0);
+                w.feed(rel, id);
+            }
+        } else if roll < 90 {
+            // Unregister one condition, and register its text again at
+            // once or leave it to a later registration: the columns it
+            // frees are reused, by it or by the next condition.
+            let (key, plan) = w.live.swap_remove(rng.gen_range(0..w.live.len()));
+            assert!(w.je.unregister(key).is_some());
+            if let Err(e) = w.je.check_invariants(&w.cat) {
+                panic!("seed {seed} op {op}, after unregister: {e}");
+            }
+            if rng.gen_bool(0.5) || w.live.is_empty() {
+                w.register(&plan.condition().to_source().unwrap());
+            }
+        } else if roll < 95 {
+            w.je.reseed_all(&w.cat);
+        } else {
+            w.register(SHARED[rng.gen_range(0..SHARED.len())]);
+        }
+        if let Err(e) = w.je.check_invariants(&w.cat) {
+            panic!("seed {seed} op {op}: {e}");
+        }
+    }
+    // Unregistering everything leaves nothing behind.
+    for (key, _) in std::mem::take(&mut w.live) {
+        w.je.unregister(key);
+        w.je.check_invariants(&w.cat).unwrap();
+    }
+    assert!(w.je.is_empty() && w.je.stats().is_empty());
+}
+
+#[test]
+fn conditions_sharing_relations_keep_every_oracle_through_churn() {
+    for seed in 0..40 {
+        run_shared_seed(seed);
+    }
+}

@@ -69,6 +69,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "Cargo.toml Cargo.lock crates/*/Cargo.toml", hit: |l| text(l, "srclint"), must: false, within: "", why: "§13: the guard table is a tier-1 test; no lint crate" },
     Guard { files: ALL, hit: |l| text(l, "SPAN_STACK|SpanEventKind|span_with|instant_with"), must: false, within: "", why: "§12: one event shape, a closed interval with inline args; no span stack, no begin/end kinds, no args closure" },
     Guard { files: "crates/telemetry/src/profile.rs", hit: |l| text(l, "registry.counter(|profile_rule_"), must: false, within: "", why: "§16: an account is a plain cost in the profiler's ledger; the profiler mints no registry handle, so no lock nests" },
+    Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "Vec<FnvHashMap<u32|Vec<FxHashMap<u32|Vec<HashMap<u32"), must: false, within: "", why: "§15: a relation's alpha memory is one table the memos share; no memo keeps a tuple-id map per premise" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's

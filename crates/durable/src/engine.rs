@@ -11,6 +11,7 @@
 //! and fail identically on replay, so the record stream never needs
 //! compensation records.
 
+use crate::disk;
 use crate::record::{execute, resolve, ActionSpec, Applied, Record, RuleSpec};
 use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
 use crate::snapshot::{self, SnapshotError, SnapshotMetrics};
@@ -116,13 +117,12 @@ pub struct DurableRuleEngine {
     dir: PathBuf,
     engine: RuleEngine,
     wal: Wal,
-    specs: HashMap<u32, ActionSpec>,
+    /// Rule id → durable action, what the next snapshot persists.
+    pub(crate) specs: HashMap<u32, ActionSpec>,
     funcs: FunctionRegistry,
     actions: ActionRegistry,
     opts: Options,
     since_snapshot: u64,
-    /// Re-applied to each fresh log a truncation creates.
-    wal_metrics: WalMetrics,
     metrics: SnapshotMetrics,
     /// The stage clock of the latest logged operation (running only
     /// under the profiler or the tracer); its record is
@@ -178,13 +178,14 @@ impl DurableRuleEngine {
     ) -> Result<Self, DurableError> {
         let dir = dir.into();
         let telemetry = telemetry.into();
-        std::fs::create_dir_all(&dir)?;
+        disk::create_dir(&dir)?;
         let recovered = match replay_traced(&dir, &funcs, &actions, telemetry.tracer()) {
             Ok(r) => r,
             Err(e) => {
                 // A torn-WAL tail is tolerated silently; a Corrupt
-                // refusal means the snapshot itself is damaged — ship
-                // the recovery spans as context for the post-mortem.
+                // refusal means the snapshot itself is damaged, or the
+                // log starts past it — ship the recovery spans as
+                // context for the post-mortem.
                 if matches!(e, RecoverError::Corrupt { .. }) {
                     let recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
                     let _ = recorder.dump("recovery-corrupt");
@@ -208,9 +209,12 @@ impl DurableRuleEngine {
         )?;
         let mut engine = recovered.engine;
         engine.attach_metrics(telemetry.clone());
-        let wal_metrics = WalMetrics::new(&telemetry);
         let mut wal = Wal::create(&dir.join(WAL_FILE), recovered.last_seq + 1, opts.sync)?;
-        wal.set_metrics(wal_metrics.clone());
+        // The log's name, which nothing else syncs before the next
+        // snapshot: without it an acknowledged frame can vanish with
+        // the file that holds it.
+        disk::sync_dir(&dir)?;
+        wal.set_metrics(WalMetrics::new(&telemetry));
         let metrics = SnapshotMetrics::new(registry);
         Ok(DurableRuleEngine {
             dir,
@@ -221,7 +225,6 @@ impl DurableRuleEngine {
             actions,
             opts,
             since_snapshot: 0,
-            wal_metrics,
             metrics,
             clock: StageClock::default(),
         })
@@ -436,7 +439,8 @@ impl DurableRuleEngine {
 
     /// Takes a snapshot now and truncates the log. On return the
     /// snapshot file covers every operation ever applied, and the WAL
-    /// is empty.
+    /// is empty. If the snapshot fails, its directory sync included,
+    /// the log is left as it was and appends go on to it.
     pub fn snapshot(&mut self) -> Result<(), DurableError> {
         // A fail-stopped log stays stopped: memory may hold operations
         // that were answered with an error.
@@ -448,16 +452,7 @@ impl DurableRuleEngine {
         // Only truncate the log after the snapshot rename is durable;
         // a crash between the two leaves a stale log whose records
         // replay skips by sequence number.
-        // A failed re-creation may already have truncated the file the
-        // old handle appends to, so it fail-stops the old log.
-        let mut wal = match Wal::create(&self.dir.join(WAL_FILE), last + 1, self.opts.sync) {
-            Ok(wal) => wal,
-            Err(e) => return Err(self.wal.poison(e).into()),
-        };
-        wal.set_metrics(self.wal_metrics.clone());
-        // Still inside a group, if the old log was.
-        wal.deferred = self.wal.deferred;
-        self.wal = wal;
+        self.wal.restart(last + 1)?;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -489,6 +484,7 @@ impl DurableRuleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::tape::{fail_next, Fault};
     use relation::AttrType;
     use std::path::Path;
 
@@ -529,7 +525,7 @@ mod tests {
             for v in 0..3 {
                 e.insert("t", vec![Value::Int(v)]).unwrap();
             }
-            e.wal.fail_next_sync.set(true);
+            fail_next(Fault::Sync);
         });
         assert!(matches!(synced, Err(DurableError::Io(_))));
         assert_eq!(engine.durable_seq(), durable_before);
@@ -552,7 +548,7 @@ mod tests {
         let (dir, mut engine) = open("group-write-fault");
         let synced = engine.group(|e| {
             e.insert("t", vec![Value::Int(0)]).unwrap();
-            e.wal.fail_next_write.set(true);
+            fail_next(Fault::Write);
             // Not logged, so not applied either …
             assert!(e.insert("t", vec![Value::Int(1)]).is_err());
             // … and nothing lands behind the torn frame.
@@ -564,6 +560,31 @@ mod tests {
         assert!(matches!(synced, Err(DurableError::Io(_))));
         drop(engine);
         assert_eq!(recovered_rows(&dir), 1);
+    }
+
+    #[test]
+    fn a_failed_directory_sync_fails_the_snapshot_and_keeps_the_log() {
+        let (dir, mut engine) = open("dir-sync-fault");
+        for v in 0..3 {
+            engine.insert("t", vec![Value::Int(v)]).unwrap();
+        }
+        let frames = || {
+            let log = disk::read(&dir.join(WAL_FILE)).unwrap().unwrap();
+            crate::parse_wal(&log).records.len()
+        };
+        assert_eq!(frames(), 4);
+        fail_next(Fault::SyncDir);
+        assert!(matches!(
+            engine.snapshot(),
+            Err(DurableError::Snapshot(SnapshotError::Io(_)))
+        ));
+        // The log was not truncated, and appends go on to it.
+        assert_eq!(frames(), 4);
+        engine.insert("t", vec![Value::Int(3)]).unwrap();
+        assert_eq!(frames(), 5);
+        assert_eq!(engine.durable_seq(), 5);
+        drop(engine);
+        assert_eq!(recovered_rows(&dir), 4);
     }
 
     #[test]

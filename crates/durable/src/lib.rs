@@ -64,7 +64,10 @@
 #![deny(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
+#[cfg(test)]
+mod crashcheck;
 pub mod crc;
+mod disk;
 mod engine;
 mod record;
 pub mod recovery;
@@ -77,4 +80,4 @@ pub use recovery::{replay, ActionRegistry, RecoverError, Recovered, WAL_FILE};
 pub use snapshot::{
     read_snapshot, write_snapshot, SnapshotData, SnapshotError, SnapshotMetrics, SNAPSHOT_FILE,
 };
-pub use wal::{parse_wal, read_wal, SyncPolicy, Wal, WalMetrics, WalSuffix};
+pub use wal::{parse_wal, SyncPolicy, Wal, WalMetrics, WalSuffix};

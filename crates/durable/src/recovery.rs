@@ -1,7 +1,11 @@
 //! Crash recovery: snapshot + WAL suffix → a rebuilt [`RuleEngine`].
 //!
 //! Recovery is `state = snapshot ∘ replay(log records with seq >
-//! snapshot.last_seq)`. Replay runs each logged record through the
+//! snapshot.last_seq)`, and a log that starts past `snapshot.last_seq +
+//! 1` is refused as a gap. [`replay`] reads the two files; `restore`
+//! and `replay_log` are what it makes of their contents, and touch no
+//! file (the crash model in `crashcheck.rs` feeds them every pair of
+//! files a crash can leave). Replay runs each logged record through the
 //! function the live path ran it through — `record::resolve` then
 //! `record::execute`, what [`crate::DurableRuleEngine::apply`] calls
 //! after appending — so a replayed record cannot mean anything other
@@ -17,9 +21,10 @@
 //! from the [`ActionRegistry`] — abort recovery, because silently
 //! dropping them would change rule semantics.
 
+use crate::disk;
 use crate::record::{execute, resolve, ActionSpec, RuleSpec};
-use crate::snapshot::{read_snapshot, CondSnap};
-use crate::wal::read_wal;
+use crate::snapshot::{read_snapshot, CondSnap, SnapshotData};
+use crate::wal::parse_wal;
 use predicate::{
     parse_condition, parse_conditions, parse_conjunct, FunctionRegistry, ParsedCondition, Predicate,
 };
@@ -81,7 +86,8 @@ pub enum RecoverError {
     /// Filesystem failure.
     Io(io::Error),
     /// The snapshot is damaged (the WAL tolerates a torn tail; the
-    /// snapshot, written atomically, tolerates nothing).
+    /// snapshot, written atomically, tolerates nothing), or the log
+    /// starts past the snapshot's last sequence number.
     Corrupt { what: &'static str, detail: String },
     /// A persisted rule condition no longer parses — almost always a
     /// custom predicate function missing from the registry.
@@ -111,6 +117,16 @@ impl std::fmt::Display for RecoverError {
 }
 
 impl std::error::Error for RecoverError {}
+
+impl RecoverError {
+    /// A [`RecoverError::Corrupt`] saying `detail`.
+    pub(crate) fn corrupt(what: &'static str, detail: impl ToString) -> RecoverError {
+        RecoverError::Corrupt {
+            what,
+            detail: detail.to_string(),
+        }
+    }
+}
 
 impl From<io::Error> for RecoverError {
     fn from(e: io::Error) -> Self {
@@ -190,7 +206,8 @@ pub fn replay(
 /// replay each get a span in `tracer`'s ring (the replay's carries the
 /// last sequence number and the frames replayed), so a recovery that
 /// ends in a `Corrupt` refusal leaves its last steps in the flight
-/// recorder.
+/// recorder. It reads the two files; what recovery makes of their
+/// contents is [`restore`] then [`replay_log`], which touch no file.
 pub(crate) fn replay_traced(
     dir: &Path,
     funcs: &FunctionRegistry,
@@ -198,88 +215,113 @@ pub(crate) fn replay_traced(
     tracer: &telemetry::Tracer,
 ) -> Result<Recovered, RecoverError> {
     let snapshot_span = tracer.span("recovery_snapshot_load", []);
-    let (mut engine, mut action_specs, mut last_seq) = match read_snapshot(dir)? {
-        Some(snap) => {
-            let mut db = Database::new();
-            for rel in snap.relations {
-                db.catalog_mut()
-                    .adopt_relation(rel.into_owned())
-                    .map_err(|e| RecoverError::Corrupt {
-                        what: "snapshot relations",
-                        detail: e.to_string(),
-                    })?;
-            }
-            let mut rules: Vec<(RuleId, Rule, u64)> = Vec::with_capacity(snap.rules.len());
-            let mut specs = HashMap::new();
-            for r in snap.rules {
-                let mut conditions: Vec<Predicate> = Vec::with_capacity(r.conds.len());
-                let mut joins: Vec<JoinCondition> = Vec::new();
-                for c in &r.conds {
-                    match c {
-                        CondSnap::Source(src) => {
-                            conditions.push(parse_conjunct(src, funcs).map_err(|e| {
-                                RecoverError::Parse {
-                                    condition: src.clone(),
-                                    error: e.to_string(),
-                                }
-                            })?)
+    let restored = restore(read_snapshot(dir)?, funcs, actions)?;
+    drop(snapshot_span);
+    let replay_span = tracer.span("recovery_wal_replay", []);
+    let wal = disk::read(&dir.join(WAL_FILE))?.unwrap_or_default();
+    let recovered = replay_log(restored, &wal, funcs, actions)?;
+    replay_span.close([
+        ("last_seq", recovered.last_seq),
+        ("frames_replayed", recovered.frames_replayed),
+    ]);
+    Ok(recovered)
+}
+
+/// What a snapshot restores: the engine, its action specs and the
+/// last sequence number it covers.
+pub(crate) type Restored = (RuleEngine, HashMap<u32, ActionSpec>, u64);
+
+/// The state a snapshot holds (an empty engine at `last_seq` 0 without
+/// a snapshot).
+pub(crate) fn restore(
+    snapshot: Option<SnapshotData<'static>>,
+    funcs: &FunctionRegistry,
+    actions: &ActionRegistry,
+) -> Result<Restored, RecoverError> {
+    let Some(snap) = snapshot else {
+        return Ok((RuleEngine::new(Database::new()), HashMap::new(), 0));
+    };
+    let mut db = Database::new();
+    for rel in snap.relations {
+        db.catalog_mut()
+            .adopt_relation(rel.into_owned())
+            .map_err(|e| RecoverError::corrupt("snapshot relations", e))?;
+    }
+    let mut rules: Vec<(RuleId, Rule, u64)> = Vec::with_capacity(snap.rules.len());
+    let mut specs = HashMap::new();
+    for r in snap.rules {
+        let mut conditions: Vec<Predicate> = Vec::with_capacity(r.conds.len());
+        let mut joins: Vec<JoinCondition> = Vec::new();
+        for c in &r.conds {
+            match c {
+                CondSnap::Source(src) => {
+                    conditions.push(parse_conjunct(src, funcs).map_err(|e| {
+                        RecoverError::Parse {
+                            condition: src.clone(),
+                            error: e.to_string(),
                         }
-                        CondSnap::Unsatisfiable(rel) => {
-                            conditions.push(Predicate::unsatisfiable(rel.clone()))
-                        }
-                        CondSnap::Join(src) => {
-                            match parse_condition(src, funcs).map_err(|e| RecoverError::Parse {
-                                condition: src.clone(),
-                                error: e.to_string(),
-                            })? {
-                                ParsedCondition::Single(p) => conditions.push(p),
-                                ParsedCondition::Join(j) => joins.push(j),
-                            }
-                        }
+                    })?)
+                }
+                CondSnap::Unsatisfiable(rel) => {
+                    conditions.push(Predicate::unsatisfiable(rel.clone()))
+                }
+                CondSnap::Join(src) => {
+                    match parse_condition(src, funcs).map_err(|e| RecoverError::Parse {
+                        condition: src.clone(),
+                        error: e.to_string(),
+                    })? {
+                        ParsedCondition::Single(p) => conditions.push(p),
+                        ParsedCondition::Join(j) => joins.push(j),
                     }
                 }
-                let rule = Rule {
-                    name: r.name.into(),
-                    conditions,
-                    joins,
-                    mask: r.mask,
-                    action: resolve_action(&r.action, actions)?,
-                    priority: r.priority,
-                };
-                specs.insert(r.id, r.action);
-                rules.push((RuleId(r.id), rule, r.fired));
             }
-            let mut engine =
-                RuleEngine::restore(db, rules, snap.next_rule, snap.total_fired, snap.log)
-                    .map_err(|e| RecoverError::Corrupt {
-                        what: "snapshot rules",
-                        detail: e.to_string(),
-                    })?;
-            engine.set_firing_limit(snap.firing_limit as usize);
-            // Restoring reseeded every join memo from the restored
-            // tuples; the memo invariant (tokens = all valid premise
-            // prefixes) makes that reconstruction bit-identical to the
-            // pre-crash incremental state, so a digest mismatch means
-            // the snapshot pair (tuples, rules) is not the state the
-            // fingerprint was taken over.
-            let rebuilt = engine.join_fingerprint();
-            if rebuilt != snap.join_fingerprint {
-                return Err(RecoverError::Corrupt {
-                    what: "join memo fingerprint",
-                    detail: format!(
-                        "rebuilt memo digests to {rebuilt:#018x}, snapshot recorded {:#018x}",
-                        snap.join_fingerprint
-                    ),
-                });
-            }
-            (engine, specs, snap.last_seq)
         }
-        None => (RuleEngine::new(Database::new()), HashMap::new(), 0),
-    };
-    drop(snapshot_span);
+        let rule = Rule {
+            name: r.name.into(),
+            conditions,
+            joins,
+            mask: r.mask,
+            action: resolve_action(&r.action, actions)?,
+            priority: r.priority,
+        };
+        specs.insert(r.id, r.action);
+        rules.push((RuleId(r.id), rule, r.fired));
+    }
+    let mut engine = RuleEngine::restore(db, rules, snap.next_rule, snap.total_fired, snap.log)
+        .map_err(|e| RecoverError::corrupt("snapshot rules", e))?;
+    engine.set_firing_limit(snap.firing_limit as usize);
+    // Restoring reseeded every join memo from the restored
+    // tuples; the memo invariant (tokens = all valid premise
+    // prefixes) makes that reconstruction bit-identical to the
+    // pre-crash incremental state, so a digest mismatch means
+    // the snapshot pair (tuples, rules) is not the state the
+    // fingerprint was taken over.
+    let rebuilt = engine.join_fingerprint();
+    if rebuilt != snap.join_fingerprint {
+        let recorded = snap.join_fingerprint;
+        let detail =
+            format!("rebuilt memo digests to {rebuilt:#018x}, snapshot recorded {recorded:#018x}");
+        return Err(RecoverError::corrupt("join memo fingerprint", detail));
+    }
+    Ok((engine, specs, snap.last_seq))
+}
 
-    let replay_span = tracer.span("recovery_wal_replay", []);
-    let suffix = read_wal(&dir.join(WAL_FILE))?;
+/// Replays the log's bytes on top of what [`restore`] made: every
+/// frame past its `last_seq`, under the torn-tail rule. A log whose
+/// valid header starts past `last_seq + 1` is refused as a gap: the
+/// frames between are in neither file.
+pub(crate) fn replay_log(
+    (mut engine, mut action_specs, mut last_seq): Restored,
+    wal: &[u8],
+    funcs: &FunctionRegistry,
+    actions: &ActionRegistry,
+) -> Result<Recovered, RecoverError> {
+    let suffix = parse_wal(wal);
+    if suffix.start_seq > last_seq + 1 {
+        let (start, end) = (suffix.start_seq, last_seq);
+        let detail = format!("the log starts at seq {start}, the snapshot ends at seq {end}");
+        return Err(RecoverError::corrupt("log gap", detail));
+    }
     let mut frames_replayed = 0;
     for (seq, record) in suffix.records {
         // A crash between snapshot rename and log truncation leaves a
@@ -295,8 +337,6 @@ pub(crate) fn replay_traced(
         last_seq = seq;
         frames_replayed += 1;
     }
-    replay_span.close([("last_seq", last_seq), ("frames_replayed", frames_replayed)]);
-
     Ok(Recovered {
         engine,
         action_specs,

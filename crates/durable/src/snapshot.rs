@@ -18,8 +18,18 @@
 //! crash mid-write leaves the *previous* snapshot intact and a
 //! checksum failure in an installed snapshot is real corruption — a
 //! hard [`RecoverError::Corrupt`], never a silent partial state.
+//!
+//! ## File operations
+//!
+//! Through `disk.rs`, in this order: create `snapshot.tmp`, write
+//! it, `fdatasync` it, rename it over `snapshot.bin`, sync the
+//! directory. [`write_snapshot`] returns the first of these that fails,
+//! the directory sync included, and the durable engine truncates its
+//! log only after it returned `Ok`. [`read_snapshot`] reads the file
+//! and hands its bytes to `parse_snapshot`.
 
 use crate::crc::crc32;
+use crate::disk;
 use crate::record::{decode_action, decode_mask, encode_action, encode_mask, ActionSpec};
 use crate::recovery::RecoverError;
 use relation::codec::{decode_relation, encode_relation, CodecError, Reader, Writer};
@@ -27,8 +37,7 @@ use relation::Relation;
 use rules::{Action, EventMask, RuleEngine};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 use telemetry::{Counter, Histogram, Registry};
 
@@ -275,7 +284,7 @@ pub fn capture<'a>(
     })
 }
 
-fn encode_body(s: &SnapshotData) -> Vec<u8> {
+pub(crate) fn encode_body(s: &SnapshotData) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(s.last_seq);
     w.u32(s.relations.len() as u32);
@@ -391,7 +400,9 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData<'static>, CodecError> {
 /// Writes `data` as the directory's snapshot, atomically: encode,
 /// write to a temp file, `fdatasync`, rename over the old snapshot,
 /// then fsync the directory so the rename itself is durable. Each
-/// stage runs on its clock in `metrics`.
+/// stage runs on its clock in `metrics`. An error, a failed directory
+/// sync included, leaves the rename's durability unknown: either
+/// snapshot may be the one a crash keeps.
 pub fn write_snapshot(
     dir: &Path,
     data: &SnapshotData,
@@ -410,24 +421,15 @@ pub fn write_snapshot(
 
     let tmp = dir.join(SNAPSHOT_TMP);
     let f = timed(&metrics.write_nanos, || {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(&out)?;
+        let f = disk::create(&tmp)?;
+        f.write(&out)?;
         io::Result::Ok(f)
     })?;
-    timed(&metrics.sync_nanos, || f.sync_data())?;
+    timed(&metrics.sync_nanos, || f.sync())?;
     drop(f);
     timed(&metrics.install_nanos, || {
-        std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-        // Persist the rename (directory metadata). Failure here still
-        // leaves a consistent file at one of the two names.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        io::Result::Ok(())
+        disk::rename(&tmp, &dir.join(SNAPSHOT_FILE))?;
+        disk::sync_dir(dir)
     })?;
     metrics.bytes.record(out.len() as u64);
     if metrics.tuples.is_enabled() {
@@ -441,48 +443,37 @@ pub fn write_snapshot(
 /// Reads the directory's snapshot. `Ok(None)` if none has ever been
 /// installed; any malformed content is a hard error.
 pub fn read_snapshot(dir: &Path) -> Result<Option<SnapshotData<'static>>, RecoverError> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(RecoverError::Io(e)),
-    };
-    let mut r = Reader::new(&bytes);
+    let bytes = disk::read(&dir.join(SNAPSHOT_FILE))?;
+    bytes.map(|b| parse_snapshot(&b)).transpose()
+}
+
+/// The pure parsing core of [`read_snapshot`]: any malformed content
+/// is a hard error.
+pub(crate) fn parse_snapshot(bytes: &[u8]) -> Result<SnapshotData<'static>, RecoverError> {
+    let mut r = Reader::new(bytes);
     let (version, body_len, stored_crc) =
         match (r.take(SNAP_MAGIC.len()), r.u16(), r.u32(), r.u32()) {
             (Ok(magic), Ok(v), Ok(n), Ok(c)) if magic == SNAP_MAGIC => (v, n as usize, c),
             _ => {
-                return Err(RecoverError::Corrupt {
-                    what: "snapshot header",
-                    detail: "bad magic or short file".into(),
-                })
+                return Err(RecoverError::corrupt(
+                    "snapshot header",
+                    "bad magic or short file",
+                ))
             }
         };
     if version != SNAP_VERSION {
-        return Err(RecoverError::Corrupt {
-            what: "snapshot version",
-            detail: format!("found {version}, expected {SNAP_VERSION}"),
-        });
+        let detail = format!("found {version}, expected {SNAP_VERSION}");
+        return Err(RecoverError::corrupt("snapshot version", detail));
     }
     let body = &bytes[r.pos()..];
     if body.len() != body_len {
-        return Err(RecoverError::Corrupt {
-            what: "snapshot length",
-            detail: format!("body is {} bytes, header says {body_len}", body.len()),
-        });
+        let detail = format!("body is {} bytes, header says {body_len}", body.len());
+        return Err(RecoverError::corrupt("snapshot length", detail));
     }
     if crc32(body) != stored_crc {
-        return Err(RecoverError::Corrupt {
-            what: "snapshot checksum",
-            detail: "crc mismatch".into(),
-        });
+        return Err(RecoverError::corrupt("snapshot checksum", "crc mismatch"));
     }
-    decode_body(body)
-        .map(Some)
-        .map_err(|e| RecoverError::Corrupt {
-            what: "snapshot body",
-            detail: e.to_string(),
-        })
+    decode_body(body).map_err(|e| RecoverError::corrupt("snapshot body", e))
 }
 
 #[cfg(test)]

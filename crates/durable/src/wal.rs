@@ -24,13 +24,22 @@
 //! checksum vouches for it), everything after is unreachable anyway
 //! because frames are not self-synchronizing. A missing file or an
 //! unreadable header is an empty log.
+//!
+//! ## File operations
+//!
+//! The log is one file, written through `disk.rs`: created (or
+//! truncated by `Wal::restart`), its header written and synced, then
+//! frames appended and synced as the [`SyncPolicy`] says. Its name is
+//! made durable by the caller's directory sync (the durable engine
+//! syncs the directory after it creates the first log, and a snapshot
+//! syncs it before a restart truncates the log).
 
 use crate::crc::Crc32;
+use crate::disk::{self, DiskFile};
 use crate::record::Record;
 use relation::codec::Reader;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 use telemetry::{Counter, Histogram, Telemetry, Tracer};
 
 /// File magic for WAL files.
@@ -62,7 +71,7 @@ pub enum SyncPolicy {
 
 /// The log's metric handles. Default (and [`WalMetrics::disabled`]) is
 /// the no-op bundle: one branch per append / sync. Cloning shares the
-/// underlying cells, which is how the durable engine keeps counters
+/// underlying cells. A `Wal::restart` keeps them, so the counters stay
 /// monotonic across the log truncations a snapshot performs.
 #[derive(Debug, Clone, Default)]
 pub struct WalMetrics {
@@ -107,7 +116,9 @@ impl WalMetrics {
 /// either would be acknowledged and then dropped by the torn-tail rule.
 #[derive(Debug)]
 pub struct Wal {
-    file: File,
+    file: DiskFile,
+    /// Where [`restart`](Wal::restart) re-creates the log.
+    path: PathBuf,
     next_seq: u64,
     policy: SyncPolicy,
     unsynced: u32,
@@ -121,35 +132,33 @@ pub struct Wal {
     /// Kind of the first I/O error; `Some` = fail-stopped.
     poisoned: Option<io::ErrorKind>,
     metrics: WalMetrics,
-    /// Test fault hooks: fail the next frame write (after tearing half
-    /// of it onto disk) / the next sync.
-    #[cfg(test)]
-    pub(crate) fail_next_write: std::cell::Cell<bool>,
-    #[cfg(test)]
-    pub(crate) fail_next_sync: std::cell::Cell<bool>,
+}
+
+/// Creates (or truncates) the log file at `path` and writes and syncs a
+/// header whose first frame is `start_seq`.
+fn start(path: &Path, start_seq: u64) -> io::Result<DiskFile> {
+    let file = disk::create(path)?;
+    let mut header = Vec::with_capacity(WAL_HEADER_LEN);
+    header.extend_from_slice(WAL_MAGIC);
+    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    header.extend_from_slice(&start_seq.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&header[8..]);
+    header.extend_from_slice(&crc.finish().to_le_bytes());
+    file.write(&header)?;
+    file.sync()?;
+    Ok(file)
 }
 
 impl Wal {
     /// Creates (or truncates) the log at `path`, with the first frame
     /// to be appended carrying sequence number `start_seq`. The header
-    /// is synced before this returns.
+    /// is synced before this returns; the name is not (that is the
+    /// directory's sync).
     pub fn create(path: &Path, start_seq: u64, policy: SyncPolicy) -> io::Result<Wal> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&start_seq.to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&header[8..]);
-        header.extend_from_slice(&crc.finish().to_le_bytes());
-        file.write_all(&header)?;
-        file.sync_data()?;
         Ok(Wal {
-            file,
+            file: start(path, start_seq)?,
+            path: path.to_path_buf(),
             next_seq: start_seq,
             policy,
             unsynced: 0,
@@ -157,16 +166,23 @@ impl Wal {
             deferred: false,
             poisoned: None,
             metrics: WalMetrics::disabled(),
-            #[cfg(test)]
-            fail_next_write: Default::default(),
-            #[cfg(test)]
-            fail_next_sync: Default::default(),
         })
     }
 
-    /// Swaps in a metric bundle (the durable engine re-applies the same
-    /// bundle to each fresh log a snapshot truncation creates, so the
-    /// counters stay monotonic across truncations).
+    /// Truncates the log to an empty one whose first frame carries
+    /// `start_seq`, keeping its policy, metrics and group deferral. A
+    /// snapshot covering every earlier frame must already be durable,
+    /// name included. A failure may have truncated the file this log
+    /// appends to, so it fail-stops the log.
+    pub(crate) fn restart(&mut self, start_seq: u64) -> io::Result<()> {
+        self.file = start(&self.path, start_seq).map_err(|e| self.poison(e))?;
+        self.next_seq = start_seq;
+        self.durable_next = start_seq;
+        self.unsynced = 0;
+        Ok(())
+    }
+
+    /// Swaps in a metric bundle.
     pub fn set_metrics(&mut self, metrics: WalMetrics) {
         self.metrics = metrics;
     }
@@ -188,7 +204,7 @@ impl Wal {
     }
 
     /// Fail-stops the log on `error` and hands the error back.
-    pub(crate) fn poison(&mut self, error: io::Error) -> io::Error {
+    fn poison(&mut self, error: io::Error) -> io::Error {
         self.poisoned.get_or_insert(error.kind());
         error
     }
@@ -204,23 +220,6 @@ impl Wal {
         }
     }
 
-    fn write_frame(&self, frame: &[u8]) -> io::Result<()> {
-        #[cfg(test)]
-        if self.fail_next_write.take() {
-            (&self.file).write_all(&frame[..frame.len() / 2])?;
-            return Err(io::Error::other("injected write fault"));
-        }
-        (&self.file).write_all(frame)
-    }
-
-    fn sync_file(&self) -> io::Result<()> {
-        #[cfg(test)]
-        if self.fail_next_sync.take() {
-            return Err(io::Error::other("injected sync fault"));
-        }
-        self.file.sync_data()
-    }
-
     /// Appends one record, returning its sequence number. The frame is
     /// written in full (buffered only by the OS); whether it is forced
     /// to stable storage is the [`SyncPolicy`]'s call. The `wal_append`
@@ -233,7 +232,7 @@ impl Wal {
         let bytes = frame.len() as u64;
         let tracer = &self.metrics.tracer;
         let span = tracer.span("wal_append", [("seq", seq), ("bytes", bytes)]);
-        let written = self.write_frame(&frame);
+        let written = self.file.write(&frame);
         drop(span);
         written.map_err(|e| self.poison(e))?;
         self.metrics.appends.inc();
@@ -254,7 +253,7 @@ impl Wal {
         self.check_poisoned()?;
         let span = self.metrics.tracer.span("wal_fsync", []);
         let timer = self.metrics.fsync_nanos.start_timer();
-        let synced = self.sync_file();
+        let synced = self.file.sync();
         drop(span);
         synced.map_err(|e| self.poison(e))?;
         self.metrics.fsync_nanos.stop_timer(timer);
@@ -292,18 +291,8 @@ pub struct WalSuffix {
     pub frame_ends: Vec<u64>,
 }
 
-/// Reads a WAL file under the torn-tail rule. Only genuine I/O
-/// failures (not corruption, not absence) surface as errors.
-pub fn read_wal(path: &Path) -> io::Result<WalSuffix> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalSuffix::default()),
-        Err(e) => return Err(e),
-    };
-    Ok(parse_wal(&bytes))
-}
-
-/// The pure parsing core of [`read_wal`].
+/// Reads a WAL file's bytes under the torn-tail rule (recovery reads
+/// the file; an absent one is empty bytes).
 pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
     let mut out = WalSuffix::default();
     // Header: anything short or mismatched means we cannot trust a
@@ -353,8 +342,14 @@ pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::tape::{fail_next, Fault};
     use crate::record::Record;
     use std::path::PathBuf;
+
+    /// The log at `path`, as recovery reads it.
+    fn read_wal(path: &Path) -> WalSuffix {
+        parse_wal(&disk::read(path).unwrap().unwrap_or_default())
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -376,7 +371,7 @@ mod tests {
             assert_eq!(wal.append(&sample(i)).unwrap(), 5 + i as u64);
         }
         assert_eq!(wal.next_seq(), 9);
-        let suffix = read_wal(&path).unwrap();
+        let suffix = read_wal(&path);
         assert_eq!(suffix.start_seq, 5);
         assert_eq!(
             suffix.records,
@@ -390,7 +385,8 @@ mod tests {
     #[test]
     fn missing_file_is_empty() {
         let path = tmp("missing");
-        let suffix = read_wal(&path).unwrap();
+        assert!(disk::read(&path).unwrap().is_none());
+        let suffix = read_wal(&path);
         assert!(suffix.records.is_empty());
         assert_eq!(suffix.start_seq, 0);
     }
@@ -440,7 +436,7 @@ mod tests {
         let mut wal = Wal::create(&path, 1, SyncPolicy::Manual).unwrap();
         wal.append(&sample(0)).unwrap();
         wal.append(&sample(1)).unwrap();
-        wal.fail_next_write.set(true);
+        fail_next(Fault::Write);
         assert!(wal.append(&sample(2)).is_err());
         // Half of frame 3 is on disk; nothing may land behind it.
         assert!(
@@ -449,7 +445,7 @@ mod tests {
         );
         assert!(wal.sync().is_err(), "sync of a fail-stopped log");
         assert_eq!(wal.next_seq(), 3, "the failed append took no number");
-        let suffix = read_wal(&path).unwrap();
+        let suffix = read_wal(&path);
         assert_eq!(suffix.records, vec![(1, sample(0)), (2, sample(1))]);
         let torn = std::fs::metadata(&path).unwrap().len();
         assert!(torn > *suffix.frame_ends.last().unwrap(), "a torn tail");
@@ -461,7 +457,7 @@ mod tests {
         let mut wal = Wal::create(&path, 1, SyncPolicy::Always).unwrap();
         wal.append(&sample(0)).unwrap();
         assert_eq!(wal.durable_next(), 2);
-        wal.fail_next_sync.set(true);
+        fail_next(Fault::Sync);
         assert!(wal.append(&sample(1)).is_err());
         assert_eq!(wal.durable_next(), 2, "an unsynced frame is not durable");
         // Frame 2 is in the file but its caller saw an error: a frame
@@ -469,7 +465,7 @@ mod tests {
         // live engine never applied.
         assert!(wal.append(&sample(2)).is_err());
         assert!(wal.sync().is_err());
-        assert_eq!(read_wal(&path).unwrap().records.len(), 2);
+        assert_eq!(read_wal(&path).records.len(), 2);
     }
 
     #[test]

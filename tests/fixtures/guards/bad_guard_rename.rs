@@ -2,17 +2,17 @@
 // The two ways to publish a snapshot that a crash can tear: never
 // synced, and synced only after the rename.
 
-use std::fs;
+use crate::disk;
 use std::io;
 use std::path::Path;
 
 pub fn publish_unsynced(tmp: &Path, dst: &Path) -> io::Result<()> {
-    fs::write(tmp, b"snapshot body")?;
-    fs::rename(tmp, dst)
+    disk::create(tmp)?.write(b"snapshot body")?;
+    disk::rename(tmp, dst)
 }
 
 pub fn write_snapshot(tmp: &Path, dst: &Path) -> io::Result<()> {
-    let f = fs::File::create(tmp)?;
-    fs::rename(tmp, dst)?;
-    f.sync_data()
+    let f = disk::create(tmp)?;
+    disk::rename(tmp, dst)?;
+    f.sync()
 }

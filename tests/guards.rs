@@ -23,7 +23,8 @@ struct Guard {
     hit: fn(&str) -> Option<usize>,
     /// Turned around: a covered file must have a line it hits.
     must: bool,
-    /// Empty, or the one item read (`"struct ColdRule"`).
+    /// Empty, the one item read (`"struct ColdRule"`), or with a
+    /// leading `!` the one item not read (`"!mod tests"`).
     within: &'static str,
     /// The DESIGN.md section and commits that set the row, and what it
     /// keeps.
@@ -65,11 +66,13 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/*/src src", hit: |l| field(l, "", "Mutex<|RwLock<").filter(|_| text(l, LOCKS).is_none()), must: false, within: "", why: "§18 (6222172): four lock fields; a new one comes with a review of where it nests" },
     Guard { files: "crates/*/src src", hit: |l| text(l, "SeqCst"), must: false, within: "", why: "§18 (56aac5f): no SeqCst; counters and polled flags are Relaxed" },
     Guard { files: "crates/*/src src", hit: |l| store(l).filter(|_| text(l, STORES).is_none()), must: false, within: "", why: "§18 (56aac5f): one atomic config word; a new publication comes with a review of its ordering" },
-    Guard { files: "crates/durable/src", hit: |l| text(l, "rename(").filter(|_| text(l, RENAMES).is_none()), must: false, within: "", why: "§10: one rename publishes a snapshot; a new one comes with a review of what it syncs first" },
+    Guard { files: "crates/durable/src !crates/durable/src/disk.rs", hit: |l| text(l, "rename(").filter(|_| text(l, RENAMES).is_none()), must: false, within: "", why: "§10: one rename publishes a snapshot; a new one comes with a review of what it syncs first" },
     Guard { files: "Cargo.toml Cargo.lock crates/*/Cargo.toml", hit: |l| text(l, "srclint"), must: false, within: "", why: "§13: the guard table is a tier-1 test; no lint crate" },
     Guard { files: ALL, hit: |l| text(l, "SPAN_STACK|SpanEventKind|span_with|instant_with"), must: false, within: "", why: "§12: one event shape, a closed interval with inline args; no span stack, no begin/end kinds, no args closure" },
     Guard { files: "crates/telemetry/src/profile.rs", hit: |l| text(l, "registry.counter(|profile_rule_"), must: false, within: "", why: "§16: an account is a plain cost in the profiler's ledger; the profiler mints no registry handle, so no lock nests" },
     Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "Vec<FnvHashMap<u32|Vec<FxHashMap<u32|Vec<HashMap<u32"), must: false, within: "", why: "§15: a relation's alpha memory is one table the memos share; no memo keeps a tuple-id map per premise" },
+    Guard { files: "crates/durable/src !crates/durable/src/disk.rs !crates/durable/src/crashcheck.rs", hit: fs_call, must: false, within: "!mod tests", why: "§10: every file operation of the durable crate goes through `disk.rs`, so the crash model's tape sees it" },
+    Guard { files: "crates/durable/src", hit: |l| text(l, "let _ =").filter(|&i| l[i..].contains("sync")), must: false, within: "", why: "§10: no sync's error is dropped; a failed directory sync fails the snapshot" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's
@@ -80,9 +83,10 @@ const LOCKS: &str = "metrics: Mutex<BTreeMap<String, Metric>>|ring: Mutex<Ring>|
 /// remain, as DESIGN.md §18's `Atomics` lists them.
 const STORES: &str = "slow_threshold.store(|next_id.store(u32::MAX";
 
-/// The renames under `crates/durable/src`, as DESIGN.md §10's `Renames`
-/// lists them.
-const RENAMES: &str = "std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))";
+/// The renames under `crates/durable/src` outside `disk.rs`, which
+/// holds the one `std::fs::rename`, as DESIGN.md §10's `Renames` lists
+/// them.
+const RENAMES: &str = "disk::rename(&tmp, &dir.join(SNAPSHOT_FILE))";
 
 /// The trees the name-level rows cover, as the greps they replaced did.
 const ALL: &str = "crates src tests examples";
@@ -108,6 +112,18 @@ fn store(line: &str) -> Option<usize> {
     let flag = |v: &str| v.starts_with("true,") || v.starts_with("false,");
     let mut at = line.match_indices(".store(").map(|(i, _)| i);
     at.find(|&i| !flag(line[i + ".store(".len()..].trim_start()))
+}
+
+/// A file operation by `std::fs`, `OpenOptions` or a `File::` path
+/// (not a `DiskFile::` one).
+fn fs_call(line: &str) -> Option<usize> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut file = line.match_indices("File::").map(|(i, _)| i);
+    let file = file.find(|&i| !line[..i].ends_with(ident));
+    text(line, "std::fs|OpenOptions")
+        .into_iter()
+        .chain(file)
+        .min()
 }
 
 /// A line declaring `[pub[(..)]] name: ty`, `name` one of `names`
@@ -185,13 +201,17 @@ fn check(rel: &str, src: &str) -> Vec<Finding> {
         if !covers(guard.files, rel) {
             continue;
         }
-        let (first, last) = match guard.within {
+        let (outside, within) = match guard.within.strip_prefix('!') {
+            Some(within) => (true, within),
+            None => (false, guard.within),
+        };
+        let (first, last) = match within {
             "" => (1, usize::MAX),
             within => item(src, within).unwrap_or((1, 0)),
         };
         let lines = (1..)
             .zip(src.lines())
-            .filter(|(n, _)| (first..=last).contains(n));
+            .filter(|(n, _)| (first..=last).contains(n) != outside);
         let hits: Vec<_> = lines
             .filter_map(|(n, l)| Some((n, (guard.hit)(l)?, l)))
             .collect();
@@ -290,17 +310,6 @@ fn design_list(heading: &str) -> Vec<String> {
     let body = body.split("\n#").next().expect("text");
     let item = |l: &str| Some(l.strip_prefix("- `")?.split_once('`')?.0.to_string());
     body.lines().filter_map(item).collect()
-}
-
-/// Inside the item `within`, does the first `sync_data()` line come
-/// before the first `rename(` line?
-fn syncs_before_rename(src: &str, within: &str) -> bool {
-    let Some((first, last)) = item(src, within) else {
-        return false;
-    };
-    let body: Vec<&str> = src.lines().take(last).skip(first - 1).collect();
-    let at = |lit: &str| body.iter().position(|l| l.contains(lit));
-    matches!((at("sync_data()"), at("rename(")), (Some(sync), Some(rename)) if sync < rename)
 }
 
 #[test]
@@ -438,14 +447,12 @@ fn an_item_runs_from_its_keyword_line_to_its_closing_brace() {
 }
 
 #[test]
-fn write_snapshot_syncs_before_it_renames() {
-    // The one rename that publishes a file (§10) comes after the sync of
-    // what it publishes; the fixture's rename before its sync fails the
-    // same test.
-    let snapshot = read("crates/durable/src/snapshot.rs");
-    assert!(syncs_before_rename(&snapshot, "fn write_snapshot"));
-    let (_, bad) = fixture("bad_guard_rename.rs");
-    assert!(!syncs_before_rename(&bad, "fn write_snapshot"));
+fn the_file_seam_row_reads_only_code_outside_the_test_module() {
+    // The WAL's old file calls break the row; the same calls in its
+    // test module, and a `DiskFile::` path, do not.
+    let found = findings("bad_guard_file_seam.rs");
+    let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [5, 9, 15], "{found:?}");
 }
 
 #[test]

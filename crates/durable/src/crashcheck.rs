@@ -14,25 +14,31 @@
 //!   and renames made since its last sync, which makes all of them
 //!   durable;
 //! * a handle names an inode, not a path: a sync through the handle of
-//!   `snapshot.tmp` after its rename reaches the renamed inode.
+//!   `snapshot.tmp` after its rename reaches the renamed inode;
+//! * the directory is itself a name in its parent, durable once the
+//!   parent is synced; until then a crash may lose it with every file
+//!   in it.
 //!
 //! At every point between tape ops a crash may keep any prefix of the
 //! pending directory ops and, for each of the two files recovery reads
-//! under the names that prefix leaves, any prefix of its pending ops.
-//! Each such pair of files goes through recovery's pure core
+//! under the names that prefix leaves, any prefix of its pending ops
+//! (or, while the directory's own name is pending, leave no file at
+//! all). Each such pair of files goes through recovery's pure core
 //! ([`parse_snapshot`], [`restore`], [`replay_log`]), and the state
 //! breaks a rule if
 //!
 //! 1. recovery refuses it;
 //! 2. the recovered state is not the live state after some logged
 //!    sequence number `k` (compared as `encode_body(capture(..))`);
-//! 3. `k` is below the `durable_seq()` of the last call that returned
-//!    before the crash.
+//! 3. `k` is below what a call that returned before the crash promised:
+//!    its `durable_seq()`, or, for a commit group run the way the rule
+//!    server runs one, the highest sequence number the group logged if
+//!    `group` returned `Ok` — the server's acknowledgement.
 
 use crate::disk::tape::{self, fail_next, Fault, Op};
 use crate::recovery::{replay_log, restore, ActionRegistry, WAL_FILE};
 use crate::snapshot::{capture, encode_body, parse_snapshot, SNAPSHOT_FILE};
-use crate::{ActionSpec, DurableRuleEngine, Options, RuleSpec, SyncPolicy};
+use crate::{ActionSpec, DurableRuleEngine, Options, Record, RuleSpec, SyncPolicy};
 use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
@@ -76,9 +82,11 @@ enum DirOp {
     Rename(String, String),
 }
 
-/// The model disk: one directory and the inodes it has named.
+/// The model disk: one directory, whether its name is durable in its
+/// parent, and the inodes it has named.
 struct Disk {
     dir: PathBuf,
+    named: bool,
     inodes: Vec<Inode>,
     durable: BTreeMap<String, Ino>,
     pending: Vec<DirOp>,
@@ -92,6 +100,7 @@ impl Disk {
     fn new(dir: &Path) -> Disk {
         Disk {
             dir: dir.to_path_buf(),
+            named: false,
             inodes: Vec::new(),
             durable: BTreeMap::new(),
             pending: Vec::new(),
@@ -153,6 +162,7 @@ impl Disk {
                 let op = DirOp::Rename(self.name(from), self.name(to));
                 self.pending.push(op);
             }
+            Op::SyncDir(dir) if Some(dir.as_path()) == self.dir.parent() => self.named = true,
             Op::SyncDir(dir) => {
                 assert_eq!(dir, &self.dir);
                 self.durable = self.names(self.pending.len());
@@ -164,6 +174,9 @@ impl Disk {
     /// Every pair of files a crash now may leave.
     fn crash_states(&self) -> Vec<Files> {
         let mut out = Vec::new();
+        if !self.named {
+            out.push((None, None));
+        }
         for kept in 0..=self.pending.len() {
             let names = self.names(kept);
             let versions = |file: &str| -> Vec<Option<Vec<u8>>> {
@@ -202,19 +215,29 @@ impl Log {
     /// A call returned with its state live: notes the state and the
     /// call's durability promise.
     fn note(&mut self, e: &DurableRuleEngine) {
+        self.state(e);
+        self.returned(e);
+    }
+
+    /// Notes the live state after the last logged sequence number.
+    fn state(&mut self, e: &DurableRuleEngine) {
         let seq = e.next_seq() - 1;
         let state = body(e.engine(), &e.specs, seq);
         if let Some(old) = self.states.insert(seq, state) {
             assert!(old == self.states[&seq], "two live states after seq {seq}");
         }
-        self.returned(e);
     }
 
     /// A call returned an error that left memory behind the log (a
     /// frame may be on disk that the engine never applied): notes only
     /// its durability promise.
     fn returned(&mut self, e: &DurableRuleEngine) {
-        self.returns.push((tape::len(), e.durable_seq()));
+        self.promised(e.durable_seq());
+    }
+
+    /// Everything through `seq` is promised durable from here on.
+    fn promised(&mut self, seq: u64) {
+        self.returns.push((tape::len(), seq));
     }
 
     /// Checks each crash state of `tape` against the three rules;
@@ -242,7 +265,7 @@ impl Log {
                     Err(rule) => findings.push(format!("{after}: {rule}")),
                     Ok(k) if *k < floor => findings.push(format!(
                         "{after}: rule 3, nothing acknowledged as durable is lost: \
-                         recovered seq {k}, durable_seq() was {floor}"
+                         recovered seq {k}, {floor} was acknowledged"
                     )),
                     Ok(_) => {}
                 }
@@ -324,7 +347,7 @@ impl Run {
     ) {
         fail_next(kind);
         let failed = call(self.e()).is_err();
-        assert_eq!(tape::planned(), None, "the call reached no {kind:?}");
+        assert_eq!(tape::take_planned(), None, "the call reached no {kind:?}");
         let e = self.engine.as_ref().expect("an open engine");
         match failed {
             true => self.log.returned(e),
@@ -337,6 +360,38 @@ impl Run {
         let (engine, log) = (self.engine.as_mut().expect("an open engine"), &mut self.log);
         engine.group(|e| body(e, log)).expect("a group that syncs");
         self.log.note(self.engine.as_ref().expect("an open engine"));
+    }
+
+    /// One commit group the way the rule server's engine thread runs
+    /// it: each record through `apply`, whatever it returns (a record
+    /// the engine refuses is logged and answered with its error), then
+    /// the group's one sync, failed if `fault` is set. The sequence
+    /// numbers the group logged count as acknowledged only if `group`
+    /// returns `Ok`, as the server's replies leave only then — not by
+    /// `durable_seq()`.
+    fn serve(&mut self, records: Vec<Record>, fault: Option<Fault>) {
+        let (engine, log) = (self.engine.as_mut().expect("an open engine"), &mut self.log);
+        let logged = engine.group(|e| {
+            let mut high = None;
+            for record in records {
+                let next = e.next_seq();
+                let _ = e.apply(record);
+                if e.next_seq() > next {
+                    high = Some(next);
+                    log.state(e);
+                }
+            }
+            if let Some(kind) = fault {
+                fail_next(kind);
+            }
+            high
+        });
+        // A fault the group never reached (a `group` that skips its sync)
+        // is dropped, not left for a later call.
+        tape::take_planned();
+        if let Ok(Some(high)) = logged {
+            self.log.promised(high);
+        }
     }
 
     /// The restart a fail-stopped log calls for.
@@ -364,6 +419,14 @@ fn rule(name: &str, condition: &str) -> RuleSpec {
 
 fn int(v: i64) -> Vec<Value> {
     vec![Value::Int(v)]
+}
+
+/// The record of an insert of `v` into `t`.
+fn insert(v: i64) -> Record {
+    Record::Insert {
+        relation: "t".into(),
+        values: int(v),
+    }
 }
 
 /// The eight ops scripts 1 and 2 share.
@@ -471,6 +534,37 @@ const SCRIPTS: &[Script] = &[
             run.ok(|e| e.insert("emp", int(2)));
             run.ok(|e| e.delete("emp", TupleId(0)));
             run.ok(|e| e.insert("dept", int(2)));
+        },
+    ),
+    (
+        "a failed cadence snapshot",
+        opts(SyncPolicy::Always, Some(2)),
+        |run| {
+            run.ok(|e| e.create_relation(rel("t", "v")));
+            // A cadence point whose snapshot fails: the insert does not.
+            fail_next(Fault::SyncDir);
+            run.ok(|e| e.insert("t", int(0)));
+            assert_eq!(tape::take_planned(), None, "no snapshot was tried");
+            run.ok(|e| e.insert("t", int(1)));
+            run.ok(|e| e.insert("t", int(2)));
+        },
+    ),
+    (
+        "the rule server's groups",
+        opts(SyncPolicy::Always, Some(4)),
+        |run| {
+            let schema = rel("t", "v");
+            run.serve(vec![Record::CreateRelation { schema }, insert(0)], None);
+            // The refused delete is the fourth record: the cadence
+            // snapshot lands mid-group, after a refusal.
+            let refused = Record::Delete {
+                relation: "t".into(),
+                id: 9,
+            };
+            run.serve(vec![insert(1), refused, insert(2)], None);
+            run.serve(vec![insert(3), insert(4)], Some(Fault::Sync));
+            run.reopen();
+            run.serve(vec![insert(5)], None);
         },
     ),
 ];

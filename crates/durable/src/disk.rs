@@ -96,10 +96,21 @@ pub(crate) fn read(path: &Path) -> io::Result<Option<Vec<u8>>> {
     }
 }
 
-/// Creates `dir` and its parents if they are missing. Not on the tape:
-/// the crash model takes the directory itself as durable.
+/// Creates `dir` and its parents if they are missing. A new directory
+/// is a name in the one above it, so that one is synced too, top down:
+/// otherwise a crash could take the new home, and every file synced in
+/// it, away with the name.
 pub(crate) fn create_dir(dir: &Path) -> io::Result<()> {
-    std::fs::create_dir_all(dir)
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .collect();
+    std::fs::create_dir_all(dir)?;
+    for new in missing.iter().rev() {
+        let parent = new.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(parent.unwrap_or(Path::new(".")))?;
+    }
+    Ok(())
 }
 
 /// The test build's record of what changed the disk, and its fault plan.
@@ -141,9 +152,10 @@ pub(crate) mod tape {
         FAULT.set(Some(kind));
     }
 
-    /// The fault planned and not yet hit.
-    pub(crate) fn planned() -> Option<Fault> {
-        FAULT.get()
+    /// Takes the fault planned and not yet hit, so no later operation
+    /// hits it.
+    pub(crate) fn take_planned() -> Option<Fault> {
+        FAULT.take()
     }
 
     /// Takes the planned fault if it is for `kind`.

@@ -9,11 +9,10 @@
 //! telemetry HTTP endpoints (`/metrics`, `/health`, `/trace`,
 //! `/profile`) on `--metrics`. Prints `LISTENING <addr>` on stdout once ready —
 //! supervisors and tests parse that line — and runs until stdin
-//! reaches EOF (or `--seconds` elapse), then shuts down gracefully.
-//!
-//! `--crash-after N` is the crash-recovery harness: the process aborts
-//! after the Nth applied operation's WAL append, before the sync and
-//! the replies of the commit group it is in.
+//! reaches EOF (or `--seconds` elapse), then shuts down gracefully:
+//! every session's read half is closed, every request already read is
+//! answered, and the log is synced. A crash is a kill from outside;
+//! the daemon has no hook of its own for one.
 
 #![deny(clippy::unwrap_used)]
 
@@ -33,7 +32,6 @@ struct Config {
     pipeline_cap: usize,
     sync_every: Option<u32>,
     snapshot_every: Option<u64>,
-    crash_after: Option<u64>,
     profile: bool,
     slow_ms: Option<u64>,
 }
@@ -42,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ruleserv [--dir PATH] [--bind ADDR] [--metrics ADDR] [--seconds N]\n\
          \x20               [--queue-cap N] [--pipeline-cap N] [--sync-every N]\n\
-         \x20               [--snapshot-every N] [--crash-after N] [--profile] [--slow-ms N]\n\
+         \x20               [--snapshot-every N] [--profile] [--slow-ms N]\n\
          \n\
          \x20 --dir PATH        durable home (default ./ruleserv-data)\n\
          \x20 --bind ADDR       wire-protocol listener (default 127.0.0.1:7878; port 0 = ephemeral)\n\
@@ -52,7 +50,6 @@ fn usage() -> ! {
          \x20 --pipeline-cap N  per-connection outstanding-reply bound (default 4096)\n\
          \x20 --sync-every N    reply before syncing, fsync every N appends (default: sync before replying)\n\
          \x20 --snapshot-every N  snapshot cadence in logged ops (default 1024)\n\
-         \x20 --crash-after N   abort after op N's WAL append, before its reply (crash tests)\n\
          \x20 --profile         attach the cost-attribution profiler (/profile on --metrics)\n\
          \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)"
     );
@@ -69,7 +66,6 @@ fn parse_args() -> Config {
         pipeline_cap: 4096,
         sync_every: None,
         snapshot_every: Some(1024),
-        crash_after: None,
         profile: false,
         slow_ms: None,
     };
@@ -93,9 +89,6 @@ fn parse_args() -> Config {
             }
             "--snapshot-every" => {
                 cfg.snapshot_every = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
-            }
-            "--crash-after" => {
-                cfg.crash_after = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--profile" => cfg.profile = true,
             "--slow-ms" => {
@@ -138,7 +131,6 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
     let opts = ServerOptions {
         queue_cap: cfg.queue_cap,
         pipeline_cap: cfg.pipeline_cap,
-        crash_after: cfg.crash_after,
         slow_op_threshold: cfg.slow_ms.map(std::time::Duration::from_millis),
         ..ServerOptions::default()
     };

@@ -34,9 +34,19 @@
 //!   interleaving of small scripts. This module is its shell: it owns the
 //!   engine, the channels, the clocks and the tracer, and feeds the core
 //!   what happened.
+//! * **Sessions end because they are closed, not because they poll.**
+//!   When the accept thread leaves its loop — woken by
+//!   [`ServerHandle::shutdown`] or by a dead engine thread — it shuts
+//!   the read half of every live session's socket and joins the
+//!   sessions: an idle reader wakes at once with EOF, a writer still
+//!   flushes the replies to the requests already taken, and a reader
+//!   whose client never stops sending ends at its next frame, where it
+//!   checks the stop flag. The engine thread blocks in `recv` and
+//!   returns once the accept thread and the last reader have dropped
+//!   their senders, so every request handed to it is answered.
 //! * **A dead engine thread is a dead server, not a silent one.** The
-//!   stop flag goes up, the listener closes, every session ends at its
-//!   next poll, and the core answers everything with [`Reply::Err`];
+//!   stop flag goes up, the listener closes and its sessions with it,
+//!   and the core answers everything with [`Reply::Err`];
 //!   `server_engine_dead_total` counts it and [`ServerHandle::shutdown`]
 //!   returns `None`.
 //! * **One reader thread per connection** parses frames and forwards
@@ -75,7 +85,7 @@ use crate::metrics::ServerMetrics;
 use crate::proto::{op_index, read_frame, FireSummary, Reply, Request, OP_NAMES};
 use durable::{Applied, DurableError, DurableRuleEngine, Record, SyncPolicy};
 use rules::FireReport;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,17 +104,9 @@ pub struct ServerOptions {
     /// Per-connection reply-slot bound — the maximum pipelining depth;
     /// past it the reader stops reading and TCP pushes back.
     pub pipeline_cap: usize,
-    /// Session read poll: how often an idle reader checks the stop
-    /// flag (also the shutdown latency ceiling for idle connections).
-    pub read_timeout: Duration,
     /// Write timeout per reply frame; a client that stops draining for
     /// this long gets its connection dropped.
     pub write_timeout: Duration,
-    /// Crash harness: after this many applied operations the process
-    /// aborts *after* the WAL append but *before* its group's sync and
-    /// replies — the exact window recovery tests need. `None` in
-    /// production.
-    pub crash_after: Option<u64>,
     /// Requests whose decode-to-flush latency meets this threshold are
     /// captured in the profiler's slow-op ring, with their trace id and
     /// their stage record: nanoseconds per stage, which sum to that
@@ -119,9 +121,7 @@ impl Default for ServerOptions {
         ServerOptions {
             queue_cap: 1024,
             pipeline_cap: 4096,
-            read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(10),
-            crash_after: None,
             slow_op_threshold: None,
         }
     }
@@ -217,9 +217,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Graceful shutdown: stops accepting, lets every session observe
-    /// the stop flag, drains the engine queue, and hands the durable
-    /// engine back (`None` only if the engine thread panicked).
+    /// Graceful shutdown: stops accepting, closes the read half of every
+    /// session, answers every request a session handed over, and hands
+    /// the durable engine back (`None` only if the engine thread
+    /// panicked).
     pub fn shutdown(mut self) -> Option<DurableRuleEngine> {
         self.stop.store(true, Ordering::Relaxed);
         // Wake the blocking accept; wildcard binds dial loopback.
@@ -260,7 +261,7 @@ pub fn serve(
         let depth = Arc::clone(&depth);
         std::thread::Builder::new()
             .name("ruleserv-engine".into())
-            .spawn(move || engine_loop(engine, &engine_rx, &stop, &metrics, &depth, &opts, addr))?
+            .spawn(move || engine_loop(engine, &engine_rx, &stop, &metrics, &depth, addr))?
     };
 
     let accept_thread = {
@@ -268,7 +269,9 @@ pub fn serve(
         std::thread::Builder::new()
             .name("ruleserv-accept".into())
             .spawn(move || {
-                let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+                // Each live session's socket, to close its read half at
+                // the end, and its reader thread.
+                let mut sessions: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
                 let mut next_conn: u64 = 0;
                 for conn in listener.incoming() {
                     if stop.load(Ordering::Relaxed) {
@@ -278,7 +281,7 @@ pub fn serve(
                     metrics.connections.inc();
                     let id = next_conn;
                     next_conn += 1;
-                    if let Ok(handle) = spawn_session(
+                    if let Ok(session) = spawn_session(
                         id,
                         conn,
                         engine_tx.clone(),
@@ -287,15 +290,21 @@ pub fn serve(
                         Arc::clone(&depth),
                         opts,
                     ) {
-                        sessions.push(handle);
+                        sessions.push(session);
                     }
                     // Reap finished sessions so a long-lived daemon
-                    // does not accumulate join handles.
-                    sessions.retain(|h| !h.is_finished());
+                    // does not accumulate sockets and join handles.
+                    sessions.retain(|(_, h)| !h.is_finished());
                 }
-                // `engine_tx` drops here; sessions each hold a clone
-                // until they exit (bounded by the read poll).
-                for h in sessions {
+                // An idle reader wakes with EOF; a busy one sees the
+                // stop flag at its next frame. The engine thread ends
+                // once this `engine_tx` and every session's clone are
+                // gone.
+                drop(engine_tx);
+                for (conn, _) in &sessions {
+                    let _ = conn.shutdown(Shutdown::Read);
+                }
+                for (_, h) in sessions {
                     let _ = h.join();
                 }
             })?
@@ -309,9 +318,9 @@ pub fn serve(
     })
 }
 
-/// Spawns the reader (returned handle) and writer threads for one
-/// connection. The reader joins the writer before exiting, so joining
-/// the reader tears down the whole session.
+/// Spawns the reader and writer threads for one connection; returns a
+/// handle on its socket and the reader's. The reader joins the writer
+/// before exiting, so joining the reader tears down the whole session.
 fn spawn_session(
     conn_id: u64,
     conn: TcpStream,
@@ -320,11 +329,11 @@ fn spawn_session(
     metrics: Arc<ServerMetrics>,
     depth: Arc<AtomicU64>,
     opts: ServerOptions,
-) -> io::Result<JoinHandle<()>> {
+) -> io::Result<(TcpStream, JoinHandle<()>)> {
     conn.set_nodelay(true).ok();
-    conn.set_read_timeout(Some(opts.read_timeout)).ok();
     conn.set_write_timeout(Some(opts.write_timeout)).ok();
     let write_half = conn.try_clone()?;
+    let closer = conn.try_clone()?;
 
     let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Slot>(opts.pipeline_cap.max(1));
     let writer = {
@@ -340,65 +349,37 @@ fn spawn_session(
             })?
     };
 
-    std::thread::Builder::new()
+    let reader = std::thread::Builder::new()
         .name(format!("ruleserv-r{conn_id}"))
         .spawn(move || {
             reader_loop(conn_id, conn, &engine_tx, &pipe_tx, &stop, &metrics, &depth);
             // Session over: release the subscription (best effort; a
-            // shut-down engine has already dropped everything).
+            // dead engine has already dropped everything).
             let _ = engine_tx.send(EngineMsg::Hangup { conn: conn_id });
             drop(pipe_tx);
             let _ = writer.join();
-        })
-}
-
-/// A `Read` adapter that turns read-timeout ticks into stop-flag polls:
-/// idle waits keep blocking until bytes arrive or the server stops
-/// (then: clean EOF). Mid-frame timeouts keep the partial-frame state
-/// intact because `read` simply retries.
-struct PollRead<'a> {
-    inner: &'a TcpStream,
-    stop: &'a AtomicBool,
-}
-
-impl Read for PollRead<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.inner.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::Relaxed) {
-                        return Ok(0);
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
+        })?;
+    Ok((closer, reader))
 }
 
 #[allow(clippy::too_many_arguments)]
 fn reader_loop(
     conn_id: u64,
-    conn: TcpStream,
+    mut conn: TcpStream,
     engine_tx: &SyncSender<EngineMsg>,
     pipe_tx: &SlotQueue,
     stop: &AtomicBool,
     metrics: &ServerMetrics,
     depth: &AtomicU64,
 ) {
-    let mut stream = PollRead { inner: &conn, stop };
     loop {
-        // Checked per frame, not just on idle timeouts: a client that
+        // Closing the read half wakes an idle reader with EOF, but the
+        // bytes a client sends after it stay readable: a client that
         // never stops sending must not be able to hold off shutdown.
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        let (opcode, payload) = match read_frame(&mut stream) {
+        let (opcode, payload) = match read_frame(&mut conn) {
             Ok(Some(frame)) => frame,
             // Clean close, torn frame, or corruption all end the
             // session; there is no way to resynchronise a byte stream.
@@ -506,8 +487,9 @@ fn writer_loop(conn: &TcpStream, pipe_rx: Receiver<Slot>, metrics: &ServerMetric
             Slot::Ready(answer) => *answer,
             Slot::Pending(rx) => match rx.recv() {
                 Ok(answer) => answer,
-                // A dropped sender (engine shut down before fulfilling)
-                // skips the slot; the connection is going down anyway.
+                // A dropped sender (a reader that found the engine
+                // gone) skips the slot; the connection is going down
+                // anyway.
                 Err(_) => continue,
             },
         };
@@ -565,11 +547,13 @@ fn close(written: &mut Vec<Receipt>, metrics: &ServerMetrics) {
     }
 }
 
-/// Serves groups until shutdown and hands the engine back. If a group
-/// panics, the engine's state is unknown from then on, so it is
-/// dropped, never touched again: the stop flag goes up, the blocking
-/// accept is woken so the listener closes, and the core answers what it
-/// took, then every request queued or still handed over, with
+/// Serves groups until the accept thread and every session have
+/// dropped their senders, then hands the engine back: every request
+/// handed over is answered. If a group panics, the engine's state is
+/// unknown from then on, so it is dropped, never touched again: the
+/// stop flag goes up, the blocking accept is woken so the listener and
+/// its sessions close, and the core answers what it took, then every
+/// request queued or still handed over, with
 /// [`ENGINE_DEAD`](crate::commit::ENGINE_DEAD) — until the last session
 /// is gone; then `None`.
 fn engine_loop(
@@ -578,41 +562,26 @@ fn engine_loop(
     stop: &AtomicBool,
     metrics: &ServerMetrics,
     depth: &AtomicU64,
-    opts: &ServerOptions,
     addr: SocketAddr,
 ) -> Option<DurableRuleEngine> {
     let mut core = Core::default();
-    let mut applied = 0;
-    let served = catch_unwind(AssertUnwindSafe(|| loop {
-        // Checked every iteration (not only on idle timeouts) so a
-        // saturating workload cannot postpone shutdown indefinitely.
-        let mut first = Some(if stop.load(Ordering::Relaxed) {
-            // Drain what the readers managed to enqueue before they
-            // saw the flag, then retire.
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        } else {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => msg,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        });
-        // Group commit: `first` and what was queued behind it run back
-        // to back, each request its own WAL record, sequence number and
-        // reply; one `fdatasync` covers them all, and only then does the
-        // core let anything leave.
-        core.open(depth.load(Ordering::Relaxed));
-        let synced = engine.group(|engine| {
-            while let Some(msg) = core.pull(|| first.take().or_else(|| rx.try_recv().ok())) {
-                if let Some(kind) = take(&mut core, msg, depth) {
-                    run(&mut core, engine, kind, &mut applied, opts);
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        while let Ok(first) = rx.recv() {
+            let mut first = Some(first);
+            // Group commit: `first` and what was queued behind it run
+            // back to back, each request its own WAL record, sequence
+            // number and reply; one `fdatasync` covers them all, and only
+            // then does the core let anything leave.
+            core.open(depth.load(Ordering::Relaxed));
+            let synced = engine.group(|engine| {
+                while let Some(msg) = core.pull(|| first.take().or_else(|| rx.try_recv().ok())) {
+                    if let Some(kind) = take(&mut core, msg, depth) {
+                        run(&mut core, engine, kind);
+                    }
                 }
-            }
-        });
-        release(&mut core, &engine, synced.err(), metrics);
+            });
+            release(&mut core, &engine, synced.err(), metrics);
+        }
     }));
     if served.is_ok() {
         return Some(engine);
@@ -646,13 +615,7 @@ fn take(core: &mut Core<Ticket, SlotQueue>, msg: EngineMsg, depth: &AtomicU64) -
 /// Runs the request the core took last against the engine and settles
 /// its outcome there. The run is `other`, but for an applied record's
 /// own stages and a sync's `wal`.
-fn run(
-    core: &mut Core<Ticket, SlotQueue>,
-    engine: &mut DurableRuleEngine,
-    kind: Kind,
-    applied: &mut u64,
-    opts: &ServerOptions,
-) {
+fn run(core: &mut Core<Ticket, SlotQueue>, engine: &mut DurableRuleEngine, kind: Kind) {
     let quiet = || Change::Fired(FireReport::default());
     let (reply, stage, change) = match kind {
         Kind::Apply(record) => {
@@ -661,14 +624,6 @@ fn run(
             // A request refused before logging acknowledges no
             // sequence number.
             let seq = (engine.next_seq() > next).then_some(next);
-            *applied += 1;
-            if opts.crash_after == Some(*applied) {
-                // The recovery-test window: this op's WAL append has
-                // happened; its group's sync and every reply of the
-                // group have not. A real crash here may lose the group's
-                // unacknowledged tail, never an acknowledged op.
-                std::process::abort();
-            }
             let clock = &mut core.settle(reply, seq, Change::Fired(report)).receipt.clock;
             clock.enclose(Stage::Other, engine.last_record());
             return;

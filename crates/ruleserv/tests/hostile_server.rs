@@ -224,8 +224,8 @@ fn hostile_connections_close_alone_and_cost_what_they_sent() {
     closed_without_reply(&mut conn, "the malformed frame after pipelined requests");
     write(&mut bystander, &mut written);
 
-    // Shutdown with the half-open connections still open: each session
-    // sees the stop flag at its next read poll.
+    // Shutdown with the half-open connections still open: closing each
+    // session's read half wakes its reader with EOF mid-frame.
     drop(bystander);
     let stopping = Instant::now();
     let engine = server

@@ -1,14 +1,17 @@
-//! Recovery under load: kill the real daemon mid-soak — after a WAL
-//! append, before its reply — restart over the same directory, and
-//! assert the client-observed committed prefix replays exactly.
+//! Recovery under load: kill the real daemon from outside mid-soak —
+//! with inserts acknowledged and more in flight — restart over the same
+//! directory, and assert the client-observed committed prefix replays
+//! exactly.
 //!
-//! The daemon binary's `--crash-after N` aborts the process inside the
-//! reply window, so this is a true `kill -9`-grade crash from the
-//! client's perspective. With a pipelining client the abort lands
-//! mid-group: the Nth op and the ops of its group before it are
-//! appended but neither synced nor answered. Every acked op is durable
-//! (its group's sync returned before its reply left); the in-flight
-//! tail, the Nth op included, may or may not be.
+//! The test sends the daemon SIGKILL (`Child::kill`) once at least 40
+//! inserts are acked and a burst more is on the wire, so the kill lands
+//! mid-pipeline and, most likely, mid-group: some of the burst appended
+//! but neither synced nor answered. Every acked op is durable (its
+//! group's sync returned before its reply left); the in-flight tail may
+//! or may not be. The daemon has no crash hook: each crash point inside
+//! a group is checked on the models instead (`commit::check` for what
+//! may leave before the sync, `durable`'s crash-state check for what a
+//! crash at each file operation of the server's groups leaves).
 //!
 //! The invariant (under `SyncPolicy::Always`, the daemon's default):
 //! with sequential values `0, 1, 2, …` inserted on one connection,
@@ -84,71 +87,68 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // Phase 1: a daemon rigged to abort after its 40th applied op —
-    // mid-pipeline and mid-group: after that op's WAL append, before
-    // the sync and the replies of the group it was in.
-    let daemon = spawn_daemon(&dir, &["--crash-after", "40"]);
+    // Phase 1: a daemon killed from outside once 40 inserts are acked
+    // and a burst more is in flight.
+    let mut daemon = spawn_daemon(&dir, &[]);
     let mut client = Client::connect(daemon.addr).unwrap();
     client
         .create_relation(Schema::builder("seq").attr("v", AttrType::Int).build())
         .unwrap();
 
-    // Pipeline sequential inserts until the crash severs the socket.
-    // `sent` counts requests on the wire; `acked` counts in-order Fire
-    // replies received before the connection died.
+    // Pipeline sequential inserts, up to 8 in flight. `sent` counts
+    // requests on the wire; `acked` counts in-order Fire replies
+    // received before the connection died.
+    let insert = |v: i64| {
+        Request::Apply(durable::Record::Insert {
+            relation: "seq".into(),
+            values: vec![Value::Int(v)],
+        })
+    };
     let mut sent: i64 = 0;
     let mut acked: i64 = 0;
-    let mut died = false;
-    'outer: for _ in 0..200 {
-        for _ in 0..8 {
-            let sendres = client.send(&Request::Apply(durable::Record::Insert {
-                relation: "seq".into(),
-                values: vec![Value::Int(sent)],
-            }));
-            if sendres.is_err() {
-                died = true;
-                break 'outer;
-            }
+    while acked < 40 {
+        while sent - acked < 8 {
+            client.send(&insert(sent)).unwrap();
             sent += 1;
         }
-        while sent - acked > 4 {
-            match client.recv_reply() {
-                Ok(reply) => {
-                    assert_eq!(
-                        reply.kind(),
-                        "fire",
-                        "in-order ack stream broke before the crash"
-                    );
-                    acked += 1;
-                }
-                Err(ClientError::Io(_) | ClientError::Closed) => {
-                    died = true;
-                    break 'outer;
-                }
-                Err(e) => panic!("unexpected client error: {e}"),
+        let reply = client.recv_reply().unwrap();
+        assert_eq!(reply.kind(), "fire", "in-order ack stream broke");
+        acked += 1;
+    }
+    for _ in 0..64 {
+        client.send(&insert(sent)).unwrap();
+        sent += 1;
+    }
+    client.flush().unwrap();
+    daemon.child.kill().unwrap();
+    // Drain what the daemon answered before it died: a reply leaves
+    // only after its group's sync, so each one is an ack.
+    let mut died = false;
+    while acked < sent {
+        match client.recv_reply() {
+            Ok(reply) => {
+                assert_eq!(
+                    reply.kind(),
+                    "fire",
+                    "in-order ack stream broke before the crash"
+                );
+                acked += 1;
             }
+            Err(ClientError::Io(_) | ClientError::Closed) => {
+                died = true;
+                break;
+            }
+            Err(e) => panic!("unexpected client error: {e}"),
         }
     }
-    // Drain any stragglers delivered before the abort.
-    if !died {
-        while sent > acked {
-            match client.recv_reply() {
-                Ok(_) => acked += 1,
-                Err(_) => {
-                    died = true;
-                    break;
-                }
-            }
-        }
-    }
-    assert!(died, "the daemon was rigged to crash but never did");
+    assert!(died, "the daemon was killed but its connection stayed up");
     assert!(acked >= 1, "some inserts must have been acked pre-crash");
     assert!(
         acked < sent,
         "the crash must land mid-pipeline (acked < sent)"
     );
     let exit = daemon.child.wait_with_output().unwrap();
-    assert!(!exit.status.success(), "the daemon must have aborted");
+    assert!(!exit.status.success(), "the daemon must have been killed");
 
     // Phase 2: restart the same daemon over the same directory. The
     // banner printing at all proves recovery replayed the WAL.
@@ -209,12 +209,13 @@ fn a_crash_between_append_and_reply_replays_the_committed_prefix() {
         "recovered {k} inserts but only {sent} were ever sent"
     );
 
+    eprintln!("{acked} acked, {k} recovered, {sent} sent");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A flag the daemon cannot read is a usage error (exit 2) before any
 /// directory is opened, for the numeric flags and the removed
-/// `--advise` alike — never a silent default.
+/// `--advise` and `--crash-after` alike — never a silent default.
 #[test]
 fn malformed_or_unknown_flags_exit_with_usage() {
     let dir = std::env::temp_dir().join(format!("ruleserv-usage-{}", std::process::id()));
@@ -222,6 +223,7 @@ fn malformed_or_unknown_flags_exit_with_usage() {
         &["--seconds", "abc"][..],
         &["--snapshot-every", "never"],
         &["--advise"],
+        &["--crash-after", "40"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ruleserv"))
             .arg("--dir")

@@ -11,10 +11,10 @@ use relation::{AttrType, Schema, TupleId, Value};
 use rules::EventMask;
 use ruleserv::proto::{encode_frame, read_frame};
 use ruleserv::{serve, Client, ClientError, Pushed, Reply, Request, ServerHandle, ServerOptions};
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use telemetry::Registry;
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -393,6 +393,125 @@ fn shutdown_returns_the_engine_with_state_intact() {
         .relation("emp")
         .expect("relation survives");
     assert_eq!(relation.len(), 1);
+}
+
+/// Shutdown with three sessions open: one idle, one holding half a
+/// frame, and one whose client pipelines inserts without pause while
+/// `shutdown` runs. Shutdown closes each session's read half rather
+/// than waiting for it to poll: it returns promptly, the busy client's
+/// replies arrive in request order until its connection ends, and the
+/// engine handed back holds exactly the inserts that were acknowledged.
+#[test]
+fn shutdown_closes_idle_half_framed_and_busy_sessions() {
+    let (server, _) = start("closing", ServerOptions::default());
+    let mut idle = Client::connect(server.addr()).unwrap();
+    idle.create_relation(Schema::builder("t").attr("v", AttrType::Int).build())
+        .unwrap();
+    let frame = |request: Request| {
+        let (opcode, payload) = request.encode();
+        encode_frame(opcode, &payload)
+    };
+    let mut half = TcpStream::connect(server.addr()).unwrap();
+    let ping = frame(Request::Ping);
+    half.write_all(&ping[..ping.len() / 2]).unwrap();
+
+    let busy = TcpStream::connect(server.addr()).unwrap();
+    let mut sender = busy.try_clone().unwrap();
+    let sending = std::thread::spawn(move || {
+        let mut sent = 0;
+        while sent < 1 << 20 {
+            let insert = Request::Apply(Record::Insert {
+                relation: "t".into(),
+                values: vec![Value::Int(sent)],
+            });
+            if sender.write_all(&frame(insert)).is_err() {
+                break; // the server closed the connection
+            }
+            sent += 1;
+        }
+        sent
+    });
+    let (flowing, answered) = mpsc::sync_channel(1);
+    let receiving = std::thread::spawn(move || {
+        let mut reader = std::io::BufReader::new(busy);
+        let mut replies = Vec::new();
+        while let Ok(Some((opcode, payload))) = read_frame(&mut reader) {
+            replies.push(Reply::decode(opcode, &payload).expect("a reply"));
+            if replies.len() == 200 {
+                let _ = flowing.send(());
+            }
+        }
+        replies
+    });
+    answered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the busy client is answered");
+
+    let stopping = Instant::now();
+    let engine = within_ten_seconds("shutdown", move || server.shutdown())
+        .expect("the engine is handed back");
+    eprintln!("shutdown took {:?}", stopping.elapsed());
+    let replies = within_ten_seconds("the busy client's replies", move || receiving.join())
+        .expect("the reader thread");
+    let sent = sending.join().expect("the sender thread");
+
+    // Reply `i` answers insert `i`: a `Fire` acknowledges it, a `Busy`
+    // refused it, and nothing else may arrive.
+    assert!(
+        replies.len() as i64 <= sent,
+        "{} replies to {sent} requests",
+        replies.len()
+    );
+    let mut acked = Vec::new();
+    let mut last_seq = 0;
+    for (v, reply) in replies.iter().enumerate() {
+        match reply {
+            Reply::Fire(ack) => {
+                assert!(ack.seq > last_seq, "reply {v} out of order");
+                last_seq = ack.seq;
+                acked.push(v as i64);
+            }
+            Reply::Busy => {}
+            other => panic!("reply {v}: {other:?}"),
+        }
+    }
+    assert!(!acked.is_empty(), "no insert was acknowledged");
+    let rows = engine.engine().db().catalog().relation("t").expect("t");
+    let mut held: Vec<i64> = rows
+        .iter()
+        .map(|(_, tuple)| match tuple.values() {
+            [Value::Int(v)] => *v,
+            other => panic!("a row no client wrote: {other:?}"),
+        })
+        .collect();
+    held.sort_unstable();
+    assert_eq!(
+        held, acked,
+        "the engine holds exactly the acknowledged inserts"
+    );
+
+    // The other two sessions were closed under their clients.
+    assert!(idle.ping().is_err(), "the idle session is still served");
+    half.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut byte = [0u8; 1];
+    assert!(
+        matches!(half.read(&mut byte), Ok(0) | Err(_)),
+        "the half-framed session is still open"
+    );
+}
+
+/// Waits for `wait` on another thread and panics if it has not returned
+/// within ten seconds, so a hang fails the test instead of stalling it.
+fn within_ten_seconds<T: Send + 'static>(
+    what: &str,
+    wait: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, outcome) = mpsc::sync_channel(1);
+    std::thread::spawn(move || done.send(wait()));
+    match outcome.recv_timeout(Duration::from_secs(10)) {
+        Ok(outcome) => outcome,
+        Err(_) => panic!("{what}: still waiting after ten seconds"),
+    }
 }
 
 #[test]

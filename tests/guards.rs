@@ -73,6 +73,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "Vec<FnvHashMap<u32|Vec<FxHashMap<u32|Vec<HashMap<u32"), must: false, within: "", why: "§15: a relation's alpha memory is one table the memos share; no memo keeps a tuple-id map per premise" },
     Guard { files: "crates/durable/src !crates/durable/src/disk.rs !crates/durable/src/crashcheck.rs", hit: fs_call, must: false, within: "!mod tests", why: "§10: every file operation of the durable crate goes through `disk.rs`, so the crash model's tape sees it" },
     Guard { files: "crates/durable/src", hit: |l| text(l, "let _ =").filter(|&i| l[i..].contains("sync")), must: false, within: "", why: "§10: no sync's error is dropped; a failed directory sync fails the snapshot" },
+    Guard { files: "crates/ruleserv/src/server.rs crates/ruleserv/src/bin/ruleserv.rs", hit: |l| text(l, "set_read_timeout(|recv_timeout(|crash_after"), must: false, within: "", why: "§14: sessions end because they are closed, not because they poll; the daemon has no crash hook, a crash is a kill from outside" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's

@@ -21,7 +21,6 @@
 pub mod baselines;
 mod index;
 mod matcher;
-mod memory;
 mod metrics;
 mod sharded;
 mod slab;
@@ -32,7 +31,6 @@ pub use baselines::{
 };
 pub use index::{MatchLanes, MatchOut, PredicateIndex, Routed};
 pub use matcher::{IndexError, Matcher, PredicateId};
-pub use memory::MatchMemory;
 pub use sharded::ShardedPredicateIndex;
 pub use slab::Slab;
 pub use stats::{IndexStats, RelationStats, TreeStats};

@@ -28,15 +28,17 @@ struct Config {
     bind: String,
     metrics: Option<String>,
     seconds: Option<u64>,
-    queue_cap: usize,
-    pipeline_cap: usize,
-    sync_every: Option<u32>,
-    snapshot_every: Option<u64>,
+    server: ServerOptions,
+    durable: Options,
     profile: bool,
     slow_ms: Option<u64>,
 }
 
 fn usage() -> ! {
+    let (server, durable) = (ServerOptions::default(), Options::default());
+    let snapshot_every = durable
+        .snapshot_every
+        .map_or("off".into(), |n| n.to_string());
     eprintln!(
         "usage: ruleserv [--dir PATH] [--bind ADDR] [--metrics ADDR] [--seconds N]\n\
          \x20               [--queue-cap N] [--pipeline-cap N] [--sync-every N]\n\
@@ -46,12 +48,15 @@ fn usage() -> ! {
          \x20 --bind ADDR       wire-protocol listener (default 127.0.0.1:7878; port 0 = ephemeral)\n\
          \x20 --metrics ADDR    also serve the telemetry HTTP exposition here\n\
          \x20 --seconds N       run for N seconds instead of until stdin EOF\n\
-         \x20 --queue-cap N     engine queue bound before Busy replies (default 1024)\n\
-         \x20 --pipeline-cap N  per-connection outstanding-reply bound (default 4096)\n\
+         \x20 --queue-cap N     engine queue bound before Busy replies (default {})\n\
+         \x20 --pipeline-cap N  per-connection outstanding-reply bound (default {})\n\
          \x20 --sync-every N    reply before syncing, fsync every N appends (default: sync before replying)\n\
-         \x20 --snapshot-every N  snapshot cadence in logged ops (default 1024)\n\
+         \x20 --snapshot-every N  snapshot cadence in logged ops (default {})\n\
          \x20 --profile         attach the cost-attribution profiler (/profile on --metrics)\n\
-         \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)"
+         \x20 --slow-ms N       capture requests slower than N ms in the slow-op ring (implies --profile)",
+        server.queue_cap,
+        server.pipeline_cap,
+        snapshot_every,
     );
     std::process::exit(2)
 }
@@ -62,10 +67,8 @@ fn parse_args() -> Config {
         bind: "127.0.0.1:7878".to_string(),
         metrics: None,
         seconds: None,
-        queue_cap: 1024,
-        pipeline_cap: 4096,
-        sync_every: None,
-        snapshot_every: Some(1024),
+        server: ServerOptions::default(),
+        durable: Options::default(),
         profile: false,
         slow_ms: None,
     };
@@ -80,15 +83,19 @@ fn parse_args() -> Config {
             "--bind" => cfg.bind = value(&mut args),
             "--metrics" => cfg.metrics = Some(value(&mut args)),
             "--seconds" => cfg.seconds = Some(value(&mut args).parse().unwrap_or_else(|_| usage())),
-            "--queue-cap" => cfg.queue_cap = value(&mut args).parse().unwrap_or_else(|_| usage()),
+            "--queue-cap" => {
+                cfg.server.queue_cap = value(&mut args).parse().unwrap_or_else(|_| usage())
+            }
             "--pipeline-cap" => {
-                cfg.pipeline_cap = value(&mut args).parse().unwrap_or_else(|_| usage())
+                cfg.server.pipeline_cap = value(&mut args).parse().unwrap_or_else(|_| usage())
             }
             "--sync-every" => {
-                cfg.sync_every = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
+                let n = value(&mut args).parse().unwrap_or_else(|_| usage());
+                cfg.durable.sync = SyncPolicy::EveryN(n);
             }
             "--snapshot-every" => {
-                cfg.snapshot_every = Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
+                cfg.durable.snapshot_every =
+                    Some(value(&mut args).parse().unwrap_or_else(|_| usage()))
             }
             "--profile" => cfg.profile = true,
             "--slow-ms" => {
@@ -114,27 +121,19 @@ fn run(cfg: Config) -> Result<(), Box<dyn std::error::Error>> {
     if cfg.profile {
         telemetry = telemetry.with_profiling();
     }
+    if let Some(ms) = cfg.slow_ms {
+        let nanos = ms.saturating_mul(1_000_000);
+        telemetry.profiler().set_slow_threshold_nanos(nanos);
+    }
     let engine = DurableRuleEngine::open_with_metrics(
         &cfg.dir,
         FunctionRegistry::default(),
         ActionRegistry::new(),
-        Options {
-            sync: match cfg.sync_every {
-                None => SyncPolicy::Always,
-                Some(n) => SyncPolicy::EveryN(n),
-            },
-            snapshot_every: cfg.snapshot_every,
-        },
+        cfg.durable,
         telemetry.clone(),
     )?;
 
-    let opts = ServerOptions {
-        queue_cap: cfg.queue_cap,
-        pipeline_cap: cfg.pipeline_cap,
-        slow_op_threshold: cfg.slow_ms.map(std::time::Duration::from_millis),
-        ..ServerOptions::default()
-    };
-    let server = serve(&cfg.bind, engine, opts)?;
+    let server = serve(&cfg.bind, engine, cfg.server)?;
     // Parsed by supervisors and tests; keep the shape stable.
     println!("LISTENING {}", server.addr());
 

@@ -7,6 +7,9 @@
 //! opens a group with the depth it reads, pulls through [`Core::pull`],
 //! runs each request, and closes the group with a sync that may fail
 //! once, or panics once while a request runs or the sync is pending.
+//! One connection's writer may fail a write once, at any step: its
+//! queued slots go, later pushes to it do not fit, and its reader, whose
+//! next slot send then fails, hangs up.
 //! [`State::successors`] returns every state one step away, and
 //! [`explore`] is the only way state advances: depth-first, with a
 //! visited set. Each of the core's six rules is checked where it can
@@ -72,6 +75,10 @@ struct Conn {
     hand: Option<u8>,
     /// The index of the last reply the writer sent.
     sent: Option<u8>,
+    /// The writer failed a write; the socket is shut down.
+    dead: bool,
+    /// The reader sent its hangup.
+    hung: bool,
     /// Events the model released to this subscriber, those that fit its
     /// pipe, and the sum of the `Lagged` counts that fit.
     owed: u64,
@@ -95,6 +102,8 @@ struct State {
     conns: Vec<Conn>,
     /// Each slot queue's bound.
     pipe: usize,
+    /// The connection whose writer may fail.
+    breaks: Option<u8>,
     queue: VecDeque<Msg>,
     depth: u64,
     /// The open group's limit, how many messages it took, and each
@@ -119,12 +128,13 @@ struct State {
 }
 
 impl State {
-    fn new(script: &Script, pipe: usize) -> State {
+    fn new(script: &Script, pipe: usize, breaks: Option<u8>) -> State {
         State {
             core: Core::default(),
             engine: Engine::Idle,
             conns: vec![Conn::default(); script.len()],
             pipe,
+            breaks,
             queue: VecDeque::new(),
             depth: 0,
             limit: 0,
@@ -159,6 +169,9 @@ impl State {
             f(&mut s);
             next.push(s);
         };
+        if let Some(c) = self.breaks.filter(|&c| !self.conns[c as usize].dead) {
+            step(&|s| s.fail(c as usize));
+        }
         match self.engine {
             Engine::Idle if !self.queue.is_empty() => step(&|s| {
                 s.core.open(s.depth);
@@ -199,7 +212,16 @@ impl State {
     /// Connection `c`'s reader takes its next step, if it can.
     fn read(&self, script: &Script, c: usize) -> Option<State> {
         let conn = &self.conns[c];
-        let op = *script[c].get(conn.next as usize)?;
+        if conn.hung {
+            return None;
+        }
+        // A reader whose writer failed finds its slot send failing, or
+        // its read ending on the shut socket, and hangs up; a request
+        // whose slot is already queued is still handed over first.
+        let op = match script[c].get(conn.next as usize) {
+            _ if conn.dead && !conn.counted => Op::Hangup,
+            op => *op?,
+        };
         let blocked = match op {
             Op::Hangup => self.queue.len() == QUEUE,
             Op::Ping => conn.pipe.len() == self.pipe,
@@ -213,7 +235,11 @@ impl State {
         let conn = &mut s.conns[c];
         match op {
             Op::Ping => conn.pipe.push_back(Slot::Pong(ticket.1)),
-            Op::Hangup => s.queue.push_back(Msg::Hangup(ticket.0)),
+            Op::Hangup => {
+                (conn.next, conn.hung) = (script[c].len() as u8, true);
+                s.queue.push_back(Msg::Hangup(ticket.0));
+                return Some(s);
+            }
             _ if !conn.counted => {
                 conn.pipe.push_back(Slot::Pending(ticket.1));
                 conn.counted = true;
@@ -236,6 +262,9 @@ impl State {
     /// slot, if it can.
     fn write(&self, c: usize) -> Option<State> {
         let conn = &self.conns[c];
+        if conn.dead {
+            return None;
+        }
         let ready = match conn.hand {
             Some(index) => self.answered.contains(&(c as u8, index)),
             None => !conn.pipe.is_empty(),
@@ -267,6 +296,15 @@ impl State {
         );
         conn.sent = Some(index);
         Some(s)
+    }
+
+    /// Connection `c`'s writer fails a write and shuts the socket down:
+    /// the slots it queued go, and the replies it had not sent.
+    fn fail(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        (conn.dead, conn.hand) = (true, None);
+        conn.pipe.clear();
+        self.answered.retain(|&(a, _)| a as usize != c);
     }
 
     /// The engine pulls the open group's next message, or ends the group.
@@ -370,7 +408,7 @@ impl State {
                 "rule 3, a failed sync acknowledges nothing: an event"
             );
             let conn = &mut conns[c as usize];
-            if conn.pipe.len() == pipe {
+            if conn.dead || conn.pipe.len() == pipe {
                 return false;
             }
             match slot {
@@ -426,13 +464,15 @@ impl State {
     }
 
     /// Hands `ticket`'s reply to its writer: once, and only a ticket
-    /// whose slot is queued.
+    /// whose slot is queued. A failed writer's reply goes nowhere.
     fn answer(&mut self, ticket: Ticket) {
         assert!(
             self.waiting.remove(&ticket),
             "rule 6, everyone is answered once: {ticket:?} answered twice or never queued"
         );
-        self.answered.insert(ticket);
+        if !self.conns[ticket.0 as usize].dead {
+            self.answered.insert(ticket);
+        }
     }
 
     /// What must hold on every reachable state.
@@ -463,8 +503,9 @@ impl State {
     }
 
     /// What must hold once nothing can move: every script ran, every
-    /// connection that hung up was let go, every ticket was answered and
-    /// every reply sent.
+    /// connection whose writer failed hung up, every connection that
+    /// hung up was let go, every ticket was answered and every reply to
+    /// a live connection sent.
     fn check_end(&self, script: &Script) {
         for (c, conn) in self.conns.iter().enumerate() {
             assert_eq!(
@@ -473,8 +514,11 @@ impl State {
                 "connection {c} is stuck"
             );
             assert!(
-                script[c].last() != Some(&Op::Hangup)
-                    || !self.core.subscribers.contains_key(&(c as u64)),
+                conn.hung || !conn.dead,
+                "connection {c}'s writer failed, but its reader never hung up"
+            );
+            assert!(
+                !conn.hung || !self.core.subscribers.contains_key(&(c as u64)),
                 "connection {c} hung up, but the core still holds its pipe"
             );
             assert!(
@@ -520,9 +564,10 @@ impl Hash for Core<Ticket, u8> {
 }
 
 /// Visits every state `script` can reach with slot queues of `pipe`
-/// slots; returns how many.
-fn explore(script: &Script, pipe: usize) -> usize {
-    let start = State::new(script, pipe);
+/// slots, and connection `breaks`'s writer failing at any step; returns
+/// how many.
+fn explore(script: &Script, pipe: usize, breaks: Option<u8>) -> usize {
+    let start = State::new(script, pipe, breaks);
     let mut seen = HashSet::from([start.key()]);
     let mut stack = vec![start];
     while let Some(state) = stack.pop() {
@@ -543,36 +588,52 @@ fn explore(script: &Script, pipe: usize) -> usize {
 #[test]
 fn every_interleaving_keeps_the_six_rules() {
     use Op::*;
-    // Each script with the slot-queue bounds it runs under: one slot
-    // makes every push race the writer; two let a `Lagged` frame fit
-    // where its event then does not.
-    let scripts: [(&Script, &[usize]); 5] = [
+    // Each script with the slot-queue bounds it runs under, and the
+    // connection whose writer may fail: one slot makes every push race
+    // the writer; two let a `Lagged` frame fit where its event then
+    // does not.
+    let scripts: [(&Script, &[usize], Option<u8>); 6] = [
         // A subscriber that may never drain, beside two writes.
-        (&[&[Subscribe, Ping], &[Write(2), Write(2)]], &[1, 2]),
+        (&[&[Subscribe, Ping], &[Write(2), Write(2)]], &[1, 2], None),
         // A subscriber that hangs up while a third connection pings.
         (
             &[&[Subscribe, Hangup], &[Write(1), Write(1)], &[Ping]],
             &[1, 2],
+            None,
         ),
         // A subscription opened and closed between writes.
         (
             &[&[Write(1), Subscribe, Unsubscribe], &[Write(2), Ping]],
             &[1],
+            None,
         ),
         // Two subscribers that write to each other.
         (
             &[&[Subscribe, Write(1)], &[Subscribe, Write(2), Hangup]],
             &[1],
+            None,
         ),
         // A subscriber that subscribes again after a write its full
         // pipe dropped: the drop count survives the second subscribe.
-        (&[&[Subscribe, Subscribe], &[Write(2), Write(1)]], &[1, 2]),
+        (
+            &[&[Subscribe, Subscribe], &[Write(2), Write(1)]],
+            &[1, 2],
+            None,
+        ),
+        // A subscriber whose writer fails, with no hangup of its own in
+        // its script, beside a subscriber that writes.
+        (
+            &[&[Subscribe, Write(1), Ping], &[Subscribe, Write(2)]],
+            &[1],
+            Some(0),
+        ),
     ];
     let mut total = 0;
-    for (script, pipes) in scripts {
+    for (script, pipes, breaks) in scripts {
         for &pipe in pipes {
-            let states = explore(script, pipe);
-            println!("{script:?} with {pipe}-slot pipes: {states} states");
+            let states = explore(script, pipe, breaks);
+            let fails = breaks.map_or(String::new(), |c| format!(", writer {c} may fail"));
+            println!("{script:?} with {pipe}-slot pipes{fails}: {states} states");
             total += states;
         }
     }

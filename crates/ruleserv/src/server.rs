@@ -34,16 +34,24 @@
 //!   interleaving of small scripts. This module is its shell: it owns the
 //!   engine, the channels, the clocks and the tracer, and feeds the core
 //!   what happened.
+//! * **One socket per session, closed when the session ends.** The
+//!   accepted stream is one `Arc<TcpStream>` that the session's reader
+//!   reads through and its writer writes through; the accept thread
+//!   keeps only a `Weak` to it, so a finished session's descriptor
+//!   closes when its two threads end, not at the next accept.
 //! * **Sessions end because they are closed, not because they poll.**
 //!   When the accept thread leaves its loop — woken by
 //!   [`ServerHandle::shutdown`] or by a dead engine thread — it shuts
-//!   the read half of every live session's socket and joins the
-//!   sessions: an idle reader wakes at once with EOF, a writer still
-//!   flushes the replies to the requests already taken, and a reader
-//!   whose client never stops sending ends at its next frame, where it
-//!   checks the stop flag. The engine thread blocks in `recv` and
-//!   returns once the accept thread and the last reader have dropped
-//!   their senders, so every request handed to it is answered.
+//!   the read half of every live session's socket: an idle reader wakes
+//!   at once with EOF, a writer still flushes the replies to the
+//!   requests already taken, and a reader whose client never stops
+//!   sending ends at its next frame, where it checks the stop flag.
+//!   Session threads are detached; the engine thread is the barrier.
+//!   It blocks in `recv` and returns once the accept thread and every
+//!   reader have dropped their senders, and a reader drops its sender
+//!   last, after joining its writer and dropping its socket. So when
+//!   the engine thread ends, every request handed to it is answered,
+//!   every reply is flushed and every session's socket is closed.
 //! * **A dead engine thread is a dead server, not a silent one.** The
 //!   stop flag goes up, the listener closes and its sessions with it,
 //!   and the core answers everything with [`Reply::Err`];
@@ -53,7 +61,7 @@
 //!   them to the engine queue with `try_send`: a full queue produces an
 //!   immediate [`Reply::Busy`] instead of unbounded buffering — that is
 //!   the backpressure contract.
-//! * **One writer thread per connection** owns the socket's write half.
+//! * **One writer thread per connection** writes the replies.
 //!   The reader queues a *reply slot* per request onto the writer's
 //!   bounded slot queue **in request order**: a reply already in hand
 //!   (`Pong`) rides the slot itself; otherwise the slot is the receiving
@@ -90,7 +98,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{wake_addr, ArgValue, Args, Stage, StageClock};
@@ -107,13 +115,6 @@ pub struct ServerOptions {
     /// Write timeout per reply frame; a client that stops draining for
     /// this long gets its connection dropped.
     pub write_timeout: Duration,
-    /// Requests whose decode-to-flush latency meets this threshold are
-    /// captured in the profiler's slow-op ring, with their trace id and
-    /// their stage record: nanoseconds per stage, which sum to that
-    /// latency, and the work the request did. Ignored unless the engine
-    /// carries an enabled [`telemetry::Profiler`]; `None` leaves the
-    /// profiler's own threshold untouched.
-    pub slow_op_threshold: Option<Duration>,
 }
 
 impl Default for ServerOptions {
@@ -122,7 +123,6 @@ impl Default for ServerOptions {
             queue_cap: 1024,
             pipeline_cap: 4096,
             write_timeout: Duration::from_secs(10),
-            slow_op_threshold: None,
         }
     }
 }
@@ -220,7 +220,9 @@ impl ServerHandle {
     /// Graceful shutdown: stops accepting, closes the read half of every
     /// session, answers every request a session handed over, and hands
     /// the durable engine back (`None` only if the engine thread
-    /// panicked).
+    /// panicked). It waits on the engine thread alone, which ends only
+    /// after every session has flushed its replies and closed its
+    /// socket.
     pub fn shutdown(mut self) -> Option<DurableRuleEngine> {
         self.stop.store(true, Ordering::Relaxed);
         // Wake the blocking accept; wildcard binds dial loopback.
@@ -244,12 +246,6 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
-    if let Some(threshold) = opts.slow_op_threshold {
-        engine
-            .telemetry()
-            .profiler()
-            .set_slow_threshold_nanos(threshold.as_nanos() as u64);
-    }
     let stop = Arc::new(AtomicBool::new(false));
     let metrics = Arc::new(ServerMetrics::new(engine.telemetry()));
     let depth = Arc::new(AtomicU64::new(0));
@@ -269,9 +265,9 @@ pub fn serve(
         std::thread::Builder::new()
             .name("ruleserv-accept".into())
             .spawn(move || {
-                // Each live session's socket, to close its read half at
-                // the end, and its reader thread.
-                let mut sessions: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+                // Each session's socket, to close its read half at the
+                // end; the session itself holds the only strong handles.
+                let mut sessions: Vec<Weak<TcpStream>> = Vec::new();
                 let mut next_conn: u64 = 0;
                 for conn in listener.incoming() {
                     if stop.load(Ordering::Relaxed) {
@@ -292,20 +288,17 @@ pub fn serve(
                     ) {
                         sessions.push(session);
                     }
-                    // Reap finished sessions so a long-lived daemon
-                    // does not accumulate sockets and join handles.
-                    sessions.retain(|(_, h)| !h.is_finished());
+                    // Ended sessions' sockets are already closed; drop
+                    // their entries so the list follows the live ones.
+                    sessions.retain(|s| s.strong_count() > 0);
                 }
                 // An idle reader wakes with EOF; a busy one sees the
                 // stop flag at its next frame. The engine thread ends
                 // once this `engine_tx` and every session's clone are
                 // gone.
                 drop(engine_tx);
-                for (conn, _) in &sessions {
+                for conn in sessions.iter().filter_map(Weak::upgrade) {
                     let _ = conn.shutdown(Shutdown::Read);
-                }
-                for (_, h) in sessions {
-                    let _ = h.join();
                 }
             })?
     };
@@ -318,9 +311,9 @@ pub fn serve(
     })
 }
 
-/// Spawns the reader and writer threads for one connection; returns a
-/// handle on its socket and the reader's. The reader joins the writer
-/// before exiting, so joining the reader tears down the whole session.
+/// Spawns the detached reader and writer threads for one connection,
+/// which share its socket; returns a weak handle on it. The reader
+/// joins the writer, then drops the socket, then its engine sender.
 fn spawn_session(
     conn_id: u64,
     conn: TcpStream,
@@ -329,43 +322,50 @@ fn spawn_session(
     metrics: Arc<ServerMetrics>,
     depth: Arc<AtomicU64>,
     opts: ServerOptions,
-) -> io::Result<(TcpStream, JoinHandle<()>)> {
+) -> io::Result<Weak<TcpStream>> {
     conn.set_nodelay(true).ok();
     conn.set_write_timeout(Some(opts.write_timeout)).ok();
-    let write_half = conn.try_clone()?;
-    let closer = conn.try_clone()?;
+    let conn = Arc::new(conn);
+    let session = Arc::downgrade(&conn);
 
     let (pipe_tx, pipe_rx) = mpsc::sync_channel::<Slot>(opts.pipeline_cap.max(1));
     let writer = {
+        let conn = Arc::clone(&conn);
         let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name(format!("ruleserv-w{conn_id}"))
             .spawn(move || {
-                writer_loop(&write_half, pipe_rx, &metrics);
+                writer_loop(&conn, pipe_rx, &metrics);
                 // A writer that gave up (a write error or timeout) wakes
                 // the reader, so the session ends even if the client
                 // sends nothing more.
-                let _ = write_half.shutdown(Shutdown::Both);
+                let _ = conn.shutdown(Shutdown::Both);
             })?
     };
 
-    let reader = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name(format!("ruleserv-r{conn_id}"))
         .spawn(move || {
-            reader_loop(conn_id, conn, &engine_tx, &pipe_tx, &stop, &metrics, &depth);
+            reader_loop(
+                conn_id, &conn, &engine_tx, &pipe_tx, &stop, &metrics, &depth,
+            );
             // Session over: release the subscription (best effort; a
             // dead engine has already dropped everything).
             let _ = engine_tx.send(EngineMsg::Hangup { conn: conn_id });
             drop(pipe_tx);
             let _ = writer.join();
+            // In this order: the engine thread ends after the last
+            // sender, and by then this socket is closed.
+            drop(conn);
+            drop(engine_tx);
         })?;
-    Ok((closer, reader))
+    Ok(session)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn reader_loop(
     conn_id: u64,
-    mut conn: TcpStream,
+    mut conn: &TcpStream,
     engine_tx: &SyncSender<EngineMsg>,
     pipe_tx: &SlotQueue,
     stop: &AtomicBool,

@@ -92,7 +92,8 @@ fn start(tag: &str, durable: Options, opts: ServerOptions) -> Fixture {
     start_with(tag, durable, opts, false)
 }
 
-/// [`start`], with the profiler on when `profiled`.
+/// [`start`], with the profiler on when `profiled`, its slow-op
+/// threshold at zero: every request lands in its ring.
 fn start_with(tag: &str, durable: Options, opts: ServerOptions, profiled: bool) -> Fixture {
     let dir = tempdir(tag);
     let registry = Arc::new(Registry::new());
@@ -101,6 +102,7 @@ fn start_with(tag: &str, durable: Options, opts: ServerOptions, profiled: bool) 
     let mut telemetry = Telemetry::new(Arc::clone(&registry)).with_tracer(tracer.clone());
     if profiled {
         telemetry = telemetry.with_profiling();
+        telemetry.profiler().set_slow_threshold_nanos(0);
     }
     let engine = DurableRuleEngine::open_with_metrics(
         &dir,
@@ -388,7 +390,6 @@ fn queued_requests_share_a_sync_and_a_lone_request_has_its_own() {
 fn every_request_record_partitions_its_latency() {
     let opts = ServerOptions {
         queue_cap: 2,
-        slow_op_threshold: Some(Duration::ZERO),
         ..ServerOptions::default()
     };
     let fx = start_with("stages", DURABLE, opts, true);

@@ -567,16 +567,9 @@ fn trace_ids_round_trip_into_server_side_spans_and_slow_ops() {
             .with_profiling(),
     )
     .unwrap();
-    let server = serve(
-        "127.0.0.1:0",
-        engine,
-        ServerOptions {
-            // Zero threshold: every request lands in the slow-op ring.
-            slow_op_threshold: Some(Duration::ZERO),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    // Zero threshold: every request lands in the slow-op ring.
+    engine.telemetry().profiler().set_slow_threshold_nanos(0);
+    let server = serve("127.0.0.1:0", engine, ServerOptions::default()).unwrap();
 
     // `Client` writes untraced frames; a traced one is the same frame
     // with an 8-byte id suffix, written here by hand.

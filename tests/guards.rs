@@ -74,6 +74,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/durable/src !crates/durable/src/disk.rs !crates/durable/src/crashcheck.rs", hit: fs_call, must: false, within: "!mod tests", why: "§10: every file operation of the durable crate goes through `disk.rs`, so the crash model's tape sees it" },
     Guard { files: "crates/durable/src", hit: |l| text(l, "let _ =").filter(|&i| l[i..].contains("sync")), must: false, within: "", why: "§10: no sync's error is dropped; a failed directory sync fails the snapshot" },
     Guard { files: "crates/ruleserv/src/server.rs crates/ruleserv/src/bin/ruleserv.rs", hit: |l| text(l, "set_read_timeout(|recv_timeout(|crash_after"), must: false, within: "", why: "§14: sessions end because they are closed, not because they poll; the daemon has no crash hook, a crash is a kill from outside" },
+    Guard { files: "crates/ruleserv/src/server.rs", hit: |l| text(l, "try_clone("), must: false, within: "", why: "§14: a session is one socket that its reader and writer share, closed when the session ends; the accept thread keeps a `Weak` to it, not a clone" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's

@@ -22,10 +22,7 @@ use rules::{EngineError, FireReport, MatchTrace, RuleEngine, RuleId};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use telemetry::{FlightRecorder, Stage, StageClock, StageRecord, Telemetry};
-
-/// Subdirectory of a durable home where flight dumps land.
-pub const FLIGHT_DIR: &str = "flight";
+use telemetry::{Stage, StageClock, StageRecord, Telemetry};
 
 /// Durability knobs.
 #[derive(Debug, Clone, Copy)]
@@ -158,17 +155,14 @@ impl DurableRuleEngine {
     ///
     /// * a **tracer** — the WAL, snapshot and recovery phases emit
     ///   spans into its ring, and the engine each rule chain's stage
-    ///   record as an `op` event; the ring doubles as the flight
-    ///   recorder: if recovery refuses a corrupt snapshot, a
-    ///   post-mortem dump (the recovery spans plus the metric
-    ///   exposition) lands under `dir/flight/` before the error
-    ///   returns;
+    ///   record as an `op` event;
     /// * **profiling** — per-rule cost accounts (recovered rules are
-    ///   named retroactively), also carried in flight dumps, and a
-    ///   stage record per logged operation
+    ///   named retroactively) and a stage record per logged operation
     ///   ([`last_record`](Self::last_record)).
     ///
-    /// None of it is replayed: accounts restart empty on reopen.
+    /// None of it is replayed: accounts restart empty on reopen. An
+    /// open that recovery refuses returns its error and leaves `dir`
+    /// as it found it.
     pub fn open_with_metrics(
         dir: impl Into<PathBuf>,
         funcs: FunctionRegistry,
@@ -179,20 +173,7 @@ impl DurableRuleEngine {
         let dir = dir.into();
         let telemetry = telemetry.into();
         disk::create_dir(&dir)?;
-        let recovered = match replay_traced(&dir, &funcs, &actions, telemetry.tracer()) {
-            Ok(r) => r,
-            Err(e) => {
-                // A torn-WAL tail is tolerated silently; a Corrupt
-                // refusal means the snapshot itself is damaged, or the
-                // log starts past it — ship the recovery spans as
-                // context for the post-mortem.
-                if matches!(e, RecoverError::Corrupt { .. }) {
-                    let recorder = FlightRecorder::new(telemetry.clone(), dir.join(FLIGHT_DIR));
-                    let _ = recorder.dump("recovery-corrupt");
-                }
-                return Err(e.into());
-            }
-        };
+        let recovered = replay_traced(&dir, &funcs, &actions, telemetry.tracer())?;
         let registry = telemetry.registry();
         if registry.is_enabled() {
             registry

@@ -14,7 +14,13 @@
 //!   specs), and the engine counters, followed by log truncation;
 //! * **recovery** ([`replay`]) rebuilding an engine — and thereby its
 //!   predicate index — as snapshot + log suffix, tolerating a torn or
-//!   truncated log tail by stopping at the first bad frame.
+//!   truncated log tail by stopping at the first bad frame. A damaged
+//!   snapshot, or a log that starts past it, is refused
+//!   ([`RecoverError::Corrupt`]), and the refused open writes nothing.
+//!
+//! Every file of a durable home is opened, written, synced, renamed and
+//! read through one private seam, `disk.rs`, whose test build records
+//! each change to the disk for the crash-state check.
 //!
 //! The user-facing wrapper is [`DurableRuleEngine`]; the purely
 //! in-memory `RuleEngine` is untouched and remains the default for
@@ -74,7 +80,7 @@ pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
-pub use engine::{DurableError, DurableRuleEngine, Options, FLIGHT_DIR};
+pub use engine::{DurableError, DurableRuleEngine, Options};
 pub use record::{ActionSpec, Applied, Record, RuleSpec};
 pub use recovery::{replay, ActionRegistry, RecoverError, Recovered, WAL_FILE};
 pub use snapshot::{

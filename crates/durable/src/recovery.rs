@@ -204,9 +204,8 @@ pub fn replay(
 
 /// [`replay`] with span tracing: the snapshot load and the WAL-suffix
 /// replay each get a span in `tracer`'s ring (the replay's carries the
-/// last sequence number and the frames replayed), so a recovery that
-/// ends in a `Corrupt` refusal leaves its last steps in the flight
-/// recorder. It reads the two files; what recovery makes of their
+/// last sequence number and the frames replayed), which `/trace`
+/// serves. It reads the two files; what recovery makes of their
 /// contents is [`restore`] then [`replay_log`], which touch no file.
 pub(crate) fn replay_traced(
     dir: &Path,

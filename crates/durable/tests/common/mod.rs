@@ -8,7 +8,8 @@ use durable::{ActionRegistry, ActionSpec, DurableRuleEngine, Record, RuleSpec};
 use predicate::FunctionRegistry;
 use relation::{Schema, TupleId, Value};
 use rules::{Action, Rule, RuleEngine, RuleId};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -43,6 +44,27 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// Everything under `dir`: each file's bytes and each directory (as
+/// `None`), by the path below `dir`. Two equal listings are the same
+/// names holding the same bytes.
+pub fn listing(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut out = BTreeMap::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(next) = dirs.pop() {
+        for entry in std::fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+            if path.is_dir() {
+                out.insert(rel, None);
+                dirs.push(path);
+            } else {
+                out.insert(rel, Some(std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    out
 }
 
 /// A deterministic rendering of everything observable about an engine:
@@ -104,6 +126,17 @@ pub fn fingerprint(engine: &RuleEngine) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Holds `dir` to the `before` listing: the same names, then the same
+/// bytes under each.
+pub fn assert_unchanged(dir: &Path, before: &BTreeMap<PathBuf, Option<Vec<u8>>>) {
+    let after = listing(dir);
+    let names = |l: &BTreeMap<PathBuf, _>| l.keys().cloned().collect::<Vec<_>>();
+    assert_eq!(names(&after), names(before), "the names in {dir:?} changed");
+    for (name, bytes) in before {
+        assert!(after[name] == *bytes, "{name:?}'s bytes changed");
+    }
 }
 
 /// The action registry every fault-injection test uses: one named

@@ -7,7 +7,8 @@
 //!
 //! Snapshot: the snapshot is written atomically and checksummed, so
 //! any damage there is a **hard error** — recovery must refuse (and
-//! must not panic) rather than proceed from silently wrong state.
+//! must not panic) rather than proceed from silently wrong state. An
+//! open refused that way leaves the home as it found it.
 //!
 //! Beside the byte-level sweeps, a seeded mutator shaped like the wire
 //! one in `ruleserv/tests/hostile_server.rs` (bit flips, truncations,
@@ -20,7 +21,7 @@ mod common;
 #[path = "../../bench/src/counting_alloc.rs"]
 mod counting_alloc;
 
-use common::{apply_both, fingerprint, test_actions, Cmd, TempDir};
+use common::{apply_both, assert_unchanged, fingerprint, listing, test_actions, Cmd, TempDir};
 use counting_alloc::counted;
 use durable::{
     parse_wal, read_snapshot, replay, write_snapshot, ActionSpec, DurableError, DurableRuleEngine,
@@ -32,6 +33,8 @@ use rand::{Rng, SeedableRng};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{EventMask, RuleEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use telemetry::{Registry, Telemetry, Tracer, DEFAULT_TRACE_CAPACITY};
 
 /// Seeded mutations per file.
 const MUTATIONS: usize = 300;
@@ -143,6 +146,62 @@ fn snapshot_damage_is_always_refused() {
         std::fs::write(crash.join(SNAPSHOT_FILE), &snap_bytes[..cut]).unwrap();
         assert!(replay(crash.path(), &funcs, &actions).is_err());
     }
+}
+
+/// A traced open of a home whose snapshot, taken after a cascading
+/// workload, has one byte flipped in its body: the checksum refuses
+/// it, the refusal writes nothing, and its recovery span still
+/// reaches the ring `/trace` serves.
+#[test]
+fn a_refused_open_of_a_damaged_snapshot_writes_nothing() {
+    let dir = TempDir::new("snap-refused-open");
+    let traced = || {
+        Telemetry::new(Arc::new(Registry::new())).with_tracer(Tracer::new(DEFAULT_TRACE_CAPACITY))
+    };
+    let open = |telemetry: Telemetry| {
+        let (funcs, opts) = (FunctionRegistry::default(), Options::default());
+        DurableRuleEngine::open_with_metrics(dir.path(), funcs, test_actions(), opts, telemetry)
+    };
+    {
+        let mut engine = open(traced()).unwrap();
+        engine
+            .create_relation(Schema::builder("emp").attr("salary", AttrType::Int).build())
+            .unwrap();
+        engine
+            .create_relation(Schema::builder("audit").attr("n", AttrType::Int).build())
+            .unwrap();
+        engine
+            .add_rule(RuleSpec {
+                name: "underpaid".into(),
+                condition: "emp.salary < 1000".into(),
+                mask: EventMask::INSERT_UPDATE,
+                priority: 0,
+                action: ActionSpec::Named("cascade".into()),
+            })
+            .unwrap();
+        for salary in [500, 5_000, 700] {
+            engine.insert("emp", vec![Value::Int(salary)]).unwrap();
+        }
+        engine.snapshot().unwrap();
+    }
+    let snap_path = dir.join(SNAPSHOT_FILE);
+    let mut bytes = std::fs::read(&snap_path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x55;
+    std::fs::write(&snap_path, &bytes).unwrap();
+
+    let before = listing(dir.path());
+    let telemetry = traced();
+    match open(telemetry.clone()) {
+        Err(DurableError::Recover(RecoverError::Corrupt { .. })) => {}
+        other => panic!("expected a corrupt-snapshot refusal, got {:?}", other.err()),
+    }
+    assert_unchanged(dir.path(), &before);
+    let events = telemetry.tracer().events();
+    assert!(
+        events.iter().any(|e| e.name == "recovery_snapshot_load"),
+        "no recovery span in the ring: {events:?}"
+    );
 }
 
 /// A snapshot whose checksum is valid but which names one rule id twice

@@ -4,13 +4,15 @@
 //! was not: the first snapshot is back under `snapshot.bin`, and the
 //! log starts after the second. The three operations between the two
 //! are in neither file, so recovery must say so instead of replaying
-//! the rest on top of a state that never held them.
+//! the rest on top of a state that never held them. Opening the home
+//! is refused for the same reason, and the refusal writes nothing.
 
 mod common;
 
-use common::TempDir;
+use common::{assert_unchanged, listing, TempDir};
 use durable::{
-    replay, ActionRegistry, DurableRuleEngine, Options, RecoverError, SyncPolicy, SNAPSHOT_FILE,
+    replay, ActionRegistry, DurableError, DurableRuleEngine, Options, RecoverError, SyncPolicy,
+    SNAPSHOT_FILE,
 };
 use predicate::FunctionRegistry;
 use relation::{AttrType, Schema, Value};
@@ -57,4 +59,14 @@ fn a_log_that_starts_past_its_snapshot_is_a_gap() {
             r.last_seq, r.frames_replayed
         ),
     }
+
+    let before = listing(dir.path());
+    let (funcs, actions) = (FunctionRegistry::default(), ActionRegistry::new());
+    match DurableRuleEngine::open(dir.path(), funcs, actions, opts) {
+        Err(DurableError::Recover(RecoverError::Corrupt { what, .. })) => {
+            assert_eq!(what, "log gap");
+        }
+        other => panic!("expected a log-gap refusal, got {:?}", other.err()),
+    }
+    assert_unchanged(dir.path(), &before);
 }

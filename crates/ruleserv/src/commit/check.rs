@@ -14,13 +14,16 @@
 //! [`explore`] is the only way state advances: depth-first, with a
 //! visited set. Each of the core's six rules is checked where it can
 //! break — on every answer and push, on every pull, on every reachable
-//! state and on every state with no successor.
+//! state and on every end, a state where nothing can move but a fault —
+//! and every reachable state must still reach an end without a fault,
+//! so no message waits forever while the engine cycles through empty
+//! groups.
 
 use super::{Change, Core, Taken, ENGINE_DEAD};
 use crate::proto::{FireSummary, Reply};
 use rules::{FireReport, RuleId};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 /// One step of a connection's script.
@@ -502,10 +505,17 @@ impl State {
         }
     }
 
-    /// What must hold once nothing can move: every script ran, every
-    /// connection whose writer failed hung up, every connection that
-    /// hung up was let go, every ticket was answered and every reply to
-    /// a live connection sent.
+    /// The faults the model may still inject: a failed sync, a panic,
+    /// a writer's failed write. A step that spends one is a fault.
+    fn faults_left(&self) -> u8 {
+        let breaks = self.breaks.filter(|&c| !self.conns[c as usize].dead);
+        self.fails + self.panics + u8::from(breaks.is_some())
+    }
+
+    /// What must hold once nothing can move but a fault: every script
+    /// ran, every connection whose writer failed hung up, every
+    /// connection that hung up was let go, every ticket was answered
+    /// and every reply to a live connection sent.
     fn check_end(&self, script: &Script) {
         for (c, conn) in self.conns.iter().enumerate() {
             assert_eq!(
@@ -564,25 +574,57 @@ impl Hash for Core<Ticket, u8> {
 }
 
 /// Visits every state `script` can reach with slot queues of `pipe`
-/// slots, and connection `breaks`'s writer failing at any step; returns
-/// how many.
+/// slots, and connection `breaks`'s writer failing at any step, and
+/// checks that each can still reach an end without a fault; returns how
+/// many.
 fn explore(script: &Script, pipe: usize, breaks: Option<u8>) -> usize {
     let start = State::new(script, pipe, breaks);
-    let mut seen = HashSet::from([start.key()]);
-    let mut stack = vec![start];
-    while let Some(state) = stack.pop() {
+    let mut index = HashMap::from([(start.key(), 0u32)]);
+    // Every step that is not a fault as (to, from), and the ends.
+    let (mut steps, mut ends) = (Vec::new(), Vec::new());
+    let mut stack = vec![(0, start)];
+    while let Some((from, state)) = stack.pop() {
         state.check();
-        let next = state.successors(script);
-        if next.is_empty() {
-            state.check_end(script);
-        }
-        for s in next {
-            if seen.insert(s.key()) {
-                stack.push(s);
+        let mut end = true;
+        for s in state.successors(script) {
+            let fault = s.faults_left() < state.faults_left();
+            let fresh = index.len() as u32;
+            let to = match index.entry(s.key()) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(new) => {
+                    stack.push((fresh, s));
+                    *new.insert(fresh)
+                }
+            };
+            if !fault {
+                end = false;
+                steps.push((to, from));
             }
         }
+        if end {
+            state.check_end(script);
+            ends.push(from);
+        }
     }
-    seen.len()
+    // Walk the steps backwards from the ends: a state left unreached
+    // can never finish without a fault.
+    steps.sort_unstable();
+    let mut done = vec![false; index.len()];
+    while let Some(to) = ends.pop() {
+        if std::mem::replace(&mut done[to as usize], true) {
+            continue;
+        }
+        let first = steps.partition_point(|&(t, _)| t < to);
+        let into = steps[first..].iter().take_while(|&&(t, _)| t == to);
+        ends.extend(into.map(|&(_, from)| from));
+    }
+    let stuck = done.iter().filter(|&&d| !d).count();
+    assert!(
+        stuck == 0,
+        "{stuck} of {} states can never reach an end: a message is never taken, or a connection never finishes",
+        done.len()
+    );
+    done.len()
 }
 
 #[test]

@@ -19,9 +19,9 @@
 //!   as a human-readable report mirroring the paper's §5.2 cost table.
 //! * **Span tracing** — a [`Tracer`] ring of closed intervals with
 //!   inline numeric args and a Perfetto-loadable Chrome trace-event
-//!   JSON export, the same disabled-path contract as the registry. The ring doubles as a [`FlightRecorder`] post-mortem
-//!   buffer, and [`serve`] exposes `/metrics`, `/health`, and `/trace`
-//!   over a dependency-free HTTP responder.
+//!   JSON export, the same disabled-path contract as the registry.
+//!   [`serve`] exposes `/metrics`, `/health`, `/trace` and `/profile`
+//!   over a dependency-free HTTP responder; the crate opens no file.
 //! * **One JSON writer** — [`json::JsonWriter`] renders every JSON
 //!   document the stack serves or commits (`/profile`, the
 //!   Chrome trace, the bench report), so escaping and comma placement
@@ -64,7 +64,6 @@ mod handle;
 mod histogram;
 pub mod json;
 mod profile;
-mod recorder;
 mod registry;
 mod server;
 mod stages;
@@ -77,7 +76,6 @@ pub use histogram::{bucket_index, bucket_upper_bound, quantile, Histogram, HISTO
 pub use profile::{
     AccountSnapshot, CostSnapshot, Profiler, SlowOp, EXTERNAL_ACCOUNT, SLOW_OP_CAPACITY,
 };
-pub use recorder::FlightRecorder;
 pub use registry::Registry;
 pub use server::{serve, wake_addr, HealthFn, ServerHandle};
 pub use stages::{nanos, Stage, StageClock, StageRecord};
@@ -160,7 +158,7 @@ mod tests {
     fn render_text_order_is_deterministic() {
         // Insertion order is scrambled on purpose; the exposition must
         // come out name-sorted and byte-identical across renders, so
-        // snapshots and flight dumps diff cleanly.
+        // two scrapes diff cleanly.
         let r = Registry::new();
         r.counter("z_total").add(3);
         r.counter("a_total{shard=\"1\"}").add(2);

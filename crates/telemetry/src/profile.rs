@@ -19,7 +19,7 @@
 //! one branch per call site and keeps nothing. An enabled profiler
 //! keeps each account as a plain [`CostSnapshot`] in its ledger, beside
 //! the rule names and the slow-op ring, under one lock that nothing
-//! else is taken under. `/profile`, the shell's `:top` and flight dumps
+//! else is taken under. `/profile` and the shell's `:top` and `:slow`
 //! read the ledger.
 //!
 //! The profiler also owns the **slow-op ring**: a bounded log of
@@ -485,16 +485,6 @@ impl Profiler {
         }
         out
     }
-
-    /// The flight-dump sections: accounts then slow ops, text form.
-    pub fn render_flight(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== profile (per-rule accounts) ==\n");
-        out.push_str(&self.render_top_text(usize::MAX));
-        out.push_str("\n== slow ops ==\n");
-        out.push_str(&self.render_slow_text());
-        out
-    }
 }
 
 /// Quantile triple of one histogram's buckets — the `/metrics`
@@ -652,6 +642,5 @@ mod tests {
         assert!(p.render_top_text(5).contains("rule"));
         let slow = p.render_slow_text();
         assert!(slow.contains("delete"));
-        assert!(p.render_flight().contains("== slow ops =="));
     }
 }

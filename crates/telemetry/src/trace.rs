@@ -8,15 +8,14 @@
 //! event on drop for what no record times (the durability layer's
 //! appends, syncs, snapshots and recovery), and [`mark`](Tracer::mark)
 //! one of length zero. An event's [`Args`] are held inline, so a push
-//! into a full ring allocates nothing. The ring is fixed-capacity — old
-//! events are evicted — so it doubles as a flight recorder (see
-//! [`crate::FlightRecorder`]). A [`Tracer::disabled`] handle costs one
+//! into a full ring allocates nothing. The ring is fixed-capacity: old
+//! events are evicted. A [`Tracer::disabled`] handle costs one
 //! branch per would-be event: no clock read, no lock, no id.
-//! [`chrome_trace_json`](Tracer::chrome_trace_json) renders the ring for
+//! [`chrome_trace_json`] renders the ring's events for
 //! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
 //! ```
-//! use telemetry::{Stage, StageClock, Tracer};
+//! use telemetry::{chrome_trace_json, Stage, StageClock, Tracer};
 //!
 //! let tracer = Tracer::new(1024);
 //! {
@@ -31,7 +30,7 @@
 //! // `fire`.
 //! assert_eq!(tracer.events().len(), 5);
 //! assert_eq!(tracer.events()[1].args.num("seq"), Some(7));
-//! assert!(tracer.chrome_trace_json().contains("\"ph\":\"X\""));
+//! assert!(chrome_trace_json(&tracer.events()).contains("\"ph\":\"X\""));
 //!
 //! // Disabled: same call sites, nothing recorded.
 //! let off = Tracer::disabled();
@@ -199,7 +198,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// A live tracer holding the most recent `capacity` events
-    /// (clamped to at least 16 so a dump is never content-free).
+    /// (clamped to at least 16).
     pub fn new(capacity: usize) -> Tracer {
         Tracer::with(true, capacity.max(16))
     }
@@ -226,11 +225,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Ring capacity in events (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
     }
 
     /// Events evicted from the ring so far.
@@ -343,14 +337,8 @@ impl Tracer {
         out
     }
 
-    /// The ring as Chrome trace-event JSON (non-destructive) — load in
-    /// Perfetto or `chrome://tracing`.
-    pub fn chrome_trace_json(&self) -> String {
-        chrome_trace_json(&self.events())
-    }
-
-    /// [`chrome_trace_json`](Self::chrome_trace_json), draining the
-    /// ring — the `/trace` endpoint's read-once semantics.
+    /// The ring as [`chrome_trace_json`], draining it — the `/trace`
+    /// endpoint's read-once semantics.
     pub fn drain_chrome_json(&self) -> String {
         chrome_trace_json(&self.drain())
     }
@@ -535,7 +523,7 @@ mod tests {
             .with("op", ArgValue::Label("insert"))
             .with("trace", ArgValue::Num(0xabc));
         tracer.mark("server_request", args);
-        let json = tracer.chrome_trace_json();
+        let json = chrome_trace_json(&tracer.events());
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 3, "{json}");
         assert_eq!(json.matches("\"dur\":").count(), 3, "{json}");
@@ -600,7 +588,7 @@ mod tests {
         assert_eq!((stab.nanos, residual.nanos), (op.nanos, op.nanos + 8));
         assert_eq!(events.len(), 4, "the outer span follows, closed");
         assert_eq!(events[3].name, "outer");
-        let json = tracer.chrome_trace_json();
+        let json = chrome_trace_json(&tracer.events());
         assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"dur\":0.015"), "{json}");
     }

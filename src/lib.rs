@@ -70,8 +70,8 @@
 //! take the same handle: [`predindex::PredicateIndex::attach_metrics`],
 //! [`rules::RuleEngine::attach_metrics`],
 //! [`durable::DurableRuleEngine::open_with_metrics`],
-//! [`telemetry::serve`], [`telemetry::FlightRecorder::new`]. A bare
-//! `Arc<Registry>` converts into a counters-only handle.
+//! [`telemetry::serve`]. A bare `Arc<Registry>` converts into a
+//! counters-only handle.
 //!
 //! ```
 //! use predmatch::prelude::*;

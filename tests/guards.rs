@@ -40,7 +40,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: ALL, hit: |l| text(l, "source_snapshot|delta_since|retract_counted|credit_match"), must: false, within: "", why: "§16 (c2c7dd1): one attribution path, no counter bracket" },
     Guard { files: ALL, hit: |l| text(l, "Advisor|WorkloadStats|with_workload_accounts|AdvisorHook|advisor-v1|workload_overhead|bench::lab"), must: false, within: "", why: "§17 (c13ccc9): no index advisor" },
     Guard { files: ALL, hit: |l| text(l, "bulk_load|SplitAlgorithm|with_split|search_window|RebuildOnMutation|install_panic_hook|PanicHookGuard|when_predicates|when_join|stab_interval_count|ColumnStats|column_stats|fn analyze|add_rule_retroactive|fn backfill"), must: false, within: "", why: "§19 (4d13891, 8ecf736): no public item without a reader" },
-    Guard { files: ALL, hit: |l| text(l, "dump_flight|fn in_flight|enable_trace_ids|disable_trace_ids|last_trace_id|take_events|fn relation_lock_count(&self|contains_id|fn instant(|.instant(|top_json|top-v1"), must: false, within: "", why: "§19 (9c880f5): no public item read only by tests" },
+    Guard { files: ALL, hit: |l| text(l, "FlightRecorder|FLIGHT_DIR|render_flight|dump_flight|fn in_flight|enable_trace_ids|disable_trace_ids|last_trace_id|take_events|fn relation_lock_count(&self|contains_id|fn instant(|.instant(|top_json|top-v1"), must: false, within: "", why: "§19 (9c880f5): no public item read only by tests" },
     Guard { files: "crates/ibs/src/marks.rs", hit: |l| text(l, "pub fn len(&self)|pub fn as_slice(&self)"), must: false, within: "", why: "§19 (9c880f5): a mark set has no test-only accessor" },
     Guard { files: "crates/joinmemo/src/compile.rs", hit: |l| text(l, "fn alpha("), must: false, within: "", why: "§19 (9c880f5): a join premise keeps no bound copy" },
     Guard { files: "Cargo.toml Cargo.lock crates/*/Cargo.toml", hit: |l| text(l, "criterion"), must: false, within: "", why: "§8 (0cdb5d1): one harness, one clock" },
@@ -71,7 +71,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: ALL, hit: |l| text(l, "SPAN_STACK|SpanEventKind|span_with|instant_with"), must: false, within: "", why: "§12: one event shape, a closed interval with inline args; no span stack, no begin/end kinds, no args closure" },
     Guard { files: "crates/telemetry/src/profile.rs", hit: |l| text(l, "registry.counter(|profile_rule_"), must: false, within: "", why: "§16: an account is a plain cost in the profiler's ledger; the profiler mints no registry handle, so no lock nests" },
     Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "Vec<FnvHashMap<u32|Vec<FxHashMap<u32|Vec<HashMap<u32"), must: false, within: "", why: "§15: a relation's alpha memory is one table the memos share; no memo keeps a tuple-id map per premise" },
-    Guard { files: "crates/durable/src !crates/durable/src/disk.rs !crates/durable/src/crashcheck.rs", hit: fs_call, must: false, within: "!mod tests", why: "§10: every file operation of the durable crate goes through `disk.rs`, so the crash model's tape sees it" },
+    Guard { files: "crates/durable/src crates/telemetry/src !crates/durable/src/disk.rs !crates/durable/src/crashcheck.rs", hit: fs_call, must: false, within: "!mod tests", why: "§10, §12: every file operation of the durable crate goes through `disk.rs`, so the crash model's tape sees it; the telemetry crate makes none" },
     Guard { files: "crates/durable/src", hit: |l| text(l, "let _ =").filter(|&i| l[i..].contains("sync")), must: false, within: "", why: "§10: no sync's error is dropped; a failed directory sync fails the snapshot" },
     Guard { files: "crates/ruleserv/src/server.rs crates/ruleserv/src/bin/ruleserv.rs", hit: |l| text(l, "set_read_timeout(|recv_timeout(|crash_after"), must: false, within: "", why: "§14: sessions end because they are closed, not because they poll; the daemon has no crash hook, a crash is a kill from outside" },
     Guard { files: "crates/ruleserv/src/server.rs", hit: |l| text(l, "try_clone("), must: false, within: "", why: "§14: a session is one socket that its reader and writer share, closed when the session ends; the accept thread keeps a `Weak` to it, not a clone" },
@@ -455,6 +455,14 @@ fn the_file_seam_row_reads_only_code_outside_the_test_module() {
     let found = findings("bad_guard_file_seam.rs");
     let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
     assert_eq!(lines, [5, 9, 15], "{found:?}");
+    // The telemetry crate is held to none: the flight recorder's import
+    // breaks the row, its test module's does not.
+    let found = findings("bad_guard_flight_recorder.rs");
+    let seam = found
+        .iter()
+        .filter(|f| GUARDS[f.row].why.starts_with("§10, §12"));
+    let lines: Vec<usize> = seam.map(|f| f.line).collect();
+    assert_eq!(lines, [7], "{found:?}");
 }
 
 #[test]

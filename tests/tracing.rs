@@ -4,7 +4,7 @@
 
 use predmatch::prelude::*;
 use predmatch::rules::DbOp;
-use predmatch::telemetry::{Stage, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
+use predmatch::telemetry::{chrome_trace_json, Stage, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::sync::Arc;
 
 fn dur(event: &TraceEvent) -> u64 {
@@ -111,7 +111,7 @@ fn two_level_cascade_produces_a_parented_span_tree() {
     assert_eq!(arg(stab, "ibs_nodes"), Some(record.work.ibs_nodes));
     assert_eq!(arg(&children[1], "residual_tests"), Some(2));
 
-    let json = tracer.chrome_trace_json();
+    let json = chrome_trace_json(&tracer.events());
     assert!(json.contains("\"name\":\"op\",\"ph\":\"X\""), "{json}");
     assert!(json.contains("\"name\":\"stab\",\"ph\":\"X\""), "{json}");
 }

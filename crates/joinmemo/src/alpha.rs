@@ -7,43 +7,48 @@
 //! A table maps a tuple id to a *row* once. The row holds the tuple's
 //! handle once, a count of its live cells, and one [`Cell`] per
 //! registered `(condition, premise)` *column*: what each memo kept per
-//! premise in a tuple-id map of its own. A cell whose `key_pos` is
-//! [`ABSENT`] says the tuple is not in that premise. A row lives while
-//! one of its cells does, so a table is sized by the tuples some premise
-//! holds, not by the relation, and an event finds its row with one
-//! lookup and reads its columns side by side.
+//! premise in a tuple-id map of its own. A cell that is [`ABSENT`] says
+//! the tuple is not in that premise. A row lives while one of its cells
+//! does, so a table is sized by the tuples some premise holds, not by
+//! the relation, and an event finds its row with one lookup and reads
+//! its columns side by side.
+//!
+//! The table also holds the key stores whose members are its rows: one
+//! *index* per distinct list of key attributes that some premise joins
+//! on (`orders.cust`, `customers.id`), shared by every memo that names
+//! it. An index holds every row in use under the row's values at its
+//! attributes; a row enters each index when it is made and leaves when
+//! it is freed, once per row and not once per memo. A memo probing an
+//! index keeps only the rows live in its own column.
 
-use crate::memo::{map_bytes, NIL};
+use crate::keys::{self, bucket, bucket_push, bucket_remove, map_bytes, KeyStore};
+use crate::memo::NIL;
 use relation::fx::FxHashMap;
-use relation::Tuple;
+use relation::{Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::mem::size_of;
 
-/// [`Cell::key_pos`] of a row that is not in the column's premise.
-pub(crate) const ABSENT: u32 = u32::MAX;
+/// A [`Cell`] whose row is not in the column's premise. One below
+/// [`NIL`], so no token id reaches it.
+pub(crate) const ABSENT: u32 = NIL - 1;
 
-/// One row's state in one premise: what a memo keeps per alpha entry.
+/// One row's state in one premise: the head of its owner list, the
+/// memo's tokens whose last premise is this row ([`NIL`] if none), or
+/// [`ABSENT`] if the row is not in the premise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Cell {
-    /// Position in the premise's `alpha_key` bucket (0 at premise 0,
-    /// which keeps no such store); [`ABSENT`] if the row is not in the
-    /// premise.
-    pub(crate) key_pos: u32,
-    /// Head of the owner list: the memo's tokens whose last premise is
-    /// this row.
     pub(crate) first_owned: u32,
 }
 
-const _: () = assert!(size_of::<Cell>() == 8);
+const _: () = assert!(size_of::<Cell>() == 4);
 
 impl Cell {
     const EMPTY: Cell = Cell {
-        key_pos: ABSENT,
-        first_owned: NIL,
+        first_owned: ABSENT,
     };
 
     pub(crate) fn is_live(self) -> bool {
-        self.key_pos != ABSENT
+        self.first_owned != ABSENT
     }
 }
 
@@ -59,11 +64,62 @@ struct Row {
     tuple: Option<Tuple>,
 }
 
+/// The rows in use, bucketed by their values at `attrs`.
+#[derive(Debug)]
+struct Index {
+    attrs: Box<[usize]>,
+    /// The memo premises that name it.
+    users: u32,
+    store: KeyStore,
+    /// Per row: its position in its bucket (stale on a free row).
+    pos: Vec<u32>,
+    /// Heap bytes behind the store's entries, kept as they change.
+    heap_bytes: u64,
+}
+
+/// `tuple`'s values at `attrs`: the one value in place, more than one
+/// gathered into `scratch`.
+fn key_of<'k>(attrs: &[usize], tuple: &'k Tuple, scratch: &'k mut Vec<Value>) -> &'k [Value] {
+    if let [attr] = attrs {
+        return std::slice::from_ref(tuple.get(*attr));
+    }
+    scratch.clear();
+    scratch.extend(attrs.iter().map(|&a| tuple.get(a).clone()));
+    scratch
+}
+
+impl Index {
+    fn push(&mut self, row: u32, tuple: &Tuple, scratch: &mut Vec<Value>) {
+        let key = key_of(&self.attrs, tuple, scratch);
+        let (pos, grew) = bucket_push(&mut self.store, key, row);
+        if self.pos.len() <= row as usize {
+            self.pos.resize(row as usize + 1, 0);
+        }
+        self.pos[row as usize] = pos;
+        self.heap_bytes += grew;
+    }
+
+    fn remove(&mut self, row: u32, tuple: &Tuple, scratch: &mut Vec<Value>) {
+        let key = key_of(&self.attrs, tuple, scratch);
+        let pos = self.pos[row as usize];
+        let (moved, shrank) = bucket_remove(&mut self.store, key, pos);
+        if let Some(moved) = moved {
+            self.pos[moved as usize] = pos;
+        }
+        self.heap_bytes -= shrank;
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        let vecs = self.attrs.len() * size_of::<usize>() + self.pos.capacity() * size_of::<u32>();
+        map_bytes(&self.store) + self.heap_bytes + vecs as u64
+    }
+}
+
 /// One relation's alpha memory.
 #[derive(Debug, Default)]
 pub(crate) struct Table {
     /// Tuple id -> row, for the rows in use.
-    index: FxHashMap<u32, u32>,
+    by_tid: FxHashMap<u32, u32>,
     rows: Vec<Row>,
     free_rows: Vec<u32>,
     /// `width` cells per row, row after row (free rows' all `EMPTY`).
@@ -75,6 +131,11 @@ pub(crate) struct Table {
     /// Columns `remove_column` freed, all [`ABSENT`], for the next
     /// `add_column`.
     free_columns: Vec<u32>,
+    /// The indexes by slot; a slot whose index lost its last user is
+    /// `None`, for the next `add_index`.
+    indexes: Vec<Option<Index>>,
+    /// A key of more than one value, gathered.
+    scratch: Vec<Value>,
 }
 
 impl Table {
@@ -114,18 +175,70 @@ impl Table {
         self.free_columns.push(column);
     }
 
+    /// Names the index on `attrs` for one more premise, and returns its
+    /// slot: the index there is, else one built over the rows in use —
+    /// O(rows), like the `seed` that follows it.
+    pub(crate) fn add_index(&mut self, attrs: &[usize]) -> u32 {
+        let named = self.indexes.iter_mut().zip(0..).find_map(|(ix, slot)| {
+            let ix = ix.as_mut().filter(|ix| *ix.attrs == *attrs)?;
+            Some((ix, slot))
+        });
+        if let Some((ix, slot)) = named {
+            ix.users += 1;
+            return slot;
+        }
+        let mut ix = Index {
+            attrs: attrs.into(),
+            users: 1,
+            store: KeyStore::default(),
+            pos: Vec::new(),
+            heap_bytes: 0,
+        };
+        for (row, r) in (0..).zip(&self.rows) {
+            if let Some(tuple) = &r.tuple {
+                ix.push(row, tuple, &mut self.scratch);
+            }
+        }
+        match self.indexes.iter().position(Option::is_none) {
+            Some(slot) => {
+                self.indexes[slot] = Some(ix);
+                slot as u32
+            }
+            None => {
+                self.indexes.push(Some(ix));
+                self.indexes.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Drops one premise's name on the index in `slot`; the index goes
+    /// with its last.
+    pub(crate) fn remove_index(&mut self, slot: u32) {
+        let ix = &mut self.indexes[slot as usize];
+        let index = ix.as_mut().expect("a named index is live");
+        index.users -= 1;
+        if index.users == 0 {
+            *ix = None;
+        }
+    }
+
     /// True once no column is live: the engine drops the table.
     pub(crate) fn is_unused(&self) -> bool {
         self.order.is_empty()
     }
 
-    /// Drops every row, keeping the columns — the first step of a
-    /// from-scratch reseed.
+    /// Drops every row, keeping the columns and the (emptied) indexes —
+    /// the first step of a from-scratch reseed.
     pub(crate) fn clear(&mut self) {
-        self.index.clear();
+        self.by_tid.clear();
         self.rows.clear();
         self.free_rows.clear();
         self.cells.clear();
+        for ix in self.indexes.iter_mut().flatten() {
+            ix.store.clear();
+            ix.pos.clear();
+            ix.heap_bytes = 0;
+        }
     }
 
     #[cfg(test)]
@@ -140,7 +253,7 @@ impl Table {
 
     /// The row of tuple `tid`, if some premise holds it.
     pub(crate) fn row(&self, tid: u32) -> Option<u32> {
-        self.index.get(&tid).copied()
+        self.by_tid.get(&tid).copied()
     }
 
     pub(crate) fn cell(&self, row: u32, column: u32) -> Cell {
@@ -167,15 +280,29 @@ impl Table {
             .expect("a row in use holds its tuple")
     }
 
+    /// The rows in use whose values at the attributes of the index in
+    /// `slot` are `key`, live in some column or other.
+    pub(crate) fn bucket(&self, slot: u32, key: &[Value]) -> &[u32] {
+        let ix = self.indexes[slot as usize].as_ref();
+        bucket(&ix.expect("a named index is live").store, key)
+    }
+
+    /// The attributes of the index in `slot`, if it has a user.
+    pub(crate) fn index_attrs(&self, slot: u32) -> Option<&[usize]> {
+        let ix = self.indexes.get(slot as usize)?.as_ref()?;
+        Some(&ix.attrs)
+    }
+
     /// The rows live in `column`.
     pub(crate) fn rows_in(&self, column: u32) -> impl Iterator<Item = u32> + '_ {
         (0..self.rows.len() as u32).filter(move |&row| self.cell(row, column).is_live())
     }
 
-    /// Enters tuple `tid` into `column`, its row made if no other column
-    /// holds it. `None` if the column holds it already.
+    /// Enters tuple `tid` into `column`, its row made (and entered into
+    /// every index) if no other column holds it. `None` if the column
+    /// holds it already.
     pub(crate) fn enter(&mut self, column: u32, tid: u32, tuple: &Tuple) -> Option<u32> {
-        let row = match self.index.entry(tid) {
+        let row = match self.by_tid.entry(tid) {
             Entry::Occupied(e) => {
                 let row = *e.get();
                 let at = row as usize * self.width + column as usize;
@@ -206,45 +333,52 @@ impl Table {
                         self.rows.len() as u32 - 1
                     }
                 };
+                for ix in self.indexes.iter_mut().flatten() {
+                    ix.push(row, tuple, &mut self.scratch);
+                }
                 *e.insert(row)
             }
         };
         self.rows[row as usize].live += 1;
-        *self.cell_mut(row, column) = Cell {
-            key_pos: 0,
-            first_owned: NIL,
-        };
+        *self.cell_mut(row, column) = Cell { first_owned: NIL };
         Some(row)
     }
 
     /// Takes `row` out of `column`; the row goes with its last live
-    /// cell.
+    /// cell, and leaves every index as it goes.
     pub(crate) fn leave(&mut self, row: u32, column: u32) {
         *self.cell_mut(row, column) = Cell::EMPTY;
         let r = &mut self.rows[row as usize];
         r.live -= 1;
         if r.live == 0 {
-            r.tuple = None;
-            self.index.remove(&r.tid);
+            let tuple = r.tuple.take().expect("a row in use holds its tuple");
+            self.by_tid.remove(&r.tid);
+            for ix in self.indexes.iter_mut().flatten() {
+                ix.remove(row, &tuple, &mut self.scratch);
+            }
             self.free_rows.push(row);
         }
     }
 
-    /// Resident size as the containers account for it, at capacity.
+    /// Resident size as the containers account for it, at capacity:
+    /// the rows and the indexes over them.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let vecs = self.rows.capacity() * size_of::<Row>()
             + self.free_rows.capacity() * size_of::<u32>()
             + self.cells.capacity() * size_of::<Cell>()
             + self.order.capacity() * size_of::<(u64, u32, u32)>()
-            + self.free_columns.capacity() * size_of::<u32>();
-        map_bytes(&self.index) + vecs as u64
+            + self.free_columns.capacity() * size_of::<u32>()
+            + self.indexes.capacity() * size_of::<Option<Index>>()
+            + self.scratch.capacity() * size_of::<Value>();
+        let indexes: u64 = self.indexes.iter().flatten().map(Index::approx_bytes).sum();
+        map_bytes(&self.by_tid) + vecs as u64 + indexes
     }
 
     /// `column`'s share of [`approx_bytes`](Self::approx_bytes): the
     /// live columns split it evenly, and the first takes the remainder,
     /// so the shares sum to the table's bytes. While the table has no
     /// freed column, that is the column's cells and 1/width of the row
-    /// overhead.
+    /// overhead and of the indexes.
     pub(crate) fn share(&self, column: u32) -> u64 {
         let (total, live) = (self.approx_bytes(), self.order.len() as u64);
         let first = self.order.first().is_some_and(|&(.., c)| c == column);
@@ -252,9 +386,14 @@ impl Table {
     }
 
     /// Checks what the O(1) paths rely on: each row's live count equals
-    /// its live cells, no row in use is without one, the index names
-    /// exactly the rows in use, and a freed column is all [`ABSENT`].
-    pub(crate) fn check(&self) -> Result<(), String> {
+    /// its live cells, no row in use is without one, the tuple-id map
+    /// names exactly the rows in use, and a freed column is all
+    /// [`ABSENT`]. Per index: each row in use sits in it once, under
+    /// the key its tuple gives, at its stored position, and no free row
+    /// does; its heap bytes equal a recount; its user count is
+    /// `users[slot]`, the premises that name it, and an index with none
+    /// is gone.
+    pub(crate) fn check(&self, users: &[u32]) -> Result<(), String> {
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         ensure(
             self.cells.len() == self.rows.len() * self.width,
@@ -280,18 +419,61 @@ impl Table {
                 continue;
             }
             ensure(live > 0, "a row in use has a live cell")?;
-            ensure(self.row(r.tid) == Some(row), "index names the row")?;
+            ensure(self.row(r.tid) == Some(row), "tuple-id map names the row")?;
             for &c in &self.free_columns {
                 ensure(!cells[c as usize].is_live(), "a freed column is ABSENT")?;
             }
         }
         let in_use = self.rows.len() - self.free_rows.len();
-        ensure(self.index.len() == in_use, "index size = rows in use")?;
+        ensure(
+            self.by_tid.len() == in_use,
+            "tuple-id map size = rows in use",
+        )?;
         ensure(
             self.free_rows
                 .iter()
                 .all(|&row| self.rows[row as usize].tuple.is_none()),
             "free list names free rows",
-        )
+        )?;
+        ensure(
+            users.len() <= self.indexes.len(),
+            "a premise names an index slot the table lacks",
+        )?;
+        let mut scratch = Vec::new();
+        for (slot, ix) in self.indexes.iter().enumerate() {
+            let named = users.get(slot).copied().unwrap_or(0);
+            let Some(ix) = ix else {
+                ensure(named == 0, "a named index is gone")?;
+                continue;
+            };
+            ensure(named > 0, "an index with no user is gone")?;
+            ensure(ix.users == named, "index users = the premises that name it")?;
+            let twins = self.indexes.iter().flatten();
+            ensure(
+                twins.filter(|other| other.attrs == ix.attrs).count() == 1,
+                "one index per key attributes",
+            )?;
+            let mut members = 0;
+            for ids in ix.store.values() {
+                ensure(!ids.is_empty(), "empty index bucket")?;
+                members += ids.len();
+                let free = |&id: &u32| self.rows.get(id as usize).is_none_or(|r| r.tuple.is_none());
+                ensure(!ids.iter().any(free), "a free row in an index")?;
+            }
+            ensure(members == in_use, "an index holds each row in use once")?;
+            for (row, r) in (0..).zip(&self.rows) {
+                if let Some(tuple) = &r.tuple {
+                    let key = key_of(&ix.attrs, tuple, &mut scratch);
+                    let at = ix.pos.get(row as usize).copied();
+                    let found = at.and_then(|pos| bucket(&ix.store, key).get(pos as usize));
+                    ensure(found == Some(&row), "index position")?;
+                }
+            }
+            ensure(
+                ix.heap_bytes == keys::heap_bytes(&ix.store),
+                "index heap bytes = a recount",
+            )?;
+        }
+        Ok(())
     }
 }

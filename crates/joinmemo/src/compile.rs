@@ -170,6 +170,17 @@ impl CompiledJoin {
     pub(crate) fn plan(&self, i: usize) -> &PremisePlan {
         &self.plans[i]
     }
+
+    /// The attributes of premise `i`'s relation that its shared index
+    /// keys on, in equality-step order: premise 0's as premise 1's
+    /// steps read them (level 0's tokens are premise 0's rows, one
+    /// each), any later premise's as its own steps read them.
+    pub(crate) fn index_attrs(&self, i: usize) -> Vec<usize> {
+        match i {
+            0 => self.plans[1].eq.iter().map(|s| s.left_attr).collect(),
+            j => self.plans[j].eq.iter().map(|s| s.right_attr).collect(),
+        }
+    }
 }
 
 fn resolve(

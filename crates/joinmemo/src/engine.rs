@@ -1,6 +1,6 @@
 //! The join-memo engine: every registered join condition's memo, the
-//! alpha tables they share (one per relation, [`crate::alpha`]), and
-//! the crate's metric families.
+//! alpha tables they share (one per relation, [`crate::alpha`], with
+//! the key indexes over its rows), and the crate's metric families.
 
 use crate::alpha::Table;
 use crate::compile::CompiledJoin;
@@ -113,15 +113,22 @@ impl JoinEngine {
     /// Registers a compiled condition under the caller-chosen `key`
     /// (the rules engine uses a monotonic counter), replacing any
     /// condition under it. Each premise gets a column of its relation's
-    /// table. The memo starts empty; use [`seed`](Self::seed) to fill it
-    /// from existing tuples.
+    /// table and names the table's index on the attributes it joins on.
+    /// The memo starts empty; use [`seed`](Self::seed) to fill it from
+    /// existing tuples.
     pub fn register(&mut self, key: u64, compiled: CompiledJoin) {
         self.unregister(key);
         let columns = (0..compiled.arity())
             .map(|i| {
                 let table = self.table_for(compiled.relation(i));
-                let column = self.tables[table as usize].add_column(key, i as u32);
-                Column { table, column }
+                let t = &mut self.tables[table as usize];
+                let column = t.add_column(key, i as u32);
+                let index = t.add_index(&compiled.index_attrs(i));
+                Column {
+                    table,
+                    column,
+                    index,
+                }
             })
             .collect();
         self.memos.insert(key, JoinMemo::new(compiled, columns));
@@ -140,13 +147,15 @@ impl JoinEngine {
         table
     }
 
-    /// Removes a condition and its memo, clearing its columns, handing
-    /// back the condition. A table goes with its last column.
+    /// Removes a condition and its memo, clearing its columns and
+    /// dropping its names on the indexes, handing back the condition.
+    /// An index goes with its last name, a table with its last column.
     pub fn unregister(&mut self, key: u64) -> Option<JoinCondition> {
         let memo = self.memos.remove(&key)?;
         for (i, c) in memo.columns().iter().enumerate() {
             let table = &mut self.tables[c.table as usize];
             table.remove_column(c.column);
+            table.remove_index(c.index);
             if table.is_unused() {
                 *table = Table::default();
                 self.by_relation.remove(memo.plan().relation(i));
@@ -259,11 +268,13 @@ impl JoinEngine {
     /// The test oracle for everything the memos maintain incrementally.
     /// Per table: each row's live count equals its live cells, no row
     /// is without one, a freed column is all absent, and the live
-    /// columns are exactly the memos' premises. Per condition: the
-    /// slab's links, stored positions, free list and counters are
-    /// consistent; the running digest equals a full recompute and the
-    /// digest of a fresh memo seeded from `catalog`; the complete
-    /// matches equal [`naive::full_matches`].
+    /// columns are exactly the memos' premises; each index holds every
+    /// row in use once, at its stored position, counts as its users
+    /// exactly the premises that name it, and is gone without one. Per
+    /// condition: the slab's links, stored positions, free list and
+    /// counters are consistent; the running digest equals a full
+    /// recompute and the digest of a fresh memo seeded from `catalog`;
+    /// the complete matches equal [`naive::full_matches`].
     ///
     /// [`naive::full_matches`]: crate::naive::full_matches
     pub fn check_invariants(&self, catalog: &Catalog) -> Result<(), String> {
@@ -271,14 +282,22 @@ impl JoinEngine {
         for (relation, &t) in &self.by_relation {
             let fail = |what: &str| format!("table of {relation}: {what}");
             let table = &self.tables[t as usize];
-            table.check().map_err(|e| fail(&e))?;
+            let mut users = Vec::new();
             for &(key, premise, column) in table.columns() {
                 let memo = self.memos.get(&key).ok_or_else(|| fail("orphan column"))?;
                 let c = memo.columns().get(premise as usize);
-                if !c.is_some_and(|c| c.table == t && c.column == column) {
+                let Some(c) = c.filter(|c| c.table == t && c.column == column) else {
                     return Err(fail("column not its premise's"));
+                };
+                let attrs = memo.plan().index_attrs(premise as usize);
+                if table.index_attrs(c.index) != Some(&attrs[..]) {
+                    return Err(fail("a premise names an index on other attributes"));
                 }
+                let slot = c.index as usize;
+                users.resize(users.len().max(slot + 1), 0);
+                users[slot] += 1;
             }
+            table.check(&users).map_err(|e| fail(&e))?;
             columns += table.columns().len();
         }
         if columns != self.memos.values().map(|m| m.columns().len()).sum() {

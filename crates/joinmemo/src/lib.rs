@@ -33,6 +33,7 @@
 mod alpha;
 mod compile;
 mod engine;
+mod keys;
 mod memo;
 pub mod naive;
 

@@ -11,53 +11,53 @@
 //! The alpha memories are not the memo's: each premise is a column of
 //! the shared table of its relation ([`crate::alpha`]), which holds the
 //! tuple's row once for every memo, and the memo keeps only `(table,
-//! column)` and an entry count per premise. Tokens and key-store
-//! buckets name rows, so reading a bound tuple is an index, not a
-//! lookup; the digest still hashes tuple ids.
+//! column)`, the slot of the table's index it probes, and an entry
+//! count per premise. Tokens and key-store buckets name rows, so
+//! reading a bound tuple is an index, not a lookup; the digest still
+//! hashes tuple ids.
 //!
 //! Tokens form a forest in a slab (`Vec` + free list, id = slot): a
 //! token holds only the row of its own level and a link to its parent,
 //! the token over premises `0..k`; its row vector is the path to the
-//! root. Each token also sits in three lists, and leaves every one of
-//! them in O(1):
+//! root. Each token also sits in up to three lists, and leaves every
+//! one of them in O(1):
 //!
 //! - its parent's child list and its row's *owner* list (the tokens
 //!   whose last premise is that row, headed in the row's cell) — walked
 //!   only to delete, so threaded through the tokens themselves
 //!   ([`Link`]);
-//! - the `level_key` bucket a later premise probes from the right —
-//!   scanned on every probe, so a plain array the token leaves by
-//!   `swap_remove` at its stored position.
+//! - at levels `1..n-1`, the `level_key` bucket a later premise probes
+//!   from the right — scanned on every probe, so a plain array the
+//!   token leaves by `swap_remove` at its stored position.
 //!
-//! A key store (`level_key`, `alpha_key`) maps a join value to a bucket
-//! of ids. A store keyed by a row's identity (`orders.cust`,
-//! `customers.id`) rarely holds more than three ids per value, so a one-value
-//! key ([`Key`]) and a bucket of up to three ids ([`Ids`]) sit inline
-//! in the table slot: such a store touches the heap only for a string
-//! value or a bucket that grows past three. A store keyed by a value
-//! many rows share (`customers.region`: 64 values under thousands of
-//! tokens) keeps each bucket in a `Vec`, and a multi-value key keeps
-//! its values on the heap.
+//! The key stores whose members are rows of one table are the table's
+//! shared indexes ([`crate::keys`]), one per `(relation, key
+//! attributes)`: every premise `j ≥ 1` probes its relation's index on
+//! the attributes its equality steps read, and so does premise 1's
+//! leftward probe of level 0, whose tokens are premise 0's rows one to
+//! one — a live premise-0 cell heads an owner list of exactly one
+//! token. A memo keeps only the key rows live in its own column, so
+//! what it sees is what a store of its own would hold. Its own stores
+//! are the beta stores `level_key[k ≥ 1]`, keyed by tokens that span
+//! more than one row.
 //!
 //! Stores are hash-keyed by join values (the equality steps of the
 //! premise being extended); ordering steps filter candidates as they
-//! are probed. Insertion at premise `k` extends *left* (probing the
-//! level `k-1` store for prefixes that accept the new tuple) and then
-//! *right* (probing the alpha stores of premises `k+1..` to grow the
-//! newly created tokens as far as the known tuples allow). Deletion
-//! removes the alpha entry and the subtree under every token the tuple
-//! owns — exactly the tokens that contain it — so a retraction costs
-//! the tokens it removes, whatever the size of the stores around them.
+//! are probed. Insertion at premise `k` extends *left* (probing level
+//! `k-1` for prefixes that accept the new tuple) and then *right*
+//! (probing the indexes of premises `k+1..` to grow the newly created
+//! tokens as far as the known tuples allow). Deletion removes the
+//! subtree under every token the tuple owns — exactly the tokens that
+//! contain it — and then its cell, so a retraction costs the tokens it
+//! removes, whatever the size of the stores around them.
 
-use crate::alpha::Table;
+use crate::alpha::{Table, ABSENT};
 use crate::compile::CompiledJoin;
+use crate::keys::{self, bucket, bucket_push, bucket_remove, map_bytes, KeyStore};
 use relation::fx::{FnvHasher, FxHashMap};
 use relation::{Catalog, Tuple, TupleId, Value};
-use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// One premise's bound tuple in a complete match. The rule engine hands
@@ -124,7 +124,7 @@ struct Token {
     sibling: Link,
     /// Place in the owner list of `(level, row)`.
     owned: Link,
-    /// Position in its `level_key` bucket (levels below the last).
+    /// Position in its `level_key` bucket (levels `1..n-1`).
     key_pos: u32,
 }
 
@@ -162,197 +162,16 @@ fn unlink(tokens: &mut [Token], id: u32, link: fn(&mut Token) -> &mut Link) -> O
     None
 }
 
-/// A key store's key: the values of a premise's equality steps. One
-/// value — a single equality step, the common join — sits inline;
-/// any other count is a boxed slice. Hashing and equality go through
-/// the slice, so a probe looks a bucket up by `&[Value]`.
-#[derive(Debug, Clone)]
-enum Key {
-    One(Value),
-    Many(Box<[Value]>),
-}
-
-impl Key {
-    fn new(values: &[Value]) -> Key {
-        match values {
-            [v] => Key::One(v.clone()),
-            vs => Key::Many(vs.into()),
-        }
-    }
-
-    fn values(&self) -> &[Value] {
-        match self {
-            Key::One(v) => std::slice::from_ref(v),
-            Key::Many(vs) => vs,
-        }
-    }
-}
-
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.values().hash(state);
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Key) -> bool {
-        self.values() == other.values()
-    }
-}
-
-impl Eq for Key {}
-
-impl Borrow<[Value]> for Key {
-    fn borrow(&self) -> &[Value] {
-        self.values()
-    }
-}
-
-/// Heap bytes behind the key of `values`: string contents, plus the
-/// slots unless the one value sits inline.
-fn key_bytes(values: &[Value]) -> u64 {
-    let strings: usize = values
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => s.len(),
-            _ => 0,
-        })
-        .sum();
-    let slots = match values.len() {
-        1 => 0,
-        _ => std::mem::size_of_val(values),
-    };
-    (slots + strings) as u64
-}
-
-/// Ids a bucket holds inline before it spills to a `Vec`. Three keep
-/// [`Ids`] at the size of a `Vec<u32>`, so a table slot is 48 bytes;
-/// four to six would make it 56. On `join_cascade`, 98.5% of the pushes
-/// into its one-value stores keyed by a row's identity land in a bucket
-/// of at most three (EXPERIMENTS.md "Join memo layer").
-const INLINE_IDS: usize = 3;
-
-const _: () = assert!(size_of::<Ids>() == size_of::<Vec<u32>>());
-
-/// A bucket's ids, in the order `swap_remove` leaves them: up to
-/// [`INLINE_IDS`] inline, else a `Vec`, which stays until the bucket
-/// empties.
-#[derive(Debug, Clone)]
-enum Ids {
-    Inline { len: u8, ids: [u32; INLINE_IDS] },
-    Spilled(Vec<u32>),
-}
-
-impl Ids {
-    fn one(id: u32) -> Ids {
-        let mut ids = [0; INLINE_IDS];
-        ids[0] = id;
-        Ids::Inline { len: 1, ids }
-    }
-
-    /// Appends `id`; returns its position.
-    fn push(&mut self, id: u32) -> u32 {
-        match self {
-            Ids::Inline { len, ids } if (*len as usize) < INLINE_IDS => {
-                ids[*len as usize] = id;
-                *len += 1;
-                *len as u32 - 1
-            }
-            Ids::Inline { ids, .. } => {
-                let mut spilled = Vec::with_capacity(2 * INLINE_IDS);
-                spilled.extend_from_slice(ids);
-                spilled.push(id);
-                *self = Ids::Spilled(spilled);
-                INLINE_IDS as u32
-            }
-            Ids::Spilled(ids) => {
-                ids.push(id);
-                ids.len() as u32 - 1
-            }
-        }
-    }
-
-    /// Removes the id at `pos` by moving the last one into it. Panics
-    /// if `pos` is out of bounds, as `Vec::swap_remove` does: a stale
-    /// `key_pos` must not drop a live id.
-    fn swap_remove(&mut self, pos: usize) {
-        match self {
-            Ids::Inline { len, ids } => {
-                assert!(pos < *len as usize, "bucket position {pos} out of bounds");
-                *len -= 1;
-                ids[pos] = ids[*len as usize];
-            }
-            Ids::Spilled(ids) => {
-                ids.swap_remove(pos);
-            }
-        }
-    }
-
-    /// Heap bytes behind the bucket: a spilled array's capacity.
-    fn heap_bytes(&self) -> u64 {
-        match self {
-            Ids::Inline { .. } => 0,
-            Ids::Spilled(ids) => (ids.capacity() * size_of::<u32>()) as u64,
-        }
-    }
-}
-
-impl Deref for Ids {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            Ids::Inline { len, ids } => &ids[..*len as usize],
-            Ids::Spilled(ids) => ids,
-        }
-    }
-}
-
-/// Equality-key -> ids, each id knowing its position in the bucket.
-type KeyStore = FxHashMap<Key, Ids>;
-
-/// Table bytes of a hash map: its capacity is 7/8 of its slots, and
-/// each slot carries one control byte.
-pub(crate) fn map_bytes<K, V, S>(m: &HashMap<K, V, S>) -> u64 {
-    (m.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)) as u64
-}
-
-/// Appends `id` to the bucket of `key`. Returns its position and the
-/// heap bytes the store grew by.
-fn bucket_push(store: &mut KeyStore, key: &[Value], id: u32) -> (u32, u64) {
-    if let Some(bucket) = store.get_mut(key) {
-        let before = bucket.heap_bytes();
-        let pos = bucket.push(id);
-        return (pos, bucket.heap_bytes() - before);
-    }
-    store.insert(Key::new(key), Ids::one(id));
-    (0, key_bytes(key))
-}
-
-/// Removes the id at `pos` of the bucket of `key` by `swap_remove`.
-/// Returns the id that moved into `pos` (its stored position is now
-/// stale) and the heap bytes the store shrank by — a bucket gives its
-/// array back only when it empties.
-fn bucket_remove(store: &mut KeyStore, key: &[Value], pos: u32) -> (Option<u32>, u64) {
-    let Some(bucket) = store.get_mut(key) else {
-        debug_assert!(false, "keyed member without a bucket");
-        return (None, 0);
-    };
-    bucket.swap_remove(pos as usize);
-    if bucket.is_empty() {
-        let shrank = key_bytes(key) + bucket.heap_bytes();
-        store.remove(key);
-        return (None, shrank);
-    }
-    (bucket.get(pos as usize).copied(), 0)
-}
-
-/// Where a premise's alpha memory lives: a column of a shared table.
+/// Where a premise's alpha memory lives: a column of a shared table,
+/// and the table's index the premise probes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Column {
     /// The table's slot in the engine.
     pub(crate) table: u32,
     pub(crate) column: u32,
+    /// The slot of the table's index on
+    /// [`CompiledJoin::index_attrs`].
+    pub(crate) index: u32,
 }
 
 /// The memo for one compiled join condition.
@@ -363,21 +182,19 @@ pub(crate) struct JoinMemo {
     columns: Vec<Column>,
     /// Per premise: rows live in its column (the alpha-memory size).
     alpha_counts: Vec<usize>,
-    /// Per premise `1..`: equality-key -> rows, for rightward probes.
-    /// Premise 0 is never probed (a probe extends a token, and every
-    /// token already binds premise 0), so its store stays empty.
-    alpha_key: Vec<KeyStore>,
     /// The token slab; `free` lists the slots whose level is `FREE`.
     tokens: Vec<Token>,
     free: Vec<u32>,
     /// Per level `0..n-1`: equality-key -> token ids, keyed for
-    /// extension into premise `level + 1` (the beta stores).
+    /// extension into premise `level + 1` (the beta stores). Level 0's
+    /// tokens are premise 0's rows, which its column's shared index
+    /// holds, so `level_key[0]` stays empty.
     level_key: Vec<KeyStore>,
     /// Token count per level.
     level_counts: Vec<usize>,
     /// The running [`fingerprint`](Self::fingerprint).
     digest: u64,
-    /// Heap bytes the key stores point at (key values, bucket
+    /// Heap bytes the beta stores point at (key values, bucket
     /// arrays), maintained incrementally.
     heap_bytes: u64,
     scratch: Scratch,
@@ -427,7 +244,6 @@ impl JoinMemo {
             plan,
             columns,
             alpha_counts: vec![0; n],
-            alpha_key: vec![FxHashMap::default(); n],
             tokens: Vec::new(),
             free: Vec::new(),
             level_key: vec![FxHashMap::default(); n.saturating_sub(1)],
@@ -472,13 +288,14 @@ impl JoinMemo {
     }
 
     /// Resident size as the containers account for it: the token
-    /// slab and free list at capacity (a slab never shrinks), each
-    /// key-store table at capacity, the heap behind the key stores'
+    /// slab and free list at capacity (a slab never shrinks), each beta
+    /// store's table at capacity, the heap behind the beta stores'
     /// entries — key values, bucket arrays — and each column's share
-    /// of its table ([`Table::share`]), so the memos' figures sum to
-    /// the engine's. A row's tuple counts as its handle: the row behind
-    /// it belongs to the relation and is shared by every memo and event
-    /// that holds it. What the allocator rounds up is not in it.
+    /// of its table, shared indexes included ([`Table::share`]), so the
+    /// memos' figures sum to the engine's. A row's tuple counts as its
+    /// handle: the row behind it belongs to the relation and is shared
+    /// by every memo and event that holds it. What the allocator rounds
+    /// up is not in it.
     pub(crate) fn approx_bytes(&self, tables: &[Table]) -> u64 {
         let columns = self.columns.iter();
         let shares: u64 = columns
@@ -491,8 +308,8 @@ impl JoinMemo {
     pub(crate) fn own_bytes(&self) -> u64 {
         let slab =
             self.tokens.capacity() * size_of::<Token>() + self.free.capacity() * size_of::<u32>();
-        let stores = self.alpha_key.iter().chain(&self.level_key);
-        slab as u64 + stores.map(map_bytes).sum::<u64>() + self.heap_bytes
+        let stores: u64 = self.level_key.iter().map(map_bytes).sum();
+        slab as u64 + stores + self.heap_bytes
     }
 
     fn token(&self, id: u32) -> &Token {
@@ -525,9 +342,9 @@ impl JoinMemo {
         tids.reverse();
     }
 
-    /// Fills `key` with the equality-key of a premise-`j` tuple when
-    /// probed from the left.
-    fn alpha_key_into(&self, j: usize, tuple: &Tuple, key: &mut Vec<Value>) {
+    /// Fills `key` with the equality-key of a premise-`j` tuple, the
+    /// one it probes level `j - 1` with.
+    fn tuple_key_into(&self, j: usize, tuple: &Tuple, key: &mut Vec<Value>) {
         key.clear();
         let eq = &self.plan.plan(j).eq;
         key.extend(eq.iter().map(|s| tuple.get(s.right_attr).clone()));
@@ -587,12 +404,13 @@ impl JoinMemo {
                 self.tokens.len() as u32 - 1
             }
         };
+        debug_assert!(id < ABSENT, "a token id reads as an absent cell");
         if parent != NIL {
             let head = self.token(parent).first_child;
             push_front(&mut self.tokens, head, id, sibling);
             self.tokens[parent as usize].first_child = id;
         }
-        let Column { table, column } = self.columns[level as usize];
+        let Column { table, column, .. } = self.columns[level as usize];
         let owner = tables[table as usize].cell_mut(row, column);
         push_front(&mut self.tokens, owner.first_owned, id, owned);
         owner.first_owned = id;
@@ -631,7 +449,7 @@ impl JoinMemo {
     ) -> InsertOutcome {
         let n = self.plan.arity();
         let mut out = InsertOutcome::default();
-        let Column { table, column } = self.columns[k];
+        let Column { table, column, .. } = self.columns[k];
         let Some(row) = tables[table as usize].enter(column, tid, tuple) else {
             return out; // duplicate feed (e.g. two premise pids) — ignore
         };
@@ -641,12 +459,29 @@ impl JoinMemo {
         if k == 0 {
             s.work.push((NIL, row));
         } else {
-            self.alpha_key_into(k, tuple, &mut s.key);
-            let (pos, grew) = bucket_push(&mut self.alpha_key[k], &s.key, row);
-            tables[table as usize].cell_mut(row, column).key_pos = pos;
-            self.heap_bytes += grew;
             // Leftward: prefixes over 0..k that accept the new tuple.
-            if let Some(cands) = self.level_key[k - 1].get(s.key.as_slice()) {
+            self.tuple_key_into(k, tuple, &mut s.key);
+            if k == 1 {
+                // Level 0's tokens are premise 0's rows: each live row
+                // in the index owns exactly one.
+                let Column {
+                    table,
+                    column,
+                    index,
+                } = self.columns[0];
+                let rows = &tables[table as usize];
+                for &c in rows.bucket(index, &s.key) {
+                    let cell = rows.cell(c, column);
+                    if cell.is_live() {
+                        out.probes += 1;
+                        let token = cell.first_owned;
+                        if self.residual_ok(tables, k, token, tuple) {
+                            s.work.push((token, row));
+                        }
+                    }
+                }
+            } else {
+                let cands = bucket(&self.level_key[k - 1], &s.key);
                 out.probes += cands.len() as u64;
                 let accepted = cands
                     .iter()
@@ -669,18 +504,26 @@ impl JoinMemo {
                 continue;
             }
             self.probe_key_into(tables, j, id, &mut s.key);
-            let (pos, grew) = bucket_push(&mut self.level_key[j - 1], &s.key, id);
-            self.tokens[id as usize].key_pos = pos;
-            self.heap_bytes += grew;
-            if let Some(cands) = self.alpha_key[j].get(s.key.as_slice()) {
-                out.probes += cands.len() as u64;
-                // The candidate's tuple is read only for an ordering step.
-                let residual = &self.plan.plan(j).residual;
-                let rows = self.table(tables, j);
-                let accepted = cands.iter().filter(|&&c| {
-                    residual.is_empty() || self.residual_ok(tables, j, id, rows.tuple(c))
-                });
-                s.work.extend(accepted.map(|&c| (id, c)));
+            if j > 1 {
+                let (pos, grew) = bucket_push(&mut self.level_key[j - 1], &s.key, id);
+                self.tokens[id as usize].key_pos = pos;
+                self.heap_bytes += grew;
+            }
+            let Column {
+                table,
+                column,
+                index,
+            } = self.columns[j];
+            let rows = &tables[table as usize];
+            // The candidate's tuple is read only for an ordering step.
+            let residual = &self.plan.plan(j).residual;
+            for &c in rows.bucket(index, &s.key) {
+                if rows.cell(c, column).is_live() {
+                    out.probes += 1;
+                    if residual.is_empty() || self.residual_ok(tables, j, id, rows.tuple(c)) {
+                        s.work.push((id, c));
+                    }
+                }
             }
         }
         self.scratch = s;
@@ -712,12 +555,12 @@ impl JoinMemo {
         }
     }
 
-    /// Retracts `row` from premise `k`: removes its alpha entry and
-    /// every token containing it — the subtrees under the tokens it
-    /// owns. Returns the number of tokens retracted.
+    /// Retracts `row` from premise `k`: removes every token containing
+    /// it — the subtrees under the tokens it owns — and then its cell.
+    /// Returns the number of tokens retracted.
     pub(crate) fn retract(&mut self, tables: &mut [Table], k: usize, row: u32) -> u64 {
         let n = self.plan.arity();
-        let Column { table, column } = self.columns[k];
+        let Column { table, column, .. } = self.columns[k];
         let entry = tables[table as usize].cell(row, column);
         if !entry.is_live() {
             return 0;
@@ -748,7 +591,7 @@ impl JoinMemo {
             self.digest = self.digest.wrapping_sub(token_digest(&s.tids));
             let level = s.tids.len() - 1;
             self.level_counts[level] -= 1;
-            if level + 1 < n {
+            if level > 0 && level + 1 < n {
                 self.probe_key_into(tables, level + 1, id, &mut s.key);
                 let pos = self.token(id).key_pos;
                 let (moved, shrank) = bucket_remove(&mut self.level_key[level], &s.key, pos);
@@ -781,17 +624,8 @@ impl JoinMemo {
         let retracted = s.doomed.len() as u64;
 
         let rows = &tables[table as usize];
-        let tuple = rows.tuple(row);
-        let digest = alpha_digest(k, rows.tid(row), tuple);
+        let digest = alpha_digest(k, rows.tid(row), rows.tuple(row));
         self.digest = self.digest.wrapping_sub(digest);
-        if k > 0 {
-            self.alpha_key_into(k, tuple, &mut s.key);
-            let (moved, shrank) = bucket_remove(&mut self.alpha_key[k], &s.key, entry.key_pos);
-            if let Some(moved) = moved {
-                tables[table as usize].cell_mut(moved, column).key_pos = entry.key_pos;
-            }
-            self.heap_bytes -= shrank;
-        }
         tables[table as usize].leave(row, column);
         self.alpha_counts[k] -= 1;
         self.scratch = s;
@@ -848,8 +682,9 @@ impl JoinMemo {
     /// Walks the whole memo and checks what the O(1) paths rely on:
     /// free list = the `FREE` slots, every stored position and link
     /// points back at its holder, every live token sits in exactly the
-    /// lists its path says it should, the counters and the running
-    /// digest equal a recount.
+    /// lists its path says it should, a live premise-0 cell owns
+    /// exactly one token, the counters, the beta stores' heap bytes
+    /// and the running digest equal a recount.
     pub(crate) fn check_structure(&self, tables: &[Table]) -> Result<(), String> {
         let n = self.plan.arity();
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
@@ -874,15 +709,8 @@ impl JoinMemo {
             let mut entries = 0;
             for row in rows.rows_in(c.column) {
                 entries += 1;
-                let entry = rows.cell(row, c.column);
-                if p > 0 {
-                    self.alpha_key_into(p, rows.tuple(row), &mut key);
-                    let at = self.alpha_key[p]
-                        .get(key.as_slice())
-                        .and_then(|b| b.get(entry.key_pos as usize));
-                    ensure(at == Some(&row), "alpha key position")?;
-                }
-                let (mut prev, mut at) = (NIL, entry.first_owned);
+                let (mut prev, mut at) = (NIL, rows.cell(row, c.column).first_owned);
+                let owners = owned_seen;
                 while at != NIL {
                     let t = self
                         .tokens
@@ -892,6 +720,9 @@ impl JoinMemo {
                     ensure(t.owned.prev == prev, "owner list back link")?;
                     owned_seen += 1;
                     (prev, at) = (at, t.owned.next);
+                }
+                if p == 0 {
+                    ensure(owned_seen == owners + 1, "a premise-0 row owns one token")?;
                 }
             }
             ensure(entries == self.alpha_counts[p], "alpha count")?;
@@ -916,7 +747,7 @@ impl JoinMemo {
                     ensure(parent.level as usize + 1 == level, "parent level")?;
                 }
             }
-            if level + 1 < n {
+            if level > 0 && level + 1 < n {
                 self.probe_key_into(tables, level + 1, id, &mut key);
                 let at = self.level_key[level]
                     .get(key.as_slice())
@@ -941,15 +772,12 @@ impl JoinMemo {
         ensure(level_counts == self.level_counts, "level counts")?;
         for (level, store) in self.level_key.iter().enumerate() {
             let members: usize = store.values().map(|b| b.len()).sum();
-            ensure(members == level_counts[level], "level key members")?;
+            let expect = if level == 0 { 0 } else { level_counts[level] };
+            ensure(members == expect, "level key members")?;
             ensure(store.values().all(|b| !b.is_empty()), "empty level bucket")?;
         }
-        for (p, store) in self.alpha_key.iter().enumerate() {
-            let members: usize = store.values().map(|b| b.len()).sum();
-            let expect = if p == 0 { 0 } else { self.alpha_counts[p] };
-            ensure(members == expect, "alpha key members")?;
-            ensure(store.values().all(|b| !b.is_empty()), "empty alpha bucket")?;
-        }
+        let heap: u64 = self.level_key.iter().map(keys::heap_bytes).sum();
+        ensure(heap == self.heap_bytes, "beta store heap bytes")?;
         ensure(
             self.digest == self.fingerprint_recomputed(tables),
             "running digest differs from the recomputed one",

@@ -256,3 +256,78 @@ fn conditions_sharing_relations_keep_every_oracle_through_churn() {
         run_shared_seed(seed);
     }
 }
+
+/// Conditions whose premises name the tables' shared key indexes in
+/// every shape a key takes: one value (`a.k`), two values (`a.k`,
+/// `a.tag`: a `Key::Many`), a string value (`a.tag`), and no value at
+/// all (a pure ordering join, whose index is one bucket of every row
+/// in use). Several name the same index from either side of a join —
+/// `b.k` is premise 1's key in `a.k = b.k` and premise 0's in
+/// `b.k = c.k` — so an index outlives the condition that built it.
+const KEYED: [&str; 9] = [
+    "a.k = b.k",
+    "a.k = b.k and a.v > 3",
+    "a.k = b.k and a.tag = b.tag",
+    "a.tag = c.tag",
+    "a.v < b.v",
+    "b.k = c.k",
+    "b.k = c.k and b.v = c.v",
+    "b.v >= c.v and c.v > 2",
+    "a.k = b.k and b.tag = c.tag",
+];
+
+fn run_index_seed(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = World {
+        cat: catalog(),
+        je: JoinEngine::new(),
+        live: Vec::new(),
+        next_key: 0,
+    };
+    for op in 0..120 {
+        let rel = RELS[rng.gen_range(0..RELS.len())];
+        let roll = rng.gen_range(0..100);
+        if roll < 20 {
+            w.register(KEYED[rng.gen_range(0..KEYED.len())]);
+        } else if roll < 35 {
+            // Sometimes every condition: the tables and their indexes
+            // go, and the next registration builds them over nothing.
+            let all = rng.gen_range(0..8) == 0;
+            while !w.live.is_empty() {
+                let (key, _) = w.live.swap_remove(rng.gen_range(0..w.live.len()));
+                assert!(w.je.unregister(key).is_some());
+                if !all {
+                    break;
+                }
+            }
+        } else if roll < 65 {
+            let id = w
+                .cat
+                .relation_mut(rel)
+                .unwrap()
+                .insert(row(&mut rng))
+                .unwrap();
+            w.feed(rel, id);
+        } else if roll < 80 {
+            if let Some(id) = w.some_id(&mut rng, rel) {
+                let values = row(&mut rng);
+                w.cat.relation_mut(rel).unwrap().update(id, values).unwrap();
+                w.je.retract(rel, id.0);
+                w.feed(rel, id);
+            }
+        } else if let Some(id) = w.some_id(&mut rng, rel) {
+            w.cat.relation_mut(rel).unwrap().delete(id).unwrap();
+            w.je.retract(rel, id.0);
+        }
+        if let Err(e) = w.je.check_invariants(&w.cat) {
+            panic!("seed {seed} op {op}: {e}");
+        }
+    }
+}
+
+#[test]
+fn shared_key_indexes_keep_every_oracle_as_conditions_come_and_go() {
+    for seed in 0..40 {
+        run_index_seed(seed);
+    }
+}

@@ -75,6 +75,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/durable/src", hit: |l| text(l, "let _ =").filter(|&i| l[i..].contains("sync")), must: false, within: "", why: "§10: no sync's error is dropped; a failed directory sync fails the snapshot" },
     Guard { files: "crates/ruleserv/src/server.rs crates/ruleserv/src/bin/ruleserv.rs", hit: |l| text(l, "set_read_timeout(|recv_timeout(|crash_after"), must: false, within: "", why: "§14: sessions end because they are closed, not because they poll; the daemon has no crash hook, a crash is a kill from outside" },
     Guard { files: "crates/ruleserv/src/server.rs", hit: |l| text(l, "try_clone("), must: false, within: "", why: "§14: a session is one socket that its reader and writer share, closed when the session ends; the accept thread keeps a `Weak` to it, not a clone" },
+    Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "KeyStore|HashMap<Key").filter(|_| text(l, "level_key:").is_none()), must: false, within: "", why: "§15: a key store whose members are one table's rows is that table's shared index; a memo keeps only its beta stores, `level_key`" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's
@@ -472,6 +473,15 @@ fn bad_guard_rename_breaks_the_row_in_both_shapes() {
     let found = findings("bad_guard_rename.rs");
     let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
     assert_eq!(lines, [11, 16], "{found:?}");
+}
+
+#[test]
+fn bad_guard_alpha_key_store_flags_the_per_premise_store_alone() {
+    // The parent's `alpha_key` field breaks the row; `level_key`, the
+    // beta stores a memo keeps, does not.
+    let found = findings("bad_guard_alpha_key_store.rs");
+    let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [16], "{found:?}");
 }
 
 /// DESIGN.md's `### <heading>` list equals a row's reviewed list, in

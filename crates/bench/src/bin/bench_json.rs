@@ -731,7 +731,7 @@ fn join_case(cfg: &Config, w: &mut JsonWriter, case: &JoinCase, n: usize) {
 
 /// An engine holding `n` `dept` and `n` `emp` tuples, one of each per
 /// join key, and the rule `emp.dno = dept.dno` seeded over them (not
-/// fired: the log stays empty). Premises sort by relation, so `dept`
+/// fired: the rule comes after the tuples). Premises sort by relation, so `dept`
 /// is premise 0 — the one no equality step keys — and the memo holds
 /// `2n` tokens.
 fn paired_engine(n: usize) -> RuleEngine {

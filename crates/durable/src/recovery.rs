@@ -286,7 +286,7 @@ pub(crate) fn restore(
         specs.insert(r.id, r.action);
         rules.push((RuleId(r.id), rule, r.fired));
     }
-    let mut engine = RuleEngine::restore(db, rules, snap.next_rule, snap.total_fired, snap.log)
+    let mut engine = RuleEngine::restore(db, rules, snap.next_rule, snap.total_fired)
         .map_err(|e| RecoverError::corrupt("snapshot rules", e))?;
     engine.set_firing_limit(snap.firing_limit as usize);
     // Restoring reseeded every join memo from the restored

@@ -10,8 +10,10 @@
 //! record the snapshot covers, every relation (schema, slot array
 //! *including holes*, free list — so recovered tuple-id allocation is
 //! bit-identical), every rule (condition source text, event mask,
-//! priority, fire count, action spec), and the engine counters and
-//! log.
+//! priority, fire count, action spec), and the engine counters. The
+//! lines actions log are output, not state (DESIGN.md §10): the body's
+//! line count is written 0, and the lines an older file holds are
+//! read and dropped.
 //!
 //! Unlike the WAL there is no tolerated torn tail: snapshots are
 //! written to a temporary file, synced, and atomically renamed, so a
@@ -44,7 +46,8 @@ use telemetry::{Counter, Histogram, Registry};
 /// File magic for snapshot files.
 pub const SNAP_MAGIC: &[u8; 8] = b"PMSNAP\0\0";
 /// Current snapshot format version. Version 2 added join (multi-
-/// premise) conditions and the join-memo fingerprint.
+/// premise) conditions and the join-memo fingerprint. Its line count
+/// is written 0, so files of either age open in code of either age.
 pub const SNAP_VERSION: u16 = 2;
 /// Snapshot file name inside a durable directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -103,8 +106,6 @@ pub struct SnapshotData<'a> {
     pub total_fired: u64,
     /// Per-mutation firing limit.
     pub firing_limit: u64,
-    /// The engine log.
-    pub log: Vec<String>,
     /// [`rules::RuleEngine::join_fingerprint`] at capture time.
     /// Recovery rebuilds every join memo by reseeding from the restored
     /// database and verifies the rebuilt state digests identically —
@@ -279,7 +280,6 @@ pub fn capture<'a>(
         next_rule: engine.next_rule_id(),
         total_fired: engine.total_fired(),
         firing_limit: engine.firing_limit() as u64,
-        log: engine.log().to_vec(),
         join_fingerprint: engine.join_fingerprint(),
     })
 }
@@ -320,10 +320,7 @@ pub(crate) fn encode_body(s: &SnapshotData) -> Vec<u8> {
     w.u32(s.next_rule);
     w.u64(s.total_fired);
     w.u64(s.firing_limit);
-    w.u32(s.log.len() as u32);
-    for line in &s.log {
-        w.str(line);
-    }
+    w.u32(0); // log lines: none kept
     w.u64(s.join_fingerprint);
     w.into_bytes()
 }
@@ -373,10 +370,9 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData<'static>, CodecError> {
     let next_rule = r.u32()?;
     let total_fired = r.u64()?;
     let firing_limit = r.u64()?;
-    let n_log = r.count(4)?;
-    let mut log = Vec::with_capacity(n_log);
-    for _ in 0..n_log {
-        log.push(r.str()?);
+    // An older file's log lines: read, so the body is checked whole.
+    for _ in 0..r.count(4)? {
+        r.str()?;
     }
     let join_fingerprint = r.u64()?;
     if !r.is_empty() {
@@ -392,7 +388,6 @@ fn decode_body(bytes: &[u8]) -> Result<SnapshotData<'static>, CodecError> {
         next_rule,
         total_fired,
         firing_limit,
-        log,
         join_fingerprint,
     })
 }
@@ -508,7 +503,6 @@ mod tests {
             next_rule: 4,
             total_fired: 17,
             firing_limit: 10_000,
-            log: vec!["one".into(), "two".into()],
             join_fingerprint: 0xdead_beef,
         }
     }
@@ -521,7 +515,6 @@ mod tests {
         let back = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(back.last_seq, 42);
         assert_eq!(back.rules, sample().rules);
-        assert_eq!(back.log, sample().log);
         assert_eq!(back.firing_limit, 10_000);
     }
 

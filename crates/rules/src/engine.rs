@@ -102,6 +102,10 @@ pub struct FireReport {
     pub bindings: Vec<Vec<BoundTuple>>,
     /// Number of database operations applied (1 external + cascaded).
     pub ops_applied: usize,
+    /// The lines this chain's actions wrote (`Action::Log`,
+    /// [`RuleContext::log`](crate::RuleContext::log)), in firing order.
+    /// The engine keeps no copy: each line is returned once, here.
+    pub log: Vec<String>,
 }
 
 /// The premise bit of a route word. Every predicate the engine
@@ -267,7 +271,6 @@ pub struct RuleEngine {
     rules: Slab<HotRule, ColdRule>,
     joins: JoinEngine,
     next_rule: u32,
-    log: Vec<String>,
     firing_limit: usize,
     total_fired: u64,
     /// Registry, tracer and profiler — everything off by default (one
@@ -293,7 +296,6 @@ impl RuleEngine {
             rules: Slab::default(),
             joins: JoinEngine::new(),
             next_rule: 0,
-            log: Vec::new(),
             firing_limit: 10_000,
             total_fired: 0,
             telemetry: Telemetry::disabled(),
@@ -432,12 +434,6 @@ impl RuleEngine {
             });
         }
         Ok(rel)
-    }
-
-    /// The engine log (appended to by `Action::Log` and
-    /// `RuleContext::log`).
-    pub fn log(&self) -> &[String] {
-        &self.log
     }
 
     /// Total rule firings since construction.
@@ -1000,14 +996,14 @@ impl RuleEngine {
                         .collect();
                     line.push_str(&format!(" [{}]", parts.join(" * ")));
                 }
-                self.log.push(line);
+                report.log.push(line);
             }
             Action::Callback(f) => {
                 let mut ctx = RuleContext {
                     event,
                     rule_name: &rule.name,
                     bindings: &bindings,
-                    log: &mut self.log,
+                    log: &mut report.log,
                     ops,
                 };
                 f(&mut ctx);
@@ -1176,11 +1172,9 @@ impl RuleEngine {
         rules: Vec<(RuleId, Rule, u64)>,
         next_rule: u32,
         total_fired: u64,
-        log: Vec<String>,
     ) -> Result<Self, EngineError> {
         let mut engine = RuleEngine {
             next_rule,
-            log,
             total_fired,
             ..RuleEngine::new(db)
         };

@@ -37,7 +37,9 @@
 //!     .insert("emp", vec![Value::str("al"), Value::Int(9_000)])
 //!     .unwrap();
 //! assert_eq!(report.fired.len(), 1);
-//! assert!(engine.log()[0].contains("below minimum"));
+//! // An action's lines are output: they come back in the report of
+//! // the operation that fired them, and the engine keeps no copy.
+//! assert!(report.log[0].contains("below minimum"));
 //!
 //! // A report names each firing by the rule's own `RuleName` — one
 //! // reference-counted string per rule, shared, never copied — which
@@ -154,7 +156,7 @@ mod tests {
             .0;
         let ev = e.delete("emp", id).unwrap();
         assert_eq!(ev.fired.len(), 1);
-        assert!(e.log()[0].contains("gone"));
+        assert!(ev.log[0].contains("gone"));
     }
 
     #[test]
@@ -226,7 +228,7 @@ mod tests {
             1,
             "the cascaded tuple landed"
         );
-        assert!(e.log().iter().any(|l| l.contains("escalated")));
+        assert!(r.log.iter().any(|l| l.contains("escalated")));
     }
 
     #[test]
@@ -428,9 +430,8 @@ mod agenda_tests {
         .unwrap();
         for i in 0..50 {
             let r = e.insert("t", vec![Value::Int(i)]).unwrap();
-            assert!(r.fired.is_empty());
+            assert!(r.fired.is_empty() && r.log.is_empty());
         }
-        assert!(e.log().is_empty());
         assert_eq!(e.total_fired(), 0);
     }
 }
@@ -474,10 +475,11 @@ mod batch_tests {
 
         let mut serial = engine();
         rule(&mut serial);
-        let mut serial_fired = Vec::new();
+        let (mut serial_fired, mut serial_log) = (Vec::new(), Vec::new());
         for row in rows.clone() {
             let r = serial.insert("t", vec![row[0].clone()]).unwrap();
             serial_fired.extend(r.fired);
+            serial_log.extend(r.log);
         }
 
         let mut batched = engine();
@@ -486,7 +488,7 @@ mod batch_tests {
 
         assert_eq!(r.fired, serial_fired, "batch must fire in serial order");
         assert_eq!(r.ops_applied, 13);
-        assert_eq!(batched.log(), serial.log());
+        assert_eq!(r.log, serial_log);
     }
 
     #[test]
@@ -674,8 +676,8 @@ mod join_tests {
         let r = e.insert("emp", emp("al", 4, 100)).unwrap();
         assert_eq!(r.fired, vec![(id, "same-dept".into())]);
         // The log line names both bound tuples.
-        assert!(e.log()[0].contains("dept#"), "log: {:?}", e.log());
-        assert!(e.log()[0].contains("emp#"), "log: {:?}", e.log());
+        assert!(r.log[0].contains("dept#"), "log: {:?}", r.log);
+        assert!(r.log[0].contains("emp#"), "log: {:?}", r.log);
         // Wrong floor or wrong dno never completes.
         assert!(e.insert("dept", dept(5, 2)).unwrap().fired.is_empty());
         assert!(e.insert("emp", emp("bo", 5, 1)).unwrap().fired.is_empty());
@@ -717,9 +719,9 @@ mod join_tests {
         )
         .unwrap();
         e.insert("dept", dept(4, 1)).unwrap();
-        e.insert("emp", emp("al", 4, 100)).unwrap();
+        let r = e.insert("emp", emp("al", 4, 100)).unwrap();
         // Premises are sorted by relation name: dept before emp.
-        assert_eq!(e.log(), &["dept#0+emp#0".to_string()]);
+        assert_eq!(r.log, ["dept#0+emp#0"]);
     }
 
     #[test]
@@ -922,14 +924,8 @@ mod join_tests {
             .rules_detail()
             .map(|(id, r, n)| (id, r.clone(), n))
             .collect();
-        let mut restored = RuleEngine::restore(
-            e.db().clone(),
-            rules,
-            e.next_rule_id(),
-            e.total_fired(),
-            e.log().to_vec(),
-        )
-        .unwrap();
+        let mut restored =
+            RuleEngine::restore(e.db().clone(), rules, e.next_rule_id(), e.total_fired()).unwrap();
         assert_eq!(restored.join_fingerprint(), fp);
         assert_eq!(
             restored.join_matches(RuleId(0)).unwrap(),
@@ -1148,18 +1144,11 @@ mod drop_restore_tests {
             .rules_detail()
             .map(|(id, r, n)| (id, r.clone(), n))
             .collect();
-        let mut r = RuleEngine::restore(
-            e.db().clone(),
-            rules,
-            e.next_rule_id(),
-            e.total_fired(),
-            e.log().to_vec(),
-        )
-        .unwrap();
+        let mut r =
+            RuleEngine::restore(e.db().clone(), rules, e.next_rule_id(), e.total_fired()).unwrap();
 
         assert_eq!(r.rule_count(), 2);
         assert_eq!(r.total_fired(), 2);
-        assert_eq!(r.log(), e.log());
         // Matching behaves identically after the rebuild...
         assert_eq!(r.insert("emp", vec![Value::Int(7)]).unwrap().fired.len(), 1);
         assert!(r
@@ -1179,8 +1168,7 @@ mod drop_restore_tests {
         let rule = |name: &str| Rule::builder(name).when("emp.x > 0").unwrap().build();
         let e = engine();
         let db = e.db().clone();
-        let mut e =
-            RuleEngine::restore(db, vec![(RuleId(0), rule("a"), 0)], u32::MAX, 0, vec![]).unwrap();
+        let mut e = RuleEngine::restore(db, vec![(RuleId(0), rule("a"), 0)], u32::MAX, 0).unwrap();
         for _ in 0..2 {
             assert!(matches!(
                 e.add_rule(rule("late")),
@@ -1199,12 +1187,12 @@ mod drop_restore_tests {
         let db = engine().db().clone();
         let twice = vec![(RuleId(4), rule("a"), 0), (RuleId(4), rule("b"), 0)];
         assert!(matches!(
-            RuleEngine::restore(db.clone(), twice, 5, 0, vec![]),
+            RuleEngine::restore(db.clone(), twice, 5, 0),
             Err(EngineError::DuplicateRule(RuleId(4)))
         ));
         let last = vec![(RuleId(u32::MAX), rule("a"), 0)];
         assert!(matches!(
-            RuleEngine::restore(db, last, 0, 0, vec![]),
+            RuleEngine::restore(db, last, 0, 0),
             Err(EngineError::RuleIdsExhausted)
         ));
     }
@@ -1379,6 +1367,6 @@ mod drop_restore_tests {
         assert!(shown.contains("EXPLAIN match emp"));
         assert!(shown.contains("residual tests"));
         // The tuple really was inserted and the chain really ran.
-        assert!(e.log()[0].contains("flagged"));
+        assert!(report.log[0].contains("flagged"));
     }
 }

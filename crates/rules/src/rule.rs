@@ -143,7 +143,7 @@ pub struct RuleContext<'a> {
 }
 
 impl RuleContext<'_> {
-    /// Appends a message to the engine log.
+    /// Appends a line to the operation's [`FireReport::log`](crate::FireReport::log).
     pub fn log(&mut self, message: impl Into<String>) {
         self.log.push(message.into());
     }
@@ -157,7 +157,8 @@ impl RuleContext<'_> {
 /// What a rule does when it fires.
 #[derive(Clone)]
 pub enum Action {
-    /// Append `"<message>: <tuple>"` to the engine log.
+    /// Append `"[<rule>] <message>: <relation><tuple>"` to the
+    /// operation's report ([`FireReport::log`](crate::FireReport::log)).
     Log(String),
     /// Run arbitrary code with a [`RuleContext`].
     Callback(Arc<dyn Fn(&mut RuleContext<'_>) + Send + Sync>),
@@ -316,9 +317,10 @@ mod tests {
             .unwrap();
         let rule = Rule::builder("old").when("emp.age > 50").unwrap().build();
         engine.add_rule(rule).unwrap();
-        engine.insert("emp", vec![Value::Int(40)]).unwrap();
-        engine.insert("emp", vec![Value::Int(61)]).unwrap();
-        assert_eq!(engine.log(), ["[old] fired: emp(61)"]);
+        let quiet = engine.insert("emp", vec![Value::Int(40)]).unwrap();
+        assert!(quiet.log.is_empty());
+        let report = engine.insert("emp", vec![Value::Int(61)]).unwrap();
+        assert_eq!(report.log, ["[old] fired: emp(61)"]);
     }
 
     #[test]

@@ -150,14 +150,8 @@ fn a_reused_rule_slot_holds_a_new_rule() {
 
     // The same rules registered afresh digest the same memo state.
     let rules: Vec<_> = e.rules_detail().collect();
-    let restored = RuleEngine::restore(
-        e.db().clone(),
-        rules,
-        e.next_rule_id(),
-        e.total_fired(),
-        e.log().to_vec(),
-    )
-    .expect("restores");
+    let restored = RuleEngine::restore(e.db().clone(), rules, e.next_rule_id(), e.total_fired())
+        .expect("restores");
     assert_eq!(restored.join_fingerprint(), e.join_fingerprint());
     restored
         .check_join_invariants()

@@ -11,18 +11,20 @@
 //! firing paths that still format (`Action::Log`) or bind (a join
 //! rule) against an engine fed one tuple at a time. The counter is
 //! `bench`'s counting allocator, also included by path; it counts per
-//! thread, so the cases can run side by side.
+//! thread, but one case reads its process-wide live bytes — a logging
+//! engine's heap must not grow with the lines it has returned — so the
+//! cases take turns.
 
 #[path = "../../bench/src/counting_alloc.rs"]
 mod counting_alloc;
 #[path = "../../bench/src/stab_shape.rs"]
 mod stab_shape;
 
-use counting_alloc::counted;
+use counting_alloc::{counted, live_bytes};
 use predindex::{MatchLanes, Matcher, PredicateIndex};
 use relation::{AttrType, Database, Schema, Value};
 use rules::{Action, FireReport, Registry, Rule, RuleEngine, Telemetry};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::{CostSnapshot, StageClock, Tracer};
 
 /// Inserts `rows` one tuple at a time and concatenates the reports.
@@ -33,6 +35,7 @@ fn one_at_a_time(engine: &mut RuleEngine, relation: &str, rows: Vec<Vec<Value>>)
         whole.fired.extend(r.fired);
         whole.bindings.extend(r.bindings);
         whole.ops_applied += r.ops_applied;
+        whole.log.extend(r.log);
     }
     whole
 }
@@ -40,8 +43,16 @@ fn one_at_a_time(engine: &mut RuleEngine, relation: &str, rows: Vec<Vec<Value>>)
 const RULES: usize = 2_000;
 const BATCH: usize = 128;
 
+/// Held while a test allocates: the live bytes are process-wide.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn a_batch_allocates_for_the_tuples_it_writes() {
+    let _turn = turn();
     let mut engine = stab_shape::engine(RULES, 1);
     // Warm: the relation's slots and free list, the maps' tables.
     engine
@@ -95,6 +106,7 @@ fn a_batch_allocates_for_the_tuples_it_writes() {
 
 #[test]
 fn matching_into_a_warm_buffer_allocates_nothing() {
+    let _turn = turn();
     let engine = stab_shape::engine(RULES, 1);
     let catalog = engine.db().catalog();
     let mut index = PredicateIndex::new();
@@ -185,6 +197,7 @@ fn emp_dept() -> RuleEngine {
 /// buffer.
 #[test]
 fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
+    let _turn = turn();
     let tracer = Tracer::new(16);
     let profiled = || Telemetry::new(Arc::new(Registry::new())).with_profiling();
     let telemetry = [
@@ -211,7 +224,9 @@ fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
             engine.insert("emp", row(i)).expect("warm-up row");
         }
         let (report, counts) = counted(|| engine.insert("emp", row(BATCH as i64)));
-        assert_eq!(report.expect("measured row").fired.len(), 1);
+        let report = report.expect("measured row");
+        assert_eq!(report.fired.len(), 1);
+        assert_eq!(report.log, ["[paid] seen: emp(2, 128)"]);
         counts
     });
     assert!(tracer.dropped() > 0, "the ring never wrapped");
@@ -219,12 +234,11 @@ fn a_traced_warm_op_allocates_what_an_untraced_one_does() {
     assert!(counts[0].calls > 0, "the op writes a tuple");
     assert_eq!(counts[1], counts[0], "profiled against bare");
     assert_eq!(counts[2], counts[1], "traced against untraced");
-    assert_eq!(engines[0].log(), engines[1].log());
-    assert_eq!(engines[1].log(), engines[2].log());
 }
 
 #[test]
 fn a_log_action_prints_the_borrowed_tuple() {
+    let _turn = turn();
     let build = || {
         let mut engine = emp_dept();
         for (name, condition) in [("paid", "emp.salary > 10"), ("dno1", "emp.dno = 1")] {
@@ -247,8 +261,7 @@ fn a_log_action_prints_the_borrowed_tuple() {
     let (report, allocations) = (report.expect("batch"), counts.calls);
     let mut serial = build();
     assert_eq!(report, one_at_a_time(&mut serial, "emp", rows));
-    assert_eq!(batched.log(), serial.log());
-    assert_eq!(batched.log()[0], "[dno1] seen: emp(1, 1)");
+    assert_eq!(report.log[0], "[dno1] seen: emp(1, 1)");
     // No cascade: per event its name and tuple, per firing the line
     // (`format!` grows it a few times) — and nothing per rule name.
     let (events, firings) = (report.ops_applied as u64, report.fired.len() as u64);
@@ -260,6 +273,7 @@ fn a_log_action_prints_the_borrowed_tuple() {
 
 #[test]
 fn a_join_firing_moves_its_bindings_into_the_report() {
+    let _turn = turn();
     let build = || {
         let mut engine = emp_dept();
         let rule = Rule::builder("same-dept")
@@ -289,10 +303,51 @@ fn a_join_firing_moves_its_bindings_into_the_report() {
     let report = batched.insert_batch("emp", rows.clone()).expect("batch");
     let mut serial = build();
     assert_eq!(report, one_at_a_time(&mut serial, "emp", rows));
-    assert_eq!(batched.log(), serial.log());
-    assert_eq!(batched.log()[0], "same-dept dept#2 emp#2");
+    assert_eq!(report.log[0], "same-dept dept#2 emp#2");
     // Departments 2 and 3 are above floor 1; dno 4 has no department.
     let expected = (0..BATCH).filter(|i| matches!(i % 5, 2 | 3)).count();
     assert_eq!(report.bindings.len(), expected);
     assert!(report.bindings.iter().all(|b| b.len() == 2));
+}
+
+/// Live bytes a run of the test below may leave beyond the run before
+/// it: room for the test harness's own bookkeeping, far below the
+/// ~50 bytes per line an engine that kept its lines would grow by.
+const HEAP_SLACK: isize = 16 * 1024;
+
+/// Runs `pairs` insert-then-delete pairs of `t(k)`, `k` 0 and 99 by
+/// turns, dropping each report; returns the firings.
+fn insert_delete_pairs(engine: &mut RuleEngine, pairs: i64) -> usize {
+    let mut fired = 0;
+    for i in 0..pairs {
+        let report = engine.insert("t", vec![Value::Int(i % 2 * 99)]);
+        fired += report.expect("a well-typed row").fired.len();
+        let rel = engine.db().catalog().relation("t");
+        let (id, _) = rel.and_then(|r| r.iter().next()).expect("the row");
+        engine.delete("t", id).expect("a live row");
+    }
+    fired
+}
+
+#[test]
+fn a_logging_engine_keeps_no_line_it_returned() {
+    let _turn = turn();
+    let mut db = Database::new();
+    let schema = Schema::builder("t").attr("k", AttrType::Int).build();
+    db.create_relation(schema).expect("fresh relation");
+    let mut engine = RuleEngine::new(db);
+    let rule = Rule::builder("low").when("t.k < 50").expect("parses");
+    engine
+        .add_rule(rule.then(Action::log("low k")).build())
+        .expect("t has k");
+
+    // Warm: the chain's buffers, the relation's slot and free list.
+    assert_eq!(insert_delete_pairs(&mut engine, 1_024), 512);
+    let warm = live_bytes();
+    assert_eq!(insert_delete_pairs(&mut engine, 4_096), 2_048);
+    let grown = live_bytes() - warm;
+    assert!(
+        grown <= HEAP_SLACK,
+        "2,048 firings grew the live heap by {grown} bytes"
+    );
 }

@@ -246,7 +246,6 @@ fn conditions_read_back_from_the_index_through_churn() {
         engine.rules_detail().collect(),
         engine.next_rule_id(),
         engine.total_fired(),
-        engine.log().to_vec(),
     )
     .expect("the engine's own rules restore");
     assert_eq!(

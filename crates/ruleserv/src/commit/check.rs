@@ -352,6 +352,7 @@ impl State {
                     fired: (0..fires).map(|i| (RuleId(i as u32), "r".into())).collect(),
                     bindings: vec![Vec::new(); fires as usize],
                     ops_applied: 1,
+                    log: Vec::new(),
                 };
                 let fire = FireSummary {
                     seq,

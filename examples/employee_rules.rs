@@ -81,6 +81,8 @@ fn main() {
         ("cy", 45, 450_000, "Exec"),
         ("di", 28, 55_000, "Eng"),
     ];
+    // The actions' lines come back in each operation's report.
+    let mut log = Vec::new();
     for (name, age, salary, dept) in staff {
         let report = engine
             .insert(
@@ -101,6 +103,7 @@ fn main() {
                 .map(|(_, n)| n.as_str())
                 .collect::<Vec<_>>()
         );
+        log.extend(report.log);
     }
 
     // A raise that drops someone into the monitored band.
@@ -113,7 +116,7 @@ fn main() {
         .next()
         .unwrap()
         .0;
-    engine
+    let report = engine
         .update(
             "emp",
             al,
@@ -125,9 +128,10 @@ fn main() {
             ],
         )
         .unwrap();
+    log.extend(report.log);
 
-    println!("\nengine log:");
-    for line in engine.log() {
+    println!("\naction log:");
+    for line in &log {
         println!("  {line}");
     }
     println!(

@@ -101,6 +101,7 @@ fn main() {
         ("cha", 401, 120, 67), // severe fever + tachycardia
         ("dot", 370, 38, 80),  // bradycardia
     ];
+    let mut conclusions = Vec::new();
     for (name, temp, hr, age) in patients {
         let report = engine
             .insert(
@@ -117,10 +118,11 @@ fn main() {
             "assert {name}: {} rule firings across the chain",
             report.fired.len()
         );
+        conclusions.extend(report.log);
     }
 
     println!("\nconclusions:");
-    for line in engine.log() {
+    for line in &conclusions {
         println!("  {line}");
     }
     let findings = engine.db().catalog().relation("finding").unwrap();

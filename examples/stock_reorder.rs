@@ -86,13 +86,14 @@ fn data_driven() -> RuleEngine {
 
 fn run(label: &str, mut engine: RuleEngine) -> usize {
     let start = Instant::now();
+    let mut reorders = 0;
     for item in 0..ITEMS {
         // Each item's stock arrives; a third dips below its threshold.
         let level = match item % 3 {
             0 => threshold(item) - 5,
             _ => threshold(item) + 40,
         };
-        engine
+        let report = engine
             .insert(
                 "stock",
                 vec![
@@ -102,12 +103,8 @@ fn run(label: &str, mut engine: RuleEngine) -> usize {
                 ],
             )
             .unwrap();
+        reorders += report.log.iter().filter(|l| l.contains("reorder")).count();
     }
-    let reorders = engine
-        .log()
-        .iter()
-        .filter(|l| l.contains("reorder"))
-        .count();
     println!(
         "{label:>14}: {reorders} reorders, {} rules, {:?} for {ITEMS} stock updates",
         engine.rule_count(),

@@ -164,7 +164,7 @@ fn rule_engine_chains_across_relations() {
         )
         .unwrap();
     assert_eq!(report.fired.len(), 2);
-    assert!(engine.log().iter().any(|l| l.contains("department grew")));
+    assert!(report.log.iter().any(|l| l.contains("department grew")));
 }
 
 #[test]

@@ -76,6 +76,7 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/ruleserv/src/server.rs crates/ruleserv/src/bin/ruleserv.rs", hit: |l| text(l, "set_read_timeout(|recv_timeout(|crash_after"), must: false, within: "", why: "§14: sessions end because they are closed, not because they poll; the daemon has no crash hook, a crash is a kill from outside" },
     Guard { files: "crates/ruleserv/src/server.rs", hit: |l| text(l, "try_clone("), must: false, within: "", why: "§14: a session is one socket that its reader and writer share, closed when the session ends; the accept thread keeps a `Weak` to it, not a clone" },
     Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "KeyStore|HashMap<Key").filter(|_| text(l, "level_key:").is_none()), must: false, within: "", why: "§15: a key store whose members are one table's rows is that table's shared index; a memo keeps only its beta stores, `level_key`" },
+    Guard { files: "crates/rules/src/engine.rs crates/durable/src/snapshot.rs", hit: |l| field(l, "log", "Vec<String>").or(text(l, "engine.log(")), must: false, within: "!struct FireReport", why: "§10: an action's lines are output, returned once in the op's `FireReport`; neither the engine nor the snapshot keeps them" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's
@@ -482,6 +483,20 @@ fn bad_guard_alpha_key_store_flags_the_per_premise_store_alone() {
     let found = findings("bad_guard_alpha_key_store.rs");
     let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
     assert_eq!(lines, [16], "{found:?}");
+}
+
+#[test]
+fn bad_guard_engine_log_flags_the_kept_lines_not_the_reported_ones() {
+    // The engine's `log` field and a capture's `engine.log(` break the
+    // row; `FireReport::log`, where the lines go, does not. (The
+    // fixture poses as `engine.rs` without the items two other rows
+    // require, which fail at line 1.)
+    let found = findings("bad_guard_engine_log.rs");
+    let row = found
+        .iter()
+        .filter(|f| GUARDS[f.row].why.starts_with("§10: an action's lines"));
+    let lines: Vec<usize> = row.map(|f| f.line).collect();
+    assert_eq!(lines, [12, 17], "{found:?}");
 }
 
 /// DESIGN.md's `### <heading>` list equals a row's reviewed list, in

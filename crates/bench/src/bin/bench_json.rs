@@ -753,7 +753,7 @@ fn paired_engine(n: usize) -> RuleEngine {
 /// the one complete match under it — with `n` tuples in that alpha
 /// memory. The memo is driven directly; each run's victims are fed
 /// back in, untimed, so every run sees the same memo.
-fn join_retract(cfg: &Config, w: &mut JsonWriter, n: usize, label: &str) {
+fn join_retract(w: &mut JsonWriter, n: usize, label: &str) {
     let engine = paired_engine(n);
     let catalog = engine.db().catalog();
     let condition = join_rule(JOIN_CASES[0].condition).joins.remove(0);
@@ -763,15 +763,16 @@ fn join_retract(cfg: &Config, w: &mut JsonWriter, n: usize, label: &str) {
     memo.seed(0, catalog);
 
     let dept = catalog.relation("dept").expect("preloaded");
-    let calls = cfg.pick(128, 512);
+    // The gate bounds the ratio of two of these minima, so each takes
+    // 25 runs of 512 calls, `--quick` too (~150 µs a run): seven runs of
+    // 512 read the ratio 2.6 and 2.9 in two of nine full runs. Taking
+    // the three memories' runs in turn reads higher, not steadier: each
+    // run then starts with the others' rows in the cache.
+    let calls = 512;
     // Spread over the whole memory, not its most recent corner.
     let victims: Vec<_> = dept.iter().step_by(n / calls).take(calls).collect();
     let mut retracted = 0;
-    // Seven runs under `--quick` too: the gate bounds the ratio of two
-    // of these minima, and a quick run's calls take ~30 µs, so the
-    // runs cost nothing and a fourth to seventh one keeps a neighbour's
-    // time slice out of the minimum.
-    let ns = min_ns(7, || {
+    let ns = min_ns(25, || {
         let ns = time_ns(|| {
             for (id, _) in &victims {
                 retracted = consume(memo.retract("dept", id.0));
@@ -1037,7 +1038,7 @@ fn join(cfg: &Config, w: &mut JsonWriter) {
         }
     }
     for (n, label) in [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")] {
-        join_retract(cfg, w, n, label);
+        join_retract(w, n, label);
     }
     for (tokens, label) in [(10_000, "10k"), (100_000, "100k")] {
         join_snapshot_capture(cfg, w, tokens, label);

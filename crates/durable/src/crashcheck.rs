@@ -33,7 +33,11 @@
 //! 3. `k` is below what a call that returned before the crash promised:
 //!    its `durable_seq()`, or, for a commit group run the way the rule
 //!    server runs one, the highest sequence number the group logged if
-//!    `group` returned `Ok` — the server's acknowledgement.
+//!    `group` returned `Ok` — the server's acknowledgement;
+//! 4. under `EveryN(n)`, `k` is below the last sequence number a call
+//!    that returned `Ok` before the crash had logged, less `n - 1`: the
+//!    most that policy lets a crash take, wherever the log keeps the
+//!    frames it has not yet synced.
 
 use crate::disk::tape::{self, fail_next, Fault, Op};
 use crate::recovery::{replay_log, restore, ActionRegistry, WAL_FILE};
@@ -204,6 +208,9 @@ struct Log {
     states: BTreeMap<u64, Vec<u8>>,
     /// Per returned call: the tape's length and `durable_seq()` then.
     returns: Vec<(usize, u64)>,
+    /// Per call that returned `Ok`: the tape's length and the last
+    /// sequence number logged then.
+    acked: Vec<(usize, u64)>,
 }
 
 /// An engine's state after `seq`, as a snapshot body.
@@ -217,6 +224,7 @@ impl Log {
     fn note(&mut self, e: &DurableRuleEngine) {
         self.state(e);
         self.returned(e);
+        self.acked.push((tape::len(), e.next_seq() - 1));
     }
 
     /// Notes the live state after the last logged sequence number.
@@ -240,9 +248,9 @@ impl Log {
         self.returns.push((tape::len(), seq));
     }
 
-    /// Checks each crash state of `tape` against the three rules;
-    /// returns the states checked and the findings.
-    fn check(&self, dir: &Path, tape: &[Op]) -> (usize, Vec<String>) {
+    /// Checks each crash state of `tape`, run under `policy`, against
+    /// the four rules; returns the states checked and the findings.
+    fn check(&self, dir: &Path, tape: &[Op], policy: SyncPolicy) -> (usize, Vec<String>) {
         let mut disk = Disk::new(dir);
         let mut recovered: HashMap<Files, Result<u64, String>> = HashMap::new();
         let (mut states, mut findings) = (0, Vec::new());
@@ -250,8 +258,15 @@ impl Log {
             if at > 0 {
                 disk.apply(&tape[at - 1]);
             }
-            let returned = self.returns.iter().filter(|(len, _)| *len <= at);
-            let floor = returned.map(|(_, seq)| *seq).max().unwrap_or(0);
+            let before = |calls: &[(usize, u64)]| {
+                let returned = calls.iter().filter(|(len, _)| *len <= at);
+                returned.map(|(_, seq)| *seq).max().unwrap_or(0)
+            };
+            let floor = before(&self.returns);
+            let (last, lossy) = match policy {
+                SyncPolicy::EveryN(n) => (before(&self.acked), u64::from(n.max(1) - 1)),
+                SyncPolicy::Always | SyncPolicy::Manual => (0, 0),
+            };
             let after = match at {
                 0 => "before the first tape op".to_string(),
                 _ => format!("after tape op {at} `{}`", short(&tape[at - 1])),
@@ -266,6 +281,10 @@ impl Log {
                     Ok(k) if *k < floor => findings.push(format!(
                         "{after}: rule 3, nothing acknowledged as durable is lost: \
                          recovered seq {k}, {floor} was acknowledged"
+                    )),
+                    Ok(k) if *k + lossy < last => findings.push(format!(
+                        "{after}: rule 4, a crash loses at most the last {lossy} records: \
+                         recovered seq {k}, {last} was returned"
                     )),
                     Ok(_) => {}
                 }
@@ -550,6 +569,19 @@ const SCRIPTS: &[Script] = &[
         },
     ),
     (
+        "every 4, a failed snapshot over buffered frames",
+        opts(SyncPolicy::EveryN(4), None),
+        |run| {
+            run.ok(|e| e.create_relation(rel("t", "v")));
+            for v in 0..6 {
+                run.ok(|e| e.insert("t", int(v)));
+            }
+            // Three frames wait in the log's buffer through the failed
+            // snapshot, and the script ends with them there.
+            run.fault(Fault::SyncDir, |e| e.snapshot());
+        },
+    ),
+    (
         "the rule server's groups",
         opts(SyncPolicy::Always, Some(4)),
         |run| {
@@ -589,7 +621,7 @@ fn check(index: usize, (name, opts, script): &Script) -> (usize, usize, Vec<Stri
         run.log
     });
     let _ = std::fs::remove_dir_all(&dir);
-    let (states, findings) = log.check(&dir, &ops);
+    let (states, findings) = log.check(&dir, &ops, opts.sync);
     let findings = findings
         .into_iter()
         .map(|f| format!("{name}: {f}"))

@@ -3,12 +3,12 @@
 //!
 //! The protocol for each mutating call is log-then-apply: the logical
 //! record is appended (and synced, per [`SyncPolicy`]) *before* the
-//! in-memory engine executes it. A crash after the append replays the
-//! operation; a crash during the append leaves a torn frame the reader
-//! drops — either way the recovered state is a clean prefix of the
-//! operation history. Operations that fail inside the engine
-//! (duplicate relation, unknown tuple, firing limit) stay in the log
-//! and fail identically on replay, so the record stream never needs
+//! in-memory engine executes it. A crash after the frame reaches the
+//! file replays the operation; a crash during its write leaves a torn
+//! frame the reader drops — either way the recovered state is a clean
+//! prefix of the operation history. Operations that fail inside the
+//! engine (duplicate relation, unknown tuple, firing limit) stay in the
+//! log and fail identically on replay, so the record stream never needs
 //! compensation records.
 
 use crate::disk;
@@ -241,17 +241,17 @@ impl DurableRuleEngine {
     }
 
     /// Group commit: runs `body` with [`SyncPolicy::Always`]'s
-    /// per-record `fdatasync` deferred, then issues **one** for
-    /// everything `body` logged. Each operation keeps its own record
+    /// per-record write and `fdatasync` deferred, then issues **one**
+    /// of each for everything `body` logged. Each operation keeps its own record
     /// and sequence number; only the sync is shared. `Ok` means every
     /// record `body` logged is as durable as the policy promises an
     /// acknowledged record to be, so a caller that acknowledges
     /// nothing until `group` returns keeps `Always`'s guarantee —
     /// durable before acknowledged — at one sync per group.
     ///
-    /// On `Err` the sync failed: memory is ahead of disk, the log is
-    /// fail-stopped (every later logged operation errors), and nothing
-    /// `body` logged may be acknowledged. Under
+    /// On `Err` the write or sync failed: memory is ahead of disk, the
+    /// log is fail-stopped (every later logged operation errors), and
+    /// nothing `body` logged may be acknowledged. Under
     /// [`SyncPolicy::EveryN`] / [`SyncPolicy::Manual`] this is just
     /// `Ok(body(self))`.
     pub fn group<T>(&mut self, body: impl FnOnce(&mut Self) -> T) -> Result<T, DurableError> {
@@ -533,19 +533,29 @@ mod tests {
     #[test]
     fn a_failed_write_inside_a_group_fails_the_group() {
         let (dir, mut engine) = open("group-write-fault");
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         let synced = engine.group(|e| {
             e.insert("t", vec![Value::Int(0)]).unwrap();
+            e.insert("t", vec![Value::Int(1)]).unwrap();
+            // The group's one write fails half way.
             fail_next(Fault::Write);
-            // Not logged, so not applied either …
-            assert!(e.insert("t", vec![Value::Int(1)]).is_err());
-            // … and nothing lands behind the torn frame.
-            assert!(e.insert("t", vec![Value::Int(2)]).is_err());
-            assert_eq!(e.engine().db().catalog().relation("t").unwrap().len(), 1);
         });
-        // The first insert was appended, but the log cannot vouch for
-        // it any more: the group as a whole is not acknowledged.
+        // Both inserts were appended, but the log cannot vouch for
+        // them: the group as a whole is not acknowledged.
         assert!(matches!(synced, Err(DurableError::Io(_))));
+        let torn = wal_len();
+        // Fail-stop: nothing lands behind the torn write.
+        assert!(matches!(
+            engine.insert("t", vec![Value::Int(2)]),
+            Err(DurableError::Io(_))
+        ));
+        assert!(engine.sync().is_err());
+        assert!(engine.snapshot().is_err());
+        assert!(matches!(engine.group(|_| ()), Err(DurableError::Io(_))));
         drop(engine);
+        assert_eq!(wal_len(), torn, "written behind the torn write");
+        // Recovery keeps a prefix: the first insert's frame is the half
+        // that reached the file.
         assert_eq!(recovered_rows(&dir), 1);
     }
 

@@ -314,7 +314,14 @@ impl Record {
 
     /// Serializes the record payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record payload to `out`, reusing its capacity.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::appending_to(std::mem::take(out));
         w.u8(self.tag());
         match self {
             Record::CreateRelation { schema } => {
@@ -354,7 +361,7 @@ impl Record {
                 }
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Deserializes a record payload; the whole buffer must be

@@ -33,6 +33,19 @@
 //! made durable by the caller's directory sync (the durable engine
 //! syncs the directory after it creates the first log, and a snapshot
 //! syncs it before a restart truncates the log).
+//!
+//! ## Where frames wait
+//!
+//! An append encodes its frame into a buffer the log owns and makes no
+//! system call. The buffer reaches the file in one write: at each
+//! [`Wal::sync`], just before its `fdatasync`; when it holds
+//! `FLUSH_AT` (64 KiB) or more, unsynced (this bounds `Manual`); and
+//! when the log is dropped, unsynced, unless it is fail-stopped. A
+//! `restart` discards it: the snapshot that precedes a restart is
+//! durable and covers every frame the buffer holds. So what a crash
+//! can lose is what the policy already allowed it to lose — a frame
+//! not yet synced — and a process that ends without a crash loses
+//! nothing.
 
 use crate::crc::Crc32;
 use crate::disk::{self, DiskFile};
@@ -48,6 +61,9 @@ pub const WAL_MAGIC: &[u8; 8] = b"PMWAL\0\0\0";
 pub const WAL_VERSION: u16 = 1;
 /// Header size in bytes.
 pub const WAL_HEADER_LEN: usize = 8 + 2 + 8 + 4;
+/// The log writes its buffer once it holds this many bytes, synced or
+/// not: the most a log holds in memory is this plus one frame.
+pub(crate) const FLUSH_AT: usize = 64 * 1024;
 /// Upper bound on a single frame's `len` field — anything larger is
 /// corruption, not data (no logical record approaches 64 MiB).
 pub const MAX_FRAME: u32 = 1 << 26;
@@ -60,12 +76,14 @@ pub enum SyncPolicy {
     /// [`DurableRuleEngine::group`](crate::DurableRuleEngine::group)
     /// for a caller that holds its acknowledgements until it returns.
     Always,
-    /// Acknowledged before durable: `fdatasync` once per `n` appends.
+    /// Acknowledged before durable: written and `fdatasync`ed once per
+    /// `n` appends.
     /// Crash loses at most the last `n - 1` records, each a complete
     /// logical command, so recovered state is always a clean prefix of
     /// history.
     EveryN(u32),
-    /// Sync only on explicit [`Wal::sync`] calls (and checkpoints).
+    /// Sync only on explicit [`Wal::sync`] calls (and checkpoints); the
+    /// buffer is still written, unsynced, once it holds 64 KiB.
     Manual,
 }
 
@@ -111,14 +129,17 @@ impl WalMetrics {
 ///
 /// The log is **fail-stop**: the first failed write or sync poisons it,
 /// and every later [`append`](Wal::append) / [`sync`](Wal::sync) fails
-/// too. A failed write may have left a partial frame, and a failed sync
-/// leaves the file's durable extent unknown; a frame appended *behind*
-/// either would be acknowledged and then dropped by the torn-tail rule.
+/// too, and a drop writes nothing. A failed write may have left a
+/// partial frame, and a failed sync leaves the file's durable extent
+/// unknown; a frame appended *behind* either would be acknowledged and
+/// then dropped by the torn-tail rule.
 #[derive(Debug)]
 pub struct Wal {
     file: DiskFile,
     /// Where [`restart`](Wal::restart) re-creates the log.
     path: PathBuf,
+    /// Frames appended and not yet written, whole and in order.
+    buffer: Vec<u8>,
     next_seq: u64,
     policy: SyncPolicy,
     unsynced: u32,
@@ -126,7 +147,7 @@ pub struct Wal {
     /// predates this log and is covered by the snapshot it follows).
     durable_next: u64,
     /// Group commit: while set, an append under [`SyncPolicy::Always`]
-    /// leaves its sync to the caller, who issues one
+    /// leaves its write and sync to the caller, who issues one
     /// [`sync`](Wal::sync) for the group.
     pub(crate) deferred: bool,
     /// Kind of the first I/O error; `Some` = fail-stopped.
@@ -159,6 +180,9 @@ impl Wal {
         Ok(Wal {
             file: start(path, start_seq)?,
             path: path.to_path_buf(),
+            // A full buffer plus a frame of up to `FLUSH_AT` bytes fit
+            // without a reallocation.
+            buffer: Vec::with_capacity(2 * FLUSH_AT),
             next_seq: start_seq,
             policy,
             unsynced: 0,
@@ -172,9 +196,11 @@ impl Wal {
     /// Truncates the log to an empty one whose first frame carries
     /// `start_seq`, keeping its policy, metrics and group deferral. A
     /// snapshot covering every earlier frame must already be durable,
-    /// name included. A failure may have truncated the file this log
-    /// appends to, so it fail-stops the log.
+    /// name included, so the frames still buffered are dropped unwritten.
+    /// A failure may have truncated the file this log appends to, so it
+    /// fail-stops the log.
     pub(crate) fn restart(&mut self, start_seq: u64) -> io::Result<()> {
+        self.buffer.clear();
         self.file = start(&self.path, start_seq).map_err(|e| self.poison(e))?;
         self.next_seq = start_seq;
         self.durable_next = start_seq;
@@ -221,24 +247,29 @@ impl Wal {
     }
 
     /// Appends one record, returning its sequence number. The frame is
-    /// written in full (buffered only by the OS); whether it is forced
-    /// to stable storage is the [`SyncPolicy`]'s call. The `wal_append`
-    /// span covers the write; a sync the policy calls for follows it.
+    /// encoded into the log's buffer, which reaches the file at the next
+    /// sync, or unsynced once it holds `FLUSH_AT` bytes; whether the
+    /// frame is forced to stable storage is the [`SyncPolicy`]'s call.
+    /// The `wal_append` span covers the encoding and a write at the
+    /// mark; a sync the policy calls for follows it. An error here —
+    /// that write's or the sync's — fail-stops the log, and the record
+    /// counts as appended.
     pub fn append(&mut self, record: &Record) -> io::Result<u64> {
         self.check_poisoned()?;
         let seq = self.next_seq;
-        let payload = record.encode();
-        let frame = encode_frame(seq, &payload);
-        let bytes = frame.len() as u64;
-        let tracer = &self.metrics.tracer;
-        let span = tracer.span("wal_append", [("seq", seq), ("bytes", bytes)]);
-        let written = self.file.write(&frame);
-        drop(span);
-        written.map_err(|e| self.poison(e))?;
+        let span = self.metrics.tracer.span("wal_append", [("seq", seq)]);
+        let bytes = encode_frame(&mut self.buffer, seq, record) as u64;
         self.metrics.appends.inc();
         self.metrics.append_bytes.add(bytes);
         self.next_seq += 1;
         self.unsynced += 1;
+        let written = if self.buffer.len() >= FLUSH_AT {
+            write_out(&self.file, &mut self.buffer)
+        } else {
+            Ok(())
+        };
+        span.close([("bytes", bytes)]);
+        written.map_err(|e| self.poison(e))?;
         match self.policy {
             SyncPolicy::Always if self.deferred => {}
             SyncPolicy::Always => self.sync()?,
@@ -248,12 +279,15 @@ impl Wal {
         Ok(seq)
     }
 
-    /// Forces everything appended so far to stable storage.
+    /// Forces everything appended so far to stable storage: the buffer
+    /// in one write, then `fdatasync`. The `wal_fsync` span covers both,
+    /// `wal_fsync_nanos` the `fdatasync` alone.
     pub fn sync(&mut self) -> io::Result<()> {
         self.check_poisoned()?;
         let span = self.metrics.tracer.span("wal_fsync", []);
+        let written = write_out(&self.file, &mut self.buffer);
         let timer = self.metrics.fsync_nanos.start_timer();
-        let synced = self.file.sync();
+        let synced = written.and_then(|()| self.file.sync());
         drop(span);
         synced.map_err(|e| self.poison(e))?;
         self.metrics.fsync_nanos.stop_timer(timer);
@@ -263,19 +297,43 @@ impl Wal {
     }
 }
 
-/// Encodes one frame: `[len][crc][seq][payload]`.
-fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = (8 + payload.len()) as u32;
-    let seq_bytes = seq.to_le_bytes();
+impl Drop for Wal {
+    /// Writes the buffered frames, unsynced, as a write the OS buffers
+    /// would have been: a log dropped without a crash keeps every frame
+    /// it took. A fail-stopped log writes nothing behind its failure.
+    fn drop(&mut self) {
+        if self.poisoned.is_none() {
+            let _ = write_out(&self.file, &mut self.buffer);
+        }
+    }
+}
+
+/// Writes `buffer` to `file` in one write, if it holds anything, and
+/// empties it. On an error the buffer is left as it was: the log is
+/// fail-stopped and writes nothing more.
+fn write_out(file: &DiskFile, buffer: &mut Vec<u8>) -> io::Result<()> {
+    if !buffer.is_empty() {
+        file.write(buffer)?;
+        buffer.clear();
+    }
+    Ok(())
+}
+
+/// Encodes one frame, `[len][crc][seq][payload]`, onto the end of
+/// `out`; returns its length.
+fn encode_frame(out: &mut Vec<u8>, seq: u64, record: &Record) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]); // `len` and `crc`, filled in below
+    out.extend_from_slice(&seq.to_le_bytes());
+    record.encode_into(out);
+    let body = &out[start + 8..];
+    let len = (body.len() as u32).to_le_bytes();
     let mut crc = Crc32::new();
-    crc.update(&seq_bytes);
-    crc.update(payload);
-    let mut out = Vec::with_capacity(8 + payload.len() + 8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&seq_bytes);
-    out.extend_from_slice(payload);
-    out
+    crc.update(body);
+    let crc = crc.finish().to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + 8].copy_from_slice(&crc);
+    out.len() - start
 }
 
 /// What a tolerant read of a WAL file yields.
@@ -342,8 +400,10 @@ pub fn parse_wal(bytes: &[u8]) -> WalSuffix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::tape::{fail_next, Fault};
+    use crate::disk::tape::{self, fail_next, Fault, Op};
     use crate::record::Record;
+    use crate::{ActionRegistry, DurableRuleEngine, Options};
+    use relation::{AttrType, Schema, Value};
     use std::path::PathBuf;
 
     /// The log at `path`, as recovery reads it.
@@ -435,19 +495,30 @@ mod tests {
         let path = tmp("write-fault");
         let mut wal = Wal::create(&path, 1, SyncPolicy::Manual).unwrap();
         wal.append(&sample(0)).unwrap();
-        wal.append(&sample(1)).unwrap();
+        wal.sync().unwrap();
+        for i in 1..4 {
+            wal.append(&sample(i)).unwrap();
+        }
+        // The sync's one write carries frames 2 to 4 and fails half way.
         fail_next(Fault::Write);
-        assert!(wal.append(&sample(2)).is_err());
-        // Half of frame 3 is on disk; nothing may land behind it.
+        assert!(wal.sync().is_err());
+        let torn = std::fs::metadata(&path).unwrap().len();
+        // Half of the write is on disk; nothing may land behind it.
         assert!(
-            wal.append(&sample(3)).is_err(),
-            "append behind a torn frame"
+            wal.append(&sample(4)).is_err(),
+            "append behind a torn write"
         );
         assert!(wal.sync().is_err(), "sync of a fail-stopped log");
-        assert_eq!(wal.next_seq(), 3, "the failed append took no number");
+        assert_eq!(wal.next_seq(), 5, "the refused append took no number");
+        drop(wal);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            torn,
+            "a drop wrote"
+        );
+        // The half holds frame 2 whole and part of frame 3.
         let suffix = read_wal(&path);
         assert_eq!(suffix.records, vec![(1, sample(0)), (2, sample(1))]);
-        let torn = std::fs::metadata(&path).unwrap().len();
         assert!(torn > *suffix.frame_ends.last().unwrap(), "a torn tail");
     }
 
@@ -487,5 +558,71 @@ mod tests {
         wal.deferred = false;
         wal.append(&sample(3)).unwrap();
         assert_eq!(registry.histogram_totals("wal_fsync_nanos").unwrap().0, 2);
+    }
+
+    /// The writes and syncs `body` puts on the tape.
+    fn writes_and_syncs(body: impl FnOnce()) -> (usize, usize) {
+        let ((), ops) = tape::record(body);
+        let writes = ops.iter().filter(|op| matches!(op, Op::Write(..)));
+        let syncs = ops.iter().filter(|op| matches!(op, Op::Sync(..)));
+        (writes.count(), syncs.count())
+    }
+
+    #[test]
+    fn each_sync_is_one_write() {
+        let mut wal = Wal::create(&tmp("every-64"), 1, SyncPolicy::EveryN(64)).unwrap();
+        let counts = writes_and_syncs(|| {
+            for i in 0..64 {
+                wal.append(&sample(i)).unwrap();
+            }
+        });
+        assert_eq!(counts, (1, 1), "64 appends under EveryN(64)");
+
+        let mut wal = Wal::create(&tmp("always"), 1, SyncPolicy::Always).unwrap();
+        let counts = writes_and_syncs(|| {
+            wal.append(&sample(0)).unwrap();
+        });
+        assert_eq!(counts, (1, 1), "a lone append under Always");
+
+        let dir = tmp("group").with_file_name("home");
+        let opts = Options {
+            sync: SyncPolicy::Always,
+            snapshot_every: None,
+        };
+        let (funcs, actions) = (Default::default(), ActionRegistry::new());
+        let mut engine = DurableRuleEngine::open(&dir, funcs, actions, opts).unwrap();
+        engine
+            .create_relation(Schema::builder("t").attr("v", AttrType::Int).build())
+            .unwrap();
+        let counts = writes_and_syncs(|| {
+            let grouped = engine.group(|e| {
+                for v in 0..5 {
+                    e.insert("t", vec![Value::Int(v)]).unwrap();
+                }
+            });
+            grouped.unwrap();
+        });
+        assert_eq!(counts, (1, 1), "a group of 5 under Always");
+    }
+
+    #[test]
+    fn a_manual_log_holds_at_most_the_mark_and_a_frame() {
+        let path = tmp("manual-mark");
+        let mut wal = Wal::create(&path, 1, SyncPolicy::Manual).unwrap();
+        let frame = 16 + sample(0).encode().len();
+        let (writes, syncs) = writes_and_syncs(|| {
+            for i in 0..10_000 {
+                wal.append(&sample(i)).unwrap();
+                assert!(wal.buffer.len() <= FLUSH_AT + frame, "append {i}");
+            }
+        });
+        // Each write is the first whole frame count to reach the mark.
+        let per_write = FLUSH_AT.div_ceil(frame) * frame;
+        assert_eq!((writes, syncs), (10_000 * frame / per_write, 0));
+        // Every frame is in the file or the buffer, once.
+        let written = std::fs::metadata(&path).unwrap().len() as usize - WAL_HEADER_LEN;
+        assert_eq!(written + wal.buffer.len(), 10_000 * frame);
+        drop(wal);
+        assert_eq!(read_wal(&path).records.len(), 10_000, "a drop writes");
     }
 }

@@ -20,9 +20,15 @@
 //! attributes; a row enters each index when it is made and leaves when
 //! it is freed, once per row and not once per memo. A memo probing an
 //! index keeps only the rows live in its own column.
+//!
+//! Last, the table keeps the digest terms of the row an event last
+//! asked about, one per premise position: the memos an event reaches
+//! add (or subtract) the same term for the same row at the same
+//! position, so each is hashed once per event and not once per memo.
+//! The terms go when their row is freed or the table is cleared.
 
 use crate::keys::{self, bucket, bucket_push, bucket_remove, map_bytes, KeyStore};
-use crate::memo::NIL;
+use crate::memo::{alpha_digest, NIL};
 use relation::fx::FxHashMap;
 use relation::{Tuple, Value};
 use std::collections::hash_map::Entry;
@@ -136,6 +142,11 @@ pub(crate) struct Table {
     indexes: Vec<Option<Index>>,
     /// A key of more than one value, gathered.
     scratch: Vec<Value>,
+    /// The row whose digest terms `terms` holds, if any.
+    terms_of: Option<u32>,
+    /// That row's `(premise, term)` pairs, one per premise position
+    /// some memo asked for.
+    terms: Vec<(usize, u64)>,
 }
 
 impl Table {
@@ -230,6 +241,7 @@ impl Table {
     /// Drops every row, keeping the columns and the (emptied) indexes —
     /// the first step of a from-scratch reseed.
     pub(crate) fn clear(&mut self) {
+        self.terms_of = None;
         self.by_tid.clear();
         self.rows.clear();
         self.free_rows.clear();
@@ -278,6 +290,21 @@ impl Table {
             .tuple
             .as_ref()
             .expect("a row in use holds its tuple")
+    }
+
+    /// `row`'s term of a memo digest at premise position `premise`,
+    /// hashed once while `row` is the last row asked about.
+    pub(crate) fn digest_term(&mut self, row: u32, premise: usize) -> u64 {
+        if self.terms_of != Some(row) {
+            self.terms_of = Some(row);
+            self.terms.clear();
+        }
+        if let Some(&(_, term)) = self.terms.iter().find(|&&(p, _)| p == premise) {
+            return term;
+        }
+        let term = alpha_digest(premise, self.tid(row), self.tuple(row));
+        self.terms.push((premise, term));
+        term
     }
 
     /// The rows in use whose values at the attributes of the index in
@@ -357,6 +384,9 @@ impl Table {
                 ix.remove(row, &tuple, &mut self.scratch);
             }
             self.free_rows.push(row);
+            if self.terms_of == Some(row) {
+                self.terms_of = None;
+            }
         }
     }
 
@@ -369,7 +399,8 @@ impl Table {
             + self.order.capacity() * size_of::<(u64, u32, u32)>()
             + self.free_columns.capacity() * size_of::<u32>()
             + self.indexes.capacity() * size_of::<Option<Index>>()
-            + self.scratch.capacity() * size_of::<Value>();
+            + self.scratch.capacity() * size_of::<Value>()
+            + self.terms.capacity() * size_of::<(usize, u64)>();
         let indexes: u64 = self.indexes.iter().flatten().map(Index::approx_bytes).sum();
         map_bytes(&self.by_tid) + vecs as u64 + indexes
     }
@@ -392,7 +423,8 @@ impl Table {
     /// the key its tuple gives, at its stored position, and no free row
     /// does; its heap bytes equal a recount; its user count is
     /// `users[slot]`, the premises that name it, and an index with none
-    /// is gone.
+    /// is gone. Kept digest terms belong to a row in use and equal a
+    /// rehash.
     pub(crate) fn check(&self, users: &[u32]) -> Result<(), String> {
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         ensure(
@@ -439,6 +471,16 @@ impl Table {
             users.len() <= self.indexes.len(),
             "a premise names an index slot the table lacks",
         )?;
+        if let Some(row) = self.terms_of {
+            let r = self.rows.get(row as usize);
+            let tuple = r
+                .and_then(|r| r.tuple.as_ref())
+                .ok_or("terms kept for a free row")?;
+            for &(premise, term) in &self.terms {
+                let rehash = alpha_digest(premise, self.tid(row), tuple);
+                ensure(term == rehash, "a kept digest term = a rehash")?;
+            }
+        }
         let mut scratch = Vec::new();
         for (slot, ix) in self.indexes.iter().enumerate() {
             let named = users.get(slot).copied().unwrap_or(0);

@@ -216,8 +216,10 @@ struct Scratch {
 /// Digest of a memo holding nothing.
 const DIGEST_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// An alpha entry's term of the digest.
-fn alpha_digest(premise: usize, tid: u32, tuple: &Tuple) -> u64 {
+/// An alpha entry's term of the digest. The memos read it through
+/// their table ([`Table::digest_term`]), which hashes it once per row
+/// and premise position.
+pub(crate) fn alpha_digest(premise: usize, tid: u32, tuple: &Tuple) -> u64 {
     let mut h = FnvHasher::default();
     0u8.hash(&mut h);
     premise.hash(&mut h);
@@ -489,7 +491,8 @@ impl JoinMemo {
                 s.work.extend(accepted.map(|&c| (c, row)));
             }
         }
-        self.digest = self.digest.wrapping_add(alpha_digest(k, tid, tuple));
+        let term = tables[table as usize].digest_term(row, k);
+        self.digest = self.digest.wrapping_add(term);
 
         // Store each extension, then grow it rightward across the
         // premises after its own as far as the known tuples allow.
@@ -623,9 +626,8 @@ impl JoinMemo {
         }
         let retracted = s.doomed.len() as u64;
 
-        let rows = &tables[table as usize];
-        let digest = alpha_digest(k, rows.tid(row), rows.tuple(row));
-        self.digest = self.digest.wrapping_sub(digest);
+        let term = tables[table as usize].digest_term(row, k);
+        self.digest = self.digest.wrapping_sub(term);
         tables[table as usize].leave(row, column);
         self.alpha_counts[k] -= 1;
         self.scratch = s;

@@ -66,6 +66,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that appends to `buf`'s bytes and keeps its capacity,
+    /// so encoding into a reused buffer allocates nothing once warm.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

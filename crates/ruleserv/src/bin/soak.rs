@@ -8,7 +8,9 @@
 //! running daemon with `--addr`), then drives N connections of mixed
 //! pipelined traffic. Each connection owns one relation and one rule so
 //! traffic exercises create/insert/update/delete and rule firings
-//! without cross-connection write conflicts.
+//! without cross-connection write conflicts. Their names carry the
+//! process id beside the connection index, so a second run against the
+//! same daemon creates its own instead of colliding with the first's.
 //!
 //! Every request is logged with the reply kind it must produce; replies
 //! are read back in order and matched one-to-one. A kind mismatch
@@ -136,7 +138,7 @@ fn drive_connection(
 ) -> Result<ConnStats, ruleserv::ClientError> {
     let mut rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9));
     let mut client = Client::connect(addr)?;
-    let relation = format!("soak_c{id}");
+    let relation = format!("soak{}_c{id}", std::process::id());
 
     // A private relation plus a rule over it so roughly half the
     // inserts fire.

@@ -793,12 +793,12 @@ fn join_retract(w: &mut JsonWriter, n: usize, label: &str) {
 /// tokens: everything a snapshot does before it encodes.
 fn join_snapshot_capture(cfg: &Config, w: &mut JsonWriter, tokens: usize, label: &str) {
     let engine = paired_engine(tokens / 2);
-    let specs = std::collections::HashMap::new();
+    let actions = durable::ActionRegistry::new();
     let calls = cfg.pick(16, 64);
     let ns = min_ns(cfg.pick(3, 7), || {
         time_ns(|| {
             for _ in 0..calls {
-                let snap = durable::snapshot::capture(&engine, &specs, 0).expect("capturable");
+                let snap = durable::snapshot::capture(&engine, &actions, 0).expect("capturable");
                 consume(snap.join_fingerprint);
             }
         }) / calls as f64

@@ -204,6 +204,9 @@ impl Disk {
 /// What a script's calls promised.
 #[derive(Default)]
 struct Log {
+    /// The registry the script's engines were opened with: a recovered
+    /// engine resolves, and every state spells, its named actions here.
+    actions: ActionRegistry,
     /// The live state after each logged sequence number.
     states: BTreeMap<u64, Vec<u8>>,
     /// Per returned call: the tape's length and `durable_seq()` then.
@@ -214,8 +217,8 @@ struct Log {
 }
 
 /// An engine's state after `seq`, as a snapshot body.
-fn body(engine: &rules::RuleEngine, specs: &HashMap<u32, ActionSpec>, seq: u64) -> Vec<u8> {
-    encode_body(&capture(engine, specs, seq).expect("a state the scripts can capture"))
+fn body(engine: &rules::RuleEngine, actions: &ActionRegistry, seq: u64) -> Vec<u8> {
+    encode_body(&capture(engine, actions, seq).expect("a state the scripts can capture"))
 }
 
 impl Log {
@@ -230,7 +233,7 @@ impl Log {
     /// Notes the live state after the last logged sequence number.
     fn state(&mut self, e: &DurableRuleEngine) {
         let seq = e.next_seq() - 1;
-        let state = body(e.engine(), &e.specs, seq);
+        let state = body(e.engine(), &self.actions, seq);
         if let Some(old) = self.states.insert(seq, state) {
             assert!(old == self.states[&seq], "two live states after seq {seq}");
         }
@@ -296,14 +299,14 @@ impl Log {
     /// Recovers one pair of files; the sequence number it lands on, or
     /// the rule it breaks.
     fn recover(&self, snapshot: &Option<Vec<u8>>, wal: &Option<Vec<u8>>) -> Result<u64, String> {
-        let (funcs, actions) = (FunctionRegistry::default(), ActionRegistry::new());
+        let (funcs, actions) = (FunctionRegistry::default(), &self.actions);
         let refused = |e| format!("rule 1, recovery accepts every crash state: {e}");
         let snapshot = snapshot.as_deref().map(parse_snapshot).transpose();
-        let restored = restore(snapshot.map_err(refused)?, &funcs, &actions).map_err(refused)?;
+        let restored = restore(snapshot.map_err(refused)?, &funcs, actions).map_err(refused)?;
         let wal = wal.as_deref().unwrap_or_default();
-        let r = replay_log(restored, wal, &funcs, &actions).map_err(refused)?;
+        let r = replay_log(restored, wal, &funcs, actions).map_err(refused)?;
         let live = self.states.get(&r.last_seq);
-        if live != Some(&body(&r.engine, &r.action_specs, r.last_seq)) {
+        if live != Some(&body(&r.engine, actions, r.last_seq)) {
             let what = live.map_or("no live state", |_| "a different state");
             return Err(format!(
                 "rule 2, recovery lands on a live state: seq {} recovered, {what} logged",
@@ -338,8 +341,8 @@ struct Run {
 }
 
 impl Run {
-    fn open_engine(dir: &Path, opts: Options) -> DurableRuleEngine {
-        let (funcs, actions) = (FunctionRegistry::default(), ActionRegistry::new());
+    fn open_engine(dir: &Path, opts: Options, actions: &ActionRegistry) -> DurableRuleEngine {
+        let (funcs, actions) = (FunctionRegistry::default(), actions.clone());
         DurableRuleEngine::open(dir, funcs, actions, opts).expect("the script's directory opens")
     }
 
@@ -416,7 +419,7 @@ impl Run {
     /// The restart a fail-stopped log calls for.
     fn reopen(&mut self) {
         drop(self.engine.take());
-        let e = Run::open_engine(&self.dir, self.opts);
+        let e = Run::open_engine(&self.dir, self.opts, &self.log.actions);
         self.log.note(&e);
         self.engine = Some(e);
     }
@@ -434,6 +437,19 @@ fn rule(name: &str, condition: &str) -> RuleSpec {
         priority: 0,
         action: ActionSpec::Log(name.into()),
     }
+}
+
+/// The scripts' one named action: it cascades an insert into `audit`,
+/// which carries no rule.
+fn actions() -> ActionRegistry {
+    let mut actions = ActionRegistry::new();
+    actions.register("cascade", |ctx| {
+        ctx.queue(rules::DbOp::Insert {
+            relation: "audit".into(),
+            values: int(1),
+        })
+    });
+    actions
 }
 
 fn int(v: i64) -> Vec<Value> {
@@ -599,6 +615,27 @@ const SCRIPTS: &[Script] = &[
             run.serve(vec![insert(5)], None);
         },
     ),
+    (
+        "a rule that names a callback",
+        opts(SyncPolicy::Always, Some(3)),
+        |run| {
+            run.ok(|e| e.create_relation(rel("t", "v")));
+            run.ok(|e| e.create_relation(rel("audit", "n")));
+            let cascade = ActionSpec::Named("cascade".into());
+            run.ok(|e| {
+                e.add_rule(RuleSpec {
+                    action: cascade,
+                    ..rule("copy", "t.v > 0")
+                })
+            });
+            run.ok(|e| e.add_rule(rule("big", "t.v > 1")));
+            for v in 0..3 {
+                run.ok(|e| e.insert("t", int(v)));
+            }
+            run.ok(|e| e.apply(Record::RemoveRule { id: 1 }));
+            run.ok(|e| e.insert("t", int(3)));
+        },
+    ),
 ];
 
 /// Runs `script` from an empty directory with the tape on, then checks
@@ -608,12 +645,16 @@ fn check(index: usize, (name, opts, script): &Script) -> (usize, usize, Vec<Stri
         std::env::temp_dir().join(format!("durable-crashcheck-{}-{index}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (log, ops) = tape::record(|| {
-        let engine = Some(Run::open_engine(&dir, *opts));
+        let log = Log {
+            actions: actions(),
+            ..Log::default()
+        };
+        let engine = Some(Run::open_engine(&dir, *opts, &log.actions));
         let mut run = Run {
             dir: dir.clone(),
             opts: *opts,
             engine,
-            log: Log::default(),
+            log,
         };
         let e = run.engine.as_ref().expect("an open engine");
         run.log.note(e);

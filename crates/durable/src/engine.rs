@@ -12,14 +12,13 @@
 //! compensation records.
 
 use crate::disk;
-use crate::record::{execute, resolve, ActionSpec, Applied, Record, RuleSpec};
+use crate::record::{execute, resolve, Applied, Record, RuleSpec};
 use crate::recovery::{replay_traced, ActionRegistry, RecoverError, WAL_FILE};
 use crate::snapshot::{self, SnapshotError, SnapshotMetrics};
 use crate::wal::{SyncPolicy, Wal, WalMetrics};
 use predicate::FunctionRegistry;
 use relation::{Schema, TupleId, Value};
 use rules::{EngineError, FireReport, MatchTrace, RuleEngine, RuleId};
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use telemetry::{Stage, StageClock, StageRecord, Telemetry};
@@ -114,8 +113,6 @@ pub struct DurableRuleEngine {
     dir: PathBuf,
     engine: RuleEngine,
     wal: Wal,
-    /// Rule id → durable action, what the next snapshot persists.
-    pub(crate) specs: HashMap<u32, ActionSpec>,
     funcs: FunctionRegistry,
     actions: ActionRegistry,
     opts: Options,
@@ -184,7 +181,7 @@ impl DurableRuleEngine {
         snapshot::take(
             &dir,
             &recovered.engine,
-            &recovered.action_specs,
+            &actions,
             recovered.last_seq,
             &SnapshotMetrics::default(),
         )?;
@@ -201,7 +198,6 @@ impl DurableRuleEngine {
             dir,
             engine,
             wal,
-            specs: recovered.action_specs,
             funcs,
             actions,
             opts,
@@ -274,9 +270,7 @@ impl DurableRuleEngine {
     pub fn apply(&mut self, record: Record) -> Result<Applied, DurableError> {
         self.timed(|d| {
             let rule = resolve(&record, &d.funcs, &d.actions)?;
-            d.logged(record, |engine, specs, record| {
-                execute(engine, specs, record, rule)
-            })
+            d.logged(record, |engine, record| execute(engine, record, rule))
         })
     }
 
@@ -301,37 +295,29 @@ impl DurableRuleEngine {
         out
     }
 
-    /// Log-then-apply: appends `record`, hands it to `run` with the
-    /// engine and the action specs, then the snapshot cadence. The
-    /// clock laps `wal` and `snapshot` and folds in the engine's own
-    /// record of the run.
+    /// Log-then-apply: appends `record`, hands it to `run` with the engine,
+    /// then the snapshot cadence. The clock laps `wal` and `snapshot` and
+    /// folds in the engine's own record of the run.
     fn logged<T>(
         &mut self,
         record: Record,
-        run: impl FnOnce(
-            &mut RuleEngine,
-            &mut HashMap<u32, ActionSpec>,
-            Record,
-        ) -> Result<T, EngineError>,
+        run: impl FnOnce(&mut RuleEngine, Record) -> Result<T, EngineError>,
     ) -> Result<T, DurableError> {
         self.wal.append(&record)?;
         self.clock.lap(Stage::Wal);
-        let out = run(&mut self.engine, &mut self.specs, record);
+        let out = run(&mut self.engine, record);
         self.clock.enclose(Stage::Other, self.engine.last_record());
         self.bump_snapshot_cadence();
         self.clock.lap(Stage::Snapshot);
         Ok(out?)
     }
 
-    /// Counts one logged operation against the snapshot cadence and
-    /// takes the snapshot at each cadence point. Runs after the
-    /// operation's bookkeeping (notably [`Self::specs`]) is in place,
-    /// since it may capture a snapshot. A failed snapshot is not the
+    /// Counts one logged operation against the snapshot cadence and takes
+    /// the snapshot at each cadence point. A failed snapshot is not the
     /// operation's failure: the operation is logged and applied, and the
     /// log it stays in is as durable as before. The failure shows in
-    /// `durable_snapshot_nanos` (with no `durable_snapshots_total`) and
-    /// in its `durable_snapshot` span, and the next cadence point tries
-    /// again.
+    /// `durable_snapshot_nanos` (with no `durable_snapshots_total`) and in
+    /// its `durable_snapshot` span, and the next cadence point tries again.
     fn bump_snapshot_cadence(&mut self) {
         self.since_snapshot += 1;
         if let Some(every) = self.opts.snapshot_every {
@@ -379,11 +365,7 @@ impl DurableRuleEngine {
             relation: relation.to_string(),
             values: values.clone(),
         };
-        self.timed(|d| {
-            d.logged(record, |engine, _, _| {
-                engine.explain_insert(relation, values)
-            })
-        })
+        self.timed(|d| d.logged(record, |engine, _| engine.explain_insert(relation, values)))
     }
 
     /// Updates a tuple and runs the rule chain (logged).
@@ -435,7 +417,7 @@ impl DurableRuleEngine {
         let tracer = self.engine.telemetry().tracer();
         let _span = tracer.span("durable_snapshot", []);
         let last = self.wal.next_seq() - 1;
-        snapshot::take(&self.dir, &self.engine, &self.specs, last, &self.metrics)?;
+        snapshot::take(&self.dir, &self.engine, &self.actions, last, &self.metrics)?;
         // Only truncate the log after the snapshot rename is durable;
         // a crash between the two leaves a stale log whose records
         // replay skips by sequence number.
@@ -472,6 +454,7 @@ impl DurableRuleEngine {
 mod tests {
     use super::*;
     use crate::disk::tape::{fail_next, take_planned, Fault};
+    use crate::ActionSpec;
     use relation::AttrType;
     use std::path::Path;
 

@@ -10,8 +10,10 @@
 //!   group-commit batching ([`SyncPolicy`]);
 //! * periodic **snapshots** ([`snapshot`]) serializing the catalog
 //!   (every relation, holes and free lists included), the stored rules
-//!   (condition source text, masks, priorities, fire counts, action
-//!   specs), and the engine counters, followed by log truncation;
+//!   (condition source text, masks, priorities, fire counts, and each
+//!   action as its log message or the name its callback is registered
+//!   under in the [`ActionRegistry`]), and the engine counters, followed
+//!   by log truncation;
 //! * **recovery** ([`replay`]) rebuilding an engine — and thereby its
 //!   predicate index — as snapshot + log suffix, tolerating a torn or
 //!   truncated log tail by stopping at the first bad frame. A damaged
@@ -59,7 +61,7 @@
 //!     .unwrap();
 //! engine.insert("emp", vec![Value::Int(9_000)]).unwrap();
 //! // Crash here: reopening replays the log and recovers everything —
-//! // relations, rules, fire counts, even the engine log.
+//! // relations, tuple ids, rules and fire counts.
 //! ```
 //!
 //! No third-party dependencies: records are hand-rolled length-prefixed

@@ -34,7 +34,6 @@ use relation::codec::{
 };
 use relation::{Relation, Schema, TupleId, Value};
 use rules::{EngineError, EventMask, FireReport, Rule, RuleEngine, RuleId};
-use std::collections::HashMap;
 
 /// How a rule's action is named in durable storage. Callbacks are
 /// arbitrary native closures and cannot be serialized; durable rules
@@ -152,12 +151,10 @@ pub(crate) fn resolve(
 }
 
 /// Runs one record against the engine — the only place a [`Record`]
-/// turns into engine calls, and the only writer of `specs` (rule id →
-/// durable action spec, what the next snapshot persists) outside
-/// snapshot load. `rule` is what [`resolve`] returned for this record.
+/// turns into engine calls. `rule` is what [`resolve`] returned for
+/// this record.
 pub(crate) fn execute(
     engine: &mut RuleEngine,
-    specs: &mut HashMap<u32, ActionSpec>,
     record: Record,
     rule: Option<Rule>,
 ) -> Result<Applied, EngineError> {
@@ -167,18 +164,12 @@ pub(crate) fn execute(
             Applied::Created
         }
         Record::DropRelation { name } => Applied::Dropped(engine.drop_relation(&name)?),
-        Record::AddRule { spec } => {
+        Record::AddRule { .. } => {
             let rule =
                 rule.expect("both callers pass resolve's answer, which is Some for every AddRule");
-            let id = engine.add_rule(rule)?;
-            specs.insert(id.0, spec.action);
-            Applied::RuleAdded(id)
+            Applied::RuleAdded(engine.add_rule(rule)?)
         }
-        Record::RemoveRule { id } => {
-            let rule = engine.remove_rule(RuleId(id))?;
-            specs.remove(&id);
-            Applied::RuleRemoved(rule)
-        }
+        Record::RemoveRule { id } => Applied::RuleRemoved(engine.remove_rule(RuleId(id))?),
         Record::Insert { relation, values } => Applied::Fired(engine.insert(&relation, values)?),
         Record::Update {
             relation,

@@ -10,16 +10,19 @@
 //! `record::execute`, what [`crate::DurableRuleEngine::apply`] calls
 //! after appending — so a replayed record cannot mean anything other
 //! than what it meant live; this module holds no interpretation of its
-//! own. What is left to rely on is determinism underneath: rule ids are
-//! handed out sequentially, the agenda is a total order, and every
-//! cascaded operation is a pure function of engine state. Engine-level
-//! *errors* during replay (duplicate relation, unknown tuple, firing
-//! limit) are therefore deterministic re-occurrences of errors the
-//! original already returned, and are ignored; only environmental
-//! mismatches — a condition that no longer parses because a custom
-//! predicate function was not re-registered, or a named action missing
-//! from the [`ActionRegistry`] — abort recovery, because silently
-//! dropping them would change rule semantics.
+//! own. `restore` hands the snapshot's rules to `RuleEngine::restore`,
+//! which registers each through `add_rule` under its own id, and keeps
+//! nothing beside the engine: the next snapshot reads each rule's
+//! action off the engine. What is left to rely on is determinism
+//! underneath: rule ids are handed out sequentially, the agenda is a
+//! total order, and every cascaded operation is a pure function of
+//! engine state. Engine-level *errors* during replay (duplicate
+//! relation, unknown tuple, firing limit) are therefore deterministic
+//! re-occurrences of errors the original already returned, and are
+//! ignored; only environmental mismatches — a condition that no longer
+//! parses because a custom predicate function was not re-registered, or
+//! a named action missing from the [`ActionRegistry`] — abort recovery,
+//! because silently dropping them would change rule semantics.
 
 use crate::disk;
 use crate::record::{execute, resolve, ActionSpec, RuleSpec};
@@ -67,6 +70,16 @@ impl ActionRegistry {
     /// Looks up a named action.
     pub fn get(&self, name: &str) -> Option<ActionFn> {
         self.map.get(name).cloned()
+    }
+
+    /// Each registered callback's name, keyed by the callback's address:
+    /// a callback is the `Arc` it was registered as, so a rule's action
+    /// is spelled by the name that `Arc` is held under.
+    pub(crate) fn names(&self) -> HashMap<*const (), &str> {
+        self.map
+            .iter()
+            .map(|(name, f)| (Arc::as_ptr(f).cast(), name.as_str()))
+            .collect()
     }
 }
 
@@ -138,9 +151,6 @@ impl From<io::Error> for RecoverError {
 pub struct Recovered {
     /// The rebuilt engine.
     pub engine: RuleEngine,
-    /// Durable action spec per live rule id (what the next snapshot
-    /// will persist).
-    pub action_specs: HashMap<u32, ActionSpec>,
     /// Sequence number of the last record folded into `engine` (0 if
     /// the directory was empty).
     pub last_seq: u64,
@@ -226,9 +236,9 @@ pub(crate) fn replay_traced(
     Ok(recovered)
 }
 
-/// What a snapshot restores: the engine, its action specs and the
-/// last sequence number it covers.
-pub(crate) type Restored = (RuleEngine, HashMap<u32, ActionSpec>, u64);
+/// What a snapshot restores: the engine and the last sequence number
+/// it covers.
+pub(crate) type Restored = (RuleEngine, u64);
 
 /// The state a snapshot holds (an empty engine at `last_seq` 0 without
 /// a snapshot).
@@ -238,7 +248,7 @@ pub(crate) fn restore(
     actions: &ActionRegistry,
 ) -> Result<Restored, RecoverError> {
     let Some(snap) = snapshot else {
-        return Ok((RuleEngine::new(Database::new()), HashMap::new(), 0));
+        return Ok((RuleEngine::new(Database::new()), 0));
     };
     let mut db = Database::new();
     for rel in snap.relations {
@@ -247,7 +257,6 @@ pub(crate) fn restore(
             .map_err(|e| RecoverError::corrupt("snapshot relations", e))?;
     }
     let mut rules: Vec<(RuleId, Rule, u64)> = Vec::with_capacity(snap.rules.len());
-    let mut specs = HashMap::new();
     for r in snap.rules {
         let mut conditions: Vec<Predicate> = Vec::with_capacity(r.conds.len());
         let mut joins: Vec<JoinCondition> = Vec::new();
@@ -283,7 +292,6 @@ pub(crate) fn restore(
             action: resolve_action(&r.action, actions)?,
             priority: r.priority,
         };
-        specs.insert(r.id, r.action);
         rules.push((RuleId(r.id), rule, r.fired));
     }
     let mut engine = RuleEngine::restore(db, rules, snap.next_rule, snap.total_fired)
@@ -302,7 +310,7 @@ pub(crate) fn restore(
             format!("rebuilt memo digests to {rebuilt:#018x}, snapshot recorded {recorded:#018x}");
         return Err(RecoverError::corrupt("join memo fingerprint", detail));
     }
-    Ok((engine, specs, snap.last_seq))
+    Ok((engine, snap.last_seq))
 }
 
 /// Replays the log's bytes on top of what [`restore`] made: every
@@ -310,7 +318,7 @@ pub(crate) fn restore(
 /// valid header starts past `last_seq + 1` is refused as a gap: the
 /// frames between are in neither file.
 pub(crate) fn replay_log(
-    (mut engine, mut action_specs, mut last_seq): Restored,
+    (mut engine, mut last_seq): Restored,
     wal: &[u8],
     funcs: &FunctionRegistry,
     actions: &ActionRegistry,
@@ -332,13 +340,12 @@ pub(crate) fn replay_log(
         // environment changed under the log); an engine error is the
         // one the original caller was already handed, so it is dropped.
         let rule = resolve(&record, funcs, actions)?;
-        let _ = execute(&mut engine, &mut action_specs, record, rule);
+        let _ = execute(&mut engine, record, rule);
         last_seq = seq;
         frames_replayed += 1;
     }
     Ok(Recovered {
         engine,
-        action_specs,
         last_seq,
         frames_replayed,
     })

@@ -10,10 +10,12 @@
 //! record the snapshot covers, every relation (schema, slot array
 //! *including holes*, free list — so recovered tuple-id allocation is
 //! bit-identical), every rule (condition source text, event mask,
-//! priority, fire count, action spec), and the engine counters. The
-//! lines actions log are output, not state (DESIGN.md §10): the body's
-//! line count is written 0, and the lines an older file holds are
-//! read and dropped.
+//! priority, fire count, action spec), and the engine counters. A
+//! capture reads each action off the rule engine: an `Action::Log` is
+//! spelled as itself, a callback by the name the [`ActionRegistry`]
+//! holds its `Arc` under. The lines actions log are output, not state
+//! (DESIGN.md §10): the body's line count is written 0, and the lines an
+//! older file holds are read and dropped.
 //!
 //! Unlike the WAL there is no tolerated torn tail: snapshots are
 //! written to a temporary file, synced, and atomically renamed, so a
@@ -33,14 +35,14 @@
 use crate::crc::crc32;
 use crate::disk;
 use crate::record::{decode_action, decode_mask, encode_action, encode_mask, ActionSpec};
-use crate::recovery::RecoverError;
+use crate::recovery::{ActionRegistry, RecoverError};
 use relation::codec::{decode_relation, encode_relation, CodecError, Reader, Writer};
 use relation::Relation;
 use rules::{Action, EventMask, RuleEngine};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 use telemetry::{Counter, Histogram, Registry};
 
 /// File magic for snapshot files.
@@ -197,36 +199,39 @@ fn timed<T>(clock: &Histogram, stage: impl FnOnce() -> T) -> T {
 pub(crate) fn take(
     dir: &Path,
     engine: &RuleEngine,
-    specs: &HashMap<u32, ActionSpec>,
+    actions: &ActionRegistry,
     last_seq: u64,
     metrics: &SnapshotMetrics,
 ) -> Result<(), SnapshotError> {
     timed(&metrics.nanos, || {
-        let snap = timed(&metrics.capture_nanos, || capture(engine, specs, last_seq))?;
+        let snap = timed(&metrics.capture_nanos, || {
+            capture(engine, actions, last_seq)
+        })?;
         Ok(write_snapshot(dir, &snap, metrics)?)
     })
     .map(|()| metrics.snapshots.inc())
 }
 
-/// Captures the engine's current state. `specs` maps rule id to the
-/// durable action spec (maintained by [`crate::DurableRuleEngine`]);
-/// rules absent from it fall back to their in-engine `Action::Log`.
+/// Captures the engine's current state. A rule's `Action::Log` is
+/// spelled as itself, and a callback by the name `actions` holds it
+/// under; a callback registered under no name there has no spelling.
 pub fn capture<'a>(
     engine: &'a RuleEngine,
-    specs: &HashMap<u32, ActionSpec>,
+    actions: &ActionRegistry,
     last_seq: u64,
 ) -> Result<SnapshotData<'a>, SnapshotError> {
     let mut relations: Vec<Cow<'a, Relation>> =
         (engine.db().catalog().relations().map(Cow::Borrowed)).collect();
     relations.sort_by(|a, b| a.schema().name().cmp(b.schema().name()));
 
+    let names = actions.names();
     let mut rules = Vec::new();
     for (id, rule, fired) in engine.rules_detail() {
-        let action = match specs.get(&id.0) {
-            Some(spec) => spec.clone(),
-            None => match &rule.action {
-                Action::Log(msg) => ActionSpec::Log(msg.clone()),
-                Action::Callback(_) => {
+        let action = match &rule.action {
+            Action::Log(msg) => ActionSpec::Log(msg.clone()),
+            Action::Callback(f) => match names.get(&Arc::as_ptr(f).cast()) {
+                Some(&name) => ActionSpec::Named(name.to_string()),
+                None => {
                     return Err(SnapshotError::Unrepresentable {
                         rule: rule.name.to_string(),
                         detail: "anonymous callback action (register it by name)".into(),

@@ -48,15 +48,10 @@ impl Metrics {
         }
     }
 
-    /// Whether [`sample`](Self::sample) reads anything.
-    fn sampling(&self) -> bool {
-        self.partials.is_enabled()
-    }
-
     /// Samples `memo`'s gauges after a mutation. Reading them walks
     /// the memo's tables, so a disabled registry skips the read too.
     fn sample(&self, memo: &JoinMemo, tables: &[Table]) {
-        if self.sampling() {
+        if self.partials.is_enabled() {
             self.partials.record(memo.partial_count() as u64);
             self.bytes.record(memo.approx_bytes(tables));
         }
@@ -202,20 +197,14 @@ impl JoinEngine {
             for i in 0..self.tables[t].columns().len() {
                 let (key, premise, column) = self.tables[t].columns()[i];
                 let held = row.filter(|&row| self.tables[t].cell(row, column).is_live());
-                // The gauges sample every memo over the relation, as
-                // they did when each memo looked the tuple up itself.
-                if held.is_none() && !self.metrics.sampling() {
-                    continue;
-                }
+                let Some(row) = held else { continue };
                 let memo = self
                     .memos
                     .get_mut(&key)
                     .expect("a live column's condition is registered");
-                if let Some(row) = held {
-                    let n = memo.retract(&mut self.tables, premise as usize, row);
-                    total += n;
-                    each(key, n);
-                }
+                let n = memo.retract(&mut self.tables, premise as usize, row);
+                total += n;
+                each(key, n);
                 self.metrics.sample(memo, &self.tables);
             }
         }

@@ -103,13 +103,6 @@ impl<H, C> Slab<H, C> {
             .expect("a slot read through a route or a mark is live")
     }
 
-    /// The cold half of live slot `slot`, mutably.
-    pub fn cold_mut(&mut self, slot: u32) -> &mut C {
-        self.cold[slot as usize]
-            .as_mut()
-            .expect("a slot read through a route or a mark is live")
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.slots.len()

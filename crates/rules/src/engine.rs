@@ -179,7 +179,7 @@ const _: () = assert!(size_of::<Option<HotRule>>() == 64);
 impl HotRule {
     /// The hot half of `rule`, whose conditions and join conditions
     /// have already moved into the index and the memos.
-    fn new(id: u32, rule: Rule, fired: u64) -> HotRule {
+    fn new(id: u32, rule: Rule) -> HotRule {
         debug_assert!(
             rule.conditions.is_empty() && rule.joins.is_empty(),
             "the conditions live in the index, the join conditions in their memos"
@@ -190,7 +190,7 @@ impl HotRule {
             mask: rule.mask,
             name: rule.name,
             action: rule.action,
-            fired,
+            fired: 0,
         }
     }
 }
@@ -457,7 +457,10 @@ impl RuleEngine {
     pub fn add_rule(&mut self, mut rule: Rule) -> Result<RuleId, EngineError> {
         self.open_record();
         let id = RuleId(self.next_rule);
-        let next = self.check_fresh(id)?;
+        if self.rules.slot(id.0).is_some() {
+            return Err(EngineError::DuplicateRule(id));
+        }
+        let next = id.0.checked_add(1).ok_or(EngineError::RuleIdsExhausted)?;
         let slot = self.rules.next_slot();
         let predicate_ids = self.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
         match self.register_joins(id.0, slot, std::mem::take(&mut rule.joins)) {
@@ -468,7 +471,7 @@ impl RuleEngine {
                     predicate_ids,
                     joins,
                 };
-                let taken = self.rules.insert(id.0, HotRule::new(id.0, rule, 0), cold);
+                let taken = self.rules.insert(id.0, HotRule::new(id.0, rule), cold);
                 debug_assert_eq!(taken, slot, "the slab handed out the slot it promised");
                 Ok(id)
             }
@@ -479,16 +482,6 @@ impl RuleEngine {
                 Err(e)
             }
         }
-    }
-
-    /// Checks that rule `id` may be registered: it is not live, and it
-    /// is not the last `u32`, so the id after it exists. Returns that
-    /// id. Runs before anything is registered.
-    fn check_fresh(&self, id: RuleId) -> Result<u32, EngineError> {
-        if self.rules.slot(id.0).is_some() {
-            return Err(EngineError::DuplicateRule(id));
-        }
-        id.0.checked_add(1).ok_or(EngineError::RuleIdsExhausted)
     }
 
     /// Moves a rule's condition predicates into the index, each routed
@@ -1163,10 +1156,13 @@ impl RuleEngine {
 
     /// Rebuilds an engine from externally persisted state: a restored
     /// database, the surviving rules with their original ids and fire
-    /// counts, and the engine counters. Condition predicates are
-    /// re-registered one by one, in the order given; the predicate ids
-    /// themselves are fresh (they never escape the engine, so only the
-    /// rule↔predicate wiring must be rebuilt).
+    /// counts, and the engine counters. Each rule goes through
+    /// [`add_rule`](Self::add_rule) under its own id, in the order
+    /// given, so its join memos are seeded from the restored database;
+    /// the memo invariant — tokens are exactly the valid premise
+    /// prefixes over the current tuples — makes that state identical to
+    /// the pre-crash incremental one, which
+    /// [`join_fingerprint`](Self::join_fingerprint) lets callers verify.
     pub fn restore(
         db: Database,
         rules: Vec<(RuleId, Rule, u64)>,
@@ -1174,40 +1170,18 @@ impl RuleEngine {
         total_fired: u64,
     ) -> Result<Self, EngineError> {
         let mut engine = RuleEngine {
-            next_rule,
             total_fired,
             ..RuleEngine::new(db)
         };
-        // Join conditions are held aside until every rule's conditions
-        // are registered.
-        let mut held = Vec::new();
-        for (rid, mut rule, fired) in rules {
-            let next = engine.check_fresh(rid)?;
-            let slot = engine.rules.next_slot();
-            let predicate_ids =
-                engine.register_conditions(slot, std::mem::take(&mut rule.conditions))?;
-            engine.next_rule = engine.next_rule.max(next);
-            if !rule.joins.is_empty() {
-                held.push((rid.0, slot, std::mem::take(&mut rule.joins)));
-            }
-            let hot = HotRule::new(rid.0, rule, fired);
-            let cold = ColdRule {
-                predicate_ids,
-                joins: Vec::new(),
-            };
-            engine.rules.insert(rid.0, hot, cold);
+        let mut next = next_rule;
+        for (rid, rule, fired) in rules {
+            engine.next_rule = rid.0;
+            engine.add_rule(rule)?;
+            next = next.max(engine.next_rule);
+            let slot = engine.rules.slot(rid.0).expect("add_rule registered it");
+            engine.rules.hot_mut(slot).fired = fired;
         }
-        // Re-register join conditions and reseed their memos from the
-        // restored database (in rule-id order for determinism). The
-        // memo invariant — tokens are exactly the valid premise
-        // prefixes over the current tuples — makes the reseeded state
-        // identical to the pre-crash incremental state, which
-        // [`join_fingerprint`](Self::join_fingerprint) lets callers
-        // verify.
-        held.sort_unstable_by_key(|&(rid, ..)| rid);
-        for (rid, slot, joins) in held {
-            engine.rules.cold_mut(slot).joins = engine.register_joins(rid, slot, joins)?;
-        }
+        engine.next_rule = next;
         Ok(engine)
     }
 

@@ -1051,6 +1051,31 @@ mod join_tests {
         assert!(samples >= 2);
         assert!(m.histogram_totals("join_memo_bytes").is_some());
     }
+
+    #[test]
+    fn a_retraction_samples_only_the_memos_it_retracted_from() {
+        let mut e = engine();
+        e.attach_metrics(std::sync::Arc::new(Registry::new()));
+        e.add_rule(
+            Rule::builder("j")
+                .when("emp.dno = dept.dno and dept.floor = 1")
+                .unwrap()
+                .then(Action::log("m"))
+                .build(),
+        )
+        .unwrap();
+        e.insert("dept", dept(4, 2)).unwrap(); // fails the alpha filter
+        e.insert("dept", dept(5, 1)).unwrap();
+        let samples = |e: &RuleEngine| {
+            let m = e.telemetry().registry();
+            m.histogram_totals("join_partial_matches").unwrap().0
+        };
+        let before = samples(&e);
+        e.delete("dept", TupleId(0)).unwrap();
+        assert_eq!(samples(&e), before, "no memo held the filtered tuple");
+        e.delete("dept", TupleId(1)).unwrap();
+        assert_eq!(samples(&e), before + 1, "one memo retracted the other");
+    }
 }
 
 #[cfg(test)]

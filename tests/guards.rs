@@ -77,6 +77,8 @@ const GUARDS: &[Guard] = &[
     Guard { files: "crates/ruleserv/src/server.rs", hit: |l| text(l, "try_clone("), must: false, within: "", why: "§14: a session is one socket that its reader and writer share, closed when the session ends; the accept thread keeps a `Weak` to it, not a clone" },
     Guard { files: "crates/joinmemo/src/memo.rs", hit: |l| field(l, "", "KeyStore|HashMap<Key").filter(|_| text(l, "level_key:").is_none()), must: false, within: "", why: "§15: a key store whose members are one table's rows is that table's shared index; a memo keeps only its beta stores, `level_key`" },
     Guard { files: "crates/rules/src/engine.rs crates/durable/src/snapshot.rs", hit: |l| field(l, "log", "Vec<String>").or(text(l, "engine.log(")), must: false, within: "!struct FireReport", why: "§10: an action's lines are output, returned once in the op's `FireReport`; neither the engine nor the snapshot keeps them" },
+    Guard { files: "crates/durable/src", hit: |l| text(l, "Map<u32, ActionSpec>|Map<RuleId, ActionSpec>"), must: false, within: "", why: "§10: a rule's action is held once, by the rule engine; a snapshot spells a callback by the name its `Arc` is registered under" },
+    Guard { files: "crates/rules/src/engine.rs", hit: |l| text(l, "register_conditions(|register_joins("), must: false, within: "fn restore", why: "§9: a restored rule is registered by `add_rule`, under its own id; there is no second registration path" },
 ];
 
 /// The lock fields that remain, each with its type, as DESIGN.md §18's
